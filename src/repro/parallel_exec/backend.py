@@ -8,7 +8,10 @@ shards the pool's rank segments into contiguous ranges balanced by
 particle count and dispatches one task per worker; all virtual-machine
 accounting (clocks, op counters, comm stats, ghost-table stats) stays in
 the main process, so results are bit-identical to the serial flat engine
-for every worker count (DESIGN.md §5.5).
+for every worker count (DESIGN.md §5.5).  The one cross-shard float
+reduction — on-rank deposition — costs one ``(nchannels, nnodes)`` row
+per *shard*, not per rank: a node is deposited on-rank only by its
+owner, so shard rows have disjoint support and their sum is exact.
 
 Construction goes through :func:`create_backend`, which degrades
 gracefully: without usable shared memory, without ``fork``, or with
@@ -208,9 +211,9 @@ class FlatBackend:
         """Contiguous rank ranges covering ``[0, p)``, balanced by count.
 
         Every rank lands in exactly one shard (zero-particle ranks
-        included, so scratch rows for them are always freshly written);
-        shard boundaries depend only on ``counts`` and the worker count,
-        and the per-rank reduction order downstream makes results
+        included); shard boundaries depend only on ``counts`` and the
+        worker count, and the disjoint support of on-rank deposition
+        (a node is deposited on-rank only by its owner) makes results
         independent of them.
         """
         p = int(counts.shape[0])
@@ -234,18 +237,19 @@ class FlatBackend:
         """Worker-parallel CIC deposition over the pool's rank segments.
 
         Returns ``(rows, entries_per_rank, uniq_per_rank, messages)``:
-        the shared ``(p, nchannels, nnodes)`` per-rank partial rows (to
-        be reduced in rank order by the caller), ghost-table tallies, and
-        per-rank coalesced ghost messages — exactly the intermediates the
-        serial flat scatter computes.
+        the shared ``(nshards, nchannels, nnodes)`` deposition rows, one
+        per shard (disjoint support, so the caller's sum is exact),
+        ghost-table tallies, and per-rank coalesced ghost messages —
+        exactly the intermediates the serial flat scatter computes.
         """
         cols = self._require_cols(pool)
         p = pool.p
-        counts = pool.counts
-        rows, rows_desc = self.arena.array("rows", (p, len(CHANNELS), nnodes), np.float64)
+        shards = self._shards(pool.counts)
+        rows, rows_desc = self.arena.array(
+            "rows", (len(shards), len(CHANNELS), nnodes), np.float64
+        )
         owner_desc = self.arena.publish("owner", np.ascontiguousarray(node_owner))
         offsets = np.asarray(pool.offsets, dtype=np.int64)
-        shards = self._shards(counts)
         tasks = [
             (
                 w,
@@ -258,6 +262,7 @@ class FlatBackend:
                     owner=owner_desc,
                     nnodes=int(nnodes),
                     rows=rows_desc,
+                    shard=w,
                     version=self._version,
                 ),
             )

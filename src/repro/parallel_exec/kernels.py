@@ -9,12 +9,15 @@ the determinism contract of DESIGN.md §5.5:
 * per-element kernels (CIC vertices, deposition entries, field gather,
   Boris push, key classification) are chunk-oblivious by construction;
 * the only true floating-point reductions — on-rank deposition
-  accumulation and ghost duplicate-removal sums — are decomposed at
-  **rank granularity**: each rank's partial accumulates its entries in
-  pool order, and partials are reduced in ascending rank order by
-  :func:`reduce_rank_rows`.  Worker shards are unions of whole rank
-  segments, so the addition sequence per node never depends on the
-  worker count.
+  accumulation and ghost duplicate-removal sums — never mix ranks.  A
+  node's on-rank ("mine") entries all come from the one rank that owns
+  it, so per-rank partials have **disjoint support**: one bincount over
+  a shard's pooled entries adds, per node, exactly the owner's entries
+  in pool order, and :func:`reduce_rank_rows` only ever adds zeros to
+  it.  Ghost sums are keyed by ``(rank, node)``.  Worker shards are
+  unions of whole rank segments, so the addition sequence per node
+  never depends on the worker count — at O(entries + nodes) per shard,
+  with no per-rank copy of the mesh.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ def scatter_segment(
     r0: int,
     node_owner: np.ndarray,
     nnodes: int,
-    out_rows: np.ndarray,
+    out_row: np.ndarray,
 ):
     """Deposition work for the rank segments ``[r0, r0 + len(counts))``.
 
@@ -61,11 +64,12 @@ def scatter_segment(
         Global rank id of the first covered segment.
     node_owner:
         Global node-ownership map.
-    out_rows:
-        ``(nranks, nchannels, nnodes)`` output — each covered rank's
-        on-rank deposition partial (its entries accumulated in pool
-        order).  Callers reduce rows in rank order via
-        :func:`reduce_rank_rows`.
+    out_row:
+        ``(nchannels, nnodes)`` output — the covered ranks' on-rank
+        deposition, one bincount over their pooled "mine" entries.  Each
+        node receives only its owner's entries, in pool order, so the
+        row equals the rank-ordered sum of per-rank bincounts bit for
+        bit.  Callers add shard rows via :func:`reduce_rank_rows`.
 
     Returns
     -------
@@ -90,22 +94,15 @@ def scatter_segment(
         mine_idx = np.flatnonzero(~ghost)
         nodes_mine = flat_nodes.take(mine_idx)
         values_mine = flat_values.take(mine_idx, axis=1)
-        ranks_mine = local_rank.take(mine_idx)
     else:
         nodes_mine = flat_nodes
         values_mine = flat_values
-        ranks_mine = local_rank
 
-    # On-rank accumulation, one partial row per covered rank: a single
-    # wide bincount keyed by (local rank, node).  Within one key the
-    # entries arrive in pool order, so row r is bit-identical to a
-    # per-rank bincount of rank r's entries alone.
-    key_mine = ranks_mine * np.int64(nnodes) + nodes_mine
-    width = nranks * nnodes
+    # On-rank accumulation: "mine" means the depositing rank owns the
+    # node, so every node's entries come from one rank and arrive in
+    # pool order — no rank key is needed to keep ranks apart.
     for c in range(nchannels):
-        out_rows[:, c, :] = np.bincount(
-            key_mine, weights=values_mine[c], minlength=width
-        ).reshape(nranks, nnodes)
+        out_row[c] = np.bincount(nodes_mine, weights=values_mine[c], minlength=nnodes)
 
     entries_per_rank = np.zeros(nranks, dtype=np.int64)
     uniq_per_rank = np.zeros(nranks, dtype=np.int64)
@@ -143,15 +140,17 @@ def scatter_segment(
     return vertices, entries_per_rank, uniq_per_rank, messages
 
 
-def reduce_rank_rows(rows: np.ndarray, p: int, acc: np.ndarray) -> np.ndarray:
-    """Reduce per-rank deposition partials in ascending rank order.
+def reduce_rank_rows(rows: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """Add the per-shard deposition rows ``(nshards, nchannels, nnodes)``.
 
-    The fixed reduction order is the determinism anchor: it matches the
-    looped engine's ``for r in range(p): acc += bincount(rank r)`` and is
-    independent of how ranks were sharded across workers.
+    Shards cover disjoint rank sets and a node is deposited on-rank only
+    by its owner, so at most one row is nonzero per node: the sum is
+    exact in any order, equals the looped engine's
+    ``for r in range(p): acc += bincount(rank r)``, and is independent
+    of how ranks were sharded across workers.
     """
-    for r in range(p):
-        acc += rows[r]
+    for row in rows:
+        acc += row
     return acc
 
 

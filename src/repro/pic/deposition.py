@@ -16,12 +16,15 @@ entries with rank-offset node ids (``node + rank * nnodes``) and summing
 duplicates with one ``unique``/``bincount`` — per-rank results come back
 as contiguous segments of the sorted unique keys.
 
-Association contract: both engines (and the multicore backend's
-:mod:`repro.parallel_exec.kernels`) accumulate "mine" entries into a
-*per-depositing-rank* partial row first and add rows in ascending rank
-order, so every float addition happens in the same order everywhere —
-deposition results are bit-identical across engines and worker counts,
-not merely close (DESIGN.md §5.5).
+Association contract: an entry is "mine" when the depositing rank owns
+its node, so all of a node's on-rank entries come from one rank and the
+per-rank partials have *disjoint support*.  The looped engine adds one
+bincount per rank; the flat engine (and the multicore backend's
+:mod:`repro.parallel_exec.kernels`) runs one bincount over the pooled
+entries of a shard.  Either way a node sees exactly its owner's entries
+in pool order plus zeros, so deposition results are bit-identical across
+engines and worker counts, not merely close (DESIGN.md §5.5) — and no
+engine materialises a per-rank copy of the mesh.
 """
 
 from __future__ import annotations

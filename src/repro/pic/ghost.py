@@ -104,14 +104,21 @@ class DirectAddressTable(GhostTable):
 
     def __init__(self, nnodes: int, nchannels: int = 4) -> None:
         super().__init__(nnodes, nchannels)
-        self._acc = np.zeros((nchannels, nnodes))
-        self._touched = np.zeros(nnodes, dtype=bool)
+        # Storage is allocated by the first ``accumulate``: the flat
+        # engine only ever calls ``account_pooled``, and p eager tables
+        # would cost p whole-mesh arrays.  ``memory_slots`` reports the
+        # modelled footprint either way.
+        self._acc: np.ndarray | None = None
+        self._touched: np.ndarray | None = None
         self.stats.memory_slots = nnodes * (nchannels + 1)
 
     def accumulate(self, nodes: np.ndarray, values: np.ndarray) -> None:
         nodes, values = self._check(nodes, values)
         if nodes.size == 0:
             return
+        if self._acc is None:
+            self._acc = np.zeros((self.nchannels, self.nnodes))
+            self._touched = np.zeros(self.nnodes, dtype=bool)
         for c in range(self.nchannels):
             self._acc[c] += np.bincount(nodes, weights=values[c], minlength=self.nnodes)
         self._touched[nodes] = True
@@ -119,6 +126,9 @@ class DirectAddressTable(GhostTable):
         self.stats.ops += float(nodes.size)  # one direct store per entry
 
     def flush(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._acc is None:  # nothing was ever accumulated
+            self.stats.unique_nodes = 0
+            return np.empty(0, dtype=np.int64), np.empty((self.nchannels, 0))
         uniq = np.flatnonzero(self._touched).astype(np.int64)
         summed = self._acc[:, uniq].copy()
         self.stats.unique_nodes = uniq.size

@@ -338,11 +338,15 @@ class ParallelPIC:
         duplicate removal reproduces each rank's ghost-table output
         bit-for-bit (entries stay in per-rank order inside the pool).
 
-        Deposition reduces at *rank granularity* (per-rank partial rows
-        added in ascending rank order, then per-message merges in the
-        looped engine's order), so the accumulated channels are also
-        bit-identical to the looped engine — and independent of how a
-        multicore backend shards the pool across workers.
+        The accumulated channels are bit-identical to the looped engine
+        too, at O(entries + nodes) host cost.  On-rank ("mine") entries
+        of a node all come from the rank that owns it, so the per-rank
+        partials have disjoint support and one pooled bincount per shard
+        *is* the rank-ordered sum — independent of how a multicore
+        backend shards the pool.  Received ghost messages are merged by
+        one bincount seeded with those sums and fed the messages in the
+        looped engine's (destination, source) order, which replays its
+        ``((mine + v_src1) + v_src2) ...`` association per node.
         """
         vm = self.vm
         grid = self.grid
@@ -365,13 +369,13 @@ class ParallelPIC:
                     # each worker holds its segment's CIC evaluation locally
                     self._cic_pool_cache = None
                 else:
-                    rows = np.empty((p, nchannels, nnodes))
+                    rows = np.empty((1, nchannels, nnodes))
                     vertices, entries_per_rank, uniq_per_rank, messages = scatter_segment(
-                        grid, pool.array, counts, 0, self.node_owner, nnodes, rows
+                        grid, pool.array, counts, 0, self.node_owner, nnodes, rows[0]
                     )
                     self._cic_pool_cache = (pool, vertices[0], vertices[1])
             with maybe_section(prof, "reduce"):
-                reduce_rank_rows(rows, p, acc)
+                reduce_rank_rows(rows, acc)
 
             table_ops = np.zeros(p)
             for r in np.flatnonzero(entries_per_rank):
@@ -387,16 +391,24 @@ class ParallelPIC:
 
             with maybe_section(prof, "ghost_merge"):
                 recv = vm.alltoallv(sends)
-                # Merge received ghost contributions exactly as the looped
-                # engine does — one bincount per message, destinations in
-                # rank order, sources sorted — so the per-node addition
-                # sequence (hence the floats) matches bit-for-bit.
+                # Merge what was *received* (faults may have damaged it)
+                # in the looped engine's order — destinations in rank
+                # order, sources sorted.  Ids are unique inside a message,
+                # so seeding one bincount with acc and appending the
+                # messages gives every node the looped engine's addition
+                # sequence, hence its floats, bit for bit.
                 merge_ops = np.zeros(p)
+                merge_ids = [np.arange(nnodes)]
+                merge_vals = [acc]
                 for r in range(p):
                     for _, (ids, vals) in sorted(recv[r].items()):
-                        for c in range(nchannels):
-                            acc[c] += np.bincount(ids, weights=vals[c], minlength=nnodes)
+                        merge_ids.append(ids)
+                        merge_vals.append(vals)
                         merge_ops[r] += ids.size
+                all_ids = np.concatenate(merge_ids)
+                all_vals = np.concatenate(merge_vals, axis=1)
+                for c in range(nchannels):
+                    acc[c] = np.bincount(all_ids, weights=all_vals[c], minlength=nnodes)
                 vm.charge_ops("table", merge_ops)
 
         self._ghost_nodes = ghost_nodes

@@ -1,0 +1,296 @@
+"""The flat scatter is O(entries + nodes): no dense per-rank mesh rows.
+
+A node's on-rank ("mine") deposition entries all come from the rank that
+owns it, so the flat engine replaces the ``(p, 4, nnodes)`` per-rank row
+block + p-row reduce by one pooled bincount per shard, and the
+per-message ghost merge by one seeded bincount (DESIGN.md §5.5).  The
+dense formulation it replaced lives on here as a test-only oracle; the
+results must stay *bit-identical* to it, and the dense block must not
+come back unnoticed.
+"""
+
+import multiprocessing
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import ParticlePartitioner
+from repro.machine import FaultEvent, FaultPlan, MachineModel, VirtualMachine
+from repro.mesh import CurveBlockDecomposition, Grid2D
+from repro.parallel_exec import FlatBackend, shared_memory_available
+from repro.parallel_exec.kernels import reduce_rank_rows, scatter_segment
+from repro.particles import ParticleArray, ParticlePool, gaussian_blob, uniform_plasma
+from repro.pic import ParallelPIC, Simulation, SimulationConfig
+from repro.pic.deposition import (
+    CHANNELS,
+    deposition_entries,
+    pooled_duplicate_removal,
+    segmented_entry_ranks,
+)
+
+needs_multicore = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods()
+    or not shared_memory_available(),
+    reason="fork or multiprocessing.shared_memory unavailable",
+)
+
+NCH = len(CHANNELS)
+
+
+# ----------------------------------------------------------------------
+# the deleted dense formulation, kept as the oracle
+# ----------------------------------------------------------------------
+def dense_row_scatter(grid, local, node_owner):
+    """Dense-row scatter: ``(p, 4, nnodes)`` rows keyed by (rank, node),
+    reduced in ascending rank order, then one ``minlength=nnodes``
+    bincount per received message in (dest, src) order.
+
+    Returns ``(acc, entries_per_rank, uniq_per_rank, messages)`` with
+    ``messages[(dst, src)] = (ids, values)``.
+    """
+    p, nnodes = len(local), grid.nnodes
+    pool = ParticlePool.from_ranks(local)
+    nodes, values = deposition_entries(grid, pool.array)
+    flat_nodes, flat_values = nodes.ravel(), values.reshape(NCH, -1)
+    rank = segmented_entry_ranks(pool.counts)
+    ghost = node_owner[flat_nodes] != rank
+
+    key = rank[~ghost] * nnodes + flat_nodes[~ghost]
+    rows = np.empty((p, NCH, nnodes))
+    for c in range(NCH):
+        rows[:, c, :] = np.bincount(
+            key, weights=flat_values[c][~ghost], minlength=p * nnodes
+        ).reshape(p, nnodes)
+    acc = np.zeros((NCH, nnodes))
+    for r in range(p):
+        acc += rows[r]
+
+    uniq_nodes, _, summed, seg = pooled_duplicate_removal(
+        nnodes, p, rank[ghost], flat_nodes[ghost], flat_values[:, ghost]
+    )
+    messages = {}
+    for src in range(p):
+        ids = uniq_nodes[seg[src] : seg[src + 1]]
+        vals = summed[:, seg[src] : seg[src + 1]]
+        owner = node_owner[ids]
+        for dst in np.unique(owner):
+            messages[(int(dst), src)] = (ids[owner == dst], vals[:, owner == dst])
+    for dst_src in sorted(messages):
+        ids, vals = messages[dst_src]
+        for c in range(NCH):
+            acc[c] += np.bincount(ids, weights=vals[c], minlength=nnodes)
+    return acc, np.bincount(rank[ghost], minlength=p), np.diff(seg), messages
+
+
+@st.composite
+def scatter_cases(draw):
+    """(grid, decomposition, per-rank particles, table kind, shard cut)."""
+    p = draw(st.sampled_from([1, 2, 3, 5, 8]))
+    grid = Grid2D(draw(st.sampled_from([8, 12, 16])), draw(st.sampled_from([4, 8, 12])))
+    scheme = draw(st.sampled_from(["hilbert", "snake", "rowmajor", "morton"]))
+    sampler = draw(st.sampled_from([uniform_plasma, gaussian_blob]))
+    particles = sampler(grid, draw(st.integers(0, 500)), rng=draw(st.integers(0, 2**16)))
+    decomp = CurveBlockDecomposition(grid, p, scheme)
+    local = ParticlePartitioner(grid, scheme).initial_partition(particles, p)
+    ranks = st.sets(st.integers(0, p - 1))
+    # ranks with no ghost entries: keep only particles whose four vertex
+    # nodes the rank owns itself
+    for r in draw(ranks):
+        nodes, _ = grid.cic_vertices_weights(local[r].x, local[r].y)
+        interior = (decomp.owner_map[nodes] == r).all(axis=1)
+        local[r] = local[r].take(np.flatnonzero(interior))
+    for r in draw(ranks):
+        local[r] = ParticleArray.empty()
+    table = draw(st.sampled_from(["hash", "direct"]))
+    cut = draw(st.integers(0, p))
+    return grid, decomp, local, table, cut
+
+
+class TestDenseRowOracle:
+    @given(case=scatter_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_flat_scatter_bit_identical(self, case):
+        grid, decomp, local, table, cut = case
+        p, nnodes, owner = decomp.p, grid.nnodes, decomp.owner_map
+        acc_d, entries_d, uniq_d, messages_d = dense_row_scatter(grid, local, owner)
+
+        pic = ParallelPIC(
+            VirtualMachine(p, MachineModel.cm5()), grid, decomp, local,
+            engine="flat", ghost_table=table,
+        )
+        acc = pic._scatter_flat()
+        assert np.array_equal(acc, acc_d)
+        sent_ids = {
+            (dst, src): ids for src in range(p) for dst, ids in pic._ghost_nodes[src].items()
+        }
+        assert sent_ids.keys() == messages_d.keys()
+        for key, ids in sent_ids.items():
+            assert np.array_equal(ids, messages_d[key][0])
+        for r in np.flatnonzero(entries_d):
+            stats = pic.ghost_tables[r].stats
+            assert (stats.entries, stats.unique_nodes) == (entries_d[r], uniq_d[r])
+
+        # the kernel alone, sharded at an arbitrary rank cut like a
+        # two-worker backend would: rows, tallies and message payloads
+        pool = ParticlePool.from_ranks(local)
+        shards = [(a, b) for a, b in ((0, cut), (cut, p)) if b > a]
+        rows = np.empty((len(shards), NCH, nnodes))
+        entries, uniq, messages = [], [], {}
+        for row, (r0, r1) in zip(rows, shards):
+            lo, hi = pool.offsets[r0], pool.offsets[r1]
+            _, ent, unq, msgs = scatter_segment(
+                grid, pool.array.slice_view(lo, hi), pool.counts[r0:r1], r0, owner, nnodes, row
+            )
+            entries.append(ent)
+            uniq.append(unq)
+            for lr, per_rank in enumerate(msgs):
+                for dst, ids, vals in per_rank:
+                    messages[(dst, r0 + lr)] = (ids, vals)
+        assert np.array_equal(np.concatenate(entries), entries_d)
+        assert np.array_equal(np.concatenate(uniq), uniq_d)
+        assert messages.keys() == messages_d.keys()
+        for key, (ids, vals) in messages.items():
+            assert np.array_equal(ids, messages_d[key][0])
+            assert np.array_equal(vals, messages_d[key][1])
+        sharded = reduce_rank_rows(rows, np.zeros((NCH, nnodes)))
+        for key in sorted(messages):
+            ids, vals = messages[key]
+            for c in range(NCH):
+                sharded[c] += np.bincount(ids, weights=vals[c], minlength=nnodes)
+        assert np.array_equal(sharded, acc_d)
+
+
+# ----------------------------------------------------------------------
+# the seeded merge reads what was received, not what was sent
+# ----------------------------------------------------------------------
+def _build(engine, workers=0):
+    p, grid = 6, Grid2D(24, 16)
+    vm = VirtualMachine(p, MachineModel.cm5())
+    decomp = CurveBlockDecomposition(grid, p, "hilbert")
+    local = ParticlePartitioner(grid, "hilbert").initial_partition(
+        gaussian_blob(grid, 1200, rng=21), p
+    )
+    pic = ParallelPIC(
+        vm, grid, decomp, local, engine=engine, workers=workers, smoothing_passes=0
+    )
+    vm.install_faults(FaultPlan(events=(FaultEvent(kind="poison", phase="scatter"),)))
+    return vm, pic
+
+
+@needs_multicore
+def test_poisoned_scatter_identical_across_engines():
+    """flat == looped == flat+workers with every scatter message poisoned:
+    the NaNs land on the same nodes, the accounting does not move."""
+    built = [_build("looped"), _build("flat"), _build("flat", workers=2)]
+    try:
+        for _, pic in built:
+            pic.scatter()
+        vm_ref, ref = built[0]
+        sources = [ref.fields.rho, ref.fields.jx, ref.fields.jy, ref.fields.jz]
+        assert np.isnan(sources[0]).any(), "poison did not reach the deposited charge"
+        assert all(np.isfinite(j).all() for j in sources[1:])  # first float only
+        for vm, pic in built[1:]:
+            got = [pic.fields.rho, pic.fields.jx, pic.fields.jy, pic.fields.jz]
+            for a, b in zip(got, sources):
+                assert np.array_equal(a, b, equal_nan=True)
+            assert vm.elapsed() == vm_ref.elapsed()
+            assert vm.ops.as_dict() == vm_ref.ops.as_dict()
+            np.testing.assert_array_equal(vm.clocks, vm_ref.clocks)
+    finally:
+        for _, pic in built:
+            pic.close()
+
+
+# ----------------------------------------------------------------------
+# a dense per-rank block cannot come back unnoticed
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("ghost_table", ["hash", "direct"])
+def test_scatter_allocation_is_not_p_times_mesh(ghost_table):
+    p, grid = 64, Grid2D(128, 64)
+    dense_block = p * NCH * grid.nnodes * 8
+    local = ParticlePartitioner(grid, "hilbert").initial_partition(
+        gaussian_blob(grid, 2048, rng=5), p
+    )
+    tracemalloc.start()
+    try:
+        # construction counts too: p eager direct-address tables are the
+        # same O(p * nnodes) pattern
+        pic = ParallelPIC(
+            VirtualMachine(p, MachineModel.cm5()), grid,
+            CurveBlockDecomposition(grid, p, "hilbert"), local, ghost_table=ghost_table,
+        )
+        pic.scatter()  # builds the pool, warms caches
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        pic.scatter()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < dense_block // 4, (
+        f"one scatter allocated {peak - base} B at its peak; a dense "
+        f"(p, 4, nnodes) block is {dense_block} B"
+    )
+    assert base < dense_block // 4, f"stepper holds {base} B after construction + one scatter"
+
+
+# ----------------------------------------------------------------------
+# worker backend: one row per shard, whatever p and the worker count are
+# ----------------------------------------------------------------------
+def _cfg(**kwargs):
+    base = dict(nx=16, ny=12, nparticles=800, p=6, distribution="irregular",
+                policy="dynamic", seed=3, engine="flat")
+    base.update(kwargs)
+    return SimulationConfig(**base)
+
+
+@pytest.fixture
+def scatter_rows(monkeypatch):
+    """Record ``(rows.shape, p, nshards, nworkers)`` of every backend scatter."""
+    seen = []
+    original = FlatBackend.scatter
+
+    def spy(self, pool, node_owner, nnodes):
+        out = original(self, pool, node_owner, nnodes)
+        seen.append((out[0].shape, pool.p, len(self._shards(pool.counts)), self.nworkers))
+        return out
+
+    monkeypatch.setattr(FlatBackend, "scatter", spy)
+    return seen
+
+
+@needs_multicore
+class TestWorkerRowsBlock:
+    def _check(self, seen, nnodes):
+        assert seen
+        for shape, _, nshards, nworkers in seen:
+            assert shape == (nshards, NCH, nnodes)
+            assert 1 <= nshards <= nworkers
+
+    def test_across_rank_kill_shrink(self, scatter_rows, tmp_path):
+        sim = Simulation(_cfg(), workers=2)
+        try:
+            sim.install_faults(FaultPlan(events=(FaultEvent(kind="kill", rank=2, iteration=3),)))
+            result = sim.run(5, checkpoint_every=2, checkpoint_path=tmp_path / "ck.npz")
+            assert result.n_recoveries == 1
+        finally:
+            sim.close()
+        self._check(scatter_rows, 16 * 12)
+        assert {p for _, p, _, _ in scatter_rows} == {6, 5}
+
+    def test_across_worker_count_resume(self, scatter_rows, tmp_path):
+        path = tmp_path / "ck.npz"
+        sim = Simulation(_cfg(), workers=2)
+        try:
+            sim.run(2, checkpoint_every=2, checkpoint_path=path)
+        finally:
+            sim.close()
+        resumed = Simulation.from_checkpoint(path, workers=3)
+        try:
+            resumed.run(2)
+        finally:
+            resumed.close()
+        self._check(scatter_rows, 16 * 12)
+        assert {(n, w) for _, _, n, w in scatter_rows} == {(2, 2), (3, 3)}
