@@ -419,7 +419,8 @@ def _checkpoint_fixture() -> tuple[Simulation, Path]:
     suites=("smoke", "full"),
     tier=1,
     repeats=3,
-    description="v2 checkpoint save + load of a p=32 run (full run state)",
+    description="v3 (pooled, uncompressed) checkpoint save + load of a p=32 run "
+    "(full run state); extra.bytes_written is the file size",
     setup=_checkpoint_fixture,
 )
 def _checkpoint_roundtrip(ctx) -> BenchObservation:
@@ -429,7 +430,9 @@ def _checkpoint_roundtrip(ctx) -> BenchObservation:
         sim.checkpoint(path)
         load_checkpoint(path)
 
-    return _observe(sim.vm, body)
+    observation = _observe(sim.vm, body)
+    observation.extra["bytes_written"] = float(path.stat().st_size)
+    return observation
 
 
 def _telemetry_config() -> SimulationConfig:

@@ -10,7 +10,9 @@ bytes and max messages) and the end-of-run totals its tables report.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields as dataclass_fields, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,13 @@ from repro.mesh.decomposition import CurveBlockDecomposition, MeshDecomposition,
 from repro.mesh.grid import Grid2D
 from repro.particles.arrays import ParticleArray
 from repro.particles.init import gaussian_blob, ring_distribution, two_stream, uniform_plasma
-from repro.pic.checkpoint import CheckpointData, CheckpointError, load_checkpoint, save_checkpoint
+from repro.pic.checkpoint import (
+    RECORD_DTYPE,
+    CheckpointData,
+    CheckpointError,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.pic.parallel import ParallelPIC
 from repro.util import require
 from repro.util.errors import RankFailure
@@ -614,6 +622,7 @@ class Simulation:
         checkpoint_every: int | None = None,
         checkpoint_path: str | Path | None = None,
         walltime: float | None = None,
+        on_iteration: Callable[[Simulation], None] | None = None,
     ) -> SimulationResult:
         """Run ``niters`` further iterations under the configured policy.
 
@@ -626,6 +635,11 @@ class Simulation:
         With ``checkpoint_every=k`` a checkpoint is written to
         ``checkpoint_path`` (atomically overwritten in place) after every
         ``k``-th completed iteration, counted absolutely.
+
+        ``on_iteration(sim)`` is called after every completed iteration
+        (replays after a rank-failure recovery included), after its
+        checkpoint — the hook for heartbeats and progress, so a driver
+        makes one ``run`` call, not one per iteration.
 
         When a fault plan is installed (:meth:`install_faults`) and a
         rank dies, the :class:`~repro.util.errors.RankFailure` is caught
@@ -696,6 +710,9 @@ class Simulation:
                     self.n_redistributions += 1
                     redistributed = True
                     self.policy.record_redistribution(it, cost)
+                    # or this frame keeps the pre-pooling particle lists
+                    # alive through the next step: one state of peak memory
+                    del result
                     # keep redistribution comm out of the scatter series
                     redis_epoch = vm.stats.snapshot_epoch()
                 elif self.rebalancer is not None and self.policy.should_redistribute(it):
@@ -727,6 +744,9 @@ class Simulation:
                     self.checkpoint(checkpoint_path)
             except RankFailure as failure:
                 self._recover(failure)
+            else:
+                if on_iteration is not None:
+                    on_iteration(self)
             if walltime is not None and self.iteration < target:
                 elapsed = _time.monotonic() - t_wall0
                 if elapsed >= walltime:
@@ -843,7 +863,7 @@ class Simulation:
             fields = data.fields
             restart_iteration = data.iteration
             self.policy = policy_from_state(rs["policy"])
-            self.records = [IterationRecord(**r) for r in rs["records"]]
+            self.records = [IterationRecord(*row) for row in data.records]
             self.n_redistributions = int(rs["n_redistributions"])
             self.redistribution_time = float(rs["redistribution_time"])
             self._setup_cost = float(rs["setup_cost"])
@@ -998,21 +1018,21 @@ class Simulation:
     # exact-resume checkpoint / restart
     # ------------------------------------------------------------------
     def checkpoint(self, path: str | Path) -> Path:
-        """Write a format-v2 exact-resume checkpoint of the full run state.
+        """Write a format-v3 exact-resume checkpoint of the full run state.
 
-        Serializes the physical state (per-rank particles, fields, grid),
-        the virtual machine (clocks, compute/comm splits, per-phase times
-        and comm stats, op counters), the policy internals, the current
-        decomposition bounds, the redistributor's build-time sort keys,
-        and the per-iteration record history.  The write is atomic (temp
-        file + ``os.replace``): a crash mid-write never leaves a file
+        Serializes the physical state (particles pooled in rank order,
+        fields, grid), the virtual machine (clocks, compute/comm splits,
+        per-phase times and comm stats, op counters), the policy
+        internals, the current decomposition bounds, the redistributor's
+        build-time sort keys, and the per-iteration record and phase-trace
+        history as arrays.  The write is atomic (temp file +
+        ``os.replace``): a crash mid-write never leaves a file
         :func:`~repro.pic.checkpoint.load_checkpoint` accepts.
         """
         run_state = {
             "config": config_to_dict(self.config, full_model=True),
             "vm": self.vm.state_dict(),
             "policy": self.policy.state_dict(),
-            "records": [asdict(r) for r in self.records],
             "n_redistributions": self.n_redistributions,
             "redistribution_time": self.redistribution_time,
             "n_recoveries": self.n_recoveries,
@@ -1021,18 +1041,12 @@ class Simulation:
             # the *live* decomposition: adaptive rebalancing swaps it at
             # runtime (pic.decomp), which Simulation.decomp tracks
             "decomp_bounds": self.pic.decomp.curve_bounds.tolist(),
-            # per-iteration phase-profile rows: telemetry survives resume
-            # (a resumed run's PhaseTrace covers the full history)
-            "trace_rows": self.trace.rows,
         }
         if self.correlation is not None:
             # batch identity rides along (optional key: standalone
             # checkpoints stay byte-identical), so a checkpoint is
             # joinable with its batch's service stream
             run_state["correlation"] = dict(self.correlation)
-        sort_keys = (
-            self.redistributor.export_keys() if self.redistributor is not None else None
-        )
         written = save_checkpoint(
             path,
             self.grid,
@@ -1040,7 +1054,13 @@ class Simulation:
             self.pic.particles,
             self.iteration,
             run_state=run_state,
-            sort_keys=sort_keys,
+            sort_keys=(
+                self.redistributor.export_keys() if self.redistributor is not None else None
+            ),
+            records=list(map(attrgetter(*RECORD_DTYPE.names), self.records)),
+            # per-iteration phase-profile rows: telemetry survives resume
+            # (a resumed run's PhaseTrace covers the full history)
+            trace_rows=self.trace.rows,
         )
         self._last_checkpoint = written  # rank-failure recovery restores from here
         if self.telemetry is not None:
@@ -1060,7 +1080,7 @@ class Simulation:
         guards: str | None = None,
         workers: int | str = 0,
     ) -> "Simulation":
-        """Rebuild a :class:`Simulation` from a v2 checkpoint, exactly.
+        """Rebuild a :class:`Simulation` from a v2 or v3 checkpoint, exactly.
 
         The configuration embedded in the checkpoint reconstructs the
         stack deterministically; every piece of mutable state is then
@@ -1086,7 +1106,7 @@ class Simulation:
             raise CheckpointError(
                 f"{path} is a format-v1 checkpoint (particles/fields only) and "
                 "cannot seed an exact resume; re-save the run with "
-                "Simulation.checkpoint to get a v2 file"
+                "Simulation.checkpoint to get a v3 file"
             )
         cfg = config_from_dict(data.run_state["config"])
         if guards is not None and guards != cfg.guards:
@@ -1124,7 +1144,7 @@ class Simulation:
         # restored rows make a resumed run's trace cover the full history.
         # Checkpoints written before telemetry carry no rows.
         self.trace = PhaseTrace(self.vm)
-        self.trace.rows = [dict(row) for row in rs.get("trace_rows", [])]
+        self.trace.rows = data.trace_rows
         self.policy = policy_from_state(rs["policy"])
         self.policy.bind(self.vm)
         if self.redistributor is not None:
@@ -1136,7 +1156,7 @@ class Simulation:
             self.redistributor.restore_keys(data.sort_keys, self.pic.particles)
         self._setup_cost = float(rs["setup_cost"])
         self.iteration = data.iteration
-        self.records = [IterationRecord(**r) for r in rs["records"]]
+        self.records = [IterationRecord(*row) for row in data.records]
         self.n_redistributions = int(rs["n_redistributions"])
         self.redistribution_time = float(rs["redistribution_time"])
         # keys absent from checkpoints written before fault tolerance

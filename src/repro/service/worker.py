@@ -1,9 +1,9 @@
 """Worker-process side of the job service.
 
 :func:`worker_main` is the target of each supervised process the
-scheduler forks: it builds (or resumes) the simulation, runs it one
-iteration at a time, and speaks a small message protocol back over its
-pipe::
+scheduler forks: it builds (or resumes) the simulation, makes **one**
+``sim.run(remaining, on_iteration=...)`` call for the attempt, and
+speaks a small message protocol back over its pipe::
 
     ("started",   {"pid": ..., "iteration": k})   # k > 0 on a resume
     ("heartbeat", {"iteration": k, "total": n,    # after every iteration
@@ -11,11 +11,14 @@ pipe::
     ("done",      {"payload": result.to_dict()})
     ("failed",    {"error": <picklable ReproError>})
 
-Heartbeats double as progress reports (schema ``repro-service/2``):
-``iteration``/``total`` give the live view its progress bars and
-``imbalance`` is the last-known max/mean particle imbalance, computed
-from the already-materialized per-rank counts — an O(p) read, never a
-simulation step.
+Heartbeats are sent from ``run``'s ``on_iteration`` callback — after
+each iteration the attempt completes for the first time, after its
+checkpoint — so the run is set up once and its ``SimulationResult`` is
+built once, at the end.  They double as progress reports (schema
+``repro-service/2``): ``iteration``/``total`` give the live view its
+progress bars and ``imbalance`` is the last-known max/mean particle
+imbalance, computed from the already-materialized per-rank counts — an
+O(p) read, never a simulation step.
 
 The scheduler passes a *correlation* identity
 (``{"batch_id", "job_id", "attempt"}``) that the worker stamps onto the
@@ -25,7 +28,8 @@ and result document all join with the batch's service stream (DESIGN.md
 run telemetry and drops ``job-<id12>-a<attempt>.metrics.jsonl`` /
 ``.trace.json`` files next to the stream.
 
-Progress is checkpointed to ``<workdir>/<key>.ck.npz`` every
+Progress is checkpointed (format v3, uncompressed: the scheduler deletes
+the file when the job succeeds) to ``<workdir>/<key>.ck.npz`` every
 ``checkpoint_every`` iterations, so when the supervisor kills a hung
 worker (or the worker crashes) the retry resumes from the last
 checkpoint via the exact-resume contract — the completed job's result
@@ -161,22 +165,27 @@ def worker_main(
         if obs_dir is not None:
             sim.enable_telemetry()
         conn.send(("started", {"pid": os.getpid(), "iteration": sim.iteration}))
-        while sim.iteration < spec.iterations:
-            _maybe_sabotage(spec.chaos, sim.iteration, attempt)
-            sim.run(
-                1, checkpoint_every=checkpoint_every, checkpoint_path=ck
-            )
-            conn.send(
-                (
-                    "heartbeat",
-                    {
-                        "iteration": sim.iteration,
-                        "total": spec.iterations,
-                        "imbalance": _last_imbalance(sim),
-                    },
-                )
-            )
-        result = sim.result()
+
+        def sabotage() -> None:  # the chaos trigger fires *before* iteration sim.iteration
+            if sim.iteration < spec.iterations:
+                _maybe_sabotage(spec.chaos, sim.iteration, attempt)
+
+        reported = sim.iteration
+
+        def beat(_sim: Simulation) -> None:
+            nonlocal reported
+            if sim.iteration <= reported:  # a replay after rank-failure recovery
+                return
+            reported = sim.iteration
+            body = {"iteration": reported, "total": spec.iterations, "imbalance": _last_imbalance(sim)}
+            conn.send(("heartbeat", body))
+            sabotage()
+
+        sabotage()
+        remaining = max(spec.iterations - sim.iteration, 0)
+        result = sim.run(
+            remaining, checkpoint_every=checkpoint_every, checkpoint_path=ck, on_iteration=beat
+        )
         if obs_dir is not None and sim.telemetry is not None:
             stem = job_artifact_stem(
                 correlation["job_id"] if correlation else spec.key, attempt
