@@ -4,13 +4,15 @@
 ``new.wall.min / old.wall.min``.  Tier-1 cases whose ratio exceeds
 ``1 + threshold`` are **regressions** and make the comparison fail —
 the perf analogue of a failing unit test.  Virtual-machine time and op
-counts are diffed as well: they are deterministic, so any change there
-is a behavioral change, reported but not gated (a legitimate algorithm
-improvement shifts them on purpose).
+counts are gated too, on every tier: they are deterministic, so any
+difference between two files is a behaviour change and fails the
+comparison until the baseline is regenerated on purpose.  (Stateful
+cases report their final repeat, so compare at equal ``--repeats``.)
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +31,8 @@ class CaseDelta:
     new_wall: float
     old_vm: float | None
     new_vm: float | None
+    old_ops: dict[str, float]
+    new_ops: dict[str, float]
 
     @property
     def wall_ratio(self) -> float:
@@ -43,6 +47,15 @@ class CaseDelta:
         if not self.old_vm or self.new_vm is None:
             return None
         return self.new_vm / self.old_vm
+
+    @property
+    def behaviour_changed(self) -> bool:
+        """True when virtual time (rel 1e-9) or the op counts differ."""
+        if self.old_ops != self.new_ops:
+            return True
+        if self.old_vm is None or self.new_vm is None:
+            return self.old_vm is not self.new_vm
+        return not math.isclose(self.old_vm, self.new_vm, rel_tol=1e-9, abs_tol=0.0)
 
     def regressed(self, threshold: float) -> bool:
         """True when wall-clock slowed by more than ``threshold``."""
@@ -73,9 +86,14 @@ class Comparison:
         return [d for d in self.deltas if d.improved(self.threshold)]
 
     @property
+    def behaviour_changes(self) -> list[CaseDelta]:
+        """Cases (any tier) whose virtual time or op counts differ."""
+        return [d for d in self.deltas if d.behaviour_changed]
+
+    @property
     def ok(self) -> bool:
-        """True when no gated case regressed."""
-        return not self.regressions
+        """True when no gated case regressed or changed behaviour."""
+        return not self.regressions and not self.behaviour_changes
 
     def to_dict(self) -> dict:
         """Machine-readable report for ``bench compare --json``."""
@@ -91,6 +109,7 @@ class Comparison:
                     "old_vm_seconds": d.old_vm,
                     "new_vm_seconds": d.new_vm,
                     "vm_ratio": d.vm_ratio,
+                    "behaviour_changed": d.behaviour_changed,
                     "regressed": d.regressed(self.threshold),
                     "improved": d.improved(self.threshold),
                 }
@@ -117,6 +136,8 @@ def compare_suites(
             new_wall=new_by[name].wall_min,
             old_vm=old_by[name].vm_seconds,
             new_vm=new_by[name].vm_seconds,
+            old_ops=old_by[name].op_counts,
+            new_ops=new_by[name].op_counts,
         )
         for name in old_by
         if name in new_by

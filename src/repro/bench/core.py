@@ -19,13 +19,16 @@ diffs across commits (schema ``repro-bench/1``).
 from __future__ import annotations
 
 import json
+import os
 import platform
+import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
 __all__ = [
     "SCHEMA",
+    "bench_workers",
     "BenchObservation",
     "BenchCase",
     "BenchResult",
@@ -34,6 +37,35 @@ __all__ = [
 
 #: Version tag written into every trajectory file.
 SCHEMA = "repro-bench/1"
+
+
+def bench_workers() -> int:
+    """Worker count of the multicore cases (``REPRO_BENCH_WORKERS``).
+
+    The committed baseline is recorded at the default (0 = in-process),
+    so a run with ``REPRO_BENCH_WORKERS=4`` compared against it
+    measures the multicore backend's wall speedup at a vm_ratio of
+    exactly 1.0 — the backend is accounting-invariant by contract.
+    """
+    from repro.parallel_exec import resolve_workers
+
+    return resolve_workers(os.environ.get("REPRO_BENCH_WORKERS", "0"))
+
+
+def _git_commit() -> str | None:
+    """The checkout's HEAD (``-dirty`` when the tree is modified); None outside git."""
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40", "--match="],
+            cwd=Path(__file__).parent,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() or None
 
 
 @dataclass
@@ -156,6 +188,8 @@ class SuiteResult:
         """The full ``repro-bench/1`` document."""
         import numpy
 
+        from repro.parallel_exec import resolve_workers
+
         return {
             "schema": SCHEMA,
             "suite": self.suite,
@@ -163,6 +197,9 @@ class SuiteResult:
                 "python": platform.python_version(),
                 "platform": platform.platform(),
                 "numpy": numpy.__version__,
+                "workers": bench_workers(),
+                "cores": resolve_workers("auto"),
+                "commit": _git_commit(),
             },
             "cases": {r.name: r.to_dict() for r in self.results},
         }

@@ -2,12 +2,12 @@
 
 Runs every registered zoo policy over the three workload classes the
 paper's figures distinguish — uniform, clustered (the gaussian blob of
-Figure 15), and drifting (two-stream) — at p=32 on both execution
-engines, with telemetry enabled so every redistribution decision is
-recorded, schema-validated, and replayed offline.  The output document
-(``BENCH_policies.json``, schema ``repro-policy-bench/1``) carries one
-cell per (policy, workload, engine) plus a crowned winner per workload
-class, and feeds ``repro report``'s decision-comparison view.
+Figure 15), and drifting (two-stream) — at p=32, with telemetry
+enabled so every redistribution decision is recorded, schema-validated,
+and replayed offline.  The output document (``BENCH_policies.json``,
+schema ``repro-policy-bench/1``) carries one cell per (policy,
+workload) plus a crowned winner per workload class, and feeds
+``repro report``'s decision-comparison view.
 
 The matrix is a *behavioural* benchmark: its axis is virtual machine
 time (which is deterministic), so the winners table is stable across
@@ -34,7 +34,6 @@ __all__ = [
     "POLICY_SCHEMA",
     "ZOO_SPECS",
     "WORKLOADS",
-    "ENGINES",
     "run_policy_cell",
     "run_policy_matrix",
     "render_matrix",
@@ -62,8 +61,6 @@ WORKLOADS = {
     "drifting": "two_stream",
 }
 
-ENGINES = ("flat", "looped")
-
 _P = 32
 _NX, _NY = 64, 32
 _SEED = 3
@@ -72,14 +69,13 @@ _SEED = 3
 def run_policy_cell(
     policy: str,
     workload: str,
-    engine: str,
     *,
     p: int = _P,
     nparticles: int = 8192,
     iterations: int = 40,
     seed: int = _SEED,
 ) -> dict:
-    """Run one (policy, workload, engine) cell and audit its decisions.
+    """Run one (policy, workload) cell and audit its decisions.
 
     The cell runs with telemetry on, validates the metrics stream
     against ``repro-metrics/1`` (which now covers every decision
@@ -97,7 +93,6 @@ def run_policy_cell(
         p=p,
         distribution=distribution,
         policy=policy,
-        engine=engine,
         seed=seed,
     )
     # config round-trip: the serialized form must rebuild to the same
@@ -116,7 +111,7 @@ def run_policy_cell(
     mismatches = [d for d in decisions if replay_decision(d) != d["fired"]]
     if mismatches:
         raise RuntimeError(
-            f"cell ({policy}, {workload}, {engine}): "
+            f"cell ({policy}, {workload}): "
             f"{len(mismatches)}/{len(decisions)} decision record(s) do not "
             f"replay to their logged verdict; first: {mismatches[0]}"
         )
@@ -124,7 +119,6 @@ def run_policy_cell(
     return {
         "policy": policy,
         "workload": workload,
-        "engine": engine,
         "total_time": result.total_time,
         "computation_time": result.computation_time,
         "overhead": result.overhead,
@@ -140,20 +134,17 @@ def run_policy_cell(
 def run_policy_matrix(
     policies: tuple[str, ...] | list[str] = ZOO_SPECS,
     workloads: tuple[str, ...] | list[str] | None = None,
-    engines: tuple[str, ...] | list[str] = ENGINES,
     *,
     smoke: bool = False,
     p: int = _P,
     progress: Callable[[str], None] | None = None,
 ) -> dict:
-    """Run the full policy × workload × engine matrix.
+    """Run the full policy × workload matrix.
 
     ``smoke`` shrinks the particle count and iteration budget to CI
     scale without changing the matrix shape.  Per workload class the
-    flat-engine cells crown a ``winner`` (minimum deterministic virtual
-    ``total_time``), and every (policy, workload) pair is checked for
-    engine parity — the two engines must agree on virtual time, so a
-    split would mean the policy consumed engine-dependent observations.
+    cells crown a ``winner`` (minimum deterministic virtual
+    ``total_time``).
     """
     workloads = tuple(workloads) if workloads is not None else tuple(WORKLOADS)
     for w in workloads:
@@ -167,35 +158,21 @@ def run_policy_matrix(
     cells: list[dict] = []
     for workload in workloads:
         for policy in policies:
-            for engine in engines:
-                if progress is not None:
-                    progress(f"{workload:<10s} {policy:<40s} engine={engine}")
-                cells.append(
-                    run_policy_cell(
-                        policy,
-                        workload,
-                        engine,
-                        p=p,
-                        nparticles=nparticles,
-                        iterations=iterations,
-                    )
+            if progress is not None:
+                progress(f"{workload:<10s} {policy}")
+            cells.append(
+                run_policy_cell(
+                    policy,
+                    workload,
+                    p=p,
+                    nparticles=nparticles,
+                    iterations=iterations,
                 )
-    parity_failures = []
-    for workload in workloads:
-        for policy in policies:
-            times = {
-                c["engine"]: c["total_time"]
-                for c in cells
-                if c["workload"] == workload and c["policy"] == policy
-            }
-            if len(set(times.values())) > 1:
-                parity_failures.append(
-                    {"workload": workload, "policy": policy, "times": times}
-                )
+            )
     winners = {}
     for workload in workloads:
         ranked = sorted(
-            (c for c in cells if c["workload"] == workload and c["engine"] == engines[0]),
+            (c for c in cells if c["workload"] == workload),
             key=lambda c: c["total_time"],
         )
         if ranked:
@@ -219,8 +196,6 @@ def run_policy_matrix(
         "available_policies": available_policies(),
         "cells": cells,
         "winners": winners,
-        "engine_parity": not parity_failures,
-        "parity_failures": parity_failures,
     }
 
 
@@ -236,8 +211,7 @@ def render_matrix(doc: dict) -> str:
     )
     out.append(header)
     out.append("-" * len(header))
-    shown = [c for c in doc["cells"] if c["engine"] == doc["cells"][0]["engine"]]
-    for cell in shown:
+    for cell in doc["cells"]:
         mark = (
             " *"
             if doc["winners"].get(cell["workload"], {}).get("policy") == cell["policy"]
@@ -255,11 +229,6 @@ def render_matrix(doc: dict) -> str:
             f"winner[{workload}]: {win['policy']}  "
             f"(t={win['total_time']:.4f}s, {win['margin'] * 100:.1f}% ahead)"
         )
-    out.append(
-        "engine parity: OK"
-        if doc["engine_parity"]
-        else f"engine parity: FAILED ({doc['parity_failures']})"
-    )
     return "\n".join(out)
 
 

@@ -13,13 +13,12 @@ report generators are wrapped separately into the ``paper`` suite by
 
 from __future__ import annotations
 
-import os
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from repro.bench.core import BenchObservation
+from repro.bench.core import BenchObservation, bench_workers
 from repro.bench.registry import register
 from repro.core.incremental_sort import BucketState, bucket_incremental_sort
 from repro.core.redistribution import Redistributor
@@ -34,10 +33,8 @@ from repro.pic.checkpoint import load_checkpoint
 from repro.pic.ghost import make_ghost_table
 
 #: Shared problem size of the PIC-phase cases.  p = 32 with 256
-#: particles per rank is the regime the flat engine exists for: per-rank
-#: Python loop overhead dominates the looped engine there, so the
-#: looped-baseline-vs-flat comparison shows the pooled kernels' >= 1.5x
-#: wall-clock advantage at byte-identical virtual time.
+#: particles per rank is the regime the pooled kernels exist for: a
+#: per-rank Python loop would dominate the wall clock there.
 _P = 32
 _NX, _NY = 64, 32
 _NPART = 8192
@@ -47,30 +44,6 @@ _SEED = 3
 #: Problem size of the multicore flat-backend cases: enough particles
 #: per rank that kernel math dominates worker dispatch overhead.
 _NPART_MC = 262_144
-
-
-def _engine() -> str:
-    """Execution engine the PIC cases run under.
-
-    The committed ``BENCH_baseline.json`` is recorded with
-    ``REPRO_BENCH_ENGINE=looped`` so a default (flat) run compared
-    against it demonstrates — and gates — the pooled engine's wall-clock
-    advantage at identical virtual time and op counts.
-    """
-    return os.environ.get("REPRO_BENCH_ENGINE", "flat")
-
-
-def _workers() -> int:
-    """Worker count of the multicore cases (``REPRO_BENCH_WORKERS``).
-
-    The committed baseline is recorded at the default (0 = in-process
-    flat), so a run with ``REPRO_BENCH_WORKERS=4`` compared against it
-    measures the multicore backend's wall speedup at a vm_ratio of
-    exactly 1.0 — the backend is accounting-invariant by contract.
-    """
-    from repro.parallel_exec import resolve_workers
-
-    return resolve_workers(os.environ.get("REPRO_BENCH_WORKERS", "0"))
 
 
 def _observe(vm: VirtualMachine, body) -> BenchObservation:
@@ -98,7 +71,7 @@ def _build_pic(movement: str = "lagrangian", p: int = _P, **kwargs) -> ParallelP
         local = [particles.take(np.flatnonzero(owners == r)) for r in range(p)]
     else:
         local = ParticlePartitioner(grid, "hilbert").initial_partition(particles, p)
-    return ParallelPIC(vm, grid, decomp, local, movement=movement, engine=_engine(), **kwargs)
+    return ParallelPIC(vm, grid, decomp, local, movement=movement, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -149,11 +122,10 @@ def _step_eulerian(pic: ParallelPIC) -> BenchObservation:
 
 
 def _build_pic_mc() -> ParallelPIC:
-    """Large flat-engine fixture for the multicore-backend cases.
+    """Large fixture for the multicore-backend cases.
 
-    Always ``engine="flat"`` (the backend only exists there); the worker
-    count comes from ``REPRO_BENCH_WORKERS`` so the same case measures
-    the serial flat baseline and the sharded backend.
+    The worker count comes from ``REPRO_BENCH_WORKERS`` so the same case
+    measures the in-process baseline and the sharded backend.
     """
     grid = Grid2D(_NX, _NY)
     particles = gaussian_blob(grid, _NPART_MC, rng=_SEED)
@@ -161,7 +133,7 @@ def _build_pic_mc() -> ParallelPIC:
     decomp = CurveBlockDecomposition(grid, _P, "hilbert")
     local = ParticlePartitioner(grid, "hilbert").initial_partition(particles, _P)
     return ParallelPIC(
-        vm, grid, decomp, local, movement="lagrangian", engine="flat", workers=_workers()
+        vm, grid, decomp, local, movement="lagrangian", workers=bench_workers()
     )
 
 
@@ -169,7 +141,7 @@ def _build_pic_mc() -> ParallelPIC:
     "scatter_workers4_p32",
     suites=("smoke", "full"),
     tier=1,
-    description="parallel scatter at 262k particles, flat engine, "
+    description="parallel scatter at 262k particles, "
     "REPRO_BENCH_WORKERS processes (0 = in-process)",
     setup=_build_pic_mc,
 )
@@ -181,7 +153,7 @@ def _scatter_workers(pic: ParallelPIC) -> BenchObservation:
     "flat_workers4_step_p32",
     suites=("smoke", "full"),
     tier=1,
-    description="one full PIC step at 262k particles, flat engine, "
+    description="one full PIC step at 262k particles, "
     "REPRO_BENCH_WORKERS processes (0 = in-process)",
     setup=_build_pic_mc,
 )
@@ -406,7 +378,6 @@ def _checkpoint_fixture() -> tuple[Simulation, Path]:
             distribution="irregular",
             policy="dynamic",
             seed=_SEED,
-            engine=_engine(),
         )
     )
     sim.run(2)  # accumulate vm / policy / record state worth serializing
@@ -444,7 +415,6 @@ def _telemetry_config() -> SimulationConfig:
         distribution="irregular",
         policy="dynamic",
         seed=_SEED,
-        engine=_engine(),
     )
 
 
@@ -548,7 +518,6 @@ def _recovery_smoke(path: Path) -> BenchObservation:
             distribution="irregular",
             policy="dynamic",
             seed=_SEED,
-            engine=_engine(),
         )
     )
     sim.install_faults(FaultPlan(events=(FaultEvent(kind="kill", rank=5, iteration=4),)))
@@ -580,7 +549,6 @@ def _service_cache_fixture() -> dict:
                 distribution="irregular",
                 policy="dynamic",
                 seed=seed,
-                engine=_engine(),
             ),
             iterations=4,
             name=f"bench-seed={seed}",

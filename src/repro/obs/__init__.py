@@ -5,7 +5,7 @@ run-level telemetry (:mod:`repro.telemetry`) and the job service
 (:mod:`repro.service`):
 
 - :mod:`repro.obs.profile` — deterministic host-wall profiling of the
-  flat-engine hot path, exported as collapsed-stack flamegraph files.
+  pooled-engine hot path, exported as collapsed-stack flamegraph files.
 - :mod:`repro.obs.prom` — Prometheus textfile-collector snapshots of a
   :class:`~repro.telemetry.metrics.MetricsRegistry`.
 - :mod:`repro.obs.batch` — the ``repro report --batch`` aggregator that

@@ -1,4 +1,4 @@
-"""Deterministic kernel-level profiling of the flat-engine hot path.
+"""Deterministic kernel-level profiling of the pooled-engine hot path.
 
 :class:`PhaseProfiler` is an *instrumented* profiler, not a statistical
 sampler: the virtual machine opens a root section per phase (the
@@ -79,7 +79,7 @@ class PhaseProfiler:
     # -- convenience ----------------------------------------------------
     @contextmanager
     def section(self, name: str):
-        """Open a nested section; kernels in the flat engine use this."""
+        """Open a nested section; kernels in the pooled engine use this."""
         self.push(name)
         try:
             yield
@@ -170,7 +170,7 @@ def _safe_name(frame: str) -> str:
 def maybe_section(profiler, name: str):
     """``profiler.section(name)`` when attached, a no-op when ``None``.
 
-    The flat engine wraps its kernels in this so the off path stays a
+    The pooled engine wraps its kernels in this so the off path stays a
     single ``is None`` branch per kernel call.
     """
     if profiler is None:

@@ -1,11 +1,11 @@
-"""Multicore shared-memory execution backend for the flat engine.
+"""Multicore shared-memory execution backend for the pooled PIC phases.
 
 Shards the segment-offset :class:`~repro.particles.arrays.ParticlePool`
 across a persistent pool of forked worker processes operating on
 ``multiprocessing.shared_memory``-backed numpy segments.  Worker
 parallelism is an *execution detail*: virtual-machine accounting, comm
 statistics, RNG streams, checkpoints, and telemetry are computed in the
-main process exactly as the in-process engines compute them, so results
+main process exactly as in-process execution computes them, so results
 are bit-identical for every worker count (DESIGN.md §5.5).
 
 Entry point: :func:`create_backend` (graceful ``None`` fallback), wired

@@ -1,4 +1,4 @@
-"""Multicore backend of the flat engine: sharded pool, shared memory.
+"""Multicore backend of the pooled PIC phases: sharded pool, shared memory.
 
 :class:`FlatBackend` owns a :class:`~repro.parallel_exec.shm.SharedArena`
 (the particle pool's columns plus per-phase scratch buffers live in
@@ -7,7 +7,7 @@ named shared-memory blocks) and a persistent
 shards the pool's rank segments into contiguous ranges balanced by
 particle count and dispatches one task per worker; all virtual-machine
 accounting (clocks, op counters, comm stats, ghost-table stats) stays in
-the main process, so results are bit-identical to the serial flat engine
+the main process, so results are bit-identical to in-process execution
 for every worker count (DESIGN.md §5.5).  The one cross-shard float
 reduction — on-rank deposition — costs one ``(nchannels, nnodes)`` row
 per *shard*, not per rank: a node is deposited on-rank only by its
@@ -45,8 +45,8 @@ def _warn_once(reason: str) -> None:
     if reason not in _warned:
         _warned.add(reason)
         warnings.warn(
-            f"multicore flat backend unavailable ({reason}); "
-            "falling back to the in-process flat engine (results identical)",
+            f"multicore backend unavailable ({reason}); "
+            "falling back to in-process execution (results identical)",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -113,7 +113,7 @@ def _shutdown(workers: WorkerPool, arena: SharedArena) -> None:
 
 
 class FlatBackend:
-    """Worker-parallel execution of the flat engine's hot kernels.
+    """Worker-parallel execution of the pooled phases' hot kernels.
 
     The backend is an *execution detail*: it owns no simulation state
     beyond the shared-memory residency of the current

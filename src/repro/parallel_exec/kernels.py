@@ -1,8 +1,8 @@
-"""Segment kernels shared by the serial flat path and the worker pool.
+"""Segment kernels shared by the in-process path and the worker pool.
 
 Every function here operates on a contiguous *rank-segment range* of the
 particle pool and is written so that running it once over ``[0, p)``
-(the serial flat engine) produces bit-identical results to running it
+(in-process execution) produces bit-identical results to running it
 over any partition of ``[0, p)`` into shards (the worker backend) —
 the determinism contract of DESIGN.md §5.5:
 
@@ -145,7 +145,8 @@ def reduce_rank_rows(rows: np.ndarray, acc: np.ndarray) -> np.ndarray:
 
     Shards cover disjoint rank sets and a node is deposited on-rank only
     by its owner, so at most one row is nonzero per node: the sum is
-    exact in any order, equals the looped engine's
+    exact in any order, equals the per-rank oracle's
+    (``tests/_looped_oracle.py``)
     ``for r in range(p): acc += bincount(rank r)``, and is independent
     of how ranks were sharded across workers.
     """

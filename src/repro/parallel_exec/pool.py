@@ -12,8 +12,8 @@ classification) on contiguous rank-segment slices of the particle pool,
 using the chunk-deterministic kernels of
 :mod:`repro.parallel_exec.kernels`.  A worker caches its segment's CIC
 vertex evaluation between the scatter and the gather of one iteration,
-keyed by ``(pool version, segment range)``, mirroring the serial flat
-engine's pooled CIC cache.
+keyed by ``(pool version, segment range)``, mirroring the in-process
+path's pooled CIC cache.
 """
 
 from __future__ import annotations

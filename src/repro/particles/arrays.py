@@ -242,7 +242,7 @@ class ParticlePool:
     def owns(self, particles: list[ParticleArray]) -> bool:
         """True when ``particles`` are exactly this pool's views.
 
-        The flat engine uses this identity check to detect external
+        The pooled engine uses this identity check to detect external
         replacement of a stepper's per-rank particle lists (e.g. by the
         redistributor) and rebuild the pool lazily.
         """

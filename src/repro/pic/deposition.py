@@ -8,7 +8,7 @@ The entry-list form (:func:`deposition_entries`) is shared with the
 parallel scatter, which must split entries into on-rank accumulation and
 off-rank *ghost* contributions before communicating.
 
-The flat-rank engine runs deposition once over *all* ranks' pooled
+The parallel scatter runs deposition once over *all* ranks' pooled
 particles: :func:`segmented_entry_ranks` labels each flattened entry
 with its depositing rank, and :func:`pooled_duplicate_removal` performs
 every rank's ghost-table duplicate removal in a single pass by keying
@@ -18,13 +18,14 @@ as contiguous segments of the sorted unique keys.
 
 Association contract: an entry is "mine" when the depositing rank owns
 its node, so all of a node's on-rank entries come from one rank and the
-per-rank partials have *disjoint support*.  The looped engine adds one
-bincount per rank; the flat engine (and the multicore backend's
-:mod:`repro.parallel_exec.kernels`) runs one bincount over the pooled
-entries of a shard.  Either way a node sees exactly its owner's entries
-in pool order plus zeros, so deposition results are bit-identical across
-engines and worker counts, not merely close (DESIGN.md §5.5) — and no
-engine materialises a per-rank copy of the mesh.
+per-rank partials have *disjoint support*.  The per-rank oracle
+(``tests/_looped_oracle.py``) adds one bincount per rank; the pooled
+scatter (and the multicore backend's :mod:`repro.parallel_exec.kernels`)
+runs one bincount over the pooled entries of a shard.  Either way a node
+sees exactly its owner's entries in pool order plus zeros, so deposition
+results are bit-identical to the oracle and across worker counts, not
+merely close (DESIGN.md §5.5) — and nothing materialises a per-rank copy
+of the mesh.
 """
 
 from __future__ import annotations

@@ -75,14 +75,15 @@ class GhostTable(ABC):
     def account_pooled(self, n_entries: int, n_unique: int) -> float:
         """Record one accumulate+flush epoch performed *outside* the table.
 
-        The flat-rank engine deduplicates all ranks' ghost entries in one
-        pooled pass (rank-offset node keys + a single ``unique``/
-        ``bincount``), bypassing the per-rank tables — but the virtual
-        machine's accounting must stay byte-identical to the looped
-        engine.  This method applies exactly the ``stats`` updates that
+        The scatter deduplicates all ranks' ghost entries in one pooled
+        pass (rank-offset node keys + a single ``unique``/``bincount``),
+        bypassing the per-rank tables — but the virtual machine's
+        accounting must stay byte-identical to the per-rank oracle
+        (``tests/_looped_oracle.py``), which drives them.  This method
+        applies exactly the ``stats`` updates that
         ``accumulate(<n_entries entries>)`` followed by ``flush()``
         (yielding ``n_unique`` nodes) would have applied, and returns the
-        op-count delta the looped scatter would charge for the epoch.
+        op-count delta the oracle's scatter charges for the epoch.
         """
 
     def _check(self, nodes: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,8 +105,8 @@ class DirectAddressTable(GhostTable):
 
     def __init__(self, nnodes: int, nchannels: int = 4) -> None:
         super().__init__(nnodes, nchannels)
-        # Storage is allocated by the first ``accumulate``: the flat
-        # engine only ever calls ``account_pooled``, and p eager tables
+        # Storage is allocated by the first ``accumulate``: the pooled
+        # scatter only ever calls ``account_pooled``, and p eager tables
         # would cost p whole-mesh arrays.  ``memory_slots`` reports the
         # modelled footprint either way.
         self._acc: np.ndarray | None = None

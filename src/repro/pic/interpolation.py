@@ -7,7 +7,7 @@ so the parallel gather can substitute a local-plus-ghost value table for
 the global arrays.
 
 :func:`gather_from_node_values` is segment-oblivious: the reduction is
-independent per particle, so the flat-rank engine calls it once over the
+independent per particle, so the pooled engine calls it once over the
 whole pooled particle array and the results are bit-identical to ``p``
 per-rank calls on the segments (the per-particle 4-vertex sum order is
 unchanged by pooling).

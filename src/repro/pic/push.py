@@ -7,7 +7,7 @@ push phase has no interprocessor communication under the direct
 Lagrangian method — this kernel is pure per-particle computation.
 
 Because every update is per-particle independent and in place,
-:func:`boris_push` is segment-oblivious: the flat-rank engine calls it
+:func:`boris_push` is segment-oblivious: the pooled engine calls it
 once over a pooled :class:`~repro.particles.arrays.ParticlePool` array
 and the per-rank views advance bit-identically to ``p`` per-rank calls.
 """

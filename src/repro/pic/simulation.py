@@ -83,7 +83,6 @@ class SimulationConfig:
     ghost_table: str = "hash"  #: hash | direct
     field_solver: str = "maxwell"  #: maxwell | electrostatic (era kernel only)
     kernel: str = "era"  #: era (CIC + collocated FDTD, the paper) | modern (Yee + zigzag)
-    engine: str = "flat"  #: flat (pooled kernels) | looped (per-rank loops; era kernel only)
     model: MachineModel = field(default_factory=MachineModel.cm5)
     dt: float | None = None
     seed: int = 0
@@ -109,12 +108,7 @@ class SimulationConfig:
                 "adaptive partitioning rebalances cell ownership and requires eulerian movement",
             )
         require(self.kernel in ("era", "modern"), f"unknown kernel {self.kernel!r}")
-        require(self.engine in ("looped", "flat"), f"unknown engine {self.engine!r}")
         if self.kernel == "modern":
-            require(
-                self.engine == "flat",
-                "the modern kernel has no looped/flat engine split",
-            )
             require(
                 self.movement == "lagrangian" and self.partitioning == "independent",
                 "the modern kernel supports lagrangian movement with independent partitioning",
@@ -164,20 +158,30 @@ def config_from_dict(data: dict) -> SimulationConfig:
     """Build a :class:`SimulationConfig` from :func:`config_to_dict` output.
 
     ``model`` may be a preset name string or a full constants dict.
-    Unknown keys raise ``ValueError`` naming them.
+    Unknown keys and unresolvable models raise ``ValueError`` naming
+    them.  Configs written before the per-rank loops became a test
+    oracle carry an ``"engine"`` key; its two historical values selected
+    bit-identical paths, so they are accepted and dropped (a checkpoint
+    of either resumes to the same bits).
     """
     data = dict(data)
+    if data.get("engine") in ("flat", "looped"):
+        del data["engine"]
     valid = {f.name for f in dataclass_fields(SimulationConfig)}
     unknown = set(data) - valid
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    model = data.pop("model", None)
-    if isinstance(model, str):
-        data["model"] = MachineModel.by_name(model)
-    elif isinstance(model, dict):
-        data["model"] = MachineModel.from_dict(model)
-    elif model is not None:
-        data["model"] = model
+    model = data.get("model")
+    if model is not None and not isinstance(model, MachineModel):
+        try:
+            if isinstance(model, str):
+                data["model"] = MachineModel.by_name(model)
+            elif isinstance(model, dict):
+                data["model"] = MachineModel.from_dict(model)
+            else:
+                raise ValueError(f"model must be a name or a dict, got {model!r}")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"bad machine model: {exc}") from exc
     return SimulationConfig(**data)
 
 
@@ -297,7 +301,7 @@ class Simulation:
     as the uninterrupted run (the exact-resume contract, DESIGN.md §5.2).
 
     ``workers`` (int or ``"auto"``) enables the multicore shared-memory
-    backend for the flat engine's hot kernels.  It is deliberately *not*
+    backend for the era kernel's hot loops.  It is deliberately *not*
     part of :class:`SimulationConfig`: worker count is an execution
     detail — results, checkpoints, and telemetry are byte-stable across
     worker counts (DESIGN.md §5.5) — so it never appears in serialized
@@ -338,13 +342,11 @@ class Simulation:
         #: ``SimulationResult.to_dict()`` and the telemetry header so
         #: batch reports can tell real multicore runs from fallbacks.
         self.degraded: dict | None = None
-        from repro.parallel_exec import resolve_workers
+        from repro.parallel_exec import create_backend, resolve_workers
 
         requested = resolve_workers(workers)
         if requested > 1:
-            if config.engine == "flat" and config.kernel == "era":
-                from repro.parallel_exec import create_backend
-
+            if config.kernel == "era":
                 reasons: list[str] = []
                 self.backend = create_backend(
                     workers, self.grid, reason_sink=reasons.append
@@ -357,18 +359,13 @@ class Simulation:
             else:
                 import warnings
 
-                self.degraded = {
-                    "requested_workers": requested,
-                    "reason": (
-                        f"the multicore backend applies only to engine='flat' "
-                        f"with kernel='era' (got engine={config.engine!r}, "
-                        f"kernel={config.kernel!r})"
-                    ),
-                }
+                reason = (
+                    f"the multicore backend applies only to kernel='era' "
+                    f"(got kernel={config.kernel!r})"
+                )
+                self.degraded = {"requested_workers": requested, "reason": reason}
                 warnings.warn(
-                    f"workers={workers!r} ignored: the multicore backend "
-                    f"applies only to engine='flat' with kernel='era' "
-                    f"(got engine={config.engine!r}, kernel={config.kernel!r})",
+                    f"workers={workers!r} ignored: {reason}",
                     RuntimeWarning,
                     stacklevel=2,
                 )
@@ -402,30 +399,7 @@ class Simulation:
             self.vm.ops.reset()
         else:
             self._setup_cost = 0.0
-        if config.kernel == "modern":
-            from repro.pic.parallel_yee import ParallelYeePIC
-
-            self.pic = ParallelYeePIC(
-                self.vm,
-                self.grid,
-                self.decomp,
-                local,
-                dt=config.dt,
-                ghost_table=config.ghost_table,
-            )
-        else:
-            self.pic = ParallelPIC(
-                self.vm,
-                self.grid,
-                self.decomp,
-                local,
-                dt=config.dt,
-                ghost_table=config.ghost_table,
-                movement=config.movement,
-                field_solver=config.field_solver,
-                engine=config.engine,
-                backend=self.backend,
-            )
+        self.pic = self._build_stepper(self.vm, local)
         #: invariant guard (None when ``config.guards == "off"``: the hot
         #: paths then carry only dormant ``is None`` branches)
         self.guard: InvariantGuard | None = None
@@ -453,6 +427,31 @@ class Simulation:
         self.correlation: dict | None = None
 
     # ------------------------------------------------------------------
+    def _build_stepper(self, vm: VirtualMachine, local: list[ParticleArray]):
+        """The configured PIC stepper over ``local`` on ``vm``.
+
+        Called at construction and again by rank-failure recovery, which
+        rebuilds the stepper on the shrunk machine.
+        """
+        cfg = self.config
+        if cfg.kernel == "modern":
+            from repro.pic.parallel_yee import ParallelYeePIC
+
+            return ParallelYeePIC(
+                vm, self.grid, self.decomp, local, dt=cfg.dt, ghost_table=cfg.ghost_table
+            )
+        return ParallelPIC(
+            vm,
+            self.grid,
+            self.decomp,
+            local,
+            dt=cfg.dt,
+            ghost_table=cfg.ghost_table,
+            movement=cfg.movement,
+            field_solver=cfg.field_solver,
+            backend=self.backend,
+        )
+
     def close(self) -> None:
         """Release the multicore backend's workers and shared memory.
 
@@ -500,7 +499,7 @@ class Simulation:
         """Attach a :class:`~repro.obs.profile.PhaseProfiler` to this run.
 
         The virtual machine opens a host-wall section per phase and the
-        flat engine nests kernel sections inside (worker-process handler
+        stepper nests kernel sections inside (worker-process handler
         timings included, drained at :meth:`save_profile`).  Idempotent;
         returns the profiler.  Profiling only reads the host clock —
         results, ``vm.elapsed()``, and ``vm.ops`` stay bit-identical to
@@ -912,30 +911,7 @@ class Simulation:
             local = self.redistributor.initialize(vm, local).particles
 
         # -- rebuild the stepper on the shrunk machine ----------------------
-        if cfg.kernel == "modern":
-            from repro.pic.parallel_yee import ParallelYeePIC
-
-            self.pic = ParallelYeePIC(
-                vm,
-                self.grid,
-                self.decomp,
-                local,
-                dt=cfg.dt,
-                ghost_table=cfg.ghost_table,
-            )
-        else:
-            self.pic = ParallelPIC(
-                vm,
-                self.grid,
-                self.decomp,
-                local,
-                dt=cfg.dt,
-                ghost_table=cfg.ghost_table,
-                movement=cfg.movement,
-                field_solver=cfg.field_solver,
-                engine=cfg.engine,
-                backend=self.backend,
-            )
+        self.pic = self._build_stepper(vm, local)
         self.pic.fields = fields
         self.pic.iteration = restart_iteration
         self.iteration = restart_iteration

@@ -15,9 +15,8 @@ stream (``--metrics``) and optionally a Chrome-trace JSON (``--trace``)
 * recovery / checkpoint / shrink events.
 
 With two or more metrics files, a side-by-side comparison table of
-phase totals and run totals is appended — the view used to compare the
-flat vs looped engines or a fault-recovered run against its fault-free
-twin.
+phase totals and run totals is appended — the view used to compare two
+policies or a fault-recovered run against its fault-free twin.
 
 This module is also the home of the generic text-rendering primitives
 (:func:`format_table`, :func:`ascii_series`) shared by the bench
@@ -229,7 +228,7 @@ def render_report(
     cfg = metrics.header.get("config") or {}
     desc = ", ".join(
         f"{key}={cfg[key]}"
-        for key in ("scheme", "policy", "movement", "engine", "kernel")
+        for key in ("scheme", "policy", "movement", "kernel")
         if key in cfg
     )
     out.append(f"=== telemetry report: {label} ===")

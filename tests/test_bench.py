@@ -98,7 +98,10 @@ class TestTrajectoryFormat:
         doc = json.loads(path.read_text())
         assert doc["schema"] == SCHEMA
         assert doc["suite"] == "unit"
-        assert set(doc["environment"]) == {"python", "platform", "numpy"}
+        assert set(doc["environment"]) == {
+            "python", "platform", "numpy", "workers", "cores", "commit"
+        }
+        assert doc["environment"]["workers"] == 0 and doc["environment"]["cores"] >= 1
         case = doc["cases"]["c1"]
         assert case["wall"]["min"] == 0.25
         assert case["wall"]["mean"] == pytest.approx(0.375)
@@ -157,12 +160,31 @@ class TestCompareGating:
         assert cmp.only_old == ["gone"] and cmp.only_new == ["added"]
         assert cmp.ok  # unmatched cases never gate
 
-    def test_vm_ratio_reported_not_gated(self):
-        old = SuiteResult(suite="s", results=[_result("hot", [1.0], vm=2.0)])
-        new = SuiteResult(suite="s", results=[_result("hot", [1.0], vm=4.0)])
-        cmp = compare_suites(old, new, threshold=0.2)
-        assert cmp.deltas[0].vm_ratio == pytest.approx(2.0)
-        assert cmp.ok
+    def test_vm_or_op_delta_fails_gate(self, tmp_path):
+        """Virtual time and op counts are deterministic: any difference
+        between two files is a behaviour change and fails the comparison,
+        on every tier, whatever the wall clock did."""
+        base = _result("hot", [1.0], tier=2, vm=2.0, ops={"scatter": 8.0})
+        same = SuiteResult(suite="s", results=[base])
+        assert compare_suites(same, same, threshold=0.2).ok
+        for changed in (
+            _result("hot", [1.0], tier=2, vm=2.0 * 1.01, ops={"scatter": 8.0}),
+            _result("hot", [1.0], tier=2, vm=2.0, ops={"scatter": 9.0}),
+            _result("hot", [1.0], tier=2, vm=None, ops={"scatter": 8.0}),
+        ):
+            new = SuiteResult(suite="s", results=[changed])
+            cmp = compare_suites(same, new, threshold=0.2)
+            assert [d.name for d in cmp.behaviour_changes] == ["hot"]
+            assert cmp.regressions == [] and not cmp.ok
+        assert cmp.to_dict()["cases"]["hot"]["behaviour_changed"] is True
+        # a last-bit float difference (below rel 1e-9) is not a change
+        jitter = SuiteResult(
+            suite="s", results=[_result("hot", [1.0], vm=2.0 * (1 + 1e-12), ops={"scatter": 8.0})]
+        )
+        assert compare_suites(same, jitter, threshold=0.2).ok
+        # files + CLI: exit code must be non-zero, the table names the cause
+        po, pn = same.save(tmp_path / "old.json"), new.save(tmp_path / "new.json")
+        assert main(["bench", "compare", str(po), str(pn)]) == 1
 
     def test_bad_threshold_rejected(self):
         suite = SuiteResult(suite="s", results=[])

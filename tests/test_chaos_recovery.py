@@ -16,6 +16,7 @@ import pytest
 from repro.machine import FaultEvent, FaultPlan
 from repro.pic import Simulation, SimulationConfig
 from repro.util.errors import FaultError, ReproError, SimulationIntegrityError
+from tests._looped_oracle import SIMULATIONS
 
 _BASE = dict(
     nx=32,
@@ -49,7 +50,7 @@ def _config(**kw):
 
 
 def _fault_free(engine):
-    return Simulation(_config(engine=engine)).run(_NITERS)
+    return SIMULATIONS[engine](_config()).run(_NITERS)
 
 
 def _assert_summaries_close(actual, expected, atol=1e-12):
@@ -74,7 +75,7 @@ class TestChaosMatrix:
     @pytest.mark.parametrize("guards", ["warn", "strict"])
     def test_exact_recovery_or_typed_error(self, engine, fault, guards, tmp_path):
         reference = _fault_free(engine)
-        sim = Simulation(_config(engine=engine, guards=guards))
+        sim = SIMULATIONS[engine](_config(guards=guards))
         sim.install_faults(FaultPlan(events=(_FAULTS[fault],)))
         try:
             with warnings.catch_warnings():
@@ -125,7 +126,7 @@ class TestCheckpointRecoveryEquivalence:
     @pytest.mark.parametrize("engine", ["flat", "looped"])
     def test_recovery_matches_fault_free(self, engine, tmp_path):
         reference = _fault_free(engine)
-        sim = Simulation(_config(engine=engine))
+        sim = SIMULATIONS[engine](_config())
         sim.install_faults(
             FaultPlan(events=(FaultEvent(kind="kill", rank=2, iteration=_KILL_ITER),))
         )
@@ -138,7 +139,7 @@ class TestCheckpointRecoveryEquivalence:
     @pytest.mark.parametrize("engine", ["flat", "looped"])
     def test_recovery_time_on_the_clock(self, engine, tmp_path):
         reference = _fault_free(engine)
-        sim = Simulation(_config(engine=engine))
+        sim = SIMULATIONS[engine](_config())
         plan = FaultPlan(events=(FaultEvent(kind="kill", rank=2, iteration=_KILL_ITER),))
         sim.install_faults(plan)
         result = sim.run(_NITERS, checkpoint_every=3, checkpoint_path=tmp_path / "ck.npz")

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.pic import Simulation, SimulationConfig
 from repro.pic.checkpoint import RECORD_DTYPE, CheckpointError, load_checkpoint
-from repro.pic.simulation import IterationRecord
+from repro.pic.simulation import IterationRecord, config_from_dict, config_to_dict
 from tests._ckpt_v2 import checkpoint_v2
 
 TOTAL = 8
@@ -34,7 +34,9 @@ def _config(**overrides) -> SimulationConfig:
 
 CONFIGS = {
     "lagrangian-dynamic": dict(policy="dynamic"),
-    "lagrangian-periodic-looped": dict(policy="periodic:3", engine="looped"),
+    # files written before the per-rank loops became a test oracle embed
+    # an ``"engine"`` key; this case stamps one into both archives
+    "lagrangian-periodic-looped": dict(policy="periodic:3"),
     "eulerian-adaptive": dict(movement="eulerian", partitioning="adaptive", policy="periodic:3"),
     "modern": dict(kernel="modern", policy="periodic:3"),
 }
@@ -124,17 +126,26 @@ def _assert_same_state(a: Simulation, b: Simulation) -> None:
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_v2_and_v3_restore_equal_and_resume_exactly(name, tmp_path):
+def test_v2_and_v3_restore_equal_and_resume_exactly(name, tmp_path, monkeypatch):
     config = _config(**CONFIGS[name])
     full_sim = Simulation(config)
     full = full_sim.run(TOTAL)
 
     first = Simulation(config)
     first.run(SPLIT)
-    v3 = first.checkpoint(tmp_path / "v3.npz")
-    v2 = checkpoint_v2(first, tmp_path / "v2.npz")
+    legacy_engine = "looped" if name.endswith("-looped") else None
+    with monkeypatch.context() as patch:
+        if legacy_engine:
+            def stamped(cfg, **kwargs):
+                return {**config_to_dict(cfg, **kwargs), "engine": legacy_engine}
+
+            patch.setattr("repro.pic.simulation.config_to_dict", stamped)
+            patch.setattr("tests._ckpt_v2.config_to_dict", stamped)
+        v3 = first.checkpoint(tmp_path / "v3.npz")
+        v2 = checkpoint_v2(first, tmp_path / "v2.npz")
     data_v2, data_v3 = load_checkpoint(v2), load_checkpoint(v3)
     assert (data_v2.version, data_v3.version) == (2, 3)
+    assert data_v3.run_state["config"].get("engine") == legacy_engine
     assert data_v2.run_state == data_v3.run_state
     assert data_v2.records == data_v3.records
     assert data_v2.trace_rows == data_v3.trace_rows
@@ -148,6 +159,19 @@ def test_v2_and_v3_restore_equal_and_resume_exactly(name, tmp_path):
         assert resumed.to_dict() == full.to_dict()
         assert resumed.phase_breakdown == full.phase_breakdown
         _assert_same_state(resumed_sim, full_sim)
+
+
+def test_legacy_engine_key_dropped_other_values_rejected():
+    """``engine`` is not a config field any more: its two historical
+    values (bit-identical paths) are dropped, anything else is unknown."""
+    base = config_to_dict(_config(policy="dynamic"))
+    assert "engine" not in base
+    for legacy in ("flat", "looped"):
+        assert config_from_dict({**base, "engine": legacy}) == config_from_dict(base)
+    with pytest.raises(ValueError, match=r"unknown config keys: \['engine'\]"):
+        config_from_dict({**base, "engine": "turbo"})
+    with pytest.raises(TypeError, match="engine"):
+        SimulationConfig(engine="flat")
 
 
 def test_rank_kill_recovers_from_a_v2_last_checkpoint(tmp_path):

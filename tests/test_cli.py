@@ -176,6 +176,38 @@ class TestConfigRoundtrip:
         ]) == 0
         assert json.loads(second.read_text()) == saved
 
+    def test_legacy_engine_key_in_config_file(self, tmp_path, capsys):
+        """Config blocks saved before the engine option was deleted carry
+        ``"engine"``: "flat"/"looped" replay the identical run, anything
+        else is an unknown key, and ``--engine`` is no flag at all."""
+        first = tmp_path / "first.json"
+        argv = [
+            "run", "--nx", "16", "--ny", "16", "-n", "512", "-p", "4",
+            "--distribution", "irregular", "--policy", "dynamic",
+            "--seed", "7", "--iterations", "5",
+        ]
+        assert main(argv + ["--save-json", str(first)]) == 0
+        saved = json.loads(first.read_text())
+        assert "engine" not in saved["config"]
+
+        cfg_file = tmp_path / "cfg.json"
+        second = tmp_path / "second.json"
+        for legacy in ("flat", "looped"):
+            cfg_file.write_text(json.dumps({**saved["config"], "engine": legacy}))
+            assert main([
+                "run", "--config", str(cfg_file), "--iterations", "5",
+                "--save-json", str(second),
+            ]) == 0
+            assert json.loads(second.read_text()) == saved
+
+        cfg_file.write_text(json.dumps({**saved["config"], "engine": "turbo"}))
+        with pytest.raises(SystemExit, match=r"unknown config keys: \['engine'\]"):
+            main(["run", "--config", str(cfg_file)])
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--engine", "flat"])
+        assert exc.value.code == 2  # argparse: unrecognized arguments
+        assert "--engine" in capsys.readouterr().err
+
 
 class TestResume:
     def _base_argv(self):

@@ -1,14 +1,18 @@
-"""Looped-vs-flat engine parity: the accounting-invariance contract.
+"""Pooled engine vs its per-rank oracle: the accounting-invariance contract.
 
-The flat engine replaces ``for r in range(p)`` phase loops with single
+``ParallelPIC`` replaces ``for r in range(p)`` phase loops with single
 pooled kernels, but the virtual machine must not be able to tell the
 difference: identical virtual time, identical per-category op counts,
-identical per-rank clocks, and identical per-phase message statistics.
-Physical state (particles, fields) is pinned at ``atol=1e-12`` between
-the engines; since the flat scatter adopted the looped engine's per-rank
-deposition association the engines actually agree bit-for-bit, and the
-multicore backend (``workers=N``) is *required* to: sharding may never
-perturb a single bit of state or accounting (DESIGN.md §5.5).
+identical per-rank clocks, and identical per-phase message statistics
+as the per-rank loops kept in ``tests/_looped_oracle.py``.  Physical
+state (particles, fields) is pinned at ``atol=1e-12`` against the
+oracle; since the pooled scatter adopted the per-rank deposition
+association the two actually agree bit-for-bit, and the multicore
+backend (``workers=N``) is *required* to: sharding may never perturb a
+single bit of state or accounting (DESIGN.md §5.5).
+
+In this file ``"looped"`` names the oracle (``LoopedPIC``) and
+``"flat"`` the product stepper (``ParallelPIC``).
 """
 
 import multiprocessing
@@ -17,11 +21,12 @@ import numpy as np
 import pytest
 
 from repro.core import ParticlePartitioner
-from repro.machine import MachineModel, VirtualMachine
+from repro.machine import FaultEvent, FaultPlan, MachineModel, VirtualMachine
 from repro.mesh import CurveBlockDecomposition, Grid2D
 from repro.parallel_exec import shared_memory_available
 from repro.particles import ParticleArray, ParticlePool, gaussian_blob, uniform_plasma
-from repro.pic import ParallelPIC
+from repro.pic import ParallelPIC, Simulation, SimulationConfig
+from tests._looped_oracle import STEPPERS, LoopedSimulation
 
 needs_multicore = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods()
@@ -37,10 +42,10 @@ def _build(engine, *, p=6, movement="lagrangian", ghost_table="hash",
     vm = VirtualMachine(p, MachineModel.cm5())
     decomp = CurveBlockDecomposition(grid, p, "hilbert")
     local = ParticlePartitioner(grid, "hilbert").initial_partition(particles, p)
-    pic = ParallelPIC(
+    pic = STEPPERS[engine](
         vm, grid, decomp, local,
         movement=movement, ghost_table=ghost_table,
-        field_solver=field_solver, engine=engine, **kwargs,
+        field_solver=field_solver, **kwargs,
     )
     return vm, pic
 
@@ -60,7 +65,7 @@ def _assert_accounting_equal(vm_l, vm_f):
         for attr in ("msgs_sent", "msgs_recv", "bytes_sent", "bytes_recv"):
             np.testing.assert_array_equal(
                 getattr(rec_f, attr), getattr(rec_l, attr),
-                err_msg=f"phase {name}: {attr} differs between engines",
+                err_msg=f"phase {name}: {attr} differs from the oracle",
             )
 
 
@@ -107,7 +112,7 @@ class TestAccountingInvariance:
 
 
 class TestPhysicalParity:
-    """Particles and fields agree between engines at 1e-12."""
+    """Particles and fields agree with the oracle at 1e-12."""
 
     @pytest.mark.parametrize("movement", ["lagrangian", "eulerian"])
     def test_state_matches(self, movement):
@@ -123,16 +128,16 @@ class TestPhysicalParity:
         for attr in ("x", "y", "ux", "uy", "uz"):
             np.testing.assert_allclose(
                 getattr(par_f, attr)[of], getattr(par_l, attr)[ol], atol=1e-12,
-                err_msg=f"particle {attr} diverged between engines",
+                err_msg=f"particle {attr} diverged from the oracle",
             )
         for field in ("ex", "ey", "ez", "bx", "by", "bz", "rho", "jx", "jy", "jz"):
             np.testing.assert_allclose(
                 getattr(pic_f.fields, field), getattr(pic_l.fields, field),
-                atol=1e-12, err_msg=f"field {field} diverged between engines",
+                atol=1e-12, err_msg=f"field {field} diverged from the oracle",
             )
 
     def test_ghost_schedule_identical(self):
-        """The flat scatter's message schedule equals the looped one's."""
+        """The pooled scatter's message schedule equals the oracle's."""
         _, pic_l = _build("looped")
         _, pic_f = _build("flat")
         pic_l.scatter()
@@ -143,8 +148,27 @@ class TestPhysicalParity:
                 np.testing.assert_array_equal(gf[owner], gl[owner])
 
 
+class TestWholeRunParity:
+    def test_dynamic_policy_run_with_rank_kill(self, tmp_path):
+        """The driver over the oracle stepper produces the same *document*
+        — nothing popped — through redistributions and a rank-kill
+        recovery from the last checkpoint."""
+        cfg = dict(nx=32, ny=16, nparticles=2048, p=6, distribution="irregular",
+                   policy="dynamic", seed=1)
+        plan = FaultPlan(events=(FaultEvent(kind="kill", rank=2, iteration=6),))
+        docs = []
+        for sim_cls in (LoopedSimulation, Simulation):
+            sim = sim_cls(SimulationConfig(**cfg)).install_faults(plan)
+            result = sim.run(
+                12, checkpoint_every=4, checkpoint_path=tmp_path / f"{sim_cls.__name__}.npz"
+            )
+            assert result.n_recoveries == 1 and result.n_redistributions >= 1
+            docs.append(result.to_dict())
+        assert docs[0] == docs[1]
+
+
 class TestMulticoreParity:
-    """flat+workers must be *bit-identical* to serial flat — accounting
+    """workers=N must be *bit-identical* to in-process execution — accounting
     AND physical state — for every worker count (DESIGN.md §5.5)."""
 
     def _assert_state_identical(self, pic_a, pic_b):
@@ -180,7 +204,7 @@ class TestMulticoreParity:
 
     @needs_multicore
     def test_three_way_accounting(self):
-        """looped ≡ flat ≡ flat+workers on the same virtual machine run."""
+        """oracle ≡ pooled ≡ pooled+workers on the same virtual machine run."""
         vm_l, pic_l = _build("looped")
         vm_f, pic_f = _build("flat")
         vm_w, pic_w = _build("flat", workers=2)
@@ -266,5 +290,8 @@ class TestDebugHooks:
 
 class TestValidation:
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            _build("pooled")
+        """The option is gone, not hidden: ``engine=`` is an unknown argument."""
+        vm, pic = _build("flat")
+        with pytest.raises(TypeError, match="engine"):
+            ParallelPIC(vm, pic.grid, pic.decomp, pic.particles, engine="flat")
+        assert not hasattr(pic, "engine")

@@ -1,9 +1,11 @@
-"""Property-based parallel-vs-sequential equivalence sweep.
+"""Property-based pooled-vs-oracle-vs-sequential equivalence sweep.
 
 Hypothesis draws random small configurations (grid shape, particle
-count, rank count, indexing scheme, ghost table, decomposition kind)
-and asserts that the parallel PIC reproduces the sequential reference —
-the strongest single invariant in the library.
+count, rank count, indexing scheme, ghost table, decomposition kind,
+movement, field solver, worker count, step count, a poisoned-scatter
+toggle) and asserts that the parallel PIC equals its per-rank oracle
+(``tests/_looped_oracle.py``) bit for bit and reproduces the sequential
+reference — the strongest single invariant in the library.
 """
 
 import multiprocessing
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core import ParticlePartitioner
 from repro.machine import MachineModel, VirtualMachine
+from repro.machine.faults import FaultEvent, FaultPlan
 from repro.mesh import (
     BlockDecomposition,
     CurveBlockDecomposition,
@@ -24,6 +27,7 @@ from repro.mesh import (
 from repro.parallel_exec import shared_memory_available
 from repro.particles import gaussian_blob, uniform_plasma
 from repro.pic import ParallelPIC, SequentialPIC
+from tests._looped_oracle import STEPPERS, LoopedPIC
 
 _MULTICORE_OK = (
     "fork" in multiprocessing.get_all_start_methods() and shared_memory_available()
@@ -40,32 +44,47 @@ def configurations(draw):
     table = draw(st.sampled_from(["hash", "direct"]))
     decomp_kind = draw(st.sampled_from(["curve", "block", "scatter"]))
     movement = draw(st.sampled_from(["lagrangian", "eulerian"]))
-    engine = draw(st.sampled_from(["looped", "flat"]))
-    # The multicore backend only exists for the flat engine; elsewhere
-    # (and where fork/shm is unavailable) workers stays 0.
-    workers = (
-        draw(st.sampled_from([0, 1, 2, 4]))
-        if engine == "flat" and _MULTICORE_OK
-        else 0
-    )
+    field_solver = draw(st.sampled_from(["maxwell", "electrostatic"]))
+    # Where fork/shm is unavailable workers stays 0.
+    workers = draw(st.sampled_from([0, 1, 2, 4])) if _MULTICORE_OK else 0
     dist = draw(st.sampled_from(["uniform", "blob"]))
     seed = draw(st.integers(0, 10**6))
     steps = draw(st.integers(1, 4))
-    return (nx, ny, n, p, scheme, table, decomp_kind, movement, engine, workers,
-            dist, seed, steps)
+    poison = draw(st.booleans())
+    return (nx, ny, n, p, scheme, table, decomp_kind, movement, field_solver,
+            workers, dist, seed, steps, poison)
+
+
+def _assert_bit_equal(pic, oracle):
+    """Pooled stepper vs per-rank oracle: state and accounting, exactly."""
+    par, ref = pic.all_particles(), oracle.all_particles()
+    po, ro = np.argsort(par.ids), np.argsort(ref.ids)
+    np.testing.assert_array_equal(par.ids[po], ref.ids[ro])
+    for attr in ("x", "y", "ux", "uy", "uz"):
+        np.testing.assert_array_equal(getattr(par, attr)[po], getattr(ref, attr)[ro])
+    for field in ("ex", "ey", "ez", "bx", "by", "bz", "rho", "jx", "jy", "jz"):
+        np.testing.assert_array_equal(
+            getattr(pic.fields, field), getattr(oracle.fields, field)
+        )  # NaNs (poison) compare equal position-wise
+    assert pic.vm.elapsed() == oracle.vm.elapsed()
+    np.testing.assert_array_equal(pic.vm.clocks, oracle.vm.clocks)
+    assert pic.vm.ops.as_dict() == oracle.vm.ops.as_dict()
 
 
 class TestEquivalenceSweep:
     @given(cfg=configurations())
     @settings(max_examples=25, deadline=None)
     def test_parallel_equals_sequential(self, cfg):
-        (nx, ny, n, p, scheme, table, decomp_kind, movement, engine, workers,
-         dist, seed, steps) = cfg
+        """pooled (any worker count) == per-rank oracle, bit for bit, and
+        both reproduce the sequential reference; with ``poison`` the last
+        scatter runs on a machine that damages every message, where only
+        the pooled-vs-oracle half applies."""
+        (nx, ny, n, p, scheme, table, decomp_kind, movement, field_solver,
+         workers, dist, seed, steps, poison) = cfg
         grid = Grid2D(nx, ny)
         sampler = uniform_plasma if dist == "uniform" else gaussian_blob
         particles = sampler(grid, n, rng=seed)
 
-        vm = VirtualMachine(p, MachineModel.cm5())
         if decomp_kind == "curve":
             decomp = CurveBlockDecomposition(grid, p, scheme)
         elif decomp_kind == "block":
@@ -73,15 +92,25 @@ class TestEquivalenceSweep:
         else:
             decomp = ScatterDecomposition(grid, p)
         local = ParticlePartitioner(grid, scheme).initial_partition(particles, p)
+        kwargs = dict(ghost_table=table, movement=movement, field_solver=field_solver)
         pic = ParallelPIC(
-            vm, grid, decomp, local, ghost_table=table, movement=movement,
-            engine=engine, workers=workers,
+            VirtualMachine(p, MachineModel.cm5()), grid, decomp,
+            [part.copy() for part in local], workers=workers, **kwargs,
         )
-        seq = SequentialPIC(grid, particles.copy(), dt=pic.dt)
+        oracle = LoopedPIC(VirtualMachine(p, MachineModel.cm5()), grid, decomp, local, **kwargs)
+        seq = SequentialPIC(grid, particles.copy(), dt=pic.dt, field_solver=field_solver)
         try:
-            for _ in range(steps):
+            for _ in range(steps - poison):
                 pic.step()
+                oracle.step()
                 seq.step()
+            if poison:
+                plan = FaultPlan(events=(FaultEvent(kind="poison", phase="scatter"),))
+                pic.vm.install_faults(plan)
+                oracle.vm.install_faults(plan)
+                pic.scatter()
+                oracle.scatter()
+            _assert_bit_equal(pic, oracle)
 
             par = pic.all_particles()
             assert par.n == seq.particles.n
@@ -91,15 +120,17 @@ class TestEquivalenceSweep:
             np.testing.assert_allclose(par.y[po], seq.particles.y[so], atol=1e-9)
             np.testing.assert_allclose(par.ux[po], seq.particles.ux[so], atol=1e-9)
             np.testing.assert_allclose(pic.fields.ez, seq.fields.ez, atol=1e-9)
-            np.testing.assert_allclose(pic.fields.rho, seq.fields.rho, atol=1e-9)
+            if not poison:  # the poisoned scatter's sources carry NaNs
+                np.testing.assert_allclose(pic.fields.rho, seq.fields.rho, atol=1e-9)
         finally:
             pic.close()
 
 
 class TestFullMatrix:
-    """Deterministic full sweep of engine x movement x scheme x ranks.
+    """Deterministic full sweep of stepper x movement x scheme x ranks.
 
-    Every combination of {looped, flat} x {lagrangian, eulerian} x
+    Every combination of {looped (the oracle), flat (``ParallelPIC``)} x
+    {lagrangian, eulerian} x
     {hilbert, snake, morton, rowmajor} x {1, 3, 4} ranks must reproduce
     the sequential reference.  Agreement is pinned at ``atol=1e-12`` —
     far below any physical scale in the run but above the ~1e-16
@@ -118,7 +149,7 @@ class TestFullMatrix:
         vm = VirtualMachine(p, MachineModel.cm5())
         decomp = CurveBlockDecomposition(grid, p, scheme)
         local = ParticlePartitioner(grid, scheme).initial_partition(particles, p)
-        pic = ParallelPIC(vm, grid, decomp, local, movement=movement, engine=engine)
+        pic = STEPPERS[engine](vm, grid, decomp, local, movement=movement)
         seq = SequentialPIC(grid, particles.copy(), dt=pic.dt)
         for _ in range(3):
             pic.step()

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.pic import Simulation, SimulationConfig
+from tests._looped_oracle import SIMULATIONS
 
 TOTAL = 8
 SPLIT = 4
@@ -57,12 +58,12 @@ def _assert_state_identical(sim_a, sim_b):
     assert sim_a.vm.ops.as_dict() == sim_b.vm.ops.as_dict()
 
 
-def _run_split(config) -> tuple:
+def _run_split(config, sim_cls=Simulation) -> tuple:
     """Return (uninterrupted sim+result, resumed sim+result) for config."""
-    full_sim = Simulation(config)
+    full_sim = sim_cls(config)
     full = full_sim.run(TOTAL)
 
-    first = Simulation(config)
+    first = sim_cls(config)
     first.run(SPLIT)
     path = None
 
@@ -72,7 +73,7 @@ def _run_split(config) -> tuple:
     tmp = Path(tempfile.mkdtemp(prefix="repro_resume_"))
     path = first.checkpoint(tmp / "ck.npz")
 
-    resumed_sim = Simulation.from_checkpoint(path)
+    resumed_sim = sim_cls.from_checkpoint(path)
     resumed = resumed_sim.run(TOTAL - SPLIT)
     return full_sim, full, resumed_sim, resumed
 
@@ -81,8 +82,9 @@ def _run_split(config) -> tuple:
 @pytest.mark.parametrize("movement", ["lagrangian", "eulerian"])
 @pytest.mark.parametrize("policy", ["static", "periodic:3", "dynamic"])
 def test_era_kernel_matrix(engine, movement, policy):
-    config = _config(engine=engine, movement=movement, policy=policy)
-    full_sim, full, resumed_sim, resumed = _run_split(config)
+    """``looped`` runs the same driver over the per-rank oracle stepper."""
+    config = _config(movement=movement, policy=policy)
+    full_sim, full, resumed_sim, resumed = _run_split(config, SIMULATIONS[engine])
     _assert_results_identical(full, resumed)
     _assert_state_identical(full_sim, resumed_sim)
 

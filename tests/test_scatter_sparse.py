@@ -1,7 +1,7 @@
-"""The flat scatter is O(entries + nodes): no dense per-rank mesh rows.
+"""The pooled scatter is O(entries + nodes): no dense per-rank mesh rows.
 
 A node's on-rank ("mine") deposition entries all come from the rank that
-owns it, so the flat engine replaces the ``(p, 4, nnodes)`` per-rank row
+owns it, so the scatter replaces the ``(p, 4, nnodes)`` per-rank row
 block + p-row reduce by one pooled bincount per shard, and the
 per-message ghost merge by one seeded bincount (DESIGN.md §5.5).  The
 dense formulation it replaced lives on here as a test-only oracle; the
@@ -30,6 +30,7 @@ from repro.pic.deposition import (
     pooled_duplicate_removal,
     segmented_entry_ranks,
 )
+from tests._looped_oracle import STEPPERS
 
 needs_multicore = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods()
@@ -119,9 +120,9 @@ class TestDenseRowOracle:
 
         pic = ParallelPIC(
             VirtualMachine(p, MachineModel.cm5()), grid, decomp, local,
-            engine="flat", ghost_table=table,
+            ghost_table=table,
         )
-        acc = pic._scatter_flat()
+        acc = pic._accumulate_sources()
         assert np.array_equal(acc, acc_d)
         sent_ids = {
             (dst, src): ids for src in range(p) for dst, ids in pic._ghost_nodes[src].items()
@@ -173,16 +174,14 @@ def _build(engine, workers=0):
     local = ParticlePartitioner(grid, "hilbert").initial_partition(
         gaussian_blob(grid, 1200, rng=21), p
     )
-    pic = ParallelPIC(
-        vm, grid, decomp, local, engine=engine, workers=workers, smoothing_passes=0
-    )
+    pic = STEPPERS[engine](vm, grid, decomp, local, workers=workers, smoothing_passes=0)
     vm.install_faults(FaultPlan(events=(FaultEvent(kind="poison", phase="scatter"),)))
     return vm, pic
 
 
 @needs_multicore
 def test_poisoned_scatter_identical_across_engines():
-    """flat == looped == flat+workers with every scatter message poisoned:
+    """pooled == per-rank oracle == pooled+workers with every scatter message poisoned:
     the NaNs land on the same nodes, the accounting does not move."""
     built = [_build("looped"), _build("flat"), _build("flat", workers=2)]
     try:
@@ -241,7 +240,7 @@ def test_scatter_allocation_is_not_p_times_mesh(ghost_table):
 # ----------------------------------------------------------------------
 def _cfg(**kwargs):
     base = dict(nx=16, ny=12, nparticles=800, p=6, distribution="irregular",
-                policy="dynamic", seed=3, engine="flat")
+                policy="dynamic", seed=3)
     base.update(kwargs)
     return SimulationConfig(**base)
 

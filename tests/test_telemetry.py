@@ -6,7 +6,8 @@ Pins the contracts of DESIGN.md §5.4:
   pre-telemetry code path (clocks, ops, result dicts);
 * enabled overhead stays under 5% wall-clock;
 * exported artifacts conform to their schemas (``repro-trace/1`` /
-  ``repro-metrics/1``) on both engines;
+  ``repro-metrics/1``) — also when the driver steps the per-rank
+  oracle (``tests/_looped_oracle.py``; the ``looped`` parameter value);
 * SAR decision records replay to the exact fire/skip verdicts;
 * telemetry streams stay consistent across rank-failure shrink (no
   stale rank columns) and across checkpoint/resume.
@@ -34,6 +35,7 @@ from repro.telemetry import (
     validate_metrics,
     validate_trace,
 )
+from tests._looped_oracle import SIMULATIONS
 
 
 def _config(**kw):
@@ -180,7 +182,7 @@ class TestZeroCostWhenOff:
 @pytest.mark.parametrize("engine", ["flat", "looped"])
 class TestExports:
     def test_trace_and_metrics_validate(self, engine, tmp_path):
-        sim = Simulation(_config(engine=engine))
+        sim = SIMULATIONS[engine](_config())
         sim.enable_telemetry()
         result = sim.run(8)
         trace = validate_trace(sim.telemetry.save_trace(tmp_path / "t.json"))
@@ -206,7 +208,7 @@ class TestExports:
         assert t_sum == pytest.approx(result.total_time, abs=1e-12)
 
     def test_result_dict_aggregates(self, engine):
-        sim = Simulation(_config(engine=engine))
+        sim = SIMULATIONS[engine](_config())
         sim.enable_telemetry()
         out = sim.run(6).to_dict()
         agg = out["telemetry"]
@@ -291,7 +293,7 @@ class TestSARDecisionLog:
 class TestTelemetryAcrossRecovery:
     @pytest.mark.parametrize("engine", ["flat", "looped"])
     def test_rank_kill_keeps_streams_consistent(self, engine, tmp_path):
-        sim = Simulation(_config(p=6, engine=engine, seed=2))
+        sim = SIMULATIONS[engine](_config(p=6, seed=2))
         sim.install_faults(
             FaultPlan(events=(FaultEvent(kind="kill", rank=3, iteration=4),))
         )
@@ -407,11 +409,11 @@ class TestReport:
         assert "rank lanes" in text  # trace cross-check line
 
     def test_comparison_report(self, tmp_path):
-        a, _ = self._run_files(tmp_path, "flat", engine="flat")
-        b, _ = self._run_files(tmp_path, "looped", engine="looped")
+        a, _ = self._run_files(tmp_path, "dynamic", policy="dynamic")
+        b, _ = self._run_files(tmp_path, "periodic", policy="periodic:5")
         text = report_from_files([a, b])
         assert "side-by-side comparison" in text
-        assert "flat.jsonl" in text and "looped.jsonl" in text
+        assert "dynamic.jsonl" in text and "periodic.jsonl" in text
 
     def test_render_comparison_direct(self, tmp_path):
         path, _ = self._run_files(tmp_path, "x")
