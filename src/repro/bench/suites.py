@@ -368,6 +368,27 @@ def _simulation_smoke(sim: Simulation) -> BenchObservation:
     return _observe(sim.vm, lambda: sim.run(10))
 
 
+@register(
+    "modern_step_p32",
+    suites=("smoke", "full"),
+    tier=1,
+    description="3 iterations of the modern (Yee + zigzag) kernel at p=32, irregular",
+    setup=lambda: Simulation(
+        SimulationConfig(
+            nx=_NX,
+            ny=_NY,
+            nparticles=_NPART,
+            p=_P,
+            distribution="irregular",
+            kernel="modern",
+            seed=_SEED,
+        )
+    ),
+)
+def _modern_step(sim: Simulation) -> BenchObservation:
+    return _observe(sim.vm, lambda: sim.run(3))
+
+
 def _checkpoint_fixture() -> tuple[Simulation, Path]:
     sim = Simulation(
         SimulationConfig(

@@ -22,6 +22,21 @@ from repro.util import require, require_positive
 __all__ = ["Grid2D"]
 
 
+def _wrap(coords: np.ndarray, length: float) -> np.ndarray:
+    """``coords`` folded into ``[0, length)``, as a fresh array.
+
+    Bit-equal to ``np.mod`` (which is ``fmod`` plus the sign fix-up
+    below) followed by the fold of a result that rounded to exactly
+    ``length`` — ``np.mod(-eps, L)`` does for tiny negative inputs —
+    back to 0, at a third of ``np.mod``'s cost.
+    """
+    w = np.asarray(np.fmod(coords, length), dtype=float)
+    w[w < 0] += length
+    w += 0.0  # -0.0 -> +0.0, as np.mod returns for exact multiples
+    w[w >= length] = 0.0
+    return w
+
+
 class Grid2D:
     """Geometry of a periodic ``nx x ny`` cell grid over ``[0,lx) x [0,ly)``.
 
@@ -65,14 +80,10 @@ class Grid2D:
     def wrap_positions(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fold positions into the periodic domain ``[0,lx) x [0,ly)``.
 
-        ``np.mod(-eps, L)`` can round to exactly ``L`` for tiny negative
-        inputs; those hits fold back to 0 so the half-open contract holds.
+        The contract is half-open: inputs that fold to exactly ``lx`` /
+        ``ly`` by float rounding come back as 0.
         """
-        xw = np.mod(x, self.lx)
-        yw = np.mod(y, self.ly)
-        xw = np.where(xw >= self.lx, 0.0, xw)
-        yw = np.where(yw >= self.ly, 0.0, yw)
-        return xw, yw
+        return _wrap(x, self.lx), _wrap(y, self.ly)
 
     def cell_of(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return integer cell coordinates of (already wrapped) positions."""
@@ -109,6 +120,46 @@ class Grid2D:
         return self.cell_id(cx, cy)
 
     # ------------------------------------------------------------------
+    def cic_axis(self, coords: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One axis of the CIC stencil: ``(cell, next cell, fraction)``.
+
+        ``axis`` 0 is x, 1 is y.  Wrap, floor and clip act per axis, so a
+        caller needing several stencils that share an axis shift (the six
+        Yee-staggered components use two shifts per axis) evaluates each
+        axis once and combines with :meth:`cic_from_axes`.
+        """
+        length, d, ncells = (
+            (self.lx, self.dx, self.nx) if axis == 0 else (self.ly, self.dy, self.ny)
+        )
+        w = _wrap(coords, length)
+        w /= d
+        c = np.floor(w).astype(np.int64)
+        np.clip(c, 0, ncells - 1, out=c)
+        w -= c  # fractional offset in [0, 1)
+        return c, (c + 1) % ncells, w
+
+    def cic_from_axes(
+        self,
+        xa: tuple[np.ndarray, np.ndarray, np.ndarray],
+        ya: tuple[np.ndarray, np.ndarray, np.ndarray],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Vertex nodes and bilinear weights from two :meth:`cic_axis` results."""
+        cx, cx1, tx = xa
+        cy, cy1, ty = ya
+        row, row1 = cy * self.nx, cy1 * self.nx
+        nodes = np.empty((cx.shape[0], 4), dtype=np.int64)
+        np.add(row, cx, out=nodes[:, 0])
+        np.add(row, cx1, out=nodes[:, 1])
+        np.add(row1, cx, out=nodes[:, 2])
+        np.add(row1, cx1, out=nodes[:, 3])
+        ux, uy = 1.0 - tx, 1.0 - ty
+        weights = np.empty((cx.shape[0], 4))
+        np.multiply(ux, uy, out=weights[:, 0])
+        np.multiply(tx, uy, out=weights[:, 1])
+        np.multiply(ux, ty, out=weights[:, 2])
+        np.multiply(tx, ty, out=weights[:, 3])
+        return nodes, weights
+
     def cic_vertices_weights(
         self, x: np.ndarray, y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -124,36 +175,15 @@ class Grid2D:
             float64 array of shape ``(n, 4)`` — bilinear weights, summing
             to 1 per particle.
         """
-        xw, yw = self.wrap_positions(np.asarray(x, float), np.asarray(y, float))
-        fx = xw / self.dx
-        fy = yw / self.dy
-        cx = np.floor(fx).astype(np.int64)
-        cy = np.floor(fy).astype(np.int64)
-        np.clip(cx, 0, self.nx - 1, out=cx)
-        np.clip(cy, 0, self.ny - 1, out=cy)
-        tx = fx - cx  # fractional offsets in [0, 1)
-        ty = fy - cy
+        return self.cic_from_axes(self.cic_axis(x, 0), self.cic_axis(y, 1))
+
+    def cell_vertices(self, cell_ids: np.ndarray) -> np.ndarray:
+        """The 4 vertex nodes of each cell, ``(n, 4)``, in the vertex order
+        of :meth:`cic_vertices_weights` (whose first column is the cell)."""
+        cy, cx = np.divmod(np.asarray(cell_ids, dtype=np.int64), np.int64(self.nx))
+        row, row1 = cy * self.nx, (cy + 1) % self.ny * self.nx
         cx1 = (cx + 1) % self.nx
-        cy1 = (cy + 1) % self.ny
-        nodes = np.stack(
-            [
-                cy * self.nx + cx,
-                cy * self.nx + cx1,
-                cy1 * self.nx + cx,
-                cy1 * self.nx + cx1,
-            ],
-            axis=-1,
-        ).astype(np.int64)
-        weights = np.stack(
-            [
-                (1.0 - tx) * (1.0 - ty),
-                tx * (1.0 - ty),
-                (1.0 - tx) * ty,
-                tx * ty,
-            ],
-            axis=-1,
-        )
-        return nodes, weights
+        return np.stack([row + cx, row + cx1, row1 + cx, row1 + cx1], axis=-1)
 
     def node_neighbors(self, node_ids: np.ndarray) -> np.ndarray:
         """Return the four stencil neighbours of each node.

@@ -35,6 +35,9 @@ from repro.pic.push import boris_push
 
 __all__ = [
     "scatter_segment",
+    "deposit_on_rank",
+    "ghost_messages",
+    "merge_ghost_messages",
     "reduce_rank_rows",
     "gather_push_slice",
     "classify_chunk",
@@ -66,10 +69,8 @@ def scatter_segment(
         Global node-ownership map.
     out_row:
         ``(nchannels, nnodes)`` output — the covered ranks' on-rank
-        deposition, one bincount over their pooled "mine" entries.  Each
-        node receives only its owner's entries, in pool order, so the
-        row equals the rank-ordered sum of per-rank bincounts bit for
-        bit.  Callers add shard rows via :func:`reduce_rank_rows`.
+        deposition (see :func:`deposit_on_rank`).  Callers add shard
+        rows via :func:`reduce_rank_rows`.
 
     Returns
     -------
@@ -87,57 +88,103 @@ def scatter_segment(
     flat_nodes = nodes.ravel()
     flat_values = values.reshape(nchannels, -1)
     local_rank = np.repeat(np.arange(nranks, dtype=np.int64), 4 * counts)
-    owners = node_owner[flat_nodes]
-    ghost = owners != (local_rank + np.int64(r0))
-    ghost_idx = np.flatnonzero(ghost)
-    if ghost_idx.size:
-        mine_idx = np.flatnonzero(~ghost)
-        nodes_mine = flat_nodes.take(mine_idx)
-        values_mine = flat_values.take(mine_idx, axis=1)
-    else:
-        nodes_mine = flat_nodes
-        values_mine = flat_values
-
-    # On-rank accumulation: "mine" means the depositing rank owns the
-    # node, so every node's entries come from one rank and arrive in
-    # pool order — no rank key is needed to keep ranks apart.
-    for c in range(nchannels):
-        out_row[c] = np.bincount(nodes_mine, weights=values_mine[c], minlength=nnodes)
+    ghost = node_owner[flat_nodes] != (local_rank + np.int64(r0))
+    ghost_idx = deposit_on_rank(ghost, flat_nodes, flat_values, out_row)
 
     entries_per_rank = np.zeros(nranks, dtype=np.int64)
     uniq_per_rank = np.zeros(nranks, dtype=np.int64)
     messages: list[list[tuple[int, np.ndarray, np.ndarray]]] = [[] for _ in range(nranks)]
     if ghost_idx.size:
         g_ranks = local_rank.take(ghost_idx)
-        g_nodes = flat_nodes.take(ghost_idx)
-        g_values = flat_values.take(ghost_idx, axis=1)
-        uniq_nodes, _, summed, seg = pooled_duplicate_removal(
-            nnodes, nranks, g_ranks, g_nodes, g_values
+        uniq_nodes, uniq_ranks, summed, seg = pooled_duplicate_removal(
+            nnodes, nranks, g_ranks, flat_nodes.take(ghost_idx), flat_values.take(ghost_idx, axis=1)
         )
         entries_per_rank = np.bincount(g_ranks, minlength=nranks)
         uniq_per_rank = np.diff(seg)
-        for lr in np.flatnonzero(uniq_per_rank):
-            lo, hi = int(seg[lr]), int(seg[lr + 1])
-            ids_r = uniq_nodes[lo:hi]
-            vals_r = summed[:, lo:hi]
-            owner_r = node_owner[ids_r]
-            # Stable owner sort within the segment: equivalent to the
-            # global stable sort by (src * p + owner) restricted to this
-            # source, keeping node ids ascending inside every message.
-            order = np.argsort(owner_r, kind="stable")
-            ids_sorted = ids_r.take(order)
-            vals_sorted = vals_r.take(order, axis=1)
-            msg_uniq, msg_starts = np.unique(owner_r.take(order), return_index=True)
-            bounds = np.append(msg_starts, owner_r.size)
-            messages[lr] = [
-                (
-                    int(msg_uniq[i]),
-                    np.ascontiguousarray(ids_sorted[bounds[i] : bounds[i + 1]]),
-                    np.ascontiguousarray(vals_sorted[:, bounds[i] : bounds[i + 1]]),
-                )
-                for i in range(msg_uniq.size)
-            ]
+        messages = ghost_messages(node_owner, nranks, uniq_ranks, uniq_nodes, summed)
     return vertices, entries_per_rank, uniq_per_rank, messages
+
+
+def deposit_on_rank(
+    ghost: np.ndarray, nodes: np.ndarray, values: np.ndarray, out_rows: np.ndarray
+) -> np.ndarray:
+    """Sum the entries whose depositing rank owns their node; return the rest.
+
+    ``ghost`` marks the off-rank entries.  ``out_rows`` (``(nchannels,
+    nnodes)``, overwritten) receives one bincount per channel over the
+    others.  Every node's on-rank ("mine") entries come from the one
+    rank that owns it and arrive in pool order, so no rank key is needed
+    to keep ranks apart and the row equals the rank-ordered sum of
+    per-rank bincounts bit for bit.  Returns the ghost entries' indices.
+    """
+    ghost_idx = np.flatnonzero(ghost)
+    if ghost_idx.size:
+        mine_idx = np.flatnonzero(~ghost)
+        nodes = nodes.take(mine_idx)
+        values = values.take(mine_idx, axis=1)
+    for c in range(values.shape[0]):
+        out_rows[c] = np.bincount(nodes, weights=values[c], minlength=out_rows.shape[1])
+    return ghost_idx
+
+
+def ghost_messages(
+    node_owner: np.ndarray,
+    nranks: int,
+    uniq_ranks: np.ndarray,
+    uniq_nodes: np.ndarray,
+    summed: np.ndarray,
+) -> list[list[tuple[int, np.ndarray, np.ndarray]]]:
+    """Coalesce deduplicated ghost entries into one message per (rank, owner).
+
+    The entries arrive sorted by ``(rank, node)``
+    (:func:`~repro.pic.deposition.pooled_ghost_keys`); one stable sort by
+    ``(rank, owner)`` groups them into messages and keeps node ids
+    ascending inside each.  Returns, per rank, its ``(owner, ids,
+    values)`` messages in ascending owner order.
+    """
+    messages: list[list[tuple[int, np.ndarray, np.ndarray]]] = [[] for _ in range(nranks)]
+    if uniq_nodes.size == 0:
+        return messages
+    stride = np.int64(node_owner.max()) + 1
+    key = uniq_ranks * stride + node_owner[uniq_nodes]
+    order = np.argsort(key, kind="stable")
+    key = key.take(order)
+    ids = uniq_nodes.take(order)
+    vals = summed.take(order, axis=1)
+    bounds = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1], [True])))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        rank, owner = divmod(int(key[lo]), int(stride))
+        messages[rank].append(
+            (owner, np.ascontiguousarray(ids[lo:hi]), np.ascontiguousarray(vals[:, lo:hi]))
+        )
+    return messages
+
+
+def merge_ghost_messages(acc: np.ndarray, recv: list[dict]) -> np.ndarray:
+    """Add the *received* ghost messages into ``acc`` (``(nchannels, nnodes)``).
+
+    Replays the per-rank oracle's order — destinations in rank order,
+    sources sorted, ``acc[c] += bincount(ids, vals[c])`` per message — in
+    one bincount per channel: ids are unique inside a message, so seeding
+    the bincount with ``acc`` and appending the messages gives every node
+    the oracle's ``((mine + v_src1) + v_src2) ...`` association, hence
+    its floats, bit for bit (also when faults damaged what arrived).
+    Returns the number of merged entries per destination rank.
+    """
+    nnodes = acc.shape[1]
+    merge_ops = np.zeros(len(recv))
+    merge_ids = [np.arange(nnodes)]
+    merge_vals = [acc]
+    for r, inbox in enumerate(recv):
+        for _, (ids, vals) in sorted(inbox.items()):
+            merge_ids.append(ids)
+            merge_vals.append(vals)
+            merge_ops[r] += ids.size
+    all_ids = np.concatenate(merge_ids)
+    all_vals = np.concatenate(merge_vals, axis=1)
+    for c in range(acc.shape[0]):
+        acc[c] = np.bincount(all_ids, weights=all_vals[c], minlength=nnodes)
+    return merge_ops
 
 
 def reduce_rank_rows(rows: np.ndarray, acc: np.ndarray) -> np.ndarray:

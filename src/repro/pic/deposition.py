@@ -40,6 +40,7 @@ __all__ = [
     "accumulate_entries",
     "deposit_charge_current",
     "segmented_entry_ranks",
+    "pooled_ghost_keys",
     "pooled_duplicate_removal",
 ]
 
@@ -51,6 +52,7 @@ def deposition_entries(
     grid: Grid2D,
     particles: ParticleArray,
     vertices: tuple[np.ndarray, np.ndarray] | None = None,
+    channels: tuple[int, ...] = (0, 1, 2, 3),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Compute per-(particle, vertex) deposition entries.
 
@@ -61,15 +63,18 @@ def deposition_entries(
         :meth:`~repro.mesh.grid.Grid2D.cic_vertices_weights` for these
         particles' current positions — the parallel stepper shares one
         CIC evaluation between its scatter and gather phases.
+    channels:
+        Which of :data:`CHANNELS` to build, as indices, in output row
+        order (the charge-conserving stepper reads only jz and rho).
 
     Returns
     -------
     nodes:
         int64 array of shape ``(n, 4)`` — target node ids.
     values:
-        float64 array of shape ``(4, n, 4)`` — deposited amounts per
-        channel (rho, jx, jy, jz) per particle per vertex, i.e.
-        ``weight_vertex * w * q * (1, vx, vy, vz)``.
+        float64 array of shape ``(len(channels), n, 4)`` — deposited
+        amounts per channel (default rho, jx, jy, jz) per particle per
+        vertex, i.e. ``weight_vertex * w * q * (1, vx, vy, vz)``.
     """
     if vertices is None:
         nodes, weights = grid.cic_vertices_weights(particles.x, particles.y)
@@ -77,15 +82,11 @@ def deposition_entries(
         nodes, weights = vertices
     inv_gamma = 1.0 / particles.gamma()
     charge = particles.w * particles.q
+    momenta = (None, particles.ux, particles.uy, particles.uz)
     per_particle = np.stack(
-        [
-            charge,
-            charge * particles.ux * inv_gamma,
-            charge * particles.uy * inv_gamma,
-            charge * particles.uz * inv_gamma,
-        ]
-    )  # (4 channels, n)
-    values = per_particle[:, :, None] * weights[None, :, :]  # (4, n, 4)
+        [charge if c == 0 else charge * momenta[c] * inv_gamma for c in channels]
+    )  # (channels, n)
+    values = per_particle[:, :, None] * weights[None, :, :]  # (channels, n, 4)
     return nodes, values
 
 
@@ -137,6 +138,29 @@ def segmented_entry_ranks(counts: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(counts.shape[0], dtype=np.int64), 4 * counts)
 
 
+def pooled_ghost_keys(
+    nnodes: int, entry_ranks: np.ndarray, nodes: np.ndarray, return_inverse: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The distinct ``(rank, node)`` pairs of a pooled entry list.
+
+    Keys every pair as ``rank * nnodes + node`` — O(entries) memory,
+    never a rank-by-mesh block — and returns ``(uniq_nodes, uniq_ranks,
+    inverse)``: the pairs sorted by rank then node, and each entry's
+    index into them (``None`` unless ``return_inverse``).
+    """
+    combined = entry_ranks * np.int64(nnodes) + nodes
+    if return_inverse:
+        uniq, inverse = np.unique(combined, return_inverse=True)
+    else:
+        # a plain sort is several times faster than np.unique's hash set
+        combined.sort()
+        first = np.ones(combined.size, dtype=bool)
+        np.not_equal(combined[1:], combined[:-1], out=first[1:])
+        uniq, inverse = combined[first], None
+    uniq_ranks, uniq_nodes = np.divmod(uniq, np.int64(nnodes))
+    return uniq_nodes, uniq_ranks, inverse
+
+
 def pooled_duplicate_removal(
     nnodes: int,
     p: int,
@@ -146,12 +170,13 @@ def pooled_duplicate_removal(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """All ranks' ghost duplicate removal in one vectorized pass.
 
-    Keys every (rank, node) pair as ``rank * nnodes + node``, finds the
-    sorted unique keys, and sums each channel's duplicate contributions
-    with one ``bincount`` over the inverse map.  Because entries arrive
-    in pool (rank-segment) order, the per-key sums accumulate in exactly
-    the order each rank's own ghost table would have used — the summed
-    values are bit-identical to per-rank ``accumulate`` + ``flush``.
+    Finds the sorted unique ``(rank, node)`` keys
+    (:func:`pooled_ghost_keys`) and sums each channel's duplicate
+    contributions with one ``bincount`` over the inverse map.  Because
+    entries arrive in pool (rank-segment) order, the per-key sums
+    accumulate in exactly the order each rank's own ghost table would
+    have used — the summed values are bit-identical to per-rank
+    ``accumulate`` + ``flush``.
 
     Parameters
     ----------
@@ -166,21 +191,19 @@ def pooled_duplicate_removal(
 
     Returns
     -------
-    (uniq_nodes, uniq_owner_segments, summed, seg):
+    (uniq_nodes, uniq_ranks, summed, seg):
         ``uniq_nodes`` — node ids of the unique (rank, node) pairs,
         sorted by rank then node; ``uniq_ranks`` — depositing rank per
         unique pair; ``summed`` — ``(nchannels, u)`` coalesced values;
         ``seg`` — length ``p + 1`` boundaries such that rank ``r``'s
         unique entries are ``[seg[r], seg[r + 1])``.
     """
-    combined = entry_ranks * np.int64(nnodes) + nodes
-    uniq, inverse = np.unique(combined, return_inverse=True)
+    uniq_nodes, uniq_ranks, inverse = pooled_ghost_keys(nnodes, entry_ranks, nodes)
     nchannels = values.shape[0]
-    summed = np.empty((nchannels, uniq.size))
+    summed = np.empty((nchannels, uniq_nodes.size))
     for c in range(nchannels):
-        summed[c] = np.bincount(inverse, weights=values[c], minlength=uniq.size)
-    uniq_ranks, uniq_nodes = np.divmod(uniq, np.int64(nnodes))
-    seg = np.searchsorted(uniq, np.arange(p + 1, dtype=np.int64) * np.int64(nnodes))
+        summed[c] = np.bincount(inverse, weights=values[c], minlength=uniq_nodes.size)
+    seg = np.searchsorted(uniq_ranks, np.arange(p + 1, dtype=np.int64))
     return uniq_nodes, uniq_ranks, summed, seg
 
 

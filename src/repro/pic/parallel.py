@@ -63,13 +63,54 @@ from repro.machine.collectives import (
     alltoall_concat,
     exchange_by_destination_pooled,
 )
-from repro.parallel_exec.kernels import reduce_rank_rows, scatter_segment
+from repro.parallel_exec.kernels import (
+    merge_ghost_messages,
+    reduce_rank_rows,
+    scatter_segment,
+)
 from repro.util import require
 
-__all__ = ["ParallelPIC"]
+__all__ = ["ParallelPIC", "PooledParticles"]
 
 
-class ParallelPIC:
+class PooledParticles:
+    """Pool management of the pooled steppers.
+
+    A subclass keeps ``particles`` (the public per-rank list),
+    ``backend`` (a multicore backend or ``None``), ``_pool`` and
+    ``_cic_pool_cache`` (a CIC evaluation keyed by pool identity, dropped
+    whenever the pool changes).
+    """
+
+    def _ensure_pool(self) -> ParticlePool:
+        """Return the current particle pool, rebuilding it if stale.
+
+        ``self.particles`` is public API: the simulation driver swaps in
+        redistributed particle lists between steps.  The pool is valid
+        only while ``self.particles`` are exactly its segment views, so
+        any external replacement triggers one concatenation rebuild here
+        (O(n) copy — everything downstream is views again).  With a
+        multicore backend the rebuilt pool's columns live in shared
+        memory so worker-side in-place kernels mutate the same pages.
+        """
+        pool = self._pool
+        if pool is not None and pool.owns(self.particles):
+            return pool
+        if self.backend is not None:
+            pool = self.backend.pool_from_ranks(self.particles)
+        else:
+            pool = ParticlePool.from_ranks(self.particles)
+        self._install_pool(pool)
+        return pool
+
+    def _install_pool(self, pool: ParticlePool) -> None:
+        """Adopt a freshly built pool."""
+        self._pool = pool
+        self.particles = list(pool.views)
+        self._cic_pool_cache = None
+
+
+class ParallelPIC(PooledParticles):
     """SPMD PIC stepper on a :class:`VirtualMachine`.
 
     Parameters
@@ -198,38 +239,6 @@ class ParallelPIC:
         self.last_gather_messages: list[dict[int, tuple[np.ndarray, np.ndarray]]] = []
 
     # ------------------------------------------------------------------
-    # pool management
-    # ------------------------------------------------------------------
-    def _ensure_pool(self) -> ParticlePool:
-        """Return the current particle pool, rebuilding it if stale.
-
-        ``self.particles`` is public API: the simulation driver swaps in
-        redistributed particle lists between steps.  The pool is valid
-        only while ``self.particles`` are exactly its segment views, so
-        any external replacement triggers one concatenation rebuild here
-        (O(n) copy — everything downstream is views again).  With a
-        multicore backend the rebuilt pool's columns live in shared
-        memory so worker-side in-place kernels mutate the same pages.
-        """
-        pool = self._pool
-        if pool is not None and pool.owns(self.particles):
-            return pool
-        if self.backend is not None:
-            pool = self.backend.pool_from_ranks(self.particles)
-        else:
-            pool = ParticlePool.from_ranks(self.particles)
-        self._pool = pool
-        self.particles = list(pool.views)
-        self._cic_pool_cache = None
-        return pool
-
-    def _install_pool(self, pool: ParticlePool) -> None:
-        """Adopt a freshly built pool (post-migration)."""
-        self._pool = pool
-        self.particles = list(pool.views)
-        self._cic_pool_cache = None
-
-    # ------------------------------------------------------------------
     # scatter phase
     # ------------------------------------------------------------------
     def scatter(self) -> None:
@@ -299,26 +308,9 @@ class ParallelPIC:
             vm.charge_ops("table", table_ops)
 
             with maybe_section(prof, "ghost_merge"):
+                # what was *received*: faults may have damaged it
                 recv = vm.alltoallv(sends)
-                # Merge what was *received* (faults may have damaged it)
-                # in the per-rank oracle's order — destinations in rank
-                # order, sources sorted.  Ids are unique inside a message,
-                # so seeding one bincount with acc and appending the
-                # messages gives every node the oracle's addition
-                # sequence, hence its floats, bit for bit.
-                merge_ops = np.zeros(p)
-                merge_ids = [np.arange(nnodes)]
-                merge_vals = [acc]
-                for r in range(p):
-                    for _, (ids, vals) in sorted(recv[r].items()):
-                        merge_ids.append(ids)
-                        merge_vals.append(vals)
-                        merge_ops[r] += ids.size
-                all_ids = np.concatenate(merge_ids)
-                all_vals = np.concatenate(merge_vals, axis=1)
-                for c in range(nchannels):
-                    acc[c] = np.bincount(all_ids, weights=all_vals[c], minlength=nnodes)
-                vm.charge_ops("table", merge_ops)
+                vm.charge_ops("table", merge_ghost_messages(acc, recv))
 
         self._ghost_nodes = ghost_nodes
         return acc

@@ -13,10 +13,9 @@ Communication structure per iteration:
 1. **Gather (request/reply).**  The modern loop gathers *before* it
    scatters, so there is no scatter-derived ghost schedule to reuse
    (the paper's trick).  Instead each rank sends every owner the list
-   of off-rank nodes its particles need (the union over the six
-   staggered component stencils), and owners reply with the six
-   component values — the classic inspector/executor pattern, two
-   message rounds.
+   of off-rank nodes its particles need (the union over the staggered
+   component stencils), and owners reply with the six component values
+   — the classic inspector/executor pattern, two message rounds.
 2. **Push** — local.
 3. **Scatter.**  Zigzag current entries (face-centred Jx, Jy) and CIC
    charge entries split into on-rank accumulation and per-component
@@ -27,6 +26,20 @@ Communication structure per iteration:
 The discrete Gauss law holds to machine precision in the parallel runs
 too — property-tested, along with numerical equivalence to the
 sequential :class:`YeePIC`.
+
+Pooled execution
+----------------
+As in :class:`~repro.pic.parallel.ParallelPIC`, all ranks' particles
+live in one :class:`~repro.particles.arrays.ParticlePool` and every
+phase is one vectorized pass over it; what a rank sends and is charged
+is recovered from ``(rank, node)`` keys and segment boundaries.  The
+formulation this replaced — each phase a ``for r in range(p)`` loop over
+that rank's arrays and its own ghost table — is the oracle
+``tests/_looped_oracle.py::LoopedYeePIC``, against which messages, op
+charges, virtual clocks, particles and fields are pinned *equal*
+(``tests/test_yee_pooled_parity.py``; the summation-order arguments are
+in :meth:`ParallelYeePIC.scatter` and DESIGN.md §5.1).  Nothing here
+allocates a rank-by-mesh block: memory is O(entries + nodes).
 """
 
 from __future__ import annotations
@@ -38,29 +51,53 @@ from repro.mesh.decomposition import MeshDecomposition
 from repro.mesh.fields import FieldState
 from repro.mesh.grid import Grid2D
 from repro.mesh.halo import HaloSchedule
-from repro.particles.arrays import ParticleArray
-from repro.pic.deposition import deposition_entries
-from repro.pic.ghost import make_ghost_table
+from repro.obs.profile import maybe_section
+from repro.parallel_exec.kernels import deposit_on_rank, ghost_messages, merge_ghost_messages
+from repro.particles.arrays import ParticleArray, ParticlePool
+from repro.pic.deposition import deposition_entries, pooled_ghost_keys
 from repro.pic.interpolation import gather_from_node_values
+from repro.pic.parallel import PooledParticles
 from repro.pic.push import boris_push
-from repro.pic.yee import YeeSolver, staggered_cic
-from repro.pic.zigzag import deposit_current_zigzag
+from repro.pic.yee import YeeSolver
+
+# The pooled scatter needs the entry lists, not their dense sum; the dense
+# form stays a module attribute because the e2e recorder
+# (benchmarks/e2e/layers.py) rebinds it in this module by name.
+from repro.pic.zigzag import (  # noqa: F401
+    JX_VERTICES,
+    JY_VERTICES,
+    deposit_current_zigzag,
+    zigzag_entries,
+)
 from repro.util import require
 
 __all__ = ["ParallelYeePIC"]
 
-#: Stagger shifts of each gathered component, in cell units.
-_COMPONENT_SHIFTS = {
-    "ex": (0.5, 0.0),
-    "ey": (0.0, 0.5),
-    "ez": (0.0, 0.0),
-    "bx": (0.0, 0.5),
-    "by": (0.5, 0.0),
-    "bz": (0.5, 0.5),
-}
+#: The four distinct staggered stencils as ``(x shift, y shift)`` in
+#: cells, each with the rows of the gathered ``(ex, ey, ez, bx, by, bz)``
+#: block it interpolates.
+_STENCILS = (
+    ((0.5, 0.0), (0, 4)),  # ex, by
+    ((0.0, 0.5), (1, 3)),  # ey, bx
+    ((0.0, 0.0), (2,)),  # ez
+    ((0.5, 0.5), (5,)),  # bz
+)
 
 
-class ParallelYeePIC:
+def _deposit_group(
+    slots: np.ndarray, nodes: np.ndarray, values: np.ndarray, acc: np.ndarray, summed: np.ndarray
+) -> np.ndarray:
+    """Sum one entry group: on-rank entries (``slots < 0``) by node into
+    ``acc``, the others by ghost slot into ``summed``, both ``(nchannels,
+    ...)`` and both in entry order.  Returns the ghost entries' slots."""
+    ghost_idx = deposit_on_rank(slots >= 0, nodes, values, acc)
+    slots = slots.take(ghost_idx)
+    for c in range(len(values)):
+        summed[c] = np.bincount(slots, weights=values[c].take(ghost_idx), minlength=summed.shape[1])
+    return slots
+
+
+class ParallelYeePIC(PooledParticles):
     """SPMD charge-conserving PIC stepper on a :class:`VirtualMachine`.
 
     Parameters mirror :class:`repro.pic.parallel.ParallelPIC` (Lagrangian
@@ -81,6 +118,7 @@ class ParallelYeePIC:
     ) -> None:
         require(len(local_particles) == vm.p, "need one particle set per rank")
         require(decomp.p == vm.p, "decomposition and machine rank counts differ")
+        require(ghost_table in ("hash", "direct"), f"unknown ghost table kind {ghost_table!r}")
         self.vm = vm
         self.grid = grid
         self.decomp = decomp
@@ -92,9 +130,24 @@ class ParallelYeePIC:
         self.halo = HaloSchedule(decomp)
         self.node_owner = decomp.owner_map
         self.node_counts = decomp.node_counts().astype(float)
-        self._ghost_kind = ghost_table
         self.iteration = 0
-        # consistent electrostatic initial condition (setup, uncharged)
+        #: optional :class:`repro.util.guards.InvariantGuard`, checked
+        #: after the push and after the scatter of :meth:`step`
+        self.guard = None
+        #: optional :class:`repro.obs.profile.PhaseProfiler` opening
+        #: host-wall sections around the kernels; it never touches the
+        #: virtual clocks (DESIGN.md §5.8)
+        self.profiler = None
+        #: the multicore backend is not wired to this stepper
+        self.backend = None
+        self._pool: ParticlePool | None = None
+        # The scatter's unshifted CIC ``(pool, nodes, weights)``: positions
+        # stay put until the next push, so the next gather's (0, 0)
+        # stencil reuses it while the pool is still the same object.
+        self._cic_pool_cache: tuple[ParticlePool, np.ndarray, np.ndarray] | None = None
+        # ``(pool, x, y)`` before the latest push, consumed by the scatter
+        self._pre_push: tuple[ParticlePool, np.ndarray, np.ndarray] | None = None
+        # consistent electrostatic initial condition (setup)
         self._distributed_rho()
         self.fields.ex, self.fields.ey = self.solver.initial_e_from_rho(self.fields.rho)
         # test hook: last gather replies
@@ -107,156 +160,220 @@ class ParallelYeePIC:
             [f.ex.ravel(), f.ey.ravel(), f.ez.ravel(), f.bx.ravel(), f.by.ravel(), f.bz.ravel()]
         )
 
+    def _exchange_ghosts(self, acc: np.ndarray, messages, ops_per_particle: float) -> None:
+        """Send the coalesced ghost messages; merge what arrives into ``acc``."""
+        vm = self.vm
+        sends: list[dict[int, tuple[np.ndarray, np.ndarray]]] = [dict() for _ in range(vm.p)]
+        for r, outbox in enumerate(messages):
+            for owner, ids, vals in outbox:
+                sends[r][owner] = (ids, vals)
+        vm.charge_ops("scatter", ops_per_particle * self._pool.counts.astype(float))
+        with maybe_section(self.profiler, "ghost_merge"):
+            merge_ghost_messages(acc, vm.alltoallv(sends))
+
     def _distributed_rho(self) -> None:
         """CIC charge deposition with ghost communication (rho only)."""
-        vm = self.vm
         grid = self.grid
-        acc = np.zeros(grid.nnodes)
-        with vm.phase("scatter"):
-            sends: list[dict[int, tuple[np.ndarray, np.ndarray]]] = []
-            for r in range(vm.p):
-                parts = self.particles[r]
-                nodes, weights = grid.cic_vertices_weights(parts.x, parts.y)
-                values = (weights * (parts.w * parts.q)[:, None]).ravel()
-                flat = nodes.ravel()
-                owners = self.node_owner[flat]
-                mine = owners == r
-                acc += np.bincount(flat[mine], weights=values[mine], minlength=grid.nnodes)
-                table = make_ghost_table(self._ghost_kind, grid.nnodes, 1)
-                table.accumulate(flat[~mine], values[~mine][None, :])
-                uniq, summed = table.flush()
-                chunk: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-                if uniq.size:
-                    ghost_owner = self.node_owner[uniq]
-                    for owner in np.unique(ghost_owner):
-                        sel = ghost_owner == owner
-                        chunk[int(owner)] = (uniq[sel], np.ascontiguousarray(summed[:, sel]))
-                sends.append(chunk)
-            vm.charge_ops("scatter", np.array([4.0 * p.n for p in self.particles]))
-            recv = vm.alltoallv(sends)
-            for r in range(vm.p):
-                for _, (ids, vals) in sorted(recv[r].items()):
-                    acc += np.bincount(ids, weights=vals[0], minlength=grid.nnodes)
-        self.fields.rho = (acc / (grid.dx * grid.dy)).reshape(grid.shape)
+        pool = self._ensure_pool()
+        parts = pool.array
+        acc = np.empty((1, grid.nnodes))
+        with self.vm.phase("scatter"):
+            nodes, weights = grid.cic_vertices_weights(parts.x, parts.y)
+            values = (weights * (parts.w * parts.q)[:, None]).reshape(1, -1)
+            uniq_ranks, uniq_nodes, slot, pair_of = self._ghost_slots(pool, nodes[:, :1].T)
+            summed = np.empty((1, uniq_nodes.size))
+            _deposit_group(slot[pair_of[0]].ravel(), nodes.ravel(), values, acc, summed)
+            messages = ghost_messages(self.node_owner, pool.p, uniq_ranks, uniq_nodes, summed)
+            self._exchange_ghosts(acc, messages, 4.0)
+        self.fields.rho = (acc[0] / (grid.dx * grid.dy)).reshape(grid.shape)
 
     # ------------------------------------------------------------------
-    # gather phase (request/reply)
+    # (rank, cell) pairs: the compact space the ghost bookkeeping runs in
     # ------------------------------------------------------------------
-    def _gather(self) -> list[np.ndarray]:
-        """Return per-rank (6, n_local) interpolated staggered fields."""
-        vm = self.vm
+    def _ghost_vertices(self, pair_ranks: np.ndarray, pair_cells: np.ndarray):
+        """Off-rank vertex nodes of distinct ``(rank, cell)`` pairs.
+
+        Every stencil or deposition entry is a vertex of its particle's
+        cell, and a few thousand distinct ``(rank, cell)`` pairs stand
+        for hundreds of thousands of entries, so owner lookup and
+        duplicate removal run on the pairs.  Returns ``(uniq_ranks,
+        uniq_nodes, slot)``: the off-rank ``(rank, node)`` pairs sorted
+        by rank then node, and ``(npairs, 4)`` each pair vertex's index
+        into them (-1 when the pair's rank owns the node).
+        """
+        verts = self.grid.cell_vertices(pair_cells)
+        ranks = np.broadcast_to(pair_ranks[:, None], verts.shape)
+        off = self.node_owner[verts] != ranks
+        uniq_nodes, uniq_ranks, inverse = pooled_ghost_keys(
+            self.grid.nnodes, ranks[off], verts[off]
+        )
+        slot = np.full(verts.shape, -1)
+        slot[off] = inverse
+        return uniq_ranks, uniq_nodes, slot
+
+    def _cell_pairs(self, pool: ParticlePool, cells: np.ndarray, return_inverse: bool):
+        """The distinct ``(rank, cell)`` pairs behind ``cells`` (``(k, n)`` cell
+        ids per particle) as ``(pair_cells, pair_ranks, inverse or None)``."""
+        return pooled_ghost_keys(
+            self.grid.nnodes, np.tile(pool.rank_of_particles(), len(cells)), cells.ravel(),
+            return_inverse,
+        )  # fmt: skip
+
+    def _ghost_slots(self, pool: ParticlePool, cells: np.ndarray):
+        """:meth:`_ghost_vertices` of the pairs behind ``cells``, plus
+        ``pair_of``: ``(k, n)``, each particle's pair per cell row."""
+        pair_cells, pair_ranks, pair_of = self._cell_pairs(pool, cells, True)
+        return *self._ghost_vertices(pair_ranks, pair_cells), pair_of.reshape(cells.shape)
+
+    # ------------------------------------------------------------------
+    # gather (request/reply) + push
+    # ------------------------------------------------------------------
+    def _interpolate(self, pool: ParticlePool, node_values: np.ndarray, eb: np.ndarray):
+        """Fill ``eb`` (6, n); return the ``(4, n)`` cells of the stencils.
+
+        The six components share four stencils and those share two
+        shifts per axis, so each axis is wrapped and floored once per
+        shift.  One stencil is alive at a time.
+        """
         grid = self.grid
+        parts = pool.array
+        cached, self._cic_pool_cache = self._cic_pool_cache, None  # the push moves particles
+        axes = {
+            (axis, shift): grid.cic_axis(coords - shift * d, axis)
+            for axis, coords, d in ((0, parts.x, grid.dx), (1, parts.y, grid.dy))
+            for shift in (0.0, 0.5)
+        }
+        cells = np.empty((len(_STENCILS), pool.n), dtype=np.int64)
+        for k, ((sx, sy), rows) in enumerate(_STENCILS):
+            if sx == sy == 0.0 and cached is not None and cached[0] is pool:
+                nodes, weights = cached[1:]
+            else:
+                nodes, weights = grid.cic_from_axes(axes[0, sx], axes[1, sy])
+            for row in rows:  # one component per call, as the per-rank formulation rounds
+                eb[row] = gather_from_node_values(node_values[row : row + 1], nodes, weights)[0]
+            cells[k] = nodes[:, 0]
+        return cells
+
+    def gather_push(self) -> None:
+        """Fetch off-rank field values, interpolate, push.
+
+        A rank's request list is the sorted unique off-rank nodes of its
+        particles' stencils, cut by owner — pooled: the sorted unique
+        off-rank ``(rank, node)`` pairs (:meth:`_ghost_vertices`),
+        grouped into per-``(rank, owner)`` messages by one stable sort.
+        Interpolation and push are per-particle independent, so one call
+        over the pool equals ``p`` calls over its segments bit for bit.
+        """
+        vm = self.vm
+        p = vm.p
+        prof = self.profiler
+        pool = self._ensure_pool()
+        parts = pool.array
         node_values = self._field_node_values()
-        per_rank_stencils: list[dict[str, tuple[np.ndarray, np.ndarray]]] = []
-        requests: list[dict[int, np.ndarray]] = []
+        eb = np.empty((6, pool.n))
         with vm.phase("gather"):
-            for r in range(vm.p):
-                parts = self.particles[r]
-                stencils = {
-                    name: staggered_cic(grid, parts.x, parts.y, sx, sy)
-                    for name, (sx, sy) in _COMPONENT_SHIFTS.items()
-                }
-                per_rank_stencils.append(stencils)
-                all_nodes = (
-                    np.unique(np.concatenate([s[0].ravel() for s in stencils.values()]))
-                    if parts.n
-                    else np.empty(0, dtype=np.int64)
-                )
-                owners = self.node_owner[all_nodes]
-                off = owners != r
-                chunk: dict[int, np.ndarray] = {}
-                needed = all_nodes[off]
-                for owner in np.unique(owners[off]):
-                    chunk[int(owner)] = needed[owners[off] == owner]
-                requests.append(chunk)
-            vm.charge_ops("gather", np.array([4.0 * p.n for p in self.particles]))
-            # round 1: requests (node-id lists)
-            incoming = vm.alltoallv(requests)
-            # round 2: replies (six component values per requested node)
-            replies: list[dict[int, tuple[np.ndarray, np.ndarray]]] = [
-                dict() for _ in range(vm.p)
-            ]
-            for owner in range(vm.p):
-                for requester, ids in incoming[owner].items():
-                    replies[owner][requester] = (
-                        ids,
-                        np.ascontiguousarray(node_values[:, ids]),
-                    )
-            delivered = vm.alltoallv(replies)
-            self.last_gather_replies = delivered
-            # interpolate (values verified equal to owners' data by tests)
-            out = []
-            for r in range(vm.p):
-                stencils = per_rank_stencils[r]
-                rows = []
-                for c, name in enumerate(_COMPONENT_SHIFTS):
-                    nodes, weights = stencils[name]
-                    rows.append(
-                        gather_from_node_values(node_values[c : c + 1], nodes, weights)[0]
-                    )
-                out.append(np.stack(rows) if rows else np.zeros((6, 0)))
-        return out
+            with maybe_section(prof, "interpolate"):
+                cells = self._interpolate(pool, node_values, eb)
+            with maybe_section(prof, "exchange"):
+                pair_cells, pair_ranks, _ = self._cell_pairs(pool, cells, False)
+                uniq_ranks, uniq_nodes, _ = self._ghost_vertices(pair_ranks, pair_cells)
+                requests: list[dict[int, np.ndarray]] = [dict() for _ in range(p)]
+                no_values = np.empty((0, uniq_nodes.size))
+                for r, outbox in enumerate(
+                    ghost_messages(self.node_owner, p, uniq_ranks, uniq_nodes, no_values)
+                ):
+                    for owner, ids, _ in outbox:
+                        requests[r][owner] = ids
+                vm.charge_ops("gather", 4.0 * pool.counts.astype(float))
+                # round 1: requests (node-id lists)
+                incoming = vm.alltoallv(requests)
+                # round 2: replies (six component values per requested node)
+                replies: list[dict[int, tuple[np.ndarray, np.ndarray]]] = [
+                    dict() for _ in range(p)
+                ]
+                for owner in range(p):
+                    for requester, ids in incoming[owner].items():
+                        replies[owner][requester] = (
+                            ids,
+                            np.ascontiguousarray(node_values[:, ids]),
+                        )
+                # (the particles read the same values from the global
+                # arrays; tests verify the replies equal the owners' data)
+                self.last_gather_replies = vm.alltoallv(replies)
+        with vm.phase("push"):
+            vm.charge_ops("push", pool.counts.astype(float))
+            self._pre_push = (pool, parts.x.copy(), parts.y.copy())
+            with maybe_section(prof, "boris_push"):
+                if pool.n:
+                    boris_push(self.grid, parts, eb[:3], eb[3:], self.dt)
 
     # ------------------------------------------------------------------
     # scatter phase (zigzag currents + CIC charge)
     # ------------------------------------------------------------------
-    def _scatter(self, olds: list[tuple[np.ndarray, np.ndarray]]) -> None:
-        vm = self.vm
+    def scatter(self) -> None:
+        """Deposit zigzag ``jx``/``jy`` and CIC ``jz``/``rho`` of the latest push.
+
+        The floats are the per-rank formulation's because the summation
+        order is.  That formulation sums a rank's zigzag entries onto a
+        dense mesh (sub-segment, face, particle order), multiplies by the
+        cell area, turns the nonzeros into entries and feeds them with
+        the CIC entries through an owner split and a ghost table.  Here
+        an on-rank node receives its owner's entries only, so one
+        bincount over the pooled on-rank entries is every rank's dense
+        sum at the nodes it owns; off-rank entries are summed per
+        ``(rank, node)`` slot in pooled entry order, which inside a slot
+        is that same order.  The entry groups (jx, jy, CIC) fill disjoint
+        channels, so they share one slot set and none is padded with the
+        others' rows; a slot left with nothing but currents that
+        cancelled to exactly zero is dropped, as the dense form's nonzero
+        filter drops it.
+        """
         grid = self.grid
         nnodes = grid.nnodes
-        acc = np.zeros((4, nnodes))  # jx, jy, jz, rho (jx/jy face-centred)
-        with vm.phase("scatter"):
-            sends: list[dict[int, tuple[np.ndarray, np.ndarray]]] = []
-            for r in range(vm.p):
-                parts = self.particles[r]
-                x_old, y_old = olds[r]
-                jx, jy = deposit_current_zigzag(
+        require(self._pre_push is not None, "scatter() follows gather_push()")
+        (pool, x_old, y_old), self._pre_push = self._pre_push, None
+        require(pool.owns(self.particles), "particles were replaced between push and scatter")
+        parts = pool.array
+        n = pool.n
+        acc = np.empty((4, nnodes))  # jx, jy, jz, rho (jx/jy face-centred)
+        with self.vm.phase("scatter"):
+            with maybe_section(self.profiler, "deposit"):
+                jx_nodes, jx_values, jy_nodes, jy_values = zigzag_entries(
                     grid, x_old, y_old, parts.x, parts.y, parts.w * parts.q, self.dt
                 )
-                # jz and rho by CIC (node-centred)
-                nodes, values = deposition_entries(grid, parts)
-                flat = nodes.ravel()
-                jz_vals = values[3].ravel()
-                rho_vals = values[0].ravel()
-                # split everything by owner; the dense jx/jy grids are
-                # converted to sparse (node, value) entry lists first
-                entries_nodes = []
-                entries_vals = []
-                for c, dense in enumerate((jx.ravel() * grid.dx * grid.dy, jy.ravel() * grid.dx * grid.dy)):
-                    nz = np.flatnonzero(dense)
-                    entries_nodes.append(nz)
-                    vals = np.zeros((4, nz.size))
-                    vals[c] = dense[nz]
-                    entries_vals.append(vals)
-                cic_vals = np.zeros((4, flat.size))
-                cic_vals[2] = jz_vals
-                cic_vals[3] = rho_vals
-                entries_nodes.append(flat)
-                entries_vals.append(cic_vals)
-                all_nodes = np.concatenate(entries_nodes)
-                all_vals = np.concatenate(entries_vals, axis=1)
-                owners = self.node_owner[all_nodes]
-                mine = owners == r
-                for c in range(4):
-                    acc[c] += np.bincount(
-                        all_nodes[mine], weights=all_vals[c][mine], minlength=nnodes
-                    )
-                table = make_ghost_table(self._ghost_kind, nnodes, 4)
-                table.accumulate(all_nodes[~mine], all_vals[:, ~mine])
-                uniq, summed = table.flush()
-                chunk: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-                if uniq.size:
-                    ghost_owner = self.node_owner[uniq]
-                    for owner in np.unique(ghost_owner):
-                        sel = ghost_owner == owner
-                        chunk[int(owner)] = (uniq[sel], np.ascontiguousarray(summed[:, sel]))
-                sends.append(chunk)
-            vm.charge_ops("scatter", np.array([8.0 * p.n for p in self.particles]))
-            recv = vm.alltoallv(sends)
-            for r in range(vm.p):
-                for _, (ids, vals) in sorted(recv[r].items()):
-                    for c in range(4):
-                        acc[c] += np.bincount(ids, weights=vals[c], minlength=nnodes)
+                vertices = grid.cic_vertices_weights(parts.x, parts.y)
+                self._cic_pool_cache = (pool,) + vertices
+                cic_nodes = vertices[0]
+                # the cells the entries hang off: both sub-segments', then the CIC one
+                cells = np.stack((jx_nodes[:n], jx_nodes[2 * n : 3 * n], cic_nodes[:, 0]))
+                uniq_ranks, uniq_nodes, slot, pair_of = self._ghost_slots(pool, cells)
+                summed = np.empty((4, uniq_nodes.size))
+                # one group alive at a time: its entries die before the next one's are born
+                segment_pair = pair_of[:2].repeat(2, axis=0)  # per zigzag entry row
+                slots = slot[segment_pair, np.reshape(JX_VERTICES, (4, 1))].ravel()
+                _deposit_group(slots, jx_nodes, jx_values[None], acc[:1], summed[:1])
+                del jx_nodes, jx_values
+                slots = slot[segment_pair, np.reshape(JY_VERTICES, (4, 1))].ravel()
+                _deposit_group(slots, jy_nodes, jy_values[None], acc[1:2], summed[1:2])
+                del jy_nodes, jy_values, segment_pair
+                _, cic_values = deposition_entries(grid, parts, vertices, channels=(3, 0))
+                slots = _deposit_group(
+                    slot[pair_of[2]].ravel(), cic_nodes.ravel(), cic_values.reshape(2, -1),
+                    acc[2:], summed[2:],
+                )  # fmt: skip
+                del cic_values
+                has_cic = np.zeros(uniq_nodes.size, dtype=bool)
+                has_cic[slots] = True
+                acc[:2] *= grid.dx
+                acc[:2] *= grid.dy
+                # + 0.0: a product that underflowed to -0.0 reads +0.0 from a ghost table
+                summed[:2] = summed[:2] * grid.dx * grid.dy + 0.0
+                keep = has_cic | (summed[0] != 0) | (summed[1] != 0)
+                if not keep.all():
+                    uniq_ranks, uniq_nodes = uniq_ranks[keep], uniq_nodes[keep]
+                    summed = summed[:, keep]
+                messages = ghost_messages(self.node_owner, pool.p, uniq_ranks, uniq_nodes, summed)
+            self._exchange_ghosts(acc, messages, 8.0)
         scale = 1.0 / (grid.dx * grid.dy)
         self.fields.jx = (acc[0] * scale).reshape(grid.shape)
         self.fields.jy = (acc[1] * scale).reshape(grid.shape)
@@ -264,23 +381,29 @@ class ParallelYeePIC:
         self.fields.rho = (acc[3] * scale).reshape(grid.shape)
 
     # ------------------------------------------------------------------
-    def step(self) -> None:
-        """One charge-conserving iteration: gather, push, scatter, solve."""
+    def field_solve(self) -> None:
+        """Halo exchange of the six staggered components, then the Yee update."""
         vm = self.vm
-        eb = self._gather()
-        olds = []
-        with vm.phase("push"):
-            vm.charge_ops("push", np.array([float(p.n) for p in self.particles]))
-            for r in range(vm.p):
-                parts = self.particles[r]
-                olds.append((parts.x.copy(), parts.y.copy()))
-                if parts.n:
-                    boris_push(self.grid, parts, eb[r][:3], eb[r][3:], self.dt)
-        self._scatter(olds)
         with vm.phase("field"):
             self.halo.exchange(vm, self._field_node_values(), ncomponents=6)
             vm.charge_ops("field", self.node_counts)
             self.solver.step(self.fields, self.dt)
+
+    def step(self) -> None:
+        """One charge-conserving iteration: gather, push, scatter, solve.
+
+        An installed invariant guard runs after the push (particles
+        conserved and finite) and after the scatter (deposited sources
+        finite), as in :meth:`repro.pic.parallel.ParallelPIC.step`.
+        """
+        guard = self.guard
+        self.gather_push()
+        if guard is not None:
+            guard.after_push(self)
+        self.scatter()
+        if guard is not None:
+            guard.after_scatter(self)
+        self.field_solve()
         self.iteration += 1
 
     # ------------------------------------------------------------------

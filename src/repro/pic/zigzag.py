@@ -41,10 +41,21 @@ import numpy as np
 from repro.mesh.grid import Grid2D
 from repro.util import require
 
-__all__ = ["deposit_current_zigzag", "continuity_residual"]
+__all__ = [
+    "zigzag_entries",
+    "deposit_current_zigzag",
+    "continuity_residual",
+    "JX_VERTICES",
+    "JY_VERTICES",
+]
+
+#: CIC vertex (column of :meth:`Grid2D.cell_vertices`) of the sub-segment's
+#: cell that each of the four :func:`zigzag_entries` rows deposits on
+JX_VERTICES = (0, 2, 0, 2)
+JY_VERTICES = (0, 1, 0, 1)
 
 
-def deposit_current_zigzag(
+def zigzag_entries(
     grid: Grid2D,
     x_old: np.ndarray,
     y_old: np.ndarray,
@@ -52,8 +63,8 @@ def deposit_current_zigzag(
     y_new: np.ndarray,
     charge: np.ndarray,
     dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deposit face currents from per-particle motion segments.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Face-current contributions of per-particle motion segments.
 
     Parameters
     ----------
@@ -70,10 +81,15 @@ def deposit_current_zigzag(
 
     Returns
     -------
-    (jx, jy):
-        Face-current arrays of shape ``(ny, nx)`` in density units
-        (divided by the cell area), satisfying exact discrete continuity
-        with the CIC charge density (see :func:`continuity_residual`).
+    (jx_nodes, jx_values, jy_nodes, jy_values):
+        Flat entry lists of length ``4 n`` per component, in density
+        units (divided by the cell area).  Each list is four rows of
+        ``n`` — (first sub-segment, second) x (its two faces) — so
+        summing it per node in list order (``np.bincount``) *is* the
+        deposition, and the parallel stepper keys the same lists by
+        ``(rank, node)``.  Rows 0 and 2 hold the sub-segments' (wrapped)
+        cells, rows 1 and 3 those cells' vertices
+        :data:`JX_VERTICES` / :data:`JY_VERTICES`.
     """
     require(dt > 0, "dt must be > 0")
     x_old = np.asarray(x_old, float)
@@ -111,32 +127,63 @@ def deposit_current_zigzag(
     xr = relay(x1, x2, c1x, c2x, grid.dx)
     yr = relay(y1, y2, c1y, c2y, grid.dy)
 
-    jx = np.zeros(grid.shape)
-    jy = np.zeros(grid.shape)
     inv_area = 1.0 / (grid.dx * grid.dy)
-    flat_jx = jx.reshape(-1)
-    flat_jy = jy.reshape(-1)
+    jx_nodes = np.empty((4, n), dtype=np.int64)
+    jy_nodes = np.empty((4, n), dtype=np.int64)
+    jx_values = np.empty((4, n))
+    jy_values = np.empty((4, n))
 
-    def deposit_segment(xa, ya, xb, yb, cx, cy):
-        """Deposit one straight sub-segment lying inside cell (cx, cy)."""
+    def segment(k, xa, ya, xb, yb, cx, cy):
+        """Entries of one straight sub-segment lying inside cell (cx, cy)."""
         fx = charge * (xb - xa) / dt
         fy = charge * (yb - ya) / dt
         wy = 0.5 * (ya + yb) / grid.dy - cy  # transverse weight in [0, 1]
         wx = 0.5 * (xa + xb) / grid.dx - cx
         cxw = np.mod(cx, grid.nx)
-        cyw = np.mod(cy, grid.ny)
-        cyw1 = np.mod(cy + 1, grid.ny)
-        cxw1 = np.mod(cx + 1, grid.nx)
+        row = np.mod(cy, grid.ny) * grid.nx
         # Jx on faces (cx + 1/2, cy) and (cx + 1/2, cy + 1)
-        np.add.at(flat_jx, cyw * grid.nx + cxw, fx * (1.0 - wy) * inv_area)
-        np.add.at(flat_jx, cyw1 * grid.nx + cxw, fx * wy * inv_area)
+        np.add(row, cxw, out=jx_nodes[k])
+        np.add(np.mod(cy + 1, grid.ny) * grid.nx, cxw, out=jx_nodes[k + 1])
+        jx_values[k] = fx * (1.0 - wy) * inv_area
+        jx_values[k + 1] = fx * wy * inv_area
         # Jy on faces (cx, cy + 1/2) and (cx + 1, cy + 1/2)
-        np.add.at(flat_jy, cyw * grid.nx + cxw, fy * (1.0 - wx) * inv_area)
-        np.add.at(flat_jy, cyw * grid.nx + cxw1, fy * wx * inv_area)
+        jy_nodes[k] = jx_nodes[k]
+        np.add(row, np.mod(cx + 1, grid.nx), out=jy_nodes[k + 1])
+        jy_values[k] = fy * (1.0 - wx) * inv_area
+        jy_values[k + 1] = fy * wx * inv_area
 
-    deposit_segment(x1, y1, xr, yr, c1x, c1y)
-    deposit_segment(xr, yr, x2, y2, c2x, c2y)
-    return jx, jy
+    segment(0, x1, y1, xr, yr, c1x, c1y)
+    segment(2, xr, yr, x2, y2, c2x, c2y)
+    return jx_nodes.ravel(), jx_values.ravel(), jy_nodes.ravel(), jy_values.ravel()
+
+
+def deposit_current_zigzag(
+    grid: Grid2D,
+    x_old: np.ndarray,
+    y_old: np.ndarray,
+    x_new: np.ndarray,
+    y_new: np.ndarray,
+    charge: np.ndarray,
+    dt: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Deposit face currents from per-particle motion segments.
+
+    Parameters as :func:`zigzag_entries`, whose entry lists this sums
+    onto the mesh.
+
+    Returns
+    -------
+    (jx, jy):
+        Face-current arrays of shape ``(ny, nx)`` in density units
+        (divided by the cell area), satisfying exact discrete continuity
+        with the CIC charge density (see :func:`continuity_residual`).
+    """
+    jx_nodes, jx_values, jy_nodes, jy_values = zigzag_entries(
+        grid, x_old, y_old, x_new, y_new, charge, dt
+    )
+    jx = np.bincount(jx_nodes, weights=jx_values, minlength=grid.nnodes)
+    jy = np.bincount(jy_nodes, weights=jy_values, minlength=grid.nnodes)
+    return jx.reshape(grid.shape), jy.reshape(grid.shape)
 
 
 def continuity_residual(
