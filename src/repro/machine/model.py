@@ -141,8 +141,11 @@ class MachineModel:
     # ------------------------------------------------------------------
     # cost functions
     # ------------------------------------------------------------------
-    def compute_cost(self, category: str, count: float, *, strict: bool = False) -> float:
-        """Seconds of computation for ``count`` operations of ``category``.
+    def compute_cost(
+        self, category: str, count: float | np.ndarray, *, strict: bool = False
+    ) -> float | np.ndarray:
+        """Seconds of computation for ``count`` operations of ``category``
+        (a count, or an array of per-rank counts priced elementwise).
 
         A category outside :attr:`op_weights` is charged one ``delta``
         per operation, but never silently: it warns once per category
@@ -152,8 +155,10 @@ class MachineModel:
         charge by 1–2 orders of magnitude and skews every derived
         compute/overhead split.
         """
-        if count < 0:
-            raise ValueError(f"operation count must be >= 0, got {count}")
+        counts = np.atleast_1d(count)
+        negative = counts[counts < 0]
+        if negative.size:
+            raise ValueError(f"operation count must be >= 0, got {negative[0]}")
         weight = self.op_weights.get(category)
         if weight is None:
             known = ", ".join(sorted(self.op_weights))

@@ -118,6 +118,19 @@ class CommStats:
         record.msgs_recv[dst] += 1
         record.bytes_recv[dst] += nbytes
 
+    def record_exchange(
+        self,
+        phase: str,
+        msgs_sent: np.ndarray,
+        msgs_recv: np.ndarray,
+        bytes_sent: np.ndarray,
+        bytes_recv: np.ndarray,
+    ) -> None:
+        """Log one exchange's per-rank totals (length-``p`` arrays), the sum
+        of its :meth:`record_message` calls; no traffic leaves no record."""
+        if msgs_sent.any():
+            self._get(phase).add(PhaseComm(msgs_sent, msgs_recv, bytes_sent, bytes_recv))
+
     def record_collective(self, phase: str, nbytes_per_rank: np.ndarray) -> None:
         """Log a collective where each rank contributes ``nbytes_per_rank``.
 

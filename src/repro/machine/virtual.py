@@ -175,10 +175,9 @@ class VirtualMachine:
         """
         counts = np.broadcast_to(np.asarray(counts, dtype=float), (self.p,))
         self.ops.add(category, float(counts.sum()))
-        seconds = np.array(
-            [self.model.compute_cost(category, c, strict=self.strict_ops) for c in counts]
+        self._charge(
+            self.model.compute_cost(category, counts, strict=self.strict_ops), kind="compute"
         )
-        self._charge(seconds, kind="compute")
 
     def charge_compute_seconds(self, seconds: float | np.ndarray) -> None:
         """Charge pre-computed per-rank compute seconds."""
@@ -235,26 +234,29 @@ class VirtualMachine:
         bytes_out = np.zeros(self.p, dtype=np.int64)
         bytes_in = np.zeros(self.p, dtype=np.int64)
         phase = self.current_phase
-        for src, chunks in enumerate(send):
-            for dst, payload in chunks.items():
-                if not 0 <= dst < self.p:
-                    raise InvalidRankError(
-                        f"destination rank {dst} out of range [0, {self.p})"
-                    )
-                if dst == src:
+        try:
+            for src, chunks in enumerate(send):
+                for dst, payload in chunks.items():
+                    if not 0 <= dst < self.p:
+                        raise InvalidRankError(
+                            f"destination rank {dst} out of range [0, {self.p})"
+                        )
+                    if dst == src:
+                        recv[dst][src] = payload
+                        continue  # local copy: free, not a message
+                    nbytes = payload_nbytes(payload)
+                    if injector is not None:
+                        payload = injector.on_message(
+                            self, phase, src, dst, payload, nbytes, extra_seconds
+                        )
                     recv[dst][src] = payload
-                    continue  # local copy: free, not a message
-                nbytes = payload_nbytes(payload)
-                if injector is not None:
-                    payload = injector.on_message(
-                        self, phase, src, dst, payload, nbytes, extra_seconds
-                    )
-                recv[dst][src] = payload
-                msgs_out[src] += 1
-                bytes_out[src] += nbytes
-                msgs_in[dst] += 1
-                bytes_in[dst] += nbytes
-                self.stats.record_message(phase, src, dst, nbytes)
+                    msgs_out[src] += 1
+                    bytes_out[src] += nbytes
+                    msgs_in[dst] += 1
+                    bytes_in[dst] += nbytes
+        finally:
+            # also what was delivered before a MessageLost / bad rank
+            self.stats.record_exchange(phase, msgs_out, msgs_in, bytes_out, bytes_in)
         seconds = self.model.tau * (msgs_out + msgs_in) + self.model.mu * (bytes_out + bytes_in)
         if extra_seconds is not None:
             seconds = seconds + extra_seconds
@@ -381,9 +383,12 @@ def payload_nbytes(payload) -> int:
     if isinstance(payload, np.ndarray):
         return int(payload.nbytes)
     if isinstance(payload, (tuple, list)):
-        if all(isinstance(x, np.ndarray) for x in payload):
-            return int(sum(x.nbytes for x in payload))
-        return 8 * len(payload)
+        total = 0
+        for x in payload:
+            if not isinstance(x, np.ndarray):
+                return 8 * len(payload)
+            total += x.nbytes
+        return total
     if isinstance(payload, (int, float, np.integer, np.floating)):
         return 8
     try:

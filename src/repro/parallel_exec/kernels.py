@@ -25,17 +25,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.particles.arrays import MATRIX_COLUMNS, ParticleArray
-from repro.pic.deposition import (
-    CHANNELS,
-    deposition_entries,
-    pooled_duplicate_removal,
-)
+from repro.pic.deposition import CHANNELS, deposition_entries, ghost_slots
 from repro.pic.interpolation import gather_from_node_values
 from repro.pic.push import boris_push
 
 __all__ = [
     "scatter_segment",
     "deposit_on_rank",
+    "deposit_by_slot",
     "ghost_messages",
     "merge_ghost_messages",
     "reduce_rank_rows",
@@ -57,6 +54,11 @@ def scatter_segment(
 ):
     """Deposition work for the rank segments ``[r0, r0 + len(counts))``.
 
+    Owner lookup and duplicate removal run on the distinct ``(rank,
+    cell)`` pairs (:func:`~repro.pic.deposition.ghost_slots`), never on
+    the entries; :func:`deposit_by_slot` then sums in pooled entry order,
+    so the floats are those of per-rank ghost tables.
+
     Parameters
     ----------
     parts:
@@ -67,6 +69,9 @@ def scatter_segment(
         Global rank id of the first covered segment.
     node_owner:
         Global node-ownership map.
+    nnodes:
+        ``grid.nnodes`` (part of the shard-call signature; the ghost
+        keys take their stride from ``grid``).
     out_row:
         ``(nchannels, nnodes)`` output — the covered ranks' on-rank
         deposition (see :func:`deposit_on_rank`).  Callers add shard
@@ -85,23 +90,19 @@ def scatter_segment(
     nchannels = len(CHANNELS)
     vertices = grid.cic_vertices_weights(parts.x, parts.y)
     nodes, values = deposition_entries(grid, parts, vertices)
-    flat_nodes = nodes.ravel()
-    flat_values = values.reshape(nchannels, -1)
-    local_rank = np.repeat(np.arange(nranks, dtype=np.int64), 4 * counts)
-    ghost = node_owner[flat_nodes] != (local_rank + np.int64(r0))
-    ghost_idx = deposit_on_rank(ghost, flat_nodes, flat_values, out_row)
-
-    entries_per_rank = np.zeros(nranks, dtype=np.int64)
-    uniq_per_rank = np.zeros(nranks, dtype=np.int64)
-    messages: list[list[tuple[int, np.ndarray, np.ndarray]]] = [[] for _ in range(nranks)]
-    if ghost_idx.size:
-        g_ranks = local_rank.take(ghost_idx)
-        uniq_nodes, uniq_ranks, summed, seg = pooled_duplicate_removal(
-            nnodes, nranks, g_ranks, flat_nodes.take(ghost_idx), flat_values.take(ghost_idx, axis=1)
-        )
-        entries_per_rank = np.bincount(g_ranks, minlength=nranks)
-        uniq_per_rank = np.diff(seg)
-        messages = ghost_messages(node_owner, nranks, uniq_ranks, uniq_nodes, summed)
+    particle_ranks = np.repeat(np.arange(nranks, dtype=np.int64), counts)
+    uniq_ranks, uniq_nodes, slot, pair_of = ghost_slots(
+        grid, node_owner, particle_ranks, nodes[:, :1].T, r0
+    )
+    summed = np.empty((nchannels, uniq_nodes.size))
+    ghost_idx, _ = deposit_by_slot(
+        slot[pair_of[0]].ravel(), nodes.ravel(), values.reshape(nchannels, -1), out_row, summed
+    )
+    # ghost_idx ascends and rank r's entries are [4 * offsets[r], 4 * offsets[r + 1])
+    bounds = 4 * np.concatenate(([0], np.cumsum(counts)))
+    entries_per_rank = np.diff(np.searchsorted(ghost_idx, bounds))
+    uniq_per_rank = np.bincount(uniq_ranks, minlength=nranks)
+    messages = ghost_messages(node_owner, nranks, uniq_ranks, uniq_nodes, summed)
     return vertices, entries_per_rank, uniq_per_rank, messages
 
 
@@ -127,6 +128,22 @@ def deposit_on_rank(
     return ghost_idx
 
 
+def deposit_by_slot(
+    slots: np.ndarray, nodes: np.ndarray, values: np.ndarray, acc: np.ndarray, summed: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum one entry group: on-rank entries (``slots < 0``) by node into
+    ``acc`` (:func:`deposit_on_rank`), the others by ghost slot
+    (:func:`~repro.pic.deposition.ghost_slots`) into ``summed``, both
+    ``(nchannels, ...)``, overwritten, and both in entry order — inside a
+    slot that is the order the depositing rank's own ghost table would
+    have added in.  Returns the ghost entries' indices and slots."""
+    ghost_idx = deposit_on_rank(slots >= 0, nodes, values, acc)
+    slots = slots.take(ghost_idx)
+    for c in range(len(values)):
+        summed[c] = np.bincount(slots, weights=values[c].take(ghost_idx), minlength=summed.shape[1])
+    return ghost_idx, slots
+
+
 def ghost_messages(
     node_owner: np.ndarray,
     nranks: int,
@@ -137,7 +154,7 @@ def ghost_messages(
     """Coalesce deduplicated ghost entries into one message per (rank, owner).
 
     The entries arrive sorted by ``(rank, node)``
-    (:func:`~repro.pic.deposition.pooled_ghost_keys`); one stable sort by
+    (:func:`~repro.pic.deposition.ghost_slots`); one stable sort by
     ``(rank, owner)`` groups them into messages and keeps node ids
     ascending inside each.  Returns, per rank, its ``(owner, ids,
     values)`` messages in ascending owner order.

@@ -9,12 +9,14 @@ parallel scatter, which must split entries into on-rank accumulation and
 off-rank *ghost* contributions before communicating.
 
 The parallel scatter runs deposition once over *all* ranks' pooled
-particles: :func:`segmented_entry_ranks` labels each flattened entry
-with its depositing rank, and :func:`pooled_duplicate_removal` performs
-every rank's ghost-table duplicate removal in a single pass by keying
-entries with rank-offset node ids (``node + rank * nnodes``) and summing
-duplicates with one ``unique``/``bincount`` — per-rank results come back
-as contiguous segments of the sorted unique keys.
+particles.  Every entry is a vertex of its particle's cell, and a few
+thousand distinct ``(rank, cell)`` pairs stand for hundreds of thousands
+of entries, so the ghost bookkeeping — owner lookup, duplicate removal,
+the sorted unique off-rank ``(rank, node)`` *slots* — runs on the pairs
+(:func:`ghost_slots`); an entry reaches its slot by table lookup and the
+duplicates are summed by one ``bincount`` per channel over slots, in
+pooled entry order, which inside a slot is the order that rank's own
+ghost table would have used.
 
 Association contract: an entry is "mine" when the depositing rank owns
 its node, so all of a node's on-rank entries come from one rank and the
@@ -39,9 +41,8 @@ __all__ = [
     "deposition_entries",
     "accumulate_entries",
     "deposit_charge_current",
-    "segmented_entry_ranks",
     "pooled_ghost_keys",
-    "pooled_duplicate_removal",
+    "ghost_slots",
 ]
 
 #: Deposited source channels, in the order of the values matrix rows.
@@ -116,28 +117,6 @@ def accumulate_entries(
     return out
 
 
-def segmented_entry_ranks(counts: np.ndarray) -> np.ndarray:
-    """Depositing rank of each flattened CIC entry of a pooled array.
-
-    A pooled particle array is rank-segment ordered, and each particle
-    contributes 4 entries in ``nodes.ravel()`` order, so rank ``r``'s
-    entries occupy the contiguous slice ``[4 * offsets[r], 4 *
-    offsets[r + 1])``.
-
-    Parameters
-    ----------
-    counts:
-        Per-rank particle counts (length ``p``).
-
-    Returns
-    -------
-    numpy.ndarray
-        int64 rank label per entry, length ``4 * counts.sum()``.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    return np.repeat(np.arange(counts.shape[0], dtype=np.int64), 4 * counts)
-
-
 def pooled_ghost_keys(
     nnodes: int, entry_ranks: np.ndarray, nodes: np.ndarray, return_inverse: bool = True
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -161,50 +140,53 @@ def pooled_ghost_keys(
     return uniq_nodes, uniq_ranks, inverse
 
 
-def pooled_duplicate_removal(
-    nnodes: int,
-    p: int,
-    entry_ranks: np.ndarray,
-    nodes: np.ndarray,
-    values: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """All ranks' ghost duplicate removal in one vectorized pass.
+def ghost_slots(
+    grid: Grid2D,
+    node_owner: np.ndarray,
+    particle_ranks: np.ndarray,
+    cells: np.ndarray,
+    r0: int = 0,
+    return_inverse: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Ghost slots of the distinct ``(rank, cell)`` pairs behind ``cells``.
 
-    Finds the sorted unique ``(rank, node)`` keys
-    (:func:`pooled_ghost_keys`) and sums each channel's duplicate
-    contributions with one ``bincount`` over the inverse map.  Because
-    entries arrive in pool (rank-segment) order, the per-key sums
-    accumulate in exactly the order each rank's own ghost table would
-    have used — the summed values are bit-identical to per-rank
-    ``accumulate`` + ``flush``.
+    Every stencil or deposition entry is a vertex of its particle's
+    cell, so owner lookup and duplicate removal run on the pairs, never
+    on the entries.
 
     Parameters
     ----------
-    nnodes:
-        Global node count (the rank-offset stride).
-    p:
-        Number of ranks.
-    entry_ranks, nodes:
-        int64 depositing rank and target node per entry (flat, aligned).
-    values:
-        ``(nchannels, nentries)`` deposited amounts.
+    node_owner:
+        Global node-ownership map.
+    particle_ranks:
+        ``(n,)`` rank of each particle, counted from ``r0``.
+    cells:
+        ``(k, n)`` cell ids per particle, one row per entry group.
+    r0:
+        Global id of rank 0 of ``particle_ranks`` (a worker shard covers
+        the ranks from ``r0`` up).
 
     Returns
     -------
-    (uniq_nodes, uniq_ranks, summed, seg):
-        ``uniq_nodes`` — node ids of the unique (rank, node) pairs,
-        sorted by rank then node; ``uniq_ranks`` — depositing rank per
-        unique pair; ``summed`` — ``(nchannels, u)`` coalesced values;
-        ``seg`` — length ``p + 1`` boundaries such that rank ``r``'s
-        unique entries are ``[seg[r], seg[r + 1])``.
+    (uniq_ranks, uniq_nodes, slot, pair_of):
+        The off-rank ``(rank, node)`` pairs sorted by rank then node
+        (ranks counted from ``r0``); ``(npairs, 4)`` each pair vertex's
+        index into them, in :meth:`Grid2D.cell_vertices` order, -1 where
+        the pair's rank owns the node; and ``(k, n)`` each particle's
+        pair per cell row (``None`` unless ``return_inverse``).
     """
-    uniq_nodes, uniq_ranks, inverse = pooled_ghost_keys(nnodes, entry_ranks, nodes)
-    nchannels = values.shape[0]
-    summed = np.empty((nchannels, uniq_nodes.size))
-    for c in range(nchannels):
-        summed[c] = np.bincount(inverse, weights=values[c], minlength=uniq_nodes.size)
-    seg = np.searchsorted(uniq_ranks, np.arange(p + 1, dtype=np.int64))
-    return uniq_nodes, uniq_ranks, summed, seg
+    pair_cells, pair_ranks, pair_of = pooled_ghost_keys(
+        grid.nnodes, np.tile(particle_ranks, len(cells)), cells.ravel(), return_inverse
+    )
+    verts = grid.cell_vertices(pair_cells)
+    ranks = np.broadcast_to(pair_ranks[:, None], verts.shape)
+    off = node_owner[verts] != ranks + np.int64(r0)
+    uniq_nodes, uniq_ranks, inverse = pooled_ghost_keys(grid.nnodes, ranks[off], verts[off])
+    slot = np.full(verts.shape, -1)
+    slot[off] = inverse
+    if return_inverse:
+        pair_of = pair_of.reshape(cells.shape)
+    return uniq_ranks, uniq_nodes, slot, pair_of
 
 
 def deposit_charge_current(

@@ -76,8 +76,10 @@ class GhostTable(ABC):
         """Record one accumulate+flush epoch performed *outside* the table.
 
         The scatter deduplicates all ranks' ghost entries in one pooled
-        pass (rank-offset node keys + a single ``unique``/``bincount``),
-        bypassing the per-rank tables — but the virtual machine's
+        pass (ghost slots found on the distinct ``(rank, cell)`` pairs,
+        :func:`~repro.pic.deposition.ghost_slots`, and one ``bincount``
+        per channel over them), bypassing the per-rank tables — but the
+        virtual machine's
         accounting must stay byte-identical to the per-rank oracle
         (``tests/_looped_oracle.py``), which drives them.  This method
         applies exactly the ``stats`` updates that

@@ -42,8 +42,13 @@ def gather_from_node_values(
     numpy.ndarray
         ``(ncomp, n)`` interpolated values at particles.
     """
-    gathered = node_values[:, nodes]  # (ncomp, n, 4)
-    return np.einsum("cnv,nv->cn", gathered, weights)
+    # Node-major copy: a vertex reads one 8 * ncomp-byte row, not ncomp
+    # values nnodes * 8 bytes apart.  ``node_values[:, nodes]`` lays its
+    # result out vertex-major too, so einsum sees the same memory and
+    # sums in the same order: the floats are that formulation's.
+    by_node = np.ascontiguousarray(node_values.T)
+    gathered = by_node.take(nodes.ravel(), axis=0).reshape(nodes.shape + (len(node_values),))
+    return np.einsum("nvc,nv->cn", gathered, weights)
 
 
 def interpolate_fields(

@@ -29,9 +29,11 @@ Pooled execution
 All ranks' particles live in one
 :class:`~repro.particles.arrays.ParticlePool` with segment offsets, and
 scatter / gather / push / Eulerian migration each run as *single*
-vectorized NumPy passes over the pool (segmented duplicate removal via
-rank-offset node keys, one pooled owner/ghost split, one Boris push).
-Per-rank results are recovered by slicing at segment boundaries.
+vectorized NumPy passes over the pool (owner/ghost split and duplicate
+removal on the distinct ``(rank, cell)`` pairs the particles occupy,
+one ``bincount`` per channel over the resulting ghost slots, one Boris
+push).  Per-rank results are recovered from the slots' rank order and
+by slicing at segment boundaries.
 
 The reference formulation — every phase iterating ``for r in range(p)``
 over that rank's arrays, exactly as a real SPMD program would — is the
@@ -251,10 +253,11 @@ class ParallelPIC(PooledParticles):
     def _accumulate_sources(self) -> np.ndarray:
         """The deposited and ghost-merged channels, ``(4, nnodes)``.
 
-        One vectorized pass over all ranks' particles; the pooled
-        duplicate removal reproduces each rank's ghost-table output
-        bit-for-bit (entries stay in per-rank order inside the pool), so
-        messages and accounting equal the per-rank oracle's.
+        One vectorized pass over all ranks' particles; summing the
+        ghost entries per ``(rank, node)`` slot in pool order reproduces
+        each rank's ghost-table output bit-for-bit (entries stay in
+        per-rank order inside the pool), so messages and accounting
+        equal the per-rank oracle's.
 
         So do the accumulated channels, bit for bit, at O(entries +
         nodes) host cost.  On-rank ("mine") entries of a node all come

@@ -52,9 +52,9 @@ from repro.mesh.fields import FieldState
 from repro.mesh.grid import Grid2D
 from repro.mesh.halo import HaloSchedule
 from repro.obs.profile import maybe_section
-from repro.parallel_exec.kernels import deposit_on_rank, ghost_messages, merge_ghost_messages
+from repro.parallel_exec.kernels import deposit_by_slot, ghost_messages, merge_ghost_messages
 from repro.particles.arrays import ParticleArray, ParticlePool
-from repro.pic.deposition import deposition_entries, pooled_ghost_keys
+from repro.pic.deposition import deposition_entries, ghost_slots
 from repro.pic.interpolation import gather_from_node_values
 from repro.pic.parallel import PooledParticles
 from repro.pic.push import boris_push
@@ -82,19 +82,6 @@ _STENCILS = (
     ((0.0, 0.0), (2,)),  # ez
     ((0.5, 0.5), (5,)),  # bz
 )
-
-
-def _deposit_group(
-    slots: np.ndarray, nodes: np.ndarray, values: np.ndarray, acc: np.ndarray, summed: np.ndarray
-) -> np.ndarray:
-    """Sum one entry group: on-rank entries (``slots < 0``) by node into
-    ``acc``, the others by ghost slot into ``summed``, both ``(nchannels,
-    ...)`` and both in entry order.  Returns the ghost entries' slots."""
-    ghost_idx = deposit_on_rank(slots >= 0, nodes, values, acc)
-    slots = slots.take(ghost_idx)
-    for c in range(len(values)):
-        summed[c] = np.bincount(slots, weights=values[c].take(ghost_idx), minlength=summed.shape[1])
-    return slots
 
 
 class ParallelYeePIC(PooledParticles):
@@ -180,50 +167,14 @@ class ParallelYeePIC(PooledParticles):
         with self.vm.phase("scatter"):
             nodes, weights = grid.cic_vertices_weights(parts.x, parts.y)
             values = (weights * (parts.w * parts.q)[:, None]).reshape(1, -1)
-            uniq_ranks, uniq_nodes, slot, pair_of = self._ghost_slots(pool, nodes[:, :1].T)
+            uniq_ranks, uniq_nodes, slot, pair_of = ghost_slots(
+                grid, self.node_owner, pool.rank_of_particles(), nodes[:, :1].T
+            )
             summed = np.empty((1, uniq_nodes.size))
-            _deposit_group(slot[pair_of[0]].ravel(), nodes.ravel(), values, acc, summed)
+            deposit_by_slot(slot[pair_of[0]].ravel(), nodes.ravel(), values, acc, summed)
             messages = ghost_messages(self.node_owner, pool.p, uniq_ranks, uniq_nodes, summed)
             self._exchange_ghosts(acc, messages, 4.0)
         self.fields.rho = (acc[0] / (grid.dx * grid.dy)).reshape(grid.shape)
-
-    # ------------------------------------------------------------------
-    # (rank, cell) pairs: the compact space the ghost bookkeeping runs in
-    # ------------------------------------------------------------------
-    def _ghost_vertices(self, pair_ranks: np.ndarray, pair_cells: np.ndarray):
-        """Off-rank vertex nodes of distinct ``(rank, cell)`` pairs.
-
-        Every stencil or deposition entry is a vertex of its particle's
-        cell, and a few thousand distinct ``(rank, cell)`` pairs stand
-        for hundreds of thousands of entries, so owner lookup and
-        duplicate removal run on the pairs.  Returns ``(uniq_ranks,
-        uniq_nodes, slot)``: the off-rank ``(rank, node)`` pairs sorted
-        by rank then node, and ``(npairs, 4)`` each pair vertex's index
-        into them (-1 when the pair's rank owns the node).
-        """
-        verts = self.grid.cell_vertices(pair_cells)
-        ranks = np.broadcast_to(pair_ranks[:, None], verts.shape)
-        off = self.node_owner[verts] != ranks
-        uniq_nodes, uniq_ranks, inverse = pooled_ghost_keys(
-            self.grid.nnodes, ranks[off], verts[off]
-        )
-        slot = np.full(verts.shape, -1)
-        slot[off] = inverse
-        return uniq_ranks, uniq_nodes, slot
-
-    def _cell_pairs(self, pool: ParticlePool, cells: np.ndarray, return_inverse: bool):
-        """The distinct ``(rank, cell)`` pairs behind ``cells`` (``(k, n)`` cell
-        ids per particle) as ``(pair_cells, pair_ranks, inverse or None)``."""
-        return pooled_ghost_keys(
-            self.grid.nnodes, np.tile(pool.rank_of_particles(), len(cells)), cells.ravel(),
-            return_inverse,
-        )  # fmt: skip
-
-    def _ghost_slots(self, pool: ParticlePool, cells: np.ndarray):
-        """:meth:`_ghost_vertices` of the pairs behind ``cells``, plus
-        ``pair_of``: ``(k, n)``, each particle's pair per cell row."""
-        pair_cells, pair_ranks, pair_of = self._cell_pairs(pool, cells, True)
-        return *self._ghost_vertices(pair_ranks, pair_cells), pair_of.reshape(cells.shape)
 
     # ------------------------------------------------------------------
     # gather (request/reply) + push
@@ -259,7 +210,7 @@ class ParallelYeePIC(PooledParticles):
 
         A rank's request list is the sorted unique off-rank nodes of its
         particles' stencils, cut by owner — pooled: the sorted unique
-        off-rank ``(rank, node)`` pairs (:meth:`_ghost_vertices`),
+        off-rank ``(rank, node)`` pairs (:func:`~repro.pic.deposition.ghost_slots`),
         grouped into per-``(rank, owner)`` messages by one stable sort.
         Interpolation and push are per-particle independent, so one call
         over the pool equals ``p`` calls over its segments bit for bit.
@@ -275,8 +226,10 @@ class ParallelYeePIC(PooledParticles):
             with maybe_section(prof, "interpolate"):
                 cells = self._interpolate(pool, node_values, eb)
             with maybe_section(prof, "exchange"):
-                pair_cells, pair_ranks, _ = self._cell_pairs(pool, cells, False)
-                uniq_ranks, uniq_nodes, _ = self._ghost_vertices(pair_ranks, pair_cells)
+                uniq_ranks, uniq_nodes, _, _ = ghost_slots(
+                    self.grid, self.node_owner, pool.rank_of_particles(), cells,
+                    return_inverse=False,
+                )  # fmt: skip
                 requests: list[dict[int, np.ndarray]] = [dict() for _ in range(p)]
                 no_values = np.empty((0, uniq_nodes.size))
                 for r, outbox in enumerate(
@@ -346,18 +299,20 @@ class ParallelYeePIC(PooledParticles):
                 cic_nodes = vertices[0]
                 # the cells the entries hang off: both sub-segments', then the CIC one
                 cells = np.stack((jx_nodes[:n], jx_nodes[2 * n : 3 * n], cic_nodes[:, 0]))
-                uniq_ranks, uniq_nodes, slot, pair_of = self._ghost_slots(pool, cells)
+                uniq_ranks, uniq_nodes, slot, pair_of = ghost_slots(
+                    grid, self.node_owner, pool.rank_of_particles(), cells
+                )
                 summed = np.empty((4, uniq_nodes.size))
                 # one group alive at a time: its entries die before the next one's are born
                 segment_pair = pair_of[:2].repeat(2, axis=0)  # per zigzag entry row
                 slots = slot[segment_pair, np.reshape(JX_VERTICES, (4, 1))].ravel()
-                _deposit_group(slots, jx_nodes, jx_values[None], acc[:1], summed[:1])
+                deposit_by_slot(slots, jx_nodes, jx_values[None], acc[:1], summed[:1])
                 del jx_nodes, jx_values
                 slots = slot[segment_pair, np.reshape(JY_VERTICES, (4, 1))].ravel()
-                _deposit_group(slots, jy_nodes, jy_values[None], acc[1:2], summed[1:2])
+                deposit_by_slot(slots, jy_nodes, jy_values[None], acc[1:2], summed[1:2])
                 del jy_nodes, jy_values, segment_pair
                 _, cic_values = deposition_entries(grid, parts, vertices, channels=(3, 0))
-                slots = _deposit_group(
+                _, slots = deposit_by_slot(
                     slot[pair_of[2]].ravel(), cic_nodes.ravel(), cic_values.reshape(2, -1),
                     acc[2:], summed[2:],
                 )  # fmt: skip

@@ -11,7 +11,10 @@ bodies of ``ParallelPIC``, ``LoopedYeePIC``'s four the pre-pooling
 themselves re-derived for the pooled steppers (axis-separable CIC, an
 ``fmod`` wrap, zigzag as entry lists), so the formulations *they*
 replaced are kept too, as the ``reference_*`` functions at the end
-(``tests/test_yee_pooled_parity.py`` pins bit-equality).
+(``tests/test_yee_pooled_parity.py`` pins bit-equality), and so is the
+per-entry ghost bookkeeping the era scatter ran before it moved onto
+``(rank, cell)`` pairs (``reference_scatter_segment``,
+``tests/test_scatter_sparse.py``).
 
 What the oracle pins (``tests/test_engine_parity.py``,
 ``tests/test_equivalence_sweep.py``, ``tests/test_scatter_sparse.py``):
@@ -25,8 +28,9 @@ pins the same for the modern stepper, plus ``last_gather_replies``.
 import numpy as np
 
 from repro.machine.collectives import exchange_by_destination
+from repro.parallel_exec.kernels import deposit_on_rank, ghost_messages
 from repro.particles.arrays import ParticleArray
-from repro.pic.deposition import CHANNELS, deposition_entries
+from repro.pic.deposition import CHANNELS, deposition_entries, pooled_ghost_keys
 from repro.pic.ghost import make_ghost_table
 from repro.pic.interpolation import gather_from_node_values
 from repro.pic.parallel import ParallelPIC
@@ -501,3 +505,69 @@ def reference_deposit_current_zigzag(grid, x_old, y_old, x_new, y_new, charge, d
     deposit_segment(x1, y1, xr, yr, c1x, c1y)
     deposit_segment(xr, yr, x2, y2, c2x, c2y)
     return jx, jy
+
+
+def reference_gather_from_node_values(node_values, nodes, weights):
+    """``gather_from_node_values`` as a fancy index of the ``(ncomp,
+    nnodes)`` rows: ncomp reads ``nnodes * 8`` bytes apart per vertex."""
+    gathered = node_values[:, nodes]  # (ncomp, n, 4)
+    return np.einsum("cnv,nv->cn", gathered, weights)
+
+
+# ----------------------------------------------------------------------
+# the per-entry ghost bookkeeping the (rank, cell) pair path replaced
+# ----------------------------------------------------------------------
+def segmented_entry_ranks(counts: np.ndarray) -> np.ndarray:
+    """Depositing rank of each flattened CIC entry of a pooled array.
+
+    A pooled particle array is rank-segment ordered, and each particle
+    contributes 4 entries in ``nodes.ravel()`` order, so rank ``r``'s
+    entries occupy the contiguous slice ``[4 * offsets[r], 4 *
+    offsets[r + 1])``.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    return np.repeat(np.arange(counts.shape[0], dtype=np.int64), 4 * counts)
+
+
+def pooled_duplicate_removal(nnodes, p, entry_ranks, nodes, values):
+    """All ranks' ghost duplicate removal in one pass over the *entries*.
+
+    Finds the sorted unique ``rank * nnodes + node`` keys of the entry
+    list (``np.unique(..., return_inverse=True)``) and sums each
+    channel's duplicates with one ``bincount`` over the inverse map, in
+    pool order.  Returns ``(uniq_nodes, uniq_ranks, summed, seg)`` with
+    rank ``r``'s unique entries at ``[seg[r], seg[r + 1])``.
+    """
+    uniq_nodes, uniq_ranks, inverse = pooled_ghost_keys(nnodes, entry_ranks, nodes)
+    nchannels = values.shape[0]
+    summed = np.empty((nchannels, uniq_nodes.size))
+    for c in range(nchannels):
+        summed[c] = np.bincount(inverse, weights=values[c], minlength=uniq_nodes.size)
+    seg = np.searchsorted(uniq_ranks, np.arange(p + 1, dtype=np.int64))
+    return uniq_nodes, uniq_ranks, summed, seg
+
+
+def reference_scatter_segment(grid, parts, counts, r0, node_owner, nnodes, out_row):
+    """``scatter_segment`` with owner lookup and duplicate removal per entry."""
+    nranks = int(counts.shape[0])
+    nchannels = len(CHANNELS)
+    vertices = grid.cic_vertices_weights(parts.x, parts.y)
+    nodes, values = deposition_entries(grid, parts, vertices)
+    flat_nodes = nodes.ravel()
+    flat_values = values.reshape(nchannels, -1)
+    local_rank = np.repeat(np.arange(nranks, dtype=np.int64), 4 * counts)
+    ghost = node_owner[flat_nodes] != (local_rank + np.int64(r0))
+    ghost_idx = deposit_on_rank(ghost, flat_nodes, flat_values, out_row)
+
+    entries_per_rank = np.zeros(nranks, dtype=np.int64)
+    uniq_per_rank = np.zeros(nranks, dtype=np.int64)
+    messages: list[list[tuple[int, np.ndarray, np.ndarray]]] = [[] for _ in range(nranks)]
+    if ghost_idx.size:
+        g_ranks = local_rank.take(ghost_idx)
+        uniq_nodes, uniq_ranks, summed, seg = pooled_duplicate_removal(
+            nnodes, nranks, g_ranks, flat_nodes.take(ghost_idx), flat_values.take(ghost_idx, axis=1)
+        )
+        entries_per_rank = np.bincount(g_ranks, minlength=nranks)
+        uniq_per_rank = np.diff(seg)
+        messages = ghost_messages(node_owner, nranks, uniq_ranks, uniq_nodes, summed)
+    return vertices, entries_per_rank, uniq_per_rank, messages

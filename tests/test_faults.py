@@ -182,6 +182,61 @@ class TestTransportFaults:
         assert np.isnan(floats[0]) and np.isfinite(floats[1:]).all()
         np.testing.assert_array_equal(ints, np.arange(3))  # addressing untouched
 
+    def test_exchange_stats_equal_per_message_recording(self):
+        """``alltoallv`` logs an exchange's traffic once; the ledger is the
+        one ``record_message`` per delivered message would have written,
+        around the injector's own retransmission records — also for the
+        messages delivered before one is lost for good."""
+        p = 4
+        send = [dict() for _ in range(p)]
+        for src in range(p):
+            send[src][src] = np.ones(5)  # self-send: free, not a message
+            for hop in (1, 2):
+                dst = (src + hop) % p
+                send[src][dst] = (np.arange(src + hop), np.full((2, src + hop), 1.5))
+
+        def nbytes(src, dst):
+            return 24 * ((dst - src) % p + src)
+
+        events = (
+            FaultEvent(kind="drop", src=0, dst=1, count=2),  # two retransmissions
+            FaultEvent(kind="duplicate", src=1, dst=3),
+            FaultEvent(kind="corrupt", src=2, dst=3),  # NACK + retransmission
+        )
+        extra = {(0, 1): [(0, 1)] * 2, (1, 3): [(1, 3)], (2, 3): [(3, 2), (2, 3)]}
+
+        def per_message(lost=None):
+            vm = _vm(p)
+            with vm.phase("scatter"):
+                for src in range(p):
+                    for dst in send[src]:
+                        if (src, dst) == lost:
+                            return vm.stats
+                        if dst != src:
+                            for a, b in extra.get((src, dst), ()):
+                                size = 8 if (a, b) == (dst, src) else nbytes(src, dst)
+                                vm.stats.record_message("scatter", a, b, size)
+                            vm.stats.record_message("scatter", src, dst, nbytes(src, dst))
+            return vm.stats
+
+        vm = _vm(p).install_faults(_plan(*events))
+        with vm.phase("scatter"):
+            vm.alltoallv(send)
+        assert vm.stats.state_dict() == per_message().state_dict()
+        assert vm.stats.phase("scatter").total_msgs == 2 * p + 5
+
+        lossy = _vm(p).install_faults(
+            _plan(*events, FaultEvent(kind="drop", src=2, dst=0, count=9), max_retries=3)
+        )
+        with lossy.phase("scatter"), pytest.raises(MessageLost):
+            lossy.alltoallv(send)
+        assert lossy.stats.state_dict() == per_message(lost=(2, 0)).state_dict()
+        assert lossy.stats.phase("scatter").total_msgs > 0
+
+        quiet = _vm(p)
+        quiet.alltoallv([{r: np.ones(2)} for r in range(p)])  # self-sends only
+        assert quiet.stats.state_dict() == {}
+
     def test_phase_filter(self):
         vm = _vm()
         vm.install_faults(_plan(FaultEvent(kind="poison", phase="scatter")))

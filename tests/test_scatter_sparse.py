@@ -24,13 +24,13 @@ from repro.parallel_exec import FlatBackend, shared_memory_available
 from repro.parallel_exec.kernels import reduce_rank_rows, scatter_segment
 from repro.particles import ParticleArray, ParticlePool, gaussian_blob, uniform_plasma
 from repro.pic import ParallelPIC, Simulation, SimulationConfig
-from repro.pic.deposition import (
-    CHANNELS,
-    deposition_entries,
+from repro.pic.deposition import CHANNELS, deposition_entries, ghost_slots
+from tests._looped_oracle import (
+    STEPPERS,
     pooled_duplicate_removal,
+    reference_scatter_segment,
     segmented_entry_ranks,
 )
-from tests._looped_oracle import STEPPERS
 
 needs_multicore = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods()
@@ -110,6 +110,19 @@ def scatter_cases(draw):
     return grid, decomp, local, table, cut
 
 
+def _assert_same_bytes(got, want):
+    """Nested tuples / lists of arrays and ints, equal down to the bytes."""
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    elif isinstance(want, (tuple, list)):
+        assert type(got) is type(want) and len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_same_bytes(a, b)
+    else:
+        assert got == want
+
+
 class TestDenseRowOracle:
     @given(case=scatter_cases())
     @settings(max_examples=60, deadline=None)
@@ -142,8 +155,12 @@ class TestDenseRowOracle:
         entries, uniq, messages = [], [], {}
         for row, (r0, r1) in zip(rows, shards):
             lo, hi = pool.offsets[r0], pool.offsets[r1]
-            _, ent, unq, msgs = scatter_segment(
-                grid, pool.array.slice_view(lo, hi), pool.counts[r0:r1], r0, owner, nnodes, row
+            args = (grid, pool.array.slice_view(lo, hi), pool.counts[r0:r1], r0, owner, nnodes)
+            cic, ent, unq, msgs = scatter_segment(*args, row)
+            # the (rank, cell) pair path against the per-entry sort it replaced
+            ref_row = np.empty_like(row)
+            _assert_same_bytes(
+                (cic, ent, unq, msgs, row), (*reference_scatter_segment(*args, ref_row), ref_row)
             )
             entries.append(ent)
             uniq.append(unq)
@@ -162,6 +179,56 @@ class TestDenseRowOracle:
             for c in range(NCH):
                 sharded[c] += np.bincount(ids, weights=vals[c], minlength=nnodes)
         assert np.array_equal(sharded, acc_d)
+
+
+# ----------------------------------------------------------------------
+# ghost slots computed on (rank, cell) pairs == np.unique of the entry keys
+# ----------------------------------------------------------------------
+def _check_ghost_slots(grid, owner, ranks, nodes, r0):
+    """``ghost_slots`` of one cell row against the off-rank entries' keys."""
+    uniq_ranks, uniq_nodes, slot, pair_of = ghost_slots(grid, owner, ranks, nodes[:, :1].T, r0)
+    entry_ranks = np.repeat(ranks, 4)
+    off = owner[nodes.ravel()] != entry_ranks + r0
+    keys, inverse = np.unique(
+        entry_ranks[off] * grid.nnodes + nodes.ravel()[off], return_inverse=True
+    )
+    assert np.array_equal(uniq_ranks * grid.nnodes + uniq_nodes, keys)
+    assert pair_of.shape == (1, len(ranks))
+    slots = slot[pair_of[0]].ravel()
+    assert np.array_equal(slots >= 0, off)
+    assert np.array_equal(slots[off], inverse)
+
+
+class TestGhostSlots:
+    @given(case=scatter_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_match_unique_of_entry_keys(self, case):
+        grid, decomp, local, _, cut = case
+        pool = ParticlePool.from_ranks(local)
+        for r0, r1 in ((0, cut), (cut, decomp.p)):  # shard-local ranks, as a worker sees them
+            parts = pool.array.slice_view(pool.offsets[r0], pool.offsets[r1])
+            nodes, _ = grid.cic_vertices_weights(parts.x, parts.y)
+            ranks = np.repeat(np.arange(r1 - r0), pool.counts[r0:r1])
+            _check_ghost_slots(grid, decomp.owner_map, ranks, nodes, r0)
+
+    def test_empty_input(self):
+        grid = Grid2D(8, 4)
+        owner = CurveBlockDecomposition(grid, 3, "hilbert").owner_map
+        empty = np.empty(0, dtype=np.int64)
+        uniq_ranks, uniq_nodes, slot, pair_of = ghost_slots(grid, owner, empty, empty[None, :])
+        assert uniq_ranks.size == uniq_nodes.size == 0
+        assert slot.shape == (0, 4) and pair_of.shape == (1, 0)
+
+    def test_rank_owning_no_nodes(self):
+        """Rank 1 owns nothing, so every one of its entries is a ghost."""
+        grid = Grid2D(8, 4)
+        owner = np.where(np.arange(grid.nnodes) < grid.nnodes // 2, 0, 2)
+        parts = uniform_plasma(grid, 300, rng=7)
+        nodes, _ = grid.cic_vertices_weights(parts.x, parts.y)
+        ranks = np.repeat(np.arange(3), 100)
+        _check_ghost_slots(grid, owner, ranks, nodes, 0)
+        _, _, slot, pair_of = ghost_slots(grid, owner, ranks, nodes[:, :1].T)
+        assert (slot[pair_of[0, 100:200]] >= 0).all()
 
 
 # ----------------------------------------------------------------------
