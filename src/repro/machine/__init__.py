@@ -12,6 +12,9 @@ substrate:
   clocks.  SPMD phase code runs rank-by-rank on real NumPy data;
   communication physically moves buffers between ranks while the clocks
   advance according to the cost model.
+* :class:`MessageBatch` — one exchange's messages as arrays (``src``,
+  ``dst``, ``offsets`` + pooled payloads), priced by
+  :meth:`VirtualMachine.exchange` without per-message work.
 * :class:`CommStats` — per-phase, per-rank message/byte accounting, the
   source of the paper's Figures 18/19 ("max data / max messages sent or
   received by any processor").
@@ -28,6 +31,7 @@ per-iteration virtual time is the sum over phases of the slowest rank's
 complexity analysis.
 """
 
+from repro.machine.batch import MessageBatch
 from repro.machine.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.machine.model import MachineModel
 from repro.machine.stats import CommStats, PhaseComm
@@ -38,6 +42,7 @@ from repro.machine.virtual import VirtualMachine
 __all__ = [
     "MachineModel",
     "VirtualMachine",
+    "MessageBatch",
     "CommStats",
     "PhaseComm",
     "BlockTopology",

@@ -13,7 +13,6 @@ algorithms share:
   arrays: a single stable ``argsort`` over ``src * p + dest`` keys
   replaces the per-rank sorts, producing byte-identical messages (and
   therefore identical machine statistics and charges).
-* :func:`halo_sendrecv` — neighbour exchange for field halos.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ __all__ = [
     "alltoall_concat",
     "exchange_by_destination",
     "exchange_by_destination_pooled",
-    "halo_sendrecv",
 ]
 
 
@@ -165,14 +163,3 @@ def exchange_by_destination_pooled(
             s, d = divmod(int(k), vm.p)
             send[s][d] = sorted_rows[bounds[i] : bounds[i + 1]]
     return alltoall_concat(vm, send)
-
-
-def halo_sendrecv(
-    vm: VirtualMachine,
-    messages: list[dict[int, np.ndarray]],
-) -> list[dict[int, np.ndarray]]:
-    """Neighbour (halo) exchange — semantically :meth:`VirtualMachine.alltoallv`
-    but named for readability at call sites; kept synchronous because the
-    field stencil needs all halos before updating.
-    """
-    return vm.alltoallv(messages)

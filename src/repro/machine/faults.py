@@ -3,10 +3,10 @@
 A :class:`FaultPlan` schedules machine faults by ``(iteration, phase,
 rank)`` — the same coordinates the paper's runtime measurements use — and
 a :class:`FaultInjector` applies them at the communication choke points
-every exchange already flows through (:meth:`VirtualMachine.alltoallv`,
-:meth:`~VirtualMachine.allgather`, :meth:`~VirtualMachine.allreduce`,
-and therefore ``exchange_by_destination[_pooled]`` and ``halo_sendrecv``,
-which are built on them).
+every exchange already flows through (:meth:`VirtualMachine.exchange`
+/ :meth:`~VirtualMachine.alltoallv`, :meth:`~VirtualMachine.allgather`,
+:meth:`~VirtualMachine.allreduce`, and therefore the ghost, halo and
+``exchange_by_destination[_pooled]`` traffic built on them).
 
 Fault kinds
 -----------
@@ -290,6 +290,12 @@ class FaultInjector:
     def active(self) -> bool:
         """Whether any event can still fire (cheap liveness probe)."""
         return bool(self._kills or self._slowdowns or self._message_events)
+
+    @property
+    def watches_messages(self) -> bool:
+        """Whether :meth:`on_message` can do anything (an exchange then
+        hands it every message; otherwise none is looked at)."""
+        return bool(self._message_events)
 
     # ------------------------------------------------------------------
     # hooks called by the virtual machine

@@ -19,6 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.machine.batch import MessageBatch
 from repro.machine.model import MachineModel
 from repro.machine.stats import CommStats
 from repro.util import require
@@ -217,45 +218,81 @@ class VirtualMachine:
         Notes
         -----
         Payloads are handed over by reference; after the call the
-        receiver owns them and senders must not mutate them.
-        Per-rank cost is ``tau * (msgs_sent + msgs_recv) + mu *
-        (bytes_out + bytes_in)``, the paper's two-level model with both
-        endpoints paying start-up.
+        receiver owns them and senders must not mutate them.  Priced by
+        :meth:`_exchange`, like :meth:`exchange`.
         """
         require(len(send) == self.p, f"send must have one entry per rank ({self.p})")
+        src = [s for s, chunks in enumerate(send) for _ in chunks]
+        dst = [d for chunks in send for d in chunks]
+        payloads = [payload for chunks in send for payload in chunks.values()]
+        nbytes = [0 if s == d else payload_nbytes(x) for s, d, x in zip(src, dst, payloads)]
+        vectors = np.array((src, dst, nbytes), dtype=np.int64).reshape(3, -1)
+        replaced = self._exchange(*vectors, payloads.__getitem__, sync)
+        recv: list[dict[int, np.ndarray]] = [dict() for _ in range(self.p)]
+        for i, (s, d) in enumerate(zip(src, dst)):
+            recv[d][s] = replaced.get(i, payloads[i])
+        return recv
+
+    def exchange(self, batch: MessageBatch) -> MessageBatch:
+        """``alltoallv(batch.to_dicts(p))`` — same messages, statistics and
+        charges — priced on the batch's count vectors without touching a
+        message.  Returns what was delivered: ``batch`` itself unless a
+        fault damaged a payload.
+        """
+        replaced = self._exchange(batch.src, batch.dst, batch.nbytes(), batch.payload, True)
+        return batch.replacing(replaced) if replaced else batch
+
+    def _exchange(self, src, dst, nbytes, payload_at, sync: bool) -> dict:
+        """The one pricing path: messages ``src[i] -> dst[i]`` of ``nbytes[i]``
+        bytes cost each rank ``tau * (msgs_sent + msgs_recv) + mu *
+        (bytes_out + bytes_in)`` — the paper's two-level model, both
+        endpoints paying start-up — on ``bincount``s of the three vectors.
+
+        Messages are looked at one by one (in source order, a source's in
+        the order given) only when an installed fault injector schedules
+        message faults — ``payload_at(i)`` goes to ``on_message`` and what
+        comes back changed is returned as ``{i: payload}`` — or a
+        destination is out of range (:class:`InvalidRankError` names the
+        first).  Either way the statistics record exactly the messages
+        delivered before an exception.
+        """
+        p = self.p
         injector = self.fault_injector
         extra_seconds = None
         if injector is not None:
             injector.pre_exchange(self)
-            extra_seconds = np.zeros(self.p)
-        recv: list[dict[int, np.ndarray]] = [dict() for _ in range(self.p)]
-        msgs_out = np.zeros(self.p, dtype=np.int64)
-        msgs_in = np.zeros(self.p, dtype=np.int64)
-        bytes_out = np.zeros(self.p, dtype=np.int64)
-        bytes_in = np.zeros(self.p, dtype=np.int64)
+            if injector.watches_messages:
+                extra_seconds = np.zeros(p)
+            else:
+                injector = None  # no message fault scheduled: nothing to hand it
         phase = self.current_phase
+        replaced: dict = {}
+        counted = src != dst  # a self-send is a local copy: free, not a message
+        in_range = dst.size == 0 or (dst.min() >= 0 and dst.max() < p)
         try:
-            for src, chunks in enumerate(send):
-                for dst, payload in chunks.items():
-                    if not 0 <= dst < self.p:
-                        raise InvalidRankError(
-                            f"destination rank {dst} out of range [0, {self.p})"
-                        )
-                    if dst == src:
-                        recv[dst][src] = payload
-                        continue  # local copy: free, not a message
-                    nbytes = payload_nbytes(payload)
-                    if injector is not None:
-                        payload = injector.on_message(
-                            self, phase, src, dst, payload, nbytes, extra_seconds
-                        )
-                    recv[dst][src] = payload
-                    msgs_out[src] += 1
-                    bytes_out[src] += nbytes
-                    msgs_in[dst] += 1
-                    bytes_in[dst] += nbytes
+            if injector is not None or not in_range:
+                counted = np.zeros(src.size, dtype=bool)
+                for i in np.argsort(src, kind="stable").tolist():
+                    s, d = int(src[i]), int(dst[i])
+                    if not 0 <= d < p:
+                        raise InvalidRankError(f"destination rank {d} out of range [0, {p})")
+                    if s != d:
+                        if injector is not None:
+                            payload = payload_at(i)
+                            arrived = injector.on_message(
+                                self, phase, s, d, payload, int(nbytes[i]), extra_seconds
+                            )
+                            if arrived is not payload:
+                                replaced[i] = arrived
+                        counted[i] = True
         finally:
             # also what was delivered before a MessageLost / bad rank
+            if not counted.all():
+                src, dst, nbytes = src[counted], dst[counted], nbytes[counted]
+            msgs_out = np.bincount(src, minlength=p)
+            msgs_in = np.bincount(dst, minlength=p)
+            bytes_out = np.bincount(src, weights=nbytes, minlength=p).astype(np.int64)
+            bytes_in = np.bincount(dst, weights=nbytes, minlength=p).astype(np.int64)
             self.stats.record_exchange(phase, msgs_out, msgs_in, bytes_out, bytes_in)
         seconds = self.model.tau * (msgs_out + msgs_in) + self.model.mu * (bytes_out + bytes_in)
         if extra_seconds is not None:
@@ -263,7 +300,7 @@ class VirtualMachine:
         self._charge(seconds, kind="comm")
         if sync:
             self.barrier()
-        return recv
+        return replaced
 
     # ------------------------------------------------------------------
     # collectives

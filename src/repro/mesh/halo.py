@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.machine.batch import MessageBatch
 from repro.machine.virtual import VirtualMachine
 from repro.mesh.decomposition import MeshDecomposition
 from repro.util import require
@@ -34,38 +35,33 @@ class HaloSchedule:
     send_nodes:
         ``send_nodes[r]`` maps destination rank -> sorted node ids rank
         ``r`` must send (the transpose of ``recv_nodes``).
+    plan:
+        The same schedule as one :class:`~repro.machine.batch.MessageBatch`
+        of node ids in ``(sender, receiver)`` order; an exchange fills it
+        with values.
     """
 
     def __init__(self, decomp: MeshDecomposition) -> None:
         self.decomp = decomp
         self.p = decomp.p
-        grid = decomp.grid
-        owner_map = decomp.owner_map
-        recv_nodes: list[dict[int, np.ndarray]] = [dict() for _ in range(self.p)]
-        send_nodes: list[dict[int, np.ndarray]] = [dict() for _ in range(self.p)]
-        for rank in range(self.p):
-            owned = decomp.nodes_of_rank(rank)
-            neigh = grid.node_neighbors(owned).ravel()
-            neigh_owner = owner_map[neigh]
-            off = neigh_owner != rank
-            if not off.any():
-                continue
-            needed = np.unique(neigh[off])
-            owners = owner_map[needed]
-            for owner in np.unique(owners):
-                ids = needed[owners == owner]
-                recv_nodes[rank][int(owner)] = ids
-                send_nodes[int(owner)][rank] = ids
-        self.recv_nodes = recv_nodes
-        self.send_nodes = send_nodes
+        nnodes = decomp.grid.nnodes
+        owner_map = np.asarray(decomp.owner_map, dtype=np.int64)
+        # every (receiver, off-rank stencil neighbour) pair once, by receiver then node
+        neigh = decomp.grid.node_neighbors(np.arange(nnodes)).ravel()
+        receiver = np.repeat(owner_map, 4)
+        off = owner_map[neigh] != receiver
+        dst, ids = np.divmod(np.unique(receiver[off] * nnodes + neigh[off]), nnodes)
+        src = owner_map[ids]
+        order = np.argsort(src, kind="stable")  # -> (sender, receiver, node) order
+        self.plan = MessageBatch.coalesce(src[order], dst[order], ids[order])
+        self.send_nodes = self.plan.to_dicts(self.p)
+        self.recv_nodes = self.plan.to_dicts(self.p, received=True)
 
     # ------------------------------------------------------------------
     def halo_sizes(self) -> np.ndarray:
         """Number of halo nodes each rank receives per exchange."""
-        return np.array(
-            [sum(ids.size for ids in self.recv_nodes[r].values()) for r in range(self.p)],
-            dtype=np.int64,
-        )
+        plan = self.plan
+        return np.bincount(plan.dst, weights=plan.counts, minlength=self.p).astype(np.int64)
 
     def exchange(
         self,
@@ -73,7 +69,7 @@ class HaloSchedule:
         values: np.ndarray,
         *,
         ncomponents: int = 1,
-    ) -> list[dict[int, np.ndarray]]:
+    ) -> MessageBatch:
         """Execute one halo exchange of node ``values`` on ``vm``.
 
         Parameters
@@ -90,9 +86,10 @@ class HaloSchedule:
 
         Returns
         -------
-        list of dict
-            ``out[r]`` maps owner rank to the received value array(s),
-            aligned with ``recv_nodes[r][owner]``.
+        MessageBatch
+            What was delivered, values only, aligned with ``plan.ids``:
+            ``out.to_dicts(p, received=True)[r][owner]`` is the
+            ``(ncomponents, k)`` block for ``recv_nodes[r][owner]``.
         """
         values = np.asarray(values)
         if values.ndim > 1:
@@ -108,15 +105,6 @@ class HaloSchedule:
             flat.shape[1] == self.decomp.grid.nnodes,
             f"values must cover all {self.decomp.grid.nnodes} nodes",
         )
-        send: list[dict[int, np.ndarray]] = []
-        for rank in range(self.p):
-            chunks = {
-                dst: np.ascontiguousarray(flat[:, ids])
-                for dst, ids in self.send_nodes[rank].items()
-            }
-            send.append(chunks)
-        recv = vm.alltoallv(send)
-        out: list[dict[int, np.ndarray]] = []
-        for rank in range(self.p):
-            out.append({src: payload for src, payload in recv[rank].items()})
-        return out
+        plan = self.plan
+        packed = flat.take(plan.ids, axis=1)
+        return vm.exchange(MessageBatch(plan.src, plan.dst, plan.offsets, values=packed))

@@ -28,6 +28,7 @@ import weakref
 
 import numpy as np
 
+from repro.machine.batch import MessageBatch
 from repro.parallel_exec.kernels import classify_chunk
 from repro.parallel_exec.pool import WorkerError, WorkerPool
 from repro.parallel_exec.shm import SharedArena, shared_memory_available
@@ -233,20 +234,21 @@ class FlatBackend:
     # ------------------------------------------------------------------
     # phase fan-outs
     # ------------------------------------------------------------------
-    def scatter(self, pool: ParticlePool, node_owner: np.ndarray, nnodes: int):
+    def scatter(self, pool: ParticlePool, node_owner: np.ndarray):
         """Worker-parallel CIC deposition over the pool's rank segments.
 
-        Returns ``(rows, entries_per_rank, uniq_per_rank, messages)``:
+        Returns ``(rows, entries_per_rank, uniq_per_rank, batch)``:
         the shared ``(nshards, nchannels, nnodes)`` deposition rows, one
         per shard (disjoint support, so the caller's sum is exact),
-        ghost-table tallies, and per-rank coalesced ghost messages —
-        exactly the intermediates the serial flat scatter computes.
+        ghost-table tallies, and the coalesced ghost messages — exactly
+        the intermediates the serial flat scatter computes.  Shards are
+        ascending rank ranges, so their batches laid end to end are the
+        ``(src, dst, node)``-ordered batch of the whole pool.
         """
         cols = self._require_cols(pool)
-        p = pool.p
         shards = self._shards(pool.counts)
         rows, rows_desc = self.arena.array(
-            "rows", (len(shards), len(CHANNELS), nnodes), np.float64
+            "rows", (len(shards), len(CHANNELS), node_owner.shape[0]), np.float64
         )
         owner_desc = self.arena.publish("owner", np.ascontiguousarray(node_owner))
         offsets = np.asarray(pool.offsets, dtype=np.int64)
@@ -260,7 +262,6 @@ class FlatBackend:
                     r0=r0,
                     r1=r1,
                     owner=owner_desc,
-                    nnodes=int(nnodes),
                     rows=rows_desc,
                     shard=w,
                     version=self._version,
@@ -268,16 +269,8 @@ class FlatBackend:
             )
             for w, (r0, r1) in enumerate(shards)
         ]
-        results = self.workers.run(tasks)
-        entries = np.zeros(p, dtype=np.int64)
-        uniq = np.zeros(p, dtype=np.int64)
-        messages: list[list] = [[] for _ in range(p)]
-        for (r0, r1), (ent, unq, msgs) in zip(shards, results):
-            entries[r0:r1] = ent
-            uniq[r0:r1] = unq
-            for lr, msg in enumerate(msgs):
-                messages[r0 + lr] = msg
-        return rows, entries, uniq, messages
+        entries, uniq, batches = zip(*self.workers.run(tasks))
+        return rows, np.concatenate(entries), np.concatenate(uniq), MessageBatch.concat(batches)
 
     def gather_push(self, pool: ParticlePool, node_values: np.ndarray, dt: float) -> None:
         """Worker-parallel field gather + Boris push, in place in the pool.

@@ -24,16 +24,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.machine.batch import MessageBatch
 from repro.particles.arrays import MATRIX_COLUMNS, ParticleArray
-from repro.pic.deposition import CHANNELS, deposition_entries, ghost_slots
+from repro.pic.deposition import CHANNELS, deposit_by_destination, deposition_entries, ghost_slots
 from repro.pic.interpolation import gather_from_node_values
 from repro.pic.push import boris_push
 
 __all__ = [
     "scatter_segment",
-    "deposit_on_rank",
-    "deposit_by_slot",
-    "ghost_messages",
     "merge_ghost_messages",
     "reduce_rank_rows",
     "gather_push_slice",
@@ -49,15 +47,16 @@ def scatter_segment(
     counts: np.ndarray,
     r0: int,
     node_owner: np.ndarray,
-    nnodes: int,
     out_row: np.ndarray,
 ):
     """Deposition work for the rank segments ``[r0, r0 + len(counts))``.
 
     Owner lookup and duplicate removal run on the distinct ``(rank,
     cell)`` pairs (:func:`~repro.pic.deposition.ghost_slots`), never on
-    the entries; :func:`deposit_by_slot` then sums in pooled entry order,
-    so the floats are those of per-rank ghost tables.
+    the entries; one ``bincount`` per channel over the entries'
+    destinations then sums in pooled entry order, so the floats are
+    those of per-rank ghost tables
+    (:func:`~repro.pic.deposition.deposit_by_destination`).
 
     Parameters
     ----------
@@ -69,139 +68,55 @@ def scatter_segment(
         Global rank id of the first covered segment.
     node_owner:
         Global node-ownership map.
-    nnodes:
-        ``grid.nnodes`` (part of the shard-call signature; the ghost
-        keys take their stride from ``grid``).
     out_row:
         ``(nchannels, nnodes)`` output — the covered ranks' on-rank
-        deposition (see :func:`deposit_on_rank`).  Callers add shard
-        rows via :func:`reduce_rank_rows`.
+        deposition.  Callers add shard rows via :func:`reduce_rank_rows`.
 
     Returns
     -------
-    (cic, entries_per_rank, uniq_per_rank, messages):
+    (cic, entries_per_rank, uniq_per_rank, batch):
         ``cic`` — the ``(nodes, weights)`` CIC evaluation (reused by the
         gather); ``entries_per_rank`` / ``uniq_per_rank`` — ghost-table
-        tallies per covered rank; ``messages`` — per covered rank, a
-        list of ``(owner, ids, values)`` coalesced ghost messages with
-        node ids ascending inside each message.
+        tallies per covered rank; ``batch`` — the coalesced ghost
+        messages (global ranks, node ids ascending inside each message).
     """
     nranks = int(counts.shape[0])
-    nchannels = len(CHANNELS)
     vertices = grid.cic_vertices_weights(parts.x, parts.y)
     nodes, values = deposition_entries(grid, parts, vertices)
     particle_ranks = np.repeat(np.arange(nranks, dtype=np.int64), counts)
-    uniq_ranks, uniq_nodes, slot, pair_of = ghost_slots(
-        grid, node_owner, particle_ranks, nodes[:, :1].T, r0
+    slots = ghost_slots(grid, node_owner, particle_ranks, nodes[:, :1].T, r0)
+    summed = np.empty((len(CHANNELS), slots.nodes.size))
+    deposit_by_destination(
+        slots.dest[slots.pair_of[0]].ravel(), values.reshape(len(CHANNELS), -1), out_row, summed
     )
-    summed = np.empty((nchannels, uniq_nodes.size))
-    ghost_idx, _ = deposit_by_slot(
-        slot[pair_of[0]].ravel(), nodes.ravel(), values.reshape(nchannels, -1), out_row, summed
-    )
-    # ghost_idx ascends and rank r's entries are [4 * offsets[r], 4 * offsets[r + 1])
-    bounds = 4 * np.concatenate(([0], np.cumsum(counts)))
-    entries_per_rank = np.diff(np.searchsorted(ghost_idx, bounds))
-    uniq_per_rank = np.bincount(uniq_ranks, minlength=nranks)
-    messages = ghost_messages(node_owner, nranks, uniq_ranks, uniq_nodes, summed)
-    return vertices, entries_per_rank, uniq_per_rank, messages
+    # a particle brings one ghost entry per off-rank vertex of its pair's cell
+    off_vertices = (slots.dest >= grid.nnodes).sum(axis=1)
+    entries_per_rank = np.bincount(
+        particle_ranks, off_vertices[slots.pair_of[0]], nranks
+    ).astype(np.int64)
+    uniq_per_rank = np.bincount(slots.ranks, minlength=nranks)
+    batch = MessageBatch.coalesce(slots.ranks + np.int64(r0), slots.owners, slots.nodes, summed)
+    return vertices, entries_per_rank, uniq_per_rank, batch
 
 
-def deposit_on_rank(
-    ghost: np.ndarray, nodes: np.ndarray, values: np.ndarray, out_rows: np.ndarray
-) -> np.ndarray:
-    """Sum the entries whose depositing rank owns their node; return the rest.
-
-    ``ghost`` marks the off-rank entries.  ``out_rows`` (``(nchannels,
-    nnodes)``, overwritten) receives one bincount per channel over the
-    others.  Every node's on-rank ("mine") entries come from the one
-    rank that owns it and arrive in pool order, so no rank key is needed
-    to keep ranks apart and the row equals the rank-ordered sum of
-    per-rank bincounts bit for bit.  Returns the ghost entries' indices.
-    """
-    ghost_idx = np.flatnonzero(ghost)
-    if ghost_idx.size:
-        mine_idx = np.flatnonzero(~ghost)
-        nodes = nodes.take(mine_idx)
-        values = values.take(mine_idx, axis=1)
-    for c in range(values.shape[0]):
-        out_rows[c] = np.bincount(nodes, weights=values[c], minlength=out_rows.shape[1])
-    return ghost_idx
-
-
-def deposit_by_slot(
-    slots: np.ndarray, nodes: np.ndarray, values: np.ndarray, acc: np.ndarray, summed: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sum one entry group: on-rank entries (``slots < 0``) by node into
-    ``acc`` (:func:`deposit_on_rank`), the others by ghost slot
-    (:func:`~repro.pic.deposition.ghost_slots`) into ``summed``, both
-    ``(nchannels, ...)``, overwritten, and both in entry order — inside a
-    slot that is the order the depositing rank's own ghost table would
-    have added in.  Returns the ghost entries' indices and slots."""
-    ghost_idx = deposit_on_rank(slots >= 0, nodes, values, acc)
-    slots = slots.take(ghost_idx)
-    for c in range(len(values)):
-        summed[c] = np.bincount(slots, weights=values[c].take(ghost_idx), minlength=summed.shape[1])
-    return ghost_idx, slots
-
-
-def ghost_messages(
-    node_owner: np.ndarray,
-    nranks: int,
-    uniq_ranks: np.ndarray,
-    uniq_nodes: np.ndarray,
-    summed: np.ndarray,
-) -> list[list[tuple[int, np.ndarray, np.ndarray]]]:
-    """Coalesce deduplicated ghost entries into one message per (rank, owner).
-
-    The entries arrive sorted by ``(rank, node)``
-    (:func:`~repro.pic.deposition.ghost_slots`); one stable sort by
-    ``(rank, owner)`` groups them into messages and keeps node ids
-    ascending inside each.  Returns, per rank, its ``(owner, ids,
-    values)`` messages in ascending owner order.
-    """
-    messages: list[list[tuple[int, np.ndarray, np.ndarray]]] = [[] for _ in range(nranks)]
-    if uniq_nodes.size == 0:
-        return messages
-    stride = np.int64(node_owner.max()) + 1
-    key = uniq_ranks * stride + node_owner[uniq_nodes]
-    order = np.argsort(key, kind="stable")
-    key = key.take(order)
-    ids = uniq_nodes.take(order)
-    vals = summed.take(order, axis=1)
-    bounds = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1], [True])))
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        rank, owner = divmod(int(key[lo]), int(stride))
-        messages[rank].append(
-            (owner, np.ascontiguousarray(ids[lo:hi]), np.ascontiguousarray(vals[:, lo:hi]))
-        )
-    return messages
-
-
-def merge_ghost_messages(acc: np.ndarray, recv: list[dict]) -> np.ndarray:
+def merge_ghost_messages(acc: np.ndarray, batch: MessageBatch) -> None:
     """Add the *received* ghost messages into ``acc`` (``(nchannels, nnodes)``).
 
     Replays the per-rank oracle's order — destinations in rank order,
     sources sorted, ``acc[c] += bincount(ids, vals[c])`` per message — in
-    one bincount per channel: ids are unique inside a message, so seeding
-    the bincount with ``acc`` and appending the messages gives every node
-    the oracle's ``((mine + v_src1) + v_src2) ...`` association, hence
-    its floats, bit for bit (also when faults damaged what arrived).
-    Returns the number of merged entries per destination rank.
+    one bincount per channel seeded with ``acc``.  Ids are unique inside
+    a message and every entry of a node has that node's owner as
+    destination, so the batch's ``(src, dst, node)`` order already hands
+    each node its entries by ascending source: the oracle's ``((mine +
+    v_src1) + v_src2) ...`` association, hence its floats, bit for bit
+    (also when faults damaged what arrived).
     """
     nnodes = acc.shape[1]
-    merge_ops = np.zeros(len(recv))
-    merge_ids = [np.arange(nnodes)]
-    merge_vals = [acc]
-    for r, inbox in enumerate(recv):
-        for _, (ids, vals) in sorted(inbox.items()):
-            merge_ids.append(ids)
-            merge_vals.append(vals)
-            merge_ops[r] += ids.size
-    all_ids = np.concatenate(merge_ids)
-    all_vals = np.concatenate(merge_vals, axis=1)
+    all_ids = np.concatenate((np.arange(nnodes), batch.ids))
     for c in range(acc.shape[0]):
-        acc[c] = np.bincount(all_ids, weights=all_vals[c], minlength=nnodes)
-    return merge_ops
+        acc[c] = np.bincount(
+            all_ids, weights=np.concatenate((acc[c], batch.values[c])), minlength=nnodes
+        )
 
 
 def reduce_rank_rows(rows: np.ndarray, acc: np.ndarray) -> np.ndarray:

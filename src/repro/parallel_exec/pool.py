@@ -63,17 +63,17 @@ def _attach_pool_slice(cache: ShmAttachCache, cols: dict, lo: int, hi: int) -> P
     )
 
 
-def _h_scatter(state, *, cols, offsets, r0, r1, owner, nnodes, rows, shard, version):
+def _h_scatter(state, *, cols, offsets, r0, r1, owner, rows, shard, version):
     cache = state["cache"]
     lo, hi = int(offsets[r0]), int(offsets[r1])
     parts = _attach_pool_slice(cache, cols, lo, hi)
     counts = np.diff(offsets[r0 : r1 + 1])
     node_owner = cache.get(owner)
-    cic, entries, uniq, messages = scatter_segment(
-        state["grid"], parts, counts, r0, node_owner, nnodes, cache.get(rows)[shard]
+    cic, entries, uniq, batch = scatter_segment(
+        state["grid"], parts, counts, r0, node_owner, cache.get(rows)[shard]
     )
     state["cic"] = (version, r0, r1, cic)
-    return entries, uniq, messages
+    return entries, uniq, batch
 
 
 def _h_gather_push(state, *, cols, offsets, r0, r1, node_values, dt, version):

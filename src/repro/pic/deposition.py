@@ -12,9 +12,10 @@ The parallel scatter runs deposition once over *all* ranks' pooled
 particles.  Every entry is a vertex of its particle's cell, and a few
 thousand distinct ``(rank, cell)`` pairs stand for hundreds of thousands
 of entries, so the ghost bookkeeping — owner lookup, duplicate removal,
-the sorted unique off-rank ``(rank, node)`` *slots* — runs on the pairs
-(:func:`ghost_slots`); an entry reaches its slot by table lookup and the
-duplicates are summed by one ``bincount`` per channel over slots, in
+the unique off-rank ``(rank, node)`` *slots* — runs on the pairs
+(:func:`ghost_slots`); an entry reaches its destination (its node, or
+its slot) by table lookup and one ``bincount`` per channel sums on-rank
+entries and duplicates at once (:func:`deposit_by_destination`), in
 pooled entry order, which inside a slot is the order that rank's own
 ghost table would have used.
 
@@ -32,6 +33,8 @@ of the mesh.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.mesh.grid import Grid2D
@@ -42,7 +45,9 @@ __all__ = [
     "accumulate_entries",
     "deposit_charge_current",
     "pooled_ghost_keys",
+    "GhostSlots",
     "ghost_slots",
+    "deposit_by_destination",
 ]
 
 #: Deposited source channels, in the order of the values matrix rows.
@@ -140,6 +145,18 @@ def pooled_ghost_keys(
     return uniq_nodes, uniq_ranks, inverse
 
 
+class GhostSlots(NamedTuple):
+    """What :func:`ghost_slots` found; ranks are counted from its ``r0``."""
+
+    ranks: np.ndarray  #: ``(nslots,)`` depositing rank of each off-rank slot
+    owners: np.ndarray  #: ``(nslots,)`` global rank that owns the slot's node
+    nodes: np.ndarray  #: ``(nslots,)`` the slot's node
+    #: ``(npairs, 4)`` per pair vertex, in :meth:`Grid2D.cell_vertices`
+    #: order: the node where the pair's rank owns it, ``nnodes + slot`` otherwise
+    dest: np.ndarray
+    pair_of: np.ndarray | None  #: ``(k, n)`` each particle's pair per cell row
+
+
 def ghost_slots(
     grid: Grid2D,
     node_owner: np.ndarray,
@@ -147,46 +164,55 @@ def ghost_slots(
     cells: np.ndarray,
     r0: int = 0,
     return_inverse: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+) -> GhostSlots:
     """Ghost slots of the distinct ``(rank, cell)`` pairs behind ``cells``.
 
     Every stencil or deposition entry is a vertex of its particle's
     cell, so owner lookup and duplicate removal run on the pairs, never
-    on the entries.
+    on the entries.  The off-rank ``(rank, node)`` pairs are numbered in
+    ``(rank, owner, node)`` order, so each run of equal ``(rank, owner)``
+    is one coalesced message with ascending node ids and the slots are a
+    :class:`~repro.machine.batch.MessageBatch` as they stand.
 
-    Parameters
-    ----------
-    node_owner:
-        Global node-ownership map.
-    particle_ranks:
-        ``(n,)`` rank of each particle, counted from ``r0``.
-    cells:
-        ``(k, n)`` cell ids per particle, one row per entry group.
-    r0:
-        Global id of rank 0 of ``particle_ranks`` (a worker shard covers
-        the ranks from ``r0`` up).
-
-    Returns
-    -------
-    (uniq_ranks, uniq_nodes, slot, pair_of):
-        The off-rank ``(rank, node)`` pairs sorted by rank then node
-        (ranks counted from ``r0``); ``(npairs, 4)`` each pair vertex's
-        index into them, in :meth:`Grid2D.cell_vertices` order, -1 where
-        the pair's rank owns the node; and ``(k, n)`` each particle's
-        pair per cell row (``None`` unless ``return_inverse``).
+    ``node_owner`` is the global ownership map, ``particle_ranks``
+    ``(n,)`` each particle's rank counted from ``r0`` (a worker shard
+    covers the ranks from ``r0`` up), ``cells`` ``(k, n)`` cell ids per
+    particle, one row per entry group; ``pair_of`` comes back ``None``
+    unless ``return_inverse``.
     """
+    nnodes = np.int64(grid.nnodes)
     pair_cells, pair_ranks, pair_of = pooled_ghost_keys(
-        grid.nnodes, np.tile(particle_ranks, len(cells)), cells.ravel(), return_inverse
+        nnodes, np.tile(particle_ranks, len(cells)), cells.ravel(), return_inverse
     )
-    verts = grid.cell_vertices(pair_cells)
-    ranks = np.broadcast_to(pair_ranks[:, None], verts.shape)
-    off = node_owner[verts] != ranks + np.int64(r0)
-    uniq_nodes, uniq_ranks, inverse = pooled_ghost_keys(grid.nnodes, ranks[off], verts[off])
-    slot = np.full(verts.shape, -1)
-    slot[off] = inverse
+    dest = grid.cell_vertices(pair_cells)
+    owners = node_owner[dest]
+    off = owners != (pair_ranks + np.int64(r0))[:, None]
+    stride = np.int64(node_owner.max()) + 1
+    rank_owner = np.broadcast_to(pair_ranks[:, None], off.shape)[off] * stride + owners[off]
+    slot_nodes, rank_owner, inverse = pooled_ghost_keys(nnodes, rank_owner, dest[off])
+    dest[off] = nnodes + inverse
     if return_inverse:
         pair_of = pair_of.reshape(cells.shape)
-    return uniq_ranks, uniq_nodes, slot, pair_of
+    return GhostSlots(*np.divmod(rank_owner, stride), slot_nodes, dest, pair_of)
+
+
+def deposit_by_destination(
+    dest: np.ndarray, values: np.ndarray, acc: np.ndarray, summed: np.ndarray
+) -> None:
+    """Sum one entry group by :attr:`GhostSlots.dest`, one ``bincount`` per
+    channel: on-rank sums into ``acc`` ``(nchannels, nnodes)``, ghost
+    slots' into ``summed`` ``(nchannels, nslots)``, both overwritten.
+
+    Bins are disjoint and each is added to in entry order: a node sees
+    its owner's entries in pool order (the rank-ordered sum of per-rank
+    bincounts), a slot its rank's entries in the order that rank's own
+    ghost table would have added them.
+    """
+    nnodes = acc.shape[1]
+    for c in range(len(values)):
+        both = np.bincount(dest, weights=values[c], minlength=nnodes + summed.shape[1])
+        acc[c] = both[:nnodes]
+        summed[c] = both[nnodes:]
 
 
 def deposit_charge_current(

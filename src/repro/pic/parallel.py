@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.machine.batch import MessageBatch
 from repro.machine.virtual import VirtualMachine
 from repro.mesh.decomposition import MeshDecomposition
 from repro.obs.profile import maybe_section
@@ -78,8 +79,8 @@ __all__ = ["ParallelPIC", "PooledParticles"]
 class PooledParticles:
     """Pool management of the pooled steppers.
 
-    A subclass keeps ``particles`` (the public per-rank list),
-    ``backend`` (a multicore backend or ``None``), ``_pool`` and
+    A subclass keeps ``vm``, ``fields``, ``particles`` (the public per-rank
+    list), ``backend`` (a multicore backend or ``None``), ``_pool`` and
     ``_cic_pool_cache`` (a CIC evaluation keyed by pool identity, dropped
     whenever the pool changes).
     """
@@ -110,6 +111,17 @@ class PooledParticles:
         self._pool = pool
         self.particles = list(pool.views)
         self._cic_pool_cache = None
+
+    def _field_node_values(self) -> np.ndarray:
+        """``(6, nnodes)`` E and B of ``self.fields``, one row per component."""
+        f = self.fields
+        return np.stack(
+            [f.ex.ravel(), f.ey.ravel(), f.ez.ravel(), f.bx.ravel(), f.by.ravel(), f.bz.ravel()]
+        )
+
+    def _received(self, batch: MessageBatch | None) -> list[dict]:
+        """``[receiver][sender]`` dict view of a delivered batch (tests, debugging)."""
+        return [] if batch is None else batch.to_dicts(self.vm.p, received=True)
 
 
 class ParallelPIC(PooledParticles):
@@ -222,9 +234,9 @@ class ParallelPIC(PooledParticles):
         #: (default) keeps one dormant branch per kernel call.  The
         #: profiler never touches the virtual clocks (DESIGN.md §5.8).
         self.profiler = None
-        # Ghost schedule of the latest scatter: _ghost_nodes[r][owner] =
-        # node ids rank r contributed to that are owned by `owner`.
-        self._ghost_nodes: list[dict[int, np.ndarray]] = [dict() for _ in range(vm.p)]
+        # Ghost schedule of the latest scatter: the ids of the messages it
+        # sent (rank r -> owner), none yet; the gather replies along its transpose.
+        self._ghost_schedule = MessageBatch.coalesce(*np.empty((3, 0), dtype=np.int64))
         # The particle pool (lazily rebuilt whenever self.particles is
         # replaced from outside, e.g. by the redistributor) and the
         # pooled CIC (nodes, weights) of the latest scatter, keyed by
@@ -234,11 +246,29 @@ class ParallelPIC(PooledParticles):
         # recomputing it; the cache is dropped once consumed.
         self._pool: ParticlePool | None = None
         self._cic_pool_cache: tuple[ParticlePool, np.ndarray, np.ndarray] | None = None
-        # Test hooks (populated only when collect_debug=True): the most
-        # recent halo / gather deliveries, for verifying that
-        # communicated values equal the owners' data.
-        self.last_halo: list[dict[int, np.ndarray]] = []
-        self.last_gather_messages: list[dict[int, tuple[np.ndarray, np.ndarray]]] = []
+        # What the latest halo / gather exchange delivered, kept only when
+        # collect_debug=True (see last_halo / last_gather_messages).
+        self._last_halo: MessageBatch | None = None
+        self._last_gather: MessageBatch | None = None
+
+    # ------------------------------------------------------------------
+    # dict views of the exchanges (tests and debugging; built on demand)
+    # ------------------------------------------------------------------
+    @property
+    def _ghost_nodes(self) -> list[dict[int, np.ndarray]]:
+        """``[r][owner]``: node ids rank ``r`` contributed to in the latest
+        scatter that ``owner`` owns."""
+        return self._ghost_schedule.to_dicts(self.vm.p)
+
+    @property
+    def last_halo(self) -> list[dict[int, np.ndarray]]:
+        """``[r][owner]``: the halo values rank ``r`` last received."""
+        return self._received(self._last_halo)
+
+    @property
+    def last_gather_messages(self) -> list[dict[int, tuple[np.ndarray, np.ndarray]]]:
+        """``[r][owner]``: the ``(ids, values)`` rank ``r`` last got back."""
+        return self._received(self._last_gather)
 
     # ------------------------------------------------------------------
     # scatter phase
@@ -253,21 +283,14 @@ class ParallelPIC(PooledParticles):
     def _accumulate_sources(self) -> np.ndarray:
         """The deposited and ghost-merged channels, ``(4, nnodes)``.
 
-        One vectorized pass over all ranks' particles; summing the
-        ghost entries per ``(rank, node)`` slot in pool order reproduces
-        each rank's ghost-table output bit-for-bit (entries stay in
-        per-rank order inside the pool), so messages and accounting
-        equal the per-rank oracle's.
-
-        So do the accumulated channels, bit for bit, at O(entries +
-        nodes) host cost.  On-rank ("mine") entries of a node all come
-        from the rank that owns it, so the per-rank partials have
-        disjoint support and one pooled bincount per shard *is* the
-        rank-ordered sum — independent of how a multicore backend shards
-        the pool.  Received ghost messages are merged by one bincount
-        seeded with those sums and fed the messages in the oracle's
-        (destination, source) order, which replays its
-        ``((mine + v_src1) + v_src2) ...`` association per node.
+        One vectorized pass over all ranks' particles, bit for bit the
+        per-rank oracle's messages, accounting and floats at O(entries +
+        nodes) host cost: on-rank entries of a node all come from its
+        owner and ghost entries are summed per ``(rank, node)`` slot, both
+        in pool order (:func:`~repro.pic.deposition.deposit_by_destination`),
+        independent of how a multicore backend shards the pool; what
+        *arrives* is merged by one seeded bincount
+        (:func:`~repro.parallel_exec.kernels.merge_ghost_messages`).
         """
         vm = self.vm
         grid = self.grid
@@ -277,22 +300,20 @@ class ParallelPIC(PooledParticles):
         pool = self._ensure_pool()
         counts = pool.counts
         acc = np.zeros((nchannels, nnodes))
-        sends: list[dict[int, tuple[np.ndarray, np.ndarray]]] = [dict() for _ in range(p)]
-        ghost_nodes: list[dict[int, np.ndarray]] = [dict() for _ in range(p)]
         backend = self.backend
         prof = self.profiler
         with vm.phase("scatter"):
             with maybe_section(prof, "deposit"):
                 if backend is not None:
-                    rows, entries_per_rank, uniq_per_rank, messages = backend.scatter(
-                        pool, self.node_owner, nnodes
+                    rows, entries_per_rank, uniq_per_rank, batch = backend.scatter(
+                        pool, self.node_owner
                     )
                     # each worker holds its segment's CIC evaluation locally
                     self._cic_pool_cache = None
                 else:
                     rows = np.empty((1, nchannels, nnodes))
-                    vertices, entries_per_rank, uniq_per_rank, messages = scatter_segment(
-                        grid, pool.array, counts, 0, self.node_owner, nnodes, rows[0]
+                    vertices, entries_per_rank, uniq_per_rank, batch = scatter_segment(
+                        grid, pool.array, counts, 0, self.node_owner, rows[0]
                     )
                     self._cic_pool_cache = (pool, vertices[0], vertices[1])
             with maybe_section(prof, "reduce"):
@@ -303,19 +324,16 @@ class ParallelPIC(PooledParticles):
                 table_ops[r] = self.ghost_tables[r].account_pooled(
                     int(entries_per_rank[r]), int(uniq_per_rank[r])
                 )
-            for r in range(p):
-                for owner, ids, vals in messages[r]:
-                    sends[r][owner] = (ids, vals)
-                    ghost_nodes[r][owner] = ids
             vm.charge_ops("scatter", 4.0 * counts.astype(float))
             vm.charge_ops("table", table_ops)
 
             with maybe_section(prof, "ghost_merge"):
                 # what was *received*: faults may have damaged it
-                recv = vm.alltoallv(sends)
-                vm.charge_ops("table", merge_ghost_messages(acc, recv))
+                recv = vm.exchange(batch)
+                merge_ghost_messages(acc, recv)
+                vm.charge_ops("table", np.bincount(recv.dst, weights=recv.counts, minlength=p))
 
-        self._ghost_nodes = ghost_nodes
+        self._ghost_schedule = MessageBatch(batch.src, batch.dst, batch.offsets, batch.ids)
         return acc
 
     def _finish_scatter(self, acc: np.ndarray) -> None:
@@ -349,9 +367,9 @@ class ParallelPIC(PooledParticles):
         vm = self.vm
         with vm.phase("field"):
             node_values = self._field_node_values()
-            halo_recv = self.halo.exchange(vm, node_values, ncomponents=6)
+            delivered = self.halo.exchange(vm, node_values, ncomponents=6)
             if self.collect_debug:
-                self.last_halo = halo_recv
+                self._last_halo = delivered
             vm.charge_ops("field", self.node_counts)
             self.solver.step(self.fields, self.dt)
 
@@ -386,43 +404,20 @@ class ParallelPIC(PooledParticles):
             phi = self.poisson.solve_fft(self.fields.rho)
             self.fields.ex, self.fields.ey = self.poisson.electric_field(phi)
 
-    def _field_node_values(self) -> np.ndarray:
-        f = self.fields
-        return np.stack(
-            [
-                f.ex.ravel(),
-                f.ey.ravel(),
-                f.ez.ravel(),
-                f.bx.ravel(),
-                f.by.ravel(),
-                f.bz.ravel(),
-            ]
-        )
-
     # ------------------------------------------------------------------
     # gather + push phases
     # ------------------------------------------------------------------
-    def _gather_sends(
-        self, node_values: np.ndarray
-    ) -> list[dict[int, tuple[np.ndarray, np.ndarray]]]:
-        """Inverse of the scatter exchange: owners send E, B at the
-        ghost nodes each contributor registered this iteration."""
-        sends: list[dict[int, tuple[np.ndarray, np.ndarray]]] = [
-            dict() for _ in range(self.vm.p)
-        ]
-        for r in range(self.vm.p):
-            for owner, ids in self._ghost_nodes[r].items():
-                sends[owner][r] = (ids, np.ascontiguousarray(node_values[:, ids]))
-        return sends
-
     def gather_push(self) -> None:
         """Return ghost-node fields to contributors, interpolate, push.
 
         One interpolation and one Boris pass over the pool.  The
-        ghost-field exchange is identical to the per-rank oracle's (same
-        ``_ghost_nodes`` schedule, same payloads); interpolation and the
-        push are per-particle independent, so running them once over the
-        pool is bit-identical to per-rank execution.
+        ghost-field exchange is the inverse of the scatter's: owners send
+        E, B at the ghost nodes each contributor registered this
+        iteration — the scatter batch transposed and filled by one
+        ``take``, message for message the per-rank oracle's.
+        Interpolation and the push are per-particle independent, so
+        running them once over the pool is bit-identical to per-rank
+        execution.
         """
         vm = self.vm
         grid = self.grid
@@ -432,9 +427,10 @@ class ParallelPIC(PooledParticles):
         node_values = self._field_node_values()
         eb = None
         with vm.phase("gather"):
-            recv = vm.alltoallv(self._gather_sends(node_values))
+            schedule = self._ghost_schedule
+            recv = vm.exchange(schedule.reply(node_values.take(schedule.ids, axis=1)))
             if self.collect_debug:
-                self.last_gather_messages = recv
+                self._last_gather = recv
             vm.charge_ops("gather", 4.0 * pool.counts.astype(float))
             if backend is None:
                 with maybe_section(prof, "interpolate"):

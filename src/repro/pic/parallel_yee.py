@@ -46,15 +46,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.machine.batch import MessageBatch
 from repro.machine.virtual import VirtualMachine
 from repro.mesh.decomposition import MeshDecomposition
 from repro.mesh.fields import FieldState
 from repro.mesh.grid import Grid2D
 from repro.mesh.halo import HaloSchedule
 from repro.obs.profile import maybe_section
-from repro.parallel_exec.kernels import deposit_by_slot, ghost_messages, merge_ghost_messages
+from repro.parallel_exec.kernels import merge_ghost_messages
 from repro.particles.arrays import ParticleArray, ParticlePool
-from repro.pic.deposition import deposition_entries, ghost_slots
+from repro.pic.deposition import deposit_by_destination, deposition_entries, ghost_slots
 from repro.pic.interpolation import gather_from_node_values
 from repro.pic.parallel import PooledParticles
 from repro.pic.push import boris_push
@@ -137,26 +138,22 @@ class ParallelYeePIC(PooledParticles):
         # consistent electrostatic initial condition (setup)
         self._distributed_rho()
         self.fields.ex, self.fields.ey = self.solver.initial_e_from_rho(self.fields.rho)
-        # test hook: last gather replies
-        self.last_gather_replies: list[dict[int, tuple[np.ndarray, np.ndarray]]] = []
+        # what the latest gather's reply round delivered (see last_gather_replies)
+        self._last_replies: MessageBatch | None = None
 
     # ------------------------------------------------------------------
-    def _field_node_values(self) -> np.ndarray:
-        f = self.fields
-        return np.stack(
-            [f.ex.ravel(), f.ey.ravel(), f.ez.ravel(), f.bx.ravel(), f.by.ravel(), f.bz.ravel()]
-        )
+    @property
+    def last_gather_replies(self) -> list[dict[int, tuple[np.ndarray, np.ndarray]]]:
+        """Test hook: ``[requester][owner]``, the ``(ids, values)`` last replied."""
+        return self._received(self._last_replies)
 
-    def _exchange_ghosts(self, acc: np.ndarray, messages, ops_per_particle: float) -> None:
-        """Send the coalesced ghost messages; merge what arrives into ``acc``."""
+    def _exchange_ghosts(self, acc: np.ndarray, slots, summed, ops_per_particle: float) -> None:
+        """Send the slot sums as coalesced messages; merge what arrives into ``acc``."""
         vm = self.vm
-        sends: list[dict[int, tuple[np.ndarray, np.ndarray]]] = [dict() for _ in range(vm.p)]
-        for r, outbox in enumerate(messages):
-            for owner, ids, vals in outbox:
-                sends[r][owner] = (ids, vals)
+        batch = MessageBatch.coalesce(slots.ranks, slots.owners, slots.nodes, summed)
         vm.charge_ops("scatter", ops_per_particle * self._pool.counts.astype(float))
         with maybe_section(self.profiler, "ghost_merge"):
-            merge_ghost_messages(acc, vm.alltoallv(sends))
+            merge_ghost_messages(acc, vm.exchange(batch))
 
     def _distributed_rho(self) -> None:
         """CIC charge deposition with ghost communication (rho only)."""
@@ -167,13 +164,10 @@ class ParallelYeePIC(PooledParticles):
         with self.vm.phase("scatter"):
             nodes, weights = grid.cic_vertices_weights(parts.x, parts.y)
             values = (weights * (parts.w * parts.q)[:, None]).reshape(1, -1)
-            uniq_ranks, uniq_nodes, slot, pair_of = ghost_slots(
-                grid, self.node_owner, pool.rank_of_particles(), nodes[:, :1].T
-            )
-            summed = np.empty((1, uniq_nodes.size))
-            deposit_by_slot(slot[pair_of[0]].ravel(), nodes.ravel(), values, acc, summed)
-            messages = ghost_messages(self.node_owner, pool.p, uniq_ranks, uniq_nodes, summed)
-            self._exchange_ghosts(acc, messages, 4.0)
+            slots = ghost_slots(grid, self.node_owner, pool.rank_of_particles(), nodes[:, :1].T)
+            summed = np.empty((1, slots.nodes.size))
+            deposit_by_destination(slots.dest[slots.pair_of[0]].ravel(), values, acc, summed)
+            self._exchange_ghosts(acc, slots, summed, 4.0)
         self.fields.rho = (acc[0] / (grid.dx * grid.dy)).reshape(grid.shape)
 
     # ------------------------------------------------------------------
@@ -211,12 +205,11 @@ class ParallelYeePIC(PooledParticles):
         A rank's request list is the sorted unique off-rank nodes of its
         particles' stencils, cut by owner — pooled: the sorted unique
         off-rank ``(rank, node)`` pairs (:func:`~repro.pic.deposition.ghost_slots`),
-        grouped into per-``(rank, owner)`` messages by one stable sort.
+        which come out in ``(rank, owner, node)`` order: a batch as they stand.
         Interpolation and push are per-particle independent, so one call
         over the pool equals ``p`` calls over its segments bit for bit.
         """
         vm = self.vm
-        p = vm.p
         prof = self.profiler
         pool = self._ensure_pool()
         parts = pool.array
@@ -226,33 +219,20 @@ class ParallelYeePIC(PooledParticles):
             with maybe_section(prof, "interpolate"):
                 cells = self._interpolate(pool, node_values, eb)
             with maybe_section(prof, "exchange"):
-                uniq_ranks, uniq_nodes, _, _ = ghost_slots(
+                slots = ghost_slots(
                     self.grid, self.node_owner, pool.rank_of_particles(), cells,
                     return_inverse=False,
                 )  # fmt: skip
-                requests: list[dict[int, np.ndarray]] = [dict() for _ in range(p)]
-                no_values = np.empty((0, uniq_nodes.size))
-                for r, outbox in enumerate(
-                    ghost_messages(self.node_owner, p, uniq_ranks, uniq_nodes, no_values)
-                ):
-                    for owner, ids, _ in outbox:
-                        requests[r][owner] = ids
                 vm.charge_ops("gather", 4.0 * pool.counts.astype(float))
                 # round 1: requests (node-id lists)
-                incoming = vm.alltoallv(requests)
+                requests = MessageBatch.coalesce(slots.ranks, slots.owners, slots.nodes)
+                incoming = vm.exchange(requests)
                 # round 2: replies (six component values per requested node)
-                replies: list[dict[int, tuple[np.ndarray, np.ndarray]]] = [
-                    dict() for _ in range(p)
-                ]
-                for owner in range(p):
-                    for requester, ids in incoming[owner].items():
-                        replies[owner][requester] = (
-                            ids,
-                            np.ascontiguousarray(node_values[:, ids]),
-                        )
                 # (the particles read the same values from the global
                 # arrays; tests verify the replies equal the owners' data)
-                self.last_gather_replies = vm.alltoallv(replies)
+                self._last_replies = vm.exchange(
+                    incoming.reply(node_values.take(incoming.ids, axis=1))
+                )
         with vm.phase("push"):
             vm.charge_ops("push", pool.counts.astype(float))
             self._pre_push = (pool, parts.x.copy(), parts.y.copy())
@@ -299,36 +279,38 @@ class ParallelYeePIC(PooledParticles):
                 cic_nodes = vertices[0]
                 # the cells the entries hang off: both sub-segments', then the CIC one
                 cells = np.stack((jx_nodes[:n], jx_nodes[2 * n : 3 * n], cic_nodes[:, 0]))
-                uniq_ranks, uniq_nodes, slot, pair_of = ghost_slots(
-                    grid, self.node_owner, pool.rank_of_particles(), cells
-                )
-                summed = np.empty((4, uniq_nodes.size))
+                slots = ghost_slots(grid, self.node_owner, pool.rank_of_particles(), cells)
+                dest, pair_of = slots.dest, slots.pair_of
+                summed = np.empty((4, slots.nodes.size))
                 # one group alive at a time: its entries die before the next one's are born
                 segment_pair = pair_of[:2].repeat(2, axis=0)  # per zigzag entry row
-                slots = slot[segment_pair, np.reshape(JX_VERTICES, (4, 1))].ravel()
-                deposit_by_slot(slots, jx_nodes, jx_values[None], acc[:1], summed[:1])
+                entry_dest = dest[segment_pair, np.reshape(JX_VERTICES, (4, 1))].ravel()
+                deposit_by_destination(entry_dest, jx_values[None], acc[:1], summed[:1])
                 del jx_nodes, jx_values
-                slots = slot[segment_pair, np.reshape(JY_VERTICES, (4, 1))].ravel()
-                deposit_by_slot(slots, jy_nodes, jy_values[None], acc[1:2], summed[1:2])
+                entry_dest = dest[segment_pair, np.reshape(JY_VERTICES, (4, 1))].ravel()
+                deposit_by_destination(entry_dest, jy_values[None], acc[1:2], summed[1:2])
                 del jy_nodes, jy_values, segment_pair
                 _, cic_values = deposition_entries(grid, parts, vertices, channels=(3, 0))
-                _, slots = deposit_by_slot(
-                    slot[pair_of[2]].ravel(), cic_nodes.ravel(), cic_values.reshape(2, -1),
-                    acc[2:], summed[2:],
-                )  # fmt: skip
-                del cic_values
-                has_cic = np.zeros(uniq_nodes.size, dtype=bool)
-                has_cic[slots] = True
+                deposit_by_destination(
+                    dest[pair_of[2]].ravel(), cic_values.reshape(2, -1), acc[2:], summed[2:]
+                )
+                del cic_values, entry_dest
+                # the slots under a CIC entry: the off-rank vertices of the CIC pairs
+                cic_pairs = np.zeros(len(dest), dtype=bool)
+                cic_pairs[pair_of[2]] = True
+                has_cic = np.zeros(nnodes + slots.nodes.size, dtype=bool)
+                has_cic[dest[cic_pairs]] = True
                 acc[:2] *= grid.dx
                 acc[:2] *= grid.dy
                 # + 0.0: a product that underflowed to -0.0 reads +0.0 from a ghost table
                 summed[:2] = summed[:2] * grid.dx * grid.dy + 0.0
-                keep = has_cic | (summed[0] != 0) | (summed[1] != 0)
+                keep = has_cic[nnodes:] | (summed[0] != 0) | (summed[1] != 0)
                 if not keep.all():
-                    uniq_ranks, uniq_nodes = uniq_ranks[keep], uniq_nodes[keep]
+                    slots = slots._replace(
+                        ranks=slots.ranks[keep], owners=slots.owners[keep], nodes=slots.nodes[keep]
+                    )
                     summed = summed[:, keep]
-                messages = ghost_messages(self.node_owner, pool.p, uniq_ranks, uniq_nodes, summed)
-            self._exchange_ghosts(acc, messages, 8.0)
+            self._exchange_ghosts(acc, slots, summed, 8.0)
         scale = 1.0 / (grid.dx * grid.dy)
         self.fields.jx = (acc[0] * scale).reshape(grid.shape)
         self.fields.jy = (acc[1] * scale).reshape(grid.shape)

@@ -28,7 +28,6 @@ pins the same for the modern stepper, plus ``last_gather_replies``.
 import numpy as np
 
 from repro.machine.collectives import exchange_by_destination
-from repro.parallel_exec.kernels import deposit_on_rank, ghost_messages
 from repro.particles.arrays import ParticleArray
 from repro.pic.deposition import CHANNELS, deposition_entries, pooled_ghost_keys
 from repro.pic.ghost import make_ghost_table
@@ -44,11 +43,17 @@ from repro.pic.zigzag import deposit_current_zigzag
 class LoopedPIC(ParallelPIC):
     """``ParallelPIC`` with the three pooled phases replaced by per-rank loops."""
 
+    # plain attributes here: the product class derives these views from its batches
+    _ghost_nodes = None
+    last_gather_messages = None
+
     def __init__(self, *args, **kwargs) -> None:
         assert not kwargs.get("workers") and kwargs.get("backend") is None, (
             "the oracle runs in-process"
         )
         super().__init__(*args, **kwargs)
+        self._ghost_nodes = [dict() for _ in range(self.vm.p)]
+        self.last_gather_messages = []
         # Per-rank CIC (nodes, weights) computed by the latest scatter,
         # keyed by particle-array identity; reused by the gather (the
         # push runs after it) and dropped once consumed.
@@ -128,7 +133,13 @@ class LoopedPIC(ParallelPIC):
         grid = self.grid
         node_values = self._field_node_values()
         with vm.phase("gather"):
-            recv = vm.alltoallv(self._gather_sends(node_values))
+            # inverse of the scatter exchange: owners send E, B at the ghost
+            # nodes each contributor registered this iteration
+            sends = [dict() for _ in range(vm.p)]
+            for r in range(vm.p):
+                for owner, ids in self._ghost_nodes[r].items():
+                    sends[owner][r] = (ids, np.ascontiguousarray(node_values[:, ids]))
+            recv = vm.alltoallv(sends)
             if self.collect_debug:
                 self.last_gather_messages = recv
             vm.charge_ops("gather", np.array([4.0 * p.n for p in self.particles]))
@@ -192,9 +203,12 @@ class LoopedYeePIC(ParallelYeePIC):
     floats.
     """
 
+    last_gather_replies = None  # a plain attribute here, a batch view in the product class
+
     def __init__(self, *args, ghost_table: str = "hash", **kwargs) -> None:
         self._ghost_kind = ghost_table  # read by _distributed_rho during construction
         super().__init__(*args, ghost_table=ghost_table, **kwargs)
+        self.last_gather_replies = []
 
     def _distributed_rho(self) -> None:
         """CIC charge deposition with ghost communication (rho only)."""
@@ -547,27 +561,34 @@ def pooled_duplicate_removal(nnodes, p, entry_ranks, nodes, values):
     return uniq_nodes, uniq_ranks, summed, seg
 
 
-def reference_scatter_segment(grid, parts, counts, r0, node_owner, nnodes, out_row):
-    """``scatter_segment`` with owner lookup and duplicate removal per entry."""
+def reference_scatter_segment(grid, parts, counts, r0, node_owner, out_row):
+    """``scatter_segment`` with owner lookup and duplicate removal per entry;
+    the messages come back as per-rank ``(owner, ids, values)`` lists."""
     nranks = int(counts.shape[0])
     nchannels = len(CHANNELS)
+    nnodes = grid.nnodes
     vertices = grid.cic_vertices_weights(parts.x, parts.y)
     nodes, values = deposition_entries(grid, parts, vertices)
     flat_nodes = nodes.ravel()
     flat_values = values.reshape(nchannels, -1)
     local_rank = np.repeat(np.arange(nranks, dtype=np.int64), 4 * counts)
     ghost = node_owner[flat_nodes] != (local_rank + np.int64(r0))
-    ghost_idx = deposit_on_rank(ghost, flat_nodes, flat_values, out_row)
-
-    entries_per_rank = np.zeros(nranks, dtype=np.int64)
-    uniq_per_rank = np.zeros(nranks, dtype=np.int64)
-    messages: list[list[tuple[int, np.ndarray, np.ndarray]]] = [[] for _ in range(nranks)]
-    if ghost_idx.size:
-        g_ranks = local_rank.take(ghost_idx)
-        uniq_nodes, uniq_ranks, summed, seg = pooled_duplicate_removal(
-            nnodes, nranks, g_ranks, flat_nodes.take(ghost_idx), flat_values.take(ghost_idx, axis=1)
+    ghost_idx = np.flatnonzero(ghost)
+    mine_idx = np.flatnonzero(~ghost)
+    for c in range(nchannels):
+        out_row[c] = np.bincount(
+            flat_nodes.take(mine_idx), weights=flat_values[c].take(mine_idx), minlength=nnodes
         )
-        entries_per_rank = np.bincount(g_ranks, minlength=nranks)
-        uniq_per_rank = np.diff(seg)
-        messages = ghost_messages(node_owner, nranks, uniq_ranks, uniq_nodes, summed)
-    return vertices, entries_per_rank, uniq_per_rank, messages
+
+    g_ranks = local_rank.take(ghost_idx)
+    uniq_nodes, _, summed, seg = pooled_duplicate_removal(
+        nnodes, nranks, g_ranks, flat_nodes.take(ghost_idx), flat_values.take(ghost_idx, axis=1)
+    )
+    messages: list[list[tuple[int, np.ndarray, np.ndarray]]] = []
+    for lr in range(nranks):
+        ids, vals = uniq_nodes[seg[lr] : seg[lr + 1]], summed[:, seg[lr] : seg[lr + 1]]
+        owners = node_owner[ids]
+        messages.append(
+            [(int(o), ids[owners == o], vals[:, owners == o]) for o in np.unique(owners)]
+        )
+    return vertices, np.bincount(g_ranks, minlength=nranks), np.diff(seg), messages

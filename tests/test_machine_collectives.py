@@ -6,7 +6,6 @@ import pytest
 from repro.machine.collectives import (
     alltoall_concat,
     exchange_by_destination,
-    halo_sendrecv,
 )
 
 
@@ -65,11 +64,3 @@ class TestExchangeByDestination:
         total_out = sum(o.sum() for o in out)
         assert total_out == pytest.approx(total_in)
         assert sum(o.shape[0] for o in out) == 80
-
-
-class TestHaloSendrecv:
-    def test_is_alltoallv(self, vm4):
-        send = [dict() for _ in range(4)]
-        send[0][1] = np.arange(4.0)
-        out = halo_sendrecv(vm4, send)
-        assert np.array_equal(out[1][0], np.arange(4.0))

@@ -50,7 +50,7 @@ class TestExchange:
         vm = VirtualMachine(4, MachineModel.cm5())
         nnodes = schedule.decomp.grid.nnodes
         values = np.arange(float(nnodes))
-        out = schedule.exchange(vm, values)
+        out = schedule.exchange(vm, values).to_dicts(4, received=True)
         for r in range(4):
             for owner, payload in out[r].items():
                 ids = schedule.recv_nodes[r][owner]
@@ -60,7 +60,7 @@ class TestExchange:
         vm = VirtualMachine(4, MachineModel.cm5())
         nnodes = schedule.decomp.grid.nnodes
         values = np.stack([np.arange(float(nnodes)), np.arange(float(nnodes)) * 2])
-        out = schedule.exchange(vm, values, ncomponents=2)
+        out = schedule.exchange(vm, values, ncomponents=2).to_dicts(4, received=True)
         for r in range(4):
             for owner, payload in out[r].items():
                 ids = schedule.recv_nodes[r][owner]
@@ -89,5 +89,5 @@ class TestExchange:
         schedule = HaloSchedule(CurveBlockDecomposition(grid, 1))
         vm = VirtualMachine(1)
         out = schedule.exchange(vm, np.zeros(grid.nnodes))
-        assert out == [{}]
+        assert out.to_dicts(1, received=True) == [{}]
         assert vm.elapsed() == 0.0

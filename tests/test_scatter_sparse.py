@@ -24,9 +24,11 @@ from repro.parallel_exec import FlatBackend, shared_memory_available
 from repro.parallel_exec.kernels import reduce_rank_rows, scatter_segment
 from repro.particles import ParticleArray, ParticlePool, gaussian_blob, uniform_plasma
 from repro.pic import ParallelPIC, Simulation, SimulationConfig
-from repro.pic.deposition import CHANNELS, deposition_entries, ghost_slots
+from repro.pic.deposition import CHANNELS, accumulate_entries, deposition_entries, ghost_slots
+from repro.pic.zigzag import deposit_current_zigzag
 from tests._looped_oracle import (
     STEPPERS,
+    YEE_STEPPERS,
     pooled_duplicate_removal,
     reference_scatter_segment,
     segmented_entry_ranks,
@@ -155,13 +157,18 @@ class TestDenseRowOracle:
         entries, uniq, messages = [], [], {}
         for row, (r0, r1) in zip(rows, shards):
             lo, hi = pool.offsets[r0], pool.offsets[r1]
-            args = (grid, pool.array.slice_view(lo, hi), pool.counts[r0:r1], r0, owner, nnodes)
-            cic, ent, unq, msgs = scatter_segment(*args, row)
+            args = (grid, pool.array.slice_view(lo, hi), pool.counts[r0:r1], r0, owner)
+            cic, ent, unq, batch = scatter_segment(*args, row)
             # the (rank, cell) pair path against the per-entry sort it replaced
+            msgs = [
+                [(dst, *payload) for dst, payload in outbox.items()]
+                for outbox in batch.to_dicts(p)[r0:r1]
+            ]
             ref_row = np.empty_like(row)
             _assert_same_bytes(
                 (cic, ent, unq, msgs, row), (*reference_scatter_segment(*args, ref_row), ref_row)
             )
+            assert not any(batch.to_dicts(p)[:r0]) and not any(batch.to_dicts(p)[r1:])
             entries.append(ent)
             uniq.append(unq)
             for lr, per_rank in enumerate(msgs):
@@ -186,17 +193,23 @@ class TestDenseRowOracle:
 # ----------------------------------------------------------------------
 def _check_ghost_slots(grid, owner, ranks, nodes, r0):
     """``ghost_slots`` of one cell row against the off-rank entries' keys."""
-    uniq_ranks, uniq_nodes, slot, pair_of = ghost_slots(grid, owner, ranks, nodes[:, :1].T, r0)
+    slots = ghost_slots(grid, owner, ranks, nodes[:, :1].T, r0)
     entry_ranks = np.repeat(ranks, 4)
-    off = owner[nodes.ravel()] != entry_ranks + r0
+    flat = nodes.ravel()
+    off = owner[flat] != entry_ranks + r0
+    # one slot per distinct off-rank (rank, node), numbered by (rank, owner, node)
+    stride = int(owner.max()) + 1
     keys, inverse = np.unique(
-        entry_ranks[off] * grid.nnodes + nodes.ravel()[off], return_inverse=True
+        ((entry_ranks[off] * stride + owner[flat[off]]) * grid.nnodes + flat[off]),
+        return_inverse=True,
     )
-    assert np.array_equal(uniq_ranks * grid.nnodes + uniq_nodes, keys)
-    assert pair_of.shape == (1, len(ranks))
-    slots = slot[pair_of[0]].ravel()
-    assert np.array_equal(slots >= 0, off)
-    assert np.array_equal(slots[off], inverse)
+    assert np.array_equal((slots.ranks * stride + slots.owners) * grid.nnodes + slots.nodes, keys)
+    assert np.array_equal(slots.owners, owner[slots.nodes])
+    assert slots.pair_of.shape == (1, len(ranks))
+    dest = slots.dest[slots.pair_of[0]].ravel()
+    assert np.array_equal(dest >= grid.nnodes, off)
+    assert np.array_equal(dest[~off], flat[~off])
+    assert np.array_equal(dest[off] - grid.nnodes, inverse)
 
 
 class TestGhostSlots:
@@ -215,9 +228,9 @@ class TestGhostSlots:
         grid = Grid2D(8, 4)
         owner = CurveBlockDecomposition(grid, 3, "hilbert").owner_map
         empty = np.empty(0, dtype=np.int64)
-        uniq_ranks, uniq_nodes, slot, pair_of = ghost_slots(grid, owner, empty, empty[None, :])
-        assert uniq_ranks.size == uniq_nodes.size == 0
-        assert slot.shape == (0, 4) and pair_of.shape == (1, 0)
+        slots = ghost_slots(grid, owner, empty, empty[None, :])
+        assert slots.ranks.size == slots.owners.size == slots.nodes.size == 0
+        assert slots.dest.shape == (0, 4) and slots.pair_of.shape == (1, 0)
 
     def test_rank_owning_no_nodes(self):
         """Rank 1 owns nothing, so every one of its entries is a ghost."""
@@ -227,8 +240,113 @@ class TestGhostSlots:
         nodes, _ = grid.cic_vertices_weights(parts.x, parts.y)
         ranks = np.repeat(np.arange(3), 100)
         _check_ghost_slots(grid, owner, ranks, nodes, 0)
-        _, _, slot, pair_of = ghost_slots(grid, owner, ranks, nodes[:, :1].T)
-        assert (slot[pair_of[0, 100:200]] >= 0).all()
+        slots = ghost_slots(grid, owner, ranks, nodes[:, :1].T)
+        assert (slots.dest[slots.pair_of[0, 100:200]] >= grid.nnodes).all()
+
+
+# ----------------------------------------------------------------------
+# one bincount per channel over destinations == on-rank / ghost split
+# ----------------------------------------------------------------------
+def _reference_pair(grid, parts, counts, r0, owner):
+    """``scatter_segment`` and its per-entry reference on the same shard."""
+    args = (grid, parts, np.asarray(counts, dtype=np.int64), r0, owner)
+    row, ref_row = np.full((NCH, grid.nnodes), np.nan), np.full((NCH, grid.nnodes), np.nan)
+    return scatter_segment(*args, row), row, reference_scatter_segment(*args, ref_row), ref_row
+
+
+class TestDepositByDestination:
+    """The cases the on-rank / ghost split special-cased, bit for bit."""
+
+    def test_single_rank_has_no_slot(self):
+        grid = Grid2D(16, 8)
+        parts = gaussian_blob(grid, 400, rng=3)
+        owner = np.zeros(grid.nnodes, dtype=np.int64)
+        (cic, ent, unq, batch), row, (_, ent_r, unq_r, msgs_r), ref_row = _reference_pair(
+            grid, parts, [parts.n], 0, owner
+        )
+        assert batch.src.size == batch.ids.size == 0 and batch.values.shape == (NCH, 0)
+        assert msgs_r == [[]] and not ent.any() and not unq.any()
+        _assert_same_bytes((ent, unq, row), (ent_r, unq_r, ref_row))
+        _assert_same_bytes(row, accumulate_entries(grid.nnodes, *deposition_entries(grid, parts)))
+
+    def test_every_entry_off_rank_in_a_shard_with_empty_ranks(self):
+        """A worker shard of ranks 1..3 that owns no node: ranks 1 and 3
+        hold the particles, rank 2 is empty, nothing is deposited on-rank."""
+        grid = Grid2D(16, 8)
+        owner = np.where(np.arange(grid.nnodes) % 3 == 0, 0, 4)
+        parts = uniform_plasma(grid, 300, rng=9)
+        (cic, ent, unq, batch), row, (_, ent_r, unq_r, msgs_r), ref_row = _reference_pair(
+            grid, parts, [180, 0, 120], 1, owner
+        )
+        assert not row.any() and not ref_row.any()
+        assert list(ent) == [4 * 180, 0, 4 * 120] and unq[1] == 0
+        msgs = [
+            [(dst, *payload) for dst, payload in outbox.items()] for outbox in batch.to_dicts(5)[1:4]
+        ]
+        _assert_same_bytes((ent, unq, msgs), (ent_r, unq_r, msgs_r))
+        assert set(batch.src.tolist()) == {1, 3} and set(batch.dst.tolist()) == {0, 4}
+
+    @pytest.mark.parametrize("p", [1, 5])
+    def test_one_channel_setup_deposition(self, p):
+        """``ParallelYeePIC._distributed_rho``: one channel, particles held
+        by the wrong ranks (so most entries are ghosts) and an empty rank."""
+        grid = Grid2D(16, 8, lx=8.0, ly=4.0)
+        local = ParticlePartitioner(grid, "hilbert").initial_partition(
+            gaussian_blob(grid, 700, rng=4), p
+        )
+        local = local[1:] + [ParticleArray.empty()] if p > 1 else local
+        built = []
+        for kind in ("looped", "flat"):
+            vm = VirtualMachine(p, MachineModel.cm5())
+            decomp = CurveBlockDecomposition(grid, p, "hilbert")
+            pic = YEE_STEPPERS[kind](vm, grid, decomp, [part.copy() for part in local])
+            built.append((vm, pic))
+        (vm_ref, ref), (vm, pic) = built
+        assert pic.fields.rho.tobytes() == ref.fields.rho.tobytes()
+        assert vm.state_dict() == vm_ref.state_dict()
+        assert (vm.stats.phase("scatter").total_msgs > 0) == (p > 1)
+
+    def test_zigzag_currents_that_underflow_to_negative_zero(self):
+        """Half the charges are subnormal and fast, so some off-rank zigzag
+        sums are one negative ulp and their product with ``dx = 0.4``
+        underflows to -0.0: a slot they alone touch is dropped (as the
+        oracle's nonzero filter drops it) and one a CIC entry keeps alive
+        ships +0.0."""
+        grid = Grid2D(16, 8, lx=6.4, ly=16.0)
+        p, rng = 5, np.random.default_rng(1)
+        parts = uniform_plasma(grid, 100, rng=12)  # sparse: some slots see no CIC entry
+        parts.w[::2] = 1e-322 * 10 ** rng.uniform(-1, 1, 50)
+        parts.ux[::2] = rng.choice([-0.6, 0.6], 50)  # crosses a cell face every other step
+        local = ParticlePartitioner(grid, "hilbert").initial_partition(parts, p)
+        steppers = []
+        for kind in ("looped", "flat"):
+            vm = VirtualMachine(p, MachineModel.cm5())
+            decomp = CurveBlockDecomposition(grid, p, "hilbert")
+            steppers.append(YEE_STEPPERS[kind](vm, grid, decomp, [q.copy() for q in local]))
+        oracle, pooled = steppers
+        pooled.gather_push()
+        pool, x_old, y_old = pooled._pre_push
+        negative_zeros = dropped = 0
+        for r in range(p):  # the oracle's dense per-rank currents at the nodes of other ranks
+            sl, mine = slice(pool.offsets[r], pool.offsets[r + 1]), pool.array
+            jx, jy = deposit_current_zigzag(
+                grid, x_old[sl], y_old[sl], mine.x[sl], mine.y[sl], (mine.w * mine.q)[sl], pooled.dt
+            )
+            px, py = (j.ravel() * grid.dx * grid.dy for j in (jx, jy))
+            under_cic = np.zeros(grid.nnodes, dtype=bool)
+            under_cic[grid.cic_vertices_weights(mine.x[sl], mine.y[sl])[0].ravel()] = True
+            underflowed = (decomp.owner_map != r) & (
+                ((jx.ravel() < 0) & (px == 0)) | ((jy.ravel() < 0) & (py == 0))
+            )
+            negative_zeros += underflowed.sum()
+            dropped += (underflowed & (px == 0) & (py == 0) & ~under_cic).sum()
+        assert negative_zeros > 0 and dropped > 0, "the case under test did not arise"
+        pooled.scatter()
+        pooled.field_solve()
+        oracle.step()
+        assert pooled.vm.state_dict() == oracle.vm.state_dict()
+        for name in ("rho", "jx", "jy", "jz", "ex", "ey", "bz"):
+            assert getattr(pooled.fields, name).tobytes() == getattr(oracle.fields, name).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -318,8 +436,8 @@ def scatter_rows(monkeypatch):
     seen = []
     original = FlatBackend.scatter
 
-    def spy(self, pool, node_owner, nnodes):
-        out = original(self, pool, node_owner, nnodes)
+    def spy(self, pool, node_owner):
+        out = original(self, pool, node_owner)
         seen.append((out[0].shape, pool.p, len(self._shards(pool.counts)), self.nworkers))
         return out
 
