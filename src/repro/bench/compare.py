@@ -74,6 +74,10 @@ class Comparison:
     threshold: float
     only_old: list[str]
     only_new: list[str]
+    #: ``(old, new)`` ``environment.native`` blocks when the two files ran on
+    #: different particle kernels (compiled / NumPy bodies / not recorded):
+    #: a note beside the wall ratios, never a failure — results are identical
+    native_differs: tuple | None = None
 
     @property
     def regressions(self) -> list[CaseDelta]:
@@ -117,6 +121,7 @@ class Comparison:
             },
             "only_old": list(self.only_old),
             "only_new": list(self.only_new),
+            "native_differs": self.native_differs,
         }
 
 
@@ -142,11 +147,13 @@ def compare_suites(
         for name in old_by
         if name in new_by
     ]
+    kernels = tuple((suite.environment or {}).get("native") for suite in (old, new))
     return Comparison(
         deltas=deltas,
         threshold=threshold,
         only_old=sorted(set(old_by) - set(new_by)),
         only_new=sorted(set(new_by) - set(old_by)),
+        native_differs=kernels if kernels[0] != kernels[1] else None,
     )
 
 

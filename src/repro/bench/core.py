@@ -177,30 +177,44 @@ class BenchResult:
         )
 
 
+def _environment() -> dict:
+    """Where and on what a suite ran, incl. which particle kernels."""
+    import numpy
+
+    from repro import native
+    from repro.parallel_exec import resolve_workers
+
+    kernels = native.status()
+    return {
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "numpy": numpy.__version__,
+        "workers": bench_workers(),
+        "cores": resolve_workers("auto"),
+        "commit": _git_commit(),
+        "native": (
+            {"active": True, "compiler": kernels.compiler, "flags": list(kernels.flags)}
+            if kernels.active
+            else {"active": False, "reason": kernels.reason}
+        ),
+    }
+
+
 @dataclass
 class SuiteResult:
     """All case results of one suite run, serializable to ``BENCH_<suite>.json``."""
 
     suite: str
     results: list[BenchResult]
+    #: the ``environment`` block of a loaded file; a fresh run stamps its own
+    environment: dict | None = None
 
     def to_dict(self) -> dict:
         """The full ``repro-bench/1`` document."""
-        import numpy
-
-        from repro.parallel_exec import resolve_workers
-
         return {
             "schema": SCHEMA,
             "suite": self.suite,
-            "environment": {
-                "python": platform.python_version(),
-                "platform": platform.platform(),
-                "numpy": numpy.__version__,
-                "workers": bench_workers(),
-                "cores": resolve_workers("auto"),
-                "commit": _git_commit(),
-            },
+            "environment": _environment() if self.environment is None else self.environment,
             "cases": {r.name: r.to_dict() for r in self.results},
         }
 
@@ -221,4 +235,4 @@ class SuiteResult:
         results = [
             BenchResult.from_dict(name, case) for name, case in data["cases"].items()
         ]
-        return cls(suite=data.get("suite", "unknown"), results=results)
+        return cls(data.get("suite", "unknown"), results, data.get("environment", {}))

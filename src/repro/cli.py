@@ -879,6 +879,11 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
             print(f"  only in old: {name}")
         for name in comparison.only_new:
             print(f"  only in new: {name}")
+        if comparison.native_differs:
+            old_kernels, new_kernels = comparison.native_differs
+            print(f"  note: particle kernels differ (environment.native): "
+                  f"old {old_kernels or 'not recorded'}, new {new_kernels or 'not recorded'}; "
+                  "wall ratios compare different code, results must not")
         verdict = "OK" if comparison.ok else (
             f"FAILED: {len(comparison.regressions)} tier-1 regression(s), "
             f"{len(comparison.behaviour_changes)} case(s) with changed "

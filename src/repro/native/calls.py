@@ -1,0 +1,179 @@
+"""The ctypes face of ``pic_kernels.c`` and its load-time self-check.
+
+Every :class:`Kernels` method answers ``None`` (``False`` for the push)
+when the caller has to run the NumPy body instead: an argument is not a
+C-contiguous array of the expected dtype and shape (no silent copies —
+least of all of in-place outputs), or the C loop reported a float
+exception, a non-finite result or an out-of-range index, which NumPy
+then turns into its own warning, exception or NaN.  The C loops write
+only output buffers, all fresh but the deposit's ``acc``: a bad index
+leaves that untouched (the NumPy body then raises, as it always did,
+before writing), a flagged call leaves it for the NumPy body to refill.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import threading
+
+import numpy as np
+
+__all__ = ["Kernels", "self_check"]
+
+_I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+_SIGNATURES = {
+    "cic": (_I64, _PTR, _PTR, _F64, _F64, _F64, _F64, _I64, _I64, _PTR, _PTR),
+    "deposit": (_I64, *[_PTR] * 6, _I64, _PTR, _PTR, _I64, _I64, _PTR, _PTR),
+    "interpolate": (_I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR),
+    "boris_push": (_I64, *[_PTR] * 9, _F64, _F64, _F64, _PTR),
+}
+
+
+def _plain(dtype, shape, *arrays) -> bool:
+    """Every array is a C-contiguous ndarray of this dtype and shape."""
+    return all(
+        isinstance(a, np.ndarray) and a.dtype == dtype and a.shape == shape and a.flags.c_contiguous
+        for a in arrays
+    )
+
+
+def _ptr(*arrays):
+    return [a.ctypes.data for a in arrays]
+
+
+class Kernels:
+    """The four entry points of a loaded ``pic_kernels`` library."""
+
+    def __init__(self, lib: ctypes.CDLL) -> None:
+        self._lib = lib  # keeps the library mapped
+        # the push's staging block, kept per thread and only ever grown
+        # (40 bytes per particle): a fresh block per call is page-faulted in
+        # every step, ~0.7 ms of a ~10 ms Fig 17 iteration (7/8 pairs,
+        # benchmarks/results/pr22_native_kernels.json "staging_block")
+        self._staging = threading.local()
+        for name, argtypes in _SIGNATURES.items():
+            entry = getattr(lib, name)
+            entry.argtypes, entry.restype = argtypes, ctypes.c_int
+            setattr(self, "_" + name, entry)
+
+    def cic(self, grid, x, y):
+        """``Grid2D.cic_vertices_weights``: ``(nodes, weights)`` or ``None``."""
+        if not (isinstance(x, np.ndarray) and x.ndim == 1 and _plain(np.float64, x.shape, x, y)):
+            return None
+        n = x.shape[0]
+        nodes, weights = np.empty((n, 4), dtype=np.int64), np.empty((n, 4))
+        failed = self._cic(
+            n, *_ptr(x, y), grid.lx, grid.ly, grid.dx, grid.dy, grid.nx, grid.ny,
+            *_ptr(nodes, weights),
+        )  # fmt: skip
+        return None if failed else (nodes, weights)
+
+    def deposit(self, parts, weights, dest, pair_of, acc, nslots):
+        """Deposit one CIC entry group by destination into ``acc``
+        ``(4, nnodes)``; the ``(4, nslots)`` ghost-slot sums or ``None``."""
+        n, nnodes = parts.n, acc.shape[-1]
+        columns = (parts.ux, parts.uy, parts.uz, parts.q, parts.w)
+        if not (
+            _plain(np.float64, (n,), *columns)
+            and _plain(np.float64, (n, 4), weights)
+            and _plain(np.float64, (4, nnodes), acc)
+            and _plain(np.int64, (n,), pair_of)
+            and _plain(np.int64, (len(dest), 4), dest)
+        ):
+            return None
+        summed = np.empty((4, nslots))
+        failed = self._deposit(
+            n, *_ptr(weights, *columns), len(dest), *_ptr(dest, pair_of), nnodes, nslots,
+            *_ptr(acc, summed),
+        )  # fmt: skip
+        return None if failed else summed
+
+    def interpolate(self, by_node, nodes, weights):
+        """``gather_from_node_values`` on node-major values: ``(ncomp, n)`` or ``None``."""
+        n = len(nodes)
+        if not (
+            _plain(np.int64, (n, 4), nodes)
+            and _plain(np.float64, (n, 4), weights)
+            and by_node.ndim == 2
+            and _plain(np.float64, by_node.shape, by_node)
+        ):
+            return None
+        nnodes, ncomp = by_node.shape
+        out = np.empty((ncomp, n))
+        failed = self._interpolate(n, ncomp, nnodes, *_ptr(by_node, nodes, weights, out))
+        return None if failed else out
+
+    def boris_push(self, grid, parts, e, b, dt) -> bool:
+        """``boris_push`` after its validation, in place; ``False``: nothing written."""
+        n = parts.n
+        columns = (parts.x, parts.y, parts.ux, parts.uy, parts.uz, parts.q, parts.m)
+        if not (_plain(np.float64, (n,), *columns) and _plain(np.float64, (3, n), e, b)):
+            return False
+        block = getattr(self._staging, "block", None)
+        if block is None or block.size < 5 * n:
+            block = self._staging.block = np.empty(5 * n)
+        out = block[: 5 * n].reshape(5, n)
+        if self._boris_push(n, *_ptr(*columns, e, b), dt, grid.lx, grid.ly, out.ctypes.data):
+            return False
+        parts.ux[:], parts.uy[:], parts.uz[:], parts.x[:], parts.y[:] = out
+        return True
+
+
+def self_check(found: Kernels) -> str | None:
+    """Name the first entry point whose bytes differ from its NumPy body's.
+
+    Known answers on 257 particles of a non-square grid: positions on the
+    edges and far outside, signed zeros among the field values, both
+    einsum association orders (``ncomp`` 1 and 6).
+    """
+    from repro.mesh.grid import Grid2D
+    from repro.particles.arrays import ParticleArray
+    from repro.parallel_exec.kernels import deposit_numpy
+    from repro.pic.interpolation import interpolate_numpy
+    from repro.pic.push import push_numpy
+
+    def same(got, want) -> bool:
+        """Byte equality of two array tuples; a declined call (``None``) is a mismatch."""
+        return got is not None and all(
+            g is not None and g.tobytes() == w.tobytes() for g, w in zip(got, want)
+        )
+
+    rng = np.random.default_rng(22)
+    grid, n, dt = Grid2D(16, 8, lx=10.0, ly=3.0), 257, 0.37
+    x, y = rng.uniform(-25.0, 35.0, (2, n))
+    x[:5] = 0.0, grid.lx, -1e-18, -0.0, 1e8 * grid.lx
+    u = rng.normal(0.0, 0.8, (3, n))
+    parts = ParticleArray(
+        x, y, *u, rng.choice([-1.0, 1.0], n), rng.uniform(0.5, 2.0, n), rng.random(n), np.arange(n)
+    )
+    vertices = grid.cic_from_axes(grid.cic_axis(x, 0), grid.cic_axis(y, 1))
+    if not same(found.cic(grid, x, y), vertices):
+        return "cic"
+    nodes, weights = vertices
+
+    npairs, nslots = 40, 13
+    dest = rng.integers(0, grid.nnodes + nslots, (npairs, 4))
+    pair_of = rng.integers(0, npairs, n)
+    acc, want_acc = np.empty((2, 4, grid.nnodes))
+    want_summed = deposit_numpy(grid, parts, vertices, dest, pair_of, want_acc, nslots)
+    summed = found.deposit(parts, weights, dest, pair_of, acc, nslots)
+    if not same((summed, acc), (want_summed, want_acc)):
+        return "deposit"
+
+    fields = rng.normal(0.0, 1.0, (6, grid.nnodes))
+    fields[:, :9] = 0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 1.0
+    for rows in (fields, fields[4:5]):
+        by_node = np.ascontiguousarray(rows.T)
+        got = found.interpolate(by_node, nodes, weights)
+        if not same((got,), (interpolate_numpy(by_node, nodes, weights),)):
+            return "interpolate"
+
+    pushed, want = parts.copy(), parts.copy()
+    e, b = fields[:3].take(nodes[:, 0], axis=1), fields[3:].take(nodes[:, 3], axis=1)
+    push_numpy(grid, want, e, b, dt)
+    columns = ("x", "y", "ux", "uy", "uz")
+    if not found.boris_push(grid, pushed, e, b, dt) or not same(
+        [getattr(pushed, c) for c in columns], [getattr(want, c) for c in columns]
+    ):
+        return "boris_push"
+    return None

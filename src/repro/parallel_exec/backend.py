@@ -28,6 +28,7 @@ import weakref
 
 import numpy as np
 
+from repro import native
 from repro.machine.batch import MessageBatch
 from repro.parallel_exec.kernels import classify_chunk
 from repro.parallel_exec.pool import WorkerError, WorkerPool
@@ -102,6 +103,7 @@ def create_backend(workers, grid, arena_tag: str = "flat", reason_sink=None):
         return fallback("no fork start method on this platform")
     if not shared_memory_available():
         return fallback("multiprocessing.shared_memory is not usable")
+    native.kernels()  # build and load before the fork: workers inherit it, none compiles
     try:
         return FlatBackend(n, grid, arena_tag=arena_tag)
     except Exception as exc:  # pragma: no cover - startup race/oddity

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import native
 from repro.machine.batch import MessageBatch
 from repro.particles.arrays import MATRIX_COLUMNS, ParticleArray
 from repro.pic.deposition import CHANNELS, deposit_by_destination, deposition_entries, ghost_slots
@@ -32,6 +33,7 @@ from repro.pic.push import boris_push
 
 __all__ = [
     "scatter_segment",
+    "deposit_numpy",
     "merge_ghost_messages",
     "reduce_rank_rows",
     "gather_push_slice",
@@ -53,10 +55,11 @@ def scatter_segment(
 
     Owner lookup and duplicate removal run on the distinct ``(rank,
     cell)`` pairs (:func:`~repro.pic.deposition.ghost_slots`), never on
-    the entries; one ``bincount`` per channel over the entries'
-    destinations then sums in pooled entry order, so the floats are
-    those of per-rank ghost tables
-    (:func:`~repro.pic.deposition.deposit_by_destination`).
+    the entries; every entry is then added to its destination in pooled
+    entry order, so the floats are those of per-rank ghost tables — by
+    the compiled ``deposit`` loop of :mod:`repro.native`, which never
+    materialises the entries, or by its NumPy body
+    (:func:`deposit_numpy`), bit for bit the same.
 
     Parameters
     ----------
@@ -82,13 +85,13 @@ def scatter_segment(
     """
     nranks = int(counts.shape[0])
     vertices = grid.cic_vertices_weights(parts.x, parts.y)
-    nodes, values = deposition_entries(grid, parts, vertices)
     particle_ranks = np.repeat(np.arange(nranks, dtype=np.int64), counts)
-    slots = ghost_slots(grid, node_owner, particle_ranks, nodes[:, :1].T, r0)
-    summed = np.empty((len(CHANNELS), slots.nodes.size))
-    deposit_by_destination(
-        slots.dest[slots.pair_of[0]].ravel(), values.reshape(len(CHANNELS), -1), out_row, summed
-    )
+    slots = ghost_slots(grid, node_owner, particle_ranks, vertices[0][:, :1].T, r0)
+    deposit_args = (slots.dest, slots.pair_of[0], out_row, slots.nodes.size)
+    compiled = native.kernels()
+    summed = compiled.deposit(parts, vertices[1], *deposit_args) if compiled is not None else None
+    if summed is None:
+        summed = deposit_numpy(grid, parts, vertices, *deposit_args)
     # a particle brings one ghost entry per off-rank vertex of its pair's cell
     off_vertices = (slots.dest >= grid.nnodes).sum(axis=1)
     entries_per_rank = np.bincount(
@@ -97,6 +100,19 @@ def scatter_segment(
     uniq_per_rank = np.bincount(slots.ranks, minlength=nranks)
     batch = MessageBatch.coalesce(slots.ranks + np.int64(r0), slots.owners, slots.nodes, summed)
     return vertices, entries_per_rank, uniq_per_rank, batch
+
+
+def deposit_numpy(grid, parts, vertices, dest, pair_of, out_row, nslots: int) -> np.ndarray:
+    """The NumPy body of the deposit in :func:`scatter_segment`, fallback
+    and oracle of the compiled loop: the ``(4, n, 4)`` entry values, each
+    entry's destination ``dest[pair_of]``, one ``bincount`` per channel.
+    Fills ``out_row`` and returns the ``(4, nslots)`` ghost-slot sums."""
+    _, values = deposition_entries(grid, parts, vertices)
+    summed = np.empty((len(CHANNELS), nslots))
+    deposit_by_destination(
+        dest[pair_of].ravel(), values.reshape(len(CHANNELS), -1), out_row, summed
+    )
+    return summed
 
 
 def merge_ghost_messages(acc: np.ndarray, batch: MessageBatch) -> None:

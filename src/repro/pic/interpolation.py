@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import native
 from repro.mesh.fields import FieldState
 from repro.mesh.grid import Grid2D
 from repro.particles.arrays import ParticleArray
 
-__all__ = ["gather_from_node_values", "interpolate_fields"]
+__all__ = ["gather_from_node_values", "interpolate_numpy", "interpolate_fields"]
 
 
 def gather_from_node_values(
@@ -43,11 +44,22 @@ def gather_from_node_values(
         ``(ncomp, n)`` interpolated values at particles.
     """
     # Node-major copy: a vertex reads one 8 * ncomp-byte row, not ncomp
-    # values nnodes * 8 bytes apart.  ``node_values[:, nodes]`` lays its
-    # result out vertex-major too, so einsum sees the same memory and
-    # sums in the same order: the floats are that formulation's.
+    # values nnodes * 8 bytes apart.
     by_node = np.ascontiguousarray(node_values.T)
-    gathered = by_node.take(nodes.ravel(), axis=0).reshape(nodes.shape + (len(node_values),))
+    compiled = native.kernels()
+    found = compiled.interpolate(by_node, nodes, weights) if compiled is not None else None
+    return interpolate_numpy(by_node, nodes, weights) if found is None else found
+
+
+def interpolate_numpy(by_node: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The NumPy body of :func:`gather_from_node_values` on node-major
+    ``(nnodes, ncomp)`` values: fallback and oracle of the compiled loop.
+
+    ``node_values[:, nodes]`` lays its result out vertex-major too, so
+    einsum sees the same memory and sums in the same order: the floats
+    are that formulation's.
+    """
+    gathered = by_node.take(nodes.ravel(), axis=0).reshape(nodes.shape + by_node.shape[1:])
     return np.einsum("nvc,nv->cn", gathered, weights)
 
 

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import native
 from repro.mesh.grid import Grid2D
 from repro.particles.arrays import ParticleArray
 from repro.util import require
 
-__all__ = ["boris_push"]
+__all__ = ["boris_push", "push_numpy"]
 
 
 def boris_push(
@@ -50,7 +51,16 @@ def boris_push(
     require(e.shape == (3, n) and b.shape == (3, n), "e and b must be (3, n)")
     if n and particles.m.min() <= 0:
         raise ValueError("boris_push requires strictly positive particle masses")
+    compiled = native.kernels()
+    if compiled is None or not compiled.boris_push(grid, particles, e, b, float(dt)):
+        push_numpy(grid, particles, e, b, dt)
 
+
+def push_numpy(
+    grid: Grid2D, particles: ParticleArray, e: np.ndarray, b: np.ndarray, dt: float
+) -> None:
+    """The NumPy body of :func:`boris_push` after its validation:
+    fallback and oracle of the compiled loop."""
     qmdt2 = 0.5 * dt * particles.q / particles.m  # (n,)
 
     # half electric acceleration

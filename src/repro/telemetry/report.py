@@ -20,8 +20,8 @@ policies or a fault-recovered run against its fault-free twin.
 
 This module is also the home of the generic text-rendering primitives
 (:func:`format_table`, :func:`ascii_series`) shared by the bench
-harness, the job-service report, and the batch rollup —
-``repro.analysis.report`` re-exports them for backwards compatibility.
+harness, the job-service report, and the batch rollup (the
+``repro.analysis`` package re-exports them beside its tables).
 """
 
 from __future__ import annotations

@@ -5,9 +5,32 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import native
 from repro.machine import MachineModel, VirtualMachine
 from repro.mesh import CurveBlockDecomposition, Grid2D
 from repro.particles import gaussian_blob, uniform_plasma
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--numpy-kernels",
+        action="store_true",
+        help="run every test on the NumPy kernel bodies, as on a host without a C compiler",
+    )
+
+
+@pytest.fixture
+def numpy_kernels(monkeypatch):
+    """Force the NumPy bodies of the particle kernels: what ``repro.native``
+    answers after a failed build (forked workers inherit it)."""
+    forced = (None, native.NativeStatus(False, "forced by the numpy_kernels fixture"))
+    monkeypatch.setattr(native, "_loaded", forced)
+
+
+@pytest.fixture(autouse=True)
+def _kernel_path(request):
+    if request.config.getoption("--numpy-kernels"):
+        request.getfixturevalue("numpy_kernels")
 
 
 @pytest.fixture

@@ -99,9 +99,11 @@ class TestTrajectoryFormat:
         assert doc["schema"] == SCHEMA
         assert doc["suite"] == "unit"
         assert set(doc["environment"]) == {
-            "python", "platform", "numpy", "workers", "cores", "commit"
+            "python", "platform", "numpy", "workers", "cores", "commit", "native"
         }
         assert doc["environment"]["workers"] == 0 and doc["environment"]["cores"] >= 1
+        kernels = doc["environment"]["native"]  # compiler + flags, or why not
+        assert set(kernels) == ({"active", "compiler", "flags"} if kernels["active"] else {"active", "reason"})
         case = doc["cases"]["c1"]
         assert case["wall"]["min"] == 0.25
         assert case["wall"]["mean"] == pytest.approx(0.375)
@@ -110,7 +112,7 @@ class TestTrajectoryFormat:
         assert case["op_counts"] == {"flop": 2.0}
 
         loaded = SuiteResult.load(path)
-        assert loaded.suite == "unit"
+        assert loaded.suite == "unit" and loaded.environment == doc["environment"]
         assert loaded.results[0].wall_min == 0.25
         assert loaded.results[0].op_counts == {"flop": 2.0}
 
@@ -245,5 +247,25 @@ class TestBenchCLI:
         pn = suite.save(tmp_path / "new.json")
         assert main(["bench", "compare", str(po), str(pn), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["ok"] is True
+        assert doc["ok"] is True and doc["native_differs"] is None
         assert doc["cases"]["hot"]["wall_ratio"] == pytest.approx(1.0)
+
+    def test_compare_notes_different_kernels_without_failing(self, tmp_path, capsys, numpy_kernels):
+        """Files from the compiled kernels and from the NumPy bodies differ
+        in wall only: a note, exit 0 — also against a file that predates
+        the ``native`` stamp."""
+        forced = SuiteResult(suite="s", results=[_result("hot", [1.0])]).save(tmp_path / "new.json")
+        stamped = json.loads(forced.read_text())
+        assert stamped["environment"]["native"] == {
+            "active": False, "reason": "forced by the numpy_kernels fixture"
+        }  # fmt: skip
+        stamped["environment"]["native"] = {"active": True, "compiler": "/usr/bin/cc", "flags": ["-O2"]}
+        (tmp_path / "old.json").write_text(json.dumps(stamped))
+        del stamped["environment"]["native"]
+        (tmp_path / "older.json").write_text(json.dumps(stamped))
+        for old, said in (("old.json", "'compiler': '/usr/bin/cc'"), ("older.json", "old not recorded")):
+            assert main(["bench", "compare", str(tmp_path / old), str(forced)]) == 0
+            out = capsys.readouterr().out
+            assert "note: particle kernels differ" in out and said in out and "bench compare: OK" in out
+        assert main(["bench", "compare", str(forced), str(forced)]) == 0
+        assert "note:" not in capsys.readouterr().out

@@ -1,0 +1,501 @@
+"""The compiled particle kernels reproduce their NumPy bodies byte for byte.
+
+``repro.native`` puts four C loops behind ``Grid2D.cic_vertices_weights``,
+``scatter_segment``'s deposit, ``gather_from_node_values`` and
+``boris_push``.  The NumPy bodies stay as fallback and oracle, and the
+contract is equality *by bytes* — on ordinary inputs through the C loop
+(asserted: a comparison that silently took the fallback proves nothing),
+on exceptional ones through the fallback the C loop asks for, with the
+warnings and errors NumPy raises.  The loader may fail in many ways and
+each must end in the NumPy bodies, a reason, and the same results.
+"""
+
+import json
+import os
+import shutil
+import stat
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import native
+from repro.machine import FaultEvent, FaultPlan
+from repro.mesh import CurveBlockDecomposition, Grid2D
+from repro.parallel_exec.kernels import deposit_numpy
+from repro.particles import ParticleArray
+from repro.pic import Simulation, SimulationConfig
+from repro.pic.deposition import ghost_slots
+from repro.pic.interpolation import gather_from_node_values, interpolate_numpy
+from repro.pic.push import boris_push, push_numpy
+from repro.util.errors import SimulationIntegrityError
+
+GRIDS = [Grid2D(32, 16), Grid2D(16, 8, lx=10.0, ly=3.0), Grid2D(7, 5, lx=1.0, ly=2.5)]
+SIZES = [0, 1, 7, 5000]
+PUSHED = ("x", "y", "ux", "uy", "uz")
+
+
+@pytest.fixture(scope="module")
+def compiled():
+    """The loaded library itself — whatever ``--numpy-kernels`` forces on
+    the functions that use it."""
+    found, status = native.load()
+    if not status.active:  # CI asserts status().active after tier-1, so this cannot hide there
+        pytest.skip(f"no compiled kernels on this host: {status.reason}")
+    return found
+
+
+def _cic_numpy(grid, x, y):
+    return grid.cic_from_axes(grid.cic_axis(x, 0), grid.cic_axis(y, 1))
+
+
+def _particles(grid, n, seed, charge_scale=1.0):
+    """Random particles; the first five sit at 0, ``lx``, ``-1e-18``,
+    ``-0.0`` and ``1e8 * lx`` (and the y likewise, rotated)."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2 * grid.lx, 3 * grid.lx, n)
+    y = rng.uniform(-2 * grid.ly, 3 * grid.ly, n)
+    edge = np.array([0.0, 1.0, -1e-18, -0.0, 1e8])
+    x[:5] = (edge * [1, grid.lx, 1, 1, grid.lx])[:n]
+    y[:5] = np.roll(edge * [1, grid.ly, 1, 1, grid.ly], 2)[:n]
+    u = rng.normal(0.0, 1.5, (3, n))
+    q = rng.choice([-1.0, 1.0], n) * charge_scale
+    mass, weight = rng.uniform(0.5, 2.0, n), rng.uniform(0.1, 2.0, n)
+    return ParticleArray(x, y, *u, q, mass, weight, np.arange(n))
+
+
+def _same(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+cases = st.tuples(st.sampled_from(GRIDS), st.sampled_from(SIZES), st.integers(0, 2**31))
+
+
+# ----------------------------------------------------------------------
+# each entry point against its NumPy body
+# ----------------------------------------------------------------------
+class TestBytes:
+    @settings(max_examples=40, deadline=None)
+    @given(cases)
+    def test_cic(self, compiled, case):
+        grid, n, seed = case
+        parts = _particles(grid, n, seed)
+        got = compiled.cic(grid, parts.x, parts.y)
+        assert got is not None
+        _same(got, _cic_numpy(grid, parts.x, parts.y))
+
+    @settings(max_examples=40, deadline=None)
+    @given(cases, st.sampled_from([1, 4]), st.sampled_from([1.0, 1e-310, 3e-320]))
+    def test_deposit(self, compiled, case, p, charge_scale):
+        """Every shard of a ``p``-rank run (``p`` = 1: no ghost slot;
+        the later shards start at ``r0 > 0``), also with subnormal charges."""
+        grid, n, seed = case
+        parts = _particles(grid, n, seed, charge_scale)
+        vertices = compiled.cic(grid, parts.x, parts.y)
+        owner = CurveBlockDecomposition(grid, p, "hilbert").owner_map
+        rng = np.random.default_rng(seed)
+        cuts = np.sort(rng.integers(0, n + 1, p - 1))
+        counts = np.diff(np.concatenate(([0], cuts, [n])))
+        for r0 in range(p):  # one-rank shards, so r0 runs over 0..p-1
+            lo = int(counts[:r0].sum())
+            shard = parts.slice_view(lo, lo + int(counts[r0]))
+            shard_vertices = tuple(v[lo : lo + shard.n] for v in vertices)
+            ranks = np.zeros(shard.n, dtype=np.int64)
+            slots = ghost_slots(grid, owner, ranks, shard_vertices[0][:, :1].T, r0)
+            assert p > 1 or slots.nodes.size == 0
+            args = (slots.dest, slots.pair_of[0])
+            acc, want_acc = np.empty((2, 4, grid.nnodes))
+            summed = compiled.deposit(shard, shard_vertices[1], *args, acc, slots.nodes.size)
+            assert summed is not None
+            want = deposit_numpy(grid, shard, shard_vertices, *args, want_acc, slots.nodes.size)
+            _same((acc, summed), (want_acc, want))
+
+    @settings(max_examples=40, deadline=None)
+    @given(cases, st.sampled_from([1, 2, 3, 6]))
+    def test_interpolate(self, compiled, case, ncomp):
+        grid, n, seed = case
+        rng = np.random.default_rng(seed)
+        parts = _particles(grid, n, seed)
+        nodes, weights = compiled.cic(grid, parts.x, parts.y)
+        node_values = rng.normal(size=(ncomp, grid.nnodes)) * 10.0 ** rng.uniform(-8, 8, (ncomp, 1))
+        node_values[:, rng.integers(0, grid.nnodes, 6)] = np.array([0.0, -0.0] * 3)
+        blocks = [node_values] + [node_values[row : row + 1] for row in range(ncomp)]
+        for block in blocks:
+            by_node = np.ascontiguousarray(block.T)
+            got = compiled.interpolate(by_node, nodes, weights)
+            assert got is not None
+            _same((got,), (interpolate_numpy(by_node, nodes, weights),))
+
+    @settings(max_examples=40, deadline=None)
+    @given(cases, st.sampled_from([0.05, 0.5, 7.0]))
+    def test_boris_push(self, compiled, case, dt):
+        grid, n, seed = case
+        rng = np.random.default_rng(seed)
+        got, want = _particles(grid, n, seed), _particles(grid, n, seed)
+        e, b = rng.normal(0.0, 2.0, (2, 3, n))
+        e[:, ::5], b[:, ::7] = 0.0, -0.0
+        assert compiled.boris_push(grid, got, e, b, dt)
+        push_numpy(grid, want, e, b, dt)
+        _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
+        assert np.all((got.x >= 0) & (got.x < grid.lx) & (got.y >= 0) & (got.y < grid.ly))
+
+
+# ----------------------------------------------------------------------
+# exceptional inputs: the C loop declines, NumPy answers as it always did
+# ----------------------------------------------------------------------
+class TestDeclined:
+    grid = GRIDS[1]
+
+    def test_bad_node_ids_raise_numpys_index_error(self, compiled):
+        parts = _particles(self.grid, 50, 0)
+        nodes, weights = compiled.cic(self.grid, parts.x, parts.y)
+        values = np.ones((3, self.grid.nnodes))
+        for bad in (self.grid.nnodes, 2**62, -self.grid.nnodes - 1):
+            broken = nodes.copy()
+            broken[17, 2] = bad
+            assert compiled.interpolate(np.ascontiguousarray(values.T), broken, weights) is None
+            with pytest.raises(IndexError):
+                gather_from_node_values(values, broken, weights)
+        nodes[3, 1] = -1  # NumPy counts from the end; the C loop leaves that to it
+        ramp = values * np.arange(self.grid.nnodes)
+        want = interpolate_numpy(np.ascontiguousarray(ramp.T), nodes, weights)
+        _same((gather_from_node_values(ramp, nodes, weights),), (want,))
+
+    def test_bad_destinations_raise_what_numpy_raises(self, compiled):
+        parts = _particles(self.grid, 50, 1)
+        vertices = compiled.cic(self.grid, parts.x, parts.y)
+        dest = self.grid.cell_vertices(np.arange(self.grid.ncells))
+        acc = np.random.default_rng(1).normal(size=(4, self.grid.nnodes))
+        before = acc.copy()  # the caller's row: a rejected deposit must not have zeroed it
+        beyond, from_the_end = np.full(50, self.grid.ncells), np.full(50, -1)
+        for pair_of in (beyond, from_the_end):  # the second is NumPy's to wrap around
+            assert compiled.deposit(parts, vertices[1], dest, pair_of, acc, 0) is None
+        with pytest.raises(IndexError):
+            deposit_numpy(self.grid, parts, vertices, dest, beyond, acc, 0)
+        broken, cells = dest.copy(), vertices[0][:, 0].copy()
+        broken[0, 0] = -5
+        assert compiled.deposit(parts, vertices[1], broken, cells, acc, 0) is None
+        with pytest.raises(ValueError):
+            deposit_numpy(self.grid, parts, vertices, broken, cells, acc, 0)
+        _same((acc,), (before,))
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    def test_non_finite_positions_warn_as_numpy_does(self, compiled, poison):
+        parts = _particles(self.grid, 20, 2)
+        parts.y[11] = poison
+        assert compiled.cic(self.grid, parts.x, parts.y) is None
+        with warnings.catch_warnings(record=True) as numpy_said:
+            warnings.simplefilter("always")
+            want = _cic_numpy(self.grid, parts.x, parts.y)
+        with warnings.catch_warnings(record=True) as we_said:
+            warnings.simplefilter("always")
+            got = self.grid.cic_vertices_weights(parts.x, parts.y)
+        assert [str(w.message) for w in we_said] == [str(w.message) for w in numpy_said] != []
+        _same(got, want)
+
+    @pytest.mark.parametrize(
+        "column, value", [("ux", np.nan), ("x", np.inf), ("uz", 1e200), ("q", np.inf)]
+    )
+    def test_push_declines_before_writing(self, compiled, column, value):
+        """Non-finite state, and an overflow whose results are finite again
+        (NumPy warns about the square): nothing may have been written."""
+        got, want = _particles(self.grid, 40, 3), _particles(self.grid, 40, 3)
+        for parts in (got, want):
+            getattr(parts, column)[9] = value
+        before = got.copy()
+        e, b = np.random.default_rng(3).normal(size=(2, 3, 40))
+        assert not compiled.boris_push(self.grid, got, e, b, 0.3)
+        _same([getattr(got, c) for c in PUSHED], [getattr(before, c) for c in PUSHED])
+        with warnings.catch_warnings(record=True) as numpy_said:
+            warnings.simplefilter("always")
+            push_numpy(self.grid, want, e, b, 0.3)
+        with warnings.catch_warnings(record=True) as we_said:
+            warnings.simplefilter("always")
+            boris_push(self.grid, got, e, b, 0.3)
+        assert [str(w.message) for w in we_said] == [str(w.message) for w in numpy_said]
+        _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
+
+    def test_non_finite_fields_and_momenta_take_the_numpy_floats(self, compiled):
+        parts = _particles(self.grid, 30, 4)
+        nodes, weights = compiled.cic(self.grid, parts.x, parts.y)
+        values = np.random.default_rng(4).normal(size=(6, self.grid.nnodes))
+        values[2, nodes[5, 1]] = np.nan
+        values[4, nodes[8, 0]] = -np.inf
+        by_node = np.ascontiguousarray(values.T)
+        assert compiled.interpolate(by_node, nodes, weights) is None
+        want = interpolate_numpy(by_node, nodes, weights)
+        _same((gather_from_node_values(values, nodes, weights),), (want,))
+        parts.ux[7] = 1e200  # ux**2 overflows: NumPy warns, so must we
+        dest = self.grid.cell_vertices(np.arange(self.grid.ncells))
+        acc = np.empty((4, self.grid.nnodes))
+        assert compiled.deposit(parts, weights, dest, nodes[:, 0].copy(), acc, 0) is None
+
+    def test_views_and_other_dtypes_are_not_copied_in(self, compiled):
+        """Strided or float32 arguments take the NumPy body — never a
+        silent copy-in / copy-out of the in-place push."""
+        parts = _particles(self.grid, 64, 5)
+        strided = ParticleArray(*(getattr(parts, name)[::2] for name in ParticleArray.__slots__))
+        assert compiled.cic(self.grid, strided.x, strided.y) is None
+        assert compiled.cic(self.grid, parts.x.astype(np.float32), parts.y) is None
+        assert compiled.cic(self.grid, list(parts.x), list(parts.y)) is None
+        e, b = np.random.default_rng(5).normal(size=(2, 3, strided.n))
+        assert not compiled.boris_push(self.grid, strided, e, b, 0.2)
+        full = np.random.default_rng(5).normal(size=(6, parts.n))
+        assert not compiled.boris_push(self.grid, parts, full[::2], full[1::2], 0.2)
+        nodes, weights = compiled.cic(self.grid, parts.x, parts.y)
+        values = np.ones((2, self.grid.nnodes))
+        assert compiled.interpolate(values.T, nodes, weights) is None  # not C-contiguous
+        by_node = np.ascontiguousarray(values.T)
+        assert compiled.interpolate(by_node, nodes[::2], weights[::2]) is None
+        reference = strided.copy()
+        boris_push(self.grid, strided, e, b, 0.2)  # the public function still serves the view
+        push_numpy(self.grid, reference, e, b, 0.2)
+        _same([getattr(strided, c) for c in PUSHED], [getattr(reference, c) for c in PUSHED])
+        _same([parts.x[::2], parts.ux[::2]], [reference.x, reference.ux])
+
+
+# ----------------------------------------------------------------------
+# the loader's failure taxonomy
+# ----------------------------------------------------------------------
+def _cic_works_without(monkeypatch, answer):
+    """With ``answer`` installed as the loader's, results are the NumPy bodies'."""
+    monkeypatch.setattr(native, "_loaded", answer)
+    grid, parts = GRIDS[1], _particles(GRIDS[1], 100, 6)
+    assert native.kernels() is None and native.status() is answer[1]
+    _same(grid.cic_vertices_weights(parts.x, parts.y), _cic_numpy(grid, parts.x, parts.y))
+
+
+def _built_cache(tmp_path) -> Path:
+    cache = tmp_path / "cache"
+    found, status = native.load(cache)
+    if not status.active:
+        pytest.skip(f"no compiled kernels on this host: {status.reason}")
+    assert Path(status.library).parent == cache
+    return cache
+
+
+class TestLoader:
+    def test_builds_into_a_private_cache_and_leaves_nothing_else(self, tmp_path):
+        cache = _built_cache(tmp_path)
+        (library,) = cache.iterdir()
+        assert library.suffix == ".so" and stat.S_IMODE(cache.stat().st_mode) == 0o700
+        assert not library.stat().st_mode & 0o022
+        again, status = native.load(cache, cc="/nonexistent/cc")  # cached under its own name
+        assert not status.active
+
+    def test_compiler_missing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        answer = native.load(tmp_path / "cache")
+        assert answer[0] is None and not answer[1].active and "no C compiler" in answer[1].reason
+        _cic_works_without(monkeypatch, answer)
+
+    def test_compiler_cannot_be_run(self, tmp_path, monkeypatch):
+        answer = native.load(tmp_path / "cache", cc=str(tmp_path / "no-such-cc"))
+        assert not answer[1].active and "did not run" in answer[1].reason
+        assert list((tmp_path / "cache").iterdir()) == []
+        _cic_works_without(monkeypatch, answer)
+
+    def test_compiler_exits_non_zero(self, tmp_path, monkeypatch):
+        fake = tmp_path / "cc"
+        fake.write_text("#!/bin/sh\necho 'pic_kernels.c:1: error: no' >&2\nexit 3\n")
+        fake.chmod(0o700)
+        answer = native.load(tmp_path / "cache", cc=str(fake))
+        assert not answer[1].active
+        assert "exited 3" in answer[1].reason and "error: no" in answer[1].reason
+        assert list((tmp_path / "cache").iterdir()) == []  # no temporary left behind
+        _cic_works_without(monkeypatch, answer)
+
+    def test_truncated_cached_library(self, compiled, tmp_path, monkeypatch):
+        """Never handed to ``dlopen`` (which dies of SIGBUS on it), and not
+        found again by the next process either: it is removed and the library
+        built once more; only if that fails too do the NumPy bodies run."""
+        wrapper = tmp_path / "cc"  # a compiler of our own, to break it later
+        wrapper.write_text(f'#!/bin/sh\nexec {shutil.which("cc")} "$@"\n')
+        wrapper.chmod(0o700)
+        cache = tmp_path / "cache"
+        found, status = native.load(cache, cc=str(wrapper))
+        assert status.active
+        whole = Path(status.library).read_bytes()
+
+        def truncate(name):
+            (cache / name).unlink(missing_ok=True)  # a new file: the old one may be mapped here
+            (cache / name).write_bytes(whole[:4096])
+            (cache / name).chmod(0o700)
+
+        truncate(Path(status.library).name)
+        found, status = native.load(cache, cc=str(wrapper))
+        (rebuilt,) = cache.iterdir()
+        assert status.active and status.library == str(rebuilt) and rebuilt.stat().st_size > 4096
+        parts = _particles(GRIDS[1], 100, 6)
+        _same(found.cic(GRIDS[1], parts.x, parts.y), _cic_numpy(GRIDS[1], parts.x, parts.y))
+
+        # a damaged library that sorts before an intact one does not hide it
+        truncate(rebuilt.name.rpartition("-")[0] + "-0000000000000000.so")
+        status = native.load(cache, cc=str(wrapper))[1]
+        assert status.active and list(cache.iterdir()) == [rebuilt]
+
+        truncate(rebuilt.name)
+        wrapper.write_text("#!/bin/sh\nexit 3\n")
+        answer = native.load(cache, cc=str(wrapper))
+        assert not answer[1].active and "exited 3" in answer[1].reason
+        assert list(cache.iterdir()) == []  # the next process starts clean
+        _cic_works_without(monkeypatch, answer)
+
+    def test_library_without_the_entry_points(self, compiled, tmp_path, monkeypatch):
+        """A compiler that builds something else: loading must not trust it."""
+        fake = tmp_path / "cc"
+        cc = shutil.which("cc")  # the output path is the loader's ninth argument
+        fake.write_text(f'#!/bin/sh\ncat > /dev/null\nexec {cc} -shared -x c /dev/null -o "$9"\n')
+        fake.chmod(0o700)
+        answer = native.load(tmp_path / "cache", cc=str(fake))
+        assert not answer[1].active and "cannot load" in answer[1].reason
+        _cic_works_without(monkeypatch, answer)
+
+    @pytest.mark.parametrize("mode", [0o770, 0o707, 0o777])
+    def test_cache_writable_by_others(self, tmp_path, monkeypatch, mode):
+        cache = _built_cache(tmp_path)
+        cache.chmod(mode)
+        answer = native.load(cache)
+        assert not answer[1].active and "not a private" in answer[1].reason
+        _cic_works_without(monkeypatch, answer)
+
+    def test_cache_owned_by_another_user(self, tmp_path, monkeypatch):
+        cache = _built_cache(tmp_path)
+        me = os.getuid()
+        monkeypatch.setattr(native.os, "getuid", lambda: me + 1)
+        answer = native.load(cache)
+        assert not answer[1].active and "not a private" in answer[1].reason
+        monkeypatch.undo()
+        _cic_works_without(monkeypatch, answer)
+
+    def test_library_is_a_symlink_or_writable_by_others(self, tmp_path):
+        cache = _built_cache(tmp_path)
+        (library,) = cache.iterdir()
+        library.chmod(0o722)
+        assert not native.load(cache)[1].active
+        real = tmp_path / "elsewhere.so"
+        library.chmod(0o700)
+        library.rename(real)
+        library.symlink_to(real)
+        assert "not a private" in native.load(cache)[1].reason
+
+    def test_cache_cannot_be_created(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        answer = native.load(blocker / "cache")
+        assert not answer[1].active and answer[1].reason
+
+    def test_self_check_mismatch_drops_the_library(self, compiled, tmp_path, monkeypatch):
+        """A library whose floats differ (here: a fused multiply-add build
+        would do it) is not used."""
+        import repro.native.calls as calls
+
+        monkeypatch.setattr(calls, "self_check", lambda found: "interpolate")
+        answer = native.load(tmp_path / "cache")
+        assert not answer[1].active and "self-check: interpolate" in answer[1].reason
+        _cic_works_without(monkeypatch, answer)
+
+    def test_two_processes_building_at_once(self, compiled, tmp_path):
+        """Both end with a whole library: the build goes through a private
+        temporary name and ``os.replace``."""
+        cache = tmp_path / "cache"
+        code = (
+            "import sys; from repro import native; found, status = native.load(sys.argv[1]); "
+            "assert status.active, status.reason; print(status.library)"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        builders = [
+            subprocess.Popen(
+                [sys.executable, "-c", code, str(cache)], env=env, stdout=subprocess.PIPE
+            )
+            for _ in range(2)
+        ]
+        libraries = {p.communicate(timeout=120)[0].decode().strip() for p in builders}
+        assert all(p.returncode == 0 for p in builders)
+        assert len(libraries) == 1 and [str(f) for f in cache.iterdir()] == list(libraries)
+        assert native.load(cache)[1].active
+
+    def test_status_names_compiler_and_flags(self, compiled):
+        found, status = native.load()
+        assert status.active and status.reason is None
+        assert Path(status.compiler).name == "cc" and status.flags == native.FLAGS
+        assert "-ffp-contract=off" in native.FLAGS and "-ffast-math" not in native.FLAGS
+        assert not any(flag.startswith("-march") for flag in native.FLAGS)
+
+
+# ----------------------------------------------------------------------
+# whole runs: compiled == NumPy bodies, by bytes
+# ----------------------------------------------------------------------
+def _fingerprint(config, faults=None, workers=0, iterations=6):
+    sim = Simulation(config, workers=workers)
+    if faults is not None:
+        sim.install_faults(faults)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a poisoned run warns on both paths alike
+            try:  # as text: a poisoned run's NaNs must compare equal
+                document = json.dumps(sim.run(iterations).to_dict(), sort_keys=True)
+            except SimulationIntegrityError as exc:  # strict guards: the error is the result
+                document = repr(exc)
+        parts, fields = sim.pic.all_particles(), sim.pic.fields
+        state = [getattr(parts, name).tobytes() for name in ParticleArray.__slots__]
+        state += [
+            getattr(fields, name).tobytes()
+            for name in ("rho", "jx", "jy", "jz", "ex", "ey", "ez", "bx", "by", "bz")
+        ]
+    finally:
+        sim.close()  # unmaps a worker pool's shared particle columns
+    return document, state, sim.vm.state_dict()
+
+
+_BASE = dict(nx=32, ny=16, nparticles=1500, p=5, seed=4, distribution="irregular", policy="dynamic")
+_POISON = FaultPlan(events=(FaultEvent(kind="poison", iteration=2, phase="scatter"),))
+_RUNS = {
+    "era-hash": (dict(), None, 0),
+    "era-workers2": (dict(), None, 2),
+    "era-direct-eulerian": (
+        dict(ghost_table="direct", movement="eulerian", partitioning="grid"), None, 0
+    ),
+    "electrostatic-periodic": (dict(field_solver="electrostatic", policy="periodic:2"), None, 0),
+    "modern": (dict(kernel="modern"), None, 0),
+    "modern-snake-p1": (dict(kernel="modern", scheme="snake", p=1), None, 0),
+    "poisoned-scatter": (dict(guards="warn"), _POISON, 0),
+    "poisoned-strict-workers2": (dict(guards="strict"), _POISON, 2),
+    "poisoned-modern": (dict(kernel="modern", guards="warn"), _POISON, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RUNS))
+def test_runs_are_identical_on_either_path(name, request):
+    """Result document, particles, ten fields and the machine's state."""
+    overrides, faults, workers = _RUNS[name]
+    config = SimulationConfig(**{**_BASE, **overrides})
+    compiled_run = _fingerprint(config, faults, workers)
+    request.getfixturevalue("numpy_kernels")
+    assert native.kernels() is None
+    assert _fingerprint(config, faults, workers) == compiled_run
+
+
+def test_backend_loads_the_library_before_it_forks(monkeypatch):
+    """Pool workers inherit the loaded library (or the decision against
+    it); none of them compiles."""
+    import repro.parallel_exec.backend as backend
+
+    events = []
+    fork = backend.FlatBackend
+    monkeypatch.setattr(native, "kernels", lambda: events.append("load"))
+    monkeypatch.setattr(
+        backend, "FlatBackend", lambda *a, **k: events.append("fork") or fork(*a, **k)
+    )
+    made = backend.create_backend(2, GRIDS[0])
+    if made is None:
+        pytest.skip("no multicore backend on this platform")
+    made.close()
+    assert events == ["load", "fork"]

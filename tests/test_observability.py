@@ -349,11 +349,11 @@ class TestTop:
 # ----------------------------------------------------------------------
 class TestReportConsolidation:
     def test_analysis_reexports_are_the_same_objects(self):
-        from repro.analysis import report as old
-        from repro.telemetry import report as new
+        import repro.analysis as package
+        from repro.telemetry import report as home
 
-        assert old.format_table is new.format_table
-        assert old.ascii_series is new.ascii_series
+        assert package.format_table is home.format_table
+        assert package.ascii_series is home.ascii_series
 
     def test_telemetry_package_exports(self):
         import repro.telemetry as t

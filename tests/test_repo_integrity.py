@@ -77,6 +77,30 @@ class TestPackageMetadata:
         for name in pic.__all__:
             assert hasattr(pic, name), name
 
+    def test_built_package_ships_the_kernel_source(self, tmp_path):
+        """``repro.native`` compiles ``pic_kernels.c`` on first use, so an
+        installed package needs it beside the loader: build the package
+        (a copy, so no egg-info lands in the tree) and look."""
+        pytest.importorskip("setuptools")
+        import shutil
+        import subprocess
+        import sys
+
+        from repro import native
+
+        assert native.SOURCE.is_file() and native.SOURCE.parent == ROOT / "src/repro/native"
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / name, tmp_path / name)
+        shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        subprocess.run(
+            [sys.executable, "-W", "ignore", "-c", "from setuptools import setup; setup()",
+             "-q", "build_py", "--build-lib", "built"],
+            cwd=tmp_path, check=True, capture_output=True, timeout=120,
+        )  # fmt: skip
+        built = tmp_path / "built/repro/native"
+        assert (built / "pic_kernels.c").read_bytes() == native.SOURCE.read_bytes()
+        assert not list(built.glob("*.so")), "no build product belongs in the package"
+
     def test_license_present(self):
         assert (ROOT / "LICENSE").read_text().startswith("MIT License")
 
