@@ -40,11 +40,11 @@ SCHEMA = "repro-bench/1"
 
 
 def bench_workers() -> int:
-    """Worker count of the multicore cases (``REPRO_BENCH_WORKERS``).
+    """Worker count of the shard-thread cases (``REPRO_BENCH_WORKERS``).
 
     The committed baseline is recorded at the default (0 = in-process),
     so a run with ``REPRO_BENCH_WORKERS=4`` compared against it
-    measures the multicore backend's wall speedup at a vm_ratio of
+    measures the thread backend's wall speedup at a vm_ratio of
     exactly 1.0 — the backend is accounting-invariant by contract.
     """
     from repro.parallel_exec import resolve_workers

@@ -4,11 +4,8 @@ Timing uses ``time.perf_counter`` around the case body only (setup is
 untimed).  Garbage collection is paused during timed sections so a
 collection triggered by an earlier case cannot be billed to a later one.
 Peak RSS comes from ``resource.getrusage`` where available (Linux
-reports KiB; macOS bytes are normalized to KiB) and covers the whole
-process tree: reaped children via ``RUSAGE_CHILDREN`` plus any *live*
-multicore-backend workers via ``/proc/<pid>/status`` — a multicore
-bench case must not under-report memory just because its particle pool
-lives in worker processes.
+reports KiB; macOS bytes are normalized to KiB) for the bench process
+plus its reaped children (``RUSAGE_CHILDREN``).
 """
 
 from __future__ import annotations
@@ -22,32 +19,12 @@ from repro.bench.core import BenchCase, BenchObservation, BenchResult, SuiteResu
 __all__ = ["peak_rss_kb", "run_case", "run_suite"]
 
 
-def _live_children_peak_kb() -> int:
-    """Summed VmHWM (KiB) of live backend worker processes, 0 elsewhere."""
-    try:
-        from repro.parallel_exec import live_worker_pids
-    except Exception:  # pragma: no cover - partial install
-        return 0
-    total = 0
-    for pid in live_worker_pids():
-        try:
-            with open(f"/proc/{pid}/status") as fh:
-                for line in fh:
-                    if line.startswith("VmHWM:"):
-                        total += int(line.split()[1])
-                        break
-        except (OSError, ValueError, IndexError):  # pragma: no cover - racing exit
-            continue
-    return total
-
-
 def peak_rss_kb() -> int | None:
     """Peak resident-set size in KiB across the process tree, or ``None``.
 
-    ``RUSAGE_SELF`` covers the bench process, ``RUSAGE_CHILDREN`` covers
-    already-reaped children (their maxima fold in at wait time), and
-    live worker processes of the multicore flat backend are sampled from
-    ``/proc`` since rusage only sees them after they exit.
+    ``RUSAGE_SELF`` covers the bench process (shard threads included),
+    ``RUSAGE_CHILDREN`` already-reaped children (their maxima fold in at
+    wait time).
     """
     try:
         import resource
@@ -57,7 +34,7 @@ def peak_rss_kb() -> int | None:
     peak += resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     if sys.platform == "darwin":  # pragma: no cover - macOS reports bytes
         peak //= 1024
-    return int(peak) + _live_children_peak_kb()
+    return int(peak)
 
 
 def run_case(

@@ -41,8 +41,8 @@ _NPART = 8192
 _SEED = 3
 
 
-#: Problem size of the multicore flat-backend cases: enough particles
-#: per rank that kernel math dominates worker dispatch overhead.
+#: Problem size of the shard-thread cases: enough particles per rank
+#: that kernel math dominates the dispatch overhead.
 _NPART_MC = 262_144
 
 
@@ -122,7 +122,7 @@ def _step_eulerian(pic: ParallelPIC) -> BenchObservation:
 
 
 def _build_pic_mc() -> ParallelPIC:
-    """Large fixture for the multicore-backend cases.
+    """Large fixture for the shard-thread cases.
 
     The worker count comes from ``REPRO_BENCH_WORKERS`` so the same case
     measures the in-process baseline and the sharded backend.
@@ -142,7 +142,7 @@ def _build_pic_mc() -> ParallelPIC:
     suites=("smoke", "full"),
     tier=1,
     description="parallel scatter at 262k particles, "
-    "REPRO_BENCH_WORKERS processes (0 = in-process)",
+    "REPRO_BENCH_WORKERS threads (0 = in-process)",
     setup=_build_pic_mc,
 )
 def _scatter_workers(pic: ParallelPIC) -> BenchObservation:
@@ -154,7 +154,7 @@ def _scatter_workers(pic: ParallelPIC) -> BenchObservation:
     suites=("smoke", "full"),
     tier=1,
     description="one full PIC step at 262k particles, "
-    "REPRO_BENCH_WORKERS processes (0 = in-process)",
+    "REPRO_BENCH_WORKERS threads (0 = in-process)",
     setup=_build_pic_mc,
 )
 def _step_workers(pic: ParallelPIC) -> BenchObservation:

@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="invariant guards: warn reports conservation/finiteness "
                           "violations, strict raises SimulationIntegrityError")
     run.add_argument("--workers", default="0", metavar="N|auto",
-                     help="worker processes for the multicore backend "
+                     help="shard threads for the particle kernels "
                           "(era kernel only); 'auto' uses the "
                           "available cores; results are bit-identical for "
                           "every worker count")
@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the checkpointed guard severity; strict also "
                              "refuses legacy format-v1 checkpoints")
     resume.add_argument("--workers", default="0", metavar="N|auto",
-                        help="worker processes for the multicore flat backend; "
+                        help="shard threads for the particle kernels; "
                              "checkpoints never record a worker count, so any "
                              "value resumes bit-identically")
     resume.add_argument("--fault-plan", metavar="FILE.json",
@@ -495,7 +495,6 @@ def _timeout_arg(args: argparse.Namespace) -> float | None:
 def _on_run_timeout(sim: Simulation, args: argparse.Namespace, exc) -> int:
     """Watchdog expiry: save what we have, report, exit with code 124."""
     _save_telemetry(sim, args)
-    sim.close()
     ck = " (final checkpoint written)" if args.checkpoint_every else ""
     print(
         f"[timeout] {exc}{ck}",
@@ -510,21 +509,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     plan = _load_fault_plan(args.fault_plan)
     every, ck_path = _checkpoint_args(args)
-    sim = Simulation(config, workers=_workers_arg(args))
-    if plan is not None:
-        sim.install_faults(plan)
-    _maybe_enable_telemetry(sim, args)
-    try:
-        result = sim.run(
-            args.iterations,
-            checkpoint_every=every,
-            checkpoint_path=ck_path,
-            walltime=_timeout_arg(args),
-        )
-    except JobTimeout as exc:
-        return _on_run_timeout(sim, args, exc)
-    _save_telemetry(sim, args)
-    sim.close()
+    with Simulation(config, workers=_workers_arg(args)) as sim:
+        if plan is not None:
+            sim.install_faults(plan)
+        _maybe_enable_telemetry(sim, args)
+        try:
+            result = sim.run(
+                args.iterations,
+                checkpoint_every=every,
+                checkpoint_path=ck_path,
+                walltime=_timeout_arg(args),
+            )
+        except JobTimeout as exc:
+            return _on_run_timeout(sim, args, exc)
+        _save_telemetry(sim, args)
     return _emit_result(
         args, result, f"{args.iterations} iterations, p={config.p}"
     )
@@ -546,20 +544,20 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         raise SystemExit(str(exc))
     except CheckpointError as exc:
         raise SystemExit(f"cannot resume: {exc}")
-    if plan is not None:
-        sim.install_faults(plan)
-    _maybe_enable_telemetry(sim, args)
-    try:
-        result = sim.run(
-            args.iterations,
-            checkpoint_every=every,
-            checkpoint_path=ck_path,
-            walltime=_timeout_arg(args),
-        )
-    except JobTimeout as exc:
-        return _on_run_timeout(sim, args, exc)
-    _save_telemetry(sim, args)
-    sim.close()
+    with sim:
+        if plan is not None:
+            sim.install_faults(plan)
+        _maybe_enable_telemetry(sim, args)
+        try:
+            result = sim.run(
+                args.iterations,
+                checkpoint_every=every,
+                checkpoint_path=ck_path,
+                walltime=_timeout_arg(args),
+            )
+        except JobTimeout as exc:
+            return _on_run_timeout(sim, args, exc)
+        _save_telemetry(sim, args)
     return _emit_result(
         args,
         result,

@@ -138,8 +138,8 @@ def bucket_incremental_sort(
         (same length and order as ``state.keys``).
     classifier:
         Optional ``(keys, rank_of, lows, highs, splitters) ->
-        (dest, same)`` hook replacing the in-process classification pass
-        (the multicore backend's chunked workers).  Classification is
+        (dest, same)`` hook replacing the in-process classification
+        pass.  Classification is
         pure per-element integer work, so any implementation chunking is
         bit-identical to the serial pass — results and charges do not
         depend on it.

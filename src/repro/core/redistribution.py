@@ -48,8 +48,8 @@ class Redistributor:
         ``L`` buckets per rank for the incremental sort (paper Fig 12).
     classifier:
         Optional classification hook forwarded to
-        :func:`bucket_incremental_sort` (the multicore backend's chunked
-        workers); bit-identical results either way.
+        :func:`bucket_incremental_sort`; bit-identical results either
+        way.  ``Simulation`` passes none (ROADMAP item 4(d)).
     """
 
     def __init__(

@@ -5,9 +5,9 @@ sampler: the virtual machine opens a root section per phase (the
 ``vm.profiler`` dormant hook, mirroring ``vm.tracer``) and the flat
 engine opens nested sections around its kernels — deposition, rank-row
 reduction, interpolation, the Boris push, migration partitioning.
-Worker processes of the multicore backend time their handler bodies and
-ship the totals back through :meth:`merge_worker_samples`, so attribution
-reaches inside :mod:`repro.parallel_exec` workers too.
+The shard threads of :mod:`repro.parallel_exec` time each task and the
+backend hands the totals to :meth:`merge_worker_samples`, so attribution
+reaches inside the threads too.
 
 The profiler measures **host** wall time only.  It never reads or
 charges the virtual clocks, so results, ``vm.elapsed()`` and ``vm.ops``
@@ -33,7 +33,7 @@ from repro.util.atomic_io import atomic_write_text
 
 __all__ = ["PhaseProfiler", "maybe_section"]
 
-#: sub-frame under which worker-process handler timings are filed
+#: sub-frame under which the shard threads' task timings are filed
 WORKER_FRAME = "workers"
 
 
@@ -87,11 +87,11 @@ class PhaseProfiler:
             self.pop(name)
 
     def merge_worker_samples(self, samples: dict) -> None:
-        """Fold worker-process handler totals under the current stack.
+        """Fold shard-thread task totals under the current stack.
 
-        ``samples`` maps handler name to ``[count, seconds]`` as drained
-        from :meth:`repro.parallel_exec.pool.WorkerPool.drain_profile`.
-        Frames land under ``<current stack>/workers/<handler>`` — the
+        ``samples`` maps phase name to ``[count, seconds]`` as drained
+        from :meth:`repro.parallel_exec.FlatBackend.drain_profile`.
+        Frames land under ``<current stack>/workers/<phase>`` — the
         drain happens outside any phase, so the usual stack root is
         empty and the frames read ``workers;scatter`` etc.
         """

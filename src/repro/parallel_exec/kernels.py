@@ -1,13 +1,13 @@
-"""Segment kernels shared by the in-process path and the worker pool.
+"""Segment kernels shared by the in-process path and the shard threads.
 
 Every function here operates on a contiguous *rank-segment range* of the
 particle pool and is written so that running it once over ``[0, p)``
 (in-process execution) produces bit-identical results to running it
-over any partition of ``[0, p)`` into shards (the worker backend) —
+over any partition of ``[0, p)`` into shards (the thread backend) —
 the determinism contract of DESIGN.md §5.5:
 
 * per-element kernels (CIC vertices, deposition entries, field gather,
-  Boris push, key classification) are chunk-oblivious by construction;
+  Boris push) are chunk-oblivious by construction;
 * the only true floating-point reductions — on-rank deposition
   accumulation and ghost duplicate-removal sums — never mix ranks.  A
   node's on-rank ("mine") entries all come from the one rank that owns
@@ -26,7 +26,7 @@ import numpy as np
 
 from repro import native
 from repro.machine.batch import MessageBatch
-from repro.particles.arrays import MATRIX_COLUMNS, ParticleArray
+from repro.particles.arrays import ParticleArray
 from repro.pic.deposition import CHANNELS, deposit_by_destination, deposition_entries, ghost_slots
 from repro.pic.interpolation import gather_from_node_values
 from repro.pic.push import boris_push
@@ -37,9 +37,6 @@ __all__ = [
     "merge_ghost_messages",
     "reduce_rank_rows",
     "gather_push_slice",
-    "classify_chunk",
-    "partition_segment_by_dest",
-    "fill_sorted_matrix",
 ]
 
 
@@ -171,44 +168,3 @@ def gather_push_slice(
     nodes, weights = cic
     eb = gather_from_node_values(node_values, nodes, weights)
     boris_push(grid, parts, eb[:3], eb[3:], dt)
-
-
-def classify_chunk(
-    keys: np.ndarray,
-    rank_of: np.ndarray,
-    lows: np.ndarray,
-    highs: np.ndarray,
-    splitters: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Incremental-sort classification of one chunk of elements.
-
-    Returns ``(dest, same)``: the destination rank under the previous
-    epoch's splitters and the still-in-own-bucket mask.  Pure
-    per-element work (binary search + two comparisons).
-    """
-    dest = np.searchsorted(splitters, keys, side="left").astype(np.int64)
-    same = (dest == rank_of) & (keys >= lows) & (keys <= highs)
-    return dest, same
-
-
-def partition_segment_by_dest(dest: np.ndarray):
-    """Stable destination sort of one source-rank segment.
-
-    Returns ``(order, uniq_dests, starts)`` — identical to restricting
-    the pooled global stable sort by ``src * p + dest`` to this source
-    segment (every key in a segment shares the ``src`` term).
-    """
-    order = np.argsort(dest, kind="stable")
-    uniq, starts = np.unique(dest.take(order), return_index=True)
-    return order, uniq, starts
-
-
-def fill_sorted_matrix(parts: ParticleArray, order: np.ndarray, out: np.ndarray) -> None:
-    """Write ``parts`` rows permuted by ``order`` into a transport matrix.
-
-    Equivalent to ``parts.to_matrix().take(order, axis=0)`` without the
-    intermediate copy; ``out`` is ``(n, 9)`` float64 (ids are cast, exact
-    up to 2**53).
-    """
-    for j, name in enumerate(MATRIX_COLUMNS):
-        out[:, j] = getattr(parts, name)[order]

@@ -23,7 +23,7 @@ Association contract: an entry is "mine" when the depositing rank owns
 its node, so all of a node's on-rank entries come from one rank and the
 per-rank partials have *disjoint support*.  The per-rank oracle
 (``tests/_looped_oracle.py``) adds one bincount per rank; the pooled
-scatter (and the multicore backend's :mod:`repro.parallel_exec.kernels`)
+scatter (and the shard threads' :mod:`repro.parallel_exec.kernels`)
 runs one bincount over the pooled entries of a shard.  Either way a node
 sees exactly its owner's entries in pool order plus zeros, so deposition
 results are bit-identical to the oracle and across worker counts, not

@@ -62,10 +62,7 @@ from repro.pic.maxwell import MaxwellSolver
 from repro.pic.poisson import PoissonSolver
 from repro.pic.push import boris_push
 from repro.pic.smoothing import binomial_smooth
-from repro.machine.collectives import (
-    alltoall_concat,
-    exchange_by_destination_pooled,
-)
+from repro.machine.collectives import exchange_by_destination_pooled
 from repro.parallel_exec.kernels import (
     merge_ghost_messages,
     reduce_rank_rows,
@@ -80,9 +77,8 @@ class PooledParticles:
     """Pool management of the pooled steppers.
 
     A subclass keeps ``vm``, ``fields``, ``particles`` (the public per-rank
-    list), ``backend`` (a multicore backend or ``None``), ``_pool`` and
-    ``_cic_pool_cache`` (a CIC evaluation keyed by pool identity, dropped
-    whenever the pool changes).
+    list), ``_pool`` and ``_cic_pool_cache`` (a CIC evaluation keyed by
+    pool identity, dropped whenever the pool changes).
     """
 
     def _ensure_pool(self) -> ParticlePool:
@@ -92,17 +88,12 @@ class PooledParticles:
         redistributed particle lists between steps.  The pool is valid
         only while ``self.particles`` are exactly its segment views, so
         any external replacement triggers one concatenation rebuild here
-        (O(n) copy — everything downstream is views again).  With a
-        multicore backend the rebuilt pool's columns live in shared
-        memory so worker-side in-place kernels mutate the same pages.
+        (O(n) copy — everything downstream is views again).
         """
         pool = self._pool
         if pool is not None and pool.owns(self.particles):
             return pool
-        if self.backend is not None:
-            pool = self.backend.pool_from_ranks(self.particles)
-        else:
-            pool = ParticlePool.from_ranks(self.particles)
+        pool = ParticlePool.from_ranks(self.particles)
         self._install_pool(pool)
         return pool
 
@@ -157,10 +148,9 @@ class ParallelPIC(PooledParticles):
         machine — the global-communication pattern of the
         replicated-mesh codes the paper contrasts against).
     workers:
-        Number of OS worker processes for the hot kernels
-        (0/1 = in-process).  Ignored with a warning when the platform
-        cannot support the multicore backend; results are bit-identical
-        either way (the three-way parity contract, DESIGN.md §5.5).
+        Number of shard threads for the hot kernels (0/1 = in-process);
+        results are bit-identical either way (the three-way parity
+        contract, DESIGN.md §5.5).  Release them with :meth:`close`.
     backend:
         An existing :class:`~repro.parallel_exec.FlatBackend` to execute
         on (shared across recoveries by :class:`~repro.pic.simulation.Simulation`);
@@ -203,7 +193,7 @@ class ParallelPIC(PooledParticles):
 
             backend = create_backend(workers, grid)
             self._owns_backend = backend is not None
-        #: multicore execution backend (None = in-process kernels)
+        #: shard-thread execution backend (None = in-process kernels)
         self.backend = backend
         self.smoothing_passes = smoothing_passes
         self.field_solver = field_solver
@@ -288,7 +278,7 @@ class ParallelPIC(PooledParticles):
         nodes) host cost: on-rank entries of a node all come from its
         owner and ghost entries are summed per ``(rank, node)`` slot, both
         in pool order (:func:`~repro.pic.deposition.deposit_by_destination`),
-        independent of how a multicore backend shards the pool; what
+        independent of how a thread backend shards the pool; what
         *arrives* is merged by one seeded bincount
         (:func:`~repro.parallel_exec.kernels.merge_ghost_messages`).
         """
@@ -308,7 +298,7 @@ class ParallelPIC(PooledParticles):
                     rows, entries_per_rank, uniq_per_rank, batch = backend.scatter(
                         pool, self.node_owner
                     )
-                    # each worker holds its segment's CIC evaluation locally
+                    # the backend keeps each shard's CIC evaluation for the gather
                     self._cic_pool_cache = None
                 else:
                     rows = np.empty((1, nchannels, nnodes))
@@ -445,8 +435,8 @@ class ParallelPIC(PooledParticles):
             vm.charge_ops("push", pool.counts.astype(float))
             with maybe_section(prof, "boris_push"):
                 if backend is not None:
-                    # workers interpolate + push their pool slices in place,
-                    # reusing each slice's scatter-time CIC evaluation
+                    # shard threads interpolate + push their pool slices in
+                    # place, reusing each slice's scatter-time CIC evaluation
                     backend.gather_push(pool, node_values, self.dt)
                 elif pool.n:
                     boris_push(grid, pool.array, eb[:3], eb[3:], self.dt)
@@ -473,38 +463,24 @@ class ParallelPIC(PooledParticles):
         """Move particles to the owner of their (new) cell.
 
         One owner lookup and one sorted exchange over the pool.
-        With a multicore backend the owner lookup, per-segment stable
-        destination sort, and transport-matrix packing all run in the
-        workers; the send dicts they produce are byte-identical to
-        :func:`exchange_by_destination_pooled`'s partitioning, so the
-        machine sees the same messages either way.
         """
         vm = self.vm
-        backend = self.backend
         prof = self.profiler
         with vm.phase("migration"):
             pool = self._ensure_pool()
-            if backend is not None:
-                vm.charge_ops("index", pool.counts.astype(float))
-                with maybe_section(prof, "partition"):
-                    sends = backend.migration_sends(pool, self.decomp.owner_map)
-                with maybe_section(prof, "exchange"):
-                    received = alltoall_concat(vm, sends)
-                    self._install_pool(backend.pool_from_matrices(received))
-            else:
-                with maybe_section(prof, "partition"):
-                    parts = pool.array
-                    cells = self.grid.cell_id_of_positions(parts.x, parts.y)
-                    owner = self.decomp.owner_of_cells(cells)
-                    matrix = parts.to_matrix()
-                vm.charge_ops("index", pool.counts.astype(float))
-                with maybe_section(prof, "exchange"):
-                    received = exchange_by_destination_pooled(vm, matrix, owner, pool.offsets)
-                    self._install_pool(ParticlePool.from_matrices(received))
+            with maybe_section(prof, "partition"):
+                parts = pool.array
+                cells = self.grid.cell_id_of_positions(parts.x, parts.y)
+                owner = self.decomp.owner_of_cells(cells)
+                matrix = parts.to_matrix()
+            vm.charge_ops("index", pool.counts.astype(float))
+            with maybe_section(prof, "exchange"):
+                received = exchange_by_destination_pooled(vm, matrix, owner, pool.offsets)
+                self._install_pool(ParticlePool.from_matrices(received))
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the multicore backend if this stepper created it.
+        """Join the shard threads if this stepper created them (idempotent).
 
         Backends passed in via ``backend=`` belong to their creator
         (:class:`~repro.pic.simulation.Simulation` keeps one across

@@ -126,8 +126,6 @@ class ParallelYeePIC(PooledParticles):
         #: host-wall sections around the kernels; it never touches the
         #: virtual clocks (DESIGN.md §5.8)
         self.profiler = None
-        #: the multicore backend is not wired to this stepper
-        self.backend = None
         self._pool: ParticlePool | None = None
         # The scatter's unshifted CIC ``(pool, nodes, weights)``: positions
         # stay put until the next push, so the next gather's (0, 0)

@@ -300,13 +300,13 @@ class Simulation:
     :meth:`from_checkpoint` and continued produces the same result object
     as the uninterrupted run (the exact-resume contract, DESIGN.md §5.2).
 
-    ``workers`` (int or ``"auto"``) enables the multicore shared-memory
-    backend for the era kernel's hot loops.  It is deliberately *not*
+    ``workers`` (int or ``"auto"``) runs the era kernel's hot loops on
+    that many shard threads.  It is deliberately *not*
     part of :class:`SimulationConfig`: worker count is an execution
     detail — results, checkpoints, and telemetry are byte-stable across
     worker counts (DESIGN.md §5.5) — so it never appears in serialized
-    configs or checkpoints.  Call :meth:`close` (or drop the instance)
-    to release the worker processes.
+    configs or checkpoints.  Call :meth:`close` (or use the instance as
+    a context manager) to join the threads.
     """
 
     def __init__(self, config: SimulationConfig, *, workers: int | str = 0) -> None:
@@ -332,30 +332,22 @@ class Simulation:
         self.partitioner = ParticlePartitioner(self.grid, config.scheme)
         self.decomp = self._build_decomposition()
         local = self._initial_assignment()
-        #: multicore execution backend (None = in-process kernels); owned
+        #: shard-thread execution backend (None = in-process kernels); owned
         #: by the Simulation and shared across rank-failure recoveries
         self.backend = None
         #: degraded-mode marker: ``None`` for a true run of the requested
         #: configuration; a ``{"requested_workers", "reason"}`` dict when
-        #: a multicore request silently fell back to in-process execution
-        #: (results identical, wall-clock not) — surfaced in
-        #: ``SimulationResult.to_dict()`` and the telemetry header so
-        #: batch reports can tell real multicore runs from fallbacks.
+        #: ``workers`` was requested for a kernel the backend does not
+        #: serve and the run is in-process (results identical, wall-clock
+        #: not) — surfaced in ``SimulationResult.to_dict()`` and the
+        #: telemetry header so batch reports can tell the two apart.
         self.degraded: dict | None = None
         from repro.parallel_exec import create_backend, resolve_workers
 
         requested = resolve_workers(workers)
         if requested > 1:
             if config.kernel == "era":
-                reasons: list[str] = []
-                self.backend = create_backend(
-                    workers, self.grid, reason_sink=reasons.append
-                )
-                if self.backend is None:
-                    self.degraded = {
-                        "requested_workers": requested,
-                        "reason": reasons[0] if reasons else "backend unavailable",
-                    }
+                self.backend = create_backend(requested, self.grid)
             else:
                 import warnings
 
@@ -378,11 +370,7 @@ class Simulation:
         self.policy = make_policy(config.policy)
         self.policy.bind(self.vm)
         if config.movement == "lagrangian":
-            self.redistributor = Redistributor(
-                self.partitioner,
-                nbuckets=config.nbuckets,
-                classifier=self.backend.classify if self.backend is not None else None,
-            )
+            self.redistributor = Redistributor(self.partitioner, nbuckets=config.nbuckets)
             # Measure the setup distribution on the machine to seed the
             # dynamic policy's T_redistribution, then reset the clock so
             # run time starts at the first iteration (as in the paper).
@@ -453,17 +441,13 @@ class Simulation:
         )
 
     def close(self) -> None:
-        """Release the multicore backend's workers and shared memory.
+        """Join the backend's shard threads.
 
-        Idempotent; a no-op for in-process runs.  Also triggered by
-        garbage collection, but long-lived drivers (benchmarks, test
-        loops) should call it explicitly to bound worker-process count.
+        Idempotent; a no-op for in-process runs.
         """
         if self.backend is not None:
             self.backend.close()
-            self.backend = None
-        if getattr(self, "pic", None) is not None:
-            self.pic.backend = None
+            self.backend = self.pic.backend = None
 
     def __enter__(self) -> "Simulation":
         return self
@@ -499,7 +483,7 @@ class Simulation:
         """Attach a :class:`~repro.obs.profile.PhaseProfiler` to this run.
 
         The virtual machine opens a host-wall section per phase and the
-        stepper nests kernel sections inside (worker-process handler
+        stepper nests kernel sections inside (the shard threads' task
         timings included, drained at :meth:`save_profile`).  Idempotent;
         returns the profiler.  Profiling only reads the host clock —
         results, ``vm.elapsed()``, and ``vm.ops`` stay bit-identical to
@@ -510,10 +494,12 @@ class Simulation:
 
             self.profiler = PhaseProfiler()
             self._wire_profiler()
+            if self.backend is not None:
+                self.backend.drain_profile()  # shard time from here on only
         return self.profiler
 
     def _wire_profiler(self) -> None:
-        """(Re-)attach the profiler to the current vm / stepper / backend.
+        """(Re-)attach the profiler to the current vm / stepper.
 
         Called at enable time and again after rank-failure recovery
         (which swaps the machine and rebuilds the stepper).
@@ -523,14 +509,12 @@ class Simulation:
             return
         self.vm.profiler = prof
         self.pic.profiler = prof
-        if self.backend is not None:
-            self.backend.set_profiling(True)
 
     def save_profile(self, directory) -> list[Path]:
         """Export collapsed-stack ``.folded`` files (one per phase).
 
-        Drains any worker-process handler timings from the multicore
-        backend first; requires :meth:`enable_profiling`.
+        Drains the backend's shard-task timings first; requires
+        :meth:`enable_profiling`.
         """
         require(self.profiler is not None, "profiling is not enabled on this run")
         if self.backend is not None:
@@ -903,11 +887,7 @@ class Simulation:
             self.rebalancer = AdaptiveMeshRebalancer(self.grid, cfg.scheme)
         self.redistributor = None
         if cfg.movement == "lagrangian":
-            self.redistributor = Redistributor(
-                self.partitioner,
-                nbuckets=cfg.nbuckets,
-                classifier=self.backend.classify if self.backend is not None else None,
-            )
+            self.redistributor = Redistributor(self.partitioner, nbuckets=cfg.nbuckets)
             local = self.redistributor.initialize(vm, local).particles
 
         # -- rebuild the stepper on the shrunk machine ----------------------
@@ -1067,7 +1047,7 @@ class Simulation:
         ``guards="strict"`` a legacy format-v1 file is refused with
         :class:`CheckpointError` instead of loading degraded.
 
-        ``workers`` enables the multicore backend for the resumed run —
+        ``workers`` enables the shard-thread backend for the resumed run —
         a checkpoint never records a worker count (execution detail),
         so any run can resume with any ``workers`` value and produce
         bit-identical results.

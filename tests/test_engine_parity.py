@@ -7,7 +7,7 @@ identical per-rank clocks, and identical per-phase message statistics
 as the per-rank loops kept in ``tests/_looped_oracle.py``.  Physical
 state (particles, fields) is pinned at ``atol=1e-12`` against the
 oracle; since the pooled scatter adopted the per-rank deposition
-association the two actually agree bit-for-bit, and the multicore
+association the two actually agree bit-for-bit, and the shard-thread
 backend (``workers=N``) is *required* to: sharding may never perturb a
 single bit of state or accounting (DESIGN.md §5.5).
 
@@ -15,25 +15,15 @@ In this file ``"looped"`` names the oracle (``LoopedPIC``) and
 ``"flat"`` the product stepper (``ParallelPIC``).
 """
 
-import multiprocessing
-
 import numpy as np
 import pytest
 
 from repro.core import ParticlePartitioner
 from repro.machine import FaultEvent, FaultPlan, MachineModel, VirtualMachine
 from repro.mesh import CurveBlockDecomposition, Grid2D
-from repro.parallel_exec import shared_memory_available
 from repro.particles import ParticleArray, ParticlePool, gaussian_blob, uniform_plasma
 from repro.pic import ParallelPIC, Simulation, SimulationConfig
 from tests._looped_oracle import STEPPERS, LoopedSimulation
-
-needs_multicore = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods()
-    or not shared_memory_available(),
-    reason="fork or multiprocessing.shared_memory unavailable",
-)
-
 
 def _build(engine, *, p=6, movement="lagrangian", ghost_table="hash",
            field_solver="maxwell", n=1200, rng=21, **kwargs):
@@ -187,7 +177,6 @@ class TestMulticoreParity:
                 err_msg=f"field {field} not bit-identical across worker counts",
             )
 
-    @needs_multicore
     @pytest.mark.parametrize("movement", ["lagrangian", "eulerian"])
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_workers_bit_identical(self, workers, movement):
@@ -202,7 +191,6 @@ class TestMulticoreParity:
         finally:
             pic_w.close()
 
-    @needs_multicore
     def test_three_way_accounting(self):
         """oracle ≡ pooled ≡ pooled+workers on the same virtual machine run."""
         vm_l, pic_l = _build("looped")
@@ -219,7 +207,6 @@ class TestMulticoreParity:
         finally:
             pic_w.close()
 
-    @needs_multicore
     def test_workers_survive_repartition(self):
         """Pool rebuilds (redistribution-style) keep worker runs identical."""
         _, pic_s = _build("flat")

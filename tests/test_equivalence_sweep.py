@@ -8,8 +8,6 @@ toggle) and asserts that the parallel PIC equals its per-rank oracle
 reference — the strongest single invariant in the library.
 """
 
-import multiprocessing
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,15 +22,9 @@ from repro.mesh import (
     Grid2D,
     ScatterDecomposition,
 )
-from repro.parallel_exec import shared_memory_available
 from repro.particles import gaussian_blob, uniform_plasma
 from repro.pic import ParallelPIC, SequentialPIC
 from tests._looped_oracle import STEPPERS, LoopedPIC
-
-_MULTICORE_OK = (
-    "fork" in multiprocessing.get_all_start_methods() and shared_memory_available()
-)
-
 
 @st.composite
 def configurations(draw):
@@ -45,8 +37,7 @@ def configurations(draw):
     decomp_kind = draw(st.sampled_from(["curve", "block", "scatter"]))
     movement = draw(st.sampled_from(["lagrangian", "eulerian"]))
     field_solver = draw(st.sampled_from(["maxwell", "electrostatic"]))
-    # Where fork/shm is unavailable workers stays 0.
-    workers = draw(st.sampled_from([0, 1, 2, 4])) if _MULTICORE_OK else 0
+    workers = draw(st.sampled_from([0, 1, 2, 4]))
     dist = draw(st.sampled_from(["uniform", "blob"]))
     seed = draw(st.integers(0, 10**6))
     steps = draw(st.integers(1, 4))

@@ -483,19 +483,35 @@ def test_runs_are_identical_on_either_path(name, request):
     assert _fingerprint(config, faults, workers) == compiled_run
 
 
-def test_backend_loads_the_library_before_it_forks(monkeypatch):
-    """Pool workers inherit the loaded library (or the decision against
-    it); none of them compiles."""
-    import repro.parallel_exec.backend as backend
+def test_shard_threads_racing_the_first_load_build_once(compiled, monkeypatch, tmp_path):
+    """The first ``native.kernels()`` of a process may come from two shard
+    threads at once: one of them builds, loads and self-checks, the other
+    waits for that answer."""
+    from repro.native import calls
+    from repro.parallel_exec import FlatBackend
+    from repro.particles import ParticlePool
 
     events = []
-    fork = backend.FlatBackend
-    monkeypatch.setattr(native, "kernels", lambda: events.append("load"))
-    monkeypatch.setattr(
-        backend, "FlatBackend", lambda *a, **k: events.append("fork") or fork(*a, **k)
-    )
-    made = backend.create_backend(2, GRIDS[0])
-    if made is None:
-        pytest.skip("no multicore backend on this platform")
-    made.close()
-    assert events == ["load", "fork"]
+    build, check = native._build, calls.self_check
+    monkeypatch.setattr(native, "_build", lambda *a: events.append("build") or build(*a))
+    monkeypatch.setattr(calls, "self_check", lambda k: events.append("check") or check(k))
+    monkeypatch.setattr(native, "load", lambda load=native.load: load(tmp_path / "cache"))
+    monkeypatch.setattr(native, "_loaded", None)  # as in a process that has not asked yet
+
+    grid = GRIDS[0]
+    parts = _particles(grid, 600, seed=2)
+    pool = ParticlePool(parts, np.array([0, 300, 600]))
+    got = []
+
+    def spy(*args, kernels=native.kernels):
+        got.append(kernels())
+        return got[-1]
+
+    monkeypatch.setattr(native, "kernels", spy)
+    backend = FlatBackend(2, grid)
+    try:
+        backend.gather_push(pool, np.zeros((6, grid.nnodes)), 0.05)
+    finally:
+        backend.close()
+    assert events == ["build", "check"]
+    assert len(got) > 2 and got[0] is not None and all(k is got[0] for k in got)

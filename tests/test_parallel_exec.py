@@ -1,39 +1,26 @@
-"""Multicore flat backend: shm arena, worker pool, sharding, fallback,
-and the Simulation-level bit-identity contract across worker counts
-(accounting, results, fault recovery, checkpoint/resume)."""
+"""Shard-thread backend: sharding, byte-equality of the fan-outs with one
+in-process kernel call, error propagation, and the Simulation-level
+bit-identity contract across worker counts (accounting, results, fault
+recovery, checkpoint/resume)."""
 
 import json
-import multiprocessing
+import sys
+import threading
+import time
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.core import ParticlePartitioner
 from repro.machine import FaultEvent, FaultPlan
-from repro.mesh import Grid2D
-from repro.parallel_exec import (
-    FlatBackend,
-    SharedArena,
-    ShmArray,
-    ShmAttachCache,
-    WorkerError,
-    WorkerPool,
-    create_backend,
-    live_worker_pids,
-    resolve_workers,
-    shared_memory_available,
-)
+from repro.mesh import CurveBlockDecomposition, Grid2D
+from repro.parallel_exec import FlatBackend, create_backend, resolve_workers
+from repro.parallel_exec.kernels import gather_push_slice, reduce_rank_rows, scatter_segment
+from repro.particles import ParticlePool, gaussian_blob
 from repro.pic import Simulation, SimulationConfig
-from repro.pic.checkpoint import load_checkpoint
+from repro.pic.deposition import CHANNELS
 from tests._looped_oracle import LoopedSimulation
-
-_MULTICORE_OK = (
-    "fork" in multiprocessing.get_all_start_methods() and shared_memory_available()
-)
-needs_multicore = pytest.mark.skipif(
-    not _MULTICORE_OK, reason="fork or multiprocessing.shared_memory unavailable"
-)
 
 
 # ----------------------------------------------------------------------
@@ -67,30 +54,6 @@ class TestGracefulFallback:
             assert create_backend(1, Grid2D(8, 8)) is None
             assert create_backend(None, Grid2D(8, 8)) is None
 
-    def test_no_shared_memory_warns_and_falls_back(self, monkeypatch):
-        from repro.parallel_exec import backend as backend_mod
-
-        monkeypatch.setattr(backend_mod, "shared_memory_available", lambda: False)
-        monkeypatch.setattr(backend_mod, "_warned", set())
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert create_backend(4, Grid2D(8, 8)) is None
-        # second construction is silent (one warning per process per reason)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert create_backend(4, Grid2D(8, 8)) is None
-
-    def test_simulation_never_crashes_without_shm(self, monkeypatch):
-        from repro.parallel_exec import backend as backend_mod
-
-        monkeypatch.setattr(backend_mod, "shared_memory_available", lambda: False)
-        monkeypatch.setattr(backend_mod, "_warned", set())
-        cfg = SimulationConfig(nx=16, ny=8, nparticles=256, p=2, seed=1)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            sim = Simulation(cfg, workers=4)
-        assert sim.backend is None
-        sim.run(1)  # in-process path, never crashes
-        sim.close()
-
     def test_workers_ignored_off_flat_era(self):
         cfg = SimulationConfig(
             nx=16, ny=8, nparticles=256, p=2, seed=1, kernel="modern"
@@ -102,24 +65,7 @@ class TestGracefulFallback:
 
 
 class TestDegradedObservability:
-    """A silent multicore fallback must be visible in results + telemetry."""
-
-    def test_fallback_sets_degraded_marker(self, monkeypatch):
-        from repro.parallel_exec import backend as backend_mod
-
-        monkeypatch.setattr(backend_mod, "shared_memory_available", lambda: False)
-        monkeypatch.setattr(backend_mod, "_warned", set())
-        cfg = SimulationConfig(nx=16, ny=8, nparticles=256, p=2, seed=1)
-        with pytest.warns(RuntimeWarning):
-            sim = Simulation(cfg, workers=4)
-        assert sim.degraded is not None
-        assert sim.degraded["requested_workers"] == 4
-        assert "shared" in sim.degraded["reason"]
-        telemetry = sim.enable_telemetry()
-        result = sim.run(1)
-        assert result.to_dict()["degraded"] == sim.degraded
-        assert telemetry.header()["degraded"] == sim.degraded
-        sim.close()
+    """An in-process run of a ``workers`` request must be visible in results + telemetry."""
 
     def test_engine_mismatch_sets_degraded_marker(self):
         cfg = SimulationConfig(
@@ -144,114 +90,8 @@ class TestDegradedObservability:
 
 
 # ----------------------------------------------------------------------
-# shared-memory arena
-# ----------------------------------------------------------------------
-@needs_multicore
-class TestSharedArena:
-    def test_array_roundtrip(self):
-        arena = SharedArena(tag="t")
-        try:
-            view, desc = arena.array("buf", (5, 3), np.float64)
-            view[...] = np.arange(15.0).reshape(5, 3)
-            assert desc.shape == (5, 3) and desc.nbytes == 15 * 8
-            cache = ShmAttachCache()
-            np.testing.assert_array_equal(
-                cache.get(desc), np.arange(15.0).reshape(5, 3)
-            )
-            cache.close()
-        finally:
-            arena.close()
-
-    def test_reuse_and_fresh(self):
-        arena = SharedArena(tag="t")
-        try:
-            _, d1 = arena.array("buf", (8,), np.float64)
-            _, d2 = arena.array("buf", (4,), np.float64)  # smaller: reuse
-            assert d2.name == d1.name
-            _, d3 = arena.array("buf", (64,), np.float64)  # grows: new block
-            assert d3.name != d1.name
-            pairs = arena.columns("buf", [((4,), np.float64)], fresh=True)
-            assert pairs[0][1].name != d3.name  # fresh forces a new block
-        finally:
-            arena.close()
-
-    def test_columns_offsets(self):
-        arena = SharedArena(tag="t")
-        try:
-            pairs = arena.columns(
-                "cols", [((4,), np.float64), ((4,), np.int64), ((2,), np.bool_)]
-            )
-            (a, da), (b, db), (c, dc) = pairs
-            a[...] = 1.5
-            b[...] = 7
-            c[...] = True
-            assert (da.offset, db.offset, dc.offset) == (0, 32, 64)
-            cache = ShmAttachCache()
-            np.testing.assert_array_equal(cache.get(db), np.full(4, 7))
-            np.testing.assert_array_equal(cache.get(da), np.full(4, 1.5))
-            cache.close()
-        finally:
-            arena.close()
-
-    def test_publish_copies(self):
-        arena = SharedArena(tag="t")
-        try:
-            src = np.arange(6, dtype=np.int64)
-            desc = arena.publish("owner", src)
-            src[:] = -1  # mutating the source must not reach the arena
-            cache = ShmAttachCache()
-            np.testing.assert_array_equal(cache.get(desc), np.arange(6))
-            cache.close()
-        finally:
-            arena.close()
-
-    def test_close_unlinks(self):
-        arena = SharedArena(tag="t")
-        _, desc = arena.array("buf", (4,), np.float64)
-        arena.close()
-        cache = ShmAttachCache()
-        with pytest.raises(FileNotFoundError):
-            cache.get(desc)
-        arena.close()  # idempotent
-
-
-# ----------------------------------------------------------------------
-# worker pool
-# ----------------------------------------------------------------------
-@needs_multicore
-class TestWorkerPool:
-    def test_ping_and_pids(self):
-        pool = WorkerPool(2, (8, 8, 8.0, 8.0))
-        try:
-            assert pool.run([(0, "ping", {}), (1, "ping", {})]) == ["pong", "pong"]
-            assert len(pool.pids) == 2
-            assert set(pool.pids) <= set(live_worker_pids())
-        finally:
-            pool.close()
-        assert pool.pids == []
-        assert not (set(pool.pids) & set(live_worker_pids()))
-
-    def test_worker_exception_propagates(self):
-        pool = WorkerPool(1, (8, 8, 8.0, 8.0))
-        try:
-            with pytest.raises(WorkerError, match="no_such_handler"):
-                pool.run([(0, "no_such_handler", {})])
-            # pool keeps serving after a failed task
-            assert pool.run([(0, "ping", {})]) == ["pong"]
-        finally:
-            pool.close()
-
-    def test_closed_pool_rejects_tasks(self):
-        pool = WorkerPool(1, (8, 8, 8.0, 8.0))
-        pool.close()
-        with pytest.raises(WorkerError, match="closed"):
-            pool.run([(0, "ping", {})])
-
-
-# ----------------------------------------------------------------------
 # sharding
 # ----------------------------------------------------------------------
-@needs_multicore
 class TestShards:
     @pytest.fixture(scope="class")
     def backend(self):
@@ -280,20 +120,146 @@ class TestShards:
             covered.extend(range(r0, r1))
         assert covered == list(range(len(counts)))
 
-    def test_classify_matches_serial(self, backend):
-        rng = np.random.default_rng(11)
-        n, p = 4096, 7
-        keys = rng.integers(0, 10**6, n)
-        rank_of = rng.integers(0, p, n)
-        lows = rng.integers(0, 10**6, n)
-        highs = lows + rng.integers(0, 1000, n)
-        splitters = np.sort(rng.integers(0, 10**6, p - 1))
-        from repro.parallel_exec.kernels import classify_chunk
 
-        dest_s, same_s = classify_chunk(keys, rank_of, lows, highs, splitters)
-        dest_w, same_w = backend.classify(keys, rank_of, lows, highs, splitters)
-        np.testing.assert_array_equal(dest_w, dest_s)
-        np.testing.assert_array_equal(same_w, same_s)
+# ----------------------------------------------------------------------
+# the fan-outs against one in-process kernel call over [0, p)
+# ----------------------------------------------------------------------
+_GRID = Grid2D(16, 12)
+#: per-rank counts: balanced, empty ranks between full ones, one full rank
+#: followed by empty ones only (a shard without particles), an empty pool
+_COUNTS = {
+    "balanced": [150, 130, 170, 140, 160, 150],
+    "empty-ranks": [0, 400, 0, 0, 350, 0, 50],
+    "empty-shard": [600, 0, 0, 0],
+    "no-particles": [0, 0, 0],
+}
+
+
+def _pool_of(counts) -> ParticlePool:
+    """Key-sorted particles cut into rank segments of the given sizes."""
+    counts = np.asarray(counts, dtype=np.int64)
+    particles = gaussian_blob(_GRID, int(counts.sum()), rng=5)
+    (ordered,) = ParticlePartitioner(_GRID, "hilbert").initial_partition(particles, 1)
+    return ParticlePool(ordered, np.concatenate(([0], np.cumsum(counts))))
+
+
+def _columns(parts) -> list[bytes]:
+    return [getattr(parts, name).tobytes() for name in type(parts).__slots__]
+
+
+def _scattered(result) -> list[bytes]:
+    """Everything a scatter hands the stepper, rows summed in shard order."""
+    rows, entries, uniq, batch = result
+    acc = reduce_rank_rows(rows, np.zeros(rows.shape[1:]))
+    return [a.tobytes() for a in (acc, entries, uniq, batch.src, batch.dst, batch.offsets,
+                                  batch.ids, batch.values)]  # fmt: skip
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def either_kernels(request):
+    """Both bodies of the particle kernels (one under ``--numpy-kernels``)."""
+    if request.param == "numpy":
+        request.getfixturevalue("numpy_kernels")
+
+
+class TestShardThreads:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7, 12])  # 12 > p everywhere
+    @pytest.mark.parametrize("name", sorted(_COUNTS))
+    def test_fanouts_equal_one_kernel_call(self, either_kernels, name, workers):
+        pool, ref = _pool_of(_COUNTS[name]), _pool_of(_COUNTS[name])
+        p = pool.p
+        node_owner = CurveBlockDecomposition(_GRID, p, "hilbert").owner_map
+        node_values = np.random.default_rng(8).normal(size=(6, _GRID.nnodes))
+        backend = FlatBackend(workers, _GRID)
+        try:
+            row = np.empty((1, len(CHANNELS), _GRID.nnodes))
+            cic, *tallies = scatter_segment(_GRID, ref.array, ref.counts, 0, node_owner, row[0])
+            got = backend.scatter(pool, node_owner)
+            assert got[0].shape[0] == len(backend._shards(pool.counts)) <= max(min(workers, p), 1)
+            assert _scattered(got) == _scattered((row, *tallies))
+
+            gather_push_slice(_GRID, ref.array, node_values, 0.05, cic)
+            backend.gather_push(pool, node_values, 0.05)  # on the scatter's CIC
+            assert _columns(pool.array) == _columns(ref.array)
+            gather_push_slice(_GRID, ref.array, node_values, 0.05)
+            backend.gather_push(pool, node_values, 0.05)  # positions moved: CIC again
+            assert _columns(pool.array) == _columns(ref.array)
+        finally:
+            backend.close()
+
+    def test_more_threads_than_cores_under_a_short_switch_interval(self):
+        """Shards share nothing they write: racing threads change no byte."""
+        pool, ref = _pool_of(_COUNTS["balanced"]), _pool_of(_COUNTS["balanced"])
+        node_owner = CurveBlockDecomposition(_GRID, pool.p, "hilbert").owner_map
+        node_values = np.random.default_rng(8).normal(size=(6, _GRID.nnodes))
+        backend = FlatBackend(6, _GRID)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 20.0
+            for _ in range(25):
+                row = np.empty((1, len(CHANNELS), _GRID.nnodes))
+                cic, *tallies = scatter_segment(_GRID, ref.array, ref.counts, 0, node_owner, row[0])
+                assert _scattered(backend.scatter(pool, node_owner)) == _scattered((row, *tallies))
+                gather_push_slice(_GRID, ref.array, node_values, 0.05, cic)
+                backend.gather_push(pool, node_values, 0.05)
+                assert _columns(pool.array) == _columns(ref.array)
+                assert time.monotonic() < deadline
+        finally:
+            sys.setswitchinterval(interval)
+            backend.close()
+
+    def test_shard_exception_reaches_the_caller_as_itself(self):
+        """The original exception object and traceback, not a formatted copy;
+        the sibling shards finish first and the backend keeps serving."""
+        pool = _pool_of(_COUNTS["balanced"])
+        node_owner = CurveBlockDecomposition(_GRID, pool.p, "hilbert").owner_map
+        backend = FlatBackend(3, _GRID)
+        try:
+            with pytest.raises(IndexError) as caught:
+                backend.scatter(pool, node_owner[:5])  # no owner for most nodes
+            frames = [frame.name for frame in caught.traceback]
+            assert "scatter_segment" in frames and "ghost_slots" in frames
+            assert backend.scatter(pool, node_owner)[0].shape[0] == 3
+        finally:
+            backend.close()
+
+    def test_shard_warning_behaves_as_in_process(self):
+        """A non-finite position makes the NumPy CIC body warn: raised in the
+        caller under an ``error`` filter, recorded under ``catch_warnings``."""
+        pool = _pool_of(_COUNTS["balanced"])
+        pool.array.x[-1] = np.inf
+        node_values = np.zeros((6, _GRID.nnodes))
+        backend = FlatBackend(2, _GRID)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(RuntimeWarning, match="invalid value"):
+                    backend.gather_push(pool, node_values, 0.05)
+            with pytest.warns(RuntimeWarning, match="invalid value"):
+                backend.gather_push(pool, node_values, 0.05)
+        finally:
+            backend.close()
+
+    def test_closed_backend_rejects_tasks(self):
+        pool = _pool_of(_COUNTS["balanced"])
+        backend = FlatBackend(2, _GRID)
+        backend.close()
+        backend.close()  # idempotent
+        with pytest.raises(RuntimeError, match="shutdown"):
+            backend.gather_push(pool, np.zeros((6, _GRID.nnodes)), 0.05)
+
+    def test_profile_keeps_the_workers_frames(self, tmp_path):
+        with Simulation(_cfg(), workers=2) as sim:
+            sim.run(1)  # before profiling: not in the profile
+            sim.enable_profiling()
+            sim.run(2)
+            sim.save_profile(tmp_path)
+        stacks = dict(
+            line.rsplit(" ", 1) for line in (tmp_path / "profile.folded").read_text().splitlines()
+        )
+        assert int(stacks["workers;scatter"]) > 0 and int(stacks["workers;gather_push"]) > 0
+        assert sim.profiler.samples[("workers", "scatter")][0] == 2 * 2  # shards x iterations
 
 
 # ----------------------------------------------------------------------
@@ -326,7 +292,6 @@ def _strip_wall(d: dict) -> dict:
     return {k: v for k, v in d.items() if "wall" not in k}
 
 
-@needs_multicore
 class TestSimulationInvariance:
     @pytest.mark.parametrize("movement", ["lagrangian", "eulerian"])
     def test_result_dicts_identical(self, movement):
@@ -416,14 +381,15 @@ class TestSimulationInvariance:
             ), f"checkpoint workers={ck_workers} resume workers={res_workers}"
 
     def test_backend_attached_and_released(self):
+        before = set(threading.enumerate())
         sim = Simulation(_cfg(), workers=2)
-        assert sim.backend is not None
-        pids = set(sim.backend.workers.pids)
-        assert pids and pids <= set(live_worker_pids())
+        assert sim.backend is not None and sim.backend.nworkers == 2
         sim.run(1)
+        shard_threads = set(threading.enumerate()) - before
+        assert shard_threads and all(t.name.startswith("repro-shard") for t in shard_threads)
         sim.close()
         assert sim.backend is None
-        assert not (pids & set(live_worker_pids()))
+        assert set(threading.enumerate()) == before
 
     def test_context_manager(self):
         with Simulation(_cfg(), workers=2) as sim:

@@ -101,6 +101,21 @@ class TestPackageMetadata:
         assert (built / "pic_kernels.c").read_bytes() == native.SOURCE.read_bytes()
         assert not list(built.glob("*.so")), "no build product belongs in the package"
 
+    def test_particle_path_imports_no_process_machinery(self):
+        """``workers=N`` is threads over the one in-process pool: nothing
+        under ``parallel_exec`` or ``pic`` reaches for shared-memory blocks
+        or their resource tracker."""
+        offenders = [
+            f"{path.relative_to(ROOT)}: {word}"
+            for package in ("parallel_exec", "pic")
+            for path in sorted((ROOT / "src/repro" / package).glob("*.py"))
+            for word in ("shared_memory", "resource_tracker")
+            if word in path.read_text()
+        ]
+        assert not offenders, offenders
+        assert not (ROOT / "src/repro/parallel_exec/shm.py").exists()
+        assert not (ROOT / "src/repro/parallel_exec/pool.py").exists()
+
     def test_license_present(self):
         assert (ROOT / "LICENSE").read_text().startswith("MIT License")
 

@@ -9,7 +9,6 @@ results must stay *bit-identical* to it, and the dense block must not
 come back unnoticed.
 """
 
-import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -20,7 +19,7 @@ from hypothesis import strategies as st
 from repro.core import ParticlePartitioner
 from repro.machine import FaultEvent, FaultPlan, MachineModel, VirtualMachine
 from repro.mesh import CurveBlockDecomposition, Grid2D
-from repro.parallel_exec import FlatBackend, shared_memory_available
+from repro.parallel_exec import FlatBackend
 from repro.parallel_exec.kernels import reduce_rank_rows, scatter_segment
 from repro.particles import ParticleArray, ParticlePool, gaussian_blob, uniform_plasma
 from repro.pic import ParallelPIC, Simulation, SimulationConfig
@@ -32,12 +31,6 @@ from tests._looped_oracle import (
     pooled_duplicate_removal,
     reference_scatter_segment,
     segmented_entry_ranks,
-)
-
-needs_multicore = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods()
-    or not shared_memory_available(),
-    reason="fork or multiprocessing.shared_memory unavailable",
 )
 
 NCH = len(CHANNELS)
@@ -364,7 +357,6 @@ def _build(engine, workers=0):
     return vm, pic
 
 
-@needs_multicore
 def test_poisoned_scatter_identical_across_engines():
     """pooled == per-rank oracle == pooled+workers with every scatter message poisoned:
     the NaNs land on the same nodes, the accounting does not move."""
@@ -445,7 +437,6 @@ def scatter_rows(monkeypatch):
     return seen
 
 
-@needs_multicore
 class TestWorkerRowsBlock:
     def _check(self, seen, nnodes):
         assert seen

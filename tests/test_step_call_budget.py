@@ -9,11 +9,14 @@ a fixed mesh and particle count and compares ``p = 8`` with ``p = 32``.
 What legitimately remains per *rank* — one ``GhostTable.account_pooled``
 per rank with ghost entries and the identity check of the pool's views —
 is a handful of calls per rank; one message used to cost more than that,
-and a rank exchanges with several neighbours three times a step.  No
-wall clock is read.
+and a rank exchanges with several neighbours three times a step.  Under
+``workers=2`` the calls of the shard threads count too: two shards cost
+the same whatever ``p`` is.  No wall clock is read.
 """
 
 import sys
+import threading
+from collections import Counter
 
 import pytest
 
@@ -28,35 +31,45 @@ from repro.pic.parallel_yee import ParallelYeePIC
 CALLS_PER_RANK = 6
 
 
-def _calls_of_one_step(stepper_cls, p):
+def _calls_of_one_step(stepper_cls, p, **kwargs):
     grid = Grid2D(64, 32)
     vm = VirtualMachine(p, MachineModel.cm5())
     decomp = CurveBlockDecomposition(grid, p, "hilbert")
     local = ParticlePartitioner(grid, "hilbert").initial_partition(
         gaussian_blob(grid, 4096, rng=11), p
     )
-    pic = stepper_cls(vm, grid, decomp, local)
-    pic.step()  # builds the pool, fills the caches
-    calls = 0
+    calls = Counter()  # per thread: no increment is shared
+    counting = False
 
     def count(frame, event, arg):
-        nonlocal calls
-        if event in ("call", "c_call"):
-            calls += 1
+        if counting and event in ("call", "c_call"):
+            calls[threading.get_ident()] += 1
 
-    sys.setprofile(count)
+    pic = stepper_cls(vm, grid, decomp, local, **kwargs)
+    threading.setprofile(count)  # shard threads start inside the first step
     try:
+        pic.step()  # builds the pool, fills the caches
+        sys.setprofile(count)
+        counting = True
         pic.step()
     finally:
         sys.setprofile(None)
+        threading.setprofile(None)
+        if kwargs:
+            pic.close()
+    assert len(calls) > 1 or not kwargs, "the shard threads were not counted"
     messages = vm.stats.phase("scatter").total_msgs + vm.stats.phase("field").total_msgs
-    return calls, messages
+    return sum(calls.values()), messages
 
 
-@pytest.mark.parametrize("stepper_cls", [ParallelPIC, ParallelYeePIC])
-def test_step_calls_do_not_grow_with_messages(stepper_cls):
-    calls_8, messages_8 = _calls_of_one_step(stepper_cls, 8)
-    calls_32, messages_32 = _calls_of_one_step(stepper_cls, 32)
+@pytest.mark.parametrize(
+    "stepper_cls, kwargs",
+    [(ParallelPIC, {}), (ParallelYeePIC, {}), (ParallelPIC, {"workers": 2})],
+    ids=["ParallelPIC", "ParallelYeePIC", "ParallelPIC-workers2"],
+)
+def test_step_calls_do_not_grow_with_messages(stepper_cls, kwargs):
+    calls_8, messages_8 = _calls_of_one_step(stepper_cls, 8, **kwargs)
+    calls_32, messages_32 = _calls_of_one_step(stepper_cls, 32, **kwargs)
     assert messages_32 > 3 * messages_8, "the p = 32 run does not exchange more messages"
     assert calls_32 - calls_8 <= CALLS_PER_RANK * (32 - 8), (
         f"one step made {calls_8} Python-level calls at p = 8 and {calls_32} at p = 32 "

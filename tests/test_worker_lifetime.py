@@ -1,0 +1,121 @@
+"""Nothing a ``workers=N`` run starts outlives it.
+
+``Simulation.close()`` / ``__exit__`` and ``ParallelPIC.close()`` join the
+shard threads: afterwards the process has the threads, the kernel tasks
+and the children it had before — after a clean run, after a run that
+raised mid-step (from the driver and from inside a shard), and after a
+rank-failure recovery that rebuilt the stepper around the same backend.
+"""
+
+import os
+import threading
+import time
+from pathlib import Path
+
+import pytest
+
+import repro.parallel_exec.backend as backend_module
+from repro.machine import FaultEvent, FaultPlan
+from repro.pic import Simulation
+from repro.util.errors import SimulationIntegrityError
+from tests.test_parallel_exec import _cfg
+
+pytestmark = pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="no /proc")
+
+
+def _census():
+    """(Python threads, kernel tasks, child processes) of this process."""
+    me, children = str(os.getpid()), set()
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                fields = Path("/proc", entry, "stat").read_text().rsplit(")", 1)[1].split()
+            except (OSError, IndexError):
+                continue  # gone while we looked
+            if fields[1] == me:
+                children.add(int(entry))
+    return threading.active_count(), set(os.listdir("/proc/self/task")), children
+
+
+def _assert_back_to(before) -> None:
+    """``join()`` returns when the thread has left Python; the kernel reaps
+    its task a moment later, so the census may need a few milliseconds."""
+    deadline = time.monotonic() + 5.0
+    while (now := _census()) != before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert now == before
+
+
+def _clean_run(tmp_path, monkeypatch):
+    with Simulation(_cfg(), workers=2) as sim:
+        sim.run(3)
+        assert threading.active_count() > 1  # the shard threads did run
+
+
+def _guard_raises_mid_step(tmp_path, monkeypatch):
+    plan = FaultPlan(events=(FaultEvent(kind="poison", iteration=2, phase="scatter"),))
+    with pytest.raises(SimulationIntegrityError):
+        with Simulation(_cfg(guards="strict"), workers=2) as sim:
+            sim.install_faults(plan)
+            sim.run(4)
+
+
+def _shard_raises_mid_step(tmp_path, monkeypatch):
+    real, calls = backend_module.gather_push_slice, []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 4:  # second shard of the second step
+            raise FloatingPointError("injected")
+        return real(*args)
+
+    monkeypatch.setattr(backend_module, "gather_push_slice", failing)
+    with pytest.raises(FloatingPointError, match="injected"):
+        with Simulation(_cfg(), workers=2) as sim:
+            sim.run(4)
+
+
+def _rank_failure_recovery(tmp_path, monkeypatch):
+    plan = FaultPlan(events=(FaultEvent(kind="kill", rank=2, iteration=3),))
+    sim = Simulation(_cfg(), workers=2)
+    try:
+        sim.install_faults(plan)
+        result = sim.run(5, checkpoint_every=2, checkpoint_path=tmp_path / "ck.npz")
+        assert result.n_recoveries == 1 and sim.pic.backend is sim.backend
+    finally:
+        sim.close()
+    sim.close()  # idempotent
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [_clean_run, _guard_raises_mid_step, _shard_raises_mid_step, _rank_failure_recovery],
+    ids=lambda fn: fn.__name__.strip("_"),
+)
+def test_no_thread_and_no_child_left_behind(scenario, tmp_path, monkeypatch):
+    before = _census()
+    scenario(tmp_path, monkeypatch)
+    _assert_back_to(before)
+
+
+def test_stepper_that_made_its_backend_joins_it():
+    from repro.core import ParticlePartitioner
+    from repro.machine import MachineModel, VirtualMachine
+    from repro.mesh import CurveBlockDecomposition, Grid2D
+    from repro.particles import gaussian_blob
+    from repro.pic import ParallelPIC
+
+    before = _census()
+    grid, p = Grid2D(16, 12), 4
+    local = ParticlePartitioner(grid, "hilbert").initial_partition(
+        gaussian_blob(grid, 600, rng=5), p
+    )
+    pic = ParallelPIC(
+        VirtualMachine(p, MachineModel.cm5()), grid, CurveBlockDecomposition(grid, p, "hilbert"),
+        local, workers=3,
+    )  # fmt: skip
+    pic.step()
+    assert before[0] < threading.active_count() <= before[0] + 3
+    pic.close()
+    pic.close()  # idempotent
+    _assert_back_to(before)
