@@ -13,13 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks._shared import write_report
+from benchmarks.replicated_mesh import ReplicatedMeshPIC
 from repro.analysis import format_table
 from repro.core import ParticlePartitioner
 from repro.machine import MachineModel, VirtualMachine
 from repro.mesh import CurveBlockDecomposition, Grid2D
 from repro.particles import gaussian_blob
 from repro.pic import ParallelPIC
-from repro.pic.replicated import ReplicatedMeshPIC
 from repro.workloads import scaled_iterations
 
 PS = (4, 8, 16, 32, 64)

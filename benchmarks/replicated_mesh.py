@@ -16,8 +16,10 @@ global operations move the whole mesh every iteration, so communication
 grows with ``m`` regardless of how well particles are placed.  The paper
 notes this "is an efficient algorithm for small hypercubes" while "for
 large hypercubes the communication due to global operations ... dominates";
-``benchmarks/bench_ablation_replicated_mesh.py`` reproduces that
-crossover against :class:`repro.pic.parallel.ParallelPIC`.
+``benchmarks/bench_ablation_replicated_mesh.py``, this module's only
+consumer besides its own test, reproduces that crossover against
+:class:`repro.pic.parallel.ParallelPIC`; the scheme is the baseline the
+paper argues against, not part of the package.
 """
 
 from __future__ import annotations

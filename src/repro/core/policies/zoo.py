@@ -22,8 +22,7 @@ judges per workload class:
 * :class:`OptimalPlannerPolicy` (``planner``) — fits the measured
   degradation rate, then picks the next redistribution iteration by
   minimizing the projected per-iteration overhead ``C/n + a(n-1)/2``
-  with ``scipy.optimize`` (closed form ``sqrt(2C/a)`` when scipy is
-  unavailable).
+  (closed form ``sqrt(2C/a)``).
 
 Every policy emits one replayable decision record per evaluation and
 round-trips through the spec registry and ``state_dict`` like the
@@ -310,40 +309,18 @@ class ImbalanceThresholdPolicy(RedistributionPolicy):
         )
 
 
-#: Cached ``scipy.optimize.minimize_scalar`` (``False`` = unavailable).
-_MINIMIZE_SCALAR = None
-
-
-def _minimize_scalar():
-    global _MINIMIZE_SCALAR
-    if _MINIMIZE_SCALAR is None:
-        try:
-            from scipy.optimize import minimize_scalar
-
-            _MINIMIZE_SCALAR = minimize_scalar
-        except ImportError:  # pragma: no cover - scipy is in the base image
-            _MINIMIZE_SCALAR = False
-    return _MINIMIZE_SCALAR
-
-
 def _optimal_period(cost: float, slope: float, horizon: int) -> tuple[float, str]:
     """Period ``n`` minimizing the projected per-iteration overhead.
 
     With a linear degradation rate ``slope`` and redistribution cost
     ``cost``, redistributing every ``n`` iterations costs on average
-    ``f(n) = cost/n + slope * (n - 1) / 2`` extra seconds per iteration.
-    Returns ``(n*, optimizer)`` with ``n*`` clamped to ``[1, horizon]``.
+    ``f(n) = cost/n + slope * (n - 1) / 2`` extra seconds per iteration,
+    least at ``n* = sqrt(2 cost / slope)``.  Returns ``(n*, optimizer)``
+    with ``n*`` clamped to ``[1, horizon]``; the closed form is the only
+    optimizer, so the logged ``n_star`` is the same on every host.
     """
     if cost <= 0.0:
         return 1.0, "closed-form"
-    minimize = _minimize_scalar()
-    if minimize:
-        res = minimize(
-            lambda n: cost / n + slope * (n - 1.0) / 2.0,
-            bounds=(1.0, float(horizon)),
-            method="bounded",
-        )
-        return float(res.x), "scipy"
     n_star = (2.0 * cost / slope) ** 0.5
     return min(max(n_star, 1.0), float(horizon)), "closed-form"
 
@@ -357,9 +334,8 @@ class OptimalPlannerPolicy(_EwmaCost, RedistributionPolicy):
     smooths the redistribution cost ``C`` with an EWMA, and solves for
     the period ``n*`` minimizing the projected per-iteration overhead
     ``C/n + a (n - 1) / 2`` — the continuous optimum of the classic
-    rebalance-cadence trade-off (``scipy.optimize.minimize_scalar``,
-    bounded on ``[1, horizon]``; the analytic ``sqrt(2C/a)`` when scipy
-    is missing).  Fires once ``n*`` iterations have elapsed since the
+    rebalance-cadence trade-off, ``sqrt(2C/a)`` clamped to
+    ``[1, horizon]``.  Fires once ``n*`` iterations have elapsed since the
     last redistribution.  The plan is refit at every evaluation from
     serialized history, so restored runs re-derive identical decisions.
     """

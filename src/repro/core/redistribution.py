@@ -163,11 +163,3 @@ class Redistributor:
             )
             states.append(BucketState.build(rank_keys, parts.to_matrix(), self.nbuckets))
         self._states = states
-
-    def full_redistribute(self, vm: VirtualMachine, local_particles: list[ParticleArray]) -> RedistributionResult:
-        """From-scratch redistribution (sample sort), for comparison runs."""
-        t0 = vm.elapsed()
-        with vm.phase("redistribution"):
-            particles = self.partitioner.distribute(vm, local_particles)
-            self._install_states(particles)
-        return RedistributionResult(particles, vm.elapsed() - t0, IncrementalSortStats())

@@ -36,7 +36,6 @@ from repro.pic.checkpoint import (
     save_checkpoint,
 )
 from repro.pic.smoothing import binomial_smooth
-from repro.pic.replicated import ReplicatedMeshPIC
 from repro.pic.yee import YeePIC, YeeSolver
 from repro.pic.parallel_yee import ParallelYeePIC
 from repro.pic.zigzag import continuity_residual, deposit_current_zigzag
@@ -65,7 +64,6 @@ __all__ = [
     "CheckpointData",
     "CheckpointError",
     "binomial_smooth",
-    "ReplicatedMeshPIC",
     "YeeSolver",
     "YeePIC",
     "ParallelYeePIC",

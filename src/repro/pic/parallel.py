@@ -55,7 +55,7 @@ from repro.obs.profile import maybe_section
 from repro.mesh.fields import FieldState
 from repro.mesh.halo import HaloSchedule
 from repro.particles.arrays import ParticleArray, ParticlePool
-from repro.pic.deposition import CHANNELS, deposition_entries
+from repro.pic.deposition import CHANNELS
 from repro.pic.ghost import make_ghost_table
 from repro.pic.interpolation import gather_from_node_values
 from repro.pic.maxwell import MaxwellSolver
@@ -74,12 +74,96 @@ __all__ = ["ParallelPIC", "PooledParticles"]
 
 
 class PooledParticles:
-    """Pool management of the pooled steppers.
+    """A distributed stepper: one particle pool, one machine, one phase loop.
 
-    A subclass keeps ``vm``, ``fields``, ``particles`` (the public per-rank
-    list), ``_pool`` and ``_cic_pool_cache`` (a CIC evaluation keyed by
-    pool identity, dropped whenever the pool changes).
+    The base owns what every pooled stepper has — the machine, mesh and
+    decomposition, the public per-rank ``particles`` list over ``_pool``,
+    the fields with their halo schedule and ownership maps, the solver and
+    its time step, the dormant ``guard`` / ``profiler`` hooks — and runs
+    :meth:`step` over the phase order a subclass declares in ``PHASES``.
+    A subclass supplies the bodies that differ (``scatter``,
+    ``gather_push``) and names its Maxwell-type solver in ``SOLVER``.
+
+    Parameters
+    ----------
+    vm:
+        The virtual machine (defines ``p`` and the cost model).
+    grid:
+        Mesh geometry.
+    decomp:
+        Mesh decomposition (ownership of cells/nodes).
+    local_particles:
+        Initial per-rank particle sets (length ``vm.p``).
+    dt:
+        Time step; defaults to 90% of the solver's CFL limit.
     """
+
+    #: solver class, called with the grid (``cfl_limit`` / ``validate_dt`` / ``step``)
+    SOLVER = None
+    #: names of the phase methods of one :meth:`step`, in order
+    PHASES: tuple[str, ...] = ()
+    #: guard hook that runs right after a phase: the two points where
+    #: transport faults or kernel bugs would otherwise silently poison the
+    #: physics (deposited sources finite; particles conserved and finite)
+    GUARD_HOOKS = {"scatter": "after_scatter", "gather_push": "after_push"}
+    #: shard-thread execution backend (None = in-process kernels)
+    backend = None
+    _owns_backend = False
+    #: keep the latest halo delivery in ``last_halo`` (tests); off by default
+    collect_debug = False
+    _last_halo: MessageBatch | None = None
+
+    def __init__(
+        self,
+        vm: VirtualMachine,
+        grid,
+        decomp: MeshDecomposition,
+        local_particles: list[ParticleArray],
+        dt: float | None,
+    ) -> None:
+        require(len(local_particles) == vm.p, "need one particle set per rank")
+        self.vm = vm
+        self.grid = grid
+        self.set_decomposition(decomp)
+        self.particles = list(local_particles)
+        self.solver = self.SOLVER(grid)
+        self.dt = dt if dt is not None else 0.9 * self.solver.cfl_limit()
+        self.solver.validate_dt(self.dt)
+        self.fields = FieldState.zeros(grid)
+        self.iteration = 0
+        #: optional :class:`repro.util.guards.InvariantGuard` run at the
+        #: ``GUARD_HOOKS`` of :meth:`step`; ``None`` (default) keeps the
+        #: hot path free of guard work.
+        self.guard = None
+        #: optional :class:`repro.obs.profile.PhaseProfiler` opening
+        #: host-wall sections around the kernels; ``None`` (default) keeps
+        #: one dormant branch per kernel call.  The profiler never touches
+        #: the virtual clocks (DESIGN.md §5.8).
+        self.profiler = None
+        # The particle pool (lazily rebuilt whenever self.particles is
+        # replaced from outside, e.g. by the redistributor) and the pooled
+        # CIC ``(pool, nodes, weights)`` of the latest scatter.  Positions
+        # only change in the push, so the next gather reuses the scatter's
+        # vertex evaluation while the pool is still the same object; the
+        # cache is dropped once consumed.
+        self._pool: ParticlePool | None = None
+        self._cic_pool_cache: tuple[ParticlePool, np.ndarray, np.ndarray] | None = None
+
+    def set_decomposition(self, decomp: MeshDecomposition) -> None:
+        """Install a new mesh decomposition (adaptive rebalancing).
+
+        The caller is responsible for having migrated field node values
+        and particles (see :class:`repro.core.adaptive.AdaptiveMeshRebalancer`);
+        this method refreshes the ownership map, node counts, and halo
+        schedule.
+        """
+        require(decomp.p == self.vm.p, "decomposition and machine rank counts differ")
+        require(decomp.grid is self.grid or decomp.grid.shape == self.grid.shape,
+                "decomposition must cover the same grid")
+        self.decomp = decomp
+        self.node_owner = decomp.owner_map
+        self.node_counts = decomp.node_counts().astype(float)
+        self.halo = HaloSchedule(decomp)
 
     def _ensure_pool(self) -> ParticlePool:
         """Return the current particle pool, rebuilding it if stale.
@@ -114,22 +198,62 @@ class PooledParticles:
         """``[receiver][sender]`` dict view of a delivered batch (tests, debugging)."""
         return [] if batch is None else batch.to_dicts(self.vm.p, received=True)
 
+    @property
+    def last_halo(self) -> list[dict[int, np.ndarray]]:
+        """``[r][owner]``: the halo values rank ``r`` last received."""
+        return self._received(self._last_halo)
+
+    def field_solve(self) -> None:
+        """Halo exchange of the six field components, then the solver's update."""
+        vm = self.vm
+        with vm.phase("field"):
+            delivered = self.halo.exchange(vm, self._field_node_values(), ncomponents=6)
+            if self.collect_debug:
+                self._last_halo = delivered
+            vm.charge_ops("field", self.node_counts)
+            self.solver.step(self.fields, self.dt)
+
+    def step(self) -> None:
+        """One full iteration: the ``PHASES`` in order, guard hooks in between."""
+        guard = self.guard
+        for phase in self.PHASES:
+            getattr(self, phase)()
+            if guard is not None and phase in self.GUARD_HOOKS:
+                getattr(guard, self.GUARD_HOOKS[phase])(self)
+        self.iteration += 1
+
+    def close(self) -> None:
+        """Join the shard threads if this stepper created them (idempotent).
+
+        Backends passed in via ``backend=`` belong to their creator
+        (:class:`~repro.pic.simulation.Simulation` keeps one across
+        rank-failure recoveries) and are left running.
+        """
+        if self._owns_backend and self.backend is not None:
+            self.backend.close()
+        self.backend = None
+
+    def all_particles(self) -> ParticleArray:
+        """All particles concatenated (rank order) — for verification."""
+        return ParticleArray.concat(self.particles)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(p={self.vm.p}, grid={self.grid!r}, "
+            f"n={sum(p.n for p in self.particles)})"
+        )
+
 
 class ParallelPIC(PooledParticles):
     """SPMD PIC stepper on a :class:`VirtualMachine`.
 
+    One iteration is scatter, field solve, gather + push; an installed
+    guard runs after the scatter and after the push.
+
     Parameters
     ----------
-    vm:
-        The virtual machine (defines ``p`` and the cost model).
-    grid:
-        Mesh geometry.
-    decomp:
-        Mesh decomposition (ownership of cells/nodes).
-    local_particles:
-        Initial per-rank particle sets (length ``vm.p``).
-    dt:
-        Time step; defaults to 90% of the CFL limit.
+    vm, grid, decomp, local_particles, dt:
+        As for :class:`PooledParticles`.
     ghost_table:
         Duplicate-removal table kind, ``"hash"`` or ``"direct"``.
     movement:
@@ -163,6 +287,9 @@ class ParallelPIC(PooledParticles):
         buffers alive.
     """
 
+    SOLVER = MaxwellSolver
+    PHASES = ("scatter", "field_solve", "gather_push")
+
     def __init__(
         self,
         vm: VirtualMachine,
@@ -179,66 +306,32 @@ class ParallelPIC(PooledParticles):
         backend=None,
         collect_debug: bool = False,
     ) -> None:
-        require(len(local_particles) == vm.p, "need one particle set per rank")
-        require(decomp.p == vm.p, "decomposition and machine rank counts differ")
         require(movement in ("lagrangian", "eulerian"), f"unknown movement {movement!r}")
         require(smoothing_passes >= 0, "smoothing_passes must be >= 0")
         require(
             field_solver in ("maxwell", "electrostatic"),
             f"unknown field_solver {field_solver!r}",
         )
-        self._owns_backend = False
+        super().__init__(vm, grid, decomp, local_particles, dt)
         if backend is None and workers not in (0, 1, None):
             from repro.parallel_exec import create_backend
 
             backend = create_backend(workers, grid)
             self._owns_backend = backend is not None
-        #: shard-thread execution backend (None = in-process kernels)
         self.backend = backend
         self.smoothing_passes = smoothing_passes
         self.field_solver = field_solver
-        self.vm = vm
-        self.grid = grid
-        self.decomp = decomp
-        self.particles = list(local_particles)
         self.movement = movement
         self.collect_debug = collect_debug
-        self.fields = FieldState.zeros(grid)
-        self.solver = MaxwellSolver(grid)
         self.poisson = PoissonSolver(grid) if field_solver == "electrostatic" else None
-        self.dt = dt if dt is not None else 0.9 * self.solver.cfl_limit()
-        self.solver.validate_dt(self.dt)
-        self.halo = HaloSchedule(decomp)
         self.ghost_tables = [
             make_ghost_table(ghost_table, grid.nnodes, len(CHANNELS)) for _ in range(vm.p)
         ]
-        self.node_owner = decomp.owner_map
-        self.node_counts = decomp.node_counts().astype(float)
-        self.iteration = 0
-        #: optional :class:`repro.util.guards.InvariantGuard` checked at
-        #: the phase boundaries of :meth:`step`; ``None`` (default) keeps
-        #: the hot path free of guard work.
-        self.guard = None
-        #: optional :class:`repro.obs.profile.PhaseProfiler` opening
-        #: host-wall sections around the kernels; ``None``
-        #: (default) keeps one dormant branch per kernel call.  The
-        #: profiler never touches the virtual clocks (DESIGN.md §5.8).
-        self.profiler = None
         # Ghost schedule of the latest scatter: the ids of the messages it
         # sent (rank r -> owner), none yet; the gather replies along its transpose.
         self._ghost_schedule = MessageBatch.coalesce(*np.empty((3, 0), dtype=np.int64))
-        # The particle pool (lazily rebuilt whenever self.particles is
-        # replaced from outside, e.g. by the redistributor) and the
-        # pooled CIC (nodes, weights) of the latest scatter, keyed by
-        # pool identity.  Particle positions do not change between
-        # scatter and gather (the push runs after the gather), so the
-        # gather reuses the scatter's vertex evaluation instead of
-        # recomputing it; the cache is dropped once consumed.
-        self._pool: ParticlePool | None = None
-        self._cic_pool_cache: tuple[ParticlePool, np.ndarray, np.ndarray] | None = None
-        # What the latest halo / gather exchange delivered, kept only when
-        # collect_debug=True (see last_halo / last_gather_messages).
-        self._last_halo: MessageBatch | None = None
+        # What the latest gather exchange delivered, kept only when
+        # collect_debug=True (see last_gather_messages).
         self._last_gather: MessageBatch | None = None
 
     # ------------------------------------------------------------------
@@ -249,11 +342,6 @@ class ParallelPIC(PooledParticles):
         """``[r][owner]``: node ids rank ``r`` contributed to in the latest
         scatter that ``owner`` owns."""
         return self._ghost_schedule.to_dicts(self.vm.p)
-
-    @property
-    def last_halo(self) -> list[dict[int, np.ndarray]]:
-        """``[r][owner]``: the halo values rank ``r`` last received."""
-        return self._received(self._last_halo)
 
     @property
     def last_gather_messages(self) -> list[dict[int, tuple[np.ndarray, np.ndarray]]]:
@@ -350,18 +438,7 @@ class ParallelPIC(PooledParticles):
         if self.field_solver == "electrostatic":
             self._field_solve_electrostatic()
         else:
-            self._field_solve_maxwell()
-
-    def _field_solve_maxwell(self) -> None:
-        """Halo exchange of the node fields, then the FDTD update."""
-        vm = self.vm
-        with vm.phase("field"):
-            node_values = self._field_node_values()
-            delivered = self.halo.exchange(vm, node_values, ncomponents=6)
-            if self.collect_debug:
-                self._last_halo = delivered
-            vm.charge_ops("field", self.node_counts)
-            self.solver.step(self.fields, self.dt)
+            super().field_solve()
 
     def _field_solve_electrostatic(self) -> None:
         """Global FFT Poisson solve with a physically-exchanged transpose.
@@ -443,22 +520,6 @@ class ParallelPIC(PooledParticles):
         if self.movement == "eulerian":
             self._migrate_eulerian()
 
-    def set_decomposition(self, decomp: MeshDecomposition) -> None:
-        """Install a new mesh decomposition (adaptive rebalancing).
-
-        The caller is responsible for having migrated field node values
-        and particles (see :class:`repro.core.adaptive.AdaptiveMeshRebalancer`);
-        this method refreshes the ownership map, node counts, and halo
-        schedule.
-        """
-        require(decomp.p == self.vm.p, "decomposition and machine rank counts differ")
-        require(decomp.grid is self.grid or decomp.grid.shape == self.grid.shape,
-                "decomposition must cover the same grid")
-        self.decomp = decomp
-        self.node_owner = decomp.owner_map
-        self.node_counts = decomp.node_counts().astype(float)
-        self.halo = HaloSchedule(decomp)
-
     def _migrate_eulerian(self) -> None:
         """Move particles to the owner of their (new) cell.
 
@@ -479,50 +540,12 @@ class ParallelPIC(PooledParticles):
                 self._install_pool(ParticlePool.from_matrices(received))
 
     # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Join the shard threads if this stepper created them (idempotent).
-
-        Backends passed in via ``backend=`` belong to their creator
-        (:class:`~repro.pic.simulation.Simulation` keeps one across
-        rank-failure recoveries) and are left running.
-        """
-        if self._owns_backend and self.backend is not None:
-            self.backend.close()
-        self.backend = None
-
-    # ------------------------------------------------------------------
-    def step(self) -> None:
-        """One full iteration: scatter, field solve, gather, push.
-
-        When an invariant guard is installed it runs after the scatter
-        (deposited sources must be finite) and after the push (particles
-        conserved and finite) — the two points where transport faults or
-        kernel bugs would otherwise silently poison the physics.
-        """
-        guard = self.guard
-        self.scatter()
-        if guard is not None:
-            guard.after_scatter(self)
-        self.field_solve()
-        self.gather_push()
-        if guard is not None:
-            guard.after_push(self)
-        self.iteration += 1
-
-    # ------------------------------------------------------------------
     # diagnostics
     # ------------------------------------------------------------------
-    def all_particles(self) -> ParticleArray:
-        """All particles concatenated (rank order) — for verification."""
-        return ParticleArray.concat(self.particles)
-
     def total_energy(self) -> float:
         """Field energy plus particle kinetic energy."""
         kinetic = sum(p.kinetic_energy() for p in self.particles)
         return self.fields.field_energy(self.grid) + kinetic
 
     def __repr__(self) -> str:
-        return (
-            f"ParallelPIC(p={self.vm.p}, grid={self.grid!r}, "
-            f"n={sum(p.n for p in self.particles)}, movement={self.movement!r})"
-        )
+        return f"{super().__repr__()[:-1]}, movement={self.movement!r})"

@@ -49,9 +49,7 @@ import numpy as np
 from repro.machine.batch import MessageBatch
 from repro.machine.virtual import VirtualMachine
 from repro.mesh.decomposition import MeshDecomposition
-from repro.mesh.fields import FieldState
 from repro.mesh.grid import Grid2D
-from repro.mesh.halo import HaloSchedule
 from repro.obs.profile import maybe_section
 from repro.parallel_exec.kernels import merge_ghost_messages
 from repro.particles.arrays import ParticleArray, ParticlePool
@@ -88,11 +86,15 @@ _STENCILS = (
 class ParallelYeePIC(PooledParticles):
     """SPMD charge-conserving PIC stepper on a :class:`VirtualMachine`.
 
-    Parameters mirror :class:`repro.pic.parallel.ParallelPIC` (Lagrangian
-    movement only — combine with the usual
-    :class:`~repro.core.redistribution.Redistributor` for dynamic
-    redistribution).
+    One iteration is gather + push, scatter, field solve; an installed
+    guard runs after the push and after the scatter.  Parameters mirror
+    :class:`repro.pic.parallel.ParallelPIC` (Lagrangian movement only —
+    combine with the usual :class:`~repro.core.redistribution.Redistributor`
+    for dynamic redistribution).
     """
+
+    SOLVER = YeeSolver
+    PHASES = ("gather_push", "scatter", "field_solve")
 
     def __init__(
         self,
@@ -104,33 +106,8 @@ class ParallelYeePIC(PooledParticles):
         dt: float | None = None,
         ghost_table: str = "hash",
     ) -> None:
-        require(len(local_particles) == vm.p, "need one particle set per rank")
-        require(decomp.p == vm.p, "decomposition and machine rank counts differ")
         require(ghost_table in ("hash", "direct"), f"unknown ghost table kind {ghost_table!r}")
-        self.vm = vm
-        self.grid = grid
-        self.decomp = decomp
-        self.particles = list(local_particles)
-        self.solver = YeeSolver(grid)
-        self.dt = dt if dt is not None else 0.9 * self.solver.cfl_limit()
-        self.solver.validate_dt(self.dt)
-        self.fields = FieldState.zeros(grid)
-        self.halo = HaloSchedule(decomp)
-        self.node_owner = decomp.owner_map
-        self.node_counts = decomp.node_counts().astype(float)
-        self.iteration = 0
-        #: optional :class:`repro.util.guards.InvariantGuard`, checked
-        #: after the push and after the scatter of :meth:`step`
-        self.guard = None
-        #: optional :class:`repro.obs.profile.PhaseProfiler` opening
-        #: host-wall sections around the kernels; it never touches the
-        #: virtual clocks (DESIGN.md §5.8)
-        self.profiler = None
-        self._pool: ParticlePool | None = None
-        # The scatter's unshifted CIC ``(pool, nodes, weights)``: positions
-        # stay put until the next push, so the next gather's (0, 0)
-        # stencil reuses it while the pool is still the same object.
-        self._cic_pool_cache: tuple[ParticlePool, np.ndarray, np.ndarray] | None = None
+        super().__init__(vm, grid, decomp, local_particles, dt)
         # ``(pool, x, y)`` before the latest push, consumed by the scatter
         self._pre_push: tuple[ParticlePool, np.ndarray, np.ndarray] | None = None
         # consistent electrostatic initial condition (setup)
@@ -316,44 +293,8 @@ class ParallelYeePIC(PooledParticles):
         self.fields.rho = (acc[3] * scale).reshape(grid.shape)
 
     # ------------------------------------------------------------------
-    def field_solve(self) -> None:
-        """Halo exchange of the six staggered components, then the Yee update."""
-        vm = self.vm
-        with vm.phase("field"):
-            self.halo.exchange(vm, self._field_node_values(), ncomponents=6)
-            vm.charge_ops("field", self.node_counts)
-            self.solver.step(self.fields, self.dt)
-
-    def step(self) -> None:
-        """One charge-conserving iteration: gather, push, scatter, solve.
-
-        An installed invariant guard runs after the push (particles
-        conserved and finite) and after the scatter (deposited sources
-        finite), as in :meth:`repro.pic.parallel.ParallelPIC.step`.
-        """
-        guard = self.guard
-        self.gather_push()
-        if guard is not None:
-            guard.after_push(self)
-        self.scatter()
-        if guard is not None:
-            guard.after_scatter(self)
-        self.field_solve()
-        self.iteration += 1
-
-    # ------------------------------------------------------------------
-    def all_particles(self) -> ParticleArray:
-        """All particles concatenated in rank order."""
-        return ParticleArray.concat(self.particles)
-
     def gauss_error(self) -> float:
         """Max |div E - rho| (machine precision by construction)."""
         return float(
             np.abs(self.solver.gauss_residual(self.fields, self.fields.rho)).max()
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"ParallelYeePIC(p={self.vm.p}, grid={self.grid!r}, "
-            f"n={sum(p.n for p in self.particles)})"
         )

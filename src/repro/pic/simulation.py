@@ -330,8 +330,6 @@ class Simulation:
             config.p, config.model, strict_ops=(config.guards == "strict")
         )
         self.partitioner = ParticlePartitioner(self.grid, config.scheme)
-        self.decomp = self._build_decomposition()
-        local = self._initial_assignment()
         #: shard-thread execution backend (None = in-process kernels); owned
         #: by the Simulation and shared across rank-failure recoveries
         self.backend = None
@@ -361,48 +359,15 @@ class Simulation:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-        self.redistributor: Redistributor | None = None
-        self.rebalancer = None
-        if config.partitioning == "adaptive":
-            from repro.core.adaptive import AdaptiveMeshRebalancer
-
-            self.rebalancer = AdaptiveMeshRebalancer(self.grid, config.scheme)
         self.policy = make_policy(config.policy)
-        self.policy.bind(self.vm)
-        if config.movement == "lagrangian":
-            self.redistributor = Redistributor(self.partitioner, nbuckets=config.nbuckets)
-            # Measure the setup distribution on the machine to seed the
-            # dynamic policy's T_redistribution, then reset the clock so
-            # run time starts at the first iteration (as in the paper).
-            result = self.redistributor.initialize(self.vm, local)
-            local = result.particles
-            self._setup_cost = result.cost
-            if hasattr(self.policy, "record_redistribution"):
-                self.policy.record_redistribution(-1, result.cost)
-            self.vm.clocks[:] = 0.0
-            self.vm.compute_time[:] = 0.0
-            self.vm.comm_time[:] = 0.0
-            self.vm.phase_time.clear()
-            self.vm.stats.reset()
-            self.vm.ops.reset()
-        else:
-            self._setup_cost = 0.0
-        self.pic = self._build_stepper(self.vm, local)
         #: invariant guard (None when ``config.guards == "off"``: the hot
         #: paths then carry only dormant ``is None`` branches)
-        self.guard: InvariantGuard | None = None
-        if config.guards != "off":
-            self.guard = InvariantGuard(config.guards)
-            self.guard.capture(self.pic.particles)
-            self.pic.guard = self.guard
+        self.guard = InvariantGuard(config.guards) if config.guards != "off" else None
         #: installed fault plan (None = fault-free machine)
         self.fault_plan: FaultPlan | None = None
         self.n_recoveries = 0
         self.recovery_time = 0.0
         self._last_checkpoint: Path | None = None
-        #: per-iteration phase profile, snapshotted by :meth:`run` after
-        #: every iteration and exposed on :class:`SimulationResult`
-        self.trace = PhaseTrace(self.vm)
         #: telemetry bundle (None until :meth:`enable_telemetry`); when
         #: off, every hot-path hook is a dormant ``is None`` branch
         self.telemetry = None
@@ -413,6 +378,74 @@ class Simulation:
         #: by the job service via :meth:`set_correlation`; ``None`` for
         #: standalone runs, keeping their exports byte-identical
         self.correlation: dict | None = None
+        # the measured cost of the setup distribution seeds the dynamic
+        # policy's T_redistribution
+        self._setup_cost = self._assemble(self.initial_particles, setup=True)
+        if self.redistributor is not None and hasattr(self.policy, "record_redistribution"):
+            self.policy.record_redistribution(-1, self._setup_cost)
+        #: per-iteration phase profile, snapshotted by :meth:`run` after
+        #: every iteration and exposed on :class:`SimulationResult`
+        self.trace = PhaseTrace(self.vm)
+
+    # ------------------------------------------------------------------
+    def _assemble(self, particles: ParticleArray, *, setup: bool) -> float:
+        """Build the stack over ``self.vm`` for ``self.config``; return the distribution's cost.
+
+        Decomposition, per-rank assignment of ``particles``, rebalancer
+        (adaptive) or redistributor with its from-scratch distribution
+        (Lagrangian), stepper, guard, policy binding and observer wiring:
+        the one place a run's stack is built, at construction (``setup``)
+        and after a rank failure.  At setup the particles are cut in curve
+        order and the measured distribution is taken off the clock again,
+        so run time starts at the first iteration (as in the paper) — here
+        and not in the caller because the modern stepper's constructor
+        deposits its initial charge *on* the clock; at recovery they are
+        cut in the survivors' rank order and the re-distribution stays on
+        the clock.
+        """
+        cfg, vm = self.config, self.vm
+        self.decomp = self._build_decomposition()
+        if cfg.partitioning == "grid" or cfg.movement == "eulerian":
+            # particles live with the owner of their cell
+            cells = self.grid.cell_id_of_positions(particles.x, particles.y)
+            owners = self.decomp.owner_of_cells(cells)
+            local = [particles.take(np.flatnonzero(owners == r)) for r in range(cfg.p)]
+        elif setup:
+            local = self.partitioner.initial_partition(particles, cfg.p)
+        else:
+            splits = balanced_splits(particles.n, cfg.p)
+            local = [particles.take(np.arange(splits[r], splits[r + 1])) for r in range(cfg.p)]
+        self.rebalancer = None
+        if cfg.partitioning == "adaptive":
+            from repro.core.adaptive import AdaptiveMeshRebalancer
+
+            self.rebalancer = AdaptiveMeshRebalancer(self.grid, cfg.scheme)
+        self.redistributor: Redistributor | None = None
+        cost = 0.0
+        if cfg.movement == "lagrangian":
+            self.redistributor = Redistributor(self.partitioner, nbuckets=cfg.nbuckets)
+            result = self.redistributor.initialize(vm, local)
+            local, cost = result.particles, result.cost
+            if setup:
+                vm.clocks[:] = 0.0
+                vm.compute_time[:] = 0.0
+                vm.comm_time[:] = 0.0
+                vm.phase_time.clear()
+                vm.stats.reset()
+                vm.ops.reset()
+        self.pic = self._build_stepper(vm, local)
+        if self.guard is not None:
+            self.pic.guard = self.guard
+            if setup:
+                self.guard.capture(self.pic.particles)
+            else:
+                self.guard.after_redistribution(self.pic.particles)
+        # the policy may have been rebuilt from checkpoint state, and
+        # either way it now advises this machine
+        self.policy.bind(vm)
+        self._wire_telemetry()
+        self._wire_profiler()
+        return cost
 
     # ------------------------------------------------------------------
     def _build_stepper(self, vm: VirtualMachine, local: list[ParticleArray]):
@@ -501,8 +534,9 @@ class Simulation:
     def _wire_profiler(self) -> None:
         """(Re-)attach the profiler to the current vm / stepper.
 
-        Called at enable time and again after rank-failure recovery
-        (which swaps the machine and rebuilds the stepper).
+        Called at enable time and by :meth:`_assemble`: at construction
+        (a no-op, nothing is enabled yet) and after rank-failure recovery,
+        which swaps the machine and rebuilds the stepper.
         """
         prof = self.profiler
         if prof is None:
@@ -538,7 +572,8 @@ class Simulation:
     def _wire_telemetry(self) -> None:
         """(Re-)attach telemetry sinks to the current vm / policy / guard.
 
-        Called at enable time and again after rank-failure recovery,
+        Called at enable time and by :meth:`_assemble`: at construction
+        (a no-op, nothing is enabled yet) and after rank-failure recovery,
         which swaps the machine and rebuilds the policy from checkpoint
         state (dropping its transient sink).
         """
@@ -582,20 +617,6 @@ class Simulation:
         bounds = np.maximum.accumulate(bounds)
         np.clip(bounds, 0, self.grid.ncells, out=bounds)
         return CurveBlockDecomposition(self.grid, cfg.p, cfg.scheme, bounds=bounds)
-
-    def _initial_assignment(self) -> list[ParticleArray]:
-        cfg = self.config
-        if cfg.partitioning == "grid" or cfg.movement == "eulerian":
-            # Particles live with the owner of their cell.
-            cells = self.grid.cell_id_of_positions(
-                self.initial_particles.x, self.initial_particles.y
-            )
-            owners = self.decomp.owner_of_cells(cells)
-            return [
-                self.initial_particles.take(np.flatnonzero(owners == r))
-                for r in range(cfg.p)
-            ]
-        return self.partitioner.initial_partition(self.initial_particles, cfg.p)
 
     # ------------------------------------------------------------------
     def run(
@@ -830,7 +851,6 @@ class Simulation:
         # phase trace stays continuous across the swap (no stale machine,
         # no double counting)
         self.trace.rebind(vm)
-        self.decomp = self._build_decomposition()
 
         # -- recover the physical + control state --------------------------
         data = None
@@ -870,43 +890,15 @@ class Simulation:
             with vm.phase("recovery"):
                 vm.charge_comm_seconds(vm.model.collective_cost(p_new, 8))
 
-        # -- repartition onto the survivors --------------------------------
-        if cfg.partitioning == "grid" or cfg.movement == "eulerian":
-            cells = self.grid.cell_id_of_positions(all_parts.x, all_parts.y)
-            owners = self.decomp.owner_of_cells(cells)
-            local = [all_parts.take(np.flatnonzero(owners == r)) for r in range(p_new)]
-        else:
-            splits = balanced_splits(all_parts.n, p_new)
-            local = [
-                all_parts.take(np.arange(splits[r], splits[r + 1])) for r in range(p_new)
-            ]
-        self.rebalancer = None
-        if cfg.partitioning == "adaptive":
-            from repro.core.adaptive import AdaptiveMeshRebalancer
-
-            self.rebalancer = AdaptiveMeshRebalancer(self.grid, cfg.scheme)
-        self.redistributor = None
-        if cfg.movement == "lagrangian":
-            self.redistributor = Redistributor(self.partitioner, nbuckets=cfg.nbuckets)
-            local = self.redistributor.initialize(vm, local).particles
-
-        # -- rebuild the stepper on the shrunk machine ----------------------
-        self.pic = self._build_stepper(vm, local)
+        # -- rebuild the stack on the survivors (re-distribution on the clock) --
+        self._assemble(all_parts, setup=False)
         self.pic.fields = fields
         self.pic.iteration = restart_iteration
         self.iteration = restart_iteration
-        if self.guard is not None:
-            self.pic.guard = self.guard
-            self.guard.after_redistribution(self.pic.particles)
-        # the policy may have been rebuilt from checkpoint state, and
-        # either way it now advises a different (shrunk) machine
-        self.policy.bind(vm)
         vm.stats.snapshot_epoch()  # keep recovery comm out of the scatter series
         self.n_recoveries += 1
         self.recovery_time += (vm.elapsed() - t_fail) + plan.detect_timeout
         if tel is not None:
-            # the policy (and possibly the guard wiring target) were
-            # rebuilt above — re-attach every telemetry sink
             tel.on_shrink(p_new, dead, restart_iteration, t=vm.elapsed())
             tel.record_event(
                 "recovery",
@@ -916,9 +908,6 @@ class Simulation:
                 dead_rank=dead,
                 p=p_new,
             )
-            self._wire_telemetry()
-        # the machine and stepper were both swapped above
-        self._wire_profiler()
 
     def result(self) -> SimulationResult:
         """The :class:`SimulationResult` of the history run so far."""

@@ -86,7 +86,9 @@ class SpanTracer:
     """
 
     def __init__(self) -> None:
-        self.spans: list[Span] = []
+        #: one (name, iteration, depth, entry clocks, exit clocks) row per
+        #: recorded phase; :attr:`spans` expands them into per-rank spans
+        self._phases: list[tuple] = []
         self.instants: list[InstantEvent] = []
         self.counters: list[CounterSample] = []
         self.iteration = -1  #: -1 = before the first simulation iteration
@@ -109,16 +111,26 @@ class SpanTracer:
     ) -> None:
         """Record one phase interval from per-rank entry/exit clocks.
 
-        Ranks whose clock did not advance inside the phase are skipped —
+        O(1) Python work per phase whatever the rank count (this runs
+        inside every ``vm.phase`` of a traced step): the two clock
+        vectors are copied and kept; per-rank spans are made on demand.
+        """
+        self._phases.append((name, self.iteration, depth, t_start.copy(), t_end.copy()))
+
+    @property
+    def spans(self) -> list[Span]:
+        """Every recorded (iteration, phase, rank) interval, in order.
+
+        Ranks whose clock did not advance inside a phase are skipped —
         they did not participate, and zero-width slices only clutter the
         timeline.
         """
-        it = self.iteration
-        for rank in range(len(t_start)):
-            t0 = float(t_start[rank])
-            t1 = float(t_end[rank])
-            if t1 > t0:
-                self.spans.append(Span(name, rank, it, t0, t1, depth))
+        return [
+            Span(name, rank, iteration, t0, t1, depth)
+            for name, iteration, depth, starts, ends in self._phases
+            for rank, (t0, t1) in enumerate(zip(starts.tolist(), ends.tolist()))
+            if t1 > t0
+        ]
 
     def record_instant(self, name: str, t: float, **args) -> None:
         """Record a zero-duration marker at virtual time ``t``."""
@@ -223,6 +235,6 @@ class SpanTracer:
 
     def __repr__(self) -> str:
         return (
-            f"SpanTracer(spans={len(self.spans)}, instants={len(self.instants)}, "
+            f"SpanTracer(phases={len(self._phases)}, instants={len(self.instants)}, "
             f"counters={len(self.counters)})"
         )

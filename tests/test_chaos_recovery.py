@@ -7,8 +7,9 @@ corrupt, atol=1e-12 checkpoint-restore recovery for rank kills — or it
 raises a typed exception.  Never a silent wrong answer.
 """
 
-import time
+import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,26 +208,88 @@ class TestZeroCostWhenOff:
         assert plain.vm.state_dict() == wired.vm.state_dict()
 
     def test_guard_overhead_under_two_percent(self):
-        """Guards-off wall time within 2% of a build-equivalent baseline.
+        """Guards off + an empty fault plan cost under 2% of a plain run's calls.
 
-        Interleaved min-of-N on the same machine (a cross-machine
-        comparison against committed numbers would measure the hardware,
-        not the code).  The baseline body is the identical simulation
-        with the identical dormant branches, so this pins the *relative*
-        cost of the fault/guard wiring at zero faults + guards off.
+        What the wired machine adds is a handful of *dormant* hooks — the
+        injector's per-iteration tag, a per-exchange "any message fault
+        scheduled?" and a per-charge slowdown factor of 1 — and the budget
+        is stated on what they are made of: Python-level calls, counted with
+        ``sys.setprofile`` as in ``tests/test_step_call_budget.py``.  The
+        count is deterministic (a wall-clock ratio of two ~15 ms runs is
+        not, on a shared host), it is O(1) per iteration — the same at
+        p = 32 as at p = 8, nothing loops over ranks or messages — and at
+        the scale the 2% budget was set for it stays inside it.
         """
 
-        def once(install_empty_plan):
-            sim = Simulation(_config(nparticles=4096, p=8))
+        def calls(p, install_empty_plan):
+            sim = Simulation(_config(nparticles=4096, p=p))
             if install_empty_plan:
                 sim.install_faults(FaultPlan())
-            t0 = time.perf_counter()
-            sim.run(4)
-            return time.perf_counter() - t0
+            sim.run(1)  # builds the pool, loads the kernels
+            count = 0
 
-        for _ in range(3):  # measurement rounds: pass on the first quiet one
-            base = min(once(False) for _ in range(3))
-            wired = min(once(True) for _ in range(3))
-            if wired <= base * 1.02:
-                return
-        pytest.fail(f"fault machinery overhead above 2%: {wired:.4f}s vs {base:.4f}s")
+            def profile(frame, event, arg):
+                nonlocal count
+                if event in ("call", "c_call"):
+                    count += 1
+
+            sys.setprofile(profile)
+            try:
+                sim.run(4)
+            finally:
+                sys.setprofile(None)
+            return count
+
+        base, wired = calls(8, False), calls(8, True)
+        assert 0 < wired - base <= 0.02 * base, (
+            f"fault machinery overhead above 2%: {wired} vs {base} calls"
+        )
+        assert calls(32, True) - calls(32, False) == wired - base, (
+            "the dormant fault hooks cost more calls on a larger machine"
+        )
+
+
+class TestRecoveredStackIsAssembledLikeAFreshOne:
+    """``_recover`` and ``__init__`` build the stack through one method."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(policy="dynamic"),
+            dict(movement="eulerian", partitioning="adaptive"),
+            dict(kernel="modern"),
+        ],
+        ids=["lagrangian-dynamic", "eulerian-adaptive", "modern"],
+    )
+    def test_same_wiring_as_fresh_construction(self, overrides):
+        cfg = _config(guards="strict", **overrides)
+
+        def observed(config):
+            sim = Simulation(config)
+            sim.enable_telemetry()
+            sim.enable_profiling()
+            return sim
+
+        def wiring(sim):
+            tel = sim.telemetry
+            return {
+                "p": (sim.config.p, sim.vm.p, sim.decomp.p, len(sim.pic.particles)),
+                "redistributor": type(sim.redistributor),
+                "rebalancer": type(sim.rebalancer),
+                "pic": type(sim.pic),
+                "pic.decomp": sim.pic.decomp is sim.decomp,
+                "pic.guard": sim.pic.guard is sim.guard and type(sim.guard),
+                "guard.on_violation": sim.guard.on_violation == tel.record_guard_violation,
+                "pic.profiler": sim.pic.profiler is sim.profiler,
+                "vm.profiler": sim.vm.profiler is sim.profiler,
+                "vm.tracer": sim.vm.tracer is tel.tracer,
+                "policy.decision_sink": sim.policy.decision_sink == tel.record_sar_decision,
+            }
+
+        sim = observed(cfg)
+        sim.install_faults(FaultPlan(events=(FaultEvent(kind="kill", rank=2, iteration=3),)))
+        result = sim.run(6)
+        assert result.n_recoveries == 1
+        fresh = observed(replace(cfg, p=cfg.p - 1))
+        assert wiring(sim) == wiring(fresh)
+        assert all(wiring(fresh).values())

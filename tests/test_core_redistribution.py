@@ -136,7 +136,7 @@ class TestFullRedistribute:
 
         vm2 = VirtualMachine(4, MachineModel.cm5())
         redis2 = Redistributor(partitioner)
-        full = redis2.full_redistribute(vm2, [p.copy() for p in snapshot])
+        full = redis2.initialize(vm2, [p.copy() for p in snapshot])
         # Equal-key ties may fall on different sides of a rank boundary,
         # so compare per-rank key multisets and the global id multiset.
         for a, b in zip(inc.particles, full.particles):

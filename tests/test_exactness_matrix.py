@@ -1,0 +1,33 @@
+"""The digest tool of ``tests/exactness_matrix.py`` is deterministic and worker-invariant.
+
+A bit-identity claim rests on comparing that tool's output between two
+source trees on one host, which only means something if two runs of one
+tree print the same digests — at any worker count, on either kernel path
+(CI re-runs this file with ``--numpy-kernels`` and in the ``multicore``
+job).
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from tests.exactness_matrix import ROWS, digest
+
+#: an era row with redistributions, the modern kernel (``workers`` degrades
+#: to in-process there and must not show), a recovered rank failure
+_SMALL_ROWS = ("era_periodic", "modern_hash", "era_faultplan")
+
+
+def test_rows_are_the_recorded_matrix():
+    recorded = json.loads(
+        (Path(__file__).parent.parent / "benchmarks/results/pr23_shard_threads.json").read_text()
+    )["exactness"]["parent"]
+    assert list(ROWS) == list(recorded)
+
+
+@pytest.mark.parametrize("name", _SMALL_ROWS)
+def test_digest_is_deterministic_and_worker_invariant(name):
+    first = digest(name, workers=0)
+    assert digest(name, workers=0) == first, "two runs of one tree disagree"
+    assert digest(name, workers=2) == first, "the digest depends on the worker count"

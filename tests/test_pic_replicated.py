@@ -8,7 +8,7 @@ from repro.machine import MachineModel, VirtualMachine
 from repro.mesh import CurveBlockDecomposition, Grid2D
 from repro.particles import uniform_plasma
 from repro.pic import ParallelPIC, SequentialPIC
-from repro.pic.replicated import ReplicatedMeshPIC
+from benchmarks.replicated_mesh import ReplicatedMeshPIC
 
 
 def build(grid, particles, p=4):

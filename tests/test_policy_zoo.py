@@ -352,8 +352,9 @@ class TestOptimalPlanner:
 
         n_star, optimizer = _optimal_period(2.0, 0.1, 200)
         assert n_star == pytest.approx((2 * 2.0 / 0.1) ** 0.5, abs=1e-3)
-        # whichever path ran, the answer is the analytic optimum
-        assert optimizer in ("scipy", "closed-form")
+        # one optimizer on every host: the logged n_star is part of the
+        # replayable decision record
+        assert optimizer == "closed-form"
 
     def test_history_window_is_bounded(self):
         policy = OptimalPlannerPolicy(window=8)

@@ -116,6 +116,67 @@ class TestPackageMetadata:
         assert not (ROOT / "src/repro/parallel_exec/shm.py").exists()
         assert not (ROOT / "src/repro/parallel_exec/pool.py").exists()
 
+    def test_one_stepper_family_in_src(self):
+        """The 3-D extension is deleted and the replicated-mesh baseline lives
+        beside its ablation under ``benchmarks/``: ``src/repro`` holds one
+        pooled stepper base with exactly two kernel bodies, and ``step`` is
+        the base's."""
+        import ast
+        import importlib
+        import pkgutil
+
+        import repro
+        from repro.pic.parallel import PooledParticles
+
+        gone = ("ext3d", "replicated")
+        offenders = []
+        for path in sorted((ROOT / "src/repro").rglob("*.py")):
+            rel = path.relative_to(ROOT)
+            if any(word in part for part in rel.parts for word in gone):
+                offenders.append(f"{rel} (name)")
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = []
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [alias.name for alias in node.names]
+                offenders += [f"{rel}: imports {n}" for n in names for w in gone if w in n.lower()]
+        assert not offenders, offenders
+
+        for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+            if not info.name.endswith("__main__"):  # importing it runs the CLI
+                importlib.import_module(info.name)
+
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        in_src = {c for c in subclasses(PooledParticles) if c.__module__.startswith("repro.")}
+        assert {c.__name__ for c in in_src} == {"ParallelPIC", "ParallelYeePIC"}
+        for cls in in_src:
+            assert "step" not in vars(cls), f"{cls.__name__} redefines step()"
+            assert cls.PHASES and cls.SOLVER is not None
+
+    def test_docs_mention_no_deleted_path(self):
+        deleted = (
+            "repro.ext3d",
+            "repro/ext3d",
+            "ext3d/",
+            "hilbert3d_partition",
+            "test_ext3d",
+            "pic/replicated.py",
+            "pic.replicated",
+        )
+        docs = [ROOT / "README.md", ROOT / "DESIGN.md", *sorted((ROOT / "docs").glob("*.md"))]
+        stale = [
+            f"{doc.relative_to(ROOT)}: {word}"
+            for doc in docs
+            for word in deleted
+            if word in doc.read_text()
+        ]
+        assert not stale, stale
+
     def test_license_present(self):
         assert (ROOT / "LICENSE").read_text().startswith("MIT License")
 

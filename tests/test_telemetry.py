@@ -152,31 +152,52 @@ class TestZeroCostWhenOff:
         assert d_traced == d_plain
 
     def test_enabled_overhead_under_five_percent(self, numpy_kernels):
-        # Measured at the tier-1 bench scale (p=32, n=8192 — the same
-        # regime `telemetry_overhead_p32` gates), where per-iteration
-        # physics dominates the fixed bookkeeping.  Min-of-N wall times,
-        # retried to ride out scheduler noise.  The budget is 5 % of the
-        # step it was set against, the NumPy-kernel step (`numpy_kernels`):
-        # the bookkeeping is a fixed ~0.2 ms per iteration, which a faster
-        # step must not turn into a looser or a failing bound.
-        cfg = dict(nx=64, ny=32, nparticles=8192, p=32)
+        # One traced run, telemetry's entry points timed in place with
+        # ``process_time``: every iteration is one round of "hooks" against
+        # "everything else" under the same host conditions, and the verdict
+        # is the median round.  Differencing two whole runs cannot resolve
+        # 5 % on a shared host (their walls spread +-10 %); the two parts of
+        # one iteration can.  Measured at the tier-1 bench scale (p=32,
+        # n=8192 — the same regime `telemetry_overhead_p32` gates) on the
+        # step the budget was set against, the NumPy-kernel step
+        # (`numpy_kernels`): the bookkeeping is a fixed cost per iteration,
+        # which a faster step must not turn into a looser or a failing bound.
+        sim = Simulation(_config(nx=64, ny=32, nparticles=8192, p=32))
+        tel = sim.enable_telemetry()
+        spent = 0.0
 
-        def wall(enable):
-            best = float("inf")
-            for _ in range(3):
-                sim = Simulation(_config(**cfg))
-                if enable:
-                    sim.enable_telemetry()
-                t0 = time.perf_counter()
-                sim.run(6)
-                best = min(best, time.perf_counter() - t0)
-            return best
+        def timed(hook):
+            def wrapper(*args, **kwargs):
+                nonlocal spent
+                t0 = time.process_time()
+                try:
+                    return hook(*args, **kwargs)
+                finally:
+                    spent += time.process_time() - t0
 
-        for _ in range(3):
-            plain, traced = wall(False), wall(True)
-            if traced <= plain * 1.05:
-                return
-        pytest.fail(f"telemetry overhead above 5%: {traced / plain - 1.0:.1%}")
+            return wrapper
+
+        for owner, names in (
+            (tel, ("set_iteration", "begin_iteration", "end_iteration", "record_sar_decision")),
+            (tel.tracer, ("record_phase",)),
+        ):
+            for name in names:
+                setattr(owner, name, timed(getattr(owner, name)))
+        sim.policy.decision_sink = tel.record_sar_decision  # bound before the wrap
+        rounds = []
+        mark = (time.process_time(), spent)
+
+        def close_round(_sim):
+            nonlocal mark
+            now = time.process_time()
+            total, hooks = now - mark[0], spent - mark[1]
+            rounds.append(hooks / (total - hooks))
+            mark = (time.process_time(), spent)
+
+        sim.run(12, on_iteration=close_round)
+        overhead = float(np.median(rounds))
+        assert len(tel.tracer.spans) > 12 * 32, "the traced hooks did not run"
+        assert overhead <= 0.05, f"telemetry overhead above 5%: {overhead:.1%} (rounds {rounds})"
 
 
 # ----------------------------------------------------------------------
