@@ -143,18 +143,20 @@ class Grid2D:
         self,
         xa: tuple[np.ndarray, np.ndarray, np.ndarray],
         ya: tuple[np.ndarray, np.ndarray, np.ndarray],
+        out: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vertex nodes and bilinear weights from two :meth:`cic_axis` results."""
+        """Vertex nodes and bilinear weights from two :meth:`cic_axis`
+        results, written into ``out`` if given."""
         cx, cx1, tx = xa
         cy, cy1, ty = ya
         row, row1 = cy * self.nx, cy1 * self.nx
-        nodes = np.empty((cx.shape[0], 4), dtype=np.int64)
+        n = cx.shape[0]
+        nodes, weights = out or (np.empty((n, 4), dtype=np.int64), np.empty((n, 4)))
         np.add(row, cx, out=nodes[:, 0])
         np.add(row, cx1, out=nodes[:, 1])
         np.add(row1, cx, out=nodes[:, 2])
         np.add(row1, cx1, out=nodes[:, 3])
         ux, uy = 1.0 - tx, 1.0 - ty
-        weights = np.empty((cx.shape[0], 4))
         np.multiply(ux, uy, out=weights[:, 0])
         np.multiply(tx, uy, out=weights[:, 1])
         np.multiply(ux, ty, out=weights[:, 2])
@@ -162,7 +164,7 @@ class Grid2D:
         return nodes, weights
 
     def cic_vertices_weights(
-        self, x: np.ndarray, y: np.ndarray
+        self, x: np.ndarray, y: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Cloud-in-cell vertex nodes and bilinear weights for positions.
 
@@ -176,13 +178,15 @@ class Grid2D:
             float64 array of shape ``(n, 4)`` — bilinear weights, summing
             to 1 per particle.
 
-        One compiled pass when :mod:`repro.native` is active, with the
-        floats of the two-axis NumPy evaluation either way.
+        Both are fresh arrays, or the ``out`` pair of buffers written
+        into (the era stepper keeps its pair across steps).  One compiled
+        pass when :mod:`repro.native` is active, with the floats of the
+        two-axis NumPy evaluation either way.
         """
         compiled = native.kernels()
-        found = compiled.cic(self, x, y) if compiled is not None else None
+        found = compiled.cic(self, x, y, out) if compiled is not None else None
         if found is None:
-            found = self.cic_from_axes(self.cic_axis(x, 0), self.cic_axis(y, 1))
+            found = self.cic_from_axes(self.cic_axis(x, 0), self.cic_axis(y, 1), out)
         return found
 
     def cell_vertices(self, cell_ids: np.ndarray) -> np.ndarray:

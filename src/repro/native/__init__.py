@@ -1,12 +1,12 @@
 """Compiled particle kernels: build once, load lazily, fall back cleanly.
 
 ``pic_kernels.c`` holds the four per-particle loops (CIC, deposit,
-interpolate, Boris push).  :func:`kernels` hands them out as a
-:class:`~repro.native.calls.Kernels`, or ``None`` when the NumPy bodies
-have to do the work; the functions that carry the kernels' names
-(``Grid2D.cic_vertices_weights``, ``scatter_segment``,
-``gather_from_node_values``, ``boris_push``) ask it on every call, so
-there is no switch anywhere else.
+interpolate, Boris push) and the ghost-slot pass.  :func:`kernels` hands
+them out as a :class:`~repro.native.calls.Kernels`, or ``None`` when the
+NumPy bodies have to do the work; the functions that carry the kernels'
+names (``Grid2D.cic_vertices_weights``, ``scatter_segment``,
+``gather_from_node_values``, ``boris_push``, ``ghost_slots``) ask it on
+every call, so there is no switch anywhere else.
 
 The library is built on first use with the local ``cc`` into a
 content-addressed file (its name carries a digest of source, compiler

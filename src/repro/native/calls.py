@@ -4,11 +4,12 @@ Every :class:`Kernels` method answers ``None`` (``False`` for the push)
 when the caller has to run the NumPy body instead: an argument is not a
 C-contiguous array of the expected dtype and shape (no silent copies —
 least of all of in-place outputs), or the C loop reported a float
-exception, a non-finite result or an out-of-range index, which NumPy
-then turns into its own warning, exception or NaN.  The C loops write
-only output buffers, all fresh but the deposit's ``acc``: a bad index
-leaves that untouched (the NumPy body then raises, as it always did,
-before writing), a flagged call leaves it for the NumPy body to refill.
+exception, a non-finite result, an out-of-range index or an input it
+does not cover, which NumPy then turns into its own warning, exception,
+NaN or answer.  The C loops write only output buffers — fresh ones, or
+the caller's ``out`` / the deposit's ``acc``: a bad index leaves ``acc``
+untouched (the NumPy body then raises, as it always did, before
+writing), a flagged call leaves an output for the NumPy body to refill.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ _SIGNATURES = {
     "deposit": (_I64, *[_PTR] * 6, _I64, _PTR, _PTR, _I64, _I64, _PTR, _PTR),
     "interpolate": (_I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR),
     "boris_push": (_I64, *[_PTR] * 9, _F64, _F64, _F64, _PTR),
+    "ghost_slots": (_I64, _I64, _PTR, _PTR, _I64, _I64, _PTR, _I64, *[_PTR] * 7),
 }
 
 
@@ -42,26 +44,38 @@ def _ptr(*arrays):
 
 
 class Kernels:
-    """The four entry points of a loaded ``pic_kernels`` library."""
+    """The five entry points of a loaded ``pic_kernels`` library."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib  # keeps the library mapped
-        # the push's staging block, kept per thread and only ever grown
-        # (40 bytes per particle): a fresh block per call is page-faulted in
-        # every step, ~0.7 ms of a ~10 ms Fig 17 iteration (7/8 pairs,
-        # benchmarks/results/pr22_native_kernels.json "staging_block")
-        self._staging = threading.local()
+        # scratch blocks kept per thread and only ever grown: the push's
+        # staging block (40 bytes per particle) and ghost_slots' tables
+        # (40 bytes per node).  A fresh block per call is page-faulted in
+        # every step, ~0.7 ms of a ~10 ms Fig 17 iteration for the push's
+        # (7/8 pairs, benchmarks/results/pr22_native_kernels.json "staging_block")
+        self._scratch = threading.local()
         for name, argtypes in _SIGNATURES.items():
             entry = getattr(lib, name)
             entry.argtypes, entry.restype = argtypes, ctypes.c_int
             setattr(self, "_" + name, entry)
 
-    def cic(self, grid, x, y):
-        """``Grid2D.cic_vertices_weights``: ``(nodes, weights)`` or ``None``."""
+    def _block(self, name: str, size: int, dtype) -> np.ndarray:
+        """This thread's scratch block ``name``, ``size`` elements of it."""
+        block = getattr(self._scratch, name, None)
+        if block is None or block.size < size:
+            block = np.empty(size, dtype=dtype)
+            setattr(self._scratch, name, block)
+        return block[:size]
+
+    def cic(self, grid, x, y, out=None):
+        """``Grid2D.cic_vertices_weights``: ``(nodes, weights)`` — ``out`` if
+        given — or ``None``."""
         if not (isinstance(x, np.ndarray) and x.ndim == 1 and _plain(np.float64, x.shape, x, y)):
             return None
         n = x.shape[0]
-        nodes, weights = np.empty((n, 4), dtype=np.int64), np.empty((n, 4))
+        nodes, weights = out or (np.empty((n, 4), dtype=np.int64), np.empty((n, 4)))
+        if not (_plain(np.int64, (n, 4), nodes) and _plain(np.float64, (n, 4), weights)):
+            return None
         failed = self._cic(
             n, *_ptr(x, y), grid.lx, grid.ly, grid.dx, grid.dy, grid.nx, grid.ny,
             *_ptr(nodes, weights),
@@ -88,8 +102,9 @@ class Kernels:
         )  # fmt: skip
         return None if failed else summed
 
-    def interpolate(self, by_node, nodes, weights):
-        """``gather_from_node_values`` on node-major values: ``(ncomp, n)`` or ``None``."""
+    def interpolate(self, by_node, nodes, weights, out=None):
+        """``gather_from_node_values`` on node-major values: ``(ncomp, n)`` —
+        ``out`` if given — or ``None``."""
         n = len(nodes)
         if not (
             _plain(np.int64, (n, 4), nodes)
@@ -99,7 +114,9 @@ class Kernels:
         ):
             return None
         nnodes, ncomp = by_node.shape
-        out = np.empty((ncomp, n))
+        out = np.empty((ncomp, n)) if out is None else out
+        if not _plain(np.float64, (ncomp, n), out):
+            return None
         failed = self._interpolate(n, ncomp, nnodes, *_ptr(by_node, nodes, weights, out))
         return None if failed else out
 
@@ -109,14 +126,39 @@ class Kernels:
         columns = (parts.x, parts.y, parts.ux, parts.uy, parts.uz, parts.q, parts.m)
         if not (_plain(np.float64, (n,), *columns) and _plain(np.float64, (3, n), e, b)):
             return False
-        block = getattr(self._staging, "block", None)
-        if block is None or block.size < 5 * n:
-            block = self._staging.block = np.empty(5 * n)
-        out = block[: 5 * n].reshape(5, n)
+        out = self._block("push", 5 * n, np.float64).reshape(5, n)
         if self._boris_push(n, *_ptr(*columns, e, b), dt, grid.lx, grid.ly, out.ctypes.data):
             return False
         parts.ux[:], parts.uy[:], parts.uz[:], parts.x[:], parts.y[:] = out
         return True
+
+    def ghost_slots(self, grid, node_owner, particle_ranks, cells, r0):
+        """``ghost_slots``: ``(ranks, owners, nodes, dest, pair_of)`` or ``None``.
+
+        Two calls into the C pass — one counts pairs and slots, one fills
+        outputs allocated to exactly those sizes."""
+        if not (
+            isinstance(cells, np.ndarray)
+            and cells.ndim == 2
+            and _plain(np.int64, cells.shape, cells)
+            and _plain(np.int64, cells.shape[1:], particle_ranks)
+            and _plain(np.int64, (grid.nnodes,), node_owner)
+        ):
+            return None
+        k, n = cells.shape
+        sizes = np.empty(3, dtype=np.int64)
+        work = self._block("ghost_slots", 5 * grid.nnodes, np.int64)
+        given = (
+            k, n, *_ptr(particle_ranks, cells), grid.nx, grid.ny, node_owner.ctypes.data, int(r0),
+            *_ptr(work, sizes),
+        )  # fmt: skip
+        if self._ghost_slots(*given, None, None, None, None, None):
+            return None
+        npairs, nslots = int(sizes[0]), int(sizes[1])
+        pair_of, dest = np.empty((k, n), dtype=np.int64), np.empty((npairs, 4), dtype=np.int64)
+        ranks, owners, nodes = np.empty((3, nslots), dtype=np.int64)
+        self._ghost_slots(*given, *_ptr(pair_of, dest, ranks, owners, nodes))
+        return ranks, owners, nodes, dest, pair_of
 
 
 def self_check(found: Kernels) -> str | None:
@@ -124,11 +166,13 @@ def self_check(found: Kernels) -> str | None:
 
     Known answers on 257 particles of a non-square grid: positions on the
     edges and far outside, signed zeros among the field values, both
-    einsum association orders (``ncomp`` 1 and 6).
+    einsum association orders (``ncomp`` 1 and 6), ghost slots of three
+    cell rows over five ranks (one empty) counted from ``r0 = 1``.
     """
     from repro.mesh.grid import Grid2D
     from repro.particles.arrays import ParticleArray
     from repro.parallel_exec.kernels import deposit_numpy
+    from repro.pic.deposition import ghost_slots_numpy
     from repro.pic.interpolation import interpolate_numpy
     from repro.pic.push import push_numpy
 
@@ -150,6 +194,13 @@ def self_check(found: Kernels) -> str | None:
     if not same(found.cic(grid, x, y), vertices):
         return "cic"
     nodes, weights = vertices
+
+    ranks = np.repeat(np.arange(5), [60, 0, 97, 50, 50])
+    cells = np.stack((nodes[:, 0], nodes[:, 3], rng.integers(0, grid.ncells, n)))
+    owner = rng.integers(0, 6, grid.nnodes)
+    got = found.ghost_slots(grid, owner, ranks, cells, 1)
+    if not same(got, ghost_slots_numpy(grid, owner, ranks, cells, 1)):
+        return "ghost_slots"
 
     npairs, nslots = 40, 13
     dest = rng.integers(0, grid.nnodes + nslots, (npairs, 4))

@@ -1,19 +1,20 @@
-/* The four per-particle PIC kernels as plain C loops.
+/* The per-particle PIC kernels as plain C loops.
  *
  * Each entry point reproduces its NumPy body's floats bit for bit: the same
  * IEEE operations per particle in the same order, bins added to in pooled
- * entry order (which is numpy.bincount's).  Build without -ffast-math and
- * with -ffp-contract=off: a fused multiply-add rounds once where NumPy
- * rounds twice.  repro/native/__init__.py compares every entry point with
- * its NumPy body when the library is loaded and drops the library on a
- * mismatch.
+ * entry order (which is numpy.bincount's); ghost_slots its integers.  Build
+ * without -ffast-math and with -ffp-contract=off: a fused multiply-add
+ * rounds once where NumPy rounds twice.  repro/native/__init__.py compares
+ * every entry point with its NumPy body when the library is loaded and
+ * drops the library on a mismatch.
  *
  * Every kernel is pure: it reads its arguments, writes only its output
- * buffers and returns
+ * buffers (and ghost_slots its scratch) and returns
  *   OK         the outputs are the NumPy body's;
  *   FLAGGED    a float exception NumPy reports (invalid, divide by zero,
  *              overflow) was raised or an output is not finite;
- *   BAD_INDEX  an index argument is outside its table.
+ *   BAD_INDEX  an index argument is outside its table;
+ *   DECLINED   an input the loop does not cover (ghost_slots only).
  * On anything but OK the caller discards the outputs and runs the NumPy
  * body, which then produces the warning, the exception or the NaN payload
  * NumPy produces.  No index is used before it is range-checked.
@@ -24,9 +25,9 @@
 #include <stdint.h>
 #include <string.h>
 
-enum { OK = 0, FLAGGED = 1, BAD_INDEX = 2 };
+enum { OK = 0, FLAGGED = 1, BAD_INDEX = 2, DECLINED = 3 };
 
-/* inputs are only read and outputs are fresh buffers: nothing aliases */
+/* inputs are only read and outputs are buffers of their own: nothing aliases */
 #define R restrict
 
 #define NOT_FINITE(v) (!(fabs(v) <= DBL_MAX))
@@ -221,4 +222,145 @@ int boris_push(int64_t n, const double *R x, const double *R y, const double *R 
         bad |= NOT_FINITE(nux) | NOT_FINITE(nuy) | NOT_FINITE(nuz) | NOT_FINITE(nx) | NOT_FINITE(ny);
     }
     return finish(bad);
+}
+
+/* LSD radix sort of m non-negative keys, one byte a pass, through tmp (m
+ * long): no data-dependent branch, about 4x faster than qsort or a shell
+ * sort on the lists of a few dozen cells or vertices it gets. */
+static void sort_ascending(int64_t *a, int64_t *tmp, int64_t m)
+{
+    int64_t bits = 0, *src = a, *dst = tmp;
+    for (int64_t i = 0; i < m; i++)
+        bits |= a[i];
+    for (int shift = 0; shift < 64 && bits >> shift; shift += 8) {
+        int64_t count[257] = {0}, *swap = src;
+        for (int64_t i = 0; i < m; i++)
+            count[((src[i] >> shift) & 255) + 1]++;
+        for (int b = 0; b < 256; b++)
+            count[b + 1] += count[b];
+        for (int64_t i = 0; i < m; i++)
+            dst[count[(src[i] >> shift) & 255]++] = src[i];
+        src = dst;
+        dst = swap;
+    }
+    if (src != a)
+        memcpy(a, src, sizeof(int64_t) * (size_t)m);
+}
+
+/* Grid2D.cell_vertices of one cell id in [0, nx * ny), with one division. */
+static void cell_vertices(int64_t cell, int64_t nx, int64_t ny, int64_t v[4])
+{
+    int64_t cy = cell / nx, cx = cell - cy * nx;
+    int64_t row = cy * nx, row1 = cy + 1 == ny ? 0 : row + nx, cx1 = cx + 1 == nx ? 0 : cx + 1;
+    v[0] = row + cx;
+    v[1] = row + cx1;
+    v[2] = row1 + cx;
+    v[3] = row1 + cx1;
+}
+
+/* ghost_slots: the distinct (rank, cell) pairs of k rows of n cells
+ * (particle i of rank ranks[i], counted from r0) in (rank, cell) order and
+ * each entry's pair in pair_of (k, n); per pair vertex in dest (npairs, 4)
+ * its node where the pair's rank owns it, nnodes + slot otherwise, the
+ * slots being the distinct off-rank (rank, node) pairs in (rank, owner,
+ * node) order (slot_ranks / slot_owners / slot_nodes).
+ *
+ * The ranks ascend (a pool's rank segments), so each rank is one segment
+ * and its pairs and slots are found on it alone: its distinct cells by a
+ * stamp table, then sorted; its pairs' distinct off-rank vertices by a
+ * second stamp table, then sorted by owner * nnodes + node.  The tables
+ * hold the segment's stamp while it collects and -(id + 1) once its pairs
+ * or slots are numbered, which no stamp equals.  work is 5 * nnodes int64:
+ * the two tables, one segment's cells and off-rank vertices, and the sort's
+ * second buffer.
+ *
+ * Called first with pair_of == NULL: validates, clears the tables and
+ * counts, sizes = (npairs, nslots, segments).  BAD_INDEX: a cell outside
+ * the grid; DECLINED: ranks negative or descending, a negative owner, or
+ * keys the NumPy body would overflow int64 with.  Called again on the same
+ * arguments with outputs of the counted sizes: fills them (stamps continue
+ * after the count's, so the tables need no second clearing). */
+int ghost_slots(int64_t k, int64_t n, const int64_t *R ranks, const int64_t *R cells,
+                int64_t nx, int64_t ny, const int64_t *R node_owner, int64_t r0,
+                int64_t *R work, int64_t *R sizes, int64_t *R pair_of, int64_t *R dest,
+                int64_t *R slot_ranks, int64_t *R slot_owners, int64_t *R slot_nodes)
+{
+    int64_t nnodes = nx * ny;
+    int64_t *cell_mark = work, *node_mark = work + nnodes;
+    int64_t *seg_cells = work + 2 * nnodes, *seg_keys = work + 3 * nnodes, *tmp = work + 4 * nnodes;
+    int fill = pair_of != NULL;
+    int64_t stamp = fill ? sizes[2] : 0, npairs = 0, nslots = 0;
+    if (!fill) {
+        int64_t max_owner = 0;
+        for (int64_t v = 0; v < nnodes; v++) {
+            if (node_owner[v] < 0)
+                return DECLINED;
+            max_owner = node_owner[v] > max_owner ? node_owner[v] : max_owner;
+        }
+        /* the largest NumPy key is ((rank + 1) * (max owner + 1)) * nnodes - 1;
+         * ranks[n - 1] is the largest rank once the walk found them ascending */
+        if (n && ((double)ranks[n - 1] + 1) * ((double)max_owner + 1) * (double)nnodes >= 0x1p62)
+            return DECLINED;
+        memset(work, 0, sizeof(int64_t) * 2 * (size_t)nnodes);
+    }
+    for (int64_t s = 0, e; s < n; s = e) {
+        int64_t rank = ranks[s], m = 0, q = 0, v[4];
+        for (e = s + 1; e < n && ranks[e] == rank; e++)
+            ;
+        if (!fill && (rank < 0 || (e < n && ranks[e] < rank)))
+            return DECLINED;
+        int64_t mine = rank + r0;
+        stamp++;
+        for (int64_t j = 0; j < k; j++)
+            for (int64_t i = s; i < e; i++) {
+                int64_t c = cells[j * n + i];
+                if (!fill && (c < 0 || c >= nnodes))
+                    return BAD_INDEX;
+                if (cell_mark[c] != stamp) {
+                    cell_mark[c] = stamp;
+                    seg_cells[m++] = c;
+                }
+            }
+        if (fill) {
+            sort_ascending(seg_cells, tmp, m);
+            for (int64_t t = 0; t < m; t++)
+                cell_mark[seg_cells[t]] = -(npairs + t) - 1;
+            for (int64_t j = 0; j < k; j++)
+                for (int64_t i = s; i < e; i++)
+                    pair_of[j * n + i] = -cell_mark[cells[j * n + i]] - 1;
+        }
+        for (int64_t t = 0; t < m; t++) {
+            cell_vertices(seg_cells[t], nx, ny, v);
+            for (int c = 0; c < 4; c++)
+                if (node_owner[v[c]] != mine && node_mark[v[c]] != stamp) {
+                    node_mark[v[c]] = stamp;
+                    seg_keys[q++] = node_owner[v[c]] * nnodes + v[c];
+                }
+        }
+        if (fill) {
+            sort_ascending(seg_keys, tmp, q);
+            for (int64_t u = 0; u < q; u++) {
+                int64_t slot = nslots + u, owner = seg_keys[u] / nnodes;
+                int64_t node = seg_keys[u] - owner * nnodes;
+                node_mark[node] = -slot - 1;
+                slot_ranks[slot] = rank;
+                slot_owners[slot] = owner;
+                slot_nodes[slot] = node;
+            }
+            for (int64_t t = 0; t < m; t++) {
+                int64_t *to = dest + 4 * (npairs + t);
+                cell_vertices(seg_cells[t], nx, ny, v);
+                for (int c = 0; c < 4; c++)
+                    to[c] = node_owner[v[c]] != mine ? nnodes - node_mark[v[c]] - 1 : v[c];
+            }
+        }
+        npairs += m;
+        nslots += q;
+    }
+    if (!fill) {
+        sizes[0] = npairs;
+        sizes[1] = nslots;
+        sizes[2] = stamp;
+    }
+    return OK;
 }

@@ -4,13 +4,15 @@
 ranges balanced by particle count and runs the segment kernels of
 :mod:`repro.parallel_exec.kernels` on them from a
 ``ThreadPoolExecutor``, on slices of the ordinary in-process
-:class:`~repro.particles.arrays.ParticlePool`.  The compiled particle
-loops release the interpreter lock, so shards overlap there; everything
-else (``ghost_slots``, message coalescing, all virtual-machine
-accounting) runs under it, one thread at a time.  Shards write disjoint
-pool slices and one deposition row each, and a node is deposited on-rank
-only by its owner, so the rows have disjoint support and results are
-bit-identical for every worker count (DESIGN.md §5.5).
+:class:`~repro.particles.arrays.ParticlePool`.  The compiled loops (CIC,
+``ghost_slots``, deposit, interpolation, push) release the interpreter
+lock, so shards overlap there; everything else (a few small NumPy calls
+per shard, message coalescing, all virtual-machine accounting) runs
+under it, one thread at a time.  Shards write disjoint pool slices,
+disjoint rows of the stepper's kept output buffers and one deposition
+row each, and a node is deposited on-rank only by its owner, so the rows
+have disjoint support and results are bit-identical for every worker
+count (DESIGN.md §5.5).
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ class FlatBackend:
         cell[1] += sum(seconds)
         return list(results)
 
-    def scatter(self, pool: ParticlePool, node_owner: np.ndarray):
+    def scatter(self, pool: ParticlePool, node_owner: np.ndarray, cic_out=None):
         """Thread-parallel CIC deposition over the pool's rank segments.
 
         Returns ``(rows, entries_per_rank, uniq_per_rank, batch)``: the
@@ -131,32 +133,40 @@ class FlatBackend:
         intermediates of one :func:`scatter_segment` call over ``[0, p)``.
         Shards are ascending rank ranges, so their batches laid end to
         end are the ``(src, dst, node)``-ordered batch of the whole pool.
+        ``cic_out``: pool-long ``(nodes, weights)`` buffers, each shard
+        writing the CIC evaluation of its slice into its rows.
         """
         counts = pool.counts
         shards = self._shards(counts)
         rows = np.empty((len(shards), len(CHANNELS), node_owner.shape[0]))
+        offsets = pool.offsets
 
         def task(i: int, r0: int, parts):
-            segment = counts[r0 : shards[i][1]]
-            return scatter_segment(self.grid, parts, segment, r0, node_owner, rows[i])
+            r1 = shards[i][1]
+            out = None if cic_out is None else tuple(b[offsets[r0] : offsets[r1]] for b in cic_out)
+            return scatter_segment(self.grid, parts, counts[r0:r1], r0, node_owner, rows[i], out)
 
         cic, entries, uniq, batches = zip(*self._run("scatter", pool, shards, task))
         self._cic = (pool, cic)
         return rows, np.concatenate(entries), np.concatenate(uniq), MessageBatch.concat(batches)
 
-    def gather_push(self, pool: ParticlePool, node_values: np.ndarray, dt: float) -> None:
+    def gather_push(self, pool: ParticlePool, node_values: np.ndarray, dt: float, out=None) -> None:
         """Thread-parallel field gather + Boris push, in place in the pool.
 
         Reuses each shard's CIC evaluation from the scatter of the same
         pool (same pool, same shards; positions do not change between the
-        two phases).
+        two phases).  ``out``: a flat ``6 n`` buffer, a shard of pool rows
+        ``[a, b)`` interpolating into ``out[6 a : 6 b]`` as ``(6, b - a)``.
         """
         shards = self._shards(pool.counts)
         cached, self._cic = self._cic, None  # positions change in the push below
         cic = cached[1] if cached is not None and cached[0] is pool else [None] * len(shards)
+        offsets = pool.offsets
 
         def task(i: int, r0: int, parts) -> None:
-            gather_push_slice(self.grid, parts, node_values, dt, cic[i])
+            a, b = offsets[r0], offsets[shards[i][1]]
+            fields = None if out is None else out[6 * a : 6 * b].reshape(6, b - a)
+            gather_push_slice(self.grid, parts, node_values, dt, cic[i], fields)
 
         self._run("gather_push", pool, shards, task)
 

@@ -47,6 +47,7 @@ def scatter_segment(
     r0: int,
     node_owner: np.ndarray,
     out_row: np.ndarray,
+    cic_out: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """Deposition work for the rank segments ``[r0, r0 + len(counts))``.
 
@@ -56,7 +57,8 @@ def scatter_segment(
     entry order, so the floats are those of per-rank ghost tables — by
     the compiled ``deposit`` loop of :mod:`repro.native`, which never
     materialises the entries, or by its NumPy body
-    (:func:`deposit_numpy`), bit for bit the same.
+    (:func:`deposit_numpy`), bit for bit the same.  ``cic_out``: the
+    ``(nodes, weights)`` buffers the CIC evaluation is written into.
 
     Parameters
     ----------
@@ -81,19 +83,26 @@ def scatter_segment(
         messages (global ranks, node ids ascending inside each message).
     """
     nranks = int(counts.shape[0])
-    vertices = grid.cic_vertices_weights(parts.x, parts.y)
+    vertices = grid.cic_vertices_weights(parts.x, parts.y, out=cic_out)
     particle_ranks = np.repeat(np.arange(nranks, dtype=np.int64), counts)
-    slots = ghost_slots(grid, node_owner, particle_ranks, vertices[0][:, :1].T, r0)
+    cells = np.ascontiguousarray(vertices[0][:, :1].T)
+    slots = ghost_slots(grid, node_owner, particle_ranks, cells, r0)
     deposit_args = (slots.dest, slots.pair_of[0], out_row, slots.nodes.size)
     compiled = native.kernels()
     summed = compiled.deposit(parts, vertices[1], *deposit_args) if compiled is not None else None
     if summed is None:
         summed = deposit_numpy(grid, parts, vertices, *deposit_args)
-    # a particle brings one ghost entry per off-rank vertex of its pair's cell
-    off_vertices = (slots.dest >= grid.nnodes).sum(axis=1)
-    entries_per_rank = np.bincount(
-        particle_ranks, off_vertices[slots.pair_of[0]], nranks
-    ).astype(np.int64)
+    # a particle brings one ghost entry per off-rank vertex of its pair's
+    # cell; a rank's pairs are one block of the (rank, cell) numbering, from
+    # the smallest pair among its particles on (no particle-sized temporary)
+    pair_of = slots.pair_of[0]
+    per_pair = np.bincount(pair_of, minlength=len(slots.dest))
+    per_pair *= (slots.dest >= grid.nnodes).sum(axis=1)
+    held = np.flatnonzero(counts)
+    entries_per_rank = np.zeros(nranks, dtype=np.int64)
+    if held.size:
+        starts = np.cumsum(counts)[held] - counts[held]
+        entries_per_rank[held] = np.add.reduceat(per_pair, np.minimum.reduceat(pair_of, starts))
     uniq_per_rank = np.bincount(slots.ranks, minlength=nranks)
     batch = MessageBatch.coalesce(slots.ranks + np.int64(r0), slots.owners, slots.nodes, summed)
     return vertices, entries_per_rank, uniq_per_rank, batch
@@ -153,18 +162,20 @@ def gather_push_slice(
     node_values: np.ndarray,
     dt: float,
     cic: tuple[np.ndarray, np.ndarray] | None = None,
+    out: np.ndarray | None = None,
 ) -> None:
     """Field gather + Boris push for one contiguous pool slice, in place.
 
     Both operations are per-particle independent, so any slicing of the
     pool produces bit-identical results.  ``cic`` reuses the scatter's
     vertex evaluation for these particles (positions are unchanged
-    between the phases).
+    between the phases); ``out`` is the ``(6, n)`` buffer the
+    interpolated fields are written into.
     """
     if parts.n == 0:
         return
     if cic is None:
         cic = grid.cic_vertices_weights(parts.x, parts.y)
     nodes, weights = cic
-    eb = gather_from_node_values(node_values, nodes, weights)
+    eb = gather_from_node_values(node_values, nodes, weights, out=out)
     boris_push(grid, parts, eb[:3], eb[3:], dt)

@@ -37,6 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro import native
 from repro.mesh.grid import Grid2D
 from repro.particles.arrays import ParticleArray
 
@@ -47,6 +48,7 @@ __all__ = [
     "pooled_ghost_keys",
     "GhostSlots",
     "ghost_slots",
+    "ghost_slots_numpy",
     "deposit_by_destination",
 ]
 
@@ -123,24 +125,16 @@ def accumulate_entries(
 
 
 def pooled_ghost_keys(
-    nnodes: int, entry_ranks: np.ndarray, nodes: np.ndarray, return_inverse: bool = True
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    nnodes: int, entry_ranks: np.ndarray, nodes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct ``(rank, node)`` pairs of a pooled entry list.
 
     Keys every pair as ``rank * nnodes + node`` — O(entries) memory,
     never a rank-by-mesh block — and returns ``(uniq_nodes, uniq_ranks,
     inverse)``: the pairs sorted by rank then node, and each entry's
-    index into them (``None`` unless ``return_inverse``).
+    index into them.
     """
-    combined = entry_ranks * np.int64(nnodes) + nodes
-    if return_inverse:
-        uniq, inverse = np.unique(combined, return_inverse=True)
-    else:
-        # a plain sort is several times faster than np.unique's hash set
-        combined.sort()
-        first = np.ones(combined.size, dtype=bool)
-        np.not_equal(combined[1:], combined[:-1], out=first[1:])
-        uniq, inverse = combined[first], None
+    uniq, inverse = np.unique(entry_ranks * np.int64(nnodes) + nodes, return_inverse=True)
     uniq_ranks, uniq_nodes = np.divmod(uniq, np.int64(nnodes))
     return uniq_nodes, uniq_ranks, inverse
 
@@ -154,35 +148,50 @@ class GhostSlots(NamedTuple):
     #: ``(npairs, 4)`` per pair vertex, in :meth:`Grid2D.cell_vertices`
     #: order: the node where the pair's rank owns it, ``nnodes + slot`` otherwise
     dest: np.ndarray
-    pair_of: np.ndarray | None  #: ``(k, n)`` each particle's pair per cell row
+    pair_of: np.ndarray  #: ``(k, n)`` each particle's pair per cell row
 
 
 def ghost_slots(
-    grid: Grid2D,
-    node_owner: np.ndarray,
-    particle_ranks: np.ndarray,
-    cells: np.ndarray,
-    r0: int = 0,
-    return_inverse: bool = True,
+    grid: Grid2D, node_owner: np.ndarray, particle_ranks: np.ndarray, cells: np.ndarray, r0: int = 0
 ) -> GhostSlots:
     """Ghost slots of the distinct ``(rank, cell)`` pairs behind ``cells``.
 
     Every stencil or deposition entry is a vertex of its particle's
     cell, so owner lookup and duplicate removal run on the pairs, never
-    on the entries.  The off-rank ``(rank, node)`` pairs are numbered in
-    ``(rank, owner, node)`` order, so each run of equal ``(rank, owner)``
-    is one coalesced message with ascending node ids and the slots are a
+    on the entries.  The pairs are numbered in ``(rank, cell)`` order and
+    the off-rank ``(rank, node)`` pairs in ``(rank, owner, node)`` order,
+    so each run of equal ``(rank, owner)`` is one coalesced message with
+    ascending node ids and the slots are a
     :class:`~repro.machine.batch.MessageBatch` as they stand.
 
     ``node_owner`` is the global ownership map, ``particle_ranks``
     ``(n,)`` each particle's rank counted from ``r0`` (a worker shard
     covers the ranks from ``r0`` up), ``cells`` ``(k, n)`` cell ids per
-    particle, one row per entry group; ``pair_of`` comes back ``None``
-    unless ``return_inverse``.
+    particle, one row per entry group.  One compiled pass when
+    :mod:`repro.native` is active and the ranks ascend, as a pool's do
+    (O(entries) plus a sort of each rank's few distinct cells and
+    off-rank vertices); :func:`ghost_slots_numpy` otherwise, with the
+    same bytes.
     """
+    compiled = native.kernels()
+    args = (grid, node_owner, particle_ranks, cells, r0)
+    found = compiled.ghost_slots(*args) if compiled is not None else None
+    return ghost_slots_numpy(*args) if found is None else GhostSlots(*found)
+
+
+def ghost_slots_numpy(
+    grid: Grid2D, node_owner: np.ndarray, particle_ranks: np.ndarray, cells: np.ndarray, r0: int = 0
+) -> GhostSlots:
+    """The NumPy body of :func:`ghost_slots`, fallback and oracle of the
+    compiled pass: one ``np.unique`` over the particles' ``rank * nnodes
+    + cell`` keys, one over the pairs' off-rank ``(rank, owner, node)``
+    vertex keys.  A cell id outside the grid is an ``IndexError`` (its
+    key would silently alias another rank's)."""
+    if cells.size and not 0 <= cells.min() <= cells.max() < grid.ncells:
+        raise IndexError(f"cell ids outside [0, {grid.ncells})")
     nnodes = np.int64(grid.nnodes)
     pair_cells, pair_ranks, pair_of = pooled_ghost_keys(
-        nnodes, np.tile(particle_ranks, len(cells)), cells.ravel(), return_inverse
+        nnodes, np.tile(particle_ranks, len(cells)), cells.ravel()
     )
     dest = grid.cell_vertices(pair_cells)
     owners = node_owner[dest]
@@ -191,9 +200,8 @@ def ghost_slots(
     rank_owner = np.broadcast_to(pair_ranks[:, None], off.shape)[off] * stride + owners[off]
     slot_nodes, rank_owner, inverse = pooled_ghost_keys(nnodes, rank_owner, dest[off])
     dest[off] = nnodes + inverse
-    if return_inverse:
-        pair_of = pair_of.reshape(cells.shape)
-    return GhostSlots(*np.divmod(rank_owner, stride), slot_nodes, dest, pair_of)
+    ranks, owners = np.divmod(rank_owner, stride)
+    return GhostSlots(ranks, owners, slot_nodes, dest, pair_of.reshape(cells.shape))
 
 
 def deposit_by_destination(

@@ -26,7 +26,7 @@ __all__ = ["gather_from_node_values", "interpolate_numpy", "interpolate_fields"]
 
 
 def gather_from_node_values(
-    node_values: np.ndarray, nodes: np.ndarray, weights: np.ndarray
+    node_values: np.ndarray, nodes: np.ndarray, weights: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Interpolate per-node component values to particles.
 
@@ -37,6 +37,9 @@ def gather_from_node_values(
     nodes, weights:
         ``(n, 4)`` CIC vertices and weights from
         :meth:`repro.mesh.grid.Grid2D.cic_vertices_weights`.
+    out:
+        Optional ``(ncomp, n)`` buffer to write into (the era stepper
+        keeps one across steps); a fresh array otherwise.
 
     Returns
     -------
@@ -47,20 +50,22 @@ def gather_from_node_values(
     # values nnodes * 8 bytes apart.
     by_node = np.ascontiguousarray(node_values.T)
     compiled = native.kernels()
-    found = compiled.interpolate(by_node, nodes, weights) if compiled is not None else None
-    return interpolate_numpy(by_node, nodes, weights) if found is None else found
+    found = compiled.interpolate(by_node, nodes, weights, out) if compiled is not None else None
+    return interpolate_numpy(by_node, nodes, weights, out) if found is None else found
 
 
-def interpolate_numpy(by_node: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def interpolate_numpy(
+    by_node: np.ndarray, nodes: np.ndarray, weights: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """The NumPy body of :func:`gather_from_node_values` on node-major
     ``(nnodes, ncomp)`` values: fallback and oracle of the compiled loop.
 
     ``node_values[:, nodes]`` lays its result out vertex-major too, so
     einsum sees the same memory and sums in the same order: the floats
-    are that formulation's.
+    are that formulation's (into ``out`` as well).
     """
     gathered = by_node.take(nodes.ravel(), axis=0).reshape(nodes.shape + by_node.shape[1:])
-    return np.einsum("nvc,nv->cn", gathered, weights)
+    return np.einsum("nvc,nv->cn", gathered, weights, out=out)
 
 
 def interpolate_fields(

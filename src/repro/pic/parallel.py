@@ -333,6 +333,20 @@ class ParallelPIC(PooledParticles):
         # What the latest gather exchange delivered, kept only when
         # collect_debug=True (see last_gather_messages).
         self._last_gather: MessageBatch | None = None
+        # CIC nodes and weights, interpolated fields: see _outputs
+        self._kept: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def _outputs(self, pool: ParticlePool):
+        """The CIC ``(nodes, weights)`` and the flat ``6 n`` interpolation
+        buffers for ``pool`` (a shard's are the rows of its slice, ``[6 a,
+        6 b)`` of the flat one), kept across steps and only ever grown:
+        fresh 1-2 MB outputs were page-faulted in, ~700 faults a Fig 17 step.
+        """
+        n = pool.n
+        if self._kept is None or len(self._kept[0]) < n:
+            self._kept = (np.empty((n, 4), dtype=np.int64), np.empty((n, 4)), np.empty(6 * n))
+        nodes, weights, fields = self._kept
+        return (nodes[:n], weights[:n]), fields[: 6 * n]
 
     # ------------------------------------------------------------------
     # dict views of the exchanges (tests and debugging; built on demand)
@@ -380,18 +394,19 @@ class ParallelPIC(PooledParticles):
         acc = np.zeros((nchannels, nnodes))
         backend = self.backend
         prof = self.profiler
+        cic_out = self._outputs(pool)[0]
         with vm.phase("scatter"):
             with maybe_section(prof, "deposit"):
                 if backend is not None:
                     rows, entries_per_rank, uniq_per_rank, batch = backend.scatter(
-                        pool, self.node_owner
+                        pool, self.node_owner, cic_out
                     )
                     # the backend keeps each shard's CIC evaluation for the gather
                     self._cic_pool_cache = None
                 else:
                     rows = np.empty((1, nchannels, nnodes))
                     vertices, entries_per_rank, uniq_per_rank, batch = scatter_segment(
-                        grid, pool.array, counts, 0, self.node_owner, rows[0]
+                        grid, pool.array, counts, 0, self.node_owner, rows[0], cic_out
                     )
                     self._cic_pool_cache = (pool, vertices[0], vertices[1])
             with maybe_section(prof, "reduce"):
@@ -492,6 +507,7 @@ class ParallelPIC(PooledParticles):
         backend = self.backend
         prof = self.profiler
         node_values = self._field_node_values()
+        fields_out = self._outputs(pool)[1]
         eb = None
         with vm.phase("gather"):
             schedule = self._ghost_schedule
@@ -507,14 +523,16 @@ class ParallelPIC(PooledParticles):
                         nodes, weights = cached[1], cached[2]
                     else:
                         nodes, weights = grid.cic_vertices_weights(pool.array.x, pool.array.y)
-                    eb = gather_from_node_values(node_values, nodes, weights)
+                    eb = gather_from_node_values(
+                        node_values, nodes, weights, out=fields_out.reshape(6, pool.n)
+                    )
         with vm.phase("push"):
             vm.charge_ops("push", pool.counts.astype(float))
             with maybe_section(prof, "boris_push"):
                 if backend is not None:
                     # shard threads interpolate + push their pool slices in
                     # place, reusing each slice's scatter-time CIC evaluation
-                    backend.gather_push(pool, node_values, self.dt)
+                    backend.gather_push(pool, node_values, self.dt, fields_out)
                 elif pool.n:
                     boris_push(grid, pool.array, eb[:3], eb[3:], self.dt)
         if self.movement == "eulerian":

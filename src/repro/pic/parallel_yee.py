@@ -139,7 +139,8 @@ class ParallelYeePIC(PooledParticles):
         with self.vm.phase("scatter"):
             nodes, weights = grid.cic_vertices_weights(parts.x, parts.y)
             values = (weights * (parts.w * parts.q)[:, None]).reshape(1, -1)
-            slots = ghost_slots(grid, self.node_owner, pool.rank_of_particles(), nodes[:, :1].T)
+            cells = np.ascontiguousarray(nodes[:, :1].T)
+            slots = ghost_slots(grid, self.node_owner, pool.rank_of_particles(), cells)
             summed = np.empty((1, slots.nodes.size))
             deposit_by_destination(slots.dest[slots.pair_of[0]].ravel(), values, acc, summed)
             self._exchange_ghosts(acc, slots, summed, 4.0)
@@ -194,10 +195,7 @@ class ParallelYeePIC(PooledParticles):
             with maybe_section(prof, "interpolate"):
                 cells = self._interpolate(pool, node_values, eb)
             with maybe_section(prof, "exchange"):
-                slots = ghost_slots(
-                    self.grid, self.node_owner, pool.rank_of_particles(), cells,
-                    return_inverse=False,
-                )  # fmt: skip
+                slots = ghost_slots(self.grid, self.node_owner, pool.rank_of_particles(), cells)
                 vm.charge_ops("gather", 4.0 * pool.counts.astype(float))
                 # round 1: requests (node-id lists)
                 requests = MessageBatch.coalesce(slots.ranks, slots.owners, slots.nodes)

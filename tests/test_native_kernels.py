@@ -1,8 +1,8 @@
 """The compiled particle kernels reproduce their NumPy bodies byte for byte.
 
-``repro.native`` puts four C loops behind ``Grid2D.cic_vertices_weights``,
-``scatter_segment``'s deposit, ``gather_from_node_values`` and
-``boris_push``.  The NumPy bodies stay as fallback and oracle, and the
+``repro.native`` puts five C loops behind ``Grid2D.cic_vertices_weights``,
+``scatter_segment``'s deposit, ``gather_from_node_values``,
+``boris_push`` and ``ghost_slots``.  The NumPy bodies stay as fallback and oracle, and the
 contract is equality *by bytes* — on ordinary inputs through the C loop
 (asserted: a comparison that silently took the fallback proves nothing),
 on exceptional ones through the fallback the C loop asks for, with the
@@ -30,7 +30,7 @@ from repro.mesh import CurveBlockDecomposition, Grid2D
 from repro.parallel_exec.kernels import deposit_numpy
 from repro.particles import ParticleArray
 from repro.pic import Simulation, SimulationConfig
-from repro.pic.deposition import ghost_slots
+from repro.pic.deposition import ghost_slots, ghost_slots_numpy
 from repro.pic.interpolation import gather_from_node_values, interpolate_numpy
 from repro.pic.push import boris_push, push_numpy
 from repro.util.errors import SimulationIntegrityError
@@ -133,6 +133,43 @@ class TestBytes:
             assert got is not None
             _same((got,), (interpolate_numpy(by_node, nodes, weights),))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cases,
+        st.sampled_from([1, 3, 4]),
+        st.sampled_from([1, 2, 5]),
+        st.sampled_from(["hilbert", "all_on_rank", "all_off_rank"]),
+    )
+    def test_ghost_slots(self, compiled, case, k, p, owned):
+        """``k`` cell rows (the era scatter's 1, the modern scatter's 3 and
+        gather's 4) over ``p`` ranks, some empty, with the grid's edge and
+        wrap cells among them: the whole pool from ``r0 = 0`` and every
+        one-rank shard ``r0 = 0..p-1``, as the shard threads call it."""
+        grid, n, seed = case
+        rng = np.random.default_rng(seed)
+        cells = rng.integers(0, grid.ncells, (k, n))
+        corners = np.array([0, grid.nx - 1, grid.ncells - grid.nx, grid.ncells - 1])
+        cells[:, : min(n, 4)] = corners[: min(n, 4)]  # the wrap cells
+        counts = np.diff(np.concatenate(([0], np.sort(rng.integers(0, n + 1, p - 1)), [n])))
+        owner = {
+            "hilbert": CurveBlockDecomposition(grid, p, "hilbert").owner_map,
+            "all_on_rank": np.zeros(grid.nnodes, dtype=np.int64),  # rank 0 owns every node
+            "all_off_rank": np.full(grid.nnodes, p, dtype=np.int64),  # no depositing rank does
+        }[owned]
+        calls = [(np.repeat(np.arange(p), counts), cells, 0)]
+        for r0 in range(p):  # one-rank shards: local rank 0 is global rank r0
+            lo, hi = counts[:r0].sum(), counts[: r0 + 1].sum()
+            calls.append((np.zeros(hi - lo, dtype=np.int64), cells[:, lo:hi].copy(), r0))
+        for ranks, rows, r0 in calls:
+            got = compiled.ghost_slots(grid, owner, ranks, rows, r0)
+            assert got is not None
+            want = ghost_slots_numpy(grid, owner, ranks, rows, r0)
+            _same(got, want)
+            if owned == "all_off_rank" or (owned == "all_on_rank" and r0 > 0):
+                assert (want.dest >= grid.nnodes).all()
+            elif owned == "all_on_rank" and (ranks == 0).all():
+                assert want.nodes.size == 0
+
     @settings(max_examples=40, deadline=None)
     @given(cases, st.sampled_from([0.05, 0.5, 7.0]))
     def test_boris_push(self, compiled, case, dt):
@@ -145,6 +182,27 @@ class TestBytes:
         push_numpy(grid, want, e, b, dt)
         _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
         assert np.all((got.x >= 0) & (got.x < grid.lx) & (got.y >= 0) & (got.y < grid.ly))
+
+
+@pytest.mark.parametrize("path", ["compiled", "numpy"])
+def test_outputs_land_in_the_callers_buffers(path, request):
+    """``out=`` on the CIC and the interpolation (the era stepper's kept
+    buffers, sliced from larger blocks): the very buffers come back holding
+    the bytes of fresh outputs, on either kernel path."""
+    if path == "numpy":
+        request.getfixturevalue("numpy_kernels")
+    grid, n = GRIDS[1], 300
+    parts = _particles(grid, n, 9)
+    fresh = grid.cic_vertices_weights(parts.x, parts.y)
+    buffers = (np.full((n + 5, 4), -7, dtype=np.int64)[:n], np.full((n + 5, 4), np.nan)[:n])
+    got = grid.cic_vertices_weights(parts.x, parts.y, out=buffers)
+    assert got[0] is buffers[0] and got[1] is buffers[1]
+    _same(got, fresh)
+    node_values = np.random.default_rng(9).normal(size=(6, grid.nnodes))
+    for ncomp in (1, 6):
+        out = np.full(6 * n + 3, np.nan)[: ncomp * n].reshape(ncomp, n)
+        assert gather_from_node_values(node_values[:ncomp], *fresh, out=out) is out
+        _same((out,), (gather_from_node_values(node_values[:ncomp], *fresh),))
 
 
 # ----------------------------------------------------------------------
@@ -185,6 +243,36 @@ class TestDeclined:
         with pytest.raises(ValueError):
             deposit_numpy(self.grid, parts, vertices, broken, cells, acc, 0)
         _same((acc,), (before,))
+
+    def test_ghost_slots_declines_to_the_numpy_body(self, compiled):
+        """A cell outside the grid is NumPy's ``IndexError``; a negative owner,
+        descending or negative ranks, non-contiguous or non-int64 cells take
+        the NumPy body, which answers as it always did."""
+        grid = self.grid
+        owner = CurveBlockDecomposition(grid, 3, "hilbert").owner_map
+        ranks = np.repeat(np.arange(3), [20, 0, 30])
+        cells = np.random.default_rng(7).integers(0, grid.ncells, (2, 50))
+        assert compiled.ghost_slots(grid, owner, ranks, cells, 0) is not None
+        for bad in (grid.ncells, -1, 2**40):
+            broken = cells.copy()
+            broken[1, 33] = bad
+            assert compiled.ghost_slots(grid, owner, ranks, broken, 0) is None
+            with pytest.raises(IndexError):
+                ghost_slots(grid, owner, ranks, broken)
+        negative_owner = owner.copy()
+        negative_owner[5] = -1
+        strided = np.random.default_rng(8).integers(0, grid.ncells, (2, 100))[:, ::2]
+        declined = [
+            (negative_owner, ranks, cells),
+            (owner, ranks[::-1].copy(), cells),
+            (owner, ranks - 1, cells),
+            (owner, ranks, strided),
+            (owner, ranks, cells.astype(np.int32)),
+            (owner.astype(np.int32), ranks, cells),
+        ]
+        for args in declined:
+            assert compiled.ghost_slots(grid, *args, 0) is None
+            _same(ghost_slots(grid, *args), ghost_slots_numpy(grid, *args))
 
     @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
     def test_non_finite_positions_warn_as_numpy_does(self, compiled, poison):

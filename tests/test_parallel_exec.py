@@ -188,10 +188,14 @@ class TestShardThreads:
             backend.close()
 
     def test_more_threads_than_cores_under_a_short_switch_interval(self):
-        """Shards share nothing they write: racing threads change no byte."""
+        """Shards write disjoint rows of shared buffers (the stepper's kept
+        CIC and interpolation outputs) and nothing else they share: racing
+        threads change no byte."""
         pool, ref = _pool_of(_COUNTS["balanced"]), _pool_of(_COUNTS["balanced"])
         node_owner = CurveBlockDecomposition(_GRID, pool.p, "hilbert").owner_map
         node_values = np.random.default_rng(8).normal(size=(6, _GRID.nnodes))
+        kept = (np.empty((pool.n, 4), dtype=np.int64), np.empty((pool.n, 4)))
+        fields = np.empty(6 * pool.n)
         backend = FlatBackend(6, _GRID)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -200,9 +204,11 @@ class TestShardThreads:
             for _ in range(25):
                 row = np.empty((1, len(CHANNELS), _GRID.nnodes))
                 cic, *tallies = scatter_segment(_GRID, ref.array, ref.counts, 0, node_owner, row[0])
-                assert _scattered(backend.scatter(pool, node_owner)) == _scattered((row, *tallies))
+                got = backend.scatter(pool, node_owner, kept)
+                assert _scattered(got) == _scattered((row, *tallies))
+                assert [a.tobytes() for a in kept] == [a.tobytes() for a in cic]
                 gather_push_slice(_GRID, ref.array, node_values, 0.05, cic)
-                backend.gather_push(pool, node_values, 0.05)
+                backend.gather_push(pool, node_values, 0.05, fields)
                 assert _columns(pool.array) == _columns(ref.array)
                 assert time.monotonic() < deadline
         finally:

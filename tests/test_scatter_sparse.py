@@ -9,6 +9,9 @@ results must stay *bit-identical* to it, and the dense block must not
 come back unnoticed.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import native
 from repro.core import ParticlePartitioner
 from repro.machine import FaultEvent, FaultPlan, MachineModel, VirtualMachine
 from repro.mesh import CurveBlockDecomposition, Grid2D
@@ -428,8 +432,8 @@ def scatter_rows(monkeypatch):
     seen = []
     original = FlatBackend.scatter
 
-    def spy(self, pool, node_owner):
-        out = original(self, pool, node_owner)
+    def spy(self, pool, node_owner, *buffers):
+        out = original(self, pool, node_owner, *buffers)
         seen.append((out[0].shape, pool.p, len(self._shards(pool.counts)), self.nworkers))
         return out
 
@@ -469,3 +473,42 @@ class TestWorkerRowsBlock:
             resumed.close()
         self._check(scatter_rows, 16 * 12)
         assert {(n, w) for _, _, n, w in scatter_rows} == {(2, 2), (3, 3)}
+
+
+# ----------------------------------------------------------------------
+# kernel outputs outlive a step: a warm step is not page-faulted in
+# ----------------------------------------------------------------------
+_FAULTS_PER_STEP = """
+import resource, sys
+from repro import native
+from repro.pic import Simulation, SimulationConfig
+if sys.argv[2] == "numpy":
+    native._loaded = (None, native.NativeStatus(False, "forced"))
+config = SimulationConfig(nx=128, ny=64, nparticles=32768, p=32, seed=3, distribution="irregular",
+                          scheme="hilbert", policy="dynamic", vth=0.08)
+with Simulation(config, workers=int(sys.argv[1])) as sim:
+    sim.run(40)  # three redistributions: the heap of a running Fig 17 job
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        sim.pic.step()
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc allocator behaviour")
+@pytest.mark.parametrize("workers", [0, 2])
+def test_warm_steps_are_not_page_faulted_in(workers):
+    """20 warm ``ParallelPIC`` steps at the Fig 17 size take at most 50
+    minor page faults each.  Fresh 1-2 MB CIC and interpolation outputs
+    per step cost ~860 here in-process and ~750 under two shard threads;
+    the stepper's kept buffers, the compiled ``ghost_slots`` and its
+    scratch leave 0-15.  A fresh interpreter, because what faults depends
+    on the allocator's history, which the rest of the suite would set."""
+    path = "compiled" if native.kernels() is not None else "numpy"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-c", _FAULTS_PER_STEP, str(workers), path],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )  # fmt: skip
+    per_step = float(done.stdout.split()[-1])
+    assert per_step <= 50, f"{per_step} minor faults per warm step ({path} kernels)"

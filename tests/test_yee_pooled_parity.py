@@ -414,14 +414,16 @@ def _step_peak(stepper) -> int:
 
 class TestMemoryPins:
     # measured step() peaks at the Fig 17 size, in bytes: on the compiled
-    # kernels (the era scatter's (4, n, 4) entry block and the gather's
-    # (n, 4, ncomp) block are never built) and on their NumPy bodies
+    # kernels (the era scatter's (4, n, 4) entry block, the gather's
+    # (n, 4, ncomp) block and ghost_slots' sort keys are never built) and on
+    # their NumPy bodies; the era stepper's CIC and interpolation outputs
+    # are kept across steps, so no step allocates them
     @pytest.mark.parametrize(
         "cls, compiled, numpy_bodies, workers",
         [
-            (ParallelPIC, 5_033_803, 11_174_110, 0),
-            (ParallelYeePIC, 13_641_998, 13_672_406, 0),
-            (ParallelPIC, 5_033_803, 11_174_110, 2),
+            (ParallelPIC, 1_597_668, 7_469_356, 0),
+            (ParallelYeePIC, 11_407_992, 13_639_713, 0),
+            (ParallelPIC, 1_597_668, 7_469_356, 2),
         ],
         ids=["era", "modern", "era-workers2"],
     )
