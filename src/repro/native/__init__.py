@@ -1,12 +1,14 @@
-"""Compiled particle kernels: build once, load lazily, fall back cleanly.
+"""Compiled PIC kernels: build once, load lazily, fall back cleanly.
 
 ``pic_kernels.c`` holds the four per-particle loops (CIC, deposit,
-interpolate, Boris push) and the ghost-slot pass.  :func:`kernels` hands
-them out as a :class:`~repro.native.calls.Kernels`, or ``None`` when the
-NumPy bodies have to do the work; the functions that carry the kernels'
-names (``Grid2D.cic_vertices_weights``, ``scatter_segment``,
-``gather_from_node_values``, ``boris_push``, ``ghost_slots``) ask it on
-every call, so there is no switch anywhere else.
+interpolate, Boris push), the ghost-slot pass and two mesh stencils (the
+field solve and one source-smoothing pass).  :func:`kernels` hands them
+out as a :class:`~repro.native.calls.Kernels`, or ``None`` when the NumPy
+bodies have to do the work; the functions that carry the kernels' names
+(``Grid2D.cic_vertices_weights``, ``scatter_segment``,
+``gather_from_node_values``, ``boris_push``, ``ghost_slots``,
+``MaxwellSolver.step``, ``binomial_smooth``) ask it on every call, so
+there is no switch anywhere else.
 
 The library is built on first use with the local ``cc`` into a
 content-addressed file (its name carries a digest of source, compiler
@@ -36,9 +38,13 @@ from typing import NamedTuple
 __all__ = ["kernels", "status", "NativeStatus", "SOURCE", "FLAGS"]
 
 SOURCE = Path(__file__).with_name("pic_kernels.c")
-#: no -ffast-math and no -march=native; -ffp-contract=off because a fused
-#: multiply-add rounds once where the NumPy bodies round twice
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+#: -O3 vectorizes the marked loops of pic_kernels.c: SSE2 rounds each lane
+#: as the scalar instruction does and nothing is re-associated without
+#: -ffast-math / -fassociative-math, so no float moves; -fno-math-errno only
+#: drops sqrt's errno write.  -ffp-contract=off because a fused multiply-add
+#: rounds once where the NumPy bodies round twice.  No -march: the cache
+#: directory may be shared by hosts with different vector units.
+FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
 
 
 class NativeStatus(NamedTuple):

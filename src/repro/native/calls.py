@@ -10,6 +10,8 @@ NaN or answer.  The C loops write only output buffers — fresh ones, or
 the caller's ``out`` / the deposit's ``acc``: a bad index leaves ``acc``
 untouched (the NumPy body then raises, as it always did, before
 writing), a flagged call leaves an output for the NumPy body to refill.
+The two in-place kernels, the push and the field step, work in a kept
+block and write the caller's arrays only once the whole call is clean.
 """
 
 from __future__ import annotations
@@ -28,7 +30,11 @@ _SIGNATURES = {
     "interpolate": (_I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR),
     "boris_push": (_I64, *[_PTR] * 9, _F64, _F64, _F64, _PTR),
     "ghost_slots": (_I64, _I64, _PTR, _PTR, _I64, _I64, _PTR, _I64, *[_PTR] * 7),
+    "field_step": (_I64, _I64, *[_PTR] * 11, _F64, _F64, _F64, _F64, _I64, _PTR),
+    "smooth": (_I64, _I64, _PTR, _PTR, _PTR),
 }
+#: field_step's plane arguments, in its order
+_FIELD_PLANES = ("ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz", "rho")
 
 
 def _plain(dtype, shape, *arrays) -> bool:
@@ -44,15 +50,17 @@ def _ptr(*arrays):
 
 
 class Kernels:
-    """The five entry points of a loaded ``pic_kernels`` library."""
+    """The seven entry points of a loaded ``pic_kernels`` library."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib  # keeps the library mapped
         # scratch blocks kept per thread and only ever grown: the push's
-        # staging block (40 bytes per particle) and ghost_slots' tables
-        # (40 bytes per node).  A fresh block per call is page-faulted in
-        # every step, ~0.7 ms of a ~10 ms Fig 17 iteration for the push's
-        # (7/8 pairs, benchmarks/results/pr22_native_kernels.json "staging_block")
+        # staging block (40 bytes per particle), ghost_slots' tables (40
+        # bytes per node), the field step's seven planes (56 bytes per node)
+        # and the smoothing's three rows.  A fresh block per call is
+        # page-faulted in every step, ~0.7 ms of a ~10 ms Fig 17 iteration
+        # for the push's (7/8 pairs,
+        # benchmarks/results/pr22_native_kernels.json "staging_block")
         self._scratch = threading.local()
         for name, argtypes in _SIGNATURES.items():
             entry = getattr(lib, name)
@@ -160,6 +168,44 @@ class Kernels:
         self._ghost_slots(*given, *_ptr(pair_of, dest, ranks, owners, nodes))
         return ranks, owners, nodes, dest, pair_of
 
+    def field_step(self, solver, fields, dt) -> bool:
+        """``MaxwellSolver.step`` after its validation, in place; ``False``:
+        nothing written.  The planes must be ten distinct C-contiguous
+        float64 ``(ny, nx)`` arrays, E and B writeable, ``nx, ny >= 3``."""
+        planes = [getattr(fields, name) for name in _FIELD_PLANES]
+        shape = getattr(planes[0], "shape", ())
+        if not (
+            len(shape) == 2
+            and min(shape) >= 3
+            and _plain(np.float64, shape, *planes)
+            and all(a.flags.writeable for a in planes[:6])
+        ):
+            return False
+        starts = sorted(a.ctypes.data for a in planes)
+        if any(b - a < planes[0].nbytes for a, b in zip(starts, starts[1:])):
+            return False  # shared memory: the NumPy body's in-place order matters
+        passes, subtract = solver.marder_passes, solver.subtract_mean_current
+        with np.errstate(all="ignore"):  # a non-finite mean is the NumPy body's to warn about
+            means = [j.mean() if subtract else 0.0 for j in planes[6:9]]
+            means = np.array(means + [planes[9].mean() if passes else 0.0])
+        if not np.isfinite(means).all():
+            return False
+        scale = solver.marder_scale(dt) if passes else 0.0
+        work = self._block("field_step", 7 * planes[0].size, np.float64)
+        grid = solver.grid
+        return not self._field_step(
+            *shape, *_ptr(*planes, means), grid.dx, grid.dy, dt, scale, passes, work.ctypes.data
+        )
+
+    def smooth(self, a):
+        """One pass of ``binomial_smooth``: a fresh ``(ny, nx)`` array or ``None``."""
+        shape = getattr(a, "shape", ())
+        if not (len(shape) == 2 and min(shape) >= 3 and _plain(np.float64, shape, a)):
+            return None
+        out = np.empty(shape)
+        rows = self._block("smooth", 3 * shape[1], np.float64)
+        return None if self._smooth(*shape, *_ptr(a, rows, out)) else out
+
 
 def self_check(found: Kernels) -> str | None:
     """Name the first entry point whose bytes differ from its NumPy body's.
@@ -167,14 +213,19 @@ def self_check(found: Kernels) -> str | None:
     Known answers on 257 particles of a non-square grid: positions on the
     edges and far outside, signed zeros among the field values, both
     einsum association orders (``ncomp`` 1 and 6), ghost slots of three
-    cell rows over five ranks (one empty) counted from ``r0 = 1``.
+    cell rows over five ranks (one empty) counted from ``r0 = 1``; a field
+    step with the solver's defaults and one with raw currents and two
+    Marder passes, and a smoothing pass, on that grid's planes.
     """
+    from repro.mesh.fields import FieldState
     from repro.mesh.grid import Grid2D
     from repro.particles.arrays import ParticleArray
     from repro.parallel_exec.kernels import deposit_numpy
     from repro.pic.deposition import ghost_slots_numpy
     from repro.pic.interpolation import interpolate_numpy
+    from repro.pic.maxwell import MaxwellSolver
     from repro.pic.push import push_numpy
+    from repro.pic.smoothing import binomial_smooth_numpy
 
     def same(got, want) -> bool:
         """Byte equality of two array tuples; a declined call (``None``) is a mismatch."""
@@ -227,4 +278,17 @@ def self_check(found: Kernels) -> str | None:
         [getattr(pushed, c) for c in columns], [getattr(want, c) for c in columns]
     ):
         return "boris_push"
+
+    planes = rng.normal(0.0, 1.0, (10, grid.ny, grid.nx))
+    planes[:, 0, :4] = 0.0, -0.0, -0.0, 0.0
+    raw = MaxwellSolver(grid, subtract_mean_current=False, marder_passes=2)
+    for solver in (MaxwellSolver(grid), raw):
+        stepped, want = FieldState(*planes.copy()), FieldState(*planes.copy())
+        solver._step_numpy(want, 0.2)
+        if not found.field_step(solver, stepped, 0.2) or not same(
+            [getattr(stepped, c) for c in _FIELD_PLANES], [getattr(want, c) for c in _FIELD_PLANES]
+        ):
+            return "field_step"
+    if not same((found.smooth(planes[9]),), (binomial_smooth_numpy(planes[9]),)):
+        return "smooth"
     return None

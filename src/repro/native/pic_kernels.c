@@ -1,10 +1,14 @@
-/* The per-particle PIC kernels as plain C loops.
+/* The per-particle PIC kernels and the mesh stencils as plain C loops.
  *
  * Each entry point reproduces its NumPy body's floats bit for bit: the same
- * IEEE operations per particle in the same order, bins added to in pooled
- * entry order (which is numpy.bincount's); ghost_slots its integers.  Build
- * without -ffast-math and with -ffp-contract=off: a fused multiply-add
- * rounds once where NumPy rounds twice.  repro/native/__init__.py compares
+ * IEEE operations per particle or node in the same order, bins added to in
+ * pooled entry order (which is numpy.bincount's); ghost_slots its integers.
+ * Build without -ffast-math and with -ffp-contract=off: a fused
+ * multiply-add rounds once where NumPy rounds twice.  The loops marked
+ * VECTORIZED are written to run at vector width under -O3 (no branch, no
+ * library call, unit stride); a vector lane rounds as the scalar
+ * instruction does, so that moves no bit, and CI checks that the compiler
+ * still reports each of them vectorized.  repro/native/__init__.py compares
  * every entry point with its NumPy body when the library is loaded and
  * drops the library on a mismatch.
  *
@@ -176,7 +180,9 @@ int interpolate(int64_t n, int64_t ncomp, int64_t nnodes, const double *R by_nod
 }
 
 /* boris_push after its validation: e, b are (3, n); out is (5, n), the new
- * ux, uy, uz, x, y.  The particle arrays are not written. */
+ * ux, uy, uz, x, y.  The particle arrays are not written.  Two passes: the
+ * arithmetic has no branch and no library call, so it runs at vector width
+ * and leaves the positions unwrapped; the second pass wraps and checks. */
 int boris_push(int64_t n, const double *R x, const double *R y, const double *R ux,
                const double *R uy, const double *R uz, const double *R q, const double *R m,
                const double *R e, const double *R b, double dt, double lx, double ly,
@@ -184,18 +190,23 @@ int boris_push(int64_t n, const double *R x, const double *R y, const double *R 
 {
     int64_t bad = 0;
     double half_dt = 0.5 * dt;
+    const double *R ex = e, *R ey = e + n, *R ez = e + 2 * n;
+    const double *R bx = b, *R by = b + n, *R bz = b + 2 * n;
+    double *R oux = out, *R ouy = out + n, *R ouz = out + 2 * n, *R ox = out + 3 * n,
+           *R oy = out + 4 * n;
     feclearexcept(FE_ALL_EXCEPT);
+    /* VECTORIZED: boris_push arithmetic */
     for (int64_t i = 0; i < n; i++) {
         double qmdt2 = half_dt * q[i] / m[i];
         /* half electric acceleration */
-        double umx = ux[i] + qmdt2 * e[i];
-        double umy = uy[i] + qmdt2 * e[n + i];
-        double umz = uz[i] + qmdt2 * e[2 * n + i];
+        double umx = ux[i] + qmdt2 * ex[i];
+        double umy = uy[i] + qmdt2 * ey[i];
+        double umz = uz[i] + qmdt2 * ez[i];
         /* magnetic rotation */
         double gamma_m = sqrt(((1.0 + umx * umx) + umy * umy) + umz * umz);
-        double tx = qmdt2 * b[i] / gamma_m;
-        double ty = qmdt2 * b[n + i] / gamma_m;
-        double tz = qmdt2 * b[2 * n + i] / gamma_m;
+        double tx = qmdt2 * bx[i] / gamma_m;
+        double ty = qmdt2 * by[i] / gamma_m;
+        double tz = qmdt2 * bz[i] / gamma_m;
         double t2 = (tx * tx + ty * ty) + tz * tz;
         double sx = 2.0 * tx / (1.0 + t2);
         double sy = 2.0 * ty / (1.0 + t2);
@@ -207,21 +218,248 @@ int boris_push(int64_t n, const double *R x, const double *R y, const double *R 
         double uplusy = umy + (upz * sx - upx * sz);
         double uplusz = umz + (upx * sy - upy * sx);
         /* second half electric acceleration */
-        double nux = uplusx + qmdt2 * e[i];
-        double nuy = uplusy + qmdt2 * e[n + i];
-        double nuz = uplusz + qmdt2 * e[2 * n + i];
+        double nux = uplusx + qmdt2 * ex[i];
+        double nuy = uplusy + qmdt2 * ey[i];
+        double nuz = uplusz + qmdt2 * ez[i];
         /* position update with the new momentum */
         double gamma = sqrt(((1.0 + nux * nux) + nuy * nuy) + nuz * nuz);
-        double nx = wrap(x[i] + dt * nux / gamma, lx);
-        double ny = wrap(y[i] + dt * nuy / gamma, ly);
-        out[i] = nux;
-        out[n + i] = nuy;
-        out[2 * n + i] = nuz;
-        out[3 * n + i] = nx;
-        out[4 * n + i] = ny;
-        bad |= NOT_FINITE(nux) | NOT_FINITE(nuy) | NOT_FINITE(nuz) | NOT_FINITE(nx) | NOT_FINITE(ny);
+        oux[i] = nux;
+        ouy[i] = nuy;
+        ouz[i] = nuz;
+        ox[i] = x[i] + dt * nux / gamma;
+        oy[i] = y[i] + dt * nuy / gamma;
+    }
+    for (int64_t i = 0; i < n; i++) {
+        ox[i] = wrap(ox[i], lx);
+        oy[i] = wrap(oy[i], ly);
+        bad |= NOT_FINITE(oux[i]) | NOT_FINITE(ouy[i]) | NOT_FINITE(ouz[i]) | NOT_FINITE(ox[i]) |
+               NOT_FINITE(oy[i]);
     }
     return finish(bad);
+}
+
+/* The mesh stencils: MaxwellSolver._step_numpy and one pass of
+ * binomial_smooth_numpy on periodic (ny, nx) planes, nx, ny >= 3.  Each
+ * row runs its interior columns x = 1 .. nx - 2 as a unit-stride loop, so
+ * it runs at vector width, then its two wrap columns; a node's arguments
+ * are its own index i, its x neighbours xm / xp and its y neighbours ym / yp
+ * (pic/maxwell.py's np.roll(a, -1) is the +1 neighbour).  Every value is
+ * the NumPy body's: a centred difference is (a[+1] - a[-1]) / (2 d), and
+ * each update takes its operands in the order the NumPy expression does.
+ * The passes are not inlined into field_step, whose planes all lie in one
+ * work block: in a function of their own the restrict on their parameters
+ * holds, and the row loops need no run-time alias test to vectorize. */
+#define PASS __attribute__((noinline))
+
+/* The offsets of rows y - 1 and y + 1 of a periodic (ny, nx) plane. */
+static inline int64_t row_below(int64_t y, int64_t ny, int64_t nx)
+{
+    return (y == 0 ? ny - 1 : y - 1) * nx;
+}
+
+static inline int64_t row_above(int64_t y, int64_t ny, int64_t nx)
+{
+    return (y + 1 == ny ? 0 : y + 1) * nx;
+}
+
+/* b -= (0.5 dt) curl(e), at one node; two_dx = 2 dx, two_dy = 2 dy. */
+static inline void b_node(int64_t i, int64_t xm, int64_t xp, int64_t ym, int64_t yp, double h,
+                          double two_dx, double two_dy, const double *R ex,
+                          const double *R ey, const double *R ez, double *R bx,
+                          double *R by, double *R bz)
+{
+    double cx = (ez[yp] - ez[ym]) / two_dy;
+    double cy = -((ez[xp] - ez[xm]) / two_dx);
+    double cz = (ey[xp] - ey[xm]) / two_dx - (ex[yp] - ex[ym]) / two_dy;
+    bx[i] = bx[i] - h * cx;
+    by[i] = by[i] - h * cy;
+    bz[i] = bz[i] - h * cz;
+}
+
+static PASS void b_half_step(int64_t ny, int64_t nx, double h, double two_dx, double two_dy,
+                             const double *R ex, const double *R ey, const double *R ez,
+                             double *R bx, double *R by, double *R bz)
+{
+    for (int64_t y = 0; y < ny; y++) {
+        int64_t r = y * nx, dn = row_below(y, ny, nx), up = row_above(y, ny, nx);
+        /* VECTORIZED: field_step B half step */
+        for (int64_t x = 1; x < nx - 1; x++)
+            b_node(r + x, r + x - 1, r + x + 1, dn + x, up + x, h, two_dx, two_dy, ex, ey, ez,
+                   bx, by, bz);
+        b_node(r, r + nx - 1, r + 1, dn, up, h, two_dx, two_dy, ex, ey, ez, bx, by, bz);
+        b_node(r + nx - 1, r + nx - 2, r, dn + nx - 1, up + nx - 1, h, two_dx, two_dy, ex, ey,
+               ez, bx, by, bz);
+    }
+}
+
+/* e += dt (curl(b) - (j - mean j)), at one node. */
+static inline void e_node(int64_t i, int64_t xm, int64_t xp, int64_t ym, int64_t yp, double dt,
+                          double two_dx, double two_dy, const double *R bx,
+                          const double *R by, const double *R bz, const double *R jx,
+                          const double *R jy, const double *R jz, double mx, double my,
+                          double mz, double *R ex, double *R ey, double *R ez)
+{
+    double cx = (bz[yp] - bz[ym]) / two_dy;
+    double cy = -((bz[xp] - bz[xm]) / two_dx);
+    double cz = (by[xp] - by[xm]) / two_dx - (bx[yp] - bx[ym]) / two_dy;
+    ex[i] = ex[i] + dt * (cx - (jx[i] - mx));
+    ey[i] = ey[i] + dt * (cy - (jy[i] - my));
+    ez[i] = ez[i] + dt * (cz - (jz[i] - mz));
+}
+
+static PASS void e_step(int64_t ny, int64_t nx, double dt, double two_dx, double two_dy,
+                        const double *R bx, const double *R by, const double *R bz,
+                        const double *R jx, const double *R jy, const double *R jz,
+                        const double *R mean, double *R ex, double *R ey, double *R ez)
+{
+    double mx = mean[0], my = mean[1], mz = mean[2];
+    for (int64_t y = 0; y < ny; y++) {
+        int64_t r = y * nx, dn = row_below(y, ny, nx), up = row_above(y, ny, nx);
+        /* VECTORIZED: field_step E step */
+        for (int64_t x = 1; x < nx - 1; x++)
+            e_node(r + x, r + x - 1, r + x + 1, dn + x, up + x, dt, two_dx, two_dy, bx, by, bz,
+                   jx, jy, jz, mx, my, mz, ex, ey, ez);
+        e_node(r, r + nx - 1, r + 1, dn, up, dt, two_dx, two_dy, bx, by, bz, jx, jy, jz, mx, my,
+               mz, ex, ey, ez);
+        e_node(r + nx - 1, r + nx - 2, r, dn + nx - 1, up + nx - 1, dt, two_dx, two_dy, bx, by,
+               bz, jx, jy, jz, mx, my, mz, ex, ey, ez);
+    }
+}
+
+/* MaxwellSolver.gauss_residual at one node: div e - (rho - mean rho). */
+static inline double residual_node(int64_t i, int64_t xm, int64_t xp, int64_t ym, int64_t yp,
+                                   double two_dx, double two_dy, const double *R ex,
+                                   const double *R ey, const double *R rho, double mean_rho)
+{
+    return ((ex[xp] - ex[xm]) / two_dx + (ey[yp] - ey[ym]) / two_dy) - (rho[i] - mean_rho);
+}
+
+/* One Marder pass in place: res = the Gauss residual of e, then
+ * e += (d dt) grad(res); scale is d * dt, as Python computed it. */
+static PASS void marder_pass(int64_t ny, int64_t nx, double scale, double two_dx,
+                             double two_dy, const double *R rho, double mean_rho, double *R res,
+                             double *R ex, double *R ey)
+{
+    for (int64_t y = 0; y < ny; y++) {
+        int64_t r = y * nx, dn = row_below(y, ny, nx), up = row_above(y, ny, nx);
+        /* VECTORIZED: field_step Marder residual */
+        for (int64_t x = 1; x < nx - 1; x++)
+            res[r + x] = residual_node(r + x, r + x - 1, r + x + 1, dn + x, up + x, two_dx,
+                                       two_dy, ex, ey, rho, mean_rho);
+        res[r] = residual_node(r, r + nx - 1, r + 1, dn, up, two_dx, two_dy, ex, ey, rho,
+                               mean_rho);
+        res[r + nx - 1] = residual_node(r + nx - 1, r + nx - 2, r, dn + nx - 1, up + nx - 1,
+                                        two_dx, two_dy, ex, ey, rho, mean_rho);
+    }
+    for (int64_t y = 0; y < ny; y++) {
+        int64_t r = y * nx, dn = row_below(y, ny, nx), up = row_above(y, ny, nx);
+        /* VECTORIZED: field_step Marder update */
+        for (int64_t x = 1; x < nx - 1; x++) {
+            ex[r + x] = ex[r + x] + scale * ((res[r + x + 1] - res[r + x - 1]) / two_dx);
+            ey[r + x] = ey[r + x] + scale * ((res[up + x] - res[dn + x]) / two_dy);
+        }
+        ex[r] = ex[r] + scale * ((res[r + 1] - res[r + nx - 1]) / two_dx);
+        ey[r] = ey[r] + scale * ((res[up] - res[dn]) / two_dy);
+        ex[r + nx - 1] = ex[r + nx - 1] + scale * ((res[r] - res[r + nx - 2]) / two_dx);
+        ey[r + nx - 1] = ey[r + nx - 1] + scale * ((res[up + nx - 1] - res[dn + nx - 1]) / two_dy);
+    }
+}
+
+/* Whether any of a[0 .. m) is inf or NaN, i.e. has all exponent bits set:
+ * adding one to the exponent field then carries into the sign bit.  An
+ * integer OR, which vectorizes where NOT_FINITE's comparison does not. */
+static int64_t not_finite(const double *R a, int64_t m)
+{
+    const uint64_t exponent = 0x7ff0000000000000u, one = 0x0010000000000000u;
+    uint64_t carried = 0;
+    /* VECTORIZED: not_finite */
+    for (int64_t k = 0; k < m; k++) {
+        uint64_t bits;
+        memcpy(&bits, a + k, sizeof bits);
+        carried |= (bits & exponent) + one;
+    }
+    return (int64_t)(carried >> 63);
+}
+
+/* MaxwellSolver._step_numpy after its validation.  e and b are the three
+ * (ny, nx) planes of E and of B, j the three of J; mean holds the means of
+ * jx, jy, jz and rho (zeros where the solver does not subtract them: x - 0.0
+ * is x).  The new E and B are computed in work (7 planes) and copied into e
+ * and b only when the whole step is OK: on anything else they are as they
+ * were. */
+int field_step(int64_t ny, int64_t nx, double *ex, double *ey, double *ez, double *bx,
+               double *by, double *bz, const double *jx, const double *jy, const double *jz,
+               const double *rho, const double *R mean, double dx, double dy, double dt,
+               double marder_scale, int64_t marder_passes, double *R work)
+{
+    int64_t nnodes = nx * ny;
+    size_t plane = sizeof(double) * (size_t)nnodes;
+    double *wex = work, *wey = work + nnodes, *wez = work + 2 * nnodes;
+    double *wbx = work + 3 * nnodes, *wby = work + 4 * nnodes, *wbz = work + 5 * nnodes;
+    double *res = work + 6 * nnodes;
+    double h = 0.5 * dt, two_dx = 2.0 * dx, two_dy = 2.0 * dy;
+    memcpy(wex, ex, plane);
+    memcpy(wey, ey, plane);
+    memcpy(wez, ez, plane);
+    memcpy(wbx, bx, plane);
+    memcpy(wby, by, plane);
+    memcpy(wbz, bz, plane);
+    feclearexcept(FE_ALL_EXCEPT);
+    b_half_step(ny, nx, h, two_dx, two_dy, ex, ey, ez, wbx, wby, wbz);
+    e_step(ny, nx, dt, two_dx, two_dy, wbx, wby, wbz, jx, jy, jz, mean, wex, wey, wez);
+    b_half_step(ny, nx, h, two_dx, two_dy, wex, wey, wez, wbx, wby, wbz);
+    for (int64_t pass = 0; pass < marder_passes; pass++)
+        marder_pass(ny, nx, marder_scale, two_dx, two_dy, rho, mean[3], res, wex, wey);
+    if (finish(not_finite(work, 6 * nnodes)) != OK)
+        return FLAGGED;
+    memcpy(ex, wex, plane);
+    memcpy(ey, wey, plane);
+    memcpy(ez, wez, plane);
+    memcpy(bx, wbx, plane);
+    memcpy(by, wby, plane);
+    memcpy(bz, wbz, plane);
+    return OK;
+}
+
+/* The row pass of binomial_smooth_numpy on one row: 0.25 * ((in[x - 1] +
+ * 2.0 * in[x]) + in[x + 1]). */
+static PASS void smooth_row(int64_t nx, const double *R in, double *R s)
+{
+    /* VECTORIZED: smooth rows */
+    for (int64_t x = 1; x < nx - 1; x++)
+        s[x] = 0.25 * ((in[x - 1] + 2.0 * in[x]) + in[x + 1]);
+    s[0] = 0.25 * ((in[nx - 1] + 2.0 * in[0]) + in[1]);
+    s[nx - 1] = 0.25 * ((in[nx - 2] + 2.0 * in[nx - 1]) + in[0]);
+}
+
+/* The column pass on one row, from the row passes of rows y - 1, y, y + 1. */
+static PASS void smooth_column(int64_t nx, const double *R dn, const double *R mid,
+                               const double *R up, double *R o)
+{
+    /* VECTORIZED: smooth columns */
+    for (int64_t x = 0; x < nx; x++)
+        o[x] = 0.25 * ((dn[x] + 2.0 * mid[x]) + up[x]);
+}
+
+/* One pass of binomial_smooth_numpy into out: along each row, then along
+ * each column.  rows holds three row-pass rows (3 * nx), rotated down the
+ * grid; rows 0 and ny - 1 of the row pass are computed twice, with the same
+ * bits and flags. */
+int smooth(int64_t ny, int64_t nx, const double *R a, double *R rows, double *R out)
+{
+    double *dn = rows, *mid = rows + nx, *up = rows + 2 * nx;
+    feclearexcept(FE_ALL_EXCEPT);
+    smooth_row(nx, a + row_below(0, ny, nx), dn);
+    smooth_row(nx, a, mid);
+    for (int64_t y = 0; y < ny; y++) {
+        double *done = dn;
+        smooth_row(nx, a + row_above(y, ny, nx), up);
+        smooth_column(nx, dn, mid, up, out + y * nx);
+        dn = mid;
+        mid = up;
+        up = done;
+    }
+    return finish(not_finite(out, nx * ny));
 }
 
 /* LSD radix sort of m non-negative keys, one byte a pass, through tmp (m

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import native
 from repro.mesh.fields import FieldState
 from repro.mesh.grid import Grid2D
 from repro.util import require, require_positive
@@ -98,8 +99,20 @@ class MaxwellSolver:
         require(dt <= limit, f"dt={dt:g} violates CFL limit {limit:g} for {self.grid!r}")
 
     def step(self, fields: FieldState, dt: float) -> None:
-        """Advance E and B in place by one time step using fields.j*."""
+        """Advance E and B in place by one time step using fields.j*.
+
+        The compiled ``field_step`` of :mod:`repro.native` when it is active
+        and the fields are plain ``(ny, nx)`` float64 planes, with the floats
+        of :meth:`_step_numpy`, which runs otherwise.
+        """
         self.validate_dt(dt)
+        compiled = native.kernels()
+        if compiled is None or not compiled.field_step(self, fields, dt):
+            self._step_numpy(fields, dt)
+
+    def _step_numpy(self, fields: FieldState, dt: float) -> None:
+        """The NumPy body of :meth:`step` after its validation: fallback and
+        oracle of the compiled stencil."""
         dx, dy = self.grid.dx, self.grid.dy
         jx, jy, jz = fields.jx, fields.jy, fields.jz
         if self.subtract_mean_current:
@@ -137,9 +150,14 @@ class MaxwellSolver:
         so ``d * dt`` sits at the explicit-diffusion limit.
         """
         residual = self.gauss_residual(fields)
+        scale = self.marder_scale(dt)
+        fields.ex += scale * _ddx(residual, self.grid.dx)
+        fields.ey += scale * _ddy(residual, self.grid.dy)
+
+    def marder_scale(self, dt: float) -> float:
+        """``d * dt`` of a Marder pass, ``d = min(dx, dy)^2 / (4 dt)``."""
         d = min(self.grid.dx, self.grid.dy) ** 2 / (4.0 * dt)
-        fields.ex += d * dt * _ddx(residual, self.grid.dx)
-        fields.ey += d * dt * _ddy(residual, self.grid.dy)
+        return d * dt
 
     def divergence_b(self, fields: FieldState) -> float:
         """Max |div B| — conserved at 0 by the scheme from zero initial B."""

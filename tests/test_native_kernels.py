@@ -1,8 +1,9 @@
-"""The compiled particle kernels reproduce their NumPy bodies byte for byte.
+"""The compiled PIC kernels reproduce their NumPy bodies byte for byte.
 
-``repro.native`` puts five C loops behind ``Grid2D.cic_vertices_weights``,
+``repro.native`` puts seven C loops behind ``Grid2D.cic_vertices_weights``,
 ``scatter_segment``'s deposit, ``gather_from_node_values``,
-``boris_push`` and ``ghost_slots``.  The NumPy bodies stay as fallback and oracle, and the
+``boris_push``, ``ghost_slots``, ``MaxwellSolver.step`` and one pass of
+``binomial_smooth``.  The NumPy bodies stay as fallback and oracle, and the
 contract is equality *by bytes* — on ordinary inputs through the C loop
 (asserted: a comparison that silently took the fallback proves nothing),
 on exceptional ones through the fallback the C loop asks for, with the
@@ -26,18 +27,21 @@ from hypothesis import strategies as st
 
 from repro import native
 from repro.machine import FaultEvent, FaultPlan
-from repro.mesh import CurveBlockDecomposition, Grid2D
+from repro.mesh import CurveBlockDecomposition, FieldState, Grid2D
 from repro.parallel_exec.kernels import deposit_numpy
 from repro.particles import ParticleArray
-from repro.pic import Simulation, SimulationConfig
+from repro.pic import MaxwellSolver, Simulation, SimulationConfig
 from repro.pic.deposition import ghost_slots, ghost_slots_numpy
 from repro.pic.interpolation import gather_from_node_values, interpolate_numpy
 from repro.pic.push import boris_push, push_numpy
+from repro.pic.smoothing import binomial_smooth, binomial_smooth_numpy
 from repro.util.errors import SimulationIntegrityError
+from tests import vectorization_guard
 
 GRIDS = [Grid2D(32, 16), Grid2D(16, 8, lx=10.0, ly=3.0), Grid2D(7, 5, lx=1.0, ly=2.5)]
 SIZES = [0, 1, 7, 5000]
 PUSHED = ("x", "y", "ux", "uy", "uz")
+PLANES = ("ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz", "rho")
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +77,22 @@ def _same(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def _fields(grid, seed):
+    """Random E, B, J and rho over ``grid`` with signed zeros among them,
+    each plane of a different magnitude: ten rows of one block, as a
+    checkpoint lays them out."""
+    rng = np.random.default_rng(seed)
+    magnitudes = 10.0 ** rng.uniform(-3, 3, (10, 1, 1))
+    planes = rng.normal(0.0, 1.0, (10, *grid.shape)) * magnitudes
+    flat = planes.reshape(10, -1)
+    flat[:, rng.integers(0, grid.nnodes, 4)] = np.array([0.0, -0.0, -0.0, 0.0])
+    return FieldState(*planes)
+
+
+def _planes(fields):
+    return [getattr(fields, name) for name in PLANES]
 
 
 cases = st.tuples(st.sampled_from(GRIDS), st.sampled_from(SIZES), st.integers(0, 2**31))
@@ -182,6 +202,58 @@ class TestBytes:
         push_numpy(grid, want, e, b, dt)
         _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
         assert np.all((got.x >= 0) & (got.x < grid.lx) & (got.y >= 0) & (got.y < grid.ly))
+
+    @pytest.mark.parametrize("n", [*range(1, 18), 257])
+    def test_boris_push_in_every_lane(self, compiled, n):
+        """Lengths that leave every vector remainder, with a position out of
+        the box (so the wrap pass's slow path) in each lane in turn."""
+        grid = GRIDS[1]
+        outside = [-1e-18, 3.5 * grid.lx, -2.25 * grid.lx, 1e8 * grid.lx, -0.0]
+        rng = np.random.default_rng(n)
+        e, b = rng.normal(0.0, 2.0, (2, 3, n))
+        for lane in range(n):
+            got = _particles(grid, n, lane)
+            got.x[:] = rng.uniform(0.0, grid.lx, n)
+            got.y[:] = rng.uniform(0.0, grid.ly, n)
+            got.x[lane] = outside[lane % len(outside)]
+            got.y[(lane + 1) % n] = outside[(lane + 2) % len(outside)] * grid.ly / grid.lx
+            want = got.copy()
+            assert compiled.boris_push(grid, got, e, b, 0.3)
+            push_numpy(grid, want, e, b, 0.3)
+            _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(3, 12),
+        st.integers(3, 12),
+        st.sampled_from([(1.0, 1.0), (10.0, 3.0), (0.7, 2.5)]),
+        st.sampled_from([0.05, 0.5, 0.99]),
+        st.booleans(),
+        st.sampled_from([0, 1, 2]),
+        st.integers(0, 2**31),
+    )
+    def test_field_step(self, compiled, nx, ny, box, cfl, subtract, passes, seed):
+        """Non-square grids down to 3x3, signed zeros, raw or mean-free
+        currents, zero to two Marder passes, ``dt`` up to the CFL limit:
+        E and B stay the same arrays and hold ``_step_numpy``'s bytes."""
+        grid = Grid2D(nx, ny, lx=box[0], ly=box[1])
+        solver = MaxwellSolver(grid, subtract_mean_current=subtract, marder_passes=passes)
+        dt = cfl * solver.cfl_limit()
+        got, want = _fields(grid, seed), _fields(grid, seed)
+        arrays = _planes(got)
+        assert compiled.field_step(solver, got, dt)
+        solver._step_numpy(want, dt)
+        assert all(a is b for a, b in zip(_planes(got), arrays))
+        _same(_planes(got), _planes(want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 12), st.integers(3, 12), st.integers(0, 2**31))
+    def test_smooth(self, compiled, nx, ny, seed):
+        a = _fields(Grid2D(nx, ny), seed).rho
+        got = compiled.smooth(a)
+        assert got is not None and got is not a
+        _same((got,), (binomial_smooth_numpy(a),))
+        _same((binomial_smooth(a, 3),), (binomial_smooth_numpy(a, 3),))
 
 
 @pytest.mark.parametrize("path", ["compiled", "numpy"])
@@ -348,6 +420,84 @@ class TestDeclined:
         _same([getattr(strided, c) for c in PUSHED], [getattr(reference, c) for c in PUSHED])
         _same([parts.x[::2], parts.ux[::2]], [reference.x, reference.ux])
 
+    @pytest.mark.parametrize(
+        "plane, value",
+        [(name, v) for name in ("ex", "bz", "jy", "rho") for v in (np.nan, np.inf, -np.inf)]
+        + [("ex", "overflow"), ("rho", "overflow")],
+    )
+    def test_non_finite_fields_warn_as_numpy_does(self, compiled, plane, value):
+        """A poisoned plane, or one whose differences overflow: the field
+        step and the smoothing decline, E and B are the same arrays with the
+        same bytes until the NumPy body runs, which warns and answers as
+        always."""
+        solver = MaxwellSolver(self.grid)
+        got, want = _fields(self.grid, 6), _fields(self.grid, 6)
+        for fields in (got, want):
+            if value == "overflow":  # a[7] - a[5] does, in the row's centred difference
+                getattr(fields, plane)[3, [5, 7]] = 1.7e308, -1.7e308
+            else:
+                getattr(fields, plane)[3, 5] = value
+        arrays, before = _planes(got), [a.copy() for a in _planes(got)]
+        assert not compiled.field_step(solver, got, 0.1)
+        assert all(a is b for a, b in zip(_planes(got), arrays))
+        _same(_planes(got), before)
+        with warnings.catch_warnings(record=True) as numpy_said:
+            warnings.simplefilter("always")
+            solver._step_numpy(want, 0.1)
+        with warnings.catch_warnings(record=True) as we_said:
+            warnings.simplefilter("always")
+            solver.step(got, 0.1)
+        assert [str(w.message) for w in we_said] == [str(w.message) for w in numpy_said]
+        assert numpy_said or value is np.nan  # NaN propagates quietly
+        assert all(a is b for a, b in zip(_planes(got), arrays))
+        _same(_planes(got), _planes(want))
+
+        source = before[PLANES.index(plane)]
+        assert compiled.smooth(source) is None
+        with warnings.catch_warnings(record=True) as numpy_said:
+            warnings.simplefilter("always")
+            want = binomial_smooth_numpy(source, 2)
+        with warnings.catch_warnings(record=True) as we_said:
+            warnings.simplefilter("always")
+            got = binomial_smooth(source, 2)
+        assert [str(w.message) for w in we_said] == [str(w.message) for w in numpy_said]
+        _same((got,), (want,))
+
+    def test_stencils_decline_what_they_do_not_cover(self, compiled):
+        """Strided views, float32, read-only E or B, planes sharing memory
+        and grids 2 nodes wide or high take the NumPy body, untouched before
+        it; the public functions still answer with its bytes."""
+        grid, solver = self.grid, MaxwellSolver(self.grid, marder_passes=2)
+        base = _fields(grid, 7)
+        wide = np.zeros((10, grid.ny, 2 * grid.nx))
+        wide[:, :, ::2] = np.stack(_planes(base))
+        thin = [np.random.default_rng(8).normal(size=(10, *shape)) for shape in ((2, 9), (9, 2))]
+        declined = [  # each built twice: once for the NumPy body alone
+            lambda: FieldState(*wide.copy()[:, :, ::2]),
+            lambda: FieldState(*(a.astype(np.float32) for a in _planes(base))),
+            lambda: FieldState(*([base.ex.copy()] * 10)),  # one array in every plane
+            *(lambda block=block: FieldState(*block.copy()) for block in thin),
+        ]
+        for build in declined:
+            fields, want = build(), build()
+            arrays, before = _planes(fields), [a.copy() for a in _planes(fields)]
+            assert not compiled.field_step(solver, fields, 0.1)
+            _same(_planes(fields), before)
+            solver._step_numpy(want, 0.1)
+            solver.step(fields, 0.1)
+            assert all(a is b for a, b in zip(_planes(fields), arrays))
+            _same(_planes(fields), _planes(want))
+        read_only = base.copy()
+        read_only.bz.flags.writeable = False
+        assert not compiled.field_step(solver, read_only, 0.1)
+        with pytest.raises(ValueError, match="read-only"):
+            solver.step(read_only, 0.1)
+
+        nested = [[1.0] * 4] * 4
+        for a in (wide[0, :, ::2], base.ex.astype(np.float32), thin[0][0], thin[1][0], nested):
+            assert compiled.smooth(a) is None
+            _same((binomial_smooth(a, 2),), (binomial_smooth_numpy(np.asarray(a, dtype=float), 2),))
+
 
 # ----------------------------------------------------------------------
 # the loader's failure taxonomy
@@ -439,8 +589,9 @@ class TestLoader:
     def test_library_without_the_entry_points(self, compiled, tmp_path, monkeypatch):
         """A compiler that builds something else: loading must not trust it."""
         fake = tmp_path / "cc"
-        cc = shutil.which("cc")  # the output path is the loader's ninth argument
-        fake.write_text(f'#!/bin/sh\ncat > /dev/null\nexec {cc} -shared -x c /dev/null -o "$9"\n')
+        cc = shutil.which("cc")  # the output path is the argument after the loader's -o
+        script = 'cat > /dev/null\nwhile [ "$1" != -o ]; do shift; done\n'
+        fake.write_text(f'#!/bin/sh\n{script}exec {cc} -shared -x c /dev/null -o "$2"\n')
         fake.chmod(0o700)
         answer = native.load(tmp_path / "cache", cc=str(fake))
         assert not answer[1].active and "cannot load" in answer[1].reason
@@ -511,11 +662,22 @@ class TestLoader:
         assert native.load(cache)[1].active
 
     def test_status_names_compiler_and_flags(self, compiled):
+        """The byte contract rests on what FLAGS leaves out: -O3 is one step
+        from the flags that re-associate, contract or retarget the floats."""
         found, status = native.load()
         assert status.active and status.reason is None
         assert Path(status.compiler).name == "cc" and status.flags == native.FLAGS
-        assert "-ffp-contract=off" in native.FLAGS and "-ffast-math" not in native.FLAGS
-        assert not any(flag.startswith("-march") for flag in native.FLAGS)
+        assert "-ffp-contract=off" in native.FLAGS
+        forbidden = ("-Ofast", "-ffast-math", "-fassociative-math", "-funsafe-math-optimizations")
+        assert not set(forbidden) & set(native.FLAGS)
+        assert not any(flag.startswith(("-march", "-mtune")) for flag in native.FLAGS)
+
+    def test_marked_loops_are_vectorized(self, compiled):
+        """What CI's vectorization guard asserts, on this host's compiler."""
+        cc = shutil.which("cc")
+        if not vectorization_guard.is_gcc(cc):
+            pytest.skip(f"the guard reads GCC's -fopt-info; cc is {cc}")
+        assert vectorization_guard.main() == 0
 
 
 # ----------------------------------------------------------------------
