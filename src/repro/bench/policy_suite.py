@@ -106,7 +106,7 @@ def run_policy_cell(
     sim = Simulation(cfg)
     telemetry = sim.enable_telemetry()
     result = sim.run(iterations)
-    parsed = validate_metrics(telemetry.metrics_lines())
+    parsed = validate_metrics(telemetry.lines())
     decisions = [d for rec in parsed.iterations for d in rec["sar_decisions"]]
     mismatches = [d for d in decisions if replay_decision(d) != d["fired"]]
     if mismatches:

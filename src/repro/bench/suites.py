@@ -460,8 +460,8 @@ def _telemetry_overhead(_ctx) -> BenchObservation:
     plain.run(6)
     traced.run(6)
     assert traced.vm.elapsed() == plain.vm.elapsed()
-    traced.telemetry.metrics_lines()
-    traced.telemetry.tracer.to_chrome()
+    traced.telemetry.lines()
+    traced.telemetry.to_chrome()
     return BenchObservation(
         vm_seconds=traced.vm.elapsed(), op_counts=traced.vm.ops.as_dict()
     )

@@ -34,12 +34,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from repro.analysis import format_table
 from repro.indexing import available_schemes
 from repro.pic import Simulation, SimulationConfig, SimulationResult, config_from_dict
+from repro.util.errors import TelemetrySchemaError
 from repro.workloads import FIG16_CASES, FIG17_CASE, FIG20_CASE, TABLE2_CASES
 from repro.workloads.scenarios import PaperCase
 
@@ -64,13 +66,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one simulation")
+    # options `run` and `resume` share: execution, faults, outputs, observation
+    drive = argparse.ArgumentParser(add_help=False)
+    drive.add_argument("--workers", default="0", metavar="N|auto",
+                       help="shard threads for the particle kernels "
+                            "(era kernel only); 'auto' uses the "
+                            "available cores; results are bit-identical for "
+                            "every worker count, and checkpoints never record it")
+    drive.add_argument("--fault-plan", metavar="FILE.json",
+                       help="inject machine faults from a FaultPlan JSON file "
+                            "(see examples/faults.json); rank kills recover automatically")
+    drive.add_argument("--json", action="store_true",
+                       help="emit a machine-readable JSON summary")
+    drive.add_argument("--save-json", metavar="PATH",
+                       help="write the full result (summary + per-iteration series) to PATH")
+    drive.add_argument("--checkpoint-every", type=int, metavar="K",
+                       help="write an exact-resume checkpoint after every K iterations")
+    drive.add_argument("--checkpoint-path", metavar="PATH",
+                       help="checkpoint file (.npz) written by --checkpoint-every "
+                            "(resume: default the resume source)")
+    drive.add_argument("--trace", metavar="PATH",
+                       help="write a Perfetto/Chrome trace JSON of every "
+                            "(iteration, phase, rank) span on the virtual clocks")
+    drive.add_argument("--metrics", metavar="PATH",
+                       help="write per-iteration metrics JSONL (load imbalance, "
+                            "comm tallies, SAR decisions, events)")
+    drive.add_argument("--profile", metavar="DIR",
+                       help="deterministic kernel profiling: write collapsed-stack "
+                            "flamegraph files (.folded) of the hot-path sections "
+                            "to DIR; results stay bit-identical")
+    drive.add_argument("--prom-dir", metavar="DIR",
+                       help="write a Prometheus textfile-collector snapshot "
+                            "(repro-run.prom) of the run's metrics registry to DIR")
+    drive.add_argument("--timeout", type=float, metavar="S", default=None,
+                       help="wall-clock watchdog: stop after S seconds (at an "
+                            "iteration boundary), write a final checkpoint if "
+                            "checkpointing is on, and exit with code 124")
+
+    # every configuration flag's dest is its SimulationConfig field name
+    run = sub.add_parser("run", help="run one simulation", parents=[drive])
     run.add_argument("--config", help="JSON file of SimulationConfig fields (overridden by flags)")
     run.add_argument("--case", help="start from a named paper case (see `scenarios`)")
     run.add_argument("--nx", type=int, default=64)
     run.add_argument("--ny", type=int, default=32)
-    run.add_argument("-n", "--particles", type=int, default=8192)
-    run.add_argument("-p", "--processors", type=int, default=16)
+    run.add_argument("-n", "--particles", dest="nparticles", type=int, default=8192)
+    run.add_argument("-p", "--processors", dest="p", type=int, default=16)
     run.add_argument("--distribution", default="irregular",
                      choices=["uniform", "irregular", "two_stream", "ring"])
     run.add_argument("--scheme", default="hilbert")
@@ -93,42 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--guards", default="off", choices=["off", "warn", "strict"],
                      help="invariant guards: warn reports conservation/finiteness "
                           "violations, strict raises SimulationIntegrityError")
-    run.add_argument("--workers", default="0", metavar="N|auto",
-                     help="shard threads for the particle kernels "
-                          "(era kernel only); 'auto' uses the "
-                          "available cores; results are bit-identical for "
-                          "every worker count")
-    run.add_argument("--fault-plan", metavar="FILE.json",
-                     help="inject machine faults from a FaultPlan JSON file "
-                          "(see examples/faults.json); rank kills recover automatically")
-    run.add_argument("--json", action="store_true",
-                     help="emit a machine-readable JSON summary")
-    run.add_argument("--save-json", metavar="PATH",
-                     help="write the full result (summary + per-iteration series) to PATH")
-    run.add_argument("--checkpoint-every", type=int, metavar="K",
-                     help="write an exact-resume checkpoint after every K iterations")
-    run.add_argument("--checkpoint-path", metavar="PATH",
-                     help="checkpoint file (.npz) written by --checkpoint-every")
-    run.add_argument("--trace", metavar="PATH",
-                     help="write a Perfetto/Chrome trace JSON of every "
-                          "(iteration, phase, rank) span on the virtual clocks")
-    run.add_argument("--metrics", metavar="PATH",
-                     help="write per-iteration metrics JSONL (load imbalance, "
-                          "comm tallies, SAR decisions, events)")
-    run.add_argument("--profile", metavar="DIR",
-                     help="deterministic kernel profiling: write collapsed-stack "
-                          "flamegraph files (.folded) of the hot-path sections "
-                          "to DIR; results stay bit-identical")
-    run.add_argument("--prom-dir", metavar="DIR",
-                     help="write a Prometheus textfile-collector snapshot "
-                          "(repro-run.prom) of the run's metrics registry to DIR")
-    run.add_argument("--timeout", type=float, metavar="S", default=None,
-                     help="wall-clock watchdog: stop after S seconds (at an "
-                          "iteration boundary), write a final checkpoint if "
-                          "checkpointing is on, and exit with code 124")
 
     resume = sub.add_parser(
-        "resume", help="resume a checkpointed run exactly where it left off"
+        "resume", help="resume a checkpointed run exactly where it left off", parents=[drive]
     )
     resume.add_argument("path", help="checkpoint file written by `repro run --checkpoint-every`")
     resume.add_argument("--iterations", type=int, required=True,
@@ -136,33 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument("--guards", default=None, choices=["off", "warn", "strict"],
                         help="override the checkpointed guard severity; strict also "
                              "refuses legacy format-v1 checkpoints")
-    resume.add_argument("--workers", default="0", metavar="N|auto",
-                        help="shard threads for the particle kernels; "
-                             "checkpoints never record a worker count, so any "
-                             "value resumes bit-identically")
-    resume.add_argument("--fault-plan", metavar="FILE.json",
-                        help="inject machine faults from a FaultPlan JSON file")
-    resume.add_argument("--json", action="store_true",
-                        help="emit a machine-readable JSON summary")
-    resume.add_argument("--save-json", metavar="PATH",
-                        help="write the full result (summary + per-iteration series) to PATH")
-    resume.add_argument("--checkpoint-every", type=int, metavar="K",
-                        help="keep checkpointing every K iterations while resumed")
-    resume.add_argument("--checkpoint-path", metavar="PATH",
-                        help="checkpoint file for --checkpoint-every (default: resume source)")
-    resume.add_argument("--trace", metavar="PATH",
-                        help="write a Perfetto/Chrome trace JSON of the resumed run")
-    resume.add_argument("--metrics", metavar="PATH",
-                        help="write per-iteration metrics JSONL of the resumed run")
-    resume.add_argument("--profile", metavar="DIR",
-                        help="write collapsed-stack flamegraph files of the "
-                             "resumed run's kernel sections to DIR")
-    resume.add_argument("--prom-dir", metavar="DIR",
-                        help="write a Prometheus textfile snapshot of the "
-                             "resumed run's metrics registry to DIR")
-    resume.add_argument("--timeout", type=float, metavar="S", default=None,
-                        help="wall-clock watchdog: stop after S seconds and "
-                             "exit with code 124 (see `run --timeout`)")
 
     submit = sub.add_parser(
         "submit",
@@ -326,23 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
-    kwargs = dict(
-        nx=args.nx,
-        ny=args.ny,
-        nparticles=args.particles,
-        p=args.processors,
-        distribution=args.distribution,
-        scheme=args.scheme,
-        policy=args.policy,
-        movement=args.movement,
-        partitioning=args.partitioning,
-        ghost_table=args.ghost_table,
-        field_solver=args.field_solver,
-        kernel=args.kernel,
-        seed=args.seed,
-        vth=args.vth,
-        guards=args.guards,
-    )
+    names = [f.name for f in fields(SimulationConfig) if hasattr(args, f.name)]
+    flags = {name: getattr(args, name) for name in names}
+    kwargs = dict(flags)
     if args.config:
         from pathlib import Path
 
@@ -361,18 +327,7 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
         kwargs.update(loaded)
         # explicit command-line flags win over the file
         defaults = build_parser().parse_args(["run"])
-        for key, cli_name in (
-            ("nx", "nx"), ("ny", "ny"), ("nparticles", "particles"),
-            ("p", "processors"), ("distribution", "distribution"),
-            ("scheme", "scheme"), ("policy", "policy"), ("movement", "movement"),
-            ("partitioning", "partitioning"), ("ghost_table", "ghost_table"),
-            ("field_solver", "field_solver"), ("kernel", "kernel"),
-            ("seed", "seed"), ("vth", "vth"),
-            ("guards", "guards"),
-        ):
-            value = getattr(args, cli_name)
-            if value != getattr(defaults, cli_name):
-                kwargs[key] = value
+        kwargs.update({k: v for k, v in flags.items() if v != getattr(defaults, k)})
     if args.case:
         cases = _all_cases()
         if args.case not in cases:
@@ -443,14 +398,6 @@ def _emit_result(args: argparse.Namespace, result, title: str) -> int:
     return 0
 
 
-def _maybe_enable_telemetry(sim: Simulation, args: argparse.Namespace) -> None:
-    """Turn on the observability the command line asked for."""
-    if args.trace or args.metrics or args.prom_dir:
-        sim.enable_telemetry()
-    if args.profile:
-        sim.enable_profiling()
-
-
 def _save_telemetry(sim: Simulation, args: argparse.Namespace) -> None:
     """Write the observability artifacts requested on the command line."""
     if sim.telemetry is not None:
@@ -492,27 +439,26 @@ def _timeout_arg(args: argparse.Namespace) -> float | None:
     return args.timeout
 
 
-def _on_run_timeout(sim: Simulation, args: argparse.Namespace, exc) -> int:
-    """Watchdog expiry: save what we have, report, exit with code 124."""
-    _save_telemetry(sim, args)
-    ck = " (final checkpoint written)" if args.checkpoint_every else ""
-    print(
-        f"[timeout] {exc}{ck}",
-        file=sys.stderr,
-    )
-    return EXIT_TIMEOUT
+def _drive(args: argparse.Namespace, make_sim, title, default_checkpoint=None) -> int:
+    """The body `run` and `resume` share.
 
-
-def _cmd_run(args: argparse.Namespace) -> int:
+    Validates the fault plan and checkpoint flags, builds the simulation
+    with ``make_sim()``, installs faults, turns on the observation asked
+    for, runs under the watchdog, saves the artifacts and emits the
+    result under ``title(sim)``.  A watchdog expiry saves what there is
+    and exits with code 124.
+    """
     from repro.util.errors import JobTimeout
 
-    config = _config_from_args(args)
     plan = _load_fault_plan(args.fault_plan)
-    every, ck_path = _checkpoint_args(args)
-    with Simulation(config, workers=_workers_arg(args)) as sim:
+    every, ck_path = _checkpoint_args(args, default_path=default_checkpoint)
+    with make_sim() as sim:
         if plan is not None:
             sim.install_faults(plan)
-        _maybe_enable_telemetry(sim, args)
+        if args.trace or args.metrics or args.prom_dir:
+            sim.enable_telemetry()
+        if args.profile:
+            sim.enable_profiling()
         try:
             result = sim.run(
                 args.iterations,
@@ -521,47 +467,46 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 walltime=_timeout_arg(args),
             )
         except JobTimeout as exc:
-            return _on_run_timeout(sim, args, exc)
+            _save_telemetry(sim, args)
+            ck = " (final checkpoint written)" if args.checkpoint_every else ""
+            print(f"[timeout] {exc}{ck}", file=sys.stderr)
+            return EXIT_TIMEOUT
         _save_telemetry(sim, args)
-    return _emit_result(
-        args, result, f"{args.iterations} iterations, p={config.p}"
+    return _emit_result(args, result, title(sim))
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    config = _config_from_args(args)
+    return _drive(
+        args,
+        lambda: Simulation(config, workers=_workers_arg(args)),
+        lambda sim: f"{args.iterations} iterations, p={config.p}",
     )
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
     from repro.pic.checkpoint import CheckpointError
-    from repro.util.errors import JobTimeout
 
     if args.iterations < 0:
         raise SystemExit(f"--iterations must be >= 0, got {args.iterations}")
-    plan = _load_fault_plan(args.fault_plan)
-    every, ck_path = _checkpoint_args(args, default_path=args.path)
-    try:
-        sim = Simulation.from_checkpoint(
-            args.path, guards=args.guards, workers=_workers_arg(args)
-        )
-    except FileNotFoundError as exc:
-        raise SystemExit(str(exc))
-    except CheckpointError as exc:
-        raise SystemExit(f"cannot resume: {exc}")
-    with sim:
-        if plan is not None:
-            sim.install_faults(plan)
-        _maybe_enable_telemetry(sim, args)
+
+    def restore() -> Simulation:
         try:
-            result = sim.run(
-                args.iterations,
-                checkpoint_every=every,
-                checkpoint_path=ck_path,
-                walltime=_timeout_arg(args),
+            return Simulation.from_checkpoint(
+                args.path, guards=args.guards, workers=_workers_arg(args)
             )
-        except JobTimeout as exc:
-            return _on_run_timeout(sim, args, exc)
-        _save_telemetry(sim, args)
-    return _emit_result(
+        except FileNotFoundError as exc:
+            raise SystemExit(str(exc))
+        except CheckpointError as exc:
+            raise SystemExit(f"cannot resume: {exc}")
+
+    return _drive(
         args,
-        result,
-        f"resumed +{args.iterations} iterations (total {sim.iteration}), p={sim.config.p}",
+        restore,
+        lambda sim: (
+            f"resumed +{args.iterations} iterations (total {sim.iteration}), p={sim.config.p}"
+        ),
+        default_checkpoint=args.path,
     )
 
 
@@ -580,8 +525,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
     if args.retries < 0:
         raise SystemExit(f"--retries must be >= 0, got {args.retries}")
-    if args.timeout is not None and args.timeout <= 0:
-        raise SystemExit(f"--timeout must be > 0 seconds, got {args.timeout}")
+    _timeout_arg(args)
     if args.max_failures < 0:
         raise SystemExit(f"--max-failures must be >= 0, got {args.max_failures}")
     if args.checkpoint_every < 1:
@@ -634,15 +578,17 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
         raise SystemExit(f"batch report {args.report} is not valid JSON: {exc}")
     events = None
     if args.stream:
-        from repro.obs.top import read_stream
+        from repro.obs.top import top_loop
+        from repro.telemetry.stream import read_jsonl
 
         if not Path(args.stream).exists():
             raise SystemExit(f"service stream not found: {args.stream}")
-        if args.watch:
-            from repro.obs.top import top_loop
-
-            top_loop(args.stream)
-        events, _ = read_stream(args.stream)
+        try:
+            if args.watch:
+                top_loop(args.stream)
+            events, _ = read_jsonl(args.stream, partial=True)
+        except TelemetrySchemaError as exc:
+            raise SystemExit(f"bad service stream: {exc}")
     try:
         print(render_report(report, events=events))
     except (ValueError, KeyError, TypeError) as exc:
@@ -655,19 +601,21 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
     if args.interval <= 0:
         raise SystemExit(f"--interval must be > 0 seconds, got {args.interval}")
-    if args.timeout is not None and args.timeout <= 0:
-        raise SystemExit(f"--timeout must be > 0 seconds, got {args.timeout}")
-    view = top_loop(
-        args.stream,
-        interval=args.interval,
-        once=args.once,
-        timeout=args.timeout,
-    )
+    _timeout_arg(args)
+    try:
+        view = top_loop(
+            args.stream,
+            interval=args.interval,
+            once=args.once,
+            timeout=args.timeout,
+        )
+    except TelemetrySchemaError as exc:
+        raise SystemExit(f"bad service stream: {exc}")
     return 0 if (view.finished or args.once) else 1
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.telemetry import TelemetrySchemaError, report_from_files
+    from repro.telemetry import report_from_files
 
     if args.batch:
         from repro.obs.batch import aggregate_batch, render_batch_rollup
@@ -792,8 +740,7 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
     def progress(name: str) -> None:
         print(f"[bench] {name} ...", file=sys.stderr, flush=True)
 
-    if args.timeout is not None and args.timeout <= 0:
-        raise SystemExit(f"--timeout must be > 0 seconds, got {args.timeout}")
+    _timeout_arg(args)
     try:
         suite = run_suite(
             args.suite,

@@ -11,7 +11,13 @@ run-level telemetry (:mod:`repro.telemetry`) and the job service
 - :mod:`repro.obs.batch` — the ``repro report --batch`` aggregator that
   joins a batch's service stream with its per-job metrics files.
 - :mod:`repro.obs.top` — the ``repro top`` live batch view over the
-  streamed ``service.jsonl``.
+  streamed ``service.jsonl``, and :class:`~repro.obs.top.BatchView`, the
+  one fold of a stream's job events that the dashboard, the rollup's job
+  table and ``repro jobs --stream`` all read.
+
+None of these parses JSONL itself: every stream goes through
+:func:`repro.telemetry.stream.read_jsonl`, and a malformed one ends in
+:class:`~repro.util.errors.TelemetrySchemaError`.
 
 Everything here follows the repo's zero-cost contract (DESIGN.md §5.8):
 observability off means dormant ``is None`` hooks and bit-identical
@@ -25,7 +31,7 @@ from repro.obs.prom import (
     render_prom_text,
     write_prom_snapshot,
 )
-from repro.obs.top import BatchView, read_stream, render_top, top_loop
+from repro.obs.top import BatchView, render_top, top_loop
 
 __all__ = [
     "BATCH_ROLLUP_SCHEMA",
@@ -34,7 +40,6 @@ __all__ = [
     "aggregate_batch",
     "maybe_section",
     "parse_prom_text",
-    "read_stream",
     "render_batch_rollup",
     "render_prom_text",
     "render_top",

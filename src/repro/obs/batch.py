@@ -19,9 +19,9 @@ with no orphans.  ``repro report --batch DIR`` renders it via
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
+from repro.obs.top import BatchView
 from repro.telemetry.report import format_table
 from repro.telemetry.schema import (
     ParsedMetrics,
@@ -50,42 +50,26 @@ def _counter(summary: dict | None, name: str) -> float:
     return float(entry.get("value") or 0.0)
 
 
-def _job_table(stream: ParsedService) -> dict[str, dict]:
-    """Fold the stream's job events into one row per job name."""
-    jobs: dict[str, dict] = {}
-    for ev in stream.job_events():
-        row = jobs.setdefault(
-            ev["job"],
-            {
-                "job_id": ev.get("job_id"),
-                "launches": 0,
-                "retries": 0,
-                "attempts": 0,
-                "state": "pending",
-                "cached": False,
-                "wall": 0.0,
-            },
-        )
-        if ev.get("job_id") is not None:
-            row["job_id"] = ev["job_id"]
-        if ev.get("attempt") is not None:
-            row["attempts"] = max(row["attempts"], int(ev["attempt"]) + 1)
-        kind = ev["kind"]
-        if kind == "job_launched":
-            row["launches"] += 1
-            row["state"] = "running"
-        elif kind == "job_retry":
-            row["retries"] += 1
-            row["state"] = "retrying"
-        elif kind == "job_done":
-            row["state"] = "done"
-            row["cached"] = bool(ev.get("cached"))
-            row["wall"] = float(ev.get("wall", 0.0))
-        elif kind == "job_failed":
-            row["state"] = "failed"
-        elif kind == "job_cancelled":
-            row["state"] = "cancelled"
-    return jobs
+def _jobs_detail(stream: ParsedService) -> dict[str, dict]:
+    """The rollup's job table: one row per job of the stream's :class:`BatchView` fold.
+
+    Only complete streams reach here, so every job's state is the one its
+    last (terminal) event set.
+    """
+    view = BatchView()
+    view.apply_all(stream.events)
+    return {
+        name: {
+            "job_id": row["job_id"],
+            "launches": row["launches"],
+            "retries": row["retries"],
+            "attempts": row["attempt"] + 1,
+            "state": row["state"],
+            "cached": row["cached"],
+            "wall": float(row["wall"] or 0.0),
+        }
+        for name, row in view.jobs.items()
+    }
 
 
 def _imbalance_summary(values: list[float]) -> dict | None:
@@ -143,7 +127,7 @@ def aggregate_batch(directory: str | Path) -> dict:
     metrics_paths = sorted(directory.glob("job-*.metrics.jsonl"))
     joined: list[tuple[str, ParsedMetrics]] = []
     orphans: list[dict] = []
-    jobs = _job_table(stream)
+    jobs = _jobs_detail(stream)
     known_job_ids = {row["job_id"] for row in jobs.values() if row["job_id"]}
     for path in metrics_paths:
         metrics = validate_metrics(path)
@@ -274,10 +258,3 @@ def render_batch_rollup(rollup: dict) -> str:
     for orphan in corr.get("orphans", []):
         out.append(f"  ORPHAN {orphan['file']}: {orphan['reason']}")
     return "\n".join(out)
-
-
-def save_rollup(rollup: dict, path: str | Path) -> Path:
-    """Atomically write the rollup JSON to ``path`` and return it."""
-    from repro.util.atomic_io import atomic_write_text
-
-    return atomic_write_text(Path(path), json.dumps(rollup, indent=2) + "\n")

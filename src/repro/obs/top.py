@@ -6,21 +6,27 @@ renders a small refreshing dashboard: one row per job with state,
 attempt, iteration progress and last-known load imbalance, plus batch
 totals (pool size, queue depth, retries, cache hits, circuit state).
 
-The reader is incremental and torn-line tolerant: a partially flushed
-last line is left in the buffer until the writer completes it, so
-tailing never crashes mid-batch.  The loop exits cleanly when the
-closing ``summary`` record appears — a finished batch tears the
-dashboard down by itself.
+The stream is read with :func:`~repro.telemetry.stream.read_jsonl` in
+its partial mode: a partially flushed last line is left unconsumed
+until the writer completes it, so tailing never crashes mid-batch,
+while a malformed complete line raises ``TelemetrySchemaError``.  The
+loop exits cleanly when the closing ``summary`` record appears — a
+finished batch tears the dashboard down by itself.
+
+:class:`BatchView` is the one fold of a service stream's job events:
+the dashboard, the rollup's job table (:mod:`repro.obs.batch`) and the
+stream-sourced columns of ``repro jobs`` all read it.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from pathlib import Path
 
-__all__ = ["BatchView", "read_stream", "render_top", "top_loop"]
+from repro.telemetry.stream import read_jsonl
+
+__all__ = ["BatchView", "render_top", "top_loop"]
 
 #: job states rendered as "active" (spinner-worthy) in the dashboard
 _ACTIVE = ("running", "retrying", "queued")
@@ -34,33 +40,6 @@ _STATE_ORDER = {
     "failed": 4,
     "cancelled": 5,
 }
-
-
-def read_stream(path: str | Path, *, offset: int = 0) -> tuple[list[dict], int]:
-    """Parse complete JSONL records from ``path`` starting at ``offset``.
-
-    Returns ``(records, new_offset)``; a torn (unterminated or
-    half-written) last line is not consumed, so the caller can retry
-    from ``new_offset`` after the writer's next flush.
-    """
-    path = Path(path)
-    with path.open("rb") as fh:
-        fh.seek(offset)
-        blob = fh.read()
-    records: list[dict] = []
-    consumed = 0
-    for line in blob.split(b"\n")[:-1]:  # everything before the last \n
-        consumed += len(line) + 1
-        text = line.decode("utf-8", errors="replace").strip()
-        if not text:
-            continue
-        try:
-            records.append(json.loads(text))
-        except json.JSONDecodeError:
-            # torn mid-line flush: stop before it, re-read next round
-            consumed -= len(line) + 1
-            break
-    return records, offset + consumed
 
 
 class BatchView:
@@ -91,7 +70,10 @@ class BatchView:
             name,
             {
                 "state": "queued",
-                "attempt": 0,
+                "job_id": None,
+                "attempt": 0,  # the highest attempt seen
+                "launches": 0,
+                "retries": 0,
                 "iteration": None,
                 "total": None,
                 "imbalance": None,
@@ -119,10 +101,13 @@ class BatchView:
         name = record.get("kind")
         job = record.get("job")
         row = self._job(job) if isinstance(job, str) else None
+        if row is not None and record.get("job_id") is not None:
+            row["job_id"] = record["job_id"]
         if row is not None and record.get("attempt") is not None:
-            row["attempt"] = int(record["attempt"])
+            row["attempt"] = max(row["attempt"], int(record["attempt"]))
         if name == "job_launched" and row is not None:
             row["state"] = "running"
+            row["launches"] += 1
             row["_rate_mark"] = None
         elif name == "job_progress" and row is not None:
             row["state"] = "running"
@@ -140,6 +125,7 @@ class BatchView:
             row["cached"] = bool(record.get("cached"))
         elif name == "job_retry" and row is not None:
             row["state"] = "retrying"
+            row["retries"] += 1
             self.retries += 1
         elif name == "job_failed" and row is not None:
             row["state"] = "failed"
@@ -246,7 +232,7 @@ def top_loop(
     interactive = not once and out.isatty() if hasattr(out, "isatty") else False
     while True:
         if path.exists():
-            records, offset = read_stream(path, offset=offset)
+            records, offset = read_jsonl(path, offset=offset, partial=True)
             view.apply_all(records)
             frame = render_top(view)
             if interactive:

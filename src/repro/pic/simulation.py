@@ -706,29 +706,15 @@ class Simulation:
                     and self.policy.should_redistribute(it)
                 ):
                     result = self.redistributor.redistribute(vm, self.pic.particles)
-                    self.pic.particles = result.particles
-                    if self.guard is not None:
-                        self.guard.after_redistribution(result.particles)
-                    cost = result.cost
-                    self.redistribution_time += cost
-                    self.n_redistributions += 1
-                    redistributed = True
-                    self.policy.record_redistribution(it, cost)
+                    self.pic.particles, cost = result.particles, result.cost
                     # or this frame keeps the pre-pooling particle lists
                     # alive through the next step: one state of peak memory
                     del result
-                    # keep redistribution comm out of the scatter series
-                    redis_epoch = vm.stats.snapshot_epoch()
+                    redistributed, redis_epoch = True, self._redistributed(it, cost)
                 elif self.rebalancer is not None and self.policy.should_redistribute(it):
                     cost = self.rebalancer.rebalance(self.pic)
                     self.decomp = self.pic.decomp  # rebalance moved the bounds
-                    if self.guard is not None:
-                        self.guard.after_redistribution(self.pic.particles)
-                    self.redistribution_time += cost
-                    self.n_redistributions += 1
-                    redistributed = True
-                    self.policy.record_redistribution(it, cost)
-                    redis_epoch = vm.stats.snapshot_epoch()
+                    redistributed, redis_epoch = True, self._redistributed(it, cost)
                 self.records.append(
                     IterationRecord(it, t_iter, max_bytes, max_msgs, redistributed, cost)
                 )
@@ -758,6 +744,15 @@ class Simulation:
                         walltime, elapsed, checkpoint_path, checkpoint_every
                     )
         return self.result()
+
+    def _redistributed(self, iteration: int, cost: float) -> dict:
+        """Guard, totals and policy after a redistribution; returns its comm epoch."""
+        if self.guard is not None:
+            self.guard.after_redistribution(self.pic.particles)
+        self.redistribution_time += cost
+        self.n_redistributions += 1
+        self.policy.record_redistribution(iteration, cost)
+        return self.vm.stats.snapshot_epoch()
 
     def _on_walltime_expired(
         self,
@@ -860,16 +855,11 @@ class Simulation:
             except (FileNotFoundError, CheckpointError):
                 data = None
         if data is not None and data.run_state is not None:
-            rs = data.run_state
             recovery_source = "checkpoint"
             all_parts = data.all_particles()
             fields = data.fields
             restart_iteration = data.iteration
-            self.policy = policy_from_state(rs["policy"])
-            self.records = [IterationRecord(*row) for row in data.records]
-            self.n_redistributions = int(rs["n_redistributions"])
-            self.redistribution_time = float(rs["redistribution_time"])
-            self._setup_cost = float(rs["setup_cost"])
+            self._restore_run_state(data)
             # survivors re-read the checkpoint from stable storage: one
             # broadcast of the full state, charged under "recovery"
             nbytes = int(all_parts.to_matrix().nbytes) + sum(
@@ -1061,6 +1051,15 @@ class Simulation:
         sim._last_checkpoint = Path(path)
         return sim
 
+    def _restore_run_state(self, data: CheckpointData) -> None:
+        """Policy, history, redistribution totals and setup cost from a checkpoint."""
+        rs = data.run_state
+        self.policy = policy_from_state(rs["policy"])
+        self.records = [IterationRecord(*row) for row in data.records]
+        self.n_redistributions = int(rs["n_redistributions"])
+        self.redistribution_time = float(rs["redistribution_time"])
+        self._setup_cost = float(rs["setup_cost"])
+
     def _restore(self, data: CheckpointData) -> None:
         cfg = self.config
         rs = data.run_state
@@ -1090,7 +1089,7 @@ class Simulation:
         # Checkpoints written before telemetry carry no rows.
         self.trace = PhaseTrace(self.vm)
         self.trace.rows = data.trace_rows
-        self.policy = policy_from_state(rs["policy"])
+        self._restore_run_state(data)
         self.policy.bind(self.vm)
         if self.redistributor is not None:
             if data.sort_keys is None:
@@ -1099,11 +1098,7 @@ class Simulation:
                     "configured run (lagrangian movement) needs them"
                 )
             self.redistributor.restore_keys(data.sort_keys, self.pic.particles)
-        self._setup_cost = float(rs["setup_cost"])
         self.iteration = data.iteration
-        self.records = [IterationRecord(*row) for row in data.records]
-        self.n_redistributions = int(rs["n_redistributions"])
-        self.redistribution_time = float(rs["redistribution_time"])
         # keys absent from checkpoints written before fault tolerance
         self.n_recoveries = int(rs.get("n_recoveries", 0))
         self.recovery_time = float(rs.get("recovery_time", 0.0))

@@ -245,6 +245,7 @@ class Scheduler:
             counters.completed += 1
             if cached:
                 counters.cache_hits += 1
+                tel.registry.counter("cache.hits").inc()
             else:
                 consecutive_losses = 0
                 if self.cache is not None:
@@ -252,7 +253,7 @@ class Scheduler:
                 ck = scratch_checkpoint(workdir, rec.key)
                 if ck.exists():
                     ck.unlink()
-            tel.on_done(rec, rec.wall, cached)
+            tel.event("job_done", rec, wall=round(rec.wall, 6), cached=cached)
             flush_prom()
             say(f"done {rec.name}" + (" (cache)" if cached else ""))
 
@@ -262,7 +263,7 @@ class Scheduler:
             while counters.quarantined < len(self.cache.quarantined):
                 path, reason = self.cache.quarantined[counters.quarantined]
                 counters.quarantined += 1
-                tel.on_quarantine(path, reason)
+                tel.event("cache_quarantine", path=path, reason=reason)
                 say(f"quarantined corrupt cache entry: {path}")
 
         def open_circuit() -> None:
@@ -287,7 +288,7 @@ class Scheduler:
             backlog.clear()
             waiting.clear()
             counters.cancelled += cancelled
-            tel.on_circuit_open(counters.failed, cancelled)
+            tel.event("circuit_open", failures=counters.failed, cancelled=cancelled)
             say(
                 f"circuit breaker open after {counters.failed} failures; "
                 f"{cancelled} job(s) cancelled"
@@ -300,7 +301,7 @@ class Scheduler:
                 rec.state = JobState.FAILED
                 rec.error = reason
                 counters.failed += 1
-                tel.on_failed(rec, reason)
+                tel.event("job_failed", rec, reason=reason)
                 say(f"FAILED {rec.name}: {reason}")
                 if self.max_failures and counters.failed >= self.max_failures:
                     open_circuit()
@@ -315,7 +316,7 @@ class Scheduler:
                     f"is open (max_failures={self.max_failures})"
                 )
                 counters.cancelled += 1
-                tel.on_cancelled(rec, reason)
+                tel.event("job_cancelled", rec, reason=reason)
                 say(f"cancelled {rec.name} (circuit open): {reason}")
                 return
             delay = backoff_delay(
@@ -328,7 +329,8 @@ class Scheduler:
             rec.state = JobState.WAITING
             waiting.append((time.monotonic() + delay, rec))
             counters.retries += 1
-            tel.on_retry(rec, rec.attempt, reason, delay)
+            # the upcoming attempt, as in schema /1
+            tel.event("job_retry", rec, attempt=rec.attempt, reason=reason, delay=round(delay, 6))
             say(f"retry {rec.name} (attempt {rec.attempt + 1}) in {delay:.2f}s: {reason}")
 
         def kill_entry(entry: _Live) -> None:
@@ -345,14 +347,16 @@ class Scheduler:
             nonlocal pool_size, consecutive_losses
             counters.worker_losses += 1
             consecutive_losses += 1
-            tel.on_worker_lost(entry.record, entry.process.exitcode)
+            tel.event("worker_lost", entry.record, exitcode=entry.process.exitcode)
             if consecutive_losses >= self.shrink_after and pool_size > 1:
                 pool_size -= 1
                 consecutive_losses = 0
                 counters.pool_shrinks += 1
-                tel.on_pool_shrink(
-                    pool_size,
-                    f"{self.shrink_after} consecutive worker losses",
+                tel.registry.gauge("pool.size").set(pool_size)
+                tel.event(
+                    "pool_shrink",
+                    size=pool_size,
+                    reason=f"{self.shrink_after} consecutive worker losses",
                 )
                 say(f"pool shrunk to {pool_size} worker slot(s)")
             retry_or_fail(
@@ -383,7 +387,7 @@ class Scheduler:
             rec.state = JobState.RUNNING
             now = time.monotonic()
             live[parent] = _Live(rec, proc, parent, now, now)
-            tel.on_launch(rec, rec.attempt)
+            tel.event("job_launched", rec, attempt=rec.attempt)
             say(f"launch {rec.name} (attempt {rec.attempt + 1})")
 
         # -- main supervision loop --------------------------------------
@@ -408,7 +412,7 @@ class Scheduler:
                 if hit is not None:
                     finish_done(rec, 0.0, hit, cached=True)
                     continue
-                tel.on_cache_miss(rec)
+                tel.registry.counter("cache.misses").inc()
                 launch(rec)
             flush_prom()
 
@@ -478,7 +482,7 @@ class Scheduler:
                     del live[conn]
                     counters.timeouts += 1
                     elapsed = now - entry.started
-                    tel.on_timeout(rec, self.timeout, elapsed)
+                    tel.event("job_timeout", rec, limit=self.timeout, elapsed=round(elapsed, 6))
                     retry_or_fail(
                         rec,
                         f"JobTimeout: exceeded the {self.timeout:g}s deadline "
@@ -496,7 +500,7 @@ class Scheduler:
                     kill_entry(entry)
                     del live[conn]
                     counters.heartbeats_lost += 1
-                    tel.on_heartbeat_lost(rec, silent)
+                    tel.event("heartbeat_lost", rec, silent_for=round(silent, 6))
                     retry_or_fail(
                         rec,
                         f"hung worker: no heartbeat for {silent:.2f}s "
@@ -555,12 +559,14 @@ def run_batch(jobs: list[JobSpec], **kwargs) -> dict:
 def render_report(report: dict, *, events: list[dict] | None = None) -> str:
     """Terminal rendering of a batch report (``repro jobs``).
 
-    ``events`` (optional) is the batch's service stream — the event
-    records of the ``service.jsonl`` next to the report.  When given,
-    the *attempts* and *cache* columns are sourced from the stream
-    (launch counts and ``job_done.cached`` flags) instead of the report
-    snapshot, so the table reflects what actually happened on the wire.
+    ``events`` (optional) is the batch's service stream — the records of
+    the ``service.jsonl`` next to the report.  When given, the *attempts*
+    and *cache* columns are sourced from the stream's
+    :class:`~repro.obs.top.BatchView` fold (launch counts and
+    ``job_done.cached`` flags) instead of the report snapshot, so the
+    table reflects what actually happened on the wire.
     """
+    from repro.obs.top import BatchView
     from repro.telemetry.report import format_table
 
     if report.get("schema") != BATCH_SCHEMA:
@@ -568,17 +574,8 @@ def render_report(report: dict, *, events: list[dict] | None = None) -> str:
             f"not a batch report (schema {report.get('schema')!r}, "
             f"expected {BATCH_SCHEMA!r})"
         )
-    launches: dict[str, int] = {}
-    stream_cached: dict[str, bool] = {}
-    if events is not None:
-        for rec in events:
-            if rec.get("type") != "event":
-                continue
-            job = rec.get("job")
-            if rec.get("kind") == "job_launched":
-                launches[job] = launches.get(job, 0) + 1
-            elif rec.get("kind") == "job_done":
-                stream_cached[job] = bool(rec.get("cached"))
+    view = BatchView()
+    view.apply_all(events or [])
     rows = []
     for job in report["jobs"]:
         state = job["state"]
@@ -587,12 +584,11 @@ def render_report(report: dict, *, events: list[dict] | None = None) -> str:
             note = f"resumed@{job['resumed_from']}"
         if job.get("error"):
             note = (note + " " if note else "") + job["error"][:40]
-        if events is not None:
-            attempts = launches.get(job["name"], job["attempts"])
-            cached = stream_cached.get(job["name"], job.get("cached", False))
-        else:
-            attempts = job["attempts"]
-            cached = job.get("cached", False)
+        attempts, cached = job["attempts"], job.get("cached", False)
+        wire = view.jobs.get(job["name"])
+        if wire is not None:
+            attempts = wire["launches"] or attempts
+            cached = wire["cached"] if wire["state"] == "done" else cached
         rows.append(
             [
                 job["name"],

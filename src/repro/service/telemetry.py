@@ -1,8 +1,8 @@
 """Batch-level telemetry for the job service.
 
-Mirrors the run-level :mod:`repro.telemetry` shape one level up: a
-:class:`ServiceTelemetry` collects an ordered stream of scheduler
-events (launches, progress, heartbeats lost, retries, worker deaths,
+The run-level stream one level up: a :class:`ServiceTelemetry` is the
+same :class:`~repro.telemetry.stream.EventStream` as a run's, holding
+scheduler events (launches, progress, heartbeats lost, retries, worker deaths,
 cache hits and quarantines, pool shrinks, circuit-breaker trips) plus a
 :class:`~repro.telemetry.metrics.MetricsRegistry` of batch-wide
 counters and the queue-depth gauge, and writes them as JSONL — schema
@@ -21,17 +21,16 @@ with per-job metrics, traces, checkpoints and result documents.
 Unlike run telemetry there is no zero-cost clause to honour — the
 scheduler lives entirely off the virtual clocks — so the stream is
 always recorded and saving it is opt-in (``repro submit --metrics``).
-With :meth:`stream_to` the stream is *also* appended live, line by
-flushed line, which is what ``repro top`` tails.
+With :meth:`~repro.telemetry.stream.EventStream.stream_to` the stream
+is *also* appended live, line by flushed line, which is what
+``repro top`` tails.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.stream import EventStream
 
 __all__ = ["ServiceTelemetry", "SERVICE_SCHEMA"]
 
@@ -41,8 +40,22 @@ SERVICE_SCHEMA = "repro-service/2"
 #: minimum seconds between two job_progress events for the same job
 _PROGRESS_EVERY = 0.2
 
+#: event kind -> the registry counter every such event bumps
+_COUNTED = {
+    "job_launched": "jobs.launched",
+    "job_done": "jobs.completed",
+    "job_retry": "jobs.retries",
+    "job_failed": "jobs.failed",
+    "job_timeout": "jobs.timeouts",
+    "heartbeat_lost": "heartbeats.lost",
+    "worker_lost": "workers.lost",
+    "job_cancelled": "jobs.cancelled",
+    "pool_shrink": "pool.shrinks",
+    "cache_quarantine": "cache.quarantined",
+}
 
-class ServiceTelemetry:
+
+class ServiceTelemetry(EventStream):
     """Event stream + metrics registry for one scheduler batch."""
 
     def __init__(
@@ -53,88 +66,46 @@ class ServiceTelemetry:
         params: dict | None = None,
         batch_id: str | None = None,
     ) -> None:
-        self.jobs = int(jobs)
-        self.workers = int(workers)
-        self.params = dict(params or {})
-        self.batch_id = batch_id
-        self.registry = MetricsRegistry()
-        self.records: list[dict] = []
-        self.started_at = time.time()
+        super().__init__(
+            SERVICE_SCHEMA,
+            jobs=int(jobs),
+            workers=int(workers),
+            started_at=round(time.time(), 6),
+            params=dict(params or {}),
+            batch_id=batch_id,
+        )
         self._t0 = time.monotonic()
         self._queue_depth = 0
-        self._stream = None
         self._last_progress: dict[str, float] = {}
 
-    # ------------------------------------------------------------------
-    # live streaming
-    # ------------------------------------------------------------------
-    def stream_to(self, path: str | Path) -> Path:
-        """Append the stream live to ``path`` (header now, events as they
-        happen, summary at :meth:`close_stream`).
-
-        Every line is flushed immediately so a tailing ``repro top`` sees
-        events while the batch runs.  The final :meth:`save` to the same
-        path (done by :meth:`close_stream`) rewrites it atomically, so a
-        crash mid-batch leaves a valid-but-summaryless stream, never a
-        torn line.
-        """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self._stream = path.open("w", encoding="utf-8")
-        self._emit(self.header())
-        return path
-
-    def _emit(self, record: dict) -> None:
-        if self._stream is not None:
-            self._stream.write(json.dumps(record) + "\n")
-            self._stream.flush()
-
-    def close_stream(self) -> Path | None:
-        """Finish the live stream: append the summary, then atomically
-        rewrite the whole file (idempotent; returns the path or None)."""
-        if self._stream is None:
-            return None
-        self._emit(self.summary_record())
-        path = Path(self._stream.name)
-        self._stream.close()
-        self._stream = None
-        return self.save(path)
-
-    # ------------------------------------------------------------------
     def set_queue_depth(self, depth: int) -> None:
         """Update the queue-depth gauge (stamped onto subsequent events)."""
         self._queue_depth = int(depth)
         self.registry.gauge("queue.depth").set(depth)
 
-    def event(self, kind: str, **fields) -> dict:
-        """Record one scheduler event; returns the stored record."""
+    def event(self, kind: str, job=None, **fields) -> dict:
+        """Record one scheduler event, bumping its counter; return the stored record.
+
+        ``job`` (a ``JobRecord``, or a plain name in tests) scopes the event
+        to one job: the record names it and carries its correlation
+        identity, ``job_id`` and ``attempt`` (an explicit ``attempt`` wins,
+        as ``job_retry``'s upcoming attempt does).
+        """
+        if kind in _COUNTED:
+            self.registry.counter(_COUNTED[kind]).inc()
         record = {
             "type": "event",
             "kind": kind,
             "t": round(time.monotonic() - self._t0, 6),
             "queue_depth": self._queue_depth,
-            **fields,
         }
-        self.records.append(record)
-        self._emit(record)
-        return record
-
-    def _job_event(self, kind: str, job, **fields) -> dict:
-        """Event stamped with the job's correlation identity.
-
-        ``job`` is anything with ``name``/``key``/``attempt`` (a
-        ``JobRecord``); plain strings are kept working for tests.
-        """
-        if not isinstance(job, str):
-            fields.setdefault("job_id", job.key)
-            fields.setdefault("attempt", int(job.attempt))
-            job = job.name
-        return self.event(kind, job=job, **fields)
-
-    # convenience wrappers keeping counter names in one place ------------
-    def on_launch(self, job, attempt: int) -> None:
-        self.registry.counter("jobs.launched").inc()
-        self._job_event("job_launched", job, attempt=int(attempt))
+        if job is not None:
+            if not isinstance(job, str):
+                fields.setdefault("job_id", job.key)
+                fields.setdefault("attempt", int(job.attempt))
+                job = job.name
+            record["job"] = job
+        return self.append({**record, **fields})
 
     def on_heartbeat(
         self,
@@ -144,6 +115,7 @@ class ServiceTelemetry:
         total: int | None = None,
         imbalance: float | None = None,
     ) -> None:
+        """Count a worker heartbeat; stream it as a throttled ``job_progress``."""
         self.registry.counter("heartbeats.received").inc()
         if imbalance is not None:
             self.registry.gauge("jobs.imbalance.last").set(imbalance)
@@ -160,83 +132,4 @@ class ServiceTelemetry:
             fields["total"] = int(total)
         if imbalance is not None:
             fields["imbalance"] = round(float(imbalance), 6)
-        self._job_event("job_progress", job, **fields)
-
-    def on_done(self, job, wall: float, cached: bool) -> None:
-        self.registry.counter("jobs.completed").inc()
-        if cached:
-            self.registry.counter("cache.hits").inc()
-        self._job_event("job_done", job, wall=round(wall, 6), cached=cached)
-
-    def on_retry(self, job, attempt: int, reason: str, delay: float) -> None:
-        self.registry.counter("jobs.retries").inc()
-        # ``attempt`` is the upcoming attempt (as in schema /1); the
-        # explicit value wins over the record's correlation default
-        self._job_event(
-            "job_retry", job, attempt=int(attempt), reason=reason,
-            delay=round(delay, 6),
-        )
-
-    def on_failed(self, job, reason: str) -> None:
-        self.registry.counter("jobs.failed").inc()
-        self._job_event("job_failed", job, reason=reason)
-
-    def on_timeout(self, job, limit: float, elapsed: float) -> None:
-        self.registry.counter("jobs.timeouts").inc()
-        self._job_event(
-            "job_timeout", job, limit=limit, elapsed=round(elapsed, 6)
-        )
-
-    def on_heartbeat_lost(self, job, silent_for: float) -> None:
-        self.registry.counter("heartbeats.lost").inc()
-        self._job_event("heartbeat_lost", job, silent_for=round(silent_for, 6))
-
-    def on_worker_lost(self, job, exitcode: int | None) -> None:
-        self.registry.counter("workers.lost").inc()
-        self._job_event("worker_lost", job, exitcode=exitcode)
-
-    def on_cancelled(self, job, reason: str) -> None:
-        self.registry.counter("jobs.cancelled").inc()
-        self._job_event("job_cancelled", job, reason=reason)
-
-    def on_pool_shrink(self, size: int, reason: str) -> None:
-        self.registry.counter("pool.shrinks").inc()
-        self.registry.gauge("pool.size").set(size)
-        self.event("pool_shrink", size=size, reason=reason)
-
-    def on_cache_miss(self, job) -> None:
-        self.registry.counter("cache.misses").inc()
-
-    def on_quarantine(self, path: str, reason: str) -> None:
-        self.registry.counter("cache.quarantined").inc()
-        self.event("cache_quarantine", path=path, reason=reason)
-
-    def on_circuit_open(self, failures: int, cancelled: int) -> None:
-        self.event("circuit_open", failures=failures, cancelled=cancelled)
-
-    # ------------------------------------------------------------------
-    def header(self) -> dict:
-        out = {
-            "type": "header",
-            "schema": SERVICE_SCHEMA,
-            "jobs": self.jobs,
-            "workers": self.workers,
-            "started_at": round(self.started_at, 6),
-            "params": self.params,
-        }
-        if self.batch_id is not None:
-            out["batch_id"] = self.batch_id
-        return out
-
-    def summary_record(self) -> dict:
-        return {"type": "summary", "aggregates": self.registry.snapshot()}
-
-    def metrics_lines(self) -> list[str]:
-        stream = [self.header(), *self.records, self.summary_record()]
-        return [json.dumps(rec) for rec in stream]
-
-    def save(self, path: str | Path) -> Path:
-        """Atomically write the JSONL stream to ``path``."""
-        from repro.util.atomic_io import atomic_write_text
-
-        return atomic_write_text(Path(path), "\n".join(self.metrics_lines()) + "\n")
+        self.event("job_progress", job, **fields)

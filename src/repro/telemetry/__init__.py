@@ -1,16 +1,23 @@
-"""Unified run telemetry: span tracer, metrics registry, exports, report.
+"""Unified run telemetry: one event stream, its views, and its validators.
 
-The observability layer of the reproduction (DESIGN.md §5.4).  One
-:class:`RunTelemetry` per run bundles
+The observability layer of the reproduction (DESIGN.md §5.4).  Everything
+a traced run or a job batch records goes into one
+:class:`~repro.telemetry.stream.EventStream` (header, ordered records,
+closing registry summary), written as JSONL and read back by one reader,
+:func:`~repro.telemetry.stream.read_jsonl`.  One :class:`RunTelemetry`
+per run is such a stream (schema ``repro-metrics/1``) plus
 
 * a :class:`SpanTracer` of (iteration, phase, rank) intervals on the
-  virtual clocks, exported as Perfetto-loadable Chrome-trace JSON;
+  virtual clocks; the Chrome-trace export adds the stream's events as
+  instant markers and its iteration records as counter tracks;
 * a :class:`MetricsRegistry` of counters / gauges / histograms fed by
   the simulation driver, the redistribution policies, and the guard /
-  fault layer;
-* a per-iteration metrics JSONL stream (schema ``repro-metrics/1``)
-  covering phase times, per-rank load, comm traffic, ghost-table hit
-  stats, and every SAR redistribution decision.
+  fault layer.
+
+The job service's batch stream (``repro-service/2``) is the same stream
+type one level up.  ``validate_metrics`` / ``validate_service`` share one
+envelope check over a per-schema table; a malformed file raises
+:class:`TelemetrySchemaError`.
 
 Telemetry is strictly opt-in and zero-cost when off: a run without it
 carries only dormant ``is None`` branches and produces bit-identical
@@ -35,9 +42,12 @@ from repro.telemetry.schema import (
     validate_trace,
 )
 from repro.telemetry.spans import TRACE_SCHEMA, Span, SpanTracer
+from repro.telemetry.stream import EventStream, read_jsonl
 
 __all__ = [
     "RunTelemetry",
+    "EventStream",
+    "read_jsonl",
     "SpanTracer",
     "Span",
     "MetricsRegistry",

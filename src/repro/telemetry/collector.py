@@ -9,9 +9,10 @@ enabled.  It bundles
   interval on the virtual clocks,
 * a :class:`~repro.telemetry.metrics.MetricsRegistry` of run-wide
   counters / gauges / histograms, and
-* an ordered stream of per-iteration records and one-off events that
-  :meth:`save_metrics` writes as JSONL — one JSON object per line,
-  schema ``repro-metrics/1``:
+* the run's :class:`~repro.telemetry.stream.EventStream` of
+  per-iteration records and one-off events that :meth:`save_metrics`
+  writes as JSONL — one JSON object per line, schema
+  ``repro-metrics/1``:
 
   - line 1: a ``header`` record (schema marker, rank count, config);
   - one ``iteration`` record per completed iteration — phase time
@@ -21,6 +22,9 @@ enabled.  It bundles
   - ``event`` records (checkpoint written, rank failure, recovery,
     machine shrink) interleaved in occurrence order;
   - a final ``summary`` record with the registry snapshot and totals.
+
+  The Chrome trace's instant markers and counter tracks are views of
+  the same records (:meth:`to_chrome`).
 
 The zero-cost contract: nothing in this module reads or charges the
 virtual clocks, so a run with telemetry attached produces bit-identical
@@ -35,8 +39,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.metrics import load_imbalance
-from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import SpanTracer
+from repro.telemetry.stream import EventStream
+from repro.util.atomic_io import atomic_write_text
 
 __all__ = ["RunTelemetry", "METRICS_SCHEMA"]
 
@@ -61,7 +66,7 @@ def _comm_dict(epochs: list[dict]) -> dict:
     return out
 
 
-class RunTelemetry:
+class RunTelemetry(EventStream):
     """Telemetry state for one simulation run.
 
     Parameters
@@ -89,20 +94,14 @@ class RunTelemetry:
         degraded: dict | None = None,
         correlation: dict | None = None,
     ) -> None:
+        # the header pins the rank count at enable time; shrink events walk
+        # readers to the live count from there
+        super().__init__(METRICS_SCHEMA, p=int(p), config=config, degraded=degraded)
+        self.set_correlation(correlation)
         #: live rank count (lowered by :meth:`on_shrink`)
         self.p = int(p)
-        #: rank count at enable time — the metrics header pins this one,
-        #: and shrink events walk readers to the live count from there
-        self.initial_p = int(p)
-        self.config = config
-        self.degraded = degraded
-        self.correlation = dict(correlation) if correlation is not None else None
         self.tracer = SpanTracer()
         self.tracer.note_ranks(p)
-        self.tracer.correlation = self.correlation
-        self.registry = MetricsRegistry()
-        #: ordered stream of iteration + event records (JSONL body)
-        self.records: list[dict] = []
         self._pending_sar: list[dict] = []
         self._iter_t0: float | None = None
         self._iter_ops: dict[str, float] = {}
@@ -191,7 +190,7 @@ class RunTelemetry:
             }
             self.registry.counter("ghost.entries").inc(max(entries, 0.0))
         self._pending_sar = []
-        self.records.append(record)
+        self.append(record)
         self.enabled_iterations += 1
 
         # -- registry aggregates ----------------------------------------
@@ -207,14 +206,6 @@ class RunTelemetry:
         if redistributed:
             reg.counter("redistribution.count").inc()
             reg.histogram("redistribution.cost").observe(redistribution_cost)
-
-        # -- counter tracks on the trace timeline -------------------------
-        self.tracer.record_counters(
-            "load imbalance", t_end, {"max/mean": imbalance}
-        )
-        self.tracer.record_counters(
-            "particles", t_end, {"max_per_rank": max(counts, default=0)}
-        )
         return record
 
     # ------------------------------------------------------------------
@@ -236,15 +227,18 @@ class RunTelemetry:
     def record_guard_violation(self, message: str) -> None:
         """Sink for invariant-guard violations (warn mode keeps running)."""
         self.registry.counter("guard.violations").inc()
-        self.records.append({"type": "event", "kind": "guard_violation", "message": message})
+        self.append({"type": "event", "kind": "guard_violation", "message": message})
 
     def record_event(self, kind: str, *, t: float, iteration: int, **fields) -> None:
-        """Record a one-off event (checkpoint / failure / recovery / shrink)."""
-        self.records.append(
+        """Record a one-off event (checkpoint / failure / recovery / shrink).
+
+        Also retags the tracer, so the spans that follow a recovery carry
+        the iteration the run resumes at.
+        """
+        self.append(
             {"type": "event", "kind": kind, "iteration": int(iteration), "t": float(t), **fields}
         )
         self.tracer.set_iteration(iteration)
-        self.tracer.record_instant(kind, t, **fields)
 
     def on_shrink(self, p_new: int, dead_rank: int, iteration: int, t: float) -> None:
         """The machine shrank to ``p_new`` ranks after ``dead_rank`` died.
@@ -269,47 +263,21 @@ class RunTelemetry:
 
     def set_correlation(self, correlation: dict | None) -> None:
         """Stamp (or clear) the batch identity on header + trace export."""
-        self.correlation = dict(correlation) if correlation is not None else None
-        self.tracer.correlation = self.correlation
+        self.header_fields["correlation"] = dict(correlation) if correlation is not None else None
 
-    def header(self) -> dict:
-        """The JSONL header record."""
-        rec = {"type": "header", "schema": METRICS_SCHEMA, "p": self.initial_p}
-        if self.config is not None:
-            rec["config"] = self.config
-        if self.degraded is not None:
-            rec["degraded"] = self.degraded
-        if self.correlation is not None:
-            rec["correlation"] = self.correlation
-        return rec
-
-    def summary_record(self) -> dict:
+    def summary(self) -> dict:
         """The closing JSONL summary record."""
-        return {
-            "type": "summary",
-            "iterations": self.enabled_iterations,
-            "aggregates": self.aggregates(),
-        }
+        return {"type": "summary", "iterations": self.enabled_iterations, **super().summary()}
 
-    def metrics_lines(self) -> list[str]:
-        """The full JSONL stream as a list of serialized lines."""
-        stream = [self.header(), *self.records, self.summary_record()]
-        return [json.dumps(rec) for rec in stream]
+    save_metrics = EventStream.save
 
-    def save_metrics(self, path: str | Path) -> Path:
-        """Atomically write the metrics JSONL stream to ``path``.
-
-        The stream is finalized in one atomic install (temp file +
-        ``os.replace``), so a reader never sees a half-written JSONL
-        file — the last line is always the ``summary`` record.
-        """
-        from repro.util.atomic_io import atomic_write_text
-
-        return atomic_write_text(Path(path), "\n".join(self.metrics_lines()) + "\n")
+    def to_chrome(self) -> dict:
+        """The Chrome-trace document: the tracer's spans plus the stream's markers."""
+        return self.tracer.to_chrome(self.records, self.header_fields["correlation"])
 
     def save_trace(self, path: str | Path) -> Path:
-        """Write the Perfetto/Chrome trace JSON to ``path`` and return it."""
-        return self.tracer.save(path)
+        """Atomically write the Perfetto/Chrome trace JSON to ``path`` and return it."""
+        return atomic_write_text(Path(path), json.dumps(self.to_chrome()) + "\n")
 
     def __repr__(self) -> str:
         return (

@@ -197,7 +197,7 @@ def _decision_lines(metrics: ParsedMetrics, *, limit: int = 40) -> list[str]:
                 if replay_decision(d) != bool(d.get("fired")):
                     mismatches += 1
                     flag = "  REPLAY-MISMATCH"
-            except (ValueError, KeyError, NotImplementedError):
+            except (ArithmeticError, LookupError, TypeError, ValueError, NotImplementedError):
                 unknown += 1
             policy = d.get("policy", "?")
             lines.append(

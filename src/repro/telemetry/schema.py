@@ -7,21 +7,30 @@ Three artifact kinds leave a run or a batch:
 * **metrics** — JSONL, one record per line (``repro run --metrics``),
   schema ``repro-metrics/1``; validated by :func:`validate_metrics`;
 * **service** — the job scheduler's batch event stream (``repro submit
-  --telemetry`` / ``--obs-dir``), schema ``repro-service/1`` or ``/2``;
+  --metrics`` / ``--obs-dir``), schema ``repro-service/1`` or ``/2``;
   validated by :func:`validate_service`.
 
-All validators raise :class:`TelemetrySchemaError` naming the first
-offending record, and return the parsed content so callers (the report
-CLI, the CI ``telemetry`` job, the tests) never parse twice.
+The two JSONL streams share one reader
+(:func:`~repro.telemetry.stream.read_jsonl`) and one envelope check —
+a header naming a known schema, records of the types that schema
+declares carrying their required keys (the :data:`_RECORDS` table), and
+exactly one closing summary.  Every validator raises
+:class:`TelemetrySchemaError` (a ``ReproError`` and a ``ValueError``)
+naming the first offending record, and returns the parsed content so
+callers (the report CLI, the CI ``telemetry`` job, the tests) never
+parse twice.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.telemetry.collector import METRICS_SCHEMA
 from repro.telemetry.spans import TRACE_SCHEMA
+from repro.telemetry.stream import read_jsonl
+from repro.util.errors import TelemetrySchemaError
 
 __all__ = [
     "TelemetrySchemaError",
@@ -33,11 +42,7 @@ __all__ = [
 ]
 
 #: Chrome-trace phase codes the exporter emits.
-_TRACE_PHASES = {"X", "i", "C", "M"}
-
-
-class TelemetrySchemaError(ValueError):
-    """A telemetry artifact does not conform to its schema."""
+_TRACE_PHASES = ("X", "i", "C", "M")
 
 
 def _fail(message: str) -> None:
@@ -57,16 +62,15 @@ def validate_trace(source: str | Path | dict) -> dict:
     else:
         path = Path(source)
         try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+            doc = json.loads(path.read_bytes().decode("utf-8"))
+        except ValueError as exc:
             _fail(f"{path} is not valid JSON: {exc}")
     if not isinstance(doc, dict) or not isinstance(doc.get("traceEvents"), list):
         _fail("trace must be an object with a 'traceEvents' list")
-    other = doc.get("otherData", {})
-    if other.get("schema") != TRACE_SCHEMA:
-        _fail(
-            f"trace otherData.schema is {other.get('schema')!r}, expected {TRACE_SCHEMA!r}"
-        )
+    other = doc.get("otherData")
+    schema = other.get("schema") if isinstance(other, dict) else None
+    if schema != TRACE_SCHEMA:
+        _fail(f"trace otherData.schema is {schema!r}, expected {TRACE_SCHEMA!r}")
     for i, ev in enumerate(doc["traceEvents"]):
         if not isinstance(ev, dict):
             _fail(f"traceEvents[{i}] is not an object")
@@ -83,21 +87,110 @@ def validate_trace(source: str | Path | dict) -> dict:
             if not isinstance(dur, (int, float)) or dur < 0:
                 _fail(f"traceEvents[{i}] (X) needs a non-negative numeric 'dur'")
             args = ev.get("args", {})
-            if "iteration" not in args:
+            if not isinstance(args, dict) or "iteration" not in args:
                 _fail(f"traceEvents[{i}] (X) args must carry the iteration tag")
         if ph == "C" and not isinstance(ev.get("args"), dict):
             _fail(f"traceEvents[{i}] (C) needs an 'args' object of series values")
     return doc
 
 
+# ----------------------------------------------------------------------
+# the JSONL streams: one envelope check over one per-schema table
+# ----------------------------------------------------------------------
+_NUM = (int, float)
+
+#: Accepted batch-stream schema versions.  The writer
+#: (:data:`repro.service.telemetry.SERVICE_SCHEMA`) emits the newest;
+#: ``/1`` streams from older runs stay readable.
+_SERVICE_SCHEMAS = ("repro-service/1", "repro-service/2")
+
+_SERVICE_RECORDS = {
+    "header": {"jobs": int, "workers": int},
+    "event": {"kind": str, "t": _NUM},
+    "summary": {"aggregates": dict},
+}
+
+#: schema -> record type -> required key -> accepted type(s)
+_RECORDS: dict[str, dict[str, dict]] = {
+    METRICS_SCHEMA: {
+        "header": {"p": int},
+        "iteration": {
+            "iteration": int,
+            "p": int,
+            "t_iter": _NUM,
+            "phase_time": dict,
+            "particles_per_rank": list,
+            "imbalance": _NUM,
+            "comm": dict,
+            "sar_decisions": list,
+            "redistributed": bool,
+            "redistribution_cost": _NUM,
+        },
+        "event": {"kind": str},
+        "summary": {"aggregates": dict},
+    },
+    "repro-service/1": _SERVICE_RECORDS,
+    "repro-service/2": {
+        **_SERVICE_RECORDS,
+        "header": {**_SERVICE_RECORDS["header"], "batch_id": str, "started_at": _NUM},
+    },
+}
+
+#: one policy decision record (DESIGN.md §5.6 replayability contract)
+_DECISION_KEYS = {"policy": str, "iteration": int, "fired": bool}
+
+
+def _require(record: dict, keys: dict, what: str) -> None:
+    for key, kind in keys.items():
+        if not isinstance(record.get(key), kind):
+            _fail(f"{what} needs {key!r} of type {getattr(kind, '__name__', 'number')}")
+
+
+def _envelope(source, schemas: tuple[str, ...]) -> tuple[str, dict, list[dict], dict]:
+    """Read a finished JSONL stream and check its envelope.
+
+    Returns ``(where, header, body, summary)``: the header names one of
+    ``schemas``, every body record has a type that schema declares and
+    that type's required keys, and exactly one summary closes the stream.
+    """
+    records, _ = read_jsonl(source)
+    where = "<lines>" if isinstance(source, list) else str(source)
+    if not records:
+        _fail(f"{where} is empty")
+    header = records[0]
+    if header.get("type") != "header" or header.get("schema") not in schemas:
+        _fail(
+            f"{where}: first record must be a header with schema in "
+            f"{list(schemas)}, got {header.get('schema')!r}"
+        )
+    table = _RECORDS[header["schema"]]
+    _require(header, table["header"], f"{where}: header")
+    body: list[dict] = []
+    summary: dict | None = None
+    for i, rec in enumerate(records[1:], start=2):
+        kind = rec.get("type")
+        if kind == "header" or not isinstance(kind, str) or kind not in table:
+            _fail(f"{where}: record {i} has unexpected type {kind!r}")
+        if summary is not None:
+            _fail(f"{where}: record {i} follows the summary record")
+        _require(rec, table[kind], f"{where}: {kind} record {i}")
+        if kind == "summary":
+            summary = rec
+        else:
+            body.append(rec)
+    if summary is None:
+        _fail(f"{where}: no closing summary record (incomplete stream?)")
+    return where, header, body, summary
+
+
+@dataclass
 class ParsedMetrics:
     """Structured view of a validated metrics JSONL stream."""
 
-    def __init__(self, header: dict, iterations: list[dict], events: list[dict], summary: dict | None) -> None:
-        self.header = header
-        self.iterations = iterations
-        self.events = events
-        self.summary = summary
+    header: dict
+    iterations: list[dict]
+    events: list[dict]
+    summary: dict
 
     @property
     def p(self) -> int:
@@ -105,140 +198,64 @@ class ParsedMetrics:
         return int(self.header["p"])
 
 
-def _check_decision(dec, ctx: str) -> None:
-    """One policy decision record (DESIGN.md §5.6 replayability contract)."""
-    if not isinstance(dec, dict):
-        _fail(f"{ctx} is not an object")
-    if not isinstance(dec.get("policy"), str) or not dec["policy"]:
-        _fail(f"{ctx} needs a non-empty 'policy' name")
-    if not isinstance(dec.get("iteration"), int):
-        _fail(f"{ctx} needs an integer 'iteration'")
-    if not isinstance(dec.get("fired"), bool):
-        _fail(f"{ctx} needs a boolean 'fired' verdict")
-
-
-_ITERATION_KEYS = (
-    "iteration",
-    "p",
-    "t_iter",
-    "phase_time",
-    "particles_per_rank",
-    "imbalance",
-    "comm",
-    "sar_decisions",
-    "redistributed",
-    "redistribution_cost",
-)
-
-
 def validate_metrics(source: str | Path | list[str]) -> ParsedMetrics:
     """Validate a metrics JSONL stream; return a :class:`ParsedMetrics`.
 
-    ``source`` is a file path or a list of JSONL lines.  Checks the
-    header schema marker, every iteration record's required keys, the
-    per-rank array length against the live rank count (which ``shrink``
-    events may lower mid-stream — stale rank columns are an error), and
-    the presence of a closing summary record.
+    ``source`` is a file path or a list of JSONL lines.  Beyond the
+    envelope, checks the per-rank array length against the live rank
+    count (which ``shrink`` events may lower mid-stream — stale rank
+    columns are an error), the comm tallies and every decision record.
     """
-    if isinstance(source, list):
-        lines = source
-        where = "<lines>"
-    else:
-        path = Path(source)
-        lines = path.read_text().splitlines()
-        where = str(path)
-    records = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            _fail(f"{where}:{lineno} is not valid JSON: {exc}")
-    if not records:
-        _fail(f"{where} is empty")
-    header = records[0]
-    if header.get("type") != "header" or header.get("schema") != METRICS_SCHEMA:
-        _fail(
-            f"{where}: first record must be a header with schema "
-            f"{METRICS_SCHEMA!r}, got {header.get('schema')!r}"
-        )
-    if not isinstance(header.get("p"), int) or header["p"] < 1:
-        _fail(f"{where}: header 'p' must be a positive integer")
+    where, header, body, summary = _envelope(source, (METRICS_SCHEMA,))
     live_p = header["p"]
+    if live_p < 1:
+        _fail(f"{where}: header 'p' must be a positive integer")
     iterations: list[dict] = []
     events: list[dict] = []
-    summary: dict | None = None
-    for i, rec in enumerate(records[1:], start=2):
-        kind = rec.get("type")
-        if kind == "iteration":
-            for key in _ITERATION_KEYS:
-                if key not in rec:
-                    _fail(f"{where}: iteration record {i} is missing {key!r}")
-            if rec["p"] != live_p:
-                _fail(
-                    f"{where}: iteration {rec['iteration']} reports p={rec['p']} "
-                    f"but the live rank count is {live_p}"
-                )
-            counts = rec["particles_per_rank"]
-            if not isinstance(counts, list) or len(counts) != live_p:
-                _fail(
-                    f"{where}: iteration {rec['iteration']} has "
-                    f"{len(counts) if isinstance(counts, list) else '??'} rank "
-                    f"columns, expected {live_p} (stale ranks?)"
-                )
-            if not isinstance(rec["sar_decisions"], list):
-                _fail(f"{where}: iteration {rec['iteration']} sar_decisions must be a list")
-            for j, dec in enumerate(rec["sar_decisions"]):
-                _check_decision(dec, f"{where}: iteration {rec['iteration']} decision {j}")
-            iterations.append(rec)
-        elif kind == "event":
-            if rec.get("kind") == "shrink":
-                live_p = int(rec["p"])
+    for rec in body:
+        if rec["type"] == "event":
+            if rec["kind"] == "shrink":
+                _require(rec, {"p": int}, f"{where}: shrink event")
+                live_p = rec["p"]
             events.append(rec)
-        elif kind == "summary":
-            summary = rec
-            if "aggregates" not in rec:
-                _fail(f"{where}: summary record is missing 'aggregates'")
-        else:
-            _fail(f"{where}: record {i} has unknown type {kind!r}")
-    if summary is None:
-        _fail(f"{where}: no closing summary record")
+            continue
+        it = rec["iteration"]
+        if rec["p"] != live_p:
+            _fail(f"{where}: iteration {it} reports p={rec['p']}, the live rank count is {live_p}")
+        if len(rec["particles_per_rank"]) != live_p:
+            _fail(
+                f"{where}: iteration {it} has {len(rec['particles_per_rank'])} rank "
+                f"columns, expected {live_p} (stale ranks?)"
+            )
+        for phase, tallies in rec["comm"].items():
+            _require(tallies if isinstance(tallies, dict) else {}, {"msgs": _NUM, "bytes": _NUM},
+                     f"{where}: iteration {it} comm[{phase!r}]")
+        if not all(isinstance(dt, _NUM) for dt in rec["phase_time"].values()):
+            _fail(f"{where}: iteration {it} phase_time values must be numbers")
+        for j, dec in enumerate(rec["sar_decisions"]):
+            ctx = f"{where}: iteration {it} decision {j}"
+            _require(dec if isinstance(dec, dict) else {}, _DECISION_KEYS, ctx)
+            if not dec["policy"]:
+                _fail(f"{ctx} needs a non-empty 'policy' name")
+        iterations.append(rec)
     return ParsedMetrics(header, iterations, events, summary)
 
 
-# ----------------------------------------------------------------------
-# service (batch) stream
-# ----------------------------------------------------------------------
-#: Accepted batch-stream schema versions.  The writer
-#: (:data:`repro.service.telemetry.SERVICE_SCHEMA`) emits the newest;
-#: ``/1`` streams from older runs stay readable.
-_SERVICE_SCHEMAS = ("repro-service/1", "repro-service/2")
-
 #: Event kinds scoped to one job — in ``/2`` these must carry the
 #: correlation identity (``job_id`` + ``attempt``) next to ``job``.
-_JOB_EVENT_KINDS = frozenset(
-    {
-        "job_launched",
-        "job_progress",
-        "job_done",
-        "job_retry",
-        "job_failed",
-        "job_timeout",
-        "heartbeat_lost",
-        "worker_lost",
-        "job_cancelled",
-    }
-)
+_JOB_EVENT_KINDS = frozenset({
+    "job_launched", "job_progress", "job_done", "job_retry", "job_failed",
+    "job_timeout", "heartbeat_lost", "worker_lost", "job_cancelled",
+})
 
 
+@dataclass
 class ParsedService:
     """Structured view of a validated service (batch) JSONL stream."""
 
-    def __init__(self, header: dict, events: list[dict], summary: dict | None) -> None:
-        self.header = header
-        self.events = events
-        self.summary = summary
+    header: dict
+    events: list[dict]
+    summary: dict
 
     @property
     def schema(self) -> str:
@@ -251,96 +268,41 @@ class ParsedService:
 
     def job_events(self) -> list[dict]:
         """The job-scoped subset of :attr:`events`, in stream order."""
-        return [ev for ev in self.events if ev.get("kind") in _JOB_EVENT_KINDS]
+        return [ev for ev in self.events if ev["kind"] in _JOB_EVENT_KINDS]
 
 
 def validate_service(source: str | Path | list[str]) -> ParsedService:
     """Validate a service batch stream; return a :class:`ParsedService`.
 
-    ``source`` is a file path or a list of JSONL lines.  Checks the
-    header schema marker (``repro-service/1`` or ``/2``), the monotonic
-    non-negative event timestamps (the §5.8 contract), the per-event
-    required fields — on ``/2``, the ``batch_id``/``started_at`` header
-    fields and the ``job_id``/``attempt`` correlation stamp on every
-    job-scoped event — and the presence of a closing summary.  A live
-    stream being tailed mid-batch has no summary yet and is therefore
-    *invalid* by design: completeness is part of the contract.
+    ``source`` is a file path or a list of JSONL lines.  Beyond the
+    envelope (``repro-service/1`` or ``/2``), checks the monotonic
+    non-negative event timestamps (the §5.8 contract) and — on ``/2`` —
+    a non-empty ``batch_id`` and the ``job_id``/``attempt`` correlation
+    stamp on every job-scoped event.  A live stream being tailed
+    mid-batch has no summary yet and is therefore *invalid* by design:
+    completeness is part of the contract.
     """
-    if isinstance(source, list):
-        lines = source
-        where = "<lines>"
-    else:
-        path = Path(source)
-        lines = path.read_text().splitlines()
-        where = str(path)
-    records = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            _fail(f"{where}:{lineno} is not valid JSON: {exc}")
-    if not records:
-        _fail(f"{where} is empty")
-    header = records[0]
-    if header.get("type") != "header" or header.get("schema") not in _SERVICE_SCHEMAS:
-        _fail(
-            f"{where}: first record must be a header with schema in "
-            f"{list(_SERVICE_SCHEMAS)}, got {header.get('schema')!r}"
-        )
+    where, header, events, summary = _envelope(source, _SERVICE_SCHEMAS)
     v2 = header["schema"] == "repro-service/2"
     for key in ("jobs", "workers"):
-        if not isinstance(header.get(key), int) or header[key] < 0:
+        if header[key] < 0:
             _fail(f"{where}: header {key!r} must be a non-negative integer")
-    if v2:
-        if not isinstance(header.get("batch_id"), str) or not header["batch_id"]:
-            _fail(f"{where}: /2 header needs a non-empty 'batch_id'")
-        if not isinstance(header.get("started_at"), (int, float)):
-            _fail(f"{where}: /2 header needs a numeric 'started_at'")
-    events: list[dict] = []
-    summary: dict | None = None
+    if v2 and not header["batch_id"]:
+        _fail(f"{where}: /2 header needs a non-empty 'batch_id'")
     last_t = 0.0
-    for i, rec in enumerate(records[1:], start=2):
-        kind = rec.get("type")
-        if kind == "event":
-            if summary is not None:
-                _fail(f"{where}: record {i} follows the summary record")
-            name = rec.get("kind")
-            if not isinstance(name, str) or not name:
-                _fail(f"{where}: event record {i} needs a 'kind' name")
-            t = rec.get("t")
-            if not isinstance(t, (int, float)) or t < 0:
-                _fail(f"{where}: event record {i} needs a non-negative numeric 't'")
-            if t < last_t:
-                _fail(
-                    f"{where}: event record {i} has t={t} before the previous "
-                    f"event's t={last_t} (timestamps must be monotonic)"
-                )
-            last_t = float(t)
-            if name in _JOB_EVENT_KINDS:
-                if not isinstance(rec.get("job"), str):
-                    _fail(f"{where}: {name} record {i} needs a 'job' name")
-                if v2:
-                    if not isinstance(rec.get("job_id"), str) or not rec["job_id"]:
-                        _fail(f"{where}: /2 {name} record {i} needs a 'job_id'")
-                    attempt = rec.get("attempt")
-                    if not isinstance(attempt, int) or attempt < 0:
-                        _fail(
-                            f"{where}: /2 {name} record {i} needs a "
-                            f"non-negative integer 'attempt'"
-                        )
-            events.append(rec)
-        elif kind == "summary":
-            if summary is not None:
-                _fail(f"{where}: duplicate summary record at {i}")
-            if "aggregates" not in rec:
-                _fail(f"{where}: summary record is missing 'aggregates'")
-            summary = rec
-        elif kind == "header":
-            _fail(f"{where}: duplicate header record at {i}")
-        else:
-            _fail(f"{where}: record {i} has unknown type {kind!r}")
-    if summary is None:
-        _fail(f"{where}: no closing summary record (incomplete stream?)")
+    for i, rec in enumerate(events, start=2):
+        name, t = rec["kind"], rec["t"]
+        if not name or t < 0:
+            _fail(f"{where}: event record {i} needs a 'kind' name and a non-negative 't'")
+        if t < last_t:
+            _fail(
+                f"{where}: event record {i} has t={t} before the previous "
+                f"event's t={last_t} (timestamps must be monotonic)"
+            )
+        last_t = float(t)
+        if name in _JOB_EVENT_KINDS:
+            keys = {"job": str, "job_id": str, "attempt": int} if v2 else {"job": str}
+            _require(rec, keys, f"{where}: {name} record {i}")
+            if v2 and (not rec["job_id"] or rec["attempt"] < 0):
+                _fail(f"{where}: /2 {name} record {i} needs a 'job_id', an 'attempt' >= 0")
     return ParsedService(header, events, summary)

@@ -17,9 +17,10 @@ array form), which Perfetto (https://ui.perfetto.dev) and
   timestamps (virtual seconds × 1e6) and ``args`` carrying the
   iteration number;
 * one-off occurrences (checkpoints, rank failures, recoveries) are
-  instant events (``"ph": "i"``);
+  instant events (``"ph": "i"``), read off the metrics stream's events;
 * per-iteration scalars (load imbalance, particle counts) are counter
-  events (``"ph": "C"``) charted on their own tracks;
+  events (``"ph": "C"``) charted on their own tracks, read off the
+  stream's iteration records;
 * metadata events (``"ph": "M"``) name the process and the rank lanes.
 
 Nothing here charges the virtual clocks: attaching a tracer never
@@ -28,9 +29,7 @@ changes ``vm.elapsed()``, ``vm.ops``, or any result quantity.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,47 +56,25 @@ class Span:
         return self.t1 - self.t0
 
 
-@dataclass
-class InstantEvent:
-    """A zero-duration marker (checkpoint written, rank failed, ...)."""
-
-    name: str
-    t: float  #: virtual seconds
-    iteration: int
-    args: dict = field(default_factory=dict)
-
-
-@dataclass
-class CounterSample:
-    """One sample of a counter track (imbalance, particle counts, ...)."""
-
-    name: str
-    t: float  #: virtual seconds
-    values: dict  #: series name -> float
-
-
 class SpanTracer:
-    """Collects spans / instants / counter samples from a run.
+    """Collects a run's phase rows and rank-count history.
 
     The tracer is attached to a machine as ``vm.tracer``; the machine's
     ``phase`` context manager feeds it via :meth:`record_phase`.  The
     simulation driver advances :attr:`iteration` once per step so every
-    span is tagged with the iteration it belongs to.
+    span is tagged with the iteration it belongs to.  Instant markers and
+    counter tracks are not kept here: :meth:`to_chrome` derives them from
+    the run's metrics stream.
     """
 
     def __init__(self) -> None:
         #: one (name, iteration, depth, entry clocks, exit clocks) row per
         #: recorded phase; :attr:`spans` expands them into per-rank spans
         self._phases: list[tuple] = []
-        self.instants: list[InstantEvent] = []
-        self.counters: list[CounterSample] = []
         self.iteration = -1  #: -1 = before the first simulation iteration
         #: rank-count history: list of (iteration, p) entries; recovery
         #: shrink appends so lane metadata can mark dead ranks.
         self.rank_history: list[tuple[int, int]] = []
-        #: batch identity stamped into ``otherData.correlation`` of the
-        #: export (None for standalone runs — key then absent)
-        self.correlation: dict | None = None
 
     # ------------------------------------------------------------------
     # recording
@@ -132,16 +109,6 @@ class SpanTracer:
             if t1 > t0
         ]
 
-    def record_instant(self, name: str, t: float, **args) -> None:
-        """Record a zero-duration marker at virtual time ``t``."""
-        self.instants.append(InstantEvent(name, float(t), self.iteration, dict(args)))
-
-    def record_counters(self, name: str, t: float, values: dict) -> None:
-        """Record one sample of counter track ``name`` at virtual time ``t``."""
-        self.counters.append(
-            CounterSample(name, float(t), {k: float(v) for k, v in values.items()})
-        )
-
     def note_ranks(self, p: int) -> None:
         """Record that the machine has ``p`` live ranks from now on."""
         self.rank_history.append((self.iteration, int(p)))
@@ -155,8 +122,15 @@ class SpanTracer:
         ranks.extend(p - 1 for _, p in self.rank_history)
         return max(ranks, default=0)
 
-    def to_chrome(self) -> dict:
-        """Export as a Chrome Trace Event / Perfetto JSON object."""
+    def to_chrome(self, records: list[dict] = (), correlation: dict | None = None) -> dict:
+        """Export as a Chrome Trace Event / Perfetto JSON object.
+
+        ``records`` is the body of the run's metrics stream: each event
+        with a virtual time ``t`` becomes an instant marker, each iteration
+        record one sample of the "load imbalance" and "particles" counter
+        tracks.  ``correlation`` (the batch identity) goes to
+        ``otherData``.
+        """
         events: list[dict] = [
             {
                 "name": "process_name",
@@ -189,52 +163,44 @@ class SpanTracer:
                     "args": {"iteration": span.iteration, "depth": span.depth},
                 }
             )
-        for inst in self.instants:
-            events.append(
-                {
-                    "name": inst.name,
-                    "cat": "event",
-                    "ph": "i",
-                    "s": "g",  # global scope: full-height marker line
-                    "pid": 0,
-                    "tid": 0,
-                    "ts": inst.t * 1e6,
-                    "args": {"iteration": inst.iteration, **inst.args},
-                }
-            )
-        for sample in self.counters:
-            events.append(
-                {
-                    "name": sample.name,
-                    "cat": "metric",
-                    "ph": "C",
-                    "pid": 0,
-                    "tid": 0,
-                    "ts": sample.t * 1e6,
-                    "args": sample.values,
-                }
-            )
+        for rec in records:
+            if rec["type"] == "event" and "t" in rec:
+                events.append(
+                    {
+                        "name": rec["kind"],
+                        "cat": "event",
+                        "ph": "i",
+                        "s": "g",  # global scope: full-height marker line
+                        "pid": 0,
+                        "tid": 0,
+                        "ts": rec["t"] * 1e6,
+                        "args": {k: v for k, v in rec.items() if k not in ("type", "kind", "t")},
+                    }
+                )
+        for rec in records:
+            if rec["type"] == "iteration":
+                ts = rec["t_end"] * 1e6
+                most = float(max(rec["particles_per_rank"], default=0))
+                for name, values in (
+                    ("load imbalance", {"max/mean": float(rec["imbalance"])}),
+                    ("particles", {"max_per_rank": most}),
+                ):
+                    events.append(
+                        {"name": name, "cat": "metric", "ph": "C", "pid": 0, "tid": 0,
+                         "ts": ts, "args": values}
+                    )
         other = {
             "schema": TRACE_SCHEMA,
             "clock": "virtual",
             "rank_history": [list(entry) for entry in self.rank_history],
         }
-        if self.correlation is not None:
-            other["correlation"] = dict(self.correlation)
+        if correlation is not None:
+            other["correlation"] = dict(correlation)
         return {
             "traceEvents": events,
             "displayTimeUnit": "ms",
             "otherData": other,
         }
 
-    def save(self, path: str | Path) -> Path:
-        """Atomically write the Chrome-trace JSON to ``path`` and return it."""
-        from repro.util.atomic_io import atomic_write_text
-
-        return atomic_write_text(Path(path), json.dumps(self.to_chrome()) + "\n")
-
     def __repr__(self) -> str:
-        return (
-            f"SpanTracer(phases={len(self._phases)}, instants={len(self.instants)}, "
-            f"counters={len(self.counters)})"
-        )
+        return f"SpanTracer(phases={len(self._phases)}, ranks={self.rank_history})"

@@ -20,6 +20,9 @@ argument validation):
 * :class:`CheckpointError` — a checkpoint file is unusable (corrupt,
   truncated, wrong version).  Subclasses ``ValueError`` as well for
   backwards compatibility with callers that caught the old type.
+* :class:`TelemetrySchemaError` — a telemetry file (metrics or service
+  JSONL stream, Chrome trace) is malformed: torn, not UTF-8 JSON, or
+  missing what its schema requires.  Also a ``ValueError``.
 * :class:`InvalidRankError` — a rank index outside ``[0, p)`` reached a
   communication primitive.  Also a ``ValueError`` so pre-existing
   ``except ValueError`` call sites keep working.
@@ -46,6 +49,7 @@ __all__ = [
     "MessageLost",
     "SimulationIntegrityError",
     "CheckpointError",
+    "TelemetrySchemaError",
     "InvalidRankError",
     "JobError",
     "JobTimeout",
@@ -108,6 +112,10 @@ class SimulationIntegrityError(ReproError):
 class CheckpointError(ReproError, ValueError):
     """A file is not a valid repro checkpoint (corrupt, truncated, or
     missing required keys)."""
+
+
+class TelemetrySchemaError(ReproError, ValueError):
+    """A telemetry artifact does not conform to its schema."""
 
 
 class InvalidRankError(ReproError, ValueError):

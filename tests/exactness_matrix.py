@@ -9,11 +9,16 @@ checked by running this file against a checkout of the parent's ``src``
 and comparing the two outputs; no golden digests are committed because
 particle and field bytes depend on the host's libm and NumPy SIMD paths.
 
+The rows in :data:`OBSERVED` run with telemetry on and a batch
+correlation stamped; their digest also covers the bytes of the metrics
+JSONL stream and the Chrome trace the run exports, with the scratch
+directory's path (checkpoint events name it) replaced by a placeholder.
+
 The digests do not depend on the worker count: the ``degraded`` marker a
 modern-kernel run records when ``workers`` is requested (the only
-worker-dependent key of a result document) is left out of the hash.
-``tests/test_exactness_matrix.py`` pins that, and that the tool is
-deterministic, on three small rows.
+worker-dependent key of a result document and of a metrics header) is
+left out of the hash.  ``tests/test_exactness_matrix.py`` pins that, and
+that the tool is deterministic, on a few small rows.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from repro.machine import FaultEvent, FaultPlan
 from repro.pic import Simulation, SimulationConfig
 from repro.util.errors import SimulationIntegrityError
 
-__all__ = ["ROWS", "ITERATIONS", "digest", "main"]
+__all__ = ["ROWS", "OBSERVED", "ITERATIONS", "digest", "main"]
 
 ITERATIONS = 12
 _HALF = ITERATIONS // 2
@@ -77,7 +82,13 @@ ROWS: dict[str, tuple[dict, str]] = {
     "era_faultplan_eulerian": (dict(p=6, movement="eulerian", policy="static"), "faults_salvaged"),
     "modern_faultplan": (dict(_MODERN, p=6, policy="periodic:5"), "faults_checkpointed"),
     "era_poison_scatter": (dict(guards="strict"), "poison"),
+    # instants, counter tracks, a shrink and its rank lanes in the exports
+    "era_observed_faultplan": (dict(p=6, policy="periodic:5"), "faults_checkpointed"),
+    "modern_observed": (_MODERN, "plain"),
 }
+
+#: rows run with telemetry on and a correlation stamped; their exports are hashed too
+OBSERVED = ("era_observed_faultplan", "modern_observed")
 
 
 def _build(factory, source, workers: int) -> Simulation:
@@ -92,7 +103,10 @@ def _run(name: str, workers: int, scratch: Path) -> tuple[Simulation, str | None
     """The finished simulation of row ``name`` and the error that ended it, if any."""
     overrides, scenario = ROWS[name]
     sim = _build(Simulation, SimulationConfig(**{**_BASE, **overrides}), workers)
-    checkpoint = scratch / f"{name}-w{workers}.npz"
+    if name in OBSERVED:
+        sim.set_correlation({"batch_id": "batch-exactness", "job_id": name, "attempt": 0})
+        sim.enable_telemetry()
+    checkpoint = scratch / f"{name}.npz"
     if scenario in ("resume", "resume_other_workers"):
         sim.run(_HALF, checkpoint_every=_HALF, checkpoint_path=checkpoint)
         sim.close()
@@ -119,14 +133,25 @@ def _run(name: str, workers: int, scratch: Path) -> tuple[Simulation, str | None
     return sim, None
 
 
+def _exports(sim: Simulation, scratch: Path) -> bytes:
+    """The metrics JSONL and Chrome-trace JSON the run writes, minus ``degraded``."""
+    lines = sim.telemetry.save_metrics(scratch / "exports.jsonl").read_text().splitlines()
+    header = json.loads(lines[0])
+    header.pop("degraded", None)
+    trace = sim.telemetry.save_trace(scratch / "exports.trace.json").read_text()
+    text = "\n".join([json.dumps(header), *lines[1:], trace])
+    return text.replace(str(scratch), "<scratch>").encode()
+
+
 def digest(name: str, workers: int = 0) -> str:
     """sha256 of everything row ``name`` leaves behind at ``workers`` shard threads."""
     with tempfile.TemporaryDirectory(prefix="exactness-") as scratch:
         sim, error = _run(name, workers, Path(scratch))
+        exports = _exports(sim, Path(scratch)) if name in OBSERVED else b""
     try:
         document = sim.result().to_dict()
         document.pop("degraded", None)
-        h = hashlib.sha256()
+        h = hashlib.sha256(exports)
         for part in (document, error, sim.vm.state_dict()):
             h.update(json.dumps(part, sort_keys=True).encode())
         for parts in sim.pic.particles:

@@ -22,6 +22,7 @@ from repro.util.errors import (
     RankFailure,
     ReproError,
     SimulationIntegrityError,
+    TelemetrySchemaError,
 )
 
 #: One representative, fully-populated instance per public exception.
@@ -32,6 +33,7 @@ INSTANCES = [
     MessageLost(1, 2, attempts=4),
     SimulationIntegrityError("charge not conserved: drift 1.2e-3 exceeds 1e-9 budget"),
     CheckpointError("file run.ck.npz is truncated: missing key 'fields/ez'"),
+    TelemetrySchemaError("run.metrics.jsonl:7 is not a JSON object"),
     InvalidRankError("destination rank 9 outside [0, 8)"),
     JobError("sweep-seed=3", "worker died (exitcode -9)", attempt=1),
     JobTimeout("sweep-seed=5", 30.0, 31.7, iteration=42, attempt=2),
@@ -83,6 +85,7 @@ class TestHierarchy:
         # pre-existing except ValueError call sites keep working
         assert issubclass(CheckpointError, ValueError)
         assert issubclass(InvalidRankError, ValueError)
+        assert issubclass(TelemetrySchemaError, ValueError)
 
     def test_rank_failure_attributes(self):
         exc = RankFailure(5, iteration=3, phase="gather")

@@ -27,7 +27,6 @@ from repro.obs import (
     aggregate_batch,
     maybe_section,
     parse_prom_text,
-    read_stream,
     render_batch_rollup,
     render_prom_text,
     render_top,
@@ -49,6 +48,7 @@ from repro.telemetry import (
     validate_metrics,
     validate_service,
 )
+from repro.telemetry.stream import read_jsonl
 
 BASE = dict(nx=16, ny=8, nparticles=256, p=4)
 
@@ -292,12 +292,12 @@ class TestTop:
     def test_read_stream_leaves_torn_line_for_next_round(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_bytes(b'{"type": "header", "jobs": 1}\n{"type": "ev')
-        records, offset = read_stream(path)
+        records, offset = read_jsonl(path, partial=True)
         assert [r["type"] for r in records] == ["header"]
         # writer completes the line -> the retry picks it up
         with path.open("ab") as fh:
             fh.write(b'ent", "kind": "job_launched", "t": 0.1, "job": "a"}\n')
-        records, offset = read_stream(path, offset=offset)
+        records, offset = read_jsonl(path, offset=offset, partial=True)
         assert [r["kind"] for r in records] == ["job_launched"]
 
     def test_batch_view_folds_lifecycle(self):
@@ -505,7 +505,7 @@ class TestCorrelationContract:
         assert parsed["repro_cache_hits"]["samples"][key] >= 1.0
 
     def test_render_report_sources_columns_from_stream(self, observed_batch):
-        events, _ = read_stream(observed_batch["root"] / "obs" / "service.jsonl")
+        events, _ = read_jsonl(observed_batch["root"] / "obs" / "service.jsonl")
         text = render_report(observed_batch["report"], events=events)
         rows = {
             ln.split()[0]: ln for ln in text.splitlines() if ln.strip().startswith("j")

@@ -409,7 +409,7 @@ class TestDecisionRecords:
                 distribution="irregular", policy=spec, seed=1))
             tel = sim.enable_telemetry()
             sim.run(6)
-            runs.append((spec, validate_metrics(tel.metrics_lines())))
+            runs.append((spec, validate_metrics(tel.lines())))
         text = render_decision_comparison(runs)
         assert "dynamic" in text and "periodic" in text
         single = render_report(runs[0][1], label="dynamic")

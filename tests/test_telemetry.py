@@ -70,14 +70,23 @@ class TestSpanTracer:
         tracer.note_ranks(2)
         tracer.set_iteration(0)
         tracer.record_phase("push", np.array([0.0, 0.0]), np.array([0.5, 0.25]))
-        tracer.record_instant("checkpoint", 0.5, path="ck.npz")
-        tracer.record_counters("load imbalance", 0.5, {"max/mean": 1.5})
-        doc = validate_trace(tracer.to_chrome())
+        # instants and counter tracks are views of the metrics stream's records
+        records = [
+            {"type": "event", "kind": "checkpoint", "iteration": 0, "t": 0.5, "path": "ck.npz"},
+            {"type": "event", "kind": "guard_violation", "message": "no virtual time: no marker"},
+            {"type": "iteration", "t_end": 0.5, "imbalance": 1.5, "particles_per_rank": [3, 1]},
+        ]
+        doc = validate_trace(tracer.to_chrome(records, {"batch_id": "b"}))
         codes = [ev["ph"] for ev in doc["traceEvents"]]
         assert codes.count("M") == 3  # process + 2 rank lanes
         assert codes.count("X") == 2 and "i" in codes and "C" in codes
         span = next(ev for ev in doc["traceEvents"] if ev["ph"] == "X")
         assert span["ts"] == 0.0 and span["dur"] == 0.5e6
+        (marker,) = [ev for ev in doc["traceEvents"] if ev["ph"] == "i"]
+        assert marker["args"] == {"iteration": 0, "path": "ck.npz"}
+        counters = {ev["name"]: ev["args"] for ev in doc["traceEvents"] if ev["ph"] == "C"}
+        assert counters == {"load imbalance": {"max/mean": 1.5}, "particles": {"max_per_rank": 3.0}}
+        assert doc["otherData"]["correlation"] == {"batch_id": "b"}
 
     def test_trace_is_deterministic(self, tmp_path):
         texts = []
@@ -275,7 +284,7 @@ class TestSARDecisionLog:
         sim = Simulation(_config(nparticles=4096, p=8))
         sim.enable_telemetry()
         result = sim.run(30)
-        metrics = validate_metrics(sim.telemetry.metrics_lines())
+        metrics = validate_metrics(sim.telemetry.lines())
 
         fired_iterations = []
         for rec in metrics.iterations:
@@ -304,7 +313,7 @@ class TestSARDecisionLog:
         sim = Simulation(_config(policy="periodic:3"))
         sim.enable_telemetry()
         sim.run(9)
-        metrics = validate_metrics(sim.telemetry.metrics_lines())
+        metrics = validate_metrics(sim.telemetry.lines())
         for rec in metrics.iterations:
             (d,) = rec["sar_decisions"]
             assert d["policy"] == "periodic" and d["period"] == 3
@@ -354,7 +363,7 @@ class TestTelemetryAcrossRecovery:
         )
         sim.enable_telemetry()
         sim.run(8, checkpoint_every=3, checkpoint_path=tmp_path / "ck.npz")
-        metrics = validate_metrics(sim.telemetry.metrics_lines())
+        metrics = validate_metrics(sim.telemetry.lines())
         # every iteration record carries scatter traffic — the comm
         # ledger kept flowing through the recovery swap
         for rec in metrics.iterations:
@@ -387,7 +396,7 @@ class TestTelemetryAcrossResume:
         sim = Simulation(_config())
         sim.enable_telemetry()
         sim.run(6, checkpoint_every=2, checkpoint_path=tmp_path / "ck.npz")
-        metrics = validate_metrics(sim.telemetry.metrics_lines())
+        metrics = validate_metrics(sim.telemetry.lines())
         checkpoints = [ev for ev in metrics.events if ev["kind"] == "checkpoint"]
         assert len(checkpoints) == 3
         assert all(ev["path"].endswith("ck.npz") for ev in checkpoints)
@@ -407,7 +416,7 @@ class TestGuardTelemetry:
             sim.run(1)
         agg = sim.telemetry.aggregates()
         assert agg["guard.violations"]["value"] >= 1.0
-        metrics = validate_metrics(sim.telemetry.metrics_lines())
+        metrics = validate_metrics(sim.telemetry.lines())
         assert any(ev["kind"] == "guard_violation" for ev in metrics.events)
 
 
