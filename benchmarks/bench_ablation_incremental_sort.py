@@ -14,37 +14,32 @@ from benchmarks._shared import write_report
 from repro.analysis import format_table
 from repro.core.incremental_sort import BucketState, bucket_incremental_sort
 from repro.machine import MachineModel, VirtualMachine
-from repro.particles.sort import parallel_sample_sort
+from repro.particles.sort import KeyedRows, parallel_sample_sort
 
 P = 16
 N_PER = 2000
 
 
-def build_states(seed=0):
+def build_state(seed=0):
     rng = np.random.default_rng(seed)
-    all_keys = np.sort(rng.integers(0, 10**6, P * N_PER))
-    states = []
-    for r in range(P):
-        keys = all_keys[r * N_PER : (r + 1) * N_PER]
-        states.append(BucketState.build(keys, keys.reshape(-1, 1).astype(float), 16))
-    return states
+    keys = np.sort(rng.integers(0, 10**6, P * N_PER))
+    return BucketState.build(keys, np.arange(P + 1) * N_PER, 16)
 
 
 def run_ablation():
     rows = []
     for drift in (10, 1000, 50000, 500000):
         rng = np.random.default_rng(drift)
-        states = build_states()
-        new_keys = [
-            np.maximum(s.keys + rng.integers(-drift, drift + 1, s.n), 0) for s in states
-        ]
+        state = build_state()
+        new_keys = np.concatenate([
+            np.maximum(state.keys[a:b] + rng.integers(-drift, drift + 1, b - a), 0)
+            for a, b in zip(state.offsets[:-1], state.offsets[1:])
+        ])  # fmt: skip
+        block = KeyedRows(state.keys.reshape(-1, 1).astype(float), new_keys, state.offsets)
         vm_inc = VirtualMachine(P, MachineModel.cm5())
-        _, _, stats = bucket_incremental_sort(
-            vm_inc, states, [k.copy() for k in new_keys]
-        )
+        _, stats = bucket_incremental_sort(vm_inc, state, block)
         vm_full = VirtualMachine(P, MachineModel.cm5())
-        payloads = [s.payload for s in build_states()]
-        parallel_sample_sort(vm_full, [k.copy() for k in new_keys], payloads)
+        parallel_sample_sort(vm_full, block)
         moved_frac = stats.moved_rank / stats.total
         rows.append([drift, moved_frac, vm_inc.elapsed(), vm_full.elapsed()])
     return rows

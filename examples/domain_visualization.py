@@ -16,7 +16,7 @@ from repro.analysis import density_map, ownership_map, particle_assignment_map
 from repro.core import ParticlePartitioner, Redistributor
 from repro.machine import VirtualMachine
 from repro.mesh import CurveBlockDecomposition, Grid2D
-from repro.particles import gaussian_blob
+from repro.particles import ParticlePool, gaussian_blob
 from repro.pic.push import boris_push
 
 
@@ -40,7 +40,9 @@ def main() -> None:
     decomp = CurveBlockDecomposition(grid, p, "hilbert")
     partitioner = ParticlePartitioner(grid, "hilbert")
     redis = Redistributor(partitioner)
-    local = redis.initialize(vm, partitioner.initial_partition(particles, p)).particles
+    pool = ParticlePool.from_ranks(partitioner.initial_partition(particles, p))
+    pool = redis.initialize(vm, pool).pool
+    local = pool.views
 
     print(ownership_map(decomp))
     print()
@@ -59,7 +61,7 @@ def main() -> None:
     print()
     print(particle_assignment_map(grid, local))
 
-    local = redis.redistribute(vm, local).particles
+    local = redis.redistribute(vm, pool).pool.views
     realigned = agreement(grid, decomp, local)
     print()
     print(particle_assignment_map(grid, local))

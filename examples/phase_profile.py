@@ -32,8 +32,7 @@ def main() -> None:
     for it in range(iterations):
         sim.pic.step()
         if sim.policy.should_redistribute(it):
-            result = sim.redistributor.redistribute(sim.vm, sim.pic.particles)
-            sim.pic.particles = result.particles
+            sim.pic.pool = sim.redistributor.redistribute(sim.vm, sim.pic.pool).pool
         trace.snapshot()
 
     print(trace.render(width=60))

@@ -27,7 +27,8 @@ from repro.indexing import hilbert_xy_to_d
 from repro.machine import MachineModel, VirtualMachine
 from repro.mesh import CurveBlockDecomposition, Grid2D
 from repro.particles import gaussian_blob
-from repro.particles.sort import parallel_sample_sort
+from repro.particles.arrays import ParticlePool
+from repro.particles.sort import KeyedRows, parallel_sample_sort
 from repro.pic import ParallelPIC, Simulation, SimulationConfig
 from repro.pic.checkpoint import load_checkpoint
 from repro.pic.ghost import make_ghost_table
@@ -201,16 +202,13 @@ def _eulerian_migration(pic: ParallelPIC) -> BenchObservation:
 # ----------------------------------------------------------------------
 def _sort_fixture(drift: int, p: int = 16, n_per: int = 4000):
     rng = np.random.default_rng(_SEED)
-    all_keys = np.sort(rng.integers(0, 10**6, p * n_per))
-    states = []
-    for r in range(p):
-        keys = all_keys[r * n_per : (r + 1) * n_per]
-        payload = np.repeat(keys, 7).reshape(-1, 7).astype(float)
-        states.append(BucketState.build(keys, payload, 16))
-    new_keys = [
-        np.maximum(s.keys + rng.integers(-drift, drift + 1, s.n), 0) for s in states
-    ]
-    return VirtualMachine(p, MachineModel.cm5()), states, new_keys
+    keys = np.sort(rng.integers(0, 10**6, p * n_per))
+    offsets = np.arange(p + 1) * n_per
+    state = BucketState.build(keys, offsets, 16)
+    drifts = [rng.integers(-drift, drift + 1, n_per) for _ in range(p)]  # one draw per rank
+    new_keys = np.maximum(keys + np.concatenate(drifts), 0)
+    rows = np.repeat(keys, 7).reshape(-1, 7).astype(float)
+    return VirtualMachine(p, MachineModel.cm5()), state, KeyedRows(rows, new_keys, offsets)
 
 
 @register(
@@ -221,8 +219,8 @@ def _sort_fixture(drift: int, p: int = 16, n_per: int = 4000):
     setup=lambda: _sort_fixture(drift=200),
 )
 def _resort_small(ctx) -> BenchObservation:
-    vm, states, new_keys = ctx
-    return _observe(vm, lambda: bucket_incremental_sort(vm, states, new_keys))
+    vm, state, block = ctx
+    return _observe(vm, lambda: bucket_incremental_sort(vm, state, block))
 
 
 @register(
@@ -233,8 +231,8 @@ def _resort_small(ctx) -> BenchObservation:
     setup=lambda: _sort_fixture(drift=100_000),
 )
 def _resort_large(ctx) -> BenchObservation:
-    vm, states, new_keys = ctx
-    return _observe(vm, lambda: bucket_incremental_sort(vm, states, new_keys))
+    vm, state, block = ctx
+    return _observe(vm, lambda: bucket_incremental_sort(vm, state, block))
 
 
 @register(
@@ -245,9 +243,8 @@ def _resort_large(ctx) -> BenchObservation:
     setup=lambda: _sort_fixture(drift=200),
 )
 def _sample_sort(ctx) -> BenchObservation:
-    vm, states, new_keys = ctx
-    payloads = [s.payload for s in states]
-    return _observe(vm, lambda: parallel_sample_sort(vm, new_keys, payloads))
+    vm, _, block = ctx
+    return _observe(vm, lambda: parallel_sample_sort(vm, block))
 
 
 def _redistributor_fixture():
@@ -257,9 +254,9 @@ def _redistributor_fixture():
     partitioner = ParticlePartitioner(grid, "hilbert")
     redis = Redistributor(partitioner, nbuckets=16)
     local = partitioner.initial_partition(particles, _P)
-    result = redis.initialize(vm, local)
+    result = redis.initialize(vm, ParticlePool.from_ranks(local))
     rng = np.random.default_rng(_SEED)
-    return {"vm": vm, "redis": redis, "particles": result.particles, "rng": rng, "grid": grid}
+    return {"vm": vm, "redis": redis, "pool": result.pool, "rng": rng, "grid": grid}
 
 
 @register(
@@ -271,12 +268,11 @@ def _redistributor_fixture():
 )
 def _redistributor_epoch(ctx) -> BenchObservation:
     vm, redis, rng, grid = ctx["vm"], ctx["redis"], ctx["rng"], ctx["grid"]
-    for parts in ctx["particles"]:
+    for parts in ctx["pool"].views:
         parts.x[:] = np.mod(parts.x + rng.normal(0.0, 0.05 * grid.dx, parts.n), grid.lx)
 
     def body():
-        result = redis.redistribute(vm, ctx["particles"])
-        ctx["particles"] = result.particles
+        ctx["pool"] = redis.redistribute(vm, ctx["pool"]).pool
 
     return _observe(vm, body)
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.indexing import IndexingScheme, get_scheme
+from repro.machine.batch import MessageBatch
 from repro.machine.virtual import VirtualMachine
 from repro.mesh.decomposition import CurveBlockDecomposition, balanced_splits
 from repro.mesh.grid import Grid2D
@@ -137,19 +138,16 @@ class AdaptiveMeshRebalancer:
             new_owner = new_decomp.owner_map
             moved = np.flatnonzero(old_owner != new_owner)
             if moved.size:
+                # one message per (old owner, new owner), node ids ascending
+                moved = moved.take(np.lexsort((new_owner[moved], old_owner[moved])))
                 node_values = np.concatenate(
                     [pic._field_node_values(), pic.fields.rho.ravel()[None, :]]
                 )
-                send: list[dict[int, np.ndarray]] = [dict() for _ in range(vm.p)]
-                for src in range(vm.p):
-                    mine = moved[old_owner[moved] == src]
-                    if not mine.size:
-                        continue
-                    dests = new_owner[mine]
-                    for dst in np.unique(dests):
-                        ids = mine[dests == dst]
-                        send[src][int(dst)] = (ids, np.ascontiguousarray(node_values[:, ids]))
-                vm.alltoallv(send)
+                vm.exchange(
+                    MessageBatch.coalesce(
+                        old_owner[moved], new_owner[moved], moved, node_values.take(moved, axis=1)
+                    )
+                )
 
             pic.set_decomposition(new_decomp)
             # realign particle ownership with the new cell owners

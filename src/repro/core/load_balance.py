@@ -12,64 +12,48 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.machine.collectives import exchange_by_destination
+from repro.machine.collectives import exchange_by_destination_pooled
 from repro.machine.virtual import VirtualMachine
 from repro.mesh.decomposition import balanced_splits
+from repro.particles.sort import KeyedRows
 from repro.util import require
 
 __all__ = ["order_maintaining_balance"]
 
 
-def order_maintaining_balance(
-    vm: VirtualMachine,
-    keys: list[np.ndarray],
-    payloads: list[np.ndarray],
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def order_maintaining_balance(vm: VirtualMachine, block: KeyedRows) -> KeyedRows:
     """Equalize per-rank counts without disturbing the global order.
 
     Parameters
     ----------
     vm:
         Virtual machine (costs charged under the current phase).
-    keys:
-        Per-rank sorted key arrays whose rank-order concatenation is
-        globally sorted.
-    payloads:
-        Per-rank 2-D row payloads aligned with ``keys``.
+    block:
+        Keyed rows whose rank-order concatenation is globally sorted.
 
     Returns
     -------
-    (keys, payloads):
-        Re-balanced per-rank arrays: counts differ by at most one and
-        the global concatenation is unchanged.
+    KeyedRows
+        The same rows in the same order, re-cut so that counts differ by
+        at most one.  The pooled input already is in the ``(destination,
+        source)`` order the exchange delivers, so the rows come back as
+        they are (copied only if a fault replaced a payload).
     """
     p = vm.p
-    require(len(keys) == p and len(payloads) == p, "need one keys/payload per rank")
-    counts = np.array([k.shape[0] for k in keys], dtype=np.int64)
+    require(block.offsets.shape[0] == p + 1, "need one keys/rows segment per rank")
+    require(block.keys.shape[0] == block.rows.shape[0], "keys/rows length mismatch")
+    counts = block.counts
     # Every rank learns all counts (global concatenation of scalars).
-    gathered = vm.allgather([int(c) for c in counts])[0]
-    counts = np.asarray(gathered, dtype=np.int64)
-    total = int(counts.sum())
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    target_bounds = balanced_splits(total, p)
+    vm.allgather(counts.tolist(), nbytes_each=np.full(p, counts.itemsize))
+    target_bounds = balanced_splits(int(counts.sum()), p)
 
     # Destination of each element by its global position.
-    dests = []
-    for r in range(p):
-        gpos = offsets[r] + np.arange(counts[r], dtype=np.int64)
-        dests.append((np.searchsorted(target_bounds, gpos, side="right") - 1).astype(np.int64))
+    dests = np.searchsorted(target_bounds, np.arange(block.keys.shape[0]), side="right") - 1
     vm.charge_ops("sort", counts.astype(float))  # position computation
 
-    new_payloads = exchange_by_destination(vm, payloads, dests)
-    new_keys_2d = exchange_by_destination(vm, [k.reshape(-1, 1) for k in keys], dests)
-    new_keys = [k.reshape(-1) for k in new_keys_2d]
-
-    # exchange_by_destination concatenates in source-rank order, and
-    # within a source the stable split preserves order, so each rank's
-    # slice is exactly its balanced run of the old global order.
-    for r in range(p):
-        expected = int(target_bounds[r + 1] - target_bounds[r])
-        got = new_keys[r].shape[0]
-        if got != expected:  # pragma: no cover - invariant guard
-            raise AssertionError(f"rank {r}: balance produced {got} elements, expected {expected}")
-    return new_keys, new_payloads
+    (rows, keys), offsets = exchange_by_destination_pooled(
+        vm, (block.rows, block.keys), dests, block.offsets
+    )
+    if not np.array_equal(offsets, target_bounds):  # pragma: no cover - invariant guard
+        raise AssertionError(f"balance produced offsets {offsets}, expected {target_bounds}")
+    return KeyedRows(rows, keys, offsets)

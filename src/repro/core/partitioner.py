@@ -22,8 +22,8 @@ from repro.indexing import IndexingScheme, get_scheme
 from repro.machine.virtual import VirtualMachine
 from repro.mesh.decomposition import balanced_splits
 from repro.mesh.grid import Grid2D
-from repro.particles.arrays import ParticleArray
-from repro.particles.sort import parallel_sample_sort
+from repro.particles.arrays import ParticleArray, ParticlePool
+from repro.particles.sort import KeyedRows, parallel_sample_sort
 from repro.core.load_balance import order_maintaining_balance
 from repro.util import require
 
@@ -74,22 +74,17 @@ class ParticlePartitioner:
             for r in range(p)
         ]
 
-    def distribute(
-        self,
-        vm: VirtualMachine,
-        local_particles: list[ParticleArray],
-    ) -> list[ParticleArray]:
+    def distribute(self, vm: VirtualMachine, pool: ParticlePool) -> KeyedRows:
         """Full runtime distribution: index, parallel sample sort, balance.
 
         This is the from-scratch algorithm (paper §5.1 "Sorting"); the
         cheaper incremental path is
         :meth:`repro.core.redistribution.Redistributor.redistribute`.
+        Returns the particles' transport rows with their keys, sorted and
+        balanced over ``vm.p`` ranks.
         """
-        require(len(local_particles) == vm.p, "need one particle set per rank")
-        keys = [self.particle_keys(parts) for parts in local_particles]
-        counts = np.array([parts.n for parts in local_particles], dtype=float)
-        self.charge_indexing(vm, counts)
-        payloads = [parts.to_matrix() for parts in local_particles]
-        keys_out, payloads_out, _ = parallel_sample_sort(vm, keys, payloads)
-        keys_bal, payloads_bal = order_maintaining_balance(vm, keys_out, payloads_out)
-        return [ParticleArray.from_matrix(m) for m in payloads_bal]
+        require(pool.p == vm.p, "need one particle segment per rank")
+        keys = self.particle_keys(pool.array)
+        self.charge_indexing(vm, pool.counts)
+        block, _ = parallel_sample_sort(vm, KeyedRows(pool.array.to_matrix(), keys, pool.offsets))
+        return order_maintaining_balance(vm, block)

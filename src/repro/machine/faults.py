@@ -5,8 +5,8 @@ rank)`` — the same coordinates the paper's runtime measurements use — and
 a :class:`FaultInjector` applies them at the communication choke points
 every exchange already flows through (:meth:`VirtualMachine.exchange`
 / :meth:`~VirtualMachine.alltoallv`, :meth:`~VirtualMachine.allgather`,
-:meth:`~VirtualMachine.allreduce`, and therefore the ghost, halo and
-``exchange_by_destination[_pooled]`` traffic built on them).
+:meth:`~VirtualMachine.allreduce`, and therefore the ghost, halo,
+migration and redistribution traffic built on them).
 
 Fault kinds
 -----------
@@ -287,11 +287,6 @@ class FaultInjector:
         self.iteration = iteration
 
     @property
-    def active(self) -> bool:
-        """Whether any event can still fire (cheap liveness probe)."""
-        return bool(self._kills or self._slowdowns or self._message_events)
-
-    @property
     def watches_messages(self) -> bool:
         """Whether :meth:`on_message` can do anything (an exchange then
         hands it every message; otherwise none is looked at)."""
@@ -308,6 +303,8 @@ class FaultInjector:
         declared — that is the price of detection, and it stays on the
         clock through recovery.
         """
+        if not (self._kills or self.dead):
+            return
         it = self.iteration
         phase = vm.current_phase
         fired = [

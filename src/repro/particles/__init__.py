@@ -13,16 +13,16 @@ from repro.particles.init import (
     two_stream,
     uniform_plasma,
 )
-from repro.particles.sort import local_sort_by_keys, parallel_sample_sort, regular_samples
+from repro.particles.sort import KeyedRows, parallel_sample_sort, regular_samples
 
 __all__ = [
     "ParticleArray",
     "ParticlePool",
+    "KeyedRows",
     "uniform_plasma",
     "gaussian_blob",
     "two_stream",
     "ring_distribution",
     "parallel_sample_sort",
     "regular_samples",
-    "local_sort_by_keys",
 ]

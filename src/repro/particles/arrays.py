@@ -106,10 +106,16 @@ class ParticleArray:
         return ParticleArray(*(getattr(self, name)[idx] for name in self.__slots__))
 
     def slice_view(self, start: int, stop: int) -> "ParticleArray":
-        """Zero-copy view of particles ``[start, stop)`` (shared memory)."""
-        return ParticleArray(
-            *(getattr(self, name)[start:stop] for name in self.__slots__)
-        )
+        """Zero-copy view of particles ``[start, stop)`` (shared memory).
+
+        Slices of validated columns need no validation, so a view costs
+        no per-column call (a pool builds one per rank).
+        """
+        view = ParticleArray.__new__(ParticleArray)
+        view.x, view.y, view.ux = self.x[start:stop], self.y[start:stop], self.ux[start:stop]
+        view.uy, view.uz, view.q = self.uy[start:stop], self.uz[start:stop], self.q[start:stop]
+        view.m, view.w, view.ids = self.m[start:stop], self.w[start:stop], self.ids[start:stop]
+        return view
 
     def sorted_by(self, keys: np.ndarray) -> "ParticleArray":
         """Return a copy stably sorted by ``keys``."""
@@ -190,10 +196,8 @@ class ParticlePool:
             raise ValueError("offsets must be non-decreasing")
         self.array = array
         self.offsets = offsets
-        self.views = [
-            array.slice_view(int(offsets[r]), int(offsets[r + 1]))
-            for r in range(offsets.shape[0] - 1)
-        ]
+        bounds = offsets.tolist()
+        self.views = [array.slice_view(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
         self._rank_of: np.ndarray | None = None
 
     @classmethod
@@ -202,18 +206,6 @@ class ParticlePool:
         counts = np.array([p.n for p in parts], dtype=np.int64)
         offsets = np.concatenate(([0], np.cumsum(counts)))
         return cls(ParticleArray.concat(parts), offsets)
-
-    @classmethod
-    def from_matrices(cls, matrices: list[np.ndarray]) -> "ParticlePool":
-        """Pool per-rank transport matrices (the migration receive path)."""
-        ncols = len(MATRIX_COLUMNS)
-        mats = [np.asarray(m, dtype=np.float64).reshape(-1, ncols) for m in matrices]
-        counts = np.array([m.shape[0] for m in mats], dtype=np.int64)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        stacked = (
-            np.concatenate(mats) if mats else np.empty((0, ncols))
-        )
-        return cls(ParticleArray.from_matrix(stacked), offsets)
 
     # ------------------------------------------------------------------
     @property
@@ -242,9 +234,9 @@ class ParticlePool:
     def owns(self, particles: list[ParticleArray]) -> bool:
         """True when ``particles`` are exactly this pool's views.
 
-        The pooled engine uses this identity check to detect external
-        replacement of a stepper's per-rank particle lists (e.g. by the
-        redistributor) and rebuild the pool lazily.
+        The pooled steppers use this identity check to detect external
+        replacement of their per-rank particle lists and rebuild the pool
+        lazily.
         """
         return len(particles) == self.p and all(
             particles[r] is self.views[r] for r in range(self.p)

@@ -4,18 +4,53 @@
 (paper §5.1 "Sorting"): sample-based splitter selection, all-to-many
 routing, and local sort.  The *incremental* variant that reuses the
 previous epoch's order lives in :mod:`repro.core.incremental_sort`; this
-module provides the shared primitives.
+module provides the shared primitives and the pooled block
+(:class:`KeyedRows`) every stage of the pipeline takes and returns.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
+from repro.machine.collectives import exchange_by_destination_pooled
 from repro.machine.virtual import VirtualMachine
-from repro.machine.collectives import exchange_by_destination
 from repro.util import require
 
-__all__ = ["regular_samples", "local_sort_by_keys", "parallel_sample_sort"]
+__all__ = [
+    "KeyedRows",
+    "regular_samples",
+    "parallel_sample_sort",
+]
+
+
+class KeyedRows(NamedTuple):
+    """All ranks' keyed rows as one pooled block.
+
+    Rank ``r`` holds ``rows[offsets[r]:offsets[r + 1]]`` (particle
+    transport rows, ``(n, 9)``, or any row payload) and the aligned
+    ``keys`` (int64 curve positions); ``offsets`` has ``p + 1`` entries.
+    """
+
+    rows: np.ndarray
+    keys: np.ndarray
+    offsets: np.ndarray
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Rows per rank (int64, length ``p``)."""
+        return np.diff(self.offsets)
+
+    def rank_of_rows(self) -> np.ndarray:
+        """Owning rank of every row."""
+        return np.repeat(np.arange(self.counts.shape[0], dtype=np.int64), self.counts)
+
+    def sorted_within_ranks(self) -> "KeyedRows":
+        """Each rank's rows stably sorted by key: what ``p`` per-rank
+        stable sorts give, in one ``lexsort``."""
+        order = np.lexsort((self.keys, self.rank_of_rows()))
+        return KeyedRows(self.rows.take(order, axis=0), self.keys.take(order), self.offsets)
 
 
 def regular_samples(sorted_keys: np.ndarray, nsamples: int) -> np.ndarray:
@@ -33,93 +68,60 @@ def regular_samples(sorted_keys: np.ndarray, nsamples: int) -> np.ndarray:
     return sorted_keys[idx]
 
 
-def local_sort_by_keys(
-    keys: np.ndarray, payload: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stable-sort ``payload`` rows by ``keys``; returns (keys, payload)."""
-    keys = np.asarray(keys)
-    require(keys.shape[0] == payload.shape[0], "keys/payload length mismatch")
-    order = np.argsort(keys, kind="stable")
-    return keys[order], payload[order]
-
-
 def parallel_sample_sort(
     vm: VirtualMachine,
-    keys: list[np.ndarray],
-    payloads: list[np.ndarray],
+    block: KeyedRows,
     *,
     oversample: int = 4,
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+) -> tuple[KeyedRows, np.ndarray]:
     """Globally sort keyed rows across ranks by sample sort.
 
     Parameters
     ----------
     vm:
         The virtual machine; costs are charged under its current phase.
-    keys:
-        Per-rank int64/float key arrays.
-    payloads:
-        Per-rank 2-D row payloads aligned with ``keys`` (e.g. particle
-        transport matrices).
+    block:
+        The ranks' keyed rows, pooled (:class:`KeyedRows`).
     oversample:
         Samples per rank = ``oversample * p`` (regular sampling of the
         locally sorted keys), traded against splitter quality.
 
     Returns
     -------
-    (keys_out, payloads_out, splitters):
-        Per-rank sorted slices such that the rank-order concatenation is
-        globally sorted, plus the ``p - 1`` global splitters used.
-        Counts per rank are *approximately* equal (sample sort property);
-        follow with :func:`repro.core.load_balance.order_maintaining_balance`
-        for exact balance.
+    (block, splitters):
+        The rows re-pooled so that every rank's slice is sorted and the
+        rank-order concatenation is globally sorted, plus the ``p - 1``
+        global splitters used.  Counts per rank are *approximately*
+        equal (sample sort property); follow with
+        :func:`repro.core.load_balance.order_maintaining_balance` for
+        exact balance.
     """
     p = vm.p
-    require(len(keys) == p and len(payloads) == p, "need one keys/payload per rank")
+    require(block.offsets.shape[0] == p + 1, "need one keys/rows segment per rank")
+    require(block.keys.shape[0] == block.rows.shape[0], "keys/rows length mismatch")
     # 1. local sort (charged as n log n comparisons per rank)
-    sorted_keys: list[np.ndarray] = []
-    sorted_payloads: list[np.ndarray] = []
-    nlocal = np.zeros(p)
-    for r in range(p):
-        k, m = local_sort_by_keys(np.asarray(keys[r]), np.asarray(payloads[r]))
-        sorted_keys.append(k)
-        sorted_payloads.append(m)
-        nlocal[r] = k.shape[0]
-    logn = np.log2(np.maximum(nlocal, 2.0))
-    vm.charge_ops("sort", nlocal * logn)
+    block = block.sorted_within_ranks()
+    nlocal = block.counts.astype(float)
+    vm.charge_ops("sort", nlocal * np.log2(np.maximum(nlocal, 2.0)))
 
     # 2. sample and pick global splitters (concatenation collective)
-    samples = [regular_samples(sorted_keys[r], oversample * p) for r in range(p)]
-    gathered = vm.allgather(samples)[0]
-    all_samples = np.sort(np.concatenate([s for s in gathered if s.size]))
+    ranks = np.split(block.keys, block.offsets[1:-1])
+    samples = [regular_samples(keys, oversample * p) for keys in ranks]
+    all_samples = np.sort(np.concatenate(vm.allgather(samples)[0]))
     if all_samples.size >= p - 1 and p > 1:
-        idx = (np.arange(1, p) * all_samples.size) // p
-        splitters = all_samples[idx]
+        splitters = all_samples[(np.arange(1, p) * all_samples.size) // p]
     else:
         splitters = all_samples[: max(p - 1, 0)]
 
     # 3. route rows to destination ranks
-    dests = [
-        np.searchsorted(splitters, sorted_keys[r], side="right").astype(np.int64)
-        for r in range(p)
-    ]
+    dests = np.searchsorted(splitters, block.keys, side="right").astype(np.int64)
     vm.charge_ops("sort", nlocal * np.log2(max(p, 2)))
-    recv_payloads = exchange_by_destination(vm, sorted_payloads, dests)
-    recv_keys = exchange_by_destination(
-        vm, [k.reshape(-1, 1) for k in sorted_keys], dests
+    (rows, keys), offsets = exchange_by_destination_pooled(
+        vm, (block.rows, block.keys), dests, block.offsets
     )
 
     # 4. final local sort of received rows
-    keys_out: list[np.ndarray] = []
-    payloads_out: list[np.ndarray] = []
-    for r in range(p):
-        k = recv_keys[r].reshape(-1)
-        m = recv_payloads[r]
-        if m.ndim == 1:  # empty receive may come back flat
-            m = m.reshape(0, payloads[r].shape[1] if payloads[r].ndim == 2 else 1)
-        k, m = local_sort_by_keys(k, m)
-        keys_out.append(k)
-        payloads_out.append(m)
-    counts = np.array([k.shape[0] for k in keys_out], dtype=float)
+    out = KeyedRows(rows, keys, offsets).sorted_within_ranks()
+    counts = out.counts.astype(float)
     vm.charge_ops("sort", counts * np.log2(np.maximum(counts, 2.0)))
-    return keys_out, payloads_out, splitters
+    return out, splitters

@@ -90,9 +90,10 @@ class CheckpointData:
     ``pool`` holds all ranks' particles in the pooled layout.
     ``run_state`` is the exact-resume payload (config, machine, policy,
     counters, decomposition bounds) as a JSON-compatible dict, ``None``
-    for v1 files; ``sort_keys`` the redistributor's per-rank build-time
-    keys (``None`` without a redistributor); ``records`` the history as
-    :data:`RECORD_DTYPE` tuples; ``trace_rows`` the phase-profile dicts.
+    for v1 files; ``sort_keys`` the redistributor's build-time keys, one
+    vector aligned with ``pool`` (``None`` without a redistributor);
+    ``records`` the history as :data:`RECORD_DTYPE` tuples; ``trace_rows``
+    the phase-profile dicts.
     """
 
     grid: Grid2D
@@ -101,7 +102,7 @@ class CheckpointData:
     iteration: int
     version: int = _FORMAT_VERSION
     run_state: dict | None = None
-    sort_keys: list[np.ndarray] | None = None
+    sort_keys: np.ndarray | None = None
     records: list[tuple] = field(default_factory=list)
     trace_rows: list[dict[str, float]] = field(default_factory=list)
 
@@ -160,7 +161,7 @@ def save_checkpoint(
     iteration: int,
     *,
     run_state: dict | None = None,
-    sort_keys: list[np.ndarray] | None = None,
+    sort_keys: np.ndarray | None = None,
     records: Sequence[tuple] = (),
     trace_rows: Sequence[dict[str, float]] = (),
 ) -> Path:
@@ -169,8 +170,9 @@ def save_checkpoint(
     ``particles`` is a list of per-rank sets (pass ``[parts]`` for a
     sequential run).  ``run_state`` is the JSON-compatible exact-resume
     payload assembled by ``Simulation.checkpoint``; ``sort_keys`` the
-    redistributor's per-rank build-time keys; ``records`` the history as
-    :data:`RECORD_DTYPE` tuples; ``trace_rows`` the phase-profile dicts.
+    redistributor's build-time keys, one vector aligned with the particles
+    in rank order; ``records`` the history as :data:`RECORD_DTYPE` tuples;
+    ``trace_rows`` the phase-profile dicts.
     All are optional, so the physical-state round trip works standalone.
 
     Members are written one at a time straight from the per-rank sets —
@@ -180,13 +182,13 @@ def save_checkpoint(
     """
     require(iteration >= 0, "iteration must be >= 0")
     require(len(particles) >= 1, "need at least one particle set")
-    require(
-        sort_keys is None or len(sort_keys) == len(particles),
-        "sort_keys must have one entry per particle set",
-    )
     path = _resolve_path(path)
     offsets = np.concatenate(([0], np.cumsum([parts.n for parts in particles]))).astype(np.int64)
     n = int(offsets[-1])
+    require(
+        sort_keys is None or np.shape(sort_keys) == (n,),
+        "sort_keys must have one entry per particle",
+    )
     phases, trace_block = _pack_rows(trace_rows)
     state = {"run_state": run_state, "has_sort_keys": sort_keys is not None, "trace_phases": phases}
     small = {
@@ -206,7 +208,7 @@ def save_checkpoint(
         matrices = (parts.to_matrix() for parts in particles)
         _write_member(zf, "particles", matrices, (n, len(MATRIX_COLUMNS)), np.float64)
         if sort_keys is not None:
-            _write_member(zf, "sort_keys", sort_keys, (n,), np.asarray(sort_keys[0]).dtype)
+            _write_member(zf, "sort_keys", [sort_keys], (n,), np.asarray(sort_keys).dtype)
         blocks = (getattr(fields, name)[None] for name in _FIELD_NAMES)
         _write_member(zf, "fields", blocks, (len(_FIELD_NAMES), *fields.shape), np.float64)
     return path
@@ -307,7 +309,9 @@ def load_checkpoint(path: str | Path, *, strict: bool = False) -> CheckpointData
             else:  # per-rank / per-field members, concatenated into the pooled form
                 need(*(f"field_{name}" for name in _FIELD_NAMES))
                 need(*(f"rank{r}_matrix" for r in ranks))
-                pool = ParticlePool.from_matrices([read(f"rank{r}_matrix") for r in ranks])
+                mats = [read(f"rank{r}_matrix").reshape(-1, len(MATRIX_COLUMNS)) for r in ranks]
+                offsets = np.cumsum([0] + [m.shape[0] for m in mats])
+                pool = ParticlePool(ParticleArray.from_matrix(np.concatenate(mats)), offsets)
                 field_block = np.stack([read(f"field_{name}") for name in _FIELD_NAMES])
                 keys = None
                 if has_sort_keys:
@@ -324,10 +328,8 @@ def load_checkpoint(path: str | Path, *, strict: bool = False) -> CheckpointData
                 field_block.shape == (len(_FIELD_NAMES), ny, nx),
                 f"field block of shape {field_block.shape} on a {nx}x{ny} grid",
             )
-            sort_keys = None
             if keys is not None:
                 require(keys.shape == (pool.n,), f"{keys.shape} sort keys for {pool.n} particles")
-                sort_keys = np.split(keys, pool.offsets[1:-1])
             return CheckpointData(
                 Grid2D(nx, ny, lx=lx, ly=ly),
                 FieldState(*field_block),
@@ -335,7 +337,7 @@ def load_checkpoint(path: str | Path, *, strict: bool = False) -> CheckpointData
                 iteration,
                 version=version,
                 run_state=run_state,
-                sort_keys=sort_keys,
+                sort_keys=keys,
                 records=records,
                 trace_rows=trace_rows,
             )

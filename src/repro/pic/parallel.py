@@ -93,7 +93,8 @@ class PooledParticles:
     decomp:
         Mesh decomposition (ownership of cells/nodes).
     local_particles:
-        Initial per-rank particle sets (length ``vm.p``).
+        Initial per-rank particle sets (length ``vm.p``), or a
+        :class:`~repro.particles.arrays.ParticlePool` adopted as it is.
     dt:
         Time step; defaults to 90% of the solver's CFL limit.
     """
@@ -118,14 +119,25 @@ class PooledParticles:
         vm: VirtualMachine,
         grid,
         decomp: MeshDecomposition,
-        local_particles: list[ParticleArray],
+        local_particles: list[ParticleArray] | ParticlePool,
         dt: float | None,
     ) -> None:
-        require(len(local_particles) == vm.p, "need one particle set per rank")
         self.vm = vm
         self.grid = grid
         self.set_decomposition(decomp)
-        self.particles = list(local_particles)
+        # The particle pool (lazily rebuilt whenever self.particles is
+        # replaced from outside) and the pooled CIC ``(pool, nodes,
+        # weights)`` of the latest scatter.  Positions only change in the
+        # push, so the next gather reuses the scatter's vertex evaluation
+        # while the pool is still the same object; the cache is dropped
+        # once consumed.
+        self._pool: ParticlePool | None = None
+        self._cic_pool_cache: tuple[ParticlePool, np.ndarray, np.ndarray] | None = None
+        if isinstance(local_particles, ParticlePool):
+            self.pool = local_particles
+        else:
+            self.particles = list(local_particles)
+        require(len(self.particles) == vm.p, "need one particle set per rank")
         self.solver = self.SOLVER(grid)
         self.dt = dt if dt is not None else 0.9 * self.solver.cfl_limit()
         self.solver.validate_dt(self.dt)
@@ -140,14 +152,6 @@ class PooledParticles:
         #: one dormant branch per kernel call.  The profiler never touches
         #: the virtual clocks (DESIGN.md §5.8).
         self.profiler = None
-        # The particle pool (lazily rebuilt whenever self.particles is
-        # replaced from outside, e.g. by the redistributor) and the pooled
-        # CIC ``(pool, nodes, weights)`` of the latest scatter.  Positions
-        # only change in the push, so the next gather reuses the scatter's
-        # vertex evaluation while the pool is still the same object; the
-        # cache is dropped once consumed.
-        self._pool: ParticlePool | None = None
-        self._cic_pool_cache: tuple[ParticlePool, np.ndarray, np.ndarray] | None = None
 
     def set_decomposition(self, decomp: MeshDecomposition) -> None:
         """Install a new mesh decomposition (adaptive rebalancing).
@@ -165,24 +169,23 @@ class PooledParticles:
         self.node_counts = decomp.node_counts().astype(float)
         self.halo = HaloSchedule(decomp)
 
-    def _ensure_pool(self) -> ParticlePool:
-        """Return the current particle pool, rebuilding it if stale.
+    @property
+    def pool(self) -> ParticlePool:
+        """All ranks' particles as one pool; ``particles`` are its views.
 
-        ``self.particles`` is public API: the simulation driver swaps in
-        redistributed particle lists between steps.  The pool is valid
+        Assigning a pool (the redistributor's, a checkpoint's) installs it
+        as it is.  ``self.particles`` is public API too: the pool is valid
         only while ``self.particles`` are exactly its segment views, so
-        any external replacement triggers one concatenation rebuild here
-        (O(n) copy — everything downstream is views again).
+        replacing that list triggers one concatenation rebuild here (O(n)
+        copy — everything downstream is views again).
         """
         pool = self._pool
-        if pool is not None and pool.owns(self.particles):
-            return pool
-        pool = ParticlePool.from_ranks(self.particles)
-        self._install_pool(pool)
+        if pool is None or not pool.owns(self.particles):
+            self.pool = pool = ParticlePool.from_ranks(self.particles)
         return pool
 
-    def _install_pool(self, pool: ParticlePool) -> None:
-        """Adopt a freshly built pool."""
+    @pool.setter
+    def pool(self, pool: ParticlePool) -> None:
         self._pool = pool
         self.particles = list(pool.views)
         self._cic_pool_cache = None
@@ -389,7 +392,7 @@ class ParallelPIC(PooledParticles):
         nnodes = grid.nnodes
         p = vm.p
         nchannels = len(CHANNELS)
-        pool = self._ensure_pool()
+        pool = self.pool
         counts = pool.counts
         acc = np.zeros((nchannels, nnodes))
         backend = self.backend
@@ -461,26 +464,26 @@ class ParallelPIC(PooledParticles):
         A distributed 2-D FFT over row-block storage needs one global
         transpose in each direction; we exchange the real row-block
         pieces of rho through the machine (an all-to-all of ``m / p^2``
-        blocks) before and after the solve, charging the FFT's
+        blocks, rank ``r`` sending its rows' column block ``d`` to rank
+        ``d``) before and after the solve, charging the FFT's
         ``O((m / p) log m)`` butterflies per rank.
         """
         vm = self.vm
         grid = self.grid
         with vm.phase("field"):
-            # all-to-all transpose of the row-blocked rho, both ways
-            row_bounds = np.linspace(0, grid.ny, vm.p + 1).astype(int)
-            col_bounds = np.linspace(0, grid.nx, vm.p + 1).astype(int)
-            send: list[dict[int, np.ndarray]] = []
-            for r in range(vm.p):
-                rows = self.fields.rho[row_bounds[r] : row_bounds[r + 1]]
-                chunk = {
-                    dst: np.ascontiguousarray(rows[:, col_bounds[dst] : col_bounds[dst + 1]])
-                    for dst in range(vm.p)
-                    if rows.size and col_bounds[dst + 1] > col_bounds[dst]
-                }
-                send.append(chunk)
-            vm.alltoallv(send)  # forward transpose
-            vm.alltoallv(send)  # inverse transpose (same volume)
+            # all-to-all transpose of the row-blocked rho, both ways: one
+            # message per (row block, column block), the block row-major
+            rho = self.fields.rho
+            ny, nx = rho.shape
+            ranks = np.arange(vm.p)
+            row_block = np.repeat(ranks, np.diff(np.linspace(0, ny, vm.p + 1).astype(int)))
+            col_block = np.repeat(ranks, np.diff(np.linspace(0, nx, vm.p + 1).astype(int)))
+            ys, xs = np.divmod(np.arange(rho.size), nx)
+            order = np.lexsort((xs, ys, col_block[xs], row_block[ys]))
+            src, dst = row_block[ys.take(order)], col_block[xs.take(order)]
+            transpose = MessageBatch.coalesce(src, dst, values=rho.ravel().take(order)[None, :])
+            vm.exchange(transpose)  # forward transpose
+            vm.exchange(transpose)  # inverse transpose (same volume)
             m = grid.nnodes
             vm.charge_ops("field", (m / vm.p) * np.log2(max(m, 2)) / 4.0)
             phi = self.poisson.solve_fft(self.fields.rho)
@@ -503,7 +506,7 @@ class ParallelPIC(PooledParticles):
         """
         vm = self.vm
         grid = self.grid
-        pool = self._ensure_pool()
+        pool = self.pool
         backend = self.backend
         prof = self.profiler
         node_values = self._field_node_values()
@@ -546,7 +549,7 @@ class ParallelPIC(PooledParticles):
         vm = self.vm
         prof = self.profiler
         with vm.phase("migration"):
-            pool = self._ensure_pool()
+            pool = self.pool
             with maybe_section(prof, "partition"):
                 parts = pool.array
                 cells = self.grid.cell_id_of_positions(parts.x, parts.y)
@@ -554,8 +557,10 @@ class ParallelPIC(PooledParticles):
                 matrix = parts.to_matrix()
             vm.charge_ops("index", pool.counts.astype(float))
             with maybe_section(prof, "exchange"):
-                received = exchange_by_destination_pooled(vm, matrix, owner, pool.offsets)
-                self._install_pool(ParticlePool.from_matrices(received))
+                (rows,), offsets = exchange_by_destination_pooled(
+                    vm, (matrix,), owner, pool.offsets
+                )
+                self.pool = ParticlePool(ParticleArray.from_matrix(rows), offsets)
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -133,7 +133,7 @@ class ParallelYeePIC(PooledParticles):
     def _distributed_rho(self) -> None:
         """CIC charge deposition with ghost communication (rho only)."""
         grid = self.grid
-        pool = self._ensure_pool()
+        pool = self.pool
         parts = pool.array
         acc = np.empty((1, grid.nnodes))
         with self.vm.phase("scatter"):
@@ -187,7 +187,7 @@ class ParallelYeePIC(PooledParticles):
         """
         vm = self.vm
         prof = self.profiler
-        pool = self._ensure_pool()
+        pool = self.pool
         parts = pool.array
         node_values = self._field_node_values()
         eb = np.empty((6, pool.n))

@@ -31,7 +31,7 @@ from repro.machine.trace import PhaseTrace
 from repro.machine.virtual import VirtualMachine
 from repro.mesh.decomposition import CurveBlockDecomposition, MeshDecomposition, balanced_splits
 from repro.mesh.grid import Grid2D
-from repro.particles.arrays import ParticleArray
+from repro.particles.arrays import ParticleArray, ParticlePool
 from repro.particles.init import gaussian_blob, ring_distribution, two_stream, uniform_plasma
 from repro.pic.checkpoint import (
     RECORD_DTYPE,
@@ -424,8 +424,8 @@ class Simulation:
         cost = 0.0
         if cfg.movement == "lagrangian":
             self.redistributor = Redistributor(self.partitioner, nbuckets=cfg.nbuckets)
-            result = self.redistributor.initialize(vm, local)
-            local, cost = result.particles, result.cost
+            result = self.redistributor.initialize(vm, ParticlePool.from_ranks(local))
+            local, cost = result.pool, result.cost
             if setup:
                 vm.clocks[:] = 0.0
                 vm.compute_time[:] = 0.0
@@ -448,7 +448,7 @@ class Simulation:
         return cost
 
     # ------------------------------------------------------------------
-    def _build_stepper(self, vm: VirtualMachine, local: list[ParticleArray]):
+    def _build_stepper(self, vm: VirtualMachine, local: list[ParticleArray] | ParticlePool):
         """The configured PIC stepper over ``local`` on ``vm``.
 
         Called at construction and again by rank-failure recovery, which
@@ -694,9 +694,7 @@ class Simulation:
                 max_msgs = scatter.max_msgs if scatter is not None else 0
                 self.policy.record_iteration(it, t_iter)
                 if self.policy.needs_load:
-                    self.policy.record_load(
-                        it, [int(parts.n) for parts in self.pic.particles]
-                    )
+                    self.policy.record_load(it, self.pic.pool.counts.tolist())
                 redistributed = False
                 cost = 0.0
                 redis_epoch = None
@@ -705,11 +703,8 @@ class Simulation:
                     and self.config.movement == "lagrangian"
                     and self.policy.should_redistribute(it)
                 ):
-                    result = self.redistributor.redistribute(vm, self.pic.particles)
-                    self.pic.particles, cost = result.particles, result.cost
-                    # or this frame keeps the pre-pooling particle lists
-                    # alive through the next step: one state of peak memory
-                    del result
+                    result = self.redistributor.redistribute(vm, self.pic.pool)
+                    self.pic.pool, cost = result.pool, result.cost
                     redistributed, redis_epoch = True, self._redistributed(it, cost)
                 elif self.rebalancer is not None and self.policy.should_redistribute(it):
                     cost = self.rebalancer.rebalance(self.pic)
@@ -1078,7 +1073,7 @@ class Simulation:
             decomp = CurveBlockDecomposition(self.grid, cfg.p, cfg.scheme, bounds=bounds)
             self.decomp = decomp
             self.pic.set_decomposition(decomp)
-        self.pic.particles = list(data.particles)
+        self.pic.pool = data.pool
         self.pic.fields = data.fields
         self.pic.iteration = data.iteration
         self.vm.load_state(rs["vm"])
@@ -1097,7 +1092,7 @@ class Simulation:
                     "checkpoint carries no redistribution sort keys but the "
                     "configured run (lagrangian movement) needs them"
                 )
-            self.redistributor.restore_keys(data.sort_keys, self.pic.particles)
+            self.redistributor.restore_keys(data.sort_keys, data.pool)
         self.iteration = data.iteration
         # keys absent from checkpoints written before fault tolerance
         self.n_recoveries = int(rs.get("n_recoveries", 0))

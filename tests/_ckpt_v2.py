@@ -65,7 +65,9 @@ def checkpoint_v2(sim: Simulation, path) -> Path:
     }
     if sim.correlation is not None:
         run_state["correlation"] = dict(sim.correlation)
-    sort_keys = sim.redistributor.export_keys() if sim.redistributor is not None else None
+    sort_keys = None
+    if sim.redistributor is not None:  # v2 stored one key vector per rank
+        sort_keys = np.split(sim.redistributor.export_keys(), sim.pic.pool.offsets[1:-1])
     return save_checkpoint_v2(
         path,
         sim.grid,

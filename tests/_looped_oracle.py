@@ -14,7 +14,9 @@ replaced are kept too, as the ``reference_*`` functions at the end
 (``tests/test_yee_pooled_parity.py`` pins bit-equality), and so is the
 per-entry ghost bookkeeping the era scatter ran before it moved onto
 ``(rank, cell)`` pairs (``reference_scatter_segment``,
-``tests/test_scatter_sparse.py``).
+``tests/test_scatter_sparse.py``), and so is the per-rank dict router on
+``vm.alltoallv`` that ``exchange_by_destination_pooled`` replaced
+(``looped_exchange_by_destination``, ``tests/test_vm_exchange.py``).
 
 What the oracle pins (``tests/test_engine_parity.py``,
 ``tests/test_equivalence_sweep.py``, ``tests/test_scatter_sparse.py``):
@@ -27,8 +29,8 @@ pins the same for the modern stepper, plus ``last_gather_replies``.
 
 import numpy as np
 
-from repro.machine.collectives import exchange_by_destination
 from repro.particles.arrays import ParticleArray
+from repro.particles.sort import KeyedRows
 from repro.pic.deposition import CHANNELS, deposition_entries, pooled_ghost_keys
 from repro.pic.ghost import make_ghost_table
 from repro.pic.interpolation import gather_from_node_values
@@ -38,6 +40,7 @@ from repro.pic.push import boris_push
 from repro.pic.simulation import Simulation
 from repro.pic.yee import staggered_cic
 from repro.pic.zigzag import deposit_current_zigzag
+from repro.util.errors import InvalidRankError
 
 
 class LoopedPIC(ParallelPIC):
@@ -175,10 +178,45 @@ class LoopedPIC(ParallelPIC):
                 payloads.append(parts.to_matrix())
                 dests.append(owner)
             vm.charge_ops("index", np.array([float(p.n) for p in self.particles]))
-            received = exchange_by_destination(vm, payloads, dests)
+            received = looped_exchange_by_destination(vm, payloads, dests)
             self.particles = [ParticleArray.from_matrix(m) for m in received]
             self._pool = None
 
+
+
+def looped_exchange_by_destination(vm, arrays, destinations):
+    """Route rank ``r``'s rows ``arrays[r]`` to ``destinations[r]``: per
+    rank a stable split by destination into a ``{dst: rows}`` dict, one
+    ``vm.alltoallv``, and per destination the concatenation of what it
+    received in source order (an empty ``arrays[0][:0]`` if nothing)."""
+    send = []
+    for r in range(vm.p):
+        rows = np.asarray(arrays[r])
+        dest = np.asarray(destinations[r], dtype=np.int64)
+        assert rows.shape[0] == dest.shape[0], f"rank {r}: array/destination length mismatch"
+        bad = np.flatnonzero((dest < 0) | (dest >= vm.p))
+        if bad.size:
+            raise InvalidRankError(f"rank {r} row {bad[0]}: destination {dest[bad[0]]} out of range")
+        order = np.argsort(dest, kind="stable")
+        sorted_rows, sorted_dest = rows[order], dest[order]
+        uniq, starts = np.unique(sorted_dest, return_index=True)
+        bounds = np.append(starts, dest.size)
+        send.append({int(d): sorted_rows[bounds[i] : bounds[i + 1]] for i, d in enumerate(uniq)})
+    recv = vm.alltoallv(send)
+    empty = np.asarray(arrays[0])[:0]
+    return [np.concatenate([recv[d][s] for s in sorted(recv[d])] or [empty]) for d in range(vm.p)]
+
+
+def keyed_rows(keys, rows) -> KeyedRows:
+    """Per-rank key and row arrays as one pooled block."""
+    offsets = np.cumsum([0] + [len(k) for k in keys])
+    return KeyedRows(np.concatenate(rows), np.concatenate(keys), offsets)
+
+
+def per_rank(block: KeyedRows) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """A pooled block cut back into per-rank ``(keys, rows)`` lists."""
+    cut = block.offsets[1:-1]
+    return np.split(block.keys, cut), np.split(block.rows, cut)
 
 
 #: Stagger shifts of each gathered component, in cell units.

@@ -9,6 +9,11 @@ checked by running this file against a checkout of the parent's ``src``
 and comparing the two outputs; no golden digests are committed because
 particle and field bytes depend on the host's libm and NumPy SIMD paths.
 
+The rows in :data:`EXCHANGE_FAULTS` run under a fault plan aimed at the
+particle and field-node exchanges of redistribution and adaptive
+rebalancing (drops, duplicates and corrupt messages: costs and
+statistics, never payloads, change).
+
 The rows in :data:`OBSERVED` run with telemetry on and a batch
 correlation stamped; their digest also covers the bytes of the metrics
 JSONL stream and the Chrome trace the run exports, with the scratch
@@ -34,7 +39,7 @@ from repro.machine import FaultEvent, FaultPlan
 from repro.pic import Simulation, SimulationConfig
 from repro.util.errors import SimulationIntegrityError
 
-__all__ = ["ROWS", "OBSERVED", "ITERATIONS", "digest", "main"]
+__all__ = ["ROWS", "OBSERVED", "EXCHANGE_FAULTS", "ITERATIONS", "digest", "main"]
 
 ITERATIONS = 12
 _HALF = ITERATIONS // 2
@@ -49,6 +54,21 @@ _KILL_AND_DROP = dict(
         FaultEvent(kind="drop", phase="scatter", iteration=3, src=1),
     ),
 )
+#: scenario -> fault plan of the rows that fault the rewritten exchanges
+_EXCHANGE_PLANS = {
+    "redistribution_faults": FaultPlan(
+        events=tuple(
+            FaultEvent(kind=kind, phase="redistribution") for kind in ("drop", "duplicate", "corrupt")
+        )
+    ),
+    "adaptive_faults": FaultPlan(
+        events=tuple(
+            FaultEvent(kind=kind, phase=phase)
+            for kind in ("drop", "duplicate")
+            for phase in ("migration", "rebalance")
+        )
+    ),
+}
 
 #: row name -> (config overrides, scenario); the names are those recorded
 #: under ``exactness`` in ``benchmarks/results/pr23_shard_threads.json``
@@ -85,10 +105,17 @@ ROWS: dict[str, tuple[dict, str]] = {
     # instants, counter tracks, a shrink and its rank lanes in the exports
     "era_observed_faultplan": (dict(p=6, policy="periodic:5"), "faults_checkpointed"),
     "modern_observed": (_MODERN, "plain"),
+    "era_faults_in_redistribution": (dict(p=6, policy="periodic:3"), "redistribution_faults"),
+    "era_adaptive_faults": (
+        dict(movement="eulerian", partitioning="adaptive", policy="periodic:4"),
+        "adaptive_faults",
+    ),
 }
 
 #: rows run with telemetry on and a correlation stamped; their exports are hashed too
 OBSERVED = ("era_observed_faultplan", "modern_observed")
+#: rows whose fault plan targets the redistribution and rebalancing exchanges
+EXCHANGE_FAULTS = ("era_faults_in_redistribution", "era_adaptive_faults")
 
 
 def _build(factory, source, workers: int) -> Simulation:
@@ -117,6 +144,9 @@ def _run(name: str, workers: int, scratch: Path) -> tuple[Simulation, str | None
     elif scenario == "faults_checkpointed":
         sim.install_faults(FaultPlan(**_KILL_AND_DROP))
         sim.run(ITERATIONS, checkpoint_every=4, checkpoint_path=checkpoint)
+    elif scenario in _EXCHANGE_PLANS:
+        sim.install_faults(_EXCHANGE_PLANS[scenario])
+        sim.run(ITERATIONS)
     elif scenario == "faults_salvaged":
         sim.install_faults(FaultPlan(**_KILL_AND_DROP))
         sim.run(ITERATIONS)

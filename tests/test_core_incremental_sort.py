@@ -5,85 +5,89 @@ import pytest
 
 from repro.core.incremental_sort import BucketState, bucket_incremental_sort
 from repro.machine import MachineModel, VirtualMachine
+from repro.particles.sort import KeyedRows
+from tests._looped_oracle import per_rank
 
 
-def make_states(p, n_per, nbuckets=4, seed=0):
+def make_state(p, n_per, nbuckets=4, seed=0):
+    """A sorted balanced state of ``p * n_per`` keys; rows hold the keys."""
     rng = np.random.default_rng(seed)
-    all_keys = np.sort(rng.integers(0, 100000, p * n_per))
-    states = []
-    for r in range(p):
-        keys = all_keys[r * n_per : (r + 1) * n_per]
-        payload = keys.reshape(-1, 1).astype(float)
-        states.append(BucketState.build(keys, payload, nbuckets))
-    return states
+    keys = np.sort(rng.integers(0, 100000, p * n_per))
+    return BucketState.build(keys, np.arange(p + 1) * n_per, nbuckets)
+
+
+def moved(state, new_keys):
+    """The state's rows (its keys as floats) under ``new_keys``."""
+    return KeyedRows(state.keys.reshape(-1, 1).astype(float), new_keys, state.offsets)
 
 
 class TestBucketState:
     def test_build_offsets(self):
-        state = BucketState.build(np.arange(10), np.zeros((10, 1)), 4)
-        assert state.bucket_offsets.tolist() == [0, 3, 6, 8, 10]
+        # 10 elements in 4 buckets: sizes 3, 3, 2, 2
+        state = BucketState.build(np.arange(10), [0, 10], 4)
+        assert state.elem_lows.tolist() == [0, 0, 0, 3, 3, 3, 6, 6, 8, 8]
+        assert state.elem_highs.tolist() == [2, 2, 2, 5, 5, 5, 7, 7, 9, 9]
         assert state.nbuckets == 4
 
     def test_bucket_key_ranges(self):
         keys = np.array([1, 2, 5, 9, 20, 30])
-        state = BucketState.build(keys, np.zeros((6, 1)), 2)
-        assert state.bucket_lows.tolist() == [1, 9]
-        assert state.bucket_highs.tolist() == [5, 30]
+        state = BucketState.build(keys, [0, 6], 2)
+        assert state.elem_lows.tolist() == [1, 1, 1, 9, 9, 9]
+        assert state.elem_highs.tolist() == [5, 5, 5, 30, 30, 30]
+        # per rank: two ranks of three, one bucket each
+        state = BucketState.build(keys, [0, 3, 6], 2)
+        assert state.elem_lows.tolist() == [1, 1, 5, 9, 9, 30]
+        assert state.elem_highs.tolist() == [2, 2, 5, 20, 20, 30]
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError, match="sorted"):
-            BucketState.build(np.array([3, 1]), np.zeros((2, 1)), 2)
+            BucketState.build(np.array([3, 1]), [0, 2], 2)
+        # a descent across a rank boundary is fine
+        BucketState.build(np.array([3, 1]), [0, 1, 2], 2)
 
     def test_empty_state(self):
-        state = BucketState.build(np.empty(0, dtype=np.int64), np.zeros((0, 1)), 4)
+        state = BucketState.build(np.empty(0, dtype=np.int64), [0, 0, 0], 4)
         assert state.n == 0
-        assert state.upper_key == np.iinfo(np.int64).min
+        assert state.upper_keys.tolist() == [np.iinfo(np.int64).min] * 2
 
     def test_upper_key(self):
-        state = BucketState.build(np.array([1, 7]), np.zeros((2, 1)), 2)
-        assert state.upper_key == 7
+        state = BucketState.build(np.array([1, 7, 3]), [0, 2, 2, 3], 2)
+        assert state.upper_keys.tolist() == [7, np.iinfo(np.int64).min, 3]
 
 
 class TestIncrementalSort:
     def test_identity_when_keys_unchanged(self):
         vm = VirtualMachine(4, MachineModel.cm5())
-        states = make_states(4, 50)
-        new_keys = [s.keys.copy() for s in states]
-        keys_out, payloads_out, stats = bucket_incremental_sort(vm, states, new_keys)
+        state = make_state(4, 50)
+        out, stats = bucket_incremental_sort(vm, state, moved(state, state.keys.copy()))
         assert stats.moved_rank == 0
         assert stats.same_bucket == 200
-        for s, k in zip(states, keys_out):
-            assert np.array_equal(s.keys, k)
+        assert np.array_equal(out.keys, state.keys)
+        assert np.array_equal(out.offsets, state.offsets)
 
     def test_globally_sorted_after_perturbation(self):
         vm = VirtualMachine(4, MachineModel.cm5())
-        states = make_states(4, 100, seed=1)
+        state = make_state(4, 100, seed=1)
         rng = np.random.default_rng(2)
-        new_keys = [
-            s.keys + rng.integers(-500, 500, s.n) for s in states
-        ]
-        keys_out, payloads_out, stats = bucket_incremental_sort(vm, states, new_keys)
-        merged = np.concatenate(keys_out)
-        assert np.array_equal(merged, np.sort(np.concatenate(new_keys)))
+        new_keys = state.keys + rng.integers(-500, 500, state.n)
+        out, stats = bucket_incremental_sort(vm, state, moved(state, new_keys))
+        assert np.array_equal(out.keys, np.sort(new_keys))
         assert stats.total == 400
 
     def test_payload_follows_keys(self):
         vm = VirtualMachine(4, MachineModel.cm5())
-        states = make_states(4, 50, seed=3)
+        state = make_state(4, 50, seed=3)
         # payload column = original key; perturb keys, payload should ride along
         rng = np.random.default_rng(4)
-        new_keys = [s.keys + rng.integers(-100, 100, s.n) for s in states]
-        expected_pairs = sorted(
-            zip(np.concatenate(new_keys), np.concatenate([s.payload[:, 0] for s in states]))
-        )
-        keys_out, payloads_out, _ = bucket_incremental_sort(vm, states, new_keys)
-        got_keys = np.concatenate(keys_out)
-        got_payload = np.concatenate([p[:, 0] for p in payloads_out])
+        new_keys = state.keys + rng.integers(-100, 100, state.n)
+        expected_pairs = sorted(zip(new_keys, state.keys.astype(float)))
+        out, _ = bucket_incremental_sort(vm, state, moved(state, new_keys))
+        got_payload = out.rows[:, 0]
         exp_keys = np.array([k for k, _ in expected_pairs])
-        assert np.array_equal(got_keys, exp_keys)
+        assert np.array_equal(out.keys, exp_keys)
         # payloads may tie-swap only among equal keys
-        for k in np.unique(got_keys):
-            sel = got_keys == k
+        for k in np.unique(out.keys):
+            sel = out.keys == k
             exp_vals = sorted(v for kk, v in expected_pairs if kk == k)
             assert sorted(got_payload[sel].tolist()) == exp_vals
 
@@ -91,14 +95,12 @@ class TestIncrementalSort:
         """Small perturbations mostly stay in their bucket; big ones move
         rank — the cost gradient the incremental algorithm exploits."""
         vm = VirtualMachine(4, MachineModel.cm5())
-        states = make_states(4, 200, nbuckets=8, seed=5)
-        small = [s.keys + 1 for s in states]
-        _, _, stats_small = bucket_incremental_sort(vm, states, small)
+        state = make_state(4, 200, nbuckets=8, seed=5)
+        _, stats_small = bucket_incremental_sort(vm, state, moved(state, state.keys + 1))
 
-        states2 = make_states(4, 200, nbuckets=8, seed=5)
         rng = np.random.default_rng(6)
-        big = [rng.permutation(np.concatenate([s.keys for s in states2]))[: s.n] for s in states2]
-        _, _, stats_big = bucket_incremental_sort(vm, states2, big)
+        big = rng.permutation(state.keys)
+        _, stats_big = bucket_incremental_sort(vm, state, moved(state, big))
         assert stats_small.moved_rank < stats_big.moved_rank
         assert stats_small.same_bucket > stats_big.same_bucket
 
@@ -108,15 +110,14 @@ class TestIncrementalSort:
         from repro.particles.sort import parallel_sample_sort
 
         p, n_per = 8, 500
-        states = make_states(p, n_per, seed=7)
-        new_keys = [s.keys + 2 for s in states]
+        state = make_state(p, n_per, seed=7)
+        block = moved(state, state.keys + 2)
 
         vm_inc = VirtualMachine(p, MachineModel.cm5())
-        bucket_incremental_sort(vm_inc, states, new_keys)
+        bucket_incremental_sort(vm_inc, state, block)
 
         vm_full = VirtualMachine(p, MachineModel.cm5())
-        payloads = [s.payload for s in make_states(p, n_per, seed=7)]
-        parallel_sample_sort(vm_full, new_keys, payloads)
+        parallel_sample_sort(vm_full, block)
         assert vm_inc.elapsed() < vm_full.elapsed()
 
     def test_more_buckets_cheapen_bucket_moves(self):
@@ -127,28 +128,23 @@ class TestIncrementalSort:
         costs = {}
         for nbuckets in (2, 32):
             vm = VirtualMachine(4, MachineModel.cm5())
-            states = make_states(4, 1000, nbuckets=nbuckets, seed=11)
+            state = make_state(4, 1000, nbuckets=nbuckets, seed=11)
             rng = np.random.default_rng(12)
-            new_keys = [s.keys + rng.integers(-2000, 2000, s.n) for s in states]
-            bucket_incremental_sort(vm, states, new_keys)
+            new_keys = state.keys + rng.integers(-2000, 2000, state.n)
+            bucket_incremental_sort(vm, state, moved(state, new_keys))
             costs[nbuckets] = vm.compute_time.max()
         assert costs[32] < costs[2]
 
     def test_empty_rank_handled(self):
         vm = VirtualMachine(3, MachineModel.cm5())
-        keys0 = np.array([1, 2, 3], dtype=np.int64)
-        states = [
-            BucketState.build(keys0, keys0.reshape(-1, 1).astype(float), 2),
-            BucketState.build(np.empty(0, dtype=np.int64), np.zeros((0, 1)), 2),
-            BucketState.build(np.array([10, 11], dtype=np.int64), np.zeros((2, 1)), 2),
-        ]
-        new_keys = [s.keys.copy() for s in states]
-        keys_out, _, _ = bucket_incremental_sort(vm, states, new_keys)
-        assert np.array_equal(np.concatenate(keys_out), [1, 2, 3, 10, 11])
+        state = BucketState.build(np.array([1, 2, 3, 10, 11]), [0, 3, 3, 5], 2)
+        out, _ = bucket_incremental_sort(vm, state, moved(state, state.keys.copy()))
+        assert np.array_equal(out.keys, [1, 2, 3, 10, 11])
+        assert [k.tolist() for k in per_rank(out)[0]] == [[1, 2, 3], [], [10, 11]]
 
     def test_length_mismatch_rejected(self):
         vm = VirtualMachine(2, MachineModel.cm5())
-        states = make_states(2, 10)
-        bad = [states[0].keys[:5], states[1].keys]
+        state = make_state(2, 10)
+        bad = KeyedRows(np.zeros((15, 1)), state.keys[:15], np.array([0, 5, 15]))
         with pytest.raises(ValueError, match="length mismatch"):
-            bucket_incremental_sort(vm, states, bad)
+            bucket_incremental_sort(vm, state, bad)

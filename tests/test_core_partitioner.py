@@ -6,7 +6,8 @@ import pytest
 from repro.core import ParticlePartitioner
 from repro.machine import MachineModel, VirtualMachine
 from repro.mesh import CurveBlockDecomposition, Grid2D
-from repro.particles import ParticleArray, gaussian_blob, uniform_plasma
+from repro.particles import ParticleArray, ParticlePool, gaussian_blob, uniform_plasma
+from tests._looped_oracle import per_rank
 
 
 class TestParticleKeys:
@@ -78,17 +79,19 @@ class TestDistribute:
         part = ParticlePartitioner(grid)
         vm = VirtualMachine(4, MachineModel.cm5())
         scattered = [parts.take(np.arange(r, parts.n, 4)) for r in range(4)]
-        out = part.distribute(vm, scattered)
+        block = part.distribute(vm, ParticlePool.from_ranks(scattered))
+        # the keys travel with their rows
+        moved = ParticleArray.from_matrix(block.rows)
+        assert np.array_equal(block.keys, part.particle_keys(moved))
         ref = part.initial_partition(parts, 4)
-        for got, want in zip(out, ref):
-            assert got.n == want.n
-            keys_got = np.sort(part.particle_keys(got))
+        for keys_got, want in zip(per_rank(block)[0], ref):
+            assert keys_got.size == want.n
             keys_want = np.sort(part.particle_keys(want))
-            assert np.array_equal(keys_got, keys_want)
+            assert np.array_equal(np.sort(keys_got), keys_want)
 
     def test_charges_time(self, grid):
         parts = uniform_plasma(grid, 400, rng=6)
         part = ParticlePartitioner(grid)
         vm = VirtualMachine(4, MachineModel.cm5())
-        part.distribute(vm, part.initial_partition(parts, 4))
+        part.distribute(vm, ParticlePool.from_ranks(part.initial_partition(parts, 4)))
         assert vm.elapsed() > 0

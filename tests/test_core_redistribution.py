@@ -1,12 +1,16 @@
 """Tests for the redistribution driver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core import ParticlePartitioner, Redistributor
 from repro.machine import MachineModel, VirtualMachine
 from repro.mesh import Grid2D
-from repro.particles import gaussian_blob, uniform_plasma
+from repro.mesh.fields import FieldState
+from repro.particles import ParticleArray, ParticlePool, gaussian_blob, uniform_plasma
+from repro.pic.checkpoint import save_checkpoint
 from repro.pic.push import boris_push
 
 
@@ -16,25 +20,23 @@ def setup(grid):
     partitioner = ParticlePartitioner(grid, "hilbert")
     redis = Redistributor(partitioner, nbuckets=8)
     particles = uniform_plasma(grid, 800, vth=0.3, rng=0)
-    local = partitioner.initial_partition(particles, 4)
+    local = ParticlePool.from_ranks(partitioner.initial_partition(particles, 4))
     return vm, partitioner, redis, local
 
 
-def drift(grid, local, steps=3):
+def drift(grid, pool, steps=3):
     """Move particles ballistically so keys change."""
-    e = np.zeros((3, 0))
-    for parts in local:
-        ef = np.zeros((3, parts.n))
-        bf = np.zeros((3, parts.n))
-        for _ in range(steps):
-            boris_push(grid, parts, ef, bf, dt=1.0)
+    ef = np.zeros((3, pool.n))
+    bf = np.zeros((3, pool.n))
+    for _ in range(steps):
+        boris_push(grid, pool.array, ef, bf, dt=1.0)
 
 
 class TestInitialize:
     def test_produces_balanced_sorted_ranks(self, grid, setup):
         vm, partitioner, redis, local = setup
         result = redis.initialize(vm, local)
-        counts = [p.n for p in result.particles]
+        counts = result.pool.counts
         assert max(counts) - min(counts) <= 1
         assert result.cost > 0
 
@@ -47,13 +49,13 @@ class TestInitialize:
 class TestRedistribute:
     def test_restores_sorted_balanced_state(self, grid, setup):
         vm, partitioner, redis, local = setup
-        local = redis.initialize(vm, local).particles
+        local = redis.initialize(vm, local).pool
         drift(grid, local)
         result = redis.redistribute(vm, local)
-        counts = [p.n for p in result.particles]
+        counts = result.pool.counts
         assert max(counts) - min(counts) <= 1
         prev_max = -1
-        for parts in result.particles:
+        for parts in result.pool.views:
             keys = partitioner.particle_keys(parts)
             assert np.all(np.diff(keys) >= 0)
             if keys.size:
@@ -62,23 +64,23 @@ class TestRedistribute:
 
     def test_no_particles_lost(self, grid, setup):
         vm, partitioner, redis, local = setup
-        local = redis.initialize(vm, local).particles
+        local = redis.initialize(vm, local).pool
         drift(grid, local)
         result = redis.redistribute(vm, local)
-        ids = np.sort(np.concatenate([p.ids for p in result.particles]))
+        ids = np.sort(result.pool.array.ids)
         assert np.array_equal(ids, np.arange(800))
 
     def test_attributes_preserved(self, grid, setup):
         """Momenta travel intact with their particles."""
         vm, partitioner, redis, local = setup
-        local = redis.initialize(vm, local).particles
+        local = redis.initialize(vm, local).pool
         by_id = {}
-        for parts in local:
+        for parts in local.views:
             for i in range(parts.n):
                 by_id[int(parts.ids[i])] = (parts.ux[i], parts.uy[i])
         drift(grid, local, steps=1)
         result = redis.redistribute(vm, local)
-        for parts in result.particles:
+        for parts in result.pool.views:
             for i in range(parts.n):
                 ux, uy = by_id[int(parts.ids[i])]
                 assert parts.ux[i] == pytest.approx(ux)
@@ -86,24 +88,26 @@ class TestRedistribute:
 
     def test_cost_measured(self, grid, setup):
         vm, partitioner, redis, local = setup
-        local = redis.initialize(vm, local).particles
+        local = redis.initialize(vm, local).pool
         drift(grid, local)
         result = redis.redistribute(vm, local)
         assert result.cost > 0
 
     def test_repeated_epochs(self, grid, setup):
         vm, partitioner, redis, local = setup
-        local = redis.initialize(vm, local).particles
+        local = redis.initialize(vm, local).pool
         for _ in range(4):
             drift(grid, local)
-            local = redis.redistribute(vm, local).particles
-        ids = np.sort(np.concatenate([p.ids for p in local]))
+            local = redis.redistribute(vm, local).pool
+        ids = np.sort(local.array.ids)
         assert np.array_equal(ids, np.arange(800))
 
     def test_count_change_detected(self, grid, setup):
         vm, partitioner, redis, local = setup
-        local = redis.initialize(vm, local).particles
-        local[0] = local[0].take(np.arange(local[0].n - 1))
+        local = redis.initialize(vm, local).pool
+        parts = local.views
+        parts[0] = parts[0].take(np.arange(parts[0].n - 1))
+        local = ParticlePool.from_ranks(parts)
         with pytest.raises(ValueError, match="count changed"):
             redis.redistribute(vm, local)
 
@@ -118,33 +122,99 @@ class TestRedistribute:
         decomp = CurveBlockDecomposition(grid, 4, "hilbert")
         redis = Redistributor(partitioner)
         particles = gaussian_blob(grid, 1000, vth=0.5, rng=1)
-        local = redis.initialize(vm, partitioner.initial_partition(particles, 4)).particles
+        local = ParticlePool.from_ranks(partitioner.initial_partition(particles, 4))
+        local = redis.initialize(vm, local).pool
         drift(grid, local, steps=10)
-        before = ghost_node_counts(local, grid, decomp).sum()
-        local = redis.redistribute(vm, local).particles
-        after = ghost_node_counts(local, grid, decomp).sum()
+        before = ghost_node_counts(local.views, grid, decomp).sum()
+        local = redis.redistribute(vm, local).pool
+        after = ghost_node_counts(local.views, grid, decomp).sum()
         assert after < before
 
 
 class TestFullRedistribute:
     def test_equivalent_result_to_incremental(self, grid, setup):
         vm, partitioner, redis, local = setup
-        local = redis.initialize(vm, local).particles
+        local = redis.initialize(vm, local).pool
         drift(grid, local)
-        snapshot = [p.copy() for p in local]
-        inc = redis.redistribute(vm, [p.copy() for p in snapshot])
+        inc = redis.redistribute(vm, ParticlePool.from_ranks(local.views))
 
         vm2 = VirtualMachine(4, MachineModel.cm5())
         redis2 = Redistributor(partitioner)
-        full = redis2.initialize(vm2, [p.copy() for p in snapshot])
+        full = redis2.initialize(vm2, ParticlePool.from_ranks(local.views))
         # Equal-key ties may fall on different sides of a rank boundary,
         # so compare per-rank key multisets and the global id multiset.
-        for a, b in zip(inc.particles, full.particles):
+        for a, b in zip(inc.pool.views, full.pool.views):
             assert a.n == b.n
             assert np.array_equal(
                 np.sort(partitioner.particle_keys(a)),
                 np.sort(partitioner.particle_keys(b)),
             )
-        all_inc = np.sort(np.concatenate([p.ids for p in inc.particles]))
-        all_full = np.sort(np.concatenate([p.ids for p in full.particles]))
+        all_inc = np.sort(inc.pool.array.ids)
+        all_full = np.sort(full.pool.array.ids)
         assert np.array_equal(all_inc, all_full)
+
+
+class TestSortKeyDtype:
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_keys_stay_int64_through_an_epoch_without_rank_moves(self, tmp_path, p):
+        """An epoch that moves no particle to another rank exchanges nothing;
+        that must not turn the sort keys (and so a checkpoint's
+        ``sort_keys``) into float64."""
+        grid = Grid2D(32, 32)
+        rng = np.random.default_rng(p)
+        cells = rng.choice(grid.ncells, 256, replace=False)  # one particle per cell: no key ties
+        zeros = np.zeros(cells.size)
+        particles = ParticleArray(
+            cells % grid.nx + 0.5, cells // grid.nx + 0.5, zeros, zeros, zeros,
+            zeros - 1.0, zeros + 1.0, zeros + 1.0, np.arange(cells.size),
+        )  # fmt: skip
+        vm = VirtualMachine(p, MachineModel.cm5())
+        partitioner = ParticlePartitioner(grid, "hilbert")
+        redis = Redistributor(partitioner, nbuckets=4)
+        pool = ParticlePool.from_ranks(partitioner.initial_partition(particles, p))
+        pool = redis.initialize(vm, pool).pool
+        pool.array.x[:] = np.mod(pool.array.x + 7.0, grid.lx)  # drift: still one per cell
+        pool = redis.redistribute(vm, pool).pool
+        result = redis.redistribute(vm, pool)  # the keys have not changed since
+        assert result.stats.moved_rank == 0
+        keys = redis.export_keys()
+        assert keys.dtype == np.int64
+        assert np.array_equal(keys, partitioner.particle_keys(result.pool.array))
+        path = save_checkpoint(
+            tmp_path / "ck", grid, FieldState.zeros(grid), result.pool.views, 3, sort_keys=keys
+        )
+        with np.load(path) as data:
+            assert data["sort_keys"].dtype == np.int64
+
+
+class TestMemory:
+    def test_one_redistribution_at_fig17_size(self):
+        """One redistribution of the Fig 17 run (32768 particles, p = 32)
+        peaks below 4.5 particle states of transport rows — the per-rank
+        pipeline peaked at 4.6 (10.9 MB against 2.36 MB of rows) — and the
+        redistributor keeps no particle rows between epochs: its state is
+        the sorted keys and each element's bucket key range."""
+        from repro.particles.arrays import MATRIX_COLUMNS
+        from repro.pic import Simulation, SimulationConfig
+
+        sim = Simulation(
+            SimulationConfig(
+                nx=128, ny=64, nparticles=32768, p=32, distribution="irregular",
+                policy="static", seed=3,
+            )
+        )  # fmt: skip
+        sim.run(2)
+        pool = sim.pic.pool
+        rows = pool.n * len(MATRIX_COLUMNS) * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = sim.redistributor.redistribute(sim.vm, pool)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert result.pool.n == pool.n
+        assert peak < 4.5 * rows, f"peak {peak / rows:.2f} particle states"
+        kept = [a for a in vars(sim.redistributor._state).values() if isinstance(a, np.ndarray)]
+        assert all(a.ndim == 1 and a.dtype == np.int64 for a in kept)
+        assert sum(a.nbytes for a in kept) < rows / 2

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from tests.exactness_matrix import OBSERVED, ROWS, digest
+from tests.exactness_matrix import EXCHANGE_FAULTS, OBSERVED, ROWS, digest
 
 #: an era row with redistributions, the modern kernel (``workers`` degrades
 #: to in-process there and must not show), a recovered rank failure, and
@@ -24,8 +24,8 @@ def test_rows_are_the_recorded_matrix():
     recorded = json.loads(
         (Path(__file__).parent.parent / "benchmarks/results/pr23_shard_threads.json").read_text()
     )["exactness"]["parent"]
-    # the recorded rows first, then the observed rows added after that record
-    assert list(ROWS) == [*recorded, *OBSERVED]
+    # the recorded rows first, then the rows added after that record
+    assert list(ROWS) == [*recorded, *OBSERVED, *EXCHANGE_FAULTS]
 
 
 @pytest.mark.parametrize("name", _SMALL_ROWS)

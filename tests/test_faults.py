@@ -6,10 +6,7 @@ import numpy as np
 import pytest
 
 from repro.machine import FaultEvent, FaultInjector, FaultPlan, MachineModel, VirtualMachine
-from repro.machine.collectives import (
-    exchange_by_destination,
-    exchange_by_destination_pooled,
-)
+from repro.machine.collectives import exchange_by_destination_pooled
 from repro.util.errors import (
     FaultError,
     InvalidRankError,
@@ -311,13 +308,13 @@ class TestExchangeValidation:
         offsets = np.array([0, 2, 3, 4])
         for bad in (np.array([0, 3, 1, 2]), np.array([0, -1, 1, 2])):
             with pytest.raises(InvalidRankError, match="out of range"):
-                exchange_by_destination_pooled(vm, rows, bad, offsets)
+                exchange_by_destination_pooled(vm, (rows,), bad, offsets)
 
     def test_per_rank_exchange_rejects_bad_destinations(self):
+        # rank 0's second row is pooled row 1
         vm = _vm(2)
-        arrays = [np.ones(2), np.ones(1)]
-        with pytest.raises(InvalidRankError, match="rank 0"):
-            exchange_by_destination(vm, arrays, [np.array([0, 5]), np.array([1])])
+        with pytest.raises(InvalidRankError, match="row 1: dest 5"):
+            exchange_by_destination_pooled(vm, (np.ones(3),), np.array([0, 5, 1]), [0, 2, 3])
 
     def test_invalid_rank_error_is_value_error(self):
         # pre-existing `except ValueError` call sites keep working

@@ -13,12 +13,13 @@ from repro.indexing import (
     hilbert_xy_to_d,
 )
 from repro.machine import MachineModel, VirtualMachine
-from repro.machine.collectives import exchange_by_destination
+from repro.machine.collectives import exchange_by_destination_pooled
 from repro.mesh import Grid2D
 from repro.mesh.decomposition import balanced_splits
 from repro.core.incremental_sort import BucketState, bucket_incremental_sort
 from repro.core.load_balance import order_maintaining_balance
 from repro.pic.ghost import DirectAddressTable, HashGhostTable
+from tests._looped_oracle import keyed_rows
 
 orders = st.integers(min_value=1, max_value=8)
 
@@ -100,9 +101,12 @@ class TestExchangeConservation:
                     dtype=np.int64,
                 )
             )
-        out = exchange_by_destination(vm, arrays_, dests)
+        offsets = np.cumsum([0] + [a.shape[0] for a in arrays_])
+        (out,), _ = exchange_by_destination_pooled(
+            vm, (np.concatenate(arrays_),), np.concatenate(dests), offsets
+        )
         sent = np.sort(np.concatenate([a.ravel() for a in arrays_]))
-        got = np.sort(np.concatenate([o.ravel() for o in out]))
+        got = np.sort(out.ravel())
         assert np.array_equal(sent, got)
 
 
@@ -147,31 +151,34 @@ class TestSortingPipelines:
             keys.append(all_keys[start : start + n])
             payloads.append(all_keys[start : start + n].reshape(-1, 1).astype(float))
             start += n
-        out_keys, _ = order_maintaining_balance(vm, keys, payloads)
-        assert np.array_equal(np.concatenate(out_keys), all_keys)
-        counts = [k.size for k in out_keys]
+        out = order_maintaining_balance(vm, keyed_rows(keys, payloads))
+        assert np.array_equal(out.keys, all_keys)
+        assert np.array_equal(out.rows.ravel(), all_keys.astype(float))
+        counts = out.counts
         assert max(counts) - min(counts) <= 1
 
     @given(p=st.integers(1, 4), data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_incremental_sort_total_order(self, p, data):
         vm = VirtualMachine(p, MachineModel.cm5())
-        states, new_keys = [], []
+        olds, new_keys = [], []
         for _ in range(p):
             n = data.draw(st.integers(0, 25))
             old = np.sort(
                 np.array(data.draw(st.lists(st.integers(0, 500), min_size=n, max_size=n)), dtype=np.int64)
             )
-            states.append(BucketState.build(old, old.reshape(-1, 1).astype(float), 4))
+            olds.append(old)
             deltas = np.array(
                 data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n)),
                 dtype=np.int64,
             )
             new_keys.append(np.maximum(old + deltas, 0))
-        keys_out, _, stats = bucket_incremental_sort(vm, states, new_keys)
-        merged = np.concatenate(keys_out) if any(k.size for k in keys_out) else np.empty(0)
-        assert np.array_equal(merged, np.sort(np.concatenate(new_keys)))
-        assert stats.total == sum(s.n for s in states)
+        block = keyed_rows(new_keys, [k.reshape(-1, 1).astype(float) for k in olds])
+        state = BucketState.build(np.concatenate(olds), block.offsets, 4)
+        out, stats = bucket_incremental_sort(vm, state, block)
+        assert np.array_equal(out.keys, np.sort(block.keys))
+        assert out.keys.dtype == np.int64
+        assert stats.total == state.n
 
 
 class TestAdaptiveQuantiles:

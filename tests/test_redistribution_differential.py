@@ -27,31 +27,25 @@ from repro.core.load_balance import order_maintaining_balance
 from repro.machine import MachineModel, VirtualMachine
 from repro.mesh import Grid2D
 from repro.mesh.decomposition import balanced_splits
-from repro.particles import uniform_plasma
+from repro.particles import ParticleArray, ParticlePool, uniform_plasma
+from repro.particles.sort import KeyedRows
 
 
-def _build_states(keys, payloads, nbuckets):
-    return [BucketState.build(k, m, nbuckets) for k, m in zip(keys, payloads)]
-
-
-def _reference_sort(keys, payloads, p):
+def _reference_sort(keys, rows, p):
     """From-scratch reference: global stable sort + balanced split."""
-    all_keys = np.concatenate(keys)
-    all_pay = np.concatenate(payloads)
-    order = np.argsort(all_keys, kind="stable")
-    all_keys = all_keys.take(order)
-    all_pay = all_pay.take(order, axis=0)
-    bounds = balanced_splits(all_keys.shape[0], p)
-    return (
-        [all_keys[bounds[r] : bounds[r + 1]] for r in range(p)],
-        [all_pay[bounds[r] : bounds[r + 1]] for r in range(p)],
-    )
+    order = np.argsort(keys, kind="stable")
+    return KeyedRows(rows.take(order, axis=0), keys.take(order), balanced_splits(keys.shape[0], p))
 
 
-def _incremental_epoch(vm, states, new_keys, nbuckets):
-    keys_out, payloads_out, stats = bucket_incremental_sort(vm, states, new_keys)
-    keys_bal, payloads_bal = order_maintaining_balance(vm, keys_out, payloads_out)
-    return keys_bal, payloads_bal, stats
+def _incremental_epoch(vm, state, rows, new_keys):
+    block, stats = bucket_incremental_sort(vm, state, KeyedRows(rows, new_keys, state.offsets))
+    return order_maintaining_balance(vm, block), stats
+
+
+def _assert_blocks_equal(got, want):
+    np.testing.assert_array_equal(got.keys, want.keys)
+    np.testing.assert_array_equal(got.rows, want.rows)
+    np.testing.assert_array_equal(got.offsets, want.offsets)
 
 
 class TestKeyLevelDifferential:
@@ -68,56 +62,40 @@ class TestKeyLevelDifferential:
         # Epoch 0: a sorted balanced distribution of a random permutation
         # of the key universe.
         universe = np.sort(rng.choice(10 * n, size=n, replace=False)).astype(np.int64)
-        bounds = balanced_splits(n, p)
-        keys = [universe[bounds[r] : bounds[r + 1]] for r in range(p)]
-        ids = np.arange(n, dtype=np.float64).reshape(-1, 1)
-        payloads = [ids[bounds[r] : bounds[r + 1]] for r in range(p)]
-        states = _build_states(keys, payloads, nbuckets)
+        rows = np.arange(n, dtype=np.float64).reshape(-1, 1)
+        state = BucketState.build(universe, balanced_splits(n, p), nbuckets)
 
         for _ in range(5):
             # Drift: permute a random subset of the key values, keeping
             # them unique (each element keeps its payload row).
-            flat = np.concatenate([s.keys for s in states])
             moved = rng.random(n) < 0.3
-            shuffled = flat.copy()
-            shuffled[moved] = rng.permutation(flat[moved])
-            offs = np.concatenate([[0], np.cumsum([s.n for s in states])])
-            new_keys = [shuffled[offs[r] : offs[r + 1]] for r in range(p)]
+            shuffled = state.keys.copy()
+            shuffled[moved] = rng.permutation(state.keys[moved])
 
-            ref_keys, ref_pay = _reference_sort(
-                new_keys, [s.payload for s in states], p
-            )
-            out_keys, out_pay, _ = _incremental_epoch(vm, states, new_keys, nbuckets)
-
-            for r in range(p):
-                np.testing.assert_array_equal(out_keys[r], ref_keys[r])
-                np.testing.assert_array_equal(out_pay[r], ref_pay[r])
-                # Rebuilt bucket boundaries match a from-scratch build.
-                got = BucketState.build(out_keys[r], out_pay[r], nbuckets)
-                want = BucketState.build(ref_keys[r], ref_pay[r], nbuckets)
-                np.testing.assert_array_equal(got.bucket_offsets, want.bucket_offsets)
-                np.testing.assert_array_equal(got.bucket_lows, want.bucket_lows)
-                np.testing.assert_array_equal(got.bucket_highs, want.bucket_highs)
-            states = _build_states(out_keys, out_pay, nbuckets)
+            ref = _reference_sort(shuffled, rows, p)
+            out, _ = _incremental_epoch(vm, state, rows, shuffled)
+            _assert_blocks_equal(out, ref)
+            # Rebuilt bucket ranges match a from-scratch build.
+            got = BucketState.build(out.keys, out.offsets, nbuckets)
+            want = BucketState.build(ref.keys, ref.offsets, nbuckets)
+            np.testing.assert_array_equal(got.elem_lows, want.elem_lows)
+            np.testing.assert_array_equal(got.elem_highs, want.elem_highs)
+            state, rows = got, out.rows
 
     @pytest.mark.parametrize("p", [2, 4])
     def test_no_movement_epoch(self, p):
         """Identical keys: nothing crosses a rank, output == input."""
         n = 24 * p
         vm = VirtualMachine(p, MachineModel.cm5())
-        universe = np.arange(0, 2 * n, 2, dtype=np.int64)
-        bounds = balanced_splits(n, p)
-        keys = [universe[bounds[r] : bounds[r + 1]] for r in range(p)]
-        payloads = [np.arange(n, dtype=np.float64).reshape(-1, 1)[bounds[r] : bounds[r + 1]] for r in range(p)]
-        states = _build_states(keys, payloads, 3)
+        keys = np.arange(0, 2 * n, 2, dtype=np.int64)
+        rows = np.arange(n, dtype=np.float64).reshape(-1, 1)
+        state = BucketState.build(keys, balanced_splits(n, p), 3)
 
-        out_keys, out_pay, stats = _incremental_epoch(vm, states, keys, 3)
+        out, stats = _incremental_epoch(vm, state, rows, keys)
         assert stats.moved_rank == 0
         assert stats.moved_bucket == 0
         assert stats.same_bucket == n
-        for r in range(p):
-            np.testing.assert_array_equal(out_keys[r], keys[r])
-            np.testing.assert_array_equal(out_pay[r], payloads[r])
+        _assert_blocks_equal(out, KeyedRows(rows, keys, state.offsets))
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_all_off_rank_epoch(self, p):
@@ -125,20 +103,16 @@ class TestKeyLevelDifferential:
         traffic must still reproduce the from-scratch sort."""
         n = 16 * p
         vm = VirtualMachine(p, MachineModel.cm5())
-        universe = np.arange(n, dtype=np.int64)
-        bounds = balanced_splits(n, p)
-        keys = [universe[bounds[r] : bounds[r + 1]] for r in range(p)]
-        payloads = [100.0 + universe.astype(np.float64).reshape(-1, 1)[bounds[r] : bounds[r + 1]] for r in range(p)]
-        states = _build_states(keys, payloads, 4)
+        keys = np.arange(n, dtype=np.int64)
+        rows = 100.0 + keys.astype(np.float64).reshape(-1, 1)
+        state = BucketState.build(keys, balanced_splits(n, p), 4)
 
-        new_keys = [keys[(r + 1) % p] for r in range(p)]
-        ref_keys, ref_pay = _reference_sort(new_keys, payloads, p)
-        out_keys, out_pay, stats = _incremental_epoch(vm, states, new_keys, 4)
+        first = state.offsets[1]  # rank 0's count: every rank takes its successor's keys
+        new_keys = np.roll(keys, -first)
+        out, stats = _incremental_epoch(vm, state, rows, new_keys)
         assert stats.moved_rank == n
         assert stats.same_bucket == 0
-        for r in range(p):
-            np.testing.assert_array_equal(out_keys[r], ref_keys[r])
-            np.testing.assert_array_equal(out_pay[r], ref_pay[r])
+        _assert_blocks_equal(out, _reference_sort(new_keys, rows, p))
 
 
 class TestRedistributorDifferential:
@@ -148,14 +122,9 @@ class TestRedistributorDifferential:
     def _canonical(partitioner, particles):
         """Global matrix sorted by (key, id) — the unique canonical form
         shared by every correct sorted-balanced distribution."""
-        rows = []
-        for parts in particles:
-            keys = partitioner.particle_keys(parts)
-            mat = parts.to_matrix()
-            rows.append((keys, mat))
-        keys = np.concatenate([k for k, _ in rows])
-        mat = np.concatenate([m for _, m in rows])
-        ids = np.round(mat[:, -1]).astype(np.int64)
+        keys = partitioner.particle_keys(particles)
+        mat = particles.to_matrix()
+        ids = particles.ids
         order = np.lexsort((ids, keys))
         return keys.take(order), mat.take(order, axis=0)
 
@@ -166,39 +135,32 @@ class TestRedistributorDifferential:
         grid = Grid2D(16, 12)
         partitioner = ParticlePartitioner(grid, scheme)
         particles = uniform_plasma(grid, 60 * p, rng=5)
-        local = partitioner.initial_partition(particles, p)
+        local = ParticlePool.from_ranks(partitioner.initial_partition(particles, p))
 
         vm = VirtualMachine(p, MachineModel.cm5())
         redist = Redistributor(partitioner, nbuckets=8)
-        res = redist.initialize(vm, local)
-        current = res.particles
+        current = redist.initialize(vm, local).pool
 
         for _ in range(4):
             # Random drift applied identically to both pipelines.
-            for parts in current:
-                parts.x, parts.y = grid.wrap_positions(
+            for parts in current.views:
+                parts.x[:], parts.y[:] = grid.wrap_positions(
                     parts.x + rng.normal(0, 1.5, parts.n),
                     parts.y + rng.normal(0, 1.5, parts.n),
                 )
-            snapshot = [parts.copy() for parts in current]
+            snapshot = ParticlePool.from_ranks(current.views)
 
-            inc = redist.redistribute(vm, current)
+            inc = redist.redistribute(vm, current).pool
             vm_full = VirtualMachine(p, MachineModel.cm5())
             full = partitioner.distribute(vm_full, snapshot)
 
-            # Rank assignment: same per-rank counts and per-rank sorted
-            # key sequences (forced identical up to key ties).
-            inc_counts = [parts.n for parts in inc.particles]
-            full_counts = [parts.n for parts in full]
-            assert inc_counts == full_counts
-            for r in range(p):
-                np.testing.assert_array_equal(
-                    partitioner.particle_keys(inc.particles[r]),
-                    partitioner.particle_keys(full[r]),
-                )
+            # Rank assignment: same per-rank counts and one sorted key
+            # sequence (forced identical up to key ties).
+            np.testing.assert_array_equal(inc.offsets, full.offsets)
+            np.testing.assert_array_equal(partitioner.particle_keys(inc.array), full.keys)
             # Full contents agree after canonicalizing key ties.
-            ik, im = self._canonical(partitioner, inc.particles)
-            fk, fm = self._canonical(partitioner, full)
+            ik, im = self._canonical(partitioner, inc.array)
+            fk, fm = self._canonical(partitioner, ParticleArray.from_matrix(full.rows))
             np.testing.assert_array_equal(ik, fk)
             np.testing.assert_array_equal(im, fm)
-            current = inc.particles
+            current = inc

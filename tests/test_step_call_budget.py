@@ -12,6 +12,13 @@ is a handful of calls per rank; one message used to cost more than that,
 and a rank exchanges with several neighbours three times a step.  Under
 ``workers=2`` the calls of the shard threads count too: two shards cost
 the same whatever ``p`` is.  No wall clock is read.
+
+A redistribution (paper Fig 12: index, incremental sort, balance, bucket
+rebuild) runs the same way, as whole-pool passes with every particle
+exchange one batch.  What legitimately stays per rank there is building
+the new pool's per-rank views and the allgather lists (every rank
+receives the list of all ranks' scalars); the per-rank pipeline it
+replaced made 426 calls per added rank.
 """
 
 import sys
@@ -24,11 +31,13 @@ from repro.core import ParticlePartitioner
 from repro.machine import MachineModel, VirtualMachine
 from repro.mesh import CurveBlockDecomposition, Grid2D
 from repro.particles import gaussian_blob
-from repro.pic import ParallelPIC
+from repro.pic import ParallelPIC, Simulation, SimulationConfig
 from repro.pic.parallel_yee import ParallelYeePIC
 
 #: Python-level calls a step may add per added rank (see the module docstring)
 CALLS_PER_RANK = 6
+#: ... and a redistribution
+REDISTRIBUTION_CALLS_PER_RANK = 50
 
 
 def _calls_of_one_step(stepper_cls, p, **kwargs):
@@ -74,4 +83,33 @@ def test_step_calls_do_not_grow_with_messages(stepper_cls, kwargs):
     assert calls_32 - calls_8 <= CALLS_PER_RANK * (32 - 8), (
         f"one step made {calls_8} Python-level calls at p = 8 and {calls_32} at p = 32 "
         f"({messages_8} -> {messages_32} messages): something loops over ranks or messages"
+    )
+
+
+def _calls_of_one_redistribution(p):
+    sim = Simulation(
+        SimulationConfig(nx=64, ny=32, nparticles=4096, p=p, distribution="irregular", seed=3)
+    )
+    sim.run(2)  # the particles drift off their epoch-0 order; the stats epoch resets
+    pool, calls = sim.pic.pool, 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    sys.setprofile(count)
+    try:
+        sim.redistributor.redistribute(sim.vm, pool)
+    finally:
+        sys.setprofile(None)
+    return calls, sim.vm.stats.phase("redistribution").total_msgs
+
+
+def test_redistribution_calls_do_not_grow_with_ranks():
+    calls_8, messages_8 = _calls_of_one_redistribution(8)
+    calls_32, messages_32 = _calls_of_one_redistribution(32)
+    assert messages_32 > messages_8, "the p = 32 redistribution does not exchange more messages"
+    assert calls_32 - calls_8 <= REDISTRIBUTION_CALLS_PER_RANK * (32 - 8), (
+        f"one redistribution made {calls_8} Python-level calls at p = 8 and {calls_32} at "
+        f"p = 32: something loops over ranks or messages"
     )

@@ -6,7 +6,9 @@ the dict form is flattened into the same vectors first.  Twin machines
 fed the two forms must be indistinguishable — statistics, clocks, op
 counts, delivered payloads, and the exception when one is due — with and
 without a fault plan, and a failing exchange must still record exactly
-the messages delivered before the failure.
+the messages delivered before the failure.  The pooled particle router
+(``exchange_by_destination_pooled``) is held to the same standard
+against the per-rank dict router it replaced.
 """
 
 import numpy as np
@@ -16,7 +18,9 @@ from hypothesis import strategies as st
 
 from repro.machine import FaultEvent, FaultPlan, MachineModel, VirtualMachine
 from repro.machine.batch import MessageBatch
+from repro.machine.collectives import exchange_by_destination_pooled
 from repro.util.errors import InvalidRankError, MessageLost
+from tests._looped_oracle import looped_exchange_by_destination
 
 
 def _batch(p, pairs, sizes, kind, rng, ncomponents=2):
@@ -197,3 +201,77 @@ class TestFailureSemantics:
         )
         send(vm)
         assert vm.stats.phase("default").total_msgs == len(self.PAIRS)
+
+
+# ----------------------------------------------------------------------
+# the pooled router against the per-rank dict router it replaced
+# ----------------------------------------------------------------------
+@st.composite
+def routings(draw):
+    p = draw(st.integers(1, 7))
+    counts = draw(st.lists(st.integers(0, 6), min_size=p, max_size=p))  # empty ranks too
+    offsets = np.cumsum([0] + counts)
+    src = np.repeat(np.arange(p), counts)
+    mode = draw(st.sampled_from(["any", "self", "off"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if mode == "self" or p == 1:
+        dest = src.copy()
+    elif mode == "off":
+        dest = (src + rng.integers(1, p, src.size)) % p
+    else:
+        dest = rng.integers(0, p, src.size)
+    if src.size and draw(st.booleans()):  # one destination out of range
+        dest[draw(st.integers(0, src.size - 1))] = draw(st.sampled_from([-1, p, p + 2]))
+    rows = rng.normal(size=(src.size, 3))
+    keys = rng.integers(0, 1000, src.size)
+    plan = None
+    if draw(st.booleans()):
+        maybe_rank = st.one_of(st.none(), st.integers(0, p - 1))
+        events = draw(
+            st.lists(
+                st.builds(
+                    FaultEvent,
+                    kind=st.sampled_from(_MESSAGE_KINDS),
+                    src=maybe_rank,
+                    dst=maybe_rank,
+                    phase=st.sampled_from([None, "redistribution"]),
+                    count=st.integers(1, 3),
+                ),
+                max_size=4,
+            )
+        )
+        plan = FaultPlan(events=tuple(events), max_retries=draw(st.integers(1, 3)))
+    return p, rows, keys, dest, offsets, plan
+
+
+class TestPooledRouterEqualsDictRouter:
+    @given(case=routings())
+    @settings(max_examples=300, deadline=None)
+    def test_pooled_router_matches_the_per_rank_router(self, case):
+        p, rows, keys, dest, offsets, plan = case
+        pooled, looped = _twins(p, plan)
+        cut = offsets[1:-1]
+        with pooled.phase("redistribution"), looped.phase("redistribution"):
+            got, error = _run(
+                lambda: exchange_by_destination_pooled(pooled, (rows, keys), dest, offsets)
+            )
+            ref, error_ref = _run(
+                lambda: [
+                    looped_exchange_by_destination(looped, np.split(a, cut), np.split(dest, cut))
+                    for a in (rows, keys)
+                ]
+            )
+        assert type(error) is type(error_ref)
+        if isinstance(error, InvalidRankError):  # both name the first bad row
+            bad = int(np.flatnonzero((dest < 0) | (dest >= p))[0])
+            rank = int(np.searchsorted(offsets, bad, side="right") - 1)
+            assert f"row {bad}: dest {dest[bad]}" in str(error)
+            assert f"rank {rank} row {bad - offsets[rank]}:" in str(error_ref)
+        else:
+            assert str(error) == str(error_ref)
+        assert pooled.state_dict() == looped.state_dict()
+        if error is None:
+            (got_rows, got_keys), got_offsets = got
+            for delivered, expected in zip((got_rows, got_keys), ref):
+                per_rank = np.split(delivered, got_offsets[1:-1])
+                assert [_as_bytes(a) for a in per_rank] == [_as_bytes(a) for a in expected]
