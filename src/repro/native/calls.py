@@ -32,6 +32,9 @@ _SIGNATURES = {
     "ghost_slots": (_I64, _I64, _PTR, _PTR, _I64, _I64, _PTR, _I64, *[_PTR] * 7),
     "field_step": (_I64, _I64, *[_PTR] * 11, _F64, _F64, _F64, _F64, _I64, _PTR),
     "smooth": (_I64, _I64, _PTR, _PTR, _PTR),
+    "yee_gather": (_I64, _PTR, _PTR, _F64, _F64, _F64, _F64, _I64, _I64, _PTR, _PTR, _PTR),
+    "zigzag": (_I64, *[_PTR] * 5, *[_F64] * 5, _I64, _I64, *[_PTR] * 4),
+    "zigzag_bin": (_I64, _PTR, _PTR, _I64, _PTR, _PTR, _I64, _I64, _PTR, _PTR),
 }
 #: field_step's plane arguments, in its order
 _FIELD_PLANES = ("ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz", "rho")
@@ -50,7 +53,7 @@ def _ptr(*arrays):
 
 
 class Kernels:
-    """The seven entry points of a loaded ``pic_kernels`` library."""
+    """The ten entry points of a loaded ``pic_kernels`` library."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib  # keeps the library mapped
@@ -206,6 +209,69 @@ class Kernels:
         rows = self._block("smooth", 3 * shape[1], np.float64)
         return None if self._smooth(*shape, *_ptr(a, rows, out)) else out
 
+    def yee_gather(self, grid, x, y, node_values, eb, cells) -> bool:
+        """The modern stepper's staggered gather into ``eb`` ``(6, n)`` and
+        ``cells`` ``(4, n)``; ``False``: run the NumPy body."""
+        n = x.shape[0] if isinstance(x, np.ndarray) and x.ndim == 1 else -1
+        if not (
+            _plain(np.float64, (n,), x, y)
+            and _plain(np.float64, (6, grid.nnodes), node_values)
+            and _plain(np.float64, (6, n), eb)
+            and _plain(np.int64, (4, n), cells)
+        ):
+            return False
+        return not self._yee_gather(
+            n, *_ptr(x, y), grid.lx, grid.ly, grid.dx, grid.dy, grid.nx, grid.ny,
+            *_ptr(node_values, eb, cells),
+        )  # fmt: skip
+
+    def zigzag(self, grid, x_old, y_old, x_new, y_new, charge, dt, out=None):
+        """``zigzag_entries_numpy``: the ``(4, n)`` jx nodes, jx values, jy
+        nodes and jy values — ``out`` if given — or ``None``.  A move of a
+        cell or more, or a NaN one, is declined before anything is written."""
+        n = x_old.shape[0] if isinstance(x_old, np.ndarray) and x_old.ndim == 1 else -1
+        if not _plain(np.float64, (n,), x_old, y_old, x_new, y_new, charge):
+            return None
+        blocks = out or (
+            np.empty((4, n), dtype=np.int64), np.empty((4, n)),
+            np.empty((4, n), dtype=np.int64), np.empty((4, n)),
+        )  # fmt: skip
+        if not (
+            _plain(np.int64, (4, n), blocks[0], blocks[2])
+            and _plain(np.float64, (4, n), blocks[1], blocks[3])
+        ):
+            return None
+        failed = self._zigzag(
+            n, *_ptr(x_old, y_old, x_new, y_new, charge), dt, grid.lx, grid.ly, grid.dx, grid.dy,
+            grid.nx, grid.ny, *_ptr(*blocks),
+        )  # fmt: skip
+        return None if failed else blocks
+
+    def zigzag_bin(self, values, vertices, dest, pair_of, acc, summed) -> bool:
+        """``deposit_zigzag_entries_numpy`` of the jx and jy lists ``values``
+        ``(2, 4 n)`` into ``acc`` ``(2, nnodes)`` and ``summed`` ``(2,
+        nslots)``; ``False``: run the NumPy body (a bad index or a value
+        that is not finite leaves both as they were)."""
+        n = pair_of.shape[1] if isinstance(pair_of, np.ndarray) and pair_of.ndim == 2 else -1
+        vertices = np.asarray(vertices, dtype=np.int64)
+        if not (
+            n >= 0
+            and len(pair_of) >= 2
+            and _plain(np.int64, pair_of.shape, pair_of)
+            and _plain(np.float64, (2, 4 * n), values)
+            and _plain(np.int64, (2, 4), vertices)
+            and isinstance(dest, np.ndarray)
+            and _plain(np.int64, (len(dest), 4), dest)
+            and all(isinstance(a, np.ndarray) and a.ndim == 2 for a in (acc, summed))
+            and _plain(np.float64, (2, acc.shape[1]), acc)
+            and _plain(np.float64, (2, summed.shape[1]), summed)
+        ):
+            return False
+        return not self._zigzag_bin(
+            n, *_ptr(values, vertices), len(dest), *_ptr(dest, pair_of), acc.shape[1],
+            summed.shape[1], *_ptr(acc, summed),
+        )  # fmt: skip
+
 
 def self_check(found: Kernels) -> str | None:
     """Name the first entry point whose bytes differ from its NumPy body's.
@@ -213,9 +279,12 @@ def self_check(found: Kernels) -> str | None:
     Known answers on 257 particles of a non-square grid: positions on the
     edges and far outside, signed zeros among the field values, both
     einsum association orders (``ncomp`` 1 and 6), ghost slots of three
-    cell rows over five ranks (one empty) counted from ``r0 = 1``; a field
-    step with the solver's defaults and one with raw currents and two
-    Marder passes, and a smoothing pass, on that grid's planes.
+    cell rows over five ranks (one empty) counted from ``r0 = 1``; the
+    staggered gather of those positions, their zigzag entries for moves up
+    to the longest one under a cell (some across the periodic seam, one of
+    zero charge) and both components binned by those ghost slots; a
+    field step with the solver's defaults and one with raw currents and
+    two Marder passes, and a smoothing pass, on that grid's planes.
     """
     from repro.mesh.fields import FieldState
     from repro.mesh.grid import Grid2D
@@ -224,8 +293,15 @@ def self_check(found: Kernels) -> str | None:
     from repro.pic.deposition import ghost_slots_numpy
     from repro.pic.interpolation import interpolate_numpy
     from repro.pic.maxwell import MaxwellSolver
+    from repro.pic.parallel_yee import staggered_gather_numpy
     from repro.pic.push import push_numpy
     from repro.pic.smoothing import binomial_smooth_numpy
+    from repro.pic.zigzag import (
+        JX_VERTICES,
+        JY_VERTICES,
+        deposit_zigzag_entries_numpy,
+        zigzag_entries_numpy,
+    )
 
     def same(got, want) -> bool:
         """Byte equality of two array tuples; a declined call (``None``) is a mismatch."""
@@ -250,7 +326,8 @@ def self_check(found: Kernels) -> str | None:
     cells = np.stack((nodes[:, 0], nodes[:, 3], rng.integers(0, grid.ncells, n)))
     owner = rng.integers(0, 6, grid.nnodes)
     got = found.ghost_slots(grid, owner, ranks, cells, 1)
-    if not same(got, ghost_slots_numpy(grid, owner, ranks, cells, 1)):
+    slots = ghost_slots_numpy(grid, owner, ranks, cells, 1)
+    if not same(got, slots):
         return "ghost_slots"
 
     npairs, nslots = 40, 13
@@ -269,6 +346,38 @@ def self_check(found: Kernels) -> str | None:
         got = found.interpolate(by_node, nodes, weights)
         if not same((got,), (interpolate_numpy(by_node, nodes, weights),)):
             return "interpolate"
+
+    eb, cells = np.empty((6, n)), np.empty((4, n), dtype=np.int64)
+    want = np.empty((6, n)), np.empty((4, n), dtype=np.int64)
+    staggered_gather_numpy(grid, x, y, fields, *want)
+    if not (found.yee_gather(grid, x, y, fields, eb, cells) and same((eb, cells), want)):
+        return "yee_gather"
+
+    moves = rng.uniform(-0.999, 0.999, (2, n)) * [[grid.dx], [grid.dy]]
+    x_old, y_old = x.copy(), y.copy()
+    x_old[5:7], y_old[5:7] = (0.0, -0.0), (-0.0, 0.0)
+    # the longest moves under a cell that np.mod(move + l / 2, l) resolves
+    longest = np.subtract([grid.dx, grid.dy], np.spacing([grid.lx, grid.ly]))
+    moves[:, 5:7] = longest[:, None] * [1, -1]
+    x_new, y_new = x_old + moves[0], y_old + moves[1]
+    x_new[2:4] -= grid.lx  # the same moves, across the periodic seam
+    charge = parts.w * parts.q
+    charge[4] = 0.0
+    zigzag = (grid, x_old, y_old, x_new, y_new, charge, dt)
+    entries = found.zigzag(*zigzag)
+    want = zigzag_entries_numpy(*zigzag)
+    if not same(entries, want):
+        return "zigzag"
+    values = np.stack((want[1].ravel(), want[3].ravel()))
+    acc, want_acc = np.empty((2, 2, grid.nnodes))
+    summed, want_summed = np.empty((2, 2, slots.nodes.size))
+    deposit_zigzag_entries_numpy(values, slots.dest, slots.pair_of, want_acc, want_summed)
+    vertices = (JX_VERTICES, JY_VERTICES)
+    if not (
+        found.zigzag_bin(values, vertices, slots.dest, slots.pair_of, acc, summed)
+        and same((acc, summed), (want_acc, want_summed))
+    ):
+        return "zigzag_bin"
 
     pushed, want = parts.copy(), parts.copy()
     e, b = fields[:3].take(nodes[:, 0], axis=1), fields[3:].take(nodes[:, 3], axis=1)

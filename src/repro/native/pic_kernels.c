@@ -41,6 +41,34 @@ static int finish(int64_t bad)
     return bad || fetestexcept(FE_INVALID | FE_DIVBYZERO | FE_OVERFLOW) ? FLAGGED : OK;
 }
 
+/* Whether any of a[0 .. m) is inf or NaN, i.e. has all exponent bits set:
+ * adding one to the exponent field then carries into the sign bit.  An
+ * integer OR, which vectorizes where NOT_FINITE's comparison does not. */
+static int64_t not_finite(const double *R a, int64_t m)
+{
+    const uint64_t exponent = 0x7ff0000000000000u, one = 0x0010000000000000u;
+    uint64_t carried = 0;
+    /* VECTORIZED: not_finite */
+    for (int64_t k = 0; k < m; k++) {
+        uint64_t bits;
+        memcpy(&bits, a + k, sizeof bits);
+        carried |= (bits & exponent) + one;
+    }
+    return (int64_t)(carried >> 63);
+}
+
+/* Whether any of a[0 .. m) is outside [0, bound): negative, or with
+ * bound - 1 - a[k] negative.  Unsigned, so nothing overflows; an integer
+ * OR of sign bits, which vectorizes where a 64-bit comparison does not. */
+static int64_t outside_of(const int64_t *R a, int64_t m, int64_t bound)
+{
+    uint64_t carried = 0, top = (uint64_t)bound - 1;
+    /* VECTORIZED: outside_of */
+    for (int64_t k = 0; k < m; k++)
+        carried |= (uint64_t)a[k] | (top - (uint64_t)a[k]);
+    return (int64_t)(carried >> 63);
+}
+
 /* mesh/grid.py::_wrap: fmod, sign fix-up, -0.0 -> +0.0, a sum that rounded
  * to `length` back to 0.  fmod returns a v inside [-0.0, length) unchanged,
  * so the usual case skips the library call. */
@@ -177,6 +205,271 @@ int interpolate(int64_t n, int64_t ncomp, int64_t nnodes, const double *R by_nod
         }
     }
     return finish(bad);
+}
+
+/* Particles a kernel stages at a time.  Rows of one (k, n) output block
+ * lie n doubles apart, so for the usual n the rows of all blocks fall in
+ * one L1 set and the eviction of each other's lines makes the stores 2-3x
+ * slower; a chunk is built in a small block of its own, then copied out
+ * one row at a time. */
+enum { CHUNK = 64 };
+
+/* Copy rows rows of chunk (rows x CHUNK) to columns [i0, i0 + m) of the
+ * (rows, n) block out. */
+static void copy_out(void *R out, const void *R chunk, int rows, int64_t n, int64_t i0, int64_t m)
+{
+    for (int r = 0; r < rows; r++)
+        memcpy((char *)out + 8 * (r * n + i0), (const char *)chunk + 8 * r * CHUNK, 8 * (size_t)m);
+}
+
+/* ParallelYeePIC._interpolate: the six staggered components of E and B at n
+ * particles, eb (6, n), and the first vertex of each of the four stencils,
+ * cells (4, n).  Per axis the two shifts (none, half a cell) go through
+ * cic_axis on coords - shift * d, a stencil's weights are cic's, and each
+ * component is interpolate's ncomp == 1 sum from its row of node_values
+ * (6, nnodes): one component per call, as the NumPy body rounds.  A
+ * position or field value that is not finite is FLAGGED before anything is
+ * written. */
+int yee_gather(int64_t n, const double *R x, const double *R y, double lx, double ly, double dx,
+               double dy, int64_t nx, int64_t ny, const double *R node_values, double *R eb,
+               int64_t *R cells)
+{
+    /* the stencil of each component (ex, ey, ez, bx, by, bz) as its x and
+     * y shift (0: none, 1: half a cell); the cells rows in stencil order */
+    static const int shift_x[6] = {1, 0, 0, 0, 1, 1}, shift_y[6] = {0, 1, 0, 1, 0, 1};
+    static const int cell_of_stencil[4][2] = {{1, 0}, {0, 1}, {0, 0}, {1, 1}};
+    int64_t bad = 0, nnodes = nx * ny;
+    double shifts_x[2] = {0.0, 0.5 * dx}, shifts_y[2] = {0.0, 0.5 * dy};
+    double stage_eb[6][CHUNK];
+    int64_t stage_cells[4][CHUNK];
+    if (not_finite(x, n) | not_finite(y, n) | not_finite(node_values, 6 * nnodes))
+        return FLAGGED; /* before anything is written */
+    feclearexcept(FE_ALL_EXCEPT);
+    for (int64_t i0 = 0; i0 < n; i0 += CHUNK) {
+        int64_t m = n - i0 < CHUNK ? n - i0 : CHUNK;
+        for (int64_t j = 0; j < m; j++) {
+            int64_t cx[2], cx1[2], cy[2], cy1[2];
+            double tx[2], ty[2];
+            for (int s = 0; s < 2; s++) {
+                bad |= cic_axis(x[i0 + j] - shifts_x[s], lx, dx, nx, cx + s, cx1 + s, tx + s);
+                bad |= cic_axis(y[i0 + j] - shifts_y[s], ly, dy, ny, cy + s, cy1 + s, ty + s);
+            }
+            for (int k = 0; k < 4; k++)
+                stage_cells[k][j] = cy[cell_of_stencil[k][1]] * nx + cx[cell_of_stencil[k][0]];
+            for (int c = 0; c < 6; c++) {
+                int sx = shift_x[c], sy = shift_y[c];
+                int64_t left = cx[sx], right = cx1[sx], row = cy[sy] * nx, row1 = cy1[sy] * nx;
+                double wx = tx[sx], wy = ty[sy], ux = 1.0 - wx, uy = 1.0 - wy;
+                const double *v = node_values + c * nnodes;
+                double even = (0.0 + v[row + left] * (ux * uy)) + v[row1 + left] * (ux * wy);
+                double odd = (0.0 + v[row + right] * (wx * uy)) + v[row1 + right] * (wx * wy);
+                stage_eb[c][j] = (even + odd) + 0.0;
+            }
+        }
+        for (int c = 0; c < 6; c++)
+            bad |= not_finite(stage_eb[c], m);
+        copy_out(eb, stage_eb, 6, n, i0, m);
+        copy_out(cells, stage_cells, 4, n, i0, m);
+    }
+    return finish(bad);
+}
+
+/* np.remainder(a, b) for b > 0, as NumPy's npy_divmod computes it: fmod,
+ * then + b when that is negative (a sum that rounds to b is not folded
+ * back) and + 0.0 when it is zero.  fmod returns an a inside (0, b)
+ * unchanged, so the usual case skips the call.  NumPy also forms the
+ * quotient (a - fmod) / b, which overflows -- a warning -- only for an |a|
+ * of limit or more; such an a, and a NaN, sets *bad. */
+static double remainder_of(double a, double b, double limit, int64_t *bad)
+{
+    double m = a > 0 && a < b ? a : fmod(a, b);
+    *bad |= !(fabs(a) < limit);
+    return m < 0 ? m + b : m + 0.0;
+}
+
+/* The |a| below which remainder_of's quotient cannot overflow. */
+static double remainder_limit(double b)
+{
+    return b < 1.0 ? b * 0x1p1022 : 0x1p1022;
+}
+
+/* cond ? a : b by a bit mask, with no branch to mispredict. */
+static inline double pick(int64_t cond, double a, double b)
+{
+    uint64_t mask = -(uint64_t)(cond != 0), ua, ub;
+    memcpy(&ua, &a, sizeof ua);
+    memcpy(&ub, &b, sizeof ub);
+    ub = (ua & mask) | (ub & ~mask);
+    memcpy(&b, &ub, sizeof b);
+    return b;
+}
+
+/* np.floor(v).astype(np.int64) for a v the caller has bounded. */
+static inline int64_t floor_int(double v)
+{
+    int64_t k = (int64_t)v;
+    return k - (v < (double)k);
+}
+
+/* np.mod(c, m) of an int64 c, m > 0: never negative.  A cell index is
+ * mostly in range already, and a division is ~30 cycles. */
+static inline int64_t mod_int(int64_t c, int64_t m)
+{
+    if (c >= 0 && c < m)
+        return c;
+    int64_t r = c % m;
+    return r < 0 ? r + m : r;
+}
+
+/* The values of one sub-segment (xa, ya) -> (xb, yb) inside cell (cx, cy),
+ * the cell as doubles: zigzag.py's segment() for column j of the chunk, rows
+ * k and k + 1 of its (4, CHUNK) jx and jy value blocks. */
+static inline void segment_values(int64_t j, int k, double xa, double ya, double xb, double yb,
+                                  double cx, double cy, double charge, double dt, double dx,
+                                  double dy, double inv_area, double (*R jx_values)[CHUNK],
+                                  double (*R jy_values)[CHUNK])
+{
+    double fx = (charge * (xb - xa)) / dt;
+    double fy = (charge * (yb - ya)) / dt;
+    double wy = (0.5 * (ya + yb)) / dy - cy;
+    double wx = (0.5 * (xa + xb)) / dx - cx;
+    jx_values[k][j] = (fx * (1.0 - wy)) * inv_area;
+    jx_values[k + 1][j] = (fx * wy) * inv_area;
+    jy_values[k][j] = (fy * (1.0 - wx)) * inv_area;
+    jy_values[k + 1][j] = (fy * wx) * inv_area;
+}
+
+/* The nodes of the same sub-segment: rows k and k + 1 of the jx and jy
+ * node blocks. */
+static inline void segment_nodes(int64_t j, int k, int64_t cx, int64_t cy, int64_t nx,
+                                 int64_t ny, int64_t (*R jx_nodes)[CHUNK],
+                                 int64_t (*R jy_nodes)[CHUNK])
+{
+    int64_t cxw = mod_int(cx, nx), row = mod_int(cy, ny) * nx;
+    jx_nodes[k][j] = row + cxw;
+    jx_nodes[k + 1][j] = mod_int(cy + 1, ny) * nx + cxw;
+    jy_nodes[k][j] = row + cxw;
+    jy_nodes[k + 1][j] = row + mod_int(cx + 1, nx);
+}
+
+/* zigzag_entries after its validation: the (4, n) node and value blocks of
+ * jx and jy.  The shortest move along an axis is np.mod(new - old + l / 2,
+ * l) - l / 2, computed as Python does.  A first pass finds every move and
+ * DECLINES, writing nothing, when one is NaN or not under one cell (NumPy
+ * then raises its ValueError), a start or a charge is not finite, or a flag
+ * was raised; the second recomputes the moves and writes the entries, CHUNK
+ * particles at a time, in two loops: the points, cells and nodes, then the
+ * values at vector width. */
+int zigzag(int64_t n, const double *R x_old, const double *R y_old, const double *R x_new,
+           const double *R y_new, const double *R charge, double dt, double lx, double ly,
+           double dx, double dy, int64_t nx, int64_t ny, int64_t *R jx_nodes,
+           double *R jx_values, int64_t *R jy_nodes, double *R jy_values)
+{
+    int64_t bad = 0;
+    double hx = lx / 2, hy = ly / 2, lim_x = remainder_limit(lx), lim_y = remainder_limit(ly);
+    double inv_area = 1.0 / (dx * dy);
+    /* per chunk: the start, relay and end points; the two cells */
+    double x1[CHUNK], y1[CHUNK], xr[CHUNK], yr[CHUNK], x2[CHUNK], y2[CHUNK];
+    double cell_x[2][CHUNK], cell_y[2][CHUNK];
+    int64_t stage_jx_nodes[4][CHUNK], stage_jy_nodes[4][CHUNK];
+    double stage_jx_values[4][CHUNK], stage_jy_values[4][CHUNK];
+    feclearexcept(FE_ALL_EXCEPT);
+    for (int64_t i = 0; i < n; i++) {
+        double mx = remainder_of((x_new[i] - x_old[i]) + hx, lx, lim_x, &bad) - hx;
+        double my = remainder_of((y_new[i] - y_old[i]) + hy, ly, lim_y, &bad) - hy;
+        bad |= !(fabs(mx) < dx) | !(fabs(my) < dy) | NOT_FINITE(x_old[i]) | NOT_FINITE(y_old[i]) |
+               NOT_FINITE(charge[i]);
+    }
+    if (finish(bad) != OK)
+        return DECLINED;
+    for (int64_t i0 = 0; i0 < n; i0 += CHUNK) {
+        int64_t m = n - i0 < CHUNK ? n - i0 : CHUNK;
+        const double *R q = charge + i0;
+        for (int64_t j = 0; j < m; j++) {
+            int64_t i = i0 + j;
+            double a1 = wrap(x_old[i], lx), b1 = wrap(y_old[i], ly);
+            double a2 = a1 + (remainder_of((x_new[i] - x_old[i]) + hx, lx, lim_x, &bad) - hx);
+            double b2 = b1 + (remainder_of((y_new[i] - y_old[i]) + hy, ly, lim_y, &bad) - hy);
+            /* a1 in [0, lx): its cell is clipped to nx - 1 only; a2 is within
+             * a cell of it, so its floor is -1 .. nx + 1 */
+            int64_t c1x = floor_int(a1 / dx), c1y = floor_int(b1 / dy);
+            c1x = c1x > nx - 1 ? nx - 1 : c1x;
+            c1y = c1y > ny - 1 ? ny - 1 : c1y;
+            int64_t c2x = floor_int(a2 / dx), c2y = floor_int(b2 / dy);
+            /* Umeda's relay point: the face between the cells, or the midpoint.
+             * A third to a half of the moves cross a face, so both are
+             * computed and one is selected by a mask, not a branch. */
+            double mid_x = 0.5 * (a1 + a2), face_x = (double)(c1x > c2x ? c1x : c2x) * dx;
+            double mid_y = 0.5 * (b1 + b2), face_y = (double)(c1y > c2y ? c1y : c2y) * dy;
+            x1[j] = a1, y1[j] = b1, x2[j] = a2, y2[j] = b2;
+            xr[j] = pick(c1x != c2x, face_x, mid_x);
+            yr[j] = pick(c1y != c2y, face_y, mid_y);
+            cell_x[0][j] = (double)c1x, cell_y[0][j] = (double)c1y;
+            cell_x[1][j] = (double)c2x, cell_y[1][j] = (double)c2y;
+            segment_nodes(j, 0, c1x, c1y, nx, ny, stage_jx_nodes, stage_jy_nodes);
+            segment_nodes(j, 2, c2x, c2y, nx, ny, stage_jx_nodes, stage_jy_nodes);
+        }
+        /* VECTORIZED: zigzag values */
+        for (int64_t j = 0; j < m; j++) {
+            segment_values(j, 0, x1[j], y1[j], xr[j], yr[j], cell_x[0][j], cell_y[0][j], q[j], dt,
+                           dx, dy, inv_area, stage_jx_values, stage_jy_values);
+            segment_values(j, 2, xr[j], yr[j], x2[j], y2[j], cell_x[1][j], cell_y[1][j], q[j], dt,
+                           dx, dy, inv_area, stage_jx_values, stage_jy_values);
+        }
+        for (int r = 0; r < 4; r++)
+            bad |= not_finite(stage_jx_values[r], m) | not_finite(stage_jy_values[r], m);
+        copy_out(jx_nodes, stage_jx_nodes, 4, n, i0, m);
+        copy_out(jx_values, stage_jx_values, 4, n, i0, m);
+        copy_out(jy_nodes, stage_jy_nodes, 4, n, i0, m);
+        copy_out(jy_values, stage_jy_values, 4, n, i0, m);
+    }
+    return finish(bad);
+}
+
+/* One zigzag entry into its bin: a node (< nnodes, into acc) or a ghost
+ * slot (into summed). */
+static inline void bin_add(int64_t d, double v, int64_t nnodes, double *R acc, double *R summed)
+{
+    if (d < nnodes)
+        acc[d] += v;
+    else
+        summed[d - nnodes] += v;
+}
+
+/* deposit_by_destination for the two zigzag components, jx (c = 0) and jy
+ * (c = 1): entry i of row r of values (2, 4, n) goes to dest[4 *
+ * pair_of[r / 2][i] + vertex[c][r]] -- a node (< nnodes, into row c of acc
+ * (2, nnodes)) or a ghost slot (into row c of summed (2, nslots)) -- added
+ * row by row, in entry order inside a row, to bins zeroed first:
+ * bincount's order.  The two components share the pair lookup and their
+ * sums are independent, so their chains of adds into one bin overlap.
+ * BAD_INDEX when a pair (of the first two pair_of rows), a vertex or a
+ * destination is outside its table, FLAGGED when a value is not finite:
+ * either before an output is written. */
+int zigzag_bin(int64_t n, const double *R values, const int64_t *R vertex, int64_t npairs,
+               const int64_t *R dest, const int64_t *R pair_of, int64_t nnodes, int64_t nslots,
+               double *R acc, double *R summed)
+{
+    int64_t outside = outside_of(pair_of, 2 * n, npairs) |
+                      outside_of(dest, 4 * npairs, nnodes + nslots) | outside_of(vertex, 8, 4);
+    if (outside)
+        return BAD_INDEX;
+    if (not_finite(values, 8 * n))
+        return FLAGGED; /* before anything is written */
+    memset(acc, 0, sizeof(double) * 2 * (size_t)nnodes);
+    memset(summed, 0, sizeof(double) * 2 * (size_t)nslots);
+    feclearexcept(FE_ALL_EXCEPT);
+    for (int r = 0; r < 4; r++) {
+        const int64_t *pairs = pair_of + (r / 2) * n;
+        const int64_t *to_x = dest + vertex[r], *to_y = dest + vertex[4 + r];
+        const double *jx = values + r * n, *jy = values + (4 + r) * n;
+        for (int64_t i = 0; i < n; i++) {
+            int64_t p = 4 * pairs[i];
+            bin_add(to_x[p], jx[i], nnodes, acc, summed);
+            bin_add(to_y[p], jy[i], nnodes, acc + nnodes, summed + nslots);
+        }
+    }
+    return finish(not_finite(acc, 2 * nnodes) | not_finite(summed, 2 * nslots));
 }
 
 /* boris_push after its validation: e, b are (3, n); out is (5, n), the new
@@ -363,22 +656,6 @@ static PASS void marder_pass(int64_t ny, int64_t nx, double scale, double two_dx
         ex[r + nx - 1] = ex[r + nx - 1] + scale * ((res[r] - res[r + nx - 2]) / two_dx);
         ey[r + nx - 1] = ey[r + nx - 1] + scale * ((res[up + nx - 1] - res[dn + nx - 1]) / two_dy);
     }
-}
-
-/* Whether any of a[0 .. m) is inf or NaN, i.e. has all exponent bits set:
- * adding one to the exponent field then carries into the sign bit.  An
- * integer OR, which vectorizes where NOT_FINITE's comparison does not. */
-static int64_t not_finite(const double *R a, int64_t m)
-{
-    const uint64_t exponent = 0x7ff0000000000000u, one = 0x0010000000000000u;
-    uint64_t carried = 0;
-    /* VECTORIZED: not_finite */
-    for (int64_t k = 0; k < m; k++) {
-        uint64_t bits;
-        memcpy(&bits, a + k, sizeof bits);
-        carried |= (bits & exponent) + one;
-    }
-    return (int64_t)(carried >> 63);
 }
 
 /* MaxwellSolver._step_numpy after its validation.  e and b are the three

@@ -46,6 +46,8 @@ fields.  ``tests/test_engine_parity.py`` pins this contract.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.machine.batch import MessageBatch
@@ -133,6 +135,8 @@ class PooledParticles:
         # once consumed.
         self._pool: ParticlePool | None = None
         self._cic_pool_cache: tuple[ParticlePool, np.ndarray, np.ndarray] | None = None
+        # the flat blocks behind _kept, by name
+        self._blocks: dict[str, np.ndarray] = {}
         if isinstance(local_particles, ParticlePool):
             self.pool = local_particles
         else:
@@ -189,6 +193,16 @@ class PooledParticles:
         self._pool = pool
         self.particles = list(pool.views)
         self._cic_pool_cache = None
+
+    def _kept(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """The C-contiguous ``shape`` buffer ``name``, kept across steps: the
+        front of a flat block that is only ever grown.  A step's fresh 1-2 MB
+        per-particle outputs were page-faulted in, ~700 faults a Fig 17 step."""
+        size = math.prod(shape)
+        block = self._blocks.get(name)
+        if block is None or block.size < size:
+            block = self._blocks[name] = np.empty(size, dtype=dtype)
+        return block[:size].reshape(shape)
 
     def _field_node_values(self) -> np.ndarray:
         """``(6, nnodes)`` E and B of ``self.fields``, one row per component."""
@@ -336,20 +350,14 @@ class ParallelPIC(PooledParticles):
         # What the latest gather exchange delivered, kept only when
         # collect_debug=True (see last_gather_messages).
         self._last_gather: MessageBatch | None = None
-        # CIC nodes and weights, interpolated fields: see _outputs
-        self._kept: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def _outputs(self, pool: ParticlePool):
-        """The CIC ``(nodes, weights)`` and the flat ``6 n`` interpolation
+        """The kept CIC ``(nodes, weights)`` and flat ``6 n`` interpolation
         buffers for ``pool`` (a shard's are the rows of its slice, ``[6 a,
-        6 b)`` of the flat one), kept across steps and only ever grown:
-        fresh 1-2 MB outputs were page-faulted in, ~700 faults a Fig 17 step.
-        """
+        6 b)`` of the flat one)."""
         n = pool.n
-        if self._kept is None or len(self._kept[0]) < n:
-            self._kept = (np.empty((n, 4), dtype=np.int64), np.empty((n, 4)), np.empty(6 * n))
-        nodes, weights, fields = self._kept
-        return (nodes[:n], weights[:n]), fields[: 6 * n]
+        cic = (self._kept("cic_nodes", (n, 4), np.int64), self._kept("cic_weights", (n, 4)))
+        return cic, self._kept("fields", (6 * n,))
 
     # ------------------------------------------------------------------
     # dict views of the exchanges (tests and debugging; built on demand)

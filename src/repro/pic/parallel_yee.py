@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import native
 from repro.machine.batch import MessageBatch
 from repro.machine.virtual import VirtualMachine
 from repro.mesh.decomposition import MeshDecomposition
@@ -54,23 +55,24 @@ from repro.obs.profile import maybe_section
 from repro.parallel_exec.kernels import merge_ghost_messages
 from repro.particles.arrays import ParticleArray, ParticlePool
 from repro.pic.deposition import deposit_by_destination, deposition_entries, ghost_slots
-from repro.pic.interpolation import gather_from_node_values
+
+# The e2e recorder (benchmarks/e2e/layers.py) rebinds deposition_entries,
+# deposit_current_zigzag, gather_from_node_values and boris_push in this
+# module by name, so they stay module attributes: the pooled scatter needs
+# the entry lists, not the dense zigzag sum, and the staggered gather's
+# NumPy body calls the interpolation's own body.
+from repro.pic.interpolation import gather_from_node_values, interpolate_numpy  # noqa: F401
 from repro.pic.parallel import PooledParticles
 from repro.pic.push import boris_push
 from repro.pic.yee import YeeSolver
-
-# The pooled scatter needs the entry lists, not their dense sum; the dense
-# form stays a module attribute because the e2e recorder
-# (benchmarks/e2e/layers.py) rebinds it in this module by name.
 from repro.pic.zigzag import (  # noqa: F401
-    JX_VERTICES,
-    JY_VERTICES,
     deposit_current_zigzag,
+    deposit_zigzag_entries,
     zigzag_entries,
 )
 from repro.util import require
 
-__all__ = ["ParallelYeePIC"]
+__all__ = ["ParallelYeePIC", "staggered_gather", "staggered_gather_numpy"]
 
 #: The four distinct staggered stencils as ``(x shift, y shift)`` in
 #: cells, each with the rows of the gathered ``(ex, ey, ez, bx, by, bz)``
@@ -83,6 +85,52 @@ _STENCILS = (
 )
 
 
+def staggered_gather(
+    grid: Grid2D,
+    x: np.ndarray,
+    y: np.ndarray,
+    node_values: np.ndarray,
+    eb: np.ndarray,
+    cells: np.ndarray,
+    vertices: tuple[np.ndarray, np.ndarray] | None = None,
+) -> None:
+    """The six Yee-staggered components at ``(x, y)`` into ``eb`` ``(6, n)``,
+    each stencil's cell (first vertex) into ``cells`` ``(4, n)``.
+
+    ``node_values`` is ``(6, nnodes)``, one row per component; ``vertices``
+    the unshifted CIC evaluation of these positions when one is at hand.
+    One compiled pass when :mod:`repro.native` is active, with the bytes of
+    :func:`staggered_gather_numpy` either way.
+    """
+    compiled = native.kernels()
+    if compiled is None or not compiled.yee_gather(grid, x, y, node_values, eb, cells):
+        staggered_gather_numpy(grid, x, y, node_values, eb, cells, vertices)
+
+
+def staggered_gather_numpy(grid, x, y, node_values, eb, cells, vertices=None) -> None:
+    """The NumPy body of :func:`staggered_gather`, fallback and oracle of
+    the compiled pass (NumPy bodies only: the load-time self-check runs it).
+
+    The six components share four stencils (:data:`_STENCILS`) and those
+    share two shifts per axis, so each axis is wrapped and floored once per
+    shift.  One stencil is alive at a time.
+    """
+    axes = {
+        (axis, shift): grid.cic_axis(coords - shift * d, axis)
+        for axis, coords, d in ((0, x, grid.dx), (1, y, grid.dy))
+        for shift in (0.0, 0.5)
+    }
+    for k, ((sx, sy), rows) in enumerate(_STENCILS):
+        if sx == sy == 0.0 and vertices is not None:
+            nodes, weights = vertices
+        else:
+            nodes, weights = grid.cic_from_axes(axes[0, sx], axes[1, sy])
+        for row in rows:  # one component per call, as the per-rank formulation rounds
+            by_node = np.ascontiguousarray(node_values[row : row + 1].T)
+            eb[row] = interpolate_numpy(by_node, nodes, weights)[0]
+        cells[k] = nodes[:, 0]
+
+
 class ParallelYeePIC(PooledParticles):
     """SPMD charge-conserving PIC stepper on a :class:`VirtualMachine`.
 
@@ -90,7 +138,15 @@ class ParallelYeePIC(PooledParticles):
     guard runs after the push and after the scatter.  Parameters mirror
     :class:`repro.pic.parallel.ParallelPIC` (Lagrangian movement only —
     combine with the usual :class:`~repro.core.redistribution.Redistributor`
-    for dynamic redistribution).
+    for dynamic redistribution).  ``ghost_table`` is validated as there,
+    but this stepper keeps no per-rank ghost tables — its ghost sums are
+    keyed by ``(rank, node)`` slots — so the choice changes neither its
+    messages nor its accounting.
+
+    The per-particle outputs (the interpolated fields, the stencil and
+    scatter cells, the pre-push positions, the zigzag entry blocks and the
+    CIC evaluation) live in blocks kept across steps and only ever grown,
+    as the era stepper's do: fresh ones are page-faulted in every step.
     """
 
     SOLVER = YeeSolver
@@ -149,31 +205,16 @@ class ParallelYeePIC(PooledParticles):
     # ------------------------------------------------------------------
     # gather (request/reply) + push
     # ------------------------------------------------------------------
-    def _interpolate(self, pool: ParticlePool, node_values: np.ndarray, eb: np.ndarray):
-        """Fill ``eb`` (6, n); return the ``(4, n)`` cells of the stencils.
-
-        The six components share four stencils and those share two
-        shifts per axis, so each axis is wrapped and floored once per
-        shift.  One stencil is alive at a time.
-        """
-        grid = self.grid
-        parts = pool.array
+    def _interpolate(self, pool: ParticlePool, node_values: np.ndarray):
+        """The ``(6, n)`` fields at the pool's particles and the ``(4, n)``
+        cells of their stencils (:func:`staggered_gather`), in kept blocks."""
         cached, self._cic_pool_cache = self._cic_pool_cache, None  # the push moves particles
-        axes = {
-            (axis, shift): grid.cic_axis(coords - shift * d, axis)
-            for axis, coords, d in ((0, parts.x, grid.dx), (1, parts.y, grid.dy))
-            for shift in (0.0, 0.5)
-        }
-        cells = np.empty((len(_STENCILS), pool.n), dtype=np.int64)
-        for k, ((sx, sy), rows) in enumerate(_STENCILS):
-            if sx == sy == 0.0 and cached is not None and cached[0] is pool:
-                nodes, weights = cached[1:]
-            else:
-                nodes, weights = grid.cic_from_axes(axes[0, sx], axes[1, sy])
-            for row in rows:  # one component per call, as the per-rank formulation rounds
-                eb[row] = gather_from_node_values(node_values[row : row + 1], nodes, weights)[0]
-            cells[k] = nodes[:, 0]
-        return cells
+        vertices = cached[1:] if cached is not None and cached[0] is pool else None
+        eb = self._kept("eb", (6, pool.n))
+        cells = self._kept("cells", (len(_STENCILS), pool.n), np.int64)
+        parts = pool.array
+        staggered_gather(self.grid, parts.x, parts.y, node_values, eb, cells, vertices)
+        return eb, cells
 
     def gather_push(self) -> None:
         """Fetch off-rank field values, interpolate, push.
@@ -190,10 +231,9 @@ class ParallelYeePIC(PooledParticles):
         pool = self.pool
         parts = pool.array
         node_values = self._field_node_values()
-        eb = np.empty((6, pool.n))
         with vm.phase("gather"):
             with maybe_section(prof, "interpolate"):
-                cells = self._interpolate(pool, node_values, eb)
+                eb, cells = self._interpolate(pool, node_values)
             with maybe_section(prof, "exchange"):
                 slots = ghost_slots(self.grid, self.node_owner, pool.rank_of_particles(), cells)
                 vm.charge_ops("gather", 4.0 * pool.counts.astype(float))
@@ -208,7 +248,10 @@ class ParallelYeePIC(PooledParticles):
                 )
         with vm.phase("push"):
             vm.charge_ops("push", pool.counts.astype(float))
-            self._pre_push = (pool, parts.x.copy(), parts.y.copy())
+            x_old, y_old = self._kept("pre_push", (2, pool.n))
+            np.copyto(x_old, parts.x)
+            np.copyto(y_old, parts.y)
+            self._pre_push = (pool, x_old, y_old)
             with maybe_section(prof, "boris_push"):
                 if pool.n:
                     boris_push(self.grid, parts, eb[:3], eb[3:], self.dt)
@@ -244,30 +287,26 @@ class ParallelYeePIC(PooledParticles):
         acc = np.empty((4, nnodes))  # jx, jy, jz, rho (jx/jy face-centred)
         with self.vm.phase("scatter"):
             with maybe_section(self.profiler, "deposit"):
-                jx_nodes, jx_values, jy_nodes, jy_values = zigzag_entries(
-                    grid, x_old, y_old, parts.x, parts.y, parts.w * parts.q, self.dt
-                )
-                vertices = grid.cic_vertices_weights(parts.x, parts.y)
+                charge = np.multiply(parts.w, parts.q, out=self._kept("charge", (n,)))
+                # the jx and jy entry blocks of zigzag_entries, as (2, 4, n)
+                nodes = self._kept("zigzag_nodes", (2, 4, n), np.int64)
+                values = self._kept("zigzag_values", (2, 4, n))
+                zigzag_entries(
+                    grid, x_old, y_old, parts.x, parts.y, charge, self.dt,
+                    out=(nodes[0], values[0], nodes[1], values[1]),
+                )  # fmt: skip
+                cic_nodes = self._kept("cic_nodes", (n, 4), np.int64)
+                cic_out = (cic_nodes, self._kept("cic_weights", (n, 4)))
+                vertices = grid.cic_vertices_weights(parts.x, parts.y, out=cic_out)
                 self._cic_pool_cache = (pool,) + vertices
-                cic_nodes = vertices[0]
                 # the cells the entries hang off: both sub-segments', then the CIC one
-                cells = np.stack((jx_nodes[:n], jx_nodes[2 * n : 3 * n], cic_nodes[:, 0]))
+                cells = self._kept("scatter_cells", (3, n), np.int64)
+                cells[0], cells[1], cells[2] = nodes[0, 0], nodes[0, 2], vertices[0][:, 0]
                 slots = ghost_slots(grid, self.node_owner, pool.rank_of_particles(), cells)
                 dest, pair_of = slots.dest, slots.pair_of
                 summed = np.empty((4, slots.nodes.size))
-                # one group alive at a time: its entries die before the next one's are born
-                segment_pair = pair_of[:2].repeat(2, axis=0)  # per zigzag entry row
-                entry_dest = dest[segment_pair, np.reshape(JX_VERTICES, (4, 1))].ravel()
-                deposit_by_destination(entry_dest, jx_values[None], acc[:1], summed[:1])
-                del jx_nodes, jx_values
-                entry_dest = dest[segment_pair, np.reshape(JY_VERTICES, (4, 1))].ravel()
-                deposit_by_destination(entry_dest, jy_values[None], acc[1:2], summed[1:2])
-                del jy_nodes, jy_values, segment_pair
-                _, cic_values = deposition_entries(grid, parts, vertices, channels=(3, 0))
-                deposit_by_destination(
-                    dest[pair_of[2]].ravel(), cic_values.reshape(2, -1), acc[2:], summed[2:]
-                )
-                del cic_values, entry_dest
+                deposit_zigzag_entries(values.reshape(2, -1), dest, pair_of, acc[:2], summed[:2])
+                self._deposit_cic(parts, vertices, dest, pair_of[2], acc, summed)
                 # the slots under a CIC entry: the off-rank vertices of the CIC pairs
                 cic_pairs = np.zeros(len(dest), dtype=bool)
                 cic_pairs[pair_of[2]] = True
@@ -289,6 +328,23 @@ class ParallelYeePIC(PooledParticles):
         self.fields.jy = (acc[1] * scale).reshape(grid.shape)
         self.fields.jz = (acc[2] * scale).reshape(grid.shape)
         self.fields.rho = (acc[3] * scale).reshape(grid.shape)
+
+    def _deposit_cic(self, parts, vertices, dest, pair_of, acc, summed) -> None:
+        """The CIC group: jz and rho (deposit channels 3 and 0) into rows 2
+        and 3 of ``acc`` and ``summed``.  The compiled ``deposit`` computes
+        all four channels, into a kept block, with the bytes of the entry
+        lists and their ``bincount``s below."""
+        compiled = native.kernels()
+        both = self._kept("cic_acc", acc.shape)
+        args = (dest, pair_of, both, summed.shape[1])
+        found = compiled.deposit(parts, vertices[1], *args) if compiled is not None else None
+        if found is None:
+            _, cic_values = deposition_entries(self.grid, parts, vertices, channels=(3, 0))
+            deposit_by_destination(
+                dest[pair_of].ravel(), cic_values.reshape(2, -1), acc[2:], summed[2:]
+            )
+        else:
+            acc[2], acc[3], summed[2], summed[3] = both[3], both[0], found[3], found[0]
 
     # ------------------------------------------------------------------
     def gauss_error(self) -> float:

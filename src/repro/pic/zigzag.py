@@ -38,11 +38,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import native
 from repro.mesh.grid import Grid2D
+from repro.pic.deposition import deposit_by_destination
 from repro.util import require
 
 __all__ = [
     "zigzag_entries",
+    "zigzag_entries_numpy",
+    "deposit_zigzag_entries",
+    "deposit_zigzag_entries_numpy",
     "deposit_current_zigzag",
     "continuity_residual",
     "JX_VERTICES",
@@ -63,6 +68,7 @@ def zigzag_entries(
     y_new: np.ndarray,
     charge: np.ndarray,
     dt: float,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Face-current contributions of per-particle motion segments.
 
@@ -78,6 +84,10 @@ def zigzag_entries(
         Per-particle charge (``w * q``).
     dt:
         Time step.
+    out:
+        Optional ``(4, n)`` blocks for the four lists (int64, float64,
+        int64, float64), written into (the parallel stepper keeps its
+        blocks across steps); fresh arrays otherwise.
 
     Returns
     -------
@@ -90,6 +100,10 @@ def zigzag_entries(
         ``(rank, node)``.  Rows 0 and 2 hold the sub-segments' (wrapped)
         cells, rows 1 and 3 those cells' vertices
         :data:`JX_VERTICES` / :data:`JY_VERTICES`.
+
+    One compiled pass when :mod:`repro.native` is active; it declines a
+    move of a cell or more (and a NaN one) to :func:`zigzag_entries_numpy`,
+    which then raises, and gives that body's bytes otherwise.
     """
     require(dt > 0, "dt must be > 0")
     x_old = np.asarray(x_old, float)
@@ -102,7 +116,27 @@ def zigzag_entries(
         all(a.shape == (n,) for a in (y_old, x_new, y_new, charge)),
         "all position/charge arrays must share one length",
     )
+    args = (grid, x_old, y_old, x_new, y_new, charge, dt, out)
+    compiled = native.kernels()
+    found = compiled.zigzag(*args) if compiled is not None else None
+    return tuple(block.ravel() for block in found or zigzag_entries_numpy(*args))
 
+
+def zigzag_entries_numpy(
+    grid: Grid2D,
+    x_old: np.ndarray,
+    y_old: np.ndarray,
+    x_new: np.ndarray,
+    y_new: np.ndarray,
+    charge: np.ndarray,
+    dt: float,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The NumPy body of :func:`zigzag_entries` on validated float64
+    arrays, fallback and oracle of the compiled pass: the four ``(4, n)``
+    blocks (``out`` if given).  ``np.mod`` gives the shortest move, so
+    the compiled pass computes NumPy's float remainder, not the wrap."""
+    n = x_old.shape[0]
     # Unwrapped coordinates: wrapped start + shortest periodic move.
     x1, y1 = grid.wrap_positions(x_old, y_old)
     dx_move = np.mod(x_new - x_old + grid.lx / 2, grid.lx) - grid.lx / 2
@@ -128,10 +162,10 @@ def zigzag_entries(
     yr = relay(y1, y2, c1y, c2y, grid.dy)
 
     inv_area = 1.0 / (grid.dx * grid.dy)
-    jx_nodes = np.empty((4, n), dtype=np.int64)
-    jy_nodes = np.empty((4, n), dtype=np.int64)
-    jx_values = np.empty((4, n))
-    jy_values = np.empty((4, n))
+    jx_nodes, jx_values, jy_nodes, jy_values = out or (
+        np.empty((4, n), dtype=np.int64), np.empty((4, n)),
+        np.empty((4, n), dtype=np.int64), np.empty((4, n)),
+    )  # fmt: skip
 
     def segment(k, xa, ya, xb, yb, cx, cy):
         """Entries of one straight sub-segment lying inside cell (cx, cy)."""
@@ -154,7 +188,43 @@ def zigzag_entries(
 
     segment(0, x1, y1, xr, yr, c1x, c1y)
     segment(2, xr, yr, x2, y2, c2x, c2y)
-    return jx_nodes.ravel(), jx_values.ravel(), jy_nodes.ravel(), jy_values.ravel()
+    return jx_nodes, jx_values, jy_nodes, jy_values
+
+
+def deposit_zigzag_entries(
+    values: np.ndarray,
+    dest: np.ndarray,
+    pair_of: np.ndarray,
+    acc: np.ndarray,
+    summed: np.ndarray,
+) -> None:
+    """Sum the jx and jy lists of :func:`zigzag_entries` by destination.
+
+    ``values`` is ``(2, 4 n)``: the jx list, then the jy list.  ``dest``
+    and ``pair_of`` are a :class:`~repro.pic.deposition.GhostSlots`' whose
+    first two cell rows are the two sub-segments' cells.  Row ``r`` of a
+    list goes to ``dest[pair_of[r // 2], vertices[r]]``, its component's
+    :data:`JX_VERTICES` or :data:`JY_VERTICES`: on-rank sums into ``acc``
+    ``(2, nnodes)``, ghost slots' into ``summed`` ``(2, nslots)``, both
+    overwritten, each bin added to in list order
+    (:func:`~repro.pic.deposition.deposit_by_destination`'s).  One compiled
+    pass when :mod:`repro.native` is active, with the bytes of
+    :func:`deposit_zigzag_entries_numpy` either way.
+    """
+    compiled = native.kernels()
+    vertices = (JX_VERTICES, JY_VERTICES)
+    if compiled is None or not compiled.zigzag_bin(values, vertices, dest, pair_of, acc, summed):
+        deposit_zigzag_entries_numpy(values, dest, pair_of, acc, summed)
+
+
+def deposit_zigzag_entries_numpy(values, dest, pair_of, acc, summed) -> None:
+    """The NumPy body of :func:`deposit_zigzag_entries`, fallback and
+    oracle of the compiled pass: per component each entry's destination by
+    table lookup, one ``bincount``."""
+    segment_pair = pair_of[:2].repeat(2, axis=0)  # per entry row
+    for c, vertices in enumerate((JX_VERTICES, JY_VERTICES)):
+        entry_dest = dest[segment_pair, np.reshape(vertices, (4, 1))].ravel()
+        deposit_by_destination(entry_dest, values[c : c + 1], acc[c : c + 1], summed[c : c + 1])
 
 
 def deposit_current_zigzag(

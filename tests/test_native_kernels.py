@@ -1,9 +1,10 @@
 """The compiled PIC kernels reproduce their NumPy bodies byte for byte.
 
-``repro.native`` puts seven C loops behind ``Grid2D.cic_vertices_weights``,
+``repro.native`` puts ten C loops behind ``Grid2D.cic_vertices_weights``,
 ``scatter_segment``'s deposit, ``gather_from_node_values``,
-``boris_push``, ``ghost_slots``, ``MaxwellSolver.step`` and one pass of
-``binomial_smooth``.  The NumPy bodies stay as fallback and oracle, and the
+``boris_push``, ``ghost_slots``, ``MaxwellSolver.step``, one pass of
+``binomial_smooth``, ``staggered_gather``, ``zigzag_entries`` and
+``deposit_zigzag_entries``.  The NumPy bodies stay as fallback and oracle, and the
 contract is equality *by bytes* — on ordinary inputs through the C loop
 (asserted: a comparison that silently took the fallback proves nothing),
 on exceptional ones through the fallback the C loop asks for, with the
@@ -33,8 +34,17 @@ from repro.particles import ParticleArray
 from repro.pic import MaxwellSolver, Simulation, SimulationConfig
 from repro.pic.deposition import ghost_slots, ghost_slots_numpy
 from repro.pic.interpolation import gather_from_node_values, interpolate_numpy
+from repro.pic.parallel_yee import staggered_gather, staggered_gather_numpy
 from repro.pic.push import boris_push, push_numpy
 from repro.pic.smoothing import binomial_smooth, binomial_smooth_numpy
+from repro.pic.zigzag import (
+    JX_VERTICES,
+    JY_VERTICES,
+    deposit_zigzag_entries,
+    deposit_zigzag_entries_numpy,
+    zigzag_entries,
+    zigzag_entries_numpy,
+)
 from repro.util.errors import SimulationIntegrityError
 from tests import vectorization_guard
 
@@ -96,6 +106,72 @@ def _planes(fields):
 
 
 cases = st.tuples(st.sampled_from(GRIDS), st.sampled_from(SIZES), st.integers(0, 2**31))
+#: the modern stepper's kernels: every vector remainder of the values loop,
+#: and more particles than one staged chunk holds
+modern_cases = st.tuples(
+    st.sampled_from(GRIDS), st.sampled_from([0, 1, 17, 257]), st.integers(0, 2**31)
+)
+
+
+def _on_faces(grid, n, seed):
+    """``_particles``' positions, a third of the others moved onto cell
+    faces and half faces (the staggered stencils' and the relay points'
+    boundaries), some of them negative or beyond the box."""
+    parts = _particles(grid, n, seed)
+    rng = np.random.default_rng(seed + 1)
+    for coords, nc, d in ((parts.x, grid.nx, grid.dx), (parts.y, grid.ny, grid.dy)):
+        face = rng.random(n) < 1 / 3
+        face[:5] = False
+        coords[face] = rng.integers(-4 * nc, 6 * nc, face.sum()) * (0.5 * d)
+    return parts
+
+
+def _segments(grid, n, seed):
+    """Zigzag motion segments ``(x_old, y_old, x_new, y_new, charge)``:
+    starts from :func:`_on_faces`, moves under a cell; the first four are
+    the longest ones ``np.mod(move + l / 2, l)`` resolves, both signs, from
+    +0.0 and -0.0; a fifth of the ends lie across the periodic seam; some
+    charges are zero."""
+    parts = _on_faces(grid, n, seed)
+    rng = np.random.default_rng(seed + 2)
+    longest = np.subtract([grid.dx, grid.dy], np.spacing([grid.lx, grid.ly]))[:, None]
+    moves = rng.uniform(-0.99, 0.99, (2, n)) * longest
+    x_old, y_old = parts.x, parts.y
+    first = min(n, 4)
+    x_old[:first], y_old[:first] = [0.0, -0.0, 0.0, -0.0][:first], [-0.0, 0.0, 0.0, -0.0][:first]
+    moves[:, :first] = (longest * [[1, -1, 1, -1], [1, 1, -1, -1]])[:, :first]
+    x_new, y_new = x_old + moves[0], y_old + moves[1]
+    seam = rng.random(n) < 0.2
+    seam[:first] = False
+    x_new[seam] += rng.choice([-grid.lx, grid.lx], seam.sum())
+    y_new[seam] -= grid.ly
+    charge = parts.w * parts.q
+    charge[rng.random(n) < 0.1] = 0.0
+    return x_old, y_old, x_new, y_new, charge
+
+
+def _node_values(grid, ncomp, seed):
+    """``(ncomp, nnodes)`` values of different magnitudes per row, with
+    signed zeros among them."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(ncomp, grid.nnodes)) * 10.0 ** rng.uniform(-8, 8, (ncomp, 1))
+    values[:, rng.integers(0, grid.nnodes, 6)] = np.array([0.0, -0.0] * 3)
+    return values
+
+
+#: the vertex tables of the jx and jy lists, as ``deposit_zigzag_entries`` passes them
+VERTICES = (JX_VERTICES, JY_VERTICES)
+
+
+def _zigzag_slots(grid, entries, p, seed):
+    """Ghost slots over the two sub-segment cell rows of ``entries`` and a
+    random third row, the particles cut into ``p`` rank segments."""
+    n = entries[0].shape[1]
+    rng = np.random.default_rng(seed)
+    cells = np.stack((entries[0][0], entries[0][2], rng.integers(0, grid.ncells, n)))
+    counts = np.diff(np.concatenate(([0], np.sort(rng.integers(0, n + 1, p - 1)), [n])))
+    owner = CurveBlockDecomposition(grid, p, "hilbert").owner_map
+    return ghost_slots_numpy(grid, owner, np.repeat(np.arange(p), counts), cells)
 
 
 # ----------------------------------------------------------------------
@@ -255,6 +331,43 @@ class TestBytes:
         _same((got,), (binomial_smooth_numpy(a),))
         _same((binomial_smooth(a, 3),), (binomial_smooth_numpy(a, 3),))
 
+    @settings(max_examples=40, deadline=None)
+    @given(modern_cases)
+    def test_yee_gather(self, compiled, case):
+        grid, n, seed = case
+        parts = _on_faces(grid, n, seed)
+        node_values = _node_values(grid, 6, seed)
+        got = np.full((6, n), np.nan), np.full((4, n), -1, dtype=np.int64)
+        want = np.empty((6, n)), np.empty((4, n), dtype=np.int64)
+        assert compiled.yee_gather(grid, parts.x, parts.y, node_values, *got)
+        staggered_gather_numpy(grid, parts.x, parts.y, node_values, *want)
+        _same(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(modern_cases, st.sampled_from([0.05, 0.6, 3.0]))
+    def test_zigzag(self, compiled, case, dt):
+        grid, n, seed = case
+        args = (grid, *_segments(grid, n, seed), dt)
+        got = compiled.zigzag(*args)
+        assert got is not None
+        _same(got, zigzag_entries_numpy(*args))
+
+    @settings(max_examples=40, deadline=None)
+    @given(modern_cases, st.sampled_from([1, 3]), st.sampled_from([1.0, 1e-310]))
+    def test_zigzag_bin(self, compiled, case, p, charge_scale):
+        """Both components of real zigzag entries (some charges zero, or all
+        subnormal) by the ghost slots of their cells over ``p`` ranks."""
+        grid, n, seed = case
+        x_old, y_old, x_new, y_new, charge = _segments(grid, n, seed)
+        entries = zigzag_entries_numpy(grid, x_old, y_old, x_new, y_new, charge * charge_scale, 0.6)
+        slots = _zigzag_slots(grid, entries, p, seed)
+        values = np.stack((entries[1].ravel(), entries[3].ravel()))
+        got = np.full((2, grid.nnodes), np.nan), np.full((2, slots.nodes.size), np.nan)
+        want = np.empty((2, grid.nnodes)), np.empty((2, slots.nodes.size))
+        assert compiled.zigzag_bin(values, VERTICES, slots.dest, slots.pair_of, *got)
+        deposit_zigzag_entries_numpy(values, slots.dest, slots.pair_of, *want)
+        _same(got, want)
+
 
 @pytest.mark.parametrize("path", ["compiled", "numpy"])
 def test_outputs_land_in_the_callers_buffers(path, request):
@@ -275,6 +388,12 @@ def test_outputs_land_in_the_callers_buffers(path, request):
         out = np.full(6 * n + 3, np.nan)[: ncomp * n].reshape(ncomp, n)
         assert gather_from_node_values(node_values[:ncomp], *fresh, out=out) is out
         _same((out,), (gather_from_node_values(node_values[:ncomp], *fresh),))
+    segments = (grid, *_segments(grid, n, 9), 0.4)
+    kinds = [(-7, np.int64), (np.nan, np.float64)] * 2
+    blocks = [np.full((4, n), fill, dtype=dtype) for fill, dtype in kinds]
+    got = zigzag_entries(*segments, out=blocks)
+    assert all(np.shares_memory(g, b) for g, b in zip(got, blocks))
+    _same(got, zigzag_entries(*segments))
 
 
 # ----------------------------------------------------------------------
@@ -497,6 +616,179 @@ class TestDeclined:
         for a in (wide[0, :, ::2], base.ex.astype(np.float32), thin[0][0], thin[1][0], nested):
             assert compiled.smooth(a) is None
             _same((binomial_smooth(a, 2),), (binomial_smooth_numpy(np.asarray(a, dtype=float), 2),))
+
+    @staticmethod
+    def _warned(call):
+        """``call()``'s answer and the warnings it raised."""
+        with warnings.catch_warnings(record=True) as said:
+            warnings.simplefilter("always")
+            answer = call()
+        return answer, [str(w.message) for w in said]
+
+    @pytest.mark.parametrize("where", ["x_old", "y_new", "charge", "x_new"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_zigzag_declines_non_finite_inputs_untouched(self, compiled, where, value):
+        """The kept blocks are left as they were; the public function then
+        answers, and warns, as the NumPy body does."""
+        grid = self.grid
+        segments = dict(zip(("x_old", "y_old", "x_new", "y_new", "charge"), _segments(grid, 40, 3)))
+        segments[where][17] = value
+        args = (grid, *segments.values(), 0.4)
+        kinds = [(-7, np.int64), (np.nan, np.float64)] * 2
+        blocks = [np.full((4, 40), fill, dtype=dtype) for fill, dtype in kinds]
+        before = [b.copy() for b in blocks]
+        assert compiled.zigzag(*args, out=blocks) is None
+        _same(blocks, before)
+        want, numpy_said = self._warned(lambda: zigzag_entries_numpy(*args))
+        got, we_said = self._warned(lambda: zigzag_entries(*args))
+        assert we_said == numpy_said
+        _same(got, [w.ravel() for w in want])
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("cells", [1.0, -1.0, 1.5, -3.0, "next below one"])
+    def test_zigzag_declines_moves_of_a_cell(self, compiled, axis, cells):
+        """A move NumPy measures at one cell or more raises its ValueError,
+        the compiled pass having written nothing; one just under a cell goes
+        whichever way NumPy's remainder takes it, on both paths alike."""
+        grid = self.grid
+        x_old, y_old, x_new, y_new, charge = _segments(grid, 40, 4)
+        d = (grid.dx, grid.dy)[axis]
+        move = np.nextafter(d, 0.0) if cells == "next below one" else cells * d
+        ends = (x_new, y_new)[axis]
+        ends[23] = (x_old, y_old)[axis][23] + move
+        args = (grid, x_old, y_old, x_new, y_new, charge, 0.4)
+        kinds = [(-7, np.int64), (np.nan, np.float64)] * 2
+        blocks = [np.full((4, 40), fill, dtype=dtype) for fill, dtype in kinds]
+        before = [b.copy() for b in blocks]
+        try:
+            want = zigzag_entries_numpy(*args)
+        except ValueError:
+            assert compiled.zigzag(*args, out=blocks) is None
+            _same(blocks, before)
+            with pytest.raises(ValueError, match="less than one cell"):
+                zigzag_entries(*args)
+        else:
+            assert cells == "next below one"
+            _same(compiled.zigzag(*args), want)
+
+    @pytest.mark.parametrize("poison", ["x", "y", "field"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_yee_gather_declines_non_finite_inputs_untouched(self, compiled, poison, value):
+        grid = self.grid
+        parts = _on_faces(grid, 30, 5)
+        node_values = _node_values(grid, 6, 5)
+        if poison == "field":
+            node_values[4, 11] = value
+        else:
+            getattr(parts, poison)[12] = value
+        eb, cells = np.full((6, 30), 7.0), np.full((4, 30), -7, dtype=np.int64)
+        assert not compiled.yee_gather(grid, parts.x, parts.y, node_values, eb, cells)
+        _same((eb, cells), (np.full((6, 30), 7.0), np.full((4, 30), -7, dtype=np.int64)))
+        want = np.empty((6, 30)), np.empty((4, 30), dtype=np.int64)
+        _, numpy_said = self._warned(
+            lambda: staggered_gather_numpy(grid, parts.x, parts.y, node_values, *want)
+        )
+        _, we_said = self._warned(
+            lambda: staggered_gather(grid, parts.x, parts.y, node_values, eb, cells)
+        )
+        assert we_said == numpy_said
+        _same((eb, cells), want)
+
+    def test_zigzag_bin_declines_bad_indices_and_values_untouched(self, compiled):
+        """A pair beyond the table is NumPy's IndexError, a destination below
+        0 or beyond the bins its ValueError; a pair of -1 NumPy counts from
+        the end; a value that is not finite NumPy sums.  The compiled pass
+        declines each, both outputs as they were."""
+        grid = self.grid
+        entries = zigzag_entries_numpy(grid, *_segments(grid, 60, 6), 0.4)
+        slots = _zigzag_slots(grid, entries, 3, 6)
+        values = np.stack((entries[1].ravel(), entries[3].ravel()))
+        npairs, nbins = len(slots.dest), grid.nnodes + slots.nodes.size
+        cases = []
+        for row, bad in ((0, npairs), (1, 2**40), (0, -1)):
+            pair_of = slots.pair_of.copy()
+            pair_of[row, 7] = bad
+            cases.append((values, slots.dest, pair_of))
+        for bad in (-1, nbins):
+            dest = slots.dest.copy()
+            dest[slots.pair_of[0, 9], JY_VERTICES[0]] = bad
+            cases.append((values, dest, slots.pair_of))
+        for bad in (np.nan, np.inf):
+            poisoned = values.copy()
+            poisoned[1, 31] = bad
+            cases.append((poisoned, slots.dest, slots.pair_of))
+        shapes = (2, grid.nnodes), (2, slots.nodes.size)
+        for values, dest, pair_of in cases:
+            acc, summed = (np.full(shape, 3.0) for shape in shapes)
+            assert not compiled.zigzag_bin(values, VERTICES, dest, pair_of, acc, summed)
+            _same((acc, summed), [np.full(shape, 3.0) for shape in shapes])
+            try:
+                want = [np.empty(shape) for shape in shapes]
+                deposit_zigzag_entries_numpy(values, dest, pair_of, *want)
+            except (IndexError, ValueError) as exc:
+                with pytest.raises(type(exc)):
+                    deposit_zigzag_entries(values, dest, pair_of, acc, summed)
+            else:
+                deposit_zigzag_entries(values, dest, pair_of, acc, summed)
+                _same((acc, summed), want)
+        bad_vertex = (JX_VERTICES, (0, 1, 0, 4))
+        assert not compiled.zigzag_bin(values, bad_vertex, slots.dest, slots.pair_of, acc, summed)
+
+    def test_modern_kernels_take_no_view_or_other_dtype(self, compiled):
+        """float32 or strided arguments, or a ``pair_of`` of one row, take the
+        NumPy body; the public functions answer with its bytes."""
+        grid = self.grid
+        x_old, y_old, x_new, y_new, charge = _segments(grid, 64, 7)
+        segments = (x_old, y_old, x_new, y_new, charge)
+        for bad in (
+            (*segments[:4], charge.astype(np.float32)),
+            tuple(a[::2] for a in segments),
+            tuple(list(a) for a in segments),
+        ):
+            assert compiled.zigzag(grid, *bad, 0.4) is None
+            want = zigzag_entries_numpy(grid, *(np.asarray(a, dtype=float) for a in bad), 0.4)
+            _same(zigzag_entries(grid, *bad, 0.4), [a.ravel() for a in want])
+        blocks = [np.empty((4, 64), dtype=np.int64), np.empty((4, 128))[:, ::2]]
+        blocks += [np.empty((4, 64), dtype=np.int64), np.empty((4, 64))]
+        assert compiled.zigzag(grid, x_old, y_old, x_new, y_new, charge, 0.4, blocks) is None
+
+        node_values = _node_values(grid, 6, 7)
+        eb, cells = np.empty((6, 64)), np.empty((4, 64), dtype=np.int64)
+        declined = [
+            (x_old.astype(np.float32), y_old, node_values, eb, cells),
+            (x_old[::2], y_old[::2], node_values, eb[:, :32], cells[:, :32]),
+            (x_old, y_old, np.ascontiguousarray(node_values.T).T, eb, cells),
+            (x_old, y_old, node_values, np.empty((6, 128))[:, ::2], cells),
+            (x_old, y_old, node_values, eb, cells.astype(np.int32)),
+        ]
+        for args in declined:
+            assert not compiled.yee_gather(grid, *args)
+        want = np.empty((6, 32)), np.empty((4, 32), dtype=np.int64)
+        staggered_gather_numpy(grid, x_old[::2], y_old[::2], node_values, *want)
+        staggered_gather(grid, x_old[::2], y_old[::2], node_values, eb[:, :32], cells[:, :32])
+        _same((eb[:, :32], cells[:, :32]), want)
+
+        entries = zigzag_entries_numpy(grid, x_old, y_old, x_new, y_new, charge, 0.4)
+        slots = _zigzag_slots(grid, entries, 2, 7)
+        values = np.stack((entries[1].ravel(), entries[3].ravel()))
+        shapes = (2, grid.nnodes), (2, slots.nodes.size)
+        acc, summed = (np.empty(shape) for shape in shapes)
+        strided = np.repeat(values, 2, axis=1)[:, ::2]
+        declined = [
+            (values.astype(np.float32), slots.dest, slots.pair_of, acc, summed),
+            (strided, slots.dest, slots.pair_of, acc, summed),
+            (values, slots.dest.astype(np.int32), slots.pair_of, acc, summed),
+            (values, slots.dest, slots.pair_of[:1].copy(), acc, summed),
+            (values, slots.dest, np.asfortranarray(slots.pair_of), acc, summed),
+            (values, slots.dest, slots.pair_of, np.empty((4, grid.nnodes))[::2], summed),
+            (values, slots.dest, slots.pair_of, acc, np.empty((1, slots.nodes.size))),
+        ]
+        for values_, dest, pair_of, acc_, summed_ in declined:
+            assert not compiled.zigzag_bin(values_, VERTICES, dest, pair_of, acc_, summed_)
+        want = [np.empty(shape) for shape in shapes]
+        deposit_zigzag_entries_numpy(values, slots.dest, slots.pair_of, *want)
+        deposit_zigzag_entries(strided, slots.dest, slots.pair_of, acc, summed)
+        _same((acc, summed), want)
 
 
 # ----------------------------------------------------------------------

@@ -485,7 +485,7 @@ from repro.pic import Simulation, SimulationConfig
 if sys.argv[2] == "numpy":
     native._loaded = (None, native.NativeStatus(False, "forced"))
 config = SimulationConfig(nx=128, ny=64, nparticles=32768, p=32, seed=3, distribution="irregular",
-                          scheme="hilbert", policy="dynamic", vth=0.08)
+                          scheme="hilbert", policy="dynamic", vth=0.08, kernel=sys.argv[3])
 with Simulation(config, workers=int(sys.argv[1])) as sim:
     sim.run(40)  # three redistributions: the heap of a running Fig 17 job
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -496,18 +496,22 @@ with Simulation(config, workers=int(sys.argv[1])) as sim:
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc allocator behaviour")
-@pytest.mark.parametrize("workers", [0, 2])
-def test_warm_steps_are_not_page_faulted_in(workers):
-    """20 warm ``ParallelPIC`` steps at the Fig 17 size take at most 50
-    minor page faults each.  Fresh 1-2 MB CIC and interpolation outputs
-    per step cost ~860 here in-process and ~750 under two shard threads;
-    the stepper's kept buffers, the compiled ``ghost_slots`` and its
-    scratch leave 0-15.  A fresh interpreter, because what faults depends
-    on the allocator's history, which the rest of the suite would set."""
+@pytest.mark.parametrize(
+    "kernel, workers", [("era", 0), ("era", 2), ("modern", 0)], ids=["0", "2", "modern-0"]
+)
+def test_warm_steps_are_not_page_faulted_in(kernel, workers):
+    """20 warm steps at the Fig 17 size take at most 50 minor page faults
+    each.  Fresh 1-2 MB CIC and interpolation outputs per step cost ~860
+    here in-process and ~750 under two shard threads; the stepper's kept
+    buffers, the compiled ``ghost_slots`` and its scratch leave 0-15.  The
+    modern stepper keeps its fields, cells, pre-push positions and zigzag
+    entry blocks, and leaves 0-6.  A fresh interpreter, because what
+    faults depends on the allocator's history, which the rest of the
+    suite would set."""
     path = "compiled" if native.kernels() is not None else "numpy"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run(
-        [sys.executable, "-c", _FAULTS_PER_STEP, str(workers), path],
+        [sys.executable, "-c", _FAULTS_PER_STEP, str(workers), path, kernel],
         env=env, capture_output=True, text=True, timeout=300, check=True,
     )  # fmt: skip
     per_step = float(done.stdout.split()[-1])

@@ -416,13 +416,14 @@ class TestMemoryPins:
     # measured step() peaks at the Fig 17 size, in bytes: on the compiled
     # kernels (the era scatter's (4, n, 4) entry block, the gather's
     # (n, 4, ncomp) block and ghost_slots' sort keys are never built) and on
-    # their NumPy bodies; the era stepper's CIC and interpolation outputs
-    # are kept across steps, so no step allocates them
+    # their NumPy bodies; the era stepper's CIC and interpolation outputs,
+    # and the modern stepper's fields, cells, pre-push positions, zigzag
+    # entries and CIC, are kept across steps, so no step allocates them
     @pytest.mark.parametrize(
         "cls, compiled, numpy_bodies, workers",
         [
             (ParallelPIC, 1_597_668, 7_469_356, 0),
-            (ParallelYeePIC, 11_407_992, 13_639_713, 0),
+            (ParallelYeePIC, 1_724_543, 8_786_456, 0),
             (ParallelPIC, 1_597_668, 7_469_356, 2),
         ],
         ids=["era", "modern", "era-workers2"],
