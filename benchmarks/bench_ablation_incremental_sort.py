@@ -14,7 +14,7 @@ from benchmarks._shared import write_report
 from repro.analysis import format_table
 from repro.core.incremental_sort import BucketState, bucket_incremental_sort
 from repro.machine import MachineModel, VirtualMachine
-from repro.particles.sort import KeyedRows, parallel_sample_sort
+from repro.particles.sort import KeyedBlock, parallel_sample_sort
 
 P = 16
 N_PER = 2000
@@ -35,7 +35,7 @@ def run_ablation():
             np.maximum(state.keys[a:b] + rng.integers(-drift, drift + 1, b - a), 0)
             for a, b in zip(state.offsets[:-1], state.offsets[1:])
         ])  # fmt: skip
-        block = KeyedRows(state.keys.reshape(-1, 1).astype(float), new_keys, state.offsets)
+        block = KeyedBlock(state.keys.reshape(1, -1).astype(float), new_keys, state.offsets)
         vm_inc = VirtualMachine(P, MachineModel.cm5())
         _, stats = bucket_incremental_sort(vm_inc, state, block)
         vm_full = VirtualMachine(P, MachineModel.cm5())

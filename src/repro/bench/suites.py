@@ -28,7 +28,7 @@ from repro.machine import MachineModel, VirtualMachine
 from repro.mesh import CurveBlockDecomposition, Grid2D
 from repro.particles import gaussian_blob
 from repro.particles.arrays import ParticlePool
-from repro.particles.sort import KeyedRows, parallel_sample_sort
+from repro.particles.sort import KeyedBlock, parallel_sample_sort
 from repro.pic import ParallelPIC, Simulation, SimulationConfig
 from repro.pic.checkpoint import load_checkpoint
 from repro.pic.ghost import make_ghost_table
@@ -207,8 +207,8 @@ def _sort_fixture(drift: int, p: int = 16, n_per: int = 4000):
     state = BucketState.build(keys, offsets, 16)
     drifts = [rng.integers(-drift, drift + 1, n_per) for _ in range(p)]  # one draw per rank
     new_keys = np.maximum(keys + np.concatenate(drifts), 0)
-    rows = np.repeat(keys, 7).reshape(-1, 7).astype(float)
-    return VirtualMachine(p, MachineModel.cm5()), state, KeyedRows(rows, new_keys, offsets)
+    values = np.tile(keys, (7, 1)).astype(float)
+    return VirtualMachine(p, MachineModel.cm5()), state, KeyedBlock(values, new_keys, offsets)
 
 
 @register(

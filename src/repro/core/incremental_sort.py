@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.machine.collectives import exchange_by_destination_pooled
 from repro.machine.virtual import VirtualMachine
-from repro.particles.sort import KeyedRows
+from repro.particles.sort import KeyedBlock
 from repro.util import require
 
 __all__ = ["BucketState", "bucket_incremental_sort", "IncrementalSortStats"]
@@ -125,8 +125,8 @@ class BucketState:
 def bucket_incremental_sort(
     vm: VirtualMachine,
     state: BucketState,
-    block: KeyedRows,
-) -> tuple[KeyedRows, IncrementalSortStats]:
+    block: KeyedBlock,
+) -> tuple[KeyedBlock, IncrementalSortStats]:
     """One epoch of incremental redistribution (paper Figure 12).
 
     Parameters
@@ -137,24 +137,24 @@ def bucket_incremental_sort(
     state:
         The :class:`BucketState` of the previous epoch.
     block:
-        The ranks' rows with their freshly computed keys, aligned with
-        ``state`` (same offsets, same row order as ``state.keys``).
+        The ranks' entries with their freshly computed keys, aligned with
+        ``state`` (same offsets, same entry order as ``state.keys``).
 
     Returns
     -------
     (block, stats):
-        Every rank's rows sorted by key, re-pooled so that the rank-order
-        concatenation is globally sorted, plus classification tallies.
-        Counts are generally unbalanced; follow with
+        Every rank's entries sorted by key in a new block, re-pooled so
+        that the rank-order concatenation is globally sorted, plus
+        classification tallies.  Counts are generally unbalanced; follow with
         :func:`repro.core.load_balance.order_maintaining_balance`.
     """
     p = vm.p
     require(state.offsets.shape[0] == p + 1, "need one state segment per rank")
     keys = block.keys
     require(
-        keys.shape[0] == block.rows.shape[0] == state.n
+        keys.shape[0] == block.values.shape[-1] == state.n
         and np.array_equal(block.offsets, state.offsets),
-        "new keys/rows length mismatch with the state",
+        "new keys/values length mismatch with the state",
     )
     counts = state.counts
 
@@ -167,7 +167,7 @@ def bucket_incremental_sort(
 
     # Classification (Fig 12 lines 8-19); the charged per-rank op counts
     # come from bincount tallies of the pooled tests.
-    rank_of = block.rank_of_rows()
+    rank_of = block.rank_of_entries()
     dest = np.searchsorted(splitters, keys, side="left").astype(np.int64)
     off = dest != rank_of
     same = ~off & (keys >= state.elem_lows) & (keys <= state.elem_highs)
@@ -185,9 +185,9 @@ def bucket_incremental_sort(
 
     # All-to-many exchange of the off-rank elements (line 20).
     off_idx = np.flatnonzero(off)
-    (recv_rows, recv_keys), recv_offsets = exchange_by_destination_pooled(
+    (recv_values, recv_keys), recv_offsets = exchange_by_destination_pooled(
         vm,
-        (block.rows.take(off_idx, axis=0), keys.take(off_idx)),
+        (block.values.take(off_idx, axis=-1), keys.take(off_idx)),
         dest.take(off_idx),
         np.concatenate(([0], np.cumsum(n_off))),
     )
@@ -199,13 +199,16 @@ def bucket_incremental_sort(
     # received pay a full sort, the merge pays linear work.
     keep_idx = np.flatnonzero(~off)
     n_recv = np.diff(recv_offsets)
-    merged_rank = np.concatenate((rank_of.take(keep_idx), np.repeat(np.arange(p), n_recv)))
     merged_keys = np.concatenate((keys.take(keep_idx), recv_keys))
-    order = np.lexsort((merged_keys, merged_rank))
-    rows = np.concatenate((block.rows, recv_rows)).take(
-        np.concatenate((keep_idx, block.rows.shape[0] + np.arange(recv_rows.shape[0]))).take(order),
-        axis=0,
+    order = np.lexsort(
+        (merged_keys, np.concatenate((rank_of.take(keep_idx), np.repeat(np.arange(p), n_recv))))
     )
+    # output column j is column source[j] of [kept | received], gathered a
+    # row at a time ("clip": the indices are in range; ``out`` unbuffered)
+    source = np.concatenate((keep_idx, keys.shape[0] + np.arange(recv_keys.shape[0]))).take(order)
+    out = np.empty((block.values.shape[0], source.shape[0]), dtype=block.values.dtype)
+    for row, own, received in zip(out, block.values, recv_values):
+        np.take(np.concatenate((own, received)), source, out=row, mode="clip")
     kept = (counts - n_off).astype(float)
     n_out = counts - n_off + n_recv
     vm.charge_ops(
@@ -215,4 +218,4 @@ def bucket_incremental_sort(
         + n_out,
     )
     out_offsets = np.concatenate(([0], np.cumsum(n_out)))
-    return KeyedRows(rows, merged_keys.take(order), out_offsets), stats
+    return KeyedBlock(out, merged_keys.take(order), out_offsets), stats

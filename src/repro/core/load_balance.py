@@ -15,13 +15,13 @@ import numpy as np
 from repro.machine.collectives import exchange_by_destination_pooled
 from repro.machine.virtual import VirtualMachine
 from repro.mesh.decomposition import balanced_splits
-from repro.particles.sort import KeyedRows
+from repro.particles.sort import KeyedBlock
 from repro.util import require
 
 __all__ = ["order_maintaining_balance"]
 
 
-def order_maintaining_balance(vm: VirtualMachine, block: KeyedRows) -> KeyedRows:
+def order_maintaining_balance(vm: VirtualMachine, block: KeyedBlock) -> KeyedBlock:
     """Equalize per-rank counts without disturbing the global order.
 
     Parameters
@@ -29,19 +29,19 @@ def order_maintaining_balance(vm: VirtualMachine, block: KeyedRows) -> KeyedRows
     vm:
         Virtual machine (costs charged under the current phase).
     block:
-        Keyed rows whose rank-order concatenation is globally sorted.
+        Keyed entries whose rank-order concatenation is globally sorted.
 
     Returns
     -------
-    KeyedRows
-        The same rows in the same order, re-cut so that counts differ by
+    KeyedBlock
+        The same entries in the same order, re-cut so that counts differ by
         at most one.  The pooled input already is in the ``(destination,
-        source)`` order the exchange delivers, so the rows come back as
-        they are (copied only if a fault replaced a payload).
+        source)`` order the exchange delivers, so the block comes back as
+        it is (copied only if a fault replaced a payload).
     """
     p = vm.p
-    require(block.offsets.shape[0] == p + 1, "need one keys/rows segment per rank")
-    require(block.keys.shape[0] == block.rows.shape[0], "keys/rows length mismatch")
+    require(block.offsets.shape[0] == p + 1, "need one keys/values segment per rank")
+    require(block.keys.shape[0] == block.values.shape[-1], "keys/values length mismatch")
     counts = block.counts
     # Every rank learns all counts (global concatenation of scalars).
     vm.allgather(counts.tolist(), nbytes_each=np.full(p, counts.itemsize))
@@ -51,9 +51,9 @@ def order_maintaining_balance(vm: VirtualMachine, block: KeyedRows) -> KeyedRows
     dests = np.searchsorted(target_bounds, np.arange(block.keys.shape[0]), side="right") - 1
     vm.charge_ops("sort", counts.astype(float))  # position computation
 
-    (rows, keys), offsets = exchange_by_destination_pooled(
-        vm, (block.rows, block.keys), dests, block.offsets
+    (values, keys), offsets = exchange_by_destination_pooled(
+        vm, (block.values, block.keys), dests, block.offsets
     )
     if not np.array_equal(offsets, target_bounds):  # pragma: no cover - invariant guard
         raise AssertionError(f"balance produced offsets {offsets}, expected {target_bounds}")
-    return KeyedRows(rows, keys, offsets)
+    return KeyedBlock(values, keys, offsets)

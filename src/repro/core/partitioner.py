@@ -23,7 +23,7 @@ from repro.machine.virtual import VirtualMachine
 from repro.mesh.decomposition import balanced_splits
 from repro.mesh.grid import Grid2D
 from repro.particles.arrays import ParticleArray, ParticlePool
-from repro.particles.sort import KeyedRows, parallel_sample_sort
+from repro.particles.sort import KeyedBlock, parallel_sample_sort
 from repro.core.load_balance import order_maintaining_balance
 from repro.util import require
 
@@ -74,17 +74,17 @@ class ParticlePartitioner:
             for r in range(p)
         ]
 
-    def distribute(self, vm: VirtualMachine, pool: ParticlePool) -> KeyedRows:
+    def distribute(self, vm: VirtualMachine, pool: ParticlePool) -> KeyedBlock:
         """Full runtime distribution: index, parallel sample sort, balance.
 
         This is the from-scratch algorithm (paper §5.1 "Sorting"); the
         cheaper incremental path is
         :meth:`repro.core.redistribution.Redistributor.redistribute`.
-        Returns the particles' transport rows with their keys, sorted and
-        balanced over ``vm.p`` ranks.
+        Returns the particle block with its keys, sorted and balanced
+        over ``vm.p`` ranks.
         """
         require(pool.p == vm.p, "need one particle segment per rank")
         keys = self.particle_keys(pool.array)
         self.charge_indexing(vm, pool.counts)
-        block, _ = parallel_sample_sort(vm, KeyedRows(pool.array.to_matrix(), keys, pool.offsets))
+        block, _ = parallel_sample_sort(vm, KeyedBlock(pool.array.block, keys, pool.offsets))
         return order_maintaining_balance(vm, block)

@@ -25,7 +25,7 @@ from repro.core.load_balance import order_maintaining_balance
 from repro.core.partitioner import ParticlePartitioner
 from repro.machine.virtual import VirtualMachine
 from repro.particles.arrays import ParticleArray, ParticlePool
-from repro.particles.sort import KeyedRows
+from repro.particles.sort import KeyedBlock
 from repro.util import require
 
 __all__ = ["Redistributor", "RedistributionResult"]
@@ -61,10 +61,10 @@ class Redistributor:
         self.nbuckets = nbuckets
         self._state: BucketState | None = None
 
-    def _adopt(self, block: KeyedRows) -> ParticlePool:
-        """Rebuild the bucket state from ``block``; return its particles pooled."""
+    def _adopt(self, block: KeyedBlock) -> ParticlePool:
+        """Rebuild the bucket state from ``block``; its values are the new pool."""
         self._state = BucketState.build(block.keys, block.offsets, self.nbuckets)
-        return ParticlePool(ParticleArray.from_matrix(block.rows), block.offsets)
+        return ParticlePool(ParticleArray.from_block(block.values), block.offsets)
 
     # ------------------------------------------------------------------
     def initialize(self, vm: VirtualMachine, pool: ParticlePool) -> RedistributionResult:
@@ -98,7 +98,7 @@ class Redistributor:
             keys = self.partitioner.particle_keys(pool.array)
             self.partitioner.charge_indexing(vm, pool.counts)
             block, stats = bucket_incremental_sort(
-                vm, state, KeyedRows(pool.array.to_matrix(), keys, pool.offsets)
+                vm, state, KeyedBlock(pool.array.block, keys, pool.offsets)
             )
             pool = self._adopt(order_maintaining_balance(vm, block))
         return RedistributionResult(pool, vm.elapsed() - t0, stats)

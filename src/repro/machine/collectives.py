@@ -2,12 +2,12 @@
 
 :func:`exchange_by_destination_pooled` is the paper's
 ``All-to-many_COMM`` on a send-list table, driven from one flat pool of
-rows with segment offsets: one stable sort by ``(source, destination)``
-groups every rank's rows into one message per pair, each row-aligned
-array crosses the machine as one
-:class:`~repro.machine.batch.MessageBatch`, and what arrives comes back
-pooled the same way.  Particle migration, the sample sort, the
-incremental sort and the order-maintaining balance all route through it.
+entries with segment offsets: one stable sort by ``(source, destination)``
+groups every rank's entries into one message per pair, each array crosses
+the machine as one :class:`~repro.machine.batch.MessageBatch`, and what
+arrives comes back pooled the same way.  Particle migration, the sample
+sort, the incremental sort and the order-maintaining balance all route
+through it.
 """
 
 from __future__ import annotations
@@ -28,30 +28,29 @@ def exchange_by_destination_pooled(
     destinations: np.ndarray,
     offsets: np.ndarray,
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Route every pooled row to the rank named by ``destinations``.
+    """Route every pooled entry to the rank named by ``destinations``.
 
     Parameters
     ----------
     arrays:
-        Row-aligned pooled arrays (``(n, ...)`` each, e.g. the particle
-        rows and their sort keys), rank-segment ordered: rank ``r``'s
-        rows are ``[offsets[r], offsets[r + 1])``.  Each crosses the
-        machine as its own exchange, in the order given.
+        Entry-aligned pooled arrays with the entries along the last axis
+        (``(..., n)`` each, e.g. the ``(9, n)`` particle block and its
+        ``(n,)`` sort keys), rank-segment ordered: rank ``r``'s entries
+        are ``[offsets[r], offsets[r + 1])``.  Each crosses the machine
+        as its own exchange, in the order given.
     destinations:
-        int64 destination rank per row.
+        int64 destination rank per entry.
     offsets:
         Segment boundaries, length ``vm.p + 1``.
 
     Returns
     -------
     (delivered, offsets):
-        Per array, the delivered rows pooled in ``(destination, source)``
-        order — stable within a source — and the new segment offsets.
-        A message carries a source's rows for one destination as the
-        ``(width, k)`` transpose of its ``(k, width)`` rows, so its bytes
-        and its first float are those of the rows themselves.  Rows that
-        are already grouped by ``(source, destination)`` and arrive
-        grouped by ``(destination, source)`` (the balance step's) are
+        Per array, the delivered entries pooled in ``(destination,
+        source)`` order — stable within a source — and the new segment
+        offsets.  A message is a ``(width, k)`` column range: a particle
+        message holds the bytes of its ``(k, 9)`` rows transposed.
+        Entries already in delivered order (the balance step's) are
         returned as they are unless a fault replaced a payload.
     """
     p = vm.p
@@ -60,8 +59,8 @@ def exchange_by_destination_pooled(
     offsets = np.asarray(offsets, dtype=np.int64)
     require(offsets.shape[0] == p + 1, "offsets must have p + 1 entries")
     require(
-        all(a.shape[0] == destinations.shape[0] == offsets[-1] for a in arrays),
-        "rows/destinations length mismatch with the pooled segments",
+        all(a.shape[-1] == destinations.shape[0] == offsets[-1] for a in arrays),
+        "entries/destinations length mismatch with the pooled segments",
     )
     bad = np.flatnonzero((destinations < 0) | (destinations >= p))
     if bad.size:  # a typed error naming the rows, not a wrapped negative rank
@@ -70,26 +69,36 @@ def exchange_by_destination_pooled(
             "exchange_by_destination_pooled: destination out of range "
             f"[0, {p}) for {bad.size} row(s) ({examples})"
         )
+    messages, gather, counts = _arrival_plan(destinations, offsets, p)
+    delivered = []
+    for entries in arrays:
+        if gather is not None:
+            entries = entries.take(gather, axis=-1)
+        values = entries.reshape(int(np.prod(entries.shape[:-1])), entries.shape[-1])
+        batch = MessageBatch(messages.src, messages.dst, messages.offsets, values=values)
+        delivered.append(vm.exchange(batch).values.reshape(entries.shape))
+    return delivered, np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+
+
+def _arrival_plan(destinations: np.ndarray, offsets: np.ndarray, p: int):
+    """The messages in arrival ``(dst, src)`` order, the one gather that
+    lays the entries out so (``None``: already so) and the entries per
+    destination.  A stable sort keeps each source's order; the machine
+    walks a batch by source, then destination, so it meets the messages
+    as in ``(src, dst)`` order."""
     src = np.repeat(np.arange(p, dtype=np.int64), np.diff(offsets))
-    # the one stable sort: within a source segment the order among that
-    # source's rows is the per-rank stable sort by destination alone
     grouped = np.all((src[1:] > src[:-1]) | (destinations[1:] >= destinations[:-1]))
-    order = None if grouped else np.lexsort((destinations, src))
-    if order is not None:
-        src, destinations = src.take(order), destinations.take(order)
+    gather = None if grouped else np.lexsort((destinations, src))
+    if gather is not None:
+        src, destinations = src.take(gather), destinations.take(gather)
     messages = MessageBatch.coalesce(src, destinations)
     arrival = np.lexsort((messages.src, messages.dst))
-    in_place = np.array_equal(arrival, np.arange(arrival.size))
-    if not in_place:  # entry indices of the messages taken in (dst, src) order
-        counts, ends = messages.counts[arrival], np.cumsum(messages.counts[arrival])
-        arrival = np.repeat(messages.offsets[arrival] - ends + counts, counts) + np.arange(ends[-1])
-    delivered = []
-    for rows in arrays:
-        if order is not None:
-            rows = rows.take(order, axis=0)
-        values = rows.reshape(rows.shape[0], int(np.prod(rows.shape[1:]))).T
-        batch = MessageBatch(messages.src, messages.dst, messages.offsets, values=values)
-        received = vm.exchange(batch).values.T.reshape(rows.shape)
-        delivered.append(received if in_place else received.take(arrival, axis=0))
-    counts = np.bincount(destinations, minlength=p)
-    return delivered, np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    if not np.array_equal(arrival, np.arange(arrival.size)):
+        counts = messages.counts[arrival]
+        ends = np.cumsum(counts)
+        entries = np.repeat(messages.offsets[arrival] - ends + counts, counts) + np.arange(ends[-1])
+        gather = entries if gather is None else gather.take(entries)
+        messages = MessageBatch(
+            messages.src[arrival], messages.dst[arrival], np.concatenate(([0], ends))
+        )
+    return messages, gather, np.bincount(destinations, minlength=p)

@@ -1,9 +1,9 @@
-"""Particle substrate: structure-of-arrays storage, samplers, parallel sort.
+"""Particle substrate: block storage, samplers, parallel sort.
 
 The particle array is one of the paper's two irregularly coupled data
-arrays.  It is stored SoA (positions, relativistic momenta, charge,
-mass, weight, persistent ids) with a dense-matrix wire format for
-communication through the virtual machine.
+arrays.  It is one ``(9, n)`` float64 block, a row per attribute
+(positions, relativistic momenta, charge, mass, weight, persistent ids),
+and crosses the virtual machine as column ranges of that block.
 """
 
 from repro.particles.arrays import ParticleArray, ParticlePool
@@ -13,12 +13,12 @@ from repro.particles.init import (
     two_stream,
     uniform_plasma,
 )
-from repro.particles.sort import KeyedRows, parallel_sample_sort, regular_samples
+from repro.particles.sort import KeyedBlock, parallel_sample_sort, regular_samples
 
 __all__ = [
     "ParticleArray",
     "ParticlePool",
-    "KeyedRows",
+    "KeyedBlock",
     "uniform_plasma",
     "gaussian_blob",
     "two_stream",

@@ -1,20 +1,21 @@
-"""Structure-of-arrays particle storage.
+"""Particle storage as one block.
 
-:class:`ParticleArray` keeps one NumPy array per attribute (positions
-``x, y``; relativistic momenta ``ux, uy, uz`` = gamma * v in normalized
-units; ``q`` charge, ``m`` mass, ``w`` statistical weight, and a
-persistent ``ids`` field used to verify that redistribution permutes but
-never loses particles).  The dense ``(n, 9)`` matrix form is the wire
-format for migration through the virtual machine: ids ride in a float64
-column, exact up to 2**53 particles.
+:class:`ParticleArray` keeps its particles in one C-contiguous float64
+``(9, n)`` array, a row per attribute (:data:`ROWS`): positions ``x, y``;
+relativistic momenta ``ux, uy, uz`` = gamma * v in normalized units;
+``q`` charge, ``m`` mass, ``w`` statistical weight; and persistent ids,
+exact up to 2**53 in the float64 row (the constructor refuses others),
+that verify that redistribution permutes but never loses particles.
+``x .. w`` are contiguous row views the kernels write through.  As in
+Ferrell & Bertschinger's Connection Machine PIC, particles move as whole
+blocks: a message is a ``(9, k)`` column range, a redistribution
+gathers columns straight into the next block, a checkpoint streams the
+block out as ``(n, 9)`` rows.
 
-:class:`ParticlePool` concatenates all ranks' particles into one SoA
-with per-rank segment offsets — the storage layout of the flat-rank
-execution engine (see ``DESIGN.md``), where every PIC phase runs as one
-vectorized pass over the pool and per-rank results are recovered by
-slicing at segment boundaries.  ``pool.views[r]`` are zero-copy slice
-views of the pooled arrays, so in-place kernels (the Boris push) update
-the per-rank sets and the pool simultaneously.
+:class:`ParticlePool` is all ranks' particles in one block with per-rank
+segment offsets, the layout of the pooled engine (see ``DESIGN.md``);
+``pool.views[r]`` are zero-copy column ranges, so in-place kernels (the
+Boris push) update the per-rank sets and the pool simultaneously.
 """
 
 from __future__ import annotations
@@ -23,21 +24,22 @@ import numpy as np
 
 from repro.util import require
 
-__all__ = ["ParticleArray", "ParticlePool"]
+__all__ = ["ParticleArray", "ParticlePool", "ROWS", "MAX_ID"]
 
-#: Transport-matrix column order.
-MATRIX_COLUMNS = ("x", "y", "ux", "uy", "uz", "q", "m", "w", "ids")
+#: Row order of the particle block.
+ROWS = ("x", "y", "ux", "uy", "uz", "q", "m", "w", "ids")
+#: Largest id magnitude the float64 ids row holds exactly.
+MAX_ID = 2**53
 
 
 class ParticleArray:
-    """A set of particles stored as parallel 1-D arrays.
+    """A set of particles stored as one ``(9, n)`` float64 ``block``.
 
-    All float attributes are float64; ``ids`` is int64.  Instances own
-    their arrays (constructors copy only when needed via ``np.asarray``
-    — pass copies if you intend to keep mutating the inputs).
+    The constructor copies the nine attribute arrays into a new block,
+    :meth:`from_block` adopts one; ``ids`` reads its last row as int64.
     """
 
-    __slots__ = ("x", "y", "ux", "uy", "uz", "q", "m", "w", "ids")
+    __slots__ = ("block", "x", "y", "ux", "uy", "uz", "q", "m", "w")
 
     def __init__(
         self,
@@ -51,70 +53,81 @@ class ParticleArray:
         w: np.ndarray,
         ids: np.ndarray,
     ) -> None:
-        self.x = np.asarray(x, dtype=np.float64)
-        self.y = np.asarray(y, dtype=np.float64)
-        self.ux = np.asarray(ux, dtype=np.float64)
-        self.uy = np.asarray(uy, dtype=np.float64)
-        self.uz = np.asarray(uz, dtype=np.float64)
-        self.q = np.asarray(q, dtype=np.float64)
-        self.m = np.asarray(m, dtype=np.float64)
-        self.w = np.asarray(w, dtype=np.float64)
-        self.ids = np.asarray(ids, dtype=np.int64)
-        n = self.x.shape[0]
-        for name in self.__slots__:
-            arr = getattr(self, name)
-            require(arr.ndim == 1, f"{name} must be 1-D")
-            require(arr.shape[0] == n, f"{name} has length {arr.shape[0]}, expected {n}")
+        columns = (x, y, ux, uy, uz, q, m, w, np.asarray(ids, dtype=np.int64))
+        n = np.shape(x)[0] if np.ndim(x) else 0
+        for name, arr in zip(ROWS, columns):
+            require(np.ndim(arr) == 1, f"{name} must be 1-D")
+            require(np.shape(arr)[0] == n, f"{name} has length {np.shape(arr)[0]}, expected {n}")
+        beyond = columns[-1][(columns[-1] > MAX_ID) | (columns[-1] < -MAX_ID)]
+        require(
+            beyond.size == 0,
+            f"particle ids beyond 2**53 lose digits in the float64 ids row "
+            f"(first: {beyond[0] if beyond.size else None})",
+        )
+        self._bind(np.array(columns, dtype=np.float64))
+
+    def _bind(self, block: np.ndarray) -> None:
+        self.block = block
+        self.x, self.y, self.ux, self.uy, self.uz, self.q, self.m, self.w, _ = block
 
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
     @classmethod
+    def from_block(cls, block: np.ndarray) -> "ParticleArray":
+        """Adopt a float64 ``(9, n)`` block (no copy)."""
+        require(
+            block.ndim == 2 and block.shape[0] == len(ROWS) and block.dtype == np.float64,
+            f"expected a float64 ({len(ROWS)}, n) block, got {block.dtype} {block.shape}",
+        )
+        parts = cls.__new__(cls)
+        parts._bind(block)
+        return parts
+
+    @classmethod
     def empty(cls, n: int = 0) -> "ParticleArray":
         """``n`` zero-initialized particles with ids ``0..n-1``."""
-        z = np.zeros(n)
-        return cls(z, z.copy(), z.copy(), z.copy(), z.copy(), z.copy(), z.copy(), z.copy(), np.arange(n, dtype=np.int64))
+        block = np.zeros((len(ROWS), n))
+        block[-1] = np.arange(n)
+        return cls.from_block(block)
 
     @classmethod
     def concat(cls, parts: list["ParticleArray"]) -> "ParticleArray":
         """Concatenate several arrays (empty list gives an empty array)."""
         if not parts:
             return cls.empty(0)
-        return cls(
-            *(
-                np.concatenate([getattr(p, name) for p in parts])
-                for name in cls.__slots__
-            )
-        )
+        return cls.from_block(np.concatenate([p.block for p in parts], axis=1))
 
     # ------------------------------------------------------------------
     @property
     def n(self) -> int:
         """Number of particles."""
-        return self.x.shape[0]
+        return self.block.shape[1]
+
+    @property
+    def ids(self) -> np.ndarray:
+        """Persistent particle ids (an int64 copy of the ids row)."""
+        return self.block[-1].astype(np.int64)
 
     def __len__(self) -> int:
         return self.n
 
     def copy(self) -> "ParticleArray":
         """Deep copy."""
-        return ParticleArray(*(getattr(self, name).copy() for name in self.__slots__))
+        return ParticleArray.from_block(self.block.copy())
 
     def take(self, idx: np.ndarray) -> "ParticleArray":
         """Select particles by integer index or boolean mask."""
         idx = np.asarray(idx)
-        return ParticleArray(*(getattr(self, name)[idx] for name in self.__slots__))
+        if idx.dtype == bool:
+            idx = np.flatnonzero(idx)
+        return ParticleArray.from_block(self.block.take(idx, axis=1))
 
     def slice_view(self, start: int, stop: int) -> "ParticleArray":
-        """Zero-copy view of particles ``[start, stop)`` (shared memory).
-
-        Slices of validated columns need no validation, so a view costs
-        no per-column call (a pool builds one per rank).
-        """
+        """Zero-copy view of particles ``[start, stop)``, unchecked (a pool
+        builds one per rank)."""
         view = ParticleArray.__new__(ParticleArray)
-        view.x, view.y, view.ux = self.x[start:stop], self.y[start:stop], self.ux[start:stop]
-        view.uy, view.uz, view.q = self.uy[start:stop], self.uz[start:stop], self.q[start:stop]
-        view.m, view.w, view.ids = self.m[start:stop], self.w[start:stop], self.ids[start:stop]
+        view._bind(self.block[:, start:stop])
         return view
 
     def sorted_by(self, keys: np.ndarray) -> "ParticleArray":
@@ -123,26 +136,6 @@ class ParticleArray:
         require(keys.shape == (self.n,), "keys must have one entry per particle")
         order = np.argsort(keys, kind="stable")
         return self.take(order)
-
-    # ------------------------------------------------------------------
-    # wire format
-    # ------------------------------------------------------------------
-    def to_matrix(self) -> np.ndarray:
-        """Pack into the dense ``(n, 9)`` float64 transport matrix."""
-        out = np.empty((self.n, len(MATRIX_COLUMNS)))
-        for j, name in enumerate(MATRIX_COLUMNS):
-            out[:, j] = getattr(self, name)
-        return out
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "ParticleArray":
-        """Unpack a transport matrix produced by :meth:`to_matrix`."""
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[1] != len(MATRIX_COLUMNS):
-            raise ValueError(f"expected (n, {len(MATRIX_COLUMNS)}) matrix, got {matrix.shape}")
-        cols = {name: matrix[:, j].copy() for j, name in enumerate(MATRIX_COLUMNS)}
-        cols["ids"] = np.round(cols["ids"]).astype(np.int64)
-        return cls(**cols)
 
     # ------------------------------------------------------------------
     # physics helpers
@@ -157,13 +150,7 @@ class ParticleArray:
 
     def momentum(self) -> np.ndarray:
         """Total momentum vector ``sum w * m * u`` (3 components)."""
-        return np.array(
-            [
-                float((self.w * self.m * self.ux).sum()),
-                float((self.w * self.m * self.uy).sum()),
-                float((self.w * self.m * self.uz).sum()),
-            ]
-        )
+        return (self.w * self.m * self.block[2:5]).sum(axis=1)
 
     def __repr__(self) -> str:
         return f"ParticleArray(n={self.n})"
@@ -175,8 +162,8 @@ class ParticlePool:
     Attributes
     ----------
     array:
-        The pooled particles, rank-segment ordered: rank ``r`` owns rows
-        ``[offsets[r], offsets[r+1])``.
+        The pooled particles, rank-segment ordered: rank ``r`` owns
+        columns ``[offsets[r], offsets[r+1])`` of ``array.block``.
     offsets:
         int64 segment boundaries, length ``p + 1`` with ``offsets[0] == 0``
         and ``offsets[-1] == array.n``.

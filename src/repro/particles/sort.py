@@ -5,7 +5,7 @@
 routing, and local sort.  The *incremental* variant that reuses the
 previous epoch's order lives in :mod:`repro.core.incremental_sort`; this
 module provides the shared primitives and the pooled block
-(:class:`KeyedRows`) every stage of the pipeline takes and returns.
+(:class:`KeyedBlock`) every stage of the pipeline takes and returns.
 """
 
 from __future__ import annotations
@@ -19,38 +19,38 @@ from repro.machine.virtual import VirtualMachine
 from repro.util import require
 
 __all__ = [
-    "KeyedRows",
+    "KeyedBlock",
     "regular_samples",
     "parallel_sample_sort",
 ]
 
 
-class KeyedRows(NamedTuple):
-    """All ranks' keyed rows as one pooled block.
+class KeyedBlock(NamedTuple):
+    """All ranks' keyed entries as one pooled block.
 
-    Rank ``r`` holds ``rows[offsets[r]:offsets[r + 1]]`` (particle
-    transport rows, ``(n, 9)``, or any row payload) and the aligned
-    ``keys`` (int64 curve positions); ``offsets`` has ``p + 1`` entries.
+    Rank ``r`` holds columns ``[offsets[r], offsets[r + 1])`` of the
+    ``(width, n)`` ``values`` (the ``(9, n)`` particle block, or any
+    payload) and the aligned int64 ``keys``; ``offsets`` has ``p + 1``.
     """
 
-    rows: np.ndarray
+    values: np.ndarray
     keys: np.ndarray
     offsets: np.ndarray
 
     @property
     def counts(self) -> np.ndarray:
-        """Rows per rank (int64, length ``p``)."""
+        """Entries per rank (int64, length ``p``)."""
         return np.diff(self.offsets)
 
-    def rank_of_rows(self) -> np.ndarray:
-        """Owning rank of every row."""
+    def rank_of_entries(self) -> np.ndarray:
+        """Owning rank of every entry."""
         return np.repeat(np.arange(self.counts.shape[0], dtype=np.int64), self.counts)
 
-    def sorted_within_ranks(self) -> "KeyedRows":
-        """Each rank's rows stably sorted by key: what ``p`` per-rank
+    def sorted_within_ranks(self) -> "KeyedBlock":
+        """Each rank's entries stably sorted by key: what ``p`` per-rank
         stable sorts give, in one ``lexsort``."""
-        order = np.lexsort((self.keys, self.rank_of_rows()))
-        return KeyedRows(self.rows.take(order, axis=0), self.keys.take(order), self.offsets)
+        order = np.lexsort((self.keys, self.rank_of_entries()))
+        return KeyedBlock(self.values.take(order, axis=-1), self.keys.take(order), self.offsets)
 
 
 def regular_samples(sorted_keys: np.ndarray, nsamples: int) -> np.ndarray:
@@ -70,18 +70,18 @@ def regular_samples(sorted_keys: np.ndarray, nsamples: int) -> np.ndarray:
 
 def parallel_sample_sort(
     vm: VirtualMachine,
-    block: KeyedRows,
+    block: KeyedBlock,
     *,
     oversample: int = 4,
-) -> tuple[KeyedRows, np.ndarray]:
-    """Globally sort keyed rows across ranks by sample sort.
+) -> tuple[KeyedBlock, np.ndarray]:
+    """Globally sort keyed entries across ranks by sample sort.
 
     Parameters
     ----------
     vm:
         The virtual machine; costs are charged under its current phase.
     block:
-        The ranks' keyed rows, pooled (:class:`KeyedRows`).
+        The ranks' keyed entries, pooled (:class:`KeyedBlock`).
     oversample:
         Samples per rank = ``oversample * p`` (regular sampling of the
         locally sorted keys), traded against splitter quality.
@@ -89,7 +89,7 @@ def parallel_sample_sort(
     Returns
     -------
     (block, splitters):
-        The rows re-pooled so that every rank's slice is sorted and the
+        The entries re-pooled so that every rank's slice is sorted and the
         rank-order concatenation is globally sorted, plus the ``p - 1``
         global splitters used.  Counts per rank are *approximately*
         equal (sample sort property); follow with
@@ -97,8 +97,8 @@ def parallel_sample_sort(
         exact balance.
     """
     p = vm.p
-    require(block.offsets.shape[0] == p + 1, "need one keys/rows segment per rank")
-    require(block.keys.shape[0] == block.rows.shape[0], "keys/rows length mismatch")
+    require(block.offsets.shape[0] == p + 1, "need one keys/values segment per rank")
+    require(block.keys.shape[0] == block.values.shape[-1], "keys/values length mismatch")
     # 1. local sort (charged as n log n comparisons per rank)
     block = block.sorted_within_ranks()
     nlocal = block.counts.astype(float)
@@ -113,15 +113,15 @@ def parallel_sample_sort(
     else:
         splitters = all_samples[: max(p - 1, 0)]
 
-    # 3. route rows to destination ranks
+    # 3. route entries to destination ranks
     dests = np.searchsorted(splitters, block.keys, side="right").astype(np.int64)
     vm.charge_ops("sort", nlocal * np.log2(max(p, 2)))
-    (rows, keys), offsets = exchange_by_destination_pooled(
-        vm, (block.rows, block.keys), dests, block.offsets
+    (values, keys), offsets = exchange_by_destination_pooled(
+        vm, (block.values, block.keys), dests, block.offsets
     )
 
-    # 4. final local sort of received rows
-    out = KeyedRows(rows, keys, offsets).sorted_within_ranks()
+    # 4. final local sort of received entries
+    out = KeyedBlock(values, keys, offsets).sorted_within_ranks()
     counts = out.counts.astype(float)
     vm.charge_ops("sort", counts * np.log2(np.maximum(counts, 2.0)))
     return out, splitters

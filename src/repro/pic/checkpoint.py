@@ -22,7 +22,8 @@ costs O(state) bytes of memcpy and the member count depends on neither
 ranks nor iterations: ``format``/``version``/``meta``/``extent``, the
 JSON header ``state_json`` (``run_state``, ``has_sort_keys``,
 ``trace_phases``), ``particles`` ``(n, 9)`` + ``offsets`` ``(p+1,)`` (the
-:class:`~repro.particles.arrays.ParticlePool` layout), ``sort_keys``
+:class:`~repro.particles.arrays.ParticlePool` layout, its ``(9, n)``
+block stored transposed, one particle per row), ``sort_keys``
 ``(n,)``, ``fields`` ``(10, ny, nx)``, ``records`` (:data:`RECORD_DTYPE`)
 and ``trace_rows`` ``(iterations, phases)`` (NaN = phase absent from the
 row); DESIGN.md §5.2 has the table.  There is no compression setting:
@@ -59,7 +60,7 @@ import numpy as np
 
 from repro.mesh.fields import FieldState
 from repro.mesh.grid import Grid2D
-from repro.particles.arrays import MATRIX_COLUMNS, ParticleArray, ParticlePool
+from repro.particles.arrays import ROWS, ParticleArray, ParticlePool
 from repro.util import require
 from repro.util.atomic_io import atomic_writer
 from repro.util.errors import CheckpointError
@@ -75,6 +76,8 @@ __all__ = [
 _FIELD_NAMES = ("ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz", "rho")
 _FORMAT_VERSION = 3
 _MAGIC = "repro-checkpoint"
+#: particles per transposed chunk of the ``particles`` member (288 KiB)
+_CHUNK = 4096
 
 #: One ``records`` row: the fields of :class:`~repro.pic.simulation.IterationRecord`.
 RECORD_DTYPE = np.dtype(
@@ -175,7 +178,8 @@ def save_checkpoint(
     ``trace_rows`` the phase-profile dicts.
     All are optional, so the physical-state round trip works standalone.
 
-    Members are written one at a time straight from the per-rank sets —
+    Members are written one at a time straight from the per-rank sets,
+    the particle block as transposed chunks of :data:`_CHUNK` rows —
     no second copy of the particle state is ever held.  The write is
     atomic: a crash leaves the previous checkpoint or a stray ``.tmp``
     file, never a truncated archive under the target name.
@@ -205,8 +209,8 @@ def save_checkpoint(
     with atomic_writer(path, "wb") as fh, zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
         for name, array in small.items():
             _write_member(zf, name, [array], array.shape, array.dtype)
-        matrices = (parts.to_matrix() for parts in particles)
-        _write_member(zf, "particles", matrices, (n, len(MATRIX_COLUMNS)), np.float64)
+        rows = (p.block[:, i : i + _CHUNK].T for p in particles for i in range(0, p.n, _CHUNK))
+        _write_member(zf, "particles", rows, (n, len(ROWS)), np.float64)
         if sort_keys is not None:
             _write_member(zf, "sort_keys", [sort_keys], (n,), np.asarray(sort_keys).dtype)
         blocks = (getattr(fields, name)[None] for name in _FIELD_NAMES)
@@ -301,7 +305,8 @@ def load_checkpoint(path: str | Path, *, strict: bool = False) -> CheckpointData
             ranks = range(nranks)
             if version == _FORMAT_VERSION:
                 need("particles", "offsets", "fields", "records", "trace_rows")
-                pool = ParticlePool(ParticleArray.from_matrix(read("particles")), read("offsets"))
+                block = np.ascontiguousarray(read("particles").T, dtype=np.float64)
+                pool = ParticlePool(ParticleArray.from_block(block), read("offsets"))
                 field_block = read("fields")
                 keys = read("sort_keys") if has_sort_keys else None
                 records = read("records").astype(RECORD_DTYPE, casting="equiv").tolist()
@@ -309,9 +314,10 @@ def load_checkpoint(path: str | Path, *, strict: bool = False) -> CheckpointData
             else:  # per-rank / per-field members, concatenated into the pooled form
                 need(*(f"field_{name}" for name in _FIELD_NAMES))
                 need(*(f"rank{r}_matrix" for r in ranks))
-                mats = [read(f"rank{r}_matrix").reshape(-1, len(MATRIX_COLUMNS)) for r in ranks]
+                mats = [read(f"rank{r}_matrix").reshape(-1, len(ROWS)) for r in ranks]
                 offsets = np.cumsum([0] + [m.shape[0] for m in mats])
-                pool = ParticlePool(ParticleArray.from_matrix(np.concatenate(mats)), offsets)
+                block = np.ascontiguousarray(np.concatenate(mats).T, dtype=np.float64)
+                pool = ParticlePool(ParticleArray.from_block(block), offsets)
                 field_block = np.stack([read(f"field_{name}") for name in _FIELD_NAMES])
                 keys = None
                 if has_sort_keys:

@@ -552,7 +552,7 @@ class ParallelPIC(PooledParticles):
     def _migrate_eulerian(self) -> None:
         """Move particles to the owner of their (new) cell.
 
-        One owner lookup and one sorted exchange over the pool.
+        One owner lookup and one sorted exchange of the pool's block.
         """
         vm = self.vm
         prof = self.profiler
@@ -562,13 +562,12 @@ class ParallelPIC(PooledParticles):
                 parts = pool.array
                 cells = self.grid.cell_id_of_positions(parts.x, parts.y)
                 owner = self.decomp.owner_of_cells(cells)
-                matrix = parts.to_matrix()
             vm.charge_ops("index", pool.counts.astype(float))
             with maybe_section(prof, "exchange"):
-                (rows,), offsets = exchange_by_destination_pooled(
-                    vm, (matrix,), owner, pool.offsets
+                (block,), offsets = exchange_by_destination_pooled(
+                    vm, (parts.block,), owner, pool.offsets
                 )
-                self.pool = ParticlePool(ParticleArray.from_matrix(rows), offsets)
+                self.pool = ParticlePool(ParticleArray.from_block(block), offsets)
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -857,7 +857,7 @@ class Simulation:
             self._restore_run_state(data)
             # survivors re-read the checkpoint from stable storage: one
             # broadcast of the full state, charged under "recovery"
-            nbytes = int(all_parts.to_matrix().nbytes) + sum(
+            nbytes = int(all_parts.block.nbytes) + sum(
                 getattr(fields, n).nbytes
                 for n in ("ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz", "rho")
             )
@@ -925,20 +925,17 @@ class Simulation:
         """
         parts = ParticleArray.concat(self.pic.particles)
         order = np.argsort(parts.ids, kind="stable")
+        x, y, ux, uy, uz, q = (float(np.sum(row[order])) for row in parts.block[:6])
         f = self.pic.fields
-
-        def ordered_sum(a: np.ndarray) -> float:
-            return float(np.sum(a[order]))
-
         return {
             "iteration": int(self.iteration),
             "n_particles": int(parts.n),
-            "total_charge": ordered_sum(parts.q),
-            "x_sum": ordered_sum(parts.x),
-            "y_sum": ordered_sum(parts.y),
-            "ux_sum": ordered_sum(parts.ux),
-            "uy_sum": ordered_sum(parts.uy),
-            "uz_sum": ordered_sum(parts.uz),
+            "total_charge": q,
+            "x_sum": x,
+            "y_sum": y,
+            "ux_sum": ux,
+            "uy_sum": uy,
+            "uz_sum": uz,
             "rho_sum": float(np.sum(f.rho)),
             "e_energy": float(np.sum(f.ex**2 + f.ey**2 + f.ez**2)),
             "b_energy": float(np.sum(f.bx**2 + f.by**2 + f.bz**2)),

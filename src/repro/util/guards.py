@@ -99,13 +99,7 @@ class InvariantGuard:
                     f"{self.expected_charge!r} (tol {tol:.3g})"
                 )
         for p in particles:
-            if p.n and not (
-                np.isfinite(p.x).all()
-                and np.isfinite(p.y).all()
-                and np.isfinite(p.ux).all()
-                and np.isfinite(p.uy).all()
-                and np.isfinite(p.uz).all()
-            ):
+            if p.n and not np.isfinite(p.block[:5]).all():  # x, y, ux, uy, uz
                 self._fail(f"[{where}] non-finite particle position/momentum")
                 break
 

@@ -39,7 +39,7 @@ def save_checkpoint_v2(
     for name in FIELD_NAMES:
         payload[f"field_{name}"] = getattr(fields, name)
     for r, parts in enumerate(particles):
-        payload[f"rank{r}_matrix"] = parts.to_matrix()
+        payload[f"rank{r}_matrix"] = np.ascontiguousarray(parts.block.T)
     if sort_keys is not None:
         for r, keys in enumerate(sort_keys):
             payload[f"rank{r}_sortkeys"] = np.asarray(keys)

@@ -30,7 +30,7 @@ pins the same for the modern stepper, plus ``last_gather_replies``.
 import numpy as np
 
 from repro.particles.arrays import ParticleArray
-from repro.particles.sort import KeyedRows
+from repro.particles.sort import KeyedBlock
 from repro.pic.deposition import CHANNELS, deposition_entries, pooled_ghost_keys
 from repro.pic.ghost import make_ghost_table
 from repro.pic.interpolation import gather_from_node_values
@@ -175,11 +175,11 @@ class LoopedPIC(ParallelPIC):
                 parts = self.particles[r]
                 cells = self.grid.cell_id_of_positions(parts.x, parts.y)
                 owner = self.decomp.owner_of_cells(cells)
-                payloads.append(parts.to_matrix())
+                payloads.append(parts.block.T)
                 dests.append(owner)
             vm.charge_ops("index", np.array([float(p.n) for p in self.particles]))
             received = looped_exchange_by_destination(vm, payloads, dests)
-            self.particles = [ParticleArray.from_matrix(m) for m in received]
+            self.particles = [ParticleArray.from_block(m.T.copy()) for m in received]
             self._pool = None
 
 
@@ -207,16 +207,16 @@ def looped_exchange_by_destination(vm, arrays, destinations):
     return [np.concatenate([recv[d][s] for s in sorted(recv[d])] or [empty]) for d in range(vm.p)]
 
 
-def keyed_rows(keys, rows) -> KeyedRows:
-    """Per-rank key and row arrays as one pooled block."""
+def keyed_block(keys, values) -> KeyedBlock:
+    """Per-rank keys and ``(width, n_r)`` values as one pooled block."""
     offsets = np.cumsum([0] + [len(k) for k in keys])
-    return KeyedRows(np.concatenate(rows), np.concatenate(keys), offsets)
+    return KeyedBlock(np.concatenate(values, axis=1), np.concatenate(keys), offsets)
 
 
-def per_rank(block: KeyedRows) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """A pooled block cut back into per-rank ``(keys, rows)`` lists."""
+def per_rank(block: KeyedBlock) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """A pooled block cut back into per-rank ``(keys, values)`` lists."""
     cut = block.offsets[1:-1]
-    return np.split(block.keys, cut), np.split(block.rows, cut)
+    return np.split(block.keys, cut), np.split(block.values, cut, axis=1)
 
 
 #: Stagger shifts of each gathered component, in cell units.

@@ -6,8 +6,13 @@ per-rank particles, the ten field arrays and ``vm.state_dict()`` after
 :data:`ITERATIONS` iterations.  A refactor that claims bit-identity is
 checked by running this file against a checkout of the parent's ``src``
 (``PYTHONPATH=<parent>/src``) and against the change *on the same host*
-and comparing the two outputs; no golden digests are committed because
+and comparing the two outputs (CI does so on every pull request,
+against the base commit); no golden digests are committed because
 particle and field bytes depend on the host's libm and NumPy SIMD paths.
+A rank's particles are hashed as ``(n_r, 9)`` C-order float64 rows built
+from the nine public attributes (ids as float64), not from any storage
+method, so the digests mean the same on both sides of a change to how
+particles are stored.
 
 The rows in :data:`EXCHANGE_FAULTS` run under a fault plan aimed at the
 particle and field-node exchanges of redistribution and adaptive
@@ -34,6 +39,8 @@ import json
 import tempfile
 import warnings
 from pathlib import Path
+
+import numpy as np
 
 from repro.machine import FaultEvent, FaultPlan
 from repro.pic import Simulation, SimulationConfig
@@ -173,6 +180,13 @@ def _exports(sim: Simulation, scratch: Path) -> bytes:
     return text.replace(str(scratch), "<scratch>").encode()
 
 
+def _rows(parts) -> np.ndarray:
+    """A rank's particles as ``(n_r, 9)`` C-order float64 rows."""
+    names = ("x", "y", "ux", "uy", "uz", "q", "m", "w")
+    columns = [getattr(parts, name) for name in names] + [parts.ids.astype(np.float64)]
+    return np.stack(columns, axis=1)
+
+
 def digest(name: str, workers: int = 0) -> str:
     """sha256 of everything row ``name`` leaves behind at ``workers`` shard threads."""
     with tempfile.TemporaryDirectory(prefix="exactness-") as scratch:
@@ -186,7 +200,7 @@ def digest(name: str, workers: int = 0) -> str:
             h.update(json.dumps(part, sort_keys=True).encode())
         for parts in sim.pic.particles:
             h.update(b"rank")
-            h.update(parts.to_matrix().tobytes())
+            h.update(_rows(parts).tobytes())
         for field in _FIELDS:
             h.update(getattr(sim.pic.fields, field).tobytes())
         return h.hexdigest()

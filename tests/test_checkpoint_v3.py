@@ -105,7 +105,7 @@ class TestLayout:
 def _assert_same_state(a: Simulation, b: Simulation) -> None:
     assert len(a.pic.particles) == len(b.pic.particles)
     for pa, pb in zip(a.pic.particles, b.pic.particles):
-        assert np.array_equal(pa.to_matrix(), pb.to_matrix())
+        assert np.array_equal(pa.block, pb.block)
         assert np.array_equal(pa.ids, pb.ids)
     for name in ("ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz", "rho"):
         assert np.array_equal(getattr(a.pic.fields, name), getattr(b.pic.fields, name)), name

@@ -5,20 +5,20 @@ import pytest
 
 from repro.core.incremental_sort import BucketState, bucket_incremental_sort
 from repro.machine import MachineModel, VirtualMachine
-from repro.particles.sort import KeyedRows
+from repro.particles.sort import KeyedBlock
 from tests._looped_oracle import per_rank
 
 
 def make_state(p, n_per, nbuckets=4, seed=0):
-    """A sorted balanced state of ``p * n_per`` keys; rows hold the keys."""
+    """A sorted balanced state of ``p * n_per`` keys."""
     rng = np.random.default_rng(seed)
     keys = np.sort(rng.integers(0, 100000, p * n_per))
     return BucketState.build(keys, np.arange(p + 1) * n_per, nbuckets)
 
 
 def moved(state, new_keys):
-    """The state's rows (its keys as floats) under ``new_keys``."""
-    return KeyedRows(state.keys.reshape(-1, 1).astype(float), new_keys, state.offsets)
+    """The state's payload (its keys as floats, one row) under ``new_keys``."""
+    return KeyedBlock(state.keys.reshape(1, -1).astype(float), new_keys, state.offsets)
 
 
 class TestBucketState:
@@ -82,7 +82,7 @@ class TestIncrementalSort:
         new_keys = state.keys + rng.integers(-100, 100, state.n)
         expected_pairs = sorted(zip(new_keys, state.keys.astype(float)))
         out, _ = bucket_incremental_sort(vm, state, moved(state, new_keys))
-        got_payload = out.rows[:, 0]
+        got_payload = out.values[0]
         exp_keys = np.array([k for k, _ in expected_pairs])
         assert np.array_equal(out.keys, exp_keys)
         # payloads may tie-swap only among equal keys
@@ -145,6 +145,6 @@ class TestIncrementalSort:
     def test_length_mismatch_rejected(self):
         vm = VirtualMachine(2, MachineModel.cm5())
         state = make_state(2, 10)
-        bad = KeyedRows(np.zeros((15, 1)), state.keys[:15], np.array([0, 5, 15]))
+        bad = KeyedBlock(np.zeros((1, 15)), state.keys[:15], np.array([0, 5, 15]))
         with pytest.raises(ValueError, match="length mismatch"):
             bucket_incremental_sort(vm, state, bad)

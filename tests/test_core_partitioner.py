@@ -80,8 +80,8 @@ class TestDistribute:
         vm = VirtualMachine(4, MachineModel.cm5())
         scattered = [parts.take(np.arange(r, parts.n, 4)) for r in range(4)]
         block = part.distribute(vm, ParticlePool.from_ranks(scattered))
-        # the keys travel with their rows
-        moved = ParticleArray.from_matrix(block.rows)
+        # the keys travel with their particles
+        moved = ParticleArray.from_block(block.values)
         assert np.array_equal(block.keys, part.particle_keys(moved))
         ref = part.initial_partition(parts, 4)
         for keys_got, want in zip(per_rank(block)[0], ref):

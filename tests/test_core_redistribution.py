@@ -187,34 +187,91 @@ class TestSortKeyDtype:
             assert data["sort_keys"].dtype == np.int64
 
 
-class TestMemory:
-    def test_one_redistribution_at_fig17_size(self):
-        """One redistribution of the Fig 17 run (32768 particles, p = 32)
-        peaks below 4.5 particle states of transport rows — the per-rank
-        pipeline peaked at 4.6 (10.9 MB against 2.36 MB of rows) — and the
-        redistributor keeps no particle rows between epochs: its state is
-        the sorted keys and each element's bucket key range."""
-        from repro.particles.arrays import MATRIX_COLUMNS
-        from repro.pic import Simulation, SimulationConfig
+class TestIdsNearTwoToThe53:
+    """Ids ride in the block's float64 row, exact up to 2**53 (the
+    constructor refuses 2**53 + 1: ``tests/test_particles_arrays.py``)."""
 
-        sim = Simulation(
-            SimulationConfig(
-                nx=128, ny=64, nparticles=32768, p=32, distribution="irregular",
-                policy="static", seed=3,
-            )
-        )  # fmt: skip
+    def test_two_to_the_53_survives_a_redistribution(self, grid):
+        vm = VirtualMachine(3, MachineModel.cm5())
+        partitioner = ParticlePartitioner(grid, "hilbert")
+        redis = Redistributor(partitioner, nbuckets=4)
+        base = uniform_plasma(grid, 90, vth=0.3, rng=2)
+        ids = 2**53 - np.arange(90, dtype=np.int64)[::-1]  # the top id is 2**53 itself
+        particles = ParticleArray(
+            base.x, base.y, base.ux, base.uy, base.uz, base.q, base.m, base.w, ids
+        )
+        pool = redis.initialize(
+            vm, ParticlePool.from_ranks(partitioner.initial_partition(particles, 3))
+        ).pool
+        drift(grid, pool)
+        out = redis.redistribute(vm, pool).pool
+        assert np.array_equal(np.sort(out.array.ids), ids)
+
+
+def _fig17(**overrides):
+    from repro.pic import Simulation, SimulationConfig
+
+    config = dict(
+        nx=128, ny=64, nparticles=32768, p=32, distribution="irregular", policy="static", seed=3
+    )
+    return Simulation(SimulationConfig(**{**config, **overrides}))
+
+
+def _traced_peak(call):
+    """``call()`` and the bytes it allocated at its peak."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Transient memory in particle states: bytes of the pool's ``(9, n)`` block."""
+
+    def _one_redistribution(self, sim):
         sim.run(2)
         pool = sim.pic.pool
-        rows = pool.n * len(MATRIX_COLUMNS) * 8
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            result = sim.redistributor.redistribute(sim.vm, pool)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        state = pool.array.block.nbytes
+        result, peak = _traced_peak(lambda: sim.redistributor.redistribute(sim.vm, pool))
         assert result.pool.n == pool.n
-        assert peak < 4.5 * rows, f"peak {peak / rows:.2f} particle states"
+        assert peak < 2.5 * state, f"peak {peak / state:.2f} particle states"
+        return state
+
+    def test_one_redistribution_at_fig17_size(self):
+        """One redistribution of the Fig 17 run (32768 particles, p = 32)
+        peaks below 2.5 particle states — the new block, what moves off
+        rank and the int64 index vectors of the merge (the row-matrix
+        pipeline peaked at 4.1) — and the redistributor keeps no particle
+        data between epochs: its state is the sorted keys and each
+        element's bucket key range."""
+        sim = _fig17()
+        state = self._one_redistribution(sim)
         kept = [a for a in vars(sim.redistributor._state).values() if isinstance(a, np.ndarray)]
         assert all(a.ndim == 1 and a.dtype == np.int64 for a in kept)
-        assert sum(a.nbytes for a in kept) < rows / 2
+        assert sum(a.nbytes for a in kept) < state / 2
+
+    def test_one_redistribution_at_table2_size(self):
+        """Table 2's largest cell (65536 particles, p = 128): the same
+        bound (the row-matrix pipeline peaked at 4.1)."""
+        self._one_redistribution(_fig17(nx=256, ny=128, nparticles=65536, p=128))
+
+    def test_one_eulerian_migration(self):
+        """One Eulerian migration, right after a push, gathers the block
+        once, in arrival order: below 1.5 particle states (3.7 with the
+        row matrix)."""
+        sim = _fig17(
+            distribution="uniform", movement="eulerian", partitioning="grid",
+            field_solver="electrostatic", ghost_table="direct",
+        )  # fmt: skip
+        sim.run(2)
+        pic = sim.pic
+        migrate, peaks = pic._migrate_eulerian, []
+        pic._migrate_eulerian = lambda: peaks.append(_traced_peak(migrate)[1])
+        before = pic.pool.array.ids
+        sim.run(1)
+        state = pic.pool.array.block.nbytes
+        assert len(peaks) == 1 and not np.array_equal(before, pic.pool.array.ids)  # some moved
+        assert peaks[0] < 1.5 * state, f"peak {peaks[0] / state:.2f} particle states"

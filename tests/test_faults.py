@@ -304,11 +304,11 @@ class TestKillAndSlowdown:
 class TestExchangeValidation:
     def test_pooled_rejects_out_of_range_destinations(self):
         vm = _vm(3)
-        rows = np.ones((4, 2))
+        values = np.ones((2, 4))
         offsets = np.array([0, 2, 3, 4])
         for bad in (np.array([0, 3, 1, 2]), np.array([0, -1, 1, 2])):
             with pytest.raises(InvalidRankError, match="out of range"):
-                exchange_by_destination_pooled(vm, (rows,), bad, offsets)
+                exchange_by_destination_pooled(vm, (values,), bad, offsets)
 
     def test_per_rank_exchange_rejects_bad_destinations(self):
         # rank 0's second row is pooled row 1

@@ -156,7 +156,7 @@ class TestStrictCheckpointLoad:
             "version": np.array([1]),
             "meta": np.array([grid.nx, grid.ny, 2, 1], dtype=np.int64),
             "extent": np.array([grid.lx, grid.ly]),
-            "rank0_matrix": parts.to_matrix(),
+            "rank0_matrix": np.ascontiguousarray(parts.block.T),
         }
         for name in ("ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz", "rho"):
             payload[f"field_{name}"] = getattr(fields, name)

@@ -520,7 +520,7 @@ class TestDeclined:
         """Strided or float32 arguments take the NumPy body — never a
         silent copy-in / copy-out of the in-place push."""
         parts = _particles(self.grid, 64, 5)
-        strided = ParticleArray(*(getattr(parts, name)[::2] for name in ParticleArray.__slots__))
+        strided = ParticleArray.from_block(parts.block[:, ::2])
         assert compiled.cic(self.grid, strided.x, strided.y) is None
         assert compiled.cic(self.grid, parts.x.astype(np.float32), parts.y) is None
         assert compiled.cic(self.grid, list(parts.x), list(parts.y)) is None

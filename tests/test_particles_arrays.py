@@ -1,9 +1,10 @@
-"""Tests for SoA particle storage."""
+"""Tests for the particle block storage."""
 
 import numpy as np
 import pytest
 
 from repro.particles import ParticleArray
+from repro.particles.arrays import MAX_ID, ROWS
 
 
 def make_particles(n, seed=0):
@@ -79,22 +80,56 @@ class TestOperations:
 
 
 class TestWireFormat:
-    def test_matrix_roundtrip(self):
+    def test_block_roundtrip(self):
         parts = make_particles(16)
-        back = ParticleArray.from_matrix(parts.to_matrix())
-        for name in ParticleArray.__slots__:
+        back = ParticleArray.from_block(parts.block.copy())
+        for name in ROWS:
             assert np.array_equal(getattr(back, name), getattr(parts, name)), name
 
-    def test_matrix_shape(self):
-        assert make_particles(7).to_matrix().shape == (7, 9)
+    def test_block_shape(self):
+        parts = make_particles(7)
+        assert parts.block.shape == (9, 7) and parts.block.flags.c_contiguous
+        assert all(getattr(parts, name).base is parts.block for name in ROWS[:-1])
 
-    def test_from_matrix_rejects_bad_shape(self):
+    def test_from_block_rejects_bad_shape(self):
         with pytest.raises(ValueError):
-            ParticleArray.from_matrix(np.zeros((3, 5)))
+            ParticleArray.from_block(np.zeros((5, 3)))
+        with pytest.raises(ValueError, match="float64"):
+            ParticleArray.from_block(np.zeros((9, 3), dtype=np.float32))
+        with pytest.raises(ValueError):
+            ParticleArray.from_block(np.zeros(9))
 
     def test_empty_roundtrip(self):
-        back = ParticleArray.from_matrix(ParticleArray.empty(0).to_matrix())
+        back = ParticleArray.from_block(ParticleArray.empty(0).block)
         assert back.n == 0
+
+    def test_views_share_the_block(self):
+        parts = make_particles(10)
+        view = parts.slice_view(2, 6)
+        view.x[:] = -1.0
+        assert np.array_equal(parts.x[2:6], [-1.0] * 4)
+        assert view.ids.tolist() == [2, 3, 4, 5] and view.ids.dtype == np.int64
+
+
+class TestIdRange:
+    """The float64 ids row holds every id up to 2**53 exactly; the
+    constructor refuses the first one it would round."""
+
+    @staticmethod
+    def with_ids(ids):
+        n = len(ids)
+        z = np.zeros(n)
+        return ParticleArray(z, z, z, z, z, z, z, z, np.array(ids, dtype=np.int64))
+
+    @pytest.mark.parametrize("top", [MAX_ID, -MAX_ID])
+    def test_two_to_the_53_is_exact(self, top):
+        parts = self.with_ids([0, top, 5])
+        assert parts.ids.tolist() == [0, top, 5]
+
+    @pytest.mark.parametrize("bad", [MAX_ID + 1, -MAX_ID - 1, np.iinfo(np.int64).min])
+    def test_beyond_two_to_the_53_is_refused(self, bad):
+        with pytest.raises(ValueError, match=f"first: {bad}"):
+            self.with_ids([1, bad, MAX_ID + 3])
 
 
 class TestPhysics:

@@ -214,7 +214,7 @@ class TestV1Compat:
             "version": np.array([1]),
             "meta": np.array([grid.nx, grid.ny, 6, 1], dtype=np.int64),
             "extent": np.array([grid.lx, grid.ly]),
-            "rank0_matrix": particles.to_matrix(),
+            "rank0_matrix": np.ascontiguousarray(particles.block.T),
         }
         for name in (
             "ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz", "rho",

@@ -19,7 +19,7 @@ from repro.mesh.decomposition import balanced_splits
 from repro.core.incremental_sort import BucketState, bucket_incremental_sort
 from repro.core.load_balance import order_maintaining_balance
 from repro.pic.ghost import DirectAddressTable, HashGhostTable
-from tests._looped_oracle import keyed_rows
+from tests._looped_oracle import keyed_block
 
 orders = st.integers(min_value=1, max_value=8)
 
@@ -94,16 +94,16 @@ class TestExchangeConservation:
         arrays_, dests = [], []
         for r in range(p):
             n = data.draw(st.integers(0, 20))
-            arrays_.append(np.arange(n, dtype=float).reshape(n, 1) + 100 * r)
+            arrays_.append(np.arange(n, dtype=float).reshape(1, n) + 100 * r)
             dests.append(
                 np.array(
                     data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)),
                     dtype=np.int64,
                 )
             )
-        offsets = np.cumsum([0] + [a.shape[0] for a in arrays_])
+        offsets = np.cumsum([0] + [a.shape[1] for a in arrays_])
         (out,), _ = exchange_by_destination_pooled(
-            vm, (np.concatenate(arrays_),), np.concatenate(dests), offsets
+            vm, (np.concatenate(arrays_, axis=1),), np.concatenate(dests), offsets
         )
         sent = np.sort(np.concatenate([a.ravel() for a in arrays_]))
         got = np.sort(out.ravel())
@@ -149,11 +149,11 @@ class TestSortingPipelines:
         keys, payloads, start = [], [], 0
         for n in chunks:
             keys.append(all_keys[start : start + n])
-            payloads.append(all_keys[start : start + n].reshape(-1, 1).astype(float))
+            payloads.append(all_keys[start : start + n].reshape(1, -1).astype(float))
             start += n
-        out = order_maintaining_balance(vm, keyed_rows(keys, payloads))
+        out = order_maintaining_balance(vm, keyed_block(keys, payloads))
         assert np.array_equal(out.keys, all_keys)
-        assert np.array_equal(out.rows.ravel(), all_keys.astype(float))
+        assert np.array_equal(out.values.ravel(), all_keys.astype(float))
         counts = out.counts
         assert max(counts) - min(counts) <= 1
 
@@ -173,7 +173,7 @@ class TestSortingPipelines:
                 dtype=np.int64,
             )
             new_keys.append(np.maximum(old + deltas, 0))
-        block = keyed_rows(new_keys, [k.reshape(-1, 1).astype(float) for k in olds])
+        block = keyed_block(new_keys, [k.reshape(1, -1).astype(float) for k in olds])
         state = BucketState.build(np.concatenate(olds), block.offsets, 4)
         out, stats = bucket_incremental_sort(vm, state, block)
         assert np.array_equal(out.keys, np.sort(block.keys))
@@ -223,8 +223,8 @@ class TestParticleArrayProperties:
             dtype=np.int64,
         )
         parts = ParticleArray(ids=ids, **cols)
-        back = ParticleArray.from_matrix(parts.to_matrix())
-        for name in ParticleArray.__slots__:
+        back = ParticleArray.from_block(np.ascontiguousarray(parts.block.T).T.copy())
+        for name in ("ids", *ParticleArray.__slots__):
             assert np.array_equal(getattr(back, name), getattr(parts, name)), name
 
     @given(data=st.data())

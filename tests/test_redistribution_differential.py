@@ -28,23 +28,25 @@ from repro.machine import MachineModel, VirtualMachine
 from repro.mesh import Grid2D
 from repro.mesh.decomposition import balanced_splits
 from repro.particles import ParticleArray, ParticlePool, uniform_plasma
-from repro.particles.sort import KeyedRows
+from repro.particles.sort import KeyedBlock
 
 
-def _reference_sort(keys, rows, p):
+def _reference_sort(keys, values, p):
     """From-scratch reference: global stable sort + balanced split."""
     order = np.argsort(keys, kind="stable")
-    return KeyedRows(rows.take(order, axis=0), keys.take(order), balanced_splits(keys.shape[0], p))
+    return KeyedBlock(
+        values.take(order, axis=1), keys.take(order), balanced_splits(keys.shape[0], p)
+    )
 
 
-def _incremental_epoch(vm, state, rows, new_keys):
-    block, stats = bucket_incremental_sort(vm, state, KeyedRows(rows, new_keys, state.offsets))
+def _incremental_epoch(vm, state, values, new_keys):
+    block, stats = bucket_incremental_sort(vm, state, KeyedBlock(values, new_keys, state.offsets))
     return order_maintaining_balance(vm, block), stats
 
 
 def _assert_blocks_equal(got, want):
     np.testing.assert_array_equal(got.keys, want.keys)
-    np.testing.assert_array_equal(got.rows, want.rows)
+    np.testing.assert_array_equal(got.values, want.values)
     np.testing.assert_array_equal(got.offsets, want.offsets)
 
 
@@ -62,7 +64,7 @@ class TestKeyLevelDifferential:
         # Epoch 0: a sorted balanced distribution of a random permutation
         # of the key universe.
         universe = np.sort(rng.choice(10 * n, size=n, replace=False)).astype(np.int64)
-        rows = np.arange(n, dtype=np.float64).reshape(-1, 1)
+        rows = np.arange(n, dtype=np.float64).reshape(1, -1)
         state = BucketState.build(universe, balanced_splits(n, p), nbuckets)
 
         for _ in range(5):
@@ -80,7 +82,7 @@ class TestKeyLevelDifferential:
             want = BucketState.build(ref.keys, ref.offsets, nbuckets)
             np.testing.assert_array_equal(got.elem_lows, want.elem_lows)
             np.testing.assert_array_equal(got.elem_highs, want.elem_highs)
-            state, rows = got, out.rows
+            state, rows = got, out.values
 
     @pytest.mark.parametrize("p", [2, 4])
     def test_no_movement_epoch(self, p):
@@ -88,14 +90,14 @@ class TestKeyLevelDifferential:
         n = 24 * p
         vm = VirtualMachine(p, MachineModel.cm5())
         keys = np.arange(0, 2 * n, 2, dtype=np.int64)
-        rows = np.arange(n, dtype=np.float64).reshape(-1, 1)
+        rows = np.arange(n, dtype=np.float64).reshape(1, -1)
         state = BucketState.build(keys, balanced_splits(n, p), 3)
 
         out, stats = _incremental_epoch(vm, state, rows, keys)
         assert stats.moved_rank == 0
         assert stats.moved_bucket == 0
         assert stats.same_bucket == n
-        _assert_blocks_equal(out, KeyedRows(rows, keys, state.offsets))
+        _assert_blocks_equal(out, KeyedBlock(rows, keys, state.offsets))
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_all_off_rank_epoch(self, p):
@@ -104,7 +106,7 @@ class TestKeyLevelDifferential:
         n = 16 * p
         vm = VirtualMachine(p, MachineModel.cm5())
         keys = np.arange(n, dtype=np.int64)
-        rows = 100.0 + keys.astype(np.float64).reshape(-1, 1)
+        rows = 100.0 + keys.astype(np.float64).reshape(1, -1)
         state = BucketState.build(keys, balanced_splits(n, p), 4)
 
         first = state.offsets[1]  # rank 0's count: every rank takes its successor's keys
@@ -120,13 +122,11 @@ class TestRedistributorDifferential:
 
     @staticmethod
     def _canonical(partitioner, particles):
-        """Global matrix sorted by (key, id) — the unique canonical form
+        """Global block sorted by (key, id) — the unique canonical form
         shared by every correct sorted-balanced distribution."""
         keys = partitioner.particle_keys(particles)
-        mat = particles.to_matrix()
-        ids = particles.ids
-        order = np.lexsort((ids, keys))
-        return keys.take(order), mat.take(order, axis=0)
+        order = np.lexsort((particles.ids, keys))
+        return keys.take(order), particles.block.take(order, axis=1)
 
     @pytest.mark.parametrize("p", [2, 4])
     @pytest.mark.parametrize("scheme", ["hilbert", "rowmajor"])
@@ -160,7 +160,7 @@ class TestRedistributorDifferential:
             np.testing.assert_array_equal(partitioner.particle_keys(inc.array), full.keys)
             # Full contents agree after canonicalizing key ties.
             ik, im = self._canonical(partitioner, inc.array)
-            fk, fm = self._canonical(partitioner, ParticleArray.from_matrix(full.rows))
+            fk, fm = self._canonical(partitioner, ParticleArray.from_block(full.values))
             np.testing.assert_array_equal(ik, fk)
             np.testing.assert_array_equal(im, fm)
             current = inc

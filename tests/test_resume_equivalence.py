@@ -48,7 +48,7 @@ def _assert_state_identical(sim_a, sim_b):
     assert len(sim_a.pic.particles) == len(sim_b.pic.particles)
     for parts_a, parts_b in zip(sim_a.pic.particles, sim_b.pic.particles):
         assert np.array_equal(parts_a.ids, parts_b.ids)
-        assert np.array_equal(parts_a.to_matrix(), parts_b.to_matrix())
+        assert np.array_equal(parts_a.block, parts_b.block)
     for name in ("ex", "ey", "ez", "bx", "by", "bz", "rho"):
         assert np.array_equal(
             getattr(sim_a.pic.fields, name), getattr(sim_b.pic.fields, name)

@@ -253,7 +253,7 @@ class TestPooledRouterEqualsDictRouter:
         cut = offsets[1:-1]
         with pooled.phase("redistribution"), looped.phase("redistribution"):
             got, error = _run(
-                lambda: exchange_by_destination_pooled(pooled, (rows, keys), dest, offsets)
+                lambda: exchange_by_destination_pooled(pooled, (rows.T, keys), dest, offsets)
             )
             ref, error_ref = _run(
                 lambda: [
@@ -271,7 +271,7 @@ class TestPooledRouterEqualsDictRouter:
             assert str(error) == str(error_ref)
         assert pooled.state_dict() == looped.state_dict()
         if error is None:
-            (got_rows, got_keys), got_offsets = got
-            for delivered, expected in zip((got_rows, got_keys), ref):
+            (got_columns, got_keys), got_offsets = got
+            for delivered, expected in zip((got_columns.T, got_keys), ref):
                 per_rank = np.split(delivered, got_offsets[1:-1])
                 assert [_as_bytes(a) for a in per_rank] == [_as_bytes(a) for a in expected]
