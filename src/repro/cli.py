@@ -337,9 +337,8 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
     try:
         return config_from_dict(kwargs)
     except ValueError as exc:
-        if args.config:
-            raise SystemExit(f"bad config ({args.config} + flags): {exc}") from exc
-        raise
+        where = f" ({args.config} + flags)" if args.config else ""
+        raise SystemExit(f"bad config{where}: {exc}") from exc
 
 
 def _summary_dict(result: SimulationResult) -> dict:

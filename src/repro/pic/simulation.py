@@ -25,6 +25,7 @@ from repro.core.policies import (
     policy_spec,
 )
 from repro.core.redistribution import Redistributor
+from repro.indexing import available_schemes
 from repro.machine.faults import FaultInjector, FaultPlan
 from repro.machine.model import MachineModel
 from repro.machine.trace import PhaseTrace
@@ -102,6 +103,20 @@ class SimulationConfig:
             f"unknown partitioning {self.partitioning!r}",
         )
         require(self.movement in ("lagrangian", "eulerian"), f"unknown movement {self.movement!r}")
+        schemes = available_schemes()
+        require(
+            self.scheme in schemes,
+            f"unknown scheme {self.scheme!r}; available: {', '.join(schemes)}",
+        )
+        require(
+            self.ghost_table in ("hash", "direct"),
+            f"unknown ghost_table {self.ghost_table!r}; expected 'hash' or 'direct'",
+        )
+        require(
+            self.field_solver in ("maxwell", "electrostatic"),
+            f"unknown field_solver {self.field_solver!r}; expected 'maxwell' or 'electrostatic'",
+        )
+        require(self.nbuckets >= 1, f"nbuckets must be >= 1, got {self.nbuckets!r}")
         if self.partitioning == "adaptive":
             require(
                 self.movement == "eulerian",

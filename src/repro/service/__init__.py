@@ -7,7 +7,9 @@ exponential backoff, checkpoint-based resume of interrupted attempts,
 pool shrinking under repeated worker loss, a ``max_failures`` circuit
 breaker — and an integrity-checked, content-addressed
 :class:`ResultCache` that serves repeat submissions bit-identically
-without running anything.
+without running anything.  Every job transition is one event of the
+batch's :class:`ServiceTelemetry` stream, and the batch report reads its
+counters off that stream.
 """
 
 from repro.service.cache import CACHE_SCHEMA, ResultCache, payload_digest
@@ -19,13 +21,11 @@ from repro.service.jobs import (
     canonical_json,
     job_key,
 )
-from repro.service.queue import JobQueue
 from repro.service.scheduler import (
     Scheduler,
     backoff_delay,
     derive_batch_id,
     render_report,
-    run_batch,
 )
 from repro.service.sweep import expand_jobs, load_jobs
 from repro.service.telemetry import SERVICE_SCHEMA, ServiceTelemetry
@@ -35,7 +35,6 @@ __all__ = [
     "BATCH_SCHEMA",
     "CACHE_SCHEMA",
     "SERVICE_SCHEMA",
-    "JobQueue",
     "JobRecord",
     "JobSpec",
     "JobState",
@@ -51,5 +50,4 @@ __all__ = [
     "load_jobs",
     "payload_digest",
     "render_report",
-    "run_batch",
 ]

@@ -49,10 +49,6 @@ class JobState:
     FAILED = "failed"  #: retry budget exhausted
     CANCELLED = "cancelled"  #: dropped by the circuit breaker
 
-    ALL = (PENDING, WAITING, RUNNING, DONE, FAILED, CANCELLED)
-    #: states a scheduler run terminates jobs in
-    TERMINAL = (DONE, FAILED, CANCELLED)
-
 
 def canonical_json(obj) -> str:
     """Canonical JSON text: sorted keys, minimal separators.

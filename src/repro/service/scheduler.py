@@ -22,41 +22,43 @@ at most ``workers`` live at a time) with full fault tolerance:
   batch produce identical schedules).  Retries resume from the job's
   scratch checkpoint, re-doing only iterations past the last
   checkpoint.
-* **graceful degradation** — repeated worker deaths shrink the pool
-  (never below one); a bounded queue keeps huge sweeps from
-  materializing all supervision state at once; ``max_failures`` is a
-  circuit breaker that stops launching after N distinct job failures
-  and cancels the remainder, reporting everything in the batch report.
-  A live job that fails retryably *after* the breaker opened is
-  cancelled too (never rescheduled — nothing launches once the circuit
-  is open), so the batch always terminates.
+* **graceful degradation** — two consecutive worker deaths shrink the
+  pool by one slot (never below one); ``max_failures`` is a circuit
+  breaker that stops launching after N distinct job failures and
+  cancels every job not yet running.  A live job that fails retryably
+  *after* the breaker opened is cancelled too (never rescheduled), so
+  the batch always terminates.
 
-The returned batch report (schema ``repro-batch/1``) records every
-job's terminal state, attempts, retries (with reasons and delays),
-cache provenance, and final-state summary; ``repro jobs`` renders it.
+Each 50 ms tick of :meth:`Scheduler.run` promotes due retries into the
+one ready heap (priority desc, then submission / re-queue order),
+launches, drains worker messages and supervises the live workers.
+Every job transition, each cancellation included, is one event of the
+batch's :class:`~repro.service.telemetry.ServiceTelemetry` stream, the
+only tally: the batch report (schema ``repro-batch/1``, rendered by
+``repro jobs``) reads its ``counters`` off the stream's registry.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
+import itertools
 import multiprocessing as mp
 import random
 import shutil
 import tempfile
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as mp_wait
 from pathlib import Path
 
 from repro.service.cache import ResultCache
 from repro.service.jobs import BATCH_SCHEMA, JobRecord, JobSpec, JobState
-from repro.service.queue import JobQueue
-from repro.service.telemetry import ServiceTelemetry
+from repro.service.telemetry import ServiceTelemetry, report_counters
 from repro.service.worker import scratch_checkpoint, worker_main
 from repro.util import require
 
-__all__ = ["Scheduler", "run_batch", "render_report", "backoff_delay"]
+__all__ = ["Scheduler", "render_report", "backoff_delay"]
 
 #: Supervision poll interval (seconds): the latency floor for detecting
 #: completions, deadline expiries, and dead workers.
@@ -64,6 +66,9 @@ _TICK = 0.05
 
 #: Minimum seconds between Prometheus snapshot flushes during the loop.
 _PROM_EVERY = 0.5
+
+#: Consecutive worker losses that shed one pool slot.
+_SHRINK_AFTER = 2
 
 
 def derive_batch_id(jobs: list[JobSpec]) -> str:
@@ -108,30 +113,14 @@ class _Live:
 
 
 @dataclass
-class _Counters:
-    completed: int = 0
-    failed: int = 0
-    cancelled: int = 0
-    cache_hits: int = 0
-    retries: int = 0
-    timeouts: int = 0
-    heartbeats_lost: int = 0
-    worker_losses: int = 0
-    quarantined: int = 0
-    pool_shrinks: int = 0
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
-
-@dataclass
 class Scheduler:
     """Fault-tolerant batch scheduler (see module docstring).
 
     ``retries`` is the number of *re*-tries: a job gets at most
     ``retries + 1`` attempts.  ``max_failures=0`` disables the circuit
     breaker.  ``timeout`` / ``heartbeat_timeout`` of ``None`` disable
-    the respective watchdog.
+    the respective watchdog.  :attr:`telemetry` is the last batch's
+    service stream.
     """
 
     workers: int = 2
@@ -142,12 +131,7 @@ class Scheduler:
     retries: int = 2
     max_failures: int = 0
     checkpoint_every: int = 2
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-    queue_maxsize: int | None = None
-    shrink_after: int = 2  #: consecutive worker losses that shed one slot
     progress: object = None  #: optional callable(str) for status lines
-    batch_id: str | None = None  #: override the content-derived batch id
     obs_dir: str | Path | None = None  #: live service stream + per-job telemetry
     prom_dir: str | Path | None = None  #: Prometheus textfile snapshots
     telemetry: ServiceTelemetry = field(init=False, default=None)
@@ -172,388 +156,354 @@ class Scheduler:
     def run(self, jobs: list[JobSpec]) -> dict:
         """Drain ``jobs`` to terminal states; returns the batch report."""
         require(len(jobs) > 0, "a batch needs at least one job")
-        workdir = Path(self.workdir) if self.workdir is not None else None
-        scratch_workdir = False
-        if workdir is None:
-            if self.cache is not None:
-                workdir = self.cache.root / "work"
-            else:
-                # no cache to anchor the documented <cache>/work default:
-                # use a private temp dir, never the caller's cwd
-                workdir = Path(tempfile.mkdtemp(prefix="repro-jobs-"))
-                scratch_workdir = True
-        workdir.mkdir(parents=True, exist_ok=True)
-
-        records = [JobRecord(spec=spec) for spec in jobs]
-        batch_id = self.batch_id or derive_batch_id(jobs)
-        obs_dir = Path(self.obs_dir) if self.obs_dir is not None else None
-        prom_dir = Path(self.prom_dir) if self.prom_dir is not None else None
-        tel = self.telemetry = ServiceTelemetry(
-            jobs=len(records),
-            workers=self.workers,
-            batch_id=batch_id,
-            params={
-                "timeout": self.timeout,
-                "heartbeat_timeout": self.heartbeat_timeout,
-                "retries": self.retries,
-                "max_failures": self.max_failures,
-                "checkpoint_every": self.checkpoint_every,
-            },
-        )
-        if obs_dir is not None:
-            obs_dir.mkdir(parents=True, exist_ok=True)
-            tel.stream_to(obs_dir / "service.jsonl")
-        last_prom = 0.0
-
-        def flush_prom(force: bool = False) -> None:
-            nonlocal last_prom
-            if prom_dir is None:
-                return
-            now = time.monotonic()
-            if not force and now - last_prom < _PROM_EVERY:
-                return
-            last_prom = now
-            from repro.obs.prom import write_prom_snapshot
-
-            write_prom_snapshot(
-                prom_dir,
-                tel.registry,
-                name="repro-batch.prom",
-                labels={"batch": batch_id},
-            )
-
-        counters = _Counters()
-        queue = JobQueue(maxsize=self.queue_maxsize)
-        backlog: deque[JobRecord] = deque(records)
-        waiting: list[tuple[float, JobRecord]] = []
-        live: dict[object, _Live] = {}
-        pool_size = max(1, min(self.workers, len(records)))
-        consecutive_losses = 0
-        circuit_open = False
-        t_batch0 = time.monotonic()
-
-        def say(text: str) -> None:
-            if self.progress is not None:
-                self.progress(text)
-
-        def finish_done(rec: JobRecord, wall: float, payload: dict, cached: bool) -> None:
-            nonlocal consecutive_losses
-            rec.state = JobState.DONE
-            rec.cached = cached
-            rec.payload = payload
-            rec.wall += wall
-            counters.completed += 1
-            if cached:
-                counters.cache_hits += 1
-                tel.registry.counter("cache.hits").inc()
-            else:
-                consecutive_losses = 0
-                if self.cache is not None:
-                    self.cache.put(rec.key, payload)
-                ck = scratch_checkpoint(workdir, rec.key)
-                if ck.exists():
-                    ck.unlink()
-            tel.event("job_done", rec, wall=round(rec.wall, 6), cached=cached)
-            flush_prom()
-            say(f"done {rec.name}" + (" (cache)" if cached else ""))
-
-        def note_quarantines() -> None:
-            if self.cache is None:
-                return
-            while counters.quarantined < len(self.cache.quarantined):
-                path, reason = self.cache.quarantined[counters.quarantined]
-                counters.quarantined += 1
-                tel.event("cache_quarantine", path=path, reason=reason)
-                say(f"quarantined corrupt cache entry: {path}")
-
-        def open_circuit() -> None:
-            nonlocal circuit_open
-            if circuit_open:
-                return
-            circuit_open = True
-            cancelled = 0
-            for rec in list(backlog) + [r for _, r in waiting]:
-                rec.state = JobState.CANCELLED
-                rec.error = (
-                    f"cancelled: the batch hit max_failures={self.max_failures}"
-                )
-                cancelled += 1
-            while queue:
-                rec = queue.pop()
-                rec.state = JobState.CANCELLED
-                rec.error = (
-                    f"cancelled: the batch hit max_failures={self.max_failures}"
-                )
-                cancelled += 1
-            backlog.clear()
-            waiting.clear()
-            counters.cancelled += cancelled
-            tel.event("circuit_open", failures=counters.failed, cancelled=cancelled)
-            say(
-                f"circuit breaker open after {counters.failed} failures; "
-                f"{cancelled} job(s) cancelled"
-            )
-
-        def retry_or_fail(rec: JobRecord, reason: str, wall: float) -> None:
-            rec.wall += wall
-            attempt = rec.attempt
-            if attempt >= self.retries:
-                rec.state = JobState.FAILED
-                rec.error = reason
-                counters.failed += 1
-                tel.event("job_failed", rec, reason=reason)
-                say(f"FAILED {rec.name}: {reason}")
-                if self.max_failures and counters.failed >= self.max_failures:
-                    open_circuit()
-                return
-            if circuit_open:
-                # the breaker tripped while this attempt was in flight;
-                # a retry would never launch (launches are gated on the
-                # closed circuit) and would spin the loop forever
-                rec.state = JobState.CANCELLED
-                rec.error = (
-                    f"cancelled after {reason}: the batch circuit breaker "
-                    f"is open (max_failures={self.max_failures})"
-                )
-                counters.cancelled += 1
-                tel.event("job_cancelled", rec, reason=reason)
-                say(f"cancelled {rec.name} (circuit open): {reason}")
-                return
-            delay = backoff_delay(
-                rec.key, attempt, base=self.backoff_base, cap=self.backoff_cap
-            )
-            rec.retries.append(
-                {"attempt": attempt, "reason": reason, "delay": round(delay, 6)}
-            )
-            rec.attempt = attempt + 1
-            rec.state = JobState.WAITING
-            waiting.append((time.monotonic() + delay, rec))
-            counters.retries += 1
-            # the upcoming attempt, as in schema /1
-            tel.event("job_retry", rec, attempt=rec.attempt, reason=reason, delay=round(delay, 6))
-            say(f"retry {rec.name} (attempt {rec.attempt + 1}) in {delay:.2f}s: {reason}")
-
-        def kill_entry(entry: _Live) -> None:
-            proc = entry.process
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(1.0)
-                if proc.is_alive():  # pragma: no cover - terminate suffices normally
-                    proc.kill()
-                    proc.join(5.0)
-            entry.conn.close()
-
-        def worker_lost(entry: _Live, reason: str) -> None:
-            nonlocal pool_size, consecutive_losses
-            counters.worker_losses += 1
-            consecutive_losses += 1
-            tel.event("worker_lost", entry.record, exitcode=entry.process.exitcode)
-            if consecutive_losses >= self.shrink_after and pool_size > 1:
-                pool_size -= 1
-                consecutive_losses = 0
-                counters.pool_shrinks += 1
-                tel.registry.gauge("pool.size").set(pool_size)
-                tel.event(
-                    "pool_shrink",
-                    size=pool_size,
-                    reason=f"{self.shrink_after} consecutive worker losses",
-                )
-                say(f"pool shrunk to {pool_size} worker slot(s)")
-            retry_or_fail(
-                entry.record, reason, time.monotonic() - entry.started
-            )
-
-        def launch(rec: JobRecord) -> None:
-            parent, child = self._ctx.Pipe(duplex=False)
-            proc = self._ctx.Process(
-                target=worker_main,
-                args=(
-                    child,
-                    rec.spec.to_dict(),
-                    str(workdir),
-                    self.checkpoint_every,
-                    rec.attempt,
-                    {
-                        "batch_id": batch_id,
-                        "job_id": rec.key,
-                        "attempt": rec.attempt,
-                    },
-                    str(obs_dir) if obs_dir is not None else None,
-                ),
-                daemon=True,
-            )
-            proc.start()
-            child.close()
-            rec.state = JobState.RUNNING
-            now = time.monotonic()
-            live[parent] = _Live(rec, proc, parent, now, now)
-            tel.event("job_launched", rec, attempt=rec.attempt)
-            say(f"launch {rec.name} (attempt {rec.attempt + 1})")
-
-        # -- main supervision loop --------------------------------------
-        while live or backlog or waiting or queue:
-            now = time.monotonic()
-            # promote retries whose backoff elapsed
-            due = [w for w in waiting if w[0] <= now]
-            if due:
-                waiting[:] = [w for w in waiting if w[0] > now]
-                for _, rec in due:
-                    rec.state = JobState.PENDING
-                    backlog.append(rec)
-            while backlog and not queue.full:
-                queue.push(backlog.popleft())
-            tel.set_queue_depth(len(queue) + len(backlog))
-
-            # launch up to the (possibly shrunk) pool size
-            while not circuit_open and queue and len(live) < pool_size:
-                rec = queue.pop()
-                hit = self.cache.get(rec.key) if self.cache is not None else None
-                note_quarantines()
-                if hit is not None:
-                    finish_done(rec, 0.0, hit, cached=True)
-                    continue
-                tel.registry.counter("cache.misses").inc()
-                launch(rec)
-            flush_prom()
-
-            if not live:
-                if waiting:
-                    pause = max(0.0, min(t for t, _ in waiting) - time.monotonic())
+        self._open(jobs)
+        while self._live or self._ready or self._waiting:
+            self._promote_due()
+            self._launch_ready()
+            self._flush_prom()
+            if not self._live:
+                if self._waiting:
+                    pause = max(0.0, min(t for t, _ in self._waiting) - time.monotonic())
                     time.sleep(min(pause, _TICK) or 0.001)
                 continue
+            for conn in mp_wait(list(self._live), timeout=_TICK):
+                self._drain(self._live[conn])
+            self._supervise()
+        return self._report()
 
-            def drain(entry: _Live) -> None:
-                """Consume every message buffered on one worker's pipe."""
-                conn = entry.conn
-                while True:
-                    try:
-                        if not conn.poll():
-                            return
-                        kind, body = conn.recv()
-                    except (EOFError, OSError):
-                        # pipe closed: normal after done/failed, a death
-                        # otherwise — the supervision pass settles it
-                        return
-                    if kind == "started":
-                        entry.last_beat = time.monotonic()
-                        entry.beating = True
-                        if body.get("iteration", 0) > 0:
-                            entry.record.resumed_from = int(body["iteration"])
-                    elif kind == "heartbeat":
-                        entry.last_beat = time.monotonic()
-                        entry.beating = True
-                        tel.on_heartbeat(
-                            entry.record,
-                            body.get("iteration", -1),
-                            total=body.get("total"),
-                            imbalance=body.get("imbalance"),
-                        )
-                    elif kind == "done":
-                        entry.finished = True
-                        finish_done(
-                            entry.record,
-                            time.monotonic() - entry.started,
-                            body["payload"],
-                            cached=False,
-                        )
-                    elif kind == "failed":
-                        entry.finished = True
-                        err = body["error"]
-                        retry_or_fail(
-                            entry.record,
-                            f"{type(err).__name__}: {err}",
-                            time.monotonic() - entry.started,
-                        )
+    # -- batch state ---------------------------------------------------
+    def _open(self, jobs: list[JobSpec]) -> None:
+        """Set up one batch: workdir, records, ready heap and service stream."""
+        self._scratch_workdir = self.workdir is None and self.cache is None
+        if self.workdir is not None:
+            self._workdir = Path(self.workdir)
+        elif self.cache is not None:
+            self._workdir = self.cache.root / "work"
+        else:
+            # no cache to anchor the documented <cache>/work default:
+            # use a private temp dir, never the caller's cwd
+            self._workdir = Path(tempfile.mkdtemp(prefix="repro-jobs-"))
+        self._workdir.mkdir(parents=True, exist_ok=True)
 
-            # drain messages from whoever has something to say
-            for conn in mp_wait(list(live), timeout=_TICK):
-                drain(live[conn])
+        self._records = [JobRecord(spec=spec) for spec in jobs]  # tests inspect payloads post-run
+        self._batch_id = derive_batch_id(jobs)
+        self._obs_dir = Path(self.obs_dir) if self.obs_dir is not None else None
+        tel = self.telemetry = ServiceTelemetry(
+            jobs=len(self._records),
+            workers=self.workers,
+            batch_id=self._batch_id,
+            params=self._params(),
+        )
+        if self._obs_dir is not None:
+            self._obs_dir.mkdir(parents=True, exist_ok=True)
+            tel.stream_to(self._obs_dir / "service.jsonl")
+        self._last_prom = 0.0
+        #: (-priority, seq, record): launch order is priority desc, then
+        #: submission / re-queue order
+        self._ready: list[tuple[int, int, JobRecord]] = []
+        self._seq = itertools.count()
+        for rec in self._records:
+            self._enqueue(rec)
+        self._waiting: list[tuple[float, JobRecord]] = []  #: (due time, record)
+        self._live: dict[object, _Live] = {}
+        self._pool_size = max(1, min(self.workers, len(self._records)))
+        self._consecutive_losses = 0
+        self._circuit_open = False
+        self._t0 = time.monotonic()
 
-            # supervision pass: deadlines, heartbeats, silent deaths
-            now = time.monotonic()
-            for conn, entry in list(live.items()):
-                rec = entry.record
+    def _params(self) -> dict:
+        """The supervision knobs the stream header and the batch report record."""
+        names = ("timeout", "heartbeat_timeout", "retries", "max_failures", "checkpoint_every")
+        return {name: getattr(self, name) for name in names}
+
+    def _enqueue(self, rec: JobRecord) -> None:
+        heapq.heappush(self._ready, (-rec.spec.priority, next(self._seq), rec))
+
+    def _say(self, text: str) -> None:
+        if self.progress is not None:
+            self.progress(text)
+
+    def _flush_prom(self, force: bool = False) -> None:
+        if self.prom_dir is None:
+            return
+        now = time.monotonic()
+        if not force and now - self._last_prom < _PROM_EVERY:
+            return
+        self._last_prom = now
+        from repro.obs.prom import write_prom_snapshot
+
+        write_prom_snapshot(
+            Path(self.prom_dir),
+            self.telemetry.registry,
+            name="repro-batch.prom",
+            labels={"batch": self._batch_id},
+        )
+
+    # -- the tick's steps ----------------------------------------------
+    def _promote_due(self) -> None:
+        """Re-queue the retries whose backoff elapsed, in retry order."""
+        now = time.monotonic()
+        due = [rec for t, rec in self._waiting if t <= now]
+        self._waiting = [w for w in self._waiting if w[0] > now]
+        for rec in due:
+            rec.state = JobState.PENDING
+            self._enqueue(rec)
+        self.telemetry.set_queue_depth(len(self._ready))
+
+    def _launch_ready(self) -> None:
+        """Serve ready jobs from the cache or launch them, up to the pool size."""
+        while not self._circuit_open and self._ready and len(self._live) < self._pool_size:
+            rec = heapq.heappop(self._ready)[2]
+            hit = self._cache_get(rec)
+            if hit is not None:
+                self._finish(rec, 0.0, hit, cached=True)
+                continue
+            self.telemetry.registry.counter("cache.misses").inc()
+            self._launch(rec)
+
+    def _cache_get(self, rec: JobRecord) -> dict | None:
+        """Verified cache payload for ``rec``; each entry quarantined on the way is an event."""
+        if self.cache is None:
+            return None
+        seen = len(self.cache.quarantined)
+        hit = self.cache.get(rec.key)
+        for path, reason in self.cache.quarantined[seen:]:
+            self.telemetry.event("cache_quarantine", path=path, reason=reason)
+            self._say(f"quarantined corrupt cache entry: {path}")
+        return hit
+
+    def _launch(self, rec: JobRecord) -> None:
+        parent, child = self._ctx.Pipe(duplex=False)
+        proc = self._ctx.Process(
+            target=worker_main,
+            args=(
+                child,
+                rec.spec.to_dict(),
+                str(self._workdir),
+                self.checkpoint_every,
+                rec.attempt,
+                {"batch_id": self._batch_id, "job_id": rec.key, "attempt": rec.attempt},
+                str(self._obs_dir) if self._obs_dir is not None else None,
+            ),
+            daemon=True,
+        )
+        proc.start()
+        child.close()
+        rec.state = JobState.RUNNING
+        now = time.monotonic()
+        self._live[parent] = _Live(rec, proc, parent, now, now)
+        self.telemetry.event("job_launched", rec, attempt=rec.attempt)
+        self._say(f"launch {rec.name} (attempt {rec.attempt + 1})")
+
+    def _drain(self, entry: _Live) -> None:
+        """Consume every message buffered on one worker's pipe."""
+        conn = entry.conn
+        while True:
+            try:
+                if not conn.poll():
+                    return
+                kind, body = conn.recv()
+            except (EOFError, OSError):
+                # pipe closed: normal after done/failed, a death
+                # otherwise — the supervision pass settles it
+                return
+            if kind in ("started", "heartbeat"):
+                entry.last_beat = time.monotonic()
+                entry.beating = True
+            if kind == "started":
+                if body.get("iteration", 0) > 0:
+                    entry.record.resumed_from = int(body["iteration"])
+            elif kind == "heartbeat":
+                self.telemetry.on_heartbeat(
+                    entry.record,
+                    body.get("iteration", -1),
+                    total=body.get("total"),
+                    imbalance=body.get("imbalance"),
+                )
+            elif kind == "done":
+                entry.finished = True
+                wall = time.monotonic() - entry.started
+                self._finish(entry.record, wall, body["payload"], cached=False)
+            elif kind == "failed":
+                entry.finished = True
+                err = body["error"]
+                self._retry_or_fail(
+                    entry.record,
+                    f"{type(err).__name__}: {err}",
+                    time.monotonic() - entry.started,
+                )
+
+    def _supervise(self) -> None:
+        """Retire finished workers; settle deadlines, heartbeat silence and deaths."""
+        now = time.monotonic()
+        for conn, entry in list(self._live.items()):
+            elapsed = now - entry.started
+            if entry.finished:
+                entry.process.join(5.0)
+                del self._live[conn]
+            elif self.timeout is not None and elapsed >= self.timeout:
+                self._kill_and_retry(
+                    entry,
+                    elapsed,
+                    "job_timeout",
+                    f"JobTimeout: exceeded the {self.timeout:g}s deadline "
+                    f"after {elapsed:.2f}s",
+                    limit=self.timeout,
+                    elapsed=round(elapsed, 6),
+                )
+            elif (
+                self.heartbeat_timeout is not None
+                and entry.beating  # armed at the first worker message:
+                # construction/restore time is not heartbeat silence
+                and now - entry.last_beat >= self.heartbeat_timeout
+            ):
+                silent = now - entry.last_beat
+                self._kill_and_retry(
+                    entry,
+                    elapsed,
+                    "heartbeat_lost",
+                    f"hung worker: no heartbeat for {silent:.2f}s "
+                    f"(budget {self.heartbeat_timeout:g}s)",
+                    silent_for=round(silent, 6),
+                )
+            elif not entry.process.is_alive():
+                # the exit may have raced the drain: final messages can
+                # still sit in the pipe buffer — read them before
+                # declaring the worker lost
+                self._drain(entry)
+                del self._live[conn]
                 if entry.finished:
                     entry.process.join(5.0)
-                    del live[conn]
-                    continue
-                if self.timeout is not None and now - entry.started >= self.timeout:
-                    kill_entry(entry)
-                    del live[conn]
-                    counters.timeouts += 1
-                    elapsed = now - entry.started
-                    tel.event("job_timeout", rec, limit=self.timeout, elapsed=round(elapsed, 6))
-                    retry_or_fail(
-                        rec,
-                        f"JobTimeout: exceeded the {self.timeout:g}s deadline "
-                        f"after {elapsed:.2f}s",
-                        elapsed,
-                    )
-                    continue
-                if (
-                    self.heartbeat_timeout is not None
-                    and entry.beating  # armed at the first worker message:
-                    # construction/restore time is not heartbeat silence
-                    and now - entry.last_beat >= self.heartbeat_timeout
-                ):
-                    silent = now - entry.last_beat
-                    kill_entry(entry)
-                    del live[conn]
-                    counters.heartbeats_lost += 1
-                    tel.event("heartbeat_lost", rec, silent_for=round(silent, 6))
-                    retry_or_fail(
-                        rec,
-                        f"hung worker: no heartbeat for {silent:.2f}s "
-                        f"(budget {self.heartbeat_timeout:g}s)",
-                        now - entry.started,
-                    )
-                    continue
-                if not entry.process.is_alive():
-                    # the exit may have raced the drain above: final
-                    # messages can still sit in the pipe buffer — read
-                    # them before declaring the worker lost
-                    drain(entry)
-                    if entry.finished:
-                        entry.process.join(5.0)
-                        del live[conn]
-                        continue
-                    ec = entry.process.exitcode
+                else:
                     entry.conn.close()
-                    del live[conn]
-                    worker_lost(entry, f"worker died (exitcode {ec})")
+                    self._worker_lost(entry)
 
-        # -- report -----------------------------------------------------
-        if scratch_workdir:
-            shutil.rmtree(workdir, ignore_errors=True)
+    def _report(self) -> dict:
+        """Close the stream and build the batch report from it."""
+        if self._scratch_workdir:
+            shutil.rmtree(self._workdir, ignore_errors=True)
+        tel = self.telemetry
         tel.close_stream()
-        flush_prom(force=True)
-        ok = all(rec.state == JobState.DONE for rec in records)
-        report = {
+        self._flush_prom(force=True)
+        return {
             "schema": BATCH_SCHEMA,
-            "batch_id": batch_id,
+            "batch_id": self._batch_id,
             "params": {
                 "workers": self.workers,
-                "pool_size_final": pool_size,
-                "timeout": self.timeout,
-                "heartbeat_timeout": self.heartbeat_timeout,
-                "retries": self.retries,
-                "max_failures": self.max_failures,
-                "checkpoint_every": self.checkpoint_every,
+                "pool_size_final": self._pool_size,
+                **self._params(),
                 "cache": str(self.cache.root) if self.cache is not None else None,
             },
-            "ok": ok,
-            "circuit_open": circuit_open,
-            "wall": round(time.monotonic() - t_batch0, 6),
-            "counters": counters.to_dict(),
-            "jobs": [rec.to_dict() for rec in records],
+            "ok": all(rec.state == JobState.DONE for rec in self._records),
+            "circuit_open": self._circuit_open,
+            "wall": round(time.monotonic() - self._t0, 6),
+            "counters": report_counters(tel.summary()),
+            "jobs": [rec.to_dict() for rec in self._records],
         }
-        self._records = records  # tests inspect payloads post-run
-        return report
 
+    # -- job transitions -----------------------------------------------
+    def _finish(self, rec: JobRecord, wall: float, payload: dict, cached: bool) -> None:
+        rec.state = JobState.DONE
+        rec.cached = cached
+        rec.payload = payload
+        rec.wall += wall
+        if not cached:
+            self._consecutive_losses = 0
+            if self.cache is not None:
+                self.cache.put(rec.key, payload)
+            ck = scratch_checkpoint(self._workdir, rec.key)
+            if ck.exists():
+                ck.unlink()
+        self.telemetry.event("job_done", rec, wall=round(rec.wall, 6), cached=cached)
+        self._flush_prom()
+        self._say(f"done {rec.name}" + (" (cache)" if cached else ""))
 
-def run_batch(jobs: list[JobSpec], **kwargs) -> dict:
-    """One-shot convenience: ``Scheduler(**kwargs).run(jobs)``."""
-    return Scheduler(**kwargs).run(jobs)
+    def _kill_and_retry(
+        self, entry: _Live, elapsed: float, kind: str, reason: str, **fields
+    ) -> None:
+        """A watchdog fired: terminate (then kill) the worker, record ``kind``, retry the job."""
+        proc = entry.process
+        if proc.is_alive():
+            proc.terminate()
+            proc.join(1.0)
+            if proc.is_alive():  # pragma: no cover - terminate suffices normally
+                proc.kill()
+                proc.join(5.0)
+        entry.conn.close()
+        del self._live[entry.conn]
+        self.telemetry.event(kind, entry.record, **fields)
+        self._retry_or_fail(entry.record, reason, elapsed)
+
+    def _worker_lost(self, entry: _Live) -> None:
+        reason = f"worker died (exitcode {entry.process.exitcode})"
+        self._consecutive_losses += 1
+        self.telemetry.event("worker_lost", entry.record, exitcode=entry.process.exitcode)
+        if self._consecutive_losses >= _SHRINK_AFTER and self._pool_size > 1:
+            self._pool_size -= 1
+            self._consecutive_losses = 0
+            self.telemetry.registry.gauge("pool.size").set(self._pool_size)
+            self.telemetry.event(
+                "pool_shrink",
+                size=self._pool_size,
+                reason=f"{_SHRINK_AFTER} consecutive worker losses",
+            )
+            self._say(f"pool shrunk to {self._pool_size} worker slot(s)")
+        self._retry_or_fail(entry.record, reason, time.monotonic() - entry.started)
+
+    def _retry_or_fail(self, rec: JobRecord, reason: str, wall: float) -> None:
+        rec.wall += wall
+        attempt = rec.attempt
+        if attempt >= self.retries:
+            rec.state = JobState.FAILED
+            rec.error = reason
+            self.telemetry.event("job_failed", rec, reason=reason)
+            self._say(f"FAILED {rec.name}: {reason}")
+            failures = int(self.telemetry.registry.counter("jobs.failed").value)
+            if self.max_failures and not self._circuit_open and failures >= self.max_failures:
+                self._open_circuit(failures)
+            return
+        if self._circuit_open:
+            # the breaker tripped while this attempt was in flight;
+            # a retry would never launch (launches are gated on the
+            # closed circuit) and would spin the loop forever
+            self._cancel(
+                rec,
+                reason,
+                f"cancelled after {reason}: the batch circuit breaker "
+                f"is open (max_failures={self.max_failures})",
+            )
+            self._say(f"cancelled {rec.name} (circuit open): {reason}")
+            return
+        delay = backoff_delay(rec.key, attempt)
+        rec.retries.append({"attempt": attempt, "reason": reason, "delay": round(delay, 6)})
+        rec.attempt = attempt + 1
+        rec.state = JobState.WAITING
+        self._waiting.append((time.monotonic() + delay, rec))
+        # the upcoming attempt, as in schema /1
+        self.telemetry.event(
+            "job_retry", rec, attempt=rec.attempt, reason=reason, delay=round(delay, 6)
+        )
+        self._say(f"retry {rec.name} (attempt {rec.attempt + 1}) in {delay:.2f}s: {reason}")
+
+    def _open_circuit(self, failures: int) -> None:
+        """Trip the breaker: cancel every queued or backing-off job, in submission order."""
+        self._circuit_open = True
+        reason = f"the batch hit max_failures={self.max_failures}"
+        idle = [r for r in self._records if r.state in (JobState.PENDING, JobState.WAITING)]
+        self._ready.clear()
+        self._waiting.clear()
+        self.telemetry.event("circuit_open", failures=failures, cancelled=len(idle))
+        for rec in idle:
+            self._cancel(rec, reason, f"cancelled: {reason}")
+        self._say(
+            f"circuit breaker open after {failures} failures; "
+            f"{len(idle)} job(s) cancelled"
+        )
+
+    def _cancel(self, rec: JobRecord, reason: str, error: str) -> None:
+        rec.state = JobState.CANCELLED
+        rec.error = error
+        self.telemetry.event("job_cancelled", rec, reason=reason)
 
 
 def render_report(report: dict, *, events: list[dict] | None = None) -> str:

@@ -2,12 +2,15 @@
 
 The run-level stream one level up: a :class:`ServiceTelemetry` is the
 same :class:`~repro.telemetry.stream.EventStream` as a run's, holding
-scheduler events (launches, progress, heartbeats lost, retries, worker deaths,
-cache hits and quarantines, pool shrinks, circuit-breaker trips) plus a
-:class:`~repro.telemetry.metrics.MetricsRegistry` of batch-wide
-counters and the queue-depth gauge, and writes them as JSONL — schema
-``repro-service/2``: a ``header`` line, ``event`` lines in occurrence
-order, and a closing ``summary`` with the registry snapshot.
+scheduler events (launches, progress, heartbeats lost, retries, worker
+deaths, cancellations, cache hits and quarantines, pool shrinks,
+circuit-breaker trips) plus a
+:class:`~repro.telemetry.metrics.MetricsRegistry` of the batch-wide
+counters those events bump and the queue-depth gauge, and writes them
+as JSONL — schema ``repro-service/2``: a ``header`` line, ``event``
+lines in occurrence order, and a closing ``summary`` with the registry
+snapshot.  The registry is the batch's only tally: the batch report's
+``counters`` are :func:`report_counters` of the summary.
 
 Timestamps follow the observability contract (DESIGN.md §5.8): every
 event's ``t`` is a ``time.monotonic()`` delta from batch start, so
@@ -32,7 +35,7 @@ import time
 
 from repro.telemetry.stream import EventStream
 
-__all__ = ["ServiceTelemetry", "SERVICE_SCHEMA"]
+__all__ = ["ServiceTelemetry", "SERVICE_SCHEMA", "report_counters"]
 
 #: Schema marker on the first line of every service metrics stream.
 SERVICE_SCHEMA = "repro-service/2"
@@ -53,6 +56,32 @@ _COUNTED = {
     "pool_shrink": "pool.shrinks",
     "cache_quarantine": "cache.quarantined",
 }
+
+#: batch-report counter -> the registry counter it reads, in report order
+REPORT_COUNTERS = {
+    "completed": "jobs.completed",
+    "failed": "jobs.failed",
+    "cancelled": "jobs.cancelled",
+    "cache_hits": "cache.hits",
+    "retries": "jobs.retries",
+    "timeouts": "jobs.timeouts",
+    "heartbeats_lost": "heartbeats.lost",
+    "worker_losses": "workers.lost",
+    "quarantined": "cache.quarantined",
+    "pool_shrinks": "pool.shrinks",
+}
+
+
+def report_counters(summary: dict) -> dict[str, int]:
+    """The batch report's ``counters``, read off a service stream's ``summary``.
+
+    A counter no event bumped is absent from the registry and reads 0.
+    """
+    aggregates = summary["aggregates"]
+    return {
+        key: int(aggregates[name]["value"]) if name in aggregates else 0
+        for key, name in REPORT_COUNTERS.items()
+    }
 
 
 class ServiceTelemetry(EventStream):
@@ -93,6 +122,8 @@ class ServiceTelemetry(EventStream):
         """
         if kind in _COUNTED:
             self.registry.counter(_COUNTED[kind]).inc()
+        if kind == "job_done" and fields.get("cached"):
+            self.registry.counter("cache.hits").inc()
         record = {
             "type": "event",
             "kind": kind,

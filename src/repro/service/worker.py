@@ -51,6 +51,7 @@ from __future__ import annotations
 import os
 import signal
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro.core.metrics import load_imbalance, particle_counts
@@ -94,12 +95,7 @@ def _remaining_plan(plan_dict: dict | None, resume_iteration: int) -> FaultPlan 
         for e in plan.events
         if e.iteration is None or e.iteration >= resume_iteration
     )
-    return FaultPlan(
-        events=events,
-        retry_timeout=plan.retry_timeout,
-        detect_timeout=plan.detect_timeout,
-        max_retries=plan.max_retries,
-    )
+    return replace(plan, events=events)
 
 
 def _maybe_sabotage(chaos: dict | None, iteration: int, attempt: int) -> None:

@@ -145,6 +145,19 @@ class TestCommands:
         }))
         assert main(["run", "--config", str(cfg), "--iterations", "2", "--json"]) == 0
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--policy", "bogus"], "unknown policy spec 'bogus'"),
+            (["--scheme", "hilbrt"], "unknown scheme 'hilbrt'; available: .*hilbert"),
+            (["-p", "100", "-n", "10"], "need at least one particle per rank"),
+        ],
+    )
+    def test_bad_config_flags_exit_with_one_line(self, flags, message):
+        with pytest.raises(SystemExit, match=f"^bad config: {message}") as exc:
+            main(["run", "--iterations", "1", *flags])
+        assert "\n" not in str(exc.value.code)
+
     def test_config_file_bad_model(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"model": "vaxcluster"}')

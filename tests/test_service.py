@@ -1,15 +1,16 @@
-"""Tests for the job service (repro.service): jobs, queue, cache,
+"""Tests for the job service (repro.service): jobs, cache,
 sweeps, backoff, scheduler happy path, and the run-level watchdog."""
 
+import heapq
 import json
 import threading
 
 import pytest
 
+from repro.obs.batch import aggregate_batch
+from repro.obs.top import BatchView
 from repro.pic.simulation import Simulation, SimulationConfig, config_from_dict
 from repro.service import (
-    JobQueue,
-    JobRecord,
     JobSpec,
     ResultCache,
     Scheduler,
@@ -20,6 +21,7 @@ from repro.service import (
     render_report,
 )
 from repro.service.cache import payload_digest
+from repro.telemetry.stream import read_jsonl
 from repro.util.errors import JobTimeout
 
 BASE = dict(nx=16, ny=8, nparticles=256, p=4)
@@ -72,6 +74,22 @@ class TestJobKey:
         s = spec(seed=2, name="n", priority=1)
         assert JobSpec.from_dict(s.to_dict()).key == s.key
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("ghost_table", "hashh", "unknown ghost_table 'hashh'; expected 'hash' or 'direct'"),
+            ("field_solver", "poisson", "unknown field_solver 'poisson'; expected 'maxwell'"),
+            ("scheme", "hilbrt", "unknown scheme 'hilbrt'; available: .*hilbert"),
+            ("nbuckets", 0, "nbuckets must be >= 1, got 0"),
+        ],
+    )
+    def test_config_typo_fails_at_submit(self, field, value, message):
+        config = dict(BASE, **{field: value})
+        with pytest.raises(ValueError, match=message):
+            config_from_dict(config)
+        with pytest.raises(ValueError, match=message):
+            JobSpec(config=config, iterations=4)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             JobSpec(config=dict(BASE, distribution="nope"), iterations=4)
@@ -84,26 +102,23 @@ class TestJobKey:
 
 
 # ----------------------------------------------------------------------
-# queue
+# the scheduler's job queue: one ready heap
 # ----------------------------------------------------------------------
 class TestJobQueue:
-    def test_priority_then_fifo(self):
-        q = JobQueue()
-        lo1 = JobRecord(spec=spec(seed=0, name="lo1"))
-        hi = JobRecord(spec=spec(seed=1, name="hi", priority=5))
-        lo2 = JobRecord(spec=spec(seed=2, name="lo2"))
-        for r in (lo1, hi, lo2):
-            q.push(r)
-        assert [q.pop().name for _ in range(3)] == ["hi", "lo1", "lo2"]
-
-    def test_maxsize_backpressure(self):
-        q = JobQueue(maxsize=1)
-        q.push(JobRecord(spec=spec(seed=0)))
-        assert q.full
-        with pytest.raises(IndexError):
-            q.push(JobRecord(spec=spec(seed=1)))
-        q.pop()
-        assert not q.full
+    def test_priority_then_fifo(self, tmp_path):
+        sched = Scheduler(workers=1, cache=None, workdir=tmp_path)
+        sched._open(
+            [
+                spec(seed=0, name="lo1"),
+                spec(seed=1, name="hi", priority=5),
+                spec(seed=2, name="lo2"),
+            ]
+        )
+        assert [heapq.heappop(sched._ready)[2].name for _ in range(2)] == ["hi", "lo1"]
+        # a re-queued job goes behind the jobs of its priority already waiting
+        sched._enqueue(sched._records[0])
+        assert [heapq.heappop(sched._ready)[2].name for _ in range(2)] == ["lo2", "lo1"]
+        assert not sched._ready
 
 
 # ----------------------------------------------------------------------
@@ -265,9 +280,11 @@ class TestSchedulerBasics:
         assert report["params"]["cache"] is None
 
     def test_priority_order_with_one_worker(self, tmp_path):
+        # priority desc, then submission order
         jobs = [
-            spec(seed=0, name="low", priority=0),
-            spec(seed=1, name="high", priority=9),
+            spec(seed=0, name="lo1"),
+            spec(seed=1, name="hi", priority=5),
+            spec(seed=2, name="lo2"),
         ]
         sched = Scheduler(workers=1, cache=None, workdir=tmp_path)
         report = sched.run(jobs)
@@ -276,7 +293,7 @@ class TestSchedulerBasics:
             for r in sched.telemetry.records
             if r["kind"] == "job_launched"
         ]
-        assert launches == ["high", "low"]
+        assert launches == ["hi", "lo1", "lo2"]
         assert report["ok"]
 
     def test_circuit_breaker_cancels_remainder(self, tmp_path):
@@ -300,6 +317,53 @@ class TestSchedulerBasics:
         states = {r["name"]: r["state"] for r in report["jobs"]}
         assert states["bad"] == "failed"
         assert list(states.values()).count("cancelled") == 2
+
+    def test_one_tally_when_the_circuit_opens(self, tmp_path):
+        # every job the breaker cancels is a stream event, so the report,
+        # the stream fold and the rollup agree on all three jobs, and the
+        # report's counters are the stream registry's
+        bad = JobSpec(
+            config=dict(BASE, seed=0),
+            iterations=4,
+            name="bad",
+            fault_plan={"events": [{"kind": "kill", "rank": 99, "iteration": 1}]},
+        )
+        rest = [spec(seed=s, name=f"ok{s}") for s in (1, 2)]
+        obs = tmp_path / "obs"
+        report = Scheduler(
+            workers=1,
+            cache=None,
+            workdir=tmp_path / "work",
+            retries=0,
+            max_failures=1,
+            obs_dir=obs,
+        ).run([bad] + rest)
+        states = {r["name"]: r["state"] for r in report["jobs"]}
+        assert states == {"bad": "failed", "ok1": "cancelled", "ok2": "cancelled"}
+        records, _ = read_jsonl(obs / "service.jsonl")
+        view = BatchView()
+        view.apply_all(records)
+        assert {name: row["state"] for name, row in view.jobs.items()} == states
+        detail = aggregate_batch(obs)["jobs_detail"]
+        assert {name: row["state"] for name, row in detail.items()} == states
+        aggregates = records[-1]["aggregates"]
+        registry = {
+            key: int(aggregates.get(name, {}).get("value", 0))
+            for key, name in (
+                ("completed", "jobs.completed"),
+                ("failed", "jobs.failed"),
+                ("cancelled", "jobs.cancelled"),
+                ("cache_hits", "cache.hits"),
+                ("retries", "jobs.retries"),
+                ("timeouts", "jobs.timeouts"),
+                ("heartbeats_lost", "heartbeats.lost"),
+                ("worker_losses", "workers.lost"),
+                ("quarantined", "cache.quarantined"),
+                ("pool_shrinks", "pool.shrinks"),
+            )
+        }
+        assert report["counters"] == registry
+        assert registry["cancelled"] == 2
 
     def test_circuit_open_cancels_late_retryable_failure(self, tmp_path):
         # "bad" exhausts its retries quickly and trips the breaker while
