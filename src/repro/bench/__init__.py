@@ -6,8 +6,7 @@ The subsystem has four layers:
   data model and the ``BENCH_<suite>.json`` trajectory schema;
 * :mod:`repro.bench.runner` — warmup + repeats execution collecting
   wall-clock, virtual-machine time, op counts, and peak RSS;
-* :mod:`repro.bench.registry` — named case registry, including wrappers
-  for the ``benchmarks/bench_*.py`` paper report generators;
+* :mod:`repro.bench.registry` — named case registry;
 * :mod:`repro.bench.compare` — trajectory diffing with a tier-1
   regression gate.
 """
@@ -26,7 +25,6 @@ from repro.bench.registry import (
     cases_for_suite,
     ensure_registered,
     register,
-    register_case,
 )
 from repro.bench.policy_suite import (
     POLICY_SCHEMA,
@@ -53,7 +51,6 @@ __all__ = [
     "compare_files",
     "compare_suites",
     "register",
-    "register_case",
     "all_cases",
     "available_suites",
     "cases_for_suite",

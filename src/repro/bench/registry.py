@@ -1,25 +1,17 @@
-"""Case registry: decorator-registered cases plus paper-benchmark wrappers.
+"""Case registry: the decorator-registered cases of :mod:`repro.bench.suites`.
 
-The hot-path cases live in :mod:`repro.bench.suites` and register
-themselves with :func:`register`.  The legacy report generators under
-``benchmarks/bench_*.py`` (one per paper figure/table/ablation) are
-wrapped automatically: each module's top-level ``run_*`` entry point
-becomes a tier-2 case in the ``paper`` suite, so the whole paper
-reproduction can be timed and archived with
-``python -m repro bench run --suite paper``.
+The paper's tables and figures are not bench cases: ``python -m repro
+paper`` (:mod:`repro.workloads.paper`) reproduces them.
 """
 
 from __future__ import annotations
 
-import importlib
-import pkgutil
 from typing import Any, Callable
 
-from repro.bench.core import BenchCase, BenchObservation
+from repro.bench.core import BenchCase
 
 __all__ = [
     "register",
-    "register_case",
     "all_cases",
     "cases_for_suite",
     "available_suites",
@@ -28,14 +20,6 @@ __all__ = [
 
 _REGISTRY: dict[str, BenchCase] = {}
 _BOOTSTRAPPED = False
-
-
-def register_case(case: BenchCase) -> BenchCase:
-    """Add a fully-built case to the registry (name must be unique)."""
-    if case.name in _REGISTRY:
-        raise ValueError(f"bench case {case.name!r} already registered")
-    _REGISTRY[case.name] = case
-    return case
 
 
 def register(
@@ -48,22 +32,22 @@ def register(
     setup: Callable[[], Any] | None = None,
     description: str = "",
 ) -> Callable:
-    """Decorator form of :func:`register_case` for plain functions."""
+    """Register a plain function as a bench case (names must be unique)."""
 
     def decorator(fn: Callable[[Any], Any]) -> Callable[[Any], Any]:
-        register_case(
-            BenchCase(
-                name=name,
-                fn=fn,
-                setup=setup,
-                suites=tuple(suites),
-                tier=tier,
-                repeats=repeats,
-                warmup=warmup,
-                description=description or (fn.__doc__ or "").strip().splitlines()[0]
-                if (description or fn.__doc__)
-                else "",
-            )
+        if name in _REGISTRY:
+            raise ValueError(f"bench case {name!r} already registered")
+        _REGISTRY[name] = BenchCase(
+            name=name,
+            fn=fn,
+            setup=setup,
+            suites=tuple(suites),
+            tier=tier,
+            repeats=repeats,
+            warmup=warmup,
+            description=description or (fn.__doc__ or "").strip().splitlines()[0]
+            if (description or fn.__doc__)
+            else "",
         )
         return fn
 
@@ -89,55 +73,6 @@ def available_suites() -> list[str]:
     return sorted(names | {"all"})
 
 
-def _wrap_paper_module(module_name: str, run_fn: Callable[[], Any]) -> BenchCase:
-    short = module_name.rsplit(".", 1)[-1].removeprefix("bench_")
-
-    def body(context: Any) -> BenchObservation:
-        run_fn()
-        return BenchObservation()
-
-    return BenchCase(
-        name=f"paper_{short}",
-        fn=body,
-        suites=("paper",),
-        tier=2,
-        repeats=1,
-        warmup=0,
-        description=f"full report generator benchmarks/{module_name.rsplit('.', 1)[-1]}.py",
-    )
-
-
-def _register_paper_benchmarks() -> None:
-    """Wrap every ``benchmarks/bench_*.py`` top-level ``run_*`` entry point.
-
-    The ``benchmarks`` package sits at the repo root (not inside
-    ``repro``), so it is importable only when running from a checkout;
-    installed-package use skips these cases silently.
-    """
-    try:
-        import benchmarks
-    except ImportError:
-        return
-    for info in pkgutil.iter_modules(benchmarks.__path__):
-        if not info.name.startswith("bench_"):
-            continue
-        try:
-            module = importlib.import_module(f"benchmarks.{info.name}")
-        except Exception:  # pragma: no cover - a broken report module
-            continue
-        runners = [
-            fn
-            for attr in sorted(vars(module))
-            if attr.startswith("run_")
-            and callable(fn := getattr(module, attr))
-            and getattr(fn, "__module__", None) == module.__name__
-        ]
-        if len(runners) == 1:
-            case = _wrap_paper_module(f"benchmarks.{info.name}", runners[0])
-            if case.name not in _REGISTRY:
-                register_case(case)
-
-
 def ensure_registered() -> None:
     """Import all case-defining modules exactly once."""
     global _BOOTSTRAPPED
@@ -145,5 +80,3 @@ def ensure_registered() -> None:
         return
     _BOOTSTRAPPED = True
     import repro.bench.suites  # noqa: F401  (registers the smoke/full cases)
-
-    _register_paper_benchmarks()

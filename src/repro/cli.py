@@ -12,6 +12,8 @@ Usage examples::
     python -m repro run --iterations 100 --profile prof/ --prom-dir metrics/
     python -m repro report run.jsonl --trace run.trace.json
     python -m repro report --batch obs/
+    python -m repro paper --check
+    python -m repro paper --scale 0.1
     python -m repro scenarios
     python -m repro schemes
     python -m repro policies
@@ -235,6 +237,21 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--json", action="store_true",
                         help="with --batch: print the rollup document as JSON")
 
+    paper = sub.add_parser(
+        "paper",
+        help="reproduce every table and figure of the paper through the job service",
+    )
+    paper.add_argument("--scale", type=float, default=1.0, metavar="S",
+                       help="iteration scale (default 1, the paper's lengths); at "
+                            "any other scale the tables are printed, not written")
+    paper.add_argument("--check", action="store_true",
+                       help="diff the tables against the doc instead of writing "
+                            "them; exit 1 naming every stale table")
+    paper.add_argument("--doc", default="EXPERIMENTS.md", metavar="PATH",
+                       help="document holding the generated blocks (default EXPERIMENTS.md)")
+    paper.add_argument("--cache", default=".repro-cache", metavar="DIR",
+                       help="result cache of the batch (default .repro-cache)")
+
     sub.add_parser("scenarios", help="list the paper's experiment configurations")
     sub.add_parser("schemes", help="list registered indexing schemes")
     sub.add_parser(
@@ -256,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     brun = bench_sub.add_parser("run", help="run a suite and write BENCH_<suite>.json")
     brun.add_argument("--suite", default="smoke",
-                      help="suite name (smoke | full | paper | all); default smoke")
+                      help="suite name (smoke | full | all); default smoke")
     brun.add_argument("--case", action="append", default=None, metavar="NAME",
                       help="run only the named case(s); repeatable")
     brun.add_argument("--repeats", type=int, default=None,
@@ -897,6 +914,10 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_top(args)
     if args.command == "report":
         return _cmd_report(args)
+    if args.command == "paper":
+        from repro.workloads import paper
+
+        return paper.main(scale=args.scale, check=args.check, doc=args.doc, cache=args.cache)
     if args.command == "scenarios":
         return _cmd_scenarios()
     if args.command == "schemes":

@@ -18,8 +18,8 @@ next Eulerian migration step.
 The price, relative to the paper's scheme, is field imbalance: cells
 per rank become unequal (bounded by ``max_cell_ratio``), so the field
 solve slows on crowded ranks — the trade the paper's Table 1 row
-"particle partitioning" describes.  The ablation benchmark
-``bench_ablation_adaptive_eulerian.py`` compares both schemes
+"particle partitioning" describes.  The ``ablation_adaptive_eulerian``
+experiment of ``python -m repro paper`` compares both schemes
 end-to-end.
 """
 

@@ -16,8 +16,8 @@ Only the off-rank elements are communicated; received elements are
 sorted and merged with the (per-bucket re-sorted) kept elements.  Every
 step runs once over all ranks' elements pooled, with per-rank charges
 computed from ``bincount`` tallies.  The cost advantage over the
-from-scratch sample sort is property-tested and measured by
-``benchmarks/bench_ablation_incremental_sort.py``.
+from-scratch sample sort is property-tested and measured by the
+``ablation_incremental_sort`` experiment of ``python -m repro paper``.
 """
 
 from __future__ import annotations

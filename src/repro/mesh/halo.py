@@ -50,7 +50,11 @@ class HaloSchedule:
         neigh = decomp.grid.node_neighbors(np.arange(nnodes)).ravel()
         receiver = np.repeat(owner_map, 4)
         off = owner_map[neigh] != receiver
-        dst, ids = np.divmod(np.unique(receiver[off] * nnodes + neigh[off]), nnodes)
+        pairs = np.sort(receiver[off] * nnodes + neigh[off])
+        # dedupe by hand: np.unique imports numpy.ma into every Simulation build
+        first = np.ones(pairs.size, dtype=bool)
+        first[1:] = pairs[1:] != pairs[:-1]
+        dst, ids = np.divmod(pairs[first], nnodes)
         src = owner_map[ids]
         order = np.argsort(src, kind="stable")  # -> (sender, receiver, node) order
         self.plan = MessageBatch.coalesce(src[order], dst[order], ids[order])

@@ -218,6 +218,18 @@ def save_checkpoint(
     return path
 
 
+def _open_archive(fh, path: Path):
+    """``np.load`` over the caller's open file, which its ``with`` closes on every
+    path (handed a path, NumPy leaks its handle when a zip directory is bad)."""
+    try:
+        archive = np.load(fh)
+    except Exception as exc:  # noqa: BLE001 - a damaged zip directory fails in many types
+        raise CheckpointError(f"{path} is not a repro checkpoint (.npz archive): {exc}") from exc
+    if not hasattr(archive, "files"):  # a bare .npy array, not an archive
+        raise CheckpointError(f"{path} is not a repro checkpoint (.npz archive)")
+    return archive
+
+
 def load_checkpoint(path: str | Path, *, strict: bool = False) -> CheckpointData:
     """Read a checkpoint written by :func:`save_checkpoint` (any version).
 
@@ -246,13 +258,7 @@ def load_checkpoint(path: str | Path, *, strict: bool = False) -> CheckpointData
                 + (f" (also tried {resolved})" if resolved != path else "")
             )
         path = resolved
-    try:
-        archive = np.load(path)
-    except Exception as exc:  # noqa: BLE001 - a damaged zip directory fails in many types
-        raise CheckpointError(f"{path} is not a repro checkpoint (.npz archive): {exc}") from exc
-    if not hasattr(archive, "files"):  # a bare .npy array, not an archive
-        raise CheckpointError(f"{path} is not a repro checkpoint (.npz archive)")
-    with archive as data:
+    with open(path, "rb") as fh, _open_archive(fh, path) as data:
         found = set(data.files)
 
         def read(key: str) -> np.ndarray:

@@ -19,6 +19,7 @@ from repro.service.jobs import (
     JobSpec,
     JobState,
     canonical_json,
+    code_digest,
     job_key,
 )
 from repro.service.scheduler import (
@@ -43,6 +44,7 @@ __all__ = [
     "ServiceTelemetry",
     "backoff_delay",
     "canonical_json",
+    "code_digest",
     "derive_batch_id",
     "expand_jobs",
     "job_artifact_stem",

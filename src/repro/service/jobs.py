@@ -8,9 +8,11 @@ process itself — used by the chaos test-suite to kill or hang workers).
 
 Every job has a content hash, :func:`job_key`: the sha256 of the
 canonical JSON of everything that determines the result — the full
-config (model constants included), the iteration count, and the fault
-plan.  Two jobs with the same key produce bit-identical results, so the
-key doubles as the result-cache address (:mod:`repro.service.cache`).
+config (model constants included), the iteration count, the fault plan,
+and :func:`code_digest` of the sources the result is computed by.  Two
+jobs with the same key produce bit-identical results, so the key
+doubles as the result-cache address (:mod:`repro.service.cache`), and
+an edit to the physics turns every cached result into a miss.
 ``chaos`` is deliberately *excluded* from the key: killing the worker
 process does not change the result (the exact-resume contract of
 DESIGN.md §5.2 makes the retried run land on the same bits), it only
@@ -19,9 +21,13 @@ changes how the scheduler had to get there.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
+
+import numpy as np
 
 from repro.pic.simulation import config_from_dict, config_to_dict
 from repro.util import require
@@ -31,12 +37,20 @@ __all__ = [
     "JobRecord",
     "JobState",
     "job_key",
+    "code_digest",
+    "hashed_sources",
     "canonical_json",
     "BATCH_SCHEMA",
 ]
 
 #: Schema marker of batch-report documents (``repro jobs`` input).
 BATCH_SCHEMA = "repro-batch/1"
+
+#: Parts of ``repro`` no result payload depends on: observability, the
+#: front ends, and the harnesses that only build configs and read
+#: results.  Every other source is hashed, so a new package is covered
+#: without being listed.
+UNHASHED = ("analysis", "bench", "obs", "telemetry", "workloads", "cli.py", "__main__.py")
 
 
 class JobState:
@@ -148,6 +162,31 @@ class JobSpec:
         )
 
 
+def hashed_sources() -> list[Path]:
+    """The ``.py`` and ``.c`` files of ``repro`` outside :data:`UNHASHED`, in path order."""
+    root = Path(__file__).resolve().parent.parent
+    return [
+        path
+        for path in sorted(root.rglob("*"))
+        if path.suffix in (".py", ".c") and path.relative_to(root).parts[0] not in UNHASHED
+    ]
+
+
+@functools.cache
+def code_digest() -> str:
+    """sha256 of :func:`hashed_sources` and the NumPy version.
+
+    Computed once per process (forked workers inherit it): each file is
+    hashed with its path relative to the package root.
+    """
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256(f"numpy {np.__version__}".encode())
+    for path in hashed_sources():
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def job_key(spec: JobSpec) -> str:
     """sha256 over the canonical JSON of everything result-determining.
 
@@ -160,6 +199,7 @@ def job_key(spec: JobSpec) -> str:
         "config": config_to_dict(config_from_dict(spec.config), full_model=True),
         "iterations": int(spec.iterations),
         "fault_plan": spec.fault_plan,
+        "code": code_digest(),
     }
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 

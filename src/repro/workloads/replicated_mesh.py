@@ -16,10 +16,11 @@ global operations move the whole mesh every iteration, so communication
 grows with ``m`` regardless of how well particles are placed.  The paper
 notes this "is an efficient algorithm for small hypercubes" while "for
 large hypercubes the communication due to global operations ... dominates";
-``benchmarks/bench_ablation_replicated_mesh.py``, this module's only
-consumer besides its own test, reproduces that crossover against
-:class:`repro.pic.parallel.ParallelPIC`; the scheme is the baseline the
-paper argues against, not part of the package.
+the ``ablation_replicated_mesh`` experiment of :mod:`repro.workloads.paper`,
+this module's only consumer besides its own test, reproduces that
+crossover against :class:`repro.pic.parallel.ParallelPIC`; the scheme
+is the baseline the paper argues against, not one of the package's
+steppers.
 """
 
 from __future__ import annotations

@@ -10,15 +10,13 @@ counts from §6 of the paper:
 * Table 2 / Figures 21–22 — 200 iterations, Hilbert vs snake, uniform
   and irregular, meshes 256x128 and 512x256, 32/64/128 processors.
 
-Because a pure-Python virtual machine pays real wall-clock for every
-virtual iteration, benchmark drivers scale the iteration counts by
-``REPRO_SCALE`` (default 0.1; set 1 to reproduce the paper's full
-counts) via :func:`scaled_iterations`.
+``python -m repro paper`` (:mod:`repro.workloads.paper`) runs them at
+the paper's counts; ``--scale`` shortens every run through
+:func:`scaled_iterations` for a quick look.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 __all__ = [
@@ -28,7 +26,6 @@ __all__ = [
     "FIG20_CASE",
     "TABLE2_CASES",
     "scaled_iterations",
-    "repro_scale",
 ]
 
 
@@ -91,17 +88,8 @@ TABLE2_CASES: tuple[PaperCase, ...] = tuple(
 )
 
 
-def repro_scale(default: float = 0.1) -> float:
-    """Iteration scale factor from the ``REPRO_SCALE`` env var."""
-    try:
-        value = float(os.environ.get("REPRO_SCALE", default))
-    except ValueError:
-        raise ValueError(f"REPRO_SCALE must be a number, got {os.environ['REPRO_SCALE']!r}")
-    if value <= 0:
-        raise ValueError(f"REPRO_SCALE must be > 0, got {value}")
-    return value
-
-
-def scaled_iterations(case_iterations: int, *, minimum: int = 20, default_scale: float = 0.1) -> int:
-    """Scale a paper iteration count by ``REPRO_SCALE`` (floor ``minimum``)."""
-    return max(minimum, int(round(case_iterations * repro_scale(default_scale))))
+def scaled_iterations(case_iterations: int, scale: float, *, minimum: int = 20) -> int:
+    """A paper iteration count times ``scale`` (> 0), floored at ``minimum``."""
+    if not scale > 0:
+        raise ValueError(f"scale must be > 0, got {scale}")
+    return max(minimum, int(round(case_iterations * scale)))

@@ -203,14 +203,10 @@ class TestRegistry:
         assert "scatter_static" in names
         assert "incremental_resort_small_drift" in names
 
-    def test_paper_suite_wraps_report_generators(self):
-        names = {c.name for c in cases_for_suite("paper")}
-        assert any(n.startswith("paper_") for n in names)
-        assert all(c.tier == 2 for c in cases_for_suite("paper"))
-
     def test_all_and_available(self):
         suites = available_suites()
         assert {"all", "smoke", "full"} <= set(suites)
+        assert "paper" not in suites  # `repro paper` reproduces the paper, not a bench suite
         assert len(cases_for_suite("all")) >= len(cases_for_suite("smoke"))
 
 

@@ -79,6 +79,53 @@ class TestDynamicSAR:
             DynamicSARPolicy(initial_cost=-1.0)
 
 
+class TestSARCadence:
+    """Eq. 1 against its closed form (paper §5.2).
+
+    Iteration time rises linearly, ``t = t0 + g * j`` for the j-th
+    iteration since the last redistribution, and a redistribution costs
+    T.  SAR then fires when ``g * j**2 >= T``, every ~sqrt(T/g)
+    iterations, and pays ``1.5 * sqrt(g*T)`` per iteration above t0; the
+    best fixed period sqrt(2T/g) pays ``sqrt(2) * sqrt(g*T)``: a ratio
+    of 3 / (2 sqrt 2) ~= 1.061.
+    """
+
+    T0 = 0.1
+
+    def sar_cycles(self, T, g, iterations=2000):
+        """Gap (iterations) of every complete SAR cycle and its overhead above t0."""
+        policy = DynamicSARPolicy(initial_cost=T)
+        cycles, start = [], 0
+        for it in range(iterations):
+            policy.record_iteration(it, self.T0 + g * (it - start))
+            if policy.should_redistribute(it):
+                policy.record_redistribution(it, T)
+                gap = it + 1 - start
+                cycles.append((gap, g * gap * (gap - 1) / 2 + T))
+                start = it + 1
+        return cycles
+
+    @pytest.mark.parametrize("T, g", [(1.0, 1e-3), (2.5, 1e-3), (0.75, 1e-3), (9.0, 1e-3)])
+    def test_fires_every_sqrt_T_over_g(self, T, g):
+        cycles = self.sar_cycles(T, g)
+        assert len(cycles) >= 5
+        predicted = (T / g) ** 0.5
+        for gap, _ in cycles:
+            assert abs(gap - predicted) <= 0.1 * predicted
+
+    @pytest.mark.parametrize("T, g", [(1.0, 1e-3), (2.5, 1e-3), (0.75, 1e-3), (9.0, 1e-3)])
+    def test_costs_at_most_10_percent_over_the_best_period(self, T, g):
+        cycles = self.sar_cycles(T, g)
+        sar = sum(cost for _, cost in cycles) / sum(gap for gap, _ in cycles)
+
+        def fixed(k):  # overhead per iteration of redistributing every k iterations
+            return g * (k - 1) / 2 + T / k
+
+        best = min(range(1, 1000), key=fixed)
+        assert abs(best - (2 * T / g) ** 0.5) <= 1
+        assert 1.0 <= sar / fixed(best) <= 1.1
+
+
 class TestMakePolicy:
     def test_specs(self):
         assert isinstance(make_policy("static"), StaticPolicy)

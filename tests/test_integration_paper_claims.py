@@ -2,7 +2,7 @@
 
 These are scaled-down versions of the evaluation runs (small meshes,
 fewer iterations) that must reproduce the *shape* of every headline
-claim; the benchmarks regenerate the full tables and figures.
+claim; ``python -m repro paper`` regenerates the full tables and figures.
 """
 
 import numpy as np

@@ -1,5 +1,9 @@
 """Tests for halo-exchange schedules."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -91,3 +95,19 @@ class TestExchange:
         out = schedule.exchange(vm, np.zeros(grid.nnodes))
         assert out.to_dicts(1, received=True) == [{}]
         assert vm.elapsed() == 0.0
+
+
+def test_building_and_stepping_a_simulation_leaves_numpy_ma_unloaded():
+    """``np.unique`` imports ``numpy.ma`` (~30 ms) on NumPy 2.4, so the
+    schedule dedupes its pairs by hand; a fresh interpreter, since the
+    rest of the suite may have imported it."""
+    code = (
+        "import sys; from repro.pic import Simulation, SimulationConfig; "
+        "Simulation(SimulationConfig(nx=32, ny=16, nparticles=2048, p=4, policy='dynamic')).run(3); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert done.stdout.split()[-1] == "False"

@@ -10,30 +10,25 @@ ROOT = Path(__file__).resolve().parent.parent
 
 class TestDesignDoc:
     def test_bench_targets_exist(self):
+        """DESIGN.md's figure -> experiment table names real experiments."""
+        from repro.workloads.paper import EXPERIMENTS
+
         text = (ROOT / "DESIGN.md").read_text()
-        targets = re.findall(r"`benchmarks/(bench_\w+\.py)`", text)
-        assert targets, "DESIGN.md must list bench targets"
+        rows = r"^\| (?:Table \d|Fig \d+|\(ablation\)) \|.*\| `(\w+)` \|$"
+        targets = re.findall(rows, text, re.M)
+        assert targets, "DESIGN.md must map the paper's figures to experiments"
         for name in targets:
-            assert (ROOT / "benchmarks" / name).exists(), f"missing {name}"
+            assert name in EXPERIMENTS, f"missing experiment {name}"
 
     def test_every_paper_table_and_figure_has_a_bench(self):
         """The evaluation section has Table 1-3 and Figures 16-22; each
-        must map to a bench file."""
-        benches = {p.name for p in (ROOT / "benchmarks").glob("bench_*.py")}
-        required = [
-            "bench_table1_strategies.py",
-            "bench_fig16_static_vs_periodic.py",
-            "bench_fig17_iteration_time.py",
-            "bench_fig18_max_data.py",
-            "bench_fig19_max_messages.py",
-            "bench_fig20_dynamic_vs_periodic.py",
-            "bench_table2_indexing.py",
-            "bench_table3_efficiency.py",
-            "bench_fig21_overhead_uniform.py",
-            "bench_fig22_overhead_irregular.py",
-        ]
+        must be an experiment of ``repro paper``."""
+        from repro.workloads.paper import EXPERIMENTS
+
+        required = [f"table{i}" for i in (1, 2, 3)] + [f"fig{i}" for i in range(16, 23)]
         for name in required:
-            assert name in benches, f"missing paper bench {name}"
+            assert name in EXPERIMENTS, f"missing paper experiment {name}"
+        assert not list((ROOT / "benchmarks").glob("bench_*.py"))
 
 
 class TestReadme:
@@ -118,9 +113,10 @@ class TestPackageMetadata:
 
     def test_one_stepper_family_in_src(self):
         """The 3-D extension is deleted and the replicated-mesh baseline lives
-        beside its ablation under ``benchmarks/``: ``src/repro`` holds one
-        pooled stepper base with exactly two kernel bodies, and ``step`` is
-        the base's."""
+        beside the paper experiment that runs it, in ``repro.workloads``:
+        every other package of ``src/repro`` is free of both, and
+        ``src/repro`` holds one pooled stepper base with exactly two kernel
+        bodies, and ``step`` is the base's."""
         import ast
         import importlib
         import pkgutil
@@ -128,10 +124,10 @@ class TestPackageMetadata:
         import repro
         from repro.pic.parallel import PooledParticles
 
-        gone = ("ext3d", "replicated")
         offenders = []
         for path in sorted((ROOT / "src/repro").rglob("*.py")):
             rel = path.relative_to(ROOT)
+            gone = ("ext3d",) if path.parent.name == "workloads" else ("ext3d", "replicated")
             if any(word in part for part in rel.parts for word in gone):
                 offenders.append(f"{rel} (name)")
             for node in ast.walk(ast.parse(path.read_text())):

@@ -3,7 +3,11 @@ sweeps, backoff, scheduler happy path, and the run-level watchdog."""
 
 import heapq
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +77,38 @@ class TestJobKey:
     def test_roundtrip(self):
         s = spec(seed=2, name="n", priority=1)
         assert JobSpec.from_dict(s.to_dict()).key == s.key
+
+    def test_code_digest_covers_every_module_a_run_imports(self, tmp_path):
+        """A fresh interpreter runs each kernel, solver and the shard
+        path, checkpoints, and loads the job worker; every ``repro``
+        module it imports, bar observability, must be hashed."""
+        from repro.service.jobs import hashed_sources
+
+        code = (
+            "import json, sys\n"
+            "from repro.pic import Simulation, SimulationConfig\n"
+            "import repro.service.worker\n"
+            "base = dict(nx=16, ny=8, nparticles=256, p=4, policy='dynamic')\n"
+            "for kw, workers in [({}, 0), ({}, 2), ({'field_solver': 'electrostatic'}, 0),\n"
+            "                    ({'kernel': 'modern'}, 0)]:\n"
+            "    sim = Simulation(SimulationConfig(**base, **kw), workers=workers)\n"
+            f"    sim.run(3, checkpoint_every=2, checkpoint_path={str(tmp_path / 'ck.npz')!r})\n"
+            "    sim.close()\n"
+            "print(json.dumps({name: m.__file__ for name, m in list(sys.modules.items())\n"
+            "                  if name.split('.')[0] == 'repro'}))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+        )
+        imported = json.loads(done.stdout.splitlines()[-1])
+        result_path = {
+            Path(path).resolve()
+            for name, path in imported.items()
+            if name.split(".")[1:2] not in (["obs"], ["telemetry"])
+        }
+        assert len(result_path) > 50 and "repro.parallel_exec.kernels" in imported
+        assert result_path <= set(hashed_sources())
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -271,6 +307,23 @@ class TestSchedulerBasics:
             assert json.dumps(c["final_state"], sort_keys=True) == json.dumps(
                 w["final_state"], sort_keys=True
             )
+
+    def test_code_change_invalidates_the_cache(self, tmp_path, monkeypatch):
+        """Keys hash the sources: an unchanged tree re-runs nothing, an
+        edited one (a patched digest) re-runs everything."""
+        from repro.service import jobs as jobs_module
+
+        key = spec(seed=0).key
+        kw = dict(cache=tmp_path / "cache", workdir=tmp_path / "work")
+        Scheduler(workers=1, **kw).run([spec(seed=0)])
+        jobs_module.code_digest.cache_clear()  # re-read the same tree
+        assert spec(seed=0).key == key
+        assert Scheduler(workers=1, **kw).run([spec(seed=0)])["counters"]["cache_hits"] == 1
+        monkeypatch.setattr(jobs_module, "code_digest", lambda: "an edited tree")
+        assert spec(seed=0).key != key
+        report = Scheduler(workers=1, **kw).run([spec(seed=0)])
+        assert report["ok"] and report["counters"]["cache_hits"] == 0
+        assert not report["jobs"][0]["cached"]
 
     def test_no_cache_mode(self, tmp_path):
         report = Scheduler(workers=1, cache=None, workdir=tmp_path).run(

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.pic import SimulationConfig
 from repro.workloads import FIG16_CASES, FIG17_CASE, FIG20_CASE, TABLE2_CASES, scaled_iterations
-from repro.workloads.scenarios import repro_scale
 
 
 class TestCatalogue:
@@ -51,24 +51,20 @@ class TestCaseImmutability:
 
 
 class TestScaling:
-    def test_scaled_iterations_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCALE", raising=False)
-        assert scaled_iterations(2000) == 200
+    def test_scaled_iterations_default(self):
+        """``repro paper``'s default scale is the paper's own lengths."""
+        assert scaled_iterations(2000, 1.0) == 2000
 
-    def test_scaled_iterations_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "1")
-        assert scaled_iterations(2000) == 2000
+    def test_scaled_iterations_tenth(self):
+        assert scaled_iterations(2000, 0.1) == 200
 
-    def test_minimum_floor(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "0.001")
-        assert scaled_iterations(2000, minimum=20) == 20
+    def test_minimum_floor(self):
+        assert scaled_iterations(2000, 0.001, minimum=20) == 20
 
-    def test_bad_env_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "lots")
+    def test_bad_scale_value(self):
+        with pytest.raises(SystemExit):
+            cli_main(["paper", "--scale", "lots"])
+
+    def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
-            repro_scale()
-
-    def test_nonpositive_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "0")
-        with pytest.raises(ValueError):
-            repro_scale()
+            scaled_iterations(2000, 0)
