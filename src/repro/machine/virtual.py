@@ -157,10 +157,11 @@ class VirtualMachine:
         seconds = np.broadcast_to(np.asarray(seconds, dtype=float), (self.p,))
         if seconds.min() < 0:
             raise ValueError("cannot charge negative time")
+        phase = self.current_phase
         if self.fault_injector is not None:
-            seconds = self.fault_injector.scale_charge(seconds, kind, self.current_phase)
+            seconds = self.fault_injector.scale_charge(seconds, kind, phase)
         self.clocks += seconds
-        self.phase_time[self.current_phase] = self.phase_time[self.current_phase] + seconds
+        self.phase_time[phase] = self.phase_time[phase] + seconds
         if kind == "compute":
             self.compute_time += seconds
         elif kind == "comm":

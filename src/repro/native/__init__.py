@@ -1,16 +1,18 @@
 """Compiled PIC kernels: build once, load lazily, fall back cleanly.
 
-``pic_kernels.c`` holds ten entry points: the four per-particle loops
-(CIC, deposit, interpolate, Boris push), the ghost-slot pass, two mesh
-stencils (the field solve and one source-smoothing pass) and the modern
-stepper's staggered gather, zigzag segments and zigzag current binning.
-:func:`kernels` hands them out as a :class:`~repro.native.calls.Kernels`,
-or ``None`` when the NumPy bodies have to do the work; the functions that
-carry the kernels' names (``Grid2D.cic_vertices_weights``,
-``scatter_segment``, ``gather_from_node_values``, ``boris_push``,
-``ghost_slots``, ``MaxwellSolver.step``, ``binomial_smooth``,
-``staggered_gather``, ``zigzag_entries``, ``deposit_zigzag_entries``) ask
-it on every call, so there is no switch anywhere else.
+``pic_kernels.c`` holds ten entry points: the era stepper's two particle
+passes (the scatter: CIC, ghost slots and deposit a rank segment at a
+time; the gather + push, also the push alone), CIC and the CIC deposit,
+the ghost-slot pass, two mesh stencils (the field solve and one
+source-smoothing pass) and the modern stepper's staggered gather, zigzag
+segments and zigzag current binning.  :func:`kernels` hands them out as a
+:class:`~repro.native.calls.Kernels`, or ``None`` when the NumPy bodies
+have to do the work; the functions that carry the kernels' names
+(``Grid2D.cic_vertices_weights``, ``scatter_segment``,
+``gather_push_slice``, ``boris_push``, ``ghost_slots``,
+``MaxwellSolver.step``, ``binomial_smooth``, ``staggered_gather``,
+``zigzag_entries``, ``deposit_zigzag_entries``, the modern stepper's CIC
+deposit) ask it on every call, so there is no switch anywhere else.
 
 The library is built on first use with the local ``cc`` into a
 content-addressed file (its name carries a digest of source, compiler

@@ -1,22 +1,26 @@
 """The ctypes face of ``pic_kernels.c`` and its load-time self-check.
 
-Every :class:`Kernels` method answers ``None`` (``False`` for the push)
-when the caller has to run the NumPy body instead: an argument is not a
-C-contiguous array of the expected dtype and shape (no silent copies —
-least of all of in-place outputs), or the C loop reported a float
+Every :class:`Kernels` method answers ``None`` (``0`` particles for the
+push) when the caller has to run the NumPy body instead: an argument is
+not a C-contiguous array of the expected dtype and shape (no silent copies
+— least of all of in-place outputs), or the C loop reported a float
 exception, a non-finite result, an out-of-range index or an input it
 does not cover, which NumPy then turns into its own warning, exception,
 NaN or answer.  The C loops write only output buffers — fresh ones, or
 the caller's ``out`` / the deposit's ``acc``: a bad index leaves ``acc``
 untouched (the NumPy body then raises, as it always did, before
 writing), a flagged call leaves an output for the NumPy body to refill.
-The two in-place kernels, the push and the field step, work in a kept
-block and write the caller's arrays only once the whole call is clean.
+The field step works in a kept block and writes the caller's planes only
+once the whole call is clean.  The push writes the particles a chunk at a
+time, each chunk once it is clean, and answers how many it wrote: the
+NumPy body pushes the rest, which for per-particle arithmetic is its bytes
+and its warnings over all of them.
 """
 
 from __future__ import annotations
 
 import ctypes
+import mmap
 import threading
 
 import numpy as np
@@ -27,9 +31,12 @@ _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 _SIGNATURES = {
     "cic": (_I64, _PTR, _PTR, _F64, _F64, _F64, _F64, _I64, _I64, _PTR, _PTR),
     "deposit": (_I64, *[_PTR] * 6, _I64, _PTR, _PTR, _I64, _I64, _PTR, _PTR),
-    "interpolate": (_I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR),
-    "boris_push": (_I64, *[_PTR] * 9, _F64, _F64, _F64, _PTR),
-    "ghost_slots": (_I64, _I64, _PTR, _PTR, _I64, _I64, _PTR, _I64, *[_PTR] * 7),
+    "scatter": (
+        _I64, _PTR, _I64, *[_PTR] * 7, *[_F64] * 4, _I64, _I64, _PTR, _I64, _PTR, _PTR, _I64,
+        *[_PTR] * 5,
+    ),  # fmt: skip
+    "gather_push": (_I64, *[_PTR] * 7, _I64, *[_PTR] * 6, *[_F64] * 5, _I64, _I64, _PTR),
+    "ghost_slots": (_I64, _I64, _PTR, _PTR, _I64, _I64, _PTR, _I64, _PTR, _I64, _I64, *[_PTR] * 4),
     "field_step": (_I64, _I64, *[_PTR] * 11, _F64, _F64, _F64, _F64, _I64, _PTR),
     "smooth": (_I64, _I64, _PTR, _PTR, _PTR),
     "yee_gather": (_I64, _PTR, _PTR, _F64, _F64, _F64, _F64, _I64, _I64, _PTR, _PTR, _PTR),
@@ -57,12 +64,12 @@ class Kernels:
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib  # keeps the library mapped
-        # scratch blocks kept per thread and only ever grown: the push's
-        # staging block (40 bytes per particle), ghost_slots' tables (40
-        # bytes per node), the field step's seven planes (56 bytes per node)
-        # and the smoothing's three rows.  A fresh block per call is
-        # page-faulted in every step, ~0.7 ms of a ~10 ms Fig 17 iteration
-        # for the push's (7/8 pairs,
+        # scratch blocks kept per thread and only ever grown: the stamp
+        # tables of ghost_slots and scatter (40 and 80 bytes per node), the
+        # slot outputs they number into, the field step's seven planes (56
+        # bytes per node) and the smoothing's three rows.  A fresh block per
+        # call is page-faulted in every step (~0.7 ms of a ~10 ms Fig 17
+        # iteration for a 40-byte-per-particle block, 7/8 pairs,
         # benchmarks/results/pr22_native_kernels.json "staging_block")
         self._scratch = threading.local()
         for name, argtypes in _SIGNATURES.items():
@@ -77,6 +84,21 @@ class Kernels:
             block = np.empty(size, dtype=dtype)
             setattr(self._scratch, name, block)
         return block[:size]
+
+    def _rows(self, name: str, rows: int, width: int, dtype) -> np.ndarray:
+        """This thread's ``(rows, w)`` output block ``name``, ``w >= width``.
+
+        Sized to a bound the kernel cannot exceed and mapped on its own
+        anonymous pages: the kernel writes the front of each row, and only
+        pages written are ever resident (NumPy would ask for transparent
+        huge pages on a block this large, each a 2 MB fault)."""
+        block = getattr(self._scratch, name, None)
+        if block is None or block.shape[1] < width:
+            itemsize = np.dtype(dtype).itemsize
+            pages = mmap.mmap(-1, max(rows * width * itemsize, 1))
+            block = np.frombuffer(pages, dtype, rows * width).reshape(rows, width)
+            setattr(self._scratch, name, block)
+        return block
 
     def cic(self, grid, x, y, out=None):
         """``Grid2D.cic_vertices_weights``: ``(nodes, weights)`` — ``out`` if
@@ -113,41 +135,77 @@ class Kernels:
         )  # fmt: skip
         return None if failed else summed
 
-    def interpolate(self, by_node, nodes, weights, out=None):
-        """``gather_from_node_values`` on node-major values: ``(ncomp, n)`` —
-        ``out`` if given — or ``None``."""
-        n = len(nodes)
+    def scatter(self, grid, parts, counts, r0, node_owner, acc):
+        """``scatter_numpy`` of the rank segments ``counts`` (ranks from
+        ``r0``), ``acc`` ``(4, nnodes)`` filled: ``(summed, slot ranks, slot
+        owners, slot nodes, entries per rank, slots per rank)`` or ``None``.
+
+        One call into the C pass, which writes the slots into this thread's
+        kept blocks, sized before it to the most slots ``n`` particles can
+        have; the slots found are copied out."""
+        n, nnodes, nranks = parts.n, grid.nnodes, len(counts)
+        columns = (parts.x, parts.y, parts.ux, parts.uy, parts.uz, parts.q, parts.w)
         if not (
-            _plain(np.int64, (n, 4), nodes)
-            and _plain(np.float64, (n, 4), weights)
-            and by_node.ndim == 2
-            and _plain(np.float64, by_node.shape, by_node)
+            _plain(np.float64, (n,), *columns)
+            and _plain(np.int64, (nranks,), counts)
+            and _plain(np.int64, (nnodes,), node_owner)
+            and _plain(np.float64, (4, nnodes), acc)
         ):
             return None
-        nnodes, ncomp = by_node.shape
-        out = np.empty((ncomp, n)) if out is None else out
-        if not _plain(np.float64, (ncomp, n), out):
+        longest = max(int(counts.max()), 0) if nranks else 0
+        work = self._block("scatter", 10 * nnodes + longest, np.int64)
+        weights = self._block("scatter_weights", 4 * longest, np.float64)
+        # at most four slots a particle: their sums, then ranks, owners, nodes
+        block = self._rows("scatter_slots", 7, 4 * n, np.float64)
+        summed, slots = block[:4], block[4:].view(np.int64)
+        nslots, tallies = np.zeros(1, dtype=np.int64), np.empty(2 * nranks, dtype=np.int64)
+        if self._scatter(
+            nranks, counts.ctypes.data, n, *_ptr(*columns), grid.lx, grid.ly, grid.dx, grid.dy,
+            grid.nx, grid.ny, node_owner.ctypes.data, int(r0), *_ptr(work, weights),
+            summed.shape[1], *_ptr(nslots, acc, summed, slots, tallies),
+        ):  # fmt: skip
             return None
-        failed = self._interpolate(n, ncomp, nnodes, *_ptr(by_node, nodes, weights, out))
-        return None if failed else out
+        nslots = int(nslots[0])
+        ranks, owners, nodes = slots[:, :nslots].copy()
+        return summed[:, :nslots].copy(), ranks, owners, nodes, tallies[:nranks], tallies[nranks:]
 
-    def boris_push(self, grid, parts, e, b, dt) -> bool:
-        """``boris_push`` after its validation, in place; ``False``: nothing written."""
+    def gather_push(self, grid, parts, planes, dt) -> int:
+        """``gather_push_slice`` after its validation, in place, from the six
+        ``(ny, nx)`` ``planes`` of E and B: how many particles, from the
+        first, hold the NumPy body's bytes (the rest are untouched)."""
+        if not (len(planes) == 6 and _plain(np.float64, grid.shape, *planes)):
+            return 0
+        return self._push(grid, parts, True, planes, dt)
+
+    def boris_push(self, grid, parts, e, b, dt) -> int:
+        """``boris_push`` after its validation, in place: how many particles,
+        from the first, hold the NumPy body's bytes (the rest are untouched)."""
+        if not (
+            _plain(np.float64, (3, parts.n), e, b)
+            and not np.may_share_memory(e, parts.block)
+            and not np.may_share_memory(b, parts.block)
+        ):
+            return 0
+        return self._push(grid, parts, False, (*e, *b), dt)
+
+    def _push(self, grid, parts, gather: bool, fields, dt) -> int:
         n = parts.n
         columns = (parts.x, parts.y, parts.ux, parts.uy, parts.uz, parts.q, parts.m)
-        if not (_plain(np.float64, (n,), *columns) and _plain(np.float64, (3, n), e, b)):
-            return False
-        out = self._block("push", 5 * n, np.float64).reshape(5, n)
-        if self._boris_push(n, *_ptr(*columns, e, b), dt, grid.lx, grid.ly, out.ctypes.data):
-            return False
-        parts.ux[:], parts.uy[:], parts.uz[:], parts.x[:], parts.y[:] = out
-        return True
+        if not (_plain(np.float64, (n,), *columns) and all(a.flags.writeable for a in columns[:5])):
+            return 0
+        done = np.zeros(1, dtype=np.int64)
+        self._gather_push(
+            n, *_ptr(*columns), gather, *_ptr(*fields), dt, grid.lx, grid.ly, grid.dx, grid.dy,
+            grid.nx, grid.ny, done.ctypes.data,
+        )  # fmt: skip
+        return int(done[0])
 
     def ghost_slots(self, grid, node_owner, particle_ranks, cells, r0):
         """``ghost_slots``: ``(ranks, owners, nodes, dest, pair_of)`` or ``None``.
 
-        Two calls into the C pass — one counts pairs and slots, one fills
-        outputs allocated to exactly those sizes."""
+        One call into the C pass, which numbers pairs and slots into this
+        thread's kept blocks, sized before it to the most pairs and slots
+        ``k n`` entries can have; those found are copied out."""
         if not (
             isinstance(cells, np.ndarray)
             and cells.ndim == 2
@@ -157,19 +215,19 @@ class Kernels:
         ):
             return None
         k, n = cells.shape
-        sizes = np.empty(3, dtype=np.int64)
+        sizes, pair_of = np.zeros(2, dtype=np.int64), np.empty((k, n), dtype=np.int64)
         work = self._block("ghost_slots", 5 * grid.nnodes, np.int64)
-        given = (
+        # at most one pair and four slots an entry
+        dest = self._rows("pairs", 4, k * n, np.int64)
+        slots = self._rows("slots", 3, 4 * k * n, np.int64)
+        if self._ghost_slots(
             k, n, *_ptr(particle_ranks, cells), grid.nx, grid.ny, node_owner.ctypes.data, int(r0),
-            *_ptr(work, sizes),
-        )  # fmt: skip
-        if self._ghost_slots(*given, None, None, None, None, None):
+            work.ctypes.data, dest.size // 4, slots.shape[1], *_ptr(sizes, pair_of, dest, slots),
+        ):  # fmt: skip
             return None
         npairs, nslots = int(sizes[0]), int(sizes[1])
-        pair_of, dest = np.empty((k, n), dtype=np.int64), np.empty((npairs, 4), dtype=np.int64)
-        ranks, owners, nodes = np.empty((3, nslots), dtype=np.int64)
-        self._ghost_slots(*given, *_ptr(pair_of, dest, ranks, owners, nodes))
-        return ranks, owners, nodes, dest, pair_of
+        ranks, owners, nodes = slots[:, :nslots].copy()
+        return ranks, owners, nodes, dest.ravel()[: 4 * npairs].reshape(npairs, 4).copy(), pair_of
 
     def field_step(self, solver, fields, dt) -> bool:
         """``MaxwellSolver.step`` after its validation, in place; ``False``:
@@ -277,9 +335,10 @@ def self_check(found: Kernels) -> str | None:
     """Name the first entry point whose bytes differ from its NumPy body's.
 
     Known answers on 257 particles of a non-square grid: positions on the
-    edges and far outside, signed zeros among the field values, both
-    einsum association orders (``ncomp`` 1 and 6), ghost slots of three
-    cell rows over five ranks (one empty) counted from ``r0 = 1``; the
+    edges and far outside, signed zeros among the field values, ghost slots
+    of three cell rows over five ranks (one empty) counted from ``r0 = 1``
+    and the scatter of the same segments; the gather + push of those
+    particles from node values and the push from given fields; the
     staggered gather of those positions, their zigzag entries for moves up
     to the longest one under a cell (some across the periodic seam, one of
     zero charge) and both components binned by those ghost slots; a
@@ -289,9 +348,8 @@ def self_check(found: Kernels) -> str | None:
     from repro.mesh.fields import FieldState
     from repro.mesh.grid import Grid2D
     from repro.particles.arrays import ParticleArray
-    from repro.parallel_exec.kernels import deposit_numpy
+    from repro.parallel_exec.kernels import deposit_numpy, gather_push_numpy, scatter_numpy
     from repro.pic.deposition import ghost_slots_numpy
-    from repro.pic.interpolation import interpolate_numpy
     from repro.pic.maxwell import MaxwellSolver
     from repro.pic.parallel_yee import staggered_gather_numpy
     from repro.pic.push import push_numpy
@@ -339,13 +397,24 @@ def self_check(found: Kernels) -> str | None:
     if not same((summed, acc), (want_summed, want_acc)):
         return "deposit"
 
+    counts = np.array([60, 0, 97, 50, 50], dtype=np.int64)
+    acc, want_acc = np.empty((2, 4, grid.nnodes))
+    want = scatter_numpy(grid, parts, counts, 1, owner, want_acc)
+    if not same(found.scatter(grid, parts, counts, 1, owner, acc), want) or not same(
+        (acc,), (want_acc,)
+    ):
+        return "scatter"
+
     fields = rng.normal(0.0, 1.0, (6, grid.nnodes))
     fields[:, :9] = 0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 1.0
-    for rows in (fields, fields[4:5]):
-        by_node = np.ascontiguousarray(rows.T)
-        got = found.interpolate(by_node, nodes, weights)
-        if not same((got,), (interpolate_numpy(by_node, nodes, weights),)):
-            return "interpolate"
+    planes = fields.reshape(6, *grid.shape)
+    pushed, want = parts.copy(), parts.copy()
+    gather_push_numpy(grid, want, planes, dt)
+    columns = ("x", "y", "ux", "uy", "uz")
+    if found.gather_push(grid, pushed, planes, dt) != n or not same(
+        [getattr(pushed, c) for c in columns], [getattr(want, c) for c in columns]
+    ):
+        return "gather_push"
 
     eb, cells = np.empty((6, n)), np.empty((4, n), dtype=np.int64)
     want = np.empty((6, n)), np.empty((4, n), dtype=np.int64)
@@ -382,8 +451,7 @@ def self_check(found: Kernels) -> str | None:
     pushed, want = parts.copy(), parts.copy()
     e, b = fields[:3].take(nodes[:, 0], axis=1), fields[3:].take(nodes[:, 3], axis=1)
     push_numpy(grid, want, e, b, dt)
-    columns = ("x", "y", "ux", "uy", "uz")
-    if not found.boris_push(grid, pushed, e, b, dt) or not same(
+    if found.boris_push(grid, pushed, e, b, dt) != n or not same(
         [getattr(pushed, c) for c in columns], [getattr(want, c) for c in columns]
     ):
         return "boris_push"

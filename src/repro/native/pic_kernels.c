@@ -12,13 +12,18 @@
  * every entry point with its NumPy body when the library is loaded and
  * drops the library on a mismatch.
  *
- * Every kernel is pure: it reads its arguments, writes only its output
- * buffers (and ghost_slots its scratch) and returns
+ * The era stepper's particle phases are one pass each: scatter (CIC, ghost
+ * slots and deposit, one rank segment at a time while it is in cache) and
+ * gather_push (CIC, interpolation and Boris push, PUSH_CHUNK particles at a
+ * time).  cic and deposit serve the modern stepper and Grid2D.
+ *
+ * Every kernel reads its arguments, writes only its output buffers (and its
+ * scratch; gather_push the particles, see there) and returns
  *   OK         the outputs are the NumPy body's;
  *   FLAGGED    a float exception NumPy reports (invalid, divide by zero,
  *              overflow) was raised or an output is not finite;
  *   BAD_INDEX  an index argument is outside its table;
- *   DECLINED   an input the loop does not cover (ghost_slots only).
+ *   DECLINED   an input the loop does not cover.
  * On anything but OK the caller discards the outputs and runs the NumPy
  * body, which then produces the warning, the exception or the NaN payload
  * NumPy produces.  No index is used before it is range-checked.
@@ -35,6 +40,10 @@ enum { OK = 0, FLAGGED = 1, BAD_INDEX = 2, DECLINED = 3 };
 #define R restrict
 
 #define NOT_FINITE(v) (!(fabs(v) <= DBL_MAX))
+
+/* A loop pass that is not inlined: in a function of its own the restrict on
+ * its parameters holds, so it needs no run-time alias test to vectorize. */
+#define PASS __attribute__((noinline))
 
 static int finish(int64_t bad)
 {
@@ -167,43 +176,6 @@ int deposit(int64_t n, const double *R weights, const double *R ux, const double
         bad |= NOT_FINITE(acc[k]);
     for (int64_t k = 0; k < 4 * nslots; k++)
         bad |= NOT_FINITE(summed[k]);
-    return finish(bad);
-}
-
-/* gather_from_node_values: out (ncomp, n) from node-major by_node (nnodes,
- * ncomp).  einsum("nvc,nv->cn") zero-fills and then, for ncomp >= 2, loops
- * the components innermost, so a value is (((0 + p0) + p1) + p2) + p3; for
- * ncomp == 1 its inner loop is the four vertices through a two-lane
- * accumulator, ((0 + p0) + p2) + ((0 + p1) + p3), added to the zero. */
-int interpolate(int64_t n, int64_t ncomp, int64_t nnodes, const double *R by_node,
-                const int64_t *R nodes, const double *R weights, double *R out)
-{
-    int64_t bad = 0;
-    for (int64_t k = 0; k < 4 * n; k++)
-        if (nodes[k] < 0 || nodes[k] >= nnodes)
-            return BAD_INDEX;
-    feclearexcept(FE_ALL_EXCEPT);
-    for (int64_t i = 0; i < n; i++) {
-        const int64_t *node = nodes + 4 * i;
-        const double *weight = weights + 4 * i;
-        if (ncomp == 1) {
-            double even = (0.0 + by_node[node[0]] * weight[0]) + by_node[node[2]] * weight[2];
-            double odd = (0.0 + by_node[node[1]] * weight[1]) + by_node[node[3]] * weight[3];
-            out[i] = (even + odd) + 0.0;
-            bad |= NOT_FINITE(out[i]);
-            continue;
-        }
-        const double *row0 = by_node + node[0] * ncomp, *row1 = by_node + node[1] * ncomp;
-        const double *row2 = by_node + node[2] * ncomp, *row3 = by_node + node[3] * ncomp;
-        for (int64_t c = 0; c < ncomp; c++) {
-            double sum = row0[c] * weight[0] + 0.0;
-            sum = row1[c] * weight[1] + sum;
-            sum = row2[c] * weight[2] + sum;
-            sum = row3[c] * weight[3] + sum;
-            out[c * n + i] = sum;
-            bad |= NOT_FINITE(sum);
-        }
-    }
     return finish(bad);
 }
 
@@ -472,25 +444,26 @@ int zigzag_bin(int64_t n, const double *R values, const int64_t *R vertex, int64
     return finish(not_finite(acc, 2 * nnodes) | not_finite(summed, 2 * nslots));
 }
 
-/* boris_push after its validation: e, b are (3, n); out is (5, n), the new
- * ux, uy, uz, x, y.  The particle arrays are not written.  Two passes: the
- * arithmetic has no branch and no library call, so it runs at vector width
- * and leaves the positions unwrapped; the second pass wraps and checks. */
-int boris_push(int64_t n, const double *R x, const double *R y, const double *R ux,
-               const double *R uy, const double *R uz, const double *R q, const double *R m,
-               const double *R e, const double *R b, double dt, double lx, double ly,
-               double *R out)
+/* Particles gather_push stages at a time: its fields and outputs, 11 rows
+ * of PUSH_CHUNK doubles, stay in L1 (64 measured ~10 % slower). */
+enum { PUSH_CHUNK = 256 };
+
+/* Boris push arithmetic of m <= PUSH_CHUNK particles: fields ex .. bz, new
+ * ux, uy, uz and the unwrapped x, y into rows 0 .. 4 of out.  Its own
+ * function, so the restrict on the particle rows (which gather_push also
+ * writes) holds here and the loop needs no run-time alias test to
+ * vectorize. */
+
+static PASS void push_chunk(int64_t m, const double *R x, const double *R y, const double *R ux,
+                            const double *R uy, const double *R uz, const double *R q,
+                            const double *R mass, const double *R ex, const double *R ey,
+                            const double *R ez, const double *R bx, const double *R by,
+                            const double *R bz, double dt, double (*R out)[PUSH_CHUNK])
 {
-    int64_t bad = 0;
     double half_dt = 0.5 * dt;
-    const double *R ex = e, *R ey = e + n, *R ez = e + 2 * n;
-    const double *R bx = b, *R by = b + n, *R bz = b + 2 * n;
-    double *R oux = out, *R ouy = out + n, *R ouz = out + 2 * n, *R ox = out + 3 * n,
-           *R oy = out + 4 * n;
-    feclearexcept(FE_ALL_EXCEPT);
-    /* VECTORIZED: boris_push arithmetic */
-    for (int64_t i = 0; i < n; i++) {
-        double qmdt2 = half_dt * q[i] / m[i];
+    /* VECTORIZED: gather_push arithmetic */
+    for (int64_t i = 0; i < m; i++) {
+        double qmdt2 = half_dt * q[i] / mass[i];
         /* half electric acceleration */
         double umx = ux[i] + qmdt2 * ex[i];
         double umy = uy[i] + qmdt2 * ey[i];
@@ -516,19 +489,84 @@ int boris_push(int64_t n, const double *R x, const double *R y, const double *R 
         double nuz = uplusz + qmdt2 * ez[i];
         /* position update with the new momentum */
         double gamma = sqrt(((1.0 + nux * nux) + nuy * nuy) + nuz * nuz);
-        oux[i] = nux;
-        ouy[i] = nuy;
-        ouz[i] = nuz;
-        ox[i] = x[i] + dt * nux / gamma;
-        oy[i] = y[i] + dt * nuy / gamma;
+        out[0][i] = nux;
+        out[1][i] = nuy;
+        out[2][i] = nuz;
+        out[3][i] = x[i] + dt * nux / gamma;
+        out[4][i] = y[i] + dt * nuy / gamma;
     }
-    for (int64_t i = 0; i < n; i++) {
-        ox[i] = wrap(ox[i], lx);
-        oy[i] = wrap(oy[i], ly);
-        bad |= NOT_FINITE(oux[i]) | NOT_FINITE(ouy[i]) | NOT_FINITE(ouz[i]) | NOT_FINITE(ox[i]) |
-               NOT_FINITE(oy[i]);
+}
+
+/* gather_push_slice after its validation, in place: the fields at each of n
+ * particles, then boris_push.  With gather set, f holds the six (ny, nx)
+ * planes of E and B and a particle's fields are gather_from_node_values' at
+ * its CIC (cic's floats, from the positions before the push):
+ * einsum("nvc,nv->cn") zero-fills and, for six components, loops them
+ * innermost, so a value is (((0 + p0) + p1) + p2) + p3.  Without it f holds
+ * the six rows of n fields, as boris_push takes e and b.  PUSH_CHUNK
+ * particles at a time: their new ux, uy, uz, x, y are built in a staging
+ * block and written over the particles' only once the chunk is clean.  At
+ * the first chunk that is not, *done is the count written before it, the
+ * rest untouched, and the caller runs the NumPy body on the rest: every
+ * particle is independent, so that is the NumPy body's bytes and the
+ * warnings it raises over all n (the particles written raised nothing). */
+int gather_push(int64_t n, double *R x, double *R y, double *R ux, double *R uy, double *R uz,
+                const double *R q, const double *R mass, int64_t gather, const double *R f0,
+                const double *R f1, const double *R f2, const double *R f3, const double *R f4,
+                const double *R f5, double dt, double lx, double ly, double dx, double dy,
+                int64_t nx, int64_t ny, int64_t *R done)
+{
+    const double *planes[6] = {f0, f1, f2, f3, f4, f5};
+    double fields[6][PUSH_CHUNK], out[5][PUSH_CHUNK];
+    /* flags are sticky and the pass stops at the first chunk that raised
+     * one, so one clearing serves every chunk */
+    feclearexcept(FE_ALL_EXCEPT);
+    for (int64_t i0 = 0; i0 < n; i0 += PUSH_CHUNK) {
+        int64_t m = n - i0 < PUSH_CHUNK ? n - i0 : PUSH_CHUNK, bad = 0;
+        const double *f[6];
+        if (gather) {
+            for (int64_t j = 0; j < m; j++) {
+                int64_t cx, cx1, cy, cy1;
+                double tx, ty;
+                bad |= cic_axis(x[i0 + j], lx, dx, nx, &cx, &cx1, &tx);
+                bad |= cic_axis(y[i0 + j], ly, dy, ny, &cy, &cy1, &ty);
+                double ux_ = 1.0 - tx, uy_ = 1.0 - ty;
+                double w0 = ux_ * uy_, w1 = tx * uy_, w2 = ux_ * ty, w3 = tx * ty;
+                int64_t row = cy * nx, row1 = cy1 * nx;
+                for (int c = 0; c < 6; c++) {
+                    const double *v = planes[c];
+                    double sum = v[row + cx] * w0 + 0.0;
+                    sum = v[row + cx1] * w1 + sum;
+                    sum = v[row1 + cx] * w2 + sum;
+                    fields[c][j] = v[row1 + cx1] * w3 + sum;
+                }
+            }
+            for (int c = 0; c < 6; c++) {
+                bad |= not_finite(fields[c], m);
+                f[c] = fields[c];
+            }
+        } else {
+            for (int c = 0; c < 6; c++)
+                f[c] = planes[c] + i0;
+        }
+        push_chunk(m, x + i0, y + i0, ux + i0, uy + i0, uz + i0, q + i0, mass + i0, f[0], f[1],
+                   f[2], f[3], f[4], f[5], dt, out);
+        for (int64_t j = 0; j < m; j++) {
+            out[3][j] = wrap(out[3][j], lx);
+            out[4][j] = wrap(out[4][j], ly);
+        }
+        for (int r = 0; r < 5; r++)
+            bad |= not_finite(out[r], m);
+        if (finish(bad) != OK) {
+            *done = i0;
+            return FLAGGED;
+        }
+        double *rows[5] = {ux, uy, uz, x, y};
+        for (int r = 0; r < 5; r++)
+            memcpy(rows[r] + i0, out[r], sizeof(double) * (size_t)m);
     }
-    return finish(bad);
+    *done = n;
+    return OK;
 }
 
 /* The mesh stencils: MaxwellSolver._step_numpy and one pass of
@@ -542,7 +580,6 @@ int boris_push(int64_t n, const double *R x, const double *R y, const double *R 
  * The passes are not inlined into field_step, whose planes all lie in one
  * work block: in a function of their own the restrict on their parameters
  * holds, and the row loops need no run-time alias test to vectorize. */
-#define PASS __attribute__((noinline))
 
 /* The offsets of rows y - 1 and y + 1 of a periodic (ny, nx) plane. */
 static inline int64_t row_below(int64_t y, int64_t ny, int64_t nx)
@@ -773,109 +810,236 @@ static void cell_vertices(int64_t cell, int64_t nx, int64_t ny, int64_t v[4])
     v[3] = row1 + cx1;
 }
 
+/* The tables of one ghost-slot pass (work, 5 * nnodes int64): a stamp table
+ * over the cells and one over the nodes, one segment's distinct cells and
+ * off-rank vertex keys, the sort's second buffer.  A table holds the
+ * segment's stamp while it collects and -(id + 1) once its pairs or slots
+ * are numbered, which no stamp equals. */
+struct slot_tables {
+    int64_t nx, ny, nnodes;
+    const int64_t *owner;
+    int64_t *cell_mark, *node_mark, *cells, *keys, *tmp;
+};
+
+static struct slot_tables slot_tables(int64_t nx, int64_t ny, const int64_t *owner, int64_t *work)
+{
+    int64_t nnodes = nx * ny;
+    struct slot_tables t = {nx,   ny, nnodes, owner, work, work + nnodes, work + 2 * nnodes,
+                            work + 3 * nnodes, work + 4 * nnodes};
+    return t;
+}
+
+/* OK, or DECLINED for a negative owner or keys the NumPy body would
+ * overflow int64 with: its largest is ((top + 1) * (max owner + 1)) * nnodes
+ * - 1, top being the largest rank with particles (-1: none). */
+static int owners_fit(const int64_t *R owner, int64_t nnodes, int64_t top)
+{
+    int64_t max_owner = 0;
+    for (int64_t v = 0; v < nnodes; v++) {
+        if (owner[v] < 0)
+            return DECLINED;
+        max_owner = owner[v] > max_owner ? owner[v] : max_owner;
+    }
+    if (top >= 0 && ((double)top + 1) * ((double)max_owner + 1) * (double)nnodes >= 0x1p62)
+        return DECLINED;
+    return OK;
+}
+
+/* One segment's m distinct cells, collected in t->cells: sorts them and
+ * numbers them first, first + 1, ... in cell_mark, then collects the
+ * distinct vertices of their cells that rank mine does not own, as owner *
+ * nnodes + node keys, into t->keys, sorted: returns how many. */
+static int64_t segment_keys(struct slot_tables *t, int64_t m, int64_t first, int64_t mine,
+                            int64_t stamp)
+{
+    int64_t q = 0, v[4];
+    sort_ascending(t->cells, t->tmp, m);
+    for (int64_t u = 0; u < m; u++) {
+        int64_t c = t->cells[u];
+        t->cell_mark[c] = -(first + u) - 1;
+        cell_vertices(c, t->nx, t->ny, v);
+        for (int j = 0; j < 4; j++)
+            if (t->owner[v[j]] != mine && t->node_mark[v[j]] != stamp) {
+                t->node_mark[v[j]] = stamp;
+                t->keys[q++] = t->owner[v[j]] * t->nnodes + v[j];
+            }
+    }
+    sort_ascending(t->keys, t->tmp, q);
+    return q;
+}
+
+/* Numbers segment_keys' q keys as slots first, first + 1, ... of rank
+ * (slot_ranks / slot_owners / slot_nodes) and writes the four destinations
+ * of each of the m cells into dest (m, 4): the node where rank mine owns it,
+ * nnodes + its slot otherwise. */
+static void segment_slots(struct slot_tables *t, int64_t m, int64_t q, int64_t first, int64_t rank,
+                          int64_t mine, int64_t *R slot_ranks, int64_t *R slot_owners,
+                          int64_t *R slot_nodes, int64_t *R dest)
+{
+    int64_t nnodes = t->nnodes, v[4];
+    for (int64_t u = 0; u < q; u++) {
+        int64_t slot = first + u, owner = t->keys[u] / nnodes, node = t->keys[u] - owner * nnodes;
+        t->node_mark[node] = -slot - 1;
+        slot_ranks[slot] = rank;
+        slot_owners[slot] = owner;
+        slot_nodes[slot] = node;
+    }
+    for (int64_t u = 0; u < m; u++) {
+        cell_vertices(t->cells[u], t->nx, t->ny, v);
+        for (int j = 0; j < 4; j++)
+            dest[4 * u + j] = t->owner[v[j]] != mine ? nnodes - t->node_mark[v[j]] - 1 : v[j];
+    }
+}
+
 /* ghost_slots: the distinct (rank, cell) pairs of k rows of n cells
  * (particle i of rank ranks[i], counted from r0) in (rank, cell) order and
  * each entry's pair in pair_of (k, n); per pair vertex in dest (npairs, 4)
  * its node where the pair's rank owns it, nnodes + slot otherwise, the
  * slots being the distinct off-rank (rank, node) pairs in (rank, owner,
- * node) order (slot_ranks / slot_owners / slot_nodes).
+ * node) order (rows slot_ranks, slot_owners, slot_nodes of slots (3,
+ * slot_cap)); sizes = (npairs, nslots).
  *
  * The ranks ascend (a pool's rank segments), so each rank is one segment
- * and its pairs and slots are found on it alone: its distinct cells by a
- * stamp table, then sorted; its pairs' distinct off-rank vertices by a
- * second stamp table, then sorted by owner * nnodes + node.  The tables
- * hold the segment's stamp while it collects and -(id + 1) once its pairs
- * or slots are numbered, which no stamp equals.  work is 5 * nnodes int64:
- * the two tables, one segment's cells and off-rank vertices, and the sort's
- * second buffer.
- *
- * Called first with pair_of == NULL: validates, clears the tables and
- * counts, sizes = (npairs, nslots, segments).  BAD_INDEX: a cell outside
- * the grid; DECLINED: ranks negative or descending, a negative owner, or
- * keys the NumPy body would overflow int64 with.  Called again on the same
- * arguments with outputs of the counted sizes: fills them (stamps continue
- * after the count's, so the tables need no second clearing). */
+ * and its pairs and slots are found on it alone: its distinct cells by the
+ * cell stamp table, then sorted; its pairs' distinct off-rank vertices by
+ * the node stamp table, then sorted by owner * nnodes + node.  One walk of
+ * the cells per segment collects them, a second writes pair_of.  No walk
+ * counts first: a segment of m entries has at most m pairs and 4 m slots,
+ * so dest holds pair_cap >= k n pairs and slots slot_cap >= 4 k n, sized
+ * before the pass.  BAD_INDEX: a cell outside the grid; DECLINED: ranks
+ * negative or descending, owners_fit's, or blocks smaller than that. */
 int ghost_slots(int64_t k, int64_t n, const int64_t *R ranks, const int64_t *R cells,
                 int64_t nx, int64_t ny, const int64_t *R node_owner, int64_t r0,
-                int64_t *R work, int64_t *R sizes, int64_t *R pair_of, int64_t *R dest,
-                int64_t *R slot_ranks, int64_t *R slot_owners, int64_t *R slot_nodes)
+                int64_t *R work, int64_t pair_cap, int64_t slot_cap, int64_t *R sizes,
+                int64_t *R pair_of, int64_t *R dest, int64_t *R slots)
 {
-    int64_t nnodes = nx * ny;
-    int64_t *cell_mark = work, *node_mark = work + nnodes;
-    int64_t *seg_cells = work + 2 * nnodes, *seg_keys = work + 3 * nnodes, *tmp = work + 4 * nnodes;
-    int fill = pair_of != NULL;
-    int64_t stamp = fill ? sizes[2] : 0, npairs = 0, nslots = 0;
-    if (!fill) {
-        int64_t max_owner = 0;
-        for (int64_t v = 0; v < nnodes; v++) {
-            if (node_owner[v] < 0)
-                return DECLINED;
-            max_owner = node_owner[v] > max_owner ? node_owner[v] : max_owner;
-        }
-        /* the largest NumPy key is ((rank + 1) * (max owner + 1)) * nnodes - 1;
-         * ranks[n - 1] is the largest rank once the walk found them ascending */
-        if (n && ((double)ranks[n - 1] + 1) * ((double)max_owner + 1) * (double)nnodes >= 0x1p62)
-            return DECLINED;
-        memset(work, 0, sizeof(int64_t) * 2 * (size_t)nnodes);
-    }
+    struct slot_tables t = slot_tables(nx, ny, node_owner, work);
+    int64_t npairs = 0, nslots = 0, stamp = 0, descending = n && ranks[0] < 0;
+    if (outside_of(cells, k * n, t.nnodes))
+        return BAD_INDEX;
+    for (int64_t i = 1; i < n; i++)
+        descending |= ranks[i] < ranks[i - 1];
+    if (descending || owners_fit(node_owner, t.nnodes, n ? ranks[n - 1] : -1) != OK ||
+        pair_cap < k * n || slot_cap < 4 * k * n)
+        return DECLINED;
+    memset(work, 0, sizeof(int64_t) * 2 * (size_t)t.nnodes);
     for (int64_t s = 0, e; s < n; s = e) {
-        int64_t rank = ranks[s], m = 0, q = 0, v[4];
+        int64_t rank = ranks[s], m = 0;
         for (e = s + 1; e < n && ranks[e] == rank; e++)
             ;
-        if (!fill && (rank < 0 || (e < n && ranks[e] < rank)))
-            return DECLINED;
-        int64_t mine = rank + r0;
         stamp++;
         for (int64_t j = 0; j < k; j++)
             for (int64_t i = s; i < e; i++) {
                 int64_t c = cells[j * n + i];
-                if (!fill && (c < 0 || c >= nnodes))
-                    return BAD_INDEX;
-                if (cell_mark[c] != stamp) {
-                    cell_mark[c] = stamp;
-                    seg_cells[m++] = c;
+                if (t.cell_mark[c] != stamp) {
+                    t.cell_mark[c] = stamp;
+                    t.cells[m++] = c;
                 }
             }
-        if (fill) {
-            sort_ascending(seg_cells, tmp, m);
-            for (int64_t t = 0; t < m; t++)
-                cell_mark[seg_cells[t]] = -(npairs + t) - 1;
-            for (int64_t j = 0; j < k; j++)
-                for (int64_t i = s; i < e; i++)
-                    pair_of[j * n + i] = -cell_mark[cells[j * n + i]] - 1;
-        }
-        for (int64_t t = 0; t < m; t++) {
-            cell_vertices(seg_cells[t], nx, ny, v);
-            for (int c = 0; c < 4; c++)
-                if (node_owner[v[c]] != mine && node_mark[v[c]] != stamp) {
-                    node_mark[v[c]] = stamp;
-                    seg_keys[q++] = node_owner[v[c]] * nnodes + v[c];
-                }
-        }
-        if (fill) {
-            sort_ascending(seg_keys, tmp, q);
-            for (int64_t u = 0; u < q; u++) {
-                int64_t slot = nslots + u, owner = seg_keys[u] / nnodes;
-                int64_t node = seg_keys[u] - owner * nnodes;
-                node_mark[node] = -slot - 1;
-                slot_ranks[slot] = rank;
-                slot_owners[slot] = owner;
-                slot_nodes[slot] = node;
-            }
-            for (int64_t t = 0; t < m; t++) {
-                int64_t *to = dest + 4 * (npairs + t);
-                cell_vertices(seg_cells[t], nx, ny, v);
-                for (int c = 0; c < 4; c++)
-                    to[c] = node_owner[v[c]] != mine ? nnodes - node_mark[v[c]] - 1 : v[c];
-            }
-        }
+        int64_t q = segment_keys(&t, m, npairs, rank + r0, stamp);
+        for (int64_t j = 0; j < k; j++)
+            for (int64_t i = s; i < e; i++)
+                pair_of[j * n + i] = -t.cell_mark[cells[j * n + i]] - 1;
+        segment_slots(&t, m, q, nslots, rank, rank + r0, slots, slots + slot_cap,
+                      slots + 2 * slot_cap, dest + 4 * npairs);
         npairs += m;
         nslots += q;
     }
-    if (!fill) {
-        sizes[0] = npairs;
-        sizes[1] = nslots;
-        sizes[2] = stamp;
-    }
+    sizes[0] = npairs;
+    sizes[1] = nslots;
     return OK;
+}
+
+/* The era scatter of rank segments counts[0 .. nranks) of n particles,
+ * ranks counted from r0: cic, ghost_slots and deposit, one segment at a
+ * time while it is in cache.  A first walk of the segment computes each
+ * particle's CIC (cic's floats, kept in cell_of and weight_of) and stamps
+ * its cell; the segment's pairs and slots are numbered as ghost_slots
+ * numbers them (pairs from 0 in each segment: they are not output); a
+ * second walk adds the entries as deposit adds them, in the segment's
+ * particle order: acc (4, nnodes) gets the on-rank sums, rows of stride
+ * slot_cap (>= 4 n) of summed the slots' (zeroed as they are numbered).
+ * tallies[r] is how many ghost entries rank r's particles make (one per
+ * off-rank vertex of a particle's cell), tallies[nranks + r] its slots;
+ * *nslots the slots of all.
+ *
+ * work is 10 * nnodes int64 (slot_tables', one segment's pair
+ * destinations (m, 4) and off-rank vertex counts) plus the longest
+ * segment's cell_of; weight_of is 4 doubles per particle of that segment.
+ * DECLINED: negative counts or a sum other than n, owners_fit's, or
+ * slot_cap < 4 n. */
+int scatter(int64_t nranks, const int64_t *R counts, int64_t n, const double *R x,
+            const double *R y, const double *R ux, const double *R uy, const double *R uz,
+            const double *R q, const double *R w, double lx, double ly, double dx, double dy,
+            int64_t nx, int64_t ny, const int64_t *R node_owner, int64_t r0, int64_t *R work,
+            double *R weight_of, int64_t slot_cap, int64_t *R nslots_out, double *R acc,
+            double *R summed, int64_t *R slots, int64_t *R tallies)
+{
+    struct slot_tables t = slot_tables(nx, ny, node_owner, work);
+    int64_t nnodes = t.nnodes, bad = 0, top = -1, total = 0, nslots = 0;
+    int64_t *R dest = work + 5 * nnodes, *R off = work + 9 * nnodes;
+    int64_t *R cell_of = work + 10 * nnodes;
+    for (int64_t r = 0; r < nranks; r++) {
+        if (counts[r] < 0)
+            return DECLINED;
+        total += counts[r];
+        top = counts[r] ? r : top;
+    }
+    if (total != n || owners_fit(node_owner, nnodes, top) != OK || slot_cap < 4 * n)
+        return DECLINED;
+    memset(work, 0, sizeof(int64_t) * 2 * (size_t)nnodes);
+    memset(acc, 0, sizeof(double) * 4 * (size_t)nnodes);
+    feclearexcept(FE_ALL_EXCEPT);
+    for (int64_t r = 0, s = 0, stamp = 1; r < nranks; s += counts[r], r++, stamp++) {
+        int64_t len = counts[r], m = 0, mine = r + r0, entries = 0;
+        for (int64_t i = 0; i < len; i++) {
+            int64_t cx, cx1, cy, cy1;
+            double tx, ty;
+            bad |= cic_axis(x[s + i], lx, dx, nx, &cx, &cx1, &tx);
+            bad |= cic_axis(y[s + i], ly, dy, ny, &cy, &cy1, &ty);
+            double ux_ = 1.0 - tx, uy_ = 1.0 - ty, *weight = weight_of + 4 * i;
+            weight[0] = ux_ * uy_;
+            weight[1] = tx * uy_;
+            weight[2] = ux_ * ty;
+            weight[3] = tx * ty;
+            int64_t c = cell_of[i] = cy * nx + cx;
+            if (t.cell_mark[c] != stamp) {
+                t.cell_mark[c] = stamp;
+                t.cells[m++] = c;
+            }
+        }
+        int64_t nq = segment_keys(&t, m, 0, mine, stamp);
+        segment_slots(&t, m, nq, nslots, r, mine, slots, slots + slot_cap, slots + 2 * slot_cap,
+                      dest);
+        for (int64_t u = 0; u < m; u++)
+            off[u] = (dest[4 * u] >= nnodes) + (dest[4 * u + 1] >= nnodes) +
+                     (dest[4 * u + 2] >= nnodes) + (dest[4 * u + 3] >= nnodes);
+        for (int c = 0; c < 4; c++)
+            memset(summed + c * slot_cap + nslots, 0, sizeof(double) * (size_t)nq);
+        for (int64_t i = 0; i < len; i++) {
+            int64_t j = s + i, pair = -t.cell_mark[cell_of[i]] - 1;
+            double inv_gamma = 1.0 / sqrt(((1.0 + ux[j] * ux[j]) + uy[j] * uy[j]) + uz[j] * uz[j]);
+            double charge = w[j] * q[j];
+            double per[4] = {charge, (charge * ux[j]) * inv_gamma, (charge * uy[j]) * inv_gamma,
+                             (charge * uz[j]) * inv_gamma};
+            const int64_t *to = dest + 4 * pair;
+            for (int v = 0; v < 4; v++) {
+                double weight = weight_of[4 * i + v];
+                int64_t d = to[v];
+                double *bin = d < nnodes ? acc + d : summed + (d - nnodes);
+                int64_t stride = d < nnodes ? nnodes : slot_cap;
+                for (int c = 0; c < 4; c++)
+                    bin[c * stride] += per[c] * weight;
+            }
+            entries += off[pair];
+        }
+        tallies[r] = entries;
+        tallies[nranks + r] = nq;
+        nslots += nq;
+    }
+    *nslots_out = nslots;
+    bad |= not_finite(acc, 4 * nnodes);
+    for (int c = 0; c < 4; c++)
+        bad |= not_finite(summed + c * slot_cap, nslots);
+    return finish(bad);
 }

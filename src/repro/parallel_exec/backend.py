@@ -4,15 +4,14 @@
 ranges balanced by particle count and runs the segment kernels of
 :mod:`repro.parallel_exec.kernels` on them from a
 ``ThreadPoolExecutor``, on slices of the ordinary in-process
-:class:`~repro.particles.arrays.ParticlePool`.  The compiled loops (CIC,
-``ghost_slots``, deposit, interpolation, push) release the interpreter
-lock, so shards overlap there; everything else (a few small NumPy calls
-per shard, message coalescing, all virtual-machine accounting) runs
-under it, one thread at a time.  Shards write disjoint pool slices,
-disjoint rows of the stepper's kept output buffers and one deposition
-row each, and a node is deposited on-rank only by its owner, so the rows
-have disjoint support and results are bit-identical for every worker
-count (DESIGN.md §5.5).
+:class:`~repro.particles.arrays.ParticlePool`.  The compiled passes (the
+scatter's CIC + ghost slots + deposit, the gather + push) release the
+interpreter lock, so shards overlap there; everything else (a few small
+NumPy calls per shard, message coalescing, all virtual-machine
+accounting) runs under it, one thread at a time.  Shards write disjoint
+pool slices and one deposition row each, and a node is deposited on-rank
+only by its owner, so the rows have disjoint support and results are
+bit-identical for every worker count (DESIGN.md §5.5).
 """
 
 from __future__ import annotations
@@ -72,8 +71,6 @@ class FlatBackend:
         self.grid = grid
         self.nworkers = int(nworkers)
         self._executor = ThreadPoolExecutor(self.nworkers, thread_name_prefix="repro-shard")
-        #: ``(pool, per-shard CIC)`` of the latest scatter, for the gather
-        self._cic: tuple | None = None
         #: ``{phase: [shard tasks, seconds inside them]}`` since the last drain
         self._shard_seconds: dict[str, list] = {}
 
@@ -123,7 +120,7 @@ class FlatBackend:
         cell[1] += sum(seconds)
         return list(results)
 
-    def scatter(self, pool: ParticlePool, node_owner: np.ndarray, cic_out=None):
+    def scatter(self, pool: ParticlePool, node_owner: np.ndarray):
         """Thread-parallel CIC deposition over the pool's rank segments.
 
         Returns ``(rows, entries_per_rank, uniq_per_rank, batch)``: the
@@ -133,40 +130,25 @@ class FlatBackend:
         intermediates of one :func:`scatter_segment` call over ``[0, p)``.
         Shards are ascending rank ranges, so their batches laid end to
         end are the ``(src, dst, node)``-ordered batch of the whole pool.
-        ``cic_out``: pool-long ``(nodes, weights)`` buffers, each shard
-        writing the CIC evaluation of its slice into its rows.
         """
         counts = pool.counts
         shards = self._shards(counts)
         rows = np.empty((len(shards), len(CHANNELS), node_owner.shape[0]))
-        offsets = pool.offsets
 
         def task(i: int, r0: int, parts):
             r1 = shards[i][1]
-            out = None if cic_out is None else tuple(b[offsets[r0] : offsets[r1]] for b in cic_out)
-            return scatter_segment(self.grid, parts, counts[r0:r1], r0, node_owner, rows[i], out)
+            return scatter_segment(self.grid, parts, counts[r0:r1], r0, node_owner, rows[i])
 
-        cic, entries, uniq, batches = zip(*self._run("scatter", pool, shards, task))
-        self._cic = (pool, cic)
+        _, entries, uniq, batches = zip(*self._run("scatter", pool, shards, task))
         return rows, np.concatenate(entries), np.concatenate(uniq), MessageBatch.concat(batches)
 
-    def gather_push(self, pool: ParticlePool, node_values: np.ndarray, dt: float, out=None) -> None:
-        """Thread-parallel field gather + Boris push, in place in the pool.
-
-        Reuses each shard's CIC evaluation from the scatter of the same
-        pool (same pool, same shards; positions do not change between the
-        two phases).  ``out``: a flat ``6 n`` buffer, a shard of pool rows
-        ``[a, b)`` interpolating into ``out[6 a : 6 b]`` as ``(6, b - a)``.
-        """
+    def gather_push(self, pool: ParticlePool, planes, dt: float) -> None:
+        """Thread-parallel field gather + Boris push, in place in the pool,
+        from the six ``(ny, nx)`` ``planes`` of E and B."""
         shards = self._shards(pool.counts)
-        cached, self._cic = self._cic, None  # positions change in the push below
-        cic = cached[1] if cached is not None and cached[0] is pool else [None] * len(shards)
-        offsets = pool.offsets
 
         def task(i: int, r0: int, parts) -> None:
-            a, b = offsets[r0], offsets[shards[i][1]]
-            fields = None if out is None else out[6 * a : 6 * b].reshape(6, b - a)
-            gather_push_slice(self.grid, parts, node_values, dt, cic[i], fields)
+            gather_push_slice(self.grid, parts, planes, dt)
 
         self._run("gather_push", pool, shards, task)
 

@@ -3,21 +3,21 @@
 The inverse of deposition (the paper's Figure 3 ``Gather()``): each
 particle sums bilinear-weighted contributions from its 4 vertex nodes.
 The node-value lookup is factored out (:func:`gather_from_node_values`)
-so the parallel gather can substitute a local-plus-ghost value table for
-the global arrays.
+so a gather can substitute a local-plus-ghost value table for the global
+arrays.
 
 :func:`gather_from_node_values` is segment-oblivious: the reduction is
-independent per particle, so the pooled engine calls it once over the
-whole pooled particle array and the results are bit-identical to ``p``
-per-rank calls on the segments (the per-particle 4-vertex sum order is
-unchanged by pooling).
+independent per particle, so one call over a pooled particle array is
+bit-identical to ``p`` per-rank calls on the segments (the per-particle
+4-vertex sum order is unchanged by pooling).  The era stepper's pooled
+gather interpolates in the same order inside its compiled gather + push
+(:func:`repro.parallel_exec.kernels.gather_push_slice`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import native
 from repro.mesh.fields import FieldState
 from repro.mesh.grid import Grid2D
 from repro.particles.arrays import ParticleArray
@@ -26,7 +26,7 @@ __all__ = ["gather_from_node_values", "interpolate_numpy", "interpolate_fields"]
 
 
 def gather_from_node_values(
-    node_values: np.ndarray, nodes: np.ndarray, weights: np.ndarray, out: np.ndarray | None = None
+    node_values: np.ndarray, nodes: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """Interpolate per-node component values to particles.
 
@@ -37,9 +37,6 @@ def gather_from_node_values(
     nodes, weights:
         ``(n, 4)`` CIC vertices and weights from
         :meth:`repro.mesh.grid.Grid2D.cic_vertices_weights`.
-    out:
-        Optional ``(ncomp, n)`` buffer to write into (the era stepper
-        keeps one across steps); a fresh array otherwise.
 
     Returns
     -------
@@ -48,17 +45,15 @@ def gather_from_node_values(
     """
     # Node-major copy: a vertex reads one 8 * ncomp-byte row, not ncomp
     # values nnodes * 8 bytes apart.
-    by_node = np.ascontiguousarray(node_values.T)
-    compiled = native.kernels()
-    found = compiled.interpolate(by_node, nodes, weights, out) if compiled is not None else None
-    return interpolate_numpy(by_node, nodes, weights, out) if found is None else found
+    return interpolate_numpy(np.ascontiguousarray(node_values.T), nodes, weights)
 
 
 def interpolate_numpy(
     by_node: np.ndarray, nodes: np.ndarray, weights: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """The NumPy body of :func:`gather_from_node_values` on node-major
-    ``(nnodes, ncomp)`` values: fallback and oracle of the compiled loop.
+    """:func:`gather_from_node_values` on node-major ``(nnodes, ncomp)``
+    values, and the interpolation of the compiled era gather + push
+    (:func:`repro.parallel_exec.kernels.gather_push_slice`) as NumPy does it.
 
     ``node_values[:, nodes]`` lays its result out vertex-major too, so
     einsum sees the same memory and sums in the same order: the floats

@@ -59,13 +59,18 @@ from repro.mesh.halo import HaloSchedule
 from repro.particles.arrays import ParticleArray, ParticlePool
 from repro.pic.deposition import CHANNELS
 from repro.pic.ghost import make_ghost_table
-from repro.pic.interpolation import gather_from_node_values
+
+# The e2e recorder (benchmarks/e2e/layers.py) rebinds gather_from_node_values
+# and boris_push in this module by name, so they stay module attributes
+# although the era gather + push is one compiled pass (gather_push_slice).
+from repro.pic.interpolation import gather_from_node_values  # noqa: F401
 from repro.pic.maxwell import MaxwellSolver
 from repro.pic.poisson import PoissonSolver
-from repro.pic.push import boris_push
+from repro.pic.push import boris_push  # noqa: F401
 from repro.pic.smoothing import binomial_smooth
 from repro.machine.collectives import exchange_by_destination_pooled
 from repro.parallel_exec.kernels import (
+    gather_push_slice,
     merge_ghost_messages,
     reduce_rank_rows,
     scatter_segment,
@@ -127,14 +132,9 @@ class PooledParticles:
         self.vm = vm
         self.grid = grid
         self.set_decomposition(decomp)
-        # The particle pool (lazily rebuilt whenever self.particles is
-        # replaced from outside) and the pooled CIC ``(pool, nodes,
-        # weights)`` of the latest scatter.  Positions only change in the
-        # push, so the next gather reuses the scatter's vertex evaluation
-        # while the pool is still the same object; the cache is dropped
-        # once consumed.
+        # the particle pool (lazily rebuilt whenever self.particles is
+        # replaced from outside)
         self._pool: ParticlePool | None = None
-        self._cic_pool_cache: tuple[ParticlePool, np.ndarray, np.ndarray] | None = None
         # the flat blocks behind _kept, by name
         self._blocks: dict[str, np.ndarray] = {}
         if isinstance(local_particles, ParticlePool):
@@ -192,7 +192,6 @@ class PooledParticles:
     def pool(self, pool: ParticlePool) -> None:
         self._pool = pool
         self.particles = list(pool.views)
-        self._cic_pool_cache = None
 
     def _kept(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         """The C-contiguous ``shape`` buffer ``name``, kept across steps: the
@@ -351,14 +350,6 @@ class ParallelPIC(PooledParticles):
         # collect_debug=True (see last_gather_messages).
         self._last_gather: MessageBatch | None = None
 
-    def _outputs(self, pool: ParticlePool):
-        """The kept CIC ``(nodes, weights)`` and flat ``6 n`` interpolation
-        buffers for ``pool`` (a shard's are the rows of its slice, ``[6 a,
-        6 b)`` of the flat one)."""
-        n = pool.n
-        cic = (self._kept("cic_nodes", (n, 4), np.int64), self._kept("cic_weights", (n, 4)))
-        return cic, self._kept("fields", (6 * n,))
-
     # ------------------------------------------------------------------
     # dict views of the exchanges (tests and debugging; built on demand)
     # ------------------------------------------------------------------
@@ -405,21 +396,17 @@ class ParallelPIC(PooledParticles):
         acc = np.zeros((nchannels, nnodes))
         backend = self.backend
         prof = self.profiler
-        cic_out = self._outputs(pool)[0]
         with vm.phase("scatter"):
             with maybe_section(prof, "deposit"):
                 if backend is not None:
                     rows, entries_per_rank, uniq_per_rank, batch = backend.scatter(
-                        pool, self.node_owner, cic_out
+                        pool, self.node_owner
                     )
-                    # the backend keeps each shard's CIC evaluation for the gather
-                    self._cic_pool_cache = None
                 else:
                     rows = np.empty((1, nchannels, nnodes))
-                    vertices, entries_per_rank, uniq_per_rank, batch = scatter_segment(
-                        grid, pool.array, counts, 0, self.node_owner, rows[0], cic_out
+                    _, entries_per_rank, uniq_per_rank, batch = scatter_segment(
+                        grid, pool.array, counts, 0, self.node_owner, rows[0]
                     )
-                    self._cic_pool_cache = (pool, vertices[0], vertices[1])
             with maybe_section(prof, "reduce"):
                 reduce_rank_rows(rows, acc)
 
@@ -503,49 +490,34 @@ class ParallelPIC(PooledParticles):
     def gather_push(self) -> None:
         """Return ghost-node fields to contributors, interpolate, push.
 
-        One interpolation and one Boris pass over the pool.  The
-        ghost-field exchange is the inverse of the scatter's: owners send
-        E, B at the ghost nodes each contributor registered this
+        The ghost-field exchange is the inverse of the scatter's: owners
+        send E, B at the ghost nodes each contributor registered this
         iteration — the scatter batch transposed and filled by one
-        ``take``, message for message the per-rank oracle's.
-        Interpolation and the push are per-particle independent, so
-        running them once over the pool is bit-identical to per-rank
-        execution.
+        ``take``, message for message the per-rank oracle's.  The
+        interpolation and the push are then one pass over the pool
+        (:func:`~repro.parallel_exec.kernels.gather_push_slice`), charged
+        to the gather and push phases as two.  Both are per-particle
+        independent, so running them once over the pool is bit-identical
+        to per-rank execution.
         """
         vm = self.vm
-        grid = self.grid
         pool = self.pool
-        backend = self.backend
-        prof = self.profiler
-        node_values = self._field_node_values()
-        fields_out = self._outputs(pool)[1]
-        eb = None
+        f = self.fields
+        planes = (f.ex, f.ey, f.ez, f.bx, f.by, f.bz)
         with vm.phase("gather"):
             schedule = self._ghost_schedule
-            recv = vm.exchange(schedule.reply(node_values.take(schedule.ids, axis=1)))
+            values = np.stack([np.ravel(a).take(schedule.ids) for a in planes])
+            recv = vm.exchange(schedule.reply(values))
             if self.collect_debug:
                 self._last_gather = recv
             vm.charge_ops("gather", 4.0 * pool.counts.astype(float))
-            if backend is None:
-                with maybe_section(prof, "interpolate"):
-                    cached = self._cic_pool_cache
-                    self._cic_pool_cache = None  # positions change in the push below
-                    if cached is not None and cached[0] is pool:
-                        nodes, weights = cached[1], cached[2]
-                    else:
-                        nodes, weights = grid.cic_vertices_weights(pool.array.x, pool.array.y)
-                    eb = gather_from_node_values(
-                        node_values, nodes, weights, out=fields_out.reshape(6, pool.n)
-                    )
         with vm.phase("push"):
             vm.charge_ops("push", pool.counts.astype(float))
-            with maybe_section(prof, "boris_push"):
-                if backend is not None:
-                    # shard threads interpolate + push their pool slices in
-                    # place, reusing each slice's scatter-time CIC evaluation
-                    backend.gather_push(pool, node_values, self.dt, fields_out)
+            with maybe_section(self.profiler, "gather_push"):
+                if self.backend is not None:
+                    self.backend.gather_push(pool, planes, self.dt)
                 elif pool.n:
-                    boris_push(grid, pool.array, eb[:3], eb[3:], self.dt)
+                    gather_push_slice(self.grid, pool.array, planes, self.dt)
         if self.movement == "eulerian":
             self._migrate_eulerian()
 

@@ -92,22 +92,20 @@ def staggered_gather(
     node_values: np.ndarray,
     eb: np.ndarray,
     cells: np.ndarray,
-    vertices: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> None:
     """The six Yee-staggered components at ``(x, y)`` into ``eb`` ``(6, n)``,
     each stencil's cell (first vertex) into ``cells`` ``(4, n)``.
 
-    ``node_values`` is ``(6, nnodes)``, one row per component; ``vertices``
-    the unshifted CIC evaluation of these positions when one is at hand.
-    One compiled pass when :mod:`repro.native` is active, with the bytes of
+    ``node_values`` is ``(6, nnodes)``, one row per component.  One
+    compiled pass when :mod:`repro.native` is active, with the bytes of
     :func:`staggered_gather_numpy` either way.
     """
     compiled = native.kernels()
     if compiled is None or not compiled.yee_gather(grid, x, y, node_values, eb, cells):
-        staggered_gather_numpy(grid, x, y, node_values, eb, cells, vertices)
+        staggered_gather_numpy(grid, x, y, node_values, eb, cells)
 
 
-def staggered_gather_numpy(grid, x, y, node_values, eb, cells, vertices=None) -> None:
+def staggered_gather_numpy(grid, x, y, node_values, eb, cells) -> None:
     """The NumPy body of :func:`staggered_gather`, fallback and oracle of
     the compiled pass (NumPy bodies only: the load-time self-check runs it).
 
@@ -121,10 +119,7 @@ def staggered_gather_numpy(grid, x, y, node_values, eb, cells, vertices=None) ->
         for shift in (0.0, 0.5)
     }
     for k, ((sx, sy), rows) in enumerate(_STENCILS):
-        if sx == sy == 0.0 and vertices is not None:
-            nodes, weights = vertices
-        else:
-            nodes, weights = grid.cic_from_axes(axes[0, sx], axes[1, sy])
+        nodes, weights = grid.cic_from_axes(axes[0, sx], axes[1, sy])
         for row in rows:  # one component per call, as the per-rank formulation rounds
             by_node = np.ascontiguousarray(node_values[row : row + 1].T)
             eb[row] = interpolate_numpy(by_node, nodes, weights)[0]
@@ -208,12 +203,10 @@ class ParallelYeePIC(PooledParticles):
     def _interpolate(self, pool: ParticlePool, node_values: np.ndarray):
         """The ``(6, n)`` fields at the pool's particles and the ``(4, n)``
         cells of their stencils (:func:`staggered_gather`), in kept blocks."""
-        cached, self._cic_pool_cache = self._cic_pool_cache, None  # the push moves particles
-        vertices = cached[1:] if cached is not None and cached[0] is pool else None
         eb = self._kept("eb", (6, pool.n))
         cells = self._kept("cells", (len(_STENCILS), pool.n), np.int64)
         parts = pool.array
-        staggered_gather(self.grid, parts.x, parts.y, node_values, eb, cells, vertices)
+        staggered_gather(self.grid, parts.x, parts.y, node_values, eb, cells)
         return eb, cells
 
     def gather_push(self) -> None:
@@ -298,7 +291,6 @@ class ParallelYeePIC(PooledParticles):
                 cic_nodes = self._kept("cic_nodes", (n, 4), np.int64)
                 cic_out = (cic_nodes, self._kept("cic_weights", (n, 4)))
                 vertices = grid.cic_vertices_weights(parts.x, parts.y, out=cic_out)
-                self._cic_pool_cache = (pool,) + vertices
                 # the cells the entries hang off: both sub-segments', then the CIC one
                 cells = self._kept("scatter_cells", (3, n), np.int64)
                 cells[0], cells[1], cells[2] = nodes[0, 0], nodes[0, 2], vertices[0][:, 0]

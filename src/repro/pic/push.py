@@ -52,8 +52,10 @@ def boris_push(
     if n and particles.m.min() <= 0:
         raise ValueError("boris_push requires strictly positive particle masses")
     compiled = native.kernels()
-    if compiled is None or not compiled.boris_push(grid, particles, e, b, float(dt)):
-        push_numpy(grid, particles, e, b, dt)
+    done = compiled.boris_push(grid, particles, e, b, float(dt)) if compiled is not None else 0
+    if done < n:  # the compiled pass stopped at a chunk NumPy has to answer for
+        rest = particles.slice_view(done, n) if done else particles
+        push_numpy(grid, rest, e[:, done:], b[:, done:], dt)
 
 
 def push_numpy(

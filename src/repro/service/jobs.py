@@ -16,7 +16,11 @@ an edit to the physics turns every cached result into a miss.
 ``chaos`` is deliberately *excluded* from the key: killing the worker
 process does not change the result (the exact-resume contract of
 DESIGN.md §5.2 makes the retried run land on the same bits), it only
-changes how the scheduler had to get there.
+changes how the scheduler had to get there.  The checkpoint cadence a
+job runs at is hashed for jobs whose fault plan kills a rank, and only
+for them: rank-failure recovery restores the latest checkpoint when
+there is one and salvages live state otherwise, so their result depends
+on it.
 """
 
 from __future__ import annotations
@@ -187,13 +191,15 @@ def code_digest() -> str:
     return digest.hexdigest()
 
 
-def job_key(spec: JobSpec) -> str:
+def job_key(spec: JobSpec, checkpoint_every: int | None = None) -> str:
     """sha256 over the canonical JSON of everything result-determining.
 
     The config is canonicalized through
     ``config_from_dict``/``config_to_dict`` (``full_model=True``) before
     hashing, so presets vs. spelled-out model constants, default-valued
     fields, and dict key order all collapse to one key.
+    ``checkpoint_every`` is the cadence the job runs at; it is hashed
+    when the fault plan kills a rank (see the module docstring).
     """
     payload = {
         "config": config_to_dict(config_from_dict(spec.config), full_model=True),
@@ -201,7 +207,14 @@ def job_key(spec: JobSpec) -> str:
         "fault_plan": spec.fault_plan,
         "code": code_digest(),
     }
+    if checkpoint_every is not None and _kills_a_rank(spec.fault_plan):
+        payload["checkpoint_every"] = int(checkpoint_every)
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+
+def _kills_a_rank(fault_plan: dict | None) -> bool:
+    """Whether a job's fault plan has a ``kill`` event."""
+    return any(event.get("kind") == "kill" for event in (fault_plan or {}).get("events", ()))
 
 
 @dataclass
@@ -215,6 +228,9 @@ class JobRecord:
     """
 
     spec: JobSpec
+    #: the cache and scratch-checkpoint address: :func:`job_key` of the spec
+    #: at the scheduler's checkpoint cadence (the spec's own key by default)
+    key: str = ""
     state: str = JobState.PENDING
     attempt: int = 0  #: zero-based attempt currently/last running
     cached: bool = False  #: served from the result cache
@@ -224,9 +240,8 @@ class JobRecord:
     payload: dict | None = None  #: full result document (DONE only)
     resumed_from: int | None = None  #: checkpoint iteration a retry resumed at
 
-    @property
-    def key(self) -> str:
-        return self.spec.key
+    def __post_init__(self) -> None:
+        self.key = self.key or self.spec.key
 
     @property
     def name(self) -> str:

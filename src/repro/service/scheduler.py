@@ -53,7 +53,7 @@ from multiprocessing.connection import wait as mp_wait
 from pathlib import Path
 
 from repro.service.cache import ResultCache
-from repro.service.jobs import BATCH_SCHEMA, JobRecord, JobSpec, JobState
+from repro.service.jobs import BATCH_SCHEMA, JobRecord, JobSpec, JobState, job_key
 from repro.service.telemetry import ServiceTelemetry, report_counters
 from repro.service.worker import scratch_checkpoint, worker_main
 from repro.util import require
@@ -185,7 +185,9 @@ class Scheduler:
             self._workdir = Path(tempfile.mkdtemp(prefix="repro-jobs-"))
         self._workdir.mkdir(parents=True, exist_ok=True)
 
-        self._records = [JobRecord(spec=spec) for spec in jobs]  # tests inspect payloads post-run
+        self._records = [  # tests inspect payloads post-run
+            JobRecord(spec, job_key(spec, self.checkpoint_every)) for spec in jobs
+        ]
         self._batch_id = derive_batch_id(jobs)
         self._obs_dir = Path(self.obs_dir) if self.obs_dir is not None else None
         tel = self.telemetry = ServiceTelemetry(

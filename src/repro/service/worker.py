@@ -57,7 +57,7 @@ from pathlib import Path
 from repro.core.metrics import load_imbalance, particle_counts
 from repro.machine.faults import FaultPlan
 from repro.pic.simulation import Simulation, config_from_dict
-from repro.service.jobs import JobSpec
+from repro.service.jobs import JobSpec, job_key
 from repro.util.errors import JobError, ReproError
 
 __all__ = ["worker_main", "scratch_checkpoint", "job_artifact_stem"]
@@ -136,7 +136,7 @@ def worker_main(
     """Run one job attempt; every exit path sends a message (or dies loudly)."""
     spec = JobSpec.from_dict(spec_dict)
     label = spec.name
-    ck = scratch_checkpoint(workdir, spec.key)
+    ck = scratch_checkpoint(workdir, job_key(spec, checkpoint_every))
     try:
         chaos = spec.chaos
         if (

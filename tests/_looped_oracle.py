@@ -629,4 +629,4 @@ def reference_scatter_segment(grid, parts, counts, r0, node_owner, out_row):
         messages.append(
             [(int(o), ids[owners == o], vals[:, owners == o]) for o in np.unique(owners)]
         )
-    return vertices, np.bincount(g_ranks, minlength=nranks), np.diff(seg), messages
+    return out_row, np.bincount(g_ranks, minlength=nranks), np.diff(seg), messages

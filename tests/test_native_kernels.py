@@ -1,9 +1,10 @@
 """The compiled PIC kernels reproduce their NumPy bodies byte for byte.
 
 ``repro.native`` puts ten C loops behind ``Grid2D.cic_vertices_weights``,
-``scatter_segment``'s deposit, ``gather_from_node_values``,
-``boris_push``, ``ghost_slots``, ``MaxwellSolver.step``, one pass of
-``binomial_smooth``, ``staggered_gather``, ``zigzag_entries`` and
+the modern stepper's CIC deposit, ``scatter_segment``,
+``gather_push_slice`` and ``boris_push``, ``ghost_slots``,
+``MaxwellSolver.step``, one pass of ``binomial_smooth``,
+``staggered_gather``, ``zigzag_entries`` and
 ``deposit_zigzag_entries``.  The NumPy bodies stay as fallback and oracle, and the
 contract is equality *by bytes* — on ordinary inputs through the C loop
 (asserted: a comparison that silently took the fallback proves nothing),
@@ -29,7 +30,13 @@ from hypothesis import strategies as st
 from repro import native
 from repro.machine import FaultEvent, FaultPlan
 from repro.mesh import CurveBlockDecomposition, FieldState, Grid2D
-from repro.parallel_exec.kernels import deposit_numpy
+from repro.parallel_exec.kernels import (
+    deposit_numpy,
+    gather_push_numpy,
+    gather_push_slice,
+    scatter_numpy,
+    scatter_segment,
+)
 from repro.particles import ParticleArray
 from repro.pic import MaxwellSolver, Simulation, SimulationConfig
 from repro.pic.deposition import ghost_slots, ghost_slots_numpy
@@ -214,20 +221,51 @@ class TestBytes:
             _same((acc, summed), (want_acc, want))
 
     @settings(max_examples=40, deadline=None)
-    @given(cases, st.sampled_from([1, 2, 3, 6]))
-    def test_interpolate(self, compiled, case, ncomp):
+    @given(cases, st.sampled_from([1e-8, 1.0, 1e8]))
+    def test_interpolate(self, compiled, case, scale):
+        """The gather + push interpolates as ``interpolate_numpy`` does: the
+        six planes of different magnitudes, signed zeros among them."""
         grid, n, seed = case
+        planes = tuple((_node_values(grid, 6, seed) * scale).reshape(6, *grid.shape))
+        got, want = _particles(grid, n, seed), _particles(grid, n, seed)
+        assert compiled.gather_push(grid, got, planes, 0.3) == n
+        nodes, weights = _cic_numpy(grid, want.x, want.y)
+        eb = interpolate_numpy(np.stack([a.ravel() for a in planes], axis=1), nodes, weights)
+        push_numpy(grid, want, eb[:3], eb[3:], 0.3)
+        _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
+
+    @settings(max_examples=40, deadline=None)
+    @given(cases, st.sampled_from([1, 4]), st.sampled_from([1.0, 1e-310]))
+    def test_scatter(self, compiled, case, p, charge_scale):
+        """The whole pool from ``r0 = 0`` and every one-rank shard, as the
+        shard threads call it, also with subnormal charges: the deposited
+        row, the slot sums and the tallies of ``scatter_numpy``."""
+        grid, n, seed = case
+        parts = _particles(grid, n, seed, charge_scale)
+        owner = CurveBlockDecomposition(grid, p, "hilbert").owner_map
         rng = np.random.default_rng(seed)
-        parts = _particles(grid, n, seed)
-        nodes, weights = compiled.cic(grid, parts.x, parts.y)
-        node_values = rng.normal(size=(ncomp, grid.nnodes)) * 10.0 ** rng.uniform(-8, 8, (ncomp, 1))
-        node_values[:, rng.integers(0, grid.nnodes, 6)] = np.array([0.0, -0.0] * 3)
-        blocks = [node_values] + [node_values[row : row + 1] for row in range(ncomp)]
-        for block in blocks:
-            by_node = np.ascontiguousarray(block.T)
-            got = compiled.interpolate(by_node, nodes, weights)
+        counts = np.diff(np.concatenate(([0], np.sort(rng.integers(0, n + 1, p - 1)), [n])))
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        calls = [(parts, counts, 0)] + [
+            (parts.slice_view(offsets[r], offsets[r + 1]), counts[r : r + 1], r) for r in range(p)
+        ]
+        for shard, shard_counts, r0 in calls:
+            acc, want_acc = np.full((2, 4, grid.nnodes), np.nan)
+            got = compiled.scatter(grid, shard, shard_counts, r0, owner, acc)
             assert got is not None
-            _same((got,), (interpolate_numpy(by_node, nodes, weights),))
+            want = scatter_numpy(grid, shard, shard_counts, r0, owner, want_acc)
+            _same((*got, acc), (*want, want_acc))
+
+    @settings(max_examples=40, deadline=None)
+    @given(cases, st.sampled_from([0.05, 0.5, 7.0]))
+    def test_gather_push(self, compiled, case, dt):
+        grid, n, seed = case
+        planes = tuple(_planes(_fields(grid, seed))[:6])
+        got, want = _particles(grid, n, seed), _particles(grid, n, seed)
+        assert compiled.gather_push(grid, got, planes, dt) == n
+        gather_push_numpy(grid, want, planes, dt)
+        _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
+        assert np.all((got.x >= 0) & (got.x < grid.lx) & (got.y >= 0) & (got.y < grid.ly))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -266,6 +304,48 @@ class TestBytes:
             elif owned == "all_on_rank" and (ranks == 0).all():
                 assert want.nodes.size == 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(GRIDS),
+        st.integers(1, 3),
+        st.lists(st.integers(0, 40), min_size=1, max_size=6),
+        st.integers(0, 3),
+        st.sampled_from(["own_cells", "random"]),
+        st.sampled_from(["hilbert", "all_off_rank"]),
+        st.integers(0, 2**31),
+    )
+    def test_ghost_slots_sizes_its_outputs_in_one_call(
+        self, compiled, grid, k, counts, r0, cells_kind, owned, seed
+    ):
+        """One pass into kept blocks sized before it, fresh ones here: empty
+        ranks, ``r0 > 0``, one to three cell rows, and the worst cases for
+        that sizing -- every particle in a cell of its own (as many pairs
+        as entries) and every vertex off-rank (four slots a pair)."""
+        fresh = type(compiled)(compiled._lib)
+        rng = np.random.default_rng(seed)
+        n = sum(counts)
+        ranks = np.repeat(np.arange(len(counts)), counts)
+        if cells_kind == "own_cells":
+            cells = rng.permutation(np.resize(np.arange(grid.ncells), k * n)).reshape(k, n)
+        else:
+            cells = rng.integers(0, grid.ncells, (k, n))
+        owner = {
+            "hilbert": CurveBlockDecomposition(grid, len(counts) + r0, "hilbert").owner_map,
+            "all_off_rank": np.full(grid.nnodes, len(counts) + r0, dtype=np.int64),
+        }[owned]
+        got = fresh.ghost_slots(grid, owner, ranks, cells, r0)
+        assert got is not None
+        want = ghost_slots_numpy(grid, owner, ranks, cells, r0)
+        _same(got, want)
+        if owned == "all_off_rank":
+            assert want.nodes.size == len(np.unique(want.dest)) and (want.dest >= grid.nnodes).all()
+        acc, want_acc = np.empty((2, 4, grid.nnodes))
+        parts = _particles(grid, n, seed)
+        counts = np.array(counts, dtype=np.int64)
+        got = fresh.scatter(grid, parts, counts, r0, owner, acc)
+        assert got is not None
+        _same((*got, acc), (*scatter_numpy(grid, parts, counts, r0, owner, want_acc), want_acc))
+
     @settings(max_examples=40, deadline=None)
     @given(cases, st.sampled_from([0.05, 0.5, 7.0]))
     def test_boris_push(self, compiled, case, dt):
@@ -274,7 +354,7 @@ class TestBytes:
         got, want = _particles(grid, n, seed), _particles(grid, n, seed)
         e, b = rng.normal(0.0, 2.0, (2, 3, n))
         e[:, ::5], b[:, ::7] = 0.0, -0.0
-        assert compiled.boris_push(grid, got, e, b, dt)
+        assert compiled.boris_push(grid, got, e, b, dt) == n
         push_numpy(grid, want, e, b, dt)
         _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
         assert np.all((got.x >= 0) & (got.x < grid.lx) & (got.y >= 0) & (got.y < grid.ly))
@@ -294,7 +374,7 @@ class TestBytes:
             got.x[lane] = outside[lane % len(outside)]
             got.y[(lane + 1) % n] = outside[(lane + 2) % len(outside)] * grid.ly / grid.lx
             want = got.copy()
-            assert compiled.boris_push(grid, got, e, b, 0.3)
+            assert compiled.boris_push(grid, got, e, b, 0.3) == n
             push_numpy(grid, want, e, b, 0.3)
             _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
 
@@ -371,9 +451,9 @@ class TestBytes:
 
 @pytest.mark.parametrize("path", ["compiled", "numpy"])
 def test_outputs_land_in_the_callers_buffers(path, request):
-    """``out=`` on the CIC and the interpolation (the era stepper's kept
-    buffers, sliced from larger blocks): the very buffers come back holding
-    the bytes of fresh outputs, on either kernel path."""
+    """``out=`` on the CIC and the zigzag entries (the modern stepper's
+    kept buffers, sliced from larger blocks): the very buffers come back
+    holding the bytes of fresh outputs, on either kernel path."""
     if path == "numpy":
         request.getfixturevalue("numpy_kernels")
     grid, n = GRIDS[1], 300
@@ -383,11 +463,6 @@ def test_outputs_land_in_the_callers_buffers(path, request):
     got = grid.cic_vertices_weights(parts.x, parts.y, out=buffers)
     assert got[0] is buffers[0] and got[1] is buffers[1]
     _same(got, fresh)
-    node_values = np.random.default_rng(9).normal(size=(6, grid.nnodes))
-    for ncomp in (1, 6):
-        out = np.full(6 * n + 3, np.nan)[: ncomp * n].reshape(ncomp, n)
-        assert gather_from_node_values(node_values[:ncomp], *fresh, out=out) is out
-        _same((out,), (gather_from_node_values(node_values[:ncomp], *fresh),))
     segments = (grid, *_segments(grid, n, 9), 0.4)
     kinds = [(-7, np.int64), (np.nan, np.float64)] * 2
     blocks = [np.full((4, n), fill, dtype=dtype) for fill, dtype in kinds]
@@ -403,19 +478,27 @@ class TestDeclined:
     grid = GRIDS[1]
 
     def test_bad_node_ids_raise_numpys_index_error(self, compiled):
+        """Node ids outside the grid reach only the NumPy interpolation, which
+        raises (or counts from the end) as it always did; an owner map that
+        does not cover the grid the scatter declines, and NumPy raises."""
         parts = _particles(self.grid, 50, 0)
         nodes, weights = compiled.cic(self.grid, parts.x, parts.y)
         values = np.ones((3, self.grid.nnodes))
         for bad in (self.grid.nnodes, 2**62, -self.grid.nnodes - 1):
             broken = nodes.copy()
             broken[17, 2] = bad
-            assert compiled.interpolate(np.ascontiguousarray(values.T), broken, weights) is None
             with pytest.raises(IndexError):
                 gather_from_node_values(values, broken, weights)
-        nodes[3, 1] = -1  # NumPy counts from the end; the C loop leaves that to it
+        nodes[3, 1] = -1  # NumPy counts from the end
         ramp = values * np.arange(self.grid.nnodes)
         want = interpolate_numpy(np.ascontiguousarray(ramp.T), nodes, weights)
         _same((gather_from_node_values(ramp, nodes, weights),), (want,))
+        counts = np.array([20, 30], dtype=np.int64)
+        short = CurveBlockDecomposition(self.grid, 2, "hilbert").owner_map[:-1]
+        acc = np.empty((4, self.grid.nnodes))
+        assert compiled.scatter(self.grid, parts, counts, 0, short, acc) is None
+        with pytest.raises(IndexError):
+            scatter_segment(self.grid, parts, counts, 0, short, acc)
 
     def test_bad_destinations_raise_what_numpy_raises(self, compiled):
         parts = _particles(self.grid, 50, 1)
@@ -502,19 +585,52 @@ class TestDeclined:
         _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
 
     def test_non_finite_fields_and_momenta_take_the_numpy_floats(self, compiled):
+        """Poisoned E and B at the particles: the gather + push writes
+        nothing, and the public pass answers and warns as the NumPy body."""
         parts = _particles(self.grid, 30, 4)
         nodes, weights = compiled.cic(self.grid, parts.x, parts.y)
-        values = np.random.default_rng(4).normal(size=(6, self.grid.nnodes))
-        values[2, nodes[5, 1]] = np.nan
-        values[4, nodes[8, 0]] = -np.inf
-        by_node = np.ascontiguousarray(values.T)
-        assert compiled.interpolate(by_node, nodes, weights) is None
-        want = interpolate_numpy(by_node, nodes, weights)
-        _same((gather_from_node_values(values, nodes, weights),), (want,))
+        planes = np.random.default_rng(4).normal(size=(6, *self.grid.shape))
+        planes[2].flat[nodes[5, 1]] = np.nan
+        planes[4].flat[nodes[8, 0]] = -np.inf
+        planes = tuple(planes)
+        got, want = parts.copy(), parts.copy()
+        assert compiled.gather_push(self.grid, got, planes, 0.3) == 0
+        _same([getattr(got, c) for c in PUSHED], [getattr(parts, c) for c in PUSHED])
+        _, numpy_said = self._warned(lambda: gather_push_numpy(self.grid, want, planes, 0.3))
+        _, we_said = self._warned(lambda: gather_push_slice(self.grid, got, planes, 0.3))
+        assert we_said == numpy_said
+        _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
         parts.ux[7] = 1e200  # ux**2 overflows: NumPy warns, so must we
         dest = self.grid.cell_vertices(np.arange(self.grid.ncells))
         acc = np.empty((4, self.grid.nnodes))
         assert compiled.deposit(parts, weights, dest, nodes[:, 0].copy(), acc, 0) is None
+        counts = np.array([30], dtype=np.int64)
+        owner = np.zeros(self.grid.nnodes, dtype=np.int64)
+        assert compiled.scatter(self.grid, parts, counts, 0, owner, acc) is None
+
+    @pytest.mark.parametrize("chunk", [0, 1, 3])
+    def test_push_stops_at_the_first_flagged_chunk(self, compiled, chunk):
+        """The push commits whole clean chunks of 256 particles in order and
+        stops at the first that is not: the particles before it hold the
+        NumPy body's bytes, the rest are untouched, and the public function
+        then answers, and warns, as one NumPy pass over all of them."""
+        n = 4 * 256 + 17
+        got, want = _particles(self.grid, n, 8), _particles(self.grid, n, 8)
+        for parts in (got, want):
+            parts.uz[256 * chunk + 100] = 1e200  # its square overflows
+        before = got.copy()
+        e, b = np.random.default_rng(8).normal(size=(2, 3, n))
+        assert compiled.boris_push(self.grid, got, e, b, 0.3) == 256 * chunk
+        clean = before.copy()
+        self._warned(lambda: push_numpy(self.grid, clean, e, b, 0.3))
+        head, tail = slice(0, 256 * chunk), slice(256 * chunk, n)
+        _same([getattr(got, c)[head] for c in PUSHED], [getattr(clean, c)[head] for c in PUSHED])
+        _same([getattr(got, c)[tail] for c in PUSHED], [getattr(before, c)[tail] for c in PUSHED])
+        got = before
+        _, numpy_said = self._warned(lambda: push_numpy(self.grid, want, e, b, 0.3))
+        _, we_said = self._warned(lambda: boris_push(self.grid, got, e, b, 0.3))
+        assert we_said == numpy_said != []
+        _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
 
     def test_views_and_other_dtypes_are_not_copied_in(self, compiled):
         """Strided or float32 arguments take the NumPy body — never a
@@ -528,11 +644,13 @@ class TestDeclined:
         assert not compiled.boris_push(self.grid, strided, e, b, 0.2)
         full = np.random.default_rng(5).normal(size=(6, parts.n))
         assert not compiled.boris_push(self.grid, parts, full[::2], full[1::2], 0.2)
-        nodes, weights = compiled.cic(self.grid, parts.x, parts.y)
-        values = np.ones((2, self.grid.nnodes))
-        assert compiled.interpolate(values.T, nodes, weights) is None  # not C-contiguous
-        by_node = np.ascontiguousarray(values.T)
-        assert compiled.interpolate(by_node, nodes[::2], weights[::2]) is None
+        planes = tuple(_planes(_fields(self.grid, 5))[:6])
+        assert compiled.gather_push(self.grid, strided, planes, 0.2) == 0
+        assert compiled.gather_push(self.grid, parts, (*planes[:5], planes[5].T), 0.2) == 0
+        assert compiled.gather_push(self.grid, parts, planes[:5], 0.2) == 0
+        float32 = tuple(a.astype(np.float32) for a in planes)
+        assert compiled.gather_push(self.grid, parts, float32, 0.2) == 0
+        assert compiled.boris_push(self.grid, parts, parts.block[:3], full[3:], 0.2) == 0
         reference = strided.copy()
         boris_push(self.grid, strided, e, b, 0.2)  # the public function still serves the view
         push_numpy(self.grid, reference, e, b, 0.2)
@@ -971,6 +1089,18 @@ class TestLoader:
             pytest.skip(f"the guard reads GCC's -fopt-info; cc is {cc}")
         assert vectorization_guard.main() == 0
 
+    def test_guard_counts_the_entry_points(self):
+        """The guard's count is the exported functions ``Kernels`` binds,
+        and a function added without ``static`` is one more."""
+        from repro.native.calls import _SIGNATURES
+
+        source = native.SOURCE.read_text()
+        found = vectorization_guard.entry_points(source)
+        assert sorted(found) == sorted(_SIGNATURES)
+        assert len(found) <= vectorization_guard.MAX_ENTRY_POINTS
+        extra = source + "\nint64_t extra(int64_t n)\n{\n    return n;\n}\n"
+        assert vectorization_guard.entry_points(extra) == [*found, "extra"]
+
 
 # ----------------------------------------------------------------------
 # whole runs: compiled == NumPy bodies, by bytes
@@ -1052,8 +1182,9 @@ def test_shard_threads_racing_the_first_load_build_once(compiled, monkeypatch, t
     monkeypatch.setattr(native, "kernels", spy)
     backend = FlatBackend(2, grid)
     try:
-        backend.gather_push(pool, np.zeros((6, grid.nnodes)), 0.05)
+        backend.gather_push(pool, tuple(np.zeros((6, *grid.shape))), 0.05)
     finally:
         backend.close()
     assert events == ["build", "check"]
-    assert len(got) > 2 and got[0] is not None and all(k is got[0] for k in got)
+    # one ask per shard: the gather + push is one compiled pass
+    assert len(got) == 2 and got[0] is not None and all(k is got[0] for k in got)

@@ -169,33 +169,29 @@ class TestShardThreads:
         pool, ref = _pool_of(_COUNTS[name]), _pool_of(_COUNTS[name])
         p = pool.p
         node_owner = CurveBlockDecomposition(_GRID, p, "hilbert").owner_map
-        node_values = np.random.default_rng(8).normal(size=(6, _GRID.nnodes))
+        planes = tuple(np.random.default_rng(8).normal(size=(6, *_GRID.shape)))
         backend = FlatBackend(workers, _GRID)
         try:
             row = np.empty((1, len(CHANNELS), _GRID.nnodes))
-            cic, *tallies = scatter_segment(_GRID, ref.array, ref.counts, 0, node_owner, row[0])
+            _, *tallies = scatter_segment(_GRID, ref.array, ref.counts, 0, node_owner, row[0])
             got = backend.scatter(pool, node_owner)
             assert got[0].shape[0] == len(backend._shards(pool.counts)) <= max(min(workers, p), 1)
             assert _scattered(got) == _scattered((row, *tallies))
 
-            gather_push_slice(_GRID, ref.array, node_values, 0.05, cic)
-            backend.gather_push(pool, node_values, 0.05)  # on the scatter's CIC
-            assert _columns(pool.array) == _columns(ref.array)
-            gather_push_slice(_GRID, ref.array, node_values, 0.05)
-            backend.gather_push(pool, node_values, 0.05)  # positions moved: CIC again
-            assert _columns(pool.array) == _columns(ref.array)
+            for _ in range(2):  # the second from the positions the first pushed
+                gather_push_slice(_GRID, ref.array, planes, 0.05)
+                backend.gather_push(pool, planes, 0.05)
+                assert _columns(pool.array) == _columns(ref.array)
         finally:
             backend.close()
 
     def test_more_threads_than_cores_under_a_short_switch_interval(self):
-        """Shards write disjoint rows of shared buffers (the stepper's kept
-        CIC and interpolation outputs) and nothing else they share: racing
-        threads change no byte."""
+        """Shards write disjoint slices of the pool and their own kept
+        scratch (per thread), nothing else they share: racing threads
+        change no byte."""
         pool, ref = _pool_of(_COUNTS["balanced"]), _pool_of(_COUNTS["balanced"])
         node_owner = CurveBlockDecomposition(_GRID, pool.p, "hilbert").owner_map
-        node_values = np.random.default_rng(8).normal(size=(6, _GRID.nnodes))
-        kept = (np.empty((pool.n, 4), dtype=np.int64), np.empty((pool.n, 4)))
-        fields = np.empty(6 * pool.n)
+        planes = tuple(np.random.default_rng(8).normal(size=(6, *_GRID.shape)))
         backend = FlatBackend(6, _GRID)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -203,12 +199,11 @@ class TestShardThreads:
             deadline = time.monotonic() + 20.0
             for _ in range(25):
                 row = np.empty((1, len(CHANNELS), _GRID.nnodes))
-                cic, *tallies = scatter_segment(_GRID, ref.array, ref.counts, 0, node_owner, row[0])
-                got = backend.scatter(pool, node_owner, kept)
+                _, *tallies = scatter_segment(_GRID, ref.array, ref.counts, 0, node_owner, row[0])
+                got = backend.scatter(pool, node_owner)
                 assert _scattered(got) == _scattered((row, *tallies))
-                assert [a.tobytes() for a in kept] == [a.tobytes() for a in cic]
-                gather_push_slice(_GRID, ref.array, node_values, 0.05, cic)
-                backend.gather_push(pool, node_values, 0.05, fields)
+                gather_push_slice(_GRID, ref.array, planes, 0.05)
+                backend.gather_push(pool, planes, 0.05)
                 assert _columns(pool.array) == _columns(ref.array)
                 assert time.monotonic() < deadline
         finally:
@@ -225,7 +220,7 @@ class TestShardThreads:
             with pytest.raises(IndexError) as caught:
                 backend.scatter(pool, node_owner[:5])  # no owner for most nodes
             frames = [frame.name for frame in caught.traceback]
-            assert "scatter_segment" in frames and "ghost_slots" in frames
+            assert "scatter_segment" in frames and "ghost_slots_numpy" in frames
             assert backend.scatter(pool, node_owner)[0].shape[0] == 3
         finally:
             backend.close()
@@ -235,15 +230,15 @@ class TestShardThreads:
         caller under an ``error`` filter, recorded under ``catch_warnings``."""
         pool = _pool_of(_COUNTS["balanced"])
         pool.array.x[-1] = np.inf
-        node_values = np.zeros((6, _GRID.nnodes))
+        planes = tuple(np.zeros((6, *_GRID.shape)))
         backend = FlatBackend(2, _GRID)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(RuntimeWarning, match="invalid value"):
-                    backend.gather_push(pool, node_values, 0.05)
+                    backend.gather_push(pool, planes, 0.05)
             with pytest.warns(RuntimeWarning, match="invalid value"):
-                backend.gather_push(pool, node_values, 0.05)
+                backend.gather_push(pool, planes, 0.05)
         finally:
             backend.close()
 
@@ -253,7 +248,7 @@ class TestShardThreads:
         backend.close()
         backend.close()  # idempotent
         with pytest.raises(RuntimeError, match="shutdown"):
-            backend.gather_push(pool, np.zeros((6, _GRID.nnodes)), 0.05)
+            backend.gather_push(pool, tuple(np.zeros((6, *_GRID.shape))), 0.05)
 
     def test_profile_keeps_the_workers_frames(self, tmp_path):
         with Simulation(_cfg(), workers=2) as sim:

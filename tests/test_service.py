@@ -325,6 +325,33 @@ class TestSchedulerBasics:
         assert report["ok"] and report["counters"]["cache_hits"] == 0
         assert not report["jobs"][0]["cached"]
 
+    def test_a_kill_jobs_cache_entry_is_per_checkpoint_cadence(self, tmp_path):
+        """Rank-failure recovery restores the latest checkpoint when there is
+        one and salvages live state otherwise, so a kill job's result depends
+        on the cadence: a second scheduler at another cadence misses and runs
+        it.  A fault-free job still hits across cadences."""
+        plan = {"detect_timeout": 0.5, "events": [{"kind": "kill", "rank": 1, "iteration": 3}]}
+        config = dict(BASE, distribution="irregular", policy="periodic:2", seed=11)
+        kill = JobSpec(config=config, iterations=6, fault_plan=plan, name="kill")
+        plain = JobSpec(config=config, iterations=6, name="plain")
+        kw = dict(workers=1, cache=tmp_path / "cache", workdir=tmp_path / "work")
+        first = Scheduler(checkpoint_every=2, **kw).run([kill, plain])
+        second = Scheduler(checkpoint_every=100, **kw).run([kill, plain])
+        fresh = Scheduler(workers=1, cache=None, workdir=tmp_path / "fresh", checkpoint_every=100)
+        alone = fresh.run([kill])
+        assert first["ok"] and second["ok"] and alone["ok"]
+        by_name = {job["name"]: job for job in second["jobs"]}
+        assert not by_name["kill"]["cached"] and by_name["plain"]["cached"]
+        keys = {job["name"]: job["key"] for job in first["jobs"]}
+        assert by_name["kill"]["key"] != keys["kill"]
+        assert by_name["plain"]["key"] == keys["plain"] == plain.key
+        totals = [job["totals"]["total_time"] for job in (first["jobs"][0], by_name["kill"])]
+        assert totals[0] != totals[1]  # the cadence moved the result
+        assert json.dumps(by_name["kill"]["final_state"], sort_keys=True) == json.dumps(
+            alone["jobs"][0]["final_state"], sort_keys=True
+        )
+        assert by_name["kill"]["totals"] == alone["jobs"][0]["totals"]
+
     def test_no_cache_mode(self, tmp_path):
         report = Scheduler(workers=1, cache=None, workdir=tmp_path).run(
             [spec(seed=0)]

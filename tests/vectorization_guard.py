@@ -1,4 +1,5 @@
-"""Every loop of ``pic_kernels.c`` marked ``VECTORIZED`` is vectorized by GCC.
+"""Every loop of ``pic_kernels.c`` marked ``VECTORIZED`` is vectorized by
+GCC, and the file has at most ten entry points.
 
 ``python -m tests.vectorization_guard`` compiles the C file with
 ``repro.native.FLAGS`` plus ``-fopt-info-vec-optimized`` and prints one
@@ -6,8 +7,10 @@ line per marker: the marker's text, the line of the ``for`` that follows
 it, and whether GCC reported that loop vectorized.  It exits 1 when one
 is not, so an edit that silently drops a loop back to scalar code fails
 here rather than in the next benchmark.  Loops are found by their marker
-comment, not by line number.  GCC only: another compiler reports
-vectorization in its own words (exit 2).
+comment, not by line number.  It also exits 1 when the file defines more
+than :data:`MAX_ENTRY_POINTS` functions that are not ``static``: a fused
+pass replaces its parts rather than joining them.  GCC only: another
+compiler reports vectorization in its own words (exit 2).
 """
 
 from __future__ import annotations
@@ -21,9 +24,11 @@ from pathlib import Path
 
 from repro.native import FLAGS, SOURCE
 
-__all__ = ["marked_loops", "vectorized_lines", "is_gcc", "main"]
+__all__ = ["marked_loops", "entry_points", "vectorized_lines", "is_gcc", "main"]
 
 MARKER = "VECTORIZED:"
+#: the most functions pic_kernels.c may export
+MAX_ENTRY_POINTS = 10
 
 
 def marked_loops(source: str) -> dict[str, int]:
@@ -39,6 +44,11 @@ def marked_loops(source: str) -> dict[str, int]:
         )
         loops[name] = following + 1
     return loops
+
+
+def entry_points(source: str) -> list[str]:
+    """The functions the file defines at column 0 without ``static``."""
+    return re.findall(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b([A-Za-z_]\w*)\s*\(", source, re.M)
 
 
 def vectorized_lines(cc: str, source: bytes) -> set[int]:
@@ -71,8 +81,13 @@ def main() -> int:
     for name, line in loops.items():
         print(f"{'vectorized' if line in done else 'SCALAR':<11} line {line:<4} {name}")
     missing = [name for name, line in loops.items() if line not in done]
+    exported = entry_points(source.decode())
+    print(f"{len(exported)} entry points: {', '.join(exported)}")
     if not loops or missing:
         print(f"not vectorized: {missing or 'no marked loop'}", file=sys.stderr)
+        return 1
+    if len(exported) > MAX_ENTRY_POINTS:
+        print(f"more than {MAX_ENTRY_POINTS} entry points: {exported}", file=sys.stderr)
         return 1
     return 0
 
