@@ -1,55 +1,30 @@
-"""Data model of the perf-regression harness.
+"""Data model of the virtual-time tripwire.
 
-A :class:`BenchCase` is a named, registered piece of hot-path work; the
-runner (:mod:`repro.bench.runner`) executes it with warmup + repeats and
-produces a :class:`BenchResult` carrying four observables:
-
-* **wall-clock** — min/mean/max over the repeats (host seconds);
-* **virtual-machine time** — the cost-model seconds of the run, when
-  the case exercises a :class:`repro.machine.VirtualMachine`;
-* **op counts** — the machine-independent abstract-operation tallies
-  (:class:`repro.util.opcount.OpCounter` categories);
-* **peak RSS** — the process high-water memory mark.
-
-A :class:`SuiteResult` aggregates cases and serializes to the
-``BENCH_<suite>.json`` trajectory format that ``repro bench compare``
-diffs across commits (schema ``repro-bench/1``).
+A :class:`BenchCase` is a named piece of hot-path work on a
+:class:`~repro.machine.VirtualMachine`.  :func:`run_cases` runs each
+case once and records a :class:`BenchObservation`: the cost-model
+seconds and the abstract-operation tallies the case charged.  Both are
+deterministic, so the :class:`Trajectory` of one commit
+(``BENCH_<name>.json``, schema ``repro-bench/2``) must equal the
+committed baseline exactly; ``repro bench compare`` fails on any
+difference.  Host time is measured end to end by ``benchmarks/e2e``,
+not here.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import platform
 import subprocess
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 from typing import Any, Callable
 
-__all__ = [
-    "SCHEMA",
-    "bench_workers",
-    "BenchObservation",
-    "BenchCase",
-    "BenchResult",
-    "SuiteResult",
-]
+__all__ = ["SCHEMA", "BenchObservation", "BenchCase", "Trajectory", "run_cases"]
 
 #: Version tag written into every trajectory file.
-SCHEMA = "repro-bench/1"
-
-
-def bench_workers() -> int:
-    """Worker count of the shard-thread cases (``REPRO_BENCH_WORKERS``).
-
-    The committed baseline is recorded at the default (0 = in-process),
-    so a run with ``REPRO_BENCH_WORKERS=4`` compared against it
-    measures the thread backend's wall speedup at a vm_ratio of
-    exactly 1.0 — the backend is accounting-invariant by contract.
-    """
-    from repro.parallel_exec import resolve_workers
-
-    return resolve_workers(os.environ.get("REPRO_BENCH_WORKERS", "0"))
+SCHEMA = "repro-bench/2"
 
 
 def _git_commit() -> str | None:
@@ -70,115 +45,41 @@ def _git_commit() -> str | None:
 
 @dataclass
 class BenchObservation:
-    """What one execution of a case reports back to the runner.
+    """What one case charged to its virtual machine."""
 
-    Case functions may return one of these (preferred), or any other
-    value (wall-clock only is then recorded).
-    """
-
-    vm_seconds: float | None = None  #: virtual-machine elapsed seconds
+    vm_seconds: float  #: virtual-machine elapsed seconds
     op_counts: dict[str, float] = field(default_factory=dict)  #: abstract op tallies
-    extra: dict[str, float] = field(default_factory=dict)  #: free-form numeric metadata
+
+    def to_dict(self) -> dict:
+        """JSON form (one entry of a trajectory's ``cases``)."""
+        return {"vm_seconds": self.vm_seconds, "op_counts": dict(self.op_counts)}
 
 
 @dataclass(frozen=True)
 class BenchCase:
-    """One registered benchmark.
+    """One case: ``fn(setup())`` returns its :class:`BenchObservation`."""
 
-    Parameters
-    ----------
-    name:
-        Unique registry key (also the JSON key).
-    fn:
-        ``fn(context) -> BenchObservation | Any``; the timed body.
-    setup:
-        Optional untimed factory whose return value is passed to ``fn``
-        on every repeat (shared across repeats).
-    suites:
-        Suite names this case belongs to (e.g. ``("smoke", "full")``).
-    tier:
-        1 = regression-gated by ``bench compare``; 2 = informational.
-    repeats, warmup:
-        Default timed / untimed execution counts.
-    description:
-        One-line summary shown by ``bench list``.
+    name: str
+    fn: Callable[[Any], BenchObservation]
+    setup: Callable[[], Any] = lambda: None
+
+
+def run_cases(cases: list[BenchCase], *, progress=None) -> "Trajectory":
+    """Run every case once, in order.
+
+    ``progress`` is an optional ``callable(case_name)`` invoked before
+    each case — the CLI uses it for live status lines.
     """
-
-    name: str
-    fn: Callable[[Any], Any]
-    setup: Callable[[], Any] | None = None
-    suites: tuple[str, ...] = ("full",)
-    tier: int = 2
-    repeats: int = 3
-    warmup: int = 1
-    description: str = ""
-
-
-@dataclass
-class BenchResult:
-    """Measured outcome of one case."""
-
-    name: str
-    tier: int
-    repeats: int
-    warmup: int
-    wall_samples: list[float]
-    vm_seconds: float | None = None
-    op_counts: dict[str, float] = field(default_factory=dict)
-    peak_rss_kb: int | None = None
-    extra: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def wall_min(self) -> float:
-        """Fastest repeat — the low-noise statistic ``compare`` gates on."""
-        return min(self.wall_samples)
-
-    @property
-    def wall_mean(self) -> float:
-        """Mean over the repeats."""
-        return sum(self.wall_samples) / len(self.wall_samples)
-
-    @property
-    def wall_max(self) -> float:
-        """Slowest repeat."""
-        return max(self.wall_samples)
-
-    def to_dict(self) -> dict:
-        """JSON form (one entry of ``SuiteResult.cases``)."""
-        return {
-            "tier": self.tier,
-            "repeats": self.repeats,
-            "warmup": self.warmup,
-            "wall": {
-                "min": self.wall_min,
-                "mean": self.wall_mean,
-                "max": self.wall_max,
-                "samples": list(self.wall_samples),
-            },
-            "vm_seconds": self.vm_seconds,
-            "op_counts": dict(self.op_counts),
-            "peak_rss_kb": self.peak_rss_kb,
-            "extra": dict(self.extra),
-        }
-
-    @classmethod
-    def from_dict(cls, name: str, data: dict) -> "BenchResult":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            name=name,
-            tier=int(data.get("tier", 2)),
-            repeats=int(data.get("repeats", 1)),
-            warmup=int(data.get("warmup", 0)),
-            wall_samples=list(data["wall"]["samples"]),
-            vm_seconds=data.get("vm_seconds"),
-            op_counts=dict(data.get("op_counts", {})),
-            peak_rss_kb=data.get("peak_rss_kb"),
-            extra=dict(data.get("extra", {})),
-        )
+    observed = {}
+    for case in cases:
+        if progress is not None:
+            progress(case.name)
+        observed[case.name] = case.fn(case.setup())
+    return Trajectory(observed)
 
 
 def _environment() -> dict:
-    """Where and on what a suite ran, incl. which particle kernels."""
+    """Where and on what the cases ran, incl. which particle kernels."""
     import numpy
 
     from repro import native
@@ -189,7 +90,6 @@ def _environment() -> dict:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "numpy": numpy.__version__,
-        "workers": bench_workers(),
         "cores": resolve_workers("auto"),
         "commit": _git_commit(),
         "native": (
@@ -200,22 +100,34 @@ def _environment() -> dict:
     }
 
 
-@dataclass
-class SuiteResult:
-    """All case results of one suite run, serializable to ``BENCH_<suite>.json``."""
+def _number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
 
-    suite: str
-    results: list[BenchResult]
+
+def _observation(path, name: str, case) -> BenchObservation:
+    """Validate one ``cases`` entry of a loaded file."""
+    if not isinstance(case, dict) or not _number(case.get("vm_seconds")):
+        raise ValueError(f"{path}: case {name!r} has no numeric vm_seconds")
+    ops = case.get("op_counts")
+    if not isinstance(ops, dict) or not all(_number(v) for v in ops.values()):
+        raise ValueError(f"{path}: case {name!r} has no op_counts mapping of numbers")
+    return BenchObservation(case["vm_seconds"], dict(ops))
+
+
+@dataclass
+class Trajectory:
+    """Every case's observation, serializable to ``BENCH_<name>.json``."""
+
+    cases: dict[str, BenchObservation]
     #: the ``environment`` block of a loaded file; a fresh run stamps its own
     environment: dict | None = None
 
     def to_dict(self) -> dict:
-        """The full ``repro-bench/1`` document."""
+        """The full ``repro-bench/2`` document."""
         return {
             "schema": SCHEMA,
-            "suite": self.suite,
             "environment": _environment() if self.environment is None else self.environment,
-            "cases": {r.name: r.to_dict() for r in self.results},
+            "cases": {name: obs.to_dict() for name, obs in self.cases.items()},
         }
 
     def save(self, path: str | Path) -> Path:
@@ -225,14 +137,19 @@ class SuiteResult:
         return atomic_write_json(Path(path), self.to_dict())
 
     @classmethod
-    def load(cls, path: str | Path) -> "SuiteResult":
-        """Read a trajectory file written by :meth:`save`."""
-        data = json.loads(Path(path).read_text())
+    def load(cls, path: str | Path) -> "Trajectory":
+        """Read a file written by :meth:`save`; ``ValueError`` names what is wrong."""
+        try:
+            data = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not JSON ({exc})") from None
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: not a JSON object")
         if data.get("schema") != SCHEMA:
             raise ValueError(
                 f"{path}: unsupported schema {data.get('schema')!r}; expected {SCHEMA!r}"
             )
-        results = [
-            BenchResult.from_dict(name, case) for name, case in data["cases"].items()
-        ]
-        return cls(data.get("suite", "unknown"), results, data.get("environment", {}))
+        if not isinstance(data.get("cases"), dict):
+            raise ValueError(f"{path}: no 'cases' mapping")
+        cases = {name: _observation(path, name, case) for name, case in data["cases"].items()}
+        return cls(cases, data.get("environment", {}))

@@ -17,9 +17,8 @@ Usage examples::
     python -m repro scenarios
     python -m repro schemes
     python -m repro policies
-    python -m repro bench run --suite smoke --json
-    python -m repro bench policy --smoke --output BENCH_policies.json
-    python -m repro bench compare BENCH_old.json BENCH_smoke.json
+    python -m repro bench run --output BENCH_smoke.json
+    python -m repro bench compare BENCH_baseline.json BENCH_smoke.json
     python -m repro submit jobs.json --jobs 4 --retries 2 --cache .repro-cache
     python -m repro submit jobs.json --obs-dir obs/ --prom-dir metrics/
     python -m repro top obs/service.jsonl
@@ -268,57 +267,25 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--scheme", default="hilbert")
     verify.add_argument("--seed", type=int, default=0)
 
-    bench = sub.add_parser("bench", help="perf-regression harness (repro.bench)")
+    bench = sub.add_parser(
+        "bench", help="virtual-time tripwire: vm_seconds / op_counts per case (repro.bench)"
+    )
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
 
-    brun = bench_sub.add_parser("run", help="run a suite and write BENCH_<suite>.json")
-    brun.add_argument("--suite", default="smoke",
-                      help="suite name (smoke | full | all); default smoke")
-    brun.add_argument("--case", action="append", default=None, metavar="NAME",
-                      help="run only the named case(s); repeatable")
-    brun.add_argument("--repeats", type=int, default=None,
-                      help="override timed repeats per case")
-    brun.add_argument("--warmup", type=int, default=None,
-                      help="override untimed warmup runs per case")
-    brun.add_argument("--output", metavar="PATH", default=None,
-                      help="trajectory file path (default BENCH_<suite>.json in cwd)")
-    brun.add_argument("--json", action="store_true",
-                      help="also print the trajectory document to stdout")
-    brun.add_argument("--timeout", type=float, metavar="S", default=None,
-                      help="suite wall-clock watchdog: stop before the next "
-                           "case once S seconds elapsed, save the partial "
-                           "trajectory, and exit with code 124")
+    brun = bench_sub.add_parser(
+        "run", help="run every case once and write its vm_seconds / op_counts"
+    )
+    brun.add_argument("--output", metavar="PATH", default="BENCH_smoke.json",
+                      help="trajectory file path (default BENCH_smoke.json)")
 
     bcmp = bench_sub.add_parser(
-        "compare", help="diff two trajectory files; exit 1 on tier-1 wall "
-                        "regressions or any vm_seconds/op_counts difference"
+        "compare", help="diff two trajectory files; exit 1 on any vm_seconds / "
+                        "op_counts difference or a baseline case missing from NEW"
     )
     bcmp.add_argument("old", help="baseline BENCH_*.json")
     bcmp.add_argument("new", help="candidate BENCH_*.json")
-    bcmp.add_argument("--threshold", type=float, default=0.2,
-                      help="relative wall-clock slowdown that fails (default 0.2 = 20%%)")
     bcmp.add_argument("--json", action="store_true",
                       help="print the machine-readable diff")
-
-    blist = bench_sub.add_parser("list", help="list registered cases")
-    blist.add_argument("--suite", default="all", help="restrict to one suite")
-
-    bpol = bench_sub.add_parser(
-        "policy",
-        help="run the policy x workload matrix and crown per-workload winners",
-    )
-    bpol.add_argument("--policy", action="append", default=None, metavar="SPEC",
-                      help="policy spec to include (repeatable; default: the full zoo)")
-    bpol.add_argument("--workload", action="append", default=None,
-                      metavar="CLASS",
-                      help="workload class: uniform | clustered | drifting "
-                           "(repeatable; default: all three)")
-    bpol.add_argument("--smoke", action="store_true",
-                      help="CI scale: fewer particles and iterations, same matrix shape")
-    bpol.add_argument("--output", metavar="PATH", default="BENCH_policies.json",
-                      help="matrix document path (default BENCH_policies.json)")
-    bpol.add_argument("--json", action="store_true",
-                      help="also print the matrix document to stdout")
     return parser
 
 
@@ -736,66 +703,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_run(args: argparse.Namespace) -> int:
-    from repro.bench import cases_for_suite, run_suite
-    from repro.util.errors import JobTimeout
-
-    cases = cases_for_suite(args.suite)
-    if args.case:
-        by_name = {c.name: c for c in cases_for_suite("all")}
-        missing = [name for name in args.case if name not in by_name]
-        if missing:
-            raise SystemExit(f"unknown bench case(s): {', '.join(missing)}")
-        cases = [by_name[name] for name in args.case]
-    if not cases:
-        raise SystemExit(f"no bench cases in suite {args.suite!r}")
-    if args.repeats is not None and args.repeats < 1:
-        raise SystemExit(f"--repeats must be >= 1, got {args.repeats}")
-    if args.warmup is not None and args.warmup < 0:
-        raise SystemExit(f"--warmup must be >= 0, got {args.warmup}")
+    from repro.bench import CASES, run_cases
 
     def progress(name: str) -> None:
         print(f"[bench] {name} ...", file=sys.stderr, flush=True)
 
-    _timeout_arg(args)
-    try:
-        suite = run_suite(
-            args.suite,
-            cases,
-            repeats=args.repeats,
-            warmup=args.warmup,
-            progress=progress,
-            walltime=args.timeout,
-        )
-    except JobTimeout as exc:
-        output = args.output or f"BENCH_{args.suite}.json"
-        path = exc.partial.save(output)
-        print(
-            f"[timeout] {exc}; skipped case(s): {', '.join(exc.remaining)}",
-            file=sys.stderr,
-        )
-        print(f"[partial trajectory written to {path}]", file=sys.stderr)
-        return EXIT_TIMEOUT
-    output = args.output or f"BENCH_{args.suite}.json"
-    path = suite.save(output)
-    if args.json:
-        print(json.dumps(suite.to_dict(), indent=2))
-    else:
-        rows = [
-            [
-                r.name,
-                r.tier,
-                f"{r.wall_min * 1e3:.2f}",
-                f"{r.wall_mean * 1e3:.2f}",
-                f"{r.vm_seconds:.4f}" if r.vm_seconds is not None else "-",
-                f"{sum(r.op_counts.values()):.3g}" if r.op_counts else "-",
-            ]
-            for r in suite.results
-        ]
-        print(format_table(
-            ["case", "tier", "wall min (ms)", "wall mean (ms)", "vm (s)", "ops"],
-            rows,
-            title=f"bench suite {args.suite!r} ({len(rows)} cases)",
-        ))
+    trajectory = run_cases(CASES, progress=progress)
+    path = trajectory.save(args.output)
+    rows = [[name, f"{obs.vm_seconds:.6f}", f"{sum(obs.op_counts.values()):.6g}"]
+            for name, obs in trajectory.cases.items()]  # fmt: skip
+    print(format_table(["case", "vm (s)", "ops"], rows, title=f"bench ({len(rows)} cases)"))
     print(f"[written to {path}]", file=sys.stderr)
     return 0
 
@@ -804,99 +721,29 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
     from repro.bench import compare_files
 
     try:
-        comparison = compare_files(args.old, args.new, threshold=args.threshold)
+        comparison = compare_files(args.old, args.new)
     except FileNotFoundError as exc:
         raise SystemExit(f"trajectory file not found: {exc.filename}")
     except ValueError as exc:
         raise SystemExit(str(exc))
     if args.json:
         print(json.dumps(comparison.to_dict(), indent=2))
-    else:
-        rows = []
-        for d in sorted(comparison.deltas, key=lambda d: d.wall_ratio, reverse=True):
-            flag = ""
-            if d.behaviour_changed:
-                flag = "VM/OPS CHANGED"
-            elif d.tier <= 1 and d.regressed(args.threshold):
-                flag = "REGRESSED"
-            elif d.improved(args.threshold):
-                flag = "improved"
-            rows.append([
-                d.name,
-                d.tier,
-                f"{d.old_wall * 1e3:.2f}",
-                f"{d.new_wall * 1e3:.2f}",
-                f"{(d.wall_ratio - 1.0) * 100:+.1f}%",
-                f"{(d.vm_ratio - 1.0) * 100:+.1f}%" if d.vm_ratio is not None else "-",
-                flag,
-            ])
-        print(format_table(
-            ["case", "tier", "old (ms)", "new (ms)", "wall delta", "vm delta", ""],
-            rows,
-            title=f"bench compare (gate: tier-1 wall > +{args.threshold * 100:.0f}%, "
-                  "any vm_seconds/op_counts difference)",
-        ))
-        for name in comparison.only_old:
-            print(f"  only in old: {name}")
-        for name in comparison.only_new:
-            print(f"  only in new: {name}")
-        if comparison.native_differs:
-            old_kernels, new_kernels = comparison.native_differs
-            print(f"  note: particle kernels differ (environment.native): "
-                  f"old {old_kernels or 'not recorded'}, new {new_kernels or 'not recorded'}; "
-                  "wall ratios compare different code, results must not")
-        verdict = "OK" if comparison.ok else (
-            f"FAILED: {len(comparison.regressions)} tier-1 regression(s), "
-            f"{len(comparison.behaviour_changes)} case(s) with changed "
-            "virtual time or op counts"
-        )
-        print(f"bench compare: {verdict}")
-    return 0 if comparison.ok else 1
-
-
-def _cmd_bench_policy(args: argparse.Namespace) -> int:
-    from repro.bench.policy_suite import (
-        ZOO_SPECS,
-        render_matrix,
-        run_policy_matrix,
-        save_matrix,
+        return 0 if comparison.ok else 1
+    rows = [[d.name, f"{d.old.vm_seconds:.6f}", f"{d.new.vm_seconds:.6f}",
+             "VM/OPS CHANGED" if d.behaviour_changed else ""]
+            for d in comparison.deltas]  # fmt: skip
+    print(format_table(["case", "old vm (s)", "new vm (s)", ""], rows,
+                       title="bench compare (any vm_seconds / op_counts difference fails)"))  # fmt: skip
+    for name in comparison.only_old:
+        print(f"  MISSING from new: {name}")
+    for name in comparison.only_new:
+        print(f"  only in new: {name}")
+    verdict = "OK" if comparison.ok else (
+        f"FAILED: {len(comparison.behaviour_changes)} case(s) with changed virtual "
+        f"time or op counts, {len(comparison.only_old)} baseline case(s) missing"
     )
-
-    # run_policy_matrix validates specs and workloads before running anything
-    policies = tuple(args.policy) if args.policy else ZOO_SPECS
-
-    def progress(name: str) -> None:
-        print(f"[policy] {name} ...", file=sys.stderr, flush=True)
-
-    try:
-        doc = run_policy_matrix(
-            policies,
-            args.workload,
-            smoke=args.smoke,
-            progress=progress,
-        )
-    except (ValueError, RuntimeError) as exc:
-        raise SystemExit(str(exc))
-    path = save_matrix(doc, args.output)
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(render_matrix(doc))
-    print(f"[written to {path}]", file=sys.stderr)
-    return 0
-
-
-def _cmd_bench_list(args: argparse.Namespace) -> int:
-    from repro.bench import cases_for_suite
-
-    cases = cases_for_suite(args.suite)
-    rows = [[c.name, ",".join(c.suites), c.tier, c.repeats, c.description] for c in cases]
-    print(format_table(
-        ["case", "suites", "tier", "repeats", "description"],
-        rows,
-        title=f"registered bench cases ({args.suite})",
-    ))
-    return 0
+    print(f"bench compare: {verdict}")
+    return 0 if comparison.ok else 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -931,10 +778,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_bench_run(args)
         if args.bench_command == "compare":
             return _cmd_bench_compare(args)
-        if args.bench_command == "list":
-            return _cmd_bench_list(args)
-        if args.bench_command == "policy":
-            return _cmd_bench_policy(args)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
 
 

@@ -3,7 +3,7 @@
 The paper's Stop-At-Rise rule is one point in a large policy space;
 Sauget & Latu (2011) and Miller et al. (2020) both show the winning
 rebalancing strategy is workload-dependent.  This module adds the
-competitive alternatives the bench matrix (``repro bench policy``)
+competitive alternatives that ``repro paper``'s ``ablation_policy_zoo``
 judges per workload class:
 
 * :class:`OnlineTunedSAR` (``sar-ewma``) — Stop-At-Rise with

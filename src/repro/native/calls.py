@@ -91,11 +91,14 @@ class Kernels:
         Sized to a bound the kernel cannot exceed and mapped on its own
         anonymous pages: the kernel writes the front of each row, and only
         pages written are ever resident (NumPy would ask for transparent
-        huge pages on a block this large, each a 2 MB fault)."""
+        huge pages on a block this large, each a 2 MB fault).  The pages
+        are private: a forked process (a job-service worker) gets its own
+        copy on write, never pages a sibling is writing too."""
         block = getattr(self._scratch, name, None)
         if block is None or block.shape[1] < width:
             itemsize = np.dtype(dtype).itemsize
-            pages = mmap.mmap(-1, max(rows * width * itemsize, 1))
+            flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+            pages = mmap.mmap(-1, max(rows * width * itemsize, 1), flags=flags)
             block = np.frombuffer(pages, dtype, rows * width).reshape(rows, width)
             setattr(self._scratch, name, block)
         return block

@@ -344,7 +344,7 @@ def render_decision_comparison(runs: list[tuple[str, ParsedMetrics]]) -> str:
     One row per run: which policy decided, how often it was evaluated,
     how often it fired, when it first fired, and what the run paid —
     the view that crowns a winner when the runs cover the same workload
-    under different policies (``repro bench policy`` feeds this).
+    under different policies (``repro report`` given several metrics files).
     """
     out = ["=== decision comparison ==="]
     header = (

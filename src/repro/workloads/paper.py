@@ -555,6 +555,44 @@ def ablation_policies_modern(scale: float):
     ))  # fmt: skip
 
 
+#: Every registered zoo policy, with spec arguments where the defaults
+#: target longer runs than the zoo experiment.
+ZOO_SPECS = (
+    "static",
+    "periodic:25",
+    "dynamic",
+    "sar-ewma",
+    "costmodel:horizon=50",
+    "imbalance:threshold=1.4,hysteresis=0.2",
+    "planner",
+)
+
+
+@experiment
+def ablation_policy_zoo(scale: float):
+    """Every zoo policy on uniform, irregular and two-stream particles, 32 procs."""
+    iters = scaled_iterations(200, scale, minimum=40)
+    workloads = ("uniform", "irregular", "two_stream")
+    runs = yield {
+        (dist, spec): _job(f"zoo {dist} {spec}", iters, nx=64, ny=32, nparticles=8192, p=32,
+                           distribution=dist, policy=spec)
+        for dist in workloads
+        for spec in ZOO_SPECS
+    }  # fmt: skip
+    totals = {key: _total(run) for key, run in runs.items()}
+    best = {dist: min(totals[dist, spec] for spec in ZOO_SPECS) for dist in workloads}
+    return _table(
+        f"Ablation: the policy zoo (64x32, 8192 particles, 32 procs, {iters} iterations)",
+        ["workload", "policy", "total time (s)", "#redis"],
+        [[dist, spec, totals[dist, spec], _total(run, "n_redistributions")]
+         for (dist, spec), run in runs.items()],
+        *((f"{dist}: dynamic is within 5% of the best zoo policy",
+           totals[dist, "dynamic"] <= 1.05 * best[dist]) for dist in workloads),
+        *((f"{dist}: dynamic beats static", totals[dist, "dynamic"] < totals[dist, "static"])
+          for dist in workloads),
+    )  # fmt: skip
+
+
 # ----------------------------------------------------------------------
 # the runner
 # ----------------------------------------------------------------------

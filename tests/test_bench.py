@@ -1,51 +1,42 @@
-"""Tests of the perf-regression harness (``repro.bench``).
+"""Tests of the virtual-time tripwire (``repro.bench``).
 
-Covers the data model round-trip, the runner's warmup/repeat semantics,
-the registry, regression gating on an injected 50% slowdown, and the
-``repro bench`` CLI surface.
+Covers the one-shot runner, the ``repro-bench/2`` file and its loader's
+errors, the gate on any vm_seconds / op_counts difference or vanished
+case, the committed baseline, and the ``repro bench`` CLI surface.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench import (
+    CASES,
     SCHEMA,
     BenchCase,
     BenchObservation,
-    BenchResult,
-    SuiteResult,
-    available_suites,
-    cases_for_suite,
+    Trajectory,
+    compare,
     compare_files,
-    compare_suites,
-    run_case,
-    run_suite,
+    run_cases,
 )
 from repro.cli import main
 
+BASELINE = Path(__file__).resolve().parent.parent / "BENCH_baseline.json"
 
-def _result(name, wall, *, tier=1, vm=None, ops=None):
-    return BenchResult(
-        name=name,
-        tier=tier,
-        repeats=len(wall),
-        warmup=0,
-        wall_samples=list(wall),
-        vm_seconds=vm,
-        op_counts=dict(ops or {}),
-    )
+
+def _trajectory(**cases):
+    """``name=(vm_seconds, op_counts)`` -> a Trajectory."""
+    return Trajectory({name: BenchObservation(vm, dict(ops)) for name, (vm, ops) in cases.items()})
 
 
 class TestRunner:
     def test_warmup_and_repeats_counted(self):
+        """No warmup and one repeat: setup and body each run exactly once."""
         calls = []
-        case = BenchCase(name="t", fn=lambda ctx: calls.append(ctx), repeats=3, warmup=2)
-        result = run_case(case)
-        assert len(calls) == 5  # 2 warmup + 3 timed
-        assert len(result.wall_samples) == 3
-        assert result.wall_min <= result.wall_mean <= result.wall_max
-        assert result.repeats == 3 and result.warmup == 2
+        case = BenchCase("t", lambda ctx: calls.append(ctx) or BenchObservation(1.0))
+        run_cases([case])
+        assert calls == [None]
 
     def test_setup_runs_once_and_feeds_context(self):
         built = []
@@ -56,201 +47,151 @@ class TestRunner:
 
         def body(ctx):
             ctx["n"] += 1
-            return BenchObservation(vm_seconds=0.5, op_counts={"sort": 10.0})
+            return BenchObservation(vm_seconds=0.5, op_counts={"sort": 10.0 + ctx["n"]})
 
-        case = BenchCase(name="t", fn=body, setup=setup, repeats=2, warmup=1)
-        result = run_case(case)
-        assert built == [1]  # setup untimed, shared across repeats
-        assert result.vm_seconds == 0.5
-        assert result.op_counts == {"sort": 10.0}
-        assert result.peak_rss_kb is None or result.peak_rss_kb > 0
-
-    def test_repeat_override_and_validation(self):
-        case = BenchCase(name="t", fn=lambda ctx: None, repeats=3)
-        assert len(run_case(case, repeats=1, warmup=0).wall_samples) == 1
-        with pytest.raises(ValueError):
-            run_case(case, repeats=0)
-
-    def test_non_observation_return_is_wall_only(self):
-        case = BenchCase(name="t", fn=lambda ctx: 123, repeats=1, warmup=0)
-        result = run_case(case)
-        assert result.vm_seconds is None
-        assert result.op_counts == {}
+        (observed,) = run_cases([BenchCase("t", body, setup)]).cases.values()
+        assert built == [1]
+        assert observed == BenchObservation(0.5, {"sort": 52.0})
 
     def test_run_suite_progress_and_order(self):
         seen = []
-        cases = [
-            BenchCase(name="a", fn=lambda ctx: None, repeats=1, warmup=0),
-            BenchCase(name="b", fn=lambda ctx: None, repeats=1, warmup=0),
-        ]
-        suite = run_suite("unit", cases, progress=seen.append)
-        assert seen == ["a", "b"]
-        assert [r.name for r in suite.results] == ["a", "b"]
+        cases = [BenchCase(name, lambda ctx: BenchObservation(0.0)) for name in ("b", "a")]
+        trajectory = run_cases(cases, progress=seen.append)
+        assert seen == ["b", "a"]
+        assert list(trajectory.cases) == ["b", "a"]
 
 
 class TestTrajectoryFormat:
     def test_round_trip(self, tmp_path):
-        suite = SuiteResult(
-            suite="unit",
-            results=[_result("c1", [0.5, 0.25], vm=1.5, ops={"flop": 2.0})],
-        )
-        path = suite.save(tmp_path / "BENCH_unit.json")
+        path = _trajectory(c1=(1.5, {"flop": 2.0})).save(tmp_path / "BENCH_unit.json")
         doc = json.loads(path.read_text())
-        assert doc["schema"] == SCHEMA
-        assert doc["suite"] == "unit"
-        assert set(doc["environment"]) == {
-            "python", "platform", "numpy", "workers", "cores", "commit", "native"
-        }
-        assert doc["environment"]["workers"] == 0 and doc["environment"]["cores"] >= 1
+        assert doc["schema"] == SCHEMA == "repro-bench/2"
+        assert set(doc) == {"schema", "environment", "cases"}
+        assert set(doc["environment"]) == {"python", "platform", "numpy", "cores", "commit", "native"}
         kernels = doc["environment"]["native"]  # compiler + flags, or why not
         assert set(kernels) == ({"active", "compiler", "flags"} if kernels["active"] else {"active", "reason"})
-        case = doc["cases"]["c1"]
-        assert case["wall"]["min"] == 0.25
-        assert case["wall"]["mean"] == pytest.approx(0.375)
-        assert case["wall"]["samples"] == [0.5, 0.25]
-        assert case["vm_seconds"] == 1.5
-        assert case["op_counts"] == {"flop": 2.0}
+        assert doc["cases"] == {"c1": {"vm_seconds": 1.5, "op_counts": {"flop": 2.0}}}
 
-        loaded = SuiteResult.load(path)
-        assert loaded.suite == "unit" and loaded.environment == doc["environment"]
-        assert loaded.results[0].wall_min == 0.25
-        assert loaded.results[0].op_counts == {"flop": 2.0}
+        loaded = Trajectory.load(path)
+        assert loaded.environment == doc["environment"]
+        assert loaded.cases == {"c1": BenchObservation(1.5, {"flop": 2.0})}
 
     def test_load_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": "other/9", "cases": {}}))
+        path.write_text(json.dumps({"schema": "repro-bench/1", "cases": {}}))
         with pytest.raises(ValueError, match="unsupported schema"):
-            SuiteResult.load(path)
+            Trajectory.load(path)
+
+    @pytest.mark.parametrize("doc, said", [
+        ([1, 2], "not a JSON object"),
+        ({"schema": SCHEMA}, "no 'cases' mapping"),
+        ({"schema": SCHEMA, "cases": {"hot": {"op_counts": {}}}}, "case 'hot' has no numeric vm_seconds"),
+        ({"schema": SCHEMA, "cases": {"hot": {"vm_seconds": 1.0, "op_counts": [1]}}},
+         "case 'hot' has no op_counts mapping"),
+    ], ids=["not-object", "no-cases", "no-vm-seconds", "bad-op-counts"])  # fmt: skip
+    def test_malformed_file_is_one_line_error(self, tmp_path, capsys, doc, said):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"bad.json: {said}"):
+            Trajectory.load(bad)
+        with pytest.raises(SystemExit, match=said):
+            main(["bench", "compare", str(BASELINE), str(bad)])
 
 
 class TestCompareGating:
     def test_injected_50pct_slowdown_fails_gate(self, tmp_path):
-        old = SuiteResult(suite="s", results=[_result("hot", [1.0]), _result("ok", [1.0])])
-        new = SuiteResult(suite="s", results=[_result("hot", [1.5]), _result("ok", [1.0])])
-        cmp = compare_suites(old, new, threshold=0.2)
+        old = _trajectory(hot=(1.0, {}), ok=(1.0, {}))
+        new = _trajectory(hot=(1.5, {}), ok=(1.0, {}))
+        cmp = compare(old, new)
         assert not cmp.ok
-        assert [d.name for d in cmp.regressions] == ["hot"]
-        assert cmp.deltas[0].wall_ratio == pytest.approx(1.5) or True
-        # Files + CLI: exit code must be non-zero.
-        po = old.save(tmp_path / "old.json")
-        pn = new.save(tmp_path / "new.json")
-        assert compare_files(po, pn, threshold=0.2).ok is False
+        assert [d.name for d in cmp.behaviour_changes] == ["hot"]
+        assert cmp.deltas[0].vm_ratio == pytest.approx(1.5)
+        po, pn = old.save(tmp_path / "old.json"), new.save(tmp_path / "new.json")
+        assert compare_files(po, pn).ok is False
         assert main(["bench", "compare", str(po), str(pn)]) == 1
 
-    def test_tier2_slowdown_not_gated(self):
-        old = SuiteResult(suite="s", results=[_result("info", [1.0], tier=2)])
-        new = SuiteResult(suite="s", results=[_result("info", [9.0], tier=2)])
-        cmp = compare_suites(old, new, threshold=0.2)
-        assert cmp.ok
-        assert cmp.regressions == []
-
     def test_within_threshold_passes(self):
-        old = SuiteResult(suite="s", results=[_result("hot", [1.0])])
-        new = SuiteResult(suite="s", results=[_result("hot", [1.15])])
-        assert compare_suites(old, new, threshold=0.2).ok
+        """The only tolerance is rel 1e-9 on vm_seconds: a last-bit float
+        difference is not a change."""
+        old = _trajectory(hot=(2.0, {"scatter": 8.0}))
+        assert compare(old, _trajectory(hot=(2.0 * (1 + 1e-12), {"scatter": 8.0}))).ok
+        assert not compare(old, _trajectory(hot=(2.0 * (1 + 1e-8), {"scatter": 8.0}))).ok
 
     def test_improvement_detected(self):
-        old = SuiteResult(suite="s", results=[_result("hot", [1.0])])
-        new = SuiteResult(suite="s", results=[_result("hot", [0.5])])
-        cmp = compare_suites(old, new, threshold=0.2)
-        assert [d.name for d in cmp.improvements] == ["hot"]
+        """Less virtual time is a behaviour change too: it fails until the
+        baseline is regenerated on purpose."""
+        cmp = compare(_trajectory(hot=(1.0, {})), _trajectory(hot=(0.5, {})))
+        assert [d.name for d in cmp.behaviour_changes] == ["hot"] and not cmp.ok
 
     def test_case_set_changes_reported(self):
-        old = SuiteResult(suite="s", results=[_result("gone", [1.0])])
-        new = SuiteResult(suite="s", results=[_result("added", [1.0])])
-        cmp = compare_suites(old, new, threshold=0.2)
+        cmp = compare(_trajectory(gone=(1.0, {}), kept=(1.0, {})),
+                      _trajectory(kept=(1.0, {}), added=(1.0, {})))  # fmt: skip
         assert cmp.only_old == ["gone"] and cmp.only_new == ["added"]
-        assert cmp.ok  # unmatched cases never gate
+        assert cmp.to_dict()["only_old"] == ["gone"]
+
+    def test_vanished_case_fails_and_added_case_does_not(self, tmp_path, capsys):
+        base = _trajectory(kept=(1.0, {}), gone=(1.0, {}))
+        assert not compare(base, _trajectory(kept=(1.0, {}))).ok
+        assert compare(base, _trajectory(kept=(1.0, {}), gone=(1.0, {}), added=(2.0, {}))).ok
+        po = base.save(tmp_path / "old.json")
+        pn = _trajectory(kept=(1.0, {})).save(tmp_path / "new.json")
+        assert main(["bench", "compare", str(po), str(pn)]) == 1
+        out = capsys.readouterr().out
+        assert "MISSING from new: gone" in out and "1 baseline case(s) missing" in out
 
     def test_vm_or_op_delta_fails_gate(self, tmp_path):
         """Virtual time and op counts are deterministic: any difference
-        between two files is a behaviour change and fails the comparison,
-        on every tier, whatever the wall clock did."""
-        base = _result("hot", [1.0], tier=2, vm=2.0, ops={"scatter": 8.0})
-        same = SuiteResult(suite="s", results=[base])
-        assert compare_suites(same, same, threshold=0.2).ok
-        for changed in (
-            _result("hot", [1.0], tier=2, vm=2.0 * 1.01, ops={"scatter": 8.0}),
-            _result("hot", [1.0], tier=2, vm=2.0, ops={"scatter": 9.0}),
-            _result("hot", [1.0], tier=2, vm=None, ops={"scatter": 8.0}),
-        ):
-            new = SuiteResult(suite="s", results=[changed])
-            cmp = compare_suites(same, new, threshold=0.2)
-            assert [d.name for d in cmp.behaviour_changes] == ["hot"]
-            assert cmp.regressions == [] and not cmp.ok
+        between two files is a behaviour change and fails the comparison."""
+        same = _trajectory(hot=(2.0, {"scatter": 8.0}))
+        assert compare(same, same).ok
+        for vm, ops in ((2.0 * 1.01, {"scatter": 8.0}), (2.0, {"scatter": 9.0}), (2.0, {})):
+            new = _trajectory(hot=(vm, ops))
+            cmp = compare(same, new)
+            assert [d.name for d in cmp.behaviour_changes] == ["hot"] and not cmp.ok
         assert cmp.to_dict()["cases"]["hot"]["behaviour_changed"] is True
-        # a last-bit float difference (below rel 1e-9) is not a change
-        jitter = SuiteResult(
-            suite="s", results=[_result("hot", [1.0], vm=2.0 * (1 + 1e-12), ops={"scatter": 8.0})]
-        )
-        assert compare_suites(same, jitter, threshold=0.2).ok
-        # files + CLI: exit code must be non-zero, the table names the cause
         po, pn = same.save(tmp_path / "old.json"), new.save(tmp_path / "new.json")
         assert main(["bench", "compare", str(po), str(pn)]) == 1
 
-    def test_bad_threshold_rejected(self):
-        suite = SuiteResult(suite="s", results=[])
-        with pytest.raises(ValueError):
-            compare_suites(suite, suite, threshold=0.0)
 
-
-class TestRegistry:
-    def test_smoke_suite_has_gated_cases(self):
-        cases = cases_for_suite("smoke")
-        assert len(cases) >= 8
-        assert all(c.tier == 1 for c in cases)
-        names = {c.name for c in cases}
-        assert "scatter_static" in names
-        assert "incremental_resort_small_drift" in names
-
-    def test_all_and_available(self):
-        suites = available_suites()
-        assert {"all", "smoke", "full"} <= set(suites)
-        assert "paper" not in suites  # `repro paper` reproduces the paper, not a bench suite
-        assert len(cases_for_suite("all")) >= len(cases_for_suite("smoke"))
+class TestCases:
+    def test_case_list_matches_the_baseline(self):
+        names = [case.name for case in CASES]
+        assert len(names) == len(set(names)) == 16
+        assert list(Trajectory.load(BASELINE).cases) == names
 
 
 class TestBenchCLI:
-    def test_run_single_case_writes_trajectory(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_one.json"
-        code = main([
-            "bench", "run", "--case", "ghost_table_direct",
-            "--repeats", "1", "--warmup", "0", "--output", str(out), "--json",
-        ])
-        assert code == 0
+    def test_run_matches_the_committed_baseline(self, tmp_path, capsys):
+        """The tripwire itself: a fresh run equals ``BENCH_baseline.json``
+        case by case, whichever particle kernels run."""
+        out = tmp_path / "BENCH_smoke.json"
+        assert main(["bench", "run", "--output", str(out)]) == 0
+        assert "bench (16 cases)" in capsys.readouterr().out
+        assert main(["bench", "compare", str(BASELINE), str(out)]) == 0
+        assert "bench compare: OK" in capsys.readouterr().out
+
+    def test_run_single_case_writes_trajectory(self, tmp_path):
+        (case,) = [c for c in CASES if c.name == "ghost_table_direct"]
+        out = run_cases([case]).save(tmp_path / "BENCH_one.json")
         doc = json.loads(out.read_text())
         assert doc["schema"] == SCHEMA
-        case = doc["cases"]["ghost_table_direct"]
-        assert case["wall"]["min"] > 0
-        assert case["vm_seconds"] > 0
-        assert sum(case["op_counts"].values()) > 0
-        # --json mirrors the document on stdout
-        printed = json.loads(capsys.readouterr().out)
-        assert printed["cases"].keys() == doc["cases"].keys()
-
-    def test_run_unknown_case_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["bench", "run", "--case", "nope", "--output", str(tmp_path / "x.json")])
-
-    def test_list(self, capsys):
-        assert main(["bench", "list", "--suite", "smoke"]) == 0
-        out = capsys.readouterr().out
-        assert "scatter_static" in out and "step_eulerian" in out
+        assert doc["cases"]["ghost_table_direct"] == {
+            "vm_seconds": 0.024, "op_counts": {"table": 60000.0}
+        }  # fmt: skip
 
     def test_compare_ok_and_json(self, tmp_path, capsys):
-        suite = SuiteResult(suite="s", results=[_result("hot", [1.0])])
+        suite = _trajectory(hot=(1.0, {"push": 3.0}))
         po = suite.save(tmp_path / "old.json")
         pn = suite.save(tmp_path / "new.json")
         assert main(["bench", "compare", str(po), str(pn), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["ok"] is True and doc["native_differs"] is None
-        assert doc["cases"]["hot"]["wall_ratio"] == pytest.approx(1.0)
+        assert doc["ok"] is True and doc["only_old"] == [] and doc["only_new"] == []
+        assert doc["cases"]["hot"]["vm_ratio"] == pytest.approx(1.0)
 
-    def test_compare_notes_different_kernels_without_failing(self, tmp_path, capsys, numpy_kernels):
-        """Files from the compiled kernels and from the NumPy bodies differ
-        in wall only: a note, exit 0 — also against a file that predates
-        the ``native`` stamp."""
-        forced = SuiteResult(suite="s", results=[_result("hot", [1.0])]).save(tmp_path / "new.json")
+    def test_compare_ignores_different_kernels(self, tmp_path, capsys, numpy_kernels):
+        """Files from the compiled kernels and from the NumPy bodies, or
+        from before the ``native`` stamp, compare on their numbers only."""
+        forced = _trajectory(hot=(1.0, {})).save(tmp_path / "new.json")
         stamped = json.loads(forced.read_text())
         assert stamped["environment"]["native"] == {
             "active": False, "reason": "forced by the numpy_kernels fixture"
@@ -259,9 +200,20 @@ class TestBenchCLI:
         (tmp_path / "old.json").write_text(json.dumps(stamped))
         del stamped["environment"]["native"]
         (tmp_path / "older.json").write_text(json.dumps(stamped))
-        for old, said in (("old.json", "'compiler': '/usr/bin/cc'"), ("older.json", "old not recorded")):
+        for old in ("old.json", "older.json"):
             assert main(["bench", "compare", str(tmp_path / old), str(forced)]) == 0
-            out = capsys.readouterr().out
-            assert "note: particle kernels differ" in out and said in out and "bench compare: OK" in out
-        assert main(["bench", "compare", str(forced), str(forced)]) == 0
-        assert "note:" not in capsys.readouterr().out
+            assert "bench compare: OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "list"],
+        ["bench", "policy"],
+        ["bench", "run", "--suite", "smoke"],
+        ["bench", "run", "--case", "scatter_static"],
+        ["bench", "run", "--repeats", "1"],
+        ["bench", "compare", "a.json", "b.json", "--threshold", "0.2"],
+    ], ids=" ".join)  # fmt: skip
+    def test_removed_surface_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        capsys.readouterr()

@@ -381,17 +381,3 @@ class TestTimeoutWatchdog:
                 "run", "--nx", "16", "--ny", "8", "-n", "256", "-p", "4",
                 "--iterations", "2", "--timeout", "-1",
             ])
-
-    def test_bench_timeout_saves_partial(self, tmp_path, capsys):
-        from repro.cli import EXIT_TIMEOUT
-
-        out = tmp_path / "partial.json"
-        code = main([
-            "bench", "run", "--suite", "smoke", "--repeats", "1",
-            "--warmup", "0", "--timeout", "0.0001", "--output", str(out),
-        ])
-        assert code == EXIT_TIMEOUT
-        capsys.readouterr()
-        doc = json.loads(out.read_text())
-        assert doc["schema"].startswith("repro-bench")
-        assert doc["cases"] == {} or isinstance(doc["cases"], dict)

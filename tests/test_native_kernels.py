@@ -1188,3 +1188,22 @@ def test_shard_threads_racing_the_first_load_build_once(compiled, monkeypatch, t
     assert events == ["build", "check"]
     # one ask per shard: the gather + push is one compiled pass
     assert len(got) == 2 and got[0] is not None and all(k is got[0] for k in got)
+
+
+def test_kept_rows_are_private_to_a_forked_process(compiled):
+    """A job-service worker is forked from a process that may have run the
+    kernels already: the kept output rows it inherits are its own copy on
+    write, never pages its parent or a sibling worker writes too."""
+    import multiprocessing
+
+    rows = compiled._rows("fork_probe", 2, 512, np.int64)
+    rows[:] = 7
+
+    def child():
+        compiled._rows("fork_probe", 2, 512, np.int64)[:] = -1
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join()
+    assert proc.exitcode == 0
+    assert (rows == 7).all()

@@ -418,33 +418,6 @@ class TestDecisionRecords:
 
 
 # ----------------------------------------------------------------------
-# the bench matrix, at CI scale
-# ----------------------------------------------------------------------
-class TestPolicyMatrix:
-    def test_smoke_matrix_runs_and_crowns_winners(self):
-        from repro.bench.policy_suite import POLICY_SCHEMA, render_matrix, run_policy_matrix
-
-        doc = run_policy_matrix(
-            ("static", "dynamic", "sar-ewma"),
-            ("clustered",),
-            smoke=True,
-            p=4,
-        )
-        assert doc["schema"] == POLICY_SCHEMA
-        assert len(doc["cells"]) == 3
-        assert all("engine" not in cell for cell in doc["cells"])
-        assert doc["winners"]["clustered"]["policy"] in ("static", "dynamic", "sar-ewma")
-        text = render_matrix(doc)
-        assert "winner[clustered]" in text
-
-    def test_unknown_workload_rejected(self):
-        from repro.bench.policy_suite import run_policy_matrix
-
-        with pytest.raises(ValueError, match="unknown workload"):
-            run_policy_matrix(("static",), ("galactic",), smoke=True, p=2)
-
-
-# ----------------------------------------------------------------------
 # property: state_dict equivalence + record replayability on random traces
 # ----------------------------------------------------------------------
 from hypothesis import given, settings  # noqa: E402
@@ -468,6 +441,28 @@ _step = st.tuples(
     ),
     st.floats(min_value=0.0, max_value=50.0, allow_nan=False, allow_infinity=False),
 )
+
+
+# ----------------------------------------------------------------------
+# a traced run of every policy audits its own decisions
+# ----------------------------------------------------------------------
+class TestTracedRunAudit:
+    @pytest.mark.parametrize("spec", _PROPERTY_SPECS)
+    def test_decisions_validate_replay_and_round_trip(self, spec):
+        from repro.pic import Simulation, SimulationConfig, config_from_dict, config_to_dict
+        from repro.telemetry.schema import validate_metrics
+
+        cfg = SimulationConfig(nx=16, ny=8, nparticles=512, p=4,
+                               distribution="irregular", policy=spec, seed=3)  # fmt: skip
+        assert policy_spec(config_from_dict(config_to_dict(cfg)).policy) == policy_spec(cfg.policy)
+        sim = Simulation(cfg)
+        telemetry = sim.enable_telemetry()
+        sim.run(12)
+        parsed = validate_metrics(telemetry.lines())
+        decisions = [d for rec in parsed.iterations for d in rec["sar_decisions"]]
+        assert len(decisions) == 12  # one record per evaluation, fired or not
+        for record in decisions:
+            assert replay_decision(record) == record["fired"], record
 
 
 class TestPolicyProperties:

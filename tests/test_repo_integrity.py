@@ -163,6 +163,9 @@ class TestPackageMetadata:
             "test_ext3d",
             "pic/replicated.py",
             "pic.replicated",
+            "bench policy",
+            "REPRO_BENCH_WORKERS",
+            "BENCH_policies",
         )
         docs = [ROOT / "README.md", ROOT / "DESIGN.md", *sorted((ROOT / "docs").glob("*.md"))]
         stale = [

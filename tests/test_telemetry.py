@@ -166,8 +166,7 @@ class TestZeroCostWhenOff:
         # "everything else" under the same host conditions, and the verdict
         # is the median round.  Differencing two whole runs cannot resolve
         # 5 % on a shared host (their walls spread +-10 %); the two parts of
-        # one iteration can.  Measured at the tier-1 bench scale (p=32,
-        # n=8192 — the same regime `telemetry_overhead_p32` gates) on the
+        # one iteration can.  Measured at p=32, n=8192, 64x32 cells, on the
         # step the budget was set against, the NumPy-kernel step
         # (`numpy_kernels`): the bookkeeping is a fixed cost per iteration,
         # which a faster step must not turn into a looser or a failing bound.

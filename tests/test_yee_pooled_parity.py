@@ -24,8 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import native
-from repro.bench import all_cases
-from repro.bench.runner import run_case
+from repro.bench import CASES, run_cases
 from repro.core import ParticlePartitioner
 from repro.machine import FaultEvent, FaultPlan, MachineModel, VirtualMachine
 from repro.mesh import CurveBlockDecomposition, Grid2D
@@ -313,11 +312,10 @@ class TestProfilerSections:
 # ----------------------------------------------------------------------
 def test_bench_case_matches_the_oracle():
     """``modern_step_p32``'s vm seconds / op counts are the oracle's."""
-    (case,) = [c for c in all_cases() if c.name == "modern_step_p32"]
+    (case,) = [c for c in CASES if c.name == "modern_step_p32"]
     config = case.setup().config
     looped = dataclasses.replace(case, setup=lambda: LoopedSimulation(config))
-    mine, ref = run_case(case), run_case(looped)
-    assert mine.vm_seconds == ref.vm_seconds and mine.op_counts == ref.op_counts
+    assert run_cases([case]).cases == run_cases([looped]).cases
 
 
 # ----------------------------------------------------------------------
