@@ -85,8 +85,8 @@ class VirtualMachine:
         #: with and without it.
         self.tracer = None
         #: optional :class:`repro.obs.profile.PhaseProfiler`; when set,
-        #: :meth:`phase` opens a host-wall-clock section per phase so
-        #: kernel-level timings nest under their phase.  Same dormant
+        #: :meth:`phase` opens a host-wall-clock section per phase and
+        #: :meth:`section` one per kernel inside it.  Same dormant
         #: contract as the tracer: ``None`` leaves a single ``is None``
         #: branch, and the profiler measures *host* time only — the
         #: virtual clocks and op counts are untouched either way.
@@ -141,6 +141,18 @@ class VirtualMachine:
                 tracer.record_phase(name, start, self.clocks, depth=depth)
             if profiler is not None:
                 profiler.pop(name)
+
+    @contextmanager
+    def section(self, name: str) -> Iterator[None]:
+        """Time a kernel as host-wall section ``name`` under the current phase.
+
+        A no-op without a profiler attached; never touches the clocks.
+        """
+        if self.profiler is None:
+            yield
+        else:
+            with self.profiler.section(name):
+                yield
 
     # ------------------------------------------------------------------
     # time accounting

@@ -25,7 +25,7 @@ results; observability on never touches virtual clocks or op counts.
 """
 
 from repro.obs.batch import BATCH_ROLLUP_SCHEMA, aggregate_batch, render_batch_rollup
-from repro.obs.profile import PhaseProfiler, maybe_section
+from repro.obs.profile import PhaseProfiler
 from repro.obs.prom import (
     parse_prom_text,
     render_prom_text,
@@ -38,7 +38,6 @@ __all__ = [
     "BatchView",
     "PhaseProfiler",
     "aggregate_batch",
-    "maybe_section",
     "parse_prom_text",
     "render_batch_rollup",
     "render_prom_text",

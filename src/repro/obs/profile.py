@@ -2,9 +2,10 @@
 
 :class:`PhaseProfiler` is an *instrumented* profiler, not a statistical
 sampler: the virtual machine opens a root section per phase (the
-``vm.profiler`` dormant hook, mirroring ``vm.tracer``) and the flat
-engine opens nested sections around its kernels — deposition, rank-row
-reduction, interpolation, the Boris push, migration partitioning.
+``vm.profiler`` dormant hook, mirroring ``vm.tracer``) and the steppers
+open nested sections around their kernels through ``vm.section`` —
+deposition, rank-row reduction, interpolation, the Boris push,
+migration partitioning.
 The shard threads of :mod:`repro.parallel_exec` time each task and the
 backend hands the totals to :meth:`merge_worker_samples`, so attribution
 reaches inside the threads too.
@@ -31,7 +32,7 @@ from time import perf_counter
 
 from repro.util.atomic_io import atomic_write_text
 
-__all__ = ["PhaseProfiler", "maybe_section"]
+__all__ = ["PhaseProfiler"]
 
 #: sub-frame under which the shard threads' task timings are filed
 WORKER_FRAME = "workers"
@@ -43,8 +44,8 @@ class PhaseProfiler:
     The stack is a tuple of frame names rooted at the virtual machine's
     phase (``("scatter", "deposit")``, ``("gather", "workers",
     "gather_push")``, ...).  ``push``/``pop`` are the raw hooks the VM
-    phase contextmanager drives; :meth:`section` is the convenience
-    contextmanager engine code wraps kernels in.
+    phase contextmanager drives; :meth:`section` is the contextmanager
+    ``VirtualMachine.section`` wraps kernels in.
     """
 
     def __init__(self) -> None:
@@ -79,7 +80,7 @@ class PhaseProfiler:
     # -- convenience ----------------------------------------------------
     @contextmanager
     def section(self, name: str):
-        """Open a nested section; kernels in the pooled engine use this."""
+        """Open a nested section (``VirtualMachine.section`` opens one per kernel)."""
         self.push(name)
         try:
             yield
@@ -165,19 +166,3 @@ class PhaseProfiler:
 def _safe_name(frame: str) -> str:
     return "".join(c if (c.isalnum() or c in "-_.") else "_" for c in frame)
 
-
-@contextmanager
-def maybe_section(profiler, name: str):
-    """``profiler.section(name)`` when attached, a no-op when ``None``.
-
-    The pooled engine wraps its kernels in this so the off path stays a
-    single ``is None`` branch per kernel call.
-    """
-    if profiler is None:
-        yield
-    else:
-        profiler.push(name)
-        try:
-            yield
-        finally:
-            profiler.pop(name)

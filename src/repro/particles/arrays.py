@@ -169,10 +169,12 @@ class ParticlePool:
         and ``offsets[-1] == array.n``.
     views:
         Per-rank zero-copy :meth:`ParticleArray.slice_view` windows into
-        ``array`` — mutating a view mutates the pool and vice versa.
+        ``array`` — mutating a view mutates the pool and vice versa.  Built
+        on first read, once per pool: the whole-pool passes never read them,
+        so a step or a redistribution costs no Python work per rank.
     """
 
-    __slots__ = ("array", "offsets", "views", "_rank_of")
+    __slots__ = ("array", "offsets", "_views", "_rank_of")
 
     def __init__(self, array: ParticleArray, offsets: np.ndarray) -> None:
         offsets = np.asarray(offsets, dtype=np.int64)
@@ -183,8 +185,7 @@ class ParticlePool:
             raise ValueError("offsets must be non-decreasing")
         self.array = array
         self.offsets = offsets
-        bounds = offsets.tolist()
-        self.views = [array.slice_view(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self._views: list[ParticleArray] | None = None
         self._rank_of: np.ndarray | None = None
 
     @classmethod
@@ -196,9 +197,17 @@ class ParticlePool:
 
     # ------------------------------------------------------------------
     @property
+    def views(self) -> list[ParticleArray]:
+        """Per-rank windows into ``array`` (built on first read)."""
+        if self._views is None:
+            bounds = self.offsets.tolist()
+            self._views = [self.array.slice_view(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        return self._views
+
+    @property
     def p(self) -> int:
         """Number of rank segments."""
-        return len(self.views)
+        return len(self.offsets) - 1
 
     @property
     def n(self) -> int:
@@ -217,17 +226,6 @@ class ParticlePool:
                 np.arange(self.p, dtype=np.int64), self.counts
             )
         return self._rank_of
-
-    def owns(self, particles: list[ParticleArray]) -> bool:
-        """True when ``particles`` are exactly this pool's views.
-
-        The pooled steppers use this identity check to detect external
-        replacement of their per-rank particle lists and rebuild the pool
-        lazily.
-        """
-        return len(particles) == self.p and all(
-            particles[r] is self.views[r] for r in range(self.p)
-        )
 
     def __repr__(self) -> str:
         return f"ParticlePool(p={self.p}, n={self.n})"

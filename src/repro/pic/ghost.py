@@ -14,7 +14,16 @@ The paper describes two table organizations (its Figure 8):
 
 Both are implemented here with identical semantics (property-tested to
 agree) and report the op counts / memory footprint the ablation bench
-compares.
+compares.  A table charges :attr:`GhostTable.OPS_PER_ENTRY` operations
+per entry, a constant of its kind.
+
+The pooled scatter of :class:`~repro.pic.parallel.ParallelPIC` keeps no
+table objects: it deduplicates every rank's ghost entries in one pass
+(:func:`~repro.pic.deposition.ghost_slots`) and keeps the stats a
+per-rank table would (entries, ops, unique nodes) as three per-rank
+arrays, charging ``OPS_PER_ENTRY`` times each rank's entry count.  The
+tables here drive the per-rank oracle (``tests/_looped_oracle.py``), the
+Fig 8 ablation and the bench cases.
 """
 
 from __future__ import annotations
@@ -26,7 +35,14 @@ import numpy as np
 
 from repro.util import require
 
-__all__ = ["GhostTableStats", "GhostTable", "DirectAddressTable", "HashGhostTable", "make_ghost_table"]
+__all__ = [
+    "GHOST_TABLES",
+    "GhostTableStats",
+    "GhostTable",
+    "DirectAddressTable",
+    "HashGhostTable",
+    "make_ghost_table",
+]
 
 
 @dataclass
@@ -51,6 +67,8 @@ class GhostTable(ABC):
     """
 
     kind: str = "abstract"
+    #: abstract table operations charged per accumulated entry
+    OPS_PER_ENTRY: float = 0.0
 
     def __init__(self, nnodes: int, nchannels: int = 4) -> None:
         require(nnodes >= 1, "nnodes must be >= 1")
@@ -71,23 +89,6 @@ class GhostTable(ABC):
         ``summed_values`` is ``(nchannels, u)``.
         """
 
-    @abstractmethod
-    def account_pooled(self, n_entries: int, n_unique: int) -> float:
-        """Record one accumulate+flush epoch performed *outside* the table.
-
-        The scatter deduplicates all ranks' ghost entries in one pooled
-        pass (ghost slots found on the distinct ``(rank, cell)`` pairs,
-        :func:`~repro.pic.deposition.ghost_slots`, and one ``bincount``
-        per channel over them), bypassing the per-rank tables — but the
-        virtual machine's
-        accounting must stay byte-identical to the per-rank oracle
-        (``tests/_looped_oracle.py``), which drives them.  This method
-        applies exactly the ``stats`` updates that
-        ``accumulate(<n_entries entries>)`` followed by ``flush()``
-        (yielding ``n_unique`` nodes) would have applied, and returns the
-        op-count delta the oracle's scatter charges for the epoch.
-        """
-
     def _check(self, nodes: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nodes = np.asarray(nodes, dtype=np.int64).ravel()
         values = np.asarray(values, dtype=np.float64)
@@ -104,47 +105,31 @@ class DirectAddressTable(GhostTable):
     """Dense per-node accumulator: O(1) access, O(m) memory (Fig 8 right)."""
 
     kind = "direct"
+    OPS_PER_ENTRY = 1.0  # one direct store per entry
 
     def __init__(self, nnodes: int, nchannels: int = 4) -> None:
         super().__init__(nnodes, nchannels)
-        # Storage is allocated by the first ``accumulate``: the pooled
-        # scatter only ever calls ``account_pooled``, and p eager tables
-        # would cost p whole-mesh arrays.  ``memory_slots`` reports the
-        # modelled footprint either way.
-        self._acc: np.ndarray | None = None
-        self._touched: np.ndarray | None = None
+        self._acc = np.zeros((nchannels, nnodes))
+        self._touched = np.zeros(nnodes, dtype=bool)
         self.stats.memory_slots = nnodes * (nchannels + 1)
 
     def accumulate(self, nodes: np.ndarray, values: np.ndarray) -> None:
         nodes, values = self._check(nodes, values)
         if nodes.size == 0:
             return
-        if self._acc is None:
-            self._acc = np.zeros((self.nchannels, self.nnodes))
-            self._touched = np.zeros(self.nnodes, dtype=bool)
         for c in range(self.nchannels):
             self._acc[c] += np.bincount(nodes, weights=values[c], minlength=self.nnodes)
         self._touched[nodes] = True
         self.stats.entries += nodes.size
-        self.stats.ops += float(nodes.size)  # one direct store per entry
+        self.stats.ops += self.OPS_PER_ENTRY * nodes.size
 
     def flush(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._acc is None:  # nothing was ever accumulated
-            self.stats.unique_nodes = 0
-            return np.empty(0, dtype=np.int64), np.empty((self.nchannels, 0))
         uniq = np.flatnonzero(self._touched).astype(np.int64)
         summed = self._acc[:, uniq].copy()
         self.stats.unique_nodes = uniq.size
         self._acc.fill(0.0)
         self._touched.fill(False)
         return uniq, summed
-
-    def account_pooled(self, n_entries: int, n_unique: int) -> float:
-        self.stats.entries += int(n_entries)
-        ops = float(n_entries)  # one direct store per entry
-        self.stats.ops += ops
-        self.stats.unique_nodes = int(n_unique)
-        return ops
 
 
 class HashGhostTable(GhostTable):
@@ -156,6 +141,7 @@ class HashGhostTable(GhostTable):
     """
 
     kind = "hash"
+    OPS_PER_ENTRY = 3.0  # expected probes per insert
 
     def __init__(self, nnodes: int, nchannels: int = 4) -> None:
         super().__init__(nnodes, nchannels)
@@ -169,7 +155,7 @@ class HashGhostTable(GhostTable):
         self._pending_nodes.append(nodes)
         self._pending_values.append(values)
         self.stats.entries += nodes.size
-        self.stats.ops += 3.0 * nodes.size  # expected probes per insert
+        self.stats.ops += self.OPS_PER_ENTRY * nodes.size
 
     def flush(self) -> tuple[np.ndarray, np.ndarray]:
         if not self._pending_nodes:
@@ -192,21 +178,13 @@ class HashGhostTable(GhostTable):
         self._pending_values.clear()
         return uniq, summed
 
-    def account_pooled(self, n_entries: int, n_unique: int) -> float:
-        self.stats.entries += int(n_entries)
-        ops = 3.0 * n_entries  # expected probes per insert
-        self.stats.ops += ops
-        self.stats.unique_nodes = int(n_unique)
-        self.stats.memory_slots = max(
-            self.stats.memory_slots, int(n_unique * (self.nchannels + 1) / 0.7)
-        )
-        return ops
+
+#: table class by kind
+GHOST_TABLES = {cls.kind: cls for cls in (DirectAddressTable, HashGhostTable)}
 
 
 def make_ghost_table(kind: str, nnodes: int, nchannels: int = 4) -> GhostTable:
     """Factory: ``kind`` is ``"direct"`` or ``"hash"``."""
-    if kind == "direct":
-        return DirectAddressTable(nnodes, nchannels)
-    if kind == "hash":
-        return HashGhostTable(nnodes, nchannels)
-    raise ValueError(f"unknown ghost table kind {kind!r}; expected 'direct' or 'hash'")
+    if kind not in GHOST_TABLES:
+        raise ValueError(f"unknown ghost table kind {kind!r}; expected 'direct' or 'hash'")
+    return GHOST_TABLES[kind](nnodes, nchannels)

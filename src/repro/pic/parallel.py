@@ -53,12 +53,11 @@ import numpy as np
 from repro.machine.batch import MessageBatch
 from repro.machine.virtual import VirtualMachine
 from repro.mesh.decomposition import MeshDecomposition
-from repro.obs.profile import maybe_section
 from repro.mesh.fields import FieldState
 from repro.mesh.halo import HaloSchedule
 from repro.particles.arrays import ParticleArray, ParticlePool
 from repro.pic.deposition import CHANNELS
-from repro.pic.ghost import make_ghost_table
+from repro.pic.ghost import GHOST_TABLES
 
 # The e2e recorder (benchmarks/e2e/layers.py) rebinds gather_from_node_values
 # and boris_push in this module by name, so they stay module attributes
@@ -84,9 +83,9 @@ class PooledParticles:
     """A distributed stepper: one particle pool, one machine, one phase loop.
 
     The base owns what every pooled stepper has — the machine, mesh and
-    decomposition, the public per-rank ``particles`` list over ``_pool``,
-    the fields with their halo schedule and ownership maps, the solver and
-    its time step, the dormant ``guard`` / ``profiler`` hooks — and runs
+    decomposition, the particle ``pool`` (``particles`` is a read-only
+    view of it), the fields with their halo schedule and ownership maps,
+    the solver and its time step, the dormant ``guard`` hook — and runs
     :meth:`step` over the phase order a subclass declares in ``PHASES``.
     A subclass supplies the bodies that differ (``scatter``,
     ``gather_push``) and names its Maxwell-type solver in ``SOLVER``.
@@ -132,16 +131,16 @@ class PooledParticles:
         self.vm = vm
         self.grid = grid
         self.set_decomposition(decomp)
-        # the particle pool (lazily rebuilt whenever self.particles is
-        # replaced from outside)
-        self._pool: ParticlePool | None = None
         # the flat blocks behind _kept, by name
         self._blocks: dict[str, np.ndarray] = {}
-        if isinstance(local_particles, ParticlePool):
-            self.pool = local_particles
-        else:
-            self.particles = list(local_particles)
-        require(len(self.particles) == vm.p, "need one particle set per rank")
+        #: all ranks' particles; assigning a new pool (the redistributor's,
+        #: a checkpoint's, a migration's) installs it as it is
+        self.pool = (
+            local_particles
+            if isinstance(local_particles, ParticlePool)
+            else ParticlePool.from_ranks(list(local_particles))
+        )
+        require(self.pool.p == vm.p, "need one particle set per rank")
         self.solver = self.SOLVER(grid)
         self.dt = dt if dt is not None else 0.9 * self.solver.cfl_limit()
         self.solver.validate_dt(self.dt)
@@ -151,11 +150,6 @@ class PooledParticles:
         #: ``GUARD_HOOKS`` of :meth:`step`; ``None`` (default) keeps the
         #: hot path free of guard work.
         self.guard = None
-        #: optional :class:`repro.obs.profile.PhaseProfiler` opening
-        #: host-wall sections around the kernels; ``None`` (default) keeps
-        #: one dormant branch per kernel call.  The profiler never touches
-        #: the virtual clocks (DESIGN.md §5.8).
-        self.profiler = None
 
     def set_decomposition(self, decomp: MeshDecomposition) -> None:
         """Install a new mesh decomposition (adaptive rebalancing).
@@ -174,24 +168,9 @@ class PooledParticles:
         self.halo = HaloSchedule(decomp)
 
     @property
-    def pool(self) -> ParticlePool:
-        """All ranks' particles as one pool; ``particles`` are its views.
-
-        Assigning a pool (the redistributor's, a checkpoint's) installs it
-        as it is.  ``self.particles`` is public API too: the pool is valid
-        only while ``self.particles`` are exactly its segment views, so
-        replacing that list triggers one concatenation rebuild here (O(n)
-        copy — everything downstream is views again).
-        """
-        pool = self._pool
-        if pool is None or not pool.owns(self.particles):
-            self.pool = pool = ParticlePool.from_ranks(self.particles)
-        return pool
-
-    @pool.setter
-    def pool(self, pool: ParticlePool) -> None:
-        self._pool = pool
-        self.particles = list(pool.views)
+    def particles(self) -> list[ParticleArray]:
+        """Per-rank zero-copy views of ``pool`` (read-only: assign ``pool``)."""
+        return self.pool.views
 
     def _kept(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         """The C-contiguous ``shape`` buffer ``name``, kept across steps: the
@@ -251,12 +230,12 @@ class PooledParticles:
 
     def all_particles(self) -> ParticleArray:
         """All particles concatenated (rank order) — for verification."""
-        return ParticleArray.concat(self.particles)
+        return self.pool.array.copy()
 
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(p={self.vm.p}, grid={self.grid!r}, "
-            f"n={sum(p.n for p in self.particles)})"
+            f"n={self.pool.n})"
         )
 
 
@@ -271,7 +250,8 @@ class ParallelPIC(PooledParticles):
     vm, grid, decomp, local_particles, dt:
         As for :class:`PooledParticles`.
     ghost_table:
-        Duplicate-removal table kind, ``"hash"`` or ``"direct"``.
+        Duplicate-removal table kind, ``"hash"`` or ``"direct"``: sets
+        the table operations charged per ghost entry.
     movement:
         ``"lagrangian"`` (fixed assignment; the paper's choice) or
         ``"eulerian"`` (migrate to cell owners every step).
@@ -340,9 +320,14 @@ class ParallelPIC(PooledParticles):
         self.movement = movement
         self.collect_debug = collect_debug
         self.poisson = PoissonSolver(grid) if field_solver == "electrostatic" else None
-        self.ghost_tables = [
-            make_ghost_table(ghost_table, grid.nnodes, len(CHANNELS)) for _ in range(vm.p)
-        ]
+        require(ghost_table in GHOST_TABLES, f"unknown ghost table kind {ghost_table!r}")
+        self.ghost_table = ghost_table
+        # Per-rank ghost tallies, the stats a per-rank table would keep:
+        # cumulative entries and table ops, and the unique nodes of each
+        # rank's latest scatter that had ghost entries.
+        self.ghost_entries = np.zeros(vm.p, dtype=np.int64)
+        self.ghost_ops = np.zeros(vm.p)
+        self.ghost_unique = np.zeros(vm.p, dtype=np.int64)
         # Ghost schedule of the latest scatter: the ids of the messages it
         # sent (rank r -> owner), none yet; the gather replies along its transpose.
         self._ghost_schedule = MessageBatch.coalesce(*np.empty((3, 0), dtype=np.int64))
@@ -395,9 +380,8 @@ class ParallelPIC(PooledParticles):
         counts = pool.counts
         acc = np.zeros((nchannels, nnodes))
         backend = self.backend
-        prof = self.profiler
         with vm.phase("scatter"):
-            with maybe_section(prof, "deposit"):
+            with vm.section("deposit"):
                 if backend is not None:
                     rows, entries_per_rank, uniq_per_rank, batch = backend.scatter(
                         pool, self.node_owner
@@ -407,18 +391,18 @@ class ParallelPIC(PooledParticles):
                     _, entries_per_rank, uniq_per_rank, batch = scatter_segment(
                         grid, pool.array, counts, 0, self.node_owner, rows[0]
                     )
-            with maybe_section(prof, "reduce"):
+            with vm.section("reduce"):
                 reduce_rank_rows(rows, acc)
 
-            table_ops = np.zeros(p)
-            for r in np.flatnonzero(entries_per_rank):
-                table_ops[r] = self.ghost_tables[r].account_pooled(
-                    int(entries_per_rank[r]), int(uniq_per_rank[r])
-                )
+            # integer-valued float64: the ops a per-rank table charges, exactly
+            table_ops = GHOST_TABLES[self.ghost_table].OPS_PER_ENTRY * entries_per_rank
+            self.ghost_entries += entries_per_rank
+            self.ghost_ops += table_ops
+            np.copyto(self.ghost_unique, uniq_per_rank, where=entries_per_rank > 0)
             vm.charge_ops("scatter", 4.0 * counts.astype(float))
             vm.charge_ops("table", table_ops)
 
-            with maybe_section(prof, "ghost_merge"):
+            with vm.section("ghost_merge"):
                 # what was *received*: faults may have damaged it
                 recv = vm.exchange(batch)
                 merge_ghost_messages(acc, recv)
@@ -513,7 +497,7 @@ class ParallelPIC(PooledParticles):
             vm.charge_ops("gather", 4.0 * pool.counts.astype(float))
         with vm.phase("push"):
             vm.charge_ops("push", pool.counts.astype(float))
-            with maybe_section(self.profiler, "gather_push"):
+            with vm.section("gather_push"):
                 if self.backend is not None:
                     self.backend.gather_push(pool, planes, self.dt)
                 elif pool.n:
@@ -527,15 +511,14 @@ class ParallelPIC(PooledParticles):
         One owner lookup and one sorted exchange of the pool's block.
         """
         vm = self.vm
-        prof = self.profiler
         with vm.phase("migration"):
             pool = self.pool
-            with maybe_section(prof, "partition"):
+            with vm.section("partition"):
                 parts = pool.array
                 cells = self.grid.cell_id_of_positions(parts.x, parts.y)
                 owner = self.decomp.owner_of_cells(cells)
             vm.charge_ops("index", pool.counts.astype(float))
-            with maybe_section(prof, "exchange"):
+            with vm.section("exchange"):
                 (block,), offsets = exchange_by_destination_pooled(
                     vm, (parts.block,), owner, pool.offsets
                 )

@@ -51,7 +51,6 @@ from repro.machine.batch import MessageBatch
 from repro.machine.virtual import VirtualMachine
 from repro.mesh.decomposition import MeshDecomposition
 from repro.mesh.grid import Grid2D
-from repro.obs.profile import maybe_section
 from repro.parallel_exec.kernels import merge_ghost_messages
 from repro.particles.arrays import ParticleArray, ParticlePool
 from repro.pic.deposition import deposit_by_destination, deposition_entries, ghost_slots
@@ -177,8 +176,8 @@ class ParallelYeePIC(PooledParticles):
         """Send the slot sums as coalesced messages; merge what arrives into ``acc``."""
         vm = self.vm
         batch = MessageBatch.coalesce(slots.ranks, slots.owners, slots.nodes, summed)
-        vm.charge_ops("scatter", ops_per_particle * self._pool.counts.astype(float))
-        with maybe_section(self.profiler, "ghost_merge"):
+        vm.charge_ops("scatter", ops_per_particle * self.pool.counts.astype(float))
+        with vm.section("ghost_merge"):
             merge_ghost_messages(acc, vm.exchange(batch))
 
     def _distributed_rho(self) -> None:
@@ -220,14 +219,13 @@ class ParallelYeePIC(PooledParticles):
         over the pool equals ``p`` calls over its segments bit for bit.
         """
         vm = self.vm
-        prof = self.profiler
         pool = self.pool
         parts = pool.array
         node_values = self._field_node_values()
         with vm.phase("gather"):
-            with maybe_section(prof, "interpolate"):
+            with vm.section("interpolate"):
                 eb, cells = self._interpolate(pool, node_values)
-            with maybe_section(prof, "exchange"):
+            with vm.section("exchange"):
                 slots = ghost_slots(self.grid, self.node_owner, pool.rank_of_particles(), cells)
                 vm.charge_ops("gather", 4.0 * pool.counts.astype(float))
                 # round 1: requests (node-id lists)
@@ -245,7 +243,7 @@ class ParallelYeePIC(PooledParticles):
             np.copyto(x_old, parts.x)
             np.copyto(y_old, parts.y)
             self._pre_push = (pool, x_old, y_old)
-            with maybe_section(prof, "boris_push"):
+            with vm.section("boris_push"):
                 if pool.n:
                     boris_push(self.grid, parts, eb[:3], eb[3:], self.dt)
 
@@ -274,12 +272,12 @@ class ParallelYeePIC(PooledParticles):
         nnodes = grid.nnodes
         require(self._pre_push is not None, "scatter() follows gather_push()")
         (pool, x_old, y_old), self._pre_push = self._pre_push, None
-        require(pool.owns(self.particles), "particles were replaced between push and scatter")
+        require(pool is self.pool, "particles were replaced between push and scatter")
         parts = pool.array
         n = pool.n
         acc = np.empty((4, nnodes))  # jx, jy, jz, rho (jx/jy face-centred)
         with self.vm.phase("scatter"):
-            with maybe_section(self.profiler, "deposit"):
+            with self.vm.section("deposit"):
                 charge = np.multiply(parts.w, parts.q, out=self._kept("charge", (n,)))
                 # the jx and jy entry blocks of zigzag_entries, as (2, 4, n)
                 nodes = self._kept("zigzag_nodes", (2, 4, n), np.int64)

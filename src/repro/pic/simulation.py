@@ -10,6 +10,8 @@ bytes and max messages) and the end-of-run totals its tables report.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from operator import attrgetter
@@ -93,6 +95,32 @@ class SimulationConfig:
     guards: str = "off"  #: invariant-guard severity: off | warn | strict
 
     def __post_init__(self) -> None:
+        for name in ("nx", "ny", "nparticles", "p", "seed", "nbuckets"):
+            value = getattr(self, name)
+            require(
+                isinstance(value, numbers.Integral) and not isinstance(value, bool),
+                f"{name} must be an integer, got {value!r}",
+            )
+        require(self.nx >= 2 and self.ny >= 2, f"nx and ny must be >= 2, got {self.nx}x{self.ny}")
+        require(self.p >= 1, f"p must be >= 1, got {self.p}")
+
+        def finite(name: str) -> float:
+            value = getattr(self, name)
+            require(
+                isinstance(value, numbers.Real)
+                and not isinstance(value, bool)
+                and math.isfinite(value),
+                f"{name} must be a finite number, got {value!r}",
+            )
+            return value
+
+        require(finite("vth") >= 0, f"vth must be >= 0, got {self.vth!r}")
+        require(finite("density") > 0, f"density must be > 0, got {self.density!r}")
+        require(self.dt is None or finite("dt") > 0, f"dt must be > 0, got {self.dt!r}")
+        require(
+            isinstance(self.policy, (str, RedistributionPolicy)),
+            f"policy must be a spec string or a RedistributionPolicy, got {self.policy!r}",
+        )
         require(
             self.guards in GUARD_MODES,
             f"guards must be one of {GUARD_MODES}, got {self.guards!r}",
@@ -459,7 +487,8 @@ class Simulation:
         # either way it now advises this machine
         self.policy.bind(vm)
         self._wire_telemetry()
-        self._wire_profiler()
+        # after rank-failure recovery the machine is a new one
+        self.vm.profiler = self.profiler
         return cost
 
     # ------------------------------------------------------------------
@@ -530,9 +559,9 @@ class Simulation:
     def enable_profiling(self):
         """Attach a :class:`~repro.obs.profile.PhaseProfiler` to this run.
 
-        The virtual machine opens a host-wall section per phase and the
-        stepper nests kernel sections inside (the shard threads' task
-        timings included, drained at :meth:`save_profile`).  Idempotent;
+        The virtual machine opens a host-wall section per phase and one
+        per kernel inside it (the shard threads' task timings included,
+        drained at :meth:`save_profile`).  Idempotent;
         returns the profiler.  Profiling only reads the host clock —
         results, ``vm.elapsed()``, and ``vm.ops`` stay bit-identical to
         an unprofiled run, the same contract as telemetry.
@@ -540,24 +569,10 @@ class Simulation:
         if self.profiler is None:
             from repro.obs.profile import PhaseProfiler
 
-            self.profiler = PhaseProfiler()
-            self._wire_profiler()
+            self.profiler = self.vm.profiler = PhaseProfiler()
             if self.backend is not None:
                 self.backend.drain_profile()  # shard time from here on only
         return self.profiler
-
-    def _wire_profiler(self) -> None:
-        """(Re-)attach the profiler to the current vm / stepper.
-
-        Called at enable time and by :meth:`_assemble`: at construction
-        (a no-op, nothing is enabled yet) and after rank-failure recovery,
-        which swaps the machine and rebuilds the stepper.
-        """
-        prof = self.profiler
-        if prof is None:
-            return
-        self.vm.profiler = prof
-        self.pic.profiler = prof
 
     def save_profile(self, directory) -> list[Path]:
         """Export collapsed-stack ``.folded`` files (one per phase).

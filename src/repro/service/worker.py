@@ -54,7 +54,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from repro.core.metrics import load_imbalance, particle_counts
+from repro.core.metrics import load_imbalance
 from repro.machine.faults import FaultPlan
 from repro.pic.simulation import Simulation, config_from_dict
 from repro.service.jobs import JobSpec, job_key
@@ -116,7 +116,7 @@ def _maybe_sabotage(chaos: dict | None, iteration: int, attempt: int) -> None:
 def _last_imbalance(sim: Simulation) -> float | None:
     """Max/mean particle imbalance of the live decomposition (O(p))."""
     try:
-        counts = particle_counts(sim.pic.particles)
+        counts = sim.pic.pool.counts
         if counts.sum() == 0:
             return None
         return round(float(load_imbalance(counts)), 6)

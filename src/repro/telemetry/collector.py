@@ -36,8 +36,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.metrics import load_imbalance
 from repro.telemetry.spans import SpanTracer
 from repro.telemetry.stream import EventStream
@@ -123,12 +121,10 @@ class RunTelemetry(EventStream):
 
     @staticmethod
     def _ghost_totals(pic) -> tuple[float, float] | None:
-        tables = getattr(pic, "ghost_tables", None)
-        if not tables:
+        entries = getattr(pic, "ghost_entries", None)
+        if entries is None:
             return None
-        entries = float(sum(t.stats.entries for t in tables))
-        ops = float(sum(t.stats.ops for t in tables))
-        return entries, ops
+        return float(entries.sum()), float(pic.ghost_ops.sum())
 
     def end_iteration(
         self,
@@ -151,8 +147,8 @@ class RunTelemetry(EventStream):
         """
         t_end = vm.elapsed()
         t_start = self._iter_t0 if self._iter_t0 is not None else t_end
-        counts = [int(parts.n) for parts in pic.particles]
-        imbalance = load_imbalance(np.asarray(counts))
+        counts = pic.pool.counts
+        imbalance = load_imbalance(counts)
         ops_now = vm.ops.as_dict()
         ops_delta = {
             k: v - self._iter_ops.get(k, 0.0)
@@ -167,7 +163,7 @@ class RunTelemetry(EventStream):
             "t_end": t_end,
             "t_iter": t_end - t_start,
             "phase_time": {k: v for k, v in sorted(phase_time.items()) if v != 0.0},
-            "particles_per_rank": counts,
+            "particles_per_rank": counts.tolist(),
             "imbalance": imbalance,
             "comm": _comm_dict(comm_epochs),
             "ops": ops_delta,
@@ -179,9 +175,7 @@ class RunTelemetry(EventStream):
         if ghost_now is not None:
             g0 = self._iter_ghost or (0.0, 0.0)
             entries = ghost_now[0] - g0[0]
-            unique = float(
-                sum(t.stats.unique_nodes for t in getattr(pic, "ghost_tables", []))
-            )
+            unique = float(pic.ghost_unique.sum())
             record["ghost"] = {
                 "entries": entries,
                 "unique_nodes": unique,

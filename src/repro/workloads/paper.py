@@ -30,7 +30,7 @@ from repro.analysis import ascii_series, efficiency, format_table
 from repro.core import ParticlePartitioner
 from repro.core.alignment import bounding_box_area, ghost_node_counts, partner_counts
 from repro.core.incremental_sort import BucketState, bucket_incremental_sort
-from repro.core.metrics import load_imbalance, particle_counts
+from repro.core.metrics import load_imbalance
 from repro.machine import MachineModel, VirtualMachine
 from repro.mesh import CurveBlockDecomposition, Grid2D
 from repro.particles import gaussian_blob
@@ -113,7 +113,7 @@ def _run(iterations: int, **config) -> tuple[Simulation, object]:
 
 
 def _balance(sim: Simulation) -> float:
-    return load_imbalance(particle_counts(sim.pic.particles).astype(float))
+    return load_imbalance(sim.pic.pool.counts.astype(float))
 
 
 # ----------------------------------------------------------------------

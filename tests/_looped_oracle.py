@@ -29,7 +29,7 @@ pins the same for the modern stepper, plus ``last_gather_replies``.
 
 import numpy as np
 
-from repro.particles.arrays import ParticleArray
+from repro.particles.arrays import ParticleArray, ParticlePool
 from repro.particles.sort import KeyedBlock
 from repro.pic.deposition import CHANNELS, deposition_entries, pooled_ghost_keys
 from repro.pic.ghost import make_ghost_table
@@ -55,6 +55,10 @@ class LoopedPIC(ParallelPIC):
             "the oracle runs in-process"
         )
         super().__init__(*args, **kwargs)
+        self.ghost_tables = [
+            make_ghost_table(self.ghost_table, self.grid.nnodes, len(CHANNELS))
+            for _ in range(self.vm.p)
+        ]
         self._ghost_nodes = [dict() for _ in range(self.vm.p)]
         self.last_gather_messages = []
         # Per-rank CIC (nodes, weights) computed by the latest scatter,
@@ -179,8 +183,9 @@ class LoopedPIC(ParallelPIC):
                 dests.append(owner)
             vm.charge_ops("index", np.array([float(p.n) for p in self.particles]))
             received = looped_exchange_by_destination(vm, payloads, dests)
-            self.particles = [ParticleArray.from_block(m.T.copy()) for m in received]
-            self._pool = None
+            self.pool = ParticlePool.from_ranks(
+                [ParticleArray.from_block(m.T.copy()) for m in received]
+            )
 
 
 

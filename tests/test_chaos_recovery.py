@@ -280,7 +280,6 @@ class TestRecoveredStackIsAssembledLikeAFreshOne:
                 "pic.decomp": sim.pic.decomp is sim.decomp,
                 "pic.guard": sim.pic.guard is sim.guard and type(sim.guard),
                 "guard.on_violation": sim.guard.on_violation == tel.record_guard_violation,
-                "pic.profiler": sim.pic.profiler is sim.profiler,
                 "vm.profiler": sim.vm.profiler is sim.profiler,
                 "vm.tracer": sim.vm.tracer is tel.tracer,
                 "policy.decision_sink": sim.policy.decision_sink == tel.record_sar_decision,

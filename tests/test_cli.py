@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.pic.simulation import config_from_dict
 
 
 class TestParser:
@@ -156,6 +157,35 @@ class TestCommands:
     def test_bad_config_flags_exit_with_one_line(self, flags, message):
         with pytest.raises(SystemExit, match=f"^bad config: {message}") as exc:
             main(["run", "--iterations", "1", *flags])
+        assert "\n" not in str(exc.value.code)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("p", "4", "p must be an integer"),
+            ("nx", 0, "nx and ny must be >= 2"),
+            ("nparticles", 64.5, "nparticles must be an integer"),
+            ("policy", 5, "policy must be a spec string"),
+            ("seed", "a", "seed must be an integer"),
+            ("p", 0, "p must be >= 1"),
+            ("p", True, "p must be an integer"),
+            ("vth", "x", "vth must be a finite number"),
+            ("vth", -0.1, "vth must be >= 0"),
+            ("density", 0, "density must be > 0"),
+            ("dt", -1, "dt must be > 0"),
+            ("dt", float("inf"), "dt must be a finite number"),
+        ],
+    )
+    def test_malformed_numeric_field_is_one_line(self, tmp_path, field, value, message):
+        """A malformed config field is a ValueError naming it, never a
+        traceback from deep inside construction."""
+        base = {"nx": 16, "ny": 8, "nparticles": 64, "p": 2}
+        with pytest.raises(ValueError, match=f"^{message}"):
+            config_from_dict({**base, field: value})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**base, field: value}))
+        with pytest.raises(SystemExit, match=f"^bad config .*: {message}") as exc:
+            main(["run", "--config", str(cfg), "--iterations", "1"])
         assert "\n" not in str(exc.value.code)
 
     def test_config_file_bad_model(self, tmp_path):
@@ -331,6 +361,17 @@ class TestSubmitAndJobs:
         bad.write_text("[{\"iterations\": 3}]")
         with pytest.raises(SystemExit, match="bad job file"):
             main(["submit", str(bad)])
+
+    def test_submit_refuses_a_malformed_config(self, tmp_path):
+        """A bad config fails at submit, not in a worker after retries."""
+        bad = tmp_path / "bad.json"
+        config = {"nx": 16, "ny": 8, "nparticles": 64, "p": 0}
+        bad.write_text(json.dumps([{"name": "bad", "config": config, "iterations": 2}]))
+        report = tmp_path / "r.json"
+        argv = ["submit", str(bad), "--cache", str(tmp_path / "cache"), "--report", str(report)]
+        with pytest.raises(SystemExit, match="bad job file: .*p must be >= 1"):
+            main(argv)
+        assert not report.exists()
 
     def test_submit_flag_validation(self, tmp_path):
         jf = self._jobs_file(tmp_path)

@@ -90,15 +90,18 @@ class TestAccountingInvariance:
         _assert_accounting_equal(vm_l, vm_f)
 
     def test_ghost_table_stats_match(self):
-        vm_l, pic_l = _build("looped")
-        vm_f, pic_f = _build("flat")
-        for _ in range(3):
-            pic_l.step()
-            pic_f.step()
-        for tl, tf in zip(pic_l.ghost_tables, pic_f.ghost_tables):
-            assert tf.stats.entries == tl.stats.entries
-            assert tf.stats.unique_nodes == tl.stats.unique_nodes
-            assert tf.stats.ops == tl.stats.ops
+        """The pooled stepper's per-rank tally arrays are the oracle's table stats."""
+        for ghost_table in ("hash", "direct"):
+            _, pic_l = _build("looped", ghost_table=ghost_table)
+            _, pic_f = _build("flat", ghost_table=ghost_table)
+            for _ in range(3):
+                pic_l.step()
+                pic_f.step()
+            stats = [t.stats for t in pic_l.ghost_tables]
+            assert pic_f.ghost_entries.tolist() == [s.entries for s in stats]
+            assert pic_f.ghost_unique.tolist() == [s.unique_nodes for s in stats]
+            assert pic_f.ghost_ops.tolist() == [s.ops for s in stats]
+            assert pic_f.ghost_entries.sum() > 0
 
 
 class TestPhysicalParity:
@@ -215,8 +218,8 @@ class TestMulticoreParity:
             for _ in range(2):
                 pic_s.step()
                 pic_w.step()
-            pic_s.particles = [p.copy() for p in pic_s.particles]
-            pic_w.particles = [p.copy() for p in pic_w.particles]
+            pic_s.pool = ParticlePool.from_ranks([p.copy() for p in pic_s.particles])
+            pic_w.pool = ParticlePool.from_ranks([p.copy() for p in pic_w.particles])
             for _ in range(2):
                 pic_s.step()
                 pic_w.step()
@@ -226,19 +229,19 @@ class TestMulticoreParity:
 
 
 class TestPoolLifecycle:
-    def test_pool_survives_external_reassignment(self):
-        """Replacing pic.particles (as the redistributor does) must
-        trigger a pool rebuild, not stale reads."""
+    def test_particles_are_the_pool(self):
+        """``particles`` is a read-only view of ``pool``; assigning a pool
+        (as the redistributor does) is what replaces the particles."""
         _, pic = _build("flat")
         pic.step()
-        pool_before = pic._pool
-        assert pool_before is not None and pool_before.owns(pic.particles)
-        # Redistribution swaps in brand-new per-rank arrays.
-        pic.particles = [p.copy() for p in pic.particles]
-        assert not pool_before.owns(pic.particles)
+        with pytest.raises(AttributeError):
+            pic.particles = [p.copy() for p in pic.particles]
+        new = ParticlePool.from_ranks([p.copy() for p in pic.particles[::-1]])
+        pic.pool = new
+        assert pic.pool is new and pic.particles is new.views
         pic.step()
-        assert pic._pool is not pool_before
-        assert pic._pool.owns(pic.particles)
+        assert pic.pool is new
+        assert all(view.block.base is new.array.block for view in pic.particles)
 
     def test_pool_round_trip(self):
         grid = Grid2D(8, 8)
@@ -250,8 +253,6 @@ class TestPoolLifecycle:
         for r in range(4):
             np.testing.assert_array_equal(pool.views[r].ids, parts[r].ids)
             np.testing.assert_array_equal(pool.views[r].x, parts[r].x)
-        assert pool.owns(list(pool.views))
-        assert not pool.owns(parts)
 
     def test_empty_segments(self):
         parts = [ParticleArray.empty(0) for _ in range(3)]

@@ -17,6 +17,9 @@ Pins the observability contract:
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -25,7 +28,6 @@ from repro.obs import (
     BatchView,
     PhaseProfiler,
     aggregate_batch,
-    maybe_section,
     parse_prom_text,
     render_batch_rollup,
     render_prom_text,
@@ -33,6 +35,7 @@ from repro.obs import (
     top_loop,
     write_prom_snapshot,
 )
+from repro.machine import MachineModel, VirtualMachine
 from repro.pic import Simulation
 from repro.pic.simulation import config_from_dict
 from repro.service import (
@@ -85,10 +88,16 @@ class TestPhaseProfiler:
         with pytest.raises(RuntimeError):
             prof.pop("scatter")
 
-    def test_maybe_section_none_is_a_passthrough(self):
-        with maybe_section(None, "anything"):
+    def test_vm_section_without_profiler_is_a_passthrough(self):
+        vm = VirtualMachine(2, MachineModel.cm5())
+        assert vm.profiler is None
+        with vm.section("anything"):
             x = 1
         assert x == 1
+        vm.profiler = prof = PhaseProfiler()
+        with vm.phase("scatter"), vm.section("deposit"):
+            pass
+        assert prof.samples[("scatter", "deposit")][0] == 1
 
     def test_merge_worker_samples_lands_under_workers_root(self):
         prof = PhaseProfiler()
@@ -137,6 +146,24 @@ class TestZeroCostWhenOff:
         # the profiler actually measured something
         assert observed.profiler is not None
         assert observed.profiler.samples
+
+    def test_plain_run_imports_no_observation(self):
+        """Observation that is off is not imported: a plain run loads
+        nothing under ``repro.obs``, ``repro.telemetry`` or ``repro.service``.
+        A fresh interpreter, because this suite imports them all."""
+        code = (
+            "import sys\n"
+            "import repro.pic.simulation as s\n"
+            "s.Simulation(s.SimulationConfig(nx=16, ny=8, nparticles=64, p=2)).run(1)\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[:2] in (['repro', 'obs'], ['repro', 'telemetry'], ['repro', 'service'])))"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_save_profile_emits_folded_files(self, tmp_path):
         sim = Simulation(_config())

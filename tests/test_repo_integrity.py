@@ -166,6 +166,8 @@ class TestPackageMetadata:
             "bench policy",
             "REPRO_BENCH_WORKERS",
             "BENCH_policies",
+            "account_pooled",
+            "ParticlePool.owns",
         )
         docs = [ROOT / "README.md", ROOT / "DESIGN.md", *sorted((ROOT / "docs").glob("*.md"))]
         stale = [

@@ -28,6 +28,7 @@ from repro.parallel_exec.kernels import reduce_rank_rows, scatter_segment
 from repro.particles import ParticleArray, ParticlePool, gaussian_blob, uniform_plasma
 from repro.pic import ParallelPIC, Simulation, SimulationConfig
 from repro.pic.deposition import CHANNELS, accumulate_entries, deposition_entries, ghost_slots
+from repro.pic.ghost import GHOST_TABLES
 from repro.pic.zigzag import deposit_current_zigzag
 from tests._looped_oracle import (
     STEPPERS,
@@ -142,9 +143,10 @@ class TestDenseRowOracle:
         assert sent_ids.keys() == messages_d.keys()
         for key, ids in sent_ids.items():
             assert np.array_equal(ids, messages_d[key][0])
-        for r in np.flatnonzero(entries_d):
-            stats = pic.ghost_tables[r].stats
-            assert (stats.entries, stats.unique_nodes) == (entries_d[r], uniq_d[r])
+        # the per-rank ghost tallies: what one table per rank would have counted
+        assert np.array_equal(pic.ghost_entries, entries_d)
+        assert np.array_equal(pic.ghost_unique, uniq_d)
+        assert np.array_equal(pic.ghost_ops, GHOST_TABLES[table].OPS_PER_ENTRY * entries_d)
 
         # the kernel alone, sharded at an arbitrary rank cut like a
         # two-worker backend would: rows, tallies and message payloads

@@ -28,7 +28,7 @@ from repro.bench import CASES, run_cases
 from repro.core import ParticlePartitioner
 from repro.machine import FaultEvent, FaultPlan, MachineModel, VirtualMachine
 from repro.mesh import CurveBlockDecomposition, Grid2D
-from repro.particles import ParticleArray, gaussian_blob, uniform_plasma
+from repro.particles import ParticleArray, ParticlePool, gaussian_blob, uniform_plasma
 from repro.pic import ParallelPIC, Simulation, SimulationConfig
 from repro.pic.interpolation import gather_from_node_values
 from repro.pic.parallel_yee import ParallelYeePIC
@@ -150,14 +150,14 @@ class TestStepperParity:
         assert np.isnan(pooled.fields.jx).any() == (kind == "poison" and phase == "scatter")
 
     def test_particles_swapped_between_steps(self):
-        """The driver replaces ``pic.particles`` on redistribution: the pool
-        is rebuilt and the cached unshifted stencil is not reused."""
+        """The driver replaces ``pic.pool`` on redistribution: the cached
+        unshifted stencil is not reused."""
         grid = Grid2D(24, 16)
         oracle, pooled = _pair(grid, _partitioned(grid, 1500, 4), 4)
         _step_both(pooled, oracle, 2)
         for stepper in (oracle, pooled):
             moved = [part.copy() for part in stepper.particles]
-            stepper.particles = moved[1:] + moved[:1]
+            stepper.pool = ParticlePool.from_ranks(moved[1:] + moved[:1])
         _step_both(pooled, oracle, 2)
 
     def test_scatter_needs_a_push(self):
