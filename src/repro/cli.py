@@ -142,8 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument("--iterations", type=int, required=True,
                         help="number of further iterations to run")
     resume.add_argument("--guards", default=None, choices=["off", "warn", "strict"],
-                        help="override the checkpointed guard severity; strict also "
-                             "refuses legacy format-v1 checkpoints")
+                        help="override the checkpointed guard severity")
 
     submit = sub.add_parser(
         "submit",

@@ -412,6 +412,27 @@ class VirtualMachine:
         self.stats.load_state(state["stats"])
         self.ops.load_dict(state["ops"])
 
+    def reset(self) -> None:
+        """Zero the clocks, charges, phase times, comm stats and op counts."""
+        self.clocks[:] = 0.0
+        self.compute_time[:] = 0.0
+        self.comm_time[:] = 0.0
+        self.phase_time.clear()
+        self.stats.reset()
+        self.ops.reset()
+
+    def shrunk(self, p: int) -> "VirtualMachine":
+        """A fresh ``p``-rank machine starting at this one's elapsed time, max-over-ranks
+        compute / comm / phase times and op counts (comm stats empty, no faults)."""
+        vm = VirtualMachine(p, self.model, strict_ops=self.strict_ops)
+        vm.clocks[:] = self.elapsed()
+        vm.compute_time[:] = float(self.compute_time.max())
+        vm.comm_time[:] = float(self.comm_time.max())
+        for name, t in self.phase_time.items():
+            vm.phase_time[name] = np.full(p, float(t.max()))
+        vm.ops.load_dict(self.ops.as_dict())
+        return vm
+
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------

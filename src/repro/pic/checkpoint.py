@@ -1,14 +1,16 @@
 """Exact-resume checkpoint / restart of simulation state (format v3).
 
 A checkpoint round-trips the *full* run state of a
-:class:`~repro.pic.simulation.Simulation`, not just the physical state:
+:class:`~repro.pic.simulation.Simulation`, not just the physical state,
+and this module is the one place that knows its keys: :func:`capture_run`
+writes them, :func:`resume_run` and :func:`restore_history` read them.
 
 * physical state — every rank's particles, the complete
   :class:`~repro.mesh.fields.FieldState`, grid geometry, the iteration;
 * machine state — the :class:`~repro.machine.virtual.VirtualMachine`'s
   per-rank clocks, compute/comm splits, per-phase time tables, per-phase
   :class:`~repro.machine.stats.CommStats`, and op counters;
-* control state — the full :class:`~repro.pic.simulation.SimulationConfig`
+* control state — the full :class:`~repro.pic.config.SimulationConfig`
   (machine model constants included), the redistribution policy's
   internals, the decomposition's curve bounds (adaptive rebalancing moves
   them), the redistributor's build-time sort keys (the incremental sort
@@ -35,35 +37,39 @@ checkpointed at iteration ``k`` and resumed via
 ``Simulation.from_checkpoint`` produces a ``SimulationResult`` *identical*
 to the uninterrupted run, and the physical state matches at atol=0.
 Writes are crash-safe (temp file + fsync + :func:`os.replace`), and
-every way a corrupt or truncated archive can fail to load — bad CRC-32,
-short member, mangled header — ends in :class:`CheckpointError` naming
-the member.
-
-**Older files are read-only.**  v2 (deflated per-rank matrices and key
-vectors, one member per field, history as JSON) and v1 (particles /
-fields / iteration only; loads with a :class:`UserWarning` and
-``run_state=None``, so it cannot seed ``Simulation.from_checkpoint``)
-go through the same code path, their per-rank members concatenated into
-the pooled form.
+every way a file can fail to resume — bad CRC-32, short member, mangled
+header, another format version, a missing or malformed run-state key, no
+run state at all — ends in :class:`CheckpointError` naming the member or
+key.  Only version 3 is read: no writer of versions 1 and 2 is left.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 import zipfile
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.policies import policy_from_state
+from repro.machine.trace import PhaseTrace
+from repro.mesh.decomposition import CurveBlockDecomposition
 from repro.mesh.fields import FieldState
 from repro.mesh.grid import Grid2D
 from repro.particles.arrays import ROWS, ParticleArray, ParticlePool
+from repro.pic.config import config_from_dict, config_to_dict
+from repro.pic.result import RECORD_DTYPE, IterationRecord
 from repro.util import require
 from repro.util.atomic_io import atomic_writer
 from repro.util.errors import CheckpointError
+from repro.util.guards import GUARD_MODES
+
+if TYPE_CHECKING:
+    from repro.pic.simulation import Simulation
 
 __all__ = [
     "save_checkpoint",
@@ -71,6 +77,9 @@ __all__ = [
     "CheckpointData",
     "CheckpointError",
     "RECORD_DTYPE",
+    "capture_run",
+    "resume_run",
+    "restore_history",
 ]
 
 _FIELD_NAMES = ("ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz", "rho")
@@ -78,12 +87,6 @@ _FORMAT_VERSION = 3
 _MAGIC = "repro-checkpoint"
 #: particles per transposed chunk of the ``particles`` member (288 KiB)
 _CHUNK = 4096
-
-#: One ``records`` row: the fields of :class:`~repro.pic.simulation.IterationRecord`.
-RECORD_DTYPE = np.dtype(
-    [("iteration", "i8"), ("time", "f8"), ("scatter_max_bytes", "i8"),
-     ("scatter_max_msgs", "i8"), ("redistributed", "?"), ("redistribution_cost", "f8")]
-)  # fmt: skip
 
 
 @dataclass
@@ -93,8 +96,9 @@ class CheckpointData:
     ``pool`` holds all ranks' particles in the pooled layout.
     ``run_state`` is the exact-resume payload (config, machine, policy,
     counters, decomposition bounds) as a JSON-compatible dict, ``None``
-    for v1 files; ``sort_keys`` the redistributor's build-time keys, one
-    vector aligned with ``pool`` (``None`` without a redistributor);
+    for a physical-state-only file; ``sort_keys`` the redistributor's
+    build-time keys, one vector aligned with ``pool`` (``None`` without a
+    redistributor);
     ``records`` the history as :data:`RECORD_DTYPE` tuples; ``trace_rows``
     the phase-profile dicts.
     """
@@ -103,7 +107,6 @@ class CheckpointData:
     fields: FieldState
     pool: ParticlePool
     iteration: int
-    version: int = _FORMAT_VERSION
     run_state: dict | None = None
     sort_keys: np.ndarray | None = None
     records: list[tuple] = field(default_factory=list)
@@ -118,10 +121,6 @@ class CheckpointData:
     def nranks(self) -> int:
         """Number of per-rank particle sets stored."""
         return self.pool.p
-
-    def all_particles(self) -> ParticleArray:
-        """All particles in rank order (the pooled array itself)."""
-        return self.pool.array
 
 
 def _resolve_path(path: str | Path) -> Path:
@@ -172,7 +171,7 @@ def save_checkpoint(
 
     ``particles`` is a list of per-rank sets (pass ``[parts]`` for a
     sequential run).  ``run_state`` is the JSON-compatible exact-resume
-    payload assembled by ``Simulation.checkpoint``; ``sort_keys`` the
+    payload assembled by :func:`capture_run`; ``sort_keys`` the
     redistributor's build-time keys, one vector aligned with the particles
     in rank order; ``records`` the history as :data:`RECORD_DTYPE` tuples;
     ``trace_rows`` the phase-profile dicts.
@@ -230,13 +229,8 @@ def _open_archive(fh, path: Path):
     return archive
 
 
-def load_checkpoint(path: str | Path, *, strict: bool = False) -> CheckpointData:
-    """Read a checkpoint written by :func:`save_checkpoint` (any version).
-
-    With ``strict=True`` (what ``--guards strict`` runs use) legacy
-    format-v1 files raise :class:`CheckpointError` instead of loading
-    with a :class:`UserWarning` — a degraded restore is an error, not a
-    caveat, when integrity guarantees were requested.
+def load_checkpoint(path: str | Path) -> CheckpointData:
+    """Read a checkpoint written by :func:`save_checkpoint`.
 
     Raises
     ------
@@ -244,10 +238,10 @@ def load_checkpoint(path: str | Path, *, strict: bool = False) -> CheckpointData
         ``path`` (with or without the ``.npz`` suffix) does not exist.
     CheckpointError
         The file exists but is not a valid repro checkpoint: not an npz
-        archive, an unsupported version, missing keys (the message lists
-        missing and found), a corrupt or truncated member (bad CRC-32,
-        short data, mangled header — the message names it), members that
-        contradict each other, or a v1 file under ``strict=True``.
+        archive, a version other than 3 (the message names it), missing
+        keys (the message lists missing and found), a corrupt or
+        truncated member (bad CRC-32, short data, mangled header — the
+        message names it), or members that contradict each other.
     """
     path = Path(path)
     if not path.exists():
@@ -280,61 +274,30 @@ def load_checkpoint(path: str | Path, *, strict: bool = False) -> CheckpointData
         try:
             need("version")
             version = int(read("version")[0])
-            if version not in (1, 2, _FORMAT_VERSION):
+            if version != _FORMAT_VERSION:
                 raise CheckpointError(
                     f"{path}: checkpoint version {version} not supported "
-                    f"(this build reads versions 1, 2 and {_FORMAT_VERSION})"
+                    f"(this build reads version {_FORMAT_VERSION} only)"
                 )
-            state = {"run_state": None, "has_sort_keys": False}
-            if version == 1:
-                message = (
-                    f"{path} is a format-v1 checkpoint: only particles/fields/iteration are "
-                    "stored, so it cannot seed an exact resume (Simulation.from_checkpoint); "
-                    f"re-save with Simulation.checkpoint to upgrade to v{_FORMAT_VERSION}"
+            magic = str(read("format")[0]) if "format" in found else None
+            if magic != _MAGIC:
+                raise CheckpointError(
+                    f"{path} is not a repro checkpoint: format marker is {magic!r}, "
+                    f"expected {_MAGIC!r}"
                 )
-                if strict:
-                    raise CheckpointError(message + " — strict guards refuse the degraded load")
-                warnings.warn(message, UserWarning, stacklevel=2)
-            else:
-                magic = str(read("format")[0]) if "format" in found else None
-                if magic != _MAGIC:
-                    raise CheckpointError(
-                        f"{path} is not a repro checkpoint: format marker is {magic!r}, "
-                        f"expected {_MAGIC!r}"
-                    )
-                need("state_json")
-                state = json.loads(str(read("state_json")[0]))
+            need("state_json")
+            state = json.loads(str(read("state_json")[0]))
             run_state, has_sort_keys = state["run_state"], bool(state["has_sort_keys"])
             need("meta", "extent")
             nx, ny, iteration, nranks = (int(v) for v in read("meta"))
             lx, ly = (float(v) for v in read("extent"))
-            ranks = range(nranks)
-            if version == _FORMAT_VERSION:
-                need("particles", "offsets", "fields", "records", "trace_rows")
-                block = np.ascontiguousarray(read("particles").T, dtype=np.float64)
-                pool = ParticlePool(ParticleArray.from_block(block), read("offsets"))
-                field_block = read("fields")
-                keys = read("sort_keys") if has_sort_keys else None
-                records = read("records").astype(RECORD_DTYPE, casting="equiv").tolist()
-                trace_rows = _unpack_rows(state["trace_phases"], read("trace_rows"))
-            else:  # per-rank / per-field members, concatenated into the pooled form
-                need(*(f"field_{name}" for name in _FIELD_NAMES))
-                need(*(f"rank{r}_matrix" for r in ranks))
-                mats = [read(f"rank{r}_matrix").reshape(-1, len(ROWS)) for r in ranks]
-                offsets = np.cumsum([0] + [m.shape[0] for m in mats])
-                block = np.ascontiguousarray(np.concatenate(mats).T, dtype=np.float64)
-                pool = ParticlePool(ParticleArray.from_block(block), offsets)
-                field_block = np.stack([read(f"field_{name}") for name in _FIELD_NAMES])
-                keys = None
-                if has_sort_keys:
-                    keys = np.concatenate([read(f"rank{r}_sortkeys") for r in ranks])
-                # v2 kept the history as JSON inside run_state
-                history = run_state or {}
-                records = [
-                    tuple(row[name] for name in RECORD_DTYPE.names)
-                    for row in history.pop("records", ())
-                ]
-                trace_rows = history.pop("trace_rows", [])
+            need("particles", "offsets", "fields", "records", "trace_rows")
+            block = np.ascontiguousarray(read("particles").T, dtype=np.float64)
+            pool = ParticlePool(ParticleArray.from_block(block), read("offsets"))
+            field_block = read("fields")
+            keys = read("sort_keys") if has_sort_keys else None
+            records = read("records").astype(RECORD_DTYPE, casting="equiv").tolist()
+            trace_rows = _unpack_rows(state["trace_phases"], read("trace_rows"))
             require(pool.p == nranks, f"{pool.p} particle segments for nranks={nranks}")
             require(
                 field_block.shape == (len(_FIELD_NAMES), ny, nx),
@@ -347,7 +310,6 @@ def load_checkpoint(path: str | Path, *, strict: bool = False) -> CheckpointData
                 FieldState(*field_block),
                 pool,
                 iteration,
-                version=version,
                 run_state=run_state,
                 sort_keys=keys,
                 records=records,
@@ -357,3 +319,157 @@ def load_checkpoint(path: str | Path, *, strict: bool = False) -> CheckpointData
             raise
         except (ValueError, TypeError, KeyError, IndexError) as exc:
             raise CheckpointError(f"{path}: inconsistent checkpoint members: {exc}") from exc
+
+
+# ----------------------------------------------------------------------
+# the run state of a Simulation
+# ----------------------------------------------------------------------
+def capture_run(sim: Simulation, path: str | Path) -> Path:
+    """Write ``sim``'s full run state as a format-v3 checkpoint; return the path.
+
+    Serializes the physical state (particles pooled in rank order,
+    fields, grid), the virtual machine (clocks, compute/comm splits,
+    per-phase times and comm stats, op counters), the policy
+    internals, the current decomposition bounds, the redistributor's
+    build-time sort keys, and the per-iteration record and phase-trace
+    history as arrays.
+    """
+    run_state = {
+        "config": config_to_dict(sim.config, full_model=True),
+        "vm": sim.vm.state_dict(),
+        "policy": sim.policy.state_dict(),
+        "n_redistributions": sim.n_redistributions,
+        "redistribution_time": sim.redistribution_time,
+        "n_recoveries": sim.n_recoveries,
+        "recovery_time": sim.recovery_time,
+        "setup_cost": sim._setup_cost,
+        # the *live* decomposition: adaptive rebalancing swaps it at
+        # runtime (pic.decomp), which Simulation.decomp tracks
+        "decomp_bounds": sim.pic.decomp.curve_bounds.tolist(),
+    }
+    if sim.correlation is not None:
+        # batch identity rides along (optional key: standalone
+        # checkpoints stay byte-identical), so a checkpoint is
+        # joinable with its batch's service stream
+        run_state["correlation"] = dict(sim.correlation)
+    return save_checkpoint(
+        path,
+        sim.grid,
+        sim.pic.fields,
+        sim.pic.particles,
+        sim.iteration,
+        run_state=run_state,
+        sort_keys=(
+            sim.redistributor.export_keys() if sim.redistributor is not None else None
+        ),
+        records=list(map(attrgetter(*RECORD_DTYPE.names), sim.records)),
+        # per-iteration phase-profile rows: telemetry survives resume
+        # (a resumed run's PhaseTrace covers the full history)
+        trace_rows=sim.trace.rows,
+    )
+
+
+def _read(path, run_state: dict, key: str, parse):
+    """``parse(run_state[key])``; a missing or malformed key is a :class:`CheckpointError`."""
+    try:
+        value = run_state[key]
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: run state has no {key!r} key") from exc
+    try:
+        return parse(value)
+    except CheckpointError:
+        raise
+    except (AttributeError, ValueError, TypeError, KeyError, IndexError) as exc:
+        raise CheckpointError(f"{path}: run_state.{key} is malformed: {exc}") from exc
+
+
+def resume_run(
+    cls: type[Simulation], path: str | Path, *, guards: str | None, workers: int | str
+) -> Simulation:
+    """A ``cls`` (a :class:`~repro.pic.simulation.Simulation`) resumed from ``path``.
+
+    Builds it from the embedded configuration (``guards`` overriding its
+    severity), then overwrites every piece of mutable state from the
+    archive; ``workers`` only picks the shard-thread count.
+    """
+    if guards is not None:
+        require(
+            guards in GUARD_MODES,
+            f"guards must be one of {GUARD_MODES}, got {guards!r}",
+        )
+    data = load_checkpoint(path)
+    if data.run_state is None:
+        raise CheckpointError(
+            f"{path} has no run state (particles/fields only) and cannot seed "
+            "an exact resume: only Simulation.checkpoint writes one"
+        )
+    cfg = _read(path, data.run_state, "config", config_from_dict)
+    if guards is not None and guards != cfg.guards:
+        cfg = replace(cfg, guards=guards)
+    sim = cls(cfg, workers=workers)
+    try:
+        _restore(sim, data, path)
+    except BaseException:
+        sim.close()
+        raise
+    sim._last_checkpoint = Path(path)
+    return sim
+
+
+def restore_history(sim: Simulation, data: CheckpointData, path) -> None:
+    """Policy, history, redistribution totals and setup cost from a checkpoint."""
+    rs = data.run_state
+    sim.policy = _read(path, rs, "policy", policy_from_state)
+    sim.records = [IterationRecord(*row) for row in data.records]
+    sim.n_redistributions = _read(path, rs, "n_redistributions", int)
+    sim.redistribution_time = _read(path, rs, "redistribution_time", float)
+    sim._setup_cost = _read(path, rs, "setup_cost", float)
+
+
+def _restore(sim: Simulation, data: CheckpointData, path) -> None:
+    cfg, rs = sim.config, data.run_state
+    if (data.grid.nx, data.grid.ny) != (sim.grid.nx, sim.grid.ny):
+        raise CheckpointError(
+            f"checkpoint grid {data.grid.nx}x{data.grid.ny} does not match "
+            f"config grid {sim.grid.nx}x{sim.grid.ny}"
+        )
+    if len(data.particles) != cfg.p:
+        raise CheckpointError(
+            f"checkpoint has {len(data.particles)} particle sets, config p={cfg.p}"
+        )
+    bounds = _read(path, rs, "decomp_bounds", lambda b: np.asarray(b, dtype=np.int64))
+    if not np.array_equal(bounds, sim.decomp.curve_bounds):
+        # Adaptive rebalancing moved the block boundaries at runtime.
+        try:
+            decomp = CurveBlockDecomposition(sim.grid, cfg.p, cfg.scheme, bounds=bounds)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: run_state.decomp_bounds is malformed: {exc}") from exc
+        sim.decomp = decomp
+        sim.pic.set_decomposition(decomp)
+    sim.pic.pool = data.pool
+    sim.pic.fields = data.fields
+    sim.pic.iteration = data.iteration
+    _read(path, rs, "vm", sim.vm.load_state)
+    # Rebuild the phase trace on the restored machine: the fresh
+    # baseline is the restored breakdown (pre-checkpoint time belongs
+    # to the rows we restore, not to the next snapshot), and the
+    # restored rows make a resumed run's trace cover the full history.
+    sim.trace = PhaseTrace(sim.vm)
+    sim.trace.rows = data.trace_rows
+    restore_history(sim, data, path)
+    sim.policy.bind(sim.vm)
+    if sim.redistributor is not None:
+        if data.sort_keys is None:
+            raise CheckpointError(
+                "checkpoint carries no redistribution sort keys but the "
+                "configured run (lagrangian movement) needs them"
+            )
+        sim.redistributor.restore_keys(data.sort_keys, data.pool)
+    sim.iteration = data.iteration
+    sim.n_recoveries = _read(path, rs, "n_recoveries", int)
+    sim.recovery_time = _read(path, rs, "recovery_time", float)
+    # batch identity (absent from standalone checkpoints); the job
+    # service re-stamps the current attempt
+    sim.correlation = (
+        _read(path, rs, "correlation", dict) if rs.get("correlation") is not None else None
+    )

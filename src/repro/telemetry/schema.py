@@ -7,8 +7,8 @@ Three artifact kinds leave a run or a batch:
 * **metrics** — JSONL, one record per line (``repro run --metrics``),
   schema ``repro-metrics/1``; validated by :func:`validate_metrics`;
 * **service** — the job scheduler's batch event stream (``repro submit
-  --metrics`` / ``--obs-dir``), schema ``repro-service/1`` or ``/2``;
-  validated by :func:`validate_service`.
+  --metrics`` / ``--obs-dir``), schema ``repro-service/2``; validated by
+  :func:`validate_service`.
 
 The two JSONL streams share one reader
 (:func:`~repro.telemetry.stream.read_jsonl`) and one envelope check —
@@ -99,17 +99,6 @@ def validate_trace(source: str | Path | dict) -> dict:
 # ----------------------------------------------------------------------
 _NUM = (int, float)
 
-#: Accepted batch-stream schema versions.  The writer
-#: (:data:`repro.service.telemetry.SERVICE_SCHEMA`) emits the newest;
-#: ``/1`` streams from older runs stay readable.
-_SERVICE_SCHEMAS = ("repro-service/1", "repro-service/2")
-
-_SERVICE_RECORDS = {
-    "header": {"jobs": int, "workers": int},
-    "event": {"kind": str, "t": _NUM},
-    "summary": {"aggregates": dict},
-}
-
 #: schema -> record type -> required key -> accepted type(s)
 _RECORDS: dict[str, dict[str, dict]] = {
     METRICS_SCHEMA: {
@@ -129,10 +118,11 @@ _RECORDS: dict[str, dict[str, dict]] = {
         "event": {"kind": str},
         "summary": {"aggregates": dict},
     },
-    "repro-service/1": _SERVICE_RECORDS,
+    # the batch stream (:data:`repro.service.telemetry.SERVICE_SCHEMA`)
     "repro-service/2": {
-        **_SERVICE_RECORDS,
-        "header": {**_SERVICE_RECORDS["header"], "batch_id": str, "started_at": _NUM},
+        "header": {"jobs": int, "workers": int, "batch_id": str, "started_at": _NUM},
+        "event": {"kind": str, "t": _NUM},
+        "summary": {"aggregates": dict},
     },
 }
 
@@ -241,7 +231,7 @@ def validate_metrics(source: str | Path | list[str]) -> ParsedMetrics:
     return ParsedMetrics(header, iterations, events, summary)
 
 
-#: Event kinds scoped to one job — in ``/2`` these must carry the
+#: Event kinds scoped to one job — these must carry the
 #: correlation identity (``job_id`` + ``attempt``) next to ``job``.
 _JOB_EVENT_KINDS = frozenset({
     "job_launched", "job_progress", "job_done", "job_retry", "job_failed",
@@ -262,9 +252,9 @@ class ParsedService:
         return str(self.header["schema"])
 
     @property
-    def batch_id(self) -> str | None:
-        """The batch identity (None on ``/1`` streams)."""
-        return self.header.get("batch_id")
+    def batch_id(self) -> str:
+        """The batch identity."""
+        return self.header["batch_id"]
 
     def job_events(self) -> list[dict]:
         """The job-scoped subset of :attr:`events`, in stream order."""
@@ -275,20 +265,19 @@ def validate_service(source: str | Path | list[str]) -> ParsedService:
     """Validate a service batch stream; return a :class:`ParsedService`.
 
     ``source`` is a file path or a list of JSONL lines.  Beyond the
-    envelope (``repro-service/1`` or ``/2``), checks the monotonic
-    non-negative event timestamps (the §5.8 contract) and — on ``/2`` —
-    a non-empty ``batch_id`` and the ``job_id``/``attempt`` correlation
-    stamp on every job-scoped event.  A live stream being tailed
+    envelope (``repro-service/2``), checks the monotonic non-negative
+    event timestamps (the §5.8 contract), a non-empty ``batch_id`` and
+    the ``job_id``/``attempt`` correlation stamp on every job-scoped
+    event.  A live stream being tailed
     mid-batch has no summary yet and is therefore *invalid* by design:
     completeness is part of the contract.
     """
-    where, header, events, summary = _envelope(source, _SERVICE_SCHEMAS)
-    v2 = header["schema"] == "repro-service/2"
+    where, header, events, summary = _envelope(source, ("repro-service/2",))
     for key in ("jobs", "workers"):
         if header[key] < 0:
             _fail(f"{where}: header {key!r} must be a non-negative integer")
-    if v2 and not header["batch_id"]:
-        _fail(f"{where}: /2 header needs a non-empty 'batch_id'")
+    if not header["batch_id"]:
+        _fail(f"{where}: header needs a non-empty 'batch_id'")
     last_t = 0.0
     for i, rec in enumerate(events, start=2):
         name, t = rec["kind"], rec["t"]
@@ -301,8 +290,8 @@ def validate_service(source: str | Path | list[str]) -> ParsedService:
             )
         last_t = float(t)
         if name in _JOB_EVENT_KINDS:
-            keys = {"job": str, "job_id": str, "attempt": int} if v2 else {"job": str}
+            keys = {"job": str, "job_id": str, "attempt": int}
             _require(rec, keys, f"{where}: {name} record {i}")
-            if v2 and (not rec["job_id"] or rec["attempt"] < 0):
-                _fail(f"{where}: /2 {name} record {i} needs a 'job_id', an 'attempt' >= 0")
+            if not rec["job_id"] or rec["attempt"] < 0:
+                _fail(f"{where}: {name} record {i} needs a 'job_id', an 'attempt' >= 0")
     return ParsedService(header, events, summary)

@@ -46,7 +46,9 @@ from repro.machine import FaultEvent, FaultPlan
 from repro.pic import Simulation, SimulationConfig
 from repro.util.errors import SimulationIntegrityError
 
-__all__ = ["ROWS", "OBSERVED", "EXCHANGE_FAULTS", "ITERATIONS", "digest", "main"]
+__all__ = [
+    "ROWS", "OBSERVED", "EXCHANGE_FAULTS", "MOVED_BOUNDS", "ITERATIONS", "digest", "main",
+]  # fmt: skip
 
 ITERATIONS = 12
 _HALF = ITERATIONS // 2
@@ -117,12 +119,20 @@ ROWS: dict[str, tuple[dict, str]] = {
         dict(movement="eulerian", partitioning="adaptive", policy="periodic:4"),
         "adaptive_faults",
     ),
+    # rebalancing has moved the bounds by the checkpoint, so the resume
+    # installs a decomposition other than the fresh one
+    "era_adaptive_resumed": (
+        dict(movement="eulerian", partitioning="adaptive", policy="periodic:4"),
+        "resume",
+    ),
 }
 
 #: rows run with telemetry on and a correlation stamped; their exports are hashed too
 OBSERVED = ("era_observed_faultplan", "modern_observed")
 #: rows whose fault plan targets the redistribution and rebalancing exchanges
 EXCHANGE_FAULTS = ("era_faults_in_redistribution", "era_adaptive_faults")
+#: rows that resume from a checkpoint whose decomposition bounds have moved
+MOVED_BOUNDS = ("era_adaptive_resumed",)
 
 
 def _build(factory, source, workers: int) -> Simulation:

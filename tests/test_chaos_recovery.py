@@ -250,7 +250,7 @@ class TestZeroCostWhenOff:
 
 
 class TestRecoveredStackIsAssembledLikeAFreshOne:
-    """``_recover`` and ``__init__`` build the stack through one method."""
+    """``recover`` and ``__init__`` build the stack through one method."""
 
     @pytest.mark.parametrize(
         "overrides",

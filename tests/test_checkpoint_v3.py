@@ -1,11 +1,7 @@
-"""Checkpoint format v3: layout, v2 compatibility, corruption, memory.
-
-The deleted per-rank compressed writer lives on in ``tests/_ckpt_v2.py``
-as the oracle: a v2 file and a v3 file of the same ``Simulation`` must
-restore to the same state and resume to the same run.
-"""
+"""Checkpoint format v3: layout, refused formats and run states, corruption, memory."""
 
 import dataclasses
+import json
 import shutil
 import tracemalloc
 import zipfile
@@ -16,9 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pic import Simulation, SimulationConfig
-from repro.pic.checkpoint import RECORD_DTYPE, CheckpointError, load_checkpoint
+from repro.pic.checkpoint import RECORD_DTYPE, CheckpointError, load_checkpoint, save_checkpoint
 from repro.pic.simulation import IterationRecord, config_from_dict, config_to_dict
-from tests._ckpt_v2 import checkpoint_v2
 
 TOTAL = 8
 SPLIT = 5
@@ -30,16 +25,6 @@ def _config(**overrides) -> SimulationConfig:
     )
     base.update(overrides)
     return SimulationConfig(**base)
-
-
-CONFIGS = {
-    "lagrangian-dynamic": dict(policy="dynamic"),
-    # files written before the per-rank loops became a test oracle embed
-    # an ``"engine"`` key; this case stamps one into both archives
-    "lagrangian-periodic-looped": dict(policy="periodic:3"),
-    "eulerian-adaptive": dict(movement="eulerian", partitioning="adaptive", policy="periodic:3"),
-    "modern": dict(kernel="modern", policy="periodic:3"),
-}
 
 
 # ----------------------------------------------------------------------
@@ -100,110 +85,122 @@ class TestLayout:
 
 
 # ----------------------------------------------------------------------
-# v2 files (written by the deleted formulation) still load and resume
+# what cannot resume: CheckpointError naming the version or the key
 # ----------------------------------------------------------------------
-def _assert_same_state(a: Simulation, b: Simulation) -> None:
-    assert len(a.pic.particles) == len(b.pic.particles)
-    for pa, pb in zip(a.pic.particles, b.pic.particles):
-        assert np.array_equal(pa.block, pb.block)
-        assert np.array_equal(pa.ids, pb.ids)
+def _legacy_archive(path, version: int) -> None:
+    """The member layout of the deleted formats: per-rank and per-field members."""
+    sim = Simulation(_config(p=2))
+    members = {
+        "version": np.array([version]),
+        "meta": np.array([32, 16, 0, 2], dtype=np.int64),
+        "extent": np.array([sim.grid.lx, sim.grid.ly]),
+    }
+    if version == 2:
+        members["format"] = np.array(["repro-checkpoint"])
+        members["state_json"] = np.array([json.dumps({"run_state": None, "has_sort_keys": False})])
+    for r, parts in enumerate(sim.pic.particles):
+        members[f"rank{r}_matrix"] = np.ascontiguousarray(parts.block.T)
     for name in ("ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz", "rho"):
-        assert np.array_equal(getattr(a.pic.fields, name), getattr(b.pic.fields, name)), name
-    assert np.array_equal(a.vm.clocks, b.vm.clocks)
-    assert a.vm.state_dict() == b.vm.state_dict()
-    assert a.policy.state_dict() == b.policy.state_dict()
-    assert a.records == b.records
-    assert a.trace.rows == b.trace.rows
-    assert np.array_equal(a.pic.decomp.curve_bounds, b.pic.decomp.curve_bounds)
-    assert (a.iteration, a.n_redistributions, a.redistribution_time, a._setup_cost) == (
-        b.iteration, b.n_redistributions, b.redistribution_time, b._setup_cost
-    )  # fmt: skip
-    assert (a.redistributor is None) == (b.redistributor is None)
-    if a.redistributor is not None:
-        keys_a, keys_b = a.redistributor.export_keys(), b.redistributor.export_keys()
-        assert keys_a.dtype == keys_b.dtype == np.int64 and np.array_equal(keys_a, keys_b)
+        members[f"field_{name}"] = getattr(sim.pic.fields, name)
+    np.savez(path, **members)
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_v2_and_v3_restore_equal_and_resume_exactly(name, tmp_path, monkeypatch):
-    config = _config(**CONFIGS[name])
-    full_sim = Simulation(config)
-    full = full_sim.run(TOTAL)
-
-    first = Simulation(config)
-    first.run(SPLIT)
-    legacy_engine = "looped" if name.endswith("-looped") else None
-    with monkeypatch.context() as patch:
-        if legacy_engine:
-            def stamped(cfg, **kwargs):
-                return {**config_to_dict(cfg, **kwargs), "engine": legacy_engine}
-
-            patch.setattr("repro.pic.simulation.config_to_dict", stamped)
-            patch.setattr("tests._ckpt_v2.config_to_dict", stamped)
-        v3 = first.checkpoint(tmp_path / "v3.npz")
-        v2 = checkpoint_v2(first, tmp_path / "v2.npz")
-    data_v2, data_v3 = load_checkpoint(v2), load_checkpoint(v3)
-    assert (data_v2.version, data_v3.version) == (2, 3)
-    assert data_v3.run_state["config"].get("engine") == legacy_engine
-    assert data_v2.run_state == data_v3.run_state
-    assert data_v2.records == data_v3.records
-    assert data_v2.trace_rows == data_v3.trace_rows
-
-    from_v2, from_v3 = Simulation.from_checkpoint(v2), Simulation.from_checkpoint(v3)
-    _assert_same_state(from_v2, from_v3)
-    _assert_same_state(from_v3, first)
-    for resumed_sim in (from_v2, from_v3):
-        resumed = resumed_sim.run(TOTAL - SPLIT)
-        assert resumed.records == full.records
-        assert resumed.to_dict() == full.to_dict()
-        assert resumed.phase_breakdown == full.phase_breakdown
-        _assert_same_state(resumed_sim, full_sim)
+@pytest.mark.parametrize("version", [1, 2])
+def test_v1_and_v2_archives_are_refused_naming_the_version(tmp_path, version):
+    path = tmp_path / f"v{version}.npz"
+    _legacy_archive(path, version)
+    with pytest.raises(CheckpointError, match=f"checkpoint version {version} not supported"):
+        load_checkpoint(path)
+    with pytest.raises(CheckpointError, match=f"version {version}"):
+        Simulation.from_checkpoint(path)
 
 
-def test_legacy_engine_key_dropped_other_values_rejected():
-    """``engine`` is not a config field any more: its two historical
-    values (bit-identical paths) are dropped, anything else is unknown."""
+def _drop(key):
+    def edit(run_state: dict) -> None:
+        del run_state[key]
+
+    return edit
+
+
+#: edit of a valid ``run_state`` -> what the CheckpointError must say
+RUN_STATE_EDITS = {
+    "unknown-config-key": (
+        lambda rs: rs["config"].update(warp=9), r"run_state\.config .*unknown config keys.*warp"
+    ),
+    "config-p-zero": (lambda rs: rs["config"].update(p=0), r"run_state\.config .*p must be >= 1"),
+    "no-vm": (_drop("vm"), "run state has no 'vm' key"),
+    "no-decomp-bounds": (_drop("decomp_bounds"), "run state has no 'decomp_bounds' key"),
+    "short-decomp-bounds": (
+        lambda rs: rs.update(decomp_bounds=[0, 5]), r"run_state\.decomp_bounds is malformed"
+    ),
+    "unknown-policy": (
+        lambda rs: rs.update(policy={"name": "nope"}), r"run_state\.policy .*unknown policy type"
+    ),
+    "policy-null": (lambda rs: rs.update(policy=None), r"run_state\.policy is malformed"),
+    "correlation-not-a-dict": (
+        lambda rs: rs.update(correlation="x"), r"run_state\.correlation is malformed"
+    ),
+    "physical-state-only": (None, "has no run state"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_STATE_EDITS))
+def test_malformed_run_state_raises_checkpoint_error_naming_it(tmp_path, case):
+    edit, message = RUN_STATE_EDITS[case]
+    sim = Simulation(SimulationConfig(nx=16, ny=8, nparticles=256, p=4))
+    sim.run(3)
+    path = tmp_path / "ck.npz"
+    if edit is None:
+        save_checkpoint(path, sim.grid, sim.pic.fields, sim.pic.particles, sim.iteration)
+    else:
+        members = dict(np.load(sim.checkpoint(path)))
+        state = json.loads(str(members["state_json"][0]))
+        edit(state["run_state"])
+        members["state_json"] = np.array([json.dumps(state)])
+        np.savez(path, **members)
+    with pytest.raises(CheckpointError, match=message):
+        Simulation.from_checkpoint(path)
+
+
+def test_legacy_engine_key_is_an_unknown_key():
+    """``engine`` is not a config field: every value of it, the two that
+    once selected a stepper included, is an unknown key."""
     base = config_to_dict(_config(policy="dynamic"))
     assert "engine" not in base
-    for legacy in ("flat", "looped"):
-        assert config_from_dict({**base, "engine": legacy}) == config_from_dict(base)
-    with pytest.raises(ValueError, match=r"unknown config keys: \['engine'\]"):
-        config_from_dict({**base, "engine": "turbo"})
+    for value in ("flat", "looped", "turbo"):
+        with pytest.raises(ValueError, match=r"unknown config keys: \['engine'\]"):
+            config_from_dict({**base, "engine": value})
     with pytest.raises(TypeError, match="engine"):
         SimulationConfig(engine="flat")
 
 
-def test_rank_kill_recovers_from_a_v2_last_checkpoint(tmp_path):
-    """``_recover`` reads ``_last_checkpoint`` through the same loader."""
+def test_rank_kill_recovers_from_the_last_checkpoint(tmp_path):
+    """A resumed run recovers from the checkpoint it came from, exactly as
+    the uninterrupted run recovers from the one it wrote there."""
     from repro.machine.faults import FaultEvent, FaultPlan
 
     plan = FaultPlan(events=(FaultEvent(kind="kill", rank=1, iteration=6),))
     config = _config(policy="dynamic")
-    results = {}
-    for version, write in (("v2", checkpoint_v2), ("v3", Simulation.checkpoint)):
-        first = Simulation(config)
-        first.run(SPLIT)
-        path = write(first, tmp_path / f"{version}.npz")
-        sim = Simulation.from_checkpoint(path).install_faults(plan)
-        results[version] = sim.run(TOTAL - SPLIT)
-        assert sim.n_recoveries == 1 and sim.vm.p == 3
-    assert results["v2"].to_dict() == results["v3"].to_dict()
-    assert results["v2"].records == results["v3"].records
+    full = Simulation(config).install_faults(plan)
+    expected = full.run(TOTAL, checkpoint_every=SPLIT, checkpoint_path=tmp_path / "full.npz")
+    first = Simulation(config)
+    first.run(SPLIT)
+    sim = Simulation.from_checkpoint(first.checkpoint(tmp_path / "ck.npz")).install_faults(plan)
+    result = sim.run(TOTAL - SPLIT)
+    assert sim.n_recoveries == 1 and sim.vm.p == 3
+    assert result.to_dict() == expected.to_dict()
+    assert result.records == expected.records
 
 
 # ----------------------------------------------------------------------
 # corruption: CheckpointError, nothing else
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def valid_files(tmp_path_factory):
-    """One valid checkpoint per format, as bytes."""
-    root = tmp_path_factory.mktemp("valid")
+def valid_file(tmp_path_factory):
+    """One valid checkpoint, as bytes."""
     sim = Simulation(_config(policy="periodic:2"))
     sim.run(4)
-    return {
-        2: checkpoint_v2(sim, root / "v2.npz").read_bytes(),
-        3: sim.checkpoint(root / "v3.npz").read_bytes(),
-    }
+    return sim.checkpoint(tmp_path_factory.mktemp("valid") / "ck.npz").read_bytes()
 
 
 def _loads_or_checkpoint_error(path) -> None:
@@ -217,11 +214,9 @@ def _loads_or_checkpoint_error(path) -> None:
 
 class TestCorruption:
     @settings(max_examples=120, deadline=None)
-    @given(version=st.sampled_from([2, 3]), data=st.data())
-    def test_fuzzed_file_loads_or_raises_checkpoint_error(
-        self, valid_files, tmp_path_factory, version, data
-    ):
-        blob = bytearray(valid_files[version])
+    @given(data=st.data())
+    def test_fuzzed_file_loads_or_raises_checkpoint_error(self, valid_file, tmp_path_factory, data):
+        blob = bytearray(valid_file)
         path = tmp_path_factory.mktemp("fuzz") / "ck.npz"
         kind = data.draw(st.sampled_from(["truncate", "flip", "delete"]))
         if kind == "truncate":
@@ -245,22 +240,27 @@ class TestCorruption:
             shutil.rmtree(path.parent)
 
     @pytest.mark.parametrize("version", [2, 3])
-    def test_flipped_member_byte_names_the_member(self, valid_files, tmp_path, version):
+    def test_flipped_member_byte_names_the_member(self, valid_file, tmp_path, version):
+        # a v2 archive is refused, but a corrupt version member is reported
+        # as corruption, not misread as some other version
         path = tmp_path / "ck.npz"
-        path.write_bytes(valid_files[version])
-        member = "particles.npy" if version == 3 else "rank2_matrix.npy"
+        if version == 3:
+            path.write_bytes(valid_file)
+        else:
+            _legacy_archive(path, version)
+        member = "particles.npy" if version == 3 else "version.npy"
         with zipfile.ZipFile(path) as zf:
             info = zf.getinfo(member)
-        blob = bytearray(valid_files[version])
+        blob = bytearray(path.read_bytes())
         # well inside the member's data, past the local header and name
         blob[info.header_offset + 30 + len(member) + info.compress_size // 2] ^= 0x10
         path.write_bytes(blob)
-        with pytest.raises(CheckpointError, match=member[:-4]):
+        with pytest.raises(CheckpointError, match=f"member {member[:-4]!r} is corrupt"):
             load_checkpoint(path)
 
-    def test_contradicting_members_raise_checkpoint_error(self, valid_files, tmp_path):
+    def test_contradicting_members_raise_checkpoint_error(self, valid_file, tmp_path):
         path = tmp_path / "ck.npz"
-        path.write_bytes(valid_files[3])
+        path.write_bytes(valid_file)
         members = dict(np.load(path))
         members["offsets"] = members["offsets"][:-1]  # one segment short
         np.savez(path, **members)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -220,9 +221,9 @@ class TestConfigRoundtrip:
         assert json.loads(second.read_text()) == saved
 
     def test_legacy_engine_key_in_config_file(self, tmp_path, capsys):
-        """Config blocks saved before the engine option was deleted carry
-        ``"engine"``: "flat"/"looped" replay the identical run, anything
-        else is an unknown key, and ``--engine`` is no flag at all."""
+        """``"engine"`` is not a config field: every value of it, the two
+        that once selected a stepper included, is an unknown key, and
+        ``--engine`` is no flag at all."""
         first = tmp_path / "first.json"
         argv = [
             "run", "--nx", "16", "--ny", "16", "-n", "512", "-p", "4",
@@ -234,18 +235,10 @@ class TestConfigRoundtrip:
         assert "engine" not in saved["config"]
 
         cfg_file = tmp_path / "cfg.json"
-        second = tmp_path / "second.json"
-        for legacy in ("flat", "looped"):
-            cfg_file.write_text(json.dumps({**saved["config"], "engine": legacy}))
-            assert main([
-                "run", "--config", str(cfg_file), "--iterations", "5",
-                "--save-json", str(second),
-            ]) == 0
-            assert json.loads(second.read_text()) == saved
-
-        cfg_file.write_text(json.dumps({**saved["config"], "engine": "turbo"}))
-        with pytest.raises(SystemExit, match=r"unknown config keys: \['engine'\]"):
-            main(["run", "--config", str(cfg_file)])
+        for value in ("flat", "looped", "turbo"):
+            cfg_file.write_text(json.dumps({**saved["config"], "engine": value}))
+            with pytest.raises(SystemExit, match=r"unknown config keys: \['engine'\]"):
+                main(["run", "--config", str(cfg_file)])
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--engine", "flat"])
         assert exc.value.code == 2  # argparse: unrecognized arguments
@@ -286,6 +279,22 @@ class TestResume:
         bogus.write_bytes(b"nope")
         with pytest.raises(SystemExit, match="cannot resume"):
             main(["resume", str(bogus), "--iterations", "1"])
+
+    def test_resume_malformed_run_state_is_one_line(self, tmp_path, capsys):
+        ck = tmp_path / "ck.npz"
+        assert main(self._base_argv() + [
+            "--iterations", "2", "--checkpoint-every", "2", "--checkpoint-path", str(ck),
+        ]) == 0
+        members = dict(np.load(ck))
+        state = json.loads(str(members["state_json"][0]))
+        del state["run_state"]["vm"]
+        members["state_json"] = np.array([json.dumps(state)])
+        np.savez(ck, **members)
+        with pytest.raises(SystemExit) as exc:
+            main(["resume", str(ck), "--iterations", "1"])
+        message = str(exc.value.code)
+        assert message.startswith("cannot resume:") and "'vm'" in message
+        assert "\n" not in message
 
     def test_checkpoint_every_without_path(self):
         with pytest.raises(SystemExit, match="checkpoint-path"):

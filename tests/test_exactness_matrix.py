@@ -12,7 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from tests.exactness_matrix import EXCHANGE_FAULTS, OBSERVED, ROWS, digest
+from repro.pic import Simulation, SimulationConfig
+from tests.exactness_matrix import (
+    _BASE, _HALF, EXCHANGE_FAULTS, MOVED_BOUNDS, OBSERVED, ROWS, digest,
+)  # fmt: skip
 
 #: an era row with redistributions, the modern kernel (``workers`` degrades
 #: to in-process there and must not show), a recovered rank failure, and
@@ -25,7 +28,17 @@ def test_rows_are_the_recorded_matrix():
         (Path(__file__).parent.parent / "benchmarks/results/pr23_shard_threads.json").read_text()
     )["exactness"]["parent"]
     # the recorded rows first, then the rows added after that record
-    assert list(ROWS) == [*recorded, *OBSERVED, *EXCHANGE_FAULTS]
+    assert list(ROWS) == [*recorded, *OBSERVED, *EXCHANGE_FAULTS, *MOVED_BOUNDS]
+
+
+@pytest.mark.parametrize("name", MOVED_BOUNDS)
+def test_moved_bounds_rows_resume_through_other_bounds(name):
+    overrides, scenario = ROWS[name]
+    config = SimulationConfig(**{**_BASE, **overrides})
+    sim = Simulation(config)
+    sim.run(_HALF)
+    assert scenario == "resume" and sim.n_redistributions >= 1
+    assert list(sim.pic.decomp.curve_bounds) != list(Simulation(config).decomp.curve_bounds)
 
 
 @pytest.mark.parametrize("name", _SMALL_ROWS)

@@ -1,12 +1,11 @@
-"""Tests for invariant guards, the exception taxonomy, and strict loads."""
+"""Tests for invariant guards, the exception taxonomy, and resume guard overrides."""
 
 import numpy as np
 import pytest
 
-from repro.mesh import FieldState, Grid2D
+from repro.mesh import FieldState
 from repro.particles import uniform_plasma
 from repro.pic import Simulation, SimulationConfig
-from repro.pic.checkpoint import load_checkpoint
 from repro.util.errors import (
     CheckpointError,
     FaultError,
@@ -149,37 +148,6 @@ class TestSimulationIntegration:
 
 
 class TestStrictCheckpointLoad:
-    def _write_v1(self, tmp_path, grid):
-        parts = uniform_plasma(grid, 64, rng=0)
-        fields = FieldState.zeros(grid)
-        payload = {
-            "version": np.array([1]),
-            "meta": np.array([grid.nx, grid.ny, 2, 1], dtype=np.int64),
-            "extent": np.array([grid.lx, grid.ly]),
-            "rank0_matrix": np.ascontiguousarray(parts.block.T),
-        }
-        for name in ("ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz", "rho"):
-            payload[f"field_{name}"] = getattr(fields, name)
-        path = tmp_path / "legacy.npz"
-        np.savez(path, **payload)
-        return path
-
-    def test_v1_strict_load_refused(self, tmp_path, grid):
-        path = self._write_v1(tmp_path, grid)
-        with pytest.raises(CheckpointError, match="format-v1"):
-            load_checkpoint(path, strict=True)
-
-    def test_v1_lenient_load_still_warns(self, tmp_path, grid):
-        path = self._write_v1(tmp_path, grid)
-        with pytest.warns(UserWarning, match="format-v1"):
-            data = load_checkpoint(path)
-        assert data.version == 1 and data.run_state is None
-
-    def test_from_checkpoint_strict_guards_refuse_v1(self, tmp_path, grid):
-        path = self._write_v1(tmp_path, grid)
-        with pytest.raises(CheckpointError, match="strict"):
-            Simulation.from_checkpoint(path, guards="strict")
-
     def test_from_checkpoint_guards_override(self, tmp_path):
         sim = Simulation(SimulationConfig(nx=16, ny=8, nparticles=256, p=2, seed=0))
         sim.run(2)

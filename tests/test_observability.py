@@ -274,14 +274,15 @@ class TestValidateService:
         assert parsed.batch_id == "batch-abc"
         assert len(parsed.job_events()) == 2
 
-    def test_accepts_v1_without_correlation(self):
+    def test_rejects_a_v1_header_naming_the_schema(self):
         lines = [
             json.dumps(
                 {"type": "header", "schema": "repro-service/1", "jobs": 0, "workers": 1}
             ),
             json.dumps({"type": "summary", "aggregates": {}}),
         ]
-        assert validate_service(lines).schema == "repro-service/1"
+        with pytest.raises(TelemetrySchemaError, match="'repro-service/1'"):
+            validate_service(lines)
 
     def test_rejects_missing_summary(self):
         with pytest.raises(TelemetrySchemaError):

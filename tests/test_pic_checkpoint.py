@@ -183,7 +183,6 @@ class TestRunState:
             run_state=run_state, sort_keys=keys,
         )
         data = load_checkpoint(path)
-        assert data.version == 3
         assert data.run_state == run_state
         assert data.sort_keys.dtype == keys.dtype
         assert np.array_equal(data.sort_keys, keys)
@@ -202,41 +201,3 @@ class TestRunState:
                 tmp_path / "x", grid, FieldState.zeros(grid),
                 [uniform_particles], 0, sort_keys=np.arange(uniform_particles.n + 1),
             )
-
-
-class TestV1Compat:
-    def _write_v1(self, tmp_path, grid, particles):
-        """Craft a legacy v1 archive (pre-run-state format)."""
-        from repro.mesh import FieldState
-
-        fields = FieldState.zeros(grid)
-        payload = {
-            "version": np.array([1]),
-            "meta": np.array([grid.nx, grid.ny, 6, 1], dtype=np.int64),
-            "extent": np.array([grid.lx, grid.ly]),
-            "rank0_matrix": np.ascontiguousarray(particles.block.T),
-        }
-        for name in (
-            "ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz", "rho",
-        ):
-            payload[f"field_{name}"] = getattr(fields, name)
-        path = tmp_path / "legacy.npz"
-        np.savez(path, **payload)
-        return path
-
-    def test_v1_loads_with_warning(self, tmp_path, grid, uniform_particles):
-        path = self._write_v1(tmp_path, grid, uniform_particles)
-        with pytest.warns(UserWarning, match="format-v1"):
-            data = load_checkpoint(path)
-        assert data.version == 1
-        assert data.iteration == 6
-        assert data.run_state is None
-        assert np.array_equal(data.particles[0].ids, uniform_particles.ids)
-
-    def test_from_checkpoint_rejects_v1(self, tmp_path, grid, uniform_particles):
-        from repro.pic import Simulation
-
-        path = self._write_v1(tmp_path, grid, uniform_particles)
-        with pytest.warns(UserWarning, match="format-v1"):
-            with pytest.raises(CheckpointError, match="v1"):
-                Simulation.from_checkpoint(path)

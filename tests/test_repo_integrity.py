@@ -168,6 +168,9 @@ class TestPackageMetadata:
             "BENCH_policies",
             "account_pooled",
             "ParticlePool.owns",
+            "_ckpt_v2",
+            "format-v1",
+            "repro-service/1",
         )
         docs = [ROOT / "README.md", ROOT / "DESIGN.md", *sorted((ROOT / "docs").glob("*.md"))]
         stale = [

@@ -244,7 +244,7 @@ class TestKilledJobResumes:
         with zipfile.ZipFile(ck) as zf:
             assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
         data = load_checkpoint(ck)
-        assert (data.version, data.iteration) == (3, 4)
+        assert data.iteration == 4
 
         scheduler = Scheduler(workers=1, retries=1, cache=tmp_path / "cache")
         retried = scheduler.run([crash])
