@@ -2,7 +2,9 @@
 
 ``pic_kernels.c`` holds ten entry points: the era stepper's two particle
 passes (the scatter: CIC, ghost slots and deposit a rank segment at a
-time; the gather + push, also the push alone), CIC and the CIC deposit,
+time; the gather + push, also the push alone, whose call without
+particles interleaves E and B per node for the shards to read), CIC and
+the CIC deposit,
 the ghost-slot pass, two mesh stencils (the field solve and one
 source-smoothing pass) and the modern stepper's staggered gather, zigzag
 segments and zigzag current binning.  :func:`kernels` hands them out as a
@@ -21,8 +23,12 @@ directory, written through a temporary name and ``os.replace`` so
 concurrent builders cannot tear it.  Nothing is loaded from a directory
 or file the current user does not own or that others may write, nor a
 file whose bytes are not the ones its name promises (such a file is
-removed and the library built again).  A freshly loaded library must reproduce the NumPy bodies byte for byte on a known-answer
-set (:func:`repro.native.calls.self_check`).  Any failure — no
+removed and the library built again).  The era particle passes are
+compiled once per vector unit (AVX-512, AVX2 and the baseline SSE2 on
+x86-64, with GCC 11 or later and glibc) and bound to the widest the CPU
+has when the library is loaded.  A freshly loaded library must
+reproduce the NumPy bodies byte for byte on a known-answer set
+(:func:`repro.native.calls.self_check`).  Any failure — no
 compiler, compile error, load error, mismatch, foreign cache — selects
 the NumPy bodies for the life of the process and is recorded in
 :func:`status`; results are the same either way (DESIGN.md §5.5).
@@ -42,12 +48,15 @@ from typing import NamedTuple
 __all__ = ["kernels", "status", "NativeStatus", "SOURCE", "FLAGS"]
 
 SOURCE = Path(__file__).with_name("pic_kernels.c")
-#: -O3 vectorizes the marked loops of pic_kernels.c: SSE2 rounds each lane
-#: as the scalar instruction does and nothing is re-associated without
-#: -ffast-math / -fassociative-math, so no float moves; -fno-math-errno only
-#: drops sqrt's errno write.  -ffp-contract=off because a fused multiply-add
-#: rounds once where the NumPy bodies round twice.  No -march: the cache
-#: directory may be shared by hosts with different vector units.
+#: -O3 vectorizes the marked loops of pic_kernels.c: an SSE2, AVX2 or
+#: AVX-512 lane rounds as the scalar instruction does and nothing is
+#: re-associated without -ffast-math / -fassociative-math, so no float
+#: moves; -fno-math-errno only drops sqrt's errno write.  -ffp-contract=off
+#: because a fused multiply-add rounds once where the NumPy bodies round
+#: twice, and it holds in the AVX2 and AVX-512 clones too (both have FMA).
+#: No -march: the cache directory may be shared by hosts with different
+#: vector units, so the hot passes carry target_clones in the source
+#: instead and the loader picks the widest clone this CPU runs.
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
 
 

@@ -32,10 +32,10 @@ _SIGNATURES = {
     "cic": (_I64, _PTR, _PTR, _F64, _F64, _F64, _F64, _I64, _I64, _PTR, _PTR),
     "deposit": (_I64, *[_PTR] * 6, _I64, _PTR, _PTR, _I64, _I64, _PTR, _PTR),
     "scatter": (
-        _I64, _PTR, _I64, *[_PTR] * 7, *[_F64] * 4, _I64, _I64, _PTR, _I64, _PTR, _PTR, _I64,
-        *[_PTR] * 5,
+        _I64, _PTR, _I64, *[_PTR] * 7, *[_F64] * 4, _I64, _I64, _PTR, _I64, *[_PTR] * 3, _I64,
+        *[_PTR] * 4,
     ),  # fmt: skip
-    "gather_push": (_I64, *[_PTR] * 7, _I64, *[_PTR] * 6, *[_F64] * 5, _I64, _I64, _PTR),
+    "gather_push": (_I64, *[_PTR] * 14, *[_F64] * 5, _I64, _I64, _PTR),
     "ghost_slots": (_I64, _I64, _PTR, _PTR, _I64, _I64, _PTR, _I64, _PTR, _I64, _I64, *[_PTR] * 4),
     "field_step": (_I64, _I64, *[_PTR] * 11, _F64, _F64, _F64, _F64, _I64, _PTR),
     "smooth": (_I64, _I64, _PTR, _PTR, _PTR),
@@ -66,10 +66,11 @@ class Kernels:
         self._lib = lib  # keeps the library mapped
         # scratch blocks kept per thread and only ever grown: the stamp
         # tables of ghost_slots and scatter (40 and 80 bytes per node), the
-        # slot outputs they number into, the field step's seven planes (56
-        # bytes per node) and the smoothing's three rows.  A fresh block per
-        # call is page-faulted in every step (~0.7 ms of a ~10 ms Fig 17
-        # iteration for a 40-byte-per-particle block, 7/8 pairs,
+        # slot outputs they number into, the node block (64 bytes per node),
+        # the field step's seven planes (56 bytes per node) and the
+        # smoothing's three rows.  A fresh block per call is page-faulted in
+        # every step (~0.7 ms of a ~10 ms Fig 17 iteration for a
+        # 40-byte-per-particle block, 7/8 pairs,
         # benchmarks/results/pr22_native_kernels.json "staging_block")
         self._scratch = threading.local()
         for name, argtypes in _SIGNATURES.items():
@@ -102,6 +103,13 @@ class Kernels:
             block = np.frombuffer(pages, dtype, rows * width).reshape(rows, width)
             setattr(self._scratch, name, block)
         return block
+
+    def _nodes(self, size: int) -> np.ndarray:
+        """This thread's node block, ``size`` doubles of it: the scatter's
+        node-interleaved bins while it runs, then the gather's
+        node-interleaved fields (:meth:`node_fields`) until its push is
+        done — a thread runs one at a time, so they share the pages."""
+        return self._rows("nodes", 1, size, np.float64)[0, :size]
 
     def cic(self, grid, x, y, out=None):
         """``Grid2D.cic_vertices_weights``: ``(nodes, weights)`` — ``out`` if
@@ -143,9 +151,11 @@ class Kernels:
         ``r0``), ``acc`` ``(4, nnodes)`` filled: ``(summed, slot ranks, slot
         owners, slot nodes, entries per rank, slots per rank)`` or ``None``.
 
-        One call into the C pass, which writes the slots into this thread's
-        kept blocks, sized before it to the most slots ``n`` particles can
-        have; the slots found are copied out."""
+        One call into the C pass, which deposits into this thread's node
+        block (:meth:`_nodes`) and numbers the slots into its kept rows, both
+        sized before it to the most slots ``n`` particles can have (only the
+        pages written become resident); the slots found are copied out, the
+        slot sums from their bins."""
         n, nnodes, nranks = parts.n, grid.nnodes, len(counts)
         columns = (parts.x, parts.y, parts.ux, parts.uy, parts.uz, parts.q, parts.w)
         if not (
@@ -156,29 +166,48 @@ class Kernels:
         ):
             return None
         longest = max(int(counts.max()), 0) if nranks else 0
-        work = self._block("scatter", 10 * nnodes + longest, np.int64)
-        weights = self._block("scatter_weights", 4 * longest, np.float64)
-        # at most four slots a particle: their sums, then ranks, owners, nodes
-        block = self._rows("scatter_slots", 7, 4 * n, np.float64)
-        summed, slots = block[:4], block[4:].view(np.int64)
+        # the slot tables, then the longest segment's CIC nodes (int32)
+        work = self._block("scatter", 10 * nnodes + 2 * longest, np.int64)
+        # its CIC weights and deposit values, four rows each
+        staged = self._block("scatter_staged", 8 * longest, np.float64)
+        # four channels a node, then four a slot: at most four slots a particle
+        bins = self._nodes(4 * (nnodes + 4 * n))
+        # the slots' ranks, owners, nodes
+        slots = self._rows("scatter_slots", 3, 4 * n, np.int64)
         nslots, tallies = np.zeros(1, dtype=np.int64), np.empty(2 * nranks, dtype=np.int64)
         if self._scatter(
             nranks, counts.ctypes.data, n, *_ptr(*columns), grid.lx, grid.ly, grid.dx, grid.dy,
-            grid.nx, grid.ny, node_owner.ctypes.data, int(r0), *_ptr(work, weights),
-            summed.shape[1], *_ptr(nslots, acc, summed, slots, tallies),
+            grid.nx, grid.ny, node_owner.ctypes.data, int(r0), *_ptr(work, staged, bins),
+            slots.shape[1], *_ptr(nslots, acc, slots, tallies),
         ):  # fmt: skip
             return None
         nslots = int(nslots[0])
         ranks, owners, nodes = slots[:, :nslots].copy()
-        return summed[:, :nslots].copy(), ranks, owners, nodes, tallies[:nranks], tallies[nranks:]
+        summed = bins[4 * nnodes : 4 * (nnodes + nslots)].reshape(nslots, 4).T.copy()
+        return summed, ranks, owners, nodes, tallies[:nranks], tallies[nranks:]
 
-    def gather_push(self, grid, parts, planes, dt) -> int:
-        """``gather_push_slice`` after its validation, in place, from the six
-        ``(ny, nx)`` ``planes`` of E and B: how many particles, from the
-        first, hold the NumPy body's bytes (the rest are untouched)."""
+    def node_fields(self, grid, planes):
+        """The six ``(ny, nx)`` ``planes`` of E and B interleaved per node,
+        ``(nnodes, 8)``, in this thread's kept block; ``None``: not six
+        C-contiguous float64 planes of the grid, or a grid the pass declines."""
         if not (len(planes) == 6 and _plain(np.float64, grid.shape, *planes)):
+            return None
+        block = self._nodes(8 * grid.nnodes)
+        if self._gather_push(
+            0, *[None] * 7, block.ctypes.data, *_ptr(*planes), 0.0, grid.lx, grid.ly, grid.dx,
+            grid.dy, grid.nx, grid.ny, np.zeros(1, dtype=np.int64).ctypes.data,
+        ):  # fmt: skip
+            return None
+        return block.reshape(grid.nnodes, 8)
+
+    def gather_push(self, grid, parts, fields, dt) -> int:
+        """``gather_push_slice`` after its validation, in place, from the
+        ``(nnodes, 8)`` node-interleaved E and B ``fields``
+        (:meth:`node_fields`): how many particles, from the first, hold the
+        NumPy body's bytes (the rest are untouched)."""
+        if not _plain(np.float64, (grid.nnodes, 8), fields):
             return 0
-        return self._push(grid, parts, True, planes, dt)
+        return self._push(grid, parts, fields, [None] * 6, dt)
 
     def boris_push(self, grid, parts, e, b, dt) -> int:
         """``boris_push`` after its validation, in place: how many particles,
@@ -189,17 +218,17 @@ class Kernels:
             and not np.may_share_memory(b, parts.block)
         ):
             return 0
-        return self._push(grid, parts, False, (*e, *b), dt)
+        return self._push(grid, parts, None, _ptr(*e, *b), dt)
 
-    def _push(self, grid, parts, gather: bool, fields, dt) -> int:
+    def _push(self, grid, parts, node_fields, rows, dt) -> int:
         n = parts.n
         columns = (parts.x, parts.y, parts.ux, parts.uy, parts.uz, parts.q, parts.m)
         if not (_plain(np.float64, (n,), *columns) and all(a.flags.writeable for a in columns[:5])):
             return 0
         done = np.zeros(1, dtype=np.int64)
         self._gather_push(
-            n, *_ptr(*columns), gather, *_ptr(*fields), dt, grid.lx, grid.ly, grid.dx, grid.dy,
-            grid.nx, grid.ny, done.ctypes.data,
+            n, *_ptr(*columns), None if node_fields is None else node_fields.ctypes.data, *rows,
+            dt, grid.lx, grid.ly, grid.dx, grid.dy, grid.nx, grid.ny, done.ctypes.data,
         )  # fmt: skip
         return int(done[0])
 
@@ -337,21 +366,31 @@ class Kernels:
 def self_check(found: Kernels) -> str | None:
     """Name the first entry point whose bytes differ from its NumPy body's.
 
-    Known answers on 257 particles of a non-square grid: positions on the
-    edges and far outside, signed zeros among the field values, ghost slots
-    of three cell rows over five ranks (one empty) counted from ``r0 = 1``
-    and the scatter of the same segments; the gather + push of those
-    particles from node values and the push from given fields; the
-    staggered gather of those positions, their zigzag entries for moves up
-    to the longest one under a cell (some across the periodic seam, one of
-    zero charge) and both components binned by those ghost slots; a
-    field step with the solver's defaults and one with raw currents and
-    two Marder passes, and a smoothing pass, on that grid's planes.
+    Known answers on 513 particles of a non-square grid: first one
+    gather + push chunk (``PUSH_CHUNK`` = 256) all inside the box, so the
+    branch-free CIC and wrap passes run (at 0.0, -0.0, the largest double
+    below the box's length, in the cells on the periodic seam, pushed from
+    0 to just below it and at random), then positions on the edges and far
+    outside, which take the scalar ones; ghost slots of three cell rows
+    over five ranks (one empty) counted from ``r0 = 1`` and the scatter of
+    the same segments, the first all inside the box; the gather + push of
+    those particles from node values (interleaved as NumPy does it) and
+    the push from given fields; the staggered gather of those positions,
+    their zigzag entries for moves up to the longest one under a cell
+    (some across the periodic seam, one of zero charge) and both
+    components binned by those ghost slots; a field step with the
+    solver's defaults and one with raw currents and two Marder passes,
+    and a smoothing pass, on that grid's planes.
     """
     from repro.mesh.fields import FieldState
     from repro.mesh.grid import Grid2D
     from repro.particles.arrays import ParticleArray
-    from repro.parallel_exec.kernels import deposit_numpy, gather_push_numpy, scatter_numpy
+    from repro.parallel_exec.kernels import (
+        deposit_numpy,
+        gather_push_numpy,
+        node_fields_numpy,
+        scatter_numpy,
+    )
     from repro.pic.deposition import ghost_slots_numpy
     from repro.pic.maxwell import MaxwellSolver
     from repro.pic.parallel_yee import staggered_gather_numpy
@@ -371,10 +410,19 @@ def self_check(found: Kernels) -> str | None:
         )
 
     rng = np.random.default_rng(22)
-    grid, n, dt = Grid2D(16, 8, lx=10.0, ly=3.0), 257, 0.37
-    x, y = rng.uniform(-25.0, 35.0, (2, n))
-    x[:5] = 0.0, grid.lx, -1e-18, -0.0, 1e8 * grid.lx
+    grid, dt, inside = Grid2D(16, 8, lx=10.0, ly=3.0), 0.37, 256
+    x, y = rng.uniform(-25.0, 35.0, (2, 2 * inside + 1))
+    n = x.size
+    for a, length, d in ((x, grid.lx, grid.dx), (y, grid.ly, grid.dy)):
+        a[:inside] = rng.uniform(0.0, length, inside)
+        seam = rng.uniform(length - d, length, 8)  # the last cell: its next one wraps to 0
+        a[:11] = 0.0, -0.0, np.nextafter(length, 0.0), *seam
+        a[inside : inside + 5] = 0.0, length, -1e-18, -0.0, 1e8 * length
+    y[:11] = np.roll(y[:11], 4)  # other pairs of x and y cells
     u = rng.normal(0.0, 0.8, (3, n))
+    # on node 0, where the fields vanish, pushed to just below 0 along x
+    # and along y: a wrap whose sum with l rounds to l and folds to 0
+    x[11:13], y[11:13], u[:, 11:13] = 0.0, 0.0, [[-1e-17, 0.0], [0.0, -1e-17], [0.0, 0.0]]
     parts = ParticleArray(
         x, y, *u, rng.choice([-1.0, 1.0], n), rng.uniform(0.5, 2.0, n), rng.random(n), np.arange(n)
     )
@@ -383,7 +431,8 @@ def self_check(found: Kernels) -> str | None:
         return "cic"
     nodes, weights = vertices
 
-    ranks = np.repeat(np.arange(5), [60, 0, 97, 50, 50])
+    counts = np.array([200, 0, 113, 50, n - 363], dtype=np.int64)  # the first all inside
+    ranks = np.repeat(np.arange(5), counts)
     cells = np.stack((nodes[:, 0], nodes[:, 3], rng.integers(0, grid.ncells, n)))
     owner = rng.integers(0, 6, grid.nnodes)
     got = found.ghost_slots(grid, owner, ranks, cells, 1)
@@ -400,7 +449,6 @@ def self_check(found: Kernels) -> str | None:
     if not same((summed, acc), (want_summed, want_acc)):
         return "deposit"
 
-    counts = np.array([60, 0, 97, 50, 50], dtype=np.int64)
     acc, want_acc = np.empty((2, 4, grid.nnodes))
     want = scatter_numpy(grid, parts, counts, 1, owner, want_acc)
     if not same(found.scatter(grid, parts, counts, 1, owner, acc), want) or not same(
@@ -411,11 +459,15 @@ def self_check(found: Kernels) -> str | None:
     fields = rng.normal(0.0, 1.0, (6, grid.nnodes))
     fields[:, :9] = 0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 1.0
     planes = fields.reshape(6, *grid.shape)
+    by_node = node_fields_numpy(planes, np.empty((grid.nnodes, 8)))
     pushed, want = parts.copy(), parts.copy()
-    gather_push_numpy(grid, want, planes, dt)
+    gather_push_numpy(grid, want, by_node, dt)
     columns = ("x", "y", "ux", "uy", "uz")
-    if found.gather_push(grid, pushed, planes, dt) != n or not same(
-        [getattr(pushed, c) for c in columns], [getattr(want, c) for c in columns]
+    got = found.node_fields(grid, planes)
+    if not (
+        same((got,), (by_node,))
+        and found.gather_push(grid, pushed, got, dt) == n
+        and same([getattr(pushed, c) for c in columns], [getattr(want, c) for c in columns])
     ):
         return "gather_push"
 

@@ -8,14 +8,20 @@
  * VECTORIZED are written to run at vector width under -O3 (no branch, no
  * library call, unit stride); a vector lane rounds as the scalar
  * instruction does, so that moves no bit, and CI checks that the compiler
- * still reports each of them vectorized.  repro/native/__init__.py compares
+ * still reports each of them vectorized, in every clone (CLONED).
+ * repro/native/__init__.py compares
  * every entry point with its NumPy body when the library is loaded and
  * drops the library on a mismatch.
  *
  * The era stepper's particle phases are one pass each: scatter (CIC, ghost
  * slots and deposit, one rank segment at a time while it is in cache) and
  * gather_push (CIC, interpolation and Boris push, PUSH_CHUNK particles at a
- * time).  cic and deposit serve the modern stepper and Grid2D.
+ * time).  Both keep the mesh data a particle touches next to each other:
+ * the deposit adds into one block of the four channels per node, the
+ * gather reads E and B interleaved per node, so a vertex is one cache
+ * line and one vector operation.  Their hot passes run branch-free at the
+ * widest vector unit the CPU has (CLONED).  cic and deposit serve the
+ * modern stepper and Grid2D.
  *
  * Every kernel reads its arguments, writes only its output buffers (and its
  * scratch; gather_push the particles, see there) and returns
@@ -44,6 +50,25 @@ enum { OK = 0, FLAGGED = 1, BAD_INDEX = 2, DECLINED = 3 };
 /* A loop pass that is not inlined: in a function of its own the restrict on
  * its parameters holds, so it needs no run-time alias test to vectorize. */
 #define PASS __attribute__((noinline))
+
+/* The era particle passes, compiled once per vector unit: AVX-512
+ * (x86-64-v4), AVX2 (x86-64-v3) and the baseline (SSE2 on x86-64); the
+ * loader binds each to the widest the CPU runs.  A lane of any width
+ * rounds as the scalar instruction does and -ffp-contract=off holds in
+ * every clone, so all three write the same bytes.  Only GCC >= 11 on
+ * x86-64 knows these targets, and the binding needs glibc's ifunc;
+ * elsewhere they are plain functions.
+ * -DCLONED='__attribute__((target("arch=x86-64-v3")))' (or -DCLONED= for
+ * the baseline) builds one target alone, as the tests and the
+ * vectorization guard do. */
+#ifndef CLONED
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__GNUC__) && !defined(__clang__) && \
+    __GNUC__ >= 11
+#define CLONED __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#else
+#define CLONED
+#endif
+#endif
 
 static int finish(int64_t bad)
 {
@@ -108,6 +133,125 @@ static int cic_axis(double v, double length, double d, int64_t ncells,
     *c1 = k + 1 == ncells ? 0 : k + 1;
     *t = w - (double)k;
     return bad;
+}
+
+/* Whether every a[k] + offset, k < m, lies in [+0.0, hi), hi > 0: a
+ * non-negative double orders as its bits do, so this is outside_of on the
+ * bits of the sums, an integer OR that vectorizes where a comparison of
+ * doubles does not.  NaN and anything negative (-0.0 too) are outside. */
+static int64_t all_in(const double *R a, int64_t m, double offset, double hi)
+{
+    uint64_t carried = 0, top;
+    memcpy(&top, &hi, sizeof top);
+    top -= 1;
+    /* VECTORIZED: all_in */
+    for (int64_t k = 0; k < m; k++) {
+        double b = a[k] + offset;
+        uint64_t bits;
+        memcpy(&bits, &b, sizeof bits);
+        carried |= bits | (top - bits);
+    }
+    return !(carried >> 63);
+}
+
+/* The CIC of particles into rows: particle i's four vertex nodes at
+ * node[v][i] and their weights at weight[v][i], in cic's vertex order and
+ * with its floats.  Node ids are int32: the callers decline a grid of 2^31
+ * nodes or more. */
+struct cic_rows {
+    int32_t *node[4];
+    double *weight[4];
+};
+
+/* cic_axis on both axes of m positions all inside [0, l): there wrap(v) is
+ * v + 0.0, and the clip and the wrap of the next cell are integer selects,
+ * so the loop has no branch and runs at vector width. */
+static CLONED PASS void cic_inside(int64_t m, const double *R x, const double *R y, double dx,
+                                   double dy, int32_t nx, int32_t ny, int32_t *R n0,
+                                   int32_t *R n1, int32_t *R n2, int32_t *R n3, double *R w0,
+                                   double *R w1, double *R w2, double *R w3)
+{
+    /* VECTORIZED: cic inside the box */
+    for (int64_t i = 0; i < m; i++) {
+        double wx = (x[i] + 0.0) / dx, wy = (y[i] + 0.0) / dy;
+        int32_t cx = (int32_t)wx, cy = (int32_t)wy; /* floor: w >= 0 */
+        cx = cx < nx - 1 ? cx : nx - 1;
+        cy = cy < ny - 1 ? cy : ny - 1;
+        int32_t cx1 = cx + 1 == nx ? 0 : cx + 1, cy1 = cy + 1 == ny ? 0 : cy + 1;
+        int32_t row = cy * nx, row1 = cy1 * nx;
+        double tx = wx - (double)cx, ty = wy - (double)cy, ux = 1.0 - tx, uy = 1.0 - ty;
+        n0[i] = row + cx;
+        n1[i] = row + cx1;
+        n2[i] = row1 + cx;
+        n3[i] = row1 + cx1;
+        w0[i] = ux * uy;
+        w1[i] = tx * uy;
+        w2[i] = ux * ty;
+        w3[i] = tx * ty;
+    }
+}
+
+/* The CIC of m particles into out: cic_inside when all of them are inside
+ * the box (in a run, nearly every chunk: the push wraps what it moves),
+ * cic_axis one particle at a time otherwise.  Nonzero: a position is NaN
+ * or too large to cast (FLAGGED). */
+static int64_t cic_into(int64_t m, const double *R x, const double *R y, double lx, double ly,
+                        double dx, double dy, int64_t nx, int64_t ny, struct cic_rows out)
+{
+    int32_t **node = out.node;
+    double **weight = out.weight;
+    int64_t bad = 0;
+    if (all_in(x, m, 0.0, lx) & all_in(y, m, 0.0, ly)) {
+        cic_inside(m, x, y, dx, dy, (int32_t)nx, (int32_t)ny, node[0], node[1], node[2], node[3],
+                   weight[0], weight[1], weight[2], weight[3]);
+        return 0;
+    }
+    for (int64_t i = 0; i < m; i++) {
+        int64_t cx, cx1, cy, cy1;
+        double tx, ty;
+        bad |= cic_axis(x[i], lx, dx, nx, &cx, &cx1, &tx);
+        bad |= cic_axis(y[i], ly, dy, ny, &cy, &cy1, &ty);
+        int64_t row = cy * nx, row1 = cy1 * nx;
+        double ux = 1.0 - tx, uy = 1.0 - ty;
+        node[0][i] = (int32_t)(row + cx);
+        node[1][i] = (int32_t)(row + cx1);
+        node[2][i] = (int32_t)(row1 + cx);
+        node[3][i] = (int32_t)(row1 + cx1);
+        weight[0][i] = ux * uy;
+        weight[1][i] = tx * uy;
+        weight[2][i] = ux * ty;
+        weight[3][i] = tx * ty;
+    }
+    return bad;
+}
+
+/* wrap of m values all in [-l, 2 l], in place.  fmod returns a v in [-l,
+ * 0) unchanged and one in [l, 2 l] as v - l, which is exact (Sterbenz):
+ * so v plus a shift of l, 0 or -l, which is +0.0 for v = -0.0, and a sum
+ * that rounded to l folded back to 0.  Each select is between constants,
+ * added: a comparison may not guard an add, or the loop would not run at
+ * vector width without AVX-512's masks. */
+static CLONED PASS void wrap_near(int64_t m, double *R v, double length)
+{
+    /* VECTORIZED: wrap near the box */
+    for (int64_t j = 0; j < m; j++) {
+        double a = v[j];
+        double w = a + ((a < 0 ? length : 0.0) + (length <= a ? -length : 0.0));
+        v[j] = w + (length <= w ? -length : 0.0);
+    }
+}
+
+/* wrap of m values in place: wrap_near when all of them are near the box
+ * (where the push leaves them: v + l inside [0, 3 l), so v inside [-l, 2 l]
+ * as rounding is monotonic), wrap one value at a time otherwise. */
+static void wrap_all(int64_t m, double *R v, double length)
+{
+    if (all_in(v, m, length, 3.0 * length)) {
+        wrap_near(m, v, length);
+        return;
+    }
+    for (int64_t j = 0; j < m; j++)
+        v[j] = wrap(v[j], length);
 }
 
 /* Grid2D.cic_vertices_weights -> nodes (n, 4) int64, weights (n, 4). */
@@ -454,11 +598,12 @@ enum { PUSH_CHUNK = 256 };
  * writes) holds here and the loop needs no run-time alias test to
  * vectorize. */
 
-static PASS void push_chunk(int64_t m, const double *R x, const double *R y, const double *R ux,
-                            const double *R uy, const double *R uz, const double *R q,
-                            const double *R mass, const double *R ex, const double *R ey,
-                            const double *R ez, const double *R bx, const double *R by,
-                            const double *R bz, double dt, double (*R out)[PUSH_CHUNK])
+static CLONED PASS void push_chunk(int64_t m, const double *R x, const double *R y,
+                                   const double *R ux, const double *R uy, const double *R uz,
+                                   const double *R q, const double *R mass, const double *R ex,
+                                   const double *R ey, const double *R ez, const double *R bx,
+                                   const double *R by, const double *R bz, double dt,
+                                   double (*R out)[PUSH_CHUNK])
 {
     double half_dt = 0.5 * dt;
     /* VECTORIZED: gather_push arithmetic */
@@ -497,50 +642,94 @@ static PASS void push_chunk(int64_t m, const double *R x, const double *R y, con
     }
 }
 
+/* E and B at m particles from node_fields (nnodes, 8: a node's six
+ * components, then two zeros), at the CIC nodes and weights of rows
+ * (stride PUSH_CHUNK), into fields (6, PUSH_CHUNK).  A node's components
+ * are adjacent, one 64-byte line, so each vertex adds all of them as one
+ * vector: gather_from_node_values' (((0 + p0) + p1) + p2) + p3, per
+ * component.  The component loop is kept a loop (not unrolled before the
+ * vectorizer sees it), so that it, not the particle loop around it with a
+ * gather per component, runs at vector width. */
+static CLONED PASS void gather_chunk(int64_t m, const double *R node_fields,
+                                     const int32_t (*R node)[PUSH_CHUNK],
+                                     const double (*R weight)[PUSH_CHUNK],
+                                     double (*R fields)[PUSH_CHUNK])
+{
+    for (int64_t j = 0; j < m; j++) {
+        const double *R a0 = node_fields + 8 * (int64_t)node[0][j];
+        const double *R a1 = node_fields + 8 * (int64_t)node[1][j];
+        const double *R a2 = node_fields + 8 * (int64_t)node[2][j];
+        const double *R a3 = node_fields + 8 * (int64_t)node[3][j];
+        double w0 = weight[0][j], w1 = weight[1][j], w2 = weight[2][j], w3 = weight[3][j];
+        double sum[8];
+        /* VECTORIZED: interleaved sum */
+#pragma GCC unroll 1
+        for (int c = 0; c < 8; c++)
+            sum[c] = (((0.0 + a0[c] * w0) + a1[c] * w1) + a2[c] * w2) + a3[c] * w3;
+        for (int c = 0; c < 6; c++)
+            fields[c][j] = sum[c];
+    }
+}
+
+/* node_fields (nnodes, 8) from the six planes f0 .. f5: a node's six
+ * components, then two zeros. */
+static PASS void interleave(int64_t nnodes, const double *R f0, const double *R f1,
+                            const double *R f2, const double *R f3, const double *R f4,
+                            const double *R f5, double *R node_fields)
+{
+    for (int64_t k = 0; k < nnodes; k++) {
+        double *R at = node_fields + 8 * k;
+        at[0] = f0[k];
+        at[1] = f1[k];
+        at[2] = f2[k];
+        at[3] = f3[k];
+        at[4] = f4[k];
+        at[5] = f5[k];
+        at[6] = at[7] = 0.0;
+    }
+}
+
 /* gather_push_slice after its validation, in place: the fields at each of n
- * particles, then boris_push.  With gather set, f holds the six (ny, nx)
- * planes of E and B and a particle's fields are gather_from_node_values' at
- * its CIC (cic's floats, from the positions before the push):
- * einsum("nvc,nv->cn") zero-fills and, for six components, loops them
- * innermost, so a value is (((0 + p0) + p1) + p2) + p3.  Without it f holds
+ * particles, then boris_push.  With node_fields, a particle's fields are
+ * gather_from_node_values' from that (nnodes, 8) block at its CIC (cic's
+ * floats, from the positions before the push); given the six (ny, nx)
+ * planes of E and B in f0 .. f5 as well, the pass first copies them into
+ * node_fields, a node's six components and two zeros (n = 0: only that, the
+ * block that shard threads then read).  Without node_fields, f0 .. f5 hold
  * the six rows of n fields, as boris_push takes e and b.  PUSH_CHUNK
  * particles at a time: their new ux, uy, uz, x, y are built in a staging
  * block and written over the particles' only once the chunk is clean.  At
  * the first chunk that is not, *done is the count written before it, the
  * rest untouched, and the caller runs the NumPy body on the rest: every
  * particle is independent, so that is the NumPy body's bytes and the
- * warnings it raises over all n (the particles written raised nothing). */
+ * warnings it raises over all n (the particles written raised nothing).
+ * DECLINED, nothing written: a grid of 2^31 nodes or more. */
 int gather_push(int64_t n, double *R x, double *R y, double *R ux, double *R uy, double *R uz,
-                const double *R q, const double *R mass, int64_t gather, const double *R f0,
-                const double *R f1, const double *R f2, const double *R f3, const double *R f4,
-                const double *R f5, double dt, double lx, double ly, double dx, double dy,
-                int64_t nx, int64_t ny, int64_t *R done)
+                const double *R q, const double *R mass, double *R node_fields,
+                const double *R f0, const double *R f1, const double *R f2, const double *R f3,
+                const double *R f4, const double *R f5, double dt, double lx, double ly,
+                double dx, double dy, int64_t nx, int64_t ny, int64_t *R done)
 {
     const double *planes[6] = {f0, f1, f2, f3, f4, f5};
-    double fields[6][PUSH_CHUNK], out[5][PUSH_CHUNK];
+    double fields[6][PUSH_CHUNK], out[5][PUSH_CHUNK], weight[4][PUSH_CHUNK];
+    int32_t node[4][PUSH_CHUNK];
+    int64_t nnodes = nx * ny;
+    *done = 0;
+    if (nnodes > INT32_MAX)
+        return DECLINED;
+    if (node_fields && f0)
+        interleave(nnodes, f0, f1, f2, f3, f4, f5, node_fields);
     /* flags are sticky and the pass stops at the first chunk that raised
      * one, so one clearing serves every chunk */
     feclearexcept(FE_ALL_EXCEPT);
     for (int64_t i0 = 0; i0 < n; i0 += PUSH_CHUNK) {
         int64_t m = n - i0 < PUSH_CHUNK ? n - i0 : PUSH_CHUNK, bad = 0;
         const double *f[6];
-        if (gather) {
-            for (int64_t j = 0; j < m; j++) {
-                int64_t cx, cx1, cy, cy1;
-                double tx, ty;
-                bad |= cic_axis(x[i0 + j], lx, dx, nx, &cx, &cx1, &tx);
-                bad |= cic_axis(y[i0 + j], ly, dy, ny, &cy, &cy1, &ty);
-                double ux_ = 1.0 - tx, uy_ = 1.0 - ty;
-                double w0 = ux_ * uy_, w1 = tx * uy_, w2 = ux_ * ty, w3 = tx * ty;
-                int64_t row = cy * nx, row1 = cy1 * nx;
-                for (int c = 0; c < 6; c++) {
-                    const double *v = planes[c];
-                    double sum = v[row + cx] * w0 + 0.0;
-                    sum = v[row + cx1] * w1 + sum;
-                    sum = v[row1 + cx] * w2 + sum;
-                    fields[c][j] = v[row1 + cx1] * w3 + sum;
-                }
-            }
+        if (node_fields) {
+            struct cic_rows rows = {{node[0], node[1], node[2], node[3]},
+                                    {weight[0], weight[1], weight[2], weight[3]}};
+            bad |= cic_into(m, x + i0, y + i0, lx, ly, dx, dy, nx, ny, rows);
+            gather_chunk(m, node_fields, node, weight, fields);
             for (int c = 0; c < 6; c++) {
                 bad |= not_finite(fields[c], m);
                 f[c] = fields[c];
@@ -551,10 +740,8 @@ int gather_push(int64_t n, double *R x, double *R y, double *R ux, double *R uy,
         }
         push_chunk(m, x + i0, y + i0, ux + i0, uy + i0, uz + i0, q + i0, mass + i0, f[0], f[1],
                    f[2], f[3], f[4], f[5], dt, out);
-        for (int64_t j = 0; j < m; j++) {
-            out[3][j] = wrap(out[3][j], lx);
-            out[4][j] = wrap(out[4][j], ly);
-        }
+        wrap_all(m, out[3], lx);
+        wrap_all(m, out[4], ly);
         for (int r = 0; r < 5; r++)
             bad |= not_finite(out[r], m);
         if (finish(bad) != OK) {
@@ -950,59 +1137,104 @@ int ghost_slots(int64_t k, int64_t n, const int64_t *R ranks, const int64_t *R c
     return OK;
 }
 
+/* deposit's per-particle values of m particles: w q (1, ux, uy, uz) /
+ * gamma, as deposit rounds them, four a particle in values (m, 4). */
+static CLONED PASS void deposit_values(int64_t m, const double *R ux, const double *R uy,
+                                       const double *R uz, const double *R q, const double *R w,
+                                       double *R values)
+{
+    /* VECTORIZED: deposit values */
+    for (int64_t i = 0; i < m; i++) {
+        double inv_gamma = 1.0 / sqrt(((1.0 + ux[i] * ux[i]) + uy[i] * uy[i]) + uz[i] * uz[i]);
+        double charge = w[i] * q[i];
+        values[4 * i] = charge;
+        values[4 * i + 1] = (charge * ux[i]) * inv_gamma;
+        values[4 * i + 2] = (charge * uy[i]) * inv_gamma;
+        values[4 * i + 3] = (charge * uz[i]) * inv_gamma;
+    }
+}
+
+/* deposit's adds for the m particles of one segment, in their order: the
+ * four values of particle i times the weight of vertex v (row v of weight,
+ * m long) into the four channels of destination dest[4 pair + v], pair
+ * being its cell's (cell_mark), in bins (destination, 4).  The channels of
+ * a destination are adjacent, so each vertex is one 4-wide add.  Returns
+ * the ghost entries, off[pair] a particle. */
+static CLONED PASS int64_t deposit_segment(int64_t m, const double *R values,
+                                           const double *R weight, const int32_t *R cell,
+                                           const int64_t *R cell_mark, const int64_t *R dest,
+                                           const int64_t *R off, double *R bins)
+{
+    int64_t entries = 0;
+    for (int64_t i = 0; i < m; i++) {
+        int64_t pair = -cell_mark[cell[i]] - 1;
+        const int64_t *to = dest + 4 * pair;
+        const double *per = values + 4 * i;
+        for (int v = 0; v < 4; v++) {
+            double wv = weight[v * m + i], *bin = bins + 4 * to[v], sum[4];
+            for (int c = 0; c < 4; c++)
+                sum[c] = bin[c] + per[c] * wv;
+            for (int c = 0; c < 4; c++)
+                bin[c] = sum[c];
+        }
+        entries += off[pair];
+    }
+    return entries;
+}
+
 /* The era scatter of rank segments counts[0 .. nranks) of n particles,
  * ranks counted from r0: cic, ghost_slots and deposit, one segment at a
  * time while it is in cache.  A first walk of the segment computes each
- * particle's CIC (cic's floats, kept in cell_of and weight_of) and stamps
- * its cell; the segment's pairs and slots are numbered as ghost_slots
- * numbers them (pairs from 0 in each segment: they are not output); a
- * second walk adds the entries as deposit adds them, in the segment's
- * particle order: acc (4, nnodes) gets the on-rank sums, rows of stride
- * slot_cap (>= 4 n) of summed the slots' (zeroed as they are numbered).
- * tallies[r] is how many ghost entries rank r's particles make (one per
- * off-rank vertex of a particle's cell), tallies[nranks + r] its slots;
- * *nslots the slots of all.
+ * particle's CIC (cic's floats, cic_into) and stamps its cell; the
+ * segment's pairs and slots are numbered as ghost_slots numbers them
+ * (pairs from 0 in each segment: they are not output); a second walk adds
+ * the entries as deposit adds them, in the segment's particle order, into
+ * bins (nnodes + slot_cap, 4): a node's four channels (on-rank sums) or a
+ * slot's at nnodes + slot (zeroed as it is numbered), so each add is one
+ * 4-wide vector.  At the end the node bins are transposed into acc (4,
+ * nnodes); the slot bins, rows nnodes .. nnodes + *nslots of bins, are the
+ * caller's to read.  tallies[r] is how many ghost entries rank r's
+ * particles make (one per off-rank vertex of a particle's cell),
+ * tallies[nranks + r] its slots; *nslots the slots of all, numbered into
+ * rows of stride slot_cap (>= 4 n) of slots.
  *
  * work is 10 * nnodes int64 (slot_tables', one segment's pair
- * destinations (m, 4) and off-rank vertex counts) plus the longest
- * segment's cell_of; weight_of is 4 doubles per particle of that segment.
- * DECLINED: negative counts or a sum other than n, owners_fit's, or
- * slot_cap < 4 n. */
+ * destinations (m, 4) and off-rank vertex counts) plus 2 per particle of
+ * the longest segment (its CIC nodes, int32); staged is 8 doubles a
+ * particle of that segment (its CIC weights and its values).  DECLINED:
+ * negative counts or a sum other than n, owners_fit's, slot_cap < 4 n, or
+ * 2^31 nodes or more. */
 int scatter(int64_t nranks, const int64_t *R counts, int64_t n, const double *R x,
             const double *R y, const double *R ux, const double *R uy, const double *R uz,
             const double *R q, const double *R w, double lx, double ly, double dx, double dy,
             int64_t nx, int64_t ny, const int64_t *R node_owner, int64_t r0, int64_t *R work,
-            double *R weight_of, int64_t slot_cap, int64_t *R nslots_out, double *R acc,
-            double *R summed, int64_t *R slots, int64_t *R tallies)
+            double *R staged, double *R bins, int64_t slot_cap, int64_t *R nslots_out,
+            double *R acc, int64_t *R slots, int64_t *R tallies)
 {
     struct slot_tables t = slot_tables(nx, ny, node_owner, work);
     int64_t nnodes = t.nnodes, bad = 0, top = -1, total = 0, nslots = 0;
     int64_t *R dest = work + 5 * nnodes, *R off = work + 9 * nnodes;
-    int64_t *R cell_of = work + 10 * nnodes;
+    int32_t *R node = (int32_t *)(work + 10 * nnodes);
     for (int64_t r = 0; r < nranks; r++) {
         if (counts[r] < 0)
             return DECLINED;
         total += counts[r];
         top = counts[r] ? r : top;
     }
-    if (total != n || owners_fit(node_owner, nnodes, top) != OK || slot_cap < 4 * n)
+    if (total != n || owners_fit(node_owner, nnodes, top) != OK || slot_cap < 4 * n ||
+        nnodes > INT32_MAX)
         return DECLINED;
     memset(work, 0, sizeof(int64_t) * 2 * (size_t)nnodes);
-    memset(acc, 0, sizeof(double) * 4 * (size_t)nnodes);
+    memset(bins, 0, sizeof(double) * 4 * (size_t)nnodes);
     feclearexcept(FE_ALL_EXCEPT);
     for (int64_t r = 0, s = 0, stamp = 1; r < nranks; s += counts[r], r++, stamp++) {
-        int64_t len = counts[r], m = 0, mine = r + r0, entries = 0;
+        int64_t len = counts[r], m = 0, mine = r + r0;
+        double *R weight = staged, *R values = staged + 4 * len;
+        struct cic_rows rows = {{node, node + len, node + 2 * len, node + 3 * len},
+                                {weight, weight + len, weight + 2 * len, weight + 3 * len}};
+        bad |= cic_into(len, x + s, y + s, lx, ly, dx, dy, nx, ny, rows);
         for (int64_t i = 0; i < len; i++) {
-            int64_t cx, cx1, cy, cy1;
-            double tx, ty;
-            bad |= cic_axis(x[s + i], lx, dx, nx, &cx, &cx1, &tx);
-            bad |= cic_axis(y[s + i], ly, dy, ny, &cy, &cy1, &ty);
-            double ux_ = 1.0 - tx, uy_ = 1.0 - ty, *weight = weight_of + 4 * i;
-            weight[0] = ux_ * uy_;
-            weight[1] = tx * uy_;
-            weight[2] = ux_ * ty;
-            weight[3] = tx * ty;
-            int64_t c = cell_of[i] = cy * nx + cx;
+            int64_t c = node[i];
             if (t.cell_mark[c] != stamp) {
                 t.cell_mark[c] = stamp;
                 t.cells[m++] = c;
@@ -1014,32 +1246,16 @@ int scatter(int64_t nranks, const int64_t *R counts, int64_t n, const double *R 
         for (int64_t u = 0; u < m; u++)
             off[u] = (dest[4 * u] >= nnodes) + (dest[4 * u + 1] >= nnodes) +
                      (dest[4 * u + 2] >= nnodes) + (dest[4 * u + 3] >= nnodes);
-        for (int c = 0; c < 4; c++)
-            memset(summed + c * slot_cap + nslots, 0, sizeof(double) * (size_t)nq);
-        for (int64_t i = 0; i < len; i++) {
-            int64_t j = s + i, pair = -t.cell_mark[cell_of[i]] - 1;
-            double inv_gamma = 1.0 / sqrt(((1.0 + ux[j] * ux[j]) + uy[j] * uy[j]) + uz[j] * uz[j]);
-            double charge = w[j] * q[j];
-            double per[4] = {charge, (charge * ux[j]) * inv_gamma, (charge * uy[j]) * inv_gamma,
-                             (charge * uz[j]) * inv_gamma};
-            const int64_t *to = dest + 4 * pair;
-            for (int v = 0; v < 4; v++) {
-                double weight = weight_of[4 * i + v];
-                int64_t d = to[v];
-                double *bin = d < nnodes ? acc + d : summed + (d - nnodes);
-                int64_t stride = d < nnodes ? nnodes : slot_cap;
-                for (int c = 0; c < 4; c++)
-                    bin[c * stride] += per[c] * weight;
-            }
-            entries += off[pair];
-        }
-        tallies[r] = entries;
+        memset(bins + 4 * (nnodes + nslots), 0, sizeof(double) * 4 * (size_t)nq);
+        deposit_values(len, ux + s, uy + s, uz + s, q + s, w + s, values);
+        tallies[r] = deposit_segment(len, values, weight, node, t.cell_mark, dest, off, bins);
         tallies[nranks + r] = nq;
         nslots += nq;
     }
     *nslots_out = nslots;
-    bad |= not_finite(acc, 4 * nnodes);
+    bad |= not_finite(bins, 4 * (nnodes + nslots));
     for (int c = 0; c < 4; c++)
-        bad |= not_finite(summed + c * slot_cap, nslots);
+        for (int64_t k = 0; k < nnodes; k++)
+            acc[c * nnodes + k] = bins[4 * k + c];
     return finish(bad);
 }

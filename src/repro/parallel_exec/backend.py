@@ -23,7 +23,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.machine.batch import MessageBatch
-from repro.parallel_exec.kernels import gather_push_slice, scatter_segment
+from repro.parallel_exec.kernels import gather_push_slice, node_fields, scatter_segment
 from repro.particles.arrays import ParticlePool
 from repro.pic.deposition import CHANNELS
 
@@ -144,11 +144,13 @@ class FlatBackend:
 
     def gather_push(self, pool: ParticlePool, planes, dt: float) -> None:
         """Thread-parallel field gather + Boris push, in place in the pool,
-        from the six ``(ny, nx)`` ``planes`` of E and B."""
+        from the six ``(ny, nx)`` ``planes`` of E and B, interleaved once
+        here for all the shards."""
         shards = self._shards(pool.counts)
+        fields = node_fields(self.grid, planes)
 
         def task(i: int, r0: int, parts) -> None:
-            gather_push_slice(self.grid, parts, planes, dt)
+            gather_push_slice(self.grid, parts, fields, dt)
 
         self._run("gather_push", pool, shards, task)
 

@@ -45,6 +45,8 @@ __all__ = [
     "deposit_numpy",
     "merge_ghost_messages",
     "reduce_rank_rows",
+    "node_fields",
+    "node_fields_numpy",
     "gather_push_slice",
     "gather_push_numpy",
 ]
@@ -193,12 +195,34 @@ def reduce_rank_rows(rows: np.ndarray, acc: np.ndarray) -> np.ndarray:
     return acc
 
 
-def gather_push_slice(grid, parts: ParticleArray, planes, dt: float) -> None:
+def node_fields(grid, planes) -> np.ndarray:
+    """The six ``(ny, nx)`` ``planes`` of E and B interleaved per node, the
+    fields :func:`gather_push_slice` reads: ``(nnodes, 8)``, a node's six
+    components then two zeros, one 64-byte line that a vertex reads as one
+    vector.  Built once per step by the thread that hands the shards their
+    work, into a block kept per thread (the next call, or a scatter on that
+    thread, overwrites it), and only read by the shards: one copy of the
+    mesh, not one per thread."""
+    compiled = native.kernels()
+    found = compiled.node_fields(grid, planes) if compiled is not None else None
+    if found is None:
+        found = node_fields_numpy(planes, _kept("node_fields", (grid.nnodes, 8)))
+    return found
+
+
+def node_fields_numpy(planes, out: np.ndarray) -> np.ndarray:
+    """The NumPy body of :func:`node_fields`, into ``out`` ``(nnodes, 8)``."""
+    out[:, :6] = np.reshape(planes, (6, -1)).T
+    out[:, 6:] = 0.0
+    return out
+
+
+def gather_push_slice(grid, parts: ParticleArray, fields: np.ndarray, dt: float) -> None:
     """Field gather + Boris push for one contiguous pool slice, in place.
 
-    ``planes`` are the six ``(ny, nx)`` planes of E and B.  Both operations
-    are per-particle independent, so any slicing of the pool produces
-    bit-identical results.  One compiled pass of :mod:`repro.native`
+    ``fields`` are E and B as :func:`node_fields` interleaves them.  Both
+    operations are per-particle independent, so any slicing of the pool
+    produces bit-identical results.  One compiled pass of :mod:`repro.native`
     recomputes each particle's CIC from its positions (the scatter's, as
     positions only change here), interpolates and pushes, a chunk of
     particles at a time; where it stops, at a chunk that raised a float
@@ -209,17 +233,16 @@ def gather_push_slice(grid, parts: ParticleArray, planes, dt: float) -> None:
     if parts.n and parts.m.min() <= 0:
         raise ValueError("boris_push requires strictly positive particle masses")
     compiled = native.kernels()
-    done = compiled.gather_push(grid, parts, planes, float(dt)) if compiled is not None else 0
+    done = compiled.gather_push(grid, parts, fields, float(dt)) if compiled is not None else 0
     if done < parts.n:
-        gather_push_numpy(grid, parts.slice_view(done, parts.n) if done else parts, planes, dt)
+        gather_push_numpy(grid, parts.slice_view(done, parts.n) if done else parts, fields, dt)
 
 
-def gather_push_numpy(grid, parts: ParticleArray, planes, dt: float) -> None:
+def gather_push_numpy(grid, parts: ParticleArray, fields: np.ndarray, dt: float) -> None:
     """The NumPy body of :func:`gather_push_slice` after its validation,
     fallback and oracle of the compiled pass: the CIC evaluation, the
     interpolation of :func:`~repro.pic.interpolation.gather_from_node_values`
-    and ``push_numpy``."""
+    from the first six columns of ``fields`` and ``push_numpy``."""
     nodes, weights = _cic_numpy(grid, parts)
-    by_node = np.stack([np.ravel(a) for a in planes], axis=1)
-    eb = interpolate_numpy(by_node, nodes, weights, out=_kept("fields", (6, parts.n)))
+    eb = interpolate_numpy(fields[:, :6], nodes, weights, out=_kept("fields", (6, parts.n)))
     push_numpy(grid, parts, eb[:3], eb[3:], dt)

@@ -23,7 +23,9 @@ plasma frequency is ``sqrt(density) = 0.1`` and the Debye length
 ``vth / w_p = 0.5 dx`` at the default ``vth`` — resolved by the grid, so
 PIC self-heating (the finite-grid instability, which sets in when the
 Debye length is far below the cell size) stays negligible over
-benchmark-length runs.  Physics demos that want ``w_p = 1`` pass
+benchmark-length runs: at four particles a cell the kinetic energy grows
+by about 5 % in 200 iterations, and tier-1 bounds it at 10 %
+(``tests/test_physics_linear_theory.py``).  Physics demos that want ``w_p = 1`` pass
 ``density=1.0`` explicitly and accept the stronger heating.
 """
 

@@ -71,6 +71,7 @@ from repro.machine.collectives import exchange_by_destination_pooled
 from repro.parallel_exec.kernels import (
     gather_push_slice,
     merge_ghost_messages,
+    node_fields,
     reduce_rank_rows,
     scatter_segment,
 )
@@ -501,7 +502,8 @@ class ParallelPIC(PooledParticles):
                 if self.backend is not None:
                     self.backend.gather_push(pool, planes, self.dt)
                 elif pool.n:
-                    gather_push_slice(self.grid, pool.array, planes, self.dt)
+                    fields = node_fields(self.grid, planes)
+                    gather_push_slice(self.grid, pool.array, fields, self.dt)
         if self.movement == "eulerian":
             self._migrate_eulerian()
 

@@ -13,8 +13,10 @@ warnings and errors NumPy raises.  The loader may fail in many ways and
 each must end in the NumPy bodies, a reason, and the same results.
 """
 
+import ctypes
 import json
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -29,11 +31,13 @@ from hypothesis import strategies as st
 
 from repro import native
 from repro.machine import FaultEvent, FaultPlan
+from repro.native.calls import Kernels, self_check
 from repro.mesh import CurveBlockDecomposition, FieldState, Grid2D
 from repro.parallel_exec.kernels import (
     deposit_numpy,
     gather_push_numpy,
     gather_push_slice,
+    node_fields_numpy,
     scatter_numpy,
     scatter_segment,
 )
@@ -71,19 +75,71 @@ def compiled():
     return found
 
 
+#: the CPU flags (as /proc/cpuinfo names them) each clone target needs
+CLONE_FLAGS = {
+    "default": (),
+    "x86-64-v3": ("avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm", "movbe", "xsave"),
+}
+CLONE_FLAGS["x86-64-v4"] = (
+    *CLONE_FLAGS["x86-64-v3"], "avx512f", "avx512bw", "avx512cd", "avx512dq", "avx512vl",
+)  # fmt: skip
+
+
+def _cpu_flags() -> set[str]:
+    """This CPU's feature flags as /proc/cpuinfo names them (none elsewhere)."""
+    try:
+        found = re.search(r"^flags\s*:(.*)$", Path("/proc/cpuinfo").read_text(), re.M)
+    except OSError:
+        return set()
+    return set(found.group(1).split()) if found else set()
+
+
+@pytest.fixture(scope="module")
+def clone_libraries(compiled, tmp_path_factory) -> dict:
+    """Target -> the library built for that clone target alone
+    (``-DCLONED=``) into a fresh directory, or why this CPU cannot run it
+    (the flag it lacks); FLAGS and the cached library stay as they are."""
+    flags = _cpu_flags()
+    targets = vectorization_guard.TARGETS
+    lacking = {t: [f for f in CLONE_FLAGS[t] if f not in flags] for t in targets}
+    runnable = [t for t, missing in lacking.items() if not missing]
+    directory = tmp_path_factory.mktemp("clones")
+    source = native.SOURCE.read_bytes()
+    vectorization_guard.build_clones(shutil.which("cc"), source, directory, runnable)
+    return {
+        t: directory / f"{t}.so" if t in runnable else f"{t} needs the CPU flag {lacking[t][0]}"
+        for t in targets
+    }
+
+
+@pytest.fixture(scope="module", params=vectorization_guard.TARGETS)
+def clone(request, clone_libraries):
+    """The kernels of one clone target; skipped where this CPU lacks it."""
+    library = clone_libraries[request.param]
+    if isinstance(library, str):
+        pytest.skip(library)
+    return Kernels(ctypes.CDLL(str(library)))
+
+
 def _cic_numpy(grid, x, y):
     return grid.cic_from_axes(grid.cic_axis(x, 0), grid.cic_axis(y, 1))
 
 
-def _particles(grid, n, seed, charge_scale=1.0):
+def _particles(grid, n, seed, charge_scale=1.0, inside=False):
     """Random particles; the first five sit at 0, ``lx``, ``-1e-18``,
-    ``-0.0`` and ``1e8 * lx`` (and the y likewise, rotated)."""
+    ``-0.0`` and ``1e8 * lx`` (and the y likewise, rotated) — or, with
+    ``inside``, all inside the box (the branch-free CIC's domain), the
+    first three at 0, -0.0 and the largest double below ``lx``."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(-2 * grid.lx, 3 * grid.lx, n)
     y = rng.uniform(-2 * grid.ly, 3 * grid.ly, n)
     edge = np.array([0.0, 1.0, -1e-18, -0.0, 1e8])
     x[:5] = (edge * [1, grid.lx, 1, 1, grid.lx])[:n]
     y[:5] = np.roll(edge * [1, grid.ly, 1, 1, grid.ly], 2)[:n]
+    if inside:
+        x, y = np.mod(x, grid.lx), np.mod(y, grid.ly)
+        x[:3] = np.array([0.0, -0.0, np.nextafter(grid.lx, 0.0)])[:n]
+        y[:3] = np.array([np.nextafter(grid.ly, 0.0), 0.0, -0.0])[:n]
     u = rng.normal(0.0, 1.5, (3, n))
     q = rng.choice([-1.0, 1.0], n) * charge_scale
     mass, weight = rng.uniform(0.5, 2.0, n), rng.uniform(0.1, 2.0, n)
@@ -112,7 +168,14 @@ def _planes(fields):
     return [getattr(fields, name) for name in PLANES]
 
 
+def _node_fields(planes):
+    """The gather's node-interleaved E and B, as NumPy builds them."""
+    return node_fields_numpy(planes, np.empty((planes[0].size, 8)))
+
+
 cases = st.tuples(st.sampled_from(GRIDS), st.sampled_from(SIZES), st.integers(0, 2**31))
+#: push lengths that leave every vector remainder, and more than one chunk
+LANES = [*range(1, 18), 257]
 #: the modern stepper's kernels: every vector remainder of the values loop,
 #: and more particles than one staged chunk holds
 modern_cases = st.tuples(
@@ -184,6 +247,87 @@ def _zigzag_slots(grid, entries, p, seed):
 # ----------------------------------------------------------------------
 # each entry point against its NumPy body
 # ----------------------------------------------------------------------
+#: the hypothesis inputs of the scatter and gather + push byte tests
+SCATTER_CASES = (cases, st.sampled_from([1, 4]), st.sampled_from([1.0, 1e-310]), st.booleans())
+GATHER_PUSH_CASES = (cases, st.sampled_from([0.05, 0.5, 7.0]), st.booleans())
+
+
+def _scatter_bytes(kernels, case, p, charge_scale, inside):
+    """The whole pool from ``r0 = 0`` and every one-rank shard, as the
+    shard threads call it, also with subnormal charges and with every
+    particle inside the box: the deposited row, the slot sums and the
+    tallies of ``scatter_numpy``."""
+    grid, n, seed = case
+    parts = _particles(grid, n, seed, charge_scale, inside)
+    owner = CurveBlockDecomposition(grid, p, "hilbert").owner_map
+    rng = np.random.default_rng(seed)
+    counts = np.diff(np.concatenate(([0], np.sort(rng.integers(0, n + 1, p - 1)), [n])))
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    calls = [(parts, counts, 0)] + [
+        (parts.slice_view(offsets[r], offsets[r + 1]), counts[r : r + 1], r) for r in range(p)
+    ]
+    for shard, shard_counts, r0 in calls:
+        acc, want_acc = np.full((2, 4, grid.nnodes), np.nan)
+        got = kernels.scatter(grid, shard, shard_counts, r0, owner, acc)
+        assert got is not None
+        want = scatter_numpy(grid, shard, shard_counts, r0, owner, want_acc)
+        _same((*got, acc), (*want, want_acc))
+
+
+def _gather_push_bytes(kernels, case, dt, inside):
+    """From positions anywhere and all inside the box; the
+    node-interleaved fields are NumPy's bytes too."""
+    grid, n, seed = case
+    planes = tuple(_planes(_fields(grid, seed))[:6])
+    got, want = (_particles(grid, n, seed, inside=inside) for _ in range(2))
+    fields = kernels.node_fields(grid, planes)
+    _same((fields,), (_node_fields(planes),))
+    assert kernels.gather_push(grid, got, fields, dt) == n
+    gather_push_numpy(grid, want, _node_fields(planes), dt)
+    _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
+    assert np.all((got.x >= 0) & (got.x < grid.lx) & (got.y >= 0) & (got.y < grid.ly))
+
+
+def _boris_push_lanes(kernels, n):
+    """Lengths that leave every vector remainder, with a position out of
+    the box (so the wrap pass's slow path) in each lane in turn."""
+    grid = GRIDS[1]
+    outside = [-1e-18, 3.5 * grid.lx, -2.25 * grid.lx, 1e8 * grid.lx, -0.0]
+    rng = np.random.default_rng(n)
+    e, b = rng.normal(0.0, 2.0, (2, 3, n))
+    for lane in range(n):
+        got = _particles(grid, n, lane)
+        got.x[:] = rng.uniform(0.0, grid.lx, n)
+        got.y[:] = rng.uniform(0.0, grid.ly, n)
+        got.x[lane] = outside[lane % len(outside)]
+        got.y[(lane + 1) % n] = outside[(lane + 2) % len(outside)] * grid.ly / grid.lx
+        want = got.copy()
+        assert kernels.boris_push(grid, got, e, b, 0.3) == n
+        push_numpy(grid, want, e, b, 0.3)
+        _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
+
+
+def _wrap_edges(kernels):
+    """Positions the push leaves (zero fields and momenta: the position
+    itself) at the edges of the branch-free wrap's range ``[-l, 2 l)``:
+    -l, l, just inside each and tiny negatives whose sum with l rounds
+    to l, in a chunk that takes that pass; the same with 2 l, past its
+    end, in a chunk that folds with ``fmod``."""
+    grid = GRIDS[1]
+    for length, row in ((grid.lx, "x"), (grid.ly, "y")):
+        below, last = np.nextafter(length, 0.0), np.nextafter(2 * length, 0.0)
+        near = [-length, -below, -1e-300, -1e-17, -0.0, 0.0, below, length, last]
+        for edges in (near, [*near, 2 * length]):
+            got = _particles(grid, len(edges), 9, inside=True)
+            getattr(got, row)[:] = edges
+            got.ux[:] = got.uy[:] = got.uz[:] = 0.0
+            want = got.copy()
+            e = b = np.zeros((3, len(edges)))
+            assert kernels.boris_push(grid, got, e, b, 0.3) == len(edges)
+            push_numpy(grid, want, e, b, 0.3)
+            _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
+
+
 class TestBytes:
     @settings(max_examples=40, deadline=None)
     @given(cases)
@@ -228,44 +372,21 @@ class TestBytes:
         grid, n, seed = case
         planes = tuple((_node_values(grid, 6, seed) * scale).reshape(6, *grid.shape))
         got, want = _particles(grid, n, seed), _particles(grid, n, seed)
-        assert compiled.gather_push(grid, got, planes, 0.3) == n
+        assert compiled.gather_push(grid, got, compiled.node_fields(grid, planes), 0.3) == n
         nodes, weights = _cic_numpy(grid, want.x, want.y)
         eb = interpolate_numpy(np.stack([a.ravel() for a in planes], axis=1), nodes, weights)
         push_numpy(grid, want, eb[:3], eb[3:], 0.3)
         _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
 
     @settings(max_examples=40, deadline=None)
-    @given(cases, st.sampled_from([1, 4]), st.sampled_from([1.0, 1e-310]))
-    def test_scatter(self, compiled, case, p, charge_scale):
-        """The whole pool from ``r0 = 0`` and every one-rank shard, as the
-        shard threads call it, also with subnormal charges: the deposited
-        row, the slot sums and the tallies of ``scatter_numpy``."""
-        grid, n, seed = case
-        parts = _particles(grid, n, seed, charge_scale)
-        owner = CurveBlockDecomposition(grid, p, "hilbert").owner_map
-        rng = np.random.default_rng(seed)
-        counts = np.diff(np.concatenate(([0], np.sort(rng.integers(0, n + 1, p - 1)), [n])))
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        calls = [(parts, counts, 0)] + [
-            (parts.slice_view(offsets[r], offsets[r + 1]), counts[r : r + 1], r) for r in range(p)
-        ]
-        for shard, shard_counts, r0 in calls:
-            acc, want_acc = np.full((2, 4, grid.nnodes), np.nan)
-            got = compiled.scatter(grid, shard, shard_counts, r0, owner, acc)
-            assert got is not None
-            want = scatter_numpy(grid, shard, shard_counts, r0, owner, want_acc)
-            _same((*got, acc), (*want, want_acc))
+    @given(*SCATTER_CASES)
+    def test_scatter(self, compiled, case, p, charge_scale, inside):
+        _scatter_bytes(compiled, case, p, charge_scale, inside)
 
     @settings(max_examples=40, deadline=None)
-    @given(cases, st.sampled_from([0.05, 0.5, 7.0]))
-    def test_gather_push(self, compiled, case, dt):
-        grid, n, seed = case
-        planes = tuple(_planes(_fields(grid, seed))[:6])
-        got, want = _particles(grid, n, seed), _particles(grid, n, seed)
-        assert compiled.gather_push(grid, got, planes, dt) == n
-        gather_push_numpy(grid, want, planes, dt)
-        _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
-        assert np.all((got.x >= 0) & (got.x < grid.lx) & (got.y >= 0) & (got.y < grid.ly))
+    @given(*GATHER_PUSH_CASES)
+    def test_gather_push(self, compiled, case, dt, inside):
+        _gather_push_bytes(compiled, case, dt, inside)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -359,24 +480,12 @@ class TestBytes:
         _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
         assert np.all((got.x >= 0) & (got.x < grid.lx) & (got.y >= 0) & (got.y < grid.ly))
 
-    @pytest.mark.parametrize("n", [*range(1, 18), 257])
+    @pytest.mark.parametrize("n", LANES)
     def test_boris_push_in_every_lane(self, compiled, n):
-        """Lengths that leave every vector remainder, with a position out of
-        the box (so the wrap pass's slow path) in each lane in turn."""
-        grid = GRIDS[1]
-        outside = [-1e-18, 3.5 * grid.lx, -2.25 * grid.lx, 1e8 * grid.lx, -0.0]
-        rng = np.random.default_rng(n)
-        e, b = rng.normal(0.0, 2.0, (2, 3, n))
-        for lane in range(n):
-            got = _particles(grid, n, lane)
-            got.x[:] = rng.uniform(0.0, grid.lx, n)
-            got.y[:] = rng.uniform(0.0, grid.ly, n)
-            got.x[lane] = outside[lane % len(outside)]
-            got.y[(lane + 1) % n] = outside[(lane + 2) % len(outside)] * grid.ly / grid.lx
-            want = got.copy()
-            assert compiled.boris_push(grid, got, e, b, 0.3) == n
-            push_numpy(grid, want, e, b, 0.3)
-            _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
+        _boris_push_lanes(compiled, n)
+
+    def test_push_wraps_the_box_edges(self, compiled):
+        _wrap_edges(compiled)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -474,6 +583,32 @@ def test_outputs_land_in_the_callers_buffers(path, request):
 # ----------------------------------------------------------------------
 # exceptional inputs: the C loop declines, NumPy answers as it always did
 # ----------------------------------------------------------------------
+class TestEveryClone:
+    """The era passes' byte tests and the loader's self-check on one library
+    per clone target this CPU runs (``clone``): the loaded library binds
+    only the widest, so the others are built alone to be tested at all."""
+
+    def test_self_check(self, clone):
+        assert self_check(clone) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(*SCATTER_CASES)
+    def test_scatter(self, clone, case, p, charge_scale, inside):
+        _scatter_bytes(clone, case, p, charge_scale, inside)
+
+    @settings(max_examples=40, deadline=None)
+    @given(*GATHER_PUSH_CASES)
+    def test_gather_push(self, clone, case, dt, inside):
+        _gather_push_bytes(clone, case, dt, inside)
+
+    def test_boris_push_in_every_lane(self, clone):
+        for n in LANES:
+            _boris_push_lanes(clone, n)
+
+    def test_push_wraps_the_box_edges(self, clone):
+        _wrap_edges(clone)
+
+
 class TestDeclined:
     grid = GRIDS[1]
 
@@ -593,11 +728,11 @@ class TestDeclined:
         planes[2].flat[nodes[5, 1]] = np.nan
         planes[4].flat[nodes[8, 0]] = -np.inf
         planes = tuple(planes)
-        got, want = parts.copy(), parts.copy()
-        assert compiled.gather_push(self.grid, got, planes, 0.3) == 0
+        got, want, fields = parts.copy(), parts.copy(), _node_fields(planes)
+        assert compiled.gather_push(self.grid, got, fields, 0.3) == 0
         _same([getattr(got, c) for c in PUSHED], [getattr(parts, c) for c in PUSHED])
-        _, numpy_said = self._warned(lambda: gather_push_numpy(self.grid, want, planes, 0.3))
-        _, we_said = self._warned(lambda: gather_push_slice(self.grid, got, planes, 0.3))
+        _, numpy_said = self._warned(lambda: gather_push_numpy(self.grid, want, fields, 0.3))
+        _, we_said = self._warned(lambda: gather_push_slice(self.grid, got, fields, 0.3))
         assert we_said == numpy_said
         _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
         parts.ux[7] = 1e200  # ux**2 overflows: NumPy warns, so must we
@@ -645,11 +780,14 @@ class TestDeclined:
         full = np.random.default_rng(5).normal(size=(6, parts.n))
         assert not compiled.boris_push(self.grid, parts, full[::2], full[1::2], 0.2)
         planes = tuple(_planes(_fields(self.grid, 5))[:6])
-        assert compiled.gather_push(self.grid, strided, planes, 0.2) == 0
-        assert compiled.gather_push(self.grid, parts, (*planes[:5], planes[5].T), 0.2) == 0
-        assert compiled.gather_push(self.grid, parts, planes[:5], 0.2) == 0
-        float32 = tuple(a.astype(np.float32) for a in planes)
-        assert compiled.gather_push(self.grid, parts, float32, 0.2) == 0
+        fields = _node_fields(planes)
+        assert compiled.gather_push(self.grid, strided, fields, 0.2) == 0
+        assert compiled.gather_push(self.grid, parts, fields[:, :6], 0.2) == 0
+        assert compiled.gather_push(self.grid, parts, fields.astype(np.float32), 0.2) == 0
+        assert compiled.gather_push(self.grid, parts, np.asfortranarray(fields), 0.2) == 0
+        assert compiled.node_fields(self.grid, (*planes[:5], planes[5].T)) is None
+        assert compiled.node_fields(self.grid, planes[:5]) is None
+        assert compiled.node_fields(self.grid, tuple(a.astype(np.float32) for a in planes)) is None
         assert compiled.boris_push(self.grid, parts, parts.block[:3], full[3:], 0.2) == 0
         reference = strided.copy()
         boris_push(self.grid, strided, e, b, 0.2)  # the public function still serves the view
@@ -921,18 +1059,25 @@ def _cic_works_without(monkeypatch, answer):
 
 
 def _built_cache(tmp_path) -> Path:
-    cache = tmp_path / "cache"
-    found, status = native.load(cache)
+    """A private cache holding a whole library: this host's, copied rather
+    than built again (the first TestLoader test builds one)."""
+    found, status = native.load()
     if not status.active:
         pytest.skip(f"no compiled kernels on this host: {status.reason}")
-    assert Path(status.library).parent == cache
+    cache = tmp_path / "cache"
+    cache.mkdir(0o700)
+    shutil.copy2(status.library, cache)
     return cache
 
 
 class TestLoader:
     def test_builds_into_a_private_cache_and_leaves_nothing_else(self, tmp_path):
-        cache = _built_cache(tmp_path)
+        cache = tmp_path / "cache"
+        found, status = native.load(cache)
+        if not status.active:
+            pytest.skip(f"no compiled kernels on this host: {status.reason}")
         (library,) = cache.iterdir()
+        assert str(library) == status.library
         assert library.suffix == ".so" and stat.S_IMODE(cache.stat().st_mode) == 0o700
         assert not library.stat().st_mode & 0o022
         again, status = native.load(cache, cc="/nonexistent/cc")  # cached under its own name
@@ -1182,11 +1327,11 @@ def test_shard_threads_racing_the_first_load_build_once(compiled, monkeypatch, t
     monkeypatch.setattr(native, "kernels", spy)
     backend = FlatBackend(2, grid)
     try:
-        backend.gather_push(pool, tuple(np.zeros((6, *grid.shape))), 0.05)
+        backend.scatter(pool, np.zeros(grid.nnodes, dtype=np.int64))
     finally:
         backend.close()
     assert events == ["build", "check"]
-    # one ask per shard: the gather + push is one compiled pass
+    # one ask per shard: the scatter is one compiled pass
     assert len(got) == 2 and got[0] is not None and all(k is got[0] for k in got)
 
 

@@ -16,7 +16,12 @@ from repro.core import ParticlePartitioner
 from repro.machine import FaultEvent, FaultPlan
 from repro.mesh import CurveBlockDecomposition, Grid2D
 from repro.parallel_exec import FlatBackend, create_backend, resolve_workers
-from repro.parallel_exec.kernels import gather_push_slice, reduce_rank_rows, scatter_segment
+from repro.parallel_exec.kernels import (
+    gather_push_slice,
+    node_fields,
+    reduce_rank_rows,
+    scatter_segment,
+)
 from repro.particles import ParticlePool, gaussian_blob
 from repro.pic import Simulation, SimulationConfig
 from repro.pic.deposition import CHANNELS
@@ -179,7 +184,7 @@ class TestShardThreads:
             assert _scattered(got) == _scattered((row, *tallies))
 
             for _ in range(2):  # the second from the positions the first pushed
-                gather_push_slice(_GRID, ref.array, planes, 0.05)
+                gather_push_slice(_GRID, ref.array, node_fields(_GRID, planes), 0.05)
                 backend.gather_push(pool, planes, 0.05)
                 assert _columns(pool.array) == _columns(ref.array)
         finally:
@@ -202,7 +207,7 @@ class TestShardThreads:
                 _, *tallies = scatter_segment(_GRID, ref.array, ref.counts, 0, node_owner, row[0])
                 got = backend.scatter(pool, node_owner)
                 assert _scattered(got) == _scattered((row, *tallies))
-                gather_push_slice(_GRID, ref.array, planes, 0.05)
+                gather_push_slice(_GRID, ref.array, node_fields(_GRID, planes), 0.05)
                 backend.gather_push(pool, planes, 0.05)
                 assert _columns(pool.array) == _columns(ref.array)
                 assert time.monotonic() < deadline

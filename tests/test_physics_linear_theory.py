@@ -14,7 +14,7 @@ import pytest
 
 from repro.mesh import CurveBlockDecomposition, Grid2D
 from repro.particles.arrays import ParticleArray
-from repro.pic import SequentialPIC
+from repro.pic import SequentialPIC, Simulation, SimulationConfig
 from repro.pic.deposition import deposit_charge_current, ghost_slots
 from repro.pic.yee import YeePIC
 from repro.pic.zigzag import continuity_residual, deposit_zigzag_entries, zigzag_entries
@@ -64,6 +64,25 @@ def measured_omega(make_stepper) -> float:
 )  # fmt: skip
 def test_langmuir_oscillation_at_the_plasma_frequency(make_stepper):
     assert measured_omega(make_stepper) == pytest.approx(1.0, abs=0.01)
+
+
+@pytest.mark.parametrize("kernels", ["compiled", "numpy"])
+def test_default_plasma_heats_under_ten_percent_in_a_benchmark_run(request, kernels):
+    """``particles/init.py``'s "self-heating stays negligible over
+    benchmark-length runs", as a bound: the default plasma (density 0.01,
+    vth 0.05: a Debye length of half a cell) at the benchmark's four
+    particles a cell gains under 10 % kinetic energy in a benchmark run's
+    200 era iterations, on either kernel path.  Seeds 0-5 read +4.5 to
+    +5.4 %; the finite-grid instability of an unresolved Debye length
+    heats far faster."""
+    if kernels == "numpy":
+        request.getfixturevalue("numpy_kernels")
+    config = SimulationConfig(nx=64, ny=32, nparticles=4 * 64 * 32, p=4, seed=0)
+    sim = Simulation(config)
+    before = sim.pic.pool.array.kinetic_energy()
+    sim.run(200)
+    growth = sim.pic.pool.array.kinetic_energy() / before - 1.0
+    assert 0.0 < growth < 0.10
 
 
 def cic_rho(grid: Grid2D, x: np.ndarray, y: np.ndarray, charge: np.ndarray) -> np.ndarray:

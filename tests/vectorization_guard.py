@@ -1,16 +1,20 @@
 """Every loop of ``pic_kernels.c`` marked ``VECTORIZED`` is vectorized by
-GCC, and the file has at most ten entry points.
+GCC in every clone, and the file has at most ten entry points.
 
 ``python -m tests.vectorization_guard`` compiles the C file with
-``repro.native.FLAGS`` plus ``-fopt-info-vec-optimized`` and prints one
-line per marker: the marker's text, the line of the ``for`` that follows
-it, and whether GCC reported that loop vectorized.  It exits 1 when one
-is not, so an edit that silently drops a loop back to scalar code fails
-here rather than in the next benchmark.  Loops are found by their marker
-comment, not by line number.  It also exits 1 when the file defines more
-than :data:`MAX_ENTRY_POINTS` functions that are not ``static``: a fused
-pass replaces its parts rather than joining them.  GCC only: another
-compiler reports vectorization in its own words (exit 2).
+``repro.native.FLAGS`` plus ``-fopt-info-vec-optimized`` once per clone
+target (:data:`TARGETS`: the clone attribute narrowed to that one target
+by ``-DCLONED=``, see :func:`clone_define`) and prints one line per
+marker: the marker's text, the line of the ``for`` that follows it, and
+the targets in which GCC reported that loop vectorized.  It exits 1 when
+one target did not, so an edit that silently drops a loop back to scalar
+code in one clone fails here rather than in the next benchmark (a loop
+outside the cloned passes is compiled alike in every build and must be
+vectorized in each).  Loops are found by their marker comment, not by
+line number.  It also exits 1 when the file defines more than
+:data:`MAX_ENTRY_POINTS` functions that are not ``static``: a fused pass
+replaces its parts rather than joining them.  GCC only: another compiler
+reports vectorization in its own words (exit 2).
 """
 
 from __future__ import annotations
@@ -24,11 +28,21 @@ from pathlib import Path
 
 from repro.native import FLAGS, SOURCE
 
-__all__ = ["marked_loops", "entry_points", "vectorized_lines", "is_gcc", "main"]
+__all__ = [
+    "TARGETS",
+    "marked_loops",
+    "entry_points",
+    "clone_define",
+    "build_clones",
+    "is_gcc",
+    "main",
+]
 
 MARKER = "VECTORIZED:"
 #: the most functions pic_kernels.c may export
 MAX_ENTRY_POINTS = 10
+#: the targets pic_kernels.c clones its era particle passes for
+TARGETS = ("default", "x86-64-v3", "x86-64-v4")
 
 
 def marked_loops(source: str) -> dict[str, int]:
@@ -51,17 +65,33 @@ def entry_points(source: str) -> list[str]:
     return re.findall(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b([A-Za-z_]\w*)\s*\(", source, re.M)
 
 
-def vectorized_lines(cc: str, source: bytes) -> set[int]:
-    """Lines GCC reports as the start of a vectorized loop."""
-    with tempfile.TemporaryDirectory() as scratch:
-        done = subprocess.run(
-            [cc, *FLAGS, "-fopt-info-vec-optimized", "-x", "c", "-", "-o",
-             str(Path(scratch) / "k.so"), "-lm"],
-            input=source, capture_output=True, check=True, timeout=120,
+def clone_define(target: str) -> str:
+    """The ``-D`` flag that builds the cloned passes for ``target`` alone."""
+    if target == "default":
+        return "-DCLONED="
+    return f'-DCLONED=__attribute__((target("arch={target}")))'
+
+
+def build_clones(cc: str, source: bytes, directory: Path, targets=TARGETS) -> dict[str, set[int]]:
+    """Compile ``source`` once per target, side by side, into
+    ``directory/<target>.so``: per target, the lines GCC reports as the
+    start of a vectorized loop."""
+    runs = {
+        target: subprocess.Popen(
+            [cc, *FLAGS, clone_define(target), "-fopt-info-vec-optimized", "-x", "c", "-",
+             "-o", str(Path(directory) / f"{target}.so"), "-lm"],
+            stdin=subprocess.PIPE, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
         )  # fmt: skip
-    report = done.stderr.decode(errors="replace")
-    found = re.findall(r"^<stdin>:(\d+):\d+: optimized: loop vectorized", report, re.M)
-    return {int(line) for line in found}
+        for target in targets
+    }
+    reports = {}
+    for target, run in runs.items():
+        _, err = run.communicate(source, timeout=120)
+        if run.returncode:
+            raise subprocess.CalledProcessError(run.returncode, run.args, stderr=err)
+        reports[target] = err.decode(errors="replace")
+    pattern = re.compile(r"^<stdin>:(\d+):\d+: optimized: loop vectorized", re.M)
+    return {t: {int(line) for line in pattern.findall(r)} for t, r in reports.items()}
 
 
 def is_gcc(cc: str) -> bool:
@@ -77,10 +107,14 @@ def main() -> int:
         return 2
     source = SOURCE.read_bytes()
     loops = marked_loops(source.decode())
-    done = vectorized_lines(cc, source)
+    with tempfile.TemporaryDirectory() as scratch:
+        done = build_clones(cc, source, Path(scratch))
+    missing = []
     for name, line in loops.items():
-        print(f"{'vectorized' if line in done else 'SCALAR':<11} line {line:<4} {name}")
-    missing = [name for name, line in loops.items() if line not in done]
+        scalar = [target for target in TARGETS if line not in done[target]]
+        missing += [f"{name} ({target})" for target in scalar]
+        print(f"{'SCALAR' if scalar else 'vectorized':<11} line {line:<4} {name:<28} "
+              f"{' '.join(t for t in TARGETS if t not in scalar)}")  # fmt: skip
     exported = entry_points(source.decode())
     print(f"{len(exported)} entry points: {', '.join(exported)}")
     if not loops or missing:
