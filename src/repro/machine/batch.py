@@ -41,17 +41,6 @@ class MessageBatch:
         starts = np.flatnonzero(first)
         return cls(src[starts], dst[starts], np.append(starts, src.size), ids, values)
 
-    @classmethod
-    def concat(cls, batches: list["MessageBatch"]) -> "MessageBatch":
-        """The batches' messages one after another (same payload kind)."""
-
-        def joined(name: str, axis: int = 0):
-            parts = [getattr(b, name) for b in batches]
-            return None if parts[0] is None else np.concatenate(parts, axis=axis)
-
-        offsets = np.concatenate(([0], np.cumsum(joined("counts"))))
-        return cls(joined("src"), joined("dst"), offsets, joined("ids"), joined("values", 1))
-
     @property
     def counts(self) -> np.ndarray:
         """Entries per message."""

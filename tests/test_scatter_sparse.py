@@ -419,7 +419,7 @@ def test_scatter_allocation_is_not_p_times_mesh(ghost_table):
 
 
 # ----------------------------------------------------------------------
-# worker backend: one row per shard, whatever p and the worker count are
+# worker backend: one output row, whatever p and the worker count are
 # ----------------------------------------------------------------------
 def _cfg(**kwargs):
     base = dict(nx=16, ny=12, nparticles=800, p=6, distribution="irregular",
@@ -436,7 +436,7 @@ def scatter_rows(monkeypatch):
 
     def spy(self, pool, node_owner, *buffers):
         out = original(self, pool, node_owner, *buffers)
-        seen.append((out[0].shape, pool.p, len(self._shards(pool.counts)), self.nworkers))
+        seen.append((out[0].shape, pool.p, len(self._cuts(pool.offsets)) - 1, self.nworkers))
         return out
 
     monkeypatch.setattr(FlatBackend, "scatter", spy)
@@ -447,7 +447,7 @@ class TestWorkerRowsBlock:
     def _check(self, seen, nnodes):
         assert seen
         for shape, _, nshards, nworkers in seen:
-            assert shape == (nshards, NCH, nnodes)
+            assert shape == (1, NCH, nnodes)  # the in-process scatter's
             assert 1 <= nshards <= nworkers
 
     def test_across_rank_kill_shrink(self, scatter_rows, tmp_path):

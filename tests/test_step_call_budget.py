@@ -11,8 +11,9 @@ one pool whose per-rank views are built only when something reads them,
 and the ghost tallies are per-rank arrays, so a step may add at most one
 call per added rank.  The Eulerian stepper migrates every particle each
 step into a new pool and is held to the same bound.  Under
-``workers=2`` the calls of the shard threads count too: two shards cost
-the same whatever ``p`` is.  No wall clock is read.
+``workers=2`` the helper thread that runs the second shard makes no
+Python-level call at all: it stays inside the compiled pass, so every
+call counted is the stepping thread's.  No wall clock is read.
 
 A redistribution (paper Fig 12: index, incremental sort, balance, bucket
 rebuild) runs the same way, as whole-pool passes with every particle
@@ -53,18 +54,19 @@ def _calls_of_one_step(stepper_cls, p, **kwargs):
         if counting and event in ("call", "c_call"):
             calls[threading.get_ident()] += 1
 
+    threading.setprofile(count)  # the shard threads, started with the stepper, count too
     pic = stepper_cls(vm, grid, decomp, local, **kwargs)
-    threading.setprofile(count)  # shard threads start inside the first step
     try:
         pic.step()  # fills the caches
         sys.setprofile(count)
         counting = True
         pic.step()
     finally:
+        counting = False  # the helpers leave the C pass and Python in close()
         sys.setprofile(None)
         threading.setprofile(None)
         pic.close()
-    assert len(calls) > 1 or "workers" not in kwargs, "the shard threads were not counted"
+    assert list(calls) == [threading.get_ident()], "a thread besides the stepping one ran Python"
     messages = vm.stats.phase("scatter").total_msgs + vm.stats.phase("field").total_msgs
     return sum(calls.values()), messages
 
