@@ -71,7 +71,6 @@ from repro.machine.collectives import exchange_by_destination_pooled
 from repro.parallel_exec.kernels import (
     gather_push_slice,
     merge_ghost_messages,
-    node_fields,
     reduce_rank_rows,
     scatter_segment,
 )
@@ -501,9 +500,8 @@ class ParallelPIC(PooledParticles):
             with vm.section("gather_push"):
                 if self.backend is not None:
                     self.backend.gather_push(pool, planes, self.dt)
-                elif pool.n:
-                    fields = node_fields(self.grid, planes)
-                    gather_push_slice(self.grid, pool.array, fields, self.dt)
+                else:
+                    gather_push_slice(self.grid, pool.array, planes, self.dt)
         if self.movement == "eulerian":
             self._migrate_eulerian()
 
