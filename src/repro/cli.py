@@ -70,9 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     # options `run` and `resume` share: execution, faults, outputs, observation
     drive = argparse.ArgumentParser(add_help=False)
     drive.add_argument("--workers", default="0", metavar="N|auto",
-                       help="shard threads for the particle kernels "
-                            "(era kernel only); 'auto' uses the "
-                            "available cores; results are bit-identical for "
+                       help="shard threads for the particle kernels; 'auto' uses "
+                            "the available cores; results are bit-identical for "
                             "every worker count, and checkpoints never record it")
     drive.add_argument("--fault-plan", metavar="FILE.json",
                        help="inject machine faults from a FaultPlan JSON file "

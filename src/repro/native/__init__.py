@@ -1,22 +1,21 @@
 """Compiled PIC kernels: build once, load lazily, fall back cleanly.
 
-``pic_kernels.c`` holds ten entry points: the era stepper's two particle
-passes (the scatter: CIC, ghost slots and deposit a rank segment at a
-time; the gather + push, which first interleaves E and B per node for
-the shards to read, also the push alone, and whose calls without
-particles park or dismiss the helper threads of a team; both run their
-shards on a team of threads when given one, see
-:class:`~repro.parallel_exec.FlatBackend`), CIC and the CIC deposit,
-the ghost-slot pass, two mesh stencils (the field solve and one
-source-smoothing pass) and the modern stepper's staggered gather, zigzag
-segments and zigzag current binning.  :func:`kernels` hands them out as a
+``pic_kernels.c`` holds seven entry points: the two particle passes of
+both steppers (the scatter: CIC, ghost slots and deposit a rank segment
+at a time, in the modern stepper's mode with its zigzag currents; the
+gather + push, which first interleaves E and B per node for the shards
+to read, in the modern stepper's mode on the Yee stencils, also the push
+alone, and whose calls without particles park or dismiss the helper
+threads of a team; both run their shards on a team of threads when given
+one, see :class:`~repro.parallel_exec.FlatBackend`), CIC, the ghost-slot
+pass, two mesh stencils (the field solve and one source-smoothing pass)
+and the zigzag segments.  :func:`kernels` hands them out as a
 :class:`~repro.native.calls.Kernels`, or ``None`` when the NumPy bodies
 have to do the work; the functions that carry the kernels' names
 (``Grid2D.cic_vertices_weights``, ``scatter_segment``,
 ``gather_push_slice``, ``boris_push``, ``ghost_slots``,
-``MaxwellSolver.step``, ``binomial_smooth``, ``staggered_gather``,
-``zigzag_entries``, ``deposit_zigzag_entries``, the modern stepper's CIC
-deposit) ask it on every call, so there is no switch anywhere else.
+``MaxwellSolver.step``, ``binomial_smooth``, ``zigzag_entries``) ask it
+on every call, so there is no switch anywhere else.
 
 The library is built on first use with the local ``cc`` into a
 content-addressed file (its name carries a digest of source, compiler
@@ -25,8 +24,8 @@ directory, written through a temporary name and ``os.replace`` so
 concurrent builders cannot tear it.  Nothing is loaded from a directory
 or file the current user does not own or that others may write, nor a
 file whose bytes are not the ones its name promises (such a file is
-removed and the library built again).  The era particle passes are
-compiled once per vector unit (AVX-512, AVX2 and the baseline SSE2 on
+removed and the library built again).  The particle passes' hot loops
+are compiled once per vector unit (AVX-512, AVX2 and the baseline SSE2 on
 x86-64, with GCC 11 or later and glibc) and bound to the widest the CPU
 has when the library is loaded.  A freshly loaded library must
 reproduce the NumPy bodies byte for byte on a known-answer set

@@ -7,9 +7,8 @@ not a C-contiguous array of the expected dtype and shape (no silent copies
 exception, a non-finite result, an out-of-range index or an input it
 does not cover, which NumPy then turns into its own warning, exception,
 NaN or answer.  The C loops write only output buffers — fresh ones, or
-the caller's ``out`` / the deposit's ``acc``: a bad index leaves ``acc``
-untouched (the NumPy body then raises, as it always did, before
-writing), a flagged call leaves an output for the NumPy body to refill.
+the caller's ``out`` / the scatter's ``acc`` / the Yee gather's
+``cells``: a flagged call leaves an output for the NumPy body to refill.
 The field step works in a kept block and writes the caller's planes only
 once the whole call is clean.  The push writes the particles a chunk at a
 time, each chunk once it is clean, and answers how many it wrote: the
@@ -31,19 +30,20 @@ __all__ = ["Kernels", "Shards", "team_block", "self_check"]
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 _SIGNATURES = {
     "cic": (_I64, _PTR, _PTR, _F64, _F64, _F64, _F64, _I64, _I64, _PTR, _PTR),
-    "deposit": (_I64, *[_PTR] * 6, _I64, _PTR, _PTR, _I64, _I64, _PTR, _PTR),
     "scatter": (
-        _I64, _PTR, _I64, *[_PTR] * 7, *[_F64] * 4, _I64, _I64, _PTR, _I64, _PTR, _I64, _PTR, _I64,
-        _PTR, _I64, *[_PTR] * 3, _I64, *[_PTR] * 4,
+        _I64, _PTR, _I64, *[_PTR] * 9, *[_F64] * 5, _I64, _I64, _PTR, _PTR, _I64, _PTR, _I64, _PTR,
+        _I64, *[_PTR] * 3, _I64, *[_PTR] * 4,
     ),  # fmt: skip
-    "gather_push": (_I64, *[_PTR] * 14, *[_F64] * 5, _I64, _I64, _I64, *[_PTR] * 3),
-    "ghost_slots": (_I64, _I64, _PTR, _PTR, _I64, _I64, _PTR, _I64, _PTR, _I64, _I64, *[_PTR] * 4),
+    "gather_push": (_I64, *[_PTR] * 14, *[_F64] * 5, _I64, _I64, _PTR, _I64, *[_PTR] * 3),
+    "ghost_slots": (_I64, _I64, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _I64, _I64, *[_PTR] * 4),
     "field_step": (_I64, _I64, *[_PTR] * 11, _F64, _F64, _F64, _F64, _I64, _PTR),
     "smooth": (_I64, _I64, _PTR, _PTR, _PTR),
-    "yee_gather": (_I64, _PTR, _PTR, _F64, _F64, _F64, _F64, _I64, _I64, _PTR, _PTR, _PTR),
     "zigzag": (_I64, *[_PTR] * 5, *[_F64] * 5, _I64, _I64, *[_PTR] * 4),
-    "zigzag_bin": (_I64, _PTR, _PTR, _I64, _PTR, _PTR, _I64, _I64, _PTR, _PTR),
 }
+#: per scatter mode (era, modern): the kept int64 words per node and per
+#: particle of the longest segment in a shard's work row, its staged doubles
+#: per particle, and the most slots a particle numbers
+_SCATTER_SIZES = {False: (10, 2, 8, 4), True: (11, 3, 17, 12)}
 #: field_step's plane arguments, in its order
 _FIELD_PLANES = ("ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz", "rho")
 
@@ -106,7 +106,7 @@ def _ptr(*arrays):
 
 
 class Kernels:
-    """The ten entry points of a loaded ``pic_kernels`` library."""
+    """The seven entry points of a loaded ``pic_kernels`` library."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib  # keeps the library mapped
@@ -172,30 +172,12 @@ class Kernels:
         )  # fmt: skip
         return None if failed else (nodes, weights)
 
-    def deposit(self, parts, weights, dest, pair_of, acc, nslots):
-        """Deposit one CIC entry group by destination into ``acc``
-        ``(4, nnodes)``; the ``(4, nslots)`` ghost-slot sums or ``None``."""
-        n, nnodes = parts.n, acc.shape[-1]
-        columns = (parts.ux, parts.uy, parts.uz, parts.q, parts.w)
-        if not (
-            _plain(np.float64, (n,), *columns)
-            and _plain(np.float64, (n, 4), weights)
-            and _plain(np.float64, (4, nnodes), acc)
-            and _plain(np.int64, (n,), pair_of)
-            and _plain(np.int64, (len(dest), 4), dest)
-        ):
-            return None
-        summed = np.empty((4, nslots))
-        failed = self._deposit(
-            n, *_ptr(weights, *columns), len(dest), *_ptr(dest, pair_of), nnodes, nslots,
-            *_ptr(acc, summed),
-        )  # fmt: skip
-        return None if failed else summed
-
-    def scatter(self, grid, parts, counts, r0, node_owner, acc, shards=None):
-        """``scatter_numpy`` of the rank segments ``counts`` (ranks from
-        ``r0``), ``acc`` ``(4, nnodes)`` filled: ``(summed, slot ranks, slot
-        owners, slot nodes, entries per rank, slots per rank)`` or ``None``.
+    def scatter(self, grid, parts, counts, node_owner, acc, shards=None, moved=None):
+        """``scatter_numpy`` of the rank segments ``counts`` — with ``moved``
+        ``(x_old, y_old, dt)``, ``scatter_yee_numpy`` — ``acc`` ``(4,
+        nnodes)`` filled: ``(summed, slot ranks, slot owners, slot nodes,
+        entries per rank, slots per rank)`` (the tallies ``None`` for the
+        modern scatter) or ``None``.
 
         One call into the C pass, cut at ``shards.ranks`` (the particles
         at ``shards.starts``) and run by ``shards.team`` (:class:`Shards`;
@@ -207,8 +189,9 @@ class Kernels:
         slot sums from their bins."""
         n, nnodes, nranks = parts.n, grid.nnodes, len(counts)
         columns = (parts.x, parts.y, parts.ux, parts.uy, parts.uz, parts.q, parts.w)
+        old, dt = ((), 0.0) if moved is None else (moved[:2], moved[2])
         if not (
-            _plain(np.float64, (n,), *columns)
+            _plain(np.float64, (n,), *columns, *old)
             and _plain(np.int64, (nranks,), counts)
             and _plain(np.int64, (nnodes,), node_owner)
             and _plain(np.float64, (4, nnodes), acc)
@@ -218,30 +201,36 @@ class Kernels:
         shards = shards or Shards.one(nranks, n)
         k = len(shards.out)
         longest = max(int(counts.max()), 0) if nranks else 0
-        # per shard: the slot tables, then the longest segment's CIC nodes (int32)
-        work = self._rows("scatter", k, 10 * nnodes + 2 * longest, np.int64)
-        # ... and its CIC weights and deposit values, four rows each
-        staged = self._rows("scatter_staged", k, 8 * longest, np.float64)
-        # four channels a node, then four a slot: at most four slots a particle
-        bins = self._nodes(4 * (nnodes + 4 * n))
+        per_node, per_particle, staged_per_particle, per_slot = _SCATTER_SIZES[moved is not None]
+        # per shard: the slot tables, then the longest segment's cells (int32)
+        work = self._rows("scatter", k, per_node * nnodes + per_particle * longest, np.int64)
+        # ... and its CIC weights and deposit values (and zigzag values, charges)
+        staged = self._rows("scatter_staged", k, staged_per_particle * longest, np.float64)
+        # four channels a node, then four a slot
+        bins = self._nodes(4 * (nnodes + per_slot * n))
         # the slots' ranks, owners, nodes
-        slots = self._rows("scatter_slots", 3, 4 * n, np.int64)
+        slots = self._rows("scatter_slots", 3, per_slot * n, np.int64)
         tallies = np.empty(2 * nranks, dtype=np.int64)
         if self._scatter(
-            nranks, counts.ctypes.data, n, *_ptr(*columns), grid.lx, grid.ly, grid.dx, grid.dy,
-            grid.nx, grid.ny, node_owner.ctypes.data, int(r0), work.ctypes.data, work.shape[1],
-            staged.ctypes.data, staged.shape[1], bins.ctypes.data, slots.shape[1],
+            nranks, counts.ctypes.data, n, *_ptr(*columns, *old), *[None] * (2 - len(old)),
+            float(dt), grid.lx, grid.ly, grid.dx, grid.dy, grid.nx, grid.ny,
+            node_owner.ctypes.data, work.ctypes.data, work.shape[1], staged.ctypes.data,
+            staged.shape[1], bins.ctypes.data, slots.shape[1],
             *_ptr(acc, slots, tallies), k, *shards.pointers("ranks", "starts"),
         ):  # fmt: skip
             return None
         nslots = int(shards.out[:, 0].sum())
         ranks, owners, nodes = slots[:, :nslots].copy()
         summed = bins[4 * nnodes : 4 * (nnodes + nslots)].reshape(nslots, 4).T.copy()
+        if moved is not None:
+            return summed, ranks, owners, nodes, None, None
         return summed, ranks, owners, nodes, tallies[:nranks], tallies[nranks:]
 
-    def gather_push(self, grid, parts, planes, dt, shards=None):
+    def gather_push(self, grid, parts, planes, dt, shards=None, cells=None):
         """``gather_push_slice`` after its validation, in place, from the
-        six ``(ny, nx)`` ``planes`` of E and B, in one call into the C pass,
+        six ``(ny, nx)`` ``planes`` of E and B (given ``cells`` ``(4, n)``,
+        on the Yee stencils, whose cells it writes there), in one call into
+        the C pass,
         cut at ``shards.starts`` and run by ``shards.team`` (:class:`Shards`;
         ``None``: one shard, this thread): the planes interleaved per node,
         ``(nnodes, 8)`` in this thread's node block (:meth:`_nodes`), and in
@@ -254,11 +243,12 @@ class Kernels:
             columns is not None
             and len(planes) == 6
             and _plain(np.float64, grid.shape, *planes)
+            and (cells is None or _plain(np.int64, (4, parts.n), cells))
             and shards.plain()
         ):
             return None
         block = self._nodes(8 * grid.nnodes)
-        status = self._call_push(grid, parts.n, columns, block, _ptr(*planes), dt, shards)
+        status = self._call_push(grid, parts.n, columns, block, _ptr(*planes), dt, shards, cells)
         return None if status not in (OK, FLAGGED) else block.reshape(grid.nnodes, 8)
 
     def boris_push(self, grid, parts, e, b, dt) -> int:
@@ -273,7 +263,7 @@ class Kernels:
         columns, shards = self._columns(parts), Shards.one(1, parts.n)
         if columns is None:
             return 0
-        self._call_push(grid, parts.n, columns, None, _ptr(*e, *b), dt, shards)
+        self._call_push(grid, parts.n, columns, None, _ptr(*e, *b), dt, shards, None)
         return int(shards.out[0, 0])
 
     @staticmethod
@@ -285,25 +275,26 @@ class Kernels:
             return None
         return columns
 
-    def _call_push(self, grid, n, columns, node_fields, rows, dt, shards) -> int:
+    def _call_push(self, grid, n, columns, node_fields, rows, dt, shards, cells) -> int:
         """The C pass's status."""
         return self._gather_push(
             n, *_ptr(*columns),
             None if node_fields is None else node_fields.ctypes.data, *rows, dt, grid.lx, grid.ly,
-            grid.dx, grid.dy, grid.nx, grid.ny, len(shards.out), *shards.pointers("starts"),
+            grid.dx, grid.dy, grid.nx, grid.ny, None if cells is None else cells.ctypes.data,
+            len(shards.out), *shards.pointers("starts"),
         )  # fmt: skip
 
     def park(self, team: np.ndarray, slot: int) -> None:
         """Serve as helper ``slot`` of the team whose control block is
         ``team`` (:func:`team_block`) until :meth:`dismiss`: the calling
         thread stays inside the C pass, off the interpreter, all along."""
-        self._gather_push(-slot, *[None] * 14, *[0.0] * 5, 0, 0, 0, None, team.ctypes.data, None)
+        self._gather_push(-slot, *[None] * 14, *[0.0] * 5, 0, 0, None, 0, None, team.ctypes.data, None)
 
     def dismiss(self, team: np.ndarray) -> None:
         """Send every helper of ``team`` home: their :meth:`park` returns."""
-        self._gather_push(0, *[None] * 14, *[0.0] * 5, 0, 0, 0, None, team.ctypes.data, None)
+        self._gather_push(0, *[None] * 14, *[0.0] * 5, 0, 0, None, 0, None, team.ctypes.data, None)
 
-    def ghost_slots(self, grid, node_owner, particle_ranks, cells, r0):
+    def ghost_slots(self, grid, node_owner, particle_ranks, cells):
         """``ghost_slots``: ``(ranks, owners, nodes, dest, pair_of)`` or ``None``.
 
         One call into the C pass, which numbers pairs and slots into this
@@ -324,7 +315,7 @@ class Kernels:
         dest = self._rows("pairs", 4, k * n, np.int64)
         slots = self._rows("slots", 3, 4 * k * n, np.int64)
         if self._ghost_slots(
-            k, n, *_ptr(particle_ranks, cells), grid.nx, grid.ny, node_owner.ctypes.data, int(r0),
+            k, n, *_ptr(particle_ranks, cells), grid.nx, grid.ny, node_owner.ctypes.data,
             work.ctypes.data, dest.size // 4, slots.shape[1], *_ptr(sizes, pair_of, dest, slots),
         ):  # fmt: skip
             return None
@@ -370,22 +361,6 @@ class Kernels:
         rows = self._block("smooth", 3 * shape[1], np.float64)
         return None if self._smooth(*shape, *_ptr(a, rows, out)) else out
 
-    def yee_gather(self, grid, x, y, node_values, eb, cells) -> bool:
-        """The modern stepper's staggered gather into ``eb`` ``(6, n)`` and
-        ``cells`` ``(4, n)``; ``False``: run the NumPy body."""
-        n = x.shape[0] if isinstance(x, np.ndarray) and x.ndim == 1 else -1
-        if not (
-            _plain(np.float64, (n,), x, y)
-            and _plain(np.float64, (6, grid.nnodes), node_values)
-            and _plain(np.float64, (6, n), eb)
-            and _plain(np.int64, (4, n), cells)
-        ):
-            return False
-        return not self._yee_gather(
-            n, *_ptr(x, y), grid.lx, grid.ly, grid.dx, grid.dy, grid.nx, grid.ny,
-            *_ptr(node_values, eb, cells),
-        )  # fmt: skip
-
     def zigzag(self, grid, x_old, y_old, x_new, y_new, charge, dt, out=None):
         """``zigzag_entries_numpy``: the ``(4, n)`` jx nodes, jx values, jy
         nodes and jy values — ``out`` if given — or ``None``.  A move of a
@@ -408,31 +383,6 @@ class Kernels:
         )  # fmt: skip
         return None if failed else blocks
 
-    def zigzag_bin(self, values, vertices, dest, pair_of, acc, summed) -> bool:
-        """``deposit_zigzag_entries_numpy`` of the jx and jy lists ``values``
-        ``(2, 4 n)`` into ``acc`` ``(2, nnodes)`` and ``summed`` ``(2,
-        nslots)``; ``False``: run the NumPy body (a bad index or a value
-        that is not finite leaves both as they were)."""
-        n = pair_of.shape[1] if isinstance(pair_of, np.ndarray) and pair_of.ndim == 2 else -1
-        vertices = np.asarray(vertices, dtype=np.int64)
-        if not (
-            n >= 0
-            and len(pair_of) >= 2
-            and _plain(np.int64, pair_of.shape, pair_of)
-            and _plain(np.float64, (2, 4 * n), values)
-            and _plain(np.int64, (2, 4), vertices)
-            and isinstance(dest, np.ndarray)
-            and _plain(np.int64, (len(dest), 4), dest)
-            and all(isinstance(a, np.ndarray) and a.ndim == 2 for a in (acc, summed))
-            and _plain(np.float64, (2, acc.shape[1]), acc)
-            and _plain(np.float64, (2, summed.shape[1]), summed)
-        ):
-            return False
-        return not self._zigzag_bin(
-            n, *_ptr(values, vertices), len(dest), *_ptr(dest, pair_of), acc.shape[1],
-            summed.shape[1], *_ptr(acc, summed),
-        )  # fmt: skip
-
 
 def self_check(found: Kernels) -> str | None:
     """Name the first entry point whose bytes differ from its NumPy body's.
@@ -443,37 +393,31 @@ def self_check(found: Kernels) -> str | None:
     below the box's length, in the cells on the periodic seam, pushed from
     0 to just below it and at random), then positions on the edges and far
     outside, which take the scalar ones; ghost slots of three cell rows
-    over five ranks (one empty) counted from ``r0 = 1`` and the scatter of
-    the same segments, the first all inside the box, as one shard and as
-    three run in turn; the gather + push of those particles from node
-    values (interleaved as NumPy does it), also in those three shards, and
-    the push from given fields; the staggered gather of those positions,
-    their zigzag entries for moves up to the longest one under a cell
-    (some across the periodic seam, one of zero charge) and both
-    components binned by those ghost slots; a field step with the
-    solver's defaults and one with raw currents and two Marder passes,
-    and a smoothing pass, on that grid's planes.
+    over five ranks (one empty) and the scatter of the same segments, the
+    first all inside the box, as one shard and as three run in turn; the
+    gather + push of those particles from node values (interleaved as
+    NumPy does it), on the CIC and on the Yee stencils, also in those
+    three shards, and the push from given fields; zigzag entries for moves
+    up to the longest one under a cell (some across the periodic seam, one
+    of zero charge) and the modern scatter of those moves, in those
+    shards; a field step with the solver's defaults and one with raw
+    currents and two Marder passes, and a smoothing pass, on that grid's
+    planes.
     """
     from repro.mesh.fields import FieldState
     from repro.mesh.grid import Grid2D
     from repro.particles.arrays import ParticleArray
     from repro.parallel_exec.kernels import (
-        deposit_numpy,
         gather_push_numpy,
         node_fields_numpy,
         scatter_numpy,
+        scatter_yee_numpy,
     )
     from repro.pic.deposition import ghost_slots_numpy
     from repro.pic.maxwell import MaxwellSolver
-    from repro.pic.parallel_yee import staggered_gather_numpy
     from repro.pic.push import push_numpy
     from repro.pic.smoothing import binomial_smooth_numpy
-    from repro.pic.zigzag import (
-        JX_VERTICES,
-        JY_VERTICES,
-        deposit_zigzag_entries_numpy,
-        zigzag_entries_numpy,
-    )
+    from repro.pic.zigzag import zigzag_entries_numpy
 
     def same(got, want) -> bool:
         """Byte equality of two array tuples; a declined call (``None``) is a mismatch."""
@@ -495,66 +439,61 @@ def self_check(found: Kernels) -> str | None:
     # on node 0, where the fields vanish, pushed to just below 0 along x
     # and along y: a wrap whose sum with l rounds to l and folds to 0
     x[11:13], y[11:13], u[:, 11:13] = 0.0, 0.0, [[-1e-17, 0.0], [0.0, -1e-17], [0.0, 0.0]]
-    parts = ParticleArray(
-        x, y, *u, rng.choice([-1.0, 1.0], n), rng.uniform(0.5, 2.0, n), rng.random(n), np.arange(n)
-    )
+    q, m, w = rng.choice([-1.0, 1.0], n), rng.uniform(0.5, 2.0, n), rng.random(n)
+    parts = ParticleArray(x, y, *u, q, m, w, np.arange(n))
     vertices = grid.cic_from_axes(grid.cic_axis(x, 0), grid.cic_axis(y, 1))
     if not same(found.cic(grid, x, y), vertices):
         return "cic"
-    nodes, weights = vertices
+    nodes = vertices[0]
 
     counts = np.array([200, 0, 113, 50, n - 363], dtype=np.int64)  # the first all inside
     ranks = np.repeat(np.arange(5), counts)
     cells = np.stack((nodes[:, 0], nodes[:, 3], rng.integers(0, grid.ncells, n)))
     owner = rng.integers(0, 6, grid.nnodes)
-    got = found.ghost_slots(grid, owner, ranks, cells, 1)
-    slots = ghost_slots_numpy(grid, owner, ranks, cells, 1)
-    if not same(got, slots):
+    if not same(found.ghost_slots(grid, owner, ranks, cells), ghost_slots_numpy(grid, owner, ranks, cells)):
         return "ghost_slots"
 
-    npairs, nslots = 40, 13
-    dest = rng.integers(0, grid.nnodes + nslots, (npairs, 4))
-    pair_of = rng.integers(0, npairs, n)
-    acc, want_acc = np.empty((2, 4, grid.nnodes))
-    want_summed = deposit_numpy(grid, parts, vertices, dest, pair_of, want_acc, nslots)
-    summed = found.deposit(parts, weights, dest, pair_of, acc, nslots)
-    if not same((summed, acc), (want_summed, want_acc)):
-        return "deposit"
-
-    acc, want_acc = np.empty((2, 4, grid.nnodes))
-    want = scatter_numpy(grid, parts, counts, 1, owner, want_acc)
     offsets = np.concatenate(([0], np.cumsum(counts)))
     sharded = [np.array(cuts) for cuts in ([0, 5], [0, 1, 3, 5])]  # one shard; three in turn
-    for cuts in sharded:
-        shards = Shards(cuts, offsets[cuts], None, np.zeros((len(cuts) - 1, 3), np.int64))
-        if not same(found.scatter(grid, parts, counts, 1, owner, acc, shards), want) or not same(
-            (acc,), (want_acc,)
-        ):
-            return "scatter"
+
+    def shards(cuts) -> Shards:
+        return Shards(cuts, offsets[cuts], None, np.zeros((len(cuts) - 1, 3), np.int64))
+
+    def scattered(particles, moved=None) -> bool:
+        """Whether each cut of the compiled scatter has its NumPy body's bytes."""
+        acc, want_acc = np.empty((2, 4, grid.nnodes))
+        if moved is None:
+            want = scatter_numpy(grid, particles, counts, owner, want_acc)
+        else:
+            want = scatter_yee_numpy(grid, particles, counts, owner, want_acc, *moved)[:4]
+        for cuts in sharded:
+            got = found.scatter(grid, particles, counts, owner, acc, shards(cuts), moved)
+            if not (same(got and got[: len(want)], want) and same((acc,), (want_acc,))):
+                return False
+        return True
+
+    if not scattered(parts):
+        return "scatter"
 
     fields = rng.normal(0.0, 1.0, (6, grid.nnodes))
     fields[:, :9] = 0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 1.0
     planes = fields.reshape(6, *grid.shape)
     by_node = node_fields_numpy(planes, np.empty((grid.nnodes, 8)))
-    want = parts.copy()
-    gather_push_numpy(grid, want, by_node, dt)
     columns = ("x", "y", "ux", "uy", "uz")
-    for cuts in sharded:
-        pushed = parts.copy()
-        shards = Shards(cuts, offsets[cuts], None, np.zeros((len(cuts) - 1, 3), np.int64))
-        got = found.gather_push(grid, pushed, planes, dt, shards)
-        if not (
-            same((got,), (by_node,))
-            and (shards.out[:, 0] == np.diff(shards.starts)).all()
-            and same([getattr(pushed, c) for c in columns], [getattr(want, c) for c in columns])
-        ):
-            return "gather_push"
-
-    eb, cells = np.empty((6, n)), np.empty((4, n), dtype=np.int64)
-    want = np.empty((6, n)), np.empty((4, n), dtype=np.int64)
-    staggered_gather_numpy(grid, x, y, fields, *want)
-    if not (found.yee_gather(grid, x, y, fields, eb, cells) and same((eb, cells), want)):
-        return "yee_gather"
+    for yee in (False, True):
+        want, want_cells = parts.copy(), np.empty((4, n), dtype=np.int64) if yee else None
+        gather_push_numpy(grid, want, by_node, dt, want_cells)
+        for cuts in sharded:
+            pushed, cut = parts.copy(), shards(cuts)
+            cells = np.empty((4, n), dtype=np.int64) if yee else None
+            got = found.gather_push(grid, pushed, planes, dt, cut, cells)
+            if not (
+                same((got,), (by_node,))
+                and (cut.out[:, 0] == np.diff(cut.starts)).all()
+                and same([getattr(pushed, c) for c in columns], [getattr(want, c) for c in columns])
+                and (not yee or same((cells,), (want_cells,)))
+            ):
+                return "gather_push"
 
     moves = rng.uniform(-0.999, 0.999, (2, n)) * [[grid.dx], [grid.dy]]
     x_old, y_old = x.copy(), y.copy()
@@ -564,23 +503,13 @@ def self_check(found: Kernels) -> str | None:
     moves[:, 5:7] = longest[:, None] * [1, -1]
     x_new, y_new = x_old + moves[0], y_old + moves[1]
     x_new[2:4] -= grid.lx  # the same moves, across the periodic seam
-    charge = parts.w * parts.q
-    charge[4] = 0.0
+    w[4] = 0.0
+    charge = w * q
     zigzag = (grid, x_old, y_old, x_new, y_new, charge, dt)
-    entries = found.zigzag(*zigzag)
-    want = zigzag_entries_numpy(*zigzag)
-    if not same(entries, want):
+    if not same(found.zigzag(*zigzag), zigzag_entries_numpy(*zigzag)):
         return "zigzag"
-    values = np.stack((want[1].ravel(), want[3].ravel()))
-    acc, want_acc = np.empty((2, 2, grid.nnodes))
-    summed, want_summed = np.empty((2, 2, slots.nodes.size))
-    deposit_zigzag_entries_numpy(values, slots.dest, slots.pair_of, want_acc, want_summed)
-    vertices = (JX_VERTICES, JY_VERTICES)
-    if not (
-        found.zigzag_bin(values, vertices, slots.dest, slots.pair_of, acc, summed)
-        and same((acc, summed), (want_acc, want_summed))
-    ):
-        return "zigzag_bin"
+    if not scattered(ParticleArray(x_new, y_new, *u, q, m, w, np.arange(n)), (x_old, y_old, dt)):
+        return "scatter"
 
     pushed, want = parts.copy(), parts.copy()
     e, b = fields[:3].take(nodes[:, 0], axis=1), fields[3:].take(nodes[:, 3], axis=1)

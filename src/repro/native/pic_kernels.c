@@ -13,15 +13,17 @@
  * every entry point with its NumPy body when the library is loaded and
  * drops the library on a mismatch.
  *
- * The era stepper's particle phases are one pass each: scatter (CIC, ghost
- * slots and deposit, one rank segment at a time while it is in cache) and
- * gather_push (CIC, interpolation and Boris push, PUSH_CHUNK particles at a
- * time).  Both keep the mesh data a particle touches next to each other:
- * the deposit adds into one block of the four channels per node, the
- * gather reads E and B interleaved per node, so a vertex is one cache
- * line and one vector operation.  Their hot passes run branch-free at the
- * widest vector unit the CPU has (CLONED).  cic and deposit serve the
- * modern stepper and Grid2D.
+ * Both steppers' particle phases are one pass each: scatter (CIC, ghost
+ * slots and deposit, one rank segment at a time while it is in cache; the
+ * modern stepper's mode adds the zigzag currents) and gather_push (CIC,
+ * interpolation and Boris push, PUSH_CHUNK particles at a time; the modern
+ * stepper's mode interpolates on the Yee stencils).  Both keep the mesh
+ * data a particle touches next to each other: the deposit adds into one
+ * block of the four channels per node, the gather reads E and B
+ * interleaved per node, so a vertex is one cache line and one vector
+ * operation.  The era's hot passes run branch-free at the widest vector
+ * unit the CPU has (CLONED).  cic serves Grid2D, zigzag the sequential
+ * charge-conserving stepper, ghost_slots the modern stepper's gather.
  *
  * Every kernel reads its arguments, writes only its output buffers (and its
  * scratch; gather_push the particles, see there) and returns
@@ -65,8 +67,12 @@ enum { OK = 0, FLAGGED = 1, BAD_INDEX = 2, DECLINED = 3 };
 #define NOT_FINITE(v) (!(fabs(v) <= DBL_MAX))
 
 /* A loop pass that is not inlined: in a function of its own the restrict on
- * its parameters holds, so it needs no run-time alias test to vectorize. */
-#define PASS __attribute__((noinline))
+ * its parameters holds, so it needs no run-time alias test to vectorize.
+ * It starts on a cache line, so how its loops sit in the instruction cache
+ * does not depend on the code before it in this file: with the default
+ * 16 bytes, code added elsewhere moved the era gather + push by 5 % (the
+ * same C, called in turn with the other build in one process). */
+#define PASS __attribute__((noinline, aligned(64)))
 
 /* The era particle passes, compiled once per vector unit: AVX-512
  * (x86-64-v4), AVX2 (x86-64-v3) and the baseline (SSE2 on x86-64); the
@@ -536,48 +542,6 @@ int cic(int64_t n, const double *R x, const double *R y, double lx, double ly, d
     return finish(bad);
 }
 
-/* deposition_entries + deposit_by_destination for one entry group: particle
- * i adds weight_v * (w q (1, ux, uy, uz) / gamma) to the destination of
- * vertex v of its pair -- a node (< nnodes, into acc (4, nnodes)) or a ghost
- * slot (into summed (4, nslots)).  Both outputs are overwritten, but not
- * before every index has passed: BAD_INDEX leaves them as they were. */
-int deposit(int64_t n, const double *R weights, const double *R ux, const double *R uy,
-            const double *R uz, const double *R q, const double *R w, int64_t npairs,
-            const int64_t *R dest, const int64_t *R pair_of, int64_t nnodes, int64_t nslots,
-            double *R acc, double *R summed)
-{
-    int64_t bad = 0;
-    for (int64_t i = 0; i < n; i++)
-        if (pair_of[i] < 0 || pair_of[i] >= npairs)
-            return BAD_INDEX;
-    for (int64_t k = 0; k < 4 * npairs; k++)
-        if (dest[k] < 0 || dest[k] >= nnodes + nslots)
-            return BAD_INDEX;
-    memset(acc, 0, sizeof(double) * 4 * (size_t)nnodes);
-    memset(summed, 0, sizeof(double) * 4 * (size_t)nslots);
-    feclearexcept(FE_ALL_EXCEPT);
-    for (int64_t i = 0; i < n; i++) {
-        double inv_gamma = 1.0 / sqrt(((1.0 + ux[i] * ux[i]) + uy[i] * uy[i]) + uz[i] * uz[i]);
-        double charge = w[i] * q[i];
-        double per[4] = {charge, (charge * ux[i]) * inv_gamma, (charge * uy[i]) * inv_gamma,
-                         (charge * uz[i]) * inv_gamma};
-        const int64_t *to = dest + 4 * pair_of[i];
-        for (int v = 0; v < 4; v++) {
-            double weight = weights[4 * i + v];
-            int64_t d = to[v];
-            double *bin = d < nnodes ? acc + d : summed + (d - nnodes);
-            int64_t stride = d < nnodes ? nnodes : nslots;
-            for (int c = 0; c < 4; c++)
-                bin[c * stride] += per[c] * weight;
-        }
-    }
-    for (int64_t k = 0; k < 4 * nnodes; k++)
-        bad |= NOT_FINITE(acc[k]);
-    for (int64_t k = 0; k < 4 * nslots; k++)
-        bad |= NOT_FINITE(summed[k]);
-    return finish(bad);
-}
-
 /* Particles a kernel stages at a time.  Rows of one (k, n) output block
  * lie n doubles apart, so for the usual n the rows of all blocks fall in
  * one L1 set and the eviction of each other's lines makes the stores 2-3x
@@ -591,58 +555,6 @@ static void copy_out(void *R out, const void *R chunk, int rows, int64_t n, int6
 {
     for (int r = 0; r < rows; r++)
         memcpy((char *)out + 8 * (r * n + i0), (const char *)chunk + 8 * r * CHUNK, 8 * (size_t)m);
-}
-
-/* ParallelYeePIC._interpolate: the six staggered components of E and B at n
- * particles, eb (6, n), and the first vertex of each of the four stencils,
- * cells (4, n).  Per axis the two shifts (none, half a cell) go through
- * cic_axis on coords - shift * d, a stencil's weights are cic's, and each
- * component is interpolate's ncomp == 1 sum from its row of node_values
- * (6, nnodes): one component per call, as the NumPy body rounds.  A
- * position or field value that is not finite is FLAGGED before anything is
- * written. */
-int yee_gather(int64_t n, const double *R x, const double *R y, double lx, double ly, double dx,
-               double dy, int64_t nx, int64_t ny, const double *R node_values, double *R eb,
-               int64_t *R cells)
-{
-    /* the stencil of each component (ex, ey, ez, bx, by, bz) as its x and
-     * y shift (0: none, 1: half a cell); the cells rows in stencil order */
-    static const int shift_x[6] = {1, 0, 0, 0, 1, 1}, shift_y[6] = {0, 1, 0, 1, 0, 1};
-    static const int cell_of_stencil[4][2] = {{1, 0}, {0, 1}, {0, 0}, {1, 1}};
-    int64_t bad = 0, nnodes = nx * ny;
-    double shifts_x[2] = {0.0, 0.5 * dx}, shifts_y[2] = {0.0, 0.5 * dy};
-    double stage_eb[6][CHUNK];
-    int64_t stage_cells[4][CHUNK];
-    if (not_finite(x, n) | not_finite(y, n) | not_finite(node_values, 6 * nnodes))
-        return FLAGGED; /* before anything is written */
-    feclearexcept(FE_ALL_EXCEPT);
-    for (int64_t i0 = 0; i0 < n; i0 += CHUNK) {
-        int64_t m = n - i0 < CHUNK ? n - i0 : CHUNK;
-        for (int64_t j = 0; j < m; j++) {
-            int64_t cx[2], cx1[2], cy[2], cy1[2];
-            double tx[2], ty[2];
-            for (int s = 0; s < 2; s++) {
-                bad |= cic_axis(x[i0 + j] - shifts_x[s], lx, dx, nx, cx + s, cx1 + s, tx + s);
-                bad |= cic_axis(y[i0 + j] - shifts_y[s], ly, dy, ny, cy + s, cy1 + s, ty + s);
-            }
-            for (int k = 0; k < 4; k++)
-                stage_cells[k][j] = cy[cell_of_stencil[k][1]] * nx + cx[cell_of_stencil[k][0]];
-            for (int c = 0; c < 6; c++) {
-                int sx = shift_x[c], sy = shift_y[c];
-                int64_t left = cx[sx], right = cx1[sx], row = cy[sy] * nx, row1 = cy1[sy] * nx;
-                double wx = tx[sx], wy = ty[sy], ux = 1.0 - wx, uy = 1.0 - wy;
-                const double *v = node_values + c * nnodes;
-                double even = (0.0 + v[row + left] * (ux * uy)) + v[row1 + left] * (ux * wy);
-                double odd = (0.0 + v[row + right] * (wx * uy)) + v[row1 + right] * (wx * wy);
-                stage_eb[c][j] = (even + odd) + 0.0;
-            }
-        }
-        for (int c = 0; c < 6; c++)
-            bad |= not_finite(stage_eb[c], m);
-        copy_out(eb, stage_eb, 6, n, i0, m);
-        copy_out(cells, stage_cells, 4, n, i0, m);
-    }
-    return finish(bad);
 }
 
 /* np.remainder(a, b) for b > 0, as NumPy's npy_divmod computes it: fmod,
@@ -723,124 +635,115 @@ static inline void segment_nodes(int64_t j, int k, int64_t cx, int64_t cy, int64
     jy_nodes[k + 1][j] = row + mod_int(cx + 1, nx);
 }
 
+/* The grid and step of a zigzag computation, with what it derives from them. */
+struct zigzag_grid {
+    double dt, lx, ly, dx, dy, hx, hy, lim_x, lim_y, inv_area;
+    int64_t nx, ny;
+};
+
+static struct zigzag_grid zigzag_grid(double dt, double lx, double ly, double dx, double dy,
+                                      int64_t nx, int64_t ny)
+{
+    struct zigzag_grid g = {dt,     lx,     ly,     dx,     dy,     lx / 2, ly / 2,
+                            remainder_limit(lx), remainder_limit(ly), 1.0 / (dx * dy),
+                            nx,     ny};
+    return g;
+}
+
+/* zigzag_entries' validation of m particles: nonzero when a move is NaN or
+ * not under one cell (NumPy then raises its ValueError), a start or a
+ * charge is not finite, or a flag was raised since the caller cleared them.
+ * The shortest move along an axis is np.mod(new - old + l / 2, l) - l / 2,
+ * computed as Python does. */
+static int64_t moves_bad(int64_t m, const double *R x_old, const double *R y_old,
+                         const double *R x_new, const double *R y_new, const double *R charge,
+                         const struct zigzag_grid *g)
+{
+    int64_t bad = 0;
+    for (int64_t i = 0; i < m; i++) {
+        double mx = remainder_of((x_new[i] - x_old[i]) + g->hx, g->lx, g->lim_x, &bad) - g->hx;
+        double my = remainder_of((y_new[i] - y_old[i]) + g->hy, g->ly, g->lim_y, &bad) - g->hy;
+        bad |= !(fabs(mx) < g->dx) | !(fabs(my) < g->dy) | NOT_FINITE(x_old[i]) |
+               NOT_FINITE(y_old[i]) | NOT_FINITE(charge[i]);
+    }
+    return finish(bad) != OK;
+}
+
+/* zigzag_entries of m <= CHUNK particles whose moves passed moves_bad: the
+ * (4, CHUNK) node and value blocks of jx and jy, in two loops: the points,
+ * cells and nodes, then the values at vector width.  Nonzero: a value is
+ * not finite. */
+static inline int64_t zigzag_chunk(int64_t m, const double *R x_old, const double *R y_old,
+                                   const double *R x_new, const double *R y_new,
+                                   const double *R q, const struct zigzag_grid *g,
+                                   int64_t (*R jx_nodes)[CHUNK], double (*R jx_values)[CHUNK],
+                                   int64_t (*R jy_nodes)[CHUNK], double (*R jy_values)[CHUNK])
+{
+    double dt = g->dt, lx = g->lx, ly = g->ly, dx = g->dx, dy = g->dy, hx = g->hx, hy = g->hy;
+    double inv_area = g->inv_area;
+    int64_t nx = g->nx, ny = g->ny, bad = 0;
+    /* the start, relay and end points; the two cells */
+    double x1[CHUNK], y1[CHUNK], xr[CHUNK], yr[CHUNK], x2[CHUNK], y2[CHUNK];
+    double cell_x[2][CHUNK], cell_y[2][CHUNK];
+    for (int64_t j = 0; j < m; j++) {
+        double a1 = wrap(x_old[j], lx), b1 = wrap(y_old[j], ly);
+        double a2 = a1 + (remainder_of((x_new[j] - x_old[j]) + hx, lx, g->lim_x, &bad) - hx);
+        double b2 = b1 + (remainder_of((y_new[j] - y_old[j]) + hy, ly, g->lim_y, &bad) - hy);
+        /* a1 in [0, lx): its cell is clipped to nx - 1 only; a2 is within
+         * a cell of it, so its floor is -1 .. nx + 1 */
+        int64_t c1x = floor_int(a1 / dx), c1y = floor_int(b1 / dy);
+        c1x = c1x > nx - 1 ? nx - 1 : c1x;
+        c1y = c1y > ny - 1 ? ny - 1 : c1y;
+        int64_t c2x = floor_int(a2 / dx), c2y = floor_int(b2 / dy);
+        /* Umeda's relay point: the face between the cells, or the midpoint.
+         * A third to a half of the moves cross a face, so both are
+         * computed and one is selected by a mask, not a branch. */
+        double mid_x = 0.5 * (a1 + a2), face_x = (double)(c1x > c2x ? c1x : c2x) * dx;
+        double mid_y = 0.5 * (b1 + b2), face_y = (double)(c1y > c2y ? c1y : c2y) * dy;
+        x1[j] = a1, y1[j] = b1, x2[j] = a2, y2[j] = b2;
+        xr[j] = pick(c1x != c2x, face_x, mid_x);
+        yr[j] = pick(c1y != c2y, face_y, mid_y);
+        cell_x[0][j] = (double)c1x, cell_y[0][j] = (double)c1y;
+        cell_x[1][j] = (double)c2x, cell_y[1][j] = (double)c2y;
+        segment_nodes(j, 0, c1x, c1y, nx, ny, jx_nodes, jy_nodes);
+        segment_nodes(j, 2, c2x, c2y, nx, ny, jx_nodes, jy_nodes);
+    }
+    /* VECTORIZED: zigzag values */
+    for (int64_t j = 0; j < m; j++) {
+        segment_values(j, 0, x1[j], y1[j], xr[j], yr[j], cell_x[0][j], cell_y[0][j], q[j], dt, dx,
+                       dy, inv_area, jx_values, jy_values);
+        segment_values(j, 2, xr[j], yr[j], x2[j], y2[j], cell_x[1][j], cell_y[1][j], q[j], dt, dx,
+                       dy, inv_area, jx_values, jy_values);
+    }
+    for (int r = 0; r < 4; r++)
+        bad |= not_finite(jx_values[r], m) | not_finite(jy_values[r], m);
+    return bad;
+}
+
 /* zigzag_entries after its validation: the (4, n) node and value blocks of
- * jx and jy.  The shortest move along an axis is np.mod(new - old + l / 2,
- * l) - l / 2, computed as Python does.  A first pass finds every move and
- * DECLINES, writing nothing, when one is NaN or not under one cell (NumPy
- * then raises its ValueError), a start or a charge is not finite, or a flag
- * was raised; the second recomputes the moves and writes the entries, CHUNK
- * particles at a time, in two loops: the points, cells and nodes, then the
- * values at vector width. */
+ * jx and jy.  DECLINED, nothing written, when moves_bad; otherwise
+ * zigzag_chunk, CHUNK particles at a time. */
 int zigzag(int64_t n, const double *R x_old, const double *R y_old, const double *R x_new,
            const double *R y_new, const double *R charge, double dt, double lx, double ly,
            double dx, double dy, int64_t nx, int64_t ny, int64_t *R jx_nodes,
            double *R jx_values, int64_t *R jy_nodes, double *R jy_values)
 {
-    int64_t bad = 0;
-    double hx = lx / 2, hy = ly / 2, lim_x = remainder_limit(lx), lim_y = remainder_limit(ly);
-    double inv_area = 1.0 / (dx * dy);
-    /* per chunk: the start, relay and end points; the two cells */
-    double x1[CHUNK], y1[CHUNK], xr[CHUNK], yr[CHUNK], x2[CHUNK], y2[CHUNK];
-    double cell_x[2][CHUNK], cell_y[2][CHUNK];
-    int64_t stage_jx_nodes[4][CHUNK], stage_jy_nodes[4][CHUNK];
+    struct zigzag_grid g = zigzag_grid(dt, lx, ly, dx, dy, nx, ny);
+    int64_t bad = 0, stage_jx_nodes[4][CHUNK], stage_jy_nodes[4][CHUNK];
     double stage_jx_values[4][CHUNK], stage_jy_values[4][CHUNK];
     feclearexcept(FE_ALL_EXCEPT);
-    for (int64_t i = 0; i < n; i++) {
-        double mx = remainder_of((x_new[i] - x_old[i]) + hx, lx, lim_x, &bad) - hx;
-        double my = remainder_of((y_new[i] - y_old[i]) + hy, ly, lim_y, &bad) - hy;
-        bad |= !(fabs(mx) < dx) | !(fabs(my) < dy) | NOT_FINITE(x_old[i]) | NOT_FINITE(y_old[i]) |
-               NOT_FINITE(charge[i]);
-    }
-    if (finish(bad) != OK)
+    if (moves_bad(n, x_old, y_old, x_new, y_new, charge, &g))
         return DECLINED;
     for (int64_t i0 = 0; i0 < n; i0 += CHUNK) {
         int64_t m = n - i0 < CHUNK ? n - i0 : CHUNK;
-        const double *R q = charge + i0;
-        for (int64_t j = 0; j < m; j++) {
-            int64_t i = i0 + j;
-            double a1 = wrap(x_old[i], lx), b1 = wrap(y_old[i], ly);
-            double a2 = a1 + (remainder_of((x_new[i] - x_old[i]) + hx, lx, lim_x, &bad) - hx);
-            double b2 = b1 + (remainder_of((y_new[i] - y_old[i]) + hy, ly, lim_y, &bad) - hy);
-            /* a1 in [0, lx): its cell is clipped to nx - 1 only; a2 is within
-             * a cell of it, so its floor is -1 .. nx + 1 */
-            int64_t c1x = floor_int(a1 / dx), c1y = floor_int(b1 / dy);
-            c1x = c1x > nx - 1 ? nx - 1 : c1x;
-            c1y = c1y > ny - 1 ? ny - 1 : c1y;
-            int64_t c2x = floor_int(a2 / dx), c2y = floor_int(b2 / dy);
-            /* Umeda's relay point: the face between the cells, or the midpoint.
-             * A third to a half of the moves cross a face, so both are
-             * computed and one is selected by a mask, not a branch. */
-            double mid_x = 0.5 * (a1 + a2), face_x = (double)(c1x > c2x ? c1x : c2x) * dx;
-            double mid_y = 0.5 * (b1 + b2), face_y = (double)(c1y > c2y ? c1y : c2y) * dy;
-            x1[j] = a1, y1[j] = b1, x2[j] = a2, y2[j] = b2;
-            xr[j] = pick(c1x != c2x, face_x, mid_x);
-            yr[j] = pick(c1y != c2y, face_y, mid_y);
-            cell_x[0][j] = (double)c1x, cell_y[0][j] = (double)c1y;
-            cell_x[1][j] = (double)c2x, cell_y[1][j] = (double)c2y;
-            segment_nodes(j, 0, c1x, c1y, nx, ny, stage_jx_nodes, stage_jy_nodes);
-            segment_nodes(j, 2, c2x, c2y, nx, ny, stage_jx_nodes, stage_jy_nodes);
-        }
-        /* VECTORIZED: zigzag values */
-        for (int64_t j = 0; j < m; j++) {
-            segment_values(j, 0, x1[j], y1[j], xr[j], yr[j], cell_x[0][j], cell_y[0][j], q[j], dt,
-                           dx, dy, inv_area, stage_jx_values, stage_jy_values);
-            segment_values(j, 2, xr[j], yr[j], x2[j], y2[j], cell_x[1][j], cell_y[1][j], q[j], dt,
-                           dx, dy, inv_area, stage_jx_values, stage_jy_values);
-        }
-        for (int r = 0; r < 4; r++)
-            bad |= not_finite(stage_jx_values[r], m) | not_finite(stage_jy_values[r], m);
+        bad |= zigzag_chunk(m, x_old + i0, y_old + i0, x_new + i0, y_new + i0, charge + i0, &g,
+                            stage_jx_nodes, stage_jx_values, stage_jy_nodes, stage_jy_values);
         copy_out(jx_nodes, stage_jx_nodes, 4, n, i0, m);
         copy_out(jx_values, stage_jx_values, 4, n, i0, m);
         copy_out(jy_nodes, stage_jy_nodes, 4, n, i0, m);
         copy_out(jy_values, stage_jy_values, 4, n, i0, m);
     }
     return finish(bad);
-}
-
-/* One zigzag entry into its bin: a node (< nnodes, into acc) or a ghost
- * slot (into summed). */
-static inline void bin_add(int64_t d, double v, int64_t nnodes, double *R acc, double *R summed)
-{
-    if (d < nnodes)
-        acc[d] += v;
-    else
-        summed[d - nnodes] += v;
-}
-
-/* deposit_by_destination for the two zigzag components, jx (c = 0) and jy
- * (c = 1): entry i of row r of values (2, 4, n) goes to dest[4 *
- * pair_of[r / 2][i] + vertex[c][r]] -- a node (< nnodes, into row c of acc
- * (2, nnodes)) or a ghost slot (into row c of summed (2, nslots)) -- added
- * row by row, in entry order inside a row, to bins zeroed first:
- * bincount's order.  The two components share the pair lookup and their
- * sums are independent, so their chains of adds into one bin overlap.
- * BAD_INDEX when a pair (of the first two pair_of rows), a vertex or a
- * destination is outside its table, FLAGGED when a value is not finite:
- * either before an output is written. */
-int zigzag_bin(int64_t n, const double *R values, const int64_t *R vertex, int64_t npairs,
-               const int64_t *R dest, const int64_t *R pair_of, int64_t nnodes, int64_t nslots,
-               double *R acc, double *R summed)
-{
-    int64_t outside = outside_of(pair_of, 2 * n, npairs) |
-                      outside_of(dest, 4 * npairs, nnodes + nslots) | outside_of(vertex, 8, 4);
-    if (outside)
-        return BAD_INDEX;
-    if (not_finite(values, 8 * n))
-        return FLAGGED; /* before anything is written */
-    memset(acc, 0, sizeof(double) * 2 * (size_t)nnodes);
-    memset(summed, 0, sizeof(double) * 2 * (size_t)nslots);
-    feclearexcept(FE_ALL_EXCEPT);
-    for (int r = 0; r < 4; r++) {
-        const int64_t *pairs = pair_of + (r / 2) * n;
-        const int64_t *to_x = dest + vertex[r], *to_y = dest + vertex[4 + r];
-        const double *jx = values + r * n, *jy = values + (4 + r) * n;
-        for (int64_t i = 0; i < n; i++) {
-            int64_t p = 4 * pairs[i];
-            bin_add(to_x[p], jx[i], nnodes, acc, summed);
-            bin_add(to_y[p], jy[i], nnodes, acc + nnodes, summed + nslots);
-        }
-    }
-    return finish(not_finite(acc, 2 * nnodes) | not_finite(summed, 2 * nslots));
 }
 
 /* Particles gather_push stages at a time: its fields and outputs, 11 rows
@@ -944,14 +847,55 @@ static PASS void interleave(int64_t nnodes, const double *R f0, const double *R 
     }
 }
 
+/* E and B at m <= PUSH_CHUNK particles on the Yee stencils, from
+ * node_fields (nnodes, 8) into fields (6, PUSH_CHUNK), and the first vertex
+ * of each of the four stencils into rows stride apart of cells: the modern
+ * stepper's staggered gather.  Per axis the two shifts (none, half a cell)
+ * go through cic_axis on coords - shift * d, a stencil's weights are cic's,
+ * and each component is interpolate's ncomp == 1 sum, as the NumPy body
+ * gathers one component at a time.  Nonzero: a position is NaN or too
+ * large to cast. */
+static PASS int64_t yee_chunk(int64_t m, const double *R x, const double *R y, double lx,
+                              double ly, double dx, double dy, int64_t nx, int64_t ny,
+                              const double *R node_fields, double (*R fields)[PUSH_CHUNK],
+                              int64_t *R cells, int64_t stride)
+{
+    /* the stencil of each component (ex, ey, ez, bx, by, bz) as its x and
+     * y shift (0: none, 1: half a cell); the cells rows in stencil order */
+    static const int shift_x[6] = {1, 0, 0, 0, 1, 1}, shift_y[6] = {0, 1, 0, 1, 0, 1};
+    static const int cell_of_stencil[4][2] = {{1, 0}, {0, 1}, {0, 0}, {1, 1}};
+    double shifts_x[2] = {0.0, 0.5 * dx}, shifts_y[2] = {0.0, 0.5 * dy};
+    int64_t bad = 0;
+    for (int64_t j = 0; j < m; j++) {
+        int64_t cx[2], cx1[2], cy[2], cy1[2];
+        double tx[2], ty[2];
+        for (int s = 0; s < 2; s++) {
+            bad |= cic_axis(x[j] - shifts_x[s], lx, dx, nx, cx + s, cx1 + s, tx + s);
+            bad |= cic_axis(y[j] - shifts_y[s], ly, dy, ny, cy + s, cy1 + s, ty + s);
+        }
+        for (int k = 0; k < 4; k++)
+            cells[k * stride + j] = cy[cell_of_stencil[k][1]] * nx + cx[cell_of_stencil[k][0]];
+        for (int c = 0; c < 6; c++) {
+            int sx = shift_x[c], sy = shift_y[c];
+            int64_t left = cx[sx], right = cx1[sx], row = cy[sy] * nx, row1 = cy1[sy] * nx;
+            double wx = tx[sx], wy = ty[sy], ux = 1.0 - wx, uy = 1.0 - wy;
+            const double *v = node_fields + c;
+            double even = (0.0 + v[8 * (row + left)] * (ux * uy)) + v[8 * (row1 + left)] * (ux * wy);
+            double odd = (0.0 + v[8 * (row + right)] * (wx * uy)) + v[8 * (row1 + right)] * (wx * wy);
+            fields[c][j] = (even + odd) + 0.0;
+        }
+    }
+    return bad;
+}
+
 /* One gather_push call, as its shards read it. */
 struct push_args {
     double *x, *y, *ux, *uy, *uz, *node_fields;
     const double *q, *mass, *planes[6];
     double dt, lx, ly, dx, dy;
-    int64_t nx, ny, nshards;
+    int64_t nx, ny, n, nshards;
     const int64_t *starts;
-    int64_t *out;
+    int64_t *cells, *out;
 };
 
 /* Part s of the interleave of a gather_push cut into k shards: nodes s
@@ -1026,13 +970,40 @@ static PASS void push_shard(const void *args, int64_t s)
     a->out[3 * s + 1] = now_ns() - t0;
 }
 
+/* Shard s of a gather_push on the Yee stencils, as push_shard: PUSH_CHUNK
+ * particles at a time, their fields and stencil cells by yee_chunk, then,
+ * if those are clean, push_range on that one chunk with its fields given. */
+static PASS void yee_push_shard(const void *args, int64_t s)
+{
+    const struct push_args *a = args;
+    int64_t t0 = now_ns(), start = a->starts[s], end = a->starts[s + 1], i0 = start, done = 0;
+    double fields[6][PUSH_CHUNK];
+    const double *rows[6] = {fields[0], fields[1], fields[2], fields[3], fields[4], fields[5]};
+    for (; i0 < end && done == i0 - start; i0 += PUSH_CHUNK) {
+        int64_t m = end - i0 < PUSH_CHUNK ? end - i0 : PUSH_CHUNK;
+        feclearexcept(FE_ALL_EXCEPT);
+        int64_t bad = yee_chunk(m, a->x + i0, a->y + i0, a->lx, a->ly, a->dx, a->dy, a->nx, a->ny,
+                                a->node_fields, fields, a->cells + i0, a->n);
+        for (int c = 0; c < 6; c++)
+            bad |= not_finite(fields[c], m);
+        if (finish(bad) == OK)
+            done += push_range(0, m, a->x + i0, a->y + i0, a->ux + i0, a->uy + i0, a->uz + i0,
+                               a->q + i0, a->mass + i0, NULL, rows, a->dt, a->lx, a->ly, a->dx,
+                               a->dy, a->nx, a->ny);
+    }
+    a->out[3 * s] = done;
+    a->out[3 * s + 1] = now_ns() - t0;
+}
+
 /* gather_push_slice after its validation, in place: the fields at each of n
  * particles, then boris_push.  With node_fields, f0 .. f5 are the six (ny,
  * nx) planes of E and B: the pass first copies them into node_fields
  * (nnodes, 8), a node's six components and two zeros (with a team, each
  * thread copies a part, interleave_part, before any shard starts), and a
  * particle's fields are gather_from_node_values' from that block at its
- * CIC (cic's floats, from the positions before the push).  Without
+ * CIC (cic's floats, from the positions before the push) -- or, given
+ * cells (4, n), the modern stepper's staggered gather from it, with each
+ * particle's four stencil cells written there (yee_chunk).  Without
  * node_fields, f0 .. f5 hold the six rows of n fields, as boris_push takes
  * e and b.  The particles are cut into nshards shards at starts
  * (nshards + 1 ascending offsets from 0 to n), run by team (NULL: the
@@ -1053,18 +1024,18 @@ int gather_push(int64_t n, double *R x, double *R y, double *R ux, double *R uy,
                 const double *R q, const double *R mass, double *R node_fields,
                 const double *R f0, const double *R f1, const double *R f2, const double *R f3,
                 const double *R f4, const double *R f5, double dt, double lx, double ly,
-                double dx, double dy, int64_t nx, int64_t ny, int64_t nshards,
-                const int64_t *R starts, int64_t *team, int64_t *R out)
+                double dx, double dy, int64_t nx, int64_t ny, int64_t *R cells,
+                int64_t nshards, const int64_t *R starts, int64_t *team, int64_t *R out)
 {
     if (team && !x && !node_fields)
         return n < 0 ? serve(team, -n) : dismiss(team);
-    if (nx * ny > INT32_MAX || !shards_fit(nshards, starts, n, team))
+    if (nx * ny > INT32_MAX || !shards_fit(nshards, starts, n, team) || (cells && !node_fields))
         return DECLINED;
-    struct push_args a = {x,  y,  ux, uy, uz, node_fields, q,      mass, {f0, f1, f2, f3, f4, f5},
-                          dt, lx, ly, dx, dy, nx,          ny,     nshards, starts, out};
+    struct push_args a = {x,  y,  ux, uy, uz, node_fields, q,  mass, {f0, f1, f2, f3, f4, f5},
+                          dt, lx, ly, dx, dy, nx,          ny, n,    nshards, starts, cells, out};
     if (node_fields)
         fan_out(team, nshards, interleave_part, &a);
-    fan_out(team, nshards, push_shard, &a);
+    fan_out(team, nshards, cells ? yee_push_shard : push_shard, &a);
     for (int64_t s = 0; s < nshards; s++)
         if (out[3 * s] < starts[s + 1] - starts[s])
             return FLAGGED;
@@ -1372,11 +1343,11 @@ static int64_t segment_keys(struct slot_tables *t, int64_t m, int64_t first, int
 
 /* Numbers segment_keys' q keys as slots first, first + 1, ... of rank
  * (slot_ranks / slot_owners / slot_nodes) and writes the four destinations
- * of each of the m cells into dest (m, 4): the node where rank mine owns it,
+ * of each of the m cells into dest (m, 4): the node where rank owns it,
  * nnodes + its slot otherwise. */
 static void segment_slots(struct slot_tables *t, int64_t m, int64_t q, int64_t first, int64_t rank,
-                          int64_t mine, int64_t *R slot_ranks, int64_t *R slot_owners,
-                          int64_t *R slot_nodes, int64_t *R dest)
+                          int64_t *R slot_ranks, int64_t *R slot_owners, int64_t *R slot_nodes,
+                          int64_t *R dest)
 {
     int64_t nnodes = t->nnodes, v[4];
     for (int64_t u = 0; u < q; u++) {
@@ -1389,12 +1360,12 @@ static void segment_slots(struct slot_tables *t, int64_t m, int64_t q, int64_t f
     for (int64_t u = 0; u < m; u++) {
         cell_vertices(t->cells[u], t->nx, t->ny, v);
         for (int j = 0; j < 4; j++)
-            dest[4 * u + j] = t->owner[v[j]] != mine ? nnodes - t->node_mark[v[j]] - 1 : v[j];
+            dest[4 * u + j] = t->owner[v[j]] != rank ? nnodes - t->node_mark[v[j]] - 1 : v[j];
     }
 }
 
 /* ghost_slots: the distinct (rank, cell) pairs of k rows of n cells
- * (particle i of rank ranks[i], counted from r0) in (rank, cell) order and
+ * (particle i of rank ranks[i]) in (rank, cell) order and
  * each entry's pair in pair_of (k, n); per pair vertex in dest (npairs, 4)
  * its node where the pair's rank owns it, nnodes + slot otherwise, the
  * slots being the distinct off-rank (rank, node) pairs in (rank, owner,
@@ -1411,9 +1382,9 @@ static void segment_slots(struct slot_tables *t, int64_t m, int64_t q, int64_t f
  * before the pass.  BAD_INDEX: a cell outside the grid; DECLINED: ranks
  * negative or descending, owners_fit's, or blocks smaller than that. */
 int ghost_slots(int64_t k, int64_t n, const int64_t *R ranks, const int64_t *R cells,
-                int64_t nx, int64_t ny, const int64_t *R node_owner, int64_t r0,
-                int64_t *R work, int64_t pair_cap, int64_t slot_cap, int64_t *R sizes,
-                int64_t *R pair_of, int64_t *R dest, int64_t *R slots)
+                int64_t nx, int64_t ny, const int64_t *R node_owner, int64_t *R work,
+                int64_t pair_cap, int64_t slot_cap, int64_t *R sizes, int64_t *R pair_of,
+                int64_t *R dest, int64_t *R slots)
 {
     struct slot_tables t = slot_tables(nx, ny, node_owner, work);
     int64_t npairs = 0, nslots = 0, stamp = 0, descending = n && ranks[0] < 0;
@@ -1438,12 +1409,12 @@ int ghost_slots(int64_t k, int64_t n, const int64_t *R ranks, const int64_t *R c
                     t.cells[m++] = c;
                 }
             }
-        int64_t q = segment_keys(&t, m, npairs, rank + r0, stamp);
+        int64_t q = segment_keys(&t, m, npairs, rank, stamp);
         for (int64_t j = 0; j < k; j++)
             for (int64_t i = s; i < e; i++)
                 pair_of[j * n + i] = -t.cell_mark[cells[j * n + i]] - 1;
-        segment_slots(&t, m, q, nslots, rank, rank + r0, slots, slots + slot_cap,
-                      slots + 2 * slot_cap, dest + 4 * npairs);
+        segment_slots(&t, m, q, nslots, rank, slots, slots + slot_cap, slots + 2 * slot_cap,
+                      dest + 4 * npairs);
         npairs += m;
         nslots += q;
     }
@@ -1500,9 +1471,9 @@ static CLONED PASS int64_t deposit_segment(int64_t m, const double *R values,
 /* One scatter call, as its shards read it. */
 struct scatter_args {
     const int64_t *counts, *cuts, *starts, *node_owner;
-    const double *x, *y, *ux, *uy, *uz, *q, *w;
-    double lx, ly, dx, dy;
-    int64_t nranks, nx, ny, r0, work_stride, staged_stride, slot_cap;
+    const double *x, *y, *ux, *uy, *uz, *q, *w, *x_old, *y_old;
+    double dt, lx, ly, dx, dy;
+    int64_t nranks, nx, ny, work_stride, staged_stride, slot_cap;
     int64_t *work, *slots, *tallies, *out;
     double *staged, *bins;
 };
@@ -1528,7 +1499,7 @@ static PASS void scatter_shard(const void *args, int64_t s)
     feclearexcept(FE_ALL_EXCEPT);
     for (int64_t r = a->cuts[s], i0 = start, stamp = 1; r < a->cuts[s + 1];
          i0 += a->counts[r], r++, stamp++) {
-        int64_t len = a->counts[r], m = 0, mine = r + a->r0;
+        int64_t len = a->counts[r], m = 0;
         double *R weight = staged, *R values = staged + 4 * len;
         struct cic_rows rows = {{node, node + len, node + 2 * len, node + 3 * len},
                                 {weight, weight + len, weight + 2 * len, weight + 3 * len}};
@@ -1540,8 +1511,8 @@ static PASS void scatter_shard(const void *args, int64_t s)
                 t.cells[m++] = c;
             }
         }
-        int64_t nq = segment_keys(&t, m, 0, mine, stamp);
-        segment_slots(&t, m, nq, nslots, r, mine, slots, slots + cap, slots + 2 * cap, dest);
+        int64_t nq = segment_keys(&t, m, 0, r, stamp);
+        segment_slots(&t, m, nq, nslots, r, slots, slots + cap, slots + 2 * cap, dest);
         for (int64_t u = 0; u < m; u++)
             off[u] = (dest[4 * u] >= nnodes) + (dest[4 * u + 1] >= nnodes) +
                      (dest[4 * u + 2] >= nnodes) + (dest[4 * u + 3] >= nnodes);
@@ -1556,18 +1527,165 @@ static PASS void scatter_shard(const void *args, int64_t s)
     a->out[3 * s + 1] = now_ns() - t0;
 }
 
-/* The era scatter of rank segments counts[0 .. nranks) of n particles,
- * ranks counted from r0: cic, ghost_slots and deposit, one segment at a
- * time while it is in cache.  A first walk of the segment computes each
- * particle's CIC (cic's floats, cic_into) and stamps its cell; the
- * segment's pairs and slots are numbered as ghost_slots numbers them
- * (pairs from 0 in each segment: they are not output); a second walk adds
- * the entries as deposit adds them, in the segment's particle order, into
- * bins (nnodes + slot_cap, 4): a node's four channels (on-rank sums) or a
- * slot's at nnodes + slot (zeroed as it is numbered), so each add is one
- * 4-wide vector.  tallies[r] is how many ghost entries rank r's particles
- * make (one per off-rank vertex of a particle's cell), tallies[nranks + r]
- * its slots, numbered into rows of stride slot_cap (>= 4 n) of slots.
+/* The most slots a particle of the modern scatter numbers: the four
+ * vertices of each of its three cells. */
+enum { YEE_SLOTS = 12 };
+
+/* The modern scatter's CIC values of m particles of charge w q, in the
+ * channel order of its bins (jx, jy, jz, rho): 0, 0, w q uz / gamma, w q,
+ * as deposition_entries rounds them, four a particle in values (m, 4).
+ * Adding a zero leaves a current's bin as it was: a bin starts at +0.0, and
+ * a sum of doubles from there is never -0.0. */
+static PASS void yee_values(int64_t m, const double *R ux, const double *R uy,
+                            const double *R uz, const double *R charge, double *R values)
+{
+    for (int64_t i = 0; i < m; i++) {
+        double inv_gamma = 1.0 / sqrt(((1.0 + ux[i] * ux[i]) + uy[i] * uy[i]) + uz[i] * uz[i]);
+        values[4 * i] = 0.0;
+        values[4 * i + 1] = 0.0;
+        values[4 * i + 2] = (charge[i] * uz[i]) * inv_gamma;
+        values[4 * i + 3] = charge[i];
+    }
+}
+
+/* The zigzag entries of the m particles of one segment into the jx and jy
+ * channels (0 and 1) of bins (destination, 4): entry i of row r of the jx
+ * rows (zz's first four, m long each) and of the jy rows (its last four)
+ * goes to vertex JX_VERTICES[r] / JY_VERTICES[r] of the pair of its
+ * sub-segment's cell (row r / 2 of cell), row by row and in particle order
+ * inside a row: deposit_zigzag_entries' bincount order. */
+static PASS void zigzag_segment(int64_t m, const double *R zz, const int32_t *R cell,
+                                const int64_t *R cell_mark, const int64_t *R dest, double *R bins)
+{
+    static const int jx_vertex[4] = {0, 2, 0, 2}, jy_vertex[4] = {0, 1, 0, 1};
+    for (int r = 0; r < 4; r++) {
+        const int32_t *R c = cell + (r / 2) * m;
+        const double *R jx = zz + r * m, *R jy = zz + (4 + r) * m;
+        for (int64_t i = 0; i < m; i++) {
+            const int64_t *to = dest + 4 * (-cell_mark[c[i]] - 1);
+            bins[4 * to[jx_vertex[r]]] += jx[i];
+            bins[4 * to[jy_vertex[r]] + 1] += jy[i];
+        }
+    }
+}
+
+/* Shard s of the modern scatter, as scatter_shard with three cells a
+ * particle: each segment's charges w q, then its moves checked (moves_bad:
+ * a bad one ends the shard FLAGGED, for the NumPy body to raise), its CIC
+ * at x, y and its zigzag entries from x_old, y_old to x, y (zigzag_chunk,
+ * CHUNK particles at a time, into staged rows); the cells of both
+ * sub-segments and the CIC cell are stamped and numbered into pairs and
+ * slots as ghost_slots numbers them, the zigzag entries added
+ * (zigzag_segment), then the CIC ones (deposit_segment of yee_values).
+ * Then each of the segment's slots has its currents scaled by the cell
+ * area, (v dx) dy + 0.0, and is dropped when it is no vertex of a CIC pair
+ * and both its currents are zero (the NumPy body's nonzero filter); the
+ * slots kept move down to follow one another.  Its slots are numbered from
+ * YEE_SLOTS x its first particle on. */
+static PASS void yee_shard(const void *args, int64_t s)
+{
+    const struct scatter_args *a = args;
+    int64_t t0 = now_ns(), nx = a->nx, ny = a->ny, nnodes = nx * ny, bad = 0;
+    int64_t *work = a->work + s * a->work_stride, *slots = a->slots, cap = a->slot_cap;
+    struct slot_tables t = slot_tables(nx, ny, a->node_owner, work);
+    int64_t *R dest = work + 5 * nnodes, *R off = work + 9 * nnodes, *R cic = work + 10 * nnodes;
+    int32_t *R node = (int32_t *)(work + 11 * nnodes);
+    int64_t start = a->starts[s], nslots = YEE_SLOTS * start;
+    double *bins = a->bins, *staged = a->staged + s * a->staged_stride, dx = a->dx, dy = a->dy;
+    const double *x = a->x, *y = a->y, *x_old = a->x_old, *y_old = a->y_old;
+    struct zigzag_grid g = zigzag_grid(a->dt, a->lx, a->ly, dx, dy, nx, ny);
+    int64_t jx_nodes[4][CHUNK], jy_nodes[4][CHUNK];
+    double jx_values[4][CHUNK], jy_values[4][CHUNK];
+    memset(work, 0, sizeof(int64_t) * 2 * (size_t)nnodes);
+    feclearexcept(FE_ALL_EXCEPT);
+    for (int64_t r = a->cuts[s], i0 = start, stamp = 1; r < a->cuts[s + 1];
+         i0 += a->counts[r], r++, stamp++) {
+        int64_t len = a->counts[r], m = 0, kept = 0;
+        double *R weight = staged, *R values = staged + 4 * len, *R zz = staged + 8 * len;
+        double *R charge = staged + 16 * len;
+        int32_t *R cell = node + 4 * len; /* the two sub-segments' cells */
+        struct cic_rows rows = {{node, node + len, node + 2 * len, node + 3 * len},
+                                {weight, weight + len, weight + 2 * len, weight + 3 * len}};
+        for (int64_t i = 0; i < len; i++)
+            charge[i] = a->w[i0 + i] * a->q[i0 + i];
+        if (moves_bad(len, x_old + i0, y_old + i0, x + i0, y + i0, charge, &g)) {
+            bad = 1;
+            break;
+        }
+        bad |= cic_into(len, x + i0, y + i0, a->lx, a->ly, dx, dy, nx, ny, rows);
+        for (int64_t j0 = 0; j0 < len; j0 += CHUNK) {
+            int64_t k = i0 + j0, mm = len - j0 < CHUNK ? len - j0 : CHUNK;
+            bad |= zigzag_chunk(mm, x_old + k, y_old + k, x + k, y + k, charge + j0, &g,
+                                jx_nodes, jx_values, jy_nodes, jy_values);
+            for (int row = 0; row < 4; row++) {
+                memcpy(zz + row * len + j0, jx_values[row], sizeof(double) * (size_t)mm);
+                memcpy(zz + (4 + row) * len + j0, jy_values[row], sizeof(double) * (size_t)mm);
+            }
+            for (int64_t j = 0; j < mm; j++) {
+                cell[j0 + j] = (int32_t)jx_nodes[0][j];
+                cell[len + j0 + j] = (int32_t)jx_nodes[2][j];
+            }
+        }
+        for (int row = 0; row < 3; row++)
+            for (int64_t i = 0; i < len; i++) {
+                int64_t c = row < 2 ? cell[row * len + i] : node[i];
+                if (t.cell_mark[c] != stamp) {
+                    t.cell_mark[c] = stamp;
+                    t.cells[m++] = c;
+                }
+            }
+        int64_t nq = segment_keys(&t, m, 0, r, stamp);
+        segment_slots(&t, m, nq, nslots, r, slots, slots + cap, slots + 2 * cap, dest);
+        for (int64_t u = 0; u < m; u++)
+            off[u] = (dest[4 * u] >= nnodes) + (dest[4 * u + 1] >= nnodes) +
+                     (dest[4 * u + 2] >= nnodes) + (dest[4 * u + 3] >= nnodes);
+        memset(bins + 4 * (nnodes + nslots), 0, sizeof(double) * 4 * (size_t)nq);
+        zigzag_segment(len, zz, cell, t.cell_mark, dest, bins);
+        yee_values(len, a->ux + i0, a->uy + i0, a->uz + i0, charge, values);
+        deposit_segment(len, values, weight, node, t.cell_mark, dest, off, bins);
+        memset(cic, 0, sizeof(int64_t) * (size_t)nq);
+        for (int64_t i = 0; i < len; i++) {
+            const int64_t *to = dest + 4 * (-t.cell_mark[node[i]] - 1);
+            for (int v = 0; v < 4; v++)
+                if (to[v] >= nnodes)
+                    cic[to[v] - nnodes - nslots] = 1;
+        }
+        for (int64_t u = 0; u < nq; u++) {
+            int64_t from = nslots + u, into = nslots + kept;
+            double *b = bins + 4 * (nnodes + from);
+            b[0] = (b[0] * dx) * dy + 0.0;
+            b[1] = (b[1] * dx) * dy + 0.0;
+            if (!(cic[u] | (b[0] != 0) | (b[1] != 0)))
+                continue;
+            for (int row = 0; row < 3; row++)
+                slots[row * cap + into] = slots[row * cap + from];
+            memmove(bins + 4 * (nnodes + into), b, sizeof(double) * 4);
+            kept++;
+        }
+        nslots += kept;
+    }
+    a->out[3 * s] = nslots - YEE_SLOTS * start;
+    a->out[3 * s + 2] = finish(bad);
+    a->out[3 * s + 1] = now_ns() - t0;
+}
+
+/* The scatter of rank segments counts[0 .. nranks) of n particles: cic,
+ * ghost_slots and deposit, one segment at a time while it is in cache.  A
+ * first walk of the segment computes each particle's CIC (cic's floats,
+ * cic_into) and stamps its cell; the segment's pairs and slots are
+ * numbered as ghost_slots numbers them (pairs from 0 in each segment: they
+ * are not output); a second walk adds the entries as deposit adds them, in
+ * the segment's particle order, into bins (nnodes + slot_cap, 4): a node's
+ * four channels (on-rank sums) or a slot's at nnodes + slot (zeroed as it
+ * is numbered), so each add is one 4-wide vector.  tallies[r] is how many
+ * ghost entries rank r's particles make (one per off-rank vertex of a
+ * particle's cell), tallies[nranks + r] its slots, numbered into rows of
+ * stride slot_cap (>= 4 n) of slots.
+ *
+ * With x_old (and y_old) the positions before the push, the scatter is the
+ * modern stepper's (yee_shard): zigzag jx and jy, CIC jz and rho, channels
+ * in that order, the currents scaled by the cell area ((v dx) dy on the
+ * nodes), slot_cap >= YEE_SLOTS n, and no tallies.
  *
  * The segments are cut into nshards shards at the rank cuts (nshards + 1
  * ascending, from 0 to nranks), whose first particles are starts (the
@@ -1584,24 +1702,27 @@ static PASS void scatter_shard(const void *args, int64_t s)
  * apart: work 10 * nnodes int64 (slot_tables', one segment's pair
  * destinations (m, 4) and off-rank vertex counts) plus 2 per particle of
  * the longest segment (its CIC nodes, int32), staged 8 doubles a particle
- * of that segment (its CIC weights and its values).  DECLINED: cuts or
- * starts that do not fit, negative counts or a shard's that do not sum to
- * its length, owners_fit's, slot_cap < 4 n, or 2^31 nodes or more. */
+ * of that segment (its CIC weights and its values); the modern scatter's
+ * work 11 * nnodes (and the CIC mark of the segment's slots) plus 3 a
+ * particle (and its sub-segments' cells), staged 17 (and its zigzag
+ * values and charges).  DECLINED: cuts or starts that do not fit, negative
+ * counts or a shard's that do not sum to its length, owners_fit's, a
+ * slot_cap too small, or 2^31 nodes or more. */
 int scatter(int64_t nranks, const int64_t *R counts, int64_t n, const double *R x,
             const double *R y, const double *R ux, const double *R uy, const double *R uz,
-            const double *R q, const double *R w, double lx, double ly, double dx, double dy,
-            int64_t nx, int64_t ny, const int64_t *R node_owner, int64_t r0, int64_t *R work,
-            int64_t work_stride, double *R staged, int64_t staged_stride, double *R bins,
-            int64_t slot_cap, double *R acc, int64_t *R slots, int64_t *R tallies,
-            int64_t nshards, const int64_t *R cuts, const int64_t *R starts, int64_t *team,
-            int64_t *R out)
+            const double *R q, const double *R w, const double *R x_old, const double *R y_old,
+            double dt, double lx, double ly, double dx, double dy, int64_t nx, int64_t ny,
+            const int64_t *R node_owner, int64_t *R work, int64_t work_stride, double *R staged,
+            int64_t staged_stride, double *R bins, int64_t slot_cap, double *R acc,
+            int64_t *R slots, int64_t *R tallies, int64_t nshards, const int64_t *R cuts,
+            const int64_t *R starts, int64_t *team, int64_t *R out)
 {
-    struct scatter_args a = {counts, cuts,  starts, node_owner, x,    y,           ux,
-                             uy,     uz,    q,      w,          lx,   ly,
-                             dx,     dy,    nranks, nx,         ny,   r0,
-                             work_stride,   staged_stride,      slot_cap,    work,
-                             slots,  tallies, out,  staged,     bins};
-    int64_t nnodes = nx * ny, bad = 0, top = -1, nslots = 0;
+    struct scatter_args a = {counts, cuts,  starts, node_owner,  x,     y,           ux,
+                             uy,     uz,    q,      w,           x_old, y_old,       dt,
+                             lx,     ly,    dx,     dy,          nranks, nx,         ny,
+                             work_stride,   staged_stride,       slot_cap,    work,
+                             slots,  tallies, out,  staged,      bins};
+    int64_t nnodes = nx * ny, bad = 0, top = -1, nslots = 0, per = x_old ? YEE_SLOTS : 4;
     if (!shards_fit(nshards, cuts, nranks, team) || !shards_fit(nshards, starts, n, team))
         return DECLINED;
     for (int64_t s = 0; s < nshards; s++) {
@@ -1613,13 +1734,13 @@ int scatter(int64_t nranks, const int64_t *R counts, int64_t n, const double *R 
         }
         bad |= len != starts[s + 1] - starts[s];
     }
-    if (bad || owners_fit(node_owner, nnodes, top) != OK || slot_cap < 4 * n ||
-        nnodes > INT32_MAX)
+    if (bad || owners_fit(node_owner, nnodes, top) != OK || slot_cap < per * n ||
+        nnodes > INT32_MAX || (x_old && !y_old))
         return DECLINED;
     memset(bins, 0, sizeof(double) * 4 * (size_t)nnodes);
-    fan_out(team, nshards, scatter_shard, &a);
+    fan_out(team, nshards, x_old ? yee_shard : scatter_shard, &a);
     for (int64_t s = 0; s < nshards; s++) {
-        int64_t found = out[3 * s], from = 4 * starts[s];
+        int64_t found = out[3 * s], from = per * starts[s];
         bad |= out[3 * s + 2];
         for (int row = 0; row < 3 && from != nslots; row++)
             memmove(slots + row * slot_cap + nslots, slots + row * slot_cap + from,
@@ -1633,5 +1754,7 @@ int scatter(int64_t nranks, const int64_t *R counts, int64_t n, const double *R 
     for (int c = 0; c < 4; c++)
         for (int64_t k = 0; k < nnodes; k++)
             acc[c * nnodes + k] = bins[4 * k + c];
-    return finish(bad);
+    for (int64_t k = 0; x_old && k < 2 * nnodes; k++)
+        acc[k] = (acc[k] * dx) * dy;
+    return finish(bad | not_finite(acc, 2 * nnodes));
 }

@@ -1,9 +1,10 @@
 """Shard threads for the pooled PIC phases.
 
 :class:`FlatBackend` cuts the pool's rank segments into contiguous
-ranges balanced by particle count and hands them to the era stepper's
-two compiled particle passes (:mod:`repro.native`): the scatter's CIC +
-ghost slots + deposit and the gather + push.  Each phase is one call into
+ranges balanced by particle count and hands them to the two compiled
+particle passes (:mod:`repro.native`) of either stepper: the scatter's
+CIC + ghost slots + deposit (and the modern stepper's zigzag currents)
+and the gather + push (on the CIC or on the Yee stencils).  Each phase is one call into
 the C pass, whatever the worker count; inside it, shard ``i`` runs on
 team slot ``i``: the calling thread is slot 0, and slots ``1 ..
 nworkers - 1`` are helper threads that the backend starts when it is
@@ -148,8 +149,9 @@ class FlatBackend:
         cell[0] += len(shards.out)
         cell[1] += seconds
 
-    def scatter(self, pool: ParticlePool, node_owner: np.ndarray):
-        """Sharded CIC deposition over the pool's rank segments.
+    def scatter(self, pool: ParticlePool, node_owner: np.ndarray, moved=None):
+        """Sharded deposition over the pool's rank segments (``moved``: the
+        modern stepper's, :func:`scatter_segment`).
 
         Returns ``(rows, entries_per_rank, uniq_per_rank, batch)``: the
         ``(1, nchannels, nnodes)`` on-rank deposition, ghost-table
@@ -160,18 +162,19 @@ class FlatBackend:
         with self._lock:
             shards, started = self._cut(pool), perf_counter()
             _, entries, uniq, batch = scatter_segment(
-                self.grid, pool.array, pool.counts, 0, node_owner, rows[0], shards
+                self.grid, pool.array, pool.counts, node_owner, rows[0], shards, moved
             )
             self._timed("scatter", shards, started)
         return rows, entries, uniq, batch
 
-    def gather_push(self, pool: ParticlePool, planes, dt: float) -> None:
+    def gather_push(self, pool: ParticlePool, planes, dt: float, cells=None) -> None:
         """Sharded field gather + Boris push, in place in the pool, from the
         six ``(ny, nx)`` ``planes`` of E and B, interleaved per node once
-        per call (by the team, a part each) for all the shards."""
+        per call (by the team, a part each) for all the shards (given
+        ``cells``, on the Yee stencils: :func:`gather_push_slice`)."""
         with self._lock:
             shards, started = self._cut(pool), perf_counter()
-            gather_push_slice(self.grid, pool.array, planes, dt, shards)
+            gather_push_slice(self.grid, pool.array, planes, dt, shards, cells)
             self._timed("gather_push", shards, started)
 
     def drain_profile(self) -> dict:

@@ -140,10 +140,10 @@ def pooled_ghost_keys(
 
 
 class GhostSlots(NamedTuple):
-    """What :func:`ghost_slots` found; ranks are counted from its ``r0``."""
+    """What :func:`ghost_slots` found."""
 
     ranks: np.ndarray  #: ``(nslots,)`` depositing rank of each off-rank slot
-    owners: np.ndarray  #: ``(nslots,)`` global rank that owns the slot's node
+    owners: np.ndarray  #: ``(nslots,)`` rank that owns the slot's node
     nodes: np.ndarray  #: ``(nslots,)`` the slot's node
     #: ``(npairs, 4)`` per pair vertex, in :meth:`Grid2D.cell_vertices`
     #: order: the node where the pair's rank owns it, ``nnodes + slot`` otherwise
@@ -152,7 +152,7 @@ class GhostSlots(NamedTuple):
 
 
 def ghost_slots(
-    grid: Grid2D, node_owner: np.ndarray, particle_ranks: np.ndarray, cells: np.ndarray, r0: int = 0
+    grid: Grid2D, node_owner: np.ndarray, particle_ranks: np.ndarray, cells: np.ndarray
 ) -> GhostSlots:
     """Ghost slots of the distinct ``(rank, cell)`` pairs behind ``cells``.
 
@@ -164,23 +164,22 @@ def ghost_slots(
     ascending node ids and the slots are a
     :class:`~repro.machine.batch.MessageBatch` as they stand.
 
-    ``node_owner`` is the global ownership map, ``particle_ranks``
-    ``(n,)`` each particle's rank counted from ``r0`` (a worker shard
-    covers the ranks from ``r0`` up), ``cells`` ``(k, n)`` cell ids per
-    particle, one row per entry group.  One compiled pass when
+    ``node_owner`` is the ownership map, ``particle_ranks`` ``(n,)`` each
+    particle's rank, ``cells`` ``(k, n)`` cell ids per particle, one row
+    per entry group.  One compiled pass when
     :mod:`repro.native` is active and the ranks ascend, as a pool's do
     (O(entries) plus a sort of each rank's few distinct cells and
     off-rank vertices); :func:`ghost_slots_numpy` otherwise, with the
     same bytes.
     """
     compiled = native.kernels()
-    args = (grid, node_owner, particle_ranks, cells, r0)
+    args = (grid, node_owner, particle_ranks, cells)
     found = compiled.ghost_slots(*args) if compiled is not None else None
     return ghost_slots_numpy(*args) if found is None else GhostSlots(*found)
 
 
 def ghost_slots_numpy(
-    grid: Grid2D, node_owner: np.ndarray, particle_ranks: np.ndarray, cells: np.ndarray, r0: int = 0
+    grid: Grid2D, node_owner: np.ndarray, particle_ranks: np.ndarray, cells: np.ndarray
 ) -> GhostSlots:
     """The NumPy body of :func:`ghost_slots`, fallback and oracle of the
     compiled pass: one ``np.unique`` over the particles' ``rank * nnodes
@@ -195,7 +194,7 @@ def ghost_slots_numpy(
     )
     dest = grid.cell_vertices(pair_cells)
     owners = node_owner[dest]
-    off = owners != (pair_ranks + np.int64(r0))[:, None]
+    off = owners != pair_ranks[:, None]
     stride = np.int64(node_owner.max()) + 1
     rank_owner = np.broadcast_to(pair_ranks[:, None], off.shape)[off] * stride + owners[off]
     slot_nodes, rank_owner, inverse = pooled_ghost_keys(nnodes, rank_owner, dest[off])

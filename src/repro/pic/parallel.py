@@ -103,6 +103,12 @@ class PooledParticles:
         :class:`~repro.particles.arrays.ParticlePool` adopted as it is.
     dt:
         Time step; defaults to 90% of the solver's CFL limit.
+    backend:
+        A :class:`~repro.parallel_exec.FlatBackend` whose team runs the
+        compiled particle passes (``None``: the calling thread); results
+        are bit-identical either way (DESIGN.md §5.5).  The caller keeps
+        ownership (:class:`~repro.pic.simulation.Simulation` shares one
+        across rank-failure recoveries) and closes it.
     """
 
     #: solver class, called with the grid (``cfl_limit`` / ``validate_dt`` / ``step``)
@@ -113,9 +119,6 @@ class PooledParticles:
     #: transport faults or kernel bugs would otherwise silently poison the
     #: physics (deposited sources finite; particles conserved and finite)
     GUARD_HOOKS = {"scatter": "after_scatter", "gather_push": "after_push"}
-    #: shard-thread execution backend (None = in-process kernels)
-    backend = None
-    _owns_backend = False
     #: keep the latest halo delivery in ``last_halo`` (tests); off by default
     collect_debug = False
     _last_halo: MessageBatch | None = None
@@ -127,8 +130,11 @@ class PooledParticles:
         decomp: MeshDecomposition,
         local_particles: list[ParticleArray] | ParticlePool,
         dt: float | None,
+        backend=None,
     ) -> None:
         self.vm = vm
+        #: shard-thread execution backend (None = in-process kernels)
+        self.backend = backend
         self.grid = grid
         self.set_decomposition(decomp)
         # the flat blocks behind _kept, by name
@@ -218,14 +224,7 @@ class PooledParticles:
         self.iteration += 1
 
     def close(self) -> None:
-        """Join the shard threads if this stepper created them (idempotent).
-
-        Backends passed in via ``backend=`` belong to their creator
-        (:class:`~repro.pic.simulation.Simulation` keeps one across
-        rank-failure recoveries) and are left running.
-        """
-        if self._owns_backend and self.backend is not None:
-            self.backend.close()
+        """Let go of the backend (idempotent); its creator closes it."""
         self.backend = None
 
     def all_particles(self) -> ParticleArray:
@@ -247,7 +246,7 @@ class ParallelPIC(PooledParticles):
 
     Parameters
     ----------
-    vm, grid, decomp, local_particles, dt:
+    vm, grid, decomp, local_particles, dt, backend:
         As for :class:`PooledParticles`.
     ghost_table:
         Duplicate-removal table kind, ``"hash"`` or ``"direct"``: sets
@@ -267,14 +266,6 @@ class ParallelPIC(PooledParticles):
         row/column transpose is physically exchanged through the
         machine — the global-communication pattern of the
         replicated-mesh codes the paper contrasts against).
-    workers:
-        Number of shard threads for the hot kernels (0/1 = in-process);
-        results are bit-identical either way (the three-way parity
-        contract, DESIGN.md §5.5).  Release them with :meth:`close`.
-    backend:
-        An existing :class:`~repro.parallel_exec.FlatBackend` to execute
-        on (shared across recoveries by :class:`~repro.pic.simulation.Simulation`);
-        mutually exclusive with ``workers``.  The caller keeps ownership.
     collect_debug:
         When True, retain the most recent halo / gather deliveries in
         ``last_halo`` / ``last_gather_messages`` for tests that verify
@@ -298,7 +289,6 @@ class ParallelPIC(PooledParticles):
         movement: str = "lagrangian",
         smoothing_passes: int = 1,
         field_solver: str = "maxwell",
-        workers: int = 0,
         backend=None,
         collect_debug: bool = False,
     ) -> None:
@@ -308,13 +298,7 @@ class ParallelPIC(PooledParticles):
             field_solver in ("maxwell", "electrostatic"),
             f"unknown field_solver {field_solver!r}",
         )
-        super().__init__(vm, grid, decomp, local_particles, dt)
-        if backend is None and workers not in (0, 1, None):
-            from repro.parallel_exec import create_backend
-
-            backend = create_backend(workers, grid)
-            self._owns_backend = backend is not None
-        self.backend = backend
+        super().__init__(vm, grid, decomp, local_particles, dt, backend)
         self.smoothing_passes = smoothing_passes
         self.field_solver = field_solver
         self.movement = movement
@@ -389,7 +373,7 @@ class ParallelPIC(PooledParticles):
                 else:
                     rows = np.empty((1, nchannels, nnodes))
                     _, entries_per_rank, uniq_per_rank, batch = scatter_segment(
-                        grid, pool.array, counts, 0, self.node_owner, rows[0]
+                        grid, pool.array, counts, self.node_owner, rows[0]
                     )
             with vm.section("reduce"):
                 reduce_rank_rows(rows, acc)

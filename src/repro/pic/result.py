@@ -49,8 +49,10 @@ class SimulationResult:
     final_state: dict | None = None  #: physics summary (:func:`final_state_summary`)
     trace: PhaseTrace | None = None  #: per-iteration phase profile (always recorded)
     telemetry: dict | None = None  #: final metric aggregates (None = telemetry off)
-    degraded: dict | None = None  #: multicore-fallback marker (None = no fallback)
     correlation: dict | None = None  #: batch identity stamp (None = standalone run)
+    #: always ``None``: every ``workers`` request shards on the team, whatever
+    #: the kernel (``benchmarks/e2e`` reads it to check that no run fell back)
+    degraded = None
 
     @property
     def overhead(self) -> float:
@@ -109,13 +111,9 @@ class SimulationResult:
         }
         if self.telemetry is not None:
             out["telemetry"] = self.telemetry
-        if self.degraded is not None:
-            # only present on fallback runs, so untouched configurations
-            # keep byte-identical output (zero-cost contract)
-            out["degraded"] = self.degraded
         if self.correlation is not None:
-            # present only on scheduler-stamped runs (same optional-key
-            # rule as above): the batch_id/job_id/attempt identity that
+            # present only on scheduler-stamped runs, so standalone runs
+            # keep byte-identical output: the batch_id/job_id/attempt identity that
             # joins this document with the batch's service stream
             out["correlation"] = dict(self.correlation)
         return out

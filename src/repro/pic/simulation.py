@@ -79,35 +79,11 @@ class Simulation:
             config.p, config.model, strict_ops=(config.guards == "strict")
         )
         self.partitioner = ParticlePartitioner(self.grid, config.scheme)
+        from repro.parallel_exec import create_backend
+
         #: shard-thread execution backend (None = in-process kernels); owned
         #: by the Simulation and shared across rank-failure recoveries
-        self.backend = None
-        #: degraded-mode marker: ``None`` for a true run of the requested
-        #: configuration; a ``{"requested_workers", "reason"}`` dict when
-        #: ``workers`` was requested for a kernel the backend does not
-        #: serve and the run is in-process (results identical, wall-clock
-        #: not) — surfaced in ``SimulationResult.to_dict()`` and the
-        #: telemetry header so batch reports can tell the two apart.
-        self.degraded: dict | None = None
-        from repro.parallel_exec import create_backend, resolve_workers
-
-        requested = resolve_workers(workers)
-        if requested > 1:
-            if config.kernel == "era":
-                self.backend = create_backend(requested, self.grid)
-            else:
-                import warnings
-
-                reason = (
-                    f"the multicore backend applies only to kernel='era' "
-                    f"(got kernel={config.kernel!r})"
-                )
-                self.degraded = {"requested_workers": requested, "reason": reason}
-                warnings.warn(
-                    f"workers={workers!r} ignored: {reason}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+        self.backend = create_backend(workers, self.grid)
         self.policy = make_policy(config.policy)
         #: invariant guard (None when ``config.guards == "off"``: the hot
         #: paths then carry only dormant ``is None`` branches)
@@ -204,8 +180,9 @@ class Simulation:
             from repro.pic.parallel_yee import ParallelYeePIC
 
             return ParallelYeePIC(
-                vm, self.grid, self.decomp, local, dt=cfg.dt, ghost_table=cfg.ghost_table
-            )
+                vm, self.grid, self.decomp, local, dt=cfg.dt, ghost_table=cfg.ghost_table,
+                backend=self.backend,
+            )  # fmt: skip
         return ParallelPIC(
             vm,
             self.grid,
@@ -251,7 +228,6 @@ class Simulation:
             self.telemetry = RunTelemetry(
                 self.config.p,
                 config=config_to_dict(self.config),
-                degraded=self.degraded,
                 correlation=self.correlation,
             )
             self._wire_telemetry()
@@ -522,7 +498,6 @@ class Simulation:
             final_state=self.final_state_summary(),
             trace=self.trace,
             telemetry=self.telemetry.aggregates() if self.telemetry is not None else None,
-            degraded=self.degraded,
             correlation=self.correlation,
         )
 

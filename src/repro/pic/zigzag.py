@@ -47,7 +47,6 @@ __all__ = [
     "zigzag_entries",
     "zigzag_entries_numpy",
     "deposit_zigzag_entries",
-    "deposit_zigzag_entries_numpy",
     "deposit_current_zigzag",
     "continuity_residual",
     "JX_VERTICES",
@@ -207,20 +206,10 @@ def deposit_zigzag_entries(
     :data:`JX_VERTICES` or :data:`JY_VERTICES`: on-rank sums into ``acc``
     ``(2, nnodes)``, ghost slots' into ``summed`` ``(2, nslots)``, both
     overwritten, each bin added to in list order
-    (:func:`~repro.pic.deposition.deposit_by_destination`'s).  One compiled
-    pass when :mod:`repro.native` is active, with the bytes of
-    :func:`deposit_zigzag_entries_numpy` either way.
+    (:func:`~repro.pic.deposition.deposit_by_destination`'s), one
+    ``bincount`` per component: the modern scatter's NumPy body
+    (:func:`repro.parallel_exec.kernels.scatter_yee_numpy`).
     """
-    compiled = native.kernels()
-    vertices = (JX_VERTICES, JY_VERTICES)
-    if compiled is None or not compiled.zigzag_bin(values, vertices, dest, pair_of, acc, summed):
-        deposit_zigzag_entries_numpy(values, dest, pair_of, acc, summed)
-
-
-def deposit_zigzag_entries_numpy(values, dest, pair_of, acc, summed) -> None:
-    """The NumPy body of :func:`deposit_zigzag_entries`, fallback and
-    oracle of the compiled pass: per component each entry's destination by
-    table lookup, one ``bincount``."""
     segment_pair = pair_of[:2].repeat(2, axis=0)  # per entry row
     for c, vertices in enumerate((JX_VERTICES, JY_VERTICES)):
         entry_dest = dest[segment_pair, np.reshape(vertices, (4, 1))].ravel()

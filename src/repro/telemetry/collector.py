@@ -74,10 +74,6 @@ class RunTelemetry(EventStream):
     config:
         JSON-serializable run configuration embedded in the metrics
         header (``config_to_dict`` output); optional.
-    degraded:
-        Multicore-fallback marker (``Simulation.degraded``); embedded in
-        the header when not ``None`` so stream readers can distinguish a
-        true multicore run from a silent in-process fallback.
     correlation:
         Batch identity (``{"batch_id", "job_id", "attempt"}``) stamped
         by the job service; embedded in the header and the trace export
@@ -89,12 +85,11 @@ class RunTelemetry(EventStream):
         p: int,
         *,
         config: dict | None = None,
-        degraded: dict | None = None,
         correlation: dict | None = None,
     ) -> None:
         # the header pins the rank count at enable time; shrink events walk
         # readers to the live count from there
-        super().__init__(METRICS_SCHEMA, p=int(p), config=config, degraded=degraded)
+        super().__init__(METRICS_SCHEMA, p=int(p), config=config)
         self.set_correlation(correlation)
         #: live rank count (lowered by :meth:`on_shrink`)
         self.p = int(p)

@@ -51,9 +51,7 @@ class LoopedPIC(ParallelPIC):
     last_gather_messages = None
 
     def __init__(self, *args, **kwargs) -> None:
-        assert not kwargs.get("workers") and kwargs.get("backend") is None, (
-            "the oracle runs in-process"
-        )
+        assert kwargs.get("backend") is None, "the oracle runs in-process"
         super().__init__(*args, **kwargs)
         self.ghost_tables = [
             make_ghost_table(self.ghost_table, self.grid.nnodes, len(CHANNELS))
@@ -604,7 +602,7 @@ def pooled_duplicate_removal(nnodes, p, entry_ranks, nodes, values):
     return uniq_nodes, uniq_ranks, summed, seg
 
 
-def reference_scatter_segment(grid, parts, counts, r0, node_owner, out_row):
+def reference_scatter_segment(grid, parts, counts, node_owner, out_row):
     """``scatter_segment`` with owner lookup and duplicate removal per entry;
     the messages come back as per-rank ``(owner, ids, values)`` lists."""
     nranks = int(counts.shape[0])
@@ -615,7 +613,7 @@ def reference_scatter_segment(grid, parts, counts, r0, node_owner, out_row):
     flat_nodes = nodes.ravel()
     flat_values = values.reshape(nchannels, -1)
     local_rank = np.repeat(np.arange(nranks, dtype=np.int64), 4 * counts)
-    ghost = node_owner[flat_nodes] != (local_rank + np.int64(r0))
+    ghost = node_owner[flat_nodes] != local_rank
     ghost_idx = np.flatnonzero(ghost)
     mine_idx = np.flatnonzero(~ghost)
     for c in range(nchannels):

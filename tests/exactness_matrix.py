@@ -24,11 +24,9 @@ correlation stamped; their digest also covers the bytes of the metrics
 JSONL stream and the Chrome trace the run exports, with the scratch
 directory's path (checkpoint events name it) replaced by a placeholder.
 
-The digests do not depend on the worker count: the ``degraded`` marker a
-modern-kernel run records when ``workers`` is requested (the only
-worker-dependent key of a result document and of a metrics header) is
-left out of the hash.  ``tests/test_exactness_matrix.py`` pins that, and
-that the tool is deterministic, on a few small rows.
+The digests do not depend on the worker count, whatever the kernel:
+``tests/test_exactness_matrix.py`` pins that, and that the tool is
+deterministic, on a few small rows.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ import argparse
 import hashlib
 import json
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -135,18 +132,10 @@ EXCHANGE_FAULTS = ("era_faults_in_redistribution", "era_adaptive_faults")
 MOVED_BOUNDS = ("era_adaptive_resumed",)
 
 
-def _build(factory, source, workers: int) -> Simulation:
-    """``factory(source, workers=workers)`` without the degraded-mode warning."""
-    with warnings.catch_warnings():
-        # kernel="modern" runs in-process whatever ``workers`` says, and warns so
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return factory(source, workers=workers)
-
-
 def _run(name: str, workers: int, scratch: Path) -> tuple[Simulation, str | None]:
     """The finished simulation of row ``name`` and the error that ended it, if any."""
     overrides, scenario = ROWS[name]
-    sim = _build(Simulation, SimulationConfig(**{**_BASE, **overrides}), workers)
+    sim = Simulation(SimulationConfig(**{**_BASE, **overrides}), workers=workers)
     if name in OBSERVED:
         sim.set_correlation({"batch_id": "batch-exactness", "job_id": name, "attempt": 0})
         sim.enable_telemetry()
@@ -156,7 +145,7 @@ def _run(name: str, workers: int, scratch: Path) -> tuple[Simulation, str | None
         sim.close()
         if scenario == "resume_other_workers":
             workers = 0 if workers else 2
-        sim = _build(Simulation.from_checkpoint, checkpoint, workers)
+        sim = Simulation.from_checkpoint(checkpoint, workers=workers)
         sim.run(ITERATIONS - _HALF)
     elif scenario == "faults_checkpointed":
         sim.install_faults(FaultPlan(**_KILL_AND_DROP))
@@ -181,12 +170,10 @@ def _run(name: str, workers: int, scratch: Path) -> tuple[Simulation, str | None
 
 
 def _exports(sim: Simulation, scratch: Path) -> bytes:
-    """The metrics JSONL and Chrome-trace JSON the run writes, minus ``degraded``."""
+    """The metrics JSONL and Chrome-trace JSON the run writes."""
     lines = sim.telemetry.save_metrics(scratch / "exports.jsonl").read_text().splitlines()
-    header = json.loads(lines[0])
-    header.pop("degraded", None)
     trace = sim.telemetry.save_trace(scratch / "exports.trace.json").read_text()
-    text = "\n".join([json.dumps(header), *lines[1:], trace])
+    text = "\n".join([*lines, trace])
     return text.replace(str(scratch), "<scratch>").encode()
 
 
@@ -204,7 +191,6 @@ def digest(name: str, workers: int = 0) -> str:
         exports = _exports(sim, Path(scratch)) if name in OBSERVED else b""
     try:
         document = sim.result().to_dict()
-        document.pop("degraded", None)
         h = hashlib.sha256(exports)
         for part in (document, error, sim.vm.state_dict()):
             h.update(json.dumps(part, sort_keys=True).encode())

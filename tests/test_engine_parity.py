@@ -21,12 +21,15 @@ import pytest
 from repro.core import ParticlePartitioner
 from repro.machine import FaultEvent, FaultPlan, MachineModel, VirtualMachine
 from repro.mesh import CurveBlockDecomposition, Grid2D
+from repro.parallel_exec import create_backend
 from repro.particles import ParticleArray, ParticlePool, gaussian_blob, uniform_plasma
 from repro.pic import ParallelPIC, Simulation, SimulationConfig
 from tests._looped_oracle import STEPPERS, LoopedSimulation
 
 def _build(engine, *, p=6, movement="lagrangian", ghost_table="hash",
-           field_solver="maxwell", n=1200, rng=21, **kwargs):
+           field_solver="maxwell", n=1200, rng=21, workers=0, **kwargs):
+    """``(vm, stepper)``; with ``workers`` > 1 on a backend of its own,
+    which :func:`_close` closes."""
     grid = Grid2D(24, 16)
     particles = gaussian_blob(grid, n, rng=rng)
     vm = VirtualMachine(p, MachineModel.cm5())
@@ -35,9 +38,15 @@ def _build(engine, *, p=6, movement="lagrangian", ghost_table="hash",
     pic = STEPPERS[engine](
         vm, grid, decomp, local,
         movement=movement, ghost_table=ghost_table,
-        field_solver=field_solver, **kwargs,
+        field_solver=field_solver, backend=create_backend(workers, grid), **kwargs,
     )
     return vm, pic
+
+
+def _close(pic):
+    """Close the backend :func:`_build` made for ``pic``, if any."""
+    if pic.backend is not None:
+        pic.backend.close()
 
 
 def _assert_accounting_equal(vm_l, vm_f):
@@ -192,7 +201,7 @@ class TestMulticoreParity:
             _assert_accounting_equal(vm_s, vm_w)
             self._assert_state_identical(pic_s, pic_w)
         finally:
-            pic_w.close()
+            _close(pic_w)
 
     def test_three_way_accounting(self):
         """oracle ≡ pooled ≡ pooled+workers on the same virtual machine run."""
@@ -208,7 +217,7 @@ class TestMulticoreParity:
             _assert_accounting_equal(vm_l, vm_w)
             self._assert_state_identical(pic_f, pic_w)
         finally:
-            pic_w.close()
+            _close(pic_w)
 
     def test_workers_survive_repartition(self):
         """Pool rebuilds (redistribution-style) keep worker runs identical."""
@@ -225,7 +234,7 @@ class TestMulticoreParity:
                 pic_w.step()
             self._assert_state_identical(pic_s, pic_w)
         finally:
-            pic_w.close()
+            _close(pic_w)
 
 
 class TestPoolLifecycle:

@@ -22,6 +22,7 @@ from repro.mesh import (
     Grid2D,
     ScatterDecomposition,
 )
+from repro.parallel_exec import create_backend
 from repro.particles import gaussian_blob, uniform_plasma
 from repro.pic import ParallelPIC, SequentialPIC
 from tests._looped_oracle import STEPPERS, LoopedPIC
@@ -86,7 +87,7 @@ class TestEquivalenceSweep:
         kwargs = dict(ghost_table=table, movement=movement, field_solver=field_solver)
         pic = ParallelPIC(
             VirtualMachine(p, MachineModel.cm5()), grid, decomp,
-            [part.copy() for part in local], workers=workers, **kwargs,
+            [part.copy() for part in local], backend=create_backend(workers, grid), **kwargs,
         )
         oracle = LoopedPIC(VirtualMachine(p, MachineModel.cm5()), grid, decomp, local, **kwargs)
         seq = SequentialPIC(grid, particles.copy(), dt=pic.dt, field_solver=field_solver)
@@ -114,7 +115,8 @@ class TestEquivalenceSweep:
             if not poison:  # the poisoned scatter's sources carry NaNs
                 np.testing.assert_allclose(pic.fields.rho, seq.fields.rho, atol=1e-9)
         finally:
-            pic.close()
+            if pic.backend is not None:
+                pic.backend.close()
 
 
 class TestFullMatrix:

@@ -17,9 +17,9 @@ from tests.exactness_matrix import (
     _BASE, _HALF, EXCHANGE_FAULTS, MOVED_BOUNDS, OBSERVED, ROWS, digest,
 )  # fmt: skip
 
-#: an era row with redistributions, the modern kernel (``workers`` degrades
-#: to in-process there and must not show), a recovered rank failure, and
-#: the same two with their telemetry exports hashed
+#: an era row with redistributions, the modern kernel (sharded on the team
+#: as the era's is), a recovered rank failure, and the same two with their
+#: telemetry exports hashed
 _SMALL_ROWS = ("era_periodic", "modern_hash", "era_faultplan", *OBSERVED)
 
 

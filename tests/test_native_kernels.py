@@ -1,11 +1,10 @@
 """The compiled PIC kernels reproduce their NumPy bodies byte for byte.
 
-``repro.native`` puts ten C loops behind ``Grid2D.cic_vertices_weights``,
-the modern stepper's CIC deposit, ``scatter_segment``,
-``gather_push_slice`` and ``boris_push``, ``ghost_slots``,
-``MaxwellSolver.step``, one pass of ``binomial_smooth``,
-``staggered_gather``, ``zigzag_entries`` and
-``deposit_zigzag_entries``.  The NumPy bodies stay as fallback and oracle, and the
+``repro.native`` puts seven C loops behind ``Grid2D.cic_vertices_weights``,
+``scatter_segment`` (both steppers' scatters), ``gather_push_slice``
+(both steppers' gathers + pushes) and ``boris_push``, ``ghost_slots``,
+``MaxwellSolver.step``, one pass of ``binomial_smooth`` and
+``zigzag_entries``.  The NumPy bodies stay as fallback and oracle, and the
 contract is equality *by bytes* — on ordinary inputs through the C loop
 (asserted: a comparison that silently took the fallback proves nothing),
 on exceptional ones through the fallback the C loop asks for, with the
@@ -35,28 +34,22 @@ from repro.machine import FaultEvent, FaultPlan
 from repro.native.calls import Kernels, Shards, self_check
 from repro.mesh import CurveBlockDecomposition, FieldState, Grid2D
 from repro.parallel_exec.kernels import (
+    STENCILS,
     deposit_numpy,
     gather_push_numpy,
     gather_push_slice,
     node_fields_numpy,
     scatter_numpy,
     scatter_segment,
+    scatter_yee_numpy,
 )
 from repro.particles import ParticleArray
 from repro.pic import MaxwellSolver, Simulation, SimulationConfig
 from repro.pic.deposition import ghost_slots, ghost_slots_numpy
 from repro.pic.interpolation import gather_from_node_values, interpolate_numpy
-from repro.pic.parallel_yee import staggered_gather, staggered_gather_numpy
 from repro.pic.push import boris_push, push_numpy
 from repro.pic.smoothing import binomial_smooth, binomial_smooth_numpy
-from repro.pic.zigzag import (
-    JX_VERTICES,
-    JY_VERTICES,
-    deposit_zigzag_entries,
-    deposit_zigzag_entries_numpy,
-    zigzag_entries,
-    zigzag_entries_numpy,
-)
+from repro.pic.zigzag import zigzag_entries, zigzag_entries_numpy
 from repro.util.errors import SimulationIntegrityError
 from tests import vectorization_guard
 
@@ -230,19 +223,18 @@ def _node_values(grid, ncomp, seed):
     return values
 
 
-#: the vertex tables of the jx and jy lists, as ``deposit_zigzag_entries`` passes them
-VERTICES = (JX_VERTICES, JY_VERTICES)
+def _shards(cuts, starts) -> Shards:
+    """The passes run on the calling thread, cut at ``cuts`` / ``starts``."""
+    cuts, starts = np.asarray(cuts, dtype=np.int64), np.asarray(starts, dtype=np.int64)
+    return Shards(cuts, starts, None, np.zeros((len(cuts) - 1, 3), np.int64))
 
 
-def _zigzag_slots(grid, entries, p, seed):
-    """Ghost slots over the two sub-segment cell rows of ``entries`` and a
-    random third row, the particles cut into ``p`` rank segments."""
-    n = entries[0].shape[1]
+def _ranks(grid, n, p, seed):
+    """``(owner map, counts, offsets)`` of ``n`` particles cut into ``p``
+    rank segments, some of them empty."""
     rng = np.random.default_rng(seed)
-    cells = np.stack((entries[0][0], entries[0][2], rng.integers(0, grid.ncells, n)))
     counts = np.diff(np.concatenate(([0], np.sort(rng.integers(0, n + 1, p - 1)), [n])))
-    owner = CurveBlockDecomposition(grid, p, "hilbert").owner_map
-    return ghost_slots_numpy(grid, owner, np.repeat(np.arange(p), counts), cells)
+    return CurveBlockDecomposition(grid, p, "hilbert").owner_map, counts, np.cumsum([0, *counts])
 
 
 # ----------------------------------------------------------------------
@@ -251,28 +243,65 @@ def _zigzag_slots(grid, entries, p, seed):
 #: the hypothesis inputs of the scatter and gather + push byte tests
 SCATTER_CASES = (cases, st.sampled_from([1, 4]), st.sampled_from([1.0, 1e-310]), st.booleans())
 GATHER_PUSH_CASES = (cases, st.sampled_from([0.05, 0.5, 7.0]), st.booleans())
+MODERN_SCATTER_CASES = (modern_cases, st.sampled_from([1, 3]), st.sampled_from([1.0, 1e-310]))
+YEE_GATHER_PUSH_CASES = (modern_cases, st.sampled_from([0.05, 0.6]))
 
 
 def _scatter_bytes(kernels, case, p, charge_scale, inside):
-    """The whole pool from ``r0 = 0`` and every one-rank shard, as the
-    shard threads call it, also with subnormal charges and with every
+    """The whole pool as one shard and cut into one shard a rank (run in
+    turn, as a team runs them), also with subnormal charges and with every
     particle inside the box: the deposited row, the slot sums and the
     tallies of ``scatter_numpy``."""
     grid, n, seed = case
     parts = _particles(grid, n, seed, charge_scale, inside)
-    owner = CurveBlockDecomposition(grid, p, "hilbert").owner_map
-    rng = np.random.default_rng(seed)
-    counts = np.diff(np.concatenate(([0], np.sort(rng.integers(0, n + 1, p - 1)), [n])))
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    calls = [(parts, counts, 0)] + [
-        (parts.slice_view(offsets[r], offsets[r + 1]), counts[r : r + 1], r) for r in range(p)
-    ]
-    for shard, shard_counts, r0 in calls:
-        acc, want_acc = np.full((2, 4, grid.nnodes), np.nan)
-        got = kernels.scatter(grid, shard, shard_counts, r0, owner, acc)
+    owner, counts, offsets = _ranks(grid, n, p, seed)
+    want_acc = np.full((4, grid.nnodes), np.nan)
+    want = scatter_numpy(grid, parts, counts, owner, want_acc)
+    for cuts in ([0, p], np.arange(p + 1)):
+        acc = np.full((4, grid.nnodes), np.nan)
+        got = kernels.scatter(grid, parts, counts, owner, acc, _shards(cuts, offsets[cuts]))
         assert got is not None
-        want = scatter_numpy(grid, shard, shard_counts, r0, owner, want_acc)
         _same((*got, acc), (*want, want_acc))
+
+
+def _modern_scatter_bytes(kernels, case, p, charge_scale):
+    """The modern mode of the scatter, cut as :func:`_scatter_bytes` cuts
+    the era's: the moves of :func:`_segments` (some of zero charge, some
+    across the periodic seam, the longest ones under a cell), also with
+    subnormal charges: the deposited row and the slots of
+    ``scatter_yee_numpy``, none dropped that it keeps."""
+    grid, n, seed = case
+    x_old, y_old, x_new, y_new, charge = _segments(grid, n, seed)
+    parts = _particles(grid, n, seed, charge_scale)
+    parts.x[:], parts.y[:] = x_new, y_new
+    parts.w[charge == 0.0] = 0.0
+    owner, counts, offsets = _ranks(grid, n, p, seed)
+    moved = (x_old, y_old, 0.6)
+    want_acc = np.full((4, grid.nnodes), np.nan)
+    want = scatter_yee_numpy(grid, parts, counts, owner, want_acc, *moved)
+    for cuts in ([0, p], np.arange(p + 1)):
+        acc = np.full((4, grid.nnodes), np.nan)
+        got = kernels.scatter(grid, parts, counts, owner, acc, _shards(cuts, offsets[cuts]), moved)
+        assert got is not None and got[4:] == want[4:] == (None, None)
+        _same((*got[:4], acc), (*want[:4], want_acc))
+
+
+def _yee_gather_push_bytes(kernels, case, dt):
+    """The Yee mode of the gather + push from positions on cell faces and
+    half faces (the stencils' boundaries), some outside the box, as one
+    shard and as three: the node block, the stencil cells and the pushed
+    particles of ``gather_push_numpy``."""
+    grid, n, seed = case
+    planes = tuple(_node_values(grid, 6, seed).reshape(6, *grid.shape))
+    want, want_cells = _on_faces(grid, n, seed), np.empty((4, n), dtype=np.int64)
+    gather_push_numpy(grid, want, _node_fields(planes), dt, want_cells)
+    for starts in ([0, n], [0, n // 3, n // 2, n]):
+        got, shards = _on_faces(grid, n, seed), _shards(np.arange(len(starts)), starts)
+        cells = np.full((4, n), -1, dtype=np.int64)
+        fields = kernels.gather_push(grid, got, planes, dt, shards, cells)
+        _same((fields, cells), (_node_fields(planes), want_cells))
+        assert (shards.out[:, 0] == np.diff(starts)).all()
+        _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
 
 
 def _gather_push_bytes(kernels, case, dt, inside):
@@ -341,32 +370,6 @@ class TestBytes:
         _same(got, _cic_numpy(grid, parts.x, parts.y))
 
     @settings(max_examples=40, deadline=None)
-    @given(cases, st.sampled_from([1, 4]), st.sampled_from([1.0, 1e-310, 3e-320]))
-    def test_deposit(self, compiled, case, p, charge_scale):
-        """Every shard of a ``p``-rank run (``p`` = 1: no ghost slot;
-        the later shards start at ``r0 > 0``), also with subnormal charges."""
-        grid, n, seed = case
-        parts = _particles(grid, n, seed, charge_scale)
-        vertices = compiled.cic(grid, parts.x, parts.y)
-        owner = CurveBlockDecomposition(grid, p, "hilbert").owner_map
-        rng = np.random.default_rng(seed)
-        cuts = np.sort(rng.integers(0, n + 1, p - 1))
-        counts = np.diff(np.concatenate(([0], cuts, [n])))
-        for r0 in range(p):  # one-rank shards, so r0 runs over 0..p-1
-            lo = int(counts[:r0].sum())
-            shard = parts.slice_view(lo, lo + int(counts[r0]))
-            shard_vertices = tuple(v[lo : lo + shard.n] for v in vertices)
-            ranks = np.zeros(shard.n, dtype=np.int64)
-            slots = ghost_slots(grid, owner, ranks, shard_vertices[0][:, :1].T, r0)
-            assert p > 1 or slots.nodes.size == 0
-            args = (slots.dest, slots.pair_of[0])
-            acc, want_acc = np.empty((2, 4, grid.nnodes))
-            summed = compiled.deposit(shard, shard_vertices[1], *args, acc, slots.nodes.size)
-            assert summed is not None
-            want = deposit_numpy(grid, shard, shard_vertices, *args, want_acc, slots.nodes.size)
-            _same((acc, summed), (want_acc, want))
-
-    @settings(max_examples=40, deadline=None)
     @given(cases, st.sampled_from([1e-8, 1.0, 1e8]))
     def test_interpolate(self, compiled, case, scale):
         """The gather + push interpolates as ``interpolate_numpy`` does: the
@@ -392,6 +395,16 @@ class TestBytes:
     def test_gather_push(self, compiled, case, dt, inside):
         _gather_push_bytes(compiled, case, dt, inside)
 
+    @settings(max_examples=40, deadline=None)
+    @given(*MODERN_SCATTER_CASES)
+    def test_modern_scatter(self, compiled, case, p, charge_scale):
+        _modern_scatter_bytes(compiled, case, p, charge_scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(*YEE_GATHER_PUSH_CASES)
+    def test_yee_gather(self, compiled, case, dt):
+        _yee_gather_push_bytes(compiled, case, dt)
+
     @settings(max_examples=60, deadline=None)
     @given(
         cases,
@@ -402,8 +415,7 @@ class TestBytes:
     def test_ghost_slots(self, compiled, case, k, p, owned):
         """``k`` cell rows (the era scatter's 1, the modern scatter's 3 and
         gather's 4) over ``p`` ranks, some empty, with the grid's edge and
-        wrap cells among them: the whole pool from ``r0 = 0`` and every
-        one-rank shard ``r0 = 0..p-1``, as the shard threads call it."""
+        wrap cells among them."""
         grid, n, seed = case
         rng = np.random.default_rng(seed)
         cells = rng.integers(0, grid.ncells, (k, n))
@@ -415,19 +427,15 @@ class TestBytes:
             "all_on_rank": np.zeros(grid.nnodes, dtype=np.int64),  # rank 0 owns every node
             "all_off_rank": np.full(grid.nnodes, p, dtype=np.int64),  # no depositing rank does
         }[owned]
-        calls = [(np.repeat(np.arange(p), counts), cells, 0)]
-        for r0 in range(p):  # one-rank shards: local rank 0 is global rank r0
-            lo, hi = counts[:r0].sum(), counts[: r0 + 1].sum()
-            calls.append((np.zeros(hi - lo, dtype=np.int64), cells[:, lo:hi].copy(), r0))
-        for ranks, rows, r0 in calls:
-            got = compiled.ghost_slots(grid, owner, ranks, rows, r0)
-            assert got is not None
-            want = ghost_slots_numpy(grid, owner, ranks, rows, r0)
-            _same(got, want)
-            if owned == "all_off_rank" or (owned == "all_on_rank" and r0 > 0):
-                assert (want.dest >= grid.nnodes).all()
-            elif owned == "all_on_rank" and (ranks == 0).all():
-                assert want.nodes.size == 0
+        ranks = np.repeat(np.arange(p), counts)
+        got = compiled.ghost_slots(grid, owner, ranks, cells)
+        assert got is not None
+        want = ghost_slots_numpy(grid, owner, ranks, cells)
+        _same(got, want)
+        if owned == "all_off_rank":
+            assert (want.dest >= grid.nnodes).all()
+        elif owned == "all_on_rank":
+            assert (want.ranks > 0).all() and (want.dest[want.pair_of[:, : counts[0]]] < grid.nnodes).all()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -440,12 +448,13 @@ class TestBytes:
         st.integers(0, 2**31),
     )
     def test_ghost_slots_sizes_its_outputs_in_one_call(
-        self, compiled, grid, k, counts, r0, cells_kind, owned, seed
+        self, compiled, grid, k, counts, idle, cells_kind, owned, seed
     ):
         """One pass into kept blocks sized before it, fresh ones here: empty
-        ranks, ``r0 > 0``, one to three cell rows, and the worst cases for
-        that sizing -- every particle in a cell of its own (as many pairs
-        as entries) and every vertex off-rank (four slots a pair)."""
+        ranks, ``idle`` more ranks that own nodes and hold no particle, one
+        to three cell rows, and the worst cases for that sizing -- every
+        particle in a cell of its own (as many pairs as entries) and every
+        vertex off-rank (four slots a pair)."""
         fresh = type(compiled)(compiled._lib)
         rng = np.random.default_rng(seed)
         n = sum(counts)
@@ -455,21 +464,21 @@ class TestBytes:
         else:
             cells = rng.integers(0, grid.ncells, (k, n))
         owner = {
-            "hilbert": CurveBlockDecomposition(grid, len(counts) + r0, "hilbert").owner_map,
-            "all_off_rank": np.full(grid.nnodes, len(counts) + r0, dtype=np.int64),
+            "hilbert": CurveBlockDecomposition(grid, len(counts) + idle, "hilbert").owner_map,
+            "all_off_rank": np.full(grid.nnodes, len(counts) + idle, dtype=np.int64),
         }[owned]
-        got = fresh.ghost_slots(grid, owner, ranks, cells, r0)
+        got = fresh.ghost_slots(grid, owner, ranks, cells)
         assert got is not None
-        want = ghost_slots_numpy(grid, owner, ranks, cells, r0)
+        want = ghost_slots_numpy(grid, owner, ranks, cells)
         _same(got, want)
         if owned == "all_off_rank":
             assert want.nodes.size == len(np.unique(want.dest)) and (want.dest >= grid.nnodes).all()
         acc, want_acc = np.empty((2, 4, grid.nnodes))
         parts = _particles(grid, n, seed)
         counts = np.array(counts, dtype=np.int64)
-        got = fresh.scatter(grid, parts, counts, r0, owner, acc)
+        got = fresh.scatter(grid, parts, counts, owner, acc)
         assert got is not None
-        _same((*got, acc), (*scatter_numpy(grid, parts, counts, r0, owner, want_acc), want_acc))
+        _same((*got, acc), (*scatter_numpy(grid, parts, counts, owner, want_acc), want_acc))
 
     @settings(max_examples=40, deadline=None)
     @given(cases, st.sampled_from([0.05, 0.5, 7.0]))
@@ -524,18 +533,6 @@ class TestBytes:
         _same((got,), (binomial_smooth_numpy(a),))
         _same((binomial_smooth(a, 3),), (binomial_smooth_numpy(a, 3),))
 
-    @settings(max_examples=40, deadline=None)
-    @given(modern_cases)
-    def test_yee_gather(self, compiled, case):
-        grid, n, seed = case
-        parts = _on_faces(grid, n, seed)
-        node_values = _node_values(grid, 6, seed)
-        got = np.full((6, n), np.nan), np.full((4, n), -1, dtype=np.int64)
-        want = np.empty((6, n)), np.empty((4, n), dtype=np.int64)
-        assert compiled.yee_gather(grid, parts.x, parts.y, node_values, *got)
-        staggered_gather_numpy(grid, parts.x, parts.y, node_values, *want)
-        _same(got, want)
-
     @settings(max_examples=60, deadline=None)
     @given(modern_cases, st.sampled_from([0.05, 0.6, 3.0]))
     def test_zigzag(self, compiled, case, dt):
@@ -544,22 +541,6 @@ class TestBytes:
         got = compiled.zigzag(*args)
         assert got is not None
         _same(got, zigzag_entries_numpy(*args))
-
-    @settings(max_examples=40, deadline=None)
-    @given(modern_cases, st.sampled_from([1, 3]), st.sampled_from([1.0, 1e-310]))
-    def test_zigzag_bin(self, compiled, case, p, charge_scale):
-        """Both components of real zigzag entries (some charges zero, or all
-        subnormal) by the ghost slots of their cells over ``p`` ranks."""
-        grid, n, seed = case
-        x_old, y_old, x_new, y_new, charge = _segments(grid, n, seed)
-        entries = zigzag_entries_numpy(grid, x_old, y_old, x_new, y_new, charge * charge_scale, 0.6)
-        slots = _zigzag_slots(grid, entries, p, seed)
-        values = np.stack((entries[1].ravel(), entries[3].ravel()))
-        got = np.full((2, grid.nnodes), np.nan), np.full((2, slots.nodes.size), np.nan)
-        want = np.empty((2, grid.nnodes)), np.empty((2, slots.nodes.size))
-        assert compiled.zigzag_bin(values, VERTICES, slots.dest, slots.pair_of, *got)
-        deposit_zigzag_entries_numpy(values, slots.dest, slots.pair_of, *want)
-        _same(got, want)
 
 
 @pytest.mark.parametrize("path", ["compiled", "numpy"])
@@ -588,9 +569,10 @@ def test_outputs_land_in_the_callers_buffers(path, request):
 # exceptional inputs: the C loop declines, NumPy answers as it always did
 # ----------------------------------------------------------------------
 class TestEveryClone:
-    """The era passes' byte tests and the loader's self-check on one library
-    per clone target this CPU runs (``clone``): the loaded library binds
-    only the widest, so the others are built alone to be tested at all."""
+    """Both steppers' passes' byte tests and the loader's self-check on one
+    library per clone target this CPU runs (``clone``): the loaded library
+    binds only the widest, so the others are built alone to be tested at
+    all."""
 
     def test_self_check(self, clone):
         assert self_check(clone) is None
@@ -604,6 +586,16 @@ class TestEveryClone:
     @given(*GATHER_PUSH_CASES)
     def test_gather_push(self, clone, case, dt, inside):
         _gather_push_bytes(clone, case, dt, inside)
+
+    @settings(max_examples=20, deadline=None)
+    @given(*MODERN_SCATTER_CASES)
+    def test_modern_scatter(self, clone, case, p, charge_scale):
+        _modern_scatter_bytes(clone, case, p, charge_scale)
+
+    @settings(max_examples=20, deadline=None)
+    @given(*YEE_GATHER_PUSH_CASES)
+    def test_yee_gather_push(self, clone, case, dt):
+        _yee_gather_push_bytes(clone, case, dt)
 
     def test_boris_push_in_every_lane(self, clone):
         for n in LANES:
@@ -619,8 +611,8 @@ class TestDeclined:
     def test_shard_cuts_that_do_not_fit_are_declined(self, compiled):
         """Rank cuts or particle starts that do not ascend from 0 to the
         end, or starts that are not the rank segments' offsets (shards
-        would number their slots over each other): both passes write
-        nothing."""
+        would number their slots over each other): both passes, in either
+        stepper's mode, write nothing."""
         parts = _particles(self.grid, 50, 6)
         counts = np.array([20, 0, 30], dtype=np.int64)
         owner = CurveBlockDecomposition(self.grid, 3, "hilbert").owner_map
@@ -634,12 +626,14 @@ class TestDeclined:
         ):
             ranks, starts = np.array(ranks), np.array(starts)
             shards = Shards(ranks, starts, None, np.zeros((len(ranks) - 1, 3), np.int64))
-            acc = np.full((4, self.grid.nnodes), np.nan)
-            assert compiled.scatter(self.grid, parts, counts, 0, owner, acc, shards) is None
-            assert np.isnan(acc).all()
+            for moved in (None, (parts.x.copy(), parts.y.copy(), 0.3)):
+                acc = np.full((4, self.grid.nnodes), np.nan)
+                assert compiled.scatter(self.grid, parts, counts, owner, acc, shards, moved) is None
+                assert np.isnan(acc).all()
             if (np.diff(starts) >= 0).all() and starts[-1] == parts.n:
                 continue  # fine for the gather + push, which cuts at starts only
-            assert compiled.gather_push(self.grid, parts, planes, 0.3, shards) is None
+            for cells in (None, np.empty((4, parts.n), dtype=np.int64)):
+                assert compiled.gather_push(self.grid, parts, planes, 0.3, shards, cells) is None
         _same([getattr(parts, c) for c in PUSHED], [getattr(before, c) for c in PUSHED])
 
     def test_bad_node_ids_raise_numpys_index_error(self, compiled):
@@ -661,24 +655,24 @@ class TestDeclined:
         counts = np.array([20, 30], dtype=np.int64)
         short = CurveBlockDecomposition(self.grid, 2, "hilbert").owner_map[:-1]
         acc = np.empty((4, self.grid.nnodes))
-        assert compiled.scatter(self.grid, parts, counts, 0, short, acc) is None
+        assert compiled.scatter(self.grid, parts, counts, short, acc) is None
         with pytest.raises(IndexError):
-            scatter_segment(self.grid, parts, counts, 0, short, acc)
+            scatter_segment(self.grid, parts, counts, short, acc)
 
-    def test_bad_destinations_raise_what_numpy_raises(self, compiled):
+    def test_bad_destinations_raise_what_numpy_raises(self):
+        """Destination tables reach only the NumPy deposit (the compiled
+        scatter numbers its own): a pair beyond the table is NumPy's
+        IndexError, a negative destination its ValueError, and either
+        leaves the caller's row as it was."""
         parts = _particles(self.grid, 50, 1)
-        vertices = compiled.cic(self.grid, parts.x, parts.y)
+        vertices = _cic_numpy(self.grid, parts.x, parts.y)
         dest = self.grid.cell_vertices(np.arange(self.grid.ncells))
         acc = np.random.default_rng(1).normal(size=(4, self.grid.nnodes))
-        before = acc.copy()  # the caller's row: a rejected deposit must not have zeroed it
-        beyond, from_the_end = np.full(50, self.grid.ncells), np.full(50, -1)
-        for pair_of in (beyond, from_the_end):  # the second is NumPy's to wrap around
-            assert compiled.deposit(parts, vertices[1], dest, pair_of, acc, 0) is None
+        before = acc.copy()
         with pytest.raises(IndexError):
-            deposit_numpy(self.grid, parts, vertices, dest, beyond, acc, 0)
+            deposit_numpy(self.grid, parts, vertices, dest, np.full(50, self.grid.ncells), acc, 0)
         broken, cells = dest.copy(), vertices[0][:, 0].copy()
         broken[0, 0] = -5
-        assert compiled.deposit(parts, vertices[1], broken, cells, acc, 0) is None
         with pytest.raises(ValueError):
             deposit_numpy(self.grid, parts, vertices, broken, cells, acc, 0)
         _same((acc,), (before,))
@@ -691,11 +685,11 @@ class TestDeclined:
         owner = CurveBlockDecomposition(grid, 3, "hilbert").owner_map
         ranks = np.repeat(np.arange(3), [20, 0, 30])
         cells = np.random.default_rng(7).integers(0, grid.ncells, (2, 50))
-        assert compiled.ghost_slots(grid, owner, ranks, cells, 0) is not None
+        assert compiled.ghost_slots(grid, owner, ranks, cells) is not None
         for bad in (grid.ncells, -1, 2**40):
             broken = cells.copy()
             broken[1, 33] = bad
-            assert compiled.ghost_slots(grid, owner, ranks, broken, 0) is None
+            assert compiled.ghost_slots(grid, owner, ranks, broken) is None
             with pytest.raises(IndexError):
                 ghost_slots(grid, owner, ranks, broken)
         negative_owner = owner.copy()
@@ -710,7 +704,7 @@ class TestDeclined:
             (owner.astype(np.int32), ranks, cells),
         ]
         for args in declined:
-            assert compiled.ghost_slots(grid, *args, 0) is None
+            assert compiled.ghost_slots(grid, *args) is None
             _same(ghost_slots(grid, *args), ghost_slots_numpy(grid, *args))
 
     @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
@@ -753,7 +747,7 @@ class TestDeclined:
         """Poisoned E and B at the particles: the gather + push writes
         nothing, and the public pass answers and warns as the NumPy body."""
         parts = _particles(self.grid, 30, 4)
-        nodes, weights = compiled.cic(self.grid, parts.x, parts.y)
+        nodes, _ = compiled.cic(self.grid, parts.x, parts.y)
         planes = np.random.default_rng(4).normal(size=(6, *self.grid.shape))
         planes[2].flat[nodes[5, 1]] = np.nan
         planes[4].flat[nodes[8, 0]] = -np.inf
@@ -768,12 +762,10 @@ class TestDeclined:
         assert we_said == numpy_said
         _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
         parts.ux[7] = 1e200  # ux**2 overflows: NumPy warns, so must we
-        dest = self.grid.cell_vertices(np.arange(self.grid.ncells))
         acc = np.empty((4, self.grid.nnodes))
-        assert compiled.deposit(parts, weights, dest, nodes[:, 0].copy(), acc, 0) is None
         counts = np.array([30], dtype=np.int64)
         owner = np.zeros(self.grid.nnodes, dtype=np.int64)
-        assert compiled.scatter(self.grid, parts, counts, 0, owner, acc) is None
+        assert compiled.scatter(self.grid, parts, counts, owner, acc) is None
 
     @pytest.mark.parametrize("chunk", [0, 1, 3])
     def test_push_stops_at_the_first_flagged_chunk(self, compiled, chunk):
@@ -963,69 +955,73 @@ class TestDeclined:
     @pytest.mark.parametrize("poison", ["x", "y", "field"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_yee_gather_declines_non_finite_inputs_untouched(self, compiled, poison, value):
+        """A position, or a field value a stencil reads, that is not finite:
+        the Yee gather + push stops at its chunk with the particles as they
+        were, and the public pass answers, and warns, as the NumPy body."""
         grid = self.grid
         parts = _on_faces(grid, 30, 5)
-        node_values = _node_values(grid, 6, 5)
-        if poison == "field":
-            node_values[4, 11] = value
+        values = _node_values(grid, 6, 5)
+        (sx, sy), _ = STENCILS[0]  # by's stencil, shifted by half a cell along x
+        cells = np.empty((2, 4, 30), dtype=np.int64)
+        if poison == "field":  # a vertex of particle 12's by stencil
+            column = np.floor(np.mod(parts.x[12] - sx * grid.dx, grid.lx) / grid.dx) + 1
+            row = np.floor(np.mod(parts.y[12] - sy * grid.dy, grid.ly) / grid.dy)
+            values[4, int(row % grid.ny) * grid.nx + int(column % grid.nx)] = value
         else:
             getattr(parts, poison)[12] = value
-        eb, cells = np.full((6, 30), 7.0), np.full((4, 30), -7, dtype=np.int64)
-        assert not compiled.yee_gather(grid, parts.x, parts.y, node_values, eb, cells)
-        _same((eb, cells), (np.full((6, 30), 7.0), np.full((4, 30), -7, dtype=np.int64)))
-        want = np.empty((6, 30)), np.empty((4, 30), dtype=np.int64)
-        _, numpy_said = self._warned(
-            lambda: staggered_gather_numpy(grid, parts.x, parts.y, node_values, *want)
-        )
-        _, we_said = self._warned(
-            lambda: staggered_gather(grid, parts.x, parts.y, node_values, eb, cells)
+        planes = tuple(values.reshape(6, *grid.shape))
+        got, want, shards = parts.copy(), parts.copy(), Shards.one(1, 30)
+        assert compiled.gather_push(grid, got, planes, 0.3, shards, cells[0]) is not None
+        assert shards.out[0, 0] == 0
+        _same([getattr(got, c) for c in PUSHED], [getattr(parts, c) for c in PUSHED])
+        fields = _node_fields(planes)
+        _, numpy_said = self._warned(lambda: gather_push_numpy(grid, want, fields, 0.3, cells[1]))
+        _, we_said = self._warned(lambda: gather_push_slice(grid, got, planes, 0.3, cells=cells[0]))
+        assert we_said == numpy_said
+        _same([cells[0], *(getattr(got, c) for c in PUSHED)], [cells[1], *(getattr(want, c) for c in PUSHED)])
+
+    def _moved(self, n, seed):
+        """Particles at the ends of :func:`_segments`' moves, their starts
+        and the owners and counts of three ranks (one empty)."""
+        x_old, y_old, x_new, y_new, _ = _segments(self.grid, n, seed)
+        parts = _particles(self.grid, n, seed)
+        parts.x[:], parts.y[:] = x_new, y_new
+        owner = CurveBlockDecomposition(self.grid, 3, "hilbert").owner_map
+        counts = np.array([n // 3, 0, n - n // 3], dtype=np.int64)
+        return parts, x_old, y_old, owner, counts
+
+    @pytest.mark.parametrize("poison", ["x_old", "y_old", "w", "a move of a cell"])
+    def test_modern_scatter_declines_to_its_numpy_body(self, compiled, poison):
+        """A start or a charge that is not finite, or a move of a cell: the
+        modern scatter declines, and the public pass raises, or answers and
+        warns, as its NumPy body does."""
+        grid = self.grid
+        parts, x_old, y_old, owner, counts = self._moved(60, 6)
+        if poison == "a move of a cell":
+            x_old[23] = parts.x[23] - grid.dx
+        else:
+            {"x_old": x_old, "y_old": y_old, "w": parts.w}[poison][17] = np.inf
+        moved = (x_old, y_old, 0.4)
+        acc = np.empty((4, grid.nnodes))
+        assert compiled.scatter(grid, parts, counts, owner, acc, None, moved) is None
+        want_acc = np.empty_like(acc)
+        try:
+            want, numpy_said = self._warned(
+                lambda: scatter_yee_numpy(grid, parts, counts, owner, want_acc, *moved)
+            )
+        except ValueError:
+            with pytest.raises(ValueError, match="less than one cell"):
+                scatter_segment(grid, parts, counts, owner, acc, moved=moved)
+            return
+        (_, _, _, batch), we_said = self._warned(
+            lambda: scatter_segment(grid, parts, counts, owner, acc, moved=moved)
         )
         assert we_said == numpy_said
-        _same((eb, cells), want)
-
-    def test_zigzag_bin_declines_bad_indices_and_values_untouched(self, compiled):
-        """A pair beyond the table is NumPy's IndexError, a destination below
-        0 or beyond the bins its ValueError; a pair of -1 NumPy counts from
-        the end; a value that is not finite NumPy sums.  The compiled pass
-        declines each, both outputs as they were."""
-        grid = self.grid
-        entries = zigzag_entries_numpy(grid, *_segments(grid, 60, 6), 0.4)
-        slots = _zigzag_slots(grid, entries, 3, 6)
-        values = np.stack((entries[1].ravel(), entries[3].ravel()))
-        npairs, nbins = len(slots.dest), grid.nnodes + slots.nodes.size
-        cases = []
-        for row, bad in ((0, npairs), (1, 2**40), (0, -1)):
-            pair_of = slots.pair_of.copy()
-            pair_of[row, 7] = bad
-            cases.append((values, slots.dest, pair_of))
-        for bad in (-1, nbins):
-            dest = slots.dest.copy()
-            dest[slots.pair_of[0, 9], JY_VERTICES[0]] = bad
-            cases.append((values, dest, slots.pair_of))
-        for bad in (np.nan, np.inf):
-            poisoned = values.copy()
-            poisoned[1, 31] = bad
-            cases.append((poisoned, slots.dest, slots.pair_of))
-        shapes = (2, grid.nnodes), (2, slots.nodes.size)
-        for values, dest, pair_of in cases:
-            acc, summed = (np.full(shape, 3.0) for shape in shapes)
-            assert not compiled.zigzag_bin(values, VERTICES, dest, pair_of, acc, summed)
-            _same((acc, summed), [np.full(shape, 3.0) for shape in shapes])
-            try:
-                want = [np.empty(shape) for shape in shapes]
-                deposit_zigzag_entries_numpy(values, dest, pair_of, *want)
-            except (IndexError, ValueError) as exc:
-                with pytest.raises(type(exc)):
-                    deposit_zigzag_entries(values, dest, pair_of, acc, summed)
-            else:
-                deposit_zigzag_entries(values, dest, pair_of, acc, summed)
-                _same((acc, summed), want)
-        bad_vertex = (JX_VERTICES, (0, 1, 0, 4))
-        assert not compiled.zigzag_bin(values, bad_vertex, slots.dest, slots.pair_of, acc, summed)
+        _same((acc, batch.ids, batch.values), (want_acc, want[3], want[0]))
 
     def test_modern_kernels_take_no_view_or_other_dtype(self, compiled):
-        """float32 or strided arguments, or a ``pair_of`` of one row, take the
-        NumPy body; the public functions answer with its bytes."""
+        """float32 or strided arguments take the NumPy body; the public
+        functions answer with its bytes."""
         grid = self.grid
         x_old, y_old, x_new, y_new, charge = _segments(grid, 64, 7)
         segments = (x_old, y_old, x_new, y_new, charge)
@@ -1041,43 +1037,14 @@ class TestDeclined:
         blocks += [np.empty((4, 64), dtype=np.int64), np.empty((4, 64))]
         assert compiled.zigzag(grid, x_old, y_old, x_new, y_new, charge, 0.4, blocks) is None
 
-        node_values = _node_values(grid, 6, 7)
-        eb, cells = np.empty((6, 64)), np.empty((4, 64), dtype=np.int64)
-        declined = [
-            (x_old.astype(np.float32), y_old, node_values, eb, cells),
-            (x_old[::2], y_old[::2], node_values, eb[:, :32], cells[:, :32]),
-            (x_old, y_old, np.ascontiguousarray(node_values.T).T, eb, cells),
-            (x_old, y_old, node_values, np.empty((6, 128))[:, ::2], cells),
-            (x_old, y_old, node_values, eb, cells.astype(np.int32)),
-        ]
-        for args in declined:
-            assert not compiled.yee_gather(grid, *args)
-        want = np.empty((6, 32)), np.empty((4, 32), dtype=np.int64)
-        staggered_gather_numpy(grid, x_old[::2], y_old[::2], node_values, *want)
-        staggered_gather(grid, x_old[::2], y_old[::2], node_values, eb[:, :32], cells[:, :32])
-        _same((eb[:, :32], cells[:, :32]), want)
-
-        entries = zigzag_entries_numpy(grid, x_old, y_old, x_new, y_new, charge, 0.4)
-        slots = _zigzag_slots(grid, entries, 2, 7)
-        values = np.stack((entries[1].ravel(), entries[3].ravel()))
-        shapes = (2, grid.nnodes), (2, slots.nodes.size)
-        acc, summed = (np.empty(shape) for shape in shapes)
-        strided = np.repeat(values, 2, axis=1)[:, ::2]
-        declined = [
-            (values.astype(np.float32), slots.dest, slots.pair_of, acc, summed),
-            (strided, slots.dest, slots.pair_of, acc, summed),
-            (values, slots.dest.astype(np.int32), slots.pair_of, acc, summed),
-            (values, slots.dest, slots.pair_of[:1].copy(), acc, summed),
-            (values, slots.dest, np.asfortranarray(slots.pair_of), acc, summed),
-            (values, slots.dest, slots.pair_of, np.empty((4, grid.nnodes))[::2], summed),
-            (values, slots.dest, slots.pair_of, acc, np.empty((1, slots.nodes.size))),
-        ]
-        for values_, dest, pair_of, acc_, summed_ in declined:
-            assert not compiled.zigzag_bin(values_, VERTICES, dest, pair_of, acc_, summed_)
-        want = [np.empty(shape) for shape in shapes]
-        deposit_zigzag_entries_numpy(values, slots.dest, slots.pair_of, *want)
-        deposit_zigzag_entries(strided, slots.dest, slots.pair_of, acc, summed)
-        _same((acc, summed), want)
+        parts, x_old, y_old, owner, counts = self._moved(64, 7)
+        strided = np.repeat(x_old, 2)[::2]
+        acc, want_acc = np.empty((2, 4, grid.nnodes))
+        for moved in ((x_old.astype(np.float32), y_old, 0.4), (strided, y_old, 0.4)):
+            assert compiled.scatter(grid, parts, counts, owner, acc, None, moved) is None
+        want = scatter_segment(grid, parts, counts, owner, want_acc, moved=(x_old, y_old, 0.4))
+        got = scatter_segment(grid, parts, counts, owner, acc, moved=(strided, y_old, 0.4))
+        _same((acc, got[3].ids, got[3].values), (want_acc, want[3].ids, want[3].values))
 
 
 # ----------------------------------------------------------------------

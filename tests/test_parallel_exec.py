@@ -61,39 +61,37 @@ class TestGracefulFallback:
             assert create_backend(1, Grid2D(8, 8)) is None
             assert create_backend(None, Grid2D(8, 8)) is None
 
-    def test_workers_ignored_off_flat_era(self):
-        cfg = SimulationConfig(
-            nx=16, ny=8, nparticles=256, p=2, seed=1, kernel="modern"
-        )
-        with pytest.warns(RuntimeWarning, match="ignored"):
-            sim = Simulation(cfg, workers=2)
-        assert sim.backend is None
-        sim.close()
+    def test_modern_kernel_shards_on_the_team(self):
+        """The modern stepper takes the simulation's backend, as the era's
+        does: each particle phase is one call cut into a shard a worker."""
+        cfg = SimulationConfig(nx=16, ny=8, nparticles=256, p=2, seed=1, kernel="modern")
+        with Simulation(cfg, workers=2) as sim:
+            assert isinstance(sim.backend, FlatBackend) and sim.pic.backend is sim.backend
+            sim.backend.drain_profile()
+            sim.run(3)
+            drained = sim.backend.drain_profile()
+        assert {phase: tasks for phase, (tasks, _) in drained.items()} == {
+            "scatter": 3 * 2, "gather_push": 3 * 2,
+        }  # fmt: skip
 
 
-class TestDegradedObservability:
-    """An in-process run of a ``workers`` request must be visible in results + telemetry."""
+class TestWorkerCountIsInvisible:
+    """What a run reports does not depend on how many workers ran it."""
 
-    def test_engine_mismatch_sets_degraded_marker(self):
-        cfg = SimulationConfig(
-            nx=16, ny=8, nparticles=256, p=2, seed=1, kernel="modern"
-        )
-        with pytest.warns(RuntimeWarning, match="ignored"):
-            sim = Simulation(cfg, workers=2)
-        assert sim.degraded is not None
-        assert sim.degraded["requested_workers"] == 2
-        assert "kernel='modern'" in sim.degraded["reason"]
-        sim.close()
-
-    def test_true_runs_carry_no_marker(self):
-        cfg = SimulationConfig(nx=16, ny=8, nparticles=256, p=2, seed=1)
-        sim = Simulation(cfg)  # in-process was *requested*: not degraded
-        sim.enable_telemetry()
-        result = sim.run(1)
-        assert sim.degraded is None
-        assert "degraded" not in result.to_dict()  # byte-identity preserved
-        assert "degraded" not in sim.telemetry.header()
-        sim.close()
+    @pytest.mark.parametrize("kernel", ["era", "modern"])
+    def test_two_workers_report_the_in_process_run(self, either_kernels, kernel):
+        """No warning, and the result document and the telemetry header of a
+        ``workers=2`` run are those of the ``workers=0`` run."""
+        cfg = SimulationConfig(nx=16, ny=8, nparticles=256, p=2, seed=1, kernel=kernel)
+        reports = []
+        for workers in (0, 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with Simulation(cfg, workers=workers) as sim:
+                    assert (sim.backend is not None) == (workers == 2)
+                    sim.enable_telemetry()
+                    reports.append((sim.run(3).to_dict(), sim.telemetry.header()))
+        assert reports[1] == reports[0]
 
 
 # ----------------------------------------------------------------------
@@ -155,11 +153,12 @@ def _columns(parts) -> list[bytes]:
 
 
 def _scattered(result) -> list[bytes]:
-    """Everything a scatter hands the stepper, rows summed in shard order."""
+    """Everything a scatter hands the stepper, rows summed in shard order
+    (the modern scatter has no tallies: ``None``)."""
     rows, entries, uniq, batch = result
     acc = reduce_rank_rows(rows, np.zeros(rows.shape[1:]))
-    return [a.tobytes() for a in (acc, entries, uniq, batch.src, batch.dst, batch.offsets,
-                                  batch.ids, batch.values)]  # fmt: skip
+    arrays = (acc, entries, uniq, batch.src, batch.dst, batch.offsets, batch.ids, batch.values)
+    return [None if a is None else a.tobytes() for a in arrays]
 
 
 @pytest.fixture(params=["compiled", "numpy"])
@@ -180,7 +179,7 @@ class TestShardThreads:
         backend = FlatBackend(workers, _GRID)
         try:
             row = np.empty((1, len(CHANNELS), _GRID.nnodes))
-            _, *tallies = scatter_segment(_GRID, ref.array, ref.counts, 0, node_owner, row[0])
+            _, *tallies = scatter_segment(_GRID, ref.array, ref.counts, node_owner, row[0])
             got = backend.scatter(pool, node_owner)
             assert len(backend._cuts(pool.offsets)) - 1 <= max(min(workers, p), 1)
             assert got[0].shape == row.shape  # one output, as in-process
@@ -190,6 +189,18 @@ class TestShardThreads:
                 gather_push_slice(_GRID, ref.array, planes, 0.05)
                 backend.gather_push(pool, planes, 0.05)
                 assert _columns(pool.array) == _columns(ref.array)
+
+            # the modern stepper's modes: the Yee gather + push, then the scatter of its moves
+            moved = (ref.array.x.copy(), ref.array.y.copy(), 0.05)
+            cells = np.empty((2, 4, pool.n), dtype=np.int64)
+            gather_push_slice(_GRID, ref.array, planes, 0.05, cells=cells[0])
+            backend.gather_push(pool, planes, 0.05, cells[1])
+            assert _columns(pool.array) == _columns(ref.array)
+            assert cells[0].tobytes() == cells[1].tobytes()
+            _, *tallies = scatter_segment(
+                _GRID, ref.array, ref.counts, node_owner, row[0], moved=moved
+            )
+            assert _scattered(backend.scatter(pool, node_owner, moved)) == _scattered((row, *tallies))
         finally:
             backend.close()
 
@@ -208,7 +219,7 @@ class TestShardThreads:
             deadline = time.monotonic() + 20.0
             for _ in range(25):
                 row = np.empty((1, len(CHANNELS), _GRID.nnodes))
-                _, *tallies = scatter_segment(_GRID, ref.array, ref.counts, 0, node_owner, row[0])
+                _, *tallies = scatter_segment(_GRID, ref.array, ref.counts, node_owner, row[0])
                 got = backend.scatter(pool, node_owner)
                 assert _scattered(got) == _scattered((row, *tallies))
                 gather_push_slice(_GRID, ref.array, planes, 0.05)
@@ -327,7 +338,7 @@ class TestTeam:
         node_owner = CurveBlockDecomposition(_GRID, pools[0].p, "hilbert").owner_map
         row = np.empty((1, len(CHANNELS), _GRID.nnodes))
         ref = pools[0].array.copy()
-        want = _scattered((row, *scatter_segment(_GRID, ref, pools[0].counts, 0, node_owner,
+        want = _scattered((row, *scatter_segment(_GRID, ref, pools[0].counts, node_owner,
                                                  row[0])[1:]))  # fmt: skip
         backend, got = FlatBackend(2, _GRID), []
 

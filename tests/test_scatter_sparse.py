@@ -23,7 +23,8 @@ from repro import native
 from repro.core import ParticlePartitioner
 from repro.machine import FaultEvent, FaultPlan, MachineModel, VirtualMachine
 from repro.mesh import CurveBlockDecomposition, Grid2D
-from repro.parallel_exec import FlatBackend
+from repro.native.calls import Shards
+from repro.parallel_exec import FlatBackend, create_backend
 from repro.parallel_exec.kernels import reduce_rank_rows, scatter_segment
 from repro.particles import ParticleArray, ParticlePool, gaussian_blob, uniform_plasma
 from repro.pic import ParallelPIC, Simulation, SimulationConfig
@@ -148,38 +149,28 @@ class TestDenseRowOracle:
         assert np.array_equal(pic.ghost_unique, uniq_d)
         assert np.array_equal(pic.ghost_ops, GHOST_TABLES[table].OPS_PER_ENTRY * entries_d)
 
-        # the kernel alone, sharded at an arbitrary rank cut like a
-        # two-worker backend would: rows, tallies and message payloads
+        # the kernel alone, cut at an arbitrary rank like a two-worker
+        # backend's shards: row, tallies and message payloads
         pool = ParticlePool.from_ranks(local)
-        shards = [(a, b) for a, b in ((0, cut), (cut, p)) if b > a]
-        rows = np.empty((len(shards), NCH, nnodes))
-        entries, uniq, messages = [], [], {}
-        for row, (r0, r1) in zip(rows, shards):
-            lo, hi = pool.offsets[r0], pool.offsets[r1]
-            args = (grid, pool.array.slice_view(lo, hi), pool.counts[r0:r1], r0, owner)
-            cic, ent, unq, batch = scatter_segment(*args, row)
-            # the (rank, cell) pair path against the per-entry sort it replaced
-            msgs = [
-                [(dst, *payload) for dst, payload in outbox.items()]
-                for outbox in batch.to_dicts(p)[r0:r1]
-            ]
-            ref_row = np.empty_like(row)
-            _assert_same_bytes(
-                (cic, ent, unq, msgs, row), (*reference_scatter_segment(*args, ref_row), ref_row)
-            )
-            assert not any(batch.to_dicts(p)[:r0]) and not any(batch.to_dicts(p)[r1:])
-            entries.append(ent)
-            uniq.append(unq)
-            for lr, per_rank in enumerate(msgs):
-                for dst, ids, vals in per_rank:
-                    messages[(dst, r0 + lr)] = (ids, vals)
-        assert np.array_equal(np.concatenate(entries), entries_d)
-        assert np.array_equal(np.concatenate(uniq), uniq_d)
+        cuts = np.array(sorted({0, cut, p}))
+        shards = Shards(cuts, pool.offsets[cuts], None, np.zeros((len(cuts) - 1, 3), np.int64))
+        args = (grid, pool.array, pool.counts, owner)
+        row = np.empty((NCH, nnodes))
+        cic, entries, uniq, batch = scatter_segment(*args, row, shards)
+        # the (rank, cell) pair path against the per-entry sort it replaced
+        msgs = [[(dst, *payload) for dst, payload in outbox.items()] for outbox in batch.to_dicts(p)]
+        ref_row = np.empty_like(row)
+        _assert_same_bytes(
+            (cic, entries, uniq, msgs, row), (*reference_scatter_segment(*args, ref_row), ref_row)
+        )
+        messages = {(dst, r): (ids, vals) for r, sent in enumerate(msgs) for dst, ids, vals in sent}
+        assert np.array_equal(entries, entries_d)
+        assert np.array_equal(uniq, uniq_d)
         assert messages.keys() == messages_d.keys()
         for key, (ids, vals) in messages.items():
             assert np.array_equal(ids, messages_d[key][0])
             assert np.array_equal(vals, messages_d[key][1])
-        sharded = reduce_rank_rows(rows, np.zeros((NCH, nnodes)))
+        sharded = reduce_rank_rows(row[None], np.zeros((NCH, nnodes)))
         for key in sorted(messages):
             ids, vals = messages[key]
             for c in range(NCH):
@@ -190,12 +181,12 @@ class TestDenseRowOracle:
 # ----------------------------------------------------------------------
 # ghost slots computed on (rank, cell) pairs == np.unique of the entry keys
 # ----------------------------------------------------------------------
-def _check_ghost_slots(grid, owner, ranks, nodes, r0):
+def _check_ghost_slots(grid, owner, ranks, nodes):
     """``ghost_slots`` of one cell row against the off-rank entries' keys."""
-    slots = ghost_slots(grid, owner, ranks, nodes[:, :1].T, r0)
+    slots = ghost_slots(grid, owner, ranks, nodes[:, :1].T)
     entry_ranks = np.repeat(ranks, 4)
     flat = nodes.ravel()
-    off = owner[flat] != entry_ranks + r0
+    off = owner[flat] != entry_ranks
     # one slot per distinct off-rank (rank, node), numbered by (rank, owner, node)
     stride = int(owner.max()) + 1
     keys, inverse = np.unique(
@@ -215,13 +206,10 @@ class TestGhostSlots:
     @given(case=scatter_cases())
     @settings(max_examples=40, deadline=None)
     def test_match_unique_of_entry_keys(self, case):
-        grid, decomp, local, _, cut = case
+        grid, decomp, local, _, _ = case
         pool = ParticlePool.from_ranks(local)
-        for r0, r1 in ((0, cut), (cut, decomp.p)):  # shard-local ranks, as a worker sees them
-            parts = pool.array.slice_view(pool.offsets[r0], pool.offsets[r1])
-            nodes, _ = grid.cic_vertices_weights(parts.x, parts.y)
-            ranks = np.repeat(np.arange(r1 - r0), pool.counts[r0:r1])
-            _check_ghost_slots(grid, decomp.owner_map, ranks, nodes, r0)
+        nodes, _ = grid.cic_vertices_weights(pool.array.x, pool.array.y)
+        _check_ghost_slots(grid, decomp.owner_map, pool.rank_of_particles(), nodes)
 
     def test_empty_input(self):
         grid = Grid2D(8, 4)
@@ -238,7 +226,7 @@ class TestGhostSlots:
         parts = uniform_plasma(grid, 300, rng=7)
         nodes, _ = grid.cic_vertices_weights(parts.x, parts.y)
         ranks = np.repeat(np.arange(3), 100)
-        _check_ghost_slots(grid, owner, ranks, nodes, 0)
+        _check_ghost_slots(grid, owner, ranks, nodes)
         slots = ghost_slots(grid, owner, ranks, nodes[:, :1].T)
         assert (slots.dest[slots.pair_of[0, 100:200]] >= grid.nnodes).all()
 
@@ -246,9 +234,9 @@ class TestGhostSlots:
 # ----------------------------------------------------------------------
 # one bincount per channel over destinations == on-rank / ghost split
 # ----------------------------------------------------------------------
-def _reference_pair(grid, parts, counts, r0, owner):
-    """``scatter_segment`` and its per-entry reference on the same shard."""
-    args = (grid, parts, np.asarray(counts, dtype=np.int64), r0, owner)
+def _reference_pair(grid, parts, counts, owner):
+    """``scatter_segment`` and its per-entry reference on the same pool."""
+    args = (grid, parts, np.asarray(counts, dtype=np.int64), owner)
     row, ref_row = np.full((NCH, grid.nnodes), np.nan), np.full((NCH, grid.nnodes), np.nan)
     return scatter_segment(*args, row), row, reference_scatter_segment(*args, ref_row), ref_row
 
@@ -261,7 +249,7 @@ class TestDepositByDestination:
         parts = gaussian_blob(grid, 400, rng=3)
         owner = np.zeros(grid.nnodes, dtype=np.int64)
         (cic, ent, unq, batch), row, (_, ent_r, unq_r, msgs_r), ref_row = _reference_pair(
-            grid, parts, [parts.n], 0, owner
+            grid, parts, [parts.n], owner
         )
         assert batch.src.size == batch.ids.size == 0 and batch.values.shape == (NCH, 0)
         assert msgs_r == [[]] and not ent.any() and not unq.any()
@@ -269,19 +257,17 @@ class TestDepositByDestination:
         _assert_same_bytes(row, accumulate_entries(grid.nnodes, *deposition_entries(grid, parts)))
 
     def test_every_entry_off_rank_in_a_shard_with_empty_ranks(self):
-        """A worker shard of ranks 1..3 that owns no node: ranks 1 and 3
-        hold the particles, rank 2 is empty, nothing is deposited on-rank."""
+        """Ranks 1..3 own no node: ranks 1 and 3 hold the particles, ranks
+        0 and 2 are empty, nothing is deposited on-rank."""
         grid = Grid2D(16, 8)
         owner = np.where(np.arange(grid.nnodes) % 3 == 0, 0, 4)
         parts = uniform_plasma(grid, 300, rng=9)
         (cic, ent, unq, batch), row, (_, ent_r, unq_r, msgs_r), ref_row = _reference_pair(
-            grid, parts, [180, 0, 120], 1, owner
+            grid, parts, [0, 180, 0, 120], owner
         )
         assert not row.any() and not ref_row.any()
-        assert list(ent) == [4 * 180, 0, 4 * 120] and unq[1] == 0
-        msgs = [
-            [(dst, *payload) for dst, payload in outbox.items()] for outbox in batch.to_dicts(5)[1:4]
-        ]
+        assert list(ent) == [0, 4 * 180, 0, 4 * 120] and unq[0] == unq[2] == 0
+        msgs = [[(dst, *payload) for dst, payload in outbox.items()] for outbox in batch.to_dicts(5)[:4]]
         _assert_same_bytes((ent, unq, msgs), (ent_r, unq_r, msgs_r))
         assert set(batch.src.tolist()) == {1, 3} and set(batch.dst.tolist()) == {0, 4}
 
@@ -358,7 +344,8 @@ def _build(engine, workers=0):
     local = ParticlePartitioner(grid, "hilbert").initial_partition(
         gaussian_blob(grid, 1200, rng=21), p
     )
-    pic = STEPPERS[engine](vm, grid, decomp, local, workers=workers, smoothing_passes=0)
+    backend = create_backend(workers, grid)
+    pic = STEPPERS[engine](vm, grid, decomp, local, backend=backend, smoothing_passes=0)
     vm.install_faults(FaultPlan(events=(FaultEvent(kind="poison", phase="scatter"),)))
     return vm, pic
 
@@ -383,7 +370,8 @@ def test_poisoned_scatter_identical_across_engines():
             np.testing.assert_array_equal(vm.clocks, vm_ref.clocks)
     finally:
         for _, pic in built:
-            pic.close()
+            if pic.backend is not None:
+                pic.backend.close()
 
 
 # ----------------------------------------------------------------------
@@ -506,8 +494,8 @@ def test_warm_steps_are_not_page_faulted_in(kernel, workers):
     each.  Fresh 1-2 MB CIC and interpolation outputs per step cost ~860
     here in-process and ~750 under two shard threads; the stepper's kept
     buffers, the compiled ``ghost_slots`` and its scratch leave 0-15.  The
-    modern stepper keeps its fields, cells, pre-push positions and zigzag
-    entry blocks, and leaves 0-6.  A fresh interpreter, because what
+    modern stepper keeps its stencil cells and pre-push positions, and its
+    two passes are the era's.  A fresh interpreter, because what
     faults depends on the allocator's history, which the rest of the
     suite would set."""
     path = "compiled" if native.kernels() is not None else "numpy"

@@ -10,10 +10,10 @@ reports for one step at a fixed mesh and particle count and compares
 one pool whose per-rank views are built only when something reads them,
 and the ghost tallies are per-rank arrays, so a step may add at most one
 call per added rank.  The Eulerian stepper migrates every particle each
-step into a new pool and is held to the same bound.  Under
-``workers=2`` the helper thread that runs the second shard makes no
-Python-level call at all: it stays inside the compiled pass, so every
-call counted is the stepping thread's.  No wall clock is read.
+step into a new pool and is held to the same bound.  On a two-worker
+backend (either stepper) the helper thread that runs the second shard
+makes no Python-level call at all: it stays inside the compiled pass, so
+every call counted is the stepping thread's.  No wall clock is read.
 
 A redistribution (paper Fig 12: index, incremental sort, balance, bucket
 rebuild) runs the same way, as whole-pool passes with every particle
@@ -30,6 +30,7 @@ import pytest
 from repro.core import ParticlePartitioner
 from repro.machine import MachineModel, VirtualMachine
 from repro.mesh import CurveBlockDecomposition, Grid2D
+from repro.parallel_exec import create_backend
 from repro.particles import gaussian_blob
 from repro.pic import ParallelPIC, Simulation, SimulationConfig
 from repro.pic.parallel_yee import ParallelYeePIC
@@ -40,7 +41,7 @@ CALLS_PER_RANK = 1
 REDISTRIBUTION_CALLS_PER_RANK = 1
 
 
-def _calls_of_one_step(stepper_cls, p, **kwargs):
+def _calls_of_one_step(stepper_cls, p, workers=0, **kwargs):
     grid = Grid2D(64, 32)
     vm = VirtualMachine(p, MachineModel.cm5())
     decomp = CurveBlockDecomposition(grid, p, "hilbert")
@@ -54,8 +55,9 @@ def _calls_of_one_step(stepper_cls, p, **kwargs):
         if counting and event in ("call", "c_call"):
             calls[threading.get_ident()] += 1
 
-    threading.setprofile(count)  # the shard threads, started with the stepper, count too
-    pic = stepper_cls(vm, grid, decomp, local, **kwargs)
+    threading.setprofile(count)  # the shard threads, started with the backend, count too
+    backend = create_backend(workers, grid)
+    pic = stepper_cls(vm, grid, decomp, local, backend=backend, **kwargs)
     try:
         pic.step()  # fills the caches
         sys.setprofile(count)
@@ -65,7 +67,8 @@ def _calls_of_one_step(stepper_cls, p, **kwargs):
         counting = False  # the helpers leave the C pass and Python in close()
         sys.setprofile(None)
         threading.setprofile(None)
-        pic.close()
+        if backend is not None:
+            backend.close()
     assert list(calls) == [threading.get_ident()], "a thread besides the stepping one ran Python"
     messages = vm.stats.phase("scatter").total_msgs + vm.stats.phase("field").total_msgs
     return sum(calls.values()), messages
@@ -77,9 +80,13 @@ def _calls_of_one_step(stepper_cls, p, **kwargs):
         (ParallelPIC, {}),
         (ParallelYeePIC, {}),
         (ParallelPIC, {"workers": 2}),
+        (ParallelYeePIC, {"workers": 2}),
         (ParallelPIC, {"movement": "eulerian"}),
     ],
-    ids=["ParallelPIC", "ParallelYeePIC", "ParallelPIC-workers2", "ParallelPIC-eulerian"],
+    ids=[
+        "ParallelPIC", "ParallelYeePIC", "ParallelPIC-workers2", "ParallelYeePIC-workers2",
+        "ParallelPIC-eulerian",
+    ],  # fmt: skip
 )
 def test_step_calls_do_not_grow_with_messages(stepper_cls, kwargs):
     calls_8, messages_8 = _calls_of_one_step(stepper_cls, 8, **kwargs)

@@ -1,6 +1,6 @@
 """Nothing a ``workers=N`` run starts outlives it.
 
-``Simulation.close()`` / ``__exit__`` and ``ParallelPIC.close()`` join the
+``Simulation.close()`` / ``__exit__`` and ``FlatBackend.close()`` join the
 helper threads of the backend's team: afterwards the process has the
 threads, the kernel tasks and the children it had before — after a clean
 run, after a run that raised mid-step (from the driver and from the NumPy
@@ -71,8 +71,8 @@ def _shard_raises_mid_step(tmp_path, monkeypatch):
         pytest.skip("the NumPy bodies push every shard to its end")
     real, steps = Kernels.gather_push, []
 
-    def short(self, grid, parts, planes, dt, shards):
-        fields = real(self, grid, parts, planes, dt, shards)
+    def short(self, grid, parts, planes, dt, shards, cells=None):
+        fields = real(self, grid, parts, planes, dt, shards, cells)
         steps.append(1)
         if len(steps) == 2:
             shards.out[-1, 0] = 0
@@ -112,10 +112,13 @@ def test_no_thread_and_no_child_left_behind(scenario, tmp_path, monkeypatch):
     _assert_back_to(before)
 
 
-def test_stepper_that_made_its_backend_joins_it():
+def test_a_stepper_leaves_its_backend_to_whoever_made_it():
+    """Closing a stepper lets go of the backend; closing the backend joins
+    its team (twice is once)."""
     from repro.core import ParticlePartitioner
     from repro.machine import MachineModel, VirtualMachine
     from repro.mesh import CurveBlockDecomposition, Grid2D
+    from repro.parallel_exec import create_backend
     from repro.particles import gaussian_blob
     from repro.pic import ParallelPIC
 
@@ -124,12 +127,15 @@ def test_stepper_that_made_its_backend_joins_it():
     local = ParticlePartitioner(grid, "hilbert").initial_partition(
         gaussian_blob(grid, 600, rng=5), p
     )
+    backend = create_backend(3, grid)
     pic = ParallelPIC(
         VirtualMachine(p, MachineModel.cm5()), grid, CurveBlockDecomposition(grid, p, "hilbert"),
-        local, workers=3,
+        local, backend=backend,
     )  # fmt: skip
     pic.step()
-    assert threading.active_count() == before[0] + (2 if native.kernels() is not None else 0)
+    helpers = 2 if native.kernels() is not None else 0
     pic.close()
-    pic.close()  # idempotent
+    assert pic.backend is None and threading.active_count() == before[0] + helpers
+    backend.close()
+    backend.close()  # idempotent
     _assert_back_to(before)

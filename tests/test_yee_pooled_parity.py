@@ -28,6 +28,7 @@ from repro.bench import CASES, run_cases
 from repro.core import ParticlePartitioner
 from repro.machine import FaultEvent, FaultPlan, MachineModel, VirtualMachine
 from repro.mesh import CurveBlockDecomposition, Grid2D
+from repro.parallel_exec import create_backend
 from repro.particles import ParticleArray, ParticlePool, gaussian_blob, uniform_plasma
 from repro.pic import ParallelPIC, Simulation, SimulationConfig
 from repro.pic.interpolation import gather_from_node_values
@@ -302,8 +303,8 @@ class TestProfilerSections:
         assert profiled.run(4).to_dict() == plain.run(4).to_dict()
         profiled.save_profile(tmp_path)
         folded = (tmp_path / "profile.folded").read_text()
-        for frame in ("gather;interpolate", "gather;exchange", "push;boris_push",
-                      "scatter;deposit", "scatter;ghost_merge"):  # fmt: skip
+        for frame in ("gather;gather_push", "gather;exchange", "scatter;deposit",
+                      "scatter;ghost_merge"):  # fmt: skip
             assert f"{frame} " in folded
 
 
@@ -415,13 +416,14 @@ class TestMemoryPins:
     # kernels (the era scatter's (4, n, 4) entry block, the gather's
     # (n, 4, ncomp) block and ghost_slots' sort keys are never built) and on
     # their NumPy bodies; the era stepper's CIC and interpolation outputs,
-    # and the modern stepper's fields, cells, pre-push positions, zigzag
-    # entries and CIC, are kept across steps, so no step allocates them
+    # and the modern stepper's stencil cells, pre-push positions and (on the
+    # NumPy bodies) zigzag entries, are kept across steps, so no step
+    # allocates them
     @pytest.mark.parametrize(
         "cls, compiled, numpy_bodies, workers",
         [
             (ParallelPIC, 1_597_668, 7_469_356, 0),
-            (ParallelYeePIC, 1_724_543, 8_786_456, 0),
+            (ParallelYeePIC, 1_452_096, 8_393_808, 0),
             (ParallelPIC, 1_597_668, 7_469_356, 2),
         ],
         ids=["era", "modern", "era-workers2"],
@@ -435,13 +437,13 @@ class TestMemoryPins:
         grid, p = Grid2D(128, 64), 32
         vm = VirtualMachine(p, MachineModel.cm5())
         decomp = CurveBlockDecomposition(grid, p, "hilbert")
-        kwargs = {"workers": workers} if workers else {}
-        stepper = cls(vm, grid, decomp, _partitioned(grid, 32768, p), **kwargs)
+        backend = create_backend(workers, grid)
+        stepper = cls(vm, grid, decomp, _partitioned(grid, 32768, p), backend=backend)
         try:
             peak = _step_peak(stepper)
         finally:
-            if workers:
-                stepper.close()
+            if backend is not None:
+                backend.close()
         allowed = 1.1 * measured + workers * 4 * grid.nnodes * 8
         assert peak <= allowed, f"{cls.__name__}.step() peaked at {peak} B"
 
