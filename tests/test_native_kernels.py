@@ -49,7 +49,7 @@ from repro.pic.deposition import ghost_slots, ghost_slots_numpy
 from repro.pic.interpolation import gather_from_node_values, interpolate_numpy
 from repro.pic.push import boris_push, push_numpy
 from repro.pic.smoothing import binomial_smooth, binomial_smooth_numpy
-from repro.pic.zigzag import zigzag_entries, zigzag_entries_numpy
+from repro.pic.zigzag import deposit_zigzag_entries, zigzag_entries, zigzag_entries_numpy
 from repro.util.errors import SimulationIntegrityError
 from tests import vectorization_guard
 
@@ -286,6 +286,49 @@ def _modern_scatter_bytes(kernels, case, p, charge_scale):
         _same((*got[:4], acc), (*want[:4], want_acc))
 
 
+def _modern_scatter_groups(kernels, case, p, charge_scale, group):
+    """One entry group of the modern scatter (``"zigzag"``: the ``jx``/``jy``
+    channels; ``"cic"``: ``jz``/``rho``) against that group's own NumPy
+    body, on the ghost slots of the cells the entries hang off (both
+    sub-segments', then the CIC one) over ``p`` ranks, cut as
+    :func:`_modern_scatter_bytes` cuts it.  The pass keeps the slots in
+    their order and drops exactly those that no CIC entry and no nonzero
+    current reached."""
+    grid, n, seed = case
+    x_old, y_old, x_new, y_new, charge = _segments(grid, n, seed)
+    parts = _particles(grid, n, seed, charge_scale)
+    parts.x[:], parts.y[:] = x_new, y_new
+    parts.w[charge == 0.0] = 0.0
+    owner, counts, offsets = _ranks(grid, n, p, seed)
+    entries = zigzag_entries_numpy(grid, x_old, y_old, x_new, y_new, parts.w * parts.q, 0.6)
+    vertices = _cic_numpy(grid, x_new, y_new)
+    cells = np.stack((entries[0][0], entries[0][2], vertices[0][:, 0]))
+    slots = ghost_slots_numpy(grid, owner, np.repeat(np.arange(p), counts), cells)
+    nnodes, nslots = grid.nnodes, slots.nodes.size
+    assert p > 1 or nslots == 0
+    currents, current_sums = np.empty((2, nnodes)), np.empty((2, nslots))
+    values = np.stack((entries[1].ravel(), entries[3].ravel()))
+    deposit_zigzag_entries(values, slots.dest, slots.pair_of, currents, current_sums)
+    currents *= grid.dx
+    currents *= grid.dy
+    current_sums = current_sums * grid.dx * grid.dy + 0.0
+    cic = np.empty((4, nnodes))
+    cic_sums = deposit_numpy(grid, parts, vertices, slots.dest, slots.pair_of[2], cic, nslots)
+    has_cic = np.isin(nnodes + np.arange(nslots), slots.dest[slots.pair_of[2]])
+    keep = has_cic | (current_sums != 0).any(axis=0)
+    rows, want = {
+        "zigzag": (slice(0, 2), (current_sums[:, keep], currents)),
+        "cic": (slice(2, 4), (cic_sums[[3, 0]][:, keep], cic[[3, 0]])),
+    }[group]
+    for cuts in ([0, p], np.arange(p + 1)):
+        acc = np.full((4, nnodes), np.nan)
+        shards = _shards(cuts, offsets[cuts])
+        got = kernels.scatter(grid, parts, counts, owner, acc, shards, (x_old, y_old, 0.6))
+        assert got is not None
+        _same(got[1:4], (slots.ranks[keep], slots.owners[keep], slots.nodes[keep]))
+        _same((got[0][rows], acc[rows]), want)
+
+
 def _yee_gather_push_bytes(kernels, case, dt):
     """The Yee mode of the gather + push from positions on cell faces and
     half faces (the stencils' boundaries), some outside the box, as one
@@ -399,6 +442,22 @@ class TestBytes:
     @given(*MODERN_SCATTER_CASES)
     def test_modern_scatter(self, compiled, case, p, charge_scale):
         _modern_scatter_bytes(compiled, case, p, charge_scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(modern_cases, st.sampled_from([1, 4]), st.sampled_from([1.0, 1e-310, 3e-320]))
+    def test_deposit(self, compiled, case, p, charge_scale):
+        """The CIC ``jz``/``rho`` of the modern scatter are ``deposit_numpy``'s
+        at every shard cut of a ``p``-rank run (``p`` = 1: no ghost slot),
+        also with subnormal charges."""
+        _modern_scatter_groups(compiled, case, p, charge_scale, "cic")
+
+    @settings(max_examples=40, deadline=None)
+    @given(modern_cases, st.sampled_from([1, 3]), st.sampled_from([1.0, 1e-310]))
+    def test_zigzag_bin(self, compiled, case, p, charge_scale):
+        """Both components of real zigzag entries (some charges zero, or all
+        subnormal), binned by the ghost slots of their cells over ``p`` ranks
+        and scaled by the cell area, are ``deposit_zigzag_entries``' sums."""
+        _modern_scatter_groups(compiled, case, p, charge_scale, "zigzag")
 
     @settings(max_examples=40, deadline=None)
     @given(*YEE_GATHER_PUSH_CASES)

@@ -94,6 +94,38 @@ class TestWorkerCountIsInvisible:
         assert reports[1] == reports[0]
 
 
+class TestDegradedObservability:
+    """A run that fell back in-process would have to say so in its results
+    and telemetry; no request falls back, so none carries the marker."""
+
+    def test_engine_mismatch_sets_degraded_marker(self):
+        """The one engine mismatch there was (``kernel='modern'`` at
+        ``workers=2``, once run in-process with a warning and a marker)
+        now takes the team like the era kernel: no warning, and the
+        ``degraded`` field stays ``None`` and out of the document and the
+        telemetry header."""
+        cfg = SimulationConfig(nx=16, ny=8, nparticles=256, p=2, seed=1, kernel="modern")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with Simulation(cfg, workers=2) as sim:
+                assert isinstance(sim.backend, FlatBackend) and sim.pic.backend is sim.backend
+                sim.enable_telemetry()
+                result = sim.run(1)
+        assert result.degraded is None
+        assert "degraded" not in result.to_dict()
+        assert "degraded" not in sim.telemetry.header()
+
+    def test_true_runs_carry_no_marker(self):
+        cfg = SimulationConfig(nx=16, ny=8, nparticles=256, p=2, seed=1)
+        sim = Simulation(cfg)  # in-process was *requested*: not degraded
+        sim.enable_telemetry()
+        result = sim.run(1)
+        assert result.degraded is None
+        assert "degraded" not in result.to_dict()  # byte-identity preserved
+        assert "degraded" not in sim.telemetry.header()
+        sim.close()
+
+
 # ----------------------------------------------------------------------
 # sharding
 # ----------------------------------------------------------------------
