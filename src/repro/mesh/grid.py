@@ -163,9 +163,7 @@ class Grid2D:
         np.multiply(tx, ty, out=weights[:, 3])
         return nodes, weights
 
-    def cic_vertices_weights(
-        self, x: np.ndarray, y: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def cic_vertices_weights(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cloud-in-cell vertex nodes and bilinear weights for positions.
 
         Returns
@@ -178,15 +176,13 @@ class Grid2D:
             float64 array of shape ``(n, 4)`` — bilinear weights, summing
             to 1 per particle.
 
-        Both are fresh arrays, or the ``out`` pair of buffers written
-        into (the era stepper keeps its pair across steps).  One compiled
-        pass when :mod:`repro.native` is active, with the floats of the
-        two-axis NumPy evaluation either way.
+        One compiled pass when :mod:`repro.native` is active, with the
+        floats of the two-axis NumPy evaluation either way.
         """
         compiled = native.kernels()
-        found = compiled.cic(self, x, y, out) if compiled is not None else None
+        found = compiled.cic(self, x, y) if compiled is not None else None
         if found is None:
-            found = self.cic_from_axes(self.cic_axis(x, 0), self.cic_axis(y, 1), out)
+            found = self.cic_from_axes(self.cic_axis(x, 0), self.cic_axis(y, 1))
         return found
 
     def cell_vertices(self, cell_ids: np.ndarray) -> np.ndarray:

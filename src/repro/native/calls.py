@@ -1,17 +1,17 @@
 """The ctypes face of ``pic_kernels.c`` and its load-time self-check.
 
-Every :class:`Kernels` method answers ``None`` (``0`` particles for the
-push) when the caller has to run the NumPy body instead: an argument is
+Every :class:`Kernels` method answers ``None`` (``False`` for the field
+step) when the caller has to run the NumPy body instead: an argument is
 not a C-contiguous array of the expected dtype and shape (no silent copies
 — least of all of in-place outputs), or the C loop reported a float
 exception, a non-finite result, an out-of-range index or an input it
 does not cover, which NumPy then turns into its own warning, exception,
 NaN or answer.  The C loops write only output buffers — fresh ones, or
-the caller's ``out`` / the scatter's ``acc`` / the Yee gather's
-``cells``: a flagged call leaves an output for the NumPy body to refill.
-The field step works in a kept block and writes the caller's planes only
-once the whole call is clean.  The push writes the particles a chunk at a
-time, each chunk once it is clean, and answers how many it wrote: the
+the scatter's ``acc`` / the Yee gather's ``cells``: a flagged call
+leaves an output for the NumPy body to refill.  The field step works in
+a kept block and writes the caller's planes only once the whole call is
+clean.  The gather + push writes the particles a chunk at a time, each
+chunk once it is clean, and reports per shard how many it wrote: the
 NumPy body pushes the rest, which for per-particle arithmetic is its bytes
 and its warnings over all of them.
 """
@@ -38,7 +38,6 @@ _SIGNATURES = {
     "ghost_slots": (_I64, _I64, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _I64, _I64, *[_PTR] * 4),
     "field_step": (_I64, _I64, *[_PTR] * 11, _F64, _F64, _F64, _F64, _I64, _PTR),
     "smooth": (_I64, _I64, _PTR, _PTR, _PTR),
-    "zigzag": (_I64, *[_PTR] * 5, *[_F64] * 5, _I64, _I64, *[_PTR] * 4),
 }
 #: per scatter mode (era, modern): the kept int64 words per node and per
 #: particle of the longest segment in a shard's work row, its staged doubles
@@ -106,7 +105,7 @@ def _ptr(*arrays):
 
 
 class Kernels:
-    """The seven entry points of a loaded ``pic_kernels`` library."""
+    """The six entry points of a loaded ``pic_kernels`` library."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib  # keeps the library mapped
@@ -157,15 +156,12 @@ class Kernels:
         done — a thread runs one at a time, so they share the pages."""
         return self._rows("nodes", 1, size, np.float64)[0, :size]
 
-    def cic(self, grid, x, y, out=None):
-        """``Grid2D.cic_vertices_weights``: ``(nodes, weights)`` — ``out`` if
-        given — or ``None``."""
+    def cic(self, grid, x, y):
+        """``Grid2D.cic_vertices_weights``: ``(nodes, weights)`` or ``None``."""
         if not (isinstance(x, np.ndarray) and x.ndim == 1 and _plain(np.float64, x.shape, x, y)):
             return None
         n = x.shape[0]
-        nodes, weights = out or (np.empty((n, 4), dtype=np.int64), np.empty((n, 4)))
-        if not (_plain(np.int64, (n, 4), nodes) and _plain(np.float64, (n, 4), weights)):
-            return None
+        nodes, weights = np.empty((n, 4), dtype=np.int64), np.empty((n, 4))
         failed = self._cic(
             n, *_ptr(x, y), grid.lx, grid.ly, grid.dx, grid.dy, grid.nx, grid.ny,
             *_ptr(nodes, weights),
@@ -226,63 +222,34 @@ class Kernels:
             return summed, ranks, owners, nodes, None, None
         return summed, ranks, owners, nodes, tallies[:nranks], tallies[nranks:]
 
-    def gather_push(self, grid, parts, planes, dt, shards=None, cells=None):
+    def gather_push(self, grid, parts, planes, dt, shards, cells=None):
         """``gather_push_slice`` after its validation, in place, from the
         six ``(ny, nx)`` ``planes`` of E and B (given ``cells`` ``(4, n)``,
         on the Yee stencils, whose cells it writes there), in one call into
-        the C pass,
-        cut at ``shards.starts`` and run by ``shards.team`` (:class:`Shards`;
-        ``None``: one shard, this thread): the planes interleaved per node,
-        ``(nnodes, 8)`` in this thread's node block (:meth:`_nodes`), and in
+        the C pass, cut at ``shards.starts`` and run by ``shards.team``
+        (:class:`Shards`): the planes interleaved per node, ``(nnodes, 8)``
+        in this thread's node block (:meth:`_nodes`), and in
         ``shards.out[:, 0]`` per shard how many of its particles, from its
         first, hold the NumPy body's bytes (the rest are untouched);
         ``None``: nothing written."""
-        shards = shards or Shards.one(1, parts.n)
-        columns = self._columns(parts)
+        n = parts.n
+        columns = (parts.x, parts.y, parts.ux, parts.uy, parts.uz, parts.q, parts.m)
         if not (
-            columns is not None
+            _plain(np.float64, (n,), *columns)
+            and all(a.flags.writeable for a in columns[:5])
             and len(planes) == 6
             and _plain(np.float64, grid.shape, *planes)
-            and (cells is None or _plain(np.int64, (4, parts.n), cells))
+            and (cells is None or _plain(np.int64, (4, n), cells))
             and shards.plain()
         ):
             return None
         block = self._nodes(8 * grid.nnodes)
-        status = self._call_push(grid, parts.n, columns, block, _ptr(*planes), dt, shards, cells)
-        return None if status not in (OK, FLAGGED) else block.reshape(grid.nnodes, 8)
-
-    def boris_push(self, grid, parts, e, b, dt) -> int:
-        """``boris_push`` after its validation, in place: how many particles,
-        from the first, hold the NumPy body's bytes (the rest are untouched)."""
-        if not (
-            _plain(np.float64, (3, parts.n), e, b)
-            and not np.may_share_memory(e, parts.block)
-            and not np.may_share_memory(b, parts.block)
-        ):
-            return 0
-        columns, shards = self._columns(parts), Shards.one(1, parts.n)
-        if columns is None:
-            return 0
-        self._call_push(grid, parts.n, columns, None, _ptr(*e, *b), dt, shards, None)
-        return int(shards.out[0, 0])
-
-    @staticmethod
-    def _columns(parts):
-        """The particle columns the push reads and writes, or ``None``."""
-        n = parts.n
-        columns = (parts.x, parts.y, parts.ux, parts.uy, parts.uz, parts.q, parts.m)
-        if not (_plain(np.float64, (n,), *columns) and all(a.flags.writeable for a in columns[:5])):
-            return None
-        return columns
-
-    def _call_push(self, grid, n, columns, node_fields, rows, dt, shards, cells) -> int:
-        """The C pass's status."""
-        return self._gather_push(
-            n, *_ptr(*columns),
-            None if node_fields is None else node_fields.ctypes.data, *rows, dt, grid.lx, grid.ly,
-            grid.dx, grid.dy, grid.nx, grid.ny, None if cells is None else cells.ctypes.data,
-            len(shards.out), *shards.pointers("starts"),
+        status = self._gather_push(
+            n, *_ptr(*columns, block, *planes), dt, grid.lx, grid.ly, grid.dx, grid.dy, grid.nx,
+            grid.ny, None if cells is None else cells.ctypes.data, len(shards.out),
+            *shards.pointers("starts"),
         )  # fmt: skip
+        return None if status not in (OK, FLAGGED) else block.reshape(grid.nnodes, 8)
 
     def park(self, team: np.ndarray, slot: int) -> None:
         """Serve as helper ``slot`` of the team whose control block is
@@ -361,28 +328,6 @@ class Kernels:
         rows = self._block("smooth", 3 * shape[1], np.float64)
         return None if self._smooth(*shape, *_ptr(a, rows, out)) else out
 
-    def zigzag(self, grid, x_old, y_old, x_new, y_new, charge, dt, out=None):
-        """``zigzag_entries_numpy``: the ``(4, n)`` jx nodes, jx values, jy
-        nodes and jy values — ``out`` if given — or ``None``.  A move of a
-        cell or more, or a NaN one, is declined before anything is written."""
-        n = x_old.shape[0] if isinstance(x_old, np.ndarray) and x_old.ndim == 1 else -1
-        if not _plain(np.float64, (n,), x_old, y_old, x_new, y_new, charge):
-            return None
-        blocks = out or (
-            np.empty((4, n), dtype=np.int64), np.empty((4, n)),
-            np.empty((4, n), dtype=np.int64), np.empty((4, n)),
-        )  # fmt: skip
-        if not (
-            _plain(np.int64, (4, n), blocks[0], blocks[2])
-            and _plain(np.float64, (4, n), blocks[1], blocks[3])
-        ):
-            return None
-        failed = self._zigzag(
-            n, *_ptr(x_old, y_old, x_new, y_new, charge), dt, grid.lx, grid.ly, grid.dx, grid.dy,
-            grid.nx, grid.ny, *_ptr(*blocks),
-        )  # fmt: skip
-        return None if failed else blocks
-
 
 def self_check(found: Kernels) -> str | None:
     """Name the first entry point whose bytes differ from its NumPy body's.
@@ -397,9 +342,8 @@ def self_check(found: Kernels) -> str | None:
     first all inside the box, as one shard and as three run in turn; the
     gather + push of those particles from node values (interleaved as
     NumPy does it), on the CIC and on the Yee stencils, also in those
-    three shards, and the push from given fields; zigzag entries for moves
-    up to the longest one under a cell (some across the periodic seam, one
-    of zero charge) and the modern scatter of those moves, in those
+    three shards; the modern scatter of moves up to the longest one under
+    a cell (some across the periodic seam, one of zero charge), in those
     shards; a field step with the solver's defaults and one with raw
     currents and two Marder passes, and a smoothing pass, on that grid's
     planes.
@@ -415,9 +359,7 @@ def self_check(found: Kernels) -> str | None:
     )
     from repro.pic.deposition import ghost_slots_numpy
     from repro.pic.maxwell import MaxwellSolver
-    from repro.pic.push import push_numpy
     from repro.pic.smoothing import binomial_smooth_numpy
-    from repro.pic.zigzag import zigzag_entries_numpy
 
     def same(got, want) -> bool:
         """Byte equality of two array tuples; a declined call (``None``) is a mismatch."""
@@ -504,20 +446,8 @@ def self_check(found: Kernels) -> str | None:
     x_new, y_new = x_old + moves[0], y_old + moves[1]
     x_new[2:4] -= grid.lx  # the same moves, across the periodic seam
     w[4] = 0.0
-    charge = w * q
-    zigzag = (grid, x_old, y_old, x_new, y_new, charge, dt)
-    if not same(found.zigzag(*zigzag), zigzag_entries_numpy(*zigzag)):
-        return "zigzag"
     if not scattered(ParticleArray(x_new, y_new, *u, q, m, w, np.arange(n)), (x_old, y_old, dt)):
         return "scatter"
-
-    pushed, want = parts.copy(), parts.copy()
-    e, b = fields[:3].take(nodes[:, 0], axis=1), fields[3:].take(nodes[:, 3], axis=1)
-    push_numpy(grid, want, e, b, dt)
-    if found.boris_push(grid, pushed, e, b, dt) != n or not same(
-        [getattr(pushed, c) for c in columns], [getattr(want, c) for c in columns]
-    ):
-        return "boris_push"
 
     planes = rng.normal(0.0, 1.0, (10, grid.ny, grid.nx))
     planes[:, 0, :4] = 0.0, -0.0, -0.0, 0.0

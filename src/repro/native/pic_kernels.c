@@ -22,8 +22,8 @@
  * block of the four channels per node, the gather reads E and B
  * interleaved per node, so a vertex is one cache line and one vector
  * operation.  The era's hot passes run branch-free at the widest vector
- * unit the CPU has (CLONED).  cic serves Grid2D, zigzag the sequential
- * charge-conserving stepper, ghost_slots the modern stepper's gather.
+ * unit the CPU has (CLONED).  cic serves Grid2D, ghost_slots the modern
+ * stepper's gather.
  *
  * Every kernel reads its arguments, writes only its output buffers (and its
  * scratch; gather_push the particles, see there) and returns
@@ -542,20 +542,12 @@ int cic(int64_t n, const double *R x, const double *R y, double lx, double ly, d
     return finish(bad);
 }
 
-/* Particles a kernel stages at a time.  Rows of one (k, n) output block
- * lie n doubles apart, so for the usual n the rows of all blocks fall in
- * one L1 set and the eviction of each other's lines makes the stores 2-3x
- * slower; a chunk is built in a small block of its own, then copied out
- * one row at a time. */
+/* Particles the modern scatter's zigzag entries are staged at a time.  The
+ * rows of a segment's (4, len) blocks lie len doubles apart, so for the
+ * usual len the rows of all blocks fall in one L1 set and the eviction of
+ * each other's lines makes the stores 2-3x slower; a chunk is built in a
+ * small block of its own, then copied out one row at a time. */
 enum { CHUNK = 64 };
-
-/* Copy rows rows of chunk (rows x CHUNK) to columns [i0, i0 + m) of the
- * (rows, n) block out. */
-static void copy_out(void *R out, const void *R chunk, int rows, int64_t n, int64_t i0, int64_t m)
-{
-    for (int r = 0; r < rows; r++)
-        memcpy((char *)out + 8 * (r * n + i0), (const char *)chunk + 8 * r * CHUNK, 8 * (size_t)m);
-}
 
 /* np.remainder(a, b) for b > 0, as NumPy's npy_divmod computes it: fmod,
  * then + b when that is negative (a sum that rounds to b is not folded
@@ -650,11 +642,11 @@ static struct zigzag_grid zigzag_grid(double dt, double lx, double ly, double dx
     return g;
 }
 
-/* zigzag_entries' validation of m particles: nonzero when a move is NaN or
- * not under one cell (NumPy then raises its ValueError), a start or a
- * charge is not finite, or a flag was raised since the caller cleared them.
- * The shortest move along an axis is np.mod(new - old + l / 2, l) - l / 2,
- * computed as Python does. */
+/* zigzag_entries_numpy's validation of m particles: nonzero when a move is
+ * NaN or not under one cell (NumPy then raises its ValueError), a start or
+ * a charge is not finite, or a flag was raised since the caller cleared
+ * them.  The shortest move along an axis is
+ * np.mod(new - old + l / 2, l) - l / 2, computed as Python does. */
 static int64_t moves_bad(int64_t m, const double *R x_old, const double *R y_old,
                          const double *R x_new, const double *R y_new, const double *R charge,
                          const struct zigzag_grid *g)
@@ -669,10 +661,10 @@ static int64_t moves_bad(int64_t m, const double *R x_old, const double *R y_old
     return finish(bad) != OK;
 }
 
-/* zigzag_entries of m <= CHUNK particles whose moves passed moves_bad: the
- * (4, CHUNK) node and value blocks of jx and jy, in two loops: the points,
- * cells and nodes, then the values at vector width.  Nonzero: a value is
- * not finite. */
+/* zigzag_entries_numpy of m <= CHUNK particles whose moves passed
+ * moves_bad: the (4, CHUNK) node and value blocks of jx and jy, in two
+ * loops: the points, cells and nodes, then the values at vector width.
+ * Nonzero: a value is not finite. */
 static inline int64_t zigzag_chunk(int64_t m, const double *R x_old, const double *R y_old,
                                    const double *R x_new, const double *R y_new,
                                    const double *R q, const struct zigzag_grid *g,
@@ -718,32 +710,6 @@ static inline int64_t zigzag_chunk(int64_t m, const double *R x_old, const doubl
     for (int r = 0; r < 4; r++)
         bad |= not_finite(jx_values[r], m) | not_finite(jy_values[r], m);
     return bad;
-}
-
-/* zigzag_entries after its validation: the (4, n) node and value blocks of
- * jx and jy.  DECLINED, nothing written, when moves_bad; otherwise
- * zigzag_chunk, CHUNK particles at a time. */
-int zigzag(int64_t n, const double *R x_old, const double *R y_old, const double *R x_new,
-           const double *R y_new, const double *R charge, double dt, double lx, double ly,
-           double dx, double dy, int64_t nx, int64_t ny, int64_t *R jx_nodes,
-           double *R jx_values, int64_t *R jy_nodes, double *R jy_values)
-{
-    struct zigzag_grid g = zigzag_grid(dt, lx, ly, dx, dy, nx, ny);
-    int64_t bad = 0, stage_jx_nodes[4][CHUNK], stage_jy_nodes[4][CHUNK];
-    double stage_jx_values[4][CHUNK], stage_jy_values[4][CHUNK];
-    feclearexcept(FE_ALL_EXCEPT);
-    if (moves_bad(n, x_old, y_old, x_new, y_new, charge, &g))
-        return DECLINED;
-    for (int64_t i0 = 0; i0 < n; i0 += CHUNK) {
-        int64_t m = n - i0 < CHUNK ? n - i0 : CHUNK;
-        bad |= zigzag_chunk(m, x_old + i0, y_old + i0, x_new + i0, y_new + i0, charge + i0, &g,
-                            stage_jx_nodes, stage_jx_values, stage_jy_nodes, stage_jy_values);
-        copy_out(jx_nodes, stage_jx_nodes, 4, n, i0, m);
-        copy_out(jx_values, stage_jx_values, 4, n, i0, m);
-        copy_out(jy_nodes, stage_jy_nodes, 4, n, i0, m);
-        copy_out(jy_values, stage_jy_values, 4, n, i0, m);
-    }
-    return finish(bad);
 }
 
 /* Particles gather_push stages at a time: its fields and outputs, 11 rows
@@ -912,7 +878,9 @@ static PASS void interleave_part(const void *args, int64_t s)
 
 /* Particles start .. end of a gather_push, PUSH_CHUNK at a time, each
  * chunk written over the particles' only once it is clean: how many were
- * written, from the first (it stops at the first chunk that is not).
+ * written, from the first (it stops at the first chunk that is not).  The
+ * fields are gathered from node_fields at the CIC or, without node_fields,
+ * read from the six rows planes (yee_push_shard's, of one chunk).
  * Float flags are per thread and sticky, so one clearing serves every
  * chunk.  The arguments come as parameters, not through push_args: read
  * through a struct, every store to a particle row could alias them, and
@@ -996,16 +964,15 @@ static PASS void yee_push_shard(const void *args, int64_t s)
 }
 
 /* gather_push_slice after its validation, in place: the fields at each of n
- * particles, then boris_push.  With node_fields, f0 .. f5 are the six (ny,
- * nx) planes of E and B: the pass first copies them into node_fields
- * (nnodes, 8), a node's six components and two zeros (with a team, each
- * thread copies a part, interleave_part, before any shard starts), and a
- * particle's fields are gather_from_node_values' from that block at its
- * CIC (cic's floats, from the positions before the push) -- or, given
- * cells (4, n), the modern stepper's staggered gather from it, with each
- * particle's four stencil cells written there (yee_chunk).  Without
- * node_fields, f0 .. f5 hold the six rows of n fields, as boris_push takes
- * e and b.  The particles are cut into nshards shards at starts
+ * particles, then boris_push.  f0 .. f5 are the six (ny, nx) planes of E
+ * and B: the pass first copies them into node_fields (nnodes, 8), a node's
+ * six components and two zeros (with a team, each thread copies a part,
+ * interleave_part, before any shard starts), and a particle's fields are
+ * gather_from_node_values' from that block at its CIC (cic's floats, from
+ * the positions before the push) -- or, given cells (4, n), the modern
+ * stepper's staggered gather from it, with each particle's four stencil
+ * cells written there (yee_chunk).  The particles are cut into nshards
+ * shards at starts
  * (nshards + 1 ascending offsets from 0 to n), run by team (NULL: the
  * calling thread, in order); out (nshards, 3) gets push_shard's count and
  * nanoseconds of each.  A shard whose count falls short of its length
@@ -1013,8 +980,8 @@ static PASS void yee_push_shard(const void *args, int64_t s)
  * the caller runs the NumPy body on the rest of that shard: every
  * particle is independent, so that is the NumPy body's bytes and the
  * warnings it raises over all n (the particles written raised nothing).
- * DECLINED, nothing written: a grid of 2^31 nodes or more, or cuts that
- * do not fit.
+ * DECLINED, nothing written: no node_fields, a grid of 2^31 nodes or
+ * more, or cuts that do not fit.
  *
  * The team's own calls come here too, with no particles and no node_fields:
  * n = -s < 0 is helper s of team, which serves the team's fan-outs and
@@ -1029,12 +996,11 @@ int gather_push(int64_t n, double *R x, double *R y, double *R ux, double *R uy,
 {
     if (team && !x && !node_fields)
         return n < 0 ? serve(team, -n) : dismiss(team);
-    if (nx * ny > INT32_MAX || !shards_fit(nshards, starts, n, team) || (cells && !node_fields))
+    if (!node_fields || nx * ny > INT32_MAX || !shards_fit(nshards, starts, n, team))
         return DECLINED;
     struct push_args a = {x,  y,  ux, uy, uz, node_fields, q,  mass, {f0, f1, f2, f3, f4, f5},
                           dt, lx, ly, dx, dy, nx,          ny, n,    nshards, starts, cells, out};
-    if (node_fields)
-        fan_out(team, nshards, interleave_part, &a);
+    fan_out(team, nshards, interleave_part, &a);
     fan_out(team, nshards, cells ? yee_push_shard : push_shard, &a);
     for (int64_t s = 0; s < nshards; s++)
         if (out[3 * s] < starts[s + 1] - starts[s])

@@ -18,15 +18,15 @@ Communication structure per iteration:
    — the classic inspector/executor pattern, two message rounds.
 2. **Push** — local.
 3. **Scatter.**  Zigzag current entries (face-centred Jx, Jy) and CIC
-   charge entries split into on-rank accumulation and per-component
-   ghost tables; one coalesced message per destination.
+   charge entries split into on-rank accumulation and ghost sums keyed
+   by ``(rank, node)`` slots; one coalesced message per destination.
+4. **Field solve.**  Halo exchange of the six staggered components,
+   then the Yee update, charged per owned node.
 
 The particle work of 1-3 is the era stepper's two compiled passes in
 their modern modes (:func:`~repro.parallel_exec.kernels.gather_push_slice`,
 :func:`~repro.parallel_exec.kernels.scatter_segment`), sharded on the
 simulation's backend alike.
-4. **Field solve.**  Halo exchange of the six staggered components,
-   then the Yee update, charged per owned node.
 
 The discrete Gauss law holds to machine precision in the parallel runs
 too — property-tested, along with numerical equivalence to the
@@ -88,10 +88,9 @@ class ParallelYeePIC(PooledParticles):
     combine with the usual :class:`~repro.core.redistribution.Redistributor`
     for dynamic redistribution), ``backend`` included: both particle
     phases are the era stepper's compiled passes in their modern modes,
-    sharded on its team alike.  ``ghost_table`` is validated as there,
-    but this stepper keeps no per-rank ghost tables — its ghost sums are
-    keyed by ``(rank, node)`` slots — so the choice changes neither its
-    messages nor its accounting.
+    sharded on its team alike.  It takes no ``ghost_table``: it keeps no
+    per-rank ghost tables, its ghost sums being keyed by ``(rank, node)``
+    slots.
 
     The stencil cells and the pre-push positions live in blocks kept
     across steps and only ever grown, as the era stepper's do: fresh ones
@@ -109,10 +108,8 @@ class ParallelYeePIC(PooledParticles):
         local_particles: list[ParticleArray],
         *,
         dt: float | None = None,
-        ghost_table: str = "hash",
         backend=None,
     ) -> None:
-        require(ghost_table in ("hash", "direct"), f"unknown ghost table kind {ghost_table!r}")
         super().__init__(vm, grid, decomp, local_particles, dt, backend)
         # ``(pool, x, y)`` before the latest push, consumed by the scatter
         self._pre_push: tuple[ParticlePool, np.ndarray, np.ndarray] | None = None

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import native
 from repro.mesh.grid import Grid2D
 from repro.particles.arrays import ParticleArray
 from repro.util import require
@@ -51,18 +50,14 @@ def boris_push(
     require(e.shape == (3, n) and b.shape == (3, n), "e and b must be (3, n)")
     if n and particles.m.min() <= 0:
         raise ValueError("boris_push requires strictly positive particle masses")
-    compiled = native.kernels()
-    done = compiled.boris_push(grid, particles, e, b, float(dt)) if compiled is not None else 0
-    if done < n:  # the compiled pass stopped at a chunk NumPy has to answer for
-        rest = particles.slice_view(done, n) if done else particles
-        push_numpy(grid, rest, e[:, done:], b[:, done:], dt)
+    push_numpy(grid, particles, e, b, dt)
 
 
 def push_numpy(
     grid: Grid2D, particles: ParticleArray, e: np.ndarray, b: np.ndarray, dt: float
 ) -> None:
-    """The NumPy body of :func:`boris_push` after its validation:
-    fallback and oracle of the compiled loop."""
+    """The body of :func:`boris_push` after its validation, and the oracle
+    of the compiled gather + push's push."""
     qmdt2 = 0.5 * dt * particles.q / particles.m  # (n,)
 
     # half electric acceleration

@@ -180,9 +180,8 @@ class Simulation:
             from repro.pic.parallel_yee import ParallelYeePIC
 
             return ParallelYeePIC(
-                vm, self.grid, self.decomp, local, dt=cfg.dt, ghost_table=cfg.ghost_table,
-                backend=self.backend,
-            )  # fmt: skip
+                vm, self.grid, self.decomp, local, dt=cfg.dt, backend=self.backend
+            )
         return ParallelPIC(
             vm,
             self.grid,

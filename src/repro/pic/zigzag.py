@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import native
 from repro.mesh.grid import Grid2D
 from repro.pic.deposition import deposit_by_destination
 from repro.util import require
@@ -67,7 +66,6 @@ def zigzag_entries(
     y_new: np.ndarray,
     charge: np.ndarray,
     dt: float,
-    out: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Face-current contributions of per-particle motion segments.
 
@@ -83,10 +81,6 @@ def zigzag_entries(
         Per-particle charge (``w * q``).
     dt:
         Time step.
-    out:
-        Optional ``(4, n)`` blocks for the four lists (int64, float64,
-        int64, float64), written into (the parallel stepper keeps its
-        blocks across steps); fresh arrays otherwise.
 
     Returns
     -------
@@ -100,9 +94,7 @@ def zigzag_entries(
         cells, rows 1 and 3 those cells' vertices
         :data:`JX_VERTICES` / :data:`JY_VERTICES`.
 
-    One compiled pass when :mod:`repro.native` is active; it declines a
-    move of a cell or more (and a NaN one) to :func:`zigzag_entries_numpy`,
-    which then raises, and gives that body's bytes otherwise.
+    A move of a cell or more (or a NaN one) raises ``ValueError``.
     """
     require(dt > 0, "dt must be > 0")
     x_old = np.asarray(x_old, float)
@@ -115,10 +107,8 @@ def zigzag_entries(
         all(a.shape == (n,) for a in (y_old, x_new, y_new, charge)),
         "all position/charge arrays must share one length",
     )
-    args = (grid, x_old, y_old, x_new, y_new, charge, dt, out)
-    compiled = native.kernels()
-    found = compiled.zigzag(*args) if compiled is not None else None
-    return tuple(block.ravel() for block in found or zigzag_entries_numpy(*args))
+    blocks = zigzag_entries_numpy(grid, x_old, y_old, x_new, y_new, charge, dt)
+    return tuple(block.ravel() for block in blocks)
 
 
 def zigzag_entries_numpy(
@@ -131,10 +121,11 @@ def zigzag_entries_numpy(
     dt: float,
     out: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The NumPy body of :func:`zigzag_entries` on validated float64
-    arrays, fallback and oracle of the compiled pass: the four ``(4, n)``
-    blocks (``out`` if given).  ``np.mod`` gives the shortest move, so
-    the compiled pass computes NumPy's float remainder, not the wrap."""
+    """The body of :func:`zigzag_entries` on validated float64 arrays, and
+    the oracle of the compiled modern scatter's zigzag entries: the four
+    ``(4, n)`` blocks (``out`` if given).  ``np.mod`` gives the shortest
+    move, so the compiled pass computes NumPy's float remainder, not the
+    wrap."""
     n = x_old.shape[0]
     # Unwrapped coordinates: wrapped start + shortest periodic move.
     x1, y1 = grid.wrap_positions(x_old, y_old)

@@ -248,7 +248,7 @@ class LoopedYeePIC(ParallelYeePIC):
 
     def __init__(self, *args, ghost_table: str = "hash", **kwargs) -> None:
         self._ghost_kind = ghost_table  # read by _distributed_rho during construction
-        super().__init__(*args, ghost_table=ghost_table, **kwargs)
+        super().__init__(*args, **kwargs)
         self.last_gather_replies = []
 
     def _distributed_rho(self) -> None:

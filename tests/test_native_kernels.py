@@ -1,14 +1,13 @@
 """The compiled PIC kernels reproduce their NumPy bodies byte for byte.
 
-``repro.native`` puts seven C loops behind ``Grid2D.cic_vertices_weights``,
+``repro.native`` puts six C loops behind ``Grid2D.cic_vertices_weights``,
 ``scatter_segment`` (both steppers' scatters), ``gather_push_slice``
-(both steppers' gathers + pushes) and ``boris_push``, ``ghost_slots``,
-``MaxwellSolver.step``, one pass of ``binomial_smooth`` and
-``zigzag_entries``.  The NumPy bodies stay as fallback and oracle, and the
-contract is equality *by bytes* — on ordinary inputs through the C loop
-(asserted: a comparison that silently took the fallback proves nothing),
-on exceptional ones through the fallback the C loop asks for, with the
-warnings and errors NumPy raises.  The loader may fail in many ways and
+(both steppers' gathers + pushes), ``ghost_slots``, ``MaxwellSolver.step``
+and one pass of ``binomial_smooth``.  The NumPy bodies stay as fallback
+and oracle, and the contract is equality *by bytes* — on ordinary inputs
+through the C loop (asserted: a comparison that silently took the
+fallback proves nothing), on exceptional ones through the fallback the C
+loop asks for, with the warnings and errors NumPy raises.  The loader may fail in many ways and
 each must end in the NumPy bodies, a reason, and the same results.
 """
 
@@ -47,9 +46,9 @@ from repro.particles import ParticleArray
 from repro.pic import MaxwellSolver, Simulation, SimulationConfig
 from repro.pic.deposition import ghost_slots, ghost_slots_numpy
 from repro.pic.interpolation import gather_from_node_values, interpolate_numpy
-from repro.pic.push import boris_push, push_numpy
+from repro.pic.push import push_numpy
 from repro.pic.smoothing import binomial_smooth, binomial_smooth_numpy
-from repro.pic.zigzag import deposit_zigzag_entries, zigzag_entries, zigzag_entries_numpy
+from repro.pic.zigzag import deposit_zigzag_entries, zigzag_entries_numpy
 from repro.util.errors import SimulationIntegrityError
 from tests import vectorization_guard
 
@@ -286,21 +285,21 @@ def _modern_scatter_bytes(kernels, case, p, charge_scale):
         _same((*got[:4], acc), (*want[:4], want_acc))
 
 
-def _modern_scatter_groups(kernels, case, p, charge_scale, group):
+def _modern_scatter_groups(kernels, case, p, charge_scale, group, dt=0.6):
     """One entry group of the modern scatter (``"zigzag"``: the ``jx``/``jy``
     channels; ``"cic"``: ``jz``/``rho``) against that group's own NumPy
     body, on the ghost slots of the cells the entries hang off (both
     sub-segments', then the CIC one) over ``p`` ranks, cut as
-    :func:`_modern_scatter_bytes` cuts it.  The pass keeps the slots in
-    their order and drops exactly those that no CIC entry and no nonzero
-    current reached."""
+    :func:`_modern_scatter_bytes` cuts it, after a step of ``dt``.  The
+    pass keeps the slots in their order and drops exactly those that no
+    CIC entry and no nonzero current reached."""
     grid, n, seed = case
     x_old, y_old, x_new, y_new, charge = _segments(grid, n, seed)
     parts = _particles(grid, n, seed, charge_scale)
     parts.x[:], parts.y[:] = x_new, y_new
     parts.w[charge == 0.0] = 0.0
     owner, counts, offsets = _ranks(grid, n, p, seed)
-    entries = zigzag_entries_numpy(grid, x_old, y_old, x_new, y_new, parts.w * parts.q, 0.6)
+    entries = zigzag_entries_numpy(grid, x_old, y_old, x_new, y_new, parts.w * parts.q, dt)
     vertices = _cic_numpy(grid, x_new, y_new)
     cells = np.stack((entries[0][0], entries[0][2], vertices[0][:, 0]))
     slots = ghost_slots_numpy(grid, owner, np.repeat(np.arange(p), counts), cells)
@@ -323,7 +322,7 @@ def _modern_scatter_groups(kernels, case, p, charge_scale, group):
     for cuts in ([0, p], np.arange(p + 1)):
         acc = np.full((4, nnodes), np.nan)
         shards = _shards(cuts, offsets[cuts])
-        got = kernels.scatter(grid, parts, counts, owner, acc, shards, (x_old, y_old, 0.6))
+        got = kernels.scatter(grid, parts, counts, owner, acc, shards, (x_old, y_old, dt))
         assert got is not None
         _same(got[1:4], (slots.ranks[keep], slots.owners[keep], slots.nodes[keep]))
         _same((got[0][rows], acc[rows]), want)
@@ -347,38 +346,42 @@ def _yee_gather_push_bytes(kernels, case, dt):
         _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
 
 
+def _pushed_bytes(kernels, grid, got, planes, dt):
+    """The era gather + push of ``got`` from ``planes`` as one shard writes
+    every particle, with ``gather_push_numpy``'s bytes, and the particles
+    end inside the box."""
+    want, shards = got.copy(), Shards.one(1, got.n)
+    fields = kernels.gather_push(grid, got, planes, dt, shards)
+    _same((fields,), (_node_fields(planes),))
+    assert shards.out[0, 0] == got.n
+    gather_push_numpy(grid, want, fields, dt)
+    _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
+    assert np.all((got.x >= 0) & (got.x < grid.lx) & (got.y >= 0) & (got.y < grid.ly))
+
+
 def _gather_push_bytes(kernels, case, dt, inside):
     """From positions anywhere and all inside the box; the
     node-interleaved fields are NumPy's bytes too."""
     grid, n, seed = case
     planes = tuple(_planes(_fields(grid, seed))[:6])
-    got, want = (_particles(grid, n, seed, inside=inside) for _ in range(2))
-    shards = Shards.one(1, n)
-    fields = kernels.gather_push(grid, got, planes, dt, shards)
-    _same((fields,), (_node_fields(planes),))
-    assert shards.out[0, 0] == n
-    gather_push_numpy(grid, want, _node_fields(planes), dt)
-    _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
-    assert np.all((got.x >= 0) & (got.x < grid.lx) & (got.y >= 0) & (got.y < grid.ly))
+    _pushed_bytes(kernels, grid, _particles(grid, n, seed, inside=inside), planes, dt)
 
 
 def _boris_push_lanes(kernels, n):
     """Lengths that leave every vector remainder, with a position out of
-    the box (so the wrap pass's slow path) in each lane in turn."""
+    the box (so the scalar CIC and the wrap pass's slow path) in each lane
+    in turn."""
     grid = GRIDS[1]
     outside = [-1e-18, 3.5 * grid.lx, -2.25 * grid.lx, 1e8 * grid.lx, -0.0]
     rng = np.random.default_rng(n)
-    e, b = rng.normal(0.0, 2.0, (2, 3, n))
+    planes = tuple(rng.normal(0.0, 2.0, (6, *grid.shape)))
     for lane in range(n):
         got = _particles(grid, n, lane)
         got.x[:] = rng.uniform(0.0, grid.lx, n)
         got.y[:] = rng.uniform(0.0, grid.ly, n)
         got.x[lane] = outside[lane % len(outside)]
         got.y[(lane + 1) % n] = outside[(lane + 2) % len(outside)] * grid.ly / grid.lx
-        want = got.copy()
-        assert kernels.boris_push(grid, got, e, b, 0.3) == n
-        push_numpy(grid, want, e, b, 0.3)
-        _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
+        _pushed_bytes(kernels, grid, got, planes, 0.3)
 
 
 def _wrap_edges(kernels):
@@ -388,6 +391,7 @@ def _wrap_edges(kernels):
     to l, in a chunk that takes that pass; the same with 2 l, past its
     end, in a chunk that folds with ``fmod``."""
     grid = GRIDS[1]
+    planes = tuple(np.zeros((6, *grid.shape)))
     for length, row in ((grid.lx, "x"), (grid.ly, "y")):
         below, last = np.nextafter(length, 0.0), np.nextafter(2 * length, 0.0)
         near = [-length, -below, -1e-300, -1e-17, -0.0, 0.0, below, length, last]
@@ -395,11 +399,7 @@ def _wrap_edges(kernels):
             got = _particles(grid, len(edges), 9, inside=True)
             getattr(got, row)[:] = edges
             got.ux[:] = got.uy[:] = got.uz[:] = 0.0
-            want = got.copy()
-            e = b = np.zeros((3, len(edges)))
-            assert kernels.boris_push(grid, got, e, b, 0.3) == len(edges)
-            push_numpy(grid, want, e, b, 0.3)
-            _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
+            _pushed_bytes(kernels, grid, got, planes, 0.3)
 
 
 class TestBytes:
@@ -542,15 +542,12 @@ class TestBytes:
     @settings(max_examples=40, deadline=None)
     @given(cases, st.sampled_from([0.05, 0.5, 7.0]))
     def test_boris_push(self, compiled, case, dt):
+        """The push of the era gather + push, from fields with whole columns
+        of +0.0 and of -0.0, so some particles see none at all."""
         grid, n, seed = case
-        rng = np.random.default_rng(seed)
-        got, want = _particles(grid, n, seed), _particles(grid, n, seed)
-        e, b = rng.normal(0.0, 2.0, (2, 3, n))
-        e[:, ::5], b[:, ::7] = 0.0, -0.0
-        assert compiled.boris_push(grid, got, e, b, dt) == n
-        push_numpy(grid, want, e, b, dt)
-        _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
-        assert np.all((got.x >= 0) & (got.x < grid.lx) & (got.y >= 0) & (got.y < grid.ly))
+        planes = np.random.default_rng(seed).normal(0.0, 2.0, (6, grid.ny, grid.nx))
+        planes[:3, :, ::5], planes[3:, :, ::7] = 0.0, -0.0
+        _pushed_bytes(compiled, grid, _particles(grid, n, seed), tuple(planes), dt)
 
     @pytest.mark.parametrize("n", LANES)
     def test_boris_push_in_every_lane(self, compiled, n):
@@ -595,33 +592,9 @@ class TestBytes:
     @settings(max_examples=60, deadline=None)
     @given(modern_cases, st.sampled_from([0.05, 0.6, 3.0]))
     def test_zigzag(self, compiled, case, dt):
-        grid, n, seed = case
-        args = (grid, *_segments(grid, n, seed), dt)
-        got = compiled.zigzag(*args)
-        assert got is not None
-        _same(got, zigzag_entries_numpy(*args))
-
-
-@pytest.mark.parametrize("path", ["compiled", "numpy"])
-def test_outputs_land_in_the_callers_buffers(path, request):
-    """``out=`` on the CIC and the zigzag entries (the modern stepper's
-    kept buffers, sliced from larger blocks): the very buffers come back
-    holding the bytes of fresh outputs, on either kernel path."""
-    if path == "numpy":
-        request.getfixturevalue("numpy_kernels")
-    grid, n = GRIDS[1], 300
-    parts = _particles(grid, n, 9)
-    fresh = grid.cic_vertices_weights(parts.x, parts.y)
-    buffers = (np.full((n + 5, 4), -7, dtype=np.int64)[:n], np.full((n + 5, 4), np.nan)[:n])
-    got = grid.cic_vertices_weights(parts.x, parts.y, out=buffers)
-    assert got[0] is buffers[0] and got[1] is buffers[1]
-    _same(got, fresh)
-    segments = (grid, *_segments(grid, n, 9), 0.4)
-    kinds = [(-7, np.int64), (np.nan, np.float64)] * 2
-    blocks = [np.full((4, n), fill, dtype=dtype) for fill, dtype in kinds]
-    got = zigzag_entries(*segments, out=blocks)
-    assert all(np.shares_memory(g, b) for g, b in zip(got, blocks))
-    _same(got, zigzag_entries(*segments))
+        """The zigzag currents of the modern scatter over three ranks at
+        time steps that scale the fluxes ``q (b - a) / dt`` up and down."""
+        _modern_scatter_groups(compiled, case, 3, 1.0, "zigzag", dt)
 
 
 # ----------------------------------------------------------------------
@@ -785,21 +758,20 @@ class TestDeclined:
     )
     def test_push_declines_before_writing(self, compiled, column, value):
         """Non-finite state, and an overflow whose results are finite again
-        (NumPy warns about the square): nothing may have been written."""
+        (NumPy warns about the square): the gather + push may have written
+        nothing, and the public pass answers, and warns, as its NumPy body."""
         got, want = _particles(self.grid, 40, 3), _particles(self.grid, 40, 3)
         for parts in (got, want):
             getattr(parts, column)[9] = value
-        before = got.copy()
-        e, b = np.random.default_rng(3).normal(size=(2, 3, 40))
-        assert not compiled.boris_push(self.grid, got, e, b, 0.3)
+        before, shards = got.copy(), Shards.one(1, 40)
+        planes = tuple(np.random.default_rng(3).normal(size=(6, *self.grid.shape)))
+        assert compiled.gather_push(self.grid, got, planes, 0.3, shards) is not None
+        assert shards.out[0, 0] == 0
         _same([getattr(got, c) for c in PUSHED], [getattr(before, c) for c in PUSHED])
-        with warnings.catch_warnings(record=True) as numpy_said:
-            warnings.simplefilter("always")
-            push_numpy(self.grid, want, e, b, 0.3)
-        with warnings.catch_warnings(record=True) as we_said:
-            warnings.simplefilter("always")
-            boris_push(self.grid, got, e, b, 0.3)
-        assert [str(w.message) for w in we_said] == [str(w.message) for w in numpy_said]
+        fields = _node_fields(planes)
+        _, numpy_said = self._warned(lambda: gather_push_numpy(self.grid, want, fields, 0.3))
+        _, we_said = self._warned(lambda: gather_push_slice(self.grid, got, planes, 0.3))
+        assert we_said == numpy_said
         _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
 
     def test_non_finite_fields_and_momenta_take_the_numpy_floats(self, compiled):
@@ -836,46 +808,47 @@ class TestDeclined:
         got, want = _particles(self.grid, n, 8), _particles(self.grid, n, 8)
         for parts in (got, want):
             parts.uz[256 * chunk + 100] = 1e200  # its square overflows
-        before = got.copy()
-        e, b = np.random.default_rng(8).normal(size=(2, 3, n))
-        assert compiled.boris_push(self.grid, got, e, b, 0.3) == 256 * chunk
+        before, shards = got.copy(), Shards.one(1, n)
+        planes = tuple(np.random.default_rng(8).normal(size=(6, *self.grid.shape)))
+        fields = _node_fields(planes)
+        assert compiled.gather_push(self.grid, got, planes, 0.3, shards) is not None
+        assert shards.out[0, 0] == 256 * chunk
         clean = before.copy()
-        self._warned(lambda: push_numpy(self.grid, clean, e, b, 0.3))
+        self._warned(lambda: gather_push_numpy(self.grid, clean, fields, 0.3))
         head, tail = slice(0, 256 * chunk), slice(256 * chunk, n)
         _same([getattr(got, c)[head] for c in PUSHED], [getattr(clean, c)[head] for c in PUSHED])
         _same([getattr(got, c)[tail] for c in PUSHED], [getattr(before, c)[tail] for c in PUSHED])
         got = before
-        _, numpy_said = self._warned(lambda: push_numpy(self.grid, want, e, b, 0.3))
-        _, we_said = self._warned(lambda: boris_push(self.grid, got, e, b, 0.3))
+        _, numpy_said = self._warned(lambda: gather_push_numpy(self.grid, want, fields, 0.3))
+        _, we_said = self._warned(lambda: gather_push_slice(self.grid, got, planes, 0.3))
         assert we_said == numpy_said != []
         _same([getattr(got, c) for c in PUSHED], [getattr(want, c) for c in PUSHED])
 
     def test_views_and_other_dtypes_are_not_copied_in(self, compiled):
-        """Strided or float32 arguments take the NumPy body — never a
-        silent copy-in / copy-out of the in-place push."""
+        """Strided, float32 or read-only arguments take the NumPy body —
+        never a silent copy-in / copy-out of the in-place push."""
         parts = _particles(self.grid, 64, 5)
         strided = ParticleArray.from_block(parts.block[:, ::2])
         assert compiled.cic(self.grid, strided.x, strided.y) is None
         assert compiled.cic(self.grid, parts.x.astype(np.float32), parts.y) is None
         assert compiled.cic(self.grid, list(parts.x), list(parts.y)) is None
-        e, b = np.random.default_rng(5).normal(size=(2, 3, strided.n))
-        assert not compiled.boris_push(self.grid, strided, e, b, 0.2)
-        full = np.random.default_rng(5).normal(size=(6, parts.n))
-        assert not compiled.boris_push(self.grid, parts, full[::2], full[1::2], 0.2)
         planes = tuple(_planes(_fields(self.grid, 5))[:6])
+        read_only = parts.copy()
+        read_only.uz.flags.writeable = False
         before = parts.copy()
         for bad_parts, bad_planes in (
             (strided, planes),
+            (read_only, planes),
             (parts, (*planes[:5], planes[5].T)),
             (parts, planes[:5]),
             (parts, tuple(a.astype(np.float32) for a in planes)),
         ):
-            assert compiled.gather_push(self.grid, bad_parts, bad_planes, 0.2) is None
+            shards = Shards.one(1, bad_parts.n)
+            assert compiled.gather_push(self.grid, bad_parts, bad_planes, 0.2, shards) is None
         _same([getattr(parts, c) for c in PUSHED], [getattr(before, c) for c in PUSHED])
-        assert compiled.boris_push(self.grid, parts, parts.block[:3], full[3:], 0.2) == 0
         reference = strided.copy()
-        boris_push(self.grid, strided, e, b, 0.2)  # the public function still serves the view
-        push_numpy(self.grid, reference, e, b, 0.2)
+        gather_push_slice(self.grid, strided, planes, 0.2)  # the public pass still serves the view
+        gather_push_numpy(self.grid, reference, _node_fields(planes), 0.2)
         _same([getattr(strided, c) for c in PUSHED], [getattr(reference, c) for c in PUSHED])
         _same([parts.x[::2], parts.ux[::2]], [reference.x, reference.ux])
 
@@ -965,52 +938,6 @@ class TestDeclined:
             answer = call()
         return answer, [str(w.message) for w in said]
 
-    @pytest.mark.parametrize("where", ["x_old", "y_new", "charge", "x_new"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_zigzag_declines_non_finite_inputs_untouched(self, compiled, where, value):
-        """The kept blocks are left as they were; the public function then
-        answers, and warns, as the NumPy body does."""
-        grid = self.grid
-        segments = dict(zip(("x_old", "y_old", "x_new", "y_new", "charge"), _segments(grid, 40, 3)))
-        segments[where][17] = value
-        args = (grid, *segments.values(), 0.4)
-        kinds = [(-7, np.int64), (np.nan, np.float64)] * 2
-        blocks = [np.full((4, 40), fill, dtype=dtype) for fill, dtype in kinds]
-        before = [b.copy() for b in blocks]
-        assert compiled.zigzag(*args, out=blocks) is None
-        _same(blocks, before)
-        want, numpy_said = self._warned(lambda: zigzag_entries_numpy(*args))
-        got, we_said = self._warned(lambda: zigzag_entries(*args))
-        assert we_said == numpy_said
-        _same(got, [w.ravel() for w in want])
-
-    @pytest.mark.parametrize("axis", [0, 1])
-    @pytest.mark.parametrize("cells", [1.0, -1.0, 1.5, -3.0, "next below one"])
-    def test_zigzag_declines_moves_of_a_cell(self, compiled, axis, cells):
-        """A move NumPy measures at one cell or more raises its ValueError,
-        the compiled pass having written nothing; one just under a cell goes
-        whichever way NumPy's remainder takes it, on both paths alike."""
-        grid = self.grid
-        x_old, y_old, x_new, y_new, charge = _segments(grid, 40, 4)
-        d = (grid.dx, grid.dy)[axis]
-        move = np.nextafter(d, 0.0) if cells == "next below one" else cells * d
-        ends = (x_new, y_new)[axis]
-        ends[23] = (x_old, y_old)[axis][23] + move
-        args = (grid, x_old, y_old, x_new, y_new, charge, 0.4)
-        kinds = [(-7, np.int64), (np.nan, np.float64)] * 2
-        blocks = [np.full((4, 40), fill, dtype=dtype) for fill, dtype in kinds]
-        before = [b.copy() for b in blocks]
-        try:
-            want = zigzag_entries_numpy(*args)
-        except ValueError:
-            assert compiled.zigzag(*args, out=blocks) is None
-            _same(blocks, before)
-            with pytest.raises(ValueError, match="less than one cell"):
-                zigzag_entries(*args)
-        else:
-            assert cells == "next below one"
-            _same(compiled.zigzag(*args), want)
-
     @pytest.mark.parametrize("poison", ["x", "y", "field"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_yee_gather_declines_non_finite_inputs_untouched(self, compiled, poison, value):
@@ -1049,18 +976,10 @@ class TestDeclined:
         counts = np.array([n // 3, 0, n - n // 3], dtype=np.int64)
         return parts, x_old, y_old, owner, counts
 
-    @pytest.mark.parametrize("poison", ["x_old", "y_old", "w", "a move of a cell"])
-    def test_modern_scatter_declines_to_its_numpy_body(self, compiled, poison):
-        """A start or a charge that is not finite, or a move of a cell: the
-        modern scatter declines, and the public pass raises, or answers and
-        warns, as its NumPy body does."""
-        grid = self.grid
-        parts, x_old, y_old, owner, counts = self._moved(60, 6)
-        if poison == "a move of a cell":
-            x_old[23] = parts.x[23] - grid.dx
-        else:
-            {"x_old": x_old, "y_old": y_old, "w": parts.w}[poison][17] = np.inf
-        moved = (x_old, y_old, 0.4)
+    def _modern_scatter_declines(self, compiled, parts, x_old, y_old, owner, counts):
+        """The modern scatter declines these moves, and the public pass
+        raises, or answers and warns, as its NumPy body does."""
+        grid, moved = self.grid, (x_old, y_old, 0.4)
         acc = np.empty((4, grid.nnodes))
         assert compiled.scatter(grid, parts, counts, owner, acc, None, moved) is None
         want_acc = np.empty_like(acc)
@@ -1078,24 +997,54 @@ class TestDeclined:
         assert we_said == numpy_said
         _same((acc, batch.ids, batch.values), (want_acc, want[3], want[0]))
 
-    def test_modern_kernels_take_no_view_or_other_dtype(self, compiled):
-        """float32 or strided arguments take the NumPy body; the public
-        functions answer with its bytes."""
-        grid = self.grid
-        x_old, y_old, x_new, y_new, charge = _segments(grid, 64, 7)
-        segments = (x_old, y_old, x_new, y_new, charge)
-        for bad in (
-            (*segments[:4], charge.astype(np.float32)),
-            tuple(a[::2] for a in segments),
-            tuple(list(a) for a in segments),
-        ):
-            assert compiled.zigzag(grid, *bad, 0.4) is None
-            want = zigzag_entries_numpy(grid, *(np.asarray(a, dtype=float) for a in bad), 0.4)
-            _same(zigzag_entries(grid, *bad, 0.4), [a.ravel() for a in want])
-        blocks = [np.empty((4, 64), dtype=np.int64), np.empty((4, 128))[:, ::2]]
-        blocks += [np.empty((4, 64), dtype=np.int64), np.empty((4, 64))]
-        assert compiled.zigzag(grid, x_old, y_old, x_new, y_new, charge, 0.4, blocks) is None
+    @pytest.mark.parametrize("poison", ["x_old", "y_old", "w", "a move of a cell"])
+    def test_modern_scatter_declines_to_its_numpy_body(self, compiled, poison):
+        """A start or a charge that is not finite, or a move of a cell."""
+        parts, x_old, y_old, owner, counts = self._moved(60, 6)
+        if poison == "a move of a cell":
+            x_old[23] = parts.x[23] - self.grid.dx
+        else:
+            {"x_old": x_old, "y_old": y_old, "w": parts.w}[poison][17] = np.inf
+        self._modern_scatter_declines(compiled, parts, x_old, y_old, owner, counts)
 
+    @pytest.mark.parametrize("where", ["x_old", "y_old", "charge", "x_new", "y_new"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_zigzag_declines_non_finite_inputs_untouched(self, compiled, where, value):
+        """A start, an end or a charge (``w``: ``q`` is +-1) that is not
+        finite: the modern scatter declines to its NumPy body."""
+        parts, x_old, y_old, owner, counts = self._moved(60, 3)
+        columns = {"x_old": x_old, "y_old": y_old, "charge": parts.w, "x_new": parts.x}
+        {**columns, "y_new": parts.y}[where][17] = value
+        self._modern_scatter_declines(compiled, parts, x_old, y_old, owner, counts)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("cells", [1.0, -1.0, 1.5, -3.0, "next below one"])
+    def test_zigzag_declines_moves_of_a_cell(self, compiled, axis, cells):
+        """A move NumPy measures at one cell or more raises its ValueError,
+        the modern scatter having declined; one just under a cell goes
+        whichever way NumPy's remainder takes it, on both paths alike."""
+        grid = self.grid
+        parts, x_old, y_old, owner, counts = self._moved(60, 4)
+        d = (grid.dx, grid.dy)[axis]
+        move = np.nextafter(d, 0.0) if cells == "next below one" else cells * d
+        (parts.x, parts.y)[axis][23] = (x_old, y_old)[axis][23] + move
+        moved = (x_old, y_old, 0.4)
+        want_acc = np.empty((4, grid.nnodes))
+        try:
+            want = scatter_yee_numpy(grid, parts, counts, owner, want_acc, *moved)
+        except ValueError:
+            self._modern_scatter_declines(compiled, parts, x_old, y_old, owner, counts)
+        else:
+            assert cells == "next below one"
+            acc = np.empty_like(want_acc)
+            got = compiled.scatter(grid, parts, counts, owner, acc, None, moved)
+            assert got is not None
+            _same((*got[:4], acc), (*want[:4], want_acc))
+
+    def test_modern_kernels_take_no_view_or_other_dtype(self, compiled):
+        """float32 or strided starts take the NumPy body; the public pass
+        answers with its bytes."""
+        grid = self.grid
         parts, x_old, y_old, owner, counts = self._moved(64, 7)
         strided = np.repeat(x_old, 2)[::2]
         acc, want_acc = np.empty((2, 4, grid.nnodes))

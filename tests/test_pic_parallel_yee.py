@@ -37,17 +37,6 @@ class TestEquivalence:
         np.testing.assert_allclose(par.fields.bz, seq.fields.bz, atol=1e-9)
         np.testing.assert_allclose(par.fields.rho, seq.fields.rho, atol=1e-9)
 
-    @pytest.mark.parametrize("table", ["hash", "direct"])
-    def test_ghost_tables_equivalent(self, table):
-        grid = Grid2D(16, 8)
-        particles = uniform_plasma(grid, 512, rng=2)
-        vm, par = build(grid, particles, ghost_table=table)
-        seq = YeePIC(grid, particles.copy(), dt=par.dt)
-        for _ in range(4):
-            par.step()
-            seq.step()
-        np.testing.assert_allclose(par.fields.ey, seq.fields.ey, atol=1e-9)
-
     def test_single_rank(self):
         grid = Grid2D(8, 8)
         particles = uniform_plasma(grid, 128, rng=3)

@@ -48,14 +48,16 @@ from tests.test_engine_parity import _assert_accounting_equal
 FIELDS = ("ex", "ey", "ez", "bx", "by", "bz", "rho", "jx", "jy", "jz")
 
 
-def _pair(grid, local, p, **kwargs):
-    """The oracle and the pooled stepper over copies of ``local``."""
+def _pair(grid, local, p, ghost_table="hash", **kwargs):
+    """The oracle, on per-rank ghost tables of kind ``ghost_table``, and the
+    pooled stepper, which keeps none, over copies of ``local``."""
     steppers = []
     for kind in ("looped", "flat"):
         vm = VirtualMachine(p, MachineModel.cm5())
         decomp = CurveBlockDecomposition(grid, p, "hilbert")
         parts = [part.copy() for part in local]
-        steppers.append(YEE_STEPPERS[kind](vm, grid, decomp, parts, **kwargs))
+        tables = dict(ghost_table=ghost_table) if kind == "looped" else {}
+        steppers.append(YEE_STEPPERS[kind](vm, grid, decomp, parts, **tables, **kwargs))
     return steppers
 
 
