@@ -59,6 +59,14 @@ def _all_cases() -> dict[str, PaperCase]:
     return cases
 
 
+class _Given(argparse.Action):
+    """``store`` that notes the flag in ``args.given``: it wins over ``--case`` and ``--config``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given |= {self.dest}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -103,8 +111,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "iteration boundary), write a final checkpoint if "
                             "checkpointing is on, and exit with code 124")
 
-    # every configuration flag's dest is its SimulationConfig field name
-    run = sub.add_parser("run", help="run one simulation", parents=[drive])
+    # every configuration flag's dest is its SimulationConfig field name,
+    # and each flag given is noted in args.given (_Given)
+    run = sub.add_parser(
+        "run", help="run one simulation", parents=[drive],
+        description="Each setting comes from the last of: the defaults, --case, "
+                    "--config, then the flags given on the command line.",
+    )  # fmt: skip
+    run.register("action", None, _Given)  # the action of a flag that names none
+    run.set_defaults(given=frozenset())
     run.add_argument("--config", help="JSON file of SimulationConfig fields (overridden by flags)")
     run.add_argument("--case", help="start from a named paper case (see `scenarios`)")
     run.add_argument("--nx", type=int, default=64)
@@ -288,9 +303,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
+    """The flags' defaults, then ``--case``, then ``--config``, then every
+    flag given on the command line."""
     names = [f.name for f in fields(SimulationConfig) if hasattr(args, f.name)]
-    flags = {name: getattr(args, name) for name in names}
-    kwargs = dict(flags)
+    kwargs = {name: getattr(args, name) for name in names}
+    if args.case:
+        cases = _all_cases()
+        if args.case not in cases:
+            known = ", ".join(sorted(cases))
+            raise SystemExit(f"unknown case {args.case!r}; known cases: {known}")
+        kwargs.update(cases[args.case].config_kwargs())
     if args.config:
         from pathlib import Path
 
@@ -307,15 +329,7 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
         # as a preset name or full constants dict; config_from_dict
         # below checks the keys and resolves the model.
         kwargs.update(loaded)
-        # explicit command-line flags win over the file
-        defaults = build_parser().parse_args(["run"])
-        kwargs.update({k: v for k, v in flags.items() if v != getattr(defaults, k)})
-    if args.case:
-        cases = _all_cases()
-        if args.case not in cases:
-            known = ", ".join(sorted(cases))
-            raise SystemExit(f"unknown case {args.case!r}; known cases: {known}")
-        kwargs.update(cases[args.case].config_kwargs())
+    kwargs.update({name: getattr(args, name) for name in names if name in args.given})
     try:
         return config_from_dict(kwargs)
     except ValueError as exc:

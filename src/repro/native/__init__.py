@@ -7,8 +7,9 @@ gather + push, which first interleaves E and B per node for the shards
 to read, in the modern stepper's mode on the Yee stencils, and whose
 calls without particles park or dismiss the helper threads of a team;
 both run their shards on a team of threads when given one, see
-:class:`~repro.parallel_exec.FlatBackend`), CIC, the ghost-slot pass and
-two mesh stencils (the field solve and one source-smoothing pass).
+:class:`~repro.parallel_exec.FlatBackend`), CIC, the ghost-slot pass of
+the modern gather's request list and two mesh stencils (the field step
+with its one Marder pass, and the source smoothing of a block of planes).
 :func:`kernels` hands them out as a :class:`~repro.native.calls.Kernels`,
 or ``None`` when the NumPy bodies have to do the work; the functions that
 carry the kernels' names (``Grid2D.cic_vertices_weights``,

@@ -35,9 +35,9 @@ _SIGNATURES = {
         _I64, *[_PTR] * 3, _I64, *[_PTR] * 4,
     ),  # fmt: skip
     "gather_push": (_I64, *[_PTR] * 14, *[_F64] * 5, _I64, _I64, _PTR, _I64, *[_PTR] * 3),
-    "ghost_slots": (_I64, _I64, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _I64, _I64, *[_PTR] * 4),
-    "field_step": (_I64, _I64, *[_PTR] * 11, _F64, _F64, _F64, _F64, _I64, _PTR),
-    "smooth": (_I64, _I64, _PTR, _PTR, _PTR),
+    "ghost_slots": (_I64, _I64, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _I64, _PTR, _PTR),
+    "field_step": (_I64, _I64, *[_PTR] * 11, _F64, _F64, _F64, _F64, _PTR),
+    "smooth": (_I64, _I64, _I64, _PTR, _PTR, _PTR),
 }
 #: per scatter mode (era, modern): the kept int64 words per node and per
 #: particle of the longest segment in a shard's work row, its staged doubles
@@ -110,7 +110,7 @@ class Kernels:
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib  # keeps the library mapped
         # scratch blocks kept per thread and only ever grown: the stamp
-        # tables of ghost_slots and scatter (40 and 80 bytes per node), the
+        # tables of ghost_slots and scatter (72 and 80 bytes per node), the
         # slot outputs they number into, the node block (64 bytes per node),
         # the field step's seven planes (56 bytes per node) and the
         # smoothing's three rows.  A fresh block per call is page-faulted in
@@ -262,11 +262,11 @@ class Kernels:
         self._gather_push(0, *[None] * 14, *[0.0] * 5, 0, 0, None, 0, None, team.ctypes.data, None)
 
     def ghost_slots(self, grid, node_owner, particle_ranks, cells):
-        """``ghost_slots``: ``(ranks, owners, nodes, dest, pair_of)`` or ``None``.
+        """``ghost_slots``: the slots' ``(ranks, owners, nodes)`` or ``None``.
 
-        One call into the C pass, which numbers pairs and slots into this
-        thread's kept blocks, sized before it to the most pairs and slots
-        ``k n`` entries can have; those found are copied out."""
+        One call into the C pass, which numbers the slots into this
+        thread's kept rows, sized before it to the most slots ``k n``
+        entries can have; those found are copied out."""
         if not (
             isinstance(cells, np.ndarray)
             and cells.ndim == 2
@@ -276,19 +276,15 @@ class Kernels:
         ):
             return None
         k, n = cells.shape
-        sizes, pair_of = np.zeros(2, dtype=np.int64), np.empty((k, n), dtype=np.int64)
-        work = self._block("ghost_slots", 5 * grid.nnodes, np.int64)
-        # at most one pair and four slots an entry
-        dest = self._rows("pairs", 4, k * n, np.int64)
-        slots = self._rows("slots", 3, 4 * k * n, np.int64)
+        nslots = np.zeros(1, dtype=np.int64)
+        work = self._block("ghost_slots", 9 * grid.nnodes, np.int64)
+        slots = self._rows("slots", 3, 4 * k * n, np.int64)  # at most four an entry
         if self._ghost_slots(
             k, n, *_ptr(particle_ranks, cells), grid.nx, grid.ny, node_owner.ctypes.data,
-            work.ctypes.data, dest.size // 4, slots.shape[1], *_ptr(sizes, pair_of, dest, slots),
+            work.ctypes.data, slots.shape[1], *_ptr(nslots, slots),
         ):  # fmt: skip
             return None
-        npairs, nslots = int(sizes[0]), int(sizes[1])
-        ranks, owners, nodes = slots[:, :nslots].copy()
-        return ranks, owners, nodes, dest.ravel()[: 4 * npairs].reshape(npairs, 4).copy(), pair_of
+        return tuple(slots[:, : int(nslots[0])].copy())
 
     def field_step(self, solver, fields, dt) -> bool:
         """``MaxwellSolver.step`` after its validation, in place; ``False``:
@@ -306,27 +302,26 @@ class Kernels:
         starts = sorted(a.ctypes.data for a in planes)
         if any(b - a < planes[0].nbytes for a, b in zip(starts, starts[1:])):
             return False  # shared memory: the NumPy body's in-place order matters
-        passes, subtract = solver.marder_passes, solver.subtract_mean_current
         with np.errstate(all="ignore"):  # a non-finite mean is the NumPy body's to warn about
-            means = [j.mean() if subtract else 0.0 for j in planes[6:9]]
-            means = np.array(means + [planes[9].mean() if passes else 0.0])
+            means = np.array([a.mean() for a in planes[6:]])
         if not np.isfinite(means).all():
             return False
-        scale = solver.marder_scale(dt) if passes else 0.0
         work = self._block("field_step", 7 * planes[0].size, np.float64)
-        grid = solver.grid
+        grid, scale = solver.grid, solver.marder_scale(dt)
         return not self._field_step(
-            *shape, *_ptr(*planes, means), grid.dx, grid.dy, dt, scale, passes, work.ctypes.data
+            *shape, *_ptr(*planes, means), grid.dx, grid.dy, dt, scale, work.ctypes.data
         )
 
     def smooth(self, a):
-        """One pass of ``binomial_smooth``: a fresh ``(ny, nx)`` array or ``None``."""
+        """``binomial_smooth``: a fresh array or ``None``; ``a`` is one
+        ``(ny, nx)`` plane or a ``(k, ny, nx)`` block of them."""
         shape = getattr(a, "shape", ())
-        if not (len(shape) == 2 and min(shape) >= 3 and _plain(np.float64, shape, a)):
+        if not (len(shape) in (2, 3) and min(shape[-2:]) >= 3 and _plain(np.float64, shape, a)):
             return None
+        k, ny, nx = (1, *shape) if len(shape) == 2 else shape
         out = np.empty(shape)
-        rows = self._block("smooth", 3 * shape[1], np.float64)
-        return None if self._smooth(*shape, *_ptr(a, rows, out)) else out
+        rows = self._block("smooth", 3 * nx, np.float64)
+        return None if self._smooth(k, ny, nx, *_ptr(a, rows, out)) else out
 
 
 def self_check(found: Kernels) -> str | None:
@@ -344,9 +339,8 @@ def self_check(found: Kernels) -> str | None:
     NumPy does it), on the CIC and on the Yee stencils, also in those
     three shards; the modern scatter of moves up to the longest one under
     a cell (some across the periodic seam, one of zero charge), in those
-    shards; a field step with the solver's defaults and one with raw
-    currents and two Marder passes, and a smoothing pass, on that grid's
-    planes.
+    shards; a field step and a smoothing pass of four planes, on that
+    grid's planes.
     """
     from repro.mesh.fields import FieldState
     from repro.mesh.grid import Grid2D
@@ -392,7 +386,8 @@ def self_check(found: Kernels) -> str | None:
     ranks = np.repeat(np.arange(5), counts)
     cells = np.stack((nodes[:, 0], nodes[:, 3], rng.integers(0, grid.ncells, n)))
     owner = rng.integers(0, 6, grid.nnodes)
-    if not same(found.ghost_slots(grid, owner, ranks, cells), ghost_slots_numpy(grid, owner, ranks, cells)):
+    slot_rows = ghost_slots_numpy(grid, owner, ranks, cells)[:3]
+    if not same(found.ghost_slots(grid, owner, ranks, cells), slot_rows):
         return "ghost_slots"
 
     offsets = np.concatenate(([0], np.cumsum(counts)))
@@ -451,14 +446,13 @@ def self_check(found: Kernels) -> str | None:
 
     planes = rng.normal(0.0, 1.0, (10, grid.ny, grid.nx))
     planes[:, 0, :4] = 0.0, -0.0, -0.0, 0.0
-    raw = MaxwellSolver(grid, subtract_mean_current=False, marder_passes=2)
-    for solver in (MaxwellSolver(grid), raw):
-        stepped, want = FieldState(*planes.copy()), FieldState(*planes.copy())
-        solver._step_numpy(want, 0.2)
-        if not found.field_step(solver, stepped, 0.2) or not same(
-            [getattr(stepped, c) for c in _FIELD_PLANES], [getattr(want, c) for c in _FIELD_PLANES]
-        ):
-            return "field_step"
-    if not same((found.smooth(planes[9]),), (binomial_smooth_numpy(planes[9]),)):
+    solver = MaxwellSolver(grid)
+    stepped, want = FieldState(*planes.copy()), FieldState(*planes.copy())
+    solver._step_numpy(want, 0.2)
+    if not found.field_step(solver, stepped, 0.2) or not same(
+        [getattr(stepped, c) for c in _FIELD_PLANES], [getattr(want, c) for c in _FIELD_PLANES]
+    ):
+        return "field_step"
+    if not same((found.smooth(planes[6:]),), (binomial_smooth_numpy(planes[6:]),)):
         return "smooth"
     return None

@@ -23,7 +23,7 @@
  * interleaved per node, so a vertex is one cache line and one vector
  * operation.  The era's hot passes run branch-free at the widest vector
  * unit the CPU has (CLONED).  cic serves Grid2D, ghost_slots the modern
- * stepper's gather.
+ * stepper's gather, field_step and smooth the era's field solve and sources.
  *
  * Every kernel reads its arguments, writes only its output buffers (and its
  * scratch; gather_push the particles, see there) and returns
@@ -45,7 +45,6 @@
  * are the same bytes (see team below).
  */
 #include <fenv.h>
-#include <float.h>
 #include <limits.h>
 #include <math.h>
 #include <sched.h>
@@ -63,8 +62,6 @@ enum { OK = 0, FLAGGED = 1, BAD_INDEX = 2, DECLINED = 3 };
 
 /* inputs are only read and outputs are buffers of their own: nothing aliases */
 #define R restrict
-
-#define NOT_FINITE(v) (!(fabs(v) <= DBL_MAX))
 
 /* A loop pass that is not inlined: in a function of its own the restrict on
  * its parameters holds, so it needs no run-time alias test to vectorize.
@@ -338,7 +335,7 @@ static PLUMBING int shards_fit(int64_t nshards, const int64_t *cuts, int64_t las
 
 /* Whether any of a[0 .. m) is inf or NaN, i.e. has all exponent bits set:
  * adding one to the exponent field then carries into the sign bit.  An
- * integer OR, which vectorizes where NOT_FINITE's comparison does not. */
+ * integer OR, which vectorizes where a comparison of doubles does not. */
 static int64_t not_finite(const double *R a, int64_t m)
 {
     const uint64_t exponent = 0x7ff0000000000000u, one = 0x0010000000000000u;
@@ -643,20 +640,22 @@ static struct zigzag_grid zigzag_grid(double dt, double lx, double ly, double dx
 }
 
 /* zigzag_entries_numpy's validation of m particles: nonzero when a move is
- * NaN or not under one cell (NumPy then raises its ValueError), a start or
- * a charge is not finite, or a flag was raised since the caller cleared
- * them.  The shortest move along an axis is
- * np.mod(new - old + l / 2, l) - l / 2, computed as Python does. */
+ * NaN or not under one cell (NumPy then raises its ValueError), or a flag
+ * was raised since the caller cleared them.  The shortest move along an
+ * axis is np.mod(new - old + l / 2, l) - l / 2, computed as Python does.
+ * A start that is not finite makes new - old + l / 2 not finite, which
+ * remainder_of sets bad for; a charge that is not finite reaches a bin
+ * through its first CIC weight, which is > 0, and the scatter's check of
+ * the bins flags it. */
 static int64_t moves_bad(int64_t m, const double *R x_old, const double *R y_old,
-                         const double *R x_new, const double *R y_new, const double *R charge,
+                         const double *R x_new, const double *R y_new,
                          const struct zigzag_grid *g)
 {
     int64_t bad = 0;
     for (int64_t i = 0; i < m; i++) {
         double mx = remainder_of((x_new[i] - x_old[i]) + g->hx, g->lx, g->lim_x, &bad) - g->hx;
         double my = remainder_of((y_new[i] - y_old[i]) + g->hy, g->ly, g->lim_y, &bad) - g->hy;
-        bad |= !(fabs(mx) < g->dx) | !(fabs(my) < g->dy) | NOT_FINITE(x_old[i]) |
-               NOT_FINITE(y_old[i]) | NOT_FINITE(charge[i]);
+        bad |= !(fabs(mx) < g->dx) | !(fabs(my) < g->dy);
     }
     return finish(bad) != OK;
 }
@@ -915,6 +914,10 @@ static PASS int64_t push_range(int64_t start, int64_t end, double *R x, double *
                    f[2], f[3], f[4], f[5], dt, out);
         wrap_all(m, out[3], lx);
         wrap_all(m, out[4], ly);
+        /* A NaN momentum, charge, mass or dt goes through the push quietly
+         * and makes both positions NaN; wrap's v >= 0 raises FE_INVALID on
+         * it where the compiler makes relational comparisons signal (GCC's
+         * comisd), not where they are quiet (clang's ucomisd): this does. */
         for (int r = 0; r < 5; r++)
             bad |= not_finite(out[r], m);
         if (finish(bad) != OK)
@@ -1008,10 +1011,10 @@ int gather_push(int64_t n, double *R x, double *R y, double *R ux, double *R uy,
     return OK;
 }
 
-/* The mesh stencils: MaxwellSolver._step_numpy and one pass of
- * binomial_smooth_numpy on periodic (ny, nx) planes, nx, ny >= 3.  Each
- * row runs its interior columns x = 1 .. nx - 2 as a unit-stride loop, so
- * it runs at vector width, then its two wrap columns; a node's arguments
+/* The mesh stencils: MaxwellSolver._step_numpy and binomial_smooth_numpy
+ * on periodic (ny, nx) planes, nx, ny >= 3.  Each row runs its interior
+ * columns x = 1 .. nx - 2 as a unit-stride loop, so it runs at vector
+ * width, then its two wrap columns; a node's arguments
  * are its own index i, its x neighbours xm / xp and its y neighbours ym / yp
  * (pic/maxwell.py's np.roll(a, -1) is the +1 neighbour).  Every value is
  * the NumPy body's: a centred difference is (a[+1] - a[-1]) / (2 d), and
@@ -1134,16 +1137,15 @@ static PASS void marder_pass(int64_t ny, int64_t nx, double scale, double two_dx
     }
 }
 
-/* MaxwellSolver._step_numpy after its validation.  e and b are the three
- * (ny, nx) planes of E and of B, j the three of J; mean holds the means of
- * jx, jy, jz and rho (zeros where the solver does not subtract them: x - 0.0
- * is x).  The new E and B are computed in work (7 planes) and copied into e
- * and b only when the whole step is OK: on anything else they are as they
- * were. */
+/* MaxwellSolver._step_numpy after its validation: the leapfrog step, then
+ * one Marder pass.  e and b are the three (ny, nx) planes of E and of B, j
+ * the three of J; mean holds the means of jx, jy, jz and rho.  The new E
+ * and B are computed in work (7 planes) and copied into e and b only when
+ * the whole step is OK: on anything else they are as they were. */
 int field_step(int64_t ny, int64_t nx, double *ex, double *ey, double *ez, double *bx,
                double *by, double *bz, const double *jx, const double *jy, const double *jz,
                const double *rho, const double *R mean, double dx, double dy, double dt,
-               double marder_scale, int64_t marder_passes, double *R work)
+               double marder_scale, double *R work)
 {
     int64_t nnodes = nx * ny;
     size_t plane = sizeof(double) * (size_t)nnodes;
@@ -1161,8 +1163,7 @@ int field_step(int64_t ny, int64_t nx, double *ex, double *ey, double *ez, doubl
     b_half_step(ny, nx, h, two_dx, two_dy, ex, ey, ez, wbx, wby, wbz);
     e_step(ny, nx, dt, two_dx, two_dy, wbx, wby, wbz, jx, jy, jz, mean, wex, wey, wez);
     b_half_step(ny, nx, h, two_dx, two_dy, wex, wey, wez, wbx, wby, wbz);
-    for (int64_t pass = 0; pass < marder_passes; pass++)
-        marder_pass(ny, nx, marder_scale, two_dx, two_dy, rho, mean[3], res, wex, wey);
+    marder_pass(ny, nx, marder_scale, two_dx, two_dy, rho, mean[3], res, wex, wey);
     if (finish(not_finite(work, 6 * nnodes)) != OK)
         return FLAGGED;
     memcpy(ex, wex, plane);
@@ -1194,25 +1195,28 @@ static PASS void smooth_column(int64_t nx, const double *R dn, const double *R m
         o[x] = 0.25 * ((dn[x] + 2.0 * mid[x]) + up[x]);
 }
 
-/* One pass of binomial_smooth_numpy into out: along each row, then along
- * each column.  rows holds three row-pass rows (3 * nx), rotated down the
- * grid; rows 0 and ny - 1 of the row pass are computed twice, with the same
- * bits and flags. */
-int smooth(int64_t ny, int64_t nx, const double *R a, double *R rows, double *R out)
+/* binomial_smooth_numpy of the k (ny, nx) planes of a into out: per plane,
+ * along each row, then along each column.  rows holds three row-pass rows
+ * (3 * nx), rotated down the plane; rows 0 and ny - 1 of the row pass are
+ * computed twice, with the same bits and flags. */
+int smooth(int64_t k, int64_t ny, int64_t nx, const double *R a, double *R rows, double *R out)
 {
-    double *dn = rows, *mid = rows + nx, *up = rows + 2 * nx;
     feclearexcept(FE_ALL_EXCEPT);
-    smooth_row(nx, a + row_below(0, ny, nx), dn);
-    smooth_row(nx, a, mid);
-    for (int64_t y = 0; y < ny; y++) {
-        double *done = dn;
-        smooth_row(nx, a + row_above(y, ny, nx), up);
-        smooth_column(nx, dn, mid, up, out + y * nx);
-        dn = mid;
-        mid = up;
-        up = done;
+    for (int64_t plane = 0; plane < k * ny * nx; plane += ny * nx) {
+        const double *in = a + plane;
+        double *dn = rows, *mid = rows + nx, *up = rows + 2 * nx;
+        smooth_row(nx, in + row_below(0, ny, nx), dn);
+        smooth_row(nx, in, mid);
+        for (int64_t y = 0; y < ny; y++) {
+            double *done = dn;
+            smooth_row(nx, in + row_above(y, ny, nx), up);
+            smooth_column(nx, dn, mid, up, out + plane + y * nx);
+            dn = mid;
+            mid = up;
+            up = done;
+        }
     }
-    return finish(not_finite(out, nx * ny));
+    return finish(not_finite(out, k * ny * nx));
 }
 
 /* LSD radix sort of m non-negative keys, one byte a pass, through tmp (m
@@ -1285,17 +1289,16 @@ static int owners_fit(const int64_t *R owner, int64_t nnodes, int64_t top)
 }
 
 /* One segment's m distinct cells, collected in t->cells: sorts them and
- * numbers them first, first + 1, ... in cell_mark, then collects the
+ * numbers them 0, 1, ... (its pairs) in cell_mark, then collects the
  * distinct vertices of their cells that rank mine does not own, as owner *
  * nnodes + node keys, into t->keys, sorted: returns how many. */
-static int64_t segment_keys(struct slot_tables *t, int64_t m, int64_t first, int64_t mine,
-                            int64_t stamp)
+static int64_t segment_keys(struct slot_tables *t, int64_t m, int64_t mine, int64_t stamp)
 {
     int64_t q = 0, v[4];
     sort_ascending(t->cells, t->tmp, m);
     for (int64_t u = 0; u < m; u++) {
         int64_t c = t->cells[u];
-        t->cell_mark[c] = -(first + u) - 1;
+        t->cell_mark[c] = -u - 1;
         cell_vertices(c, t->nx, t->ny, v);
         for (int j = 0; j < 4; j++)
             if (t->owner[v[j]] != mine && t->node_mark[v[j]] != stamp) {
@@ -1330,36 +1333,31 @@ static void segment_slots(struct slot_tables *t, int64_t m, int64_t q, int64_t f
     }
 }
 
-/* ghost_slots: the distinct (rank, cell) pairs of k rows of n cells
- * (particle i of rank ranks[i]) in (rank, cell) order and
- * each entry's pair in pair_of (k, n); per pair vertex in dest (npairs, 4)
- * its node where the pair's rank owns it, nnodes + slot otherwise, the
- * slots being the distinct off-rank (rank, node) pairs in (rank, owner,
- * node) order (rows slot_ranks, slot_owners, slot_nodes of slots (3,
- * slot_cap)); sizes = (npairs, nslots).
+/* ghost_slots: the distinct off-rank (rank, node) pairs of the cells in k
+ * rows of n (particle i of rank ranks[i]), in (rank, owner, node) order:
+ * rows slot_ranks, slot_owners, slot_nodes of slots (3, slot_cap); their
+ * count in nslots.  work is slot_tables' and then a segment's pair
+ * destinations (9 * nnodes int64).
  *
  * The ranks ascend (a pool's rank segments), so each rank is one segment
- * and its pairs and slots are found on it alone: its distinct cells by the
- * cell stamp table, then sorted; its pairs' distinct off-rank vertices by
- * the node stamp table, then sorted by owner * nnodes + node.  One walk of
- * the cells per segment collects them, a second writes pair_of.  No walk
- * counts first: a segment of m entries has at most m pairs and 4 m slots,
- * so dest holds pair_cap >= k n pairs and slots slot_cap >= 4 k n, sized
+ * and its slots are found on it alone: its distinct cells by the cell
+ * stamp table, then its cells' distinct off-rank vertices by the node
+ * stamp table, sorted by owner * nnodes + node.  No walk counts first: a
+ * segment of m entries has at most 4 m slots, so slot_cap >= 4 k n, sized
  * before the pass.  BAD_INDEX: a cell outside the grid; DECLINED: ranks
- * negative or descending, owners_fit's, or blocks smaller than that. */
+ * negative or descending, owners_fit's, or rows shorter than that. */
 int ghost_slots(int64_t k, int64_t n, const int64_t *R ranks, const int64_t *R cells,
                 int64_t nx, int64_t ny, const int64_t *R node_owner, int64_t *R work,
-                int64_t pair_cap, int64_t slot_cap, int64_t *R sizes, int64_t *R pair_of,
-                int64_t *R dest, int64_t *R slots)
+                int64_t slot_cap, int64_t *R nslots, int64_t *R slots)
 {
     struct slot_tables t = slot_tables(nx, ny, node_owner, work);
-    int64_t npairs = 0, nslots = 0, stamp = 0, descending = n && ranks[0] < 0;
+    int64_t found = 0, stamp = 0, descending = n && ranks[0] < 0, *dest = work + 5 * t.nnodes;
     if (outside_of(cells, k * n, t.nnodes))
         return BAD_INDEX;
     for (int64_t i = 1; i < n; i++)
         descending |= ranks[i] < ranks[i - 1];
     if (descending || owners_fit(node_owner, t.nnodes, n ? ranks[n - 1] : -1) != OK ||
-        pair_cap < k * n || slot_cap < 4 * k * n)
+        slot_cap < 4 * k * n)
         return DECLINED;
     memset(work, 0, sizeof(int64_t) * 2 * (size_t)t.nnodes);
     for (int64_t s = 0, e; s < n; s = e) {
@@ -1375,17 +1373,11 @@ int ghost_slots(int64_t k, int64_t n, const int64_t *R ranks, const int64_t *R c
                     t.cells[m++] = c;
                 }
             }
-        int64_t q = segment_keys(&t, m, npairs, rank, stamp);
-        for (int64_t j = 0; j < k; j++)
-            for (int64_t i = s; i < e; i++)
-                pair_of[j * n + i] = -t.cell_mark[cells[j * n + i]] - 1;
-        segment_slots(&t, m, q, nslots, rank, slots, slots + slot_cap, slots + 2 * slot_cap,
-                      dest + 4 * npairs);
-        npairs += m;
-        nslots += q;
+        int64_t q = segment_keys(&t, m, rank, stamp);
+        segment_slots(&t, m, q, found, rank, slots, slots + slot_cap, slots + 2 * slot_cap, dest);
+        found += q;
     }
-    sizes[0] = npairs;
-    sizes[1] = nslots;
+    *nslots = found;
     return OK;
 }
 
@@ -1477,7 +1469,7 @@ static PASS void scatter_shard(const void *args, int64_t s)
                 t.cells[m++] = c;
             }
         }
-        int64_t nq = segment_keys(&t, m, 0, r, stamp);
+        int64_t nq = segment_keys(&t, m, r, stamp);
         segment_slots(&t, m, nq, nslots, r, slots, slots + cap, slots + 2 * cap, dest);
         for (int64_t u = 0; u < m; u++)
             off[u] = (dest[4 * u] >= nnodes) + (dest[4 * u + 1] >= nnodes) +
@@ -1574,7 +1566,7 @@ static PASS void yee_shard(const void *args, int64_t s)
                                 {weight, weight + len, weight + 2 * len, weight + 3 * len}};
         for (int64_t i = 0; i < len; i++)
             charge[i] = a->w[i0 + i] * a->q[i0 + i];
-        if (moves_bad(len, x_old + i0, y_old + i0, x + i0, y + i0, charge, &g)) {
+        if (moves_bad(len, x_old + i0, y_old + i0, x + i0, y + i0, &g)) {
             bad = 1;
             break;
         }
@@ -1600,7 +1592,7 @@ static PASS void yee_shard(const void *args, int64_t s)
                     t.cells[m++] = c;
                 }
             }
-        int64_t nq = segment_keys(&t, m, 0, r, stamp);
+        int64_t nq = segment_keys(&t, m, r, stamp);
         segment_slots(&t, m, nq, nslots, r, slots, slots + cap, slots + 2 * cap, dest);
         for (int64_t u = 0; u < m; u++)
             off[u] = (dest[4 * u] >= nnodes) + (dest[4 * u + 1] >= nnodes) +
@@ -1638,12 +1630,13 @@ static PASS void yee_shard(const void *args, int64_t s)
 /* The scatter of rank segments counts[0 .. nranks) of n particles: cic,
  * ghost_slots and deposit, one segment at a time while it is in cache.  A
  * first walk of the segment computes each particle's CIC (cic's floats,
- * cic_into) and stamps its cell; the segment's pairs and slots are
- * numbered as ghost_slots numbers them (pairs from 0 in each segment: they
- * are not output); a second walk adds the entries as deposit adds them, in
- * the segment's particle order, into bins (nnodes + slot_cap, 4): a node's
- * four channels (on-rank sums) or a slot's at nnodes + slot (zeroed as it
- * is numbered), so each add is one 4-wide vector.  tallies[r] is how many
+ * cic_into) and stamps its cell; the segment's slots are numbered as
+ * ghost_slots numbers them, its pairs (distinct cells) from 0 in each
+ * segment (they are not output); a second walk adds the entries as deposit
+ * adds them, in the segment's particle order, into bins (nnodes +
+ * slot_cap, 4): a node's four channels (on-rank sums) or a slot's at
+ * nnodes + slot (zeroed as it is numbered), so each add is one 4-wide
+ * vector.  tallies[r] is how many
  * ghost entries rank r's particles make (one per off-rank vertex of a
  * particle's cell), tallies[nranks + r] its slots, numbered into rows of
  * stride slot_cap (>= 4 n) of slots.

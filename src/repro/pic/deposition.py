@@ -140,7 +140,7 @@ def pooled_ghost_keys(
 
 
 class GhostSlots(NamedTuple):
-    """What :func:`ghost_slots` found."""
+    """What :func:`ghost_slots_numpy` found (:func:`ghost_slots`: the first three)."""
 
     ranks: np.ndarray  #: ``(nslots,)`` depositing rank of each off-rank slot
     owners: np.ndarray  #: ``(nslots,)`` rank that owns the slot's node
@@ -153,16 +153,17 @@ class GhostSlots(NamedTuple):
 
 def ghost_slots(
     grid: Grid2D, node_owner: np.ndarray, particle_ranks: np.ndarray, cells: np.ndarray
-) -> GhostSlots:
-    """Ghost slots of the distinct ``(rank, cell)`` pairs behind ``cells``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ghost slots of the distinct ``(rank, cell)`` pairs behind ``cells``:
+    their rows ``(ranks, owners, nodes)`` (:class:`GhostSlots`).
 
     Every stencil or deposition entry is a vertex of its particle's
     cell, so owner lookup and duplicate removal run on the pairs, never
-    on the entries.  The pairs are numbered in ``(rank, cell)`` order and
-    the off-rank ``(rank, node)`` pairs in ``(rank, owner, node)`` order,
-    so each run of equal ``(rank, owner)`` is one coalesced message with
-    ascending node ids and the slots are a
-    :class:`~repro.machine.batch.MessageBatch` as they stand.
+    on the entries.  The slots, the off-rank ``(rank, node)`` pairs, are
+    numbered in ``(rank, owner, node)`` order, so each run of equal
+    ``(rank, owner)`` is one coalesced message with ascending node ids
+    and the slots are a :class:`~repro.machine.batch.MessageBatch` as
+    they stand.
 
     ``node_owner`` is the ownership map, ``particle_ranks`` ``(n,)`` each
     particle's rank, ``cells`` ``(k, n)`` cell ids per particle, one row
@@ -175,7 +176,7 @@ def ghost_slots(
     compiled = native.kernels()
     args = (grid, node_owner, particle_ranks, cells)
     found = compiled.ghost_slots(*args) if compiled is not None else None
-    return ghost_slots_numpy(*args) if found is None else GhostSlots(*found)
+    return ghost_slots_numpy(*args)[:3] if found is None else found
 
 
 def ghost_slots_numpy(
@@ -222,17 +223,14 @@ def deposit_by_destination(
         summed[c] = both[nnodes:]
 
 
-def deposit_charge_current(
-    grid: Grid2D, particles: ParticleArray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def deposit_charge_current(grid: Grid2D, particles: ParticleArray) -> np.ndarray:
     """Full sequential scatter: deposit rho, jx, jy, jz onto the grid.
 
-    Returns the four ``(ny, nx)`` arrays.  Deposited densities are per
-    cell area (divided by ``dx * dy``) so a mean-density-1 plasma gives
-    ``rho ~ -1``.
+    Returns the four ``(ny, nx)`` planes as one ``(4, ny, nx)`` block.
+    Deposited densities are per cell area (divided by ``dx * dy``) so a
+    mean-density-1 plasma gives ``rho ~ -1``.
     """
     nodes, values = deposition_entries(grid, particles)
     acc = accumulate_entries(grid.nnodes, nodes, values)
     scale = 1.0 / (grid.dx * grid.dy)
-    shaped = (acc * scale).reshape(len(CHANNELS), grid.ny, grid.nx)
-    return shaped[0], shaped[1], shaped[2], shaped[3]
+    return (acc * scale).reshape(len(CHANNELS), grid.ny, grid.nx)

@@ -15,7 +15,8 @@ Normalized units (``c = eps0 = mu0 = 1``):
 
 The deposited current is mean-subtracted per component, the periodic
 analogue of a neutralizing background: without it a net drift current
-would secularly grow a uniform E mode.
+would secularly grow a uniform E mode.  Each step ends with one Marder
+pass (see :class:`MaxwellSolver`).
 """
 
 from __future__ import annotations
@@ -58,17 +59,14 @@ class MaxwellSolver:
     grid:
         Domain geometry; sets the CFL limit
         ``dt < min(dx, dy) / sqrt(2)``.
-    subtract_mean_current:
-        Remove the domain-mean of each J component before the E update
-        (neutralizing-background convention; default True).
-    marder_passes:
-        Number of Marder divergence-cleaning passes per step (default 1).
-        Plain CIC current deposition does not satisfy the discrete
-        continuity equation, so ``div E - rho`` drifts and eventually
-        drives an unphysical instability; the Marder correction
-        ``E += d * dt * grad(div E - rho)`` diffuses the error away using
-        only nearest-neighbour data — the same local communication
-        pattern as the rest of the field solve.  Set 0 to disable.
+
+    A step subtracts the domain mean of each J component before the E
+    update and ends with one Marder pass: plain CIC current deposition
+    does not satisfy the discrete continuity equation, so ``div E - rho``
+    drifts and eventually drives an unphysical instability, which the
+    correction ``E += d * dt * grad(div E - rho)`` diffuses away from
+    nearest-neighbour data only — the field solve's own communication
+    pattern.
     """
 
     #: Unit-operation count per node per solve, for the cost model: the
@@ -76,17 +74,8 @@ class MaxwellSolver:
     #: times (matches the paper's ``(m/p) * T_f_comp`` form).
     OPS_PER_NODE = 1.0
 
-    def __init__(
-        self,
-        grid: Grid2D,
-        *,
-        subtract_mean_current: bool = True,
-        marder_passes: int = 1,
-    ) -> None:
-        require(marder_passes >= 0, f"marder_passes must be >= 0, got {marder_passes}")
+    def __init__(self, grid: Grid2D) -> None:
         self.grid = grid
-        self.subtract_mean_current = subtract_mean_current
-        self.marder_passes = marder_passes
 
     def cfl_limit(self) -> float:
         """Largest stable time step for the centred scheme."""
@@ -114,11 +103,7 @@ class MaxwellSolver:
         """The NumPy body of :meth:`step` after its validation: fallback and
         oracle of the compiled stencil."""
         dx, dy = self.grid.dx, self.grid.dy
-        jx, jy, jz = fields.jx, fields.jy, fields.jz
-        if self.subtract_mean_current:
-            jx = jx - jx.mean()
-            jy = jy - jy.mean()
-            jz = jz - jz.mean()
+        jx, jy, jz = (j - j.mean() for j in (fields.jx, fields.jy, fields.jz))
 
         # B half step
         cx, cy, cz = curl(fields.ex, fields.ey, fields.ez, dx, dy)
@@ -135,27 +120,20 @@ class MaxwellSolver:
         fields.bx -= 0.5 * dt * cx
         fields.by -= 0.5 * dt * cy
         fields.bz -= 0.5 * dt * cz
-        for _ in range(self.marder_passes):
-            self.marder_clean(fields, dt)
+        # one Marder pass: diffuse the Gauss-law error out of E
+        residual = self.gauss_residual(fields)
+        scale = self.marder_scale(dt)
+        fields.ex += scale * _ddx(residual, dx)
+        fields.ey += scale * _ddy(residual, dy)
 
     def gauss_residual(self, fields: FieldState) -> np.ndarray:
         """``div E - (rho - <rho>)`` on the nodes (zero for exact Gauss law)."""
         div = _ddx(fields.ex, self.grid.dx) + _ddy(fields.ey, self.grid.dy)
         return div - (fields.rho - fields.rho.mean())
 
-    def marder_clean(self, fields: FieldState, dt: float) -> None:
-        """One Marder pass: diffuse the Gauss-law error out of E.
-
-        Uses the diffusion-stable coefficient ``d = min(dx, dy)^2 / (4 dt)``
-        so ``d * dt`` sits at the explicit-diffusion limit.
-        """
-        residual = self.gauss_residual(fields)
-        scale = self.marder_scale(dt)
-        fields.ex += scale * _ddx(residual, self.grid.dx)
-        fields.ey += scale * _ddy(residual, self.grid.dy)
-
     def marder_scale(self, dt: float) -> float:
-        """``d * dt`` of a Marder pass, ``d = min(dx, dy)^2 / (4 dt)``."""
+        """``d * dt`` of a Marder pass, ``d = min(dx, dy)^2 / (4 dt)``: the
+        diffusion-stable coefficient, at the explicit-diffusion limit."""
         d = min(self.grid.dx, self.grid.dy) ** 2 / (4.0 * dt)
         return d * dt
 

@@ -254,12 +254,6 @@ class ParallelPIC(PooledParticles):
     movement:
         ``"lagrangian"`` (fixed assignment; the paper's choice) or
         ``"eulerian"`` (migrate to cell owners every step).
-    smoothing_passes:
-        Binomial-filter passes on the deposited sources (default 1,
-        matching :class:`repro.pic.sequential.SequentialPIC`).  The
-        filter is a nearest-neighbour stencil whose halo needs are
-        covered by the field-solve exchange; its compute is charged to
-        the scatter phase.
     field_solver:
         ``"maxwell"`` (the paper's local FDTD solve with halo exchange)
         or ``"electrostatic"`` (global FFT Poisson solve each step; the
@@ -287,19 +281,16 @@ class ParallelPIC(PooledParticles):
         dt: float | None = None,
         ghost_table: str = "hash",
         movement: str = "lagrangian",
-        smoothing_passes: int = 1,
         field_solver: str = "maxwell",
         backend=None,
         collect_debug: bool = False,
     ) -> None:
         require(movement in ("lagrangian", "eulerian"), f"unknown movement {movement!r}")
-        require(smoothing_passes >= 0, "smoothing_passes must be >= 0")
         require(
             field_solver in ("maxwell", "electrostatic"),
             f"unknown field_solver {field_solver!r}",
         )
         super().__init__(vm, grid, decomp, local_particles, dt, backend)
-        self.smoothing_passes = smoothing_passes
         self.field_solver = field_solver
         self.movement = movement
         self.collect_debug = collect_debug
@@ -396,20 +387,16 @@ class ParallelPIC(PooledParticles):
         return acc
 
     def _finish_scatter(self, acc: np.ndarray) -> None:
-        """Scale, smooth, and install the deposited sources."""
-        vm = self.vm
+        """Scale, smooth (one call over the four channels, a stencil whose
+        halo the field-solve exchange covers, charged to the scatter
+        phase), and install the deposited sources as rows of one block."""
         grid = self.grid
         scale = 1.0 / (grid.dx * grid.dy)
-        shaped = (acc * scale).reshape(len(CHANNELS), grid.ny, grid.nx)
-        k = self.smoothing_passes
-        if k:
-            with vm.phase("scatter"):
-                # nearest-neighbour filter: one op per node per channel/pass
-                vm.charge_ops("field", self.node_counts * len(CHANNELS) * k)
-        self.fields.rho = binomial_smooth(shaped[0], k)
-        self.fields.jx = binomial_smooth(shaped[1], k)
-        self.fields.jy = binomial_smooth(shaped[2], k)
-        self.fields.jz = binomial_smooth(shaped[3], k)
+        with self.vm.phase("scatter"):
+            # one op per node per channel
+            self.vm.charge_ops("field", self.node_counts * len(CHANNELS))
+        smoothed = binomial_smooth((acc * scale).reshape(len(CHANNELS), *grid.shape))
+        self.fields.rho, self.fields.jx, self.fields.jy, self.fields.jz = smoothed
 
     # ------------------------------------------------------------------
     # field-solve phase

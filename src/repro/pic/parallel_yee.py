@@ -62,7 +62,7 @@ from repro.parallel_exec.kernels import (
     scatter_segment,
 )
 from repro.particles.arrays import ParticleArray, ParticlePool
-from repro.pic.deposition import deposit_by_destination, ghost_slots
+from repro.pic.deposition import CHANNELS, ghost_slots
 
 # The e2e recorder (benchmarks/e2e/layers.py) rebinds deposition_entries,
 # deposit_current_zigzag, gather_from_node_values and boris_push in this
@@ -133,20 +133,15 @@ class ParallelYeePIC(PooledParticles):
             merge_ghost_messages(acc, vm.exchange(batch))
 
     def _distributed_rho(self) -> None:
-        """CIC charge deposition with ghost communication (rho only)."""
+        """CIC charge deposition with ghost communication (rho only): the
+        era scatter pass, of which the charge channel is kept and sent."""
         grid = self.grid
         pool = self.pool
-        parts = pool.array
-        acc = np.empty((1, grid.nnodes))
+        acc = np.empty((len(CHANNELS), grid.nnodes))
         with self.vm.phase("scatter"):
-            nodes, weights = grid.cic_vertices_weights(parts.x, parts.y)
-            values = (weights * (parts.w * parts.q)[:, None]).reshape(1, -1)
-            cells = np.ascontiguousarray(nodes[:, :1].T)
-            slots = ghost_slots(grid, self.node_owner, pool.rank_of_particles(), cells)
-            summed = np.empty((1, slots.nodes.size))
-            deposit_by_destination(slots.dest[slots.pair_of[0]].ravel(), values, acc, summed)
-            batch = MessageBatch.coalesce(slots.ranks, slots.owners, slots.nodes, summed)
-            self._exchange_ghosts(acc, batch, 4.0)
+            _, _, _, sent = scatter_segment(grid, pool.array, pool.counts, self.node_owner, acc)
+            batch = MessageBatch(sent.src, sent.dst, sent.offsets, sent.ids, sent.values[:1])
+            self._exchange_ghosts(acc[:1], batch, 4.0)
         self.fields.rho = (acc[0] / (grid.dx * grid.dy)).reshape(grid.shape)
 
     # ------------------------------------------------------------------
@@ -192,7 +187,7 @@ class ParallelYeePIC(PooledParticles):
             with vm.section("exchange"):
                 slots = ghost_slots(self.grid, self.node_owner, pool.rank_of_particles(), cells)
                 # round 1: requests (node-id lists)
-                requests = MessageBatch.coalesce(slots.ranks, slots.owners, slots.nodes)
+                requests = MessageBatch.coalesce(*slots)
                 incoming = vm.exchange(requests)
                 # round 2: replies (six component values per requested node;
                 # tests verify the replies equal the owners' data)

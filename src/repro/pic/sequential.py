@@ -35,9 +35,6 @@ class SequentialPIC:
         Initial particle set (owned and mutated by the stepper).
     dt:
         Time step; defaults to 90% of the field solver's CFL limit.
-    smoothing_passes:
-        Binomial-filter passes applied to the deposited sources
-        (default 1; see :mod:`repro.pic.smoothing` for why).
     field_solver:
         ``"maxwell"`` (electromagnetic FDTD, the paper's code) or
         ``"electrostatic"`` (periodic Poisson solve each step, B = 0 —
@@ -50,10 +47,8 @@ class SequentialPIC:
         particles: ParticleArray,
         *,
         dt: float | None = None,
-        smoothing_passes: int = 1,
         field_solver: str = "maxwell",
     ) -> None:
-        require(smoothing_passes >= 0, "smoothing_passes must be >= 0")
         require(
             field_solver in ("maxwell", "electrostatic"),
             f"unknown field_solver {field_solver!r}",
@@ -66,17 +61,13 @@ class SequentialPIC:
         self.poisson = PoissonSolver(grid) if field_solver == "electrostatic" else None
         self.dt = dt if dt is not None else 0.9 * self.solver.cfl_limit()
         self.solver.validate_dt(self.dt)
-        self.smoothing_passes = smoothing_passes
         self.iteration = 0
 
     def scatter(self) -> None:
-        """Scatter phase: deposit rho and J from the particles."""
-        rho, jx, jy, jz = deposit_charge_current(self.grid, self.particles)
-        k = self.smoothing_passes
-        self.fields.rho = binomial_smooth(rho, k)
-        self.fields.jx = binomial_smooth(jx, k)
-        self.fields.jy = binomial_smooth(jy, k)
-        self.fields.jz = binomial_smooth(jz, k)
+        """Scatter phase: deposit rho and J from the particles, then one
+        binomial pass over the four (see :mod:`repro.pic.smoothing` for why)."""
+        smoothed = binomial_smooth(deposit_charge_current(self.grid, self.particles))
+        self.fields.rho, self.fields.jx, self.fields.jy, self.fields.jz = smoothed
 
     def field_solve(self) -> None:
         """Field-solve phase: advance E, B with the deposited currents.

@@ -19,31 +19,25 @@ from repro.util import require
 __all__ = ["binomial_smooth", "binomial_smooth_numpy"]
 
 
-def binomial_smooth(a: np.ndarray, passes: int = 1) -> np.ndarray:
-    """Apply ``passes`` rounds of the 2-D binomial 1-2-1 filter.
+def binomial_smooth(a: np.ndarray) -> np.ndarray:
+    """One pass of the 2-D binomial 1-2-1 filter over the last two axes of
+    a ``(ny, nx)`` plane or a ``(k, ny, nx)`` block of them, into a fresh array.
 
-    Periodic boundaries; preserves the array mean exactly (the filter is
+    Periodic boundaries; preserves each plane's mean exactly (the filter is
     a convex combination), hence total deposited charge is conserved.
-    Each pass is the compiled ``smooth`` of :mod:`repro.native` when it is
-    active and takes the array, with the floats of
-    :func:`binomial_smooth_numpy`, which runs otherwise.
+    The compiled ``smooth`` of :mod:`repro.native` when it is active and
+    takes the array, with the floats of :func:`binomial_smooth_numpy`,
+    which runs otherwise.
     """
-    require(passes >= 0, f"passes must be >= 0, got {passes}")
     a = np.asarray(a, dtype=np.float64)
-    require(a.ndim == 2, f"expected a 2-D field array, got shape {a.shape}")
+    require(a.ndim in (2, 3), f"expected a (ny, nx) or (k, ny, nx) array, got shape {a.shape}")
     compiled = native.kernels()
-    out = a
-    for _ in range(passes):
-        smoothed = None if compiled is None else compiled.smooth(out)
-        out = binomial_smooth_numpy(out) if smoothed is None else smoothed
-    return out
+    smoothed = None if compiled is None else compiled.smooth(a)
+    return binomial_smooth_numpy(a) if smoothed is None else smoothed
 
 
-def binomial_smooth_numpy(a: np.ndarray, passes: int = 1) -> np.ndarray:
+def binomial_smooth_numpy(a: np.ndarray) -> np.ndarray:
     """The NumPy body of :func:`binomial_smooth` after its validation:
     fallback and oracle of the compiled pass."""
-    out = a
-    for _ in range(passes):
-        sx = 0.25 * (np.roll(out, 1, axis=1) + 2.0 * out + np.roll(out, -1, axis=1))
-        out = 0.25 * (np.roll(sx, 1, axis=0) + 2.0 * sx + np.roll(sx, -1, axis=0))
-    return out
+    sx = 0.25 * (np.roll(a, 1, axis=-1) + 2.0 * a + np.roll(a, -1, axis=-1))
+    return 0.25 * (np.roll(sx, 1, axis=-2) + 2.0 * sx + np.roll(sx, -1, axis=-2))

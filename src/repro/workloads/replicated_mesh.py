@@ -56,10 +56,8 @@ class ReplicatedMeshPIC:
         local_particles: list[ParticleArray],
         *,
         dt: float | None = None,
-        smoothing_passes: int = 1,
     ) -> None:
         require(len(local_particles) == vm.p, "need one particle set per rank")
-        require(smoothing_passes >= 0, "smoothing_passes must be >= 0")
         self.vm = vm
         self.grid = grid
         self.particles = list(local_particles)
@@ -67,7 +65,6 @@ class ReplicatedMeshPIC:
         self.solver = MaxwellSolver(grid)
         self.dt = dt if dt is not None else 0.9 * self.solver.cfl_limit()
         self.solver.validate_dt(self.dt)
-        self.smoothing_passes = smoothing_passes
         self.iteration = 0
 
     # ------------------------------------------------------------------
@@ -93,12 +90,8 @@ class ReplicatedMeshPIC:
             # every iteration moves the whole source array set.
             summed = vm.allreduce(partials, op="sum")[0]
         scale = 1.0 / (grid.dx * grid.dy)
-        shaped = (summed * scale).reshape(len(CHANNELS), grid.ny, grid.nx)
-        k = self.smoothing_passes
-        self.fields.rho = binomial_smooth(shaped[0], k)
-        self.fields.jx = binomial_smooth(shaped[1], k)
-        self.fields.jy = binomial_smooth(shaped[2], k)
-        self.fields.jz = binomial_smooth(shaped[3], k)
+        smoothed = binomial_smooth((summed * scale).reshape(len(CHANNELS), grid.ny, grid.nx))
+        self.fields.rho, self.fields.jx, self.fields.jy, self.fields.jz = smoothed
 
     def field_solve(self) -> None:
         """Partitioned update + global concatenation of the results."""

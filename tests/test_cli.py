@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _config_from_args, build_parser, main
 from repro.pic.simulation import config_from_dict
 
 
@@ -83,6 +83,37 @@ class TestCommands:
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["n_redistributions"] == 2
+
+    def test_cli_flag_at_its_default_overrides_config_file(self, tmp_path):
+        """``-p 16`` is the flag's default, and still wins over the file's ``p``."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"nx": 16, "p": 8}')
+        args = build_parser().parse_args(["run", "--config", str(cfg), "-p", "16"])
+        config = _config_from_args(args)
+        assert (config.nx, config.p) == (16, 16)
+
+    def test_precedence_defaults_case_config_flags(self, tmp_path):
+        """Each setting comes from the last of: the defaults, ``--case``,
+        ``--config``, the flags given."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"nparticles": 4096}')
+        parse = build_parser().parse_args
+        fig20 = _config_from_args(parse(["run", "--case", "fig20"]))
+        assert (fig20.p, fig20.seed) == (32, 0)
+        config = _config_from_args(parse(["run", "--case", "fig20", "-p", "8"]))
+        assert (config.nx, config.ny, config.p) == (fig20.nx, fig20.ny, 8)
+        config = _config_from_args(parse(["run", "--case", "fig20", "--config", str(cfg)]))
+        assert (config.nx, config.nparticles, config.p) == (fig20.nx, 4096, 32)
+        config = _config_from_args(
+            parse(["run", "--config", str(cfg), "--case", "fig20", "-n", "512"])
+        )
+        assert (config.nx, config.nparticles) == (fig20.nx, 512)
+
+    def test_run_help_states_the_precedence(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        said = " ".join(capsys.readouterr().out.split())
+        assert "the defaults, --case, --config, then the flags given" in said
 
     def test_config_file_unknown_keys_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -3,7 +3,7 @@
 ``repro.native`` puts six C loops behind ``Grid2D.cic_vertices_weights``,
 ``scatter_segment`` (both steppers' scatters), ``gather_push_slice``
 (both steppers' gathers + pushes), ``ghost_slots``, ``MaxwellSolver.step``
-and one pass of ``binomial_smooth``.  The NumPy bodies stay as fallback
+and ``binomial_smooth``.  The NumPy bodies stay as fallback
 and oracle, and the contract is equality *by bytes* — on ordinary inputs
 through the C loop (asserted: a comparison that silently took the
 fallback proves nothing), on exceptional ones through the fallback the C
@@ -490,7 +490,7 @@ class TestBytes:
         got = compiled.ghost_slots(grid, owner, ranks, cells)
         assert got is not None
         want = ghost_slots_numpy(grid, owner, ranks, cells)
-        _same(got, want)
+        _same(got, want[:3])
         if owned == "all_off_rank":
             assert (want.dest >= grid.nnodes).all()
         elif owned == "all_on_rank":
@@ -529,7 +529,7 @@ class TestBytes:
         got = fresh.ghost_slots(grid, owner, ranks, cells)
         assert got is not None
         want = ghost_slots_numpy(grid, owner, ranks, cells)
-        _same(got, want)
+        _same(got, want[:3])
         if owned == "all_off_rank":
             assert want.nodes.size == len(np.unique(want.dest)) and (want.dest >= grid.nnodes).all()
         acc, want_acc = np.empty((2, 4, grid.nnodes))
@@ -562,16 +562,14 @@ class TestBytes:
         st.integers(3, 12),
         st.sampled_from([(1.0, 1.0), (10.0, 3.0), (0.7, 2.5)]),
         st.sampled_from([0.05, 0.5, 0.99]),
-        st.booleans(),
-        st.sampled_from([0, 1, 2]),
         st.integers(0, 2**31),
     )
-    def test_field_step(self, compiled, nx, ny, box, cfl, subtract, passes, seed):
-        """Non-square grids down to 3x3, signed zeros, raw or mean-free
-        currents, zero to two Marder passes, ``dt`` up to the CFL limit:
-        E and B stay the same arrays and hold ``_step_numpy``'s bytes."""
+    def test_field_step(self, compiled, nx, ny, box, cfl, seed):
+        """Non-square grids down to 3x3, signed zeros, ``dt`` up to the CFL
+        limit, the ten planes adjacent rows of one block: E and B stay the
+        same arrays and hold ``_step_numpy``'s bytes."""
         grid = Grid2D(nx, ny, lx=box[0], ly=box[1])
-        solver = MaxwellSolver(grid, subtract_mean_current=subtract, marder_passes=passes)
+        solver = MaxwellSolver(grid)
         dt = cfl * solver.cfl_limit()
         got, want = _fields(grid, seed), _fields(grid, seed)
         arrays = _planes(got)
@@ -583,11 +581,14 @@ class TestBytes:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(3, 12), st.integers(3, 12), st.integers(0, 2**31))
     def test_smooth(self, compiled, nx, ny, seed):
-        a = _fields(Grid2D(nx, ny), seed).rho
-        got = compiled.smooth(a)
-        assert got is not None and got is not a
-        _same((got,), (binomial_smooth_numpy(a),))
-        _same((binomial_smooth(a, 3),), (binomial_smooth_numpy(a, 3),))
+        """One plane, and the four source planes in one call, as the
+        steppers smooth them."""
+        block = np.stack(_planes(_fields(Grid2D(nx, ny), seed))[6:])
+        for a in (block[3], block):
+            got = compiled.smooth(a)
+            assert got is not None and got is not a
+            _same((got,), (binomial_smooth_numpy(a),))
+        _same(tuple(compiled.smooth(block)), tuple(binomial_smooth_numpy(plane) for plane in block))
 
     @settings(max_examples=60, deadline=None)
     @given(modern_cases, st.sampled_from([0.05, 0.6, 3.0]))
@@ -737,7 +738,7 @@ class TestDeclined:
         ]
         for args in declined:
             assert compiled.ghost_slots(grid, *args) is None
-            _same(ghost_slots(grid, *args), ghost_slots_numpy(grid, *args))
+            _same(ghost_slots(grid, *args), ghost_slots_numpy(grid, *args)[:3])
 
     @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
     def test_non_finite_positions_warn_as_numpy_does(self, compiled, poison):
@@ -754,12 +755,15 @@ class TestDeclined:
         _same(got, want)
 
     @pytest.mark.parametrize(
-        "column, value", [("ux", np.nan), ("x", np.inf), ("uz", 1e200), ("q", np.inf)]
+        "column, value",
+        [("ux", np.nan), ("x", np.inf), ("uz", 1e200), ("q", np.inf), ("q", np.nan), ("m", np.nan)],
     )
     def test_push_declines_before_writing(self, compiled, column, value):
         """Non-finite state, and an overflow whose results are finite again
         (NumPy warns about the square): the gather + push may have written
-        nothing, and the public pass answers, and warns, as its NumPy body."""
+        nothing, and the public pass answers, and warns, as its NumPy body.
+        A NaN momentum, charge or mass goes through the push quietly, into
+        NaN positions and momenta."""
         got, want = _particles(self.grid, 40, 3), _particles(self.grid, 40, 3)
         for parts in (got, want):
             getattr(parts, column)[9] = value
@@ -888,10 +892,10 @@ class TestDeclined:
         assert compiled.smooth(source) is None
         with warnings.catch_warnings(record=True) as numpy_said:
             warnings.simplefilter("always")
-            want = binomial_smooth_numpy(source, 2)
+            want = binomial_smooth_numpy(source)
         with warnings.catch_warnings(record=True) as we_said:
             warnings.simplefilter("always")
-            got = binomial_smooth(source, 2)
+            got = binomial_smooth(source)
         assert [str(w.message) for w in we_said] == [str(w.message) for w in numpy_said]
         _same((got,), (want,))
 
@@ -899,7 +903,7 @@ class TestDeclined:
         """Strided views, float32, read-only E or B, planes sharing memory
         and grids 2 nodes wide or high take the NumPy body, untouched before
         it; the public functions still answer with its bytes."""
-        grid, solver = self.grid, MaxwellSolver(self.grid, marder_passes=2)
+        grid, solver = self.grid, MaxwellSolver(self.grid)
         base = _fields(grid, 7)
         wide = np.zeros((10, grid.ny, 2 * grid.nx))
         wide[:, :, ::2] = np.stack(_planes(base))
@@ -926,9 +930,10 @@ class TestDeclined:
             solver.step(read_only, 0.1)
 
         nested = [[1.0] * 4] * 4
-        for a in (wide[0, :, ::2], base.ex.astype(np.float32), thin[0][0], thin[1][0], nested):
+        strided = (wide[0, :, ::2], wide[6:, :, ::2])  # one plane, a block of four
+        for a in (*strided, base.ex.astype(np.float32), thin[0][0], thin[1][0], nested):
             assert compiled.smooth(a) is None
-            _same((binomial_smooth(a, 2),), (binomial_smooth_numpy(np.asarray(a, dtype=float), 2),))
+            _same((binomial_smooth(a),), (binomial_smooth_numpy(np.asarray(a, dtype=float)),))
 
     @staticmethod
     def _warned(call):

@@ -15,7 +15,7 @@ import pytest
 from repro.mesh import CurveBlockDecomposition, Grid2D
 from repro.particles.arrays import ParticleArray
 from repro.pic import SequentialPIC, Simulation, SimulationConfig
-from repro.pic.deposition import deposit_charge_current, ghost_slots
+from repro.pic.deposition import deposit_charge_current, ghost_slots_numpy
 from repro.pic.yee import YeePIC
 from repro.pic.zigzag import continuity_residual, deposit_zigzag_entries, zigzag_entries
 
@@ -119,7 +119,7 @@ def test_zigzag_currents_conserve_charge_through_the_ghost_slots(p):
     owner = CurveBlockDecomposition(grid, p, "hilbert").owner_map
     # the two sub-segments' cells: rows 0 and 2 of the jx node block
     cells = np.ascontiguousarray(jx_nodes.reshape(4, n)[::2])
-    slots = ghost_slots(grid, owner, np.repeat(np.arange(p), counts), cells)
+    slots = ghost_slots_numpy(grid, owner, np.repeat(np.arange(p), counts), cells)
     assert p == 1 or slots.nodes.size > 0
     acc, summed = np.empty((2, grid.nnodes)), np.empty((2, slots.nodes.size))
     values = np.stack((jx_values.ravel(), jy_values.ravel()))

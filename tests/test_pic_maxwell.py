@@ -87,13 +87,6 @@ class TestSources:
         solver.step(fields, 0.5)
         assert np.allclose(fields.ez, 0.0)
 
-    def test_uniform_current_without_subtraction_drives_e(self, grid):
-        solver = MaxwellSolver(grid, subtract_mean_current=False)
-        fields = FieldState.zeros(grid)
-        fields.jz[:] = 1.0
-        solver.step(fields, 0.5)
-        assert np.allclose(fields.ez, -0.5)
-
     def test_localized_current_radiates(self, grid, solver):
         fields = FieldState.zeros(grid)
         fields.jz[16, 16] = 1.0

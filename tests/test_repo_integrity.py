@@ -181,6 +181,34 @@ class TestPackageMetadata:
         ]
         assert not stale, stale
 
+    def test_docs_cite_tests_that_exist(self):
+        """Every ``tests/<file>.py::<Name>`` (``::<name>`` of a class too)
+        cited in DESIGN.md and docs/*.md names a definition in that file."""
+        import ast
+
+        docs = [ROOT / "DESIGN.md", *sorted((ROOT / "docs").glob("*.md"))]
+        cited = {
+            cite
+            for doc in docs
+            for cite in re.findall(r"tests/(\w+\.py)::(\w+(?:::\w+)*)", doc.read_text())
+        }
+        assert cited, "the docs cite the tests that pin their contracts"
+        missing = []
+        for name, path in sorted(cited):
+            source = ROOT / "tests" / name
+            scope = ast.parse(source.read_text()).body if source.is_file() else []
+            for part in path.split("::"):
+                found = [
+                    node.body
+                    for node in scope
+                    if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == part
+                ]
+                scope = found[0] if found else []
+                if not found:
+                    missing.append(f"tests/{name}::{path}")
+                    break
+        assert not missing, missing
+
     def test_license_present(self):
         assert (ROOT / "LICENSE").read_text().startswith("MIT License")
 

@@ -28,7 +28,13 @@ from repro.parallel_exec import FlatBackend, create_backend
 from repro.parallel_exec.kernels import reduce_rank_rows, scatter_segment
 from repro.particles import ParticleArray, ParticlePool, gaussian_blob, uniform_plasma
 from repro.pic import ParallelPIC, Simulation, SimulationConfig
-from repro.pic.deposition import CHANNELS, accumulate_entries, deposition_entries, ghost_slots
+from repro.pic.deposition import (
+    CHANNELS,
+    accumulate_entries,
+    deposition_entries,
+    ghost_slots,
+    ghost_slots_numpy,
+)
 from repro.pic.ghost import GHOST_TABLES
 from repro.pic.zigzag import deposit_current_zigzag
 from tests._looped_oracle import (
@@ -182,8 +188,10 @@ class TestDenseRowOracle:
 # ghost slots computed on (rank, cell) pairs == np.unique of the entry keys
 # ----------------------------------------------------------------------
 def _check_ghost_slots(grid, owner, ranks, nodes):
-    """``ghost_slots`` of one cell row against the off-rank entries' keys."""
-    slots = ghost_slots(grid, owner, ranks, nodes[:, :1].T)
+    """``ghost_slots`` of one cell row, and the pairs' destinations of its
+    NumPy body, against the off-rank entries' keys."""
+    slots = ghost_slots_numpy(grid, owner, ranks, nodes[:, :1].T)
+    _assert_same_bytes(ghost_slots(grid, owner, ranks, nodes[:, :1].T), slots[:3])
     entry_ranks = np.repeat(ranks, 4)
     flat = nodes.ravel()
     off = owner[flat] != entry_ranks
@@ -215,7 +223,8 @@ class TestGhostSlots:
         grid = Grid2D(8, 4)
         owner = CurveBlockDecomposition(grid, 3, "hilbert").owner_map
         empty = np.empty(0, dtype=np.int64)
-        slots = ghost_slots(grid, owner, empty, empty[None, :])
+        assert all(row.size == 0 for row in ghost_slots(grid, owner, empty, empty[None, :]))
+        slots = ghost_slots_numpy(grid, owner, empty, empty[None, :])
         assert slots.ranks.size == slots.owners.size == slots.nodes.size == 0
         assert slots.dest.shape == (0, 4) and slots.pair_of.shape == (1, 0)
 
@@ -227,7 +236,7 @@ class TestGhostSlots:
         nodes, _ = grid.cic_vertices_weights(parts.x, parts.y)
         ranks = np.repeat(np.arange(3), 100)
         _check_ghost_slots(grid, owner, ranks, nodes)
-        slots = ghost_slots(grid, owner, ranks, nodes[:, :1].T)
+        slots = ghost_slots_numpy(grid, owner, ranks, nodes[:, :1].T)
         assert (slots.dest[slots.pair_of[0, 100:200]] >= grid.nnodes).all()
 
 
@@ -345,7 +354,7 @@ def _build(engine, workers=0):
         gaussian_blob(grid, 1200, rng=21), p
     )
     backend = create_backend(workers, grid)
-    pic = STEPPERS[engine](vm, grid, decomp, local, backend=backend, smoothing_passes=0)
+    pic = STEPPERS[engine](vm, grid, decomp, local, backend=backend)
     vm.install_faults(FaultPlan(events=(FaultEvent(kind="poison", phase="scatter"),)))
     return vm, pic
 
