@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -105,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "to DIR; results stay bit-identical")
     drive.add_argument("--prom-dir", metavar="DIR",
                        help="write a Prometheus textfile-collector snapshot "
-                            "(repro-run.prom) of the run's metrics registry to DIR")
+                            "(repro-run.prom) of the run's telemetry aggregates to DIR")
     drive.add_argument("--timeout", type=float, metavar="S", default=None,
                        help="wall-clock watchdog: stop after S seconds (at an "
                             "iteration boundary), write a final checkpoint if "
@@ -406,7 +407,7 @@ def _save_telemetry(sim: Simulation, args: argparse.Namespace) -> None:
             from repro.obs.prom import write_prom_snapshot
 
             path = write_prom_snapshot(
-                args.prom_dir, sim.telemetry.registry, name="repro-run.prom"
+                args.prom_dir, sim.telemetry.aggregates(), name="repro-run.prom"
             )
             print(f"[prometheus snapshot written to {path}]", file=sys.stderr)
     if args.profile and sim.profiler is not None:
@@ -759,8 +760,18 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    """CLI entry point; returns the process exit code (1, and no traceback,
+    when the reader closed stdout early: ``repro run ... | head -1``)."""
+    try:
+        code = _dispatch(build_parser().parse_args(argv))
+        sys.stdout.flush()  # a broken pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "resume":

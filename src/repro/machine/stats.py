@@ -5,12 +5,11 @@ The paper reports (Figures 18, 19) the *maximum amount of data* and the
 scatter phase, per iteration.  :class:`CommStats` records exactly those
 quantities: every communication call on the virtual machine logs per-rank
 messages/bytes under the active phase label, and the simulation snapshots
-an *epoch* (one iteration) at a time.
+an *epoch* (one iteration) at a time.  A phase's tallies are one
+``(4, p)`` int64 block: each record, copy, sum and reduction is one pass.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,73 +18,61 @@ from repro.util import require
 __all__ = ["PhaseComm", "CommStats"]
 
 
-@dataclass
 class PhaseComm:
-    """Per-rank message/byte tallies for one phase label.
+    """Per-rank message/byte tallies for one phase label: a ``(4, p)``
+    int64 :attr:`block` whose rows (:attr:`ROWS`) are the views below."""
 
-    Arrays all have length ``p`` (one slot per rank).
-    """
+    ROWS = ("msgs_sent", "msgs_recv", "bytes_sent", "bytes_recv")
 
-    msgs_sent: np.ndarray
-    msgs_recv: np.ndarray
-    bytes_sent: np.ndarray
-    bytes_recv: np.ndarray
+    __slots__ = ("block",)
+
+    def __init__(self, block: np.ndarray) -> None:
+        self.block = block
+
+    msgs_sent = property(lambda self: self.block[0])
+    msgs_recv = property(lambda self: self.block[1])
+    bytes_sent = property(lambda self: self.block[2])
+    bytes_recv = property(lambda self: self.block[3])
 
     @classmethod
     def zeros(cls, p: int) -> "PhaseComm":
         """Return an all-zero record for ``p`` ranks."""
-        return cls(
-            msgs_sent=np.zeros(p, dtype=np.int64),
-            msgs_recv=np.zeros(p, dtype=np.int64),
-            bytes_sent=np.zeros(p, dtype=np.int64),
-            bytes_recv=np.zeros(p, dtype=np.int64),
-        )
+        return cls(np.zeros((4, p), dtype=np.int64))
 
     def copy(self) -> "PhaseComm":
         """Deep copy of the record."""
-        return PhaseComm(
-            self.msgs_sent.copy(),
-            self.msgs_recv.copy(),
-            self.bytes_sent.copy(),
-            self.bytes_recv.copy(),
-        )
+        return PhaseComm(self.block.copy())
 
     def add(self, other: "PhaseComm") -> None:
         """Accumulate ``other`` into this record."""
-        self.msgs_sent += other.msgs_sent
-        self.msgs_recv += other.msgs_recv
-        self.bytes_sent += other.bytes_sent
-        self.bytes_recv += other.bytes_recv
+        self.block += other.block
 
     # -- the quantities the paper plots ---------------------------------
     @property
     def max_msgs(self) -> int:
         """Maximum number of messages sent or received by any rank."""
-        return int(max(self.msgs_sent.max(initial=0), self.msgs_recv.max(initial=0)))
+        return int(self.block[:2].max(initial=0))
 
     @property
     def max_bytes(self) -> int:
         """Maximum data volume sent or received by any rank, in bytes."""
-        return int(max(self.bytes_sent.max(initial=0), self.bytes_recv.max(initial=0)))
+        return int(self.block[2:].max(initial=0))
 
     @property
     def total_bytes(self) -> int:
         """Total bytes sent across all ranks."""
-        return int(self.bytes_sent.sum())
+        return int(self.block[2].sum())
 
     @property
     def total_msgs(self) -> int:
         """Total messages sent across all ranks."""
-        return int(self.msgs_sent.sum())
+        return int(self.block[0].sum())
 
     def to_dict(self) -> dict:
         """The paper's reported quantities as a JSON-serializable dict."""
-        return {
-            "msgs": self.total_msgs,
-            "bytes": self.total_bytes,
-            "max_msgs": self.max_msgs,
-            "max_bytes": self.max_bytes,
-        }
+        msgs, nbytes = self.block[::2].sum(axis=1).tolist()
+        max_msgs, max_bytes = self.block.reshape(2, -1).max(axis=1, initial=0).tolist()
+        return {"msgs": msgs, "bytes": nbytes, "max_msgs": max_msgs, "max_bytes": max_bytes}
 
 
 class CommStats:
@@ -112,11 +99,7 @@ class CommStats:
         """Log one point-to-point message of ``nbytes`` from ``src`` to ``dst``."""
         require(0 <= src < self.p and 0 <= dst < self.p, "rank out of range")
         require(nbytes >= 0, "nbytes must be >= 0")
-        record = self._get(phase)
-        record.msgs_sent[src] += 1
-        record.bytes_sent[src] += nbytes
-        record.msgs_recv[dst] += 1
-        record.bytes_recv[dst] += nbytes
+        self._get(phase).block[(0, 1, 2, 3), (src, dst, src, dst)] += (1, 1, nbytes, nbytes)
 
     def record_exchange(
         self,
@@ -129,20 +112,19 @@ class CommStats:
         """Log one exchange's per-rank totals (length-``p`` arrays), the sum
         of its :meth:`record_message` calls; no traffic leaves no record."""
         if msgs_sent.any():
-            self._get(phase).add(PhaseComm(msgs_sent, msgs_recv, bytes_sent, bytes_recv))
+            self._get(phase).block += (msgs_sent, msgs_recv, bytes_sent, bytes_recv)
 
     def record_collective(self, phase: str, nbytes_per_rank: np.ndarray) -> None:
         """Log a collective where each rank contributes ``nbytes_per_rank``.
 
-        Counted as one logical message per rank in each direction.
+        Counted as one logical message per rank in each direction: every
+        rank sends its contribution and receives the total.
         """
-        record = self._get(phase)
         contrib = np.asarray(nbytes_per_rank, dtype=np.int64)
         require(contrib.shape == (self.p,), "nbytes_per_rank must have one slot per rank")
-        record.msgs_sent += 1
-        record.msgs_recv += 1
-        record.bytes_sent += contrib
-        record.bytes_recv += int(contrib.sum())
+        record = self._get(phase)
+        record.block += ((1,), (1,), (0,), (int(contrib.sum()),))
+        record.block[2] += contrib
 
     def phase(self, name: str) -> PhaseComm:
         """Return the accumulated record for phase ``name`` (zeros if unseen)."""
@@ -153,9 +135,8 @@ class CommStats:
         return sorted(self._phases)
 
     def snapshot_epoch(self) -> dict[str, PhaseComm]:
-        """Return all tallies since the last snapshot, then reset them."""
-        snap = {name: record.copy() for name, record in self._phases.items()}
-        self._phases.clear()
+        """Hand over all tallies since the last snapshot and start afresh."""
+        snap, self._phases = self._phases, {}
         return snap
 
     def reset(self) -> None:
@@ -168,12 +149,7 @@ class CommStats:
     def state_dict(self) -> dict:
         """JSON-serializable snapshot of all per-phase tallies."""
         return {
-            name: {
-                "msgs_sent": record.msgs_sent.tolist(),
-                "msgs_recv": record.msgs_recv.tolist(),
-                "bytes_sent": record.bytes_sent.tolist(),
-                "bytes_recv": record.bytes_recv.tolist(),
-            }
+            name: dict(zip(PhaseComm.ROWS, record.block.tolist()))
             for name, record in self._phases.items()
         }
 
@@ -181,10 +157,6 @@ class CommStats:
         """Restore tallies from a :meth:`state_dict` snapshot (exact)."""
         self._phases.clear()
         for name, record in state.items():
-            arrays = {
-                key: np.asarray(record[key], dtype=np.int64)
-                for key in ("msgs_sent", "msgs_recv", "bytes_sent", "bytes_recv")
-            }
-            for key, arr in arrays.items():
-                require(arr.shape == (self.p,), f"stats {name}/{key} must have length p={self.p}")
-            self._phases[name] = PhaseComm(**arrays)
+            block = np.array([record[key] for key in PhaseComm.ROWS], dtype=np.int64)
+            require(block.shape == (4, self.p), f"stats {name} must be 4 rows of length p={self.p}")
+            self._phases[name] = PhaseComm(block)

@@ -29,10 +29,13 @@ are compiled once per vector unit (AVX-512, AVX2 and the baseline SSE2 on
 x86-64, with GCC 11 or later and glibc) and bound to the widest the CPU
 has when the library is loaded.  A freshly loaded library must
 reproduce the NumPy bodies byte for byte on a known-answer set
-(:func:`repro.native.calls.self_check`).  Any failure — no
-compiler, compile error, load error, mismatch, foreign cache — selects
-the NumPy bodies for the life of the process and is recorded in
-:func:`status`; results are the same either way (DESIGN.md §5.5).
+(:func:`repro.native.calls.self_check`), and before that carry the
+argument lists this process calls (:data:`~repro.native.calls.INTERFACE`:
+the source may have changed since ``calls`` was imported).  Any failure
+— no compiler, compile error, load error, other interface, mismatch,
+foreign cache — selects the NumPy bodies for the life of the process and
+is recorded in :func:`status`; results are the same either way
+(DESIGN.md §5.5).
 """
 
 from __future__ import annotations
@@ -133,7 +136,7 @@ def load(cache_dir: Path | None = None, cc: str | None = None):
     on ``PATH`` (the parameters are the tests' seam).  Never raises: every
     failure is a status.
     """
-    from repro.native.calls import Kernels, self_check
+    from repro.native.calls import INTERFACE, Kernels, self_check
 
     cc = shutil.which("cc") if cc is None else cc
     try:
@@ -154,9 +157,12 @@ def load(cache_dir: Path | None = None, cc: str | None = None):
                 raise _Unavailable("no C compiler (cc) on PATH")
             target = _build(cc, source, stem)  # ours, in a directory only we can write
         try:
-            found = Kernels(ctypes.CDLL(str(target)))
-        except (OSError, AttributeError) as exc:
+            lib = ctypes.CDLL(str(target))
+            found, interface = Kernels(lib), ctypes.c_int64.in_dll(lib, "pic_kernels_interface")
+        except (OSError, AttributeError, ValueError) as exc:
             raise _Unavailable(f"cannot load {target}: {exc}") from exc
+        if interface.value != INTERFACE:  # it takes other arguments than this process passes
+            raise _Unavailable(f"{target} has interface {interface.value}, not {INTERFACE}")
         mismatch = self_check(found)
         if mismatch:
             raise _Unavailable(f"self-check: {mismatch} differs from the NumPy body")

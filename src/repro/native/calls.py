@@ -25,7 +25,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["Kernels", "Shards", "team_block", "self_check"]
+__all__ = ["Kernels", "Shards", "team_block", "self_check", "INTERFACE"]
+
+#: the ``pic_kernels_interface`` of a library built from the source that
+#: :data:`_SIGNATURES` describes (bump both with any change of arguments)
+INTERFACE = 1
 
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 _SIGNATURES = {

@@ -60,6 +60,14 @@
 
 enum { OK = 0, FLAGGED = 1, BAD_INDEX = 2, DECLINED = 3 };
 
+/* The entry points' argument lists, as a number: repro/native/calls.py
+ * calls them through its _SIGNATURES and, before it calls anything, checks
+ * this against its INTERFACE, so a library built from a copy of this file
+ * edited after the process imported calls.py is not called with the old
+ * arguments.  Bump both with any change to an entry point's arguments.  A
+ * datum, not a function: it adds no entry point. */
+const int64_t pic_kernels_interface = 1;
+
 /* inputs are only read and outputs are buffers of their own: nothing aliases */
 #define R restrict
 

@@ -6,8 +6,8 @@ run-level telemetry (:mod:`repro.telemetry`) and the job service
 
 - :mod:`repro.obs.profile` — deterministic host-wall profiling of the
   pooled-engine hot path, exported as collapsed-stack flamegraph files.
-- :mod:`repro.obs.prom` — Prometheus textfile-collector snapshots of a
-  :class:`~repro.telemetry.metrics.MetricsRegistry`.
+- :mod:`repro.obs.prom` — Prometheus textfile-collector snapshots of an
+  aggregates block (a run's fold, a batch's registry).
 - :mod:`repro.obs.batch` — the ``repro report --batch`` aggregator that
   joins a batch's service stream with its per-job metrics files.
 - :mod:`repro.obs.top` — the ``repro top`` live batch view over the

@@ -1,18 +1,20 @@
-"""Prometheus textfile-collector snapshots of a ``MetricsRegistry``.
+"""Prometheus textfile-collector snapshots of an aggregates block.
 
 The node_exporter *textfile collector* scrapes ``*.prom`` files from a
 directory; anything that can atomically write a file in the exposition
 format is a Prometheus exporter with zero new dependencies.  This module
-renders :meth:`~repro.telemetry.metrics.MetricsRegistry.snapshot` into
-that format:
+renders an ``{name: {"kind", "value"}}`` aggregates block — a batch's
+:meth:`~repro.telemetry.metrics.MetricsRegistry.snapshot` or a run's
+:meth:`~repro.telemetry.RunTelemetry.aggregates` fold — into that
+format:
 
 - counters  -> ``# TYPE name counter`` + one sample
 - gauges    -> ``# TYPE name gauge`` + one sample
-- histograms (the registry's O(1) summaries) -> ``name_count``,
-  ``name_sum`` (both counters) and ``name_min``/``name_max``/
-  ``name_mean`` gauges
+- histograms (a run's count / sum / min / max / mean summaries) ->
+  ``name_count``, ``name_sum`` (both counters) and
+  ``name_min``/``name_max``/``name_mean`` gauges
 
-Registry names use dots (``comm.scatter.bytes``); Prometheus metric
+Instrument names use dots (``comm.scatter.bytes``); Prometheus metric
 names cannot, so every non-``[a-zA-Z0-9_:]`` character maps to ``_`` and
 a configurable prefix (default ``repro_``) namespaces the fleet.  Labels
 (e.g. ``batch``) are attached to every sample.  Writes go through
@@ -64,10 +66,11 @@ def _format_value(value: float) -> str:
 
 
 def render_prom_text(snapshot: dict, *, prefix: str = "repro_", labels: dict | None = None) -> str:
-    """Exposition-format text for a registry snapshot.
+    """Exposition-format text for an aggregates block.
 
-    ``snapshot`` is ``MetricsRegistry.snapshot()`` output:
-    ``{name: {"kind": "counter"|"gauge"|"histogram", "value": ...}}``.
+    ``snapshot`` is ``{name: {"kind": "counter"|"gauge"|"histogram",
+    "value": ...}}``, as ``MetricsRegistry.snapshot()`` and
+    ``RunTelemetry.aggregates()`` return it.
     """
     label_text = _label_text(labels)
     lines: list[str] = []
@@ -91,26 +94,23 @@ def render_prom_text(snapshot: dict, *, prefix: str = "repro_", labels: dict | N
             for stat in ("min", "max", "mean"):
                 if value[stat] is not None:
                     emit(base + "_" + stat, "gauge", value[stat])
-        else:  # pragma: no cover - registry kinds are closed
+        else:  # pragma: no cover - the instrument kinds are closed
             raise ValueError(f"unknown metric kind {kind!r} for {name!r}")
     return "\n".join(lines) + "\n" if lines else ""
 
 
 def write_prom_snapshot(
     directory,
-    registry,
+    snapshot: dict,
     *,
     name: str = "repro.prom",
     prefix: str = "repro_",
     labels: dict | None = None,
 ) -> Path:
-    """Atomically write ``<directory>/<name>`` from a registry (or snapshot).
+    """Atomically write ``<directory>/<name>`` from an aggregates block.
 
-    Accepts a :class:`~repro.telemetry.metrics.MetricsRegistry` or a
-    pre-taken snapshot dict; creates the directory if missing and
-    returns the written path.
+    Creates the directory if missing and returns the written path.
     """
-    snapshot = registry.snapshot() if hasattr(registry, "snapshot") else dict(registry)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / name

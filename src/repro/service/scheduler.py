@@ -236,7 +236,7 @@ class Scheduler:
 
         write_prom_snapshot(
             Path(self.prom_dir),
-            self.telemetry.registry,
+            self.telemetry.aggregates(),
             name="repro-batch.prom",
             labels={"batch": self._batch_id},
         )

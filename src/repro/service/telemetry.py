@@ -4,13 +4,14 @@ The run-level stream one level up: a :class:`ServiceTelemetry` is the
 same :class:`~repro.telemetry.stream.EventStream` as a run's, holding
 scheduler events (launches, progress, heartbeats lost, retries, worker
 deaths, cancellations, cache hits and quarantines, pool shrinks,
-circuit-breaker trips) plus a
+circuit-breaker trips) plus the
 :class:`~repro.telemetry.metrics.MetricsRegistry` of the batch-wide
 counters those events bump and the queue-depth gauge, and writes them
 as JSONL — schema ``repro-service/2``: a ``header`` line, ``event``
 lines in occurrence order, and a closing ``summary`` with the registry
-snapshot.  The registry is the batch's only tally: the batch report's
-``counters`` are :func:`report_counters` of the summary.
+snapshot.  The registry is live (the scheduler reads it mid-batch) and
+the batch's only tally: the report's ``counters`` are
+:func:`report_counters` of the summary.
 
 Timestamps follow the observability contract (DESIGN.md §5.8): every
 event's ``t`` is a ``time.monotonic()`` delta from batch start, so
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import time
 
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.stream import EventStream
 
 __all__ = ["ServiceTelemetry", "SERVICE_SCHEMA", "report_counters"]
@@ -103,9 +105,15 @@ class ServiceTelemetry(EventStream):
             params=dict(params or {}),
             batch_id=batch_id,
         )
+        #: the batch-wide counters and gauges, read live by the scheduler
+        self.registry = MetricsRegistry()
         self._t0 = time.monotonic()
         self._queue_depth = 0
         self._last_progress: dict[str, float] = {}
+
+    def aggregates(self) -> dict:
+        """The registry's snapshot: the closing summary's block."""
+        return self.registry.snapshot()
 
     def set_queue_depth(self, depth: int) -> None:
         """Update the queue-depth gauge (stamped onto subsequent events)."""

@@ -1,4 +1,4 @@
-"""Run-level telemetry orchestration: spans + metrics + JSONL export.
+"""Run-level telemetry orchestration: spans + records + JSONL export.
 
 :class:`RunTelemetry` is the single object a
 :class:`~repro.pic.simulation.Simulation` owns when telemetry is
@@ -6,9 +6,7 @@ enabled.  It bundles
 
 * a :class:`~repro.telemetry.spans.SpanTracer` attached to the virtual
   machine (``vm.tracer``) that captures every (iteration, phase, rank)
-  interval on the virtual clocks,
-* a :class:`~repro.telemetry.metrics.MetricsRegistry` of run-wide
-  counters / gauges / histograms, and
+  interval on the virtual clocks, and
 * the run's :class:`~repro.telemetry.stream.EventStream` of
   per-iteration records and one-off events that :meth:`save_metrics`
   writes as JSONL — one JSON object per line, schema
@@ -21,10 +19,13 @@ enabled.  It bundles
     redistribution-decision records, redistribution outcome;
   - ``event`` records (checkpoint written, rank failure, recovery,
     machine shrink) interleaved in occurrence order;
-  - a final ``summary`` record with the registry snapshot and totals.
+  - a final ``summary`` record with the iteration count and the
+    run's aggregates.
 
-  The Chrome trace's instant markers and counter tracks are views of
-  the same records (:meth:`to_chrome`).
+  The aggregates (the ``telemetry`` block of ``SimulationResult.to_dict()``)
+  are one fold over the records (:meth:`RunTelemetry.aggregates`), and the
+  Chrome trace's instant markers and counter tracks are views of them too
+  (:meth:`to_chrome`): nothing is tallied twice.
 
 The zero-cost contract: nothing in this module reads or charges the
 virtual clocks, so a run with telemetry attached produces bit-identical
@@ -34,6 +35,10 @@ virtual clocks, so a run with telemetry attached produces bit-identical
 from __future__ import annotations
 
 import json
+from collections import defaultdict
+from collections.abc import Sequence
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 from repro.core.metrics import load_imbalance
@@ -41,7 +46,7 @@ from repro.telemetry.spans import SpanTracer
 from repro.telemetry.stream import EventStream
 from repro.util.atomic_io import atomic_write_text
 
-__all__ = ["RunTelemetry", "METRICS_SCHEMA"]
+__all__ = ["RunTelemetry", "METRICS_SCHEMA", "fold_aggregates"]
 
 #: Schema marker on the first line of every metrics JSONL stream.
 METRICS_SCHEMA = "repro-metrics/1"
@@ -62,6 +67,50 @@ def _comm_dict(epochs: list[dict]) -> dict:
                 entry["max_msgs"] = max(entry["max_msgs"], tallies["max_msgs"])
                 entry["max_bytes"] = max(entry["max_bytes"], tallies["max_bytes"])
     return out
+
+
+def _histogram(values: list[float]) -> dict:
+    """``count / sum / min / max / mean`` of ``values``, summed in order from ``0.0``."""
+    total = reduce(add, values, 0.0)  # not sum(): it compensates on Python >= 3.12
+    value = {"count": len(values), "sum": total, "min": min(values), "max": max(values)}
+    return {"kind": "histogram", "value": {**value, "mean": total / len(values)}}
+
+
+def fold_aggregates(records: Sequence[dict], pending_sar: Sequence[dict] = ()) -> dict:
+    """A run's ``{instrument: {"kind", "value"}}`` block, sorted by name: one
+    fold over the body ``records`` of its metrics stream (so a saved body
+    folds to its summary's block) and the SAR decisions still pending.
+    Counters sum in record order from ``0.0``, gauges read the last
+    iteration, and an instrument appears once a record feeds it."""
+    iterations = [rec for rec in records if rec["type"] == "iteration"]
+    kinds = [rec["kind"] for rec in records if rec["type"] == "event"]
+    decisions = [d for rec in iterations for d in rec["sar_decisions"]] + list(pending_sar)
+    costs = [rec["redistribution_cost"] for rec in iterations if rec["redistributed"]]
+    counts = {
+        "iterations": len(iterations),
+        "redistribution.count": len(costs),
+        "sar.evaluations": len(decisions),
+        "sar.fired": len([d for d in decisions if d.get("fired")]),
+        "guard.violations": kinds.count("guard_violation"),
+        "recovery.count": kinds.count("shrink"),
+    }
+    sums = defaultdict(float, {name: float(n) for name, n in counts.items() if n})
+    for rec in iterations:
+        if "ghost" in rec:
+            sums["ghost.entries"] += max(rec["ghost"]["entries"], 0.0)
+        for phase, tallies in rec["comm"].items():
+            sums[f"comm.{phase}.msgs"] += tallies["msgs"]
+            sums[f"comm.{phase}.bytes"] += tallies["bytes"]
+    out = {name: {"kind": "counter", "value": value} for name, value in sums.items()}
+    if iterations:
+        last = iterations[-1]
+        out["iteration.time"] = _histogram([rec["t_iter"] for rec in iterations])
+        out["load.imbalance"] = _histogram([rec["imbalance"] for rec in iterations])
+        out["load.imbalance.last"] = {"kind": "gauge", "value": float(last["imbalance"])}
+        out["ranks.live"] = {"kind": "gauge", "value": float(last["p"])}
+    if costs:
+        out["redistribution.cost"] = _histogram(costs)
+    return dict(sorted(out.items()))
 
 
 class RunTelemetry(EventStream):
@@ -91,15 +140,12 @@ class RunTelemetry(EventStream):
         # readers to the live count from there
         super().__init__(METRICS_SCHEMA, p=int(p), config=config)
         self.set_correlation(correlation)
-        #: live rank count (lowered by :meth:`on_shrink`)
-        self.p = int(p)
         self.tracer = SpanTracer()
         self.tracer.note_ranks(p)
         self._pending_sar: list[dict] = []
         self._iter_t0: float | None = None
         self._iter_ops: dict[str, float] = {}
         self._iter_ghost: tuple[float, float] | None = None
-        self.enabled_iterations = 0
 
     # ------------------------------------------------------------------
     # iteration lifecycle (driven by Simulation.run)
@@ -144,12 +190,8 @@ class RunTelemetry(EventStream):
         t_start = self._iter_t0 if self._iter_t0 is not None else t_end
         counts = pic.pool.counts
         imbalance = load_imbalance(counts)
-        ops_now = vm.ops.as_dict()
-        ops_delta = {
-            k: v - self._iter_ops.get(k, 0.0)
-            for k, v in ops_now.items()
-            if v - self._iter_ops.get(k, 0.0) > 0.0
-        }
+        before = self._iter_ops  # the op kinds that grew, by how much
+        ops_delta = {k: d for k, v in vm.ops.items() if (d := v - before.get(k, 0.0)) > 0.0}
         record = {
             "type": "iteration",
             "iteration": int(iteration),
@@ -177,25 +219,8 @@ class RunTelemetry(EventStream):
                 "table_ops": ghost_now[1] - g0[1],
                 "hit_ratio": (1.0 - unique / entries) if entries > 0 else 0.0,
             }
-            self.registry.counter("ghost.entries").inc(max(entries, 0.0))
         self._pending_sar = []
-        self.append(record)
-        self.enabled_iterations += 1
-
-        # -- registry aggregates ----------------------------------------
-        reg = self.registry
-        reg.counter("iterations").inc()
-        reg.histogram("iteration.time").observe(record["t_iter"])
-        reg.histogram("load.imbalance").observe(imbalance)
-        reg.gauge("load.imbalance.last").set(imbalance)
-        reg.gauge("ranks.live").set(vm.p)
-        for phase, tallies in record["comm"].items():
-            reg.counter(f"comm.{phase}.msgs").inc(tallies["msgs"])
-            reg.counter(f"comm.{phase}.bytes").inc(tallies["bytes"])
-        if redistributed:
-            reg.counter("redistribution.count").inc()
-            reg.histogram("redistribution.cost").observe(redistribution_cost)
-        return record
+        return self.append(record)
 
     # ------------------------------------------------------------------
     # decision + event feeds
@@ -209,13 +234,9 @@ class RunTelemetry(EventStream):
         assembled.
         """
         self._pending_sar.append(dict(decision))
-        self.registry.counter("sar.evaluations").inc()
-        if decision.get("fired"):
-            self.registry.counter("sar.fired").inc()
 
     def record_guard_violation(self, message: str) -> None:
         """Sink for invariant-guard violations (warn mode keeps running)."""
-        self.registry.counter("guard.violations").inc()
         self.append({"type": "event", "kind": "guard_violation", "message": message})
 
     def record_event(self, kind: str, *, t: float, iteration: int, **fields) -> None:
@@ -236,9 +257,7 @@ class RunTelemetry(EventStream):
         arrays; the trace marks the transition so readers never mix lane
         widths (the no-stale-rank-columns contract).
         """
-        self.p = int(p_new)
         self.tracer.note_ranks(p_new)
-        self.registry.counter("recovery.count").inc()
         self.record_event(
             "shrink", t=t, iteration=iteration, dead_rank=int(dead_rank), p=int(p_new)
         )
@@ -246,9 +265,13 @@ class RunTelemetry(EventStream):
     # ------------------------------------------------------------------
     # export
     # ------------------------------------------------------------------
+    def _iterations(self) -> list[dict]:
+        return [rec for rec in self.records if rec["type"] == "iteration"]
+
     def aggregates(self) -> dict:
-        """Final aggregate block (registry snapshot keyed by instrument)."""
-        return self.registry.snapshot()
+        """The run's aggregate block: :func:`fold_aggregates` of its records
+        and of the SAR decisions still pending."""
+        return fold_aggregates(self.records, self._pending_sar)
 
     def set_correlation(self, correlation: dict | None) -> None:
         """Stamp (or clear) the batch identity on header + trace export."""
@@ -256,7 +279,7 @@ class RunTelemetry(EventStream):
 
     def summary(self) -> dict:
         """The closing JSONL summary record."""
-        return {"type": "summary", "iterations": self.enabled_iterations, **super().summary()}
+        return {"type": "summary", "iterations": len(self._iterations()), **super().summary()}
 
     save_metrics = EventStream.save
 
@@ -269,7 +292,4 @@ class RunTelemetry(EventStream):
         return atomic_write_text(Path(path), json.dumps(self.to_chrome()) + "\n")
 
     def __repr__(self) -> str:
-        return (
-            f"RunTelemetry(p={self.p}, iterations={self.enabled_iterations}, "
-            f"records={len(self.records)})"
-        )
+        return f"RunTelemetry(iterations={len(self._iterations())}, records={len(self.records)})"

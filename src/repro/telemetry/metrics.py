@@ -1,23 +1,20 @@
-"""Metrics registry: named counters, gauges, and histograms.
+"""Metrics registry: named counters and gauges read while they change.
 
-A :class:`MetricsRegistry` is the aggregate half of the telemetry layer
-(the :mod:`~repro.telemetry.spans` tracer is the timeline half): the
-simulation driver, the redistribution policies, and the guard / fault
-machinery feed monotonic totals (bytes, messages, redistribution counts,
-recoveries, SAR verdicts), last-value gauges (current imbalance), and
-distribution summaries (per-iteration time, redistribution durations)
-into it.  :meth:`MetricsRegistry.snapshot` renders everything as one
-JSON-serializable dict — the ``telemetry`` block of
-``SimulationResult.to_dict()`` and the closing ``summary`` record of a
-metrics JSONL stream.
-
-Instruments are plain Python accumulators: no clocks are read and no
-virtual cost is charged, so feeding the registry never perturbs a run.
+A :class:`MetricsRegistry` is the job service's live tally: the
+scheduler bumps batch-wide totals (jobs launched / completed / failed,
+retries, cache hits, heartbeats) and sets last-value gauges (queue
+depth, pool size) as events happen, and reads them back mid-batch — the
+circuit breaker counts failures, the Prometheus snapshot renders them.
+:meth:`MetricsRegistry.snapshot` renders everything as one
+JSON-serializable ``{name: {"kind", "value"}}`` dict, the closing
+``summary`` record of a service stream.  A run needs no live tally: its
+aggregates are a fold of its iteration records
+(:meth:`~repro.telemetry.RunTelemetry.aggregates`) in the same shape.
 """
 
 from __future__ import annotations
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "MetricsRegistry"]
 
 
 class Counter:
@@ -55,53 +52,16 @@ class Gauge:
         return self.value
 
 
-class Histogram:
-    """A streaming distribution summary (count / sum / min / max / mean).
-
-    Keeps O(1) state rather than raw samples: enough for the report's
-    aggregate rows without unbounded growth on long runs.
-    """
-
-    kind = "histogram"
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min: float | None = None
-        self.max: float | None = None
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def snapshot(self) -> dict:
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-        }
-
-
 class MetricsRegistry:
-    """Lazily-created named instruments, one namespace per run.
+    """Lazily-created named instruments, one namespace per batch.
 
-    ``registry.counter("comm.bytes_total").inc(4096)`` — instruments are
+    ``registry.counter("jobs.completed").inc()`` — instruments are
     created on first use and an instrument name is pinned to one kind
     (asking for an existing counter as a gauge raises).
     """
 
     def __init__(self) -> None:
-        self._instruments: dict[str, Counter | Gauge | Histogram] = {}
+        self._instruments: dict[str, Counter | Gauge] = {}
 
     def _get(self, name: str, cls):
         inst = self._instruments.get(name)
@@ -121,10 +81,6 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         """The gauge named ``name`` (created on first use)."""
         return self._get(name, Gauge)
-
-    def histogram(self, name: str) -> Histogram:
-        """The histogram named ``name`` (created on first use)."""
-        return self._get(name, Histogram)
 
     def names(self) -> list[str]:
         """All instrument names, sorted."""

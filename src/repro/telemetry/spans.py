@@ -89,10 +89,11 @@ class SpanTracer:
         """Record one phase interval from per-rank entry/exit clocks.
 
         O(1) Python work per phase whatever the rank count (this runs
-        inside every ``vm.phase`` of a traced step): the two clock
-        vectors are copied and kept; per-rank spans are made on demand.
+        inside every ``vm.phase`` of a traced step): the entry clocks are kept
+        as the caller copied them, the exit clocks are copied; per-rank spans
+        are made on demand.
         """
-        self._phases.append((name, self.iteration, depth, t_start.copy(), t_end.copy()))
+        self._phases.append((name, self.iteration, depth, t_start, t_end.copy()))
 
     @property
     def spans(self) -> list[Span]:

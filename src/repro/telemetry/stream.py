@@ -1,9 +1,9 @@
 """One telemetry stream: the JSONL writer and reader of runs and batches.
 
 A stream is a ``header`` record, an ordered body of ``records`` and one
-closing ``summary`` carrying a
-:class:`~repro.telemetry.metrics.MetricsRegistry` snapshot, written one
-JSON object per line.  :class:`EventStream` is the writer behind both
+closing ``summary`` carrying the stream's ``aggregates()`` — a run's
+fold of its records, a batch's registry snapshot — written one JSON
+object per line.  :class:`EventStream` is the writer behind both
 :class:`~repro.telemetry.RunTelemetry` (``repro-metrics/1``) and
 :class:`~repro.service.telemetry.ServiceTelemetry` (``repro-service/2``);
 :func:`read_jsonl` is the reader behind both validators, ``repro top``
@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.telemetry.metrics import MetricsRegistry
 from repro.util.atomic_io import atomic_write_text
 from repro.util.errors import TelemetrySchemaError
 
@@ -23,7 +22,7 @@ __all__ = ["EventStream", "read_jsonl"]
 
 
 class EventStream:
-    """Header fields, ordered body records and a registry, written as JSONL.
+    """Header fields and ordered body records, written as JSONL.
 
     ``header_fields`` keep their order; a field whose value is ``None`` is
     left out of the written header, so optional stamps (config,
@@ -33,7 +32,6 @@ class EventStream:
     def __init__(self, schema: str, **header_fields) -> None:
         self.schema = schema
         self.header_fields = header_fields
-        self.registry = MetricsRegistry()
         #: the stream body, in occurrence order
         self.records: list[dict] = []
         self._live = None
@@ -43,9 +41,13 @@ class EventStream:
         fields = {k: v for k, v in self.header_fields.items() if v is not None}
         return {"type": "header", "schema": self.schema, **fields}
 
+    def aggregates(self) -> dict:
+        """The summary's ``{instrument: {"kind", "value"}}`` block (per subclass)."""
+        raise NotImplementedError
+
     def summary(self) -> dict:
         """The closing record of the stream."""
-        return {"type": "summary", "aggregates": self.registry.snapshot()}
+        return {"type": "summary", "aggregates": self.aggregates()}
 
     def append(self, record: dict) -> dict:
         """Add ``record`` to the body (and to the live file, if any); return it."""

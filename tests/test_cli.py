@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -225,6 +228,37 @@ class TestCommands:
         cfg.write_text('{"model": "vaxcluster"}')
         with pytest.raises(SystemExit, match="bad machine model"):
             main(["run", "--config", str(cfg)])
+
+
+class TestClosedStdout:
+    """A reader that is gone before the command prints (``repro ... | head``)."""
+
+    def _run(self, *argv, cwd):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to stdout now fails with EPIPE
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "repro", *argv], cwd=cwd, env=env, stdout=write_end,
+                stderr=subprocess.PIPE, text=True, timeout=120,
+            )  # fmt: skip
+        finally:
+            os.close(write_end)
+
+    @pytest.mark.parametrize("argv", [("scenarios",), ("policies",)])
+    def test_listing_ends_quietly(self, argv, tmp_path):
+        done = self._run(*argv, cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (1, "")
+
+    def test_run_and_report_end_quietly_after_saving(self, tmp_path):
+        done = self._run(
+            "run", "--nx", "16", "--ny", "16", "-n", "512", "-p", "4", "--iterations", "3",
+            "--metrics", "m.jsonl", "--save-json", "r.json", cwd=tmp_path,
+        )  # fmt: skip
+        assert done.returncode == 1 and "Traceback" not in done.stderr, done.stderr
+        assert json.loads((tmp_path / "r.json").read_text())["telemetry"]
+        done = self._run("report", "m.jsonl", cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (1, "")
 
 
 class TestConfigRoundtrip:

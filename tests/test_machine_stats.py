@@ -1,5 +1,7 @@
 """Tests for per-phase, per-rank communication statistics."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,14 @@ class TestPhaseComm:
         rec.bytes_sent[:] = [3, 4]
         rec.msgs_sent[:] = [1, 2]
         assert rec.total_bytes == 7 and rec.total_msgs == 3
+
+    def test_to_dict(self):
+        """Totals are of what was sent; maxima are over both directions."""
+        rec = PhaseComm.zeros(3)
+        rec.block[:] = [[1, 2, 0], [0, 0, 5], [10, 20, 0], [0, 0, 40]]
+        assert json.dumps(rec.to_dict()) == json.dumps(
+            {"msgs": 3, "bytes": 30, "max_msgs": 5, "max_bytes": 40}
+        )
 
 
 class TestCommStats:
@@ -81,6 +91,19 @@ class TestCommStats:
     def test_negative_bytes_rejected(self):
         with pytest.raises(ValueError):
             CommStats(2).record_message("x", 0, 1, -1)
+
+    def test_state_round_trip(self):
+        stats = CommStats(3)
+        stats.record_message("scatter", 0, 2, 10)
+        stats.record_collective("field", np.array([1, 2, 3]))
+        state = json.loads(json.dumps(stats.state_dict()))
+        assert state["scatter"] == {"msgs_sent": [1, 0, 0], "msgs_recv": [0, 0, 1],
+                                    "bytes_sent": [10, 0, 0], "bytes_recv": [0, 0, 10]}
+        restored = CommStats(3)
+        restored.load_state(state)
+        assert restored.state_dict() == state
+        with pytest.raises(ValueError, match="4 rows of length p=2"):
+            CommStats(2).load_state(state)
 
     def test_reset(self):
         stats = CommStats(2)

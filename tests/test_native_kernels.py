@@ -1209,6 +1209,23 @@ class TestLoader:
         assert not answer[1].active and "self-check: interpolate" in answer[1].reason
         _cic_works_without(monkeypatch, answer)
 
+    def test_a_source_of_another_interface_is_not_called(self, compiled, tmp_path, monkeypatch):
+        """``pic_kernels.c`` edited after ``calls`` was imported: the library
+        built from it is dropped before the self-check calls it with
+        arguments it may no longer take (which can abort the process)."""
+        from repro.native.calls import INTERFACE
+
+        text, datum = native.SOURCE.read_text(), "const int64_t pic_kernels_interface = {};"
+        assert datum.format(INTERFACE) in text
+        edited = tmp_path / "pic_kernels.c"
+        edited.write_text(text.replace(datum.format(INTERFACE), datum.format(INTERFACE + 1)))
+        monkeypatch.setattr(native, "SOURCE", edited)
+        answer = native.load(tmp_path / "cache")
+        assert not answer[1].active
+        assert f"has interface {INTERFACE + 1}, not {INTERFACE}" in answer[1].reason
+        monkeypatch.undo()
+        _cic_works_without(monkeypatch, answer)
+
     def test_two_processes_building_at_once(self, compiled, tmp_path):
         """Both end with a whole library: the build goes through a private
         temporary name and ``os.replace``."""

@@ -46,7 +46,6 @@ from repro.service import (
     render_report,
 )
 from repro.telemetry import (
-    MetricsRegistry,
     TelemetrySchemaError,
     validate_metrics,
     validate_service,
@@ -179,17 +178,16 @@ class TestZeroCostWhenOff:
 # Prometheus export
 # ----------------------------------------------------------------------
 class TestProm:
-    def _registry(self):
-        reg = MetricsRegistry()
-        reg.counter("jobs.completed").inc(4)
-        reg.gauge("queue.depth").set(2)
-        h = reg.histogram("job.wall")
-        h.observe(0.5)
-        h.observe(1.5)
-        return reg
+    def _snapshot(self):
+        wall = {"count": 2, "sum": 2.0, "min": 0.5, "max": 1.5, "mean": 1.0}
+        return {
+            "job.wall": {"kind": "histogram", "value": wall},
+            "jobs.completed": {"kind": "counter", "value": 4.0},
+            "queue.depth": {"kind": "gauge", "value": 2.0},
+        }
 
     def test_render_parse_round_trip(self):
-        text = render_prom_text(self._registry().snapshot(), labels={"batch": "b1"})
+        text = render_prom_text(self._snapshot(), labels={"batch": "b1"})
         parsed = parse_prom_text(text)
         assert parsed["repro_jobs_completed"]["kind"] == "counter"
         key = (("batch", "b1"),)
@@ -200,11 +198,12 @@ class TestProm:
         assert parsed["repro_job_wall_mean"]["samples"][key] == 1.0
 
     def test_never_set_gauge_and_empty_histogram_are_skipped(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc()
-        reg.gauge("g")  # declared, never set
-        reg.histogram("h")  # declared, no observations
-        text = render_prom_text(reg.snapshot())
+        empty = {"count": 0, "sum": 0.0, "min": None, "max": None, "mean": 0.0}
+        text = render_prom_text({
+            "c": {"kind": "counter", "value": 1.0},
+            "g": {"kind": "gauge", "value": None},  # declared, never set
+            "h": {"kind": "histogram", "value": empty},  # no observations
+        })
         parsed = parse_prom_text(text)
         assert "repro_c" in parsed
         assert "repro_g" not in parsed
@@ -212,7 +211,7 @@ class TestProm:
         assert "repro_h_min" not in parsed  # no min/max/mean without data
 
     def test_write_prom_snapshot_creates_dir_and_parses(self, tmp_path):
-        path = write_prom_snapshot(tmp_path / "metrics", self._registry())
+        path = write_prom_snapshot(tmp_path / "metrics", self._snapshot())
         assert path.name == "repro.prom"
         parse_prom_text(path.read_text())  # must not raise
 

@@ -125,3 +125,40 @@ def test_redistribution_calls_do_not_grow_with_ranks():
         f"one redistribution made {calls_8} Python-level calls at p = 8 and {calls_32} at "
         f"p = 32: something loops over ranks or messages"
     )
+
+
+#: Python-level calls telemetry may add to one iteration (its ``result()`` included)
+TELEMETRY_CALLS_PER_ITERATION = 150
+
+
+def _calls_of_a_run(observed, iterations=20):
+    sim = Simulation(
+        SimulationConfig(nx=64, ny=32, nparticles=8192, p=32, distribution="irregular",
+                         policy="dynamic", seed=3)  # fmt: skip
+    )
+    if observed:
+        sim.enable_telemetry()
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    sys.setprofile(count)
+    try:
+        sim.run(iterations)  # ends in sim.result(), which folds the telemetry records
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_telemetry_calls_per_iteration():
+    """Telemetry's hooks (records, spans, the aggregates fold) stay a small
+    fixed number of calls per iteration at the CI overhead gate's config."""
+    _calls_of_a_run(False, iterations=2)  # loads the kernels, fills the caches
+    bare, observed = _calls_of_a_run(False), _calls_of_a_run(True)
+    per_iteration = (observed - bare) / 20
+    assert per_iteration <= TELEMETRY_CALLS_PER_ITERATION, (
+        f"telemetry added {per_iteration:.1f} Python-level calls per iteration "
+        f"({bare} bare, {observed} observed over 20 iterations)"
+    )

@@ -21,11 +21,11 @@ import pytest
 
 from repro.cli import main
 from repro.machine import FaultEvent, FaultPlan
+from repro.obs import parse_prom_text, render_prom_text
 from repro.pic import Simulation, SimulationConfig
 from repro.telemetry import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     RunTelemetry,
     SpanTracer,
@@ -114,14 +114,6 @@ class TestMetricsRegistry:
         gauge.set(1.0)
         gauge.set(4.0)
         assert gauge.snapshot() == 4.0
-
-    def test_histogram_summary(self):
-        hist = Histogram("h")
-        for v in (1.0, 3.0, 2.0):
-            hist.observe(v)
-        snap = hist.snapshot()
-        assert snap["count"] == 3 and snap["min"] == 1.0 and snap["max"] == 3.0
-        assert snap["mean"] == pytest.approx(2.0)
 
     def test_names_pinned_to_kind(self):
         reg = MetricsRegistry()
@@ -389,7 +381,7 @@ class TestTelemetryAcrossResume:
         for phase, seconds in full.trace.totals().items():
             assert resumed.trace.totals()[phase] == pytest.approx(seconds, abs=1e-12)
         # telemetry itself only covers the resumed tail
-        assert resumed.telemetry.enabled_iterations == 6
+        assert resumed.telemetry.summary()["iterations"] == 6
 
     def test_checkpoint_event_recorded(self, tmp_path):
         sim = Simulation(_config())
@@ -466,6 +458,19 @@ class TestCLI:
         assert code == 0
         validate_trace(trace)
         validate_metrics(metrics)
+
+    def test_prom_dir_renders_the_telemetry_block(self, tmp_path, capsys):
+        saved, prom = tmp_path / "r.json", tmp_path / "prom"
+        code = main([
+            "run", "--nx", "16", "--ny", "16", "-n", "512", "-p", "4",
+            "--iterations", "5", "--prom-dir", str(prom), "--save-json", str(saved),
+        ])
+        assert code == 0
+        telemetry = json.loads(saved.read_text())["telemetry"]
+        assert {"iterations", "iteration.time", "ranks.live"} <= set(telemetry)
+        text = (prom / "repro-run.prom").read_text()
+        assert text == render_prom_text(telemetry)
+        assert parse_prom_text(text)["repro_iterations"]["samples"][()] == 5.0
 
     def test_report_command(self, tmp_path, capsys):
         metrics = tmp_path / "m.jsonl"
