@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from contextlib import contextmanager
+from time import perf_counter
 from typing import Iterator
 
 import numpy as np
@@ -77,20 +78,14 @@ class VirtualMachine:
         #: so accounting is bit-identical to a machine without fault
         #: machinery.
         self.fault_injector = None
-        #: optional :class:`repro.telemetry.spans.SpanTracer`; when set,
-        #: :meth:`phase` reports each (phase, rank) clock interval to it.
-        #: Like the fault injector, ``None`` (the default) leaves a single
-        #: dormant branch on the phase path — the tracer only *observes*
-        #: the clocks, it never charges them, so accounting is identical
-        #: with and without it.
+        #: optional :class:`repro.telemetry.spans.SpanTracer`, the one
+        #: observer hook: when set, :meth:`phase` hands it a row per phase
+        #: and :meth:`section` one per kernel.  Like the fault injector,
+        #: ``None`` (the default) leaves a single dormant branch on the
+        #: phase path — the tracer only *observes* the clocks (and the host
+        #: clock), it never charges them, so accounting is identical with
+        #: and without it.
         self.tracer = None
-        #: optional :class:`repro.obs.profile.PhaseProfiler`; when set,
-        #: :meth:`phase` opens a host-wall-clock section per phase and
-        #: :meth:`section` one per kernel inside it.  Same dormant
-        #: contract as the tracer: ``None`` leaves a single ``is None``
-        #: branch, and the profiler measures *host* time only — the
-        #: virtual clocks and op counts are untouched either way.
-        self.profiler = None
 
     def install_faults(self, plan) -> "VirtualMachine":
         """Attach a :class:`~repro.machine.faults.FaultPlan` (or injector).
@@ -122,15 +117,15 @@ class VirtualMachine:
     def phase(self, name: str) -> Iterator[None]:
         """Scope costs and statistics under phase ``name``.
 
-        With a tracer attached the per-rank clock values at entry and
-        exit are reported as one span per participating rank; the clocks
+        With a tracer attached, one row goes to it on exit: the per-rank
+        clock values at entry and exit and the host ``perf_counter`` at
+        entry and exit, each if the tracer keeps it; the clocks
         themselves are never touched.
         """
         tracer = self.tracer
-        start = self.clocks.copy() if tracer is not None else None
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.push(name)
+        if tracer is not None:
+            start = self.clocks.copy() if tracer.virtual else None
+            host = perf_counter() if tracer.host else None
         self._phase_stack.append(name)
         try:
             yield
@@ -138,21 +133,23 @@ class VirtualMachine:
             depth = len(self._phase_stack)
             self._phase_stack.pop()
             if tracer is not None:
-                tracer.record_phase(name, start, self.clocks, depth=depth)
-            if profiler is not None:
-                profiler.pop(name)
+                tracer.record_phase(name, start, self.clocks, depth=depth, host=host)
 
     @contextmanager
     def section(self, name: str) -> Iterator[None]:
         """Time a kernel as host-wall section ``name`` under the current phase.
 
-        A no-op without a profiler attached; never touches the clocks.
+        A no-op unless the tracer keeps host time; never touches the clocks.
         """
-        if self.profiler is None:
+        tracer = self.tracer
+        if tracer is None or not tracer.host:
             yield
-        else:
-            with self.profiler.section(name):
-                yield
+            return
+        host = perf_counter()
+        try:
+            yield
+        finally:
+            tracer.record_section(name, len(self._phase_stack) + 1, host)
 
     # ------------------------------------------------------------------
     # time accounting

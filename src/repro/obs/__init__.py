@@ -4,8 +4,8 @@ This package is the cross-cutting observability layer on top of the
 run-level telemetry (:mod:`repro.telemetry`) and the job service
 (:mod:`repro.service`):
 
-- :mod:`repro.obs.profile` — deterministic host-wall profiling of the
-  pooled-engine hot path, exported as collapsed-stack flamegraph files.
+- :mod:`repro.obs.profile` — the host-wall profile of the hot path, a fold
+  of the phase recorder's rows exported as collapsed-stack flamegraph files.
 - :mod:`repro.obs.prom` — Prometheus textfile-collector snapshots of an
   aggregates block (a run's fold, a batch's registry).
 - :mod:`repro.obs.batch` — the ``repro report --batch`` aggregator that

@@ -60,18 +60,18 @@ def recover(sim: Simulation, failure: RankFailure) -> None:
     injector = vm.fault_injector
     if injector is not None:
         injector.set_iteration(sim.iteration)
+    sim.config = replace(sim.config, p=p_new)
+    sim.vm = vm
+    sim.fault_plan = survivor_plan
+    # observe the shrunk machine before recovery charges land, so the
+    # "recovery" phase shows up in the trace and the profile
+    sim._observe()
     tel = sim.telemetry
     if tel is not None:
-        # attach the tracer before recovery charges land so the
-        # "recovery" phase shows up as spans on the shrunk machine
-        vm.tracer = tel.tracer
         tel.set_iteration(sim.iteration)
         tel.record_event(
             "rank_failure", t=t_fail, iteration=sim.iteration, rank=dead
         )
-    sim.config = replace(sim.config, p=p_new)
-    sim.vm = vm
-    sim.fault_plan = survivor_plan
     # the shrunk machine carries the old phase maxima forward, so the
     # phase trace stays continuous across the swap (no stale machine,
     # no double counting)

@@ -49,8 +49,8 @@ class Simulation:
     :meth:`from_checkpoint` and continued produces the same result object
     as the uninterrupted run (the exact-resume contract, DESIGN.md §5.2).
 
-    ``workers`` (int or ``"auto"``) runs the era kernel's hot loops on
-    that many shard threads.  It is deliberately *not*
+    ``workers`` (int or ``"auto"``) runs either kernel's particle passes
+    on that many shard threads.  It is deliberately *not*
     part of :class:`SimulationConfig`: worker count is an execution
     detail — results, checkpoints, and telemetry are byte-stable across
     worker counts (DESIGN.md §5.5) — so it never appears in serialized
@@ -96,8 +96,8 @@ class Simulation:
         #: telemetry bundle (None until :meth:`enable_telemetry`); when
         #: off, every hot-path hook is a dormant ``is None`` branch
         self.telemetry = None
-        #: host-wall profiler (None until :meth:`enable_profiling`); the
-        #: same dormant-hook contract as telemetry (DESIGN.md §5.8)
+        #: host-wall profiler (None until :meth:`enable_profiling`): a fold
+        #: of the phase recorder telemetry uses too (DESIGN.md §5.8)
         self.profiler = None
         #: batch identity (``{"batch_id", "job_id", "attempt"}``) stamped
         #: by the job service via :meth:`set_correlation`; ``None`` for
@@ -163,9 +163,7 @@ class Simulation:
         # the policy may have been rebuilt from checkpoint state, and
         # either way it now advises this machine
         self.policy.bind(vm)
-        self._wire_telemetry()
-        # after rank-failure recovery the machine is a new one
-        self.vm.profiler = self.profiler
+        self._observe()
         return cost
 
     # ------------------------------------------------------------------
@@ -213,13 +211,13 @@ class Simulation:
     def enable_telemetry(self):
         """Attach a :class:`~repro.telemetry.RunTelemetry` to this run.
 
-        Wires the span tracer into the machine's phase contexts, the
-        decision sink into the redistribution policy, and the violation
-        sink into the invariant guard.  Idempotent; returns the bundle
-        so callers can save its trace / metrics exports after
-        :meth:`run`.  Telemetry only observes the virtual clocks —
-        ``vm.elapsed()``, ``vm.ops``, and every result quantity stay
-        bit-identical to an untelemetered run.
+        Switches on the virtual clock columns of the machine's phase
+        recorder, and wires the decision sink into the redistribution
+        policy and the violation sink into the invariant guard.
+        Idempotent; returns the bundle so callers can save its trace /
+        metrics exports after :meth:`run`.  Telemetry only observes the
+        virtual clocks — ``vm.elapsed()``, ``vm.ops``, and every result
+        quantity stay bit-identical to an untelemetered run.
         """
         if self.telemetry is None:
             from repro.telemetry import RunTelemetry
@@ -228,26 +226,28 @@ class Simulation:
                 self.config.p,
                 config=config_to_dict(self.config),
                 correlation=self.correlation,
+                tracer=self.vm.tracer,
             )
-            self._wire_telemetry()
+            self._observe()
         return self.telemetry
 
     def enable_profiling(self):
         """Attach a :class:`~repro.obs.profile.PhaseProfiler` to this run.
 
-        The virtual machine opens a host-wall section per phase and one
-        per kernel inside it (the shard threads' task timings included,
-        drained at :meth:`save_profile`).  Idempotent;
-        returns the profiler.  Profiling only reads the host clock —
-        results, ``vm.elapsed()``, and ``vm.ops`` stay bit-identical to
-        an unprofiled run, the same contract as telemetry.
+        Switches on the host columns of the machine's phase recorder: a
+        host-wall time per phase and per kernel inside it (the shard
+        threads' task timings included, drained at :meth:`save_profile`).
+        Idempotent; returns the profiler.  Profiling only reads the host
+        clock — results, ``vm.elapsed()``, and ``vm.ops`` stay
+        bit-identical to an unprofiled run, the same contract as telemetry.
         """
         if self.profiler is None:
             from repro.obs.profile import PhaseProfiler
 
-            self.profiler = self.vm.profiler = PhaseProfiler()
+            self.profiler = PhaseProfiler(self.vm.tracer)
             if self.backend is not None:
                 self.backend.drain_profile()  # shard time from here on only
+            self._observe()
         return self.profiler
 
     def save_profile(self, directory) -> list[Path]:
@@ -275,21 +275,23 @@ class Simulation:
             self.telemetry.set_correlation(self.correlation)
         return self
 
-    def _wire_telemetry(self) -> None:
-        """(Re-)attach telemetry sinks to the current vm / policy / guard.
+    def _observe(self) -> None:
+        """(Re-)attach the run's observers to the current vm / policy / guard.
 
-        Called at enable time and by :meth:`_assemble`: at construction
-        (a no-op, nothing is enabled yet) and after rank-failure recovery,
-        which swaps the machine and rebuilds the policy from checkpoint
-        state (dropping its transient sink).
+        The one place that sets the machine's observer hook, ``vm.tracer``:
+        the phase recorder telemetry and the profiler share.  Called at
+        construction (through :meth:`_assemble`; a no-op, nothing is
+        enabled yet), at enable time, and by rank-failure recovery, which
+        swaps the machine before it charges recovery and rebuilds the
+        policy from checkpoint state (dropping its transient sink).
         """
-        tel = self.telemetry
-        if tel is None:
-            return
-        self.vm.tracer = tel.tracer
-        self.policy.decision_sink = tel.record_sar_decision
-        if self.guard is not None:
-            self.guard.on_violation = tel.record_guard_violation
+        tel, prof = self.telemetry, self.profiler
+        if tel is not None or prof is not None:
+            self.vm.tracer = (prof if tel is None else tel).tracer
+        if tel is not None:
+            self.policy.decision_sink = tel.record_sar_decision
+            if self.guard is not None:
+                self.guard.on_violation = tel.record_guard_violation
 
     # ------------------------------------------------------------------
     def install_faults(self, plan: FaultPlan | None) -> "Simulation":

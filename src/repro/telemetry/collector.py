@@ -4,9 +4,9 @@
 :class:`~repro.pic.simulation.Simulation` owns when telemetry is
 enabled.  It bundles
 
-* a :class:`~repro.telemetry.spans.SpanTracer` attached to the virtual
-  machine (``vm.tracer``) that captures every (iteration, phase, rank)
-  interval on the virtual clocks, and
+* the run's :class:`~repro.telemetry.spans.SpanTracer`, attached to the
+  virtual machine (``vm.tracer``), whose per-rank virtual clock columns
+  give every (iteration, phase, rank) interval, and
 * the run's :class:`~repro.telemetry.stream.EventStream` of
   per-iteration records and one-off events that :meth:`save_metrics`
   writes as JSONL — one JSON object per line, schema
@@ -127,6 +127,9 @@ class RunTelemetry(EventStream):
         Batch identity (``{"batch_id", "job_id", "attempt"}``) stamped
         by the job service; embedded in the header and the trace export
         so per-job artifacts join with the batch's service stream.
+    tracer:
+        The run's phase recorder, shared with its profiler (a new one if
+        ``None``); telemetry switches its virtual clock columns on.
     """
 
     def __init__(
@@ -135,12 +138,14 @@ class RunTelemetry(EventStream):
         *,
         config: dict | None = None,
         correlation: dict | None = None,
+        tracer: SpanTracer | None = None,
     ) -> None:
         # the header pins the rank count at enable time; shrink events walk
         # readers to the live count from there
         super().__init__(METRICS_SCHEMA, p=int(p), config=config)
         self.set_correlation(correlation)
-        self.tracer = SpanTracer()
+        self.tracer = tracer if tracer is not None else SpanTracer()
+        self.tracer.virtual = True
         self.tracer.note_ranks(p)
         self._pending_sar: list[dict] = []
         self._iter_t0: float | None = None

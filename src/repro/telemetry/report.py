@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.machine.trace import PhaseTrace
+from repro.telemetry.collector import fold_aggregates
 from repro.telemetry.schema import ParsedMetrics, validate_metrics, validate_trace
 from repro.util import require
 
@@ -129,28 +130,27 @@ def _sparkline(values: list[float], width: int = 60) -> str:
 
 
 def _totals(metrics: ParsedMetrics) -> dict:
-    iters = metrics.iterations
+    """The run totals the report prints: the stream's own aggregates
+    (:func:`~repro.telemetry.collector.fold_aggregates` of its body, so the
+    report says what the summary says), plus per-phase time totals."""
+    # the fold reads floats off iteration records only, in order, and
+    # counts events, so the two lists need not be interleaved
+    agg = fold_aggregates(metrics.iterations + metrics.events)
+    agg = {name: entry["value"] for name, entry in agg.items()}
     phase_totals: dict[str, float] = {}
-    for rec in iters:
+    for rec in metrics.iterations:
         for phase, dt in rec["phase_time"].items():
             phase_totals[phase] = phase_totals.get(phase, 0.0) + dt
-    comm_bytes = sum(
-        tallies["bytes"] for rec in iters for tallies in rec["comm"].values()
-    )
-    comm_msgs = sum(
-        tallies["msgs"] for rec in iters for tallies in rec["comm"].values()
-    )
+    comm = [(name.rsplit(".", 1)[1], v) for name, v in agg.items() if name.startswith("comm.")]
     return {
-        "iterations": len(iters),
-        "total_time": sum(rec["t_iter"] for rec in iters),
+        "iterations": int(agg.get("iterations", 0)),
+        "total_time": agg.get("iteration.time", {}).get("sum", 0.0),
         "phase_totals": phase_totals,
-        "comm_bytes": comm_bytes,
-        "comm_msgs": comm_msgs,
-        "redistributions": sum(1 for rec in iters if rec["redistributed"]),
-        "redistribution_time": sum(rec["redistribution_cost"] for rec in iters),
-        "recoveries": sum(
-            1 for ev in metrics.events if ev.get("kind") == "recovery"
-        ),
+        "comm_bytes": sum(v for kind, v in comm if kind == "bytes"),
+        "comm_msgs": sum(v for kind, v in comm if kind == "msgs"),
+        "redistributions": int(agg.get("redistribution.count", 0)),
+        "redistribution_time": agg.get("redistribution.cost", {}).get("sum", 0.0),
+        "recoveries": int(agg.get("recovery.count", 0)),
     }
 
 

@@ -1,12 +1,14 @@
-"""Span-based tracing of virtual-machine phases (Chrome-trace export).
+"""The run's phase recorder, on both clocks (Chrome-trace export).
 
-:class:`SpanTracer` records one :class:`Span` per (iteration, phase,
-rank) interval on the *virtual* clocks: the machine's
-:meth:`~repro.machine.virtual.VirtualMachine.phase` context manager
-captures the per-rank clock values at entry and exit and hands them to
-:meth:`SpanTracer.record_phase`.  Because spans are measured on the
-virtual clocks, a trace is fully deterministic — two runs of the same
-configuration produce byte-identical trace files.
+:class:`SpanTracer` is the one observer hook on the phase path
+(``vm.tracer``).  ``vm.phase`` hands it one row per phase on exit: the
+per-rank *virtual* clocks and the *host* ``perf_counter`` at entry and
+exit; ``vm.section`` adds a host-only row per kernel.  Telemetry reads
+the virtual columns as :class:`Span` s, and
+:class:`~repro.obs.profile.PhaseProfiler` folds the host columns into
+flamegraph stacks; each switches on the columns it reads.  Spans are
+measured on the virtual clocks, so a trace is fully deterministic — two
+runs of the same configuration produce byte-identical trace files.
 
 The export format is the Chrome Trace Event JSON (the ``traceEvents``
 array form), which Perfetto (https://ui.perfetto.dev) and
@@ -30,6 +32,7 @@ changes ``vm.elapsed()``, ``vm.ops``, or any result quantity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -60,17 +63,21 @@ class SpanTracer:
     """Collects a run's phase rows and rank-count history.
 
     The tracer is attached to a machine as ``vm.tracer``; the machine's
-    ``phase`` context manager feeds it via :meth:`record_phase`.  The
-    simulation driver advances :attr:`iteration` once per step so every
-    span is tagged with the iteration it belongs to.  Instant markers and
+    ``phase`` and ``section`` context managers feed it via
+    :meth:`record_phase` and :meth:`record_section`.  The simulation
+    driver advances :attr:`iteration` once per step so every row is
+    tagged with the iteration it belongs to.  Instant markers and
     counter tracks are not kept here: :meth:`to_chrome` derives them from
     the run's metrics stream.
     """
 
     def __init__(self) -> None:
-        #: one (name, iteration, depth, entry clocks, exit clocks) row per
-        #: recorded phase; :attr:`spans` expands them into per-rank spans
-        self._phases: list[tuple] = []
+        #: one (name, iteration, depth, entry clocks, exit clocks, host entry,
+        #: host exit) row per closed phase or kernel section, children before
+        #: their parent; a column the tracer does not keep is ``None``
+        self.rows: list[tuple] = []
+        self.virtual = False  #: keep per-rank virtual clocks (telemetry's spans)
+        self.host = False  #: keep host times and kernel sections (the profile)
         self.iteration = -1  #: -1 = before the first simulation iteration
         #: rank-count history: list of (iteration, p) entries; recovery
         #: shrink appends so lane metadata can mark dead ranks.
@@ -80,20 +87,27 @@ class SpanTracer:
     # recording
     # ------------------------------------------------------------------
     def set_iteration(self, iteration: int) -> None:
-        """Tag subsequently recorded spans with ``iteration``."""
+        """Tag subsequently recorded rows with ``iteration``."""
         self.iteration = int(iteration)
 
     def record_phase(
-        self, name: str, t_start: np.ndarray, t_end: np.ndarray, *, depth: int = 1
-    ) -> None:
-        """Record one phase interval from per-rank entry/exit clocks.
+        self, name: str, t_start: np.ndarray | None, t_end: np.ndarray, *, depth: int = 1,
+        host: float | None = None,
+    ) -> None:  # fmt: skip
+        """Record one phase from per-rank entry/exit clocks and its host entry time.
 
         O(1) Python work per phase whatever the rank count (this runs
-        inside every ``vm.phase`` of a traced step): the entry clocks are kept
-        as the caller copied them, the exit clocks are copied; per-rank spans
-        are made on demand.
+        inside every ``vm.phase`` of an observed step): the entry clocks are
+        kept as the caller copied them (``None``: not kept), the exit clocks
+        are copied, and the host exit time is read if ``host`` is given.
         """
-        self._phases.append((name, self.iteration, depth, t_start, t_end.copy()))
+        h1 = None if host is None else perf_counter()
+        end = None if t_start is None else t_end.copy()
+        self.rows.append((name, self.iteration, depth, t_start, end, host, h1))
+
+    def record_section(self, name: str, depth: int, host: float) -> None:
+        """Record one kernel section: a host-only row entered at ``host``."""
+        self.rows.append((name, self.iteration, depth, None, None, host, perf_counter()))
 
     @property
     def spans(self) -> list[Span]:
@@ -101,11 +115,12 @@ class SpanTracer:
 
         Ranks whose clock did not advance inside a phase are skipped —
         they did not participate, and zero-width slices only clutter the
-        timeline.
+        timeline.  Host-only rows have no spans.
         """
         return [
             Span(name, rank, iteration, t0, t1, depth)
-            for name, iteration, depth, starts, ends in self._phases
+            for name, iteration, depth, starts, ends, _, _ in self.rows
+            if starts is not None
             for rank, (t0, t1) in enumerate(zip(starts.tolist(), ends.tolist()))
             if t1 > t0
         ]
@@ -117,12 +132,6 @@ class SpanTracer:
     # ------------------------------------------------------------------
     # export
     # ------------------------------------------------------------------
-    def max_rank(self) -> int:
-        """Highest rank id that ever appears in the trace."""
-        ranks = [s.rank for s in self.spans]
-        ranks.extend(p - 1 for _, p in self.rank_history)
-        return max(ranks, default=0)
-
     def to_chrome(self, records: list[dict] = (), correlation: dict | None = None) -> dict:
         """Export as a Chrome Trace Event / Perfetto JSON object.
 
@@ -132,6 +141,8 @@ class SpanTracer:
         tracks.  ``correlation`` (the batch identity) goes to
         ``otherData``.
         """
+        spans = self.spans
+        max_rank = max([s.rank for s in spans] + [p - 1 for _, p in self.rank_history], default=0)
         events: list[dict] = [
             {
                 "name": "process_name",
@@ -141,7 +152,7 @@ class SpanTracer:
                 "args": {"name": "repro virtual machine"},
             }
         ]
-        for rank in range(self.max_rank() + 1):
+        for rank in range(max_rank + 1):
             events.append(
                 {
                     "name": "thread_name",
@@ -151,7 +162,7 @@ class SpanTracer:
                     "args": {"name": f"rank {rank}"},
                 }
             )
-        for span in self.spans:
+        for span in spans:
             events.append(
                 {
                     "name": span.name,
@@ -204,4 +215,4 @@ class SpanTracer:
         }
 
     def __repr__(self) -> str:
-        return f"SpanTracer(phases={len(self._phases)}, ranks={self.rank_history})"
+        return f"SpanTracer(rows={len(self.rows)}, ranks={self.rank_history})"

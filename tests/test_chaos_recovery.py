@@ -280,7 +280,6 @@ class TestRecoveredStackIsAssembledLikeAFreshOne:
                 "pic.decomp": sim.pic.decomp is sim.decomp,
                 "pic.guard": sim.pic.guard is sim.guard and type(sim.guard),
                 "guard.on_violation": sim.guard.on_violation == tel.record_guard_violation,
-                "vm.profiler": sim.vm.profiler is sim.profiler,
                 "vm.tracer": sim.vm.tracer is tel.tracer,
                 "policy.decision_sink": sim.policy.decision_sink == tel.record_sar_decision,
             }
@@ -292,3 +291,27 @@ class TestRecoveredStackIsAssembledLikeAFreshOne:
         fresh = observed(replace(cfg, p=cfg.p - 1))
         assert wiring(sim) == wiring(fresh)
         assert all(wiring(fresh).values())
+
+
+class TestRecoveryIsObservedOnBothClocks:
+    """The trace and the profile read the one phase recorder, so a rank's
+    death shows up in both: every phase the Chrome trace draws at the top
+    level is a root frame of the folded profile, ``recovery`` included."""
+
+    @pytest.mark.parametrize("kernel", ["era", "modern"])
+    def test_trace_roots_are_profile_roots(self, kernel, tmp_path):
+        sim = Simulation(_config(kernel=kernel))
+        tel = sim.enable_telemetry()
+        sim.enable_profiling()
+        kill = FaultEvent(kind="kill", rank=2, iteration=_KILL_ITER)
+        sim.install_faults(FaultPlan(events=(kill,)))
+        assert sim.run(_NITERS).n_recoveries == 1
+        sim.save_profile(tmp_path)
+        trace_roots = {
+            ev["name"] for ev in tel.to_chrome()["traceEvents"]
+            if ev["ph"] == "X" and ev["args"]["depth"] == 1
+        }  # fmt: skip
+        folded = (tmp_path / "profile.folded").read_text().splitlines()
+        profile_roots = {line.rsplit(" ", 1)[0].split(";")[0] for line in folded}
+        assert "recovery" in trace_roots
+        assert trace_roots <= profile_roots, trace_roots - profile_roots

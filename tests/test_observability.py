@@ -50,6 +50,7 @@ from repro.telemetry import (
     validate_metrics,
     validate_service,
 )
+from repro.telemetry.spans import SpanTracer
 from repro.telemetry.stream import read_jsonl
 
 BASE = dict(nx=16, ny=8, nparticles=256, p=4)
@@ -60,61 +61,89 @@ def _config(**kw):
 
 
 # ----------------------------------------------------------------------
-# profiler unit tests
+# profiler unit tests: the profile is a fold of the phase recorder's rows
 # ----------------------------------------------------------------------
+def _profiled_vm(p=2):
+    vm = VirtualMachine(p, MachineModel.cm5())
+    prof = PhaseProfiler()
+    vm.tracer = prof.tracer
+    return vm, prof
+
+
+def _stacks(prof):
+    return {stack: int(us) for stack, us in (ln.rsplit(" ", 1) for ln in prof.folded_lines())}
+
+
 class TestPhaseProfiler:
     def test_sections_nest_and_fold_with_self_time(self):
-        prof = PhaseProfiler()
-        prof.push("scatter")
-        with prof.section("deposit"):
-            time.sleep(0.002)
-        with prof.section("reduce"):
-            pass
-        time.sleep(0.001)
-        prof.pop("scatter")
+        vm, prof = _profiled_vm()
+        with vm.phase("scatter"):
+            with vm.section("deposit"):
+                time.sleep(0.002)
+            with vm.section("reduce"):
+                pass
+            time.sleep(0.001)
 
-        lines = prof.folded_lines()
-        stacks = {ln.rsplit(" ", 1)[0]: int(ln.rsplit(" ", 1)[1]) for ln in lines}
+        stacks = _stacks(prof)
         assert "scatter;deposit" in stacks
         assert "scatter;reduce" in stacks
         assert "scatter" in stacks  # parent self-time survives as its own frame
         assert all(v >= 0 for v in stacks.values())
         assert stacks["scatter;deposit"] >= 1000  # slept 2ms -> >=1000 us
 
-    def test_mismatched_pop_raises(self):
-        prof = PhaseProfiler()
-        prof.push("gather")
-        with pytest.raises(RuntimeError):
-            prof.pop("scatter")
-
     def test_vm_section_without_profiler_is_a_passthrough(self):
         vm = VirtualMachine(2, MachineModel.cm5())
-        assert vm.profiler is None
+        assert vm.tracer is None
         with vm.section("anything"):
             x = 1
         assert x == 1
-        vm.profiler = prof = PhaseProfiler()
+        vm.tracer = tracer = SpanTracer()
+        tracer.virtual = True  # telemetry's columns only: no section rows
+        with vm.phase("scatter"), vm.section("deposit"):
+            pass
+        assert [row[0] for row in tracer.rows] == ["scatter"]
+        prof = PhaseProfiler(tracer)
         with vm.phase("scatter"), vm.section("deposit"):
             pass
         assert prof.samples[("scatter", "deposit")][0] == 1
+        assert prof.samples[("scatter",)][0] == 1  # the row before enabling is not folded
+
+    def test_a_phase_run_inside_a_section_nests_under_it(self):
+        vm, prof = _profiled_vm()
+        with vm.phase("scatter"), vm.section("ghost_merge"), vm.phase("recovery"):
+            vm.charge_comm_seconds(0.5)
+        assert sorted(prof.samples) == [
+            ("scatter",), ("scatter", "ghost_merge"), ("scatter", "ghost_merge", "recovery")
+        ]
+        # the recorded phase depth is the phase stack's, as the trace shows it
+        assert [(name, depth) for name, _, depth, *_ in prof.tracer.rows] == [
+            ("recovery", 2), ("ghost_merge", 2), ("scatter", 1)
+        ]
+
+    def test_a_profiling_only_recorder_keeps_no_virtual_clocks(self):
+        vm, prof = _profiled_vm(p=64)
+        with vm.phase("field"):
+            vm.charge_ops("field", 1.0)
+        ((name, _, depth, t0, t1, h0, h1),) = prof.tracer.rows
+        assert (name, depth, t0, t1) == ("field", 1, None, None)
+        assert h1 >= h0
+        assert prof.tracer.spans == []
 
     def test_merge_worker_samples_lands_under_workers_root(self):
-        prof = PhaseProfiler()
-        with prof.section("field"):
+        vm, prof = _profiled_vm()
+        with vm.phase("field"):
             pass
         prof.merge_worker_samples({"scatter": [3, 0.25]})
-        stacks = dict(
-            ln.rsplit(" ", 1) for ln in prof.folded_lines()
-        )
+        stacks = _stacks(prof)
         assert "workers;scatter" in stacks
-        assert int(stacks["workers;scatter"]) == 250000  # 0.25 s in us
+        assert stacks["workers;scatter"] == 250000  # 0.25 s in us
 
     def test_export_folded_writes_per_root_and_combined(self, tmp_path):
-        prof = PhaseProfiler()
-        with prof.section("scatter"):
-            with prof.section("deposit"):
+        vm, prof = _profiled_vm()
+        with vm.phase("scatter"):
+            with vm.section("deposit"):
                 pass
-        with prof.section("gather"):
+        with vm.phase("gather"):
             pass
         paths = prof.export_folded(tmp_path)
         names = {p.name for p in paths}
@@ -122,6 +151,7 @@ class TestPhaseProfiler:
         assert "scatter.folded" in names and "gather.folded" in names
         combined = (tmp_path / "profile.folded").read_text()
         assert "scatter;deposit " in combined
+        assert (tmp_path / "gather.folded").read_text().startswith("gather ")
 
 
 # ----------------------------------------------------------------------

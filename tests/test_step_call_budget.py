@@ -129,15 +129,19 @@ def test_redistribution_calls_do_not_grow_with_ranks():
 
 #: Python-level calls telemetry may add to one iteration (its ``result()`` included)
 TELEMETRY_CALLS_PER_ITERATION = 150
+#: ... profiling (two host clock reads and one row per phase and per kernel section)
+PROFILING_CALLS_PER_ITERATION = 60
+#: ... both: the rows they share carry both clocks
+OBSERVED_CALLS_PER_ITERATION = 175
 
 
-def _calls_of_a_run(observed, iterations=20):
+def _calls_of_a_run(*enable, iterations=20):
     sim = Simulation(
         SimulationConfig(nx=64, ny=32, nparticles=8192, p=32, distribution="irregular",
                          policy="dynamic", seed=3)  # fmt: skip
     )
-    if observed:
-        sim.enable_telemetry()
+    for observer in enable:
+        getattr(sim, f"enable_{observer}")()
     calls = 0
 
     def count(frame, event, arg):
@@ -152,13 +156,37 @@ def _calls_of_a_run(observed, iterations=20):
     return calls
 
 
+def _observer_calls_per_iteration(*enable):
+    _calls_of_a_run(iterations=2)  # loads the kernels, fills the caches
+    bare, observed = _calls_of_a_run(), _calls_of_a_run(*enable)
+    return (observed - bare) / 20, bare, observed
+
+
 def test_telemetry_calls_per_iteration():
     """Telemetry's hooks (records, spans, the aggregates fold) stay a small
     fixed number of calls per iteration at the CI overhead gate's config."""
-    _calls_of_a_run(False, iterations=2)  # loads the kernels, fills the caches
-    bare, observed = _calls_of_a_run(False), _calls_of_a_run(True)
-    per_iteration = (observed - bare) / 20
+    per_iteration, bare, observed = _observer_calls_per_iteration("telemetry")
     assert per_iteration <= TELEMETRY_CALLS_PER_ITERATION, (
         f"telemetry added {per_iteration:.1f} Python-level calls per iteration "
         f"({bare} bare, {observed} observed over 20 iterations)"
+    )
+
+
+def test_profiling_calls_per_iteration():
+    """Profiling records host rows on the phase recorder and folds them only
+    when exported, so a profiled iteration stays within a few calls a row."""
+    per_iteration, bare, observed = _observer_calls_per_iteration("profiling")
+    assert per_iteration <= PROFILING_CALLS_PER_ITERATION, (
+        f"profiling added {per_iteration:.1f} Python-level calls per iteration "
+        f"({bare} bare, {observed} profiled over 20 iterations)"
+    )
+
+
+def test_both_observers_calls_per_iteration():
+    """Telemetry and profiling share one row per phase, so together they cost
+    about telemetry's calls plus the host clock reads and section rows."""
+    per_iteration, bare, observed = _observer_calls_per_iteration("telemetry", "profiling")
+    assert per_iteration <= OBSERVED_CALLS_PER_ITERATION, (
+        f"telemetry and profiling added {per_iteration:.1f} Python-level calls per "
+        f"iteration ({bare} bare, {observed} observed over 20 iterations)"
     )

@@ -35,6 +35,7 @@ from repro.telemetry import (
     validate_metrics,
     validate_trace,
 )
+from repro.telemetry.collector import fold_aggregates
 from tests._looped_oracle import SIMULATIONS
 
 
@@ -444,6 +445,33 @@ class TestReport:
         metrics = validate_metrics(path)
         text = render_comparison([("left", metrics), ("right", metrics)])
         assert "total_time" in text and "left" in text and "right" in text
+
+    def test_totals_are_the_streams_own_summary(self, tmp_path):
+        """The report's totals read the fold the stream's summary holds: a
+        ``shrink`` event counts one recovery, with no ``recovery`` event."""
+        header = {"type": "header", "schema": "repro-metrics/1", "p": 4}
+        it = {
+            "type": "iteration", "iteration": 0, "p": 4, "t_start": 0.0, "t_end": 0.1,
+            "t_iter": 0.1, "phase_time": {"scatter": 0.1}, "particles_per_rank": [1, 1, 1, 1],
+            "imbalance": 1.0, "comm": {"scatter": {"msgs": 3, "bytes": 96}}, "ops": {},
+            "sar_decisions": [], "redistributed": True, "redistribution_cost": 0.25,
+        }
+        shrink = {"type": "event", "kind": "shrink", "iteration": 1, "t": 0.3, "dead_rank": 1,
+                  "p": 3}  # fmt: skip
+        later = dict(it, iteration=1, p=3, t_iter=0.2, particles_per_rank=[1, 2, 1],
+                     redistributed=False, redistribution_cost=0.0)  # fmt: skip
+        body = [it, shrink, later]
+        agg = fold_aggregates(body)
+        summary = {"type": "summary", "iterations": 2, "aggregates": agg}
+        path = tmp_path / "shrunk.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in (header, *body, summary)))
+
+        text = report_from_files([path])
+        assert agg["recovery.count"]["value"] == 1.0
+        assert "recoveries: 1" in text
+        assert f"total time: {agg['iteration.time']['value']['sum']:.4f} s" in text
+        assert "comm: 6 msgs / 192 bytes" in text
+        assert "redistributions: 1 (0.2500 s)" in text
 
 
 class TestCLI:
