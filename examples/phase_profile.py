@@ -1,17 +1,17 @@
 #!/usr/bin/env python
 """Profile where the virtual time goes, phase by phase.
 
-Attaches a :class:`repro.machine.PhaseTrace` to a run with periodic
-redistribution and renders an ASCII stacked-share profile: scatter and
-gather shares grow as the particle subdomains drift, and redistribution
-spikes (R) appear at every firing.
+Runs with telemetry on and periodic redistribution, then renders the
+iteration records' per-phase times as an ASCII stacked-share profile:
+scatter and gather shares grow as the particle subdomains drift, and
+redistribution spikes (R) appear at every firing.
 
 Run:  python examples/phase_profile.py
 """
 
 from repro import Simulation, SimulationConfig
 from repro.analysis import format_table
-from repro.machine import PhaseTrace
+from repro.telemetry.report import render_phase_profile
 
 
 def main() -> None:
@@ -25,22 +25,21 @@ def main() -> None:
         seed=3,
         vth=0.08,
     )
-    sim = Simulation(config)
-    trace = PhaseTrace(sim.vm)
-
     iterations = 100
-    for it in range(iterations):
-        sim.pic.step()
-        if sim.policy.should_redistribute(it):
-            sim.pic.pool = sim.redistributor.redistribute(sim.vm, sim.pic.pool).pool
-        trace.snapshot()
+    with Simulation(config) as sim:
+        telemetry = sim.enable_telemetry()
+        sim.run(iterations)
+    rows = [rec["phase_time"] for rec in telemetry.records if rec["type"] == "iteration"]
 
-    print(trace.render(width=60))
+    print(render_phase_profile(rows, width=60))
     print()
-    rows = sorted(trace.totals().items(), key=lambda kv: -kv[1])
+    totals: dict[str, float] = {}
+    for row in rows:
+        for phase, seconds in row.items():
+            totals[phase] = totals.get(phase, 0.0) + seconds
     print(format_table(
         ["phase", "total (virtual s)"],
-        [[k, v] for k, v in rows],
+        sorted(totals.items(), key=lambda kv: -kv[1]),
         title=f"Phase totals over {iterations} iterations",
     ))
 

@@ -1,141 +1,38 @@
-"""Execution tracing: per-phase, per-iteration timeline of a run.
-
-:class:`PhaseTrace` snapshots the virtual machine's phase clocks after
-every iteration, producing the data for an execution-profile view: how
-the time of each phase (scatter / field / gather / push /
-redistribution) evolves over the run, and an ASCII "stacked bar"
-rendering for terminals.
-"""
+"""The per-iteration phase increment of a run (telemetry's ``phase_time``)."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.machine.virtual import VirtualMachine
-from repro.util import require
 
 __all__ = ["PhaseTrace"]
 
 
 class PhaseTrace:
-    """Record per-iteration phase times from a virtual machine.
+    """Each phase's max-over-ranks time since the previous :meth:`snapshot`.
 
-    Call :meth:`snapshot` once per iteration; each snapshot stores the
-    *increment* of every phase's max-over-ranks time since the previous
-    snapshot.
-
-    The machine binding is rebindable: rank-failure recovery replaces
-    the simulation's :class:`VirtualMachine` with a shrunk one whose
-    phase tables carry the accumulated maxima forward, so
-    :meth:`rebind` keeps the increment stream continuous across the
-    swap (no stale-machine reads, no double-counted time).  A trace can
-    also be built without any machine (``vm=None`` /
-    :meth:`from_rows`) to re-render rows recovered from a metrics file
-    or a checkpoint.
+    The driver calls :meth:`snapshot` once per iteration and hands the row
+    to telemetry, whose iteration records are the run's history.  Rank-
+    failure recovery swaps in a shrunk machine whose phase tables carry
+    the failed machine's maxima, so :meth:`rebind` keeps the baseline: the
+    next row holds exactly the time charged since the last snapshot.
     """
 
-    def __init__(self, vm: VirtualMachine | None = None) -> None:
+    def __init__(self, vm: VirtualMachine) -> None:
         self.vm = vm
-        # Baseline at the machine's current breakdown: time charged
-        # before the trace existed (setup, restored checkpoints) belongs
-        # to no iteration row.
-        self._last: dict[str, float] = vm.phase_breakdown() if vm is not None else {}
-        self.rows: list[dict[str, float]] = []
-
-    @classmethod
-    def from_rows(cls, rows: list[dict]) -> "PhaseTrace":
-        """Rebuild a trace from previously recorded increment rows."""
-        trace = cls(None)
-        trace.rows = [{str(k): float(v) for k, v in row.items()} for row in rows]
-        return trace
+        # time charged before the trace existed (setup, a restored
+        # checkpoint) belongs to no row
+        self._last: dict[str, float] = vm.phase_breakdown()
 
     def rebind(self, vm: VirtualMachine) -> None:
-        """Continue the trace on ``vm`` (e.g. after a recovery shrink).
-
-        The shrunk machine's phase tables are seeded with the failed
-        machine's maxima, so the running-increment baseline stays valid:
-        the next :meth:`snapshot` row picks up exactly the detection,
-        recovery, and replay time charged since the last snapshot —
-        nothing lost to the swap, nothing double-counted.
-        """
+        """Continue on ``vm`` (the shrunk machine of a recovery)."""
         self.vm = vm
 
     def snapshot(self) -> dict[str, float]:
-        """Record and return this iteration's per-phase time increments."""
-        require(self.vm is not None, "trace has no machine bound (vm=None)")
+        """This iteration's per-phase time increments."""
         current = self.vm.phase_breakdown()
         increment = {
             phase: current.get(phase, 0.0) - self._last.get(phase, 0.0)
             for phase in set(current) | set(self._last)
         }
         self._last = current
-        self.rows.append(increment)
         return increment
-
-    # ------------------------------------------------------------------
-    @property
-    def phases(self) -> list[str]:
-        """All phase labels seen, sorted."""
-        seen: set[str] = set()
-        for row in self.rows:
-            seen.update(k for k, v in row.items() if v > 0)
-        return sorted(seen)
-
-    def series(self, phase: str) -> np.ndarray:
-        """Per-iteration time series of one phase (zeros where absent)."""
-        return np.array([row.get(phase, 0.0) for row in self.rows])
-
-    def totals(self) -> dict[str, float]:
-        """Total time per phase over the trace."""
-        return {phase: float(self.series(phase).sum()) for phase in self.phases}
-
-    def render(self, *, width: int = 60) -> str:
-        """ASCII profile: one stacked bar of phase shares per trace row
-        group (rows are bucketed to at most ``width`` columns)."""
-        require(bool(self.rows), "no snapshots recorded")
-        phases = self.phases
-        glyphs = "SFGPRMX"  # scatter field gather push redistribution migration other
-        glyph_of = {}
-        for phase in phases:
-            for key, glyph in (
-                ("scatter", "S"),
-                ("field", "F"),
-                ("gather", "G"),
-                ("push", "P"),
-                ("redistribution", "R"),
-                ("migration", "M"),
-            ):
-                if phase == key:
-                    glyph_of[phase] = glyph
-                    break
-            else:
-                glyph_of[phase] = "X"
-        lines = ["phase profile (per-iteration share):"]
-        legend = ", ".join(f"{glyph_of[p]}={p}" for p in phases)
-        lines.append(legend)
-        nrows = len(self.rows)
-        buckets = np.linspace(0, nrows, min(width, nrows) + 1).astype(int)
-        bar_height = 10
-        grid_cols = []
-        for a, b in zip(buckets[:-1], buckets[1:]):
-            sums = {p: float(self.series(p)[a:b].sum()) for p in phases}
-            total = sum(sums.values())
-            column = []
-            if total > 0:
-                # Largest-remainder apportionment: glyph counts always sum
-                # to exactly bar_height, so no phase's share is silently
-                # truncated by independent rounding.
-                shares = np.array([bar_height * sums[p] / total for p in phases])
-                counts = np.floor(shares).astype(int)
-                shortfall = bar_height - int(counts.sum())
-                if shortfall > 0:
-                    order = np.argsort(-(shares - counts), kind="stable")
-                    counts[order[:shortfall]] += 1
-                for p, count in zip(phases, counts):
-                    column.extend(glyph_of[p] * int(count))
-            column = (column + [" "] * bar_height)[:bar_height]
-            grid_cols.append(column)
-        for level in range(bar_height - 1, -1, -1):
-            lines.append("|" + "".join(col[level] for col in grid_cols))
-        lines.append("+" + "-" * len(grid_cols))
-        return "\n".join(lines)

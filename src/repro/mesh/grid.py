@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import native
 from repro.util import require, require_positive
 
 __all__ = ["Grid2D"]
@@ -175,15 +174,8 @@ class Grid2D:
         weights:
             float64 array of shape ``(n, 4)`` — bilinear weights, summing
             to 1 per particle.
-
-        One compiled pass when :mod:`repro.native` is active, with the
-        floats of the two-axis NumPy evaluation either way.
         """
-        compiled = native.kernels()
-        found = compiled.cic(self, x, y) if compiled is not None else None
-        if found is None:
-            found = self.cic_from_axes(self.cic_axis(x, 0), self.cic_axis(y, 1))
-        return found
+        return self.cic_from_axes(self.cic_axis(x, 0), self.cic_axis(y, 1))
 
     def cell_vertices(self, cell_ids: np.ndarray) -> np.ndarray:
         """The 4 vertex nodes of each cell, ``(n, 4)``, in the vertex order

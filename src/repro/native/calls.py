@@ -29,11 +29,10 @@ __all__ = ["Kernels", "Shards", "team_block", "self_check", "INTERFACE"]
 
 #: the ``pic_kernels_interface`` of a library built from the source that
 #: :data:`_SIGNATURES` describes (bump both with any change of arguments)
-INTERFACE = 1
+INTERFACE = 2
 
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 _SIGNATURES = {
-    "cic": (_I64, _PTR, _PTR, _F64, _F64, _F64, _F64, _I64, _I64, _PTR, _PTR),
     "scatter": (
         _I64, _PTR, _I64, *[_PTR] * 9, *[_F64] * 5, _I64, _I64, _PTR, _PTR, _I64, _PTR, _I64, _PTR,
         _I64, *[_PTR] * 3, _I64, *[_PTR] * 4,
@@ -109,7 +108,7 @@ def _ptr(*arrays):
 
 
 class Kernels:
-    """The six entry points of a loaded ``pic_kernels`` library."""
+    """The five entry points of a loaded ``pic_kernels`` library."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib  # keeps the library mapped
@@ -159,18 +158,6 @@ class Kernels:
         node-interleaved fields (:meth:`gather_push`) until its push is
         done — a thread runs one at a time, so they share the pages."""
         return self._rows("nodes", 1, size, np.float64)[0, :size]
-
-    def cic(self, grid, x, y):
-        """``Grid2D.cic_vertices_weights``: ``(nodes, weights)`` or ``None``."""
-        if not (isinstance(x, np.ndarray) and x.ndim == 1 and _plain(np.float64, x.shape, x, y)):
-            return None
-        n = x.shape[0]
-        nodes, weights = np.empty((n, 4), dtype=np.int64), np.empty((n, 4))
-        failed = self._cic(
-            n, *_ptr(x, y), grid.lx, grid.ly, grid.dx, grid.dy, grid.nx, grid.ny,
-            *_ptr(nodes, weights),
-        )  # fmt: skip
-        return None if failed else (nodes, weights)
 
     def scatter(self, grid, parts, counts, node_owner, acc, shards=None, moved=None):
         """``scatter_numpy`` of the rank segments ``counts`` — with ``moved``
@@ -381,10 +368,7 @@ def self_check(found: Kernels) -> str | None:
     x[11:13], y[11:13], u[:, 11:13] = 0.0, 0.0, [[-1e-17, 0.0], [0.0, -1e-17], [0.0, 0.0]]
     q, m, w = rng.choice([-1.0, 1.0], n), rng.uniform(0.5, 2.0, n), rng.random(n)
     parts = ParticleArray(x, y, *u, q, m, w, np.arange(n))
-    vertices = grid.cic_from_axes(grid.cic_axis(x, 0), grid.cic_axis(y, 1))
-    if not same(found.cic(grid, x, y), vertices):
-        return "cic"
-    nodes = vertices[0]
+    nodes = grid.cic_from_axes(grid.cic_axis(x, 0), grid.cic_axis(y, 1))[0]
 
     counts = np.array([200, 0, 113, 50, n - 363], dtype=np.int64)  # the first all inside
     ranks = np.repeat(np.arange(5), counts)

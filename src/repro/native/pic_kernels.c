@@ -22,8 +22,8 @@
  * block of the four channels per node, the gather reads E and B
  * interleaved per node, so a vertex is one cache line and one vector
  * operation.  The era's hot passes run branch-free at the widest vector
- * unit the CPU has (CLONED).  cic serves Grid2D, ghost_slots the modern
- * stepper's gather, field_step and smooth the era's field solve and sources.
+ * unit the CPU has (CLONED).  ghost_slots serves the modern stepper's
+ * gather, field_step and smooth the era's field solve and sources.
  *
  * Every kernel reads its arguments, writes only its output buffers (and its
  * scratch; gather_push the particles, see there) and returns
@@ -66,7 +66,7 @@ enum { OK = 0, FLAGGED = 1, BAD_INDEX = 2, DECLINED = 3 };
  * edited after the process imported calls.py is not called with the old
  * arguments.  Bump both with any change to an entry point's arguments.  A
  * datum, not a function: it adds no entry point. */
-const int64_t pic_kernels_interface = 1;
+const int64_t pic_kernels_interface = 2;
 
 /* inputs are only read and outputs are buffers of their own: nothing aliases */
 #define R restrict
@@ -421,8 +421,8 @@ static int64_t all_in(const double *R a, int64_t m, double offset, double hi)
 }
 
 /* The CIC of particles into rows: particle i's four vertex nodes at
- * node[v][i] and their weights at weight[v][i], in cic's vertex order and
- * with its floats.  Node ids are int32: the callers decline a grid of 2^31
+ * node[v][i] and their weights at weight[v][i], in the vertex order and
+ * with the floats of Grid2D.cic_vertices_weights.  Node ids are int32: the callers decline a grid of 2^31
  * nodes or more. */
 struct cic_rows {
     int32_t *node[4];
@@ -518,33 +518,6 @@ static void wrap_all(int64_t m, double *R v, double length)
     }
     for (int64_t j = 0; j < m; j++)
         v[j] = wrap(v[j], length);
-}
-
-/* Grid2D.cic_vertices_weights -> nodes (n, 4) int64, weights (n, 4). */
-int cic(int64_t n, const double *R x, const double *R y, double lx, double ly, double dx,
-        double dy, int64_t nx, int64_t ny, int64_t *R nodes, double *R weights)
-{
-    int64_t bad = 0;
-    feclearexcept(FE_ALL_EXCEPT);
-    for (int64_t i = 0; i < n; i++) {
-        int64_t cx, cx1, cy, cy1;
-        double tx, ty;
-        bad |= cic_axis(x[i], lx, dx, nx, &cx, &cx1, &tx);
-        bad |= cic_axis(y[i], ly, dy, ny, &cy, &cy1, &ty);
-        int64_t row = cy * nx, row1 = cy1 * nx;
-        int64_t *node = nodes + 4 * i;
-        node[0] = row + cx;
-        node[1] = row + cx1;
-        node[2] = row1 + cx;
-        node[3] = row1 + cx1;
-        double ux = 1.0 - tx, uy = 1.0 - ty;
-        double *weight = weights + 4 * i;
-        weight[0] = ux * uy;
-        weight[1] = tx * uy;
-        weight[2] = ux * ty;
-        weight[3] = tx * ty;
-    }
-    return finish(bad);
 }
 
 /* Particles the modern scatter's zigzag entries are staged at a time.  The
@@ -824,7 +797,7 @@ static PASS void interleave(int64_t nnodes, const double *R f0, const double *R 
  * node_fields (nnodes, 8) into fields (6, PUSH_CHUNK), and the first vertex
  * of each of the four stencils into rows stride apart of cells: the modern
  * stepper's staggered gather.  Per axis the two shifts (none, half a cell)
- * go through cic_axis on coords - shift * d, a stencil's weights are cic's,
+ * go through cic_axis on coords - shift * d, a stencil's weights are CIC's,
  * and each component is interpolate's ncomp == 1 sum, as the NumPy body
  * gathers one component at a time.  Nonzero: a position is NaN or too
  * large to cast. */
@@ -979,8 +952,8 @@ static PASS void yee_push_shard(const void *args, int64_t s)
  * and B: the pass first copies them into node_fields (nnodes, 8), a node's
  * six components and two zeros (with a team, each thread copies a part,
  * interleave_part, before any shard starts), and a particle's fields are
- * gather_from_node_values' from that block at its CIC (cic's floats, from
- * the positions before the push) -- or, given cells (4, n), the modern
+ * gather_from_node_values' from that block at its CIC (cic_into's floats,
+ * from the positions before the push) -- or, given cells (4, n), the modern
  * stepper's staggered gather from it, with each particle's four stencil
  * cells written there (yee_chunk).  The particles are cut into nshards
  * shards at starts
@@ -1635,10 +1608,9 @@ static PASS void yee_shard(const void *args, int64_t s)
     a->out[3 * s + 1] = now_ns() - t0;
 }
 
-/* The scatter of rank segments counts[0 .. nranks) of n particles: cic,
+/* The scatter of rank segments counts[0 .. nranks) of n particles: CIC,
  * ghost_slots and deposit, one segment at a time while it is in cache.  A
- * first walk of the segment computes each particle's CIC (cic's floats,
- * cic_into) and stamps its cell; the segment's slots are numbered as
+ * first walk of the segment computes each particle's CIC (cic_into) and stamps its cell; the segment's slots are numbered as
  * ghost_slots numbers them, its pairs (distinct cells) from 0 in each
  * segment (they are not output); a second walk adds the entries as deposit
  * adds them, in the segment's particle order, into bins (nnodes +

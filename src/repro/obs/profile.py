@@ -34,6 +34,8 @@ __all__ = ["PhaseProfiler"]
 
 #: sub-frame under which the shard threads' task timings are filed
 WORKER_FRAME = "workers"
+#: tracer rows (~9 an iteration) past which :meth:`PhaseProfiler.fold_rows` folds them
+FOLD_ROWS = 1024
 
 
 class PhaseProfiler:
@@ -50,7 +52,26 @@ class PhaseProfiler:
         self.tracer = tracer if tracer is not None else SpanTracer()
         self.tracer.host = True
         self._first_row = len(self.tracer.rows)
+        self._folded_rows: dict[tuple[str, ...], list] = {}  # rows already folded
         self._workers: dict[tuple[str, ...], list] = {}
+
+    def fold_rows(self) -> None:
+        """Fold the rows written so far into the totals once they pass
+        :data:`FOLD_ROWS`, and drop them unless telemetry reads them too
+        (``tracer.virtual``): a profiled run's memory stays bounded.
+
+        Call between iterations, where no frame is open: every row's
+        parent is then among the rows folded with it.
+        """
+        rows = self.tracer.rows
+        if len(rows) - self._first_row < FOLD_ROWS:
+            return
+        _fold(rows[self._first_row :], self._folded_rows)
+        if self.tracer.virtual:
+            self._first_row = len(rows)
+        else:
+            rows.clear()
+            self._first_row = 0
 
     def merge_worker_samples(self, samples: dict) -> None:
         """Fold shard-thread task totals in as ``workers/<phase>`` frames.
@@ -65,24 +86,11 @@ class PhaseProfiler:
 
     @property
     def samples(self) -> dict[tuple[str, ...], list]:
-        """``stack -> [count, host seconds]`` over the rows since enabling,
-        plus the merged worker totals.
-
-        Frames nest by their host intervals: a row closed inside another
-        row's interval is its child, so a phase that a kernel section runs
-        (a fault's detection ``recovery`` inside ``ghost_merge``) sits
-        under the section.  Rows close children first, so walking them
-        backwards meets every row after its parent.
-        """
-        out: dict[tuple[str, ...], list] = {}
-        frames: list[tuple[str, float, float]] = []  # the open frames, outermost first
-        for name, _, _, _, _, h0, h1 in reversed(self.tracer.rows[self._first_row:]):
-            while frames and not (frames[-1][1] <= h0 and h1 <= frames[-1][2]):
-                frames.pop()
-            frames.append((name, h0, h1))
-            cell = out.setdefault(tuple(frame for frame, _, _ in frames), [0, 0.0])
-            cell[0] += 1
-            cell[1] += h1 - h0
+        """``stack -> [count, host seconds]`` over the rows since enabling
+        (those :meth:`fold_rows` folded included), plus the merged worker
+        totals."""
+        out = {stack: list(cell) for stack, cell in self._folded_rows.items()}
+        _fold(self.tracer.rows[self._first_row :], out)
         for stack, (count, wall) in self._workers.items():
             cell = out.setdefault(stack, [0, 0.0])
             cell[0] += count
@@ -140,6 +148,25 @@ class PhaseProfiler:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"PhaseProfiler(rows={len(self.tracer.rows) - self._first_row})"
+
+
+def _fold(rows: list[tuple], out: dict[tuple[str, ...], list]) -> None:
+    """Add tracer ``rows`` into ``out`` as ``stack -> [count, host seconds]``.
+
+    Frames nest by their host intervals: a row closed inside another
+    row's interval is its child, so a phase that a kernel section runs
+    (a fault's detection ``recovery`` inside ``ghost_merge``) sits under
+    the section.  Rows close children first, so walking them backwards
+    meets every row after its parent.
+    """
+    frames: list[tuple[str, float, float]] = []  # the open frames, outermost first
+    for name, _, _, _, _, h0, h1 in reversed(rows):
+        while frames and not (frames[-1][1] <= h0 and h1 <= frames[-1][2]):
+            frames.pop()
+        frames.append((name, h0, h1))
+        cell = out.setdefault(tuple(frame for frame, _, _ in frames), [0, 0.0])
+        cell[0] += 1
+        cell[1] += h1 - h0
 
 
 def _safe_name(frame: str) -> str:

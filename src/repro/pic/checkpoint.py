@@ -14,23 +14,21 @@ writes them, :func:`resume_run` and :func:`restore_history` read them.
   (machine model constants included), the redistribution policy's
   internals, the decomposition's curve bounds (adaptive rebalancing moves
   them), the redistributor's build-time sort keys (the incremental sort
-  classifies against them), the per-iteration record history, and the
-  :class:`~repro.machine.trace.PhaseTrace` rows (so a resumed run's
-  telemetry covers the full history, not just the post-resume tail).
+  classifies against them) and the per-iteration record history.
 
 **Format v3** is one ``.npz`` whose members are *stored, not deflated*
 and pooled in rank order, the way the run holds its state — a write
 costs O(state) bytes of memcpy and the member count depends on neither
 ranks nor iterations: ``format``/``version``/``meta``/``extent``, the
-JSON header ``state_json`` (``run_state``, ``has_sort_keys``,
-``trace_phases``), ``particles`` ``(n, 9)`` + ``offsets`` ``(p+1,)`` (the
+JSON header ``state_json`` (``run_state``, ``has_sort_keys``),
+``particles`` ``(n, 9)`` + ``offsets`` ``(p+1,)`` (the
 :class:`~repro.particles.arrays.ParticlePool` layout, its ``(9, n)``
 block stored transposed, one particle per row), ``sort_keys``
-``(n,)``, ``fields`` ``(10, ny, nx)``, ``records`` (:data:`RECORD_DTYPE`)
-and ``trace_rows`` ``(iterations, phases)`` (NaN = phase absent from the
-row); DESIGN.md §5.2 has the table.  There is no compression setting:
-scratch checkpoints are deleted when their job succeeds, and the zip
-CRC-32 of every member is still verified on load.
+``(n,)``, ``fields`` ``(10, ny, nx)`` and ``records``
+(:data:`RECORD_DTYPE`); DESIGN.md §5.2 has the table.  A run's per-phase
+rows are not stored: its metrics stream holds them.  There is no
+compression setting: scratch checkpoints are deleted when their job
+succeeds, and the zip CRC-32 of every member is still verified on load.
 
 The exact-resume contract (``tests/test_resume_equivalence.py``): a run
 checkpointed at iteration ``k`` and resumed via
@@ -99,8 +97,7 @@ class CheckpointData:
     for a physical-state-only file; ``sort_keys`` the redistributor's
     build-time keys, one vector aligned with ``pool`` (``None`` without a
     redistributor);
-    ``records`` the history as :data:`RECORD_DTYPE` tuples; ``trace_rows``
-    the phase-profile dicts.
+    ``records`` the history as :data:`RECORD_DTYPE` tuples.
     """
 
     grid: Grid2D
@@ -110,7 +107,6 @@ class CheckpointData:
     run_state: dict | None = None
     sort_keys: np.ndarray | None = None
     records: list[tuple] = field(default_factory=list)
-    trace_rows: list[dict[str, float]] = field(default_factory=list)
 
     @property
     def particles(self) -> list[ParticleArray]:
@@ -128,17 +124,6 @@ def _resolve_path(path: str | Path) -> Path:
     if path.suffix != ".npz":
         path = path.with_suffix(path.suffix + ".npz")
     return path
-
-
-def _pack_rows(rows: Sequence[dict[str, float]]) -> tuple[list[str], np.ndarray]:
-    """Dict rows as a ``(len(rows), ncolumns)`` block; NaN = key absent."""
-    columns = sorted(set().union(*rows))
-    block = np.array([[row.get(c, np.nan) for c in columns] for row in rows], dtype=np.float64)
-    return columns, block.reshape(len(rows), len(columns))
-
-
-def _unpack_rows(columns: list[str], block: np.ndarray) -> list[dict[str, float]]:
-    return [{c: v for c, v in zip(columns, row) if v == v} for row in block.tolist()]  # NaN != NaN
 
 
 def _write_member(zf: zipfile.ZipFile, name: str, chunks, shape: tuple, dtype) -> None:
@@ -165,7 +150,6 @@ def save_checkpoint(
     run_state: dict | None = None,
     sort_keys: np.ndarray | None = None,
     records: Sequence[tuple] = (),
-    trace_rows: Sequence[dict[str, float]] = (),
 ) -> Path:
     """Write a format-v3 checkpoint to ``path`` (``.npz`` appended if missing).
 
@@ -173,8 +157,7 @@ def save_checkpoint(
     sequential run).  ``run_state`` is the JSON-compatible exact-resume
     payload assembled by :func:`capture_run`; ``sort_keys`` the
     redistributor's build-time keys, one vector aligned with the particles
-    in rank order; ``records`` the history as :data:`RECORD_DTYPE` tuples;
-    ``trace_rows`` the phase-profile dicts.
+    in rank order; ``records`` the history as :data:`RECORD_DTYPE` tuples.
     All are optional, so the physical-state round trip works standalone.
 
     Members are written one at a time straight from the per-rank sets,
@@ -192,8 +175,7 @@ def save_checkpoint(
         sort_keys is None or np.shape(sort_keys) == (n,),
         "sort_keys must have one entry per particle",
     )
-    phases, trace_block = _pack_rows(trace_rows)
-    state = {"run_state": run_state, "has_sort_keys": sort_keys is not None, "trace_phases": phases}
+    state = {"run_state": run_state, "has_sort_keys": sort_keys is not None}
     small = {
         "format": np.array([_MAGIC]),
         "version": np.array([_FORMAT_VERSION]),
@@ -203,7 +185,6 @@ def save_checkpoint(
         "offsets": offsets,
         # a list: NumPy would read an outer tuple as one record
         "records": np.array(list(records), dtype=RECORD_DTYPE),
-        "trace_rows": trace_block,
     }
     with atomic_writer(path, "wb") as fh, zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
         for name, array in small.items():
@@ -291,13 +272,12 @@ def load_checkpoint(path: str | Path) -> CheckpointData:
             need("meta", "extent")
             nx, ny, iteration, nranks = (int(v) for v in read("meta"))
             lx, ly = (float(v) for v in read("extent"))
-            need("particles", "offsets", "fields", "records", "trace_rows")
+            need("particles", "offsets", "fields", "records")
             block = np.ascontiguousarray(read("particles").T, dtype=np.float64)
             pool = ParticlePool(ParticleArray.from_block(block), read("offsets"))
             field_block = read("fields")
             keys = read("sort_keys") if has_sort_keys else None
             records = read("records").astype(RECORD_DTYPE, casting="equiv").tolist()
-            trace_rows = _unpack_rows(state["trace_phases"], read("trace_rows"))
             require(pool.p == nranks, f"{pool.p} particle segments for nranks={nranks}")
             require(
                 field_block.shape == (len(_FIELD_NAMES), ny, nx),
@@ -313,7 +293,6 @@ def load_checkpoint(path: str | Path) -> CheckpointData:
                 run_state=run_state,
                 sort_keys=keys,
                 records=records,
-                trace_rows=trace_rows,
             )
         except CheckpointError:
             raise
@@ -331,8 +310,7 @@ def capture_run(sim: Simulation, path: str | Path) -> Path:
     fields, grid), the virtual machine (clocks, compute/comm splits,
     per-phase times and comm stats, op counters), the policy
     internals, the current decomposition bounds, the redistributor's
-    build-time sort keys, and the per-iteration record and phase-trace
-    history as arrays.
+    build-time sort keys, and the per-iteration record history as an array.
     """
     run_state = {
         "config": config_to_dict(sim.config, full_model=True),
@@ -363,9 +341,6 @@ def capture_run(sim: Simulation, path: str | Path) -> Path:
             sim.redistributor.export_keys() if sim.redistributor is not None else None
         ),
         records=list(map(attrgetter(*RECORD_DTYPE.names), sim.records)),
-        # per-iteration phase-profile rows: telemetry survives resume
-        # (a resumed run's PhaseTrace covers the full history)
-        trace_rows=sim.trace.rows,
     )
 
 
@@ -450,12 +425,9 @@ def _restore(sim: Simulation, data: CheckpointData, path) -> None:
     sim.pic.fields = data.fields
     sim.pic.iteration = data.iteration
     _read(path, rs, "vm", sim.vm.load_state)
-    # Rebuild the phase trace on the restored machine: the fresh
-    # baseline is the restored breakdown (pre-checkpoint time belongs
-    # to the rows we restore, not to the next snapshot), and the
-    # restored rows make a resumed run's trace cover the full history.
+    # the next phase row starts from the restored breakdown: time
+    # charged before the checkpoint belongs to no row of this run
     sim.trace = PhaseTrace(sim.vm)
-    sim.trace.rows = data.trace_rows
     restore_history(sim, data, path)
     sim.policy.bind(sim.vm)
     if sim.redistributor is not None:

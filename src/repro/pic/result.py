@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.machine.trace import PhaseTrace
 from repro.particles.arrays import ParticleArray
 from repro.pic.config import SimulationConfig, config_to_dict
 
@@ -47,7 +46,6 @@ class SimulationResult:
     n_recoveries: int = 0  #: rank failures recovered from
     recovery_time: float = 0.0  #: virtual seconds spent detecting + recovering
     final_state: dict | None = None  #: physics summary (:func:`final_state_summary`)
-    trace: PhaseTrace | None = None  #: per-iteration phase profile (always recorded)
     telemetry: dict | None = None  #: final metric aggregates (None = telemetry off)
     correlation: dict | None = None  #: batch identity stamp (None = standalone run)
     #: always ``None``: every ``workers`` request shards on the team, whatever

@@ -108,8 +108,8 @@ class Simulation:
         self._setup_cost = self._assemble(self.initial_particles, setup=True)
         if self.redistributor is not None and hasattr(self.policy, "record_redistribution"):
             self.policy.record_redistribution(-1, self._setup_cost)
-        #: per-iteration phase profile, snapshotted by :meth:`run` after
-        #: every iteration and exposed on :class:`SimulationResult`
+        #: per-iteration phase increments, snapshotted by :meth:`run` after
+        #: every iteration into telemetry's ``phase_time``
         self.trace = PhaseTrace(self.vm)
 
     # ------------------------------------------------------------------
@@ -435,6 +435,8 @@ class Simulation:
                 self.iteration = it + 1
                 if checkpoint_every is not None and self.iteration % checkpoint_every == 0:
                     self.checkpoint(checkpoint_path)
+                if self.profiler is not None:  # between iterations: no frame is open
+                    self.profiler.fold_rows()
             except RankFailure as failure:
                 from repro.pic.recovery import recover
 
@@ -497,7 +499,6 @@ class Simulation:
             n_recoveries=self.n_recoveries,
             recovery_time=self.recovery_time,
             final_state=self.final_state_summary(),
-            trace=self.trace,
             telemetry=self.telemetry.aggregates() if self.telemetry is not None else None,
             correlation=self.correlation,
         )

@@ -185,8 +185,9 @@ class RunTelemetry(EventStream):
     ) -> dict:
         """Assemble, store, and return this iteration's metrics record.
 
-        ``phase_time`` is the iteration's per-phase time increment (a
-        :class:`~repro.machine.trace.PhaseTrace` snapshot row);
+        ``phase_time`` is the iteration's per-phase time increment (the
+        row :meth:`~repro.machine.trace.PhaseTrace.snapshot` returns; the
+        records are the only place a run keeps these rows);
         ``comm_epochs`` are the :meth:`CommStats.snapshot_epoch` dicts
         popped during the iteration (step traffic plus, separately, any
         redistribution traffic).

@@ -5,9 +5,8 @@ stream (``--metrics``) and optionally a Chrome-trace JSON (``--trace``)
 — and renders:
 
 * run header + totals (iterations, time, redistributions, recoveries);
-* the per-phase execution profile, reusing
-  :meth:`repro.machine.trace.PhaseTrace.render`'s stacked-bar view on
-  the phase-time rows recovered from the metrics stream;
+* the per-phase execution profile: :func:`render_phase_profile`'s
+  stacked bars over the iteration records' ``phase_time`` rows;
 * the load-imbalance trajectory as an ASCII sparkline + summary stats;
 * the redistribution-decision log: one line per SAR evaluation with the
   inputs of Eq. 1 (``t1-t0``, ``i1-i0``, measured ``T_redistribution``)
@@ -31,13 +30,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.machine.trace import PhaseTrace
 from repro.telemetry.collector import fold_aggregates
 from repro.telemetry.schema import ParsedMetrics, validate_metrics, validate_trace
 from repro.util import require
 
 __all__ = [
     "render_report",
+    "render_phase_profile",
     "render_comparison",
     "render_decision_comparison",
     "report_from_files",
@@ -127,6 +126,49 @@ def _sparkline(values: list[float], width: int = 60) -> str:
     return "".join(
         _SPARK_GLYPHS[1 + int((v - lo) / span * (steps - 1))] for v in values
     )
+
+
+#: a phase's glyph in the profile's bars; any other phase is "X"
+_PHASE_GLYPHS = {
+    "scatter": "S", "field": "F", "gather": "G", "push": "P",
+    "redistribution": "R", "migration": "M",
+}  # fmt: skip
+
+
+def render_phase_profile(rows: Sequence[dict[str, float]], *, width: int = 60) -> str:
+    """ASCII profile of per-iteration phase-time rows (``phase_time``):
+    one stacked bar of phase shares per group of rows (bucketed to at
+    most ``width`` columns), ten glyphs high."""
+    require(bool(rows), "no phase rows to profile")
+    phases = sorted({phase for row in rows for phase, t in row.items() if t > 0})
+    series = {p: np.array([row.get(p, 0.0) for row in rows]) for p in phases}
+    glyph_of = {p: _PHASE_GLYPHS.get(p, "X") for p in phases}
+    legend = ", ".join(f"{glyph_of[p]}={p}" for p in phases)
+    lines = ["phase profile (per-iteration share):", legend]
+    buckets = np.linspace(0, len(rows), min(width, len(rows)) + 1).astype(int)
+    bar_height = 10
+    grid_cols = []
+    for a, b in zip(buckets[:-1], buckets[1:]):
+        sums = {p: float(series[p][a:b].sum()) for p in phases}
+        total = sum(sums.values())
+        column = []
+        if total > 0:
+            # Largest-remainder apportionment: glyph counts always sum
+            # to exactly bar_height, so no phase's share is silently
+            # truncated by independent rounding.
+            shares = np.array([bar_height * sums[p] / total for p in phases])
+            counts = np.floor(shares).astype(int)
+            shortfall = bar_height - int(counts.sum())
+            if shortfall > 0:
+                order = np.argsort(-(shares - counts), kind="stable")
+                counts[order[:shortfall]] += 1
+            for p, count in zip(phases, counts):
+                column.extend(glyph_of[p] * int(count))
+        grid_cols.append((column + [" "] * bar_height)[:bar_height])
+    for level in range(bar_height - 1, -1, -1):
+        lines.append("|" + "".join(col[level] for col in grid_cols))
+    lines.append("+" + "-" * len(grid_cols))
+    return "\n".join(lines)
 
 
 def _totals(metrics: ParsedMetrics) -> dict:
@@ -242,11 +284,11 @@ def render_report(
         f"({t['redistribution_time']:.4f} s)   recoveries: {t['recoveries']}"
     )
 
-    # -- phase profile (PhaseTrace stacked bars over the recovered rows) --
+    # -- phase profile (stacked bars over the records' phase rows) -------
     rows = [rec["phase_time"] for rec in metrics.iterations]
     if any(rows):
         out.append("")
-        out.append(PhaseTrace.from_rows(rows).render())
+        out.append(render_phase_profile(rows))
         out.append("phase totals:")
         for phase, seconds in sorted(
             t["phase_totals"].items(), key=lambda kv: -kv[1]

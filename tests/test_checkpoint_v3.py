@@ -41,7 +41,7 @@ class TestLayout:
         sim.run(3)
         with zipfile.ZipFile(sim.checkpoint(tmp_path / "ck.npz")) as zf:
             infos = zf.infolist()
-        assert len(infos) <= 12
+        assert len(infos) == 10
         assert {info.compress_type for info in infos} == {zipfile.ZIP_STORED}
 
     def test_member_set_independent_of_ranks_and_iterations(self, tmp_path):
@@ -63,20 +63,35 @@ class TestLayout:
             assert data["sort_keys"].shape == (1024,)
             assert data["fields"].shape == (10, 16, 32)
             assert data["records"].dtype == RECORD_DTYPE and data["records"].shape == (4,)
-            assert data["trace_rows"].shape[0] == 4
+            assert "trace_rows" not in data.files  # the metrics stream holds the phase rows
             assert int(data["version"][0]) == 3
 
     def test_history_roundtrips_with_types_and_absent_phases(self, tmp_path):
-        sim = Simulation(_config(policy="periodic:3"))
-        sim.run(7)  # "redistribution" joins the phase rows at iteration 2
-        assert len({frozenset(row) for row in sim.trace.rows}) > 1
+        """Records round-trip with their types, and a resumed run's phase rows
+        (its metrics stream's) are the uninterrupted run's, those where
+        "redistribution" is absent included."""
+        config = _config(policy="periodic:3")
+        full = Simulation(config)
+        full.enable_telemetry()
+        full.run(10)  # "redistribution" joins the phase rows every third iteration
+        sim = Simulation(config)
+        sim.run(7)
         data = load_checkpoint(sim.checkpoint(tmp_path / "ck.npz"))
-        assert data.trace_rows == sim.trace.rows
         restored = [IterationRecord(*row) for row in data.records]
         assert restored == sim.records
         for a, b in zip(restored, sim.records):
             for f in dataclasses.fields(IterationRecord):
                 assert type(getattr(a, f.name)) is type(getattr(b, f.name)), f.name
+        resumed = Simulation.from_checkpoint(tmp_path / "ck.npz")
+        resumed.enable_telemetry()
+        resumed.run(3)
+
+        def phase_rows(s):
+            return [rec["phase_time"] for rec in s.telemetry.records if rec["type"] == "iteration"]
+
+        tail = phase_rows(full)[7:]
+        assert phase_rows(resumed) == tail
+        assert len({frozenset(row) for row in tail}) > 1
 
     def test_checkpoint_returns_the_written_path(self, tmp_path):
         sim = Simulation(_config())
@@ -172,6 +187,26 @@ def test_legacy_engine_key_is_an_unknown_key():
             config_from_dict({**base, "engine": value})
     with pytest.raises(TypeError, match="engine"):
         SimulationConfig(engine="flat")
+
+
+def test_checkpoint_with_the_former_phase_rows_member_resumes(tmp_path):
+    """A v3 file of the earlier layout, with a ``trace_rows`` member and a
+    ``trace_phases`` header key, loads and resumes to the uninterrupted run."""
+    config = _config(policy="dynamic")
+    expected = Simulation(config).run(TOTAL)
+    first = Simulation(config)
+    first.run(SPLIT)
+    path = tmp_path / "ck.npz"
+    members = dict(np.load(first.checkpoint(path)))
+    state = json.loads(str(members["state_json"][0]))
+    state["trace_phases"] = ["field", "gather", "push", "scatter"]
+    members["state_json"] = np.array([json.dumps(state)])
+    members["trace_rows"] = np.full((SPLIT, 4), 1e-3)
+    np.savez(path, **members)
+    sim = Simulation.from_checkpoint(path)
+    result = sim.run(TOTAL - SPLIT)
+    assert result.to_dict() == expected.to_dict()
+    assert result.records == expected.records
 
 
 def test_rank_kill_recovers_from_the_last_checkpoint(tmp_path):

@@ -1,94 +1,94 @@
-"""Tests for the phase-trace profiler."""
+"""Tests for the per-iteration phase increments and the report's phase profile."""
 
 import numpy as np
 import pytest
 
 from repro.machine import MachineModel, VirtualMachine
 from repro.machine.trace import PhaseTrace
+from repro.telemetry.report import render_phase_profile
 
 
 @pytest.fixture
 def traced_vm():
     vm = VirtualMachine(2, MachineModel.cm5())
     trace = PhaseTrace(vm)
+    rows = []
     for _ in range(5):
         with vm.phase("scatter"):
             vm.charge_ops("scatter", 100)
         with vm.phase("push"):
             vm.charge_ops("push", 50)
-        trace.snapshot()
-    return vm, trace
+        rows.append(trace.snapshot())
+    return vm, trace, rows
+
+
+def _snapshots(vm, trace, phases, iterations=1):
+    """Charge each of ``phases`` once per iteration; the snapshot rows."""
+    rows = []
+    for _ in range(iterations):
+        for phase in phases:
+            with vm.phase(phase):
+                vm.charge_ops("push", 10)
+        rows.append(trace.snapshot())
+    return rows
 
 
 class TestSnapshots:
     def test_row_count(self, traced_vm):
-        _, trace = traced_vm
-        assert len(trace.rows) == 5
+        _, trace, rows = traced_vm
+        assert len(rows) == 5
+        assert not hasattr(trace, "rows")  # the history is the caller's to keep
 
     def test_increments_not_cumulative(self, traced_vm):
-        _, trace = traced_vm
-        scatter = trace.series("scatter")
+        _, _, rows = traced_vm
+        scatter = np.array([row["scatter"] for row in rows])
         assert np.allclose(scatter, scatter[0])
         assert scatter[0] > 0
 
     def test_totals_match_vm(self, traced_vm):
-        vm, trace = traced_vm
-        totals = trace.totals()
+        vm, _, rows = traced_vm
         breakdown = vm.phase_breakdown()
-        assert totals["scatter"] == pytest.approx(breakdown["scatter"])
-        assert totals["push"] == pytest.approx(breakdown["push"])
+        for phase in ("scatter", "push"):
+            assert sum(row[phase] for row in rows) == pytest.approx(breakdown[phase])
 
     def test_phases_sorted(self, traced_vm):
-        _, trace = traced_vm
-        assert trace.phases == ["push", "scatter"]
+        _, _, rows = traced_vm
+        assert render_phase_profile(rows).splitlines()[1] == "P=push, S=scatter"
 
     def test_unseen_phase_series_zero(self, traced_vm):
-        _, trace = traced_vm
-        assert trace.series("gather").sum() == 0
+        _, _, rows = traced_vm
+        assert sum(row.get("gather", 0.0) for row in rows) == 0
 
 
 class TestRender:
     def test_render_contains_glyphs(self, traced_vm):
-        _, trace = traced_vm
-        out = trace.render(width=10)
+        _, _, rows = traced_vm
+        out = render_phase_profile(rows, width=10)
         assert "S=scatter" in out and "P=push" in out
         assert "S" in out.splitlines()[-2] or "P" in out.splitlines()[-2]
 
     def test_render_empty_raises(self):
-        vm = VirtualMachine(2)
         with pytest.raises(ValueError):
-            PhaseTrace(vm).render()
+            render_phase_profile([])
 
     def test_unknown_phase_gets_x_glyph(self):
         vm = VirtualMachine(2)
-        trace = PhaseTrace(vm)
-        with vm.phase("mystery"):
-            vm.charge_ops("push", 10)
-        trace.snapshot()
-        out = trace.render()
-        assert "X=mystery" in out
+        rows = _snapshots(vm, PhaseTrace(vm), ["mystery"])
+        assert "X=mystery" in render_phase_profile(rows)
 
     def test_migration_glyph(self):
         vm = VirtualMachine(2)
-        trace = PhaseTrace(vm)
-        with vm.phase("migration"):
-            vm.charge_ops("index", 10)
-        trace.snapshot()
-        assert "M=migration" in trace.render()
+        rows = _snapshots(vm, PhaseTrace(vm), ["migration"])
+        assert "M=migration" in render_phase_profile(rows)
 
     def test_columns_sum_to_bar_height(self):
         """Largest-remainder apportionment: every non-empty column stacks
         exactly bar_height glyphs — no blank rows from rounding loss."""
         vm = VirtualMachine(2)
-        trace = PhaseTrace(vm)
         # Three phases with shares 1/3 each: naive per-phase rounding gives
         # 3+3+3 = 9 of 10 glyphs, leaving a hole at the top of the bar.
-        for _ in range(4):
-            for phase in ("scatter", "push", "gather"):
-                with vm.phase(phase):
-                    vm.charge_ops("push", 10)
-            trace.snapshot()
-        out = trace.render(width=4)
+        rows = _snapshots(vm, PhaseTrace(vm), ["scatter", "push", "gather"], iterations=4)
+        out = render_phase_profile(rows, width=4)
         bar_lines = [line[1:] for line in out.splitlines()[2:-1]]  # strip axis
         assert len(bar_lines) == 10
         for col in range(len(bar_lines[0])):
@@ -96,14 +96,14 @@ class TestRender:
             assert " " not in glyphs, f"column {col} lost glyphs to rounding"
 
     def test_render_with_simulation(self):
-        """Trace a real mini-run end to end."""
+        """Profile a real mini-run from its telemetry records."""
         from repro.pic import Simulation, SimulationConfig
 
         sim = Simulation(SimulationConfig(nx=16, ny=16, nparticles=512, p=4, seed=0))
-        trace = PhaseTrace(sim.vm)
-        for _ in range(5):
-            sim.pic.step()
-            trace.snapshot()
-        out = trace.render()
+        sim.enable_telemetry()
+        sim.run(5)
+        rows = [rec["phase_time"] for rec in sim.telemetry.records if rec["type"] == "iteration"]
+        assert len(rows) == 5
+        out = render_phase_profile(rows)
         for phase in ("scatter", "field", "gather", "push"):
             assert phase in out

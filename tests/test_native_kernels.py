@@ -1,13 +1,13 @@
 """The compiled PIC kernels reproduce their NumPy bodies byte for byte.
 
-``repro.native`` puts six C loops behind ``Grid2D.cic_vertices_weights``,
-``scatter_segment`` (both steppers' scatters), ``gather_push_slice``
-(both steppers' gathers + pushes), ``ghost_slots``, ``MaxwellSolver.step``
-and ``binomial_smooth``.  The NumPy bodies stay as fallback
-and oracle, and the contract is equality *by bytes* — on ordinary inputs
-through the C loop (asserted: a comparison that silently took the
-fallback proves nothing), on exceptional ones through the fallback the C
-loop asks for, with the warnings and errors NumPy raises.  The loader may fail in many ways and
+``repro.native`` puts five C loops behind ``scatter_segment`` (both
+steppers' scatters), ``gather_push_slice`` (both steppers' gathers +
+pushes), ``ghost_slots``, ``MaxwellSolver.step`` and ``binomial_smooth``.
+The NumPy bodies stay as fallback and oracle, and the contract is
+equality *by bytes* — on ordinary inputs through the C loop (asserted: a
+comparison that silently took the fallback proves nothing), on
+exceptional ones through the fallback the C loop asks for, with the
+warnings and errors NumPy raises.  The loader may fail in many ways and
 each must end in the NumPy bodies, a reason, and the same results.
 """
 
@@ -404,15 +404,6 @@ def _wrap_edges(kernels):
 
 class TestBytes:
     @settings(max_examples=40, deadline=None)
-    @given(cases)
-    def test_cic(self, compiled, case):
-        grid, n, seed = case
-        parts = _particles(grid, n, seed)
-        got = compiled.cic(grid, parts.x, parts.y)
-        assert got is not None
-        _same(got, _cic_numpy(grid, parts.x, parts.y))
-
-    @settings(max_examples=40, deadline=None)
     @given(cases, st.sampled_from([1e-8, 1.0, 1e8]))
     def test_interpolate(self, compiled, case, scale):
         """The gather + push interpolates as ``interpolate_numpy`` does: the
@@ -674,7 +665,7 @@ class TestDeclined:
         raises (or counts from the end) as it always did; an owner map that
         does not cover the grid the scatter declines, and NumPy raises."""
         parts = _particles(self.grid, 50, 0)
-        nodes, weights = compiled.cic(self.grid, parts.x, parts.y)
+        nodes, weights = _cic_numpy(self.grid, parts.x, parts.y)
         values = np.ones((3, self.grid.nnodes))
         for bad in (self.grid.nnodes, 2**62, -self.grid.nnodes - 1):
             broken = nodes.copy()
@@ -742,17 +733,25 @@ class TestDeclined:
 
     @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
     def test_non_finite_positions_warn_as_numpy_does(self, compiled, poison):
+        """A position the scatter's CIC cannot place: the compiled pass
+        declines, and the public one answers, and warns, as its NumPy body."""
         parts = _particles(self.grid, 20, 2)
         parts.y[11] = poison
-        assert compiled.cic(self.grid, parts.x, parts.y) is None
-        with warnings.catch_warnings(record=True) as numpy_said:
-            warnings.simplefilter("always")
-            want = _cic_numpy(self.grid, parts.x, parts.y)
-        with warnings.catch_warnings(record=True) as we_said:
-            warnings.simplefilter("always")
-            got = self.grid.cic_vertices_weights(parts.x, parts.y)
-        assert [str(w.message) for w in we_said] == [str(w.message) for w in numpy_said] != []
-        _same(got, want)
+        owner = CurveBlockDecomposition(self.grid, 2, "hilbert").owner_map
+        counts = np.array([8, 12], dtype=np.int64)
+        acc, want_acc = np.empty((2, 4, self.grid.nnodes))
+        assert compiled.scatter(self.grid, parts, counts, owner, acc) is None
+        want, numpy_said = self._warned(
+            lambda: scatter_numpy(self.grid, parts, counts, owner, want_acc)
+        )
+        (_, entries, unique, batch), we_said = self._warned(
+            lambda: scatter_segment(self.grid, parts, counts, owner, acc)
+        )
+        assert we_said == numpy_said != []
+        _same(
+            (acc, batch.ids, batch.values, entries, unique),
+            (want_acc, want[3], want[0], *want[4:]),
+        )
 
     @pytest.mark.parametrize(
         "column, value",
@@ -782,7 +781,7 @@ class TestDeclined:
         """Poisoned E and B at the particles: the gather + push writes
         nothing, and the public pass answers and warns as the NumPy body."""
         parts = _particles(self.grid, 30, 4)
-        nodes, _ = compiled.cic(self.grid, parts.x, parts.y)
+        nodes, _ = _cic_numpy(self.grid, parts.x, parts.y)
         planes = np.random.default_rng(4).normal(size=(6, *self.grid.shape))
         planes[2].flat[nodes[5, 1]] = np.nan
         planes[4].flat[nodes[8, 0]] = -np.inf
@@ -833,9 +832,6 @@ class TestDeclined:
         never a silent copy-in / copy-out of the in-place push."""
         parts = _particles(self.grid, 64, 5)
         strided = ParticleArray.from_block(parts.block[:, ::2])
-        assert compiled.cic(self.grid, strided.x, strided.y) is None
-        assert compiled.cic(self.grid, parts.x.astype(np.float32), parts.y) is None
-        assert compiled.cic(self.grid, list(parts.x), list(parts.y)) is None
         planes = tuple(_planes(_fields(self.grid, 5))[:6])
         read_only = parts.copy()
         read_only.uz.flags.writeable = False
@@ -1063,12 +1059,12 @@ class TestDeclined:
 # ----------------------------------------------------------------------
 # the loader's failure taxonomy
 # ----------------------------------------------------------------------
-def _cic_works_without(monkeypatch, answer):
+def _smooth_works_without(monkeypatch, answer):
     """With ``answer`` installed as the loader's, results are the NumPy bodies'."""
     monkeypatch.setattr(native, "_loaded", answer)
-    grid, parts = GRIDS[1], _particles(GRIDS[1], 100, 6)
+    planes = np.stack(_planes(_fields(GRIDS[1], 6))[6:])
     assert native.kernels() is None and native.status() is answer[1]
-    _same(grid.cic_vertices_weights(parts.x, parts.y), _cic_numpy(grid, parts.x, parts.y))
+    _same((binomial_smooth(planes),), (binomial_smooth_numpy(planes),))
 
 
 def _built_cache(tmp_path) -> Path:
@@ -1100,13 +1096,13 @@ class TestLoader:
         monkeypatch.setattr(shutil, "which", lambda name: None)
         answer = native.load(tmp_path / "cache")
         assert answer[0] is None and not answer[1].active and "no C compiler" in answer[1].reason
-        _cic_works_without(monkeypatch, answer)
+        _smooth_works_without(monkeypatch, answer)
 
     def test_compiler_cannot_be_run(self, tmp_path, monkeypatch):
         answer = native.load(tmp_path / "cache", cc=str(tmp_path / "no-such-cc"))
         assert not answer[1].active and "did not run" in answer[1].reason
         assert list((tmp_path / "cache").iterdir()) == []
-        _cic_works_without(monkeypatch, answer)
+        _smooth_works_without(monkeypatch, answer)
 
     def test_compiler_exits_non_zero(self, tmp_path, monkeypatch):
         fake = tmp_path / "cc"
@@ -1116,7 +1112,7 @@ class TestLoader:
         assert not answer[1].active
         assert "exited 3" in answer[1].reason and "error: no" in answer[1].reason
         assert list((tmp_path / "cache").iterdir()) == []  # no temporary left behind
-        _cic_works_without(monkeypatch, answer)
+        _smooth_works_without(monkeypatch, answer)
 
     def test_truncated_cached_library(self, compiled, tmp_path, monkeypatch):
         """Never handed to ``dlopen`` (which dies of SIGBUS on it), and not
@@ -1139,8 +1135,8 @@ class TestLoader:
         found, status = native.load(cache, cc=str(wrapper))
         (rebuilt,) = cache.iterdir()
         assert status.active and status.library == str(rebuilt) and rebuilt.stat().st_size > 4096
-        parts = _particles(GRIDS[1], 100, 6)
-        _same(found.cic(GRIDS[1], parts.x, parts.y), _cic_numpy(GRIDS[1], parts.x, parts.y))
+        planes = np.stack(_planes(_fields(GRIDS[1], 6))[6:])
+        _same((found.smooth(planes),), (binomial_smooth_numpy(planes),))
 
         # a damaged library that sorts before an intact one does not hide it
         truncate(rebuilt.name.rpartition("-")[0] + "-0000000000000000.so")
@@ -1152,7 +1148,7 @@ class TestLoader:
         answer = native.load(cache, cc=str(wrapper))
         assert not answer[1].active and "exited 3" in answer[1].reason
         assert list(cache.iterdir()) == []  # the next process starts clean
-        _cic_works_without(monkeypatch, answer)
+        _smooth_works_without(monkeypatch, answer)
 
     def test_library_without_the_entry_points(self, compiled, tmp_path, monkeypatch):
         """A compiler that builds something else: loading must not trust it."""
@@ -1163,7 +1159,7 @@ class TestLoader:
         fake.chmod(0o700)
         answer = native.load(tmp_path / "cache", cc=str(fake))
         assert not answer[1].active and "cannot load" in answer[1].reason
-        _cic_works_without(monkeypatch, answer)
+        _smooth_works_without(monkeypatch, answer)
 
     @pytest.mark.parametrize("mode", [0o770, 0o707, 0o777])
     def test_cache_writable_by_others(self, tmp_path, monkeypatch, mode):
@@ -1171,7 +1167,7 @@ class TestLoader:
         cache.chmod(mode)
         answer = native.load(cache)
         assert not answer[1].active and "not a private" in answer[1].reason
-        _cic_works_without(monkeypatch, answer)
+        _smooth_works_without(monkeypatch, answer)
 
     def test_cache_owned_by_another_user(self, tmp_path, monkeypatch):
         cache = _built_cache(tmp_path)
@@ -1180,7 +1176,7 @@ class TestLoader:
         answer = native.load(cache)
         assert not answer[1].active and "not a private" in answer[1].reason
         monkeypatch.undo()
-        _cic_works_without(monkeypatch, answer)
+        _smooth_works_without(monkeypatch, answer)
 
     def test_library_is_a_symlink_or_writable_by_others(self, tmp_path):
         cache = _built_cache(tmp_path)
@@ -1207,7 +1203,7 @@ class TestLoader:
         monkeypatch.setattr(calls, "self_check", lambda found: "interpolate")
         answer = native.load(tmp_path / "cache")
         assert not answer[1].active and "self-check: interpolate" in answer[1].reason
-        _cic_works_without(monkeypatch, answer)
+        _smooth_works_without(monkeypatch, answer)
 
     def test_a_source_of_another_interface_is_not_called(self, compiled, tmp_path, monkeypatch):
         """``pic_kernels.c`` edited after ``calls`` was imported: the library
@@ -1224,7 +1220,7 @@ class TestLoader:
         assert not answer[1].active
         assert f"has interface {INTERFACE + 1}, not {INTERFACE}" in answer[1].reason
         monkeypatch.undo()
-        _cic_works_without(monkeypatch, answer)
+        _smooth_works_without(monkeypatch, answer)
 
     def test_two_processes_building_at_once(self, compiled, tmp_path):
         """Both end with a whole library: the build goes through a private

@@ -36,6 +36,7 @@ from repro.obs import (
     write_prom_snapshot,
 )
 from repro.machine import MachineModel, VirtualMachine
+from repro.obs import profile
 from repro.pic import Simulation
 from repro.pic.simulation import config_from_dict
 from repro.service import (
@@ -128,6 +129,32 @@ class TestPhaseProfiler:
         assert (name, depth, t0, t1) == ("field", 1, None, None)
         assert h1 >= h0
         assert prof.tracer.spans == []
+
+    def test_a_profiling_only_run_keeps_a_bounded_number_of_rows(self, monkeypatch):
+        """Past ``FOLD_ROWS`` the rows are folded into the totals between
+        iterations and dropped (no telemetry reads them): the recorder stays
+        under the bound, and every stack counts what a run that keeps all
+        its rows counts, each root frame once per time its phase ran."""
+        iterations, bound = 500, profile.FOLD_ROWS
+        sim = Simulation(_config())
+        prof = sim.enable_profiling()
+        lengths = []
+        sim.run(iterations, on_iteration=lambda s: lengths.append(len(s.vm.tracer.rows)))
+        assert len(lengths) == iterations and max(lengths) < bound
+
+        monkeypatch.setattr(profile, "FOLD_ROWS", 10**9)
+        kept = Simulation(_config())
+        everything = kept.enable_profiling()
+        kept.run(iterations)
+        assert len(kept.vm.tracer.rows) > 2 * bound
+        counts = {stack: count for stack, (count, _) in prof.samples.items()}
+        assert counts == {stack: count for stack, (count, _) in everything.samples.items()}
+        ran = {}
+        for name, _, depth, *_ in kept.vm.tracer.rows:
+            if depth == 1:
+                ran[name] = ran.get(name, 0) + 1
+        assert {stack[0]: n for stack, n in counts.items() if len(stack) == 1} == ran
+        assert ran["field"] == ran["gather"] == ran["push"] == iterations
 
     def test_merge_worker_samples_lands_under_workers_root(self):
         vm, prof = _profiled_vm()

@@ -173,8 +173,9 @@ def test_telemetry_calls_per_iteration():
 
 
 def test_profiling_calls_per_iteration():
-    """Profiling records host rows on the phase recorder and folds them only
-    when exported, so a profiled iteration stays within a few calls a row."""
+    """Profiling records host rows on the phase recorder and folds them when
+    exported or past a row bound, so a profiled iteration stays within a few
+    calls a row."""
     per_iteration, bare, observed = _observer_calls_per_iteration("profiling")
     assert per_iteration <= PROFILING_CALLS_PER_ITERATION, (
         f"profiling added {per_iteration:.1f} Python-level calls per iteration "

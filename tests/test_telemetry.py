@@ -323,6 +323,7 @@ class TestTelemetryAcrossRecovery:
             FaultPlan(events=(FaultEvent(kind="kill", rank=3, iteration=4),))
         )
         sim.enable_telemetry()
+        at_enable = sim.vm.phase_breakdown()
         result = sim.run(10, checkpoint_every=3, checkpoint_path=tmp_path / "ck.npz")
         assert result.n_recoveries == 1 and sim.vm.p == 5
 
@@ -341,12 +342,12 @@ class TestTelemetryAcrossRecovery:
         assert max(ev["tid"] for ev in spans) <= 5
         assert trace["otherData"]["rank_history"][-1][1] == 5
 
-        # PhaseTrace survived the machine swap: its totals reassemble the
-        # shrunk machine's cumulative phase breakdown exactly
+        # the phase rows survived the machine swap: summed over the
+        # records, they are the shrunk machine's cumulative phase
+        # breakdown less what was charged before telemetry was enabled
         for phase, seconds in sim.vm.phase_breakdown().items():
-            assert sim.trace.totals().get(phase, 0.0) == pytest.approx(
-                seconds, abs=1e-12
-            )
+            recorded = sum(rec["phase_time"].get(phase, 0.0) for rec in metrics.iterations)
+            assert recorded == pytest.approx(seconds - at_enable.get(phase, 0.0), abs=1e-12)
 
     def test_comm_stats_continuous_after_shrink(self, tmp_path):
         sim = Simulation(_config(p=6, seed=2))
@@ -363,12 +364,15 @@ class TestTelemetryAcrossRecovery:
 
 
 # ----------------------------------------------------------------------
-# trace rows across checkpoint / resume
+# phase rows across checkpoint / resume
 # ----------------------------------------------------------------------
 class TestTelemetryAcrossResume:
     def test_trace_rows_survive_resume(self, tmp_path):
+        """A resumed run's metrics stream covers the resumed tail, and its
+        phase rows are the uninterrupted run's rows of those iterations."""
         cfg = _config(seed=5)
         full = Simulation(cfg)
+        full.enable_telemetry()
         full.run(12)
 
         part = Simulation(cfg)
@@ -378,11 +382,10 @@ class TestTelemetryAcrossResume:
         resumed.enable_telemetry()
         resumed.run(6)
 
-        assert len(resumed.trace.rows) == len(full.trace.rows) == 12
-        for phase, seconds in full.trace.totals().items():
-            assert resumed.trace.totals()[phase] == pytest.approx(seconds, abs=1e-12)
-        # telemetry itself only covers the resumed tail
         assert resumed.telemetry.summary()["iterations"] == 6
+        tail = validate_metrics(full.telemetry.lines()).iterations[6:]
+        rows = validate_metrics(resumed.telemetry.lines()).iterations
+        assert [rec["phase_time"] for rec in rows] == [rec["phase_time"] for rec in tail]
 
     def test_checkpoint_event_recorded(self, tmp_path):
         sim = Simulation(_config())
