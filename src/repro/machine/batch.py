@@ -3,7 +3,7 @@
 A :class:`MessageBatch` is what the paper's scatter produces after
 duplicate removal and coalescing: one message per ``(src, dst)`` pair,
 all laid end to end in pooled arrays.  Ghost slots are numbered in
-``(src, dst, node)`` order (:func:`repro.pic.deposition.ghost_slots`),
+``(src, dst, node)`` order (:func:`repro.pic.deposition.ghost_slots_numpy`),
 so the slot sums *are* the payloads; halo and gather replies are a
 ``take`` into the same layout.  Nothing cuts a batch into per-message
 objects unless a fault injector must see one (:meth:`payload`) or a

@@ -1,20 +1,21 @@
 """Compiled PIC kernels: build once, load lazily, fall back cleanly.
 
-``pic_kernels.c`` holds five entry points: the two particle passes of
+``pic_kernels.c`` holds four entry points: the two particle passes of
 both steppers (the scatter: CIC, ghost slots and deposit a rank segment
 at a time, in the modern stepper's mode with its zigzag currents; the
 gather + push, which first interleaves E and B per node for the shards
-to read, in the modern stepper's mode on the Yee stencils, and whose
-calls without particles park or dismiss the helper threads of a team;
-both run their shards on a team of threads when given one, see
-:class:`~repro.parallel_exec.FlatBackend`), the ghost-slot pass of
-the modern gather's request list and two mesh stencils (the field step
-with its one Marder pass, and the source smoothing of a block of planes).
-:func:`kernels` hands them out as a :class:`~repro.native.calls.Kernels`,
-or ``None`` when the NumPy bodies have to do the work; the functions that
-carry the kernels' names (``scatter_segment``, ``gather_push_slice``,
-``ghost_slots``, ``MaxwellSolver.step``, ``binomial_smooth``) ask it on
-every call, so there is no switch anywhere else.
+to read, in the modern stepper's mode on the Yee stencils, numbering the
+ghost slots of its request list too, and whose calls without particles
+park or dismiss the helper threads of a team; both run their shards on a
+team of threads when given one, see
+:class:`~repro.parallel_exec.FlatBackend`) and two mesh stencils (the
+field step with its one Marder pass, and the source smoothing of a block
+of planes).  :func:`kernels` hands them out as a
+:class:`~repro.native.calls.Kernels`, or ``None`` when the NumPy bodies
+have to do the work; the functions that carry the kernels' names
+(``scatter_segment``, ``gather_push_slice``, ``MaxwellSolver.step``,
+``binomial_smooth``) ask it on every call, so there is no switch anywhere
+else.
 
 The library is built on first use with the local ``cc`` into a
 content-addressed file (its name carries a digest of source, compiler

@@ -167,15 +167,19 @@ class FlatBackend:
             self._timed("scatter", shards, started)
         return rows, entries, uniq, batch
 
-    def gather_push(self, pool: ParticlePool, planes, dt: float, cells=None) -> None:
+    def gather_push(self, pool: ParticlePool, planes, dt: float, cells=None, node_owner=None):
         """Sharded field gather + Boris push, in place in the pool, from the
         six ``(ny, nx)`` ``planes`` of E and B, interleaved per node once
         per call (by the team, a part each) for all the shards (given
-        ``cells``, on the Yee stencils: :func:`gather_push_slice`)."""
+        ``cells``, on the Yee stencils, returning the request slots of the
+        pool's rank segments under ``node_owner``: :func:`gather_push_slice`)."""
         with self._lock:
             shards, started = self._cut(pool), perf_counter()
-            gather_push_slice(self.grid, pool.array, planes, dt, shards, cells)
+            slots = gather_push_slice(
+                self.grid, pool.array, planes, dt, shards, cells, pool.counts, node_owner
+            )
             self._timed("gather_push", shards, started)
+        return slots
 
     def drain_profile(self) -> dict:
         """Return and clear ``{phase: [shard tasks, seconds]}``, summed over

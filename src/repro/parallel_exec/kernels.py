@@ -98,7 +98,7 @@ def scatter_segment(
     """Deposition work for the pool's rank segments, ``counts`` per rank.
 
     Owner lookup and duplicate removal run on the distinct ``(rank,
-    cell)`` pairs (:func:`~repro.pic.deposition.ghost_slots`), never on
+    cell)`` pairs (:func:`~repro.pic.deposition.ghost_slots_numpy`), never on
     the entries; every entry is then added to its destination in pooled
     entry order, so the floats are those of per-rank ghost tables.  One
     compiled pass of :mod:`repro.native` does CIC, ghost slots and
@@ -283,7 +283,10 @@ def node_fields_numpy(planes, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def gather_push_slice(grid, parts: ParticleArray, planes, dt: float, shards=None, cells=None):
+def gather_push_slice(
+    grid, parts: ParticleArray, planes, dt: float, shards=None, cells=None, counts=None,
+    node_owner=None,
+):
     """Field gather + Boris push of the pooled particles ``parts``, in place,
     from the six ``(ny, nx)`` ``planes`` of E and B.
 
@@ -294,29 +297,39 @@ def gather_push_slice(grid, parts: ParticleArray, planes, dt: float, shards=None
     its positions (the scatter's, as positions only change here) — or,
     given ``cells`` ``(4, n)``, its four Yee stencils, whose cells it writes
     there (:func:`staggered_gather_numpy`) — interpolates and pushes, a
-    chunk of particles at a time.  It is cut
-    into ``shards`` (:class:`~repro.native.calls.Shards`) for their team
-    to run (``None``: one shard, the calling thread); each shard reports
-    how far it got, and where one stopped, at a chunk that raised a float
-    exception or went non-finite, :func:`gather_push_numpy` pushes the rest
-    of it, in shard order, on the calling thread.  Without the compiled
-    pass, :func:`gather_push_numpy` over all of ``parts``: the shards laid
-    end to end.
+    chunk of particles at a time.  It is cut into ``shards``
+    (:class:`~repro.native.calls.Shards`) for their team to run (``None``:
+    one shard, the calling thread); each shard reports how far it got, and
+    where one stopped, at a chunk that raised a float exception or went
+    non-finite, :func:`gather_push_numpy` pushes the rest of it, in shard
+    order, on the calling thread.  Without the compiled pass,
+    :func:`gather_push_numpy` over all of ``parts``: the shards laid end to
+    end.  Given ``cells``, it returns the request list of the rank segments
+    ``counts`` under ``node_owner``, the ``(ranks, owners, nodes)`` of
+    :func:`~repro.pic.deposition.ghost_slots_numpy` of the stencil cells,
+    which each shard numbers once pushed (NumPy's where the pass declined
+    or a shard stopped); otherwise ``None``.
     """
     _check_push(parts, dt)
-    if not parts.n:
-        return
-    compiled, shards = native.kernels(), shards or Shards.one(1, parts.n)
-    found = compiled and compiled.gather_push(grid, parts, planes, float(dt), shards, cells)
+    compiled, slots = native.kernels(), None
+    shards = shards or Shards.one(1 if counts is None else len(counts), parts.n)
+    found = compiled and compiled.gather_push(
+        grid, parts, planes, float(dt), shards, cells, counts, node_owner
+    )
     if found is None:
         fields = node_fields_numpy(planes, _kept("node_fields", (grid.nnodes, 8)))
         gather_push_numpy(grid, parts, fields, dt, cells)
-        return
-    for (start, end), done in zip(zip(shards.starts, shards.starts[1:]), shards.out[:, 0]):
-        if start + done < end:
-            rest = slice(int(start + done), int(end))
-            stencils = None if cells is None else cells[:, rest]
-            gather_push_numpy(grid, parts.slice_view(rest.start, rest.stop), found, dt, stencils)
+    else:
+        fields, slots = found
+        for (start, end), done in zip(zip(shards.starts, shards.starts[1:]), shards.out[:, 0]):
+            if start + done < end:
+                rest, part = slice(start + done, end), parts.slice_view(int(start + done), int(end))
+                stencils = None if cells is None else cells[:, rest]
+                gather_push_numpy(grid, part, fields, dt, stencils)
+    if cells is None or slots is not None:
+        return slots
+    ranks = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    return ghost_slots_numpy(grid, node_owner, ranks, cells)[:3]
 
 
 def _check_push(parts: ParticleArray, dt: float) -> None:

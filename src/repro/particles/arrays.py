@@ -174,7 +174,7 @@ class ParticlePool:
         so a step or a redistribution costs no Python work per rank.
     """
 
-    __slots__ = ("array", "offsets", "_views", "_rank_of")
+    __slots__ = ("array", "offsets", "_views")
 
     def __init__(self, array: ParticleArray, offsets: np.ndarray) -> None:
         offsets = np.asarray(offsets, dtype=np.int64)
@@ -186,7 +186,6 @@ class ParticlePool:
         self.array = array
         self.offsets = offsets
         self._views: list[ParticleArray] | None = None
-        self._rank_of: np.ndarray | None = None
 
     @classmethod
     def from_ranks(cls, parts: list[ParticleArray]) -> "ParticlePool":
@@ -218,14 +217,6 @@ class ParticlePool:
     def counts(self) -> np.ndarray:
         """Per-rank particle counts (int64, length ``p``)."""
         return np.diff(self.offsets)
-
-    def rank_of_particles(self) -> np.ndarray:
-        """Owning rank of every pooled row (cached)."""
-        if self._rank_of is None:
-            self._rank_of = np.repeat(
-                np.arange(self.p, dtype=np.int64), self.counts
-            )
-        return self._rank_of
 
     def __repr__(self) -> str:
         return f"ParticlePool(p={self.p}, n={self.n})"

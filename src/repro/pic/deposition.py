@@ -13,7 +13,7 @@ particles.  Every entry is a vertex of its particle's cell, and a few
 thousand distinct ``(rank, cell)`` pairs stand for hundreds of thousands
 of entries, so the ghost bookkeeping — owner lookup, duplicate removal,
 the unique off-rank ``(rank, node)`` *slots* — runs on the pairs
-(:func:`ghost_slots`); an entry reaches its destination (its node, or
+(:func:`ghost_slots_numpy`); an entry reaches its destination (its node, or
 its slot) by table lookup and one ``bincount`` per channel sums on-rank
 entries and duplicates at once (:func:`deposit_by_destination`), in
 pooled entry order, which inside a slot is the order that rank's own
@@ -37,7 +37,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro import native
 from repro.mesh.grid import Grid2D
 from repro.particles.arrays import ParticleArray
 
@@ -47,7 +46,6 @@ __all__ = [
     "deposit_charge_current",
     "pooled_ghost_keys",
     "GhostSlots",
-    "ghost_slots",
     "ghost_slots_numpy",
     "deposit_by_destination",
 ]
@@ -140,7 +138,7 @@ def pooled_ghost_keys(
 
 
 class GhostSlots(NamedTuple):
-    """What :func:`ghost_slots_numpy` found (:func:`ghost_slots`: the first three)."""
+    """What :func:`ghost_slots_numpy` found (the compiled passes: the first three)."""
 
     ranks: np.ndarray  #: ``(nslots,)`` depositing rank of each off-rank slot
     owners: np.ndarray  #: ``(nslots,)`` rank that owns the slot's node
@@ -151,42 +149,22 @@ class GhostSlots(NamedTuple):
     pair_of: np.ndarray  #: ``(k, n)`` each particle's pair per cell row
 
 
-def ghost_slots(
-    grid: Grid2D, node_owner: np.ndarray, particle_ranks: np.ndarray, cells: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ghost slots of the distinct ``(rank, cell)`` pairs behind ``cells``:
-    their rows ``(ranks, owners, nodes)`` (:class:`GhostSlots`).
-
-    Every stencil or deposition entry is a vertex of its particle's
-    cell, so owner lookup and duplicate removal run on the pairs, never
-    on the entries.  The slots, the off-rank ``(rank, node)`` pairs, are
-    numbered in ``(rank, owner, node)`` order, so each run of equal
-    ``(rank, owner)`` is one coalesced message with ascending node ids
-    and the slots are a :class:`~repro.machine.batch.MessageBatch` as
-    they stand.
-
-    ``node_owner`` is the ownership map, ``particle_ranks`` ``(n,)`` each
-    particle's rank, ``cells`` ``(k, n)`` cell ids per particle, one row
-    per entry group.  One compiled pass when
-    :mod:`repro.native` is active and the ranks ascend, as a pool's do
-    (O(entries) plus a sort of each rank's few distinct cells and
-    off-rank vertices); :func:`ghost_slots_numpy` otherwise, with the
-    same bytes.
-    """
-    compiled = native.kernels()
-    args = (grid, node_owner, particle_ranks, cells)
-    found = compiled.ghost_slots(*args) if compiled is not None else None
-    return ghost_slots_numpy(*args)[:3] if found is None else found
-
-
 def ghost_slots_numpy(
     grid: Grid2D, node_owner: np.ndarray, particle_ranks: np.ndarray, cells: np.ndarray
 ) -> GhostSlots:
-    """The NumPy body of :func:`ghost_slots`, fallback and oracle of the
-    compiled pass: one ``np.unique`` over the particles' ``rank * nnodes
-    + cell`` keys, one over the pairs' off-rank ``(rank, owner, node)``
-    vertex keys.  A cell id outside the grid is an ``IndexError`` (its
-    key would silently alias another rank's)."""
+    """Ghost slots of the distinct ``(rank, cell)`` pairs behind ``cells``
+    ``(k, n)`` (a row per entry group; particle ``i`` of rank
+    ``particle_ranks[i]``) under ``node_owner``.
+
+    Every stencil or deposition entry is a vertex of its particle's cell,
+    so owner lookup and duplicate removal run on the pairs: one
+    ``np.unique`` over the particles' ``rank * nnodes + cell`` keys, one
+    over the pairs' off-rank ``(rank, owner, node)`` vertex keys.  The
+    slots come out in ``(rank, owner, node)`` order, a
+    :class:`~repro.machine.batch.MessageBatch` as they stand.  The NumPy
+    body, fallback and oracle, of the slots the compiled scatter and Yee
+    gather number a rank segment at a time.  A cell id outside the grid is
+    an ``IndexError`` (its key would silently alias another rank's)."""
     if cells.size and not 0 <= cells.min() <= cells.max() < grid.ncells:
         raise IndexError(f"cell ids outside [0, {grid.ncells})")
     nnodes = np.int64(grid.nnodes)

@@ -19,7 +19,7 @@ per entry, a constant of its kind.
 
 The pooled scatter of :class:`~repro.pic.parallel.ParallelPIC` keeps no
 table objects: it deduplicates every rank's ghost entries in one pass
-(:func:`~repro.pic.deposition.ghost_slots`) and keeps the stats a
+(:func:`~repro.pic.deposition.ghost_slots_numpy`) and keeps the stats a
 per-rank table would (entries, ops, unique nodes) as three per-rank
 arrays, charging ``OPS_PER_ENTRY`` times each rank's entry count.  The
 tables here drive the per-rank oracle (``tests/_looped_oracle.py``), the

@@ -23,8 +23,9 @@ Communication structure per iteration:
 4. **Field solve.**  Halo exchange of the six staggered components,
    then the Yee update, charged per owned node.
 
-The particle work of 1-3 is the era stepper's two compiled passes in
-their modern modes (:func:`~repro.parallel_exec.kernels.gather_push_slice`,
+The particle work of 1-3, the gather's request list included, is the
+era stepper's two compiled passes in their modern modes
+(:func:`~repro.parallel_exec.kernels.gather_push_slice`,
 :func:`~repro.parallel_exec.kernels.scatter_segment`), sharded on the
 simulation's backend alike.
 
@@ -62,7 +63,7 @@ from repro.parallel_exec.kernels import (
     scatter_segment,
 )
 from repro.particles.arrays import ParticleArray, ParticlePool
-from repro.pic.deposition import CHANNELS, ghost_slots
+from repro.pic.deposition import CHANNELS
 
 # The e2e recorder (benchmarks/e2e/layers.py) rebinds deposition_entries,
 # deposit_current_zigzag, gather_from_node_values and boris_push in this
@@ -153,13 +154,12 @@ class ParallelYeePIC(PooledParticles):
 
         The staggered interpolation and the push are one compiled pass over
         the pool (:func:`~repro.parallel_exec.kernels.gather_push_slice` in
-        its Yee mode), which any cut of the pool gives bit for bit, and
-        which also writes each particle's four stencil cells: the particles
-        read the global arrays, so the pass runs first.  A rank's request
-        list is the sorted unique off-rank nodes of its particles'
+        its Yee mode), which any cut of the pool gives bit for bit: the
+        particles read the global arrays, so the pass runs first.  A rank's
+        request list is the sorted unique off-rank nodes of its particles'
         stencils, cut by owner — pooled: the sorted unique off-rank
-        ``(rank, node)`` pairs of those cells
-        (:func:`~repro.pic.deposition.ghost_slots`), which come out in
+        ``(rank, node)`` pairs of their four stencil cells, which the same
+        pass numbers, shard by shard, once the shard is pushed, in
         ``(rank, owner, node)`` order: a batch as they stand.  The machine
         is charged the exchange, then the push, as an SPMD program runs
         them; a rank that fails at this gather fails before the push, so a
@@ -181,11 +181,12 @@ class ParallelYeePIC(PooledParticles):
             self._pre_push = (pool, x_old, y_old)
             with vm.section("gather_push"):
                 if self.backend is not None:
-                    self.backend.gather_push(pool, planes, self.dt, cells)
+                    slots = self.backend.gather_push(pool, planes, self.dt, cells, self.node_owner)
                 else:
-                    gather_push_slice(self.grid, parts, planes, self.dt, cells=cells)
+                    slots = gather_push_slice(
+                        self.grid, parts, planes, self.dt, None, cells, pool.counts, self.node_owner
+                    )
             with vm.section("exchange"):
-                slots = ghost_slots(self.grid, self.node_owner, pool.rank_of_particles(), cells)
                 # round 1: requests (node-id lists)
                 requests = MessageBatch.coalesce(*slots)
                 incoming = vm.exchange(requests)

@@ -104,6 +104,9 @@ def ascii_series(
     return "\n".join(out)
 
 _SPARK_GLYPHS = " .:-=+*#%@"
+#: the least span a sparkline scales to, as a share of its smaller magnitude: a change
+#: of 1 % or more draws full height, one below three printed decimals of ~1 draws flat
+_SPARK_FLOOR = 0.01
 
 
 def _sparkline(values: list[float], width: int = 60) -> str:
@@ -119,7 +122,7 @@ def _sparkline(values: list[float], width: int = 60) -> str:
             pooled.append(sum(values[a:b]) / (b - a))
         values = pooled
     lo, hi = min(values), max(values)
-    span = hi - lo
+    span = max(hi - lo, _SPARK_FLOOR * min(abs(lo), abs(hi)))
     if span <= 0:
         return _SPARK_GLYPHS[1] * len(values)
     steps = len(_SPARK_GLYPHS) - 1
@@ -131,7 +134,7 @@ def _sparkline(values: list[float], width: int = 60) -> str:
 #: a phase's glyph in the profile's bars; any other phase is "X"
 _PHASE_GLYPHS = {
     "scatter": "S", "field": "F", "gather": "G", "push": "P",
-    "redistribution": "R", "migration": "M",
+    "redistribution": "R", "migration": "M", "rebalance": "B", "recovery": "V",
 }  # fmt: skip
 
 

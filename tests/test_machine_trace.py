@@ -1,11 +1,14 @@
 """Tests for the per-iteration phase increments and the report's phase profile."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.machine import MachineModel, VirtualMachine
 from repro.machine.trace import PhaseTrace
-from repro.telemetry.report import render_phase_profile
+from repro.telemetry.report import _PHASE_GLYPHS, _sparkline, render_phase_profile
 
 
 @pytest.fixture
@@ -81,6 +84,25 @@ class TestRender:
         rows = _snapshots(vm, PhaseTrace(vm), ["migration"])
         assert "M=migration" in render_phase_profile(rows)
 
+    def test_every_phase_of_the_package_has_a_glyph_of_its_own(self):
+        """Each label the package opens a machine phase with (``.phase("...")``
+        under ``src/``) is drawn with a glyph of its own, never the catch-all."""
+        import repro
+
+        source = Path(repro.__file__).parent
+        labels = {
+            label
+            for path in source.rglob("*.py")
+            for label in re.findall(r'\.phase\("([^"]+)"', path.read_text())
+        }
+        assert {"scatter", "recovery", "rebalance"} <= labels
+        assert labels <= set(_PHASE_GLYPHS), labels - set(_PHASE_GLYPHS)
+        glyphs = list(_PHASE_GLYPHS.values())
+        assert "X" not in glyphs and len(set(glyphs)) == len(glyphs)
+        vm = VirtualMachine(2)
+        rows = _snapshots(vm, PhaseTrace(vm), ["recovery", "rebalance"])
+        assert render_phase_profile(rows).splitlines()[1] == "B=rebalance, V=recovery"
+
     def test_columns_sum_to_bar_height(self):
         """Largest-remainder apportionment: every non-empty column stacks
         exactly bar_height glyphs — no blank rows from rounding loss."""
@@ -94,6 +116,18 @@ class TestRender:
         for col in range(len(bar_lines[0])):
             glyphs = [line[col] for line in bar_lines]
             assert " " not in glyphs, f"column {col} lost glyphs to rounding"
+
+    def test_sparkline_draws_variation_below_the_printed_precision_flat(self):
+        """An imbalance that went 1.0 -> 1.00049 prints as 1.000 throughout:
+        its line is flat, not full height."""
+        line = _sparkline([1.0] * 5 + [1.00049] * 5)
+        assert len(set(line)) == 1
+
+    @pytest.mark.parametrize("top", [1.01, 1.5, 40.0])
+    def test_sparkline_draws_a_change_of_one_percent_full_height(self, top):
+        for values in ([1.0] * 5 + [top] * 5, [top] * 5 + [1.0] * 5):
+            line = _sparkline(values)
+            assert set(line) == {".", "@"} and line.count("@") == 5
 
     def test_render_with_simulation(self):
         """Profile a real mini-run from its telemetry records."""

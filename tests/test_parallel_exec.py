@@ -225,10 +225,13 @@ class TestShardThreads:
             # the modern stepper's modes: the Yee gather + push, then the scatter of its moves
             moved = (ref.array.x.copy(), ref.array.y.copy(), 0.05)
             cells = np.empty((2, 4, pool.n), dtype=np.int64)
-            gather_push_slice(_GRID, ref.array, planes, 0.05, cells=cells[0])
-            backend.gather_push(pool, planes, 0.05, cells[1])
+            want = gather_push_slice(
+                _GRID, ref.array, planes, 0.05, None, cells[0], ref.counts, node_owner
+            )
+            got = backend.gather_push(pool, planes, 0.05, cells[1], node_owner)
             assert _columns(pool.array) == _columns(ref.array)
             assert cells[0].tobytes() == cells[1].tobytes()
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
             _, *tallies = scatter_segment(
                 _GRID, ref.array, ref.counts, node_owner, row[0], moved=moved
             )

@@ -27,6 +27,7 @@ from collections import Counter
 
 import pytest
 
+from repro import native
 from repro.core import ParticlePartitioner
 from repro.machine import MachineModel, VirtualMachine
 from repro.mesh import CurveBlockDecomposition, Grid2D
@@ -95,6 +96,26 @@ def test_step_calls_do_not_grow_with_messages(stepper_cls, kwargs):
     assert calls_32 - calls_8 <= CALLS_PER_RANK * (32 - 8), (
         f"one step made {calls_8} Python-level calls at p = 8 and {calls_32} at p = 32 "
         f"({messages_8} -> {messages_32} messages): something loops over ranks or messages"
+    )
+
+
+#: Python-level calls of one warm ParallelYeePIC step at p = 8, per kernel
+#: path and worker count, as measured on CPython 3.11 (the compiled gather
+#: numbers its request slots with no call of their own) ...
+YEE_STEP_CALLS = {
+    ("compiled", 0): 1124, ("compiled", 2): 1188, ("numpy", 0): 1431, ("numpy", 2): 1475,
+}  # fmt: skip
+#: ... and the slack a different interpreter or NumPy may take
+YEE_STEP_SLACK = 25
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_a_yee_step_keeps_its_call_count(workers):
+    pinned = YEE_STEP_CALLS["compiled" if native.kernels() is not None else "numpy", workers]
+    calls, _ = _calls_of_one_step(ParallelYeePIC, 8, workers=workers)
+    assert calls <= pinned + YEE_STEP_SLACK, (
+        f"one ParallelYeePIC step at workers={workers} made {calls} Python-level calls, "
+        f"pinned at {pinned} + {YEE_STEP_SLACK}"
     )
 
 

@@ -71,12 +71,12 @@ def _shard_raises_mid_step(tmp_path, monkeypatch):
         pytest.skip("the NumPy bodies push every shard to its end")
     real, steps = Kernels.gather_push, []
 
-    def short(self, grid, parts, planes, dt, shards, cells=None):
-        fields = real(self, grid, parts, planes, dt, shards, cells)
+    def short(self, grid, parts, planes, dt, shards, *stencils):
+        found = real(self, grid, parts, planes, dt, shards, *stencils)
         steps.append(1)
         if len(steps) == 2:
             shards.out[-1, 0] = 0
-        return fields
+        return found
 
     def failing(*args):
         raise FloatingPointError("injected")

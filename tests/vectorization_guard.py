@@ -1,5 +1,5 @@
 """Every loop of ``pic_kernels.c`` marked ``VECTORIZED`` is vectorized by
-GCC in every clone, and the file has at most five entry points.
+GCC in every clone, and the file has at most four entry points.
 
 ``python -m tests.vectorization_guard`` compiles the C file with
 ``repro.native.FLAGS`` plus ``-fopt-info-vec-optimized`` once per clone
@@ -40,7 +40,7 @@ __all__ = [
 
 MARKER = "VECTORIZED:"
 #: the most functions pic_kernels.c may export
-MAX_ENTRY_POINTS = 5
+MAX_ENTRY_POINTS = 4
 #: the targets pic_kernels.c clones its particle passes' hot loops for
 TARGETS = ("default", "x86-64-v3", "x86-64-v4")
 
